@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.api import EngineOptions
+from repro.api import EngineOptions, SAGeDataset
 from repro.core import SAGeArchive, SAGeConfig, SAGeDecompressor
 from repro.core.blocks import BlockCompressor
 from repro.core.kernels import get_kernel
@@ -65,8 +65,8 @@ def _kernel_decode(blob: bytes, codec: str):
 
 def _full_decode(blob: bytes, codec: str):
     def run():
-        return SAGeDecompressor(SAGeArchive.from_bytes(blob),
-                                codec=codec).decompress()
+        return SAGeDataset(SAGeArchive.from_bytes(blob),
+                           options=EngineOptions(codec=codec)).read_set()
 
     return _best(run)
 

@@ -29,7 +29,7 @@ from . import api
 from .api import (EngineOptions, Pipeline, SAGeDataset, available_sinks,
                   make_sink, register_sink)
 from .core import (OptLevel, SAGeArchive, SAGeCompressor, SAGeConfig,
-                   SAGeDecompressor, compress, decompress)
+                   SAGeDecompressor)
 
 __version__ = "1.1.0"
 
@@ -38,5 +38,5 @@ __all__ = [
     "mapping", "pipeline", "EngineOptions", "Pipeline", "SAGeDataset",
     "available_sinks", "make_sink", "register_sink", "OptLevel",
     "SAGeArchive", "SAGeCompressor", "SAGeConfig", "SAGeDecompressor",
-    "compress", "decompress", "__version__",
+    "__version__",
 ]

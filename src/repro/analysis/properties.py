@@ -142,9 +142,8 @@ def analyze(reads: ReadSet | Iterable[ReadSet], reference: np.ndarray,
     """Gather the Fig. 7 / Fig. 10 statistics for a read set.
 
     Accepts either a materialized :class:`ReadSet` or any iterable of
-    :class:`ReadSet` blocks (e.g. the streaming decoders'
-    ``iter_block_read_sets``), which is analyzed without ever holding
-    the whole dataset.
+    :class:`ReadSet` blocks (e.g. ``SAGeDataset.blocks()``), which is
+    analyzed without ever holding the whole dataset.
     """
     accumulator = PropertyAccumulator(reference, mapper_config)
     accumulator.consume(iter_reads(reads))

@@ -67,7 +67,7 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
     """Map every read and accumulate per-position evidence.
 
     ``read_set`` may be a stream of :class:`ReadSet` blocks (e.g. from
-    ``iter_block_read_sets``); evidence accumulates block by block and
+    ``SAGeDataset.blocks()``); evidence accumulates block by block and
     ``mappings`` keeps stream order, so downstream consumers see the
     same result as a whole-dataset pass.
     """

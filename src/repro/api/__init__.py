@@ -15,15 +15,14 @@ compressor/decompressor/executor plumbing themselves.
         report, rate = ds.pipe("property").pipe("mapping-rate").run()
 """
 
-from .._compat import reset_deprecation_warnings
 from ..core.errors import (BlockDecodeError, CorruptArchiveError,
                            SAGeError, TruncatedArchiveError)
+from ..core.options import ON_ERROR, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection
 from .cache import (CacheStats, DecodedBlockCache, SingleFlight,
                     decoded_nbytes)
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
-from .options import ON_ERROR, EngineOptions, resolve_stream_options
 from .sinks import (CallableSink, available_sinks, make_sink,
                     register_sink, result_info, unregister_sink)
 
@@ -34,6 +33,5 @@ __all__ = [
     "SalvageReport", "SingleFlight", "SourceTotals", "StreamSelection",
     "TruncatedArchiveError", "VerifyReport", "atomic_write_bytes",
     "available_sinks", "decoded_nbytes", "make_sink", "register_sink",
-    "reset_deprecation_warnings", "result_info",
-    "resolve_stream_options", "unregister_sink",
+    "result_info", "unregister_sink",
 ]

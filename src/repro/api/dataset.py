@@ -21,9 +21,9 @@ examples, benchmarks and future server/sharding layers sit on:
         for block in ds.blocks():        # block i while i+1 decodes
             ...
 
-Everything executes on the existing engines — the block compressor,
-the streaming executor, the reference decompressor — so output stays
-byte-identical to the legacy call paths, which now forward here.
+Everything executes on the engines underneath — the block compressor,
+the streaming executor, the reference decompressor — which take the
+session's one :class:`EngineOptions` and nothing else.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from ..core.compressor import SAGeCompressor, SAGeConfig
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
 from ..core.errors import SAGeError
+from ..core.options import EngineOptions
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
 from ..genomics.reads import Read, ReadSet
 from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
     FastqSink, Sink, StreamExecutor
-from .options import EngineOptions
 from .sinks import resolve_sink
 
 __all__ = ["Pipeline", "SAGeDataset", "SalvageReport", "SourceTotals",
@@ -351,7 +351,7 @@ class SAGeDataset:
 
     @property
     def format_version(self) -> int:
-        """Container version the archive was loaded from (2, 3 or 4)."""
+        """Container version the archive was loaded from (3 or 4)."""
         return self._archive.source_version
 
     @property
@@ -496,9 +496,8 @@ class SAGeDataset:
 
     def read_set(self, *, options: EngineOptions | None = None) -> ReadSet:
         """Materialize the whole dataset as one :class:`ReadSet`."""
-        self._require_open()
-        return self.decompressor().decompress(
-            options=options or self.options)
+        [read_set] = self._make_executor(options).run(CollectSink())
+        return read_set
 
     def decode_block(self, index: int) -> ReadSet:
         """Random access: decode only block ``index``."""

@@ -13,9 +13,6 @@ Subcommands::
     sage inspect    input.sage [--json]
     sage verify     input.sage [--deep] [--json] [--workers N]
     sage salvage    input.sage output.fastq [--workers N] [--json]
-    sage bench      input.{sage,fastq} [--consensus ref.txt]
-                    [--codec NAME ...] [--encode] [--mapper NAME ...]
-                    [--repeat R] [--json]
     sage simulate   RS2 output.fastq [--genome 50000] [--ref ref.txt]
     sage serve      input.sage [more.sage ...] [--host H] [--port P]
                     [--cache-mb MB] [--decode-threads N] [--workers N]
@@ -42,11 +39,9 @@ consensus as the reference.
 (:mod:`repro.core.kernels`): ``python`` is the bit-serial reference,
 ``numpy`` the vectorized batch kernel; archives are byte-identical
 across kernels.  ``--mapper NAME`` does the same for the read-mapping
-hot path (:mod:`repro.mapping.batch`).  ``sage bench`` measures
-encode/decode MB/s for every requested codec kernel on a FASTQ file or
-an existing archive; ``sage bench --encode`` adds per-mapper encode
-rows (MB/s plus the batch mapper's pre-alignment filter statistics:
-candidates/read, filter reject %, DP cells).
+hot path (:mod:`repro.mapping.batch`).  Performance is measured by the
+repo benchmark (``python3 -m bench.run``, see ``bench/README.md``), not
+by a subcommand here.
 """
 
 from __future__ import annotations
@@ -56,11 +51,10 @@ import json
 import sys
 from pathlib import Path
 
-from .api import (EngineOptions, SAGeDataset, StreamSelection,
-                  available_sinks, result_info)
+from .api import EngineOptions, SAGeDataset, available_sinks, result_info
 from .core import OptLevel, SAGeArchive, SAGeError
 from .core.container import STREAM_NAMES
-from .core.kernels import available_kernels, resolve_codec
+from .core.kernels import available_kernels
 from .mapping import batch as mapper_batch
 from .genomics import datasets, fastq
 from .genomics import sequence as seqmod
@@ -447,194 +441,6 @@ def _cmd_salvage(args: argparse.Namespace) -> int:
     return 0 if not report.gaps else 1
 
 
-def _bench_load(args: argparse.Namespace):
-    """Resolve the bench input into (reads, consensus, source label)."""
-    import numpy as np
-
-    with Path(args.input).open("rb") as handle:
-        blob_head = handle.read(4)
-    if blob_head == b"SAGE":
-        with SAGeDataset.open(args.input) as dataset:
-            reads = dataset.read_set()
-            consensus = np.array(dataset.consensus)
-        return reads, consensus, "archive"
-    if not args.consensus:
-        raise _usage_exit(
-            "bench on a FASTQ input needs --consensus REF.txt")
-    reads = fastq.read_file(args.input)
-    text = Path(args.consensus).read_text(encoding="ascii") \
-        .strip().replace("\n", "")
-    return reads, seqmod.encode(text), "fastq"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Measure per-kernel encode/decode throughput (MB/s of FASTQ)."""
-    import time
-
-    codecs = list(args.codec or available_kernels())
-    try:
-        codecs = [resolve_codec(c) for c in codecs]
-    except ValueError as exc:
-        raise _usage_exit(str(exc)) from None
-    selective = None
-    if args.streams:
-        try:
-            selective = StreamSelection.of(*args.streams).names
-        except ValueError as exc:
-            raise _usage_exit(str(exc)) from None
-    reads, consensus, source = _bench_load(args)
-    fastq_mb = reads.uncompressed_fastq_bytes() / 1e6
-    rows = {}
-    blobs = {}
-    shared_archive = None
-    for codec in codecs:
-        options = _engine_options(codec=codec, level=args.level,
-                                  block_reads=args.block_reads,
-                                  with_quality=not args.no_quality)
-        enc_best = dec_best = sel_best = float("inf")
-        if args.decode:
-            # Decode-only mode: archives are byte-identical across
-            # kernels, so one untimed encode feeds every decode row.
-            if shared_archive is None:
-                shared_archive = SAGeDataset.from_fastq(
-                    reads, reference=consensus, options=options).archive
-            archive = shared_archive
-        else:
-            archive = None
-            for _ in range(max(1, args.repeat)):
-                t0 = time.perf_counter()
-                dataset = SAGeDataset.from_fastq(
-                    reads, reference=consensus, options=options)
-                enc_best = min(enc_best, time.perf_counter() - t0)
-                archive = dataset.archive
-            blobs[codec] = archive.to_bytes()
-        for _ in range(max(1, args.repeat)):
-            session = SAGeDataset(archive,
-                                  options=EngineOptions(codec=codec))
-            t0 = time.perf_counter()
-            session.read_set()
-            dec_best = min(dec_best, time.perf_counter() - t0)
-        row = {"decode_s": round(dec_best, 4),
-               "decode_mb_s": round(fastq_mb / dec_best, 2)}
-        if not args.decode:
-            row["encode_s"] = round(enc_best, 4)
-            row["encode_mb_s"] = round(fastq_mb / enc_best, 2)
-        if selective is not None:
-            sel_options = EngineOptions(codec=codec, streams=selective)
-            for _ in range(max(1, args.repeat)):
-                session = SAGeDataset(archive, options=sel_options)
-                t0 = time.perf_counter()
-                session.read_set()
-                sel_best = min(sel_best, time.perf_counter() - t0)
-            row["decode_selective_s"] = round(sel_best, 4)
-            row["decode_selective_mb_s"] = round(fastq_mb / sel_best, 2)
-            row["streams"] = list(selective)
-        rows[codec] = row
-    identical = len({blob for blob in blobs.values()}) == 1 if blobs \
-        else None
-    info = {"input": args.input, "source": source,
-            "reads": len(reads), "fastq_mb": round(fastq_mb, 3),
-            "repeat": args.repeat, "decode_only": bool(args.decode),
-            "streams": list(selective) if selective is not None else None,
-            "archives_byte_identical": identical,
-            "kernels": rows}
-    mapper_rows: dict[str, dict] = {}
-    if args.encode:
-        mapper_rows, mappers_identical = _bench_mappers(
-            args, reads, consensus, fastq_mb)
-        info["mappers"] = mapper_rows
-        info["mapper_archives_byte_identical"] = mappers_identical
-    if args.json:
-        print(json.dumps(info, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.input}: {len(reads)} reads, {fastq_mb:.2f} MB FASTQ "
-          f"(best of {args.repeat})")
-    header = f"{'codec':<10}"
-    if not args.decode:
-        header += f"{'encode MB/s':>14}"
-    header += f"{'decode MB/s':>14}"
-    if selective is not None:
-        header += f"{'selective MB/s':>16}"
-    print(header)
-    for codec, row in rows.items():
-        line = f"{codec:<10}"
-        if not args.decode:
-            line += f"{row['encode_mb_s']:>14.2f}"
-        line += f"{row['decode_mb_s']:>14.2f}"
-        if selective is not None:
-            line += f"{row['decode_selective_mb_s']:>16.2f}"
-        print(line)
-    if selective is not None:
-        print(f"selective decode streams: {', '.join(selective)}")
-    if len(rows) > 1 and identical is not None:
-        print("archives byte-identical across kernels: "
-              f"{'yes' if identical else 'NO (BUG)'}")
-    if mapper_rows:
-        print(f"{'mapper':<10}{'encode MB/s':>14}{'cand/read':>12}"
-              f"{'reject %':>10}{'DP cells':>12}")
-        for mapper, row in mapper_rows.items():
-            cand = row.get("candidates_per_read")
-            reject = row.get("filter_reject_pct")
-            cells = row.get("dp_cells")
-            print(f"{mapper:<10}{row['encode_mb_s']:>14.2f}"
-                  f"{cand if cand is not None else '-':>12}"
-                  f"{reject if reject is not None else '-':>10}"
-                  f"{cells if cells is not None else '-':>12}")
-        if len(mapper_rows) > 1:
-            print("archives byte-identical across mappers: "
-                  f"{'yes' if mappers_identical else 'NO (BUG)'}")
-    return 0
-
-
-def _bench_mappers(args: argparse.Namespace, reads, consensus,
-                   fastq_mb: float) -> tuple[dict, bool]:
-    """Per-mapper-kernel encode rows for ``sage bench --encode``.
-
-    Encodes run with ``workers=1`` so the batch mapper's in-process
-    :data:`repro.mapping.batch.GLOBAL_STATS` reflect the measured pass
-    (candidates examined, filter rejects, DP cells).
-    """
-    import time
-
-    mappers = list(args.mapper or mapper_batch.available_mappers())
-    try:
-        mappers = [mapper_batch.resolve_mapper(m) for m in mappers]
-    except ValueError as exc:
-        raise _usage_exit(str(exc)) from None
-    rows: dict[str, dict] = {}
-    blobs: dict[str, bytes] = {}
-    for mapper in mappers:
-        options = _engine_options(mapper=mapper, level=args.level,
-                                  block_reads=args.block_reads,
-                                  with_quality=not args.no_quality)
-        enc_best = float("inf")
-        archive = None
-        for _ in range(max(1, args.repeat)):
-            mapper_batch.reset_stats()
-            t0 = time.perf_counter()
-            dataset = SAGeDataset.from_fastq(reads, reference=consensus,
-                                             options=options)
-            enc_best = min(enc_best, time.perf_counter() - t0)
-            archive = dataset.archive
-        blobs[mapper] = archive.to_bytes()
-        row = {"encode_s": round(enc_best, 4),
-               "encode_mb_s": round(fastq_mb / enc_best, 2)}
-        stats = mapper_batch.GLOBAL_STATS
-        if stats.reads:  # the batch kernel populated its counters
-            row.update({
-                "candidates_per_read": round(stats.candidates_per_read, 4),
-                "filter_reject_pct":
-                    round(100 * stats.filter_reject_fraction, 4),
-                "false_accept_pct":
-                    round(100 * stats.false_accept_fraction, 4),
-                "fast_path_pct": round(100 * stats.fast_path_fraction, 4),
-                "dp_cells": stats.dp_cells,
-            })
-        rows[mapper] = row
-    identical = len(set(blobs.values())) == 1
-    return rows, identical
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     sim = datasets.generate(args.dataset, base_genome=args.genome,
                             seed=args.seed)
@@ -816,44 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable JSON")
     _add_codec_flag(p)
     p.set_defaults(func=_cmd_salvage)
-
-    p = sub.add_parser("bench",
-                       help="measure codec kernel encode/decode MB/s")
-    p.add_argument("input",
-                   help="a .sage archive or a FASTQ file")
-    p.add_argument("--consensus", default=None,
-                   help="reference text file (required for FASTQ input)")
-    p.add_argument("--codec", action="append", default=None,
-                   metavar="NAME",
-                   help="kernel to measure (repeatable; default: all "
-                        f"registered: {', '.join(available_kernels())})")
-    p.add_argument("--encode", action="store_true",
-                   help="also measure per-mapper-kernel encode rows "
-                        "(MB/s plus pre-alignment filter statistics)")
-    p.add_argument("--decode", action="store_true",
-                   help="decode-only benchmark: build the archive once, "
-                        "untimed, and skip the encode rows")
-    p.add_argument("--streams", action="append", default=None,
-                   metavar="NAME",
-                   help="also measure selective decode restricted to "
-                        "these stream groups (repeatable; e.g. "
-                        "--streams sequence)")
-    p.add_argument("--mapper", action="append", default=None,
-                   metavar="NAME",
-                   help="mapper kernel to measure with --encode "
-                        "(repeatable; default: all registered: "
-                        f"{', '.join(mapper_batch.available_mappers())})")
-    p.add_argument("--level", default="O4",
-                   choices=[lvl.name for lvl in OptLevel])
-    p.add_argument("--block-reads", type=int, default=0,
-                   help="reads per block for the encode pass")
-    p.add_argument("--no-quality", action="store_true",
-                   help="drop quality scores (isolates the DNA codec)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="measurement repetitions (best time wins)")
-    p.add_argument("--json", action="store_true",
-                   help="emit machine-readable JSON")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("simulate", help="generate a synthetic read set")
     p.add_argument("dataset", choices=["RS1", "RS2", "RS3", "RS4", "RS5"])

@@ -2,19 +2,19 @@
 
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
-from .blocks import (BACKENDS, DEFAULT_BLOCK_READS, INFLIGHT_PER_WORKER,
-                     BlockCompressor, BlockDescriptor, compress_blocked,
+from .blocks import (BlockCompressor, BlockDescriptor, compress_blocked,
                      imap_bounded, partition_reads)
-from .compressor import CompressionError, SAGeCompressor, SAGeConfig, compress
+from .compressor import CompressionError, SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
-from .decompressor import DecompressionError, SAGeDecompressor, decompress
+from .decompressor import DecompressionError, SAGeDecompressor
 from .errors import (BlockDecodeError, CorruptArchiveError, SAGeError,
                      TruncatedArchiveError)
 from .formats import OutputFormat
 from .kernels import (CodecKernel, available_kernels, get_kernel,
                       register_kernel, resolve_codec)
 from .mismatch import CATEGORIES, OptLevel, SizeBreakdown
+from .options import BACKENDS, DEFAULT_BLOCK_READS, INFLIGHT_PER_WORKER
 from .prefix_codes import AssociationTable
 from .selection import STREAM_GROUPS, StreamSelection, decoded_stream_bits
 from .tuning import TuningResult, bit_count_histogram, tune, tune_values
@@ -29,8 +29,8 @@ __all__ = [
     "STREAM_GROUPS", "StreamSelection", "decoded_stream_bits",
     "compress_blocked", "imap_bounded",
     "partition_reads", "CompressionError", "SAGeCompressor", "SAGeConfig",
-    "compress", "BlockIndexEntry", "ContainerError", "SAGeArchive",
-    "SAGeBlock", "DecompressionError", "SAGeDecompressor", "decompress",
+    "BlockIndexEntry", "ContainerError", "SAGeArchive",
+    "SAGeBlock", "DecompressionError", "SAGeDecompressor",
     "OutputFormat", "CATEGORIES", "OptLevel", "SizeBreakdown",
     "CodecKernel", "available_kernels", "get_kernel", "register_kernel",
     "resolve_codec",

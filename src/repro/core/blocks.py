@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .._compat import warn_once
 from ..genomics.reads import ReadSet, partition_reads
 from ..mapping.kmer_index import KmerIndex
 from ..mapping.mapper import MapperConfig
@@ -39,9 +38,9 @@ from .compressor import SAGeCompressor, SAGeConfig
 from .container import SAGeArchive, SAGeBlock
 from .formats import pack_bits
 from .mismatch import SizeBreakdown
+from .options import INFLIGHT_PER_WORKER, EngineOptions
 
-__all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
-           "BlockCompressor", "BlockDescriptor", "block_from_archive",
+__all__ = ["BlockCompressor", "BlockDescriptor", "block_from_archive",
            "compress_blocked", "imap_bounded", "partition_reads"]
 
 
@@ -63,23 +62,6 @@ class BlockDescriptor(NamedTuple):
     nbytes: int
     crc32: int | None
 
-#: Default reads-per-block partition size.  Matches the order of the
-#: paper's per-channel section granularity: large enough that Algorithm-1
-#: tuning sees representative statistics, small enough that a block is a
-#: useful unit of random access and parallelism.
-DEFAULT_BLOCK_READS = 4096
-
-#: Submitted-but-unfinished blocks kept in flight per worker.  Shared
-#: backpressure policy of both the compression engine here and the
-#: streaming decode executor (:mod:`repro.pipeline.executor`).
-INFLIGHT_PER_WORKER = 2
-
-#: Recognized decode backends.  ``auto`` picks ``serial`` for one worker
-#: and ``process`` (with graceful fallback) otherwise.  Defined here —
-#: next to the shared backpressure policy — so both the facade's
-#: :class:`repro.api.EngineOptions` and the streaming executor validate
-#: against one list without importing each other.
-BACKENDS = ("auto", "serial", "thread", "process")
 
 #: Per-process compressor memo, keyed by *identity* of the consensus and
 #: config objects (cheap, and both are stable across a run: the parent
@@ -133,38 +115,6 @@ def _compress_chunk_pooled(chunk: ReadSet) -> SAGeBlock:
 def block_from_archive(archive: SAGeArchive) -> SAGeBlock:
     """Strip a flat archive down to its per-block section."""
     return archive._as_block()
-
-
-# sage-lint: disable-next=SGL003 - pre-facade compression knobs, kept for deprecated shims
-def _resolve_compress_options(options, *, block_reads: int | None,
-                              workers: int | None, caller: str):
-    """Fold legacy ``block_reads=``/``workers=`` kwargs into options.
-
-    The compression-side counterpart of
-    :func:`repro.api.options.resolve_stream_options`: loose kwargs keep
-    working (warning once per caller) and validation runs through
-    :class:`repro.api.EngineOptions` — except the historical
-    ``block_reads >= 1`` contract of this engine, enforced here.
-    """
-    from ..api.options import EngineOptions
-    if block_reads is None and workers is None:
-        return options if options is not None \
-            else EngineOptions(block_reads=DEFAULT_BLOCK_READS)
-    if options is not None:
-        raise ValueError(
-            f"{caller}: pass either options= or the legacy "
-            f"block_reads/workers kwargs, not both")
-    warn_once(
-        f"{caller}:compress-kwargs",
-        f"{caller}(block_reads=..., workers=...) is deprecated; pass "
-        f"repro.api.EngineOptions(...) via options= instead",
-        stacklevel=4)
-    if block_reads is None:
-        block_reads = DEFAULT_BLOCK_READS
-    if block_reads < 1:
-        raise ValueError("block_reads must be >= 1")
-    return EngineOptions(block_reads=block_reads,
-                         workers=1 if workers is None else workers)
 
 
 def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
@@ -229,25 +179,18 @@ class BlockCompressor:
         kernel (and every worker count) produces a byte-identical
         archive.
     options:
-        :class:`repro.api.EngineOptions` supplying the block partition
-        size (``effective_block_reads``) and compression ``workers``.
-        ``1`` worker keeps everything in-process (the deterministic
-        reference path); higher values use a
+        :class:`~repro.core.options.EngineOptions` supplying the block
+        partition size (``effective_block_reads``) and compression
+        ``workers``.  ``1`` worker keeps everything in-process (the
+        deterministic reference path); higher values use a
         :class:`concurrent.futures.ProcessPoolExecutor` and produce a
         byte-identical archive.
-    block_reads / workers:
-        Deprecated loose kwargs, forwarded into an ``EngineOptions``
-        (with a once-per-process :class:`DeprecationWarning`).
     """
 
-    # sage-lint: disable-next=SGL003 - pre-facade compression knobs, kept for deprecated shims
     def __init__(self, consensus: np.ndarray,
                  config: SAGeConfig | None = None, *,
-                 options=None, block_reads: int | None = None,
-                 workers: int | None = None):
-        options = _resolve_compress_options(
-            options, block_reads=block_reads, workers=workers,
-            caller="BlockCompressor")
+                 options: EngineOptions | None = None):
+        options = options if options is not None else EngineOptions()
         self.consensus = np.asarray(consensus, dtype=np.uint8)
         self.config = config or SAGeConfig()
         self.options = options
@@ -378,20 +321,14 @@ def _merge_breakdowns(blocks: list[SAGeBlock]) -> SizeBreakdown:
     return merged
 
 
-# sage-lint: disable-next=SGL003 - pre-facade compression knobs, kept for deprecated shims
 def compress_blocked(reads: ReadSet | Iterable[ReadSet],
                      consensus: np.ndarray,
                      config: SAGeConfig | None = None, *,
-                     options=None, block_reads: int | None = None,
-                     workers: int | None = None) -> SAGeArchive:
+                     options: EngineOptions | None = None) -> SAGeArchive:
     """One-shot convenience wrapper around :class:`BlockCompressor`.
 
-    Always produces a blocked archive; loose ``block_reads``/``workers``
-    kwargs are deprecated in favour of ``options``
-    (:class:`repro.api.EngineOptions`).
+    Always produces a blocked archive (``options.block_reads == 0``
+    means :data:`~repro.core.options.DEFAULT_BLOCK_READS`).
     """
-    options = _resolve_compress_options(
-        options, block_reads=block_reads, workers=workers,
-        caller="compress_blocked")
     return BlockCompressor(consensus, config, options=options) \
         .compress(reads)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .._compat import warn_once
 from ..genomics import sequence as seq
 from ..genomics.reads import Read, ReadSet
 from ..mapping.alignment import DEL, INS, SUB
@@ -604,18 +603,3 @@ def _find_runs(codes: np.ndarray, target: int) -> list[tuple[int, int]]:
             runs.append((int(s) + off, min(255, length - off)))
     return runs
 
-
-def compress(read_set: ReadSet, consensus: np.ndarray,
-             config: SAGeConfig | None = None) -> SAGeArchive:
-    """Deprecated one-shot wrapper; use the :class:`SAGeDataset` facade.
-
-    Forwards to ``repro.api.SAGeDataset.from_fastq(...)`` — the archive
-    is byte-identical to the historical flat-compression path.
-    """
-    warn_once("repro.core.compress",
-              "repro.core.compress() is deprecated; use "
-              "repro.api.SAGeDataset.from_fastq(reads, reference=...)"
-              ".archive instead")
-    from ..api.dataset import SAGeDataset
-    return SAGeDataset.from_fastq(read_set, reference=consensus,
-                                  config=config).archive

@@ -15,10 +15,10 @@ The **version 4** layout is v3 plus end-to-end integrity digests: a
 CRC32 over the global header, a CRC32 over the consensus payload, and a
 CRC32 per block payload carried in the block index — so a flipped bit
 anywhere is *detected* and *localized* to one block instead of decoding
-into silent garbage.  Version 2 (the monolithic pre-block layout) and
-version 3 blobs are still read by :meth:`SAGeArchive.from_bytes`, and
-:meth:`SAGeArchive.to_bytes` re-emits any still-supported version;
-re-serializing a loaded archive preserves its version byte-identically.
+into silent garbage.  Version 3 blobs are still read by
+:meth:`SAGeArchive.from_bytes` and re-emitted by
+:meth:`SAGeArchive.to_bytes`; re-serializing a loaded archive preserves
+its version byte-identically.
 
 Byte layout (v4; v3 is the same without the ``crc`` fields)::
 
@@ -63,9 +63,6 @@ VERSION = 4
 
 #: Block-based layout without integrity digests, still fully supported.
 V3_VERSION = 3
-
-#: Legacy monolithic layout, still readable (and writable on demand).
-V2_VERSION = 2
 
 #: Streams in serialization order.  ``consensus`` is the packed consensus;
 #: the rest are the arrays of §5.1 plus side/corner/unmapped payloads.
@@ -341,7 +338,8 @@ class SAGeArchive:
     permutation: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
     name: str = ""
-    #: Container version this archive was loaded from (3 when built).
+    #: Container version this archive was loaded from (:data:`VERSION`
+    #: when built in memory).
     source_version: int = VERSION
 
     def __post_init__(self) -> None:
@@ -397,7 +395,7 @@ class SAGeArchive:
             mapped.close()
             raise
         if archive._source_blob is None:
-            # Flat shape (v2, or a single-block v3/v4 parsed eagerly):
+            # Flat shape (a single-block archive is parsed eagerly):
             # every stream was copied out; the mapping is not needed.
             view.release()
             mapped.close()
@@ -575,7 +573,7 @@ class SAGeArchive:
         """
         if self._index is not None:
             return self._index
-        version = self._layout_version()
+        version = self.source_version
         offset = (len(self._global_header_blob(version))
                   + self._consensus_framing_nbytes(version)
                   + len(self.streams["consensus"][0])
@@ -590,11 +588,6 @@ class SAGeArchive:
             offset += len(payload)
         self._index = entries
         return entries
-
-    def _layout_version(self) -> int:
-        """The blocked-layout version this archive's index reflects."""
-        return self.source_version if self.source_version >= V3_VERSION \
-            else VERSION
 
     @staticmethod
     def _consensus_framing_nbytes(version: int) -> int:
@@ -628,7 +621,7 @@ class SAGeArchive:
         a block payload, so lazy consumers (``sage inspect``) can price
         the fixed overhead without materializing any block.
         """
-        version = self._layout_version()
+        version = self.source_version
         total = len(self._global_header_blob(version))
         total += self._consensus_framing_nbytes(version)
         total += (_index_entry_bits(version) // 8) * self.n_blocks
@@ -713,18 +706,10 @@ class SAGeArchive:
         :data:`VERSION` for archives built in memory.  ``version=4``
         writes the checksummed block layout, ``version=3`` the same
         layout without digests (a v4 archive downgrades byte-identically
-        to the v3 bytes it extends), and ``version=2`` the legacy
-        monolithic layout (flat archives only).
+        to the v3 bytes it extends).
         """
         if version is None:
-            version = self.source_version \
-                if self.source_version in (V2_VERSION, V3_VERSION,
-                                           VERSION) else VERSION
-        if version == V2_VERSION:
-            if self.is_blocked:
-                raise ContainerError(
-                    "blocked archives cannot be written as version 2")
-            return self._to_bytes_v2()
+            version = self.source_version
         if version not in (V3_VERSION, VERSION):
             raise ContainerError(f"cannot write version {version}")
         checksummed = version >= VERSION
@@ -757,48 +742,9 @@ class SAGeArchive:
             writer.write_bytes(blob)
         return writer.getvalue()
 
-    def _to_bytes_v2(self) -> bytes:
-        writer = BitWriter()
-        writer.write(MAGIC, 32)
-        writer.write(V2_VERSION, 8)
-        writer.write(int(self.level), 4)
-        writer.write_bit(self.long_reads)
-        writer.write_bit(self.fixed_length)
-        writer.write_bit(self.quality is not None)
-        writer.write_bit(self.preserve_order)
-        writer.write_bit(self.headers_blob is not None)
-        writer.write(self.fixed_read_length, 32)
-        writer.write(self.n_mapped, 40)
-        writer.write(self.n_unmapped, 40)
-        writer.write(self.consensus_length, 40)
-        writer.write(self.w_rlen, 6)
-        writer.write(self.w_cons, 6)
-        for key in _TABLE_ORDER:
-            present = key in self.tables
-            writer.write_bit(present)
-            if present:
-                self.tables[key].serialize(writer)
-        writer.align_to_byte()
-        for name in STREAM_NAMES:
-            payload, bits = self.streams[name]
-            writer.write(bits, 40)
-            writer.write(len(payload), 24)
-            writer.align_to_byte()
-            writer.write_bytes(payload)
-        if self.quality is not None:
-            writer.write(len(self.quality.payload), 40)
-            writer.write(self.quality.n_scores, 40)
-            writer.align_to_byte()
-            writer.write_bytes(self.quality.payload)
-        if self.headers_blob is not None:
-            writer.write(len(self.headers_blob), 40)
-            writer.align_to_byte()
-            writer.write_bytes(self.headers_blob)
-        return writer.getvalue()
-
     @classmethod
     def from_bytes(cls, blob: "bytes | memoryview") -> "SAGeArchive":
-        """Deserialize an archive written by :meth:`to_bytes` (v2–v4).
+        """Deserialize an archive written by :meth:`to_bytes` (v3/v4).
 
         ``blob`` may be any byte buffer — :meth:`open` passes a
         ``memoryview`` over an mmap, keeping block payloads unread
@@ -822,11 +768,10 @@ class SAGeArchive:
             raise CorruptArchiveError("bad magic; not a SAGe archive",
                                       offset=0)
         version = reader.read(8)
+        if version not in (V3_VERSION, VERSION):
+            raise ContainerError(f"unsupported version {version}")
         try:
-            if version == V2_VERSION:
-                return cls._from_bytes_v2(reader)
-            if version in (V3_VERSION, VERSION):
-                return cls._from_bytes_blocked(reader, blob, version)
+            return cls._from_bytes_blocked(reader, blob, version)
         except SAGeError:
             raise
         except BitIOError:           # pragma: no cover - SAGeError above
@@ -835,7 +780,6 @@ class SAGeArchive:
             raise CorruptArchiveError(
                 f"malformed archive ({exc})",
                 offset=reader.position // 8) from exc
-        raise ContainerError(f"unsupported version {version}")
 
     @classmethod
     def _from_bytes_blocked(cls, reader: BitReader, blob: bytes,
@@ -903,8 +847,8 @@ class SAGeArchive:
             offset += blk_nbytes
 
         if n_blocks == 1:
-            # Flat-compatible shape: expose the single block's payload
-            # through the top-level fields, as a v2 load would.
+            # Flat shape: expose the single block's payload through
+            # the top-level fields.
             entry = index[0]
             payload = blob[entry.offset:entry.offset + entry.nbytes]
             if (entry.crc32 is not None
@@ -972,7 +916,7 @@ class SAGeArchive:
         Returns ``{"header": s, "consensus": s, "blocks": [s, ...]}``
         with each status one of ``"ok"`` (digest matches),
         ``"failed"`` (mismatch), or ``"unchecked"`` (the layout carries
-        no digest — v2/v3 archives).  Never raises on corruption; the
+        no digest — v3 archives).  Never raises on corruption; the
         report localizes it instead.  Archives built in memory are
         self-consistent by construction and report ``"ok"`` throughout
         when checksummed.
@@ -994,51 +938,3 @@ class SAGeArchive:
         else:
             statuses = ["ok"] * self.n_blocks
         return {"header": "ok", "consensus": "ok", "blocks": statuses}
-
-    @classmethod
-    def _from_bytes_v2(cls, reader: BitReader) -> "SAGeArchive":
-        level = OptLevel(reader.read(4))
-        long_reads = bool(reader.read_bit())
-        fixed_length = bool(reader.read_bit())
-        has_quality = bool(reader.read_bit())
-        preserve_order = bool(reader.read_bit())
-        has_headers = bool(reader.read_bit())
-        fixed_read_length = reader.read(32)
-        n_mapped = reader.read(40)
-        n_unmapped = reader.read(40)
-        consensus_length = reader.read(40)
-        w_rlen = reader.read(6)
-        w_cons = reader.read(6)
-        tables: dict[str, AssociationTable] = {}
-        for key in _TABLE_ORDER:
-            if reader.read_bit():
-                tables[key] = AssociationTable.deserialize(reader)
-        reader.align_to_byte()
-
-        streams: dict[str, tuple[bytes, int]] = {}
-        for name in STREAM_NAMES:
-            bits = reader.read(40)
-            nbytes = reader.read(24)
-            reader.align_to_byte()
-            streams[name] = (reader.read_bytes(nbytes), bits)
-
-        quality = None
-        if has_quality:
-            nbytes = reader.read(40)
-            n_scores = reader.read(40)
-            reader.align_to_byte()
-            quality = quality_codec.QualityBlob(reader.read_bytes(nbytes),
-                                                n_scores)
-        headers_blob = None
-        if has_headers:
-            nbytes = reader.read(40)
-            reader.align_to_byte()
-            headers_blob = reader.read_bytes(nbytes)
-        return cls(level=level, long_reads=long_reads,
-                   fixed_length=fixed_length,
-                   fixed_read_length=fixed_read_length, n_mapped=n_mapped,
-                   n_unmapped=n_unmapped, consensus_length=consensus_length,
-                   w_rlen=w_rlen, w_cons=w_cons, tables=tables,
-                   streams=streams, quality=quality,
-                   preserve_order=preserve_order,
-                   headers_blob=headers_blob, source_version=V2_VERSION)

@@ -11,10 +11,12 @@ and RCU operate concurrently in hardware.
 The hardware functional model (:mod:`repro.hardware.sage_units`) wraps
 this decoder with cycle/byte accounting and must produce identical output.
 
-Blocked (v3) archives decode per independent section: decoding block *i*
+Blocked archives decode per independent section: decoding block *i*
 via :meth:`SAGeDecompressor.decompress_block` touches only that block's
 streams plus the shared consensus — the software analog of per-channel
-parallel decode (§5.3).
+parallel decode (§5.3).  This class decodes one section at a time; the
+walk over all blocks of an archive (serial or parallel, with the
+``on_error`` policy) is :class:`repro.pipeline.executor.StreamExecutor`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .._compat import warn_once
 from ..genomics import sequence as seq
 from ..genomics.reads import Read, ReadSet
 from . import headers as headers_codec
@@ -37,24 +38,6 @@ from .formats import unpack_bits
 from .kernels import resolve_kernel
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
-
-
-def renumber_fallback_headers(read_set: ReadSet, base: int,
-                              name: str) -> ReadSet:
-    """Re-enumerate a block's fallback read headers from ``base``.
-
-    Blocks without a headers blob decode with headers counted from 0;
-    offsetting by the preceding blocks' read counts keeps headers
-    globally unique.  The in-tree block decoders now pass the offset
-    straight into :meth:`SAGeDecompressor.decompress` (``header_base``)
-    so reads are built once; this helper remains for callers holding an
-    already-decoded block.
-    """
-    name = name or "sage"
-    return ReadSet(
-        [Read(codes=r.codes, quality=r.quality,
-              header=f"{name}.{base + i}")
-         for i, r in enumerate(read_set)], name=name)
 
 
 class SAGeDecompressor:
@@ -83,20 +66,15 @@ class SAGeDecompressor:
     # Public API
     # ------------------------------------------------------------------
 
-    # sage-lint: disable-next=SGL003 - warn-once deprecated shim routed via resolve_stream_options
-    def decompress(self, *, workers: int | None = None,
-                   options=None, header_base: int | None = None,
+    def decompress(self, *, header_base: int | None = None,
                    select=None) -> ReadSet:
-        """Decode every read (and quality scores, if present).
+        """Decode every read (and quality scores, if present) of a flat
+        archive or single-block view.
 
-        Blocked (v3 multi-section) archives are decoded block by block
-        in index order; each block restores its own within-block order,
-        so the concatenation reproduces the original read order whenever
-        ``preserve_order`` was set at compression time.  ``options``
-        (:class:`repro.api.EngineOptions`) with ``workers > 1`` decodes
-        blocks in parallel through the streaming executor
-        (:mod:`repro.pipeline.executor`); the result is identical.  The
-        loose ``workers=`` kwarg is deprecated.
+        Multi-block archives are walked by
+        :class:`~repro.pipeline.executor.StreamExecutor` (which the
+        :class:`repro.api.SAGeDataset` facade drives); one block of them
+        decodes through :meth:`decompress_block`.
 
         ``header_base`` switches generated fallback headers to *block
         mode*: reads are named sequentially from that offset in final
@@ -111,21 +89,16 @@ class SAGeDecompressor:
         outright, not decoded-and-dropped.  Skipping ``sequence`` yields
         empty-code placeholder reads; skipping ``order`` emits reads in
         the codec's emission order (identical content, for
-        order-insensitive consumers).  An explicit ``select`` wins over
-        ``options.streams``.
+        order-insensitive consumers).
         """
-        from ..api.options import resolve_stream_options
-        options = resolve_stream_options(
-            options, workers=workers,
-            caller="SAGeDecompressor.decompress")
-        if select is None:
-            select = getattr(options, "streams", None)
-        select = StreamSelection.from_spec(select)
         if self.archive.is_blocked:
-            return self._decompress_blocked(options, select)
+            raise DecompressionError(
+                "blocked archive: decode per block via decompress_block()"
+                " or walk it with StreamExecutor / SAGeDataset.read_set()")
+        select = StreamSelection.from_spec(select)
         if select.sequence:
             try:
-                codes = resolve_kernel(self._effective_codec(options)) \
+                codes = resolve_kernel(self.codec) \
                     .decode_reads(self, select=select)
             except SAGeError:
                 raise
@@ -197,16 +170,8 @@ class SAGeDecompressor:
         return slots
 
     # ------------------------------------------------------------------
-    # Blocked (v3) archives: partial and streaming decompression
+    # Blocked archives: random-access block decode
     # ------------------------------------------------------------------
-
-    def _effective_codec(self, options) -> str:
-        """The codec an options object selects for this decoder."""
-        if options is not None:
-            selected = getattr(options, "codec", "auto")
-            if selected != "auto":
-                return selected
-        return self.codec
 
     # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
     def decompress_block(self, index: int, *,
@@ -260,55 +225,6 @@ class SAGeDecompressor:
                 f"block decode failed ({type(exc).__name__}: {exc})",
                 block_index=index) from exc
 
-    # sage-lint: disable-next=SGL003 - warn-once deprecated shim routed via resolve_stream_options
-    def iter_block_read_sets(self, workers: int | None = None, *,
-                             backend: str | None = None,
-                             prefetch: int | None = None,
-                             options=None) -> Iterator[ReadSet]:
-        """Yield each block's reads in index order (streaming decode).
-
-        ``options`` (:class:`repro.api.EngineOptions`) with
-        ``workers > 1`` or an explicit ``backend`` hands the walk to the
-        facade's streaming path: blocks decode in parallel with bounded
-        prefetch, and the caller consumes block *i* while block *i+1*
-        is still decoding.  Output order and content are identical to
-        the serial walk for every configuration.  The loose
-        ``workers=``/``backend=``/``prefetch=`` kwargs are deprecated.
-        """
-        from ..api.options import resolve_stream_options
-        options = resolve_stream_options(
-            options, workers=workers, backend=backend, prefetch=prefetch,
-            caller="SAGeDecompressor.iter_block_read_sets")
-        if options.workers == 1 and options.backend in ("auto", "serial"):
-            select = StreamSelection.from_spec(
-                getattr(options, "streams", None))
-            return self._iter_blocks_serial(self._effective_codec(options),
-                                            select)
-        from ..api.dataset import SAGeDataset
-        return SAGeDataset(self.archive, options=options,
-                           decompressor=self).blocks()
-
-    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
-    def _iter_blocks_serial(self, codec: str | None = None,
-                            select: StreamSelection | None = None
-                            ) -> Iterator[ReadSet]:
-        for index in range(self.archive.n_blocks):
-            yield self.decompress_block(index, codec=codec, select=select)
-            # Keep a whole-archive walk at O(1) parsed blocks: the
-            # consumed block re-parses from the source blob on any later
-            # random access.
-            self.archive.release_block(index)
-
-    def _decompress_blocked(self, options,
-                            select: StreamSelection | None = None
-                            ) -> ReadSet:
-        if select is not None:
-            options = options.replace(streams=select.names)
-        reads: list[Read] = []
-        for block_set in self.iter_block_read_sets(options=options):
-            reads.extend(block_set)
-        return ReadSet(reads, name=self.archive.name or "sage")
-
     def make_readers(self) -> dict[str, BitReader]:
         """Fresh sequential readers over the archive's streams.
 
@@ -329,8 +245,7 @@ class SAGeDecompressor:
         arch = self.archive
         if arch.is_blocked:
             raise DecompressionError(
-                "blocked archive: decode per block via decompress_block()"
-                " / iter_block_read_sets()")
+                "blocked archive: decode per block via decompress_block()")
         if readers is None:
             readers = self.make_readers()
         prev_cons = 0
@@ -550,15 +465,3 @@ class SAGeDecompressor:
         payload = reader.read_bytes((3 * length + 7) // 8)
         return unpack_bits(payload, 3, length)
 
-
-def decompress(archive: SAGeArchive) -> ReadSet:
-    """Deprecated one-shot wrapper; use the :class:`SAGeDataset` facade.
-
-    Forwards to ``repro.api.SAGeDataset(archive).read_set()`` — output
-    is identical to the historical behaviour.
-    """
-    warn_once("repro.core.decompress",
-              "repro.core.decompress() is deprecated; use "
-              "repro.api.SAGeDataset(archive).read_set() instead")
-    from ..api.dataset import SAGeDataset
-    return SAGeDataset(archive).read_set()

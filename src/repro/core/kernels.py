@@ -537,8 +537,7 @@ def _decode_reads_batched(dec) -> list[np.ndarray]:
     arch = dec.archive
     if arch.is_blocked:
         raise DecompressionError(
-            "blocked archive: decode per block via decompress_block()"
-            " / iter_block_read_sets()")
+            "blocked archive: decode per block via decompress_block()")
     level = arch.level
     tuned = level.tuned_mismatch
     if tuned:

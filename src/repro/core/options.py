@@ -1,13 +1,16 @@
 """Engine configuration: one validated options object for every path.
 
-:class:`EngineOptions` replaces the ``workers=`` / ``backend=`` /
-``prefetch=`` / ``block_reads=`` keyword sprawl that used to be
-duplicated across :mod:`repro.core.blocks`,
-:mod:`repro.core.decompressor`, :mod:`repro.pipeline.executor` and the
-CLI.  Every engine constructs (or receives) an ``EngineOptions`` and all
-validation happens here, in ``__post_init__`` — bad values fail at the
-API boundary with a clear :class:`ValueError` instead of deep inside a
-worker pool.
+:class:`EngineOptions` is the only way to pass ``workers`` /
+``backend`` / ``prefetch`` / ``block_reads`` (and every other session
+knob) to an engine: :mod:`repro.core.blocks`,
+:mod:`repro.pipeline.executor`, the :mod:`repro.api` facade and the CLI
+all take ``options=`` and nothing else.  All validation happens here, in
+``__post_init__`` — bad values fail at the API boundary with a clear
+:class:`ValueError` instead of deep inside a worker pool.
+
+The module sits below the engines it configures (it imports no engine
+and nothing from :mod:`repro.api`), so ``core`` and ``pipeline`` import
+it at module level; ``repro.api.EngineOptions`` is this class.
 """
 
 from __future__ import annotations
@@ -16,15 +19,30 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from .._compat import warn_once
-from ..core.blocks import BACKENDS, DEFAULT_BLOCK_READS, INFLIGHT_PER_WORKER
-from ..core.compressor import SAGeConfig
-from ..core.kernels import available_kernels
-from ..core.mismatch import OptLevel
-from ..core.selection import STREAM_GROUPS, StreamSelection
 from ..mapping.batch import available_mappers
+from .compressor import SAGeConfig
+from .kernels import available_kernels
+from .mismatch import OptLevel
+from .selection import STREAM_GROUPS, StreamSelection
 
-__all__ = ["EngineOptions", "ON_ERROR", "resolve_stream_options"]
+__all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
+           "ON_ERROR", "EngineOptions"]
+
+#: Default reads-per-block partition size.  Matches the order of the
+#: paper's per-channel section granularity: large enough that Algorithm-1
+#: tuning sees representative statistics, small enough that a block is a
+#: useful unit of random access and parallelism.
+DEFAULT_BLOCK_READS = 4096
+
+#: Submitted-but-unfinished blocks kept in flight per worker.  Shared
+#: backpressure policy of both the compression engine
+#: (:mod:`repro.core.blocks`) and the streaming decode executor
+#: (:mod:`repro.pipeline.executor`).
+INFLIGHT_PER_WORKER = 2
+
+#: Recognized decode backends.  ``auto`` picks ``serial`` for one worker
+#: and ``process`` (with graceful fallback) otherwise.
+BACKENDS = ("auto", "serial", "thread", "process")
 
 #: Recognized streaming-decode failure policies.
 ON_ERROR = ("raise", "skip", "salvage")
@@ -41,7 +59,7 @@ class EngineOptions:
         ``1`` is the serial reference path; every value produces
         byte-identical output.
     backend:
-        Decode backend, one of :data:`repro.core.blocks.BACKENDS`
+        Decode backend, one of :data:`BACKENDS`
         (``auto`` picks ``serial`` for one worker, ``process``
         otherwise).
     prefetch:
@@ -256,31 +274,3 @@ class EngineOptions:
             else None,
         }
 
-
-def resolve_stream_options(options: EngineOptions | None = None, *,
-                           workers: int | None = None,
-                           backend: str | None = None,
-                           prefetch: int | None = None,
-                           caller: str) -> EngineOptions:
-    """Fold legacy streaming kwargs into an :class:`EngineOptions`.
-
-    The shared deprecation shim of the decode-side entry points
-    (``SAGeDecompressor.decompress`` / ``iter_block_read_sets``,
-    ``StreamExecutor``, ``stream_read_sets``): explicit legacy kwargs
-    still work but warn once per caller, and validation always runs
-    through :class:`EngineOptions`.
-    """
-    if workers is None and backend is None and prefetch is None:
-        return options if options is not None else EngineOptions()
-    if options is not None:
-        raise ValueError(
-            f"{caller}: pass either options= or the legacy "
-            f"workers/backend/prefetch kwargs, not both")
-    warn_once(
-        f"{caller}:stream-kwargs",
-        f"{caller}(workers=..., backend=..., prefetch=...) is "
-        f"deprecated; pass repro.api.EngineOptions(...) via options= "
-        f"instead", stacklevel=4)
-    return EngineOptions(workers=1 if workers is None else workers,
-                         backend="auto" if backend is None else backend,
-                         prefetch=prefetch)

@@ -2,8 +2,8 @@
 
 FASTQ is the paper's input format (§2.1): four lines per read — ``@header``,
 bases, ``+``, Phred+33 quality string.  The writer emits exactly that; the
-parser is tolerant of a repeated header on the ``+`` line and of missing
-trailing newlines.
+parser is tolerant of a repeated header on the ``+`` line, of CRLF line
+endings, and of missing trailing newlines.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ def parse_stream(stream: TextIO) -> Iterator[Read]:
         header = stream.readline()
         if not header:
             return
-        header = header.rstrip("\n")
+        header = header.rstrip("\r\n")
         if not header:
             continue
         if not header.startswith("@"):
             raise FastqError(f"expected '@' header line, got {header[:20]!r}")
-        bases = stream.readline().rstrip("\n")
-        plus = stream.readline().rstrip("\n")
-        quality = stream.readline().rstrip("\n")
+        bases = stream.readline().rstrip("\r\n")
+        plus = stream.readline().rstrip("\r\n")
+        quality = stream.readline().rstrip("\r\n")
         if not plus.startswith("+"):
             raise FastqError(f"expected '+' separator, got {plus[:20]!r}")
         if len(quality) != len(bases):

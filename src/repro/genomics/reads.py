@@ -155,8 +155,7 @@ def iter_reads(reads: ReadSet | Iterable[ReadSet]) -> Iterator[Read]:
     (:func:`repro.analysis.properties.analyze`,
     :func:`repro.analysis.variants.pileup`): a :class:`ReadSet` yields
     its own reads; any other iterable is treated as blocks of reads —
-    the shape produced by the streaming decoders'
-    ``iter_block_read_sets``.
+    the shape produced by ``SAGeDataset.blocks()``.
     """
     if isinstance(reads, ReadSet):
         yield from reads

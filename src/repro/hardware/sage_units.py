@@ -179,9 +179,7 @@ class SAGeHardwareModel:
     # Validation against the software decoders
     # ------------------------------------------------------------------
 
-    # sage-lint: disable-next=SGL003 - workers= kept as a warn-once deprecated shim
-    def verify(self, archive, *, workers: int | None = None,
-               options=None) -> bool:
+    def verify(self, archive, *, options=None) -> bool:
         """Check functional equivalence with the software decode path.
 
         ``archive`` may be a :class:`SAGeArchive` or the
@@ -189,37 +187,23 @@ class SAGeHardwareModel:
         decodes through the facade (the served path), so the functional
         model and the service API cannot drift.  Runs the
         cycle-accounted hardware decode and the (optionally parallel,
-        ``workers > 1`` via ``options=EngineOptions(workers=...)``)
-        streaming software decode and compares base codes and quality
-        scores read by read.  Headers are not compared: the hardware
-        path re-enumerates fallback names.  Returns ``True`` on success
-        and raises :class:`ValueError` on the first mismatch —
-        equivalence is the §5.2 contract that the SU/RCU walk *is* the
-        reference decoder.
-
-        The bare ``workers=`` shortcut is deprecated; thread knobs
-        through :class:`~repro.api.EngineOptions` instead.
+        via ``options=EngineOptions(workers=...)``) streaming software
+        decode and compares base codes and quality scores read by read.
+        Headers are not compared: the hardware path re-enumerates
+        fallback names.  Returns ``True`` on success and raises
+        :class:`ValueError` on the first mismatch — equivalence is the
+        §5.2 contract that the SU/RCU walk *is* the reference decoder.
         """
-        from .._compat import warn_once
+        # Function-level: only this check sits on the facade, whose
+        # engines (pipeline.endtoend) import this package at module level.
         from ..api.dataset import SAGeDataset
-        from ..api.options import EngineOptions
-        if workers is not None and options is not None:
-            raise ValueError("verify: pass either options= or the "
-                             "deprecated workers= shortcut, not both")
-        if options is None and workers is not None:
-            warn_once(
-                "sage_units.verify.workers",
-                "SAGeHardwareModel.verify(workers=...) is deprecated; "
-                "pass options=EngineOptions(workers=...) instead")
-            options = EngineOptions(workers=workers)
         if isinstance(archive, SAGeDataset):
             # Keep the caller's session (its options and cached
             # decoder) unless an explicit override was given.
             dataset = archive if options is None \
                 else SAGeDataset(archive.archive, options=options)
         else:
-            dataset = SAGeDataset(archive,
-                                  options=options or EngineOptions())
+            dataset = SAGeDataset(archive, options=options)
         hw_reads, _ = self.run(dataset.archive)
         sw_reads = dataset.read_set()
         if len(hw_reads) != len(sw_reads):

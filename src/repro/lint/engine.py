@@ -20,8 +20,8 @@ The rules themselves live in :mod:`repro.lint.rules` (codes ``SGL001``
 Suppression syntax (comment anywhere on the relevant line)::
 
     x = risky()            # sage-lint: disable=SGL001 - reason
-    # sage-lint: disable-next=SGL003 - sanctioned legacy shim
-    def old_entry(workers=None): ...
+    # sage-lint: disable-next=SGL003 - kernel-selection mechanism
+    def decode(codec="auto"): ...
     # sage-lint: disable-file=SGL002
 
 ``disable`` silences the named codes on its own line, ``disable-next``

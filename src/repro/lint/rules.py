@@ -17,7 +17,7 @@ SGL002    kernel-determinism      Codec/mapper kernel modules import no
                                   only inside registry resolvers — archives
                                   must stay byte-identical across kernels
                                   (PR 5/6).
-SGL003    options-threading       No function outside ``api/options.py`` grows
+SGL003    options-threading       No function outside ``core/options.py`` grows
                                   ``workers=``/``backend=``/``prefetch=``/
                                   ``block_reads=``/``codec=``/``mapper=``
                                   keyword parameters; engine knobs route
@@ -47,8 +47,8 @@ SGL007    serve-error-mapping     Serve request handlers never let a
 
 Rules are deliberately *syntactic*: they flag the patterns through which
 the contracts have historically rotted, not every conceivable semantic
-escape.  Sanctioned exceptions (the deprecated pre-facade shims, the
-kernel-selection mechanism itself) carry inline
+escape.  Sanctioned exceptions (the kernel-selection mechanism itself,
+batching units that are not engine knobs) carry inline
 ``# sage-lint: disable=SGLnnn - reason`` suppressions so the carve-out
 is visible at the definition site.
 """
@@ -303,19 +303,19 @@ class OptionsThreadingRule(Rule):
     PR 4 collapsed the ``workers=``/``backend=``/... keyword sprawl into
     one validated options object; a function that regrows such a
     parameter reopens the drift the facade closed.  Sanctioned sites —
-    the warn-once deprecation shims and the kernel-selection mechanism
-    itself — carry inline suppressions naming their reason.
+    the kernel-selection mechanism itself and batching units that are
+    not engine knobs — carry inline suppressions naming their reason.
     """
 
     code = "SGL003"
     name = "options-threading"
-    contract = ("no function outside api/options.py takes workers/"
+    contract = ("no function outside core/options.py takes workers/"
                 "backend/prefetch/block_reads/codec/mapper parameters")
     origin = "PR 4"
 
     def applies(self, ctx: FileContext) -> bool:
         return ctx.in_paths("src/repro") \
-            and not ctx.is_file("repro/api/options.py")
+            and not ctx.is_file("repro/core/options.py")
 
     def _check(self, node: ast.AST, ctx: FileContext) -> None:
         args = node.args

@@ -129,7 +129,7 @@ class MapperStats:
         return out
 
 
-#: Process-wide accumulator (``sage bench`` reads it; workers=1 only —
+#: Process-wide accumulator (``bench/`` reads it; workers=1 only —
 #: process-pool workers accumulate into their own copy).
 GLOBAL_STATS = MapperStats()
 

@@ -11,7 +11,7 @@ from .endtoend import (MAX_SIM_BATCHES, EndToEndResult, SystemConfig,
                        speedup_over)
 from .executor import (BACKENDS, CollectSink, ExecutorStats, FastqSink,
                        MappingRateReport, MappingRateSink, PropertySink,
-                       Sink, StreamExecutor, stream_read_sets)
+                       Sink, StreamExecutor)
 from .stages import (PipelineResult, Stage, simulate_pipeline,
                      steady_state_throughput)
 
@@ -24,6 +24,6 @@ __all__ = [
     "batches_from_archive", "build_stages", "evaluate", "geometric_mean",
     "speedup_over", "BACKENDS", "CollectSink", "ExecutorStats",
     "FastqSink", "MappingRateReport", "MappingRateSink", "PropertySink",
-    "Sink", "StreamExecutor", "stream_read_sets", "PipelineResult",
+    "Sink", "StreamExecutor", "PipelineResult",
     "Stage", "simulate_pipeline", "steady_state_throughput",
 ]

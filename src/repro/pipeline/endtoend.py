@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core.blocks import DEFAULT_BLOCK_READS
 from ..core.container import SAGeArchive
+from ..core.options import DEFAULT_BLOCK_READS
 from ..hardware import energy as energy_mod
 from ..hardware.energy import (BWT_ACC, HOST_CPU, HOST_DRAM, SAGE_LOGIC,
                                EnergyLedger)

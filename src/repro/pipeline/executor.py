@@ -38,12 +38,13 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.blocks import BACKENDS, BlockDescriptor, imap_bounded
+from ..core.blocks import BlockDescriptor, imap_bounded
 from ..core.container import SAGeArchive, SAGeBlock, block_as_archive
 from ..core.decompressor import SAGeDecompressor
 from ..core.errors import BlockDecodeError, CorruptArchiveError, \
     SAGeError, TruncatedArchiveError
 from ..core.formats import unpack_bits
+from ..core.options import BACKENDS, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection, \
     decoded_stream_bits
 from ..genomics import fastq
@@ -52,7 +53,7 @@ from ..mapping.mapper import MapperConfig, ReadMapper
 
 __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
            "FastqSink", "MappingRateReport", "MappingRateSink",
-           "PropertySink", "Sink", "StreamExecutor", "stream_read_sets"]
+           "PropertySink", "Sink", "StreamExecutor"]
 
 #: Estimated pickle/task framing bytes around one shipped payload.  Used
 #: for the ``bytes_shipped`` counter on the payload (non-mmap) transport
@@ -292,36 +293,27 @@ class StreamExecutor:
         The (ideally blocked v3) archive to decode.  Flat archives work
         too — they are a single block, decoded serially.
     options:
-        :class:`repro.api.EngineOptions` supplying ``workers`` (decode
-        parallelism; ``1`` is the serial reference path), ``backend``
-        (one of :data:`BACKENDS`; ``auto`` selects ``serial`` for one
-        worker and ``process`` otherwise, ``thread`` trades process-pool
-        startup cost for GIL contention) and ``prefetch`` (in-flight
-        blocks per worker; the decode window is ``workers * prefetch``
-        and memory is bounded by that many blocks).
-    workers / backend / prefetch:
-        Deprecated loose kwargs, folded into an ``EngineOptions`` with
-        a once-per-process :class:`DeprecationWarning`.
+        :class:`~repro.core.options.EngineOptions` supplying ``workers``
+        (decode parallelism; ``1`` is the serial reference path),
+        ``backend`` (one of :data:`BACKENDS`; ``auto`` selects
+        ``serial`` for one worker and ``process`` otherwise, ``thread``
+        trades process-pool startup cost for GIL contention) and
+        ``prefetch`` (in-flight blocks per worker; the decode window is
+        ``workers * prefetch`` and memory is bounded by that many
+        blocks).
     decompressor:
         An existing :class:`SAGeDecompressor` to reuse (its unpacked
         consensus) on the serial and thread paths.
     """
 
-    # sage-lint: disable-next=SGL003 - warn-once deprecated shim routed via resolve_stream_options
-    def __init__(self, archive: SAGeArchive, *, options=None,
-                 workers: int | None = None, backend: str | None = None,
-                 prefetch: int | None = None,
+    def __init__(self, archive: SAGeArchive, *,
+                 options: EngineOptions | None = None,
                  decompressor: SAGeDecompressor | None = None):
-        from ..api.options import resolve_stream_options
-        options = resolve_stream_options(options, workers=workers,
-                                         backend=backend,
-                                         prefetch=prefetch,
-                                         caller="StreamExecutor")
+        options = options if options is not None else EngineOptions()
         self.archive = archive
         self.options = options
         self.workers = options.workers
         self.backend = options.backend
-        self.prefetch = options.effective_prefetch
         # The codec kernel decoding each block: an explicit options
         # choice wins, otherwise inherit the session decompressor's.
         self.codec = options.codec
@@ -337,7 +329,7 @@ class StreamExecutor:
     @property
     def window(self) -> int:
         """Maximum blocks in flight (submitted but not yet consumed)."""
-        return max(1, self.workers * self.prefetch)
+        return self.options.window
 
     @property
     def resolved_backend(self) -> str:
@@ -363,9 +355,8 @@ class StreamExecutor:
         declaration-less sink (or an empty sink list) conservatively
         requesting everything.
         """
-        explicit = getattr(self.options, "streams", None)
-        if explicit is not None:
-            return StreamSelection.from_spec(explicit)
+        if self.options.streams is not None:
+            return StreamSelection.from_spec(self.options.streams)
         if not sinks:
             return StreamSelection.all_streams()
         union = StreamSelection.none()
@@ -476,9 +467,8 @@ class StreamExecutor:
         ``"raise"`` propagates, ``"skip"``/``"salvage"`` return a
         :class:`BlockGap`.
         """
-        opts = self.options
-        policy = getattr(opts, "on_error", "raise")
-        retries = getattr(opts, "block_retries", 1) if pooled else 0
+        policy = self.options.on_error
+        retries = self.options.block_retries if pooled else 0
         codecs = [self.codec] * retries
         if policy == "salvage" and (not codecs or codecs[-1] != "python"):
             codecs.append("python")
@@ -602,26 +592,9 @@ class StreamExecutor:
         for item in imap_bounded(
                 pool, fn, items, self.window,
                 depth_probe=self.stats.note_depth,
-                timeout=getattr(self.options, "block_timeout", None),
+                timeout=self.options.block_timeout,
                 failure=failure):
             yield self._account(item)
-
-
-# sage-lint: disable-next=SGL003 - warn-once deprecated shim routed via resolve_stream_options
-def stream_read_sets(archive: SAGeArchive, *, options=None,
-                     workers: int | None = None,
-                     backend: str | None = None,
-                     prefetch: int | None = None) -> Iterator[ReadSet]:
-    """One-shot convenience wrapper: iterate an archive's blocks.
-
-    Loose ``workers``/``backend``/``prefetch`` kwargs are deprecated in
-    favour of ``options`` (:class:`repro.api.EngineOptions`).
-    """
-    from ..api.options import resolve_stream_options
-    options = resolve_stream_options(options, workers=workers,
-                                     backend=backend, prefetch=prefetch,
-                                     caller="stream_read_sets")
-    return iter(StreamExecutor(archive, options=options))
 
 
 # ----------------------------------------------------------------------

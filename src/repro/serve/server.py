@@ -28,8 +28,8 @@ from pathlib import Path
 
 from ..api.cache import DecodedBlockCache, SingleFlight, decoded_nbytes
 from ..api.dataset import SAGeDataset
-from ..api.options import EngineOptions
 from ..api.sinks import result_info
+from ..core.options import EngineOptions
 from ..core.selection import StreamSelection
 from ..genomics import fastq
 from .http import (HTTPError, Request, Response, error_response,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.genomics import datasets
+from repro.genomics.reads import ReadSet
 from repro.genomics.simulator import ReadSimulator, short_read_profile
 
 
@@ -50,3 +51,14 @@ def read_multiset(read_set):
         qual = read.quality.tobytes() if read.quality is not None else b""
         out.append((read.codes.tobytes(), qual))
     return sorted(out)
+
+
+def decode_blocks(decoder):
+    """Reference walk: every block decoded one by one, in index order.
+
+    Independent of ``StreamExecutor``, so executor tests have something
+    to be compared against.
+    """
+    return ReadSet([read for index in range(decoder.archive.n_blocks)
+                    for read in decoder.decompress_block(index)],
+                   name=decoder.archive.name or "sage")

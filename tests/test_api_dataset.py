@@ -1,7 +1,6 @@
 """Tests for the SAGeDataset facade, EngineOptions, and sink registry."""
 
 import io
-import warnings
 
 import numpy as np
 import pytest
@@ -107,12 +106,10 @@ class TestFacadeCompression:
         assert facade.to_bytes() == legacy.to_bytes()
         assert facade.n_blocks == 1
 
-    def test_blocked_byte_identical_to_legacy(self, rs3_small, dataset):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = compress_blocked(rs3_small.read_set,
-                                      rs3_small.reference,
-                                      block_reads=BLOCK_READS)
+    def test_blocked_byte_identical_to_legacy(self, rs3_small, dataset,
+                                              blocked_options):
+        legacy = compress_blocked(rs3_small.read_set, rs3_small.reference,
+                                  options=blocked_options)
         assert dataset.to_bytes() == legacy.to_bytes()
         assert dataset.n_blocks > 2
 
@@ -164,16 +161,6 @@ class TestFacadeSessions:
             list(session.blocks())
         with pytest.raises(ValueError, match="closed"):
             session.save(path)
-
-    def test_save_version_2_flat(self, tmp_path, rs3_small):
-        ds = SAGeDataset.from_fastq(rs3_small.read_set,
-                                    reference=rs3_small.reference)
-        path = tmp_path / "flat.sage"
-        ds.save(path, version=2)
-        with SAGeDataset.open(path) as session:
-            assert session.format_version == 2
-            assert read_multiset(session.read_set()) \
-                == read_multiset(rs3_small.read_set)
 
     def test_requires_archive(self):
         with pytest.raises(TypeError):

@@ -337,56 +337,8 @@ class TestInspectFormatVersion:
         assert options["level"] == "O4"
         assert options["with_quality"] is True
 
-    def test_v2_format_version(self, workdir, rs3_small, capsys):
-        import json
-        from repro.api import SAGeDataset
-        flat = SAGeDataset.from_fastq(rs3_small.read_set,
-                                      reference=rs3_small.reference)
-        path = workdir / "v2.sage"
-        flat.save(path, version=2)
-        capsys.readouterr()
-        assert main(["inspect", str(path), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["format_version"] == 2
-        assert info["options"]["block_reads"] == 0
-
 
 class TestBenchEncode:
-    def test_encode_json_reports_mapper_rows(self, workdir, capsys):
-        import json
-        assert main(["bench", str(workdir / "reads.fastq"),
-                     "--consensus", str(workdir / "ref.txt"),
-                     "--encode", "--repeat", "1", "--codec", "numpy",
-                     "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["mapper_archives_byte_identical"] is True
-        mappers = info["mappers"]
-        assert set(mappers) == {"python", "numpy"}
-        for row in mappers.values():
-            assert row["encode_mb_s"] > 0
-        numpy_row = mappers["numpy"]
-        for key in ("candidates_per_read", "filter_reject_pct",
-                    "false_accept_pct", "fast_path_pct", "dp_cells"):
-            assert key in numpy_row
-
-    def test_mapper_flag_restricts_rows(self, workdir, capsys):
-        import json
-        assert main(["bench", str(workdir / "reads.fastq"),
-                     "--consensus", str(workdir / "ref.txt"),
-                     "--encode", "--repeat", "1", "--codec", "numpy",
-                     "--mapper", "numpy", "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert list(info["mappers"]) == ["numpy"]
-
-    def test_without_encode_no_mapper_section(self, workdir, capsys):
-        import json
-        assert main(["bench", str(workdir / "reads.fastq"),
-                     "--consensus", str(workdir / "ref.txt"),
-                     "--repeat", "1", "--codec", "numpy",
-                     "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert "mappers" not in info
-
     def test_compress_mapper_flag(self, workdir, capsys):
         out_py = workdir / "m_py.sage"
         out_np = workdir / "m_np.sage"

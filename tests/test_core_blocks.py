@@ -3,12 +3,13 @@
 Covers the acceptance criteria of the block refactor: lossless round
 trips across all optimization levels and read-set families, byte-equal
 parallel/serial compression, isolated random-access block decoding, and
-v2 backward compatibility.
+container version handling.
 """
 
 import numpy as np
 import pytest
 
+from repro.api import EngineOptions, SAGeDataset
 from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
                         SAGeConfig, SAGeDecompressor, compress_blocked,
                         partition_reads)
@@ -22,6 +23,7 @@ from repro.mapping.mapper import MapperConfig
 from tests.conftest import read_multiset
 
 BLOCK_READS = 9  # deliberately small: forces several partial blocks
+BLOCKED = EngineOptions(block_reads=BLOCK_READS)
 
 
 def _simulate(profile, seed, genome, n_reads):
@@ -55,19 +57,19 @@ class TestRoundtrips:
         sim = families[family]
         config = SAGeConfig(level=level)
         archive = compress_blocked(sim.read_set, sim.reference, config,
-                                   block_reads=BLOCK_READS)
+                                   options=BLOCKED)
         assert archive.n_blocks > 1
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        decoded = SAGeDecompressor(back).decompress()
+        decoded = SAGeDataset(back).read_set()
         assert read_multiset(decoded) == read_multiset(sim.read_set)
 
     def test_preserve_order_restores_global_order(self, families):
         sim = families["short"]
         config = SAGeConfig(preserve_order=True)
         archive = compress_blocked(sim.read_set, sim.reference, config,
-                                   block_reads=BLOCK_READS)
-        decoded = SAGeDecompressor(
-            SAGeArchive.from_bytes(archive.to_bytes())).decompress()
+                                   options=BLOCKED)
+        decoded = SAGeDataset(
+            SAGeArchive.from_bytes(archive.to_bytes())).read_set()
         assert len(decoded) == len(sim.read_set)
         for original, restored in zip(sim.read_set, decoded):
             assert np.array_equal(original.codes, restored.codes)
@@ -77,21 +79,20 @@ class TestRoundtrips:
         mixed = ReadSet(list(families["short"].read_set)
                         + list(families["long"].read_set), name="mixed")
         archive = compress_blocked(mixed, families["short"].reference,
-                                   SAGeConfig(), block_reads=40)
-        decoded = SAGeDecompressor(
-            SAGeArchive.from_bytes(archive.to_bytes())).decompress()
+                                   SAGeConfig(),
+                                   options=EngineOptions(block_reads=40))
+        decoded = SAGeDataset(
+            SAGeArchive.from_bytes(archive.to_bytes())).read_set()
         assert read_multiset(decoded) == read_multiset(mixed)
 
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial_bytes(self, families):
         sim = families["short"]
-        serial = compress_blocked(sim.read_set, sim.reference,
-                                  SAGeConfig(), block_reads=BLOCK_READS,
-                                  workers=1).to_bytes()
-        parallel = compress_blocked(sim.read_set, sim.reference,
-                                    SAGeConfig(), block_reads=BLOCK_READS,
-                                    workers=4).to_bytes()
+        serial, parallel = (
+            compress_blocked(sim.read_set, sim.reference, SAGeConfig(),
+                             options=BLOCKED.replace(workers=workers))
+            .to_bytes() for workers in (1, 4))
         assert serial == parallel
 
     def test_workers_do_not_mutate_shared_config(self, families):
@@ -99,7 +100,7 @@ class TestParallelDeterminism:
         mapper = MapperConfig()
         config = SAGeConfig(mapper=mapper)
         compress_blocked(sim.read_set, sim.reference, config,
-                         block_reads=BLOCK_READS, workers=2)
+                         options=BLOCKED.replace(workers=2))
         assert mapper == MapperConfig()
 
 
@@ -108,8 +109,7 @@ class TestRandomAccess:
     def loaded(self, families):
         sim = families["short"]
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(),
-                                   block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         chunks = list(partition_reads(iter(sim.read_set), BLOCK_READS))
         return SAGeArchive.from_bytes(archive.to_bytes()), chunks
 
@@ -132,7 +132,7 @@ class TestRandomAccess:
 
     def test_iter_block_read_sets_covers_all(self, loaded):
         archive, chunks = loaded
-        sets = list(SAGeDecompressor(archive).iter_block_read_sets())
+        sets = list(SAGeDataset(archive).blocks())
         assert len(sets) == len(chunks)
         for got, expected in zip(sets, chunks):
             assert read_multiset(got) == read_multiset(expected)
@@ -140,7 +140,7 @@ class TestRandomAccess:
     def test_partial_decode_headers_globally_unique(self, loaded):
         archive, chunks = loaded
         seen = set()
-        for block_set in SAGeDecompressor(archive).iter_block_read_sets():
+        for block_set in SAGeDataset(archive).blocks():
             for read in block_set:
                 assert read.header not in seen
                 seen.add(read.header)
@@ -161,21 +161,24 @@ class TestRandomAccess:
 
 
 class TestContainerCompat:
-    def test_v2_blob_still_loads_and_decodes(self, families):
+    def test_v2_is_neither_read_nor_written(self, families, tmp_path):
         sim = families["short"]
         archive = SAGeCompressor(sim.reference,
                                  SAGeConfig()).compress(sim.read_set)
-        blob = archive.to_bytes(version=2)
-        back = SAGeArchive.from_bytes(blob)
-        assert back.source_version == 2
-        assert back.streams == archive.streams
-        decoded = SAGeDecompressor(back).decompress()
-        assert read_multiset(decoded) == read_multiset(sim.read_set)
+        blob = bytearray(archive.to_bytes(version=3))
+        blob[4] = 2              # the version byte follows the magic
+        with pytest.raises(ContainerError, match="unsupported version 2"):
+            SAGeArchive.from_bytes(bytes(blob))
+        with pytest.raises(ContainerError):
+            archive.to_bytes(version=2)
+        with pytest.raises(ContainerError):
+            SAGeDataset(archive).save(tmp_path / "v2.sage", version=2)
+        assert not (tmp_path / "v2.sage").exists()
 
     def test_blocked_archive_refuses_v2(self, families):
         sim = families["short"]
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         with pytest.raises(ContainerError):
             archive.to_bytes(version=2)
 
@@ -191,13 +194,13 @@ class TestContainerCompat:
     def test_roundtrip_is_byte_stable(self, families):
         sim = families["short"]
         blob = compress_blocked(sim.read_set, sim.reference, SAGeConfig(),
-                                block_reads=BLOCK_READS).to_bytes()
+                                options=BLOCKED).to_bytes()
         assert SAGeArchive.from_bytes(blob).to_bytes() == blob
 
     def test_byte_size_tracks_blob(self, families):
         sim = families["short"]
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         blob = archive.to_bytes()
         assert abs(len(blob) - archive.byte_size()) \
             <= 0.05 * len(blob) + 64
@@ -210,8 +213,7 @@ class TestBlockedHardwarePath:
     def blocked(self, families):
         sim = families["short"]
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(),
-                                   block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         return sim, archive
 
     def test_hardware_model_decodes_blocked(self, blocked):
@@ -272,17 +274,16 @@ class TestEngineEdges:
     def test_invalid_parameters_rejected(self, families):
         sim = families["short"]
         with pytest.raises(ValueError):
-            BlockCompressor(sim.reference, block_reads=0)
+            EngineOptions(block_reads=-1)
         with pytest.raises(ValueError):
-            BlockCompressor(sim.reference, workers=0)
+            EngineOptions(workers=0)
         with pytest.raises(ValueError):
             list(partition_reads(iter(sim.read_set), 0))
 
     def test_breakdown_counts_consensus_once(self, families):
         sim = families["short"]
         blocked = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(),
-                                   block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         flat = SAGeCompressor(sim.reference,
                               SAGeConfig()).compress(sim.read_set)
         assert blocked.breakdown.get("consensus") \
@@ -291,8 +292,7 @@ class TestEngineEdges:
     def test_block_streams_exclude_consensus(self, families):
         sim = families["short"]
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(),
-                                   block_reads=BLOCK_READS)
+                                   SAGeConfig(), options=BLOCKED)
         for i in range(archive.n_blocks):
             assert set(archive.block(i).streams) \
                 == set(BLOCK_STREAM_NAMES)

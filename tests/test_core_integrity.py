@@ -107,8 +107,7 @@ class TestBlockChecksums:
 
     def test_consensus_crc_detects_damage(self, blocked):
         archive, blob = blocked
-        version = archive._layout_version()
-        head = len(archive._global_header_blob(version))
+        head = len(archive._global_header_blob(archive.source_version))
         damaged = bytearray(blob)
         # First consensus payload byte: framing is 12 bytes in v4.
         damaged[head + 12] ^= 0x01
@@ -138,7 +137,7 @@ class TestContentCorruption:
     def test_flat_decode_wraps_kernel_errors(self, rs3_small):
         archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
             .compress(rs3_small.read_set)
-        blob = archive.to_bytes(version=2)       # no digests at all
+        blob = archive.to_bytes(version=3)       # no digests at all
         for offset in range(60, 68):
             damaged = bytearray(blob)
             damaged[offset] ^= 0xFF

@@ -10,11 +10,14 @@ SAMPLE = "@r1\nACGT\n+\nIIII\n@r2\nTTGCA\n+\n!!!!!\n"
 
 class TestParse:
     def test_two_records(self):
-        rs = fastq.parse(SAMPLE)
-        assert len(rs) == 2
-        assert rs[0].text == "ACGT"
-        assert rs[0].header == "r1"
-        assert rs[1].quality_text == "!!!!!"
+        # Same records with LF and with CRLF line endings (a loop, not
+        # a parametrization, so the test id stays stable).
+        for text in (SAMPLE, SAMPLE.replace("\n", "\r\n")):
+            rs = fastq.parse(text)
+            assert len(rs) == 2
+            assert rs[0].text == "ACGT"
+            assert rs[0].header == "r1"
+            assert rs[1].quality_text == "!!!!!"
 
     def test_blank_lines_skipped(self):
         rs = fastq.parse("\n" + SAMPLE)

@@ -1,11 +1,8 @@
 """Tests for the SAGe hardware model, area/power, energy, interconnect."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.api import EngineOptions
 from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
 from repro.core.formats import OutputFormat
@@ -77,7 +74,8 @@ class TestHardwareVerify:
         from repro.core import SAGeArchive, compress_blocked
         archive = compress_blocked(rs3_small.read_set,
                                    rs3_small.reference,
-                                   SAGeConfig(), block_reads=16)
+                                   SAGeConfig(),
+                                   options=EngineOptions(block_reads=16))
         return SAGeArchive.from_bytes(archive.to_bytes())
 
     def test_verify_against_serial_decoder(self, archive):
@@ -87,14 +85,6 @@ class TestHardwareVerify:
         """Functional model output == parallel streaming decode."""
         hw = SAGeHardwareModel(pcie_ssd())
         assert hw.verify(blocked, options=EngineOptions(workers=2))
-
-    def test_verify_workers_shortcut_deprecated(self, blocked):
-        hw = SAGeHardwareModel(pcie_ssd())
-        reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                hw.verify(blocked, workers=2)
 
     def test_verify_detects_divergence(self, blocked, rs2_small):
         other = SAGeCompressor(rs2_small.reference,

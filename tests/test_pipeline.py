@@ -260,11 +260,13 @@ class TestEndToEnd:
 
     def test_batches_derive_from_block_structure(self, models, pcie):
         """n_batches comes from the real archive block count when given."""
+        from repro.api import EngineOptions
         from repro.core import SAGeConfig, compress_blocked
         from repro.genomics import datasets
         sim = datasets.generate("RS3", base_genome=4_000)
         archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), block_reads=16)
+                                   SAGeConfig(),
+                                   options=EngineOptions(block_reads=16))
         assert batches_from_archive(archive) == archive.n_blocks
         result = evaluate("SAGe", models["RS2"], pcie, archive=archive)
         timeline = result.pipeline.stage("io")

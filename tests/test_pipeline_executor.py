@@ -7,14 +7,15 @@ import pytest
 
 from repro.analysis import analyze
 from repro.analysis.variants import call_variants, pileup
+from repro.api import EngineOptions, SAGeDataset
 from repro.core import (SAGeArchive, SAGeCompressor, SAGeConfig,
                         SAGeDecompressor, compress_blocked)
 from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
                                      MappingRateSink, PropertySink,
-                                     StreamExecutor, stream_read_sets)
+                                     StreamExecutor)
 
-from tests.conftest import read_multiset
+from tests.conftest import decode_blocks, read_multiset
 
 BLOCK_READS = 16
 
@@ -23,7 +24,8 @@ BLOCK_READS = 16
 def blocked(rs3_small):
     """A multi-block archive round-tripped through bytes."""
     archive = compress_blocked(rs3_small.read_set, rs3_small.reference,
-                               SAGeConfig(), block_reads=BLOCK_READS)
+                               SAGeConfig(),
+                               options=EngineOptions(block_reads=BLOCK_READS))
     loaded = SAGeArchive.from_bytes(archive.to_bytes())
     assert loaded.n_blocks > 2
     return loaded
@@ -31,7 +33,7 @@ def blocked(rs3_small):
 
 @pytest.fixture(scope="module")
 def serial_text(blocked):
-    return fastq.write(SAGeDecompressor(blocked).decompress())
+    return fastq.write(decode_blocks(SAGeDecompressor(blocked)))
 
 
 class TestStreamExecutor:
@@ -39,14 +41,15 @@ class TestStreamExecutor:
         ("serial", 1), ("thread", 2), ("process", 2), ("auto", 2)])
     def test_output_identical_to_serial(self, blocked, serial_text,
                                         backend, workers):
-        executor = StreamExecutor(blocked, workers=workers,
-                                  backend=backend)
+        executor = StreamExecutor(blocked, options=EngineOptions(
+            workers=workers, backend=backend))
         buffer = io.StringIO()
         executor.run(FastqSink(buffer))
         assert buffer.getvalue() == serial_text
 
     def test_blocks_arrive_in_index_order(self, blocked):
-        executor = StreamExecutor(blocked, workers=2)
+        executor = StreamExecutor(blocked,
+                                  options=EngineOptions(workers=2))
         decoder = SAGeDecompressor(blocked)
         for index, block in enumerate(executor):
             expected = decoder.decompress_block(index)
@@ -54,7 +57,8 @@ class TestStreamExecutor:
                 == [r.header for r in expected]
 
     def test_bounded_inflight(self, blocked):
-        executor = StreamExecutor(blocked, workers=2, prefetch=1)
+        executor = StreamExecutor(
+            blocked, options=EngineOptions(workers=2, prefetch=1))
         for _ in executor:
             pass
         stats = executor.stats
@@ -66,7 +70,8 @@ class TestStreamExecutor:
         assert stats.peak_inflight < blocked.n_blocks
 
     def test_stats_account_reads_and_bases(self, blocked, rs3_small):
-        executor = StreamExecutor(blocked, workers=2)
+        executor = StreamExecutor(blocked,
+                                  options=EngineOptions(workers=2))
         collected = executor.run(CollectSink())[0]
         assert executor.stats.reads == len(rs3_small.read_set)
         assert executor.stats.bases == rs3_small.read_set.total_bases
@@ -77,7 +82,8 @@ class TestStreamExecutor:
     def test_flat_archive_is_single_block(self, rs3_small):
         archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
             .compress(rs3_small.read_set)
-        executor = StreamExecutor(archive, workers=4)
+        executor = StreamExecutor(archive,
+                                  options=EngineOptions(workers=4))
         assert executor.resolved_backend == "serial"
         blocks = list(executor)
         assert len(blocks) == 1
@@ -85,23 +91,25 @@ class TestStreamExecutor:
             == read_multiset(rs3_small.read_set)
 
     def test_multiple_sinks_one_pass(self, blocked):
-        executor = StreamExecutor(blocked, workers=2)
+        executor = StreamExecutor(blocked,
+                                  options=EngineOptions(workers=2))
         n_written, collected = executor.run(
             FastqSink(io.StringIO()), CollectSink())
         assert n_written == len(collected) == blocked.n_reads
 
     def test_validation(self, blocked):
         with pytest.raises(ValueError):
-            StreamExecutor(blocked, workers=0)
+            EngineOptions(workers=0)
         with pytest.raises(ValueError):
-            StreamExecutor(blocked, backend="gpu")
+            EngineOptions(backend="gpu")
         with pytest.raises(ValueError):
-            StreamExecutor(blocked, prefetch=0)
+            EngineOptions(prefetch=0)
         with pytest.raises(ValueError):
             StreamExecutor(blocked).run()
 
     def test_stream_read_sets_wrapper(self, blocked, serial_text):
-        sets = list(stream_read_sets(blocked, workers=2))
+        sets = list(StreamExecutor(blocked,
+                                   options=EngineOptions(workers=2)))
         text = "".join(fastq.format_read(r, 0)
                        for s in sets for r in s)
         assert text == serial_text
@@ -109,31 +117,32 @@ class TestStreamExecutor:
 
 class TestDecompressorIntegration:
     def test_iter_block_read_sets_workers(self, blocked, serial_text):
-        decoder = SAGeDecompressor(blocked)
-        sets = list(decoder.iter_block_read_sets(workers=2))
+        sets = list(SAGeDataset(
+            blocked, options=EngineOptions(workers=2)).blocks())
         assert len(sets) == blocked.n_blocks
         text = "".join(fastq.format_read(r, 0)
                        for s in sets for r in s)
         assert text == serial_text
 
     def test_decompress_workers_identical(self, blocked, serial_text):
-        parallel = SAGeDecompressor(blocked).decompress(workers=2)
+        parallel = SAGeDataset(
+            blocked, options=EngineOptions(workers=2)).read_set()
         assert fastq.write(parallel) == serial_text
 
     def test_invalid_workers(self, blocked):
-        decoder = SAGeDecompressor(blocked)
         with pytest.raises(ValueError):
-            list(decoder.iter_block_read_sets(workers=0))
+            SAGeDataset(blocked, options=EngineOptions(workers=0))
 
 
 class TestSinks:
     def test_property_sink_matches_whole_dataset(self, blocked,
                                                  rs3_small):
         decoder = SAGeDecompressor(blocked)
-        executor = StreamExecutor(blocked, workers=2,
+        executor = StreamExecutor(blocked,
+                                  options=EngineOptions(workers=2),
                                   decompressor=decoder)
         streamed = executor.run(PropertySink(decoder.consensus))[0]
-        whole = analyze(SAGeDecompressor(blocked).decompress(),
+        whole = analyze(decode_blocks(SAGeDecompressor(blocked)),
                         rs3_small.reference)
         assert streamed.n_reads == whole.n_reads
         assert streamed.n_unmapped == whole.n_unmapped
@@ -154,36 +163,36 @@ class TestSinks:
                                            serial_text):
         out = tmp_path / "sink.fastq"
         with open(out, "w", encoding="ascii") as handle:
-            StreamExecutor(blocked, workers=2).run(FastqSink(handle))
+            StreamExecutor(blocked, options=EngineOptions(workers=2)) \
+                .run(FastqSink(handle))
         assert out.read_text(encoding="ascii") == serial_text
 
 
 class TestStreamedAnalysis:
     def test_analyze_accepts_block_stream(self, blocked, rs3_small):
-        decoder = SAGeDecompressor(blocked)
-        streamed = analyze(decoder.iter_block_read_sets(),
+        streamed = analyze(SAGeDataset(blocked).blocks(),
                            rs3_small.reference)
-        whole = analyze(SAGeDecompressor(blocked).decompress(),
+        whole = analyze(decode_blocks(SAGeDecompressor(blocked)),
                         rs3_small.reference)
         assert streamed.n_reads == whole.n_reads
         assert np.array_equal(streamed.mismatch_pos_deltas,
                               whole.mismatch_pos_deltas)
 
     def test_pileup_accepts_block_stream(self, blocked, rs3_small):
-        decoder = SAGeDecompressor(blocked)
-        streamed = pileup(decoder.iter_block_read_sets(workers=2),
-                          rs3_small.reference)
-        whole = pileup(SAGeDecompressor(blocked).decompress(),
+        streamed = pileup(
+            SAGeDataset(blocked,
+                        options=EngineOptions(workers=2)).blocks(),
+            rs3_small.reference)
+        whole = pileup(decode_blocks(SAGeDecompressor(blocked)),
                        rs3_small.reference)
         assert np.array_equal(streamed.depth, whole.depth)
         assert np.array_equal(streamed.alt_counts, whole.alt_counts)
         assert streamed.indel_counts == whole.indel_counts
 
     def test_call_variants_from_stream(self, blocked, rs3_small):
-        decoder = SAGeDecompressor(blocked)
-        streamed = call_variants(decoder.iter_block_read_sets(),
+        streamed = call_variants(SAGeDataset(blocked).blocks(),
                                  rs3_small.reference)
-        whole = call_variants(SAGeDecompressor(blocked).decompress(),
+        whole = call_variants(decode_blocks(SAGeDecompressor(blocked)),
                               rs3_small.reference)
         assert [(c.position, c.kind) for c in streamed] \
             == [(c.position, c.kind) for c in whole]
