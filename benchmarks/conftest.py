@@ -112,7 +112,8 @@ def measured_models(bench_sims, sage_archives, spring_archives,
         }
         qual_bytes = bases  # one quality byte per base
         model.qual_cr = {
-            "sage": qual_bytes / max(1, sage_arc.quality.byte_size),
+            "sage": qual_bytes
+            / max(1, sage_arc.block(0).quality.byte_size),
             "spring": qual_bytes / max(1, spring_arc.quality.byte_size),
             "pigz": qual_bytes / pigz_blobs[label]["qual"].byte_size,
         }

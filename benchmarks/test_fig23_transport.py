@@ -1,23 +1,19 @@
 """Fig. 23 (repo extension) — zero-copy transport & selective decode.
 
-Three claims about the PR 8 streaming engine, measured on one blocked
-archive:
+Two claims about the streaming engine, measured on one blocked archive:
 
-* **Descriptor transport** — the process backend ships
-  ``(path, index, offset, nbytes, crc)`` descriptors to workers that
-  read payloads from their own mmap, instead of pickling every payload
-  into the task queue.  IPC bytes per block drop by >= 100x.
-* **Wall clock** — with parent-side payload copying and pickling off
-  the critical path, the end-to-end process-backend decode improves
-  vs the payload-shipping baseline (asserted on >= 4 cores, mirroring
-  fig19's gating; numbers are recorded regardless).
+* **One transport** — every process-pool worker opens the archive
+  itself, so a task is a bare block index: < 64 B per block whether or
+  not the archive is file-backed.  A file-backed archive ships nothing
+  else (workers map the same file); an archive that exists only in
+  memory ships its blob once per pool.  Wall clocks of both are
+  recorded, not asserted: there is no second transport to beat.
 * **Stream selection** — a ``MappingRateSink`` analysis decodes only
   the sequence group, >= 2x fewer stream bits than a full decode,
   while a full selection stays byte-identical to the eager in-memory
   path under both codec kernels.
 """
 
-import os
 import time
 
 from repro.api import EngineOptions, SAGeDataset, atomic_write_bytes
@@ -33,12 +29,11 @@ N_BLOCKS_TARGET = 12
 PARALLEL_WORKERS = 4
 
 #: Input repetitions: enlarges the decode workload (quality decode is
-#: the dominant per-block cost) so pool startup doesn't mask transport
-#: effects on multi-core hosts.
+#: the dominant per-block cost) so pool startup doesn't dominate the
+#: recorded wall clocks.
 REPEATS = 2
 
-#: Wall-clock measurements per transport (best time wins) — shields
-#: the >= 4-core assertion from scheduler noise on shared runners.
+#: Wall-clock measurements per archive kind (best time is recorded).
 TRIALS = 3
 
 
@@ -63,25 +58,26 @@ def test_fig23_transport(benchmark, bench_sims, tmp_path):
     assert n_blocks >= 8
     process = EngineOptions(backend="process", workers=PARALLEL_WORKERS)
 
-    # (a) IPC traffic: payload pickling vs descriptor transport.
-    payload_wall = desc_wall = float("inf")
-    payload_shipped = desc_shipped = None
+    # (a) IPC traffic: a task is a block index either way; only the
+    # in-memory archive also ships its blob, once per pool.
+    memory_wall = file_wall = float("inf")
+    memory_shipped = file_shipped = None
     for _ in range(TRIALS):
         eager = SAGeDataset(SAGeArchive.from_bytes(blob),
                             options=process)
         stats, wall = _process_pass(eager)
-        payload_wall = min(payload_wall, wall)
-        payload_shipped = stats.bytes_shipped
+        memory_wall = min(memory_wall, wall)
+        memory_shipped = stats.bytes_shipped
         with SAGeDataset.open(path, options=process) as lazy:
             stats, wall = _process_pass(lazy)
-        desc_wall = min(desc_wall, wall)
-        desc_shipped = stats.bytes_shipped
-    assert payload_shipped > 0 and desc_shipped > 0
-    ipc_ratio = payload_shipped / desc_shipped
-    assert ipc_ratio >= 100, \
-        f"IPC bytes/block only {ipc_ratio:.0f}x smaller"
+        file_wall = min(file_wall, wall)
+        file_shipped = stats.bytes_shipped
+    memory_tasks = memory_shipped - len(blob)
+    for task_bytes in (file_shipped, memory_tasks):
+        assert 0 < task_bytes < 64 * n_blocks, \
+            f"{task_bytes / n_blocks:.0f} B per task"
 
-    # (c) Selective decode + byte identity under both kernels.
+    # (b) Selective decode + byte identity under both kernels.
     kernel_rows = []
     for codec in available_kernels():
         eager = SAGeDataset(SAGeArchive.from_bytes(blob),
@@ -106,26 +102,22 @@ def test_fig23_transport(benchmark, bench_sims, tmp_path):
         kernel_rows.append((codec, full_bits, rate_bits,
                             full_bits / max(1, rate_bits)))
 
-    cores = os.cpu_count() or 1
-    speedup = payload_wall / max(1e-9, desc_wall)
     lines = [
         "Fig. 23 — zero-copy block transport & selective decode",
         "",
         f"dataset {LABEL}: {len(reads)} reads, {n_blocks} blocks "
         f"({block_reads} reads/block), process workers="
-        f"{PARALLEL_WORKERS}, cores={cores}, best of {TRIALS}",
+        f"{PARALLEL_WORKERS}, best of {TRIALS}",
         "",
-        f"{'transport':<12}{'ipc_bytes':>12}{'bytes/block':>13}"
-        f"{'wall_s':>10}",
-        f"{'payload':<12}{payload_shipped:>12}"
-        f"{payload_shipped // n_blocks:>13}{payload_wall:>10.3f}",
-        f"{'descriptor':<12}{desc_shipped:>12}"
-        f"{desc_shipped // n_blocks:>13}{desc_wall:>10.3f}",
+        f"{'archive':<12}{'blob_once':>12}{'task_bytes':>12}"
+        f"{'bytes/task':>12}{'wall_s':>10}",
+        f"{'in-memory':<12}{len(blob):>12}{memory_tasks:>12}"
+        f"{memory_tasks // n_blocks:>12}{memory_wall:>10.3f}",
+        f"{'file-backed':<12}{0:>12}{file_shipped:>12}"
+        f"{file_shipped // n_blocks:>12}{file_wall:>10.3f}",
         "",
-        f"IPC bytes per block: {ipc_ratio:.0f}x smaller "
-        "(asserted >= 100x)",
-        f"decode wall clock: {speedup:.2f}x vs payload transport "
-        f"(asserted > 1 only on >= 4 cores; this host has {cores})",
+        "a task is a bare block index (asserted < 64 B per block for "
+        "both); wall clocks recorded, not asserted",
         "",
         f"{'kernel':<10}{'full_bits':>12}{'maprate_bits':>14}"
         f"{'savings':>10}",
@@ -140,12 +132,7 @@ def test_fig23_transport(benchmark, bench_sims, tmp_path):
     ]
     write_result("fig23_transport", "\n".join(lines))
 
-    if cores >= 4:
-        # With real parallelism the descriptor transport must beat
-        # payload pickling end to end.
-        assert desc_wall < payload_wall
-
-    # Perf trajectory: one descriptor-transport streaming pass.
+    # Perf trajectory: one file-backed streaming pass.
     def _lazy_pass():
         with SAGeDataset.open(path) as lazy:
             lazy.analyze("mapping-rate")

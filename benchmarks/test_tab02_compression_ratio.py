@@ -31,7 +31,8 @@ def test_tab02_compression_ratios(benchmark, bench_sims, sage_archives,
         pigz_cr = bases / pigz_blobs[label]["dna"].byte_size
         spring_cr = bases / spring_archives[label].dna_byte_size()
         sage_cr = bases / sage_archives[label].dna_byte_size()
-        qual_cr = bases / max(1, sage_archives[label].quality.byte_size)
+        qual_cr = bases / max(
+            1, sage_archives[label].block(0).quality.byte_size)
         measured[label] = (pigz_cr, spring_cr, sage_cr)
         p = PAPER[label]
         lines.append(f"{label:<5}{p[0]:>9.2f}{pigz_cr:>9.2f}"

@@ -58,7 +58,7 @@ def property_report(label: str, base_genome: int) -> None:
         sim.read_set, reference=sim.reference,
         options=EngineOptions(with_quality=False)).archive
     print("Algorithm 1 tuned bit-width classes:")
-    for key, table in archive.tables.items():
+    for key, table in archive.block(0).tables.items():
         print(f"  {key:<6} widths={table.widths}")
     print()
 

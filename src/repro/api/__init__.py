@@ -23,6 +23,7 @@ from .cache import (CacheStats, DecodedBlockCache, SingleFlight,
                     decoded_nbytes)
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
+from .describe import describe
 from .sinks import (CallableSink, available_sinks, make_sink,
                     register_sink, result_info, unregister_sink)
 
@@ -32,6 +33,7 @@ __all__ = [
     "ON_ERROR", "Pipeline", "STREAM_GROUPS", "SAGeDataset", "SAGeError",
     "SalvageReport", "SingleFlight", "SourceTotals", "StreamSelection",
     "TruncatedArchiveError", "VerifyReport", "atomic_write_bytes",
-    "available_sinks", "decoded_nbytes", "make_sink", "register_sink",
+    "available_sinks", "decoded_nbytes", "describe", "make_sink",
+    "register_sink",
     "result_info", "unregister_sink",
 ]

@@ -39,7 +39,6 @@ from ..core.blocks import BlockCompressor
 from ..core.compressor import SAGeCompressor, SAGeConfig
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
-from ..core.errors import SAGeError
 from ..core.options import EngineOptions
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
@@ -285,8 +284,8 @@ class SAGeDataset:
         payload bytes are faulted in (zero-copy) the first time that
         block is accessed.  A streaming pass over the archive therefore
         peaks far below the archive size, and the process-backend
-        executor ships per-block *descriptors* to workers instead of
-        payload bytes.  Usable as a context manager; :meth:`close`
+        executor's workers open the same file themselves — a task is a
+        bare block index.  Usable as a context manager; :meth:`close`
         releases the mapping.
         """
         return cls(SAGeArchive.open(path), options=options, path=path)
@@ -408,32 +407,27 @@ class SAGeDataset:
         The checksum walk never raises on damage — every mismatch is
         localized in the returned :class:`VerifyReport`.  Pre-v4
         archives carry no digests and report ``"unchecked"``.
-        ``deep=True`` additionally decodes every block with the session
-        codec, catching damage a digest cannot see (or that pre-v4
-        layouts cannot detect); decode failures land in
-        ``report.errors`` keyed by block index.
+        ``deep=True`` additionally decodes every block — a streaming
+        pass on the session's options (``workers``, ``backend``,
+        ``codec``) under ``on_error="skip"`` — catching damage a digest
+        cannot see (or that pre-v4 layouts cannot detect); decode
+        failures land in ``report.errors`` keyed by block index.
         """
         self._require_open()
         digests = self._archive.verify_checksums()
         errors: dict[int, Exception] = {}
         blocks = list(digests["blocks"])
         if deep:
-            decoder = self.decompressor()
-            for index in range(self._archive.n_blocks):
-                try:
-                    decoder.decompress_block(index)
-                except SAGeError as exc:
-                    errors[index] = exc
-                    blocks[index] = "failed"
-                else:
-                    # A successful full decode verifies the block even
-                    # when the layout carries no digest (pre-v4).
-                    blocks[index] = "ok"
-                finally:
-                    # Deep verify walks every block; keep at most one
-                    # parsed at a time so an mmap-backed archive stays
-                    # O(block) resident, not O(archive).
-                    self._archive.release_block(index)
+            executor = self._make_executor(
+                self.options.replace(on_error="skip", streams=None))
+            for _ in executor:
+                pass
+            # A successful full decode verifies a block even when the
+            # layout carries no digest (pre-v4).
+            blocks = ["ok"] * len(blocks)
+            for gap in executor.stats.gaps:
+                errors[gap.index] = gap.error
+                blocks[gap.index] = "failed"
         return VerifyReport(format_version=self.format_version,
                             header=digests["header"],
                             consensus=digests["consensus"],
@@ -499,9 +493,23 @@ class SAGeDataset:
         [read_set] = self._make_executor(options).run(CollectSink())
         return read_set
 
-    def decode_block(self, index: int) -> ReadSet:
-        """Random access: decode only block ``index``."""
-        return self.decompressor().decompress_block(index)
+    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
+    def decode_block(self, index: int, *, select=None,
+                     codec: str | None = None) -> ReadSet:
+        """Random access: decode only block ``index``.
+
+        ``select`` (a :class:`~repro.core.selection.StreamSelection`
+        spec, ``None`` = everything) limits the decode to the named
+        stream groups; ``codec`` overrides the session kernel for this
+        call.  The block's parsed form is released afterwards — the
+        decoded reads are the caller's to keep, so random access over a
+        blob-backed archive does not accumulate parsed blocks.
+        """
+        try:
+            return self.decompressor().decompress_block(
+                index, codec=codec, select=select)
+        finally:
+            self._archive.release_block(index)
 
     def to_fastq(self, target, *,
                  options: EngineOptions | None = None) -> int:

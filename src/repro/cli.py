@@ -26,7 +26,7 @@ facade: flags build one :class:`repro.api.EngineOptions` (validated in
 one place), ``compress`` is ``SAGeDataset.from_fastq(...).save(...)``,
 the consume-side commands are ``SAGeDataset.open(...)`` sessions.
 ``--block-reads M`` partitions the input into independently decodable
-blocks of ``M`` reads (the v3 container's random-access unit) and
+blocks of ``M`` reads (the container's random-access unit) and
 streams the FASTQ instead of loading it whole; ``--workers N``
 compresses/decodes blocks on ``N`` processes with bounded prefetch,
 byte-identical for every ``N``.  ``sage cat --block I`` decodes a single
@@ -51,9 +51,9 @@ import json
 import sys
 from pathlib import Path
 
-from .api import EngineOptions, SAGeDataset, available_sinks, result_info
-from .core import OptLevel, SAGeArchive, SAGeError
-from .core.container import STREAM_NAMES
+from .api import (EngineOptions, SAGeDataset, available_sinks, describe,
+                  result_info)
+from .core import OptLevel, SAGeError
 from .core.kernels import available_kernels
 from .mapping import batch as mapper_batch
 from .genomics import datasets, fastq
@@ -217,179 +217,35 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _block_info(archive: SAGeArchive, index: int, entry) -> dict:
-    """Per-block metadata: read counts + compressed section sizes."""
-    blk = archive.block(index)
-    return {
-        "index": index,
-        "n_reads": entry.n_reads,
-        "n_mapped": entry.n_mapped,
-        "n_unmapped": entry.n_unmapped,
-        "bytes": entry.nbytes,
-        "offset": entry.offset,
-        "crc32": entry.crc32,
-        # Static decoded-size estimate: what a server budgets its
-        # decoded-block LRU cache with, without decoding anything.
-        "decoded_nbytes_estimate": blk.decoded_nbytes_estimate(),
-        "sections": {
-            "meta_bytes": blk.meta_nbytes(),
-            "stream_bytes": sum(len(payload)
-                                for payload, _ in blk.streams.values()),
-            "has_quality": blk.quality is not None,
-            "quality_bytes": blk.quality.byte_size
-            if blk.quality is not None else 0,
-            "has_headers": blk.headers_blob is not None,
-            "headers_bytes": len(blk.headers_blob)
-            if blk.headers_blob is not None else 0,
-        },
-        "stream_bits": {name: bits for name, (_, bits)
-                        in sorted(blk.streams.items())},
-    }
-
-
-def _safe_block_info(archive: SAGeArchive, index: int, entry) -> dict:
-    """Like :func:`_block_info`, but a damaged block reports its error
-    instead of killing the whole ``inspect``."""
-    try:
-        return _block_info(archive, index, entry)
-    except SAGeError as exc:
-        return {"index": index, "n_reads": entry.n_reads,
-                "bytes": entry.nbytes, "offset": entry.offset,
-                "crc32": entry.crc32, "error": str(exc)}
-    finally:
-        # Keep inspect's memory at one parsed block: with an mmap-backed
-        # archive the walk re-reads payload bytes from the page cache,
-        # never materializing the whole archive.
-        archive.release_block(index)
-
-
-def _integrity_summary(archive: SAGeArchive) -> str:
-    """Archive-level checksum rollup: ``ok`` / ``unchecked`` / ``failed``."""
-    digests = archive.verify_checksums()
-    statuses = {digests["header"], digests["consensus"],
-                *digests["blocks"]}
-    if "failed" in statuses:
-        return "failed"
-    return "ok" if statuses == {"ok"} else "unchecked"
-
-
-def _archive_info(archive: SAGeArchive) -> dict:
-    """Machine-readable archive metadata (``inspect --json``).
-
-    One lazy pass: each block is parsed once for its per-block entry
-    (then released — see :func:`_safe_block_info`), and the archive-wide
-    stream-bit and byte-size totals are accumulated from those entries
-    instead of re-walking every block per stream name.  On an
-    mmap-backed archive only the global header, consensus, and block
-    index stay resident.
-    """
-    index = archive.block_index()
-    stream_totals: dict = dict.fromkeys(STREAM_NAMES, 0)
-    stream_totals["consensus"] = archive.streams["consensus"][1]
-    dna_byte_size = archive.header_fixed_nbytes() \
-        + len(archive.streams["consensus"][0])
-    extra_bytes = 0
-    damaged = False
-    blocks_info = []
-    for i, entry in enumerate(index):
-        block_info = _safe_block_info(archive, i, entry)
-        blocks_info.append(block_info)
-        if "error" in block_info:
-            damaged = True
-            continue
-        dna_byte_size += block_info["sections"]["meta_bytes"]
-        for name, bits in block_info["stream_bits"].items():
-            stream_totals[name] += bits
-            dna_byte_size += 8 + (bits + 7) // 8     # framing + payload
-        sections = block_info["sections"]
-        if sections["has_quality"]:
-            extra_bytes += sections["quality_bytes"] + 10
-        if sections["has_headers"]:
-            extra_bytes += sections["headers_bytes"] + 5
-    if damaged:
-        # A damaged block breaks every archive-wide sum, matching the
-        # per-call degradation of archive.stream_bits()/byte_size().
-        stream_totals = {name: None if name != "consensus" else bits
-                         for name, bits in stream_totals.items()}
-        byte_size = dna_byte_size = None
-    else:
-        byte_size = dna_byte_size + extra_bytes
-    try:
-        first = archive.block(0)
-    except SAGeError:
-        first = None     # block 0 is damaged; metadata degrades below
-    try:
-        options_echo = EngineOptions.from_archive(archive).to_dict()
-    except SAGeError:
-        options_echo = None
-    info = {
-        "version": archive.source_version,
-        "format_version": archive.source_version,
-        "integrity": _integrity_summary(archive),
-        "header_crc32": archive.header_crc32(),
-        "consensus_crc32": archive.consensus_crc32(),
-        "options": options_echo,
-        "level": archive.level.name,
-        "n_reads": archive.n_reads,
-        "n_mapped": archive.n_mapped,
-        "n_unmapped": archive.n_unmapped,
-        "consensus_length": archive.consensus_length,
-        "long_reads": archive.long_reads,
-        "fixed_read_length": archive.fixed_read_length
-        if archive.fixed_length else None,
-        "preserve_order": archive.preserve_order,
-        "quality": first.quality is not None if first else None,
-        "headers": first.headers_blob is not None if first else None,
-        "block_reads": archive.block_reads,
-        "n_blocks": archive.n_blocks,
-        "blocks": blocks_info,
-        "stream_bits": {name: bits
-                        for name, bits in sorted(stream_totals.items())},
-        "tables": {key: list(table.widths)
-                   for key, table in first.tables.items()} if first else None,
-        "byte_size": byte_size,
-        "dna_byte_size": dna_byte_size,
-    }
-    archive.release_block(0)
-    if archive.breakdown.bits:
-        info["breakdown_bits"] = dict(archive.breakdown.bits)
-    return info
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     with SAGeDataset.open(args.input) as dataset:
-        archive = dataset.archive
-        if args.json:
-            print(json.dumps(_archive_info(archive), indent=2,
-                             sort_keys=True))
-            return 0
-        print(f"level: {archive.level.name}")
-        print(f"container: v{dataset.format_version}, "
-              f"{archive.n_blocks} block(s)")
-        print(f"integrity: {_integrity_summary(archive)}")
-        print(f"reads: {archive.n_mapped} mapped, "
-              f"{archive.n_unmapped} unmapped")
-        print(f"consensus: {archive.consensus_length} bases")
-        print(f"fixed read length: "
-              f"{archive.fixed_read_length or 'variable'}")
-        try:
-            print(f"quality: "
-                  f"{'yes' if archive.block(0).quality else 'no'}")
-        except SAGeError:
-            print("quality: unknown (block 0 is damaged)")
-        if archive.is_blocked:
-            for i, entry in enumerate(archive.block_index()):
-                print(f"  block {i:<4} {entry.n_reads:>8} reads "
-                      f"{entry.nbytes:>10} B @ {entry.offset}")
-        for name in sorted(archive.streams if not archive.is_blocked
-                           else ["consensus"]):
-            print(f"  stream {name:<10} "
-                  f"{archive.stream_bits(name):>12} bits")
-        try:
-            for key, table in archive.block(0).tables.items():
-                print(f"  table  {key:<10} widths {table.widths}")
-        except SAGeError:
-            pass                   # tables live in the damaged block 0
+        info = describe(dataset)
+    if args.json:
+        print(json.dumps(info, indent=2, sort_keys=True))
+        return 0
+    print(f"level: {info['level']}")
+    print(f"container: v{info['format_version']}, "
+          f"{info['n_blocks']} block(s)")
+    print(f"integrity: {info['integrity']}")
+    print(f"reads: {info['n_mapped']} mapped, "
+          f"{info['n_unmapped']} unmapped")
+    print(f"consensus: {info['consensus_length']} bases")
+    print(f"fixed read length: {info['fixed_read_length'] or 'variable'}")
+    if info["quality"] is None:
+        print("quality: unknown (block 0 is damaged)")
+    else:
+        print(f"quality: {'yes' if info['quality'] else 'no'}")
+    for block in info["blocks"]:
+        print(f"  block {block['index']:<4} {block['n_reads']:>8} reads "
+              f"{block['bytes']:>10} B @ {block['offset']}"
+              + (f"  DAMAGED: {block['error']}" if "error" in block
+                 else ""))
+    for name, bits in info["stream_bits"].items():
+        print(f"  stream {name:<10} "
+              f"{'unknown' if bits is None else bits:>12} bits")
+    # Block 0's tables (absent when block 0 is damaged).
+    for key, widths in (info["tables"] or {}).items():
+        print(f"  table  {key:<10} widths {tuple(widths)}")
     return 0
 
 
@@ -604,7 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="additionally decode every block (catches "
                         "damage pre-v4 layouts cannot checksum)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for the deep decode pass")
+                   help="worker processes decoding blocks in the "
+                        "--deep pass (the report is identical for "
+                        "every N; ignored without --deep)")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     _add_codec_flag(p)

@@ -2,8 +2,8 @@
 
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
-from .blocks import (BlockCompressor, BlockDescriptor, compress_blocked,
-                     imap_bounded, partition_reads)
+from .blocks import (BlockCompressor, compress_blocked, imap_bounded,
+                     partition_reads)
 from .compressor import CompressionError, SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
@@ -25,7 +25,7 @@ __all__ = [
     "BlockDecodeError", "CorruptArchiveError", "SAGeError",
     "TruncatedArchiveError",
     "BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
-    "BlockCompressor", "BlockDescriptor",
+    "BlockCompressor",
     "STREAM_GROUPS", "StreamSelection", "decoded_stream_bits",
     "compress_blocked", "imap_bounded",
     "partition_reads", "CompressionError", "SAGeCompressor", "SAGeConfig",

@@ -8,9 +8,12 @@ Every written bit is charged to a Fig. 17 category via
 :class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
 NO/O1/O2/O3/O4 are supported so the ablation decodes losslessly too.
 
-:meth:`SAGeCompressor.compress` produces a flat (single-section) archive,
-serialized as a one-block v3 container; :mod:`repro.core.blocks` wraps
-this machinery to build multi-block archives from a read stream.
+:meth:`SAGeCompressor.compress_block` turns one read set into one
+independently decodable :class:`~repro.core.container.SAGeBlock`;
+:meth:`SAGeCompressor.assemble` wraps any number of blocks, with the
+consensus stored once, into an archive.  :meth:`SAGeCompressor.compress`
+is the one-block case; :mod:`repro.core.blocks` feeds the same two calls
+from a partitioned read stream.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ..mapping.mapper import MapperConfig, MappingResult, ReadMapper
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
-from .container import STREAM_NAMES, SAGeArchive
+from .container import BLOCK_STREAM_NAMES, SAGeArchive, SAGeBlock
 from .kernels import resolve_kernel
 from .formats import pack_bits
 from .mismatch import (INDEL_DEL, INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB,
@@ -144,7 +147,26 @@ class SAGeCompressor:
     # ------------------------------------------------------------------
 
     def compress(self, read_set: ReadSet) -> SAGeArchive:
-        """Compress a read set into a self-contained archive."""
+        """Compress a read set into a self-contained one-block archive."""
+        return self.assemble([self.compress_block(read_set)],
+                             name=read_set.name)
+
+    def assemble(self, blocks: list[SAGeBlock], *,
+                 name: str = "") -> SAGeArchive:
+        """Wrap compressed ``blocks`` and the consensus into an archive."""
+        payload = pack_bits(self.consensus, 2)
+        return SAGeArchive.from_blocks(
+            blocks, level=self.config.level,
+            consensus=(payload, 8 * len(payload)),
+            consensus_length=int(self.consensus.size),
+            preserve_order=self.config.preserve_order, name=name)
+
+    def compress_block(self, read_set: ReadSet) -> SAGeBlock:
+        """Compress a read set into one independently decodable block.
+
+        A pure function of ``(consensus, config, reads)`` — which is
+        what makes parallel and serial block compression byte-identical.
+        """
         cfg = self.config
         level = cfg.level
         long_reads = cfg.long_reads
@@ -166,10 +188,9 @@ class SAGeCompressor:
             plans.sort(key=lambda item: (item[1].first_cons, item[0]))
         permutation = [idx for idx, _ in plans] + [i for i, _ in unmapped]
 
-        archive = self._encode(read_set, [p for _, p in plans],
-                               [u for _, u in unmapped], permutation,
-                               level, long_reads)
-        return archive
+        return self._encode(read_set, [p for _, p in plans],
+                            [u for _, u in unmapped], permutation,
+                            level, long_reads)
 
     # ------------------------------------------------------------------
     # Mapping & planning
@@ -272,7 +293,7 @@ class SAGeCompressor:
 
     def _encode(self, read_set: ReadSet, plans: list[_ReadPlan],
                 unmapped: list[_UnmappedPlan], permutation: list[int],
-                level: OptLevel, long_reads: bool) -> SAGeArchive:
+                level: OptLevel, long_reads: bool) -> SAGeBlock:
         cfg = self.config
         fixed_length = read_set.is_fixed_length
         fixed_len = len(read_set[0]) if (fixed_length and len(read_set)) \
@@ -322,9 +343,8 @@ class SAGeCompressor:
 
         # ---- stream writers (kernel-provided sinks) ----
         kernel = resolve_kernel(cfg.codec)
-        writers = {name: kernel.new_writer(name) for name in STREAM_NAMES}
-
-        self._write_consensus(writers["consensus"], breakdown)
+        writers = {name: kernel.new_writer(name)
+                   for name in BLOCK_STREAM_NAMES}
 
         # ---- column passes: streams owned by a single field kind are
         # emitted as one batched run per block.  Byte-identical to the
@@ -374,17 +394,13 @@ class SAGeCompressor:
 
         streams = {name: (w.getvalue(), w.bit_length)
                    for name, w in writers.items()}
-        archive = SAGeArchive(
-            level=level, long_reads=long_reads, fixed_length=fixed_length,
-            fixed_read_length=fixed_len, n_mapped=len(plans),
-            n_unmapped=len(unmapped), consensus_length=self.consensus.size,
-            w_rlen=w_rlen, w_cons=w_cons, tables=tables, streams=streams,
-            quality=quality_blob, breakdown=breakdown,
-            preserve_order=cfg.preserve_order, headers_blob=headers_blob,
-            permutation=np.array(permutation, dtype=np.int64),
-            name=read_set.name)
-        breakdown.charge("header", 8 * archive.header_bytes_estimate())
-        return archive
+        return SAGeBlock(
+            n_mapped=len(plans), n_unmapped=len(unmapped),
+            long_reads=long_reads, fixed_length=fixed_length,
+            fixed_read_length=fixed_len, w_rlen=w_rlen, tables=tables,
+            streams=streams, quality=quality_blob,
+            headers_blob=headers_blob, breakdown=breakdown,
+            permutation=np.array(permutation, dtype=np.int64))
 
     # -- helpers -------------------------------------------------------
 
@@ -405,13 +421,6 @@ class SAGeCompressor:
                 for _ in range(ev.length):
                     out.append(_Event(DEL, ev.pos, 1, ev.bases, ev.marker))
         return out
-
-    def _write_consensus(self, writer: BitWriter,
-                         breakdown: SizeBreakdown) -> None:
-        payload = pack_bits(self.consensus, 2)
-        start = writer.bit_length
-        writer.write_bytes(payload)
-        breakdown.charge("consensus", writer.bit_length - start)
 
     def _write_read(self, plan: _ReadPlan, events: list[_Event],
                     writers: dict[str, BitWriter],

@@ -101,6 +101,10 @@ class BlockIndexEntry:
     #: CRC32 of the serialized payload (``None`` for v3 archives, which
     #: carry no digests).
     crc32: int | None = None
+    #: Global position of the block's first read (the cumulative read
+    #: count of the blocks before it) — the numbering base of fallback
+    #: read names and of read-range lookups.
+    first_read: int = 0
 
     @property
     def n_reads(self) -> int:
@@ -109,7 +113,7 @@ class BlockIndexEntry:
 
 @dataclass
 class SAGeBlock:
-    """One independently decodable section of a v3 archive.
+    """One independently decodable section of an archive.
 
     A block is the unit of parallel compression, random access, and
     SSD-channel striping.  It is self-contained up to the shared
@@ -271,47 +275,18 @@ class SAGeBlock:
                    headers_blob=headers_blob)
 
 
-def block_as_archive(blk: SAGeBlock, *, level: OptLevel,
-                     consensus: tuple[bytes, int], consensus_length: int,
-                     w_cons: int, preserve_order: bool, name: str = "",
-                     source_version: int = VERSION) -> "SAGeArchive":
-    """Wrap one block as a flat, decodable single-section archive.
-
-    The single place that knows how a block combines with the shared
-    global state: :meth:`SAGeArchive.block_view` and the parallel decode
-    workers (:mod:`repro.pipeline.executor`) both build their views
-    here, which is what keeps the parallel decode byte-identical to the
-    serial one as the container evolves.
-    """
-    streams = dict(blk.streams)
-    streams["consensus"] = consensus
-    return SAGeArchive(
-        level=level, long_reads=blk.long_reads,
-        fixed_length=blk.fixed_length,
-        fixed_read_length=blk.fixed_read_length,
-        n_mapped=blk.n_mapped, n_unmapped=blk.n_unmapped,
-        consensus_length=consensus_length, w_rlen=blk.w_rlen,
-        w_cons=w_cons, tables=blk.tables, streams=streams,
-        quality=blk.quality, preserve_order=preserve_order,
-        headers_blob=blk.headers_blob, breakdown=blk.breakdown,
-        permutation=blk.permutation, name=name,
-        source_version=source_version)
-
-
 @dataclass
 class SAGeArchive:
     """An in-memory SAGe-compressed read set.
 
-    Two shapes share this class:
-
-    - **flat** (``blocks`` empty): a single-section archive, as produced
-      by :meth:`repro.core.compressor.SAGeCompressor.compress`.  The
-      top-level ``streams``/``tables``/``quality`` hold the payload.
-    - **blocked** (``blocks`` non-empty): a multi-section v3 archive from
-      :class:`repro.core.blocks.BlockCompressor` or a v3 blob.  The
-      top-level ``streams`` hold only the shared consensus; per-section
-      data lives in :class:`SAGeBlock` entries, parsed lazily from the
-      source blob so random access to block *i* touches only its bytes.
+    One shape: the global header fields, the shared consensus stream
+    (stored once), and ``blocks`` — at least one independently decodable
+    :class:`SAGeBlock`, which is where every per-section table, stream
+    and side blob lives.  Archives built in memory
+    (:meth:`from_blocks`) hold every block parsed; archives loaded from
+    a blob (:meth:`from_bytes` / :meth:`open`) parse each block lazily
+    from the source bytes, one-block files included, so random access
+    to block *i* touches only its bytes.
     """
 
     level: OptLevel
@@ -323,20 +298,16 @@ class SAGeArchive:
     consensus_length: int
     w_rlen: int
     w_cons: int
-    tables: dict[str, AssociationTable]
-    streams: dict[str, tuple[bytes, int]]     # name -> (payload, bit length)
-    quality: quality_codec.QualityBlob | None = None
-    preserve_order: bool = False              # "order" stream present
-    headers_blob: bytes | None = None         # compressed read headers
-    #: Parsed per-block sections; entries may be ``None`` until lazily
-    #: parsed from the source blob (blocked archives only).
-    blocks: list[SAGeBlock | None] = field(default_factory=list)
+    #: The 2-bit packed consensus as ``(payload, bit length)``.
+    consensus: tuple[bytes, int]
+    #: Per-block sections; an entry is ``None`` until lazily parsed from
+    #: the source blob.
+    blocks: list[SAGeBlock | None]
+    preserve_order: bool = False              # "order" streams present
     #: Configured reads-per-block partition size (0 = monolithic).
     block_reads: int = 0
     # Metadata (not serialized):
     breakdown: SizeBreakdown = field(default_factory=SizeBreakdown)
-    permutation: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64))
     name: str = ""
     #: Container version this archive was loaded from (:data:`VERSION`
     #: when built in memory).
@@ -350,9 +321,46 @@ class SAGeArchive:
         self._index: list[BlockIndexEntry] | None = None
         self._mmap: mmap.mmap | None = None
         #: Path of the backing file for archives opened with :meth:`open`
-        #: — what lets the process-pool decode ship block *descriptors*
-        #: instead of payload bytes (workers re-map the same file).
+        #: — process-pool decode workers open the same file themselves.
         self.source_path: Path | None = None
+
+    @classmethod
+    def from_blocks(cls, blocks: list[SAGeBlock], *, level: OptLevel,
+                    consensus: tuple[bytes, int], consensus_length: int,
+                    preserve_order: bool = False, name: str = "",
+                    source_version: int = VERSION) -> "SAGeArchive":
+        """Build an archive around parsed ``blocks`` (at least one).
+
+        The single place that knows how blocks combine with the shared
+        global state: the global header fields are derived from the
+        blocks, and the Fig. 17 breakdown sums what each block charged
+        for itself plus what only the container owns — the consensus
+        and the header material, each charged once.
+        """
+        fixed_lengths = {b.fixed_read_length for b in blocks
+                         if b.n_reads and b.fixed_length}
+        fixed_length = (all(b.fixed_length for b in blocks)
+                        and len(fixed_lengths) <= 1)
+        breakdown = SizeBreakdown()
+        breakdown.charge("consensus", consensus[1])
+        for blk in blocks:
+            for category, bits in blk.breakdown.bits.items():
+                breakdown.charge(category, bits)
+        archive = cls(
+            level=level, long_reads=any(b.long_reads for b in blocks),
+            fixed_length=fixed_length,
+            fixed_read_length=fixed_lengths.pop()
+            if (fixed_length and fixed_lengths) else 0,
+            n_mapped=sum(b.n_mapped for b in blocks),
+            n_unmapped=sum(b.n_unmapped for b in blocks),
+            consensus_length=consensus_length,
+            w_rlen=max(b.w_rlen for b in blocks),
+            w_cons=max(1, consensus_length.bit_length()),
+            consensus=consensus, blocks=list(blocks),
+            preserve_order=preserve_order, breakdown=breakdown,
+            name=name, source_version=source_version)
+        breakdown.charge("header", 8 * archive.header_bytes_estimate())
+        return archive
 
     # ------------------------------------------------------------------
     # File-backed (mmap) archives
@@ -371,11 +379,11 @@ class SAGeArchive:
         view.  No payload is copied on the intact path.
 
         The archive records its :attr:`source_path`, which is what lets
-        the process-pool streaming decode ship ``(offset, nbytes, crc)``
-        descriptors instead of pickled payloads — workers re-map the
-        same file.  Call :meth:`close` (or let the dataset session do
-        it) to drop the mapping; writers never mutate a mapped file in
-        place (:func:`repro.api.dataset.atomic_write_bytes` replaces the
+        process-pool decode workers open the same file themselves
+        instead of receiving payload bytes.  Call :meth:`close` (or let
+        the dataset session do it) to drop the mapping; writers never
+        mutate a mapped file in place
+        (:func:`repro.api.dataset.atomic_write_bytes` replaces the
         whole file, leaving existing mappings valid).
         """
         path = Path(path)
@@ -394,33 +402,25 @@ class SAGeArchive:
             view.release()
             mapped.close()
             raise
-        if archive._source_blob is None:
-            # Flat shape (a single-block archive is parsed eagerly):
-            # every stream was copied out; the mapping is not needed.
-            view.release()
-            mapped.close()
-        else:
-            archive._mmap = mapped
+        archive._mmap = mapped
         archive.source_path = path
         return archive
 
     @property
     def file_backed(self) -> bool:
         """True when block payloads can be re-read from
-        :attr:`source_path` via the block index (descriptor transport
-        is available)."""
+        :attr:`source_path` (another process can :meth:`open` it)."""
         return (self.source_path is not None
-                and self._source_blob is not None
-                and self._index is not None)
+                and self._source_blob is not None)
 
     def close(self) -> None:
         """Release the memory map behind an :meth:`open`-ed archive.
 
         Blocks parsed so far keep working (their streams are copies);
         *unparsed* blocks become inaccessible.  A no-op for archives
-        built in memory or loaded from bytes.  If a payload view is
-        still exported (e.g. an array wrapping it), the mapping is left
-        to the garbage collector instead of invalidating the view.
+        built in memory.  If a payload view is still exported (e.g. an
+        array wrapping it), the mapping is left to the garbage
+        collector instead of invalidating the view.
 
         Contract: ``close`` is idempotent and safe to call from any
         thread, including while another thread is mid-decode.  The blob
@@ -455,8 +455,7 @@ class SAGeArchive:
         Only blocks re-parseable from the source blob are dropped;
         archives built in memory (no source bytes) are untouched.
         """
-        if self.blocks and self._source_blob is not None \
-                and self._index is not None:
+        if self._source_blob is not None:
             self.blocks[index] = None
 
     # ------------------------------------------------------------------
@@ -464,37 +463,16 @@ class SAGeArchive:
     # ------------------------------------------------------------------
 
     @property
-    def is_blocked(self) -> bool:
-        """True for multi-section archives (see class docstring)."""
-        return bool(self.blocks)
-
-    @property
     def n_blocks(self) -> int:
         """Number of independently decodable sections (>= 1)."""
-        return len(self.blocks) if self.blocks else 1
+        return len(self.blocks)
 
     @property
     def n_reads(self) -> int:
         return self.n_mapped + self.n_unmapped
 
-    def _as_block(self) -> SAGeBlock:
-        """View a flat archive's payload as a single block."""
-        streams = {name: self.streams[name] for name in BLOCK_STREAM_NAMES}
-        return SAGeBlock(
-            n_mapped=self.n_mapped, n_unmapped=self.n_unmapped,
-            long_reads=self.long_reads, fixed_length=self.fixed_length,
-            fixed_read_length=self.fixed_read_length, w_rlen=self.w_rlen,
-            tables=self.tables, streams=streams, quality=self.quality,
-            headers_blob=self.headers_blob, breakdown=self.breakdown,
-            permutation=self.permutation)
-
     def block(self, index: int) -> SAGeBlock:
         """Section ``index``, parsing it from the source blob on demand."""
-        if not self.blocks:
-            if index == 0:
-                return self._as_block()
-            raise ContainerError(
-                f"block {index} out of range for a single-block archive")
         if not 0 <= index < len(self.blocks):
             raise ContainerError(
                 f"block {index} out of range (archive has "
@@ -502,8 +480,6 @@ class SAGeArchive:
         parsed = self.blocks[index]
         if parsed is None:
             entry = self.block_index()[index]
-            if self._source_blob is None:
-                raise ContainerError(f"block {index} has no payload")
             payload = self._checked_payload(index, entry)
             try:
                 parsed = SAGeBlock.deserialize(payload)
@@ -519,12 +495,13 @@ class SAGeArchive:
                          entry: BlockIndexEntry) -> "bytes | memoryview":
         """Slice block ``index``'s payload from the blob, digest-checked.
 
-        The single decode-time integrity gate of v4 archives: any
-        payload whose stored CRC32 does not match raises
-        :class:`CorruptArchiveError` naming the block and offset, before
-        a single stream bit is parsed.  For mmap-backed archives the
-        slice is a zero-copy ``memoryview`` and the CRC runs on the
-        view — no ``bytes()`` copy on the intact path.
+        The single decode-time integrity gate of v4 archives, in the
+        parent and in pool workers alike: any payload whose stored
+        CRC32 does not match raises :class:`CorruptArchiveError` naming
+        the block and offset, before a single stream bit is parsed.
+        For mmap-backed archives the slice is a zero-copy
+        ``memoryview`` and the CRC runs on the view — no ``bytes()``
+        copy on the intact path.
         """
         blob = self._source_blob
         if blob is None:
@@ -547,64 +524,66 @@ class SAGeArchive:
         return payload
 
     def block_view(self, index: int) -> "SAGeArchive":
-        """A flat single-section archive exposing only block ``index``.
+        """A one-block archive exposing only block ``index``.
 
-        The view shares the global consensus stream and metadata with
-        this archive; decoding it touches no other block's streams.
+        The view shares the parsed block, the consensus stream and the
+        global metadata with this archive; decoding it touches no other
+        block's streams.
         """
-        if not self.blocks:
-            if index == 0:
-                return self
-            raise ContainerError(
-                f"block {index} out of range for a single-block archive")
-        return block_as_archive(
-            self.block(index), level=self.level,
-            consensus=self.streams["consensus"],
-            consensus_length=self.consensus_length, w_cons=self.w_cons,
+        return SAGeArchive.from_blocks(
+            [self.block(index)], level=self.level,
+            consensus=self.consensus,
+            consensus_length=self.consensus_length,
             preserve_order=self.preserve_order, name=self.name,
             source_version=self.source_version)
 
     def block_index(self) -> list[BlockIndexEntry]:
-        """The top-level index: per-block read counts and payload sizes.
+        """The top-level index: per-block read counts, payload sizes and
+        the global position of each block's first read.
 
-        Offsets always locate the payload within the serialized v3 blob
+        Offsets always locate the payload within the serialized blob
         (:meth:`to_bytes`), whether the archive was loaded from bytes or
         built in memory.
         """
-        if self._index is not None:
-            return self._index
-        version = self.source_version
-        offset = (len(self._global_header_blob(version))
-                  + self._consensus_framing_nbytes(version)
-                  + len(self.streams["consensus"][0])
-                  + (_index_entry_bits(version) // 8) * self.n_blocks)
-        entries: list[BlockIndexEntry] = []
-        for i in range(self.n_blocks):
-            payload = self.block_payload(i)
-            blk = self.block(i)
-            crc = _checksum(payload) if version >= VERSION else None
-            entries.append(BlockIndexEntry(blk.n_mapped, blk.n_unmapped,
-                                           len(payload), offset, crc))
-            offset += len(payload)
-        self._index = entries
-        return entries
+        if self._index is None:
+            # Built in memory: every block is parsed.
+            checksummed = self.source_version >= VERSION
+            offset = self.header_fixed_nbytes() + len(self.consensus[0])
+            first_read = 0
+            entries: list[BlockIndexEntry] = []
+            for i in range(self.n_blocks):
+                blk = self.block(i)
+                payload = blk.serialize()
+                entries.append(BlockIndexEntry(
+                    blk.n_mapped, blk.n_unmapped, len(payload), offset,
+                    _checksum(payload) if checksummed else None,
+                    first_read))
+                offset += len(payload)
+                first_read += blk.n_reads
+            self._index = entries
+        return self._index
 
-    @staticmethod
-    def _consensus_framing_nbytes(version: int) -> int:
-        """Bytes of consensus framing: bits(40) + nbytes(24) [+ crc32]."""
-        return 12 if version >= VERSION else 8
-
-    def block_payload(self, index: int) -> bytes:
+    def block_payload(self, index: int) -> "bytes | memoryview":
         """Raw serialized payload of block ``index``.
 
-        Uses the source blob's bytes when the archive was loaded from
-        disk (no re-serialization), which also guarantees byte-stable
-        round trips.
+        Uses the source blob's bytes when the block is still unparsed
+        (no re-serialization), which also guarantees byte-stable round
+        trips.
         """
-        if (self._source_blob is not None and self._index is not None
-                and self.blocks and self.blocks[index] is None):
-            return self._checked_payload(index, self._index[index])
-        return self.block(index).serialize()
+        parsed = self.blocks[index]
+        if parsed is None:
+            return self._checked_payload(index, self.block_index()[index])
+        return parsed.serialize()
+
+    def source_bytes(self) -> bytes:
+        """The archive as one blob another process can ``from_bytes``.
+
+        A loaded archive hands back the bytes it was loaded from,
+        unverified — per-block damage must surface where the block is
+        decoded, not here; an archive built in memory serializes.
+        """
+        blob = self._source_blob
+        return bytes(blob) if blob is not None else self.to_bytes()
 
     # ------------------------------------------------------------------
     # Sizes
@@ -623,7 +602,8 @@ class SAGeArchive:
         """
         version = self.source_version
         total = len(self._global_header_blob(version))
-        total += self._consensus_framing_nbytes(version)
+        # Consensus framing: bits(40) + nbytes(24) [+ crc32].
+        total += 12 if version >= VERSION else 8
         total += (_index_entry_bits(version) // 8) * self.n_blocks
         return total
 
@@ -640,9 +620,7 @@ class SAGeArchive:
 
     def dna_byte_size(self) -> int:
         """Compressed size of the DNA payload (everything but quality)."""
-        total = self.header_bytes_estimate()
-        payload, _ = self.streams["consensus"]
-        total += len(payload)
+        total = self.header_bytes_estimate() + len(self.consensus[0])
         for blk in self._parsed_blocks():
             for name in BLOCK_STREAM_NAMES:
                 _, bits = blk.streams[name]
@@ -658,14 +636,6 @@ class SAGeArchive:
             if blk.headers_blob is not None:
                 total += len(blk.headers_blob) + 5
         return total
-
-    def stream_bits(self, name: str) -> int:
-        """Total bits of stream ``name`` summed across blocks."""
-        if not self.blocks:
-            return self.streams[name][1]
-        if name == "consensus":
-            return self.streams["consensus"][1]
-        return sum(b.streams[name][1] for b in self._parsed_blocks())
 
     # ------------------------------------------------------------------
     # Serialization
@@ -715,7 +685,7 @@ class SAGeArchive:
         checksummed = version >= VERSION
         writer = BitWriter()
         writer.write_bytes(self._global_header_blob(version))
-        payload, bits = self.streams["consensus"]
+        payload, bits = self.consensus
         writer.write(bits, 40)
         writer.write(len(payload), 24)
         writer.align_to_byte()
@@ -724,20 +694,14 @@ class SAGeArchive:
         writer.write_bytes(payload)
         payloads = [self.block_payload(i) for i in range(self.n_blocks)]
         for i, blob in enumerate(payloads):
-            if self._index is not None:
-                entry = self._index[i]
-                counts = (entry.n_mapped, entry.n_unmapped)
-                crc = entry.crc32
-            else:
-                blk = self.block(i)
-                counts = (blk.n_mapped, blk.n_unmapped)
-                crc = None
-            writer.write(counts[0], 40)
-            writer.write(counts[1], 40)
+            # A parsed block and an index entry both carry the counts;
+            # an unparsed block always has its index entry.
+            counts = self.blocks[i] or self.block_index()[i]
+            writer.write(counts.n_mapped, 40)
+            writer.write(counts.n_unmapped, 40)
             writer.write(len(blob), 32)
             if checksummed:
-                writer.write(crc if crc is not None
-                             else _checksum(blob), 32)
+                writer.write(_checksum(blob), 32)
         for blob in payloads:
             writer.write_bytes(blob)
         return writer.getvalue()
@@ -771,10 +735,8 @@ class SAGeArchive:
         if version not in (V3_VERSION, VERSION):
             raise ContainerError(f"unsupported version {version}")
         try:
-            return cls._from_bytes_blocked(reader, blob, version)
+            return cls._from_reader(reader, blob, version)
         except SAGeError:
-            raise
-        except BitIOError:           # pragma: no cover - SAGeError above
             raise
         except Exception as exc:
             raise CorruptArchiveError(
@@ -782,8 +744,8 @@ class SAGeArchive:
                 offset=reader.position // 8) from exc
 
     @classmethod
-    def _from_bytes_blocked(cls, reader: BitReader, blob: bytes,
-                            version: int) -> "SAGeArchive":
+    def _from_reader(cls, reader: BitReader, blob: "bytes | memoryview",
+                     version: int) -> "SAGeArchive":
         checksummed = version >= VERSION
         try:
             level = OptLevel(reader.read(4))
@@ -820,7 +782,6 @@ class SAGeArchive:
                         stream="consensus", offset=consensus_offset)
             else:
                 payload = reader.read_bytes(nbytes)
-            consensus = (payload, bits)
             raw_index: list[tuple[int, int, int, int | None]] = []
             for _ in range(n_blocks):
                 blk_mapped = reader.read(40)
@@ -833,9 +794,9 @@ class SAGeArchive:
             raise TruncatedArchiveError(
                 f"archive ends inside the global layout ({exc})",
                 offset=len(blob), actual=len(blob)) from exc
-        base = reader.position // 8
         index: list[BlockIndexEntry] = []
-        offset = base
+        offset = reader.position // 8
+        first_read = 0
         for blk_mapped, blk_unmapped, blk_nbytes, blk_crc in raw_index:
             if offset + blk_nbytes > len(blob):
                 raise TruncatedArchiveError(
@@ -843,43 +804,19 @@ class SAGeArchive:
                     block_index=len(index), offset=offset,
                     expected=offset + blk_nbytes, actual=len(blob))
             index.append(BlockIndexEntry(blk_mapped, blk_unmapped,
-                                         blk_nbytes, offset, blk_crc))
+                                         blk_nbytes, offset, blk_crc,
+                                         first_read))
             offset += blk_nbytes
-
-        if n_blocks == 1:
-            # Flat shape: expose the single block's payload through
-            # the top-level fields.
-            entry = index[0]
-            payload = blob[entry.offset:entry.offset + entry.nbytes]
-            if (entry.crc32 is not None
-                    and _checksum(payload) != entry.crc32):
-                raise CorruptArchiveError(
-                    "block payload checksum mismatch", block_index=0,
-                    offset=entry.offset)
-            blk = SAGeBlock.deserialize(payload)
-            streams = dict(blk.streams)
-            streams["consensus"] = consensus
-            return cls(level=level, long_reads=blk.long_reads,
-                       fixed_length=blk.fixed_length,
-                       fixed_read_length=blk.fixed_read_length,
-                       n_mapped=blk.n_mapped, n_unmapped=blk.n_unmapped,
-                       consensus_length=consensus_length,
-                       w_rlen=blk.w_rlen, w_cons=w_cons,
-                       tables=blk.tables, streams=streams,
-                       quality=blk.quality, preserve_order=preserve_order,
-                       headers_blob=blk.headers_blob,
-                       block_reads=block_reads, source_version=version)
-
+            first_read += blk_mapped + blk_unmapped
         archive = cls(level=level, long_reads=long_reads,
                       fixed_length=fixed_length,
                       fixed_read_length=fixed_read_length,
                       n_mapped=n_mapped, n_unmapped=n_unmapped,
                       consensus_length=consensus_length, w_rlen=w_rlen,
-                      w_cons=w_cons, tables={},
-                      streams={"consensus": consensus},
+                      w_cons=w_cons, consensus=(payload, bits),
+                      blocks=[None] * n_blocks,
                       preserve_order=preserve_order,
-                      blocks=[None] * n_blocks, block_reads=block_reads,
-                      source_version=version)
+                      block_reads=block_reads, source_version=version)
         archive._source_blob = blob
         archive._index = index
         return archive
@@ -908,7 +845,7 @@ class SAGeArchive:
         """The consensus-payload digest a v4 serialization carries."""
         if not self.checksummed:
             return None
-        return _checksum(self.streams["consensus"][0])
+        return _checksum(self.consensus[0])
 
     def verify_checksums(self) -> dict:
         """Walk the stored digests without decoding anything.
@@ -926,15 +863,13 @@ class SAGeArchive:
                     "blocks": ["unchecked"] * self.n_blocks}
         # A blob-backed v4 archive had its header and consensus digests
         # verified at load; re-walk only the lazily checked blocks.
-        statuses: list[str] = []
+        statuses = ["ok"] * self.n_blocks
         blob, index_entries = self._source_blob, self._index
         if blob is not None and index_entries is not None:
-            for entry in index_entries:
+            for i, entry in enumerate(index_entries):
                 payload = blob[entry.offset:entry.offset + entry.nbytes]
-                ok = (len(payload) == entry.nbytes
-                      and (entry.crc32 is None
-                           or _checksum(payload) == entry.crc32))
-                statuses.append("ok" if ok else "failed")
-        else:
-            statuses = ["ok"] * self.n_blocks
+                if len(payload) != entry.nbytes or (
+                        entry.crc32 is not None
+                        and _checksum(payload) != entry.crc32):
+                    statuses[i] = "failed"
         return {"header": "ok", "consensus": "ok", "blocks": statuses}

@@ -11,12 +11,12 @@ and RCU operate concurrently in hardware.
 The hardware functional model (:mod:`repro.hardware.sage_units`) wraps
 this decoder with cycle/byte accounting and must produce identical output.
 
-Blocked archives decode per independent section: decoding block *i*
-via :meth:`SAGeDecompressor.decompress_block` touches only that block's
+Archives decode per independent section: decoding block *i* via
+:meth:`SAGeDecompressor.decompress_block` touches only that block's
 streams plus the shared consensus — the software analog of per-channel
-parallel decode (§5.3).  This class decodes one section at a time; the
-walk over all blocks of an archive (serial or parallel, with the
-``on_error`` policy) is :class:`repro.pipeline.executor.StreamExecutor`.
+parallel decode (§5.3).  That method is the only block decode in the
+system; the walk over all blocks of an archive (serial or parallel, with
+the ``on_error`` policy) is :class:`repro.pipeline.executor.StreamExecutor`.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitReader
 from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
-from .container import SAGeArchive
+from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
 from .formats import unpack_bits
-from .kernels import resolve_kernel
+from .kernels import CodecKernel, resolve_kernel
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
 
@@ -55,10 +55,10 @@ class SAGeDecompressor:
                  codec: str = "auto"):
         self.archive = archive
         self.codec = codec
-        # ``consensus`` lets per-block decoders reuse the parent's
-        # already-unpacked consensus instead of unpacking it per block.
+        # ``consensus`` lets a second decoder over the same (or a view
+        # of the same) archive reuse an already-unpacked consensus.
         if consensus is None:
-            consensus = unpack_bits(archive.streams["consensus"][0], 2,
+            consensus = unpack_bits(archive.consensus[0], 2,
                                     archive.consensus_length)
         self.consensus = consensus
 
@@ -66,22 +66,31 @@ class SAGeDecompressor:
     # Public API
     # ------------------------------------------------------------------
 
-    def decompress(self, *, header_base: int | None = None,
-                   select=None) -> ReadSet:
-        """Decode every read (and quality scores, if present) of a flat
-        archive or single-block view.
+    def decompress(self, *, select=None) -> ReadSet:
+        """Decode a one-block archive: ``decompress_block(0)``.
 
         Multi-block archives are walked by
         :class:`~repro.pipeline.executor.StreamExecutor` (which the
-        :class:`repro.api.SAGeDataset` facade drives); one block of them
-        decodes through :meth:`decompress_block`.
+        :class:`repro.api.SAGeDataset` facade drives).
+        """
+        if self.archive.n_blocks != 1:
+            raise DecompressionError(
+                f"archive has {self.archive.n_blocks} blocks: decode per "
+                "block via decompress_block() or walk it with "
+                "StreamExecutor / SAGeDataset.read_set()")
+        return self.decompress_block(0, select=select)
 
-        ``header_base`` switches generated fallback headers to *block
-        mode*: reads are named sequentially from that offset in final
-        (order-restored) positions, so block *i* continues the global
-        numbering without a second renaming pass.  ``None`` (default)
-        keeps the flat-archive naming; archives storing real headers
-        ignore it either way.
+    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
+    def decompress_block(self, index: int, *,
+                         codec: str | None = None,
+                         select=None) -> ReadSet:
+        """Decode only block ``index`` of the archive.
+
+        Random access: the decode reads the block and the archive
+        globals (level, consensus) and no other block's streams,
+        mirroring the per-channel independent decode of §5.3.
+        ``codec`` overrides the decoder's session kernel for this
+        block.
 
         ``select`` (:class:`~repro.core.selection.StreamSelection`, a
         group-name iterable, or ``None`` = everything) limits the decode
@@ -90,127 +99,21 @@ class SAGeDecompressor:
         empty-code placeholder reads; skipping ``order`` emits reads in
         the codec's emission order (identical content, for
         order-insensitive consumers).
-        """
-        if self.archive.is_blocked:
-            raise DecompressionError(
-                "blocked archive: decode per block via decompress_block()"
-                " or walk it with StreamExecutor / SAGeDataset.read_set()")
-        select = StreamSelection.from_spec(select)
-        if select.sequence:
-            try:
-                codes = resolve_kernel(self.codec) \
-                    .decode_reads(self, select=select)
-            except SAGeError:
-                raise
-            except (IndexError, KeyError, OverflowError, ValueError) as exc:
-                # Corrupt streams drive the kernels out of range; never
-                # let that escape as a bare IndexError/KeyError.
-                raise DecompressionError(
-                    f"read reconstruction failed "
-                    f"({type(exc).__name__}: {exc})") from exc
-            n_reads = len(codes)
-        else:
-            # Sequence deselected: reads become empty placeholders so
-            # counting consumers (and header-only passes) still see the
-            # right cardinality without touching the sequence streams.
-            n_reads = self.archive.n_reads
-            empty = np.empty(0, dtype=np.uint8)
-            codes = [empty] * n_reads
-        qualities: list[np.ndarray | None] = [None] * n_reads
-        if select.quality and self.archive.quality is not None:
-            scores = quality_codec.decompress(self.archive.quality)
-            offset = 0
-            for i, read_codes in enumerate(codes):
-                n = read_codes.size
-                qualities[i] = scores[offset:offset + n].astype(np.uint8)
-                offset += n
-            if offset != scores.size:
-                raise DecompressionError(
-                    f"quality stream has {scores.size} scores, reads "
-                    f"need {offset}")
-        name = self.archive.name or "sage"
-        header_list = None
-        if select.headers and self.archive.headers_blob is not None:
-            header_list = headers_codec.decompress_headers(
-                self.archive.headers_blob)
-            if len(header_list) != n_reads:
-                raise DecompressionError(
-                    f"{len(header_list)} headers for {n_reads} reads")
-        emit_order = self._emission_order(n_reads) \
-            if self.archive.preserve_order and select.order else None
-        indices = emit_order if emit_order is not None else range(n_reads)
-        if header_list is not None:
-            reads = [Read(codes=codes[j], quality=qualities[j],
-                          header=header_list[j]) for j in indices]
-        elif header_base is not None:
-            reads = [Read(codes=codes[j], quality=qualities[j],
-                          header=f"{name}.{header_base + position}")
-                     for position, j in enumerate(indices)]
-        else:
-            reads = [Read(codes=codes[j], quality=qualities[j],
-                          header=f"{name}.{j}") for j in indices]
-        return ReadSet(reads, name=name)
 
-    def _emission_order(self, n: int) -> list[int]:
-        """``result[p]`` = emission index of the read at final slot ``p``.
-
-        Inverts the matching-position reordering recorded in the
-        ``order`` stream (extension).
-        """
-        payload, bits = self.archive.streams["order"]
-        reader = BitReader(payload, bits, name="order")
-        w_reads = max(1, (n - 1).bit_length()) if n else 1
-        slots: list[int | None] = [None] * n
-        for j in range(n):
-            original = reader.read(w_reads)
-            if original >= n or slots[original] is not None:
-                raise DecompressionError(
-                    "order stream is not a permutation")
-            slots[original] = j
-        return slots
-
-    # ------------------------------------------------------------------
-    # Blocked archives: random-access block decode
-    # ------------------------------------------------------------------
-
-    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
-    def decompress_block(self, index: int, *,
-                         codec: str | None = None,
-                         select=None) -> ReadSet:
-        """Decode only block ``index`` of the archive.
-
-        Random access: the block view shares the consensus stream but
-        reads no other block's streams, mirroring the per-channel
-        independent decode of §5.3.  On a flat archive only block 0
-        exists and equals the whole read set.  ``codec`` overrides the
-        decoder's session kernel for this block; ``select``
-        (:class:`~repro.core.selection.StreamSelection` spec) limits the
-        decode to the requested stream groups.
+        Reads without a stored (or selected) header are named
+        ``{archive name}.{global read position}`` — the position counts
+        from the block index's ``first_read``, in final (order-restored)
+        slots, so names are unique across the archive and do not depend
+        on how the archive was obtained.
 
         Any failure — corrupt payload, truncated stream, inconsistent
         content — surfaces as :class:`BlockDecodeError` carrying the
         block index, the unit of skip/salvage recovery.
         """
-        arch = self.archive
-        select = StreamSelection.from_spec(select)
         try:
-            view = arch.block_view(index)
-            base: int | None = None       # None = flat-archive naming
-            if arch.is_blocked and (view.headers_blob is None
-                                    or not select.headers):
-                # The offset is known from the index alone; no other
-                # block is decoded, and the fallback headers come out
-                # globally numbered in one pass.  A selection that
-                # skips real headers takes the same numbering so block
-                # read names stay globally unique.
-                base = sum(entry.n_reads
-                           for entry in arch.block_index()[:index])
-            return SAGeDecompressor(view, consensus=self.consensus,
-                                    codec=codec or self.codec) \
-                .decompress(header_base=base, select=select)
-        except IndexError:
-            # Out-of-range block index is caller error, not corruption.
-            raise
+            return self._decode_block(
+                index, resolve_kernel(codec or self.codec),
+                StreamSelection.from_spec(select))
         except BlockDecodeError:
             raise
         except SAGeError as exc:
@@ -225,35 +128,93 @@ class SAGeDecompressor:
                 f"block decode failed ({type(exc).__name__}: {exc})",
                 block_index=index) from exc
 
-    def make_readers(self) -> dict[str, BitReader]:
-        """Fresh sequential readers over the archive's streams.
+    def _decode_block(self, index: int, kernel: CodecKernel,
+                      select: StreamSelection) -> ReadSet:
+        arch = self.archive
+        blk = arch.block(index)
+        if select.sequence:
+            codes = kernel.decode_reads(self, select=select, index=index)
+            n_reads = len(codes)
+        else:
+            # Sequence deselected: reads become empty placeholders so
+            # counting consumers (and header-only passes) still see the
+            # right cardinality without touching the sequence streams.
+            n_reads = blk.n_reads
+            empty = np.empty(0, dtype=np.uint8)
+            codes = [empty] * n_reads
+        qualities: list[np.ndarray | None] = [None] * n_reads
+        if select.quality and blk.quality is not None:
+            scores = quality_codec.decompress(blk.quality)
+            offset = 0
+            for i, read_codes in enumerate(codes):
+                n = read_codes.size
+                qualities[i] = scores[offset:offset + n].astype(np.uint8)
+                offset += n
+            if offset != scores.size:
+                raise DecompressionError(
+                    f"quality stream has {scores.size} scores, reads "
+                    f"need {offset}")
+        name = arch.name or "sage"
+        indices = self._emission_order(blk) \
+            if arch.preserve_order and select.order else range(n_reads)
+        if select.headers and blk.headers_blob is not None:
+            header_list = headers_codec.decompress_headers(
+                blk.headers_blob)
+            if len(header_list) != n_reads:
+                raise DecompressionError(
+                    f"{len(header_list)} headers for {n_reads} reads")
+            headers = [header_list[j] for j in indices]
+        else:
+            first = arch.block_index()[index].first_read
+            headers = [f"{name}.{position}"
+                       for position in range(first, first + n_reads)]
+        return ReadSet([Read(codes=codes[j], quality=qualities[j],
+                             header=header)
+                        for j, header in zip(indices, headers)],
+                       name=name)
 
-        Readers carry their stream name, so a malformed archive fails
-        with the offending stream and bit offset in the message.
+    @staticmethod
+    def _emission_order(blk: SAGeBlock) -> list[int]:
+        """``result[p]`` = emission index of the read at final slot ``p``.
+
+        Inverts the matching-position reordering recorded in the
+        block's ``order`` stream (extension).
         """
-        return {nm: BitReader(payload, bits, name=nm)
-                for nm, (payload, bits) in self.archive.streams.items()}
+        n = blk.n_reads
+        payload, bits = blk.streams["order"]
+        reader = BitReader(payload, bits, name="order")
+        w_reads = max(1, (n - 1).bit_length()) if n else 1
+        slots: list[int | None] = [None] * n
+        for j in range(n):
+            original = reader.read(w_reads)
+            if original >= n or slots[original] is not None:
+                raise DecompressionError(
+                    "order stream is not a permutation")
+            slots[original] = j
+        return slots
 
     def iter_read_codes(
             self, readers: dict[str, BitReader] | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Yield decoded base-code arrays in emission order.
+            index: int = 0) -> Iterator[np.ndarray]:
+        """Yield block ``index``'s decoded base-code arrays in emission
+        order — the bit-serial reference walk.
 
         ``readers`` lets callers (the hardware model) substitute
         instrumented readers; they must wrap the same streams.
         """
-        arch = self.archive
-        if arch.is_blocked:
-            raise DecompressionError(
-                "blocked archive: decode per block via decompress_block()")
+        blk = self.archive.block(index)
         if readers is None:
-            readers = self.make_readers()
+            # Readers carry their stream name, so a malformed archive
+            # fails with the offending stream and bit offset in the
+            # message.
+            readers = {name: BitReader(payload, bits, name=name)
+                       for name, (payload, bits) in blk.streams.items()}
         prev_cons = 0
-        for _ in range(arch.n_mapped):
-            codes, prev_cons = self._decode_mapped(readers, prev_cons)
+        for _ in range(blk.n_mapped):
+            codes, prev_cons = self._decode_mapped(blk, readers, prev_cons)
             yield codes
-        for _ in range(arch.n_unmapped):
-            yield self._decode_unmapped(readers["unmapped"])
+        for _ in range(blk.n_unmapped):
+            yield self._decode_unmapped(blk, readers["unmapped"])
 
     # ------------------------------------------------------------------
     # Mapped reads
@@ -263,7 +224,7 @@ class SAGeDecompressor:
         """Consensus base under the cursor (0 past the end, both sides)."""
         return int(self.consensus[q]) if q < self.consensus.size else 0
 
-    def _decode_mapped(self, readers: dict[str, BitReader],
+    def _decode_mapped(self, blk: SAGeBlock, readers: dict[str, BitReader],
                        prev_cons: int) -> tuple[np.ndarray, int]:
         arch = self.archive
         level = arch.level
@@ -274,25 +235,25 @@ class SAGeDecompressor:
         corner, lengths = readers["corner"], readers["lengths"]
 
         # --- per-read header fields ---
-        if arch.fixed_length:
-            length = arch.fixed_read_length
+        if blk.fixed_length:
+            length = blk.fixed_read_length
         else:
-            length = arch.tables["len"].decode(lengths, lengths)
+            length = blk.tables["len"].decode(lengths, lengths)
         reverse = bool(mbta.read_bit())
         if level.reorder:
-            first_cons = prev_cons + arch.tables["mp"].decode(mpga, mpa)
+            first_cons = prev_cons + blk.tables["mp"].decode(mpga, mpa)
         else:
             first_cons = mpa.read(arch.w_cons)
         segments = [(0, first_cons)]
-        if level.chimeric and arch.long_reads:
+        if level.chimeric and blk.long_reads:
             if side.read_bit():
                 n_extra = side.read(2)
                 for _ in range(n_extra):
-                    core_start = side.read(arch.w_rlen)
+                    core_start = side.read(blk.w_rlen)
                     cons_start = side.read(arch.w_cons)
                     segments.append((core_start, cons_start))
         if level.tuned_mismatch:
-            count = arch.tables["count"].decode(mmpga, mmpga)
+            count = blk.tables["count"].decode(mmpga, mmpga)
         else:
             count = mmpga.read(RAW_COUNT_BITS)
 
@@ -305,15 +266,16 @@ class SAGeDecompressor:
             has_n = bool(corner.read_bit())
             has_clip = bool(corner.read_bit())
             if has_n or has_clip:
-                n_runs, clip_s, clip_e = self._read_corner_payload(corner)
+                n_runs, clip_s, clip_e = \
+                    self._read_corner_payload(blk, corner)
         elif count > 0:
-            pos0 = self._decode_position(0, readers, level)
+            pos0 = self._decode_position(blk, 0, readers, level)
             remaining -= 1
             if pos0 == 0:
                 if mbta.read_bit():
                     # Pseudo-mismatch: this read is a corner case.
                     n_runs, clip_s, clip_e = \
-                        self._read_corner_payload(corner)
+                        self._read_corner_payload(blk, corner)
                 else:
                     pending_pos = 0
             else:
@@ -350,11 +312,12 @@ class SAGeDecompressor:
                 pos = pending_pos
                 pending_pos = None
             else:
-                pos = self._decode_position(prev_pos, readers, level)
+                pos = self._decode_position(blk, prev_pos, readers,
+                                            level)
                 remaining -= 1
             prev_pos = pos
             advance(pos)
-            read_ptr, q = self._apply_entry(pos, out, read_ptr, q,
+            read_ptr, q = self._apply_entry(blk, pos, out, read_ptr, q,
                                             readers, level)
 
         # Copy through any remaining segment tails.
@@ -378,17 +341,18 @@ class SAGeDecompressor:
         codes = seq.reverse_complement(oriented) if reverse else oriented
         return codes, first_cons
 
-    def _decode_position(self, prev_pos: int,
+    @staticmethod
+    def _decode_position(blk: SAGeBlock, prev_pos: int,
                          readers: dict[str, BitReader],
                          level: OptLevel) -> int:
         if level.tuned_mismatch:
-            delta = self.archive.tables["mmp"].decode(readers["mmpga"],
-                                                      readers["mmpa"])
+            delta = blk.tables["mmp"].decode(readers["mmpga"],
+                                             readers["mmpa"])
             return prev_pos + delta
-        return readers["mmpa"].read(self.archive.w_rlen)
+        return readers["mmpa"].read(blk.w_rlen)
 
-    def _apply_entry(self, pos: int, out: np.ndarray, read_ptr: int,
-                     q: int, readers: dict[str, BitReader],
+    def _apply_entry(self, blk: SAGeBlock, pos: int, out: np.ndarray,
+                     read_ptr: int, q: int, readers: dict[str, BitReader],
                      level: OptLevel) -> tuple[int, int]:
         """Decode one entry's body and apply it at the cursor."""
         mbta = readers["mbta"]
@@ -400,11 +364,11 @@ class SAGeDecompressor:
                 out[pos] = base                     # substitution
                 return read_ptr + 1, q + 1
             if mbta.read_bit() == INDEL_INS:
-                block = self._read_block_length(mmpa, mmpga, level)
+                block = self._read_block_length(blk, mmpa, mmpga, level)
                 for i in range(block):
                     out[pos + i] = mbta.read(2)
                 return read_ptr + block, q
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             return read_ptr, q + block              # deletion
 
         type_code = mbta.read(2)
@@ -412,20 +376,21 @@ class SAGeDecompressor:
             out[pos] = mbta.read(2)
             return read_ptr + 1, q + 1
         if type_code == TYPE_INS:
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             for i in range(block):
                 out[pos + i] = mbta.read(2)
             return read_ptr + block, q
         if type_code == TYPE_DEL:
-            block = self._read_block_length(mmpa, mmpga, level)
+            block = self._read_block_length(blk, mmpa, mmpga, level)
             return read_ptr, q + block
         raise DecompressionError(f"invalid mismatch type {type_code}")
 
-    def _read_block_length(self, mmpa: BitReader, mmpga: BitReader,
-                           level: OptLevel) -> int:
+    @staticmethod
+    def _read_block_length(blk: SAGeBlock, mmpa: BitReader,
+                           mmpga: BitReader, level: OptLevel) -> int:
         if not level.indel_blocks:
             return 1
-        indel_table = self.archive.tables.get("indel")
+        indel_table = blk.tables.get("indel")
         if indel_table is not None:
             return indel_table.decode(mmpga, mmpa)
         if mmpga.read_bit():
@@ -436,7 +401,8 @@ class SAGeDecompressor:
     # Corner payloads and unmapped reads
     # ------------------------------------------------------------------
 
-    def _read_corner_payload(self, corner: BitReader):
+    @staticmethod
+    def _read_corner_payload(blk: SAGeBlock, corner: BitReader):
         has_n = bool(corner.read_bit())
         has_clip = bool(corner.read_bit())
         n_runs: list[tuple[int, int]] = []
@@ -444,24 +410,24 @@ class SAGeDecompressor:
         if has_n:
             n_count = corner.read(8)
             for _ in range(n_count):
-                pos = corner.read(self.archive.w_rlen)
+                pos = corner.read(blk.w_rlen)
                 run = corner.read(8)
                 n_runs.append((pos, run))
         if has_clip:
-            len_s = corner.read(self.archive.w_rlen)
-            len_e = corner.read(self.archive.w_rlen)
+            len_s = corner.read(blk.w_rlen)
+            len_e = corner.read(blk.w_rlen)
             total = len_s + len_e
             payload = corner.read_bytes((3 * total + 7) // 8)
             clip = unpack_bits(payload, 3, total)
             clip_s, clip_e = clip[:len_s], clip[len_s:]
         return n_runs, clip_s, clip_e
 
-    def _decode_unmapped(self, reader: BitReader) -> np.ndarray:
-        arch = self.archive
-        if arch.fixed_length:
-            length = arch.fixed_read_length
+    @staticmethod
+    def _decode_unmapped(blk: SAGeBlock, reader: BitReader) -> np.ndarray:
+        if blk.fixed_length:
+            length = blk.fixed_read_length
         else:
-            length = reader.read(arch.w_rlen)
+            length = reader.read(blk.w_rlen)
         payload = reader.read_bytes((3 * length + 7) // 8)
         return unpack_bits(payload, 3, length)
 

@@ -449,7 +449,7 @@ def _read_corner_payload(corner: FastReader, w_rlen: int):
     return n_runs, clip_s, clip_e
 
 
-def _matching_positions(arch, n_mapped: int) -> np.ndarray:
+def _matching_positions(arch, blk, n_mapped: int) -> np.ndarray:
     """All matching positions in one pass over the mpga/mpa streams.
 
     With reordering, the guide array is a pure run of unary class codes:
@@ -460,10 +460,10 @@ def _matching_positions(arch, n_mapped: int) -> np.ndarray:
         w_cons = arch.w_cons
         offsets = np.arange(n_mapped, dtype=np.int64) * w_cons
         widths = np.full(n_mapped, w_cons, dtype=np.int64)
-        return gather_fields(arch.streams["mpa"], offsets, widths,
+        return gather_fields(blk.streams["mpa"], offsets, widths,
                              name="mpa")
-    table = arch.tables["mp"]
-    payload, bits = arch.streams["mpga"]
+    table = blk.tables["mp"]
+    payload, bits = blk.streams["mpga"]
     bitarr = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:bits]
     zeros = np.nonzero(bitarr == 0)[0]
     if zeros.size < n_mapped:
@@ -479,26 +479,26 @@ def _matching_positions(arch, n_mapped: int) -> np.ndarray:
                                   f"but table has {n_classes}")
     widths = table.widths_np[class_idx]
     offsets = np.cumsum(widths) - widths
-    deltas = gather_fields(arch.streams["mpa"], offsets, widths,
+    deltas = gather_fields(blk.streams["mpa"], offsets, widths,
                            name="mpa")
     return np.cumsum(deltas)
 
 
-def _stream_words(arch, name: str):
+def _stream_words(blk, name: str):
     """``(w64, bit_length)`` window view of one stream.
 
     The windows come back as plain Python ints, so any field of up to
     56 bits is one list lookup plus a shift/mask — the innermost
     primitive of the skeleton walk, with no per-call method dispatch.
     """
-    payload, bits = arch.streams[name]
+    payload, bits = blk.streams[name]
     window, _ext = _build_windows(np.frombuffer(payload, dtype=np.uint8))
     return window.tolist(), bits
 
 
-def _next_zero_list(arch, name: str, limit: int) -> list[int]:
+def _next_zero_list(blk, name: str, limit: int) -> list[int]:
     """:func:`_build_next_zero` of one stream, as a plain-int list."""
-    payload, _bits = arch.streams[name]
+    payload, _bits = blk.streams[name]
     data = np.frombuffer(payload, dtype=np.uint8)
     return _build_next_zero(data, limit).tolist()
 
@@ -514,11 +514,12 @@ def _bad_class(idx: int, n_classes: int) -> CorruptArchiveError:
                                f"but table has {n_classes}")
 
 
-def _decode_reads_batched(dec) -> list[np.ndarray]:
-    """Decode every read of a flat archive through the numpy kernel.
+def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
+    """Decode every read of block ``index`` through the numpy kernel.
 
     Same contract (and emission order) as
-    ``list(SAGeDecompressor.iter_read_codes())``, restructured into
+    ``list(SAGeDecompressor.iter_read_codes(index=index))``,
+    restructured into
     structure-of-arrays passes:
 
     1. one vectorized unary-prefix scan + field gather classifies every
@@ -535,39 +536,37 @@ def _decode_reads_batched(dec) -> list[np.ndarray]:
     from .decompressor import DecompressionError
 
     arch = dec.archive
-    if arch.is_blocked:
-        raise DecompressionError(
-            "blocked archive: decode per block via decompress_block()")
+    block = arch.block(index)
     level = arch.level
     tuned = level.tuned_mismatch
     if tuned:
-        count_widths = arch.tables["count"].widths
-        mmp_widths = arch.tables["mmp"].widths
+        count_widths = block.tables["count"].widths
+        mmp_widths = block.tables["mmp"].widths
     else:
         count_widths = mmp_widths = ()
-    indel_table = arch.tables.get("indel")
+    indel_table = block.tables.get("indel")
     indel_widths = indel_table.widths if indel_table is not None else ()
-    w_rlen = arch.w_rlen
+    w_rlen = block.w_rlen
     w_cons = arch.w_cons
     if max((w_rlen, *count_widths, *mmp_widths, *indel_widths)) > 56:
         # Adversarially wide field classes would overflow the single
         # 64-bit window; such tables never occur in practice — stay on
         # the reference walk rather than complicate the hot loop.
-        return list(dec.iter_read_codes())
+        return list(dec.iter_read_codes(index=index))
 
     cons = dec.consensus
     cons_size = int(cons.size)
-    n_mapped = arch.n_mapped
-    out_codes: list = [None] * (n_mapped + arch.n_unmapped)
+    n_mapped = block.n_mapped
+    out_codes: list = [None] * (n_mapped + block.n_unmapped)
 
     # --- pass 1a: per-read lengths (dedicated stream) ---
-    if arch.fixed_length:
+    if block.fixed_length:
         lengths = None
     else:
-        table = arch.tables["len"]
+        table = block.tables["len"]
         widths = table.widths
         n_classes = len(widths)
-        lr = FastReader(*arch.streams["lengths"], name="lengths")
+        lr = FastReader(*block.streams["lengths"], name="lengths")
         lengths = [0] * n_mapped
         for i in range(n_mapped):
             idx = lr.read_unary()
@@ -576,20 +575,20 @@ def _decode_reads_batched(dec) -> list[np.ndarray]:
             lengths[i] = lr.read(widths[idx])
 
     # --- pass 1b: vectorized matching positions ---
-    fc_arr = _matching_positions(arch, n_mapped) if n_mapped \
+    fc_arr = _matching_positions(arch, block, n_mapped) if n_mapped \
         else np.empty(0, dtype=np.int64)
     first_cons = fc_arr.tolist()
 
     # --- pass 2: skeleton walk (classify entries, no reconstruction) ---
-    b_w64, b_lim = _stream_words(arch, "mbta")
-    g_w64, g_lim = _stream_words(arch, "mmpga")
-    a_w64, a_lim = _stream_words(arch, "mmpa")
-    g_nz = _next_zero_list(arch, "mmpga", g_lim)
+    b_w64, b_lim = _stream_words(block, "mbta")
+    g_w64, g_lim = _stream_words(block, "mmpga")
+    a_w64, a_lim = _stream_words(block, "mmpa")
+    g_nz = _next_zero_list(block, "mmpga", g_lim)
     b_pos = g_pos = a_pos = 0
 
-    corner = FastReader(*arch.streams["corner"], name="corner")
-    side = FastReader(*arch.streams["side"], name="side") \
-        if (level.chimeric and arch.long_reads) else None
+    corner = FastReader(*block.streams["corner"], name="corner")
+    side = FastReader(*block.streams["side"], name="side") \
+        if (level.chimeric and block.long_reads) else None
     type_inf = level.type_inference
     indel_blocks = level.indel_blocks
     corner_marker = level.corner_marker
@@ -603,7 +602,7 @@ def _decode_reads_batched(dec) -> list[np.ndarray]:
     mmp_masks = tuple((1 << w) - 1 for w in mmp_widths)
     indel_masks = tuple((1 << w) - 1 for w in indel_widths)
     w_rlen_mask = (1 << w_rlen) - 1
-    fixed_len = arch.fixed_read_length
+    fixed_len = block.fixed_read_length
 
     simple_idx: list[int] = []        # read index per simple row
     simple_rev: list[int] = []        # parallel: reverse flag per row
@@ -953,10 +952,10 @@ def _decode_reads_batched(dec) -> list[np.ndarray]:
             else oriented
 
     # --- unmapped reads (3-bit packed payloads) ---
-    if arch.n_unmapped:
-        unmapped = FastReader(*arch.streams["unmapped"], name="unmapped")
-        for j in range(arch.n_unmapped):
-            length = fixed_len if arch.fixed_length \
+    if block.n_unmapped:
+        unmapped = FastReader(*block.streams["unmapped"], name="unmapped")
+        for j in range(block.n_unmapped):
+            length = fixed_len if block.fixed_length \
                 else unmapped.read(w_rlen)
             payload = unmapped.read_bytes((3 * length + 7) // 8)
             out_codes[n_mapped + j] = unpack_bits(payload, 3, length)
@@ -982,8 +981,10 @@ class CodecKernel:
         """A fresh ``BitWriter``-compatible sink for one stream."""
         raise NotImplementedError
 
-    def decode_reads(self, decompressor, select=None) -> list[np.ndarray]:
-        """Per-read base-code arrays of a flat archive, emission order.
+    def decode_reads(self, decompressor, select=None,
+                     index: int = 0) -> list[np.ndarray]:
+        """Per-read base-code arrays of block ``index`` of the
+        decompressor's archive, in emission order.
 
         ``select`` (:class:`~repro.core.selection.StreamSelection` or
         ``None`` = everything) is the stream-selective decode request.
@@ -1003,8 +1004,9 @@ class PythonKernel(CodecKernel):
     def new_writer(self, stream_name: str = "") -> BitWriter:
         return BitWriter()
 
-    def decode_reads(self, decompressor, select=None) -> list[np.ndarray]:
-        return list(decompressor.iter_read_codes())
+    def decode_reads(self, decompressor, select=None,
+                     index: int = 0) -> list[np.ndarray]:
+        return list(decompressor.iter_read_codes(index=index))
 
 
 class NumpyKernel(CodecKernel):
@@ -1015,8 +1017,9 @@ class NumpyKernel(CodecKernel):
     def new_writer(self, stream_name: str = "") -> TokenWriter:
         return TokenWriter(stream_name)
 
-    def decode_reads(self, decompressor, select=None) -> list[np.ndarray]:
-        return _decode_reads_batched(decompressor)
+    def decode_reads(self, decompressor, select=None,
+                     index: int = 0) -> list[np.ndarray]:
+        return _decode_reads_batched(decompressor, index)
 
 
 _KERNELS: dict[str, CodecKernel] = {}

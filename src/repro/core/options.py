@@ -67,7 +67,7 @@ class EngineOptions:
         ``INFLIGHT_PER_WORKER`` default).
     block_reads:
         Reads per independently decodable block when compressing.
-        ``0`` writes a flat single-section archive unless ``workers``
+        ``0`` writes a one-block archive unless ``workers``
         forces blocking (then :data:`DEFAULT_BLOCK_READS` applies).
     level:
         Optimization level (an :class:`OptLevel` or its name, e.g.
@@ -161,7 +161,7 @@ class EngineOptions:
                 f"got {self.prefetch!r}")
         if self.block_reads < 0:
             raise ValueError(
-                f"block_reads must be >= 0 (0 = flat single-section "
+                f"block_reads must be >= 0 (0 = one-block "
                 f"archive), got {self.block_reads!r}")
         if self.codec != "auto" and self.codec not in available_kernels():
             raise ValueError(

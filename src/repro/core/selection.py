@@ -18,7 +18,7 @@ Selections flow three ways:
   :class:`repro.pipeline.executor.Sink`), and the streaming executor
   unions the attached sinks' declarations per pass;
 - ``EngineOptions.streams`` overrides the union explicitly;
-- ``SAGeDecompressor.decompress(select=...)`` takes one directly.
+- ``SAGeDecompressor.decompress_block(select=...)`` takes one directly.
 
 Invariants: selecting ``quality`` requires ``sequence`` (quality scores
 are sliced per read by decoded read lengths).  A selection that skips
@@ -30,10 +30,12 @@ should request that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Iterable
+
+    from .container import SAGeBlock
 
 __all__ = ["STREAM_GROUPS", "StreamSelection", "decoded_stream_bits"]
 
@@ -147,19 +149,15 @@ class StreamSelection:
                for g in STREAM_GROUPS})
 
 
-def decoded_stream_bits(block: Any,
+def decoded_stream_bits(block: "SAGeBlock",
                         selection: StreamSelection | None = None
                         ) -> dict[str, int]:
     """Bits a selection actually decodes from one block, per group.
 
-    ``block`` is anything block-shaped — a
-    :class:`~repro.core.container.SAGeBlock` or a flat
-    :class:`~repro.core.container.SAGeArchive` — exposing ``streams``
-    (name → ``(payload, bit_length)``), ``quality`` and
-    ``headers_blob``.  The shared consensus is excluded: it is unpacked
-    once per pass, not per block.  This is the accounting behind
-    ``ExecutorStats.streams_decoded`` and the fig23 selective-decode
-    savings measurement.
+    The shared consensus is not a block stream and is excluded: it is
+    unpacked once per pass, not per block.  This is the accounting
+    behind ``ExecutorStats.streams_decoded`` and the fig23
+    selective-decode savings measurement.
     """
     if selection is None:
         selection = StreamSelection.all_streams()
@@ -167,12 +165,11 @@ def decoded_stream_bits(block: Any,
     if selection.sequence:
         bits["sequence"] = sum(
             stream_bits for name, (_, stream_bits) in block.streams.items()
-            if name not in ("consensus", "order"))
-    if selection.order and "order" in block.streams:
+            if name != "order")
+    if selection.order:
         bits["order"] = block.streams["order"][1]
-    if selection.quality and getattr(block, "quality", None) is not None:
+    if selection.quality and block.quality is not None:
         bits["quality"] = 8 * len(block.quality.payload)
-    if selection.headers and getattr(block, "headers_blob", None) \
-            is not None:
+    if selection.headers and block.headers_blob is not None:
         bits["headers"] = 8 * len(block.headers_blob)
     return bits

@@ -128,19 +128,15 @@ class SAGeDevice:
         from ..core.decompressor import SAGeDecompressor
         from ..genomics.reads import Read
 
-        def iter_codes():
-            if archive.is_blocked:
-                # Decode section by section: the blocks are the SSD's
-                # natural streaming unit (§5.3).
-                for index in range(archive.n_blocks):
-                    view = archive.block_view(index)
-                    yield from SAGeDecompressor(view).iter_read_codes()
-            else:
-                yield from SAGeDecompressor(archive).iter_read_codes()
-
+        # Decode section by section: the blocks are the SSD's natural
+        # streaming unit (§5.3).
+        decoder = SAGeDecompressor(archive)
+        decoded = (read for index in range(archive.n_blocks)
+                   for read in decoder.decompress_block(
+                       index, select="sequence"))
         batch: list = []
-        for i, codes in enumerate(iter_codes()):
-            batch.append(Read(codes, header=f"{name}.{i}"))
+        for i, read in enumerate(decoded):
+            batch.append(Read(read.codes, header=f"{name}.{i}"))
             if len(batch) >= batch_reads:
                 yield ReadSet(batch, name=name)
                 batch = []

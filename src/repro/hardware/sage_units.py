@@ -39,9 +39,10 @@ READ_REGISTER_BP = 150
 #: CU hand-off overhead per read (cycles).
 CU_CYCLES_PER_READ = 2
 
-#: Streams scanned by the SU vs consumed by the RCU.
+#: Block streams scanned by the SU vs consumed by the RCU (which also
+#: walks the shared consensus).
 SU_STREAMS = ("mpga", "mpa", "mmpga", "mmpa", "lengths", "side")
-RCU_STREAMS = ("mbta", "consensus", "corner", "unmapped")
+RCU_STREAMS = ("mbta", "corner", "unmapped")
 
 
 class _CountingReader(BitReader):
@@ -107,73 +108,51 @@ class SAGeHardwareModel:
     def run(self, archive: SAGeArchive) -> tuple[ReadSet, HardwareRunStats]:
         """Decode an archive, returning reads + cycle/byte accounting.
 
-        Blocked (v3) archives decode section by section — each block is
-        an independent unit of work for a channel's SU/RCU array (§5.3)
-        — and the per-block accounting is merged.
+        Archives decode section by section — each block is an
+        independent unit of work for a channel's SU/RCU array (§5.3) —
+        and the per-block accounting is summed.  The units *are* the
+        bit-serial reference walk: the reads come from the ``python``
+        kernel's block decode, and the same walk over counting readers
+        supplies the bits each unit consumed.
         """
-        if archive.is_blocked:
-            return self._run_blocked(archive)
-        decoder = SAGeDecompressor(archive)
-        readers = {name: _CountingReader(payload, bits)
-                   for name, (payload, bits) in archive.streams.items()}
-        codes = list(decoder.iter_read_codes(readers))
-        stats = HardwareRunStats(n_reads=len(codes))
-        stats.stream_bits = {name: reader.bits_consumed
-                             for name, reader in readers.items()}
-        # The RCU streams the consensus exactly once: reads are sorted by
-        # matching position (§5.1.3), so consensus access is sequential.
-        stats.stream_bits["consensus"] = archive.streams["consensus"][1]
-        # The RCU walks the consensus (2 bits per copied base) as it
-        # reconstructs; charge the full output for the register traffic.
-        stats.output_bases = int(sum(c.size for c in codes))
-        su_bits = sum(stats.stream_bits.get(s, 0) for s in SU_STREAMS)
-        rcu_stream_bits = sum(stats.stream_bits.get(s, 0)
-                              for s in RCU_STREAMS)
-        stats.su_cycles = -(-su_bits // SU_BITS_PER_CYCLE)
-        # RCU: scan MBTA/corner through an 8-bit register, emit bases in
-        # 150-bp chunk copies (mismatch patches ride on the scan cost).
-        rcu_scan = -(-rcu_stream_bits // SU_BITS_PER_CYCLE)
-        rcu_emit = -(-stats.output_bases // READ_REGISTER_BP)
-        stats.rcu_cycles = rcu_scan + rcu_emit
-        stats.total_cycles = (max(stats.su_cycles, stats.rcu_cycles)
-                              + CU_CYCLES_PER_READ * stats.n_reads)
-        quality = archive.quality
-        reads = decoder.decompress() if quality is not None else None
-        if reads is None:
-            from ..genomics.reads import Read
-            reads = ReadSet([Read(c, header=f"hw.{i}")
-                             for i, c in enumerate(codes)],
-                            name=archive.name)
-        return reads, stats
-
-    def _run_blocked(
-            self, archive: SAGeArchive) -> tuple[ReadSet, HardwareRunStats]:
-        """Decode every block independently and merge the accounting."""
-        from ..genomics.reads import Read
-        total = HardwareRunStats()
-        merged: list = []
+        decoder = SAGeDecompressor(archive, codec="python")
+        # The consensus is stored once and striped to every channel, so
+        # its fetch is counted once; each block's RCU still walks it end
+        # to end — sequentially, because a block's reads are sorted by
+        # matching position (§5.1.3).
+        consensus_bits = archive.consensus[1]
+        stats = HardwareRunStats(stream_bits={"consensus": consensus_bits})
+        reads: list = []
         for index in range(archive.n_blocks):
-            view = archive.block_view(index)
-            reads, stats = self.run(view)
-            for name, bits in stats.stream_bits.items():
-                if name == "consensus" and index > 0:
-                    # The consensus is stored once and striped to every
-                    # channel; don't count its fetch per block.
-                    continue
-                total.stream_bits[name] = \
-                    total.stream_bits.get(name, 0) + bits
-            total.output_bases += stats.output_bases
-            total.n_reads += stats.n_reads
-            total.su_cycles += stats.su_cycles
-            total.rcu_cycles += stats.rcu_cycles
-            total.total_cycles += stats.total_cycles
-            merged.extend(reads)
-        has_quality = any(r.quality is not None for r in merged)
-        if not has_quality:
-            # Per-block fallback headers collide; re-enumerate globally.
-            merged = [Read(r.codes, header=f"hw.{i}")
-                      for i, r in enumerate(merged)]
-        return ReadSet(merged, name=archive.name), total
+            readers = {
+                name: _CountingReader(payload, bits) for name,
+                (payload, bits) in archive.block(index).streams.items()}
+            codes = list(decoder.iter_read_codes(readers, index))
+            for name, reader in readers.items():
+                stats.stream_bits[name] = \
+                    stats.stream_bits.get(name, 0) + reader.bits_consumed
+            # The RCU walks the consensus (2 bits per copied base) as it
+            # reconstructs; charge the full output for the register
+            # traffic.
+            output_bases = int(sum(c.size for c in codes))
+            su_cycles = -(-sum(readers[s].bits_consumed
+                               for s in SU_STREAMS) // SU_BITS_PER_CYCLE)
+            # RCU: scan MBTA/corner through an 8-bit register, emit bases
+            # in 150-bp chunk copies (mismatch patches ride on the scan
+            # cost).
+            rcu_bits = consensus_bits + sum(readers[s].bits_consumed
+                                            for s in RCU_STREAMS)
+            rcu_scan = -(-rcu_bits // SU_BITS_PER_CYCLE)
+            rcu_emit = -(-output_bases // READ_REGISTER_BP)
+            rcu_cycles = rcu_scan + rcu_emit
+            stats.output_bases += output_bases
+            stats.n_reads += len(codes)
+            stats.su_cycles += su_cycles
+            stats.rcu_cycles += rcu_cycles
+            stats.total_cycles += (max(su_cycles, rcu_cycles)
+                                   + CU_CYCLES_PER_READ * len(codes))
+            reads.extend(decoder.decompress_block(index))
+        return ReadSet(reads, name=archive.name), stats
 
     # ------------------------------------------------------------------
     # Validation against the software decoders
@@ -189,8 +168,7 @@ class SAGeHardwareModel:
         cycle-accounted hardware decode and the (optionally parallel,
         via ``options=EngineOptions(workers=...)``) streaming software
         decode and compares base codes and quality scores read by read.
-        Headers are not compared: the hardware path re-enumerates
-        fallback names.  Returns ``True`` on success and raises
+        Returns ``True`` on success and raises
         :class:`ValueError` on the first mismatch — equivalence is the
         §5.2 contract that the SU/RCU walk *is* the reference decoder.
         """

@@ -8,7 +8,7 @@ pipeline simulator (:mod:`repro.pipeline.stages`) models that overlap;
 this module executes it in software.
 
 A :class:`StreamExecutor` decodes the independently decodable blocks of
-a v3 :class:`~repro.core.container.SAGeArchive` through a pluggable
+a :class:`~repro.core.container.SAGeArchive` through a pluggable
 backend (serial / thread pool / process pool) with bounded prefetch —
 the same ``INFLIGHT_PER_WORKER`` backpressure policy as the compression
 engine in :mod:`repro.core.blocks` — and yields each block's
@@ -25,11 +25,9 @@ dataset is never materialized.
 
 from __future__ import annotations
 
-import mmap
 import pickle
 import time
 import warnings
-import zlib
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,12 +36,10 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.blocks import BlockDescriptor, imap_bounded
-from ..core.container import SAGeArchive, SAGeBlock, block_as_archive
+from ..core.blocks import imap_bounded
+from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
-from ..core.errors import BlockDecodeError, CorruptArchiveError, \
-    SAGeError, TruncatedArchiveError
-from ..core.formats import unpack_bits
+from ..core.errors import BlockDecodeError, SAGeError
 from ..core.options import BACKENDS, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection, \
     decoded_stream_bits
@@ -54,12 +50,6 @@ from ..mapping.mapper import MapperConfig, ReadMapper
 __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
            "FastqSink", "MappingRateReport", "MappingRateSink",
            "PropertySink", "Sink", "StreamExecutor"]
-
-#: Estimated pickle/task framing bytes around one shipped payload.  Used
-#: for the ``bytes_shipped`` counter on the payload (non-mmap) transport
-#: so the megabyte-scale payload is not serialized twice just to be
-#: measured; descriptor tasks are tiny and measured exactly.
-_TASK_FRAMING_NBYTES = 48
 
 
 @dataclass(frozen=True)
@@ -95,10 +85,9 @@ class ExecutorStats:
     blocks_retried: int = 0     # blocks that needed >= 1 retry attempt
     blocks_skipped: int = 0     # failed blocks turned into gaps
     gaps: list = field(default_factory=list)   # BlockGap per lost block
-    #: IPC bytes submitted to pooled workers (task payloads).  Under
-    #: descriptor transport this is tens of bytes per block; under
-    #: payload pickling it is the payload size — the fig23 transport
-    #: ratio is exactly the quotient of these two counters.
+    #: IPC bytes submitted to pooled workers: a few bytes per block (a
+    #: task is a bare block index) plus, for an archive that exists
+    #: only in memory, its blob once per pool.
     bytes_shipped: int = 0
     #: Stream bits actually decoded, per stream group (see
     #: :data:`repro.core.selection.STREAM_GROUPS`).  What makes
@@ -150,138 +139,65 @@ class Sink(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def _decode_block(decoder: SAGeDecompressor, index: int,
+                  select: StreamSelection
+                  ) -> "tuple[ReadSet, dict[str, int]]":
+    """Decode one block on ``decoder``, with stream-bit accounting.
+
+    What every backend runs per block — in the parent or in a pool
+    worker — which is what keeps the parallel decode byte-identical to
+    the serial one.  The block's parsed form is released afterwards, so
+    a whole-archive pass over a blob-backed archive keeps O(window)
+    parsed blocks in memory, not O(n_blocks).
+    """
+    archive = decoder.archive
+    try:
+        read_set = decoder.decompress_block(index, select=select)
+        return read_set, decoded_stream_bits(archive.block(index), select)
+    finally:
+        archive.release_block(index)
+
+
 # ----------------------------------------------------------------------
-# Process-pool plumbing.  The shared consensus, global archive fields,
-# archive path, and stream selection ship once per worker via the pool
-# initializer; per-block submissions carry a ~tens-of-bytes
-# BlockDescriptor for file-backed archives (the worker slices its own
-# mmap) and fall back to pickled payload bytes only for archives that
-# exist purely in memory (mirroring repro.core.blocks).
+# Process-pool plumbing.  Every worker opens its own SAGeArchive once,
+# in the pool initializer — the archive file when there is one (zero
+# copy: workers page in only the blocks they decode), else a blob
+# shipped once through initargs — and a task is a bare block index.
 # ----------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _ArchiveTemplate:
-    """The picklable global state a worker needs to decode any block."""
-
-    level: object
-    consensus_stream: tuple[bytes, int]
-    consensus_length: int
-    w_cons: int
-    preserve_order: bool
-    name: str
-    source_version: int
-    codec: str = "auto"
-    #: Archive file path for descriptor transport (``None`` = payload
-    #: transport; workers then never touch the filesystem).
-    path: str | None = None
-    #: Stream-selection group names (``None`` = decode everything).
-    streams: tuple[str, ...] | None = None
+#: (decoder, selection) installed by the pool initializer; stays
+#: ``None`` in a worker that could not open the archive.
+_decode_state: "tuple[SAGeDecompressor, StreamSelection] | None" = None
 
 
-#: (template, unpacked consensus, archive mmap or None) installed by the
-#: pool initializer.
-_decode_state: \
-    "tuple[_ArchiveTemplate, np.ndarray, mmap.mmap | None] | None" = None
+def _init_decode_worker(source: "str | bytes", name: str,
+                        options: EngineOptions) -> None:
+    """Pool initializer: open the archive and unpack the consensus once.
 
-
-def _init_decode_worker(template: _ArchiveTemplate) -> None:
-    """Pool initializer: unpack the consensus and map the archive once.
-
-    A failed mapping (file moved/deleted between parent open and worker
-    start) is not fatal here — descriptor tasks then raise a typed
-    error and the parent's retry path re-decodes the block serially
-    from its own mapping.
+    ``options`` are the pass's options with its codec and stream
+    selection resolved.  A failed open (file moved/deleted between
+    parent open and worker start) is not fatal here — tasks then raise
+    a typed error and the parent's retry path re-decodes the block
+    serially from its own mapping.
     """
     global _decode_state
-    consensus = unpack_bits(template.consensus_stream[0], 2,
-                            template.consensus_length)
-    mapping: mmap.mmap | None = None
-    if template.path is not None:
-        try:
-            with open(template.path, "rb") as handle:
-                mapping = mmap.mmap(handle.fileno(), 0,
-                                    access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            mapping = None
-    _decode_state = (template, consensus, mapping)
+    try:
+        archive = SAGeArchive.from_bytes(source) \
+            if isinstance(source, bytes) else SAGeArchive.open(source)
+    except (OSError, SAGeError):
+        return
+    archive.name = name                 # not serialized; names reads
+    _decode_state = (SAGeDecompressor(archive, codec=options.codec),
+                     StreamSelection.from_spec(options.streams))
 
 
-def _decode_payload(template: _ArchiveTemplate, consensus: np.ndarray,
-                    payload: "bytes | memoryview", base_reads: int
-                    ) -> "tuple[ReadSet, dict[str, int]]":
-    """Decode one serialized block payload against the shared consensus.
-
-    Pure function of its arguments — determinism here is what makes the
-    parallel decode byte-identical to the serial one.  Returns the
-    block's reads plus the per-group stream-bit accounting of what the
-    selection actually decoded.
-    """
-    select = StreamSelection.from_spec(template.streams)
-    blk = SAGeBlock.deserialize(payload)
-    view = block_as_archive(
-        blk, level=template.level,
-        consensus=template.consensus_stream,
-        consensus_length=template.consensus_length,
-        w_cons=template.w_cons,
-        preserve_order=template.preserve_order, name=template.name,
-        source_version=template.source_version)
-    base = base_reads if blk.headers_blob is None or not select.headers \
-        else None
-    read_set = SAGeDecompressor(view, consensus=consensus,
-                                codec=template.codec) \
-        .decompress(header_base=base, select=select)
-    return read_set, decoded_stream_bits(blk, select)
-
-
-def _descriptor_payload(descriptor: BlockDescriptor,
-                        mapping: "mmap.mmap | None") -> memoryview:
-    """Slice (and digest-check) one block payload from the worker mmap.
-
-    The worker-side twin of ``SAGeArchive._checked_payload``: the CRC
-    runs on the zero-copy view, and damage surfaces as the same typed
-    errors the in-parent path raises — so the retry/skip/salvage policy
-    sees one failure shape regardless of where the check happened.
-    """
-    index, offset, nbytes, crc = descriptor
-    if mapping is None:
-        raise BlockDecodeError(
-            "descriptor transport without a mapped archive (worker "
-            "could not open the archive file)", block_index=index)
-    view = memoryview(mapping)[offset:offset + nbytes]
-    if len(view) != nbytes:
-        raise TruncatedArchiveError(
-            f"block {index} payload extends past the mapped file",
-            block_index=index, offset=offset, expected=nbytes,
-            actual=len(view))
-    if crc is not None and zlib.crc32(view) != crc:
-        raise CorruptArchiveError(
-            f"block {index} payload failed its CRC32 digest check",
-            block_index=index, offset=offset)
-    return view
-
-
-def _decode_task(task: "tuple[bytes | None, BlockDescriptor | None, int, "
-                       "Exception | None]"
-                 ) -> "tuple[ReadSet, dict[str, int]]":
-    """Process-pool entry point; reads the initializer-installed state.
-
-    A task ships either pickled payload bytes *or* a
-    :class:`BlockDescriptor` the worker resolves against its own mmap
-    of the archive.  A task carrying an exception is a *poison task*:
-    the parent already knows the block is bad (its payload checksum
-    failed at slice time) and routes the failure through the same
-    worker-failure path as a genuine decode crash, so the retry/skip
-    policy sees one shape.
-    """
-    assert _decode_state is not None, "worker initializer did not run"
-    template, consensus, mapping = _decode_state
-    payload, descriptor, base_reads, poison = task
-    if poison is not None:
-        raise poison
-    if payload is None:
-        payload = _descriptor_payload(descriptor, mapping)
-    return _decode_payload(template, consensus, payload, base_reads)
+def _decode_task(index: int) -> "tuple[ReadSet, dict[str, int]]":
+    """Process-pool entry point; reads the initializer-installed state."""
+    if _decode_state is None:
+        raise BlockDecodeError("worker could not open the archive",
+                               block_index=index)
+    decoder, select = _decode_state
+    return _decode_block(decoder, index, select)
 
 
 class StreamExecutor:
@@ -290,8 +206,8 @@ class StreamExecutor:
     Parameters
     ----------
     archive:
-        The (ideally blocked v3) archive to decode.  Flat archives work
-        too — they are a single block, decoded serially.
+        The archive to decode.  A one-block archive has nothing to
+        overlap and is decoded serially.
     options:
         :class:`~repro.core.options.EngineOptions` supplying ``workers``
         (decode parallelism; ``1`` is the serial reference path),
@@ -302,8 +218,9 @@ class StreamExecutor:
         ``workers * prefetch`` and memory is bounded by that many
         blocks).
     decompressor:
-        An existing :class:`SAGeDecompressor` to reuse (its unpacked
-        consensus) on the serial and thread paths.
+        An existing :class:`SAGeDecompressor` whose unpacked consensus
+        (and, when the options leave the codec on ``auto``, kernel) the
+        in-parent decodes reuse.
     """
 
     def __init__(self, archive: SAGeArchive, *,
@@ -341,10 +258,13 @@ class StreamExecutor:
         return "serial" if self.workers == 1 else "process"
 
     def decompressor(self) -> SAGeDecompressor:
-        if self._decompressor is None:
-            self._decompressor = SAGeDecompressor(self.archive,
-                                                  codec=self.codec)
-        return self._decompressor
+        """The in-parent decoder of this pass, on the pass's codec."""
+        decoder = self._decompressor
+        if decoder is None or decoder.codec != self.codec:
+            decoder = self._decompressor = SAGeDecompressor(
+                self.archive, codec=self.codec,
+                consensus=decoder.consensus if decoder else None)
+        return decoder
 
     def selection_for(self, sinks: "tuple[Sink, ...]" = ()
                       ) -> StreamSelection:
@@ -444,12 +364,6 @@ class StreamExecutor:
             self.stats.bases += item.total_bases
         return item
 
-    def _block_n_reads(self, index: int) -> int:
-        arch = self.archive
-        if arch.is_blocked:
-            return arch.block_index()[index].n_reads
-        return arch.n_mapped + arch.n_unmapped
-
     def _resolve_failure(self, index: int, exc: Exception, *,
                          pooled: bool,
                          select: StreamSelection | None = None
@@ -487,27 +401,11 @@ class StreamExecutor:
         self.stats.blocks_failed += 1
         if policy == "raise":
             raise last
-        gap = BlockGap(index, self._block_n_reads(index), last)
+        gap = BlockGap(index, self.archive.block_index()[index].n_reads,
+                       last)
         self.stats.blocks_skipped += 1
         self.stats.gaps.append(gap)
         return gap
-
-    def _decode_in_parent(self, decoder: SAGeDecompressor, index: int,
-                          select: StreamSelection
-                          ) -> "tuple[ReadSet, dict[str, int]]":
-        """Serial/thread decode of one block, with stream accounting.
-
-        The consumed block's parsed form is released afterwards so a
-        whole-archive pass over a file-backed (mmap) archive keeps
-        O(window) parsed blocks in memory, not O(n_blocks).
-        """
-        arch = self.archive
-        read_set = decoder.decompress_block(index, codec=self.codec,
-                                            select=select)
-        source = arch.block(index) if arch.is_blocked else arch
-        stream_bits = decoded_stream_bits(source, select)
-        arch.release_block(index)
-        return read_set, stream_bits
 
     def _iter_serial(self, select: StreamSelection
                      ) -> Iterator["ReadSet | BlockGap"]:
@@ -515,7 +413,7 @@ class StreamExecutor:
         for index in range(self.archive.n_blocks):
             self.stats.note_depth(1)
             try:
-                item = self._decode_in_parent(decoder, index, select)
+                item = _decode_block(decoder, index, select)
             except Exception as exc:
                 item = self._resolve_failure(index, exc, pooled=False,
                                              select=select)
@@ -523,10 +421,8 @@ class StreamExecutor:
 
     def _iter_threaded(self, select: StreamSelection
                        ) -> Iterator["ReadSet | BlockGap"]:
-        decoder = self.decompressor()
-        if self.archive.is_blocked:
-            self.archive.block_index()       # pre-build: no lazy races
-        decode = partial(self._decode_in_parent, decoder, select=select)
+        self.archive.block_index()           # pre-build: no lazy races
+        decode = partial(_decode_block, self.decompressor(), select=select)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             yield from self._drain(pool, decode,
                                    range(self.archive.n_blocks), select)
@@ -534,47 +430,24 @@ class StreamExecutor:
     def _iter_process(self, select: StreamSelection
                       ) -> Iterator["ReadSet | BlockGap"]:
         arch = self.archive
-        descriptors = arch.file_backed
-        template = _ArchiveTemplate(
-            level=arch.level,
-            consensus_stream=arch.streams["consensus"],
-            consensus_length=arch.consensus_length, w_cons=arch.w_cons,
-            preserve_order=arch.preserve_order, name=arch.name,
-            source_version=arch.source_version, codec=self.codec,
-            path=str(arch.source_path) if descriptors else None,
-            streams=None if select.is_all else select.names)
-        index = arch.block_index()
+        source: "str | bytes"
+        if arch.file_backed:
+            source = str(arch.source_path)
+        else:
+            source = arch.source_bytes()
+            self.stats.note_shipped(len(source))
 
-        def tasks() -> Iterator[tuple]:
-            base = 0
-            for i, entry in enumerate(index):
-                if descriptors:
-                    # Zero-copy transport: ship where the payload lives,
-                    # not the payload.  The CRC check moves to the
-                    # worker, against its own mapping of the same file.
-                    task = (None, BlockDescriptor(i, entry.offset,
-                                                  entry.nbytes,
-                                                  entry.crc32),
-                            base, None)
-                    self.stats.note_shipped(len(pickle.dumps(task)))
-                else:
-                    try:
-                        payload = bytes(arch.block_payload(i))
-                        task = (payload, None, base, None)
-                        self.stats.note_shipped(
-                            len(payload) + _TASK_FRAMING_NBYTES)
-                    except SAGeError as exc:
-                        # Payload checksum failed in the parent: ship a
-                        # poison task so the failure takes the same
-                        # path as a worker-side decode crash.
-                        task = (b"", None, base, exc)
-                yield task
-                base += entry.n_reads
+        def tasks() -> Iterator[int]:
+            for index in range(arch.n_blocks):
+                self.stats.note_shipped(len(pickle.dumps(index)))
+                yield index
 
         try:
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                initializer=_init_decode_worker, initargs=(template,))
+                initializer=_init_decode_worker,
+                initargs=(source, arch.name, self.options.replace(
+                    codec=self.codec, streams=select.names)))
         except (OSError, PermissionError) as exc:  # pragma: no cover
             warnings.warn(f"process pool unavailable ({exc}); "
                           "falling back to serial block decode",

@@ -96,37 +96,58 @@ class Response:
         return head.encode("ascii") + self.body
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request/header line; an over-long one is the client's error
+    (``StreamReader.readline`` reports its limit as ``ValueError``)."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise HTTPError(400, f"request line or header too long "
+                             f"({exc})") from exc
+
+
 async def read_request(reader: asyncio.StreamReader) -> Request | None:
     """Parse one request off ``reader``; ``None`` on a closed peer.
 
-    Raises :class:`HTTPError` 400 on a malformed request line and 413
-    when the declared body exceeds :data:`MAX_BODY_BYTES` (checked
-    before buffering a single body byte).
+    Whatever the peer sends, the outcome is a :class:`Request`,
+    ``None``, or an :class:`HTTPError`: 400 on a malformed or over-long
+    request/header line, an invalid ``Content-Length`` and a body that
+    ends early, 413 when the declared body exceeds
+    :data:`MAX_BODY_BYTES` (checked before buffering a single body
+    byte).
     """
     try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
+        line = await _read_line(reader)
+        if not line:
+            return None
+        parts = line.decode("ascii", "replace").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise HTTPError(400, f"malformed request line: {line!r}")
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        while True:
+            raw = await _read_line(reader)
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = raw.decode("ascii", "replace").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        declared = headers.get("content-length") or "0"
+        if not declared.isdigit():
+            raise HTTPError(400, f"invalid Content-Length: {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise HTTPError(413, f"request body of {length} bytes exceeds "
+                                 f"the {MAX_BODY_BYTES}-byte limit")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise HTTPError(
+                400, f"request body cut short: {len(exc.partial)} of "
+                     f"{length} bytes") from exc
+    except ConnectionError:
         return None
-    if not line:
-        return None
-    parts = line.decode("ascii", "replace").split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise HTTPError(400, f"malformed request line: {line!r}")
-    method, target, version = parts
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("ascii", "replace").partition(":")
-        headers[name.strip().lower()] = value.strip()
     split = urlsplit(target)
     query = dict(parse_qsl(split.query, keep_blank_values=True))
-    length = int(headers.get("content-length", "0") or "0")
-    if length > MAX_BODY_BYTES:
-        raise HTTPError(413, f"request body of {length} bytes exceeds "
-                             f"the {MAX_BODY_BYTES}-byte limit")
-    body = await reader.readexactly(length) if length else b""
     keep_alive = headers.get(
         "connection", "keep-alive" if version == "HTTP/1.1" else "close"
     ).lower() != "close"

@@ -24,10 +24,12 @@ import threading
 import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from ..api.cache import DecodedBlockCache, SingleFlight, decoded_nbytes
 from ..api.dataset import SAGeDataset
+from ..api.describe import describe
 from ..api.sinks import result_info
 from ..core.options import EngineOptions
 from ..core.selection import StreamSelection
@@ -80,15 +82,15 @@ class _ServedArchive:
         self.name = name
         self.path = path
         self.dataset = dataset
-        # Cumulative read offsets per block: read_offsets[i] is the
-        # global index of block i's first read, with a final sentinel
-        # equal to n_reads.  This is the /reads/{a}-{b} lookup table
-        # and the FASTQ numbering base that makes block-by-block
-        # serving byte-identical to a streaming to_fastq pass.
-        offsets = [0]
-        for entry in dataset.archive.block_index():
-            offsets.append(offsets[-1] + entry.n_reads)
-        self.read_offsets = offsets
+        # read_offsets[i] is the global index of block i's first read,
+        # with a final sentinel equal to n_reads.  This is the
+        # /reads/{a}-{b} lookup table and the FASTQ numbering base that
+        # makes block-by-block serving byte-identical to a streaming
+        # to_fastq pass.
+        archive = dataset.archive
+        self.read_offsets = [entry.first_read
+                             for entry in archive.block_index()]
+        self.read_offsets.append(archive.n_reads)
 
     @property
     def n_blocks(self) -> int:
@@ -98,49 +100,25 @@ class _ServedArchive:
     def n_reads(self) -> int:
         return self.read_offsets[-1]
 
-    def decode(self, index: int, selection: StreamSelection,
-               options: EngineOptions):
-        """Decode one block under ``selection`` (runs on a pool thread).
-
-        The per-request kernel rides the ``decompress_block`` call
-        itself; the parsed block is released afterwards because the
-        decoded form now lives in the server cache and the archive's
-        parsed-block slot would otherwise grow unbounded.
-        """
-        try:
-            return self.dataset.decompressor().decompress_block(
-                index,
-                codec=options.codec,
-                select=None if selection.is_all else selection)
-        finally:
-            self.dataset.archive.release_block(index)
-
 
 def _inspect_sync(served: _ServedArchive) -> dict:
     """Block-level metadata for /inspect (runs on a pool thread)."""
-    archive = served.dataset.archive
-    blocks = []
-    for i, entry in enumerate(archive.block_index()):
-        blk = archive.block(i)
-        blocks.append({
-            "index": i,
-            "n_reads": entry.n_reads,
-            "bytes": entry.nbytes,
-            "offset": entry.offset,
-            "crc32": entry.crc32,
-            "decoded_nbytes_estimate": blk.decoded_nbytes_estimate(),
-            "first_read": served.read_offsets[i],
-        })
-        archive.release_block(i)
+    info = describe(served.dataset)
+    keys = ("index", "n_reads", "bytes", "offset", "crc32",
+            "decoded_nbytes_estimate", "error")
+    blocks = [{key: block[key] for key in keys if key in block}
+              | {"first_read": first_read}
+              for block, first_read
+              in zip(info["blocks"], served.read_offsets)]
     return {
         "archive": served.name,
         "path": str(served.path),
-        "format_version": archive.source_version,
-        "n_blocks": archive.n_blocks,
-        "n_reads": served.n_reads,
-        "block_reads": archive.block_reads,
+        "format_version": info["format_version"],
+        "n_blocks": info["n_blocks"],
+        "n_reads": info["n_reads"],
+        "block_reads": info["block_reads"],
         "decoded_nbytes_estimate_total":
-            sum(b["decoded_nbytes_estimate"] for b in blocks),
+            sum(b.get("decoded_nbytes_estimate", 0) for b in blocks),
         "blocks": blocks,
     }
 
@@ -486,7 +464,8 @@ class ArchiveServer:
         loop = asyncio.get_running_loop()
         try:
             read_set = await loop.run_in_executor(
-                self._pool, served.decode, index, selection, options)
+                self._pool, partial(served.dataset.decode_block, index,
+                                    select=selection, codec=options.codec))
         except BaseException as exc:
             # Failures wake every follower and are not cached: the
             # next request for this block retries the decode.

@@ -137,7 +137,7 @@ class TestFacadeCompression:
             rs3_small.read_set, reference=rs3_small.reference,
             config=SAGeConfig(level=OptLevel.O1, with_quality=False))
         assert ds.archive.level is OptLevel.O1
-        assert ds.archive.quality is None
+        assert ds.archive.block(0).quality is None
 
 
 class TestFacadeSessions:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import EngineOptions, SAGeDataset
 from repro.cli import main
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
@@ -47,7 +48,7 @@ class TestCompressDecompress:
                      "--no-quality"]) == 0
         from repro.core.container import SAGeArchive
         back = SAGeArchive.from_bytes(archive.read_bytes())
-        assert back.quality is None
+        assert back.block(0).quality is None
 
 
 class TestInspect:
@@ -403,6 +404,23 @@ class TestVerifySalvage:
         assert info["deep"] is True
         assert info["blocks"][1] == "failed"
         assert "1" in info["errors"]
+
+    def test_verify_deep_workers_report_identical(self, damaged, capsys):
+        """``--workers`` parallelizes the deep pass, nothing else."""
+        assert main(["verify", str(damaged), "--deep", "--json"]) == 1
+        serial = capsys.readouterr().out
+        assert main(["verify", str(damaged), "--deep", "--json",
+                     "--workers", "2"]) == 1
+        assert capsys.readouterr().out == serial
+
+    def test_verify_deep_workers_reach_the_executor(self, blocked):
+        options = EngineOptions(workers=2, backend="process")
+        with SAGeDataset.open(blocked, options=options) as dataset:
+            assert dataset.verify(deep=True).status == "ok"
+            stats = dataset.stats
+        # The deep pass ran on the pool: tasks were shipped to workers.
+        assert stats.blocks > 1 and not stats.gaps
+        assert 0 < stats.bytes_shipped < 64 * stats.blocks
 
     def test_salvage_recovers_survivors(self, damaged, workdir, capsys,
                                         rs3_small):

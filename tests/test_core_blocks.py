@@ -159,6 +159,16 @@ class TestRandomAccess:
         with pytest.raises(ContainerError):
             archive.block_view(1)
 
+    def test_block_view_is_a_one_block_archive(self, loaded):
+        shared, chunks = loaded
+        archive = SAGeArchive.from_bytes(shared.to_bytes())
+        view = archive.block_view(1)
+        assert view.n_blocks == 1
+        assert view.block(0) is archive.block(1)
+        assert view.consensus is archive.consensus
+        assert read_multiset(SAGeDecompressor(view).decompress()) \
+            == read_multiset(chunks[1])
+
 
 class TestContainerCompat:
     def test_v2_is_neither_read_nor_written(self, families, tmp_path):
@@ -182,14 +192,15 @@ class TestContainerCompat:
         with pytest.raises(ContainerError):
             archive.to_bytes(version=2)
 
-    def test_v3_single_block_loads_flat(self, families):
+    def test_single_block_loads_lazily(self, families):
         sim = families["short"]
         archive = SAGeCompressor(sim.reference,
                                  SAGeConfig()).compress(sim.read_set)
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert not back.is_blocked
         assert back.n_blocks == 1
-        assert back.streams == archive.streams
+        assert back.blocks == [None]         # parsed on first access
+        assert back.consensus == archive.consensus
+        assert back.block(0).streams == archive.block(0).streams
 
     def test_roundtrip_is_byte_stable(self, families):
         sim = families["short"]
@@ -225,8 +236,7 @@ class TestBlockedHardwarePath:
         assert stats.n_reads == len(sim.read_set)
         assert stats.output_bases == sim.read_set.total_bases
         # Shared consensus fetched once, not once per block.
-        assert stats.stream_bits["consensus"] \
-            == archive.streams["consensus"][1]
+        assert stats.stream_bits["consensus"] == archive.consensus[1]
 
     def test_device_read_and_batches(self, blocked):
         from repro.hardware.device import SAGeDevice
@@ -288,6 +298,32 @@ class TestEngineEdges:
                               SAGeConfig()).compress(sim.read_set)
         assert blocked.breakdown.get("consensus") \
             == flat.breakdown.get("consensus")
+
+    def test_breakdown_header_charges_order_and_header_blobs(self,
+                                                              families):
+        """Blocked and one-block archives follow one Fig. 17 rule: the
+        container header once, plus every block's order stream and
+        header blob."""
+        sim = families["short"]
+        config = SAGeConfig(preserve_order=True, with_headers=True)
+        one_shot = SAGeCompressor(sim.reference,
+                                  config).compress(sim.read_set)
+        one_block = compress_blocked(
+            sim.read_set, sim.reference, config,
+            options=EngineOptions(block_reads=len(sim.read_set)))
+        blocked = compress_blocked(sim.read_set, sim.reference, config,
+                                   options=BLOCKED)
+        assert blocked.n_blocks > 1 and one_block.n_blocks == 1
+        for archive in (one_shot, one_block, blocked):
+            owned = sum(
+                blk.streams["order"][1] + 8 * len(blk.headers_blob)
+                for blk in archive.blocks)
+            assert owned > 0
+            assert archive.breakdown.get("header") \
+                == owned + 8 * archive.header_bytes_estimate()
+        # The same reads in one block are the same archive, whichever
+        # engine built it.
+        assert one_block.breakdown.bits == one_shot.breakdown.bits
 
     def test_block_streams_exclude_consensus(self, families):
         sim = families["short"]

@@ -48,7 +48,7 @@ class TestDatasetRoundtrips:
 
     def test_quality_stream_sized_separately(self, rs2_small):
         archive, _ = roundtrip(rs2_small.read_set, rs2_small.reference)
-        assert archive.quality is not None
+        assert archive.block(0).quality is not None
         assert archive.byte_size() > archive.dna_byte_size()
 
 
@@ -177,15 +177,13 @@ class TestBreakdownAccounting:
                                with_quality=False)
         accounted = archive.breakdown.mismatch_info_bits
         stream_bits = sum(
-            bits for name, (_, bits) in archive.streams.items()
-            if name != "consensus")
+            bits for _, bits in archive.block(0).streams.values())
         assert accounted == stream_bits
 
     def test_consensus_charged(self, rs2_small):
         archive, _ = roundtrip(rs2_small.read_set, rs2_small.reference,
                                with_quality=False)
-        assert archive.breakdown.get("consensus") \
-            == archive.streams["consensus"][1]
+        assert archive.breakdown.get("consensus") == archive.consensus[1]
 
     def test_levels_monotonically_smaller(self, rs4_small):
         sizes = []
@@ -205,6 +203,6 @@ class TestPermutation:
         archive = SAGeCompressor(sim.reference, config) \
             .compress(sim.read_set)
         decoded = SAGeDecompressor(archive).decompress()
-        for out_idx, in_idx in enumerate(archive.permutation):
+        for out_idx, in_idx in enumerate(archive.block(0).permutation):
             assert np.array_equal(decoded[out_idx].codes,
                                   sim.read_set[int(in_idx)].codes)

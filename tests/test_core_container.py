@@ -28,21 +28,22 @@ class TestSerialization:
 
     def test_roundtrip_streams(self, archive):
         back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert set(back.streams) == set(archive.streams)
-        for name, (payload, bits) in archive.streams.items():
-            assert back.streams[name] == (payload, bits)
+        assert back.consensus == archive.consensus
+        assert back.block(0).streams == archive.block(0).streams
 
     def test_roundtrip_tables(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes())
-        assert set(back.tables) == set(archive.tables)
-        for key, table in archive.tables.items():
+        back = SAGeArchive.from_bytes(archive.to_bytes()).block(0)
+        tables = archive.block(0).tables
+        assert set(back.tables) == set(tables)
+        for key, table in tables.items():
             assert back.tables[key].widths == table.widths
 
     def test_roundtrip_quality(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes())
+        back = SAGeArchive.from_bytes(archive.to_bytes()).block(0)
+        quality = archive.block(0).quality
         assert back.quality is not None
-        assert back.quality.payload == archive.quality.payload
-        assert back.quality.n_scores == archive.quality.n_scores
+        assert back.quality.payload == quality.payload
+        assert back.quality.n_scores == quality.n_scores
 
     def test_byte_size_tracks_blob(self, archive):
         blob = archive.to_bytes()

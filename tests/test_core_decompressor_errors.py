@@ -23,15 +23,17 @@ def archive(rs3_small):
 
 def _mutate(archive, stream, new_pair):
     clone = SAGeArchive.from_bytes(archive.to_bytes())
-    clone.streams = dict(clone.streams)
-    clone.streams[stream] = new_pair
+    if stream == "consensus":
+        clone.consensus = new_pair
+    else:
+        clone.block(0).streams[stream] = new_pair
     return clone
 
 
 class TestTruncation:
     @pytest.mark.parametrize("stream", ["mmpa", "mmpga", "mbta", "mpa"])
     def test_truncated_stream_raises(self, archive, stream):
-        payload, bits = archive.streams[stream]
+        payload, bits = archive.block(0).streams[stream]
         clone = _mutate(archive, stream, (payload[:len(payload) // 2],
                                           bits // 2))
         with pytest.raises((BitIOError, DecompressionError, ValueError,
@@ -39,7 +41,7 @@ class TestTruncation:
             SAGeDecompressor(clone).decompress()
 
     def test_truncated_consensus_raises(self, archive):
-        payload, bits = archive.streams["consensus"]
+        payload, bits = archive.consensus
         clone = _mutate(archive, "consensus",
                         (payload[:len(payload) // 2], bits // 2))
         with pytest.raises(Exception):
@@ -61,7 +63,7 @@ class TestContainerValidation:
         # Claim one extra mapped read: the decoder must run out of
         # stream data rather than fabricate a read.
         clone = SAGeArchive.from_bytes(archive.to_bytes())
-        clone.n_mapped += 1
+        clone.block(0).n_mapped += 1
         with pytest.raises((BitIOError, DecompressionError, ValueError,
                             IndexError)):
             SAGeDecompressor(clone).decompress()
@@ -72,17 +74,18 @@ class TestContainerValidation:
         clone = SAGeArchive.from_bytes(full.to_bytes())
         # Drop the last unmapped/mapped read but keep the quality blob:
         # score counts will not line up.
-        if clone.n_unmapped > 0:
-            clone.n_unmapped -= 1
+        blk = clone.block(0)
+        if blk.n_unmapped > 0:
+            blk.n_unmapped -= 1
         else:
-            clone.n_mapped -= 1
+            blk.n_mapped -= 1
         with pytest.raises(Exception):
             SAGeDecompressor(clone).decompress()
 
 
 class TestStreamContentCorruption:
     def test_zeroed_guide_stream(self, archive):
-        payload, bits = archive.streams["mmpga"]
+        payload, bits = archive.block(0).streams["mmpga"]
         clone = _mutate(archive, "mmpga", (bytes(len(payload)), bits))
         decoder = SAGeDecompressor(clone)
         try:

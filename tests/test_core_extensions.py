@@ -98,7 +98,7 @@ class TestTunedIndelLengths:
         archive, decoded = roundtrip(
             rs4_small.read_set, rs4_small.reference,
             tuned_indel_lengths=True, with_quality=False)
-        assert "indel" in archive.tables
+        assert "indel" in archive.block(0).tables
         got = sorted(r.codes.tobytes() for r in decoded)
         want = sorted(r.codes.tobytes() for r in rs4_small.read_set)
         assert got == want
@@ -118,7 +118,7 @@ class TestTunedIndelLengths:
         archive, _ = roundtrip(rs4_small.read_set, rs4_small.reference,
                                level=OptLevel.O1, with_quality=False,
                                tuned_indel_lengths=True)
-        assert "indel" not in archive.tables
+        assert "indel" not in archive.block(0).tables
 
 
 class TestThreadScaling:

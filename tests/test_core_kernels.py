@@ -265,8 +265,7 @@ class TestReaderErrorContext:
             rs3_small.reference,
             SAGeConfig(with_quality=False)).compress(rs3_small.read_set)
         clone = type(archive).from_bytes(archive.to_bytes())
-        clone.streams = dict(clone.streams)
-        clone.streams["mbta"] = (b"", 0)
+        clone.block(0).streams["mbta"] = (b"", 0)
         with pytest.raises((BitIOError, ValueError)) as err:
             SAGeDecompressor(clone, codec="python").decompress()
         assert "mbta" in str(err.value)
@@ -476,7 +475,8 @@ class TestCrossKernelFuzz:
 
 
 class TestFallbackHeaderNaming:
-    """decompress(header_base=) must not change legacy header naming."""
+    """Fallback read names follow one rule — the global read position —
+    however the archive was built or obtained."""
 
     def test_flat_preserve_order_block_view_matches_decompress(
             self, fuzz_reference):
@@ -492,6 +492,41 @@ class TestFallbackHeaderNaming:
         whole = [r.header for r in decoder.decompress()]
         block0 = [r.header for r in decoder.decompress_block(0)]
         assert whole == block0
+
+    @pytest.mark.parametrize("block_reads", [0, 64],
+                             ids=["one-shot", "block-engine"])
+    def test_one_block_preserve_order_names_survive_roundtrip(
+            self, fuzz_reference, tmp_path, block_reads):
+        from repro.core.container import SAGeArchive
+        from repro.genomics import fastq
+
+        rng = np.random.default_rng(11)
+        # Unnamed on purpose: the archive name is not serialized.
+        reads = ReadSet(list(_random_read_set(
+            rng, fuzz_reference, n_reads=40, read_len=70, fixed=True,
+            with_quality=False)))
+        archive = SAGeDataset.from_fastq(
+            reads, reference=fuzz_reference,
+            options=EngineOptions(block_reads=block_reads),
+            config=SAGeConfig(preserve_order=True,
+                              with_quality=False)).archive
+        assert archive.n_blocks == 1
+
+        def rendered(source):
+            return fastq.write(SAGeDecompressor(source).decompress())
+
+        before = rendered(archive)
+        assert before.splitlines()[0::4] \
+            == [f"@sage.{i}" for i in range(len(reads))]
+        blob = archive.to_bytes()
+        assert rendered(SAGeArchive.from_bytes(blob)) == before
+        path = tmp_path / "one_block.sage"
+        path.write_bytes(blob)
+        opened = SAGeArchive.open(path)
+        try:
+            assert rendered(opened) == before
+        finally:
+            opened.close()
 
     def test_blocked_fallback_headers_sequential(self, rs3_small):
         dataset = SAGeDataset.from_fastq(

@@ -30,11 +30,13 @@ class TestHardwareModel:
     def test_stats_account_all_stream_bits(self, archive):
         hw = SAGeHardwareModel(pcie_ssd())
         _, stats = hw.run(archive)
-        for name, (_, bits) in archive.streams.items():
+        streams = {"consensus": archive.consensus,
+                   **archive.block(0).streams}
+        for name, (_, bits) in streams.items():
             assert stats.stream_bits[name] <= bits
         # Everything but byte-padding must be consumed.
         assert stats.compressed_bits >= 0.95 * sum(
-            bits for _, bits in archive.streams.values())
+            bits for _, bits in streams.values())
 
     def test_cycle_accounting_positive(self, archive):
         hw = SAGeHardwareModel(pcie_ssd())

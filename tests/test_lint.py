@@ -293,6 +293,24 @@ class TestOptionsThreadingEdges:
                             f"{path.relative_to(src)}:{node.lineno}")
         assert offenders == []
 
+    def test_archive_shape_fork_stays_deleted(self):
+        """One block shape, one block decode: the flat/blocked switch
+        (``is_blocked``), the block-to-flat-archive adapter and the
+        second fallback-naming rule (``header_base``) may not reappear
+        under ``src/`` — as a definition, attribute, argument or
+        keyword."""
+        banned = {"is_blocked", "block_as_archive", "header_base"}
+        src = Path(__file__).resolve().parents[1] / "src"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {getattr(node, field, None)
+                         for field in ("id", "attr", "arg", "name")}
+                if names & banned:
+                    offenders.append(
+                        f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
+
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):

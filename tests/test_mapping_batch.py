@@ -232,11 +232,10 @@ class TestMapperRegistry:
 class TestSharedIndex:
     @pytest.fixture(autouse=True)
     def _clean_worker_globals(self):
-        saved = blocks_mod._chunk_compressor, blocks_mod._worker_state
-        blocks_mod._chunk_compressor = None
-        blocks_mod._worker_state = None
+        saved = blocks_mod._worker_compressor
+        blocks_mod._worker_compressor = None
         yield
-        blocks_mod._chunk_compressor, blocks_mod._worker_state = saved
+        blocks_mod._worker_compressor = saved
 
     def test_pickle_does_not_rebuild(self, reference):
         index = KmerIndex(reference)
@@ -258,7 +257,7 @@ class TestSharedIndex:
         options = EngineOptions(block_reads=32)
         bc = blocks_mod.BlockCompressor(rs3_small.reference, SAGeConfig(),
                                         options=options)
-        index = bc._shared_index()
+        index = bc._compressor.shared_kmer_index()
         before = KmerIndex.build_count
         blocks_mod._init_worker(bc.consensus, bc.config,
                                 pickle.loads(pickle.dumps(index)))

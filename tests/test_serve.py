@@ -344,6 +344,71 @@ class TestErrorMapping:
         assert srv.final_stats["inflight"] == 0
 
 
+class TestMalformedRequests:
+    """Whatever bytes a peer sends, ``read_request`` yields a request,
+    ``None`` or an ``HTTPError`` — so the server answers 400 and keeps
+    serving instead of dying on an unhandled parse error."""
+
+    BAD = {
+        "non-numeric-length":
+            (b"POST /analyze HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+             "Content-Length"),
+        "negative-length":
+            (b"POST /analyze HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+             "Content-Length"),
+        "long-request-line":
+            (b"GET /" + b"a" * (1 << 17) + b" HTTP/1.1\r\n\r\n",
+             "too long"),
+        "long-header":
+            (b"GET /archives HTTP/1.1\r\nX-Pad: " + b"p" * (1 << 17)
+             + b"\r\n\r\n", "too long"),
+        "short-body":
+            (b"POST /analyze HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
+             "cut short"),
+    }
+
+    @staticmethod
+    def _parse(payload: bytes):
+        import asyncio
+
+        from repro.serve.http import read_request
+
+        async def parse():
+            reader = asyncio.StreamReader()
+            reader.feed_data(payload)
+            reader.feed_eof()
+            return await read_request(reader)
+        return asyncio.run(parse())
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_parser_maps_bad_input_to_400(self, case):
+        from repro.serve.http import HTTPError
+        payload, fragment = self.BAD[case]
+        with pytest.raises(HTTPError) as info:
+            self._parse(payload)
+        assert info.value.status == 400
+        assert fragment in info.value.message
+
+    def test_parser_returns_none_on_closed_peer(self):
+        assert self._parse(b"") is None
+
+    @pytest.mark.parametrize("case", ["non-numeric-length", "short-body"])
+    def test_server_answers_400_and_survives(self, server, client, case):
+        import socket
+        payload, fragment = self.BAD[case]
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock:
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert fragment in json.loads(body)["error"]
+        assert client.get("/archives")[0] == 200
+
+
 class TestMultiArchive:
     def test_named_archives_and_selection(self, served_archive,
                                           tmp_path, rs2_small):
