@@ -3,7 +3,10 @@ measured dataset models, and a results writer.
 
 Scale knob: SAGE_BENCH_GENOME (base genome length, default 30000).
 Each benchmark regenerates one paper table/figure and writes a text
-artifact under results/.
+artifact under results/.  Tracked artifacts are deterministic: they
+regenerate byte-identically, and CI fails on a diff under results/.
+Wall-clock numbers belong to ``bench/``; the one table here that
+depends on them (fig18) is git-ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.baselines import pigz

@@ -6,9 +6,10 @@ small fraction.  pigz has no mismatch-finding phase at all.  Wall-clock
 is measured on this repository's Python implementations — the *split*,
 not the absolute time, is the reproduced quantity, so the split runs on
 the scalar ``python`` mapper kernel (the reference the paper's
-observation describes).  Absolute encode MB/s is additionally reported
-for both mapper kernels (the vectorized ``numpy`` kernel attacks
-exactly the mismatch-finding share this figure shows; see Fig. 21).
+observation describes).  The table varies run to run, so
+``results/fig18_comptime.txt`` is git-ignored; absolute encode
+throughput per mapper kernel is ``bench/``'s ``encode_short`` /
+``encode_long`` under ``SAGE_MAPPER``.
 """
 
 import time
@@ -57,18 +58,6 @@ def _split(sim):
     }
 
 
-def _encode_rates(sim):
-    """Absolute SAGe encode MB/s per mapper kernel for one dataset."""
-    mb = sim.read_set.total_bases / 1e6
-    rates = {}
-    for mapper in ("python", "numpy"):
-        config = SAGeConfig(with_quality=False, mapper_kernel=mapper)
-        t0 = time.perf_counter()
-        SAGeCompressor(sim.reference, config).compress(sim.read_set)
-        rates[mapper] = mb / (time.perf_counter() - t0)
-    return mb, rates
-
-
 def test_fig18_compression_time(benchmark, bench_sims):
     lines = ["Fig. 18 — compression time split "
              "(normalized per dataset to the slowest tool)", "",
@@ -89,17 +78,7 @@ def test_fig18_compression_time(benchmark, bench_sims):
         "paper: genomic compressors are dominated by mismatch finding; "
         "SAGe's encoding is slightly cheaper than (N)Spr's back-end; "
         "pigz is much faster overall (no mismatch finding).",
-        "",
-        "absolute SAGe encode throughput per mapper kernel "
-        "(quality off, single worker):",
-        f"{'dataset':<9}{'MB DNA':>8}{'python MB/s':>13}"
-        f"{'numpy MB/s':>12}{'speedup':>9}",
     ]
-    for label in LABELS:
-        mb, rates = _encode_rates(bench_sims[label])
-        lines.append(f"{label:<9}{mb:>8.2f}{rates['python']:>13.2f}"
-                     f"{rates['numpy']:>12.2f}"
-                     f"{rates['numpy'] / rates['python']:>8.2f}x")
     write_result("fig18_comptime", "\n".join(lines))
 
     for label in LABELS:

@@ -370,20 +370,13 @@ class SAGeDataset:
     # Persistence
     # ------------------------------------------------------------------
 
-    def to_bytes(self, *, version: int | None = None) -> bytes:
-        """Serialize the archive.
+    def to_bytes(self) -> bytes:
+        """Serialize the archive: a loaded archive keeps the container
+        version it was loaded from, a newly built one is written as the
+        checksummed v4."""
+        return self._archive.to_bytes()
 
-        ``version`` picks the container layout explicitly; ``None``
-        defers to ``options.format_version`` (``0`` = preserve a loaded
-        archive's version, write the checksummed v4 for newly built
-        archives).
-        """
-        if version is None:
-            version = self.options.format_version or None
-        return self._archive.to_bytes(version)
-
-    def save(self, path: str | Path, *,
-             version: int | None = None) -> int:
+    def save(self, path: str | Path) -> int:
         """Write the archive to ``path`` atomically; returns the byte
         count.
 
@@ -392,7 +385,7 @@ class SAGeDataset:
         never leaves a half archive behind.
         """
         self._require_open()
-        blob = self.to_bytes(version=version)
+        blob = self.to_bytes()
         atomic_write_bytes(path, blob)
         self.path = Path(path)
         return len(blob)

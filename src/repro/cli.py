@@ -86,8 +86,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                               level=args.level,
                               with_quality=not args.no_quality,
                               codec=args.codec,
-                              mapper=args.mapper,
-                              format_version=args.format_version)
+                              mapper=args.mapper)
     dataset = SAGeDataset.from_fastq(args.input,
                                      reference=args.consensus,
                                      options=options)
@@ -115,20 +114,22 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 def _cmd_cat(args: argparse.Namespace) -> int:
     options = _engine_options(workers=args.workers, codec=args.codec)
     with SAGeDataset.open(args.input, options=options) as dataset:
-        if args.block is not None:
-            if not 0 <= args.block < dataset.n_blocks:
-                raise _usage_exit(
-                    f"block {args.block} out of range "
-                    f"(archive has {dataset.n_blocks} blocks)")
-            sets = [dataset.decode_block(args.block)]
-        else:
-            sets = dataset.blocks()
+        if args.block is not None and \
+                not 0 <= args.block < dataset.n_blocks:
+            raise _usage_exit(
+                f"block {args.block} out of range "
+                f"(archive has {dataset.n_blocks} blocks)")
         out = sys.stdout if args.output in (None, "-") \
             else open(args.output, "w", encoding="ascii")
         try:
-            for read_set in sets:
-                for i, read in enumerate(read_set):
-                    out.write(fastq.format_read(read, i))
+            if args.block is None:
+                dataset.to_fastq(out)
+            else:
+                # Fallback names count from the block's global position,
+                # as the whole-archive pass numbers them.
+                base = dataset.archive.block_index()[args.block].first_read
+                for i, read in enumerate(dataset.decode_block(args.block)):
+                    out.write(fastq.format_read(read, base + i))
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -396,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-reads", type=int, default=0,
                    help="reads per independently decodable block "
                         "(0 = single-block archive)")
-    p.add_argument("--format-version", type=int, default=0,
-                   choices=[0, 3, 4],
-                   help="container version to write (4 = checksummed, "
-                        "3 = pre-checksum layout, 0 = auto)")
     _add_codec_flag(p)
     _add_mapper_flag(p)
     p.set_defaults(func=_cmd_compress)

@@ -106,11 +106,6 @@ class EngineOptions:
     block_timeout:
         Per-block decode timeout in seconds for pooled backends
         (``None`` = no limit; the serial backend cannot time out).
-    format_version:
-        Container version ``SAGeDataset.save``/``to_bytes`` write:
-        ``4`` (checksummed), ``3`` (pre-checksum layout), or ``0`` =
-        auto (preserve a loaded archive's version; write 4 for newly
-        built archives).
     streams:
         Explicit stream-selective decode override: a tuple of stream
         group names from
@@ -134,7 +129,6 @@ class EngineOptions:
     on_error: str = "raise"
     block_retries: int = 1
     block_timeout: float | None = None
-    format_version: int = 0
     streams: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -181,10 +175,6 @@ class EngineOptions:
             raise ValueError(
                 f"block_timeout must be > 0 seconds (or None for no "
                 f"limit), got {self.block_timeout!r}")
-        if self.format_version not in (0, 3, 4):
-            raise ValueError(
-                f"format_version must be 0 (auto), 3, or 4, "
-                f"got {self.format_version!r}")
         if self.streams is not None:
             if isinstance(self.streams, str):
                 streams: tuple[str, ...] = (self.streams,)
@@ -269,7 +259,6 @@ class EngineOptions:
             "on_error": self.on_error,
             "block_retries": self.block_retries,
             "block_timeout": self.block_timeout,
-            "format_version": self.format_version,
             "streams": list(self.streams) if self.streams is not None
             else None,
         }

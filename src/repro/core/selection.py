@@ -156,8 +156,8 @@ def decoded_stream_bits(block: "SAGeBlock",
 
     The shared consensus is not a block stream and is excluded: it is
     unpacked once per pass, not per block.  This is the accounting
-    behind ``ExecutorStats.streams_decoded`` and the fig23
-    selective-decode savings measurement.
+    behind ``ExecutorStats.streams_decoded`` and ``bench/``'s
+    ``core.kernels.stream_bits``.
     """
     if selection is None:
         selection = StreamSelection.all_streams()

@@ -17,8 +17,7 @@ reads:
    (Alser et al.; Senol Cali): read and consensus windows are packed four
    bases per byte and XORed, and a 256-entry LUT counts mismatching 2-bit
    base slots.  Candidates whose zero-shift count exceeds the edit
-   threshold are rejected before any DP runs; ±shift counts on the rejects
-   separate indel-like candidates from junk placements.
+   threshold are rejected before any DP runs.
 3. **Banded vectorized verification** — survivors are verified exactly: a
    full-read window compare recovers mismatch positions, and read
    heads/tails with nonzero straight-diagonal cost run through a batched
@@ -57,9 +56,6 @@ DEFAULT_MAPPER = "numpy"
 #: the batched verification DP (keeps the padded DP matrices narrow).
 _VERIFY_CAP = 128
 
-#: ±shift radius for the filter's shifted-Hamming diagnostics on rejects.
-_SHD_SHIFTS = 2
-
 #: Mismatching 2-bit base slots per XOR byte (4 packed bases/byte).
 _SLOT_LUT = np.zeros(256, dtype=np.uint8)
 for _s in (0, 2, 4, 6):
@@ -83,7 +79,6 @@ class MapperStats:
     multi_diagonal: int = 0     # anchor chains not on a single diagonal
     candidates: int = 0         # single-diagonal placements filtered
     filter_rejected: int = 0    # exceeded the edit threshold before DP
-    filter_shift_hits: int = 0  # rejects a ±shift would accept (indel-like)
     zero_mismatch: int = 0      # clean SHD mask: emitted with no DP at all
     verified: int = 0           # candidates exactly verified
     false_accepts: int = 0      # passed the filter, failed verification
@@ -102,31 +97,8 @@ class MapperStats:
             setattr(self, f.name, 0)
 
     @property
-    def candidates_per_read(self) -> float:
-        return self.candidates / self.reads if self.reads else 0.0
-
-    @property
-    def filter_reject_fraction(self) -> float:
-        return (self.filter_rejected / self.candidates
-                if self.candidates else 0.0)
-
-    @property
-    def false_accept_fraction(self) -> float:
-        accepted = self.candidates - self.filter_rejected
-        return self.false_accepts / accepted if accepted else 0.0
-
-    @property
     def fast_path_fraction(self) -> float:
         return self.fast_path / self.reads if self.reads else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        out: dict[str, float] = {f.name: getattr(self, f.name)
-                                 for f in fields(self)}
-        out["candidates_per_read"] = self.candidates_per_read
-        out["filter_reject_fraction"] = self.filter_reject_fraction
-        out["false_accept_fraction"] = self.false_accept_fraction
-        out["fast_path_fraction"] = self.fast_path_fraction
-        return out
 
 
 #: Process-wide accumulator (``bench/`` reads it; workers=1 only —
@@ -190,8 +162,8 @@ def _byte_masks(lengths: np.ndarray, n_bytes: int) -> np.ndarray:
 
 
 def _shd_counts(packed_reads: np.ndarray, masks: np.ndarray,
-                diagonals: np.ndarray, phased_cons: list[np.ndarray],
-                out_of_range: np.ndarray | None = None) -> np.ndarray:
+                diagonals: np.ndarray,
+                phased_cons: list[np.ndarray]) -> np.ndarray:
     """Masked mismatch count of each packed read against the consensus
     window starting at its diagonal (one shifted-Hamming evaluation)."""
     n, n_bytes = packed_reads.shape
@@ -209,10 +181,7 @@ def _shd_counts(packed_reads: np.ndarray, masks: np.ndarray,
             window[grp] = phased_cons[p][idx]
     window ^= packed_reads
     window &= masks
-    counts = _SLOT_LUT[window].sum(axis=1, dtype=np.int64)
-    if out_of_range is not None:
-        counts[out_of_range] = np.iinfo(np.int64).max
-    return counts
+    return _SLOT_LUT[window].sum(axis=1, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -441,14 +410,10 @@ class BatchReadMapper(ReadMapper):
             rows = oriented[offsets[cand][:, None] + span]
         packed = pack_bases(rows)
         masks = _byte_masks(c_len, packed.shape[1])
-        phases = self._cons_phases()
-        h0 = _shd_counts(packed, masks, c_diag, phases)
+        h0 = _shd_counts(packed, masks, c_diag, self._cons_phases())
         threshold = cfg.unmapped_cost_fraction * c_len
         reject = h0 > threshold
         st.filter_rejected += int(reject.sum())
-        if reject.any():
-            st.filter_shift_hits += self._shift_diagnostics(
-                packed, masks, c_diag, c_len, threshold, reject, phases)
         accept = ~reject
 
         read_has_n = np.bincount(
@@ -532,25 +497,6 @@ class BatchReadMapper(ReadMapper):
             vals = (vals << np.uint64(2)) | window.astype(np.uint64)
         vals[bad] = np.uint64(1) << np.uint64(2 * k)
         return vals
-
-    def _shift_diagnostics(self, packed: np.ndarray, masks: np.ndarray,
-                           c_diag: np.ndarray, c_len: np.ndarray,
-                           threshold: np.ndarray, reject: np.ndarray,
-                           phases: list[np.ndarray]) -> int:
-        """How many rejects a ±shift evaluation would accept (indel-like)."""
-        rej = np.nonzero(reject)[0]
-        best = np.full(rej.size, np.iinfo(np.int64).max)
-        cons_size = self.consensus.size
-        for shift in range(-_SHD_SHIFTS, _SHD_SHIFTS + 1):
-            if shift == 0:
-                continue
-            d = c_diag[rej] + shift
-            bad = (d < 0) | (d + c_len[rej] > cons_size)
-            d = np.maximum(d, 0)
-            counts = _shd_counts(packed[rej], masks[rej], d, phases,
-                                 out_of_range=bad)
-            best = np.minimum(best, counts)
-        return int((best <= threshold[rej]).sum())
 
     def _verify_and_emit(self, verify: np.ndarray, cand: np.ndarray,
                          c_diag: np.ndarray, c_a0: np.ndarray,
@@ -730,11 +676,5 @@ def resolve_mapper(spec: str | None) -> str:
 def make_mapper(spec: str | None, consensus: np.ndarray,
                 config: MapperConfig | None = None,
                 index: KmerIndex | None = None) -> ReadMapper:
-    """Build the mapper a spec resolves to (sharing ``index`` if given).
-
-    ``spec=None``/``"auto"`` defers to the config's ``kernel`` field
-    before consulting ``$SAGE_MAPPER`` and the registry default.
-    """
-    if spec in (None, "auto") and config is not None:
-        spec = config.kernel
+    """Build the mapper a spec resolves to (sharing ``index`` if given)."""
     return _MAPPERS[resolve_mapper(spec)](consensus, config, index)

@@ -111,10 +111,6 @@ class MapperConfig:
     clip_cost_fraction: float = 0.45  # head/tail cost ratio that means clip
     unmapped_cost_fraction: float = 0.40  # whole-read cost ratio => unmapped
     end_slack: int = 24             # extra consensus window at segment ends
-    #: Mapper kernel executing this configuration ("auto" resolves through
-    #: $SAGE_MAPPER to the registry default; see :mod:`repro.mapping.batch`).
-    #: Every kernel produces byte-identical mappings.
-    kernel: str = "auto"
 
 
 class ReadMapper:

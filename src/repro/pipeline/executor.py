@@ -26,7 +26,6 @@ dataset is never materialized.
 from __future__ import annotations
 
 import pickle
-import time
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, \
     ThreadPoolExecutor
@@ -80,7 +79,6 @@ class ExecutorStats:
     reads: int = 0
     bases: int = 0
     peak_inflight: int = 0      # peak decoded-block queue depth
-    wall_s: float = 0.0
     blocks_failed: int = 0      # blocks whose decode exhausted retries
     blocks_retried: int = 0     # blocks that needed >= 1 retry attempt
     blocks_skipped: int = 0     # failed blocks turned into gaps
@@ -339,7 +337,6 @@ class StreamExecutor:
                       ) -> Iterator[tuple[int, "ReadSet | BlockGap"]]:
         """Yield ``(block_index, ReadSet | BlockGap)`` in index order."""
         self.stats = ExecutorStats()
-        start = time.perf_counter()
         backend = self.resolved_backend
         if backend == "serial":
             source = self._iter_serial(select)
@@ -347,10 +344,7 @@ class StreamExecutor:
             source = self._iter_threaded(select)
         else:
             source = self._iter_process(select)
-        try:
-            yield from enumerate(source)
-        finally:
-            self.stats.wall_s = time.perf_counter() - start
+        yield from enumerate(source)
 
     def _account(self, item) -> "ReadSet | BlockGap":
         if isinstance(item, tuple):

@@ -1,6 +1,6 @@
 """A small keep-alive HTTP client for the archive server.
 
-Shared by the serve tests, the fig24 load generator, and
+Shared by the serve tests, the ``bench/`` ``serve_zipf`` workload, and
 ``examples/serve_client.py`` so they all exercise the server the same
 way: one persistent connection per client (the server's keep-alive
 path), JSON helpers, and a reconnect-once retry for the race where the

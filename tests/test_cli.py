@@ -188,6 +188,32 @@ class TestCat:
         parsed = fastq.parse(out)
         assert read_multiset(parsed) == read_multiset(rs3_small.read_set)
 
+    def test_cat_numbers_fallback_names_globally(self, workdir, rs3_small,
+                                                 capsys):
+        """Reads stored with empty headers are named ``read{i}`` by the
+        renderer; ``i`` is the archive-wide position, not the position
+        inside the block."""
+        from repro.core import SAGeConfig
+        from repro.core.blocks import BlockCompressor
+        from repro.genomics.reads import Read, ReadSet
+        reads = ReadSet([Read(codes=r.codes, quality=r.quality, header="")
+                         for r in list(rs3_small.read_set)[:120]])
+        archive = workdir / "anon.sage"
+        archive.write_bytes(
+            BlockCompressor(rs3_small.reference,
+                            SAGeConfig(with_headers=True),
+                            options=EngineOptions(block_reads=40))
+            .compress(reads).to_bytes())
+        plain = workdir / "anon.fastq"
+        assert main(["decompress", str(archive), str(plain)]) == 0
+        want = plain.read_text(encoding="ascii")
+        capsys.readouterr()
+        assert main(["cat", str(archive)]) == 0
+        assert capsys.readouterr().out == want
+        assert main(["cat", str(archive), "--block", "1"]) == 0
+        lines = want.splitlines(keepends=True)     # 4 per record
+        assert capsys.readouterr().out == "".join(lines[4 * 40:4 * 80])
+
     def test_cat_block_out_of_range(self, blocked, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["cat", str(blocked), "--block", "999"])
@@ -455,24 +481,13 @@ class TestVerifySalvage:
 
 
 class TestCompressFormatVersion:
-    def test_v3_flag_writes_pre_checksum_layout(self, workdir, rs3_small,
-                                                capsys):
-        archive = workdir / "v3.sage"
-        out = workdir / "v3.fastq"
-        assert main(["compress", str(workdir / "reads.fastq"),
-                     str(workdir / "ref.txt"), str(archive),
-                     "--block-reads", "24",
-                     "--format-version", "3"]) == 0
-        assert archive.read_bytes()[4] == 3
-        assert main(["decompress", str(archive), str(out)]) == 0
-        decoded = fastq.read_file(out)
-        assert read_multiset(decoded) == read_multiset(rs3_small.read_set)
-
     def test_verify_v3_unchecked(self, workdir, capsys):
+        from repro.core import SAGeArchive
         archive = workdir / "v3.sage"
         main(["compress", str(workdir / "reads.fastq"),
-              str(workdir / "ref.txt"), str(archive),
-              "--format-version", "3"])
+              str(workdir / "ref.txt"), str(archive)])
+        archive.write_bytes(SAGeArchive.from_bytes(archive.read_bytes())
+                            .to_bytes(version=3))
         capsys.readouterr()
         assert main(["verify", str(archive)]) == 0
         assert "unchecked" in capsys.readouterr().out

@@ -101,9 +101,13 @@ class TestBlockChecksums:
         arch = SAGeArchive.from_bytes(blob)
         assert arch.header_crc32() is not None
         assert arch.consensus_crc32() is not None
-        v3 = SAGeArchive.from_bytes(arch.to_bytes(version=3))
+        v3_blob = arch.to_bytes(version=3)
+        v3 = SAGeArchive.from_bytes(v3_blob)
         assert v3.header_crc32() is None
         assert v3.consensus_crc32() is None
+        # The whole price of v4: one CRC32 each for the header, the
+        # consensus and every block.
+        assert len(blob) - len(v3_blob) == 4 * (2 + arch.n_blocks)
 
     def test_consensus_crc_detects_damage(self, blocked):
         archive, blob = blocked

@@ -162,8 +162,6 @@ class TestOptionValidation:
         (dict(block_retries=-1), "block_retries"),
         (dict(block_timeout=0), "block_timeout"),
         (dict(block_timeout=-2.5), "block_timeout"),
-        (dict(format_version=5), "format_version"),
-        (dict(format_version=1), "format_version"),
     ])
     def test_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -173,4 +171,3 @@ class TestOptionValidation:
         for policy in ("raise", "skip", "salvage"):
             assert EngineOptions(on_error=policy).on_error == policy
         assert EngineOptions(block_timeout=1.5).block_timeout == 1.5
-        assert EngineOptions(format_version=3).format_version == 3

@@ -46,6 +46,8 @@ class TestStreamExecutor:
         buffer = io.StringIO()
         executor.run(FastqSink(buffer))
         assert buffer.getvalue() == serial_text
+        if backend == "serial":
+            assert executor.stats.peak_inflight == 1
 
     def test_blocks_arrive_in_index_order(self, blocked):
         executor = StreamExecutor(blocked,
@@ -75,7 +77,6 @@ class TestStreamExecutor:
         collected = executor.run(CollectSink())[0]
         assert executor.stats.reads == len(rs3_small.read_set)
         assert executor.stats.bases == rs3_small.read_set.total_bases
-        assert executor.stats.wall_s > 0
         assert read_multiset(collected) \
             == read_multiset(rs3_small.read_set)
 
