@@ -2,12 +2,8 @@
 
 SAGe's value proposition is that compressed genomic data stays
 *directly analyzable* — data preparation overlaps analysis instead of
-preceding it (§7).  Before this facade, every consumer re-wired the
-same plumbing by hand: ``SAGeCompressor``/``BlockCompressor`` on the
-way in, ``SAGeDecompressor``/``StreamExecutor`` plus sink objects on
-the way out, with worker/backend/prefetch kwargs repeated at each
-layer.  ``SAGeDataset`` is the single stable entry point the CLI,
-examples, benchmarks and future server/sharding layers sit on:
+preceding it (§7).  ``SAGeDataset`` is the single stable entry point
+the CLI, examples, benchmarks and the server sit on:
 
     from repro.api import EngineOptions, SAGeDataset
 
@@ -23,7 +19,12 @@ examples, benchmarks and future server/sharding layers sit on:
 
 Everything executes on the engines underneath — the block compressor,
 the streaming executor, the reference decompressor — which take the
-session's one :class:`EngineOptions` and nothing else.
+session's one :class:`EngineOptions` and nothing else.  A session fixes
+its options and its decode kernel when it is built: no method takes
+``options=`` or ``codec=``.  A caller that wants other options over the
+same archive opens a sibling session,
+``SAGeDataset(ds.archive, options=..., decompressor=ds.decompressor())``
+(the sibling is not closed: the archive belongs to the first session).
 """
 
 from __future__ import annotations
@@ -168,6 +169,26 @@ def _totals_of(read_set: ReadSet) -> SourceTotals:
                         fastq_bytes=read_set.uncompressed_fastq_bytes())
 
 
+def _compress_stream(chunks: Iterable[ReadSet], consensus: np.ndarray,
+                     config: SAGeConfig, options: EngineOptions
+                     ) -> tuple[SAGeArchive, SourceTotals]:
+    """Block-compress ``chunks`` (one block each), counting the input."""
+    counted = {"reads": 0, "bases": 0, "fastq": 0}
+
+    def accounted() -> Iterator[ReadSet]:
+        for chunk in chunks:
+            counted["reads"] += len(chunk)
+            counted["bases"] += chunk.total_bases
+            counted["fastq"] += chunk.uncompressed_fastq_bytes()
+            yield chunk
+
+    archive = BlockCompressor(consensus, config, options=options) \
+        .compress(accounted())
+    return archive, SourceTotals(reads=counted["reads"],
+                                 bases=counted["bases"],
+                                 fastq_bytes=counted["fastq"])
+
+
 def _as_consensus(reference) -> np.ndarray:
     """Normalize a reference spec into consensus base codes.
 
@@ -189,8 +210,9 @@ class SAGeDataset:
     dataset owns the engine wiring: streaming iteration
     (:meth:`blocks` / :meth:`reads`), FASTQ export (:meth:`to_fastq`),
     sink analysis (:meth:`analyze`, :meth:`pipe`), and persistence
-    (:meth:`save`).  ``options`` (:class:`EngineOptions`) set the
-    session's parallelism once instead of per call.
+    (:meth:`save`).  ``options`` (:class:`EngineOptions`) are fixed for
+    the session; ``decompressor`` hands a sibling session over the same
+    archive an existing decoder (unpacked consensus and kernel).
     """
 
     def __init__(self, archive: SAGeArchive, *,
@@ -224,9 +246,20 @@ class SAGeDataset:
         of pre-chunked :class:`ReadSet` blocks (each chunk becomes one
         independently decodable block).  ``reference`` is an array of
         consensus base codes or a path to an ACGT text file.  ``config``
-        overrides the :class:`SAGeConfig` derived from ``options``.
+        replaces the :class:`SAGeConfig` derived from ``options``, so it
+        cannot be combined with a non-default ``level``,
+        ``with_quality`` or ``long_reads`` on ``options`` (the fields
+        both carry): that call raises :class:`ValueError`.
         """
         options = options if options is not None else EngineOptions()
+        if config is not None:
+            defaults = EngineOptions()
+            for name in ("level", "with_quality", "long_reads"):
+                if getattr(options, name) != getattr(defaults, name):
+                    raise ValueError(
+                        f"options.{name} would be ignored: config= "
+                        f"replaces the compressor config, set {name} on "
+                        f"the SAGeConfig instead")
         consensus = _as_consensus(reference)
         cfg = config if config is not None else options.compressor_config()
         totals: SourceTotals | None = None
@@ -240,7 +273,7 @@ class SAGeDataset:
                 archive = SAGeCompressor(consensus, cfg).compress(source)
         elif isinstance(source, (str, Path)):
             if options.blocked:
-                archive, totals = cls._compress_stream(
+                archive, totals = _compress_stream(
                     fastq.iter_read_sets(source,
                                          options.effective_block_reads),
                     consensus, cfg, options)
@@ -250,29 +283,9 @@ class SAGeDataset:
                 archive = SAGeCompressor(consensus, cfg).compress(read_set)
         else:
             # Pre-chunked stream: one block per yielded ReadSet.
-            archive, totals = cls._compress_stream(source, consensus,
-                                                   cfg, options)
+            archive, totals = _compress_stream(source, consensus, cfg,
+                                               options)
         return cls(archive, options=options, source_totals=totals)
-
-    @staticmethod
-    def _compress_stream(chunks: Iterable[ReadSet],
-                         consensus: np.ndarray, config: SAGeConfig,
-                         options: EngineOptions
-                         ) -> tuple[SAGeArchive, SourceTotals]:
-        counted = {"reads": 0, "bases": 0, "fastq": 0}
-
-        def accounted() -> Iterator[ReadSet]:
-            for chunk in chunks:
-                counted["reads"] += len(chunk)
-                counted["bases"] += chunk.total_bases
-                counted["fastq"] += chunk.uncompressed_fastq_bytes()
-                yield chunk
-
-        archive = BlockCompressor(consensus, config, options=options) \
-            .compress(accounted())
-        return archive, SourceTotals(reads=counted["reads"],
-                                     bases=counted["bases"],
-                                     fastq_bytes=counted["fastq"])
 
     @classmethod
     def open(cls, path: str | Path, *,
@@ -359,7 +372,8 @@ class SAGeDataset:
         return self.decompressor().consensus
 
     def decompressor(self) -> SAGeDecompressor:
-        """The session's (cached) decoder, on the session codec kernel."""
+        """The session's (cached) decoder, on the session codec kernel
+        (``options.codec``, resolved once when the decoder is built)."""
         self._require_open()
         if self._decompressor is None:
             self._decompressor = SAGeDecompressor(
@@ -427,8 +441,7 @@ class SAGeDataset:
                             blocks=tuple(blocks), deep=deep,
                             errors=errors)
 
-    def salvage(self, *, options: EngineOptions | None = None
-                ) -> SalvageReport:
+    def salvage(self) -> SalvageReport:
         """Recover every intact block from a (possibly damaged) archive.
 
         Runs a streaming decode under ``on_error="salvage"``: each
@@ -438,8 +451,8 @@ class SAGeDataset:
         recovered reads plus per-block loss accounting.
         """
         self._require_open()
-        options = (options or self.options).replace(on_error="salvage")
-        executor = self._make_executor(options)
+        executor = self._make_executor(
+            self.options.replace(on_error="salvage"))
         sink = CollectSink()
         [read_set] = executor.run(sink)
         return SalvageReport(
@@ -465,47 +478,41 @@ class SAGeDataset:
         """Accounting of the most recent streaming pass (or ``None``)."""
         return self._last_executor.stats if self._last_executor else None
 
-    def blocks(self, *, options: EngineOptions | None = None
-               ) -> Iterator[ReadSet]:
+    def blocks(self) -> Iterator[ReadSet]:
         """Yield each block's reads in index order (streaming decode).
 
         With ``workers > 1`` in the session options, block *i* is
         consumed while blocks *i+1 … i+window* are still decoding;
         output is identical for every configuration.
         """
-        return iter(self._make_executor(options))
+        return iter(self._make_executor())
 
-    def reads(self, *, options: EngineOptions | None = None
-              ) -> Iterator[Read]:
+    def reads(self) -> Iterator[Read]:
         """Yield every read, flattened across the block stream."""
-        for block in self.blocks(options=options):
+        for block in self.blocks():
             yield from block
 
-    def read_set(self, *, options: EngineOptions | None = None) -> ReadSet:
+    def read_set(self) -> ReadSet:
         """Materialize the whole dataset as one :class:`ReadSet`."""
-        [read_set] = self._make_executor(options).run(CollectSink())
+        [read_set] = self._make_executor().run(CollectSink())
         return read_set
 
-    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
-    def decode_block(self, index: int, *, select=None,
-                     codec: str | None = None) -> ReadSet:
+    def decode_block(self, index: int, *, select=None) -> ReadSet:
         """Random access: decode only block ``index``.
 
         ``select`` (a :class:`~repro.core.selection.StreamSelection`
         spec, ``None`` = everything) limits the decode to the named
-        stream groups; ``codec`` overrides the session kernel for this
-        call.  The block's parsed form is released afterwards — the
-        decoded reads are the caller's to keep, so random access over a
-        blob-backed archive does not accumulate parsed blocks.
+        stream groups.  The block's parsed form is released afterwards
+        — the decoded reads are the caller's to keep, so random access
+        over a blob-backed archive does not accumulate parsed blocks.
         """
         try:
             return self.decompressor().decompress_block(
-                index, codec=codec, select=select)
+                index, select=select)
         finally:
             self._archive.release_block(index)
 
-    def to_fastq(self, target, *,
-                 options: EngineOptions | None = None) -> int:
+    def to_fastq(self, target) -> int:
         """Stream the dataset out as FASTQ; returns the read count.
 
         ``target`` is a path or an open text handle.  Blocks are
@@ -514,15 +521,15 @@ class SAGeDataset:
         self._require_open()
         if isinstance(target, (str, Path)):
             with open(target, "w", encoding="ascii") as handle:
-                return self.to_fastq(handle, options=options)
-        [n_reads] = self._make_executor(options).run(FastqSink(target))
+                return self.to_fastq(handle)
+        [n_reads] = self._make_executor().run(FastqSink(target))
         return n_reads
 
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
 
-    def analyze(self, *sinks, options: EngineOptions | None = None) -> list:
+    def analyze(self, *sinks) -> list:
         """One streaming pass through ``sinks``; returns their results.
 
         Each sink may be a registered name (``"property"``,
@@ -532,7 +539,7 @@ class SAGeDataset:
         ``property`` sink when called with no arguments.
         """
         specs = sinks or ("property",)
-        return self.pipe(*specs).run(options=options)
+        return self.pipe(*specs).run()
 
     def pipe(self, *sinks) -> "Pipeline":
         """Start a fluent sink pipeline: ``ds.pipe(a).pipe(b).run()``."""
@@ -558,11 +565,11 @@ class Pipeline:
         self._sinks.extend(resolve_sink(self._dataset, s) for s in sinks)
         return self
 
-    def run(self, *, options: EngineOptions | None = None) -> list:
+    def run(self) -> list:
         if not self._sinks:
             raise ValueError("pipeline has no sinks; call .pipe(...) "
                              "before .run()")
-        executor = self._dataset._make_executor(options)
+        executor = self._dataset._make_executor()
         results = executor.run(*self._sinks)
         self.stats = executor.stats
         return results

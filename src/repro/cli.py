@@ -3,20 +3,19 @@
 Subcommands::
 
     sage compress   input.fastq consensus.txt output.sage [--level O4]
-                    [--workers N] [--block-reads M] [--codec NAME]
-                    [--mapper NAME]
-    sage decompress input.sage output.fastq [--workers N] [--codec NAME]
+                    [--workers N] [--block-reads M]
+    sage decompress input.sage output.fastq [--workers N]
     sage cat        input.sage [--block I] [--output out.fastq]
-                    [--workers N] [--codec NAME]
+                    [--workers N]
     sage analyze    input.sage [--workers N] [--sink NAME ...]
-                    [--mapping-rate] [--json] [--codec NAME]
+                    [--mapping-rate] [--json]
     sage inspect    input.sage [--json]
     sage verify     input.sage [--deep] [--json] [--workers N]
     sage salvage    input.sage output.fastq [--workers N] [--json]
     sage simulate   RS2 output.fastq [--genome 50000] [--ref ref.txt]
     sage serve      input.sage [more.sage ...] [--host H] [--port P]
                     [--cache-mb MB] [--decode-threads N] [--workers N]
-                    [--codec NAME] [--smoke]
+                    [--smoke]
 
 The consensus file is plain ACGT text (a reference genome); ``simulate``
 writes one alongside the FASTQ so the two commands compose.
@@ -28,20 +27,20 @@ the consume-side commands are ``SAGeDataset.open(...)`` sessions.
 ``--block-reads M`` partitions the input into independently decodable
 blocks of ``M`` reads (the container's random-access unit) and
 streams the FASTQ instead of loading it whole; ``--workers N``
-compresses/decodes blocks on ``N`` processes with bounded prefetch,
-byte-identical for every ``N``.  ``sage cat --block I`` decodes a single
-block without touching the rest of the archive; ``sage analyze`` runs
+compresses/decodes blocks on ``N`` processes with a bounded in-flight
+window, byte-identical for every ``N`` at a given ``--block-reads``.
+``sage cat --block I`` decodes a single block without touching the rest
+of the archive; ``sage analyze`` runs
 named sinks from the facade's registry (``--sink property --sink
 mapping-rate``) directly off an archive, using the archive's own
 consensus as the reference.
 
-``--codec NAME`` selects the codec kernel for the array-stream hot path
-(:mod:`repro.core.kernels`): ``python`` is the bit-serial reference,
-``numpy`` the vectorized batch kernel; archives are byte-identical
-across kernels.  ``--mapper NAME`` does the same for the read-mapping
-hot path (:mod:`repro.mapping.batch`).  Performance is measured by the
-repo benchmark (``python3 -m bench.run``, see ``bench/README.md``), not
-by a subcommand here.
+No flag picks a kernel: archives and decodes are byte-identical across
+them, so the operator's switch is the environment (``$SAGE_CODEC`` for
+the array-stream hot path, :mod:`repro.core.kernels`; ``$SAGE_MAPPER``
+for read mapping, :mod:`repro.mapping.batch`).  Performance is measured
+by the repo benchmark (``python3 -m bench.run``, see
+``bench/README.md``), not by a subcommand here.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from pathlib import Path
 from .api import (EngineOptions, SAGeDataset, available_sinks, describe,
                   result_info)
 from .core import OptLevel, SAGeError
-from .core.kernels import available_kernels
-from .mapping import batch as mapper_batch
 from .genomics import datasets, fastq
 from .genomics import sequence as seqmod
 
@@ -84,9 +81,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     options = _engine_options(workers=args.workers,
                               block_reads=args.block_reads,
                               level=args.level,
-                              with_quality=not args.no_quality,
-                              codec=args.codec,
-                              mapper=args.mapper)
+                              with_quality=not args.no_quality)
     dataset = SAGeDataset.from_fastq(args.input,
                                      reference=args.consensus,
                                      options=options)
@@ -102,7 +97,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     # Stream block by block: FASTQ for block i is written while block
     # i+1 is still decoding, and the dataset is never materialized.
     with SAGeDataset.open(args.input, options=options) as dataset:
@@ -112,7 +107,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_cat(args: argparse.Namespace) -> int:
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     with SAGeDataset.open(args.input, options=options) as dataset:
         if args.block is not None and \
                 not 0 <= args.block < dataset.n_blocks:
@@ -128,8 +123,8 @@ def _cmd_cat(args: argparse.Namespace) -> int:
                 # Fallback names count from the block's global position,
                 # as the whole-archive pass numbers them.
                 base = dataset.archive.block_index()[args.block].first_read
-                for i, read in enumerate(dataset.decode_block(args.block)):
-                    out.write(fastq.format_read(read, base + i))
+                out.write(fastq.write(dataset.decode_block(args.block),
+                                      base))
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -149,7 +144,7 @@ def _print_property_text(info: dict) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     sink_names = list(args.sink or [])
     if args.mapping_rate:
         if sink_names:
@@ -252,7 +247,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Checksum walk (and optional full decode) over an archive."""
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     with SAGeDataset.open(args.input, options=options) as dataset:
         report = dataset.verify(deep=args.deep)
     if args.json:
@@ -280,7 +275,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_salvage(args: argparse.Namespace) -> int:
     """Recover every intact block of a damaged archive to FASTQ."""
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     with SAGeDataset.open(args.input, options=options) as dataset:
         report = dataset.salvage()
     fastq.write_file(report.read_set, args.output)
@@ -326,30 +321,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(argv)
 
 
-def _add_codec_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--codec", default="auto",
-                        help="codec kernel for the array-stream hot "
-                             f"path (auto or one of: "
-                             f"{', '.join(available_kernels())}); "
-                             "archives are byte-identical across "
-                             "kernels")
-
-
-def _add_mapper_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mapper", default="auto",
-        help="mapper kernel for read mapping (auto or one of: "
-             f"{', '.join(mapper_batch.available_mappers())}); "
-             "archives are byte-identical across mappers")
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve archives over HTTP with a decoded-block cache."""
     import time
 
     from .serve import ArchiveServer
 
-    options = _engine_options(workers=args.workers, codec=args.codec)
+    options = _engine_options(workers=args.workers)
     try:
         server = ArchiveServer(args.archives, options=options,
                                cache_bytes=args.cache_mb << 20,
@@ -393,12 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[lvl.name for lvl in OptLevel])
     p.add_argument("--no-quality", action="store_true")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for block compression")
+                   help="worker processes for block compression (the "
+                        "archive is byte-identical for every N at a "
+                        "given --block-reads; N > 1 without "
+                        "--block-reads partitions into default-sized "
+                        "blocks)")
     p.add_argument("--block-reads", type=int, default=0,
                    help="reads per independently decodable block "
                         "(0 = single-block archive)")
-    _add_codec_flag(p)
-    _add_mapper_flag(p)
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress to FASTQ")
@@ -407,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for parallel block decode "
                         "(output is byte-identical for every N)")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_decompress)
 
     p = sub.add_parser("cat", help="decode blocks to FASTQ on stdout")
@@ -418,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write FASTQ here instead of stdout")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for parallel block decode")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_cat)
 
     p = sub.add_parser("analyze",
@@ -438,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "--sink mapping-rate with the classic layout)")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("inspect", help="describe an archive")
@@ -462,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "every N; ignored without --deep)")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("salvage",
@@ -475,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for parallel block decode")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_salvage)
 
     p = sub.add_parser("simulate", help="generate a synthetic read set")
@@ -507,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="start, print the bound port, shut down cleanly "
                         "and exit (CI smoke mode)")
-    _add_codec_flag(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

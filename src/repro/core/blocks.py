@@ -36,7 +36,7 @@ from ..genomics.reads import ReadSet, partition_reads
 from ..mapping.kmer_index import KmerIndex
 from .compressor import SAGeCompressor, SAGeConfig
 from .container import SAGeArchive, SAGeBlock
-from .options import INFLIGHT_PER_WORKER, EngineOptions
+from .options import EngineOptions
 
 __all__ = ["BlockCompressor", "compress_blocked", "imap_bounded",
            "partition_reads"]
@@ -196,7 +196,6 @@ class BlockCompressor:
 
     def _compress_parallel(self,
                            chunks: Iterator[ReadSet]) -> list[SAGeBlock]:
-        window = self.workers * INFLIGHT_PER_WORKER
         try:
             executor = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker,
@@ -209,7 +208,7 @@ class BlockCompressor:
             return [self._compressor.compress_block(c) for c in chunks]
         with executor:
             return list(imap_bounded(executor, _compress_chunk_pooled,
-                                     chunks, window))
+                                     chunks, self.options.window))
 
 
 def compress_blocked(reads: ReadSet | Iterable[ReadSet],

@@ -619,7 +619,8 @@ class SAGeArchive:
         return total
 
     def dna_byte_size(self) -> int:
-        """Compressed size of the DNA payload (everything but quality)."""
+        """Compressed size of the DNA payload: :meth:`byte_size` minus
+        the quality and read-header sections, to the byte."""
         total = self.header_bytes_estimate() + len(self.consensus[0])
         for blk in self._parsed_blocks():
             for name in BLOCK_STREAM_NAMES:
@@ -628,7 +629,10 @@ class SAGeArchive:
         return total
 
     def byte_size(self) -> int:
-        """Total archive size including quality and header streams."""
+        """Total archive size including quality and header streams:
+        exactly ``len(self.to_bytes())``, computed from the layout
+        without serializing (``tests/test_core_container.py`` and
+        ``tests/test_core_blocks.py`` hold it to equality)."""
         total = self.dna_byte_size()
         for blk in self._parsed_blocks():
             if blk.quality is not None:

@@ -35,7 +35,7 @@ from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
 from .formats import unpack_bits
-from .kernels import CodecKernel, resolve_kernel
+from .kernels import CodecKernel, get_kernel, resolve_codec
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
 
@@ -47,6 +47,9 @@ class SAGeDecompressor:
     ``"python"`` is the bit-serial reference walk, ``"numpy"`` the
     vectorized batch path, ``"auto"`` resolves through ``$SAGE_CODEC``
     to the registry default.  Every kernel returns identical reads.
+    The choice is made once, here: :attr:`codec` is the registered name
+    it resolved to (an unknown one raises :class:`ValueError`); another
+    kernel means another decoder.
     """
 
     # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
@@ -54,7 +57,7 @@ class SAGeDecompressor:
                  consensus: np.ndarray | None = None,
                  codec: str = "auto"):
         self.archive = archive
-        self.codec = codec
+        self.codec = resolve_codec(codec)
         # ``consensus`` lets a second decoder over the same (or a view
         # of the same) archive reuse an already-unpacked consensus.
         if consensus is None:
@@ -80,17 +83,12 @@ class SAGeDecompressor:
                 "StreamExecutor / SAGeDataset.read_set()")
         return self.decompress_block(0, select=select)
 
-    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
-    def decompress_block(self, index: int, *,
-                         codec: str | None = None,
-                         select=None) -> ReadSet:
+    def decompress_block(self, index: int, *, select=None) -> ReadSet:
         """Decode only block ``index`` of the archive.
 
         Random access: the decode reads the block and the archive
         globals (level, consensus) and no other block's streams,
         mirroring the per-channel independent decode of §5.3.
-        ``codec`` overrides the decoder's session kernel for this
-        block.
 
         ``select`` (:class:`~repro.core.selection.StreamSelection`, a
         group-name iterable, or ``None`` = everything) limits the decode
@@ -112,7 +110,7 @@ class SAGeDecompressor:
         """
         try:
             return self._decode_block(
-                index, resolve_kernel(codec or self.codec),
+                index, get_kernel(self.codec),
                 StreamSelection.from_spec(select))
         except BlockDecodeError:
             raise

@@ -28,9 +28,11 @@ Two kernels are registered:
 
 Both kernels produce **byte-identical archives** and identical decoded
 reads for every configuration — asserted both directions in
-``tests/test_core_kernels.py`` — so the codec is a pure-speed knob
-(:class:`repro.api.EngineOptions` ``codec``, CLI ``--codec``, env
-``SAGE_CODEC``).
+``tests/test_core_kernels.py`` — so the codec is a pure-speed knob,
+chosen once per engine: :class:`repro.api.EngineOptions` ``codec``
+(carried by ``SAGeConfig.codec`` to the encoder and by
+``SAGeDecompressor(codec=)`` to a decoder, which keeps the kernel it
+resolved for life), with ``auto`` deferring to env ``SAGE_CODEC``.
 
 Adding a kernel: subclass :class:`CodecKernel`, implement
 ``new_writer`` (a ``BitWriter``-compatible sink per stream) and

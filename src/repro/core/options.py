@@ -1,8 +1,8 @@
 """Engine configuration: one validated options object for every path.
 
 :class:`EngineOptions` is the only way to pass ``workers`` /
-``backend`` / ``prefetch`` / ``block_reads`` (and every other session
-knob) to an engine: :mod:`repro.core.blocks`,
+``backend`` / ``block_reads`` (and every other session knob) to an
+engine: :mod:`repro.core.blocks`,
 :mod:`repro.pipeline.executor`, the :mod:`repro.api` facade and the CLI
 all take ``options=`` and nothing else.  All validation happens here, in
 ``__post_init__`` — bad values fail at the API boundary with a clear
@@ -34,10 +34,11 @@ __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
 #: useful unit of random access and parallelism.
 DEFAULT_BLOCK_READS = 4096
 
-#: Submitted-but-unfinished blocks kept in flight per worker.  Shared
+#: Submitted-but-unfinished blocks kept in flight per worker: the one
 #: backpressure policy of both the compression engine
 #: (:mod:`repro.core.blocks`) and the streaming decode executor
-#: (:mod:`repro.pipeline.executor`).
+#: (:mod:`repro.pipeline.executor`), read through
+#: :attr:`EngineOptions.window`.
 INFLIGHT_PER_WORKER = 2
 
 #: Recognized decode backends.  ``auto`` picks ``serial`` for one worker
@@ -56,15 +57,14 @@ class EngineOptions:
     ----------
     workers:
         Worker processes for block compression / parallel block decode.
-        ``1`` is the serial reference path; every value produces
-        byte-identical output.
+        ``1`` is the serial reference path; for a given ``block_reads``
+        every value produces byte-identical output (with the default
+        ``block_reads=0``, ``workers > 1`` switches compression to
+        :data:`DEFAULT_BLOCK_READS`-sized blocks, a different archive).
     backend:
         Decode backend, one of :data:`BACKENDS`
         (``auto`` picks ``serial`` for one worker, ``process``
         otherwise).
-    prefetch:
-        In-flight blocks per worker (``None`` = the engine-wide
-        ``INFLIGHT_PER_WORKER`` default).
     block_reads:
         Reads per independently decodable block when compressing.
         ``0`` writes a one-block archive unless ``workers``
@@ -119,7 +119,6 @@ class EngineOptions:
 
     workers: int = 1
     backend: str = "auto"
-    prefetch: int | None = None
     block_reads: int = 0
     level: OptLevel | str = OptLevel.O4
     long_reads: bool | None = None
@@ -149,10 +148,6 @@ class EngineOptions:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"expected one of {BACKENDS}")
-        if self.prefetch is not None and self.prefetch < 1:
-            raise ValueError(
-                f"prefetch must be >= 1 (or None for the default), "
-                f"got {self.prefetch!r}")
         if self.block_reads < 0:
             raise ValueError(
                 f"block_reads must be >= 0 (0 = one-block "
@@ -205,15 +200,9 @@ class EngineOptions:
         return self.block_reads or DEFAULT_BLOCK_READS
 
     @property
-    def effective_prefetch(self) -> int:
-        """In-flight blocks per worker with the default filled in."""
-        return self.prefetch if self.prefetch is not None \
-            else INFLIGHT_PER_WORKER
-
-    @property
     def window(self) -> int:
         """Maximum blocks in flight (submitted but not yet consumed)."""
-        return max(1, self.workers * self.effective_prefetch)
+        return self.workers * INFLIGHT_PER_WORKER
 
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (re-validated)."""
@@ -236,7 +225,7 @@ class EngineOptions:
     def from_archive(cls, archive: Any) -> "EngineOptions":
         """The options an existing archive reflects (``inspect`` echo).
 
-        Session-only knobs (workers/backend/prefetch) keep their
+        Session-only knobs (workers/backend/...) keep their
         defaults; the archive-recorded ones (level, block partition,
         long-read mode, quality presence) are read back.
         """
@@ -249,7 +238,6 @@ class EngineOptions:
         return {
             "workers": self.workers,
             "backend": self.backend,
-            "prefetch": self.prefetch,
             "block_reads": self.block_reads,
             "level": self.level.name,
             "long_reads": self.long_reads,

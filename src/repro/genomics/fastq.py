@@ -81,14 +81,18 @@ def format_read(read: Read, index: int = 0) -> str:
     return f"@{header}\n{read.text}\n+\n{qual}\n"
 
 
-def write(read_set: ReadSet) -> str:
-    """Render a read set as FASTQ text."""
-    parts = [format_read(r, i) for i, r in enumerate(read_set)]
-    return "".join(parts)
+def write(read_set: ReadSet, first_index: int = 0) -> str:
+    """Render a read set as FASTQ text — the one block renderer.
+
+    ``first_index`` is the global position of the first read: a read
+    without a header is named ``read{first_index + i}``, so a block
+    rendered alone matches its slice of the whole-archive output.
+    """
+    return "".join([format_read(read, i)
+                    for i, read in enumerate(read_set, first_index)])
 
 
 def write_file(read_set: ReadSet, path: str | Path) -> None:
     """Write a read set to a FASTQ file."""
     with open(path, "w", encoding="ascii") as handle:
-        for i, read in enumerate(read_set):
-            handle.write(format_read(read, i))
+        handle.write(write(read_set))

@@ -9,16 +9,16 @@ this module executes it in software.
 
 A :class:`StreamExecutor` decodes the independently decodable blocks of
 a :class:`~repro.core.container.SAGeArchive` through a pluggable
-backend (serial / thread pool / process pool) with bounded prefetch —
-the same ``INFLIGHT_PER_WORKER`` backpressure policy as the compression
+backend (serial / thread pool / process pool) with a bounded window —
+the same ``EngineOptions.window`` backpressure policy as the compression
 engine in :mod:`repro.core.blocks` — and yields each block's
 :class:`~repro.genomics.reads.ReadSet` strictly in index order, so the
 concatenated output is byte-identical to a serial decode.  Consumers
 attach through the :class:`Sink` protocol: while a sink processes block
 *i*, blocks *i+1 … i+window* are already decoding in the workers.
 
-Memory stays bounded: at most ``workers * prefetch`` blocks are in
-flight, and the peak observed queue depth is recorded in
+Memory stays bounded: at most ``workers * INFLIGHT_PER_WORKER`` blocks
+are in flight, and the peak observed queue depth is recorded in
 :class:`ExecutorStats` so tests and benchmarks can assert that the full
 dataset is never materialized.
 """
@@ -172,8 +172,8 @@ def _init_decode_worker(source: "str | bytes", name: str,
                         options: EngineOptions) -> None:
     """Pool initializer: open the archive and unpack the consensus once.
 
-    ``options`` are the pass's options with its codec and stream
-    selection resolved.  A failed open (file moved/deleted between
+    ``options`` are the pass's options with its stream selection
+    resolved.  A failed open (file moved/deleted between
     parent open and worker start) is not fatal here — tasks then raise
     a typed error and the parent's retry path re-decodes the block
     serially from its own mapping.
@@ -199,7 +199,7 @@ def _decode_task(index: int) -> "tuple[ReadSet, dict[str, int]]":
 
 
 class StreamExecutor:
-    """Decodes an archive's blocks with bounded prefetch, in order.
+    """Decodes an archive's blocks with a bounded window, in order.
 
     Parameters
     ----------
@@ -211,14 +211,12 @@ class StreamExecutor:
         (decode parallelism; ``1`` is the serial reference path),
         ``backend`` (one of :data:`BACKENDS`; ``auto`` selects
         ``serial`` for one worker and ``process`` otherwise, ``thread``
-        trades process-pool startup cost for GIL contention) and
-        ``prefetch`` (in-flight blocks per worker; the decode window is
-        ``workers * prefetch`` and memory is bounded by that many
-        blocks).
+        trades process-pool startup cost for GIL contention); the
+        decode window is ``options.window`` and memory is bounded by
+        that many blocks.
     decompressor:
-        An existing :class:`SAGeDecompressor` whose unpacked consensus
-        (and, when the options leave the codec on ``auto``, kernel) the
-        in-parent decodes reuse.
+        The in-parent decoder of the pass (a session passes its cached
+        one); without it one is built on ``options.codec``.
     """
 
     def __init__(self, archive: SAGeArchive, *,
@@ -229,11 +227,6 @@ class StreamExecutor:
         self.options = options
         self.workers = options.workers
         self.backend = options.backend
-        # The codec kernel decoding each block: an explicit options
-        # choice wins, otherwise inherit the session decompressor's.
-        self.codec = options.codec
-        if self.codec == "auto" and decompressor is not None:
-            self.codec = decompressor.codec
         self._decompressor = decompressor
         self.stats = ExecutorStats()
 
@@ -256,13 +249,11 @@ class StreamExecutor:
         return "serial" if self.workers == 1 else "process"
 
     def decompressor(self) -> SAGeDecompressor:
-        """The in-parent decoder of this pass, on the pass's codec."""
-        decoder = self._decompressor
-        if decoder is None or decoder.codec != self.codec:
-            decoder = self._decompressor = SAGeDecompressor(
-                self.archive, codec=self.codec,
-                consensus=decoder.consensus if decoder else None)
-        return decoder
+        """The in-parent decoder of this pass."""
+        if self._decompressor is None:
+            self._decompressor = SAGeDecompressor(
+                self.archive, codec=self.options.codec)
+        return self._decompressor
 
     def selection_for(self, sinks: "tuple[Sink, ...]" = ()
                       ) -> StreamSelection:
@@ -367,29 +358,31 @@ class StreamExecutor:
         ``pooled`` marks failures from a worker pool: those get
         ``block_retries`` serial in-parent re-decodes (rescuing blocks
         lost to worker crashes, broken pools, or timeouts).  A failure
-        that already happened serially in-parent skips the same-codec
-        retries — re-running a deterministic decode cannot help.  Under
-        ``"salvage"`` the last attempt switches to the ``"python"``
-        reference kernel, so a vectorized-kernel bug cannot cost a
-        recoverable block.  Exhausted retries then follow the policy:
-        ``"raise"`` propagates, ``"skip"``/``"salvage"`` return a
-        :class:`BlockGap`.
+        that already happened serially in-parent skips them —
+        re-running a deterministic decode cannot help.  Under
+        ``"salvage"`` the last attempt runs on the ``"python"``
+        reference kernel (a second decoder sharing the consensus, unless
+        the pass already decodes on it), so a vectorized-kernel bug
+        cannot cost a recoverable block.  Exhausted retries then follow
+        the policy: ``"raise"`` propagates, ``"skip"``/``"salvage"``
+        return a :class:`BlockGap`.
         """
         policy = self.options.on_error
-        retries = self.options.block_retries if pooled else 0
-        codecs = [self.codec] * retries
-        if policy == "salvage" and (not codecs or codecs[-1] != "python"):
-            codecs.append("python")
-        if not pooled:
-            codecs = [c for c in codecs if c != self.codec]
+        decoder = self.decompressor()
+        decoders = [decoder] * (self.options.block_retries if pooled else 0)
+        if policy == "salvage":
+            if decoder.codec != "python":
+                decoders.append(SAGeDecompressor(
+                    self.archive, codec="python",
+                    consensus=decoder.consensus))
+            elif pooled and not decoders:
+                decoders.append(decoder)
         last = exc
-        if codecs:
+        if decoders:
             self.stats.blocks_retried += 1
-            for codec in codecs:
+            for attempt in decoders:
                 try:
-                    return self.decompressor() \
-                        .decompress_block(index, codec=codec,
-                                          select=select)
+                    return attempt.decompress_block(index, select=select)
                 except Exception as retry_exc:
                     last = retry_exc
         self.stats.blocks_failed += 1
@@ -440,8 +433,8 @@ class StreamExecutor:
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_decode_worker,
-                initargs=(source, arch.name, self.options.replace(
-                    codec=self.codec, streams=select.names)))
+                initargs=(source, arch.name,
+                          self.options.replace(streams=select.names)))
         except (OSError, PermissionError) as exc:  # pragma: no cover
             warnings.warn(f"process pool unavailable ({exc}); "
                           "falling back to serial block decode",
@@ -485,9 +478,8 @@ class FastqSink:
         self.n_missing = 0
 
     def consume(self, index: int, block: ReadSet) -> None:
-        for read in block:
-            self.handle.write(fastq.format_read(read, self.n_reads))
-            self.n_reads += 1
+        self.handle.write(fastq.write(block, self.n_reads))
+        self.n_reads += len(block)
 
     def consume_gap(self, gap: BlockGap) -> None:
         # Advance the global read counter past the hole so fallback
@@ -565,9 +557,9 @@ class MappingRateSink:
 class PropertySink:
     """Streams blocks into the Fig. 7 / Fig. 10 property analysis."""
 
-    #: Property aggregation reads sequences and quality scores but
-    #: never headers; the distributions are order-insensitive.
-    requires = ("sequence", "quality")
+    #: Property aggregation maps base codes only (no quality, no
+    #: headers); the distributions are order-insensitive.
+    requires = ("sequence",)
 
     def __init__(self, reference: np.ndarray,
                  mapper_config: MapperConfig | None = None):

@@ -5,11 +5,9 @@ all request parsing, routing, and coalescing bookkeeping; numpy block
 decodes run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
 via ``loop.run_in_executor`` so the loop never blocks on kernel work.
 The decoded-block cache (:class:`~repro.api.cache.DecodedBlockCache`)
-is keyed by ``(archive, block, selection.cache_token)`` — the codec is
-deliberately *not* part of the key because archives and decodes are
-byte-identical across kernels (the repo-wide kernel contract), so a
-numpy-decoded block may serve a request that asked for the python
-kernel.  Concurrent misses of one key collapse into a single decode
+is keyed by ``(archive, block, selection.cache_token)``; every block is
+decoded by its archive's session, on the kernel that session fixed at
+start-up.  Concurrent misses of one key collapse into a single decode
 through :class:`~repro.api.cache.SingleFlight`: the leader runs the
 decode on the pool, every follower ``await``s the leader's future on
 the event loop — followers never occupy a pool thread, so a 32-client
@@ -42,12 +40,13 @@ __all__ = ["ArchiveServer", "DEFAULT_CACHE_BYTES", "REQUEST_OPTION_KEYS"]
 
 DEFAULT_CACHE_BYTES = 64 << 20
 
-#: EngineOptions fields a single request may override.  Everything else
-#: (level, with_quality, format_version, ...) shapes *encoding* or the
-#: session itself and stays server-side.
+#: EngineOptions fields a single ``/analyze`` request may override.
+#: Everything else shapes *encoding* (level, with_quality, block_reads,
+#: ...) or picks a byte-identical kernel, which the operator does once
+#: for the whole server, and stays server-side.
 REQUEST_OPTION_KEYS = frozenset({
-    "codec", "mapper", "workers", "backend", "prefetch", "on_error",
-    "block_retries", "block_timeout", "streams",
+    "workers", "backend", "on_error", "block_retries", "block_timeout",
+    "streams",
 })
 
 _BLOCK_PATH = re.compile(r"^/block/(\d+)$")
@@ -125,12 +124,19 @@ def _inspect_sync(served: _ServedArchive) -> dict:
 
 def _analyze_sync(served: _ServedArchive, sink_names: list,
                   options: EngineOptions) -> dict:
-    """One streaming analysis pass (runs on a pool thread)."""
+    """One streaming analysis pass (runs on a pool thread).
+
+    The request's options get a sibling session over the served
+    archive, sharing the served session's decoder; it is not closed —
+    the archive belongs to the served session.
+    """
+    session = SAGeDataset(served.dataset.archive, options=options,
+                          decompressor=served.dataset.decompressor())
     try:
-        pipeline = served.dataset.pipe(*sink_names)
+        pipeline = session.pipe(*sink_names)
     except (TypeError, ValueError) as exc:
         raise HTTPError(400, str(exc)) from exc
-    results = pipeline.run(options=options)
+    results = pipeline.run()
     stats = pipeline.stats
     return {
         "archive": served.name,
@@ -153,12 +159,6 @@ def _reads_payload(read_set, base: int) -> list:
             for i, read in enumerate(read_set)]
 
 
-def _render_fastq(read_set, base: int) -> str:
-    """FASTQ text with the same global numbering FastqSink emits."""
-    return "".join(fastq.format_read(read, base + i)
-                   for i, read in enumerate(read_set))
-
-
 class ArchiveServer:
     """Serve one or more SAGe archives over HTTP.
 
@@ -177,8 +177,8 @@ class ArchiveServer:
         POST /cache/clear         drop cached decoded blocks
 
     ``/block`` and ``/reads`` accept ``?streams=`` (a
-    :meth:`StreamSelection.from_query` spec) and ``?codec=``; POST
-    bodies may carry an ``options`` object whitelisted by
+    :meth:`StreamSelection.from_query` spec); the ``/analyze`` body may
+    carry an ``options`` object whitelisted by
     :data:`REQUEST_OPTION_KEYS`.
     """
 
@@ -442,15 +442,8 @@ class ArchiveServer:
         except ValueError as exc:
             raise HTTPError(400, str(exc)) from exc
 
-    def _options_of(self, request: Request) -> EngineOptions:
-        overrides = {}
-        if "codec" in request.query:
-            overrides["codec"] = request.query["codec"]
-        return request_options(self.options, overrides)
-
     async def _decoded_block(self, served: _ServedArchive, index: int,
-                             selection: StreamSelection,
-                             options: EngineOptions):
+                             selection: StreamSelection):
         """The cache + coalescing + pooled-decode core of the server."""
         key = (served.name, index, selection.cache_token)
         cached = self.cache.get(key)
@@ -465,7 +458,7 @@ class ArchiveServer:
         try:
             read_set = await loop.run_in_executor(
                 self._pool, partial(served.dataset.decode_block, index,
-                                    select=selection, codec=options.codec))
+                                    select=selection))
         except BaseException as exc:
             # Failures wake every follower and are not cached: the
             # next request for this block retries the decode.
@@ -507,14 +500,13 @@ class ArchiveServer:
                                  f"{served.name!r} has {served.n_blocks} "
                                  f"blocks)")
         selection = self._selection_of(request)
-        read_set = await self._decoded_block(
-            served, index, selection, self._options_of(request))
+        read_set = await self._decoded_block(served, index, selection)
         base = served.read_offsets[index]
         if request.query.get("format") == "json":
             return Response.json({"archive": served.name, "block": index,
                                   "first_read": base,
                                   "reads": _reads_payload(read_set, base)})
-        return Response.text(_render_fastq(read_set, base))
+        return Response.text(fastq.write(read_set, base))
 
     @sage_error_boundary
     async def _handle_reads(self, request: Request, start: int,
@@ -526,20 +518,18 @@ class ArchiveServer:
                      f"archive {served.name!r} with {served.n_reads} "
                      f"reads")
         selection = self._selection_of(request)
-        options = self._options_of(request)
         offsets = served.read_offsets
         first = bisect_right(offsets, start) - 1
         last = bisect_left(offsets, stop)      # exclusive block bound
         records: list[str] = []
         for block_index in range(first, last):
             read_set = await self._decoded_block(
-                served, block_index, selection, options)
+                served, block_index, selection)
             base = offsets[block_index]
             lo = max(start, base) - base
             hi = min(stop, offsets[block_index + 1]) - base
-            records.extend(
-                fastq.format_read(read_set[i], base + i)
-                for i in range(lo, hi))
+            records.append(
+                fastq.write(read_set.subset(range(lo, hi)), base + lo))
         return Response.text("".join(records))
 
     @sage_error_boundary

@@ -5,9 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import SAGeConfig
 from repro.genomics import datasets
 from repro.genomics.reads import ReadSet
 from repro.genomics.simulator import ReadSimulator, short_read_profile
+
+#: Every optional container section switched on and off — the sweep of
+#: the ``byte_size() == len(to_bytes())`` tests.
+SIZE_CONFIGS = (
+    SAGeConfig(),
+    SAGeConfig(with_headers=True, preserve_order=True),
+    SAGeConfig(with_quality=False, tuned_indel_lengths=True),
+)
 
 
 @pytest.fixture(scope="session")

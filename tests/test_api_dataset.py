@@ -8,8 +8,8 @@ import pytest
 from repro.api import (CallableSink, EngineOptions, SAGeDataset,
                        available_sinks, make_sink, register_sink,
                        unregister_sink)
-from repro.core import (OptLevel, SAGeArchive, SAGeCompressor, SAGeConfig,
-                        compress_blocked)
+from repro.core import (INFLIGHT_PER_WORKER, OptLevel, SAGeArchive,
+                        SAGeCompressor, SAGeConfig, compress_blocked)
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import partition_reads
@@ -45,7 +45,6 @@ class TestEngineOptions:
         options = EngineOptions()
         assert options.workers == 1
         assert options.backend == "auto"
-        assert options.prefetch is None
         assert not options.blocked
         assert options.level is OptLevel.O4
 
@@ -53,10 +52,9 @@ class TestEngineOptions:
         (dict(workers=0), "workers"),
         (dict(workers=-3), "workers"),
         (dict(backend="gpu"), "backend"),
-        (dict(prefetch=0), "prefetch"),
+        (dict(level=7), "level"),
         (dict(block_reads=-1), "block_reads"),
         (dict(level="O9"), "level"),
-        (dict(level=7), "level"),
     ])
     def test_validation_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -72,7 +70,7 @@ class TestEngineOptions:
         assert EngineOptions(block_reads=64).effective_block_reads == 64
 
     def test_window(self):
-        assert EngineOptions(workers=3, prefetch=2).window == 6
+        assert EngineOptions(workers=3).window == 3 * INFLIGHT_PER_WORKER
         assert EngineOptions().window >= 1
 
     def test_replace_revalidates(self):
@@ -139,6 +137,23 @@ class TestFacadeCompression:
         assert ds.archive.level is OptLevel.O1
         assert ds.archive.block(0).quality is None
 
+    def test_config_with_overlapping_option_is_rejected(self, rs3_small):
+        # config= replaces the derived compressor config, so an option
+        # it also carries would be dropped without a word.
+        for field, value in (("level", "O1"), ("with_quality", False),
+                             ("long_reads", True)):
+            with pytest.raises(ValueError, match=field):
+                SAGeDataset.from_fastq(
+                    rs3_small.read_set, reference=rs3_small.reference,
+                    options=EngineOptions(**{field: value}),
+                    config=SAGeConfig(with_headers=True))
+        # Session-only fields still combine with config.
+        ds = SAGeDataset.from_fastq(
+            rs3_small.read_set, reference=rs3_small.reference,
+            options=EngineOptions(block_reads=BLOCK_READS, codec="python"),
+            config=SAGeConfig(with_headers=True))
+        assert ds.n_blocks > 1
+
 
 class TestFacadeSessions:
     def test_save_open_roundtrip(self, tmp_path, dataset, rs3_small):
@@ -182,8 +197,10 @@ class TestFacadeStreaming:
 
     def test_parallel_blocks_identical(self, dataset):
         serial = list(dataset.blocks())
-        parallel = list(dataset.blocks(
-            options=EngineOptions(workers=2, block_reads=BLOCK_READS)))
+        sibling = SAGeDataset(
+            dataset.archive, decompressor=dataset.decompressor(),
+            options=EngineOptions(workers=2, block_reads=BLOCK_READS))
+        parallel = list(sibling.blocks())
         text = "".join(fastq.format_read(r, 0)
                        for s in serial for r in s)
         assert text == "".join(fastq.format_read(r, 0)

@@ -366,23 +366,23 @@ class TestInspectFormatVersion:
 
 
 class TestBenchEncode:
-    def test_compress_mapper_flag(self, workdir, capsys):
+    def test_compress_mapper_flag(self, workdir, capsys, monkeypatch):
+        # The mapper kernel is the operator's env switch, not a flag.
         out_py = workdir / "m_py.sage"
         out_np = workdir / "m_np.sage"
+        monkeypatch.setenv("SAGE_MAPPER", "python")
         assert main(["compress", str(workdir / "reads.fastq"),
-                     str(workdir / "ref.txt"), str(out_py),
-                     "--mapper", "python"]) == 0
+                     str(workdir / "ref.txt"), str(out_py)]) == 0
+        monkeypatch.setenv("SAGE_MAPPER", "numpy")
         assert main(["compress", str(workdir / "reads.fastq"),
-                     str(workdir / "ref.txt"), str(out_np),
-                     "--mapper", "numpy"]) == 0
+                     str(workdir / "ref.txt"), str(out_np)]) == 0
         assert out_py.read_bytes() == out_np.read_bytes()
-
-    def test_unknown_mapper_exits(self, workdir):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compress", str(workdir / "reads.fastq"),
-                  str(workdir / "ref.txt"), str(workdir / "x.sage"),
-                  "--mapper", "simd"])
-        assert excinfo.value.code == 2  # usage error
+        for flag in ("--mapper", "--codec"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["compress", str(workdir / "reads.fastq"),
+                      str(workdir / "ref.txt"), str(workdir / "x.sage"),
+                      flag, "python"])
+            assert excinfo.value.code == 2  # usage error
 
 
 class TestVerifySalvage:

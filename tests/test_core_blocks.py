@@ -20,7 +20,7 @@ from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
 from repro.mapping.mapper import MapperConfig
 
-from tests.conftest import read_multiset
+from tests.conftest import SIZE_CONFIGS, read_multiset
 
 BLOCK_READS = 9  # deliberately small: forces several partial blocks
 BLOCKED = EngineOptions(block_reads=BLOCK_READS)
@@ -206,12 +206,16 @@ class TestContainerCompat:
         assert SAGeArchive.from_bytes(blob).to_bytes() == blob
 
     def test_byte_size_tracks_blob(self, families):
-        sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
-        blob = archive.to_bytes()
-        assert abs(len(blob) - archive.byte_size()) \
-            <= 0.05 * len(blob) + 64
+        # Exact, not approximate: the multi-block half of the matrix in
+        # test_core_container.py (index entries, per-block framing).
+        for sim in (families["short"], families["chimeric"]):
+            for config in SIZE_CONFIGS:
+                built = compress_blocked(sim.read_set, sim.reference,
+                                         config, options=BLOCKED)
+                assert built.n_blocks > 1
+                for archive in (built, SAGeArchive.from_bytes(
+                        built.to_bytes(version=3))):
+                    assert archive.byte_size() == len(archive.to_bytes())
 
 
 class TestBlockedHardwarePath:

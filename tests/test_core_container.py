@@ -6,6 +6,8 @@ from repro.core import SAGeCompressor, SAGeConfig
 from repro.core.container import (ContainerError, CorruptArchiveError,
                                   SAGeArchive, TruncatedArchiveError)
 
+from tests.conftest import SIZE_CONFIGS
+
 
 @pytest.fixture(scope="module")
 def archive(rs3_small):
@@ -45,11 +47,17 @@ class TestSerialization:
         assert back.quality.payload == quality.payload
         assert back.quality.n_scores == quality.n_scores
 
-    def test_byte_size_tracks_blob(self, archive):
-        blob = archive.to_bytes()
-        # byte_size() is an accounting estimate; it must be within a few
-        # percent of the actual serialized size.
-        assert abs(len(blob) - archive.byte_size()) < 0.05 * len(blob) + 64
+    def test_byte_size_tracks_blob(self, rs3_small, rs4_small):
+        # byte_size() re-derives the writer's layout by hand (tab02
+        # reports it): it must equal the serialized size exactly, for
+        # every optional section and for both container versions.
+        for sim in (rs3_small, rs4_small):
+            for config in SIZE_CONFIGS:
+                built = SAGeCompressor(sim.reference, config) \
+                    .compress(sim.read_set)
+                for archive in (built, SAGeArchive.from_bytes(
+                        built.to_bytes(version=3))):
+                    assert archive.byte_size() == len(archive.to_bytes())
 
 
 class TestValidation:

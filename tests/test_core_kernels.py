@@ -330,6 +330,24 @@ class TestRegistry:
         cfg = EngineOptions(codec="python").compressor_config()
         assert cfg.codec == "python"
 
+    def test_decoder_resolves_its_kernel_once(self, rs3_small,
+                                              monkeypatch):
+        archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
+            .compress(rs3_small.read_set)
+        monkeypatch.setenv("SAGE_CODEC", "python")
+        decoder = SAGeDecompressor(archive, codec="auto")
+        assert decoder.codec == "python"
+        # Resolved at construction: a later env change cannot switch
+        # the kernel mid-archive, and a bad name fails here, not at the
+        # first block.
+        monkeypatch.setenv("SAGE_CODEC", "bogus")
+        assert decoder.codec in available_kernels()
+        decoder.decompress()
+        with pytest.raises(ValueError, match="unknown codec"):
+            SAGeDecompressor(archive, codec="auto")
+        with pytest.raises(ValueError, match="unknown codec"):
+            SAGeDecompressor(archive, codec="fpga")
+
 
 # ----------------------------------------------------------------------
 # Cross-kernel fuzz: byte-identical archives, identical reads, both ways

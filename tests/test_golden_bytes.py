@@ -31,9 +31,12 @@ def _sha(data: bytes) -> str:
 
 
 def _fastq_sha(dataset: SAGeDataset, **options) -> str:
+    """FASTQ digest of a sibling session with ``options`` replaced."""
+    sibling = SAGeDataset(dataset.archive,
+                          options=dataset.options.replace(**options),
+                          decompressor=dataset.decompressor())
     buffer = io.StringIO()
-    dataset.to_fastq(buffer,
-                     options=dataset.options.replace(**options))
+    sibling.to_fastq(buffer)
     return _sha(buffer.getvalue().encode("ascii"))
 
 

@@ -311,6 +311,40 @@ class TestOptionsThreadingEdges:
                         f"{path.relative_to(src)}:{node.lineno}")
         assert offenders == []
 
+    def test_options_and_kernel_are_decided_once(self):
+        """A session fixes its options and a decoder its kernel: under
+        ``src/`` only the session constructors (and the executor
+        factory they feed) take ``options``, only
+        ``SAGeDecompressor.__init__`` takes ``codec``, and the front
+        ends (``cli.py``, ``serve/``) do not mention a codec at all."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        session_entry = {"__init__", "from_fastq", "open", "_make_executor"}
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            text = path.read_text()
+            where = str(path.relative_to(src))
+            front_end = where == "repro/cli.py" \
+                or where.startswith("repro/serve/")
+            if front_end and "codec" in text:
+                offenders.append(f"{where}: mentions codec")
+            for owner in ast.walk(ast.parse(text)):
+                owner_name = getattr(owner, "name", "")
+                for node in ast.iter_child_nodes(owner):
+                    if not isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                        continue
+                    args = node.args
+                    params = {a.arg for a in (args.posonlyargs + args.args
+                                              + args.kwonlyargs)}
+                    if "codec" in params and (owner_name, node.name) != (
+                            "SAGeDecompressor", "__init__"):
+                        offenders.append(f"{where}:{node.lineno} codec=")
+                    if "options" in params \
+                            and owner_name in ("SAGeDataset", "Pipeline") \
+                            and node.name not in session_entry:
+                        offenders.append(f"{where}:{node.lineno} options=")
+        assert offenders == []
+
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):

@@ -8,8 +8,8 @@ import pytest
 from repro.analysis import analyze
 from repro.analysis.variants import call_variants, pileup
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import (SAGeArchive, SAGeCompressor, SAGeConfig,
-                        SAGeDecompressor, compress_blocked)
+from repro.core import (INFLIGHT_PER_WORKER, SAGeArchive, SAGeCompressor,
+                        SAGeConfig, SAGeDecompressor, compress_blocked)
 from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
                                      MappingRateSink, PropertySink,
@@ -60,11 +60,12 @@ class TestStreamExecutor:
 
     def test_bounded_inflight(self, blocked):
         executor = StreamExecutor(
-            blocked, options=EngineOptions(workers=2, prefetch=1))
+            blocked, options=EngineOptions(workers=2))
         for _ in executor:
             pass
         stats = executor.stats
         assert stats.blocks == blocked.n_blocks
+        assert executor.window == 2 * INFLIGHT_PER_WORKER
         assert 1 <= stats.peak_inflight <= executor.window
         # The window is smaller than the archive: the dataset was
         # never fully in flight at once.
@@ -103,8 +104,6 @@ class TestStreamExecutor:
             EngineOptions(workers=0)
         with pytest.raises(ValueError):
             EngineOptions(backend="gpu")
-        with pytest.raises(ValueError):
-            EngineOptions(prefetch=0)
         with pytest.raises(ValueError):
             StreamExecutor(blocked).run()
 

@@ -15,6 +15,7 @@ import pytest
 from repro.api import EngineOptions, SAGeDataset
 from repro.genomics import fastq
 from repro.serve import ArchiveServer, ServeClient
+from repro.serve.server import REQUEST_OPTION_KEYS
 
 BLOCK_READS = 24
 
@@ -155,12 +156,27 @@ class TestEndpoints:
                          "options": {"workers": -3}})
         assert status == 400
 
-    def test_codec_override_byte_identical(self, client):
-        assert client.get_text("/block/0?codec=python") == \
-            client.get_text("/block/0?codec=numpy")
-
-    def test_bad_codec_400(self, client):
-        assert client.get("/block/0?codec=fortran")[0] == 400
+    def test_request_overrides_run_on_a_sibling_session(
+            self, client, served_archive):
+        # What /analyze does with its overrides: a sibling session over
+        # the parent's archive and decoder, byte-identical to it.
+        with SAGeDataset.open(served_archive["path"]) as parent:
+            sibling = SAGeDataset(
+                parent.archive, decompressor=parent.decompressor(),
+                options=parent.options.replace(workers=2))
+            buffer = io.StringIO()
+            sibling.to_fastq(buffer)
+            assert buffer.getvalue() == served_archive["fastq"]
+            assert sibling.decompressor() is parent.decompressor()
+        # The kernel is the operator's choice, not a request's.
+        assert len(REQUEST_OPTION_KEYS) == 6
+        status, info = client.post_json(
+            "/analyze", {"sinks": ["mapping-rate"],
+                         "options": {"codec": "python"}})
+        assert status == 400
+        assert "unknown option" in info["error"]
+        assert client.get_text("/block/0?codec=fortran") \
+            == client.get_text("/block/0")
 
     def test_stats_shape(self, client):
         client.get_text("/block/0")
