@@ -9,7 +9,7 @@ Run:  python examples/dataset_properties.py
 
 import numpy as np
 
-from repro import EngineOptions, SAGeDataset
+from repro import SAGeConfig, SAGeDataset
 from repro.analysis import analyze
 from repro.genomics import datasets
 
@@ -56,7 +56,7 @@ def property_report(label: str, base_genome: int) -> None:
     # What Algorithm 1 does with those distributions:
     archive = SAGeDataset.from_fastq(
         sim.read_set, reference=sim.reference,
-        options=EngineOptions(with_quality=False)).archive
+        config=SAGeConfig(with_quality=False)).archive
     print("Algorithm 1 tuned bit-width classes:")
     for key, table in archive.block(0).tables.items():
         print(f"  {key:<6} widths={table.widths}")

@@ -12,7 +12,7 @@ Run:  python examples/reference_free.py
 
 import numpy as np
 
-from repro import EngineOptions, SAGeDataset
+from repro import SAGeConfig, SAGeDataset
 from repro.genomics.simulator import ReadSimulator, short_read_profile
 from repro.mapping.consensus import denovo_consensus
 
@@ -33,9 +33,9 @@ def main() -> None:
           f"(donor genome was {result.donor.sequence.size:,})")
 
     # Compress against it — the facade takes any consensus array.
-    options = EngineOptions(with_quality=False)
+    config = SAGeConfig(with_quality=False)
     dataset = SAGeDataset.from_fastq(read_set, reference=consensus,
-                                     options=options)
+                                     config=config)
     archive = dataset.archive
     cr = read_set.total_bases / archive.dna_byte_size()
     print(f"DNA compression ratio (reference-free): {cr:.1f}x "
@@ -49,7 +49,7 @@ def main() -> None:
     # Reference mode for comparison.
     ref_archive = SAGeDataset.from_fastq(read_set,
                                          reference=result.reference,
-                                         options=options).archive
+                                         config=config).archive
     ref_cr = read_set.total_bases / ref_archive.dna_byte_size()
     print(f"with the true reference instead: {ref_cr:.1f}x")
 

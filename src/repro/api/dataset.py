@@ -6,10 +6,12 @@ preceding it (§7).  ``SAGeDataset`` is the single stable entry point
 the CLI, examples, benchmarks and the server sit on:
 
     from repro.api import EngineOptions, SAGeDataset
+    from repro.core import SAGeConfig
 
     options = EngineOptions(block_reads=4096, workers=4)
     dataset = SAGeDataset.from_fastq("in.fastq", reference="ref.txt",
-                                     options=options)
+                                     options=options,
+                                     config=SAGeConfig(with_headers=True))
     dataset.save("reads.sage")
 
     with SAGeDataset.open("reads.sage", options=options) as ds:
@@ -19,7 +21,11 @@ the CLI, examples, benchmarks and the server sit on:
 
 Everything executes on the engines underneath — the block compressor,
 the streaming executor, the reference decompressor — which take the
-session's one :class:`EngineOptions` and nothing else.  A session fixes
+session's one :class:`EngineOptions` and nothing else.  What the archive
+bytes are is stated once, on the :class:`SAGeConfig` given to
+:meth:`SAGeDataset.from_fastq`; ``options`` only say how the session
+runs (``block_reads`` alone partitions, ``workers`` never changes a
+byte).  A session fixes
 its options and its decode kernel when it is built: no method takes
 ``options=`` or ``codec=``.  A caller that wants other options over the
 same archive opens a sibling session,
@@ -37,13 +43,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..core.blocks import BlockCompressor
-from ..core.compressor import SAGeCompressor, SAGeConfig
+from ..core.compressor import SAGeConfig
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
 from ..core.options import EngineOptions
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
-from ..genomics.reads import Read, ReadSet
+from ..genomics.reads import Read, ReadSet, partition_reads
 from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
     FastqSink, Sink, StreamExecutor
 from .sinks import resolve_sink
@@ -163,30 +169,24 @@ class SalvageReport:
                           "error": gap.message} for gap in self.gaps]}
 
 
-def _totals_of(read_set: ReadSet) -> SourceTotals:
-    return SourceTotals(reads=len(read_set),
-                        bases=read_set.total_bases,
-                        fastq_bytes=read_set.uncompressed_fastq_bytes())
-
-
 def _compress_stream(chunks: Iterable[ReadSet], consensus: np.ndarray,
                      config: SAGeConfig, options: EngineOptions
                      ) -> tuple[SAGeArchive, SourceTotals]:
     """Block-compress ``chunks`` (one block each), counting the input."""
-    counted = {"reads": 0, "bases": 0, "fastq": 0}
+    reads = bases = fastq_bytes = 0
 
     def accounted() -> Iterator[ReadSet]:
+        nonlocal reads, bases, fastq_bytes
         for chunk in chunks:
-            counted["reads"] += len(chunk)
-            counted["bases"] += chunk.total_bases
-            counted["fastq"] += chunk.uncompressed_fastq_bytes()
+            reads += len(chunk)
+            bases += chunk.total_bases
+            fastq_bytes += chunk.uncompressed_fastq_bytes()
             yield chunk
 
     archive = BlockCompressor(consensus, config, options=options) \
         .compress(accounted())
-    return archive, SourceTotals(reads=counted["reads"],
-                                 bases=counted["bases"],
-                                 fastq_bytes=counted["fastq"])
+    return archive, SourceTotals(reads=reads, bases=bases,
+                                 fastq_bytes=fastq_bytes)
 
 
 def _as_consensus(reference) -> np.ndarray:
@@ -241,50 +241,37 @@ class SAGeDataset:
                    config: SAGeConfig | None = None) -> "SAGeDataset":
         """Compress ``source`` against ``reference`` into a dataset.
 
-        ``source`` may be a FASTQ file path (streamed, never
-        materialized when blocking), a :class:`ReadSet`, or an iterable
-        of pre-chunked :class:`ReadSet` blocks (each chunk becomes one
-        independently decodable block).  ``reference`` is an array of
-        consensus base codes or a path to an ACGT text file.  ``config``
-        replaces the :class:`SAGeConfig` derived from ``options``, so it
-        cannot be combined with a non-default ``level``,
-        ``with_quality`` or ``long_reads`` on ``options`` (the fields
-        both carry): that call raises :class:`ValueError`.
+        ``source`` may be a FASTQ file path, a :class:`ReadSet`, or an
+        iterable of pre-chunked :class:`ReadSet` blocks.  All three
+        become one chunk stream — the whole input as one block when
+        ``options.block_reads`` is ``0``, ``block_reads``-sized chunks
+        otherwise (a path is then streamed, never materialized), a
+        caller's chunks as they come — and each chunk becomes one
+        independently decodable block, so the same reads under the same
+        partition give the same bytes whatever the source kind or
+        ``options.workers``.  ``reference`` is an array of consensus
+        base codes or a path to an ACGT text file.
+
+        ``config`` (default :class:`SAGeConfig`) states the format:
+        level, quality, long-read mode, headers, order.  ``options``
+        carry none of that; their ``codec`` / ``mapper`` kernel names
+        are stamped onto the config unless ``"auto"``
+        (:meth:`EngineOptions.compressor_config`).
         """
         options = options if options is not None else EngineOptions()
-        if config is not None:
-            defaults = EngineOptions()
-            for name in ("level", "with_quality", "long_reads"):
-                if getattr(options, name) != getattr(defaults, name):
-                    raise ValueError(
-                        f"options.{name} would be ignored: config= "
-                        f"replaces the compressor config, set {name} on "
-                        f"the SAGeConfig instead")
         consensus = _as_consensus(reference)
-        cfg = config if config is not None else options.compressor_config()
-        totals: SourceTotals | None = None
-
+        n = options.block_reads
+        chunks: Iterable[ReadSet]
         if isinstance(source, ReadSet):
-            totals = _totals_of(source)
-            if options.blocked:
-                archive = BlockCompressor(consensus, cfg,
-                                          options=options).compress(source)
-            else:
-                archive = SAGeCompressor(consensus, cfg).compress(source)
+            chunks = partition_reads(iter(source), n, name=source.name) \
+                if n else [source]
         elif isinstance(source, (str, Path)):
-            if options.blocked:
-                archive, totals = _compress_stream(
-                    fastq.iter_read_sets(source,
-                                         options.effective_block_reads),
-                    consensus, cfg, options)
-            else:
-                read_set = fastq.read_file(source)
-                totals = _totals_of(read_set)
-                archive = SAGeCompressor(consensus, cfg).compress(read_set)
+            chunks = fastq.iter_read_sets(source, n) if n \
+                else [fastq.read_file(source)]
         else:
-            # Pre-chunked stream: one block per yielded ReadSet.
-            archive, totals = _compress_stream(source, consensus, cfg,
-                                               options)
+            chunks = source
+        archive, totals = _compress_stream(
+            chunks, consensus, options.compressor_config(config), options)
         return cls(archive, options=options, source_totals=totals)
 
     @classmethod

@@ -5,18 +5,18 @@ from __future__ import annotations
 
 from ..core.container import STREAM_NAMES, BlockIndexEntry, SAGeArchive
 from ..core.errors import SAGeError
-from ..core.options import EngineOptions
 from .dataset import SAGeDataset
 
 __all__ = ["describe"]
 
 
-def _block_info(archive: SAGeArchive, index: int,
-                entry: BlockIndexEntry) -> dict:
-    """Per-block metadata: read counts + compressed section sizes.
+def _block_info(archive: SAGeArchive, index: int, entry: BlockIndexEntry
+                ) -> tuple[dict, tuple[int, int, int] | None]:
+    """Per-block metadata (read counts + compressed section sizes) and
+    the block's :meth:`~repro.core.container.SAGeBlock.section_nbytes`.
 
     A damaged block reports its error instead of killing the whole
-    description.
+    description, and has no section sizes.
     """
     info = {"index": index, "n_reads": entry.n_reads,
             "bytes": entry.nbytes, "offset": entry.offset,
@@ -25,7 +25,7 @@ def _block_info(archive: SAGeArchive, index: int,
         blk = archive.block(index)
     except SAGeError as exc:
         info["error"] = str(exc)
-        return info
+        return info, None
     finally:
         # Keep the walk's memory at one parsed block: with an
         # mmap-backed archive it re-reads payload bytes from the page
@@ -51,7 +51,7 @@ def _block_info(archive: SAGeArchive, index: int,
         "stream_bits": {name: bits for name, (_, bits)
                         in sorted(blk.streams.items())},
     })
-    return info
+    return info, blk.section_nbytes()
 
 
 def describe(dataset: SAGeDataset) -> dict:
@@ -72,20 +72,16 @@ def describe(dataset: SAGeDataset) -> dict:
     damaged = False
     blocks_info = []
     for i, entry in enumerate(archive.block_index()):
-        block_info = _block_info(archive, i, entry)
+        block_info, nbytes = _block_info(archive, i, entry)
         blocks_info.append(block_info)
-        if "error" in block_info:
+        if nbytes is None:
             damaged = True
             continue
-        sections = block_info["sections"]
-        dna_byte_size += sections["meta_bytes"]
         for name, bits in block_info["stream_bits"].items():
             stream_totals[name] += bits
-            dna_byte_size += 8 + (bits + 7) // 8     # framing + payload
-        if sections["has_quality"]:
-            extra_bytes += sections["quality_bytes"] + 10
-        if sections["has_headers"]:
-            extra_bytes += sections["headers_bytes"] + 5
+        dna, quality, headers = nbytes
+        dna_byte_size += dna
+        extra_bytes += quality + headers
     if damaged:
         # A damaged block breaks every archive-wide sum.
         stream_totals = {name: None if name != "consensus" else bits
@@ -95,16 +91,13 @@ def describe(dataset: SAGeDataset) -> dict:
         byte_size = dna_byte_size + extra_bytes
     try:
         first = archive.block(0)
-        options_echo = EngineOptions.from_archive(archive).to_dict()
     except SAGeError:
-        first = options_echo = None   # block 0 is damaged; degrade below
+        first = None   # block 0 is damaged; degrade below
     info = {
-        "version": archive.source_version,
         "format_version": archive.source_version,
         "integrity": dataset.verify().status,
         "header_crc32": archive.header_crc32(),
         "consensus_crc32": archive.consensus_crc32(),
-        "options": options_echo,
         "level": archive.level.name,
         "n_reads": archive.n_reads,
         "n_mapped": archive.n_mapped,

@@ -7,8 +7,7 @@ Subcommands::
     sage decompress input.sage output.fastq [--workers N]
     sage cat        input.sage [--block I] [--output out.fastq]
                     [--workers N]
-    sage analyze    input.sage [--workers N] [--sink NAME ...]
-                    [--mapping-rate] [--json]
+    sage analyze    input.sage [--workers N] [--sink NAME ...] [--json]
     sage inspect    input.sage [--json]
     sage verify     input.sage [--deep] [--json] [--workers N]
     sage salvage    input.sage output.fastq [--workers N] [--json]
@@ -21,19 +20,22 @@ The consensus file is plain ACGT text (a reference genome); ``simulate``
 writes one alongside the FASTQ so the two commands compose.
 
 Every command is a thin shell over the :class:`repro.api.SAGeDataset`
-facade: flags build one :class:`repro.api.EngineOptions` (validated in
-one place), ``compress`` is ``SAGeDataset.from_fastq(...).save(...)``,
-the consume-side commands are ``SAGeDataset.open(...)`` sessions.
+facade: session flags (``--workers``, ``--block-reads``) build one
+:class:`repro.api.EngineOptions` (validated in one place), the format
+flags of ``compress`` (``--level``, ``--no-quality``) build its
+:class:`repro.core.SAGeConfig`, ``compress`` is
+``SAGeDataset.from_fastq(...).save(...)``, the consume-side commands are
+``SAGeDataset.open(...)`` sessions.
 ``--block-reads M`` partitions the input into independently decodable
 blocks of ``M`` reads (the container's random-access unit) and
-streams the FASTQ instead of loading it whole; ``--workers N``
-compresses/decodes blocks on ``N`` processes with a bounded in-flight
-window, byte-identical for every ``N`` at a given ``--block-reads``.
+streams the FASTQ instead of loading it whole (``0``, the default, is
+one block); ``--workers N`` compresses/decodes blocks on ``N`` processes
+with a bounded in-flight window, byte-identical for every ``N``.
 ``sage cat --block I`` decodes a single block without touching the rest
 of the archive; ``sage analyze`` runs
 named sinks from the facade's registry (``--sink property --sink
-mapping-rate``) directly off an archive, using the archive's own
-consensus as the reference.
+mapping-rate``, default ``property``) directly off an archive, using
+the archive's own consensus as the reference.
 
 No flag picks a kernel: archives and decodes are byte-identical across
 them, so the operator's switch is the environment (``$SAGE_CODEC`` for
@@ -52,7 +54,7 @@ from pathlib import Path
 
 from .api import (EngineOptions, SAGeDataset, available_sinks, describe,
                   result_info)
-from .core import OptLevel, SAGeError
+from .core import OptLevel, SAGeConfig, SAGeError
 from .genomics import datasets, fastq
 from .genomics import sequence as seqmod
 
@@ -79,16 +81,17 @@ def _engine_options(**kwargs) -> EngineOptions:
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     options = _engine_options(workers=args.workers,
-                              block_reads=args.block_reads,
-                              level=args.level,
-                              with_quality=not args.no_quality)
+                              block_reads=args.block_reads)
+    config = SAGeConfig(level=OptLevel[args.level],
+                        with_quality=not args.no_quality)
     dataset = SAGeDataset.from_fastq(args.input,
                                      reference=args.consensus,
-                                     options=options)
+                                     options=options, config=config)
     nbytes = dataset.save(args.output)
     totals = dataset.source_totals
     archive = dataset.archive
-    block_note = f", {archive.n_blocks} blocks" if options.blocked else ""
+    block_note = f", {archive.n_blocks} blocks" \
+        if options.block_reads else ""
     dna = max(1, archive.dna_byte_size())
     print(f"{args.input}: {totals.fastq_bytes} B -> {nbytes} B "
           f"(ratio {totals.fastq_bytes / nbytes:.2f}, "
@@ -145,18 +148,9 @@ def _print_property_text(info: dict) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     options = _engine_options(workers=args.workers)
-    sink_names = list(args.sink or [])
-    if args.mapping_rate:
-        if sink_names:
-            raise _usage_exit("--mapping-rate and --sink are mutually "
-                              "exclusive (use --sink mapping-rate)")
-        sink_names = ["mapping-rate"]
+    sink_names = args.sink or ["property"]
     if len(set(sink_names)) != len(sink_names):
         raise _usage_exit("duplicate --sink names")
-    # Without --sink the historical single-report layout is kept.
-    legacy_layout = not args.sink
-    if not sink_names:
-        sink_names = ["property"]
     with SAGeDataset.open(args.input, options=options) as dataset:
         try:
             # Only sink *resolution* is a usage error; failures inside
@@ -177,22 +171,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                    "bytes_shipped": stats.bytes_shipped,
                    "streams_decoded": dict(stats.streams_decoded),
                    "stream_bits_total": stats.stream_bits_total}
-
-    if legacy_layout:
-        info = infos[sink_names[0]]
-        info["stream"] = stream_info
-        if args.json:
-            print(json.dumps(info, indent=2, sort_keys=True))
-            return 0
-        print(f"{args.input}: {info['n_reads']} reads in "
-              f"{stats.blocks} block(s), "
-              f"mapping rate {info['mapping_rate']:.1%} "
-              f"({info['n_unmapped']} unmapped)")
-        if not args.mapping_rate:
-            _print_property_text(info)
-        print(f"peak in-flight blocks: {stats.peak_inflight} "
-              f"(workers={args.workers})")
-        return 0
 
     if args.json:
         print(json.dumps({"input": args.input, "sinks": infos,
@@ -372,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-quality", action="store_true")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for block compression (the "
-                        "archive is byte-identical for every N at a "
-                        "given --block-reads; N > 1 without "
-                        "--block-reads partitions into default-sized "
-                        "blocks)")
+                        "archive is byte-identical for every N)")
     p.add_argument("--block-reads", type=int, default=0,
                    help="reads per independently decodable block "
-                        "(0 = single-block archive)")
+                        "(0 = single-block archive); alone decides "
+                        "the partition")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress to FASTQ")
@@ -409,11 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sink", action="append", default=None,
                    metavar="NAME",
                    help="named sink from the facade registry "
-                        f"(repeatable; registered: "
+                        f"(repeatable, default property; registered: "
                         f"{', '.join(available_sinks())})")
-    p.add_argument("--mapping-rate", action="store_true",
-                   help="only measure the mapping rate (shorthand for "
-                        "--sink mapping-rate with the classic layout)")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     p.set_defaults(func=_cmd_analyze)
@@ -422,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON metadata "
-                        "(includes format_version, checksums, an "
-                        "integrity summary and an options echo)")
+                        "(includes format_version, checksums and an "
+                        "integrity summary)")
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("verify",

@@ -2,8 +2,7 @@
 
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
-from .blocks import (BlockCompressor, compress_blocked, imap_bounded,
-                     partition_reads)
+from .blocks import BlockCompressor, imap_bounded, partition_reads
 from .compressor import CompressionError, SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
@@ -27,7 +26,7 @@ __all__ = [
     "BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
     "BlockCompressor",
     "STREAM_GROUPS", "StreamSelection", "decoded_stream_bits",
-    "compress_blocked", "imap_bounded",
+    "imap_bounded",
     "partition_reads", "CompressionError", "SAGeCompressor", "SAGeConfig",
     "BlockIndexEntry", "ContainerError", "SAGeArchive",
     "SAGeBlock", "DecompressionError", "SAGeDecompressor",

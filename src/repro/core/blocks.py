@@ -3,7 +3,8 @@
 SAGe's hardware gets its throughput from striping *independent* archive
 sections across SSD channels and decoding them in parallel (§5.3–5.4).
 This module is the software analog: a read stream is partitioned into
-blocks of ``block_reads`` reads, each block is compressed independently
+blocks of ``options.block_reads`` reads (``0`` = one block; a caller's
+pre-chunked stream is taken as is), each block is compressed independently
 by :meth:`SAGeCompressor.compress_block
 <repro.core.compressor.SAGeCompressor.compress_block>`, and the
 resulting :class:`~repro.core.container.SAGeBlock` sections are
@@ -28,6 +29,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -38,8 +40,7 @@ from .compressor import SAGeCompressor, SAGeConfig
 from .container import SAGeArchive, SAGeBlock
 from .options import EngineOptions
 
-__all__ = ["BlockCompressor", "compress_blocked", "imap_bounded",
-           "partition_reads"]
+__all__ = ["BlockCompressor", "imap_bounded", "partition_reads"]
 
 
 #: The worker process's compressor, built once by the pool initializer
@@ -113,7 +114,7 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
 
 
 class BlockCompressor:
-    """Compresses a read stream into a multi-block archive.
+    """Compresses a read stream into an archive of one or more blocks.
 
     Parameters
     ----------
@@ -127,10 +128,10 @@ class BlockCompressor:
         archive.
     options:
         :class:`~repro.core.options.EngineOptions` supplying the block
-        partition size (``effective_block_reads``) and compression
-        ``workers``.  ``1`` worker keeps everything in-process (the
-        deterministic reference path); higher values use a
-        :class:`concurrent.futures.ProcessPoolExecutor` and produce a
+        partition size (``block_reads``; ``0`` = one block) and
+        compression ``workers``.  ``1`` worker keeps everything
+        in-process (the deterministic reference path); higher values use
+        a :class:`concurrent.futures.ProcessPoolExecutor` and produce a
         byte-identical archive.
     """
 
@@ -141,7 +142,7 @@ class BlockCompressor:
         self.consensus = np.asarray(consensus, dtype=np.uint8)
         self.config = config or SAGeConfig()
         self.options = options
-        self.block_reads = options.effective_block_reads
+        self.block_reads = options.block_reads
         self.workers = options.workers
         self._compressor = SAGeCompressor(self.consensus, self.config)
 
@@ -153,17 +154,19 @@ class BlockCompressor:
         """Compress a read set or a stream of pre-chunked read sets.
 
         A :class:`ReadSet` is partitioned into ``block_reads``-sized
-        blocks; any other iterable is treated as already chunked — each
-        yielded :class:`ReadSet` becomes one block (the contract of
-        :func:`repro.genomics.fastq.iter_read_sets`).
+        blocks (one block when ``block_reads`` is ``0``); any other
+        iterable is treated as already chunked — each yielded
+        :class:`ReadSet` becomes one block (the contract of
+        :func:`repro.genomics.fastq.iter_read_sets`).  The header
+        records ``block_reads`` as given either way.
         """
+        name = ""
+        chunks: Iterable[ReadSet] = reads
         if isinstance(reads, ReadSet):
             name = reads.name
-            chunks: Iterable[ReadSet] = partition_reads(
-                iter(reads), self.block_reads, name=name)
-        else:
-            name = ""
-            chunks = reads
+            chunks = partition_reads(iter(reads), self.block_reads,
+                                     name=name) \
+                if self.block_reads else [reads]
         blocks, name = self._compress_chunks(chunks, name)
         archive = self._compressor.assemble(blocks, name=name)
         archive.block_reads = self.block_reads     # header field only
@@ -196,6 +199,11 @@ class BlockCompressor:
 
     def _compress_parallel(self,
                            chunks: Iterator[ReadSet]) -> list[SAGeBlock]:
+        head = list(islice(chunks, 2))
+        if len(head) < 2:
+            # One block: nothing to parallelise, so no pool is started.
+            return [self._compressor.compress_block(c) for c in head]
+        chunks = chain(head, chunks)
         try:
             executor = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=_init_worker,
@@ -209,16 +217,3 @@ class BlockCompressor:
         with executor:
             return list(imap_bounded(executor, _compress_chunk_pooled,
                                      chunks, self.options.window))
-
-
-def compress_blocked(reads: ReadSet | Iterable[ReadSet],
-                     consensus: np.ndarray,
-                     config: SAGeConfig | None = None, *,
-                     options: EngineOptions | None = None) -> SAGeArchive:
-    """One-shot convenience wrapper around :class:`BlockCompressor`.
-
-    Always partitions the input (``options.block_reads == 0``
-    means :data:`~repro.core.options.DEFAULT_BLOCK_READS`).
-    """
-    return BlockCompressor(consensus, config, options=options) \
-        .compress(reads)

@@ -50,7 +50,9 @@ RAW_COUNT_BITS = 16
 
 @dataclass
 class SAGeConfig:
-    """Compression configuration."""
+    """Compression configuration: the one place an archive's format is
+    stated (:class:`~repro.core.options.EngineOptions` says how the
+    session runs and carries none of these but the two kernel names)."""
 
     level: OptLevel = OptLevel.O4
     with_quality: bool = True

@@ -194,6 +194,19 @@ class SAGeBlock:
         self._write_meta(writer)
         return len(writer.getvalue())
 
+    def section_nbytes(self) -> tuple[int, int, int]:
+        """Serialized ``(dna, quality, headers)`` section sizes, framing
+        included: what :meth:`serialize` writes for the block header
+        plus array streams, the quality blob, and the header blob (``0``
+        for an absent section).  Their sum is ``len(serialize())``."""
+        dna = self.meta_nbytes() + sum(
+            8 + len(self.streams[name][0]) for name in BLOCK_STREAM_NAMES)
+        quality = 10 + self.quality.byte_size \
+            if self.quality is not None else 0
+        headers = 5 + len(self.headers_blob) \
+            if self.headers_blob is not None else 0
+        return dna, quality, headers
+
     def serialize(self) -> bytes:
         """Render the block as an independently decodable payload."""
         writer = BitWriter()
@@ -621,25 +634,16 @@ class SAGeArchive:
     def dna_byte_size(self) -> int:
         """Compressed size of the DNA payload: :meth:`byte_size` minus
         the quality and read-header sections, to the byte."""
-        total = self.header_bytes_estimate() + len(self.consensus[0])
-        for blk in self._parsed_blocks():
-            for name in BLOCK_STREAM_NAMES:
-                _, bits = blk.streams[name]
-                total += 8 + (bits + 7) // 8         # framing + payload
-        return total
+        return self.header_fixed_nbytes() + len(self.consensus[0]) \
+            + sum(blk.section_nbytes()[0] for blk in self._parsed_blocks())
 
     def byte_size(self) -> int:
         """Total archive size including quality and header streams:
         exactly ``len(self.to_bytes())``, computed from the layout
         without serializing (``tests/test_core_container.py`` and
         ``tests/test_core_blocks.py`` hold it to equality)."""
-        total = self.dna_byte_size()
-        for blk in self._parsed_blocks():
-            if blk.quality is not None:
-                total += blk.quality.byte_size + 10
-            if blk.headers_blob is not None:
-                total += len(blk.headers_blob) + 5
-        return total
+        return self.header_fixed_nbytes() + len(self.consensus[0]) \
+            + sum(sum(blk.section_nbytes()) for blk in self._parsed_blocks())
 
     # ------------------------------------------------------------------
     # Serialization

@@ -8,6 +8,12 @@ all take ``options=`` and nothing else.  All validation happens here, in
 ``__post_init__`` — bad values fail at the API boundary with a clear
 :class:`ValueError` instead of deep inside a worker pool.
 
+The options say how a session *runs*; what the archive bytes *are*
+(optimization level, quality, long-read mode, headers, order, …) is
+stated on :class:`~repro.core.compressor.SAGeConfig` and nowhere else.
+The only meanings both objects carry are the two kernel names, and
+:meth:`EngineOptions.compressor_config` is the one rule relating them.
+
 The module sits below the engines it configures (it imports no engine
 and nothing from :mod:`repro.api`), so ``core`` and ``pipeline`` import
 it at module level; ``repro.api.EngineOptions`` is this class.
@@ -22,16 +28,16 @@ from typing import Any
 from ..mapping.batch import available_mappers
 from .compressor import SAGeConfig
 from .kernels import available_kernels
-from .mismatch import OptLevel
 from .selection import STREAM_GROUPS, StreamSelection
 
 __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
            "ON_ERROR", "EngineOptions"]
 
-#: Default reads-per-block partition size.  Matches the order of the
-#: paper's per-channel section granularity: large enough that Algorithm-1
-#: tuning sees representative statistics, small enough that a block is a
-#: useful unit of random access and parallelism.
+#: Reads per batch the analytical pipeline model
+#: (:func:`repro.pipeline.endtoend.batches_for_dataset`) assumes for a
+#: dataset that exists only as a model.  Matches the order of the paper's
+#: per-channel section granularity.  No compress path substitutes it:
+#: ``EngineOptions.block_reads`` alone decides an archive's partition.
 DEFAULT_BLOCK_READS = 4096
 
 #: Submitted-but-unfinished blocks kept in flight per worker: the one
@@ -57,25 +63,19 @@ class EngineOptions:
     ----------
     workers:
         Worker processes for block compression / parallel block decode.
-        ``1`` is the serial reference path; for a given ``block_reads``
-        every value produces byte-identical output (with the default
-        ``block_reads=0``, ``workers > 1`` switches compression to
-        :data:`DEFAULT_BLOCK_READS`-sized blocks, a different archive).
+        ``1`` is the serial reference path; every value produces
+        byte-identical output (a one-block archive has nothing to
+        parallelise and is compressed and decoded serially).
     backend:
         Decode backend, one of :data:`BACKENDS`
         (``auto`` picks ``serial`` for one worker, ``process``
         otherwise).
     block_reads:
-        Reads per independently decodable block when compressing.
-        ``0`` writes a one-block archive unless ``workers``
-        forces blocking (then :data:`DEFAULT_BLOCK_READS` applies).
-    level:
-        Optimization level (an :class:`OptLevel` or its name, e.g.
-        ``"O4"``).
-    long_reads:
-        Force the long-read encoding paths (``None`` = auto-detect).
-    with_quality:
-        Keep quality scores when compressing.
+        Reads per independently decodable block when compressing: ``0``
+        writes a one-block archive, ``N > 0`` partitions the input into
+        ``N``-read blocks.  Nothing else decides the partition (a
+        caller's pre-chunked stream is taken as is), and the archive
+        header records this value verbatim.
     codec:
         Codec kernel for the array-stream encode/decode hot path, one
         of :func:`repro.core.kernels.available_kernels` (``python`` =
@@ -120,9 +120,6 @@ class EngineOptions:
     workers: int = 1
     backend: str = "auto"
     block_reads: int = 0
-    level: OptLevel | str = OptLevel.O4
-    long_reads: bool | None = None
-    with_quality: bool = True
     codec: str = "auto"
     mapper: str = "auto"
     on_error: str = "raise"
@@ -131,18 +128,6 @@ class EngineOptions:
     streams: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.level, str):
-            try:
-                object.__setattr__(self, "level", OptLevel[self.level])
-            except KeyError:
-                names = [lvl.name for lvl in OptLevel]
-                raise ValueError(
-                    f"unknown optimization level {self.level!r}; "
-                    f"expected one of {names}") from None
-        elif not isinstance(self.level, OptLevel):
-            raise ValueError(
-                f"level must be an OptLevel or its name, "
-                f"got {self.level!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.backend not in BACKENDS:
@@ -190,14 +175,9 @@ class EngineOptions:
     # ------------------------------------------------------------------
 
     @property
-    def blocked(self) -> bool:
-        """Whether compression should produce a multi-block archive."""
-        return self.block_reads > 0 or self.workers > 1
-
-    @property
     def effective_block_reads(self) -> int:
-        """Reads per block once blocking is decided (never 0)."""
-        return self.block_reads or DEFAULT_BLOCK_READS
+        """Alias of :attr:`block_reads` (the name ``bench/`` reads)."""
+        return self.block_reads
 
     @property
     def window(self) -> int:
@@ -208,46 +188,18 @@ class EngineOptions:
         """A copy with ``changes`` applied (re-validated)."""
         return dataclasses.replace(self, **changes)
 
-    def compressor_config(self, **overrides: Any) -> SAGeConfig:
-        """A :class:`SAGeConfig` reflecting these options.
+    def compressor_config(self, config: SAGeConfig | None = None
+                          ) -> SAGeConfig:
+        """``config`` (default :class:`SAGeConfig`) on this session's
+        kernels: a copy whose ``codec`` / ``mapper_kernel`` are replaced
+        by :attr:`codec` / :attr:`mapper` unless those are ``"auto"``.
 
-        Only the fields EngineOptions carries are set; everything else
-        keeps the :class:`SAGeConfig` defaults (override via kwargs).
+        The one rule relating the two objects' kernel names — what the
+        session asked for wins, what it left open stays the config's.
         """
-        kwargs: dict[str, Any] = dict(
-            level=self.level, with_quality=self.with_quality,
-            long_reads=self.long_reads, codec=self.codec,
-            mapper_kernel=self.mapper)
-        kwargs.update(overrides)
-        return SAGeConfig(**kwargs)
-
-    @classmethod
-    def from_archive(cls, archive: Any) -> "EngineOptions":
-        """The options an existing archive reflects (``inspect`` echo).
-
-        Session-only knobs (workers/backend/...) keep their
-        defaults; the archive-recorded ones (level, block partition,
-        long-read mode, quality presence) are read back.
-        """
-        return cls(block_reads=archive.block_reads, level=archive.level,
-                   long_reads=archive.long_reads,
-                   with_quality=archive.block(0).quality is not None)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly rendering (``sage inspect --json`` echo)."""
-        return {
-            "workers": self.workers,
-            "backend": self.backend,
-            "block_reads": self.block_reads,
-            "level": self.level.name,
-            "long_reads": self.long_reads,
-            "with_quality": self.with_quality,
-            "codec": self.codec,
-            "mapper": self.mapper,
-            "on_error": self.on_error,
-            "block_retries": self.block_retries,
-            "block_timeout": self.block_timeout,
-            "streams": list(self.streams) if self.streams is not None
-            else None,
-        }
-
+        kernels: dict[str, Any] = {}
+        if self.codec != "auto":
+            kernels["codec"] = self.codec
+        if self.mapper != "auto":
+            kernels["mapper_kernel"] = self.mapper
+        return dataclasses.replace(config or SAGeConfig(), **kernels)

@@ -41,9 +41,9 @@ __all__ = ["ArchiveServer", "DEFAULT_CACHE_BYTES", "REQUEST_OPTION_KEYS"]
 DEFAULT_CACHE_BYTES = 64 << 20
 
 #: EngineOptions fields a single ``/analyze`` request may override.
-#: Everything else shapes *encoding* (level, with_quality, block_reads,
-#: ...) or picks a byte-identical kernel, which the operator does once
-#: for the whole server, and stays server-side.
+#: The rest partitions the write path (block_reads) or picks a
+#: byte-identical kernel, which the operator does once for the whole
+#: server, and stays server-side.
 REQUEST_OPTION_KEYS = frozenset({
     "workers", "backend", "on_error", "block_retries", "block_timeout",
     "streams",

@@ -8,8 +8,8 @@ import pytest
 from repro.api import (CallableSink, EngineOptions, SAGeDataset,
                        available_sinks, make_sink, register_sink,
                        unregister_sink)
-from repro.core import (INFLIGHT_PER_WORKER, OptLevel, SAGeArchive,
-                        SAGeCompressor, SAGeConfig, compress_blocked)
+from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, OptLevel,
+                        SAGeArchive, SAGeCompressor, SAGeConfig)
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import partition_reads
@@ -45,28 +45,30 @@ class TestEngineOptions:
         options = EngineOptions()
         assert options.workers == 1
         assert options.backend == "auto"
-        assert not options.blocked
-        assert options.level is OptLevel.O4
+        assert options.block_reads == 0
 
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(workers=0), "workers"),
         (dict(workers=-3), "workers"),
         (dict(backend="gpu"), "backend"),
-        (dict(level=7), "level"),
+        (dict(on_error="explode"), "on_error"),
         (dict(block_reads=-1), "block_reads"),
-        (dict(level="O9"), "level"),
     ])
     def test_validation_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             EngineOptions(**kwargs)
 
-    def test_level_accepts_name(self):
-        assert EngineOptions(level="O2").level is OptLevel.O2
+    @pytest.mark.parametrize("kwargs", [
+        dict(level="O1"), dict(with_quality=False), dict(long_reads=True)])
+    def test_format_fields_are_not_options(self, kwargs):
+        # What the bytes are is stated on SAGeConfig, nowhere else.
+        with pytest.raises(TypeError):
+            EngineOptions(**kwargs)
 
-    def test_blocked_derivation(self):
-        assert EngineOptions(block_reads=64).blocked
-        assert EngineOptions(workers=4).blocked
-        assert EngineOptions(workers=4).effective_block_reads > 0
+    def test_block_reads_alone_partitions(self):
+        # workers never turns a one-block archive into a partitioned one.
+        assert EngineOptions(workers=4).block_reads == 0
+        assert EngineOptions(workers=4).effective_block_reads == 0
         assert EngineOptions(block_reads=64).effective_block_reads == 64
 
     def test_window(self):
@@ -80,19 +82,17 @@ class TestEngineOptions:
             options.replace(workers=0)
 
     def test_compressor_config(self):
-        options = EngineOptions(level="O2", with_quality=False,
-                                long_reads=True)
-        config = options.compressor_config()
+        # The one rule relating the two objects: a named kernel is
+        # stamped onto (a copy of) the config, "auto" leaves it alone.
+        assert EngineOptions().compressor_config() == SAGeConfig()
+        given = SAGeConfig(level=OptLevel.O2, codec="python",
+                           mapper_kernel="python")
+        assert EngineOptions().compressor_config(given) == given
+        config = EngineOptions(codec="numpy", mapper="numpy") \
+            .compressor_config(given)
+        assert (config.codec, config.mapper_kernel) == ("numpy", "numpy")
         assert config.level is OptLevel.O2
-        assert config.with_quality is False
-        assert config.long_reads is True
-
-    def test_from_archive_echo(self, dataset):
-        echo = EngineOptions.from_archive(dataset.archive)
-        assert echo.block_reads == BLOCK_READS
-        assert echo.level is OptLevel.O4
-        assert echo.with_quality is True
-        assert echo.to_dict()["level"] == "O4"
+        assert given.codec == "python"          # never mutated
 
 
 class TestFacadeCompression:
@@ -106,8 +106,9 @@ class TestFacadeCompression:
 
     def test_blocked_byte_identical_to_legacy(self, rs3_small, dataset,
                                               blocked_options):
-        legacy = compress_blocked(rs3_small.read_set, rs3_small.reference,
-                                  options=blocked_options)
+        legacy = BlockCompressor(rs3_small.reference,
+                                 options=blocked_options) \
+            .compress(rs3_small.read_set)
         assert dataset.to_bytes() == legacy.to_bytes()
         assert dataset.n_blocks > 2
 
@@ -129,6 +130,8 @@ class TestFacadeCompression:
                                     reference=rs3_small.reference)
         assert ds.n_blocks == len(chunks)
         assert ds.source_totals.reads == len(rs3_small.read_set)
+        # The header records options.block_reads, not a size nobody chose.
+        assert ds.archive.block_reads == 0
 
     def test_config_overrides_options(self, rs3_small):
         ds = SAGeDataset.from_fastq(
@@ -138,21 +141,70 @@ class TestFacadeCompression:
         assert ds.archive.block(0).quality is None
 
     def test_config_with_overlapping_option_is_rejected(self, rs3_small):
-        # config= replaces the derived compressor config, so an option
-        # it also carries would be dropped without a word.
+        # Nothing can conflict: the format fields exist on SAGeConfig
+        # only, so stating one on the options fails at construction.
         for field, value in (("level", "O1"), ("with_quality", False),
                              ("long_reads", True)):
-            with pytest.raises(ValueError, match=field):
-                SAGeDataset.from_fastq(
-                    rs3_small.read_set, reference=rs3_small.reference,
-                    options=EngineOptions(**{field: value}),
-                    config=SAGeConfig(with_headers=True))
-        # Session-only fields still combine with config.
+            with pytest.raises(TypeError, match=field):
+                EngineOptions(**{field: value})
+        # Session fields combine with config.
         ds = SAGeDataset.from_fastq(
             rs3_small.read_set, reference=rs3_small.reference,
             options=EngineOptions(block_reads=BLOCK_READS, codec="python"),
             config=SAGeConfig(with_headers=True))
         assert ds.n_blocks > 1
+
+    def test_config_keeps_the_session_kernels(self, rs3_small):
+        # config= states the format; the kernels the session named
+        # still reach the engine (a config handed over verbatim would
+        # drop options.codec / options.mapper without a word).
+        from repro.mapping import batch
+
+        def batch_mapped_reads(**kwargs):
+            batch.reset_stats()
+            SAGeDataset.from_fastq(rs3_small.read_set,
+                                   reference=rs3_small.reference, **kwargs)
+            return batch.GLOBAL_STATS.reads
+
+        n_reads = len(rs3_small.read_set)
+        assert batch_mapped_reads(
+            options=EngineOptions(mapper="numpy")) == n_reads
+        assert batch_mapped_reads(
+            options=EngineOptions(mapper="python"),
+            config=SAGeConfig(with_headers=True)) == 0
+        # A kernel the session left open stays the config's.
+        assert batch_mapped_reads(
+            config=SAGeConfig(mapper_kernel="python")) == 0
+
+
+class TestOneWritePath:
+    """``block_reads`` alone partitions; ``workers`` and the source kind
+    never change a byte."""
+
+    @pytest.mark.parametrize("block_reads", [0, 64])
+    def test_bytes_depend_on_the_partition_only(self, block_reads,
+                                                rs3_small, fastq_dir):
+        path = fastq_dir / "reads.fastq"
+        reads = fastq.read_file(path)
+        n_blocks = -(-len(reads) // block_reads) if block_reads else 1
+        sources = {
+            "read_set": lambda: reads,
+            "path": lambda: path,
+            "chunks": lambda: partition_reads(
+                iter(reads), block_reads or len(reads)),
+        }
+        blobs = set()
+        for make_source in sources.values():
+            for workers in (1, 2):
+                ds = SAGeDataset.from_fastq(
+                    make_source(), reference=rs3_small.reference,
+                    options=EngineOptions(workers=workers,
+                                          block_reads=block_reads))
+                assert ds.n_blocks == n_blocks
+                assert ds.archive.block_reads == block_reads
+                assert ds.source_totals.reads == len(reads)
+                blobs.add(ds.to_bytes())
+        assert len(blobs) == 1
 
 
 class TestFacadeSessions:

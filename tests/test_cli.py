@@ -86,6 +86,12 @@ class TestBlockedCompress:
         assert main(base + [str(four), "--block-reads", "16",
                             "--workers", "4"]) == 0
         assert one.read_bytes() == four.read_bytes()
+        # ...and without --block-reads: still the one-block archive.
+        assert main(base + [str(one)]) == 0
+        assert main(base + [str(four), "--workers", "4"]) == 0
+        assert one.read_bytes() == four.read_bytes()
+        with SAGeDataset.open(four) as dataset:
+            assert dataset.n_blocks == 1
 
 
 class TestDecompressWorkers:
@@ -135,20 +141,22 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(blocked), "--workers", "2",
                      "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"input", "sinks", "stream"}
+        [info] = out["sinks"].values()          # default: property
         assert info["n_reads"] == len(rs3_small.read_set)
         assert info["n_mapped"] + info["n_unmapped"] == info["n_reads"]
         assert 0.0 < info["mapping_rate"] <= 1.0
         assert sum(info["mismatch_count_hist"]) == info["n_mapped"]
-        assert info["stream"]["blocks"] > 1
-        assert info["stream"]["peak_inflight_blocks"] >= 1
+        assert out["stream"]["blocks"] > 1
+        assert out["stream"]["peak_inflight_blocks"] >= 1
 
     def test_mapping_rate_only(self, blocked, rs3_small, capsys):
         import json
         capsys.readouterr()
-        assert main(["analyze", str(blocked), "--mapping-rate",
+        assert main(["analyze", str(blocked), "--sink", "mapping-rate",
                      "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
+        [info] = json.loads(capsys.readouterr().out)["sinks"].values()
         assert info["n_reads"] == len(rs3_small.read_set)
         assert "mismatch_count_hist" not in info
 
@@ -156,7 +164,7 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", str(blocked)]) == 0
         out = capsys.readouterr().out
-        assert "mapping rate" in out
+        assert "[property]" in out and "mapping rate" in out
         assert "peak in-flight blocks" in out
 
 
@@ -236,7 +244,11 @@ class TestInspectJson:
         capsys.readouterr()
         assert main(["inspect", str(archive), "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["version"] == 4
+        assert info["format_version"] == 4
+        # Each fact once: no duplicate version key, no options echo.
+        assert "version" not in info and "options" not in info
+        assert info["block_reads"] == 16
+        assert info["quality"] is True
         assert info["integrity"] == "ok"
         assert info["level"] == "O4"
         assert info["n_blocks"] > 1
@@ -340,29 +352,6 @@ class TestAnalyzeSinks:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", str(blocked), "--sink", "nope"])
         assert excinfo.value.code == 2  # usage error
-
-    def test_sink_and_mapping_rate_conflict(self, blocked):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(blocked), "--sink", "property",
-                  "--mapping-rate"])
-        assert excinfo.value.code == 2  # usage error
-
-
-class TestInspectFormatVersion:
-    def test_v4_format_version_and_options_echo(self, workdir, capsys):
-        import json
-        archive = workdir / "reads.sage"
-        main(["compress", str(workdir / "reads.fastq"),
-              str(workdir / "ref.txt"), str(archive),
-              "--block-reads", "16"])
-        capsys.readouterr()
-        assert main(["inspect", str(archive), "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert info["format_version"] == 4
-        options = info["options"]
-        assert options["block_reads"] == 16
-        assert options["level"] == "O4"
-        assert options["with_quality"] is True
 
 
 class TestBenchEncode:

@@ -11,8 +11,7 @@ import pytest
 
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
-                        SAGeConfig, SAGeDecompressor, compress_blocked,
-                        partition_reads)
+                        SAGeConfig, SAGeDecompressor, partition_reads)
 from repro.core.container import (BLOCK_STREAM_NAMES, ContainerError,
                                   SAGeArchive)
 from repro.genomics.reads import ReadSet
@@ -56,8 +55,8 @@ class TestRoundtrips:
                                               level):
         sim = families[family]
         config = SAGeConfig(level=level)
-        archive = compress_blocked(sim.read_set, sim.reference, config,
-                                   options=BLOCKED)
+        archive = BlockCompressor(sim.reference, config, options=BLOCKED) \
+            .compress(sim.read_set)
         assert archive.n_blocks > 1
         back = SAGeArchive.from_bytes(archive.to_bytes())
         decoded = SAGeDataset(back).read_set()
@@ -66,8 +65,8 @@ class TestRoundtrips:
     def test_preserve_order_restores_global_order(self, families):
         sim = families["short"]
         config = SAGeConfig(preserve_order=True)
-        archive = compress_blocked(sim.read_set, sim.reference, config,
-                                   options=BLOCKED)
+        archive = BlockCompressor(sim.reference, config, options=BLOCKED) \
+            .compress(sim.read_set)
         decoded = SAGeDataset(
             SAGeArchive.from_bytes(archive.to_bytes())).read_set()
         assert len(decoded) == len(sim.read_set)
@@ -78,9 +77,9 @@ class TestRoundtrips:
         """Blocks may disagree on fixed-length/long-read flags."""
         mixed = ReadSet(list(families["short"].read_set)
                         + list(families["long"].read_set), name="mixed")
-        archive = compress_blocked(mixed, families["short"].reference,
-                                   SAGeConfig(),
-                                   options=EngineOptions(block_reads=40))
+        archive = BlockCompressor(
+            families["short"].reference, SAGeConfig(),
+            options=EngineOptions(block_reads=40)).compress(mixed)
         decoded = SAGeDataset(
             SAGeArchive.from_bytes(archive.to_bytes())).read_set()
         assert read_multiset(decoded) == read_multiset(mixed)
@@ -90,8 +89,9 @@ class TestParallelDeterminism:
     def test_parallel_matches_serial_bytes(self, families):
         sim = families["short"]
         serial, parallel = (
-            compress_blocked(sim.read_set, sim.reference, SAGeConfig(),
-                             options=BLOCKED.replace(workers=workers))
+            BlockCompressor(sim.reference, SAGeConfig(),
+                            options=BLOCKED.replace(workers=workers))
+            .compress(sim.read_set)
             .to_bytes() for workers in (1, 4))
         assert serial == parallel
 
@@ -99,8 +99,9 @@ class TestParallelDeterminism:
         sim = families["long"]
         mapper = MapperConfig()
         config = SAGeConfig(mapper=mapper)
-        compress_blocked(sim.read_set, sim.reference, config,
-                         options=BLOCKED.replace(workers=2))
+        BlockCompressor(sim.reference, config,
+                        options=BLOCKED.replace(workers=2)) \
+            .compress(sim.read_set)
         assert mapper == MapperConfig()
 
 
@@ -108,8 +109,8 @@ class TestRandomAccess:
     @pytest.fixture(scope="class")
     def loaded(self, families):
         sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
+        archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=BLOCKED).compress(sim.read_set)
         chunks = list(partition_reads(iter(sim.read_set), BLOCK_READS))
         return SAGeArchive.from_bytes(archive.to_bytes()), chunks
 
@@ -184,8 +185,8 @@ class TestContainerCompat:
 
     def test_blocked_archive_refuses_v2(self, families):
         sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
+        archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=BLOCKED).compress(sim.read_set)
         with pytest.raises(ContainerError):
             archive.to_bytes(version=2)
 
@@ -201,8 +202,8 @@ class TestContainerCompat:
 
     def test_roundtrip_is_byte_stable(self, families):
         sim = families["short"]
-        blob = compress_blocked(sim.read_set, sim.reference, SAGeConfig(),
-                                options=BLOCKED).to_bytes()
+        blob = BlockCompressor(sim.reference, SAGeConfig(), options=BLOCKED) \
+            .compress(sim.read_set).to_bytes()
         assert SAGeArchive.from_bytes(blob).to_bytes() == blob
 
     def test_byte_size_tracks_blob(self, families):
@@ -210,8 +211,9 @@ class TestContainerCompat:
         # test_core_container.py (index entries, per-block framing).
         for sim in (families["short"], families["chimeric"]):
             for config in SIZE_CONFIGS:
-                built = compress_blocked(sim.read_set, sim.reference,
-                                         config, options=BLOCKED)
+                built = BlockCompressor(sim.reference, config,
+                                        options=BLOCKED) \
+                    .compress(sim.read_set)
                 assert built.n_blocks > 1
                 for archive in (built, SAGeArchive.from_bytes(
                         built.to_bytes(version=3))):
@@ -224,8 +226,8 @@ class TestBlockedHardwarePath:
     @pytest.fixture(scope="class")
     def blocked(self, families):
         sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
+        archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=BLOCKED).compress(sim.read_set)
         return sim, archive
 
     def test_hardware_model_decodes_blocked(self, blocked):
@@ -267,13 +269,33 @@ class TestBlockedHardwarePath:
 class TestEngineEdges:
     def test_empty_input_yields_one_empty_block(self, families):
         sim = families["short"]
-        archive = compress_blocked(ReadSet([]), sim.reference,
-                                   SAGeConfig())
-        assert archive.n_blocks == 1
-        assert archive.n_reads == 0
-        decoded = SAGeDecompressor(
-            SAGeArchive.from_bytes(archive.to_bytes())).decompress()
-        assert len(decoded) == 0
+        # One empty chunk (block_reads=0) or an empty partition.
+        for options in (EngineOptions(), BLOCKED):
+            archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                      options=options).compress(ReadSet([]))
+            assert archive.n_blocks == 1
+            assert archive.n_reads == 0
+            decoded = SAGeDecompressor(
+                SAGeArchive.from_bytes(archive.to_bytes())).decompress()
+            assert len(decoded) == 0
+
+    def test_one_block_starts_no_pool(self, families, monkeypatch):
+        """``workers`` is pure speed: with one block there is nothing to
+        parallelise, so the bytes are the serial ones and no process
+        pool is started for them."""
+        from repro.core import blocks
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one block")
+
+        sim = families["short"]
+        serial = BlockCompressor(sim.reference).compress(sim.read_set)
+        monkeypatch.setattr(blocks, "ProcessPoolExecutor", no_pool)
+        pooled = BlockCompressor(sim.reference,
+                                 options=EngineOptions(workers=4)) \
+            .compress(sim.read_set)
+        assert pooled.n_blocks == 1
+        assert pooled.to_bytes() == serial.to_bytes()
 
     def test_prechunked_stream_one_block_per_chunk(self, families):
         sim = families["short"]
@@ -281,6 +303,10 @@ class TestEngineEdges:
         archive = BlockCompressor(sim.reference,
                                   SAGeConfig()).compress(iter(chunks))
         assert archive.n_blocks == len(chunks)
+        # The header records options.block_reads as given — here the
+        # default 0, not a partition size nobody chose.
+        assert archive.block_reads == 0
+        assert SAGeArchive.from_bytes(archive.to_bytes()).block_reads == 0
 
     def test_invalid_parameters_rejected(self, families):
         sim = families["short"]
@@ -293,8 +319,8 @@ class TestEngineEdges:
 
     def test_breakdown_counts_consensus_once(self, families):
         sim = families["short"]
-        blocked = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
+        blocked = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=BLOCKED).compress(sim.read_set)
         flat = SAGeCompressor(sim.reference,
                               SAGeConfig()).compress(sim.read_set)
         assert blocked.breakdown.get("consensus") \
@@ -309,11 +335,12 @@ class TestEngineEdges:
         config = SAGeConfig(preserve_order=True, with_headers=True)
         one_shot = SAGeCompressor(sim.reference,
                                   config).compress(sim.read_set)
-        one_block = compress_blocked(
-            sim.read_set, sim.reference, config,
-            options=EngineOptions(block_reads=len(sim.read_set)))
-        blocked = compress_blocked(sim.read_set, sim.reference, config,
-                                   options=BLOCKED)
+        one_block = BlockCompressor(
+            sim.reference, config,
+            options=EngineOptions(block_reads=len(sim.read_set))) \
+            .compress(sim.read_set)
+        blocked = BlockCompressor(sim.reference, config, options=BLOCKED) \
+            .compress(sim.read_set)
         assert blocked.n_blocks > 1 and one_block.n_blocks == 1
         for archive in (one_shot, one_block, blocked):
             owned = sum(
@@ -328,8 +355,8 @@ class TestEngineEdges:
 
     def test_block_streams_exclude_consensus(self, families):
         sim = families["short"]
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(), options=BLOCKED)
+        archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=BLOCKED).compress(sim.read_set)
         for i in range(archive.n_blocks):
             assert set(archive.block(i).streams) \
                 == set(BLOCK_STREAM_NAMES)

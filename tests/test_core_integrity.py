@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.api import EngineOptions
-from repro.core import SAGeCompressor, SAGeConfig, compress_blocked
+from repro.core import BlockCompressor, SAGeCompressor, SAGeConfig
 from repro.core.bitio import BitIOError
 from repro.core.container import SAGeArchive
 from repro.core.decompressor import SAGeDecompressor
@@ -17,9 +17,9 @@ from repro.core.errors import (BlockDecodeError, ContainerError,
 @pytest.fixture(scope="module")
 def blocked(rs3_small):
     """A blocked archive plus its serialized v4 blob."""
-    archive = compress_blocked(rs3_small.read_set, rs3_small.reference,
-                               SAGeConfig(),
-                               options=EngineOptions(block_reads=24))
+    archive = BlockCompressor(rs3_small.reference, SAGeConfig(),
+                              options=EngineOptions(block_reads=24)) \
+        .compress(rs3_small.read_set)
     return archive, archive.to_bytes()
 
 

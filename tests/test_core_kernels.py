@@ -549,7 +549,8 @@ class TestFallbackHeaderNaming:
     def test_blocked_fallback_headers_sequential(self, rs3_small):
         dataset = SAGeDataset.from_fastq(
             rs3_small.read_set, reference=rs3_small.reference,
-            options=EngineOptions(block_reads=32, with_quality=False))
+            options=EngineOptions(block_reads=32),
+            config=SAGeConfig(with_quality=False))
         headers = [r.header for r in dataset.reads()]
         name = rs3_small.read_set.name or "sage"
         assert headers == [f"{name}.{i}" for i in range(len(headers))]

@@ -73,11 +73,10 @@ class TestHardwareModel:
 class TestHardwareVerify:
     @pytest.fixture(scope="class")
     def blocked(self, rs3_small):
-        from repro.core import SAGeArchive, compress_blocked
-        archive = compress_blocked(rs3_small.read_set,
-                                   rs3_small.reference,
-                                   SAGeConfig(),
-                                   options=EngineOptions(block_reads=16))
+        from repro.core import BlockCompressor, SAGeArchive
+        archive = BlockCompressor(rs3_small.reference, SAGeConfig(),
+                                  options=EngineOptions(block_reads=16)) \
+            .compress(rs3_small.read_set)
         return SAGeArchive.from_bytes(archive.to_bytes())
 
     def test_verify_against_serial_decoder(self, archive):

@@ -345,6 +345,38 @@ class TestOptionsThreadingEdges:
                         offenders.append(f"{where}:{node.lineno} options=")
         assert offenders == []
 
+    def test_format_and_session_are_stated_once(self):
+        """``SAGeConfig`` says what the bytes are, ``EngineOptions`` how
+        the session runs, ``block_reads`` alone partitions, and the
+        facade has one write path."""
+        from dataclasses import fields
+
+        from repro.core import SAGeConfig
+        from repro.core.options import EngineOptions
+
+        # ``mapper`` is a name clash (kernel name here, the
+        # ``MapperConfig`` there); the two shared *meanings* are
+        # ``codec`` and ``mapper`` <-> ``mapper_kernel``, related by
+        # ``EngineOptions.compressor_config`` and nothing else.
+        assert {f.name for f in fields(EngineOptions)} \
+            & {f.name for f in fields(SAGeConfig)} == {"codec", "mapper"}
+        assert len(fields(EngineOptions)) == 9
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        facade = (src / "repro/api/dataset.py").read_text()
+        assert facade.count(".compress(") == 1
+        assert "SAGeCompressor" not in facade
+        banned = {"blocked", "compress_blocked"}
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {getattr(node, field, None)
+                         for field in ("id", "attr", "arg", "name")}
+                if names & banned:
+                    offenders.append(
+                        f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
+
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):

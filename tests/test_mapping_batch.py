@@ -221,9 +221,6 @@ class TestMapperRegistry:
         cfg = EngineOptions(mapper="python").compressor_config()
         assert cfg.mapper_kernel == "python"
 
-    def test_options_to_dict(self):
-        assert EngineOptions().to_dict()["mapper"] == "auto"
-
 
 # ----------------------------------------------------------------------
 # Shared k-mer index: one build per archive

@@ -261,12 +261,12 @@ class TestEndToEnd:
     def test_batches_derive_from_block_structure(self, models, pcie):
         """n_batches comes from the real archive block count when given."""
         from repro.api import EngineOptions
-        from repro.core import SAGeConfig, compress_blocked
+        from repro.core import BlockCompressor, SAGeConfig
         from repro.genomics import datasets
         sim = datasets.generate("RS3", base_genome=4_000)
-        archive = compress_blocked(sim.read_set, sim.reference,
-                                   SAGeConfig(),
-                                   options=EngineOptions(block_reads=16))
+        archive = BlockCompressor(sim.reference, SAGeConfig(),
+                                  options=EngineOptions(block_reads=16)) \
+            .compress(sim.read_set)
         assert batches_from_archive(archive) == archive.n_blocks
         result = evaluate("SAGe", models["RS2"], pcie, archive=archive)
         timeline = result.pipeline.stage("io")

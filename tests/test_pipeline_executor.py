@@ -8,8 +8,8 @@ import pytest
 from repro.analysis import analyze
 from repro.analysis.variants import call_variants, pileup
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import (INFLIGHT_PER_WORKER, SAGeArchive, SAGeCompressor,
-                        SAGeConfig, SAGeDecompressor, compress_blocked)
+from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, SAGeArchive,
+                        SAGeCompressor, SAGeConfig, SAGeDecompressor)
 from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
                                      MappingRateSink, PropertySink,
@@ -23,9 +23,10 @@ BLOCK_READS = 16
 @pytest.fixture(scope="module")
 def blocked(rs3_small):
     """A multi-block archive round-tripped through bytes."""
-    archive = compress_blocked(rs3_small.read_set, rs3_small.reference,
-                               SAGeConfig(),
-                               options=EngineOptions(block_reads=BLOCK_READS))
+    archive = BlockCompressor(
+        rs3_small.reference, SAGeConfig(),
+        options=EngineOptions(block_reads=BLOCK_READS)) \
+        .compress(rs3_small.read_set)
     loaded = SAGeArchive.from_bytes(archive.to_bytes())
     assert loaded.n_blocks > 2
     return loaded
