@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.bitio import BitReader, BitWriter
 from . import lz77
-from .huffman import HuffmanTable
+from ..core.huffman import HuffmanTable
 
 #: pigz default block size.
 BLOCK_SIZE = 128 * 1024

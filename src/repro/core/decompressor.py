@@ -21,6 +21,7 @@ the ``on_error`` policy) is :class:`repro.pipeline.executor.StreamExecutor`.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -143,15 +144,15 @@ class SAGeDecompressor:
         qualities: list[np.ndarray | None] = [None] * n_reads
         if select.quality and blk.quality is not None:
             scores = quality_codec.decompress(blk.quality)
-            offset = 0
-            for i, read_codes in enumerate(codes):
-                n = read_codes.size
-                qualities[i] = scores[offset:offset + n].astype(np.uint8)
-                offset += n
-            if offset != scores.size:
+            ends = list(accumulate(read_codes.size for read_codes in codes))
+            needed = ends[-1] if ends else 0
+            if needed != scores.size:
                 raise DecompressionError(
                     f"quality stream has {scores.size} scores, reads "
-                    f"need {offset}")
+                    f"need {needed}")
+            # Each read's scores are a view of the block's one array.
+            qualities = [scores[start:end]
+                         for start, end in zip([0] + ends, ends)]
         name = arch.name or "sage"
         indices = self._emission_order(blk) \
             if arch.preserve_order and select.order else range(n_reads)

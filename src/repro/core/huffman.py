@@ -7,7 +7,9 @@ shared between the Spring analog and SAGe (§5.1.5: SAGe reuses the same
 quality compression as Spring's lossless mode).
 
 Encoding is vectorized through string join + ``np.packbits``; decoding
-uses a flat lookup table indexed by the next ``PEEK_BITS`` bits.
+is a flat lookup table indexed by the ``PEEK_BITS`` bits at *every* bit
+offset of the stream at once, plus pointer jumping to find which of
+those offsets start a symbol (:meth:`HuffmanTable.decode`).
 """
 
 from __future__ import annotations
@@ -17,14 +19,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitio import BitReader, BitWriter
+from .bitio import BitReader, BitWriter
+from .errors import CorruptArchiveError, DecompressionError
 
 #: Lookup-table width for fast decoding; also the maximum code length.
 PEEK_BITS = 15
 
+#: Symbols between two decode anchors: the serial part of a decode is
+#: one hop per ``2**ANCHOR_DOUBLINGS`` symbols, the rest is gathers.
+ANCHOR_DOUBLINGS = 6
 
-class HuffmanError(ValueError):
-    """Raised on invalid Huffman tables or streams."""
+#: Right shifts that cut the ``PEEK_BITS``-bit peek at each of the 8 bit
+#: phases of a byte out of the 24-bit window starting at that byte.
+_PHASE_SHIFTS = np.arange(24 - PEEK_BITS, 24 - PEEK_BITS - 8, -1,
+                          dtype=np.int32)
+
+
+class HuffmanError(CorruptArchiveError, DecompressionError):
+    """An invalid Huffman table or a damaged Huffman stream.
+
+    Carries the name of the stream and the byte offset of the damage
+    when the caller supplied them (:meth:`HuffmanTable.decode`).
+    """
 
 
 def code_lengths_from_counts(counts: np.ndarray,
@@ -140,7 +156,9 @@ class HuffmanTable:
 
     def _decode_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(symbol, length) lookup tables indexed by PEEK_BITS-bit peek."""
-        sym_tab = np.zeros(1 << PEEK_BITS, dtype=np.int32)
+        sym_tab = np.zeros(
+            1 << PEEK_BITS,
+            dtype=np.uint8 if self.alphabet_size <= 256 else np.uint16)
         len_tab = np.zeros(1 << PEEK_BITS, dtype=np.int8)
         for sym in range(self.alphabet_size):
             length = int(self.lengths[sym])
@@ -152,28 +170,93 @@ class HuffmanTable:
             len_tab[prefix:prefix + span] = length
         return sym_tab, len_tab
 
-    def decode(self, payload: bytes, n_symbols: int) -> np.ndarray:
-        """Decode ``n_symbols`` symbols from an encoded payload."""
+    def decode(self, payload: bytes, n_symbols: int, nbits: int, *,
+               stream: str | None = None, origin: int = 0) -> np.ndarray:
+        """Decode the ``n_symbols`` symbols that fill ``nbits`` of payload.
+
+        A Huffman stream has one serial fact — the bit offset where
+        symbol *i* starts — and everything else is a gather.  So: look
+        up the code length at every bit offset, which makes ``nxt[p]``
+        ("the offset after the code starting at ``p``") one array;
+        square it ``ANCHOR_DOUBLINGS`` times into "64 symbols on"; walk
+        only the anchors (every 64th symbol) with a scalar loop; then
+        63 vectorized ``nxt`` steps over the anchor vector give every
+        symbol's offset.  Invalid codes and codes running past
+        ``nbits`` lead to a self-looping sink at offset ``nbits``, so
+        damage is detected on the result rather than per symbol: the
+        walk must not reach the sink early and the last symbol must end
+        exactly at ``nbits``.
+
+        The result is ``uint8`` for alphabets of up to 256 symbols,
+        ``uint16`` beyond.  ``stream`` and ``origin`` (the byte offset
+        of ``payload`` within that stream) only locate a
+        :class:`HuffmanError`.
+        """
+        def damaged(message: str, bit: int) -> HuffmanError:
+            return HuffmanError(f"{message} at bit {bit}", stream=stream,
+                                offset=origin + bit // 8)
+
+        if n_symbols > nbits or nbits > 8 * len(payload):
+            # Every code is at least one bit long; checked before any
+            # per-bit array is sized from these (untrusted) counts.
+            raise damaged(
+                f"{n_symbols} symbols cannot fill {nbits} bits of a "
+                f"{len(payload)}-byte payload", 0)
         sym_tab, len_tab = self._decode_table()
-        out = np.empty(n_symbols, dtype=np.int64)
-        data = payload + b"\x00\x00"  # peek guard
-        acc = 0
-        acc_bits = 0
-        byte_pos = 0
-        mask = (1 << PEEK_BITS) - 1
-        for i in range(n_symbols):
-            while acc_bits < PEEK_BITS:
-                acc = (acc << 8) | data[byte_pos]
-                byte_pos += 1
-                acc_bits += 8
-            peek = (acc >> (acc_bits - PEEK_BITS)) & mask
-            length = int(len_tab[peek])
-            if length == 0:
-                raise HuffmanError("invalid code in stream")
-            out[i] = sym_tab[peek]
-            acc_bits -= length
-            acc &= (1 << acc_bits) - 1
-        return out
+        if n_symbols == 0:
+            if nbits:
+                raise damaged(f"{nbits} bits left over after 0 symbols", 0)
+            return np.empty(0, dtype=sym_tab.dtype)
+
+        # peek[p]: the PEEK_BITS bits starting at bit p, zero-extended
+        # past the payload.  Per-bit arrays stay 16/8/32-bit: they are
+        # the decoder's whole working set.
+        nbytes = (nbits + 7) // 8
+        padded = np.zeros(nbytes + 2, dtype=np.int32)
+        padded[:nbytes] = np.frombuffer(payload, dtype=np.uint8,
+                                        count=nbytes)
+        window = (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
+        peek = ((window[:, None] >> _PHASE_SHIFTS)
+                & ((1 << PEEK_BITS) - 1)).astype(np.uint16).ravel()[:nbits]
+        lens = len_tab.take(peek)
+
+        nxt = np.arange(
+            nbits + 1, dtype=np.int32 if nbits < 2**31 - 1 else np.int64)
+        nxt[:-1] += lens
+        nxt[:-1][lens == 0] = nbits
+        np.minimum(nxt, nbits, out=nxt)
+        jump = nxt
+        for _ in range(ANCHOR_DOUBLINGS):
+            jump = jump.take(jump)
+
+        stride = 1 << ANCHOR_DOUBLINGS
+        anchors = [0]
+        hop = jump.item
+        for _ in range((n_symbols - 1) // stride):
+            anchors.append(hop(anchors[-1]))
+        pos = np.empty((stride, len(anchors)), dtype=nxt.dtype)
+        pos[0] = anchors
+        for k in range(1, stride):
+            nxt.take(pos[k - 1], out=pos[k], mode="clip")
+        pos = pos.T.ravel()[:n_symbols]
+
+        last = int(pos[-1])
+        if last == nbits:
+            # The walk fell into the sink: the symbol before the first
+            # sink entry is the one that is invalid or overruns.
+            bad = int(pos[np.searchsorted(pos, nbits) - 1])
+            if lens[bad] == 0:
+                raise damaged("invalid code", bad)
+            raise damaged(
+                f"stream ends before its {n_symbols} symbols do", bad)
+        if lens[last] == 0:
+            raise damaged("invalid code", last)
+        end = last + int(lens[last])
+        if end != nbits:
+            raise damaged(
+                f"last symbol ends at bit {end} of a {nbits}-bit stream",
+                last)
+        return sym_tab.take(peek.take(pos))
 
 
 def entropy_bits(counts: np.ndarray) -> float:

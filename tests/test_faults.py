@@ -9,13 +9,17 @@ And salvage recovers exactly the blocks the damage did not touch.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineOptions, SAGeDataset, SAGeError
+from repro.core import quality
 from repro.core.container import SAGeArchive
+from repro.core.errors import BlockDecodeError
 from repro.core.kernels import available_kernels
+from repro.pipeline.executor import StreamExecutor
 from repro.testing import faults
 
 from tests.conftest import read_multiset
@@ -138,3 +142,54 @@ class TestDetectedOrHarmless:
         except SAGeError:
             return
         assert signature == _decode_signature(blob, "auto")
+
+
+class TestQualityStreamDamage:
+    """Below the container CRC (a v3 archive, or a block that passed
+    its digest) the quality decoder is its own last line of defence."""
+
+    @pytest.mark.parametrize("order1", [False, True])
+    def test_every_bit_flip_decodes_or_is_typed(self, order1):
+        rng = np.random.default_rng(3)
+        scores = rng.choice([2, 12, 23, 37], size=300,
+                            p=[.04, .09, .17, .7]).astype(np.uint8)
+        blob = quality.compress(scores, order1=order1, block_size=128)
+        raised = 0
+        for bit in range(8 * blob.byte_size):
+            damaged = bytearray(blob.payload)
+            damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+            try:
+                # Anything but a SAGeError (IndexError, MemoryError, a
+                # hang on a huge count) fails the test by propagating.
+                out = quality.decompress(
+                    quality.QualityBlob(bytes(damaged), scores.size))
+            except SAGeError as exc:
+                assert exc.stream == "quality", (bit, exc)
+                assert exc.offset is None \
+                    or 0 <= exc.offset <= blob.byte_size, (bit, exc)
+                raised += 1
+            else:
+                assert out.dtype == np.uint8
+        assert raised > blob.byte_size       # most flips are detected
+
+    def test_damaged_quality_block_is_skipped(self, rs3_small):
+        dataset = SAGeDataset.from_fastq(
+            rs3_small.read_set, reference=rs3_small.reference,
+            options=EngineOptions(block_reads=BLOCK_READS))
+        expected = [read_multiset(dataset.decode_block(i))
+                    for i in range(dataset.n_blocks)]
+        archive = SAGeArchive.from_bytes(dataset.to_bytes())
+        block = archive.block(1)
+        payload = bytearray(block.quality.payload)
+        payload[len(payload) // 2] ^= 0xFF
+        block.quality = quality.QualityBlob(bytes(payload),
+                                            block.quality.n_scores)
+        executor = StreamExecutor(
+            archive, options=EngineOptions(on_error="skip"))
+        survivors = [read_multiset(s) for s in executor]
+        assert survivors == expected[:1] + expected[2:]
+        [gap] = executor.stats.gaps
+        assert gap.index == 1
+        assert isinstance(gap.error, BlockDecodeError)
+        assert gap.error.stream == "quality"
+        assert gap.error.offset is not None
