@@ -25,12 +25,12 @@ shares one implementation:
     cached — the next request retries.
 
 :func:`decoded_nbytes`
-    The size model the cache is charged with: actual array bytes of a
-    decoded :class:`~repro.genomics.reads.ReadSet` plus a small
-    per-read object overhead.  Its static counterpart —
-    :meth:`repro.core.container.SAGeBlock.decoded_nbytes_estimate` —
-    prices a block *without* decoding it, which is how a server sizes
-    this cache up front.
+    The size the cache is charged with: the bytes of a decoded
+    :class:`~repro.genomics.reads.ReadSet`'s columns (base codes,
+    quality scores, read offsets, header text).  Its static counterpart
+    — :meth:`repro.core.container.SAGeBlock.decoded_nbytes_estimate` —
+    prices the same buffers *without* decoding the block, which is how
+    a server sizes this cache up front.
 """
 
 from __future__ import annotations
@@ -41,29 +41,16 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-__all__ = ["CacheStats", "DecodedBlockCache", "READ_OVERHEAD_BYTES",
-           "SingleFlight", "decoded_nbytes"]
-
-#: Approximate per-read Python object overhead (Read + two array
-#: wrappers), shared with ``SAGeBlock.decoded_nbytes_estimate`` so the
-#: static estimate and the measured charge price the same thing.
-READ_OVERHEAD_BYTES = 64
+__all__ = ["CacheStats", "DecodedBlockCache", "SingleFlight",
+           "decoded_nbytes"]
 
 
 def decoded_nbytes(read_set: Any) -> int:
-    """Resident size, in bytes, of a decoded read set.
-
-    Counts the base-code and quality array payloads, the header text,
-    and :data:`READ_OVERHEAD_BYTES` per read.  This is the charge a
-    :class:`DecodedBlockCache` entry pays against the byte budget.
+    """Resident size, in bytes, of a decoded read set: its
+    :attr:`~repro.genomics.reads.ReadBatch.nbytes`.  This is the charge
+    a :class:`DecodedBlockCache` entry pays against the byte budget.
     """
-    total = 0
-    for read in read_set:
-        total += int(read.codes.nbytes) + READ_OVERHEAD_BYTES
-        if read.quality is not None:
-            total += int(read.quality.nbytes)
-        total += len(read.header)
-    return total
+    return read_set.batch.nbytes
 
 
 @dataclass

@@ -36,7 +36,8 @@ def _block_info(archive: SAGeArchive, index: int, entry: BlockIndexEntry
         "n_unmapped": entry.n_unmapped,
         # Static decoded-size estimate: what a server budgets its
         # decoded-block LRU cache with, without decoding anything.
-        "decoded_nbytes_estimate": blk.decoded_nbytes_estimate(),
+        "decoded_nbytes_estimate": blk.decoded_nbytes_estimate(
+            sum(map(len, archive.fallback_headers(index)))),
         "sections": {
             "meta_bytes": blk.meta_nbytes(),
             "stream_bytes": sum(len(payload)

@@ -140,18 +140,21 @@ class SAGeBlock:
     def n_reads(self) -> int:
         return self.n_mapped + self.n_unmapped
 
-    def decoded_nbytes_estimate(self) -> int:
-        """Approximate resident bytes of this block once decoded.
+    def decoded_nbytes_estimate(self, fallback_header_nbytes: int = 0
+                                ) -> int:
+        """Resident bytes of this block's decoded columns — what
+        ``repro.api.cache.decoded_nbytes`` charges for the full decode.
 
-        Priced from stream metadata alone — no decode happens.  Base
-        count comes from the quality-score count when present (exact:
-        one score per base), from ``n_reads * fixed_read_length`` for
-        fixed-length blocks, else from the sequence stream bit totals at
-        ~2 bits/base.  Headers are deflate-compressed text, budgeted at
-        4x expansion; the per-read constant mirrors
-        ``repro.api.cache.READ_OVERHEAD_BYTES`` so a server can size a
-        :class:`~repro.api.cache.DecodedBlockCache` from ``sage inspect
-        --json`` output without decoding a single block.
+        Priced from stream metadata alone — no decode happens — so a
+        server can size a :class:`~repro.api.cache.DecodedBlockCache`
+        from ``sage inspect --json`` output.  Base count comes from the
+        quality-score count when present (exact: one score per base),
+        from ``n_reads * fixed_read_length`` for fixed-length blocks,
+        else from the sequence stream bit totals at ~2 bits/base.
+        Stored headers are deflate-compressed text, budgeted at 4x
+        expansion; a block that stores none is charged the
+        ``fallback_header_nbytes`` of names its archive gives it
+        (:meth:`SAGeArchive.fallback_headers`).
         """
         if self.quality is not None:
             bases = self.quality.n_scores
@@ -165,9 +168,9 @@ class SAGeBlock:
         total = bases                       # one uint8 code per base
         if self.quality is not None:
             total += self.quality.n_scores  # one uint8 score per base
-        if self.headers_blob is not None:
-            total += 4 * len(self.headers_blob)
-        total += 64 * self.n_reads
+        total += 8 * (self.n_reads + 1)     # int64 read offsets
+        total += 4 * len(self.headers_blob) \
+            if self.headers_blob is not None else fallback_header_nbytes
         return total
 
     # -- serialization -------------------------------------------------
@@ -575,6 +578,15 @@ class SAGeArchive:
                 first_read += blk.n_reads
             self._index = entries
         return self._index
+
+    def fallback_headers(self, index: int) -> list[str]:
+        """Names of block ``index``'s reads when no header is stored (or
+        selected): ``{archive name}.{global read position}``, counted
+        in final slots from the block's ``first_read``."""
+        entry = self.block_index()[index]
+        name = self.name or "sage"
+        return [f"{name}.{position}" for position in range(
+            entry.first_read, entry.first_read + entry.n_reads)]
 
     def block_payload(self, index: int) -> "bytes | memoryview":
         """Raw serialized payload of block ``index``.

@@ -21,13 +21,12 @@ the ``on_error`` policy) is :class:`repro.pipeline.executor.StreamExecutor`.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
 
 from ..genomics import sequence as seq
-from ..genomics.reads import Read, ReadSet
+from ..genomics.reads import ReadBatch, ReadSet
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitReader
@@ -36,7 +35,8 @@ from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
 from .formats import unpack_bits
-from .kernels import CodecKernel, get_kernel, resolve_codec
+from .kernels import (CodecKernel, gather_fields, get_kernel,
+                      resolve_codec)
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
 
@@ -132,64 +132,56 @@ class SAGeDecompressor:
         arch = self.archive
         blk = arch.block(index)
         if select.sequence:
-            codes = kernel.decode_reads(self, select=select, index=index)
-            n_reads = len(codes)
+            codes, offsets = kernel.decode_reads(self, select=select,
+                                                 index=index)
         else:
             # Sequence deselected: reads become empty placeholders so
             # counting consumers (and header-only passes) still see the
             # right cardinality without touching the sequence streams.
-            n_reads = blk.n_reads
-            empty = np.empty(0, dtype=np.uint8)
-            codes = [empty] * n_reads
-        qualities: list[np.ndarray | None] = [None] * n_reads
+            codes = np.empty(0, dtype=np.uint8)
+            offsets = np.zeros(blk.n_reads + 1, dtype=np.int64)
+        n_reads = offsets.size - 1
+        scores = None
         if select.quality and blk.quality is not None:
             scores = quality_codec.decompress(blk.quality)
-            ends = list(accumulate(read_codes.size for read_codes in codes))
-            needed = ends[-1] if ends else 0
-            if needed != scores.size:
+            if scores.size != codes.size:
                 raise DecompressionError(
                     f"quality stream has {scores.size} scores, reads "
-                    f"need {needed}")
-            # Each read's scores are a view of the block's one array.
-            qualities = [scores[start:end]
-                         for start, end in zip([0] + ends, ends)]
-        name = arch.name or "sage"
-        indices = self._emission_order(blk) \
-            if arch.preserve_order and select.order else range(n_reads)
-        if select.headers and blk.headers_blob is not None:
-            header_list = headers_codec.decompress_headers(
-                blk.headers_blob)
-            if len(header_list) != n_reads:
-                raise DecompressionError(
-                    f"{len(header_list)} headers for {n_reads} reads")
-            headers = [header_list[j] for j in indices]
-        else:
-            first = arch.block_index()[index].first_read
-            headers = [f"{name}.{position}"
-                       for position in range(first, first + n_reads)]
-        return ReadSet([Read(codes=codes[j], quality=qualities[j],
-                             header=header)
-                        for j, header in zip(indices, headers)],
-                       name=name)
+                    f"need {codes.size}")
+        order = self._emission_order(blk) \
+            if arch.preserve_order and select.order else None
+        stored = select.headers and blk.headers_blob is not None
+        headers = headers_codec.decompress_headers(blk.headers_blob) \
+            if stored else arch.fallback_headers(index)
+        if len(headers) != n_reads:
+            raise DecompressionError(
+                f"{len(headers)} headers for {n_reads} reads")
+        batch = ReadBatch(codes, offsets, scores, headers)
+        if order is not None:
+            # The columns are in emission order; one gather restores
+            # the input order.  Fallback names count final slots.
+            batch = batch.take(order)
+            if not stored:
+                batch.headers = headers
+        return ReadSet(name=arch.name or "sage", batch=batch)
 
     @staticmethod
-    def _emission_order(blk: SAGeBlock) -> list[int]:
+    def _emission_order(blk: SAGeBlock) -> np.ndarray:
         """``result[p]`` = emission index of the read at final slot ``p``.
 
         Inverts the matching-position reordering recorded in the
         block's ``order`` stream (extension).
         """
         n = blk.n_reads
-        payload, bits = blk.streams["order"]
-        reader = BitReader(payload, bits, name="order")
         w_reads = max(1, (n - 1).bit_length()) if n else 1
-        slots: list[int | None] = [None] * n
-        for j in range(n):
-            original = reader.read(w_reads)
-            if original >= n or slots[original] is not None:
-                raise DecompressionError(
-                    "order stream is not a permutation")
-            slots[original] = j
+        original = gather_fields(
+            blk.streams["order"], np.arange(n, dtype=np.int64) * w_reads,
+            np.full(n, w_reads, dtype=np.int64), name="order")
+        if n and (int(original.max()) >= n
+                  or (np.bincount(original, minlength=n) != 1).any()):
+            raise DecompressionError("order stream is not a permutation")
+        slots = np.empty(n, dtype=np.int64)
+        slots[original] = np.arange(n, dtype=np.int64)
         return slots
 
     def iter_read_codes(

@@ -36,9 +36,13 @@ resolved for life), with ``auto`` deferring to env ``SAGE_CODEC``.
 
 Adding a kernel: subclass :class:`CodecKernel`, implement
 ``new_writer`` (a ``BitWriter``-compatible sink per stream) and
-``decode_reads`` (archive → per-read base-code arrays in emission
-order), then :func:`register_kernel` it.  The byte-identity contract is
-what keeps kernels freely interchangeable mid-pipeline.
+``decode_reads`` (archive block → ``(codes, offsets)``: every read's
+base codes in one flat ``uint8`` buffer in emission order, read ``i``
+at ``codes[offsets[i]:offsets[i + 1]]``), then :func:`register_kernel`
+it.  The flat buffer becomes the ``codes`` column of the block's
+:class:`~repro.genomics.reads.ReadBatch` as is — no kernel hands out
+per-read arrays.  The byte-identity contract is what keeps kernels
+freely interchangeable mid-pipeline.
 """
 
 from __future__ import annotations
@@ -516,13 +520,20 @@ def _bad_class(idx: int, n_classes: int) -> CorruptArchiveError:
                                f"but table has {n_classes}")
 
 
-def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
+def _flatten(reads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-read code arrays as one ``(codes, offsets)`` flat buffer."""
+    offsets = np.zeros(len(reads) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([read.size for read in reads], dtype=np.int64)
+    return (np.concatenate(reads) if reads else _EMPTY_U8), offsets
+
+
+def _decode_reads_batched(dec, index: int
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Decode every read of block ``index`` through the numpy kernel.
 
-    Same contract (and emission order) as
-    ``list(SAGeDecompressor.iter_read_codes(index=index))``,
-    restructured into
-    structure-of-arrays passes:
+    Same reads (and emission order) as
+    ``SAGeDecompressor.iter_read_codes(index=index)``, written into one
+    flat buffer by structure-of-arrays passes:
 
     1. one vectorized unary-prefix scan + field gather classifies every
        matching position (:func:`_matching_positions`) and read length;
@@ -530,10 +541,12 @@ def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
        records mismatch events without reconstructing — every field is
        an O(1) window lookup on precomputed ``w64``/next-zero views;
     3. all substitution-only reads are rebuilt with a single consensus
-       gather + mismatch scatter (+ one batched complement pass);
-       indel/chimeric/corner reads take a per-read scalar fallback.
+       gather + mismatch scatter (reverse-strand rows gather backwards
+       and are complemented in the same buffer); indel/chimeric/corner
+       reads take a per-read scalar fallback into their slice.
     """
     from ..genomics import sequence as seq
+    from ..genomics.reads import run_index
     from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
     from .decompressor import DecompressionError
 
@@ -554,12 +567,11 @@ def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
         # Adversarially wide field classes would overflow the single
         # 64-bit window; such tables never occur in practice — stay on
         # the reference walk rather than complicate the hot loop.
-        return list(dec.iter_read_codes(index=index))
+        return _flatten(list(dec.iter_read_codes(index=index)))
 
     cons = dec.consensus
     cons_size = int(cons.size)
     n_mapped = block.n_mapped
-    out_codes: list = [None] * (n_mapped + block.n_unmapped)
 
     # --- pass 1a: per-read lengths (dedicated stream) ---
     if block.fixed_length:
@@ -868,19 +880,26 @@ def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
             simple_rev.append(reverse)
 
     # --- pass 3a: batched reconstruction of substitution-only reads ---
+    if lengths is None:
+        mapped_len = np.full(n_mapped, fixed_len, dtype=np.int64)
+    else:
+        mapped_len = np.asarray(lengths, dtype=np.int64)
+    mapped_ends = np.cumsum(mapped_len)
+    mapped_offs = mapped_ends - mapped_len
+    flat = _EMPTY_U8
     if simple_idx:
         rows_idx = np.array(simple_idx, dtype=np.int64)
-        fcs = fc_arr[rows_idx]
-        if lengths is None:
-            lens = np.full(rows_idx.size, fixed_len, dtype=np.int64)
-        else:
-            lens = np.asarray(lengths, dtype=np.int64)[rows_idx]
+        lens = mapped_len[rows_idx]
         ends = np.cumsum(lens)
         offs = ends - lens
         total = int(ends[-1])
-        rid = np.repeat(np.arange(lens.size), lens)
-        flat_idx = (np.arange(total, dtype=np.int64)
-                    - np.repeat(offs, lens) + fcs[rid])
+        # A reverse-strand row is read off the consensus backwards and
+        # complemented in place: substitution-only rows hold codes 0..3
+        # only, so the complement is ``code ^ 3``.
+        rev = np.array(simple_rev, dtype=bool)
+        local = np.arange(total, dtype=np.int64) - np.repeat(offs, lens)
+        flat_idx = np.repeat(np.where(rev, -1, 1), lens) * local + np.repeat(
+            fc_arr[rows_idx] + np.where(rev, lens - 1, 0), lens)
         if total and (int(flat_idx.max()) >= cons_size
                       or int(flat_idx.min()) < 0):
             raise DecompressionError(
@@ -892,14 +911,16 @@ def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
             if (spos >= lens[srow]).any() or (spos < 0).any():
                 raise DecompressionError(
                     "mismatch position outside its read")
+            spos = np.where(rev[srow], lens[srow] - 1 - spos, spos)
             flat[offs[srow] + spos] = np.array(sub_base, dtype=np.uint8)
-        comp = seq.COMPLEMENT[flat] if any(simple_rev) else None
-        starts = offs.tolist()
-        stops = ends.tolist()
-        for row, i in enumerate(simple_idx):
-            s, t = starts[row], stops[row]
-            out_codes[i] = comp[s:t][::-1] if simple_rev[row] \
-                else flat[s:t]
+        flat ^= np.repeat(np.where(rev, 3, 0).astype(np.uint8), lens)
+    if complex_recs:
+        # Simple rows move to their slots; complex reads fill the rest.
+        simple_flat = flat
+        flat = np.empty(int(mapped_ends[-1]), dtype=np.uint8)
+        if simple_idx:
+            flat[run_index(mapped_offs[rows_idx], lens)] = simple_flat
+    mapped_offs = mapped_offs.tolist()
 
     # --- pass 3b: scalar fallback for indel/chimeric/corner reads ---
     for (i, length, reverse, segments, clip_s, clip_e, n_runs, events,
@@ -950,18 +971,22 @@ def _decode_reads_batched(dec, index: int) -> list[np.ndarray]:
         if oriented.size != length:
             raise DecompressionError(
                 f"decoded {oriented.size} bases, expected {length}")
-        out_codes[i] = seq.reverse_complement(oriented) if reverse \
-            else oriented
+        flat[mapped_offs[i]:mapped_offs[i] + length] = \
+            seq.reverse_complement(oriented) if reverse else oriented
 
     # --- unmapped reads (3-bit packed payloads) ---
-    if block.n_unmapped:
-        unmapped = FastReader(*block.streams["unmapped"], name="unmapped")
-        for j in range(block.n_unmapped):
-            length = fixed_len if block.fixed_length \
-                else unmapped.read(w_rlen)
-            payload = unmapped.read_bytes((3 * length + 7) // 8)
-            out_codes[n_mapped + j] = unpack_bits(payload, 3, length)
-    return out_codes
+    offsets = np.concatenate([[0], mapped_ends])
+    if not block.n_unmapped:
+        return flat, offsets
+    parts = [flat]
+    unmapped = FastReader(*block.streams["unmapped"], name="unmapped")
+    for _ in range(block.n_unmapped):
+        length = fixed_len if block.fixed_length \
+            else unmapped.read(w_rlen)
+        payload = unmapped.read_bytes((3 * length + 7) // 8)
+        parts.append(unpack_bits(payload, 3, length))
+    codes, tail = _flatten(parts)
+    return codes, np.concatenate([offsets, tail[2:]])
 
 
 # ----------------------------------------------------------------------
@@ -984,9 +1009,11 @@ class CodecKernel:
         raise NotImplementedError
 
     def decode_reads(self, decompressor, select=None,
-                     index: int = 0) -> list[np.ndarray]:
-        """Per-read base-code arrays of block ``index`` of the
-        decompressor's archive, in emission order.
+                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, offsets)`` of block ``index`` of the decompressor's
+        archive: one flat ``uint8`` buffer holding every read's base
+        codes in emission order, and the ``int64`` bounds (one more
+        than there are reads, starting at 0) that cut it into reads.
 
         ``select`` (:class:`~repro.core.selection.StreamSelection` or
         ``None`` = everything) is the stream-selective decode request.
@@ -1007,8 +1034,8 @@ class PythonKernel(CodecKernel):
         return BitWriter()
 
     def decode_reads(self, decompressor, select=None,
-                     index: int = 0) -> list[np.ndarray]:
-        return list(decompressor.iter_read_codes(index=index))
+                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        return _flatten(list(decompressor.iter_read_codes(index=index)))
 
 
 class NumpyKernel(CodecKernel):
@@ -1020,7 +1047,7 @@ class NumpyKernel(CodecKernel):
         return TokenWriter(stream_name)
 
     def decode_reads(self, decompressor, select=None,
-                     index: int = 0) -> list[np.ndarray]:
+                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
         return _decode_reads_batched(decompressor, index)
 
 

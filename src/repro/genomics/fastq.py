@@ -12,7 +12,16 @@ import io
 from pathlib import Path
 from typing import Iterator, TextIO
 
-from .reads import Read, ReadSet, partition_reads
+import numpy as np
+
+from . import sequence as seq
+from .reads import (PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet,
+                    partition_reads, run_index)
+
+
+#: Bases :func:`write` renders in one vectorized pass (a 1024 x 100 bp
+#: block is one pass); its index arrays are 8 bytes per base.
+RENDER_BASES = 1 << 18
 
 
 class FastqError(ValueError):
@@ -70,14 +79,10 @@ def iter_read_sets(path: str | Path,
 
 
 def format_read(read: Read, index: int = 0) -> str:
-    """Render one read as a FASTQ record."""
+    """Render one read as a FASTQ record (:func:`write` renders blocks)."""
     header = read.header or f"read{index}"
-    if read.quality is not None:
-        qual = read.quality_text
-    else:
-        # Placeholder qualities for quality-less reads, as accurate
-        # sequencers that skip quality reporting do (§5.1).
-        qual = "I" * len(read)
+    qual = read.quality_text if read.quality is not None \
+        else chr(PLACEHOLDER_SCORE + PHRED_OFFSET) * len(read)
     return f"@{header}\n{read.text}\n+\n{qual}\n"
 
 
@@ -87,9 +92,43 @@ def write(read_set: ReadSet, first_index: int = 0) -> str:
     ``first_index`` is the global position of the first read: a read
     without a header is named ``read{first_index + i}``, so a block
     rendered alone matches its slice of the whole-archive output.
+    Reads without scores print the placeholder ``"I"``.
+
+    One vectorized pass over the set's :class:`ReadBatch`: record
+    offsets by ``cumsum``, then headers, bases, ``+`` and scores are
+    scattered into one newline-filled byte buffer.  FASTQ is ASCII: a
+    header or score outside it raises ``UnicodeError``.
     """
-    return "".join([format_read(read, i)
-                    for i, read in enumerate(read_set, first_index)])
+    batch = read_set.batch
+    n_reads = len(batch)
+    if not n_reads:
+        return ""
+    if batch.codes.size > RENDER_BASES and n_reads > 1:
+        # A scatter index costs 8 bytes per base: a large set renders
+        # in halves so the working set stays bounded.
+        mid = n_reads // 2
+        return write(ReadSet(batch=batch.slice(0, mid)), first_index) \
+            + write(ReadSet(batch=batch.slice(mid, n_reads)),
+                    first_index + mid)
+    headers = [header or f"read{i}"
+               for i, header in enumerate(batch.headers, first_index)]
+    header_len = np.fromiter(map(len, headers), np.int64, len(headers))
+    lengths = batch.lengths
+    # '@' header '\n' bases '\n' '+' '\n' scores '\n'
+    record_len = header_len + 2 * lengths + 6
+    ends = np.cumsum(record_len)
+    at = ends - record_len
+    out = np.full(ends[-1], ord("\n"), dtype=np.uint8)
+    out[at] = ord("@")
+    out[run_index(at + 1, header_len)] = np.frombuffer(
+        "".join(headers).encode("ascii"), dtype=np.uint8)
+    bases = run_index(at + header_len + 2, lengths)
+    out[bases] = seq.to_ascii(batch.codes)
+    out[at + header_len + lengths + 3] = ord("+")
+    bases += np.repeat(lengths + 3, lengths)      # now the score slots
+    out[bases] = PLACEHOLDER_SCORE + PHRED_OFFSET \
+        if batch.quality is None else batch.quality + PHRED_OFFSET
+    return out.tobytes().decode("ascii")
 
 
 def write_file(read_set: ReadSet, path: str | Path) -> None:

@@ -51,12 +51,17 @@ def encode(text: str | bytes) -> np.ndarray:
     return codes
 
 
-def decode(codes: np.ndarray) -> str:
-    """Decode a code array back into an upper-case DNA string."""
+def to_ascii(codes: np.ndarray) -> np.ndarray:
+    """The upper-case ASCII byte of every code, as a ``uint8`` array."""
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.size and codes.max() >= len(ALPHABET):
         raise SequenceError(f"invalid DNA code {int(codes.max())}")
-    return _DECODE_TABLE[codes].tobytes().decode("ascii")
+    return _DECODE_TABLE[codes]
+
+
+def decode(codes: np.ndarray) -> str:
+    """Decode a code array back into an upper-case DNA string."""
+    return to_ascii(codes).tobytes().decode("ascii")
 
 
 def reverse_complement(codes: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
 from repro.core.bitio import BitIOError
 from repro.core.container import SAGeArchive
 from repro.core.decompressor import DecompressionError
+from repro.core.errors import BlockDecodeError
+from repro.core.kernels import pack_fields
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +100,44 @@ class TestStreamContentCorruption:
         same = all(np.array_equal(a.codes, b.codes)
                    for a, b in zip(decoded, original))
         assert not same
+
+
+class TestOrderStream:
+    """The stored permutation is read in one batched field extraction
+    and must still be rejected unless it is a permutation."""
+
+    @pytest.fixture(scope="class")
+    def ordered(self, rs3_small):
+        return SAGeCompressor(
+            rs3_small.reference,
+            SAGeConfig(with_quality=False, preserve_order=True)) \
+            .compress(rs3_small.read_set.subset(range(37)))
+
+    @staticmethod
+    def _with_order(archive, entries):
+        width = max(1, (len(entries) - 1).bit_length())
+        return _mutate(archive, "order",
+                       pack_fields(entries, [width] * len(entries)))
+
+    def test_intact_order_restores_input(self, ordered, rs3_small):
+        decoded = SAGeDecompressor(ordered).decompress()
+        assert [r.text for r in decoded] \
+            == [r.text for r in rs3_small.read_set.reads[:37]]
+
+    @pytest.mark.parametrize("damage", ["duplicate", "out_of_range"])
+    def test_not_a_permutation(self, ordered, damage):
+        n = ordered.block(0).n_reads
+        entries = list(range(n))[::-1]
+        # 37 reads are stored in 6-bit fields, so 63 fits the field and
+        # is out of range; a duplicate leaves another slot unfilled.
+        entries[5] = entries[6] if damage == "duplicate" else 63
+        with pytest.raises(BlockDecodeError,
+                           match="order stream is not a permutation") as err:
+            SAGeDecompressor(self._with_order(ordered, entries)).decompress()
+        assert isinstance(err.value.__cause__, DecompressionError)
+
+    def test_truncated_order_stream(self, ordered):
+        payload, bits = ordered.block(0).streams["order"]
+        clone = _mutate(ordered, "order", (payload[:2], 16))
+        with pytest.raises(BlockDecodeError, match="order"):
+            SAGeDecompressor(clone).decompress()

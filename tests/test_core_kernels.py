@@ -492,6 +492,72 @@ class TestCrossKernelFuzz:
                              SAGeConfig())
 
 
+class TestColumnarDecodeOracle:
+    """A block decode hands back columns; read for read it must equal
+    the per-read assembly of the bit-serial reference walk
+    (``iter_read_codes``), under every kernel, order, header and
+    selection combination."""
+
+    @staticmethod
+    def _oracle(archive, select):
+        from repro.core import headers as headers_codec
+        from repro.core import quality as quality_codec
+        decoder = SAGeDecompressor(archive, codec="python")
+        blk = archive.block(0)
+        codes = list(decoder.iter_read_codes(index=0)) \
+            if "sequence" in select \
+            else [np.empty(0, dtype=np.uint8)] * blk.n_reads
+        quality = [None] * len(codes)
+        if "quality" in select and blk.quality is not None:
+            scores = quality_codec.decompress(blk.quality)
+            bounds = np.cumsum([0] + [c.size for c in codes])
+            quality = [scores[a:b] for a, b in zip(bounds, bounds[1:])]
+        order = list(range(len(codes)))
+        if archive.preserve_order and "order" in select:
+            for emitted, original in enumerate(blk.permutation.tolist()):
+                order[original] = emitted
+        if "headers" in select and blk.headers_blob is not None:
+            stored = headers_codec.decompress_headers(blk.headers_blob)
+            headers = [stored[j] for j in order]
+        else:
+            headers = [f"fuzz.{p}" for p in range(len(codes))]
+        return [(codes[j].tobytes(),
+                 None if quality[j] is None else quality[j].tobytes(),
+                 header) for j, header in zip(order, headers)]
+
+    @pytest.mark.parametrize("codec", ["python", "numpy"])
+    @pytest.mark.parametrize("preserve_order,with_headers",
+                             [(False, False), (True, False),
+                              (False, True), (True, True)])
+    def test_matches_per_read_assembly(self, fuzz_reference, codec,
+                                       preserve_order, with_headers):
+        rng = np.random.default_rng(17)
+        reads = _random_read_set(rng, fuzz_reference, n_reads=70,
+                                 read_len=60, fixed=False,
+                                 with_quality=True, indel_rate=0.5)
+        archive = SAGeCompressor(
+            fuzz_reference,
+            SAGeConfig(preserve_order=preserve_order,
+                       with_headers=with_headers, long_reads=True)) \
+            .compress(reads)
+        archive.name = "fuzz"
+        decoder = SAGeDecompressor(archive, codec=codec)
+        for select in (("sequence", "quality", "headers", "order"),
+                       ("sequence",), ("sequence", "order"),
+                       ("sequence", "quality"), ("headers", "order"),
+                       ("headers",)):
+            decoded = decoder.decompress(select=select)
+            assert decoded._reads is None, "decode built Read objects"
+            got = [(r.codes.tobytes(),
+                    None if r.quality is None else r.quality.tobytes(),
+                    r.header) for r in decoded]
+            assert got == self._oracle(archive, select), select
+        if preserve_order:
+            full = decoder.decompress()
+            assert [r.codes.tobytes() for r in full] \
+                == [r.codes.tobytes() for r in reads]
+
+
 class TestFallbackHeaderNaming:
     """Fallback read names follow one rule — the global read position —
     however the archive was built or obtained."""

@@ -1,9 +1,15 @@
 """Unit tests for repro.genomics.fastq."""
 
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.genomics import fastq
 from repro.genomics.reads import Read, ReadSet
+from repro.genomics.sequence import SequenceError
 
 SAMPLE = "@r1\nACGT\n+\nIIII\n@r2\nTTGCA\n+\n!!!!!\n"
 
@@ -52,6 +58,81 @@ class TestWrite:
     def test_header_generated_when_missing(self):
         rs = ReadSet([Read.from_text("A", "J")])
         assert fastq.write(rs).startswith("@read0\n")
+
+
+def _oracle(read_set, first_index=0):
+    """The per-record renderer: what the block renderer must equal."""
+    return "".join(fastq.format_read(read, first_index + i)
+                   for i, read in enumerate(read_set))
+
+
+#: One read: bases (zero-length and N included), whether it carries
+#: scores, and a header (empty = the ``read{k}`` fallback).
+_reads = st.lists(st.tuples(
+    st.text(alphabet="ACGTN", max_size=40), st.booleans(),
+    st.sampled_from(["", "r", "run1:7:1101", "x y"])), max_size=12)
+
+
+def _read_set(spec, score_seed=0):
+    rng = np.random.default_rng(score_seed)
+    return ReadSet([
+        Read.from_text(bases, header=header) if not scored else Read(
+            Read.from_text(bases).codes,
+            rng.integers(0, 61, len(bases)).astype(np.uint8), header)
+        for bases, scored, header in spec], name="h")
+
+
+class TestBlockRenderer:
+    """``fastq.write`` is one vectorized pass over columns; its oracle
+    is ``format_read`` record by record."""
+
+    @given(_reads, st.integers(min_value=0, max_value=10**6))
+    def test_matches_per_record_oracle(self, spec, first_index):
+        listed = _read_set(spec)
+        assert fastq.write(listed, first_index) \
+            == _oracle(listed, first_index)
+
+    @given(_reads, st.booleans(), st.integers(min_value=0, max_value=99))
+    def test_batch_backed_equals_list_backed(self, spec, scored, k):
+        # All-or-none scores: what a batch can hold without the
+        # placeholder rule.
+        listed = _read_set([(b, scored, h) for b, _, h in spec])
+        backed = ReadSet(name="h", batch=listed.batch)
+        assert backed._reads is None
+        assert fastq.write(backed, k) == _oracle(listed, k)
+        assert backed._reads is None        # rendered from the columns
+        again = pickle.loads(pickle.dumps(backed))
+        assert again == backed
+        assert fastq.write(again, k) == fastq.write(backed, k)
+
+    def test_empty_set(self):
+        assert fastq.write(ReadSet()) == ""
+        assert fastq.write(ReadSet(batch=ReadSet().batch)) == ""
+
+    def test_mixed_scores_take_the_placeholder_per_read(self):
+        rs = ReadSet([Read.from_text("AC", "!5", header="a"),
+                      Read.from_text("GT", header="b")])
+        assert fastq.write(rs) == "@a\nAC\n+\n!5\n@b\nGT\n+\nII\n"
+
+    def test_out_of_range_code_raises(self):
+        bad = ReadSet([Read(np.array([0, 1, 7], dtype=np.uint8))])
+        with pytest.raises(SequenceError, match="invalid DNA code 7"):
+            fastq.write(bad)
+        with pytest.raises(SequenceError):
+            fastq.write(ReadSet(batch=bad.batch))
+
+    def test_non_ascii_score_raises(self):
+        rs = ReadSet([Read(np.zeros(2, dtype=np.uint8),
+                           np.array([10, 120], dtype=np.uint8))])
+        with pytest.raises(UnicodeError):
+            fastq.write(rs)
+
+    def test_large_set_renders_in_bounded_pieces(self, monkeypatch):
+        rs = _read_set([("ACGTN" * 3, i % 2 == 0, "" if i % 3 else f"h{i}")
+                        for i in range(37)], score_seed=3)
+        whole = fastq.write(rs, 5)
+        monkeypatch.setattr(fastq, "RENDER_BASES", 20)
+        assert fastq.write(rs, 5) == whole == _oracle(rs, 5)
 
 
 class TestFileIO:

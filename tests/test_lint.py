@@ -378,6 +378,38 @@ class TestOptionsThreadingEdges:
         assert offenders == []
 
 
+    def test_decoded_blocks_stay_columnar(self):
+        """A block decode produces a ``ReadBatch`` and every stage up
+        to the sink consumes it: the decode, transport, cache and
+        serve layers never construct a ``Read``, ``format_read`` is
+        nobody's inner loop, and ``fastq.write`` is the one function
+        that turns base codes into FASTQ text."""
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+        def calls(tree, name):
+            return [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))]
+
+        columnar = [src / "core/decompressor.py", src / "core/kernels.py",
+                    src / "pipeline/executor.py", src / "api/cache.py",
+                    *sorted((src / "serve").glob("*.py"))]
+        offenders = [f"{path.relative_to(src)}:{line} Read("
+                     for path in columnar
+                     for line in calls(ast.parse(path.read_text()), "Read")]
+        offenders += [f"{path.relative_to(src)}:{line} format_read("
+                      for path in sorted(src.rglob("*.py"))
+                      for line in calls(ast.parse(path.read_text()),
+                                        "format_read")]
+        assert offenders == []
+        fastq_tree = ast.parse((src / "genomics/fastq.py").read_text())
+        renderers = [node.name for node in fastq_tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and calls(node, "to_ascii")]
+        assert renderers == ["write"]
+
+
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):
         assert codes_for("""\

@@ -68,6 +68,34 @@ class TestEndpoints:
             assert block["decoded_nbytes_estimate"] > 0
             assert block["crc32"] is not None
 
+    def test_estimate_is_the_cache_charge(self, server, client,
+                                          served_archive):
+        """``/inspect`` prices exactly the buffers the cache is charged
+        for: a fully-selected block of a fixed-length archive costs
+        what its estimate said, to the byte."""
+        with SAGeDataset.open(served_archive["path"]) as session:
+            assert session.archive.fixed_length
+        info = client.get_json("/inspect")
+        client.post_json("/cache/clear", {})
+        charged = 0
+        for block in info["blocks"]:
+            client.get_text(f"/block/{block['index']}")
+            now = client.get_json("/stats")["cache"]["current_bytes"]
+            assert now - charged == block["decoded_nbytes_estimate"]
+            charged = now
+        assert charged == info["decoded_nbytes_estimate_total"]
+
+    def test_reads_slice_the_cached_columns(self, server, client):
+        """``/reads`` and ``/block`` render from the cached block's
+        columns: no ``Read`` is built to serve FASTQ."""
+        client.post_json("/cache/clear", {})
+        client.get_text(f"/reads/{BLOCK_READS + 3}-{BLOCK_READS + 6}")
+        client.get_text("/block/1")
+        [key] = server.cache.keys()
+        assert server.cache.get(key)._reads is None
+        client.get_json("/block/1?format=json")      # asks for reads
+        assert len(server.cache.get(key)._reads) == BLOCK_READS
+
     def test_block_fastq_roundtrip(self, client, served_archive):
         text = "".join(
             client.get_text(f"/block/{i}")
