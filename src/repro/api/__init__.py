@@ -19,8 +19,7 @@ from ..core.errors import (BlockDecodeError, CorruptArchiveError,
                            SAGeError, TruncatedArchiveError)
 from ..core.options import ON_ERROR, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection
-from .cache import (CacheStats, DecodedBlockCache, SingleFlight,
-                    decoded_nbytes)
+from .cache import CacheStats, DecodedBlockCache, SingleFlight
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
 from .describe import describe
@@ -33,7 +32,6 @@ __all__ = [
     "ON_ERROR", "Pipeline", "STREAM_GROUPS", "SAGeDataset", "SAGeError",
     "SalvageReport", "SingleFlight", "SourceTotals", "StreamSelection",
     "TruncatedArchiveError", "VerifyReport", "atomic_write_bytes",
-    "available_sinks", "decoded_nbytes", "describe", "make_sink",
-    "register_sink",
+    "available_sinks", "describe", "make_sink", "register_sink",
     "result_info", "unregister_sink",
 ]

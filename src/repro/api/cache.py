@@ -24,13 +24,13 @@ shares one implementation:
     recomputing.  Failures propagate to all waiters and are **not**
     cached — the next request retries.
 
-:func:`decoded_nbytes`
-    The size the cache is charged with: the bytes of a decoded
-    :class:`~repro.genomics.reads.ReadSet`'s columns (base codes,
-    quality scores, read offsets, header text).  Its static counterpart
-    — :meth:`repro.core.container.SAGeBlock.decoded_nbytes_estimate` —
-    prices the same buffers *without* decoding the block, which is how
-    a server sizes this cache up front.
+The charge for a decoded :class:`~repro.genomics.reads.ReadSet` is its
+:attr:`~repro.genomics.reads.ReadSet.nbytes` — the bytes of its columns
+(base codes, quality scores, read offsets, header text).  The static
+counterpart,
+:meth:`repro.core.container.SAGeBlock.decoded_nbytes_estimate`, prices
+the same buffers *without* decoding the block, which is how a server
+sizes this cache up front.
 """
 
 from __future__ import annotations
@@ -41,16 +41,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
-__all__ = ["CacheStats", "DecodedBlockCache", "SingleFlight",
-           "decoded_nbytes"]
-
-
-def decoded_nbytes(read_set: Any) -> int:
-    """Resident size, in bytes, of a decoded read set: its
-    :attr:`~repro.genomics.reads.ReadBatch.nbytes`.  This is the charge
-    a :class:`DecodedBlockCache` entry pays against the byte budget.
-    """
-    return read_set.batch.nbytes
+__all__ = ["CacheStats", "DecodedBlockCache", "SingleFlight"]
 
 
 @dataclass

@@ -49,7 +49,7 @@ from ..core.decompressor import SAGeDecompressor
 from ..core.options import EngineOptions
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
-from ..genomics.reads import Read, ReadSet, partition_reads
+from ..genomics.reads import Read, ReadSet
 from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
     FastqSink, Sink, StreamExecutor
 from .sinks import resolve_sink
@@ -169,22 +169,24 @@ class SalvageReport:
                           "error": gap.message} for gap in self.gaps]}
 
 
-def _compress_stream(chunks: Iterable[ReadSet], consensus: np.ndarray,
-                     config: SAGeConfig, options: EngineOptions
+def _compress_stream(source: ReadSet | Iterable[ReadSet],
+                     consensus: np.ndarray, config: SAGeConfig,
+                     options: EngineOptions
                      ) -> tuple[SAGeArchive, SourceTotals]:
-    """Block-compress ``chunks`` (one block each), counting the input."""
+    """Block-compress ``source`` — a read set the engine partitions, or
+    chunks taken one block each — counting the input."""
     reads = bases = fastq_bytes = 0
 
-    def accounted() -> Iterator[ReadSet]:
+    def counted(read_set: ReadSet) -> ReadSet:
         nonlocal reads, bases, fastq_bytes
-        for chunk in chunks:
-            reads += len(chunk)
-            bases += chunk.total_bases
-            fastq_bytes += chunk.uncompressed_fastq_bytes()
-            yield chunk
+        reads += len(read_set)
+        bases += read_set.total_bases
+        fastq_bytes += read_set.uncompressed_fastq_bytes()
+        return read_set
 
-    archive = BlockCompressor(consensus, config, options=options) \
-        .compress(accounted())
+    archive = BlockCompressor(consensus, config, options=options).compress(
+        counted(source) if isinstance(source, ReadSet)
+        else map(counted, source))
     return archive, SourceTotals(reads=reads, bases=bases,
                                  fastq_bytes=fastq_bytes)
 
@@ -261,17 +263,11 @@ class SAGeDataset:
         options = options if options is not None else EngineOptions()
         consensus = _as_consensus(reference)
         n = options.block_reads
-        chunks: Iterable[ReadSet]
-        if isinstance(source, ReadSet):
-            chunks = partition_reads(iter(source), n, name=source.name) \
-                if n else [source]
-        elif isinstance(source, (str, Path)):
-            chunks = fastq.iter_read_sets(source, n) if n \
-                else [fastq.read_file(source)]
-        else:
-            chunks = source
+        if isinstance(source, (str, Path)):
+            source = fastq.iter_read_sets(source, n) if n \
+                else fastq.read_file(source)
         archive, totals = _compress_stream(
-            chunks, consensus, options.compressor_config(config), options)
+            source, consensus, options.compressor_config(config), options)
         return cls(archive, options=options, source_totals=totals)
 
     @classmethod

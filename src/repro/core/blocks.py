@@ -164,9 +164,9 @@ class BlockCompressor:
         chunks: Iterable[ReadSet] = reads
         if isinstance(reads, ReadSet):
             name = reads.name
-            chunks = partition_reads(iter(reads), self.block_reads,
-                                     name=name) \
-                if self.block_reads else [reads]
+            n = self.block_reads or max(len(reads), 1)
+            chunks = (reads.subset(range(lo, min(lo + n, len(reads))))
+                      for lo in range(0, len(reads), n))
         blocks, name = self._compress_chunks(chunks, name)
         archive = self._compressor.assemble(blocks, name=name)
         archive.block_reads = self.block_reads     # header field only

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..genomics import sequence as seq
-from ..genomics.reads import Read, ReadSet
+from ..genomics.reads import ReadSet
 from ..mapping.alignment import DEL, INS, SUB
 from ..mapping.batch import make_mapper
 from ..mapping.kmer_index import KmerIndex
@@ -176,15 +176,18 @@ class SAGeCompressor:
             long_reads = not read_set.is_fixed_length
         mapper = self._build_mapper(level, long_reads)
 
-        mappings = mapper.map_batch([read.codes for read in read_set])
+        # Slices of the codes column: no ``Read`` is built to encode.
+        bounds = read_set.offsets.tolist()
+        reads = [read_set.codes[s:e] for s, e in zip(bounds, bounds[1:])]
+        mappings = mapper.map_batch(reads)
 
         plans: list[tuple[int, _ReadPlan]] = []
         unmapped: list[tuple[int, _UnmappedPlan]] = []
-        for idx, (read, mapping) in enumerate(zip(read_set, mappings)):
+        for idx, (codes, mapping) in enumerate(zip(reads, mappings)):
             if mapping.unmapped:
-                unmapped.append((idx, _UnmappedPlan(read.codes)))
+                unmapped.append((idx, _UnmappedPlan(codes)))
             else:
-                plans.append((idx, self._plan_read(read, mapping)))
+                plans.append((idx, self._plan_read(codes, mapping)))
 
         if level.reorder:
             plans.sort(key=lambda item: (item[1].first_cons, item[0]))
@@ -235,10 +238,11 @@ class SAGeCompressor:
             self._index_cache[key] = index
         return index
 
-    def _plan_read(self, read: Read, mapping: MappingResult) -> _ReadPlan:
+    def _plan_read(self, codes: np.ndarray,
+                   mapping: MappingResult) -> _ReadPlan:
         cons = self.consensus
-        oriented = (seq.reverse_complement(read.codes) if mapping.reverse
-                    else read.codes)
+        oriented = (seq.reverse_complement(codes) if mapping.reverse
+                    else codes)
         clip_s, clip_e = mapping.clip_start, mapping.clip_end
         n_runs = _find_runs(oriented, seq.N_CODE)
 
@@ -283,7 +287,7 @@ class SAGeCompressor:
                         remaining -= chunk
                     shift += op.length
 
-        return _ReadPlan(length=len(read), reverse=mapping.reverse,
+        return _ReadPlan(length=int(codes.size), reverse=mapping.reverse,
                          events=events,
                          first_cons=segments[0].cons_start,
                          extra_segments=extra, clip_start=clip_s,
@@ -298,9 +302,10 @@ class SAGeCompressor:
                 level: OptLevel, long_reads: bool) -> SAGeBlock:
         cfg = self.config
         fixed_length = read_set.is_fixed_length
-        fixed_len = len(read_set[0]) if (fixed_length and len(read_set)) \
-            else 0
-        max_len = int(max((len(r) for r in read_set), default=1))
+        read_lengths = read_set.read_lengths()
+        fixed_len = int(read_lengths[0]) if (fixed_length
+                                             and len(read_set)) else 0
+        max_len = int(read_lengths.max(initial=1))
         w_rlen = max(1, int(max_len).bit_length())
         w_cons = max(1, int(self.consensus.size).bit_length())
         breakdown = SizeBreakdown()
@@ -380,18 +385,17 @@ class SAGeCompressor:
             order.write_run(permutation, w_reads)
             breakdown.charge("header", order.bit_length)
 
+        # Headers and scores leave in emission order: one gather.
+        emitted = read_set.subset(permutation)
         headers_blob = None
         if cfg.with_headers and len(read_set):
-            headers_blob = headers_codec.compress_headers(
-                [read_set[i].header for i in permutation])
+            headers_blob = headers_codec.compress_headers(emitted.headers)
             breakdown.charge("header", 8 * len(headers_blob))
 
         quality_blob = None
-        if cfg.with_quality and read_set.has_quality and len(read_set):
-            scores = np.concatenate(
-                [read_set[i].quality for i in permutation])
+        if cfg.with_quality and read_set.has_quality:
             quality_blob = quality_codec.compress(
-                scores, order1=cfg.quality_order1)
+                emitted.quality, order1=cfg.quality_order1)
             breakdown.charge("quality", 8 * quality_blob.byte_size)
 
         streams = {name: (w.getvalue(), w.bit_length)

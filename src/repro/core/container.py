@@ -142,8 +142,8 @@ class SAGeBlock:
 
     def decoded_nbytes_estimate(self, fallback_header_nbytes: int = 0
                                 ) -> int:
-        """Resident bytes of this block's decoded columns — what
-        ``repro.api.cache.decoded_nbytes`` charges for the full decode.
+        """Resident bytes of this block's decoded columns — the
+        ``ReadSet.nbytes`` a cache is charged for the full decode.
 
         Priced from stream metadata alone — no decode happens — so a
         server can size a :class:`~repro.api.cache.DecodedBlockCache`

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from ..genomics import sequence as seq
-from ..genomics.reads import ReadBatch, ReadSet
+from ..genomics.reads import ReadSet
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitReader
@@ -156,14 +156,15 @@ class SAGeDecompressor:
         if len(headers) != n_reads:
             raise DecompressionError(
                 f"{len(headers)} headers for {n_reads} reads")
-        batch = ReadBatch(codes, offsets, scores, headers)
+        read_set = ReadSet.from_columns(codes, offsets, scores, headers,
+                                        arch.name or "sage")
         if order is not None:
             # The columns are in emission order; one gather restores
             # the input order.  Fallback names count final slots.
-            batch = batch.take(order)
+            read_set = read_set.subset(order)
             if not stored:
-                batch.headers = headers
-        return ReadSet(name=arch.name or "sage", batch=batch)
+                read_set.headers = headers
+        return read_set
 
     @staticmethod
     def _emission_order(blk: SAGeBlock) -> np.ndarray:

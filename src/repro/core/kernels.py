@@ -40,7 +40,7 @@ Adding a kernel: subclass :class:`CodecKernel`, implement
 base codes in one flat ``uint8`` buffer in emission order, read ``i``
 at ``codes[offsets[i]:offsets[i + 1]]``), then :func:`register_kernel`
 it.  The flat buffer becomes the ``codes`` column of the block's
-:class:`~repro.genomics.reads.ReadBatch` as is — no kernel hands out
+:class:`~repro.genomics.reads.ReadSet` as is — no kernel hands out
 per-read arrays.  The byte-identity contract is what keeps kernels
 freely interchangeable mid-pipeline.
 """

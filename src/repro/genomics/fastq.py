@@ -48,7 +48,7 @@ def parse_stream(stream: TextIO) -> Iterator[Read]:
             raise FastqError(
                 f"quality length {len(quality)} != sequence length "
                 f"{len(bases)} for read {header[1:]!r}")
-        yield Read.from_text(bases, quality or None, header=header[1:])
+        yield Read.from_text(bases, quality, header=header[1:])
 
 
 def parse(text: str) -> ReadSet:
@@ -94,26 +94,25 @@ def write(read_set: ReadSet, first_index: int = 0) -> str:
     rendered alone matches its slice of the whole-archive output.
     Reads without scores print the placeholder ``"I"``.
 
-    One vectorized pass over the set's :class:`ReadBatch`: record
-    offsets by ``cumsum``, then headers, bases, ``+`` and scores are
+    One vectorized pass over the set's columns: record offsets by
+    ``cumsum``, then headers, bases, ``+`` and scores are
     scattered into one newline-filled byte buffer.  FASTQ is ASCII: a
     header or score outside it raises ``UnicodeError``.
     """
-    batch = read_set.batch
-    n_reads = len(batch)
+    n_reads = len(read_set)
     if not n_reads:
         return ""
-    if batch.codes.size > RENDER_BASES and n_reads > 1:
+    if read_set.total_bases > RENDER_BASES and n_reads > 1:
         # A scatter index costs 8 bytes per base: a large set renders
         # in halves so the working set stays bounded.
         mid = n_reads // 2
-        return write(ReadSet(batch=batch.slice(0, mid)), first_index) \
-            + write(ReadSet(batch=batch.slice(mid, n_reads)),
+        return write(read_set.subset(range(mid)), first_index) \
+            + write(read_set.subset(range(mid, n_reads)),
                     first_index + mid)
     headers = [header or f"read{i}"
-               for i, header in enumerate(batch.headers, first_index)]
+               for i, header in enumerate(read_set.headers, first_index)]
     header_len = np.fromiter(map(len, headers), np.int64, len(headers))
-    lengths = batch.lengths
+    lengths = read_set.read_lengths()
     # '@' header '\n' bases '\n' '+' '\n' scores '\n'
     record_len = header_len + 2 * lengths + 6
     ends = np.cumsum(record_len)
@@ -123,11 +122,11 @@ def write(read_set: ReadSet, first_index: int = 0) -> str:
     out[run_index(at + 1, header_len)] = np.frombuffer(
         "".join(headers).encode("ascii"), dtype=np.uint8)
     bases = run_index(at + header_len + 2, lengths)
-    out[bases] = seq.to_ascii(batch.codes)
+    out[bases] = seq.to_ascii(read_set.codes)
     out[at + header_len + lengths + 3] = ord("+")
     bases += np.repeat(lengths + 3, lengths)      # now the score slots
     out[bases] = PLACEHOLDER_SCORE + PHRED_OFFSET \
-        if batch.quality is None else batch.quality + PHRED_OFFSET
+        if read_set.quality is None else read_set.quality + PHRED_OFFSET
     return out.tobytes().decode("ascii")
 
 

@@ -2,7 +2,8 @@
 
 A :class:`Read` is one sequenced fragment: DNA codes, optional quality
 scores, and a header.  A :class:`ReadSet` is the unit of compression and
-analysis throughout the library (the paper's "read set").
+analysis throughout the library (the paper's "read set"): the reads of
+one block as flat columns, with :class:`Read` objects as views of them.
 """
 
 from __future__ import annotations
@@ -95,124 +96,65 @@ def run_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return index
 
 
-@dataclass(eq=False)
-class ReadBatch:
-    """A block of reads as columns, in final read order.
+class ReadSet:
+    """An ordered collection of reads, held as columns — the unit of
+    (de)compression.
 
     Read ``i`` owns ``codes[offsets[i]:offsets[i + 1]]`` and the same
-    slice of ``quality`` (``None`` when the block has no scores) and is
-    named ``headers[i]``.  This is what a block decode produces, what
-    crosses the process boundary, what the decoded-block cache holds and
-    what the FASTQ renderer reads; :class:`Read` objects are views of it.
+    slice of ``quality``, and is named ``headers[i]``.  The columns are
+    the set: what a block decode produces, what crosses a process
+    boundary, what the decoded-block cache holds and what the FASTQ
+    renderer reads.  ``ReadSet(reads, name=)`` packs a list once;
+    :attr:`reads`, iteration and indexing hand out :class:`Read` views
+    of the columns, built on first use.
+
+    Scores: ``quality`` exists when any read carries at least one
+    score and is ``None`` otherwise.  In a set that has it, a read
+    without scores takes :data:`PLACEHOLDER_SCORE` (what FASTQ prints
+    for it) and a zero-length read owns a zero-length slice.
     """
 
-    codes: np.ndarray                 # flat uint8, offsets[-1] long
-    offsets: np.ndarray               # int64, len + 1, offsets[0] == 0
-    quality: np.ndarray | None        # flat uint8, aligned with codes
-    headers: list[str]
+    def __init__(self, reads: "Iterable[Read] | None" = None,
+                 name: str = "") -> None:
+        reads = list(reads or ())
+        self._assign(*_join([r.codes for r in reads],
+                            [r.quality for r in reads],
+                            [r.codes.size for r in reads],
+                            [r.header for r in reads]), name)
 
-    def __len__(self) -> int:
-        return self.offsets.size - 1
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Per-read lengths."""
-        return np.diff(self.offsets)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the columns, header text included."""
-        quality = 0 if self.quality is None else self.quality.nbytes
-        return (self.codes.nbytes + self.offsets.nbytes + quality
-                + sum(map(len, self.headers)))
-
-    @classmethod
-    def _joined(cls, codes: list, quality: list, lengths,
-                headers: "list[str]") -> "ReadBatch":
-        """Concatenate column parts.  Scores are kept when any part has
-        them; a part without takes the FASTQ placeholder score, which
-        is what the renderer prints for it."""
-        offsets = np.zeros(len(headers) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.asarray(lengths, dtype=np.int64))
-        scores = None
-        if any(part is not None for part in quality):
-            scores = np.concatenate([
-                np.full(bases.size, PLACEHOLDER_SCORE, dtype=np.uint8)
-                if part is None else part
-                for bases, part in zip(codes, quality)])
-        flat = np.concatenate(codes) if codes \
-            else np.empty(0, dtype=np.uint8)
-        return cls(flat, offsets, scores, headers)
+    def _assign(self, codes: np.ndarray, offsets: np.ndarray,
+                quality: np.ndarray | None, headers: "list[str]",
+                name: str) -> None:
+        self.name = name
+        self.codes = codes            # flat uint8, offsets[-1] long
+        self.offsets = offsets        # int64, len + 1, offsets[0] == 0
+        self.quality = quality if quality is not None and quality.size \
+            else None                 # flat uint8, aligned with codes
+        self.headers = headers
+        self._views: "list[Read] | None" = None
 
     @classmethod
-    def pack(cls, reads: "list[Read]") -> "ReadBatch":
-        """The columnar form of a list of reads."""
-        return cls._joined([r.codes for r in reads],
-                           [r.quality for r in reads],
-                           [r.codes.size for r in reads],
-                           [r.header for r in reads])
+    def from_columns(cls, codes: np.ndarray, offsets: np.ndarray,
+                     quality: np.ndarray | None, headers: "list[str]",
+                     name: str = "") -> "ReadSet":
+        """A set over columns a decoder already holds (not copied)."""
+        self = cls.__new__(cls)
+        self._assign(codes, offsets, quality, headers, name)
+        return self
 
     @classmethod
-    def concat(cls, batches: "list[ReadBatch]") -> "ReadBatch":
-        """One batch holding the reads of ``batches`` in order."""
-        return cls._joined([b.codes for b in batches],
-                           [b.quality for b in batches],
-                           np.concatenate([b.lengths for b in batches]
-                                          or [[]]),
-                           [h for b in batches for h in b.headers])
+    def concat(cls, sets: "Iterable[ReadSet]", name: str = "") -> "ReadSet":
+        """One set holding the reads of ``sets`` in order (copied),
+        named ``name`` or else as the first of them."""
+        sets = list(sets)
+        return cls.from_columns(
+            *_join([s.codes for s in sets], [s.quality for s in sets],
+                   np.concatenate([s.read_lengths() for s in sets] or [[]]),
+                   [h for s in sets for h in s.headers]),
+            name or (sets[0].name if sets else ""))
 
-    def slice(self, lo: int, hi: int) -> "ReadBatch":
-        """Reads ``lo .. hi - 1`` as views of this batch's columns."""
-        start, stop = int(self.offsets[lo]), int(self.offsets[hi])
-        quality = None if self.quality is None else self.quality[start:stop]
-        return ReadBatch(self.codes[start:stop],
-                         self.offsets[lo:hi + 1] - start, quality,
-                         self.headers[lo:hi])
-
-    def take(self, indices) -> "ReadBatch":
-        """The reads at ``indices``, gathered into new columns."""
-        indices = np.asarray(indices, dtype=np.int64)
-        lengths = self.lengths[indices]
-        offsets = np.zeros(indices.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        source = run_index(self.offsets[indices], lengths)
-        quality = None if self.quality is None else self.quality[source]
-        return ReadBatch(self.codes[source], offsets, quality,
-                         [self.headers[i] for i in indices.tolist()])
-
-    def reads(self) -> "list[Read]":
-        """One :class:`Read` per row; arrays are views of the columns."""
-        bounds = self.offsets.tolist()
-        spans = list(zip(bounds, bounds[1:]))
-        codes, quality = self.codes, self.quality
-        qualities = [None] * len(spans) if quality is None \
-            else [quality[s:e] for s, e in spans]
-        return [Read(codes[s:e], q, h)
-                for (s, e), q, h in zip(spans, qualities, self.headers)]
-
-
-class ReadSet:
-    """An ordered collection of reads — the unit of (de)compression.
-
-    Built from a list of :class:`Read` (the encode side) or backed by a
-    :class:`ReadBatch` (what a block decode returns).  A batch-backed
-    set answers ``len``, ``total_bases``, ``read_lengths``,
-    ``is_fixed_length``, ``has_quality`` and a contiguous ``subset``
-    from the columns and builds its ``reads`` list only when asked; the
-    list is then a view of the batch, which stays what renders, pickles
-    and is charged.  ``append``/``extend`` detach the set from its batch.
-    """
-
-    def __init__(self, reads: "list[Read] | None" = None, name: str = "",
-                 batch: ReadBatch | None = None) -> None:
-        if reads is None and batch is None:
-            reads = []
-        self._reads, self._batch, self.name = reads, batch, name
-
-    def __reduce__(self):
-        if self._batch is not None:
-            return ReadSet, (None, self.name, self._batch)
-        return ReadSet, (self._reads, self.name)
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_views": None}    # views stay home
 
     def __repr__(self) -> str:
         return f"ReadSet(name={self.name!r}, n_reads={len(self)})"
@@ -224,26 +166,24 @@ class ReadSet:
 
     @property
     def reads(self) -> "list[Read]":
-        reads = self._reads
-        if reads is None:
+        """One :class:`Read` per row; its arrays are views of the
+        columns."""
+        views = self._views
+        if views is None:
+            bounds = self.offsets.tolist()
+            spans = list(zip(bounds, bounds[1:]))
+            codes, quality = self.codes, self.quality
+            qualities = [None] * len(spans) if quality is None \
+                else [quality[s:e] for s, e in spans]
             # Built locally and assigned once: a thread racing this one
             # on a cached block sees None or a complete list.
-            reads = self._reads = self._batch.reads()
-        return reads
-
-    @reads.setter
-    def reads(self, reads: "list[Read]") -> None:
-        self._reads, self._batch = reads, None
-
-    @property
-    def batch(self) -> ReadBatch:
-        """The columnar form (packed on the fly for a list-backed set)."""
-        if self._batch is not None:
-            return self._batch
-        return ReadBatch.pack(self._reads)
+            views = self._views = [
+                Read(codes[s:e], q, h)
+                for (s, e), q, h in zip(spans, qualities, self.headers)]
+        return views
 
     def __len__(self) -> int:
-        return len(self._reads if self._batch is None else self._batch)
+        return self.offsets.size - 1
 
     def __iter__(self) -> Iterator[Read]:
         return iter(self.reads)
@@ -251,26 +191,22 @@ class ReadSet:
     def __getitem__(self, idx: int) -> Read:
         return self.reads[idx]
 
-    def append(self, read: Read) -> None:
-        self.reads = self.reads           # materialize, drop the batch
-        self._reads.append(read)
-
-    def extend(self, reads: Iterable[Read]) -> None:
-        self.reads = self.reads
-        self._reads.extend(reads)
-
     @property
     def has_quality(self) -> bool:
-        """True when every read carries quality scores."""
-        if self._batch is not None:
-            return bool(len(self)) and self._batch.quality is not None
-        return bool(self._reads) and all(
-            r.quality is not None for r in self._reads)
+        """True when the set has a ``quality`` column."""
+        return self.quality is not None
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the columns, header text included."""
+        quality = 0 if self.quality is None else self.quality.nbytes
+        return (self.codes.nbytes + self.offsets.nbytes + quality
+                + sum(map(len, self.headers)))
 
     @property
     def total_bases(self) -> int:
         """Total number of bases across all reads."""
-        return int(self.read_lengths().sum())
+        return int(self.offsets[-1])
 
     @property
     def is_fixed_length(self) -> bool:
@@ -280,9 +216,7 @@ class ReadSet:
 
     def read_lengths(self) -> np.ndarray:
         """Array of per-read lengths."""
-        if self._batch is not None:
-            return self._batch.lengths
-        return np.array([len(r) for r in self._reads], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def uncompressed_dna_bytes(self) -> int:
         """Size of the DNA payload stored as 1 ASCII byte per base."""
@@ -290,24 +224,49 @@ class ReadSet:
 
     def uncompressed_fastq_bytes(self) -> int:
         """Approximate FASTQ size: header + bases + separator + qualities."""
-        total = 0
-        for read in self.reads:
-            header_len = len(read.header) + 1 if read.header else 2
-            total += header_len + 1  # '@' + header + newline
-            total += len(read) + 1
-            total += 2  # '+' line
-            total += len(read) + 1
-        return total
+        # '@' header '\n' bases '\n' '+' '\n' scores '\n'
+        return (sum(len(header) or 1 for header in self.headers)
+                + 6 * len(self) + 2 * self.total_bases)
 
     def subset(self, indices: Iterable[int]) -> "ReadSet":
-        """New read set containing the selected reads (shared arrays);
-        a contiguous range of a batch-backed set stays columnar."""
-        if self._batch is not None and isinstance(indices, range) \
-                and indices.step == 1 \
+        """New read set of the selected reads: a contiguous ``range``
+        is a view of this set's columns, anything else a gather."""
+        if isinstance(indices, range) and indices.step == 1 \
                 and 0 <= indices.start <= indices.stop <= len(self):
-            return ReadSet(name=self.name, batch=self._batch.slice(
-                indices.start, indices.stop))
-        return ReadSet([self.reads[i] for i in indices], name=self.name)
+            lo, hi = indices.start, indices.stop
+            start, stop = int(self.offsets[lo]), int(self.offsets[hi])
+            quality = None if self.quality is None \
+                else self.quality[start:stop]
+            return ReadSet.from_columns(
+                self.codes[start:stop], self.offsets[lo:hi + 1] - start,
+                quality, self.headers[lo:hi], self.name)
+        if not isinstance(indices, np.ndarray):
+            indices = np.array(list(indices), dtype=np.int64)
+        picks = np.arange(len(self))[indices]       # bounds, negatives
+        lengths = self.read_lengths()[picks]
+        offsets = np.zeros(picks.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        source = run_index(self.offsets[picks], lengths)
+        quality = None if self.quality is None else self.quality[source]
+        return ReadSet.from_columns(
+            self.codes[source], offsets, quality,
+            [self.headers[i] for i in picks.tolist()], self.name)
+
+
+def _join(codes: list, quality: list, lengths,
+          headers: "list[str]") -> tuple:
+    """Concatenate column parts into ``(codes, offsets, quality,
+    headers)`` under :class:`ReadSet`'s rule for scores."""
+    offsets = np.zeros(len(headers) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.asarray(lengths, dtype=np.int64))
+    scores = None
+    if any(part is not None and part.size for part in quality):
+        scores = np.concatenate([
+            np.full(bases.size, PLACEHOLDER_SCORE, dtype=np.uint8)
+            if part is None else part
+            for bases, part in zip(codes, quality)])
+    flat = np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
+    return flat, offsets, scores, headers
 
 
 def iter_reads(reads: ReadSet | Iterable[ReadSet]) -> Iterator[Read]:

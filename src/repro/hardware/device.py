@@ -126,22 +126,21 @@ class SAGeDevice:
         if archive is None:
             raise DeviceError(f"no genomic file {name!r}")
         from ..core.decompressor import SAGeDecompressor
-        from ..genomics.reads import Read
 
         # Decode section by section: the blocks are the SSD's natural
-        # streaming unit (§5.3).
+        # streaming unit (§5.3); batches are slices of their columns.
         decoder = SAGeDecompressor(archive)
-        decoded = (read for index in range(archive.n_blocks)
-                   for read in decoder.decompress_block(
-                       index, select="sequence"))
-        batch: list = []
-        for i, read in enumerate(decoded):
-            batch.append(Read(read.codes, header=f"{name}.{i}"))
-            if len(batch) >= batch_reads:
-                yield ReadSet(batch, name=name)
-                batch = []
-        if batch:
-            yield ReadSet(batch, name=name)
+        pending = ReadSet(name=name)
+        for index in range(archive.n_blocks):
+            pending = ReadSet.concat(
+                [pending, decoder.decompress_block(index, select="sequence")],
+                name=name)
+            cut = len(pending) - len(pending) % batch_reads
+            for lo in range(0, cut, batch_reads):
+                yield pending.subset(range(lo, lo + batch_reads))
+            pending = pending.subset(range(cut, len(pending)))
+        if len(pending):
+            yield pending
 
     # ------------------------------------------------------------------
     # Introspection

@@ -122,7 +122,7 @@ class SAGeHardwareModel:
         # matching position (§5.1.3).
         consensus_bits = archive.consensus[1]
         stats = HardwareRunStats(stream_bits={"consensus": consensus_bits})
-        reads: list = []
+        blocks: list[ReadSet] = []
         for index in range(archive.n_blocks):
             readers = {
                 name: _CountingReader(payload, bits) for name,
@@ -151,8 +151,8 @@ class SAGeHardwareModel:
             stats.rcu_cycles += rcu_cycles
             stats.total_cycles += (max(su_cycles, rcu_cycles)
                                    + CU_CYCLES_PER_READ * len(codes))
-            reads.extend(decoder.decompress_block(index))
-        return ReadSet(reads, name=archive.name), stats
+            blocks.append(decoder.decompress_block(index))
+        return ReadSet.concat(blocks, name=archive.name), stats
 
     # ------------------------------------------------------------------
     # Validation against the software decoders

@@ -43,7 +43,7 @@ from ..core.options import BACKENDS, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection, \
     decoded_stream_bits
 from ..genomics import fastq
-from ..genomics.reads import ReadBatch, ReadSet
+from ..genomics.reads import ReadSet
 from ..mapping.mapper import MapperConfig, ReadMapper
 
 __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
@@ -499,21 +499,17 @@ class CollectSink:
     requires = STREAM_GROUPS
 
     def __init__(self):
-        self._batches: list[ReadBatch] = []
-        self._name = ""
+        self._blocks: list[ReadSet] = []
         self.gaps: list[BlockGap] = []
 
     def consume(self, index: int, block: ReadSet) -> None:
-        if not self._name and block.name:
-            self._name = block.name
-        self._batches.append(block.batch)
+        self._blocks.append(block)
 
     def consume_gap(self, gap: BlockGap) -> None:
         self.gaps.append(gap)
 
     def finish(self) -> ReadSet:
-        return ReadSet(name=self._name,
-                       batch=ReadBatch.concat(self._batches))
+        return ReadSet.concat(self._blocks)
 
 
 @dataclass

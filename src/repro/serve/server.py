@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
-from ..api.cache import DecodedBlockCache, SingleFlight, decoded_nbytes
+from ..api.cache import DecodedBlockCache, SingleFlight
 from ..api.dataset import SAGeDataset
 from ..api.describe import describe
 from ..api.sinks import result_info
@@ -465,7 +465,7 @@ class ArchiveServer:
             self._flights.reject(key, exc)
             raise
         self.stats.decodes += 1
-        self.cache.put(key, read_set, decoded_nbytes(read_set))
+        self.cache.put(key, read_set, read_set.nbytes)
         self._flights.resolve(key, read_set)
         return read_set
 

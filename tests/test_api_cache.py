@@ -5,33 +5,31 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api.cache import (CacheStats, DecodedBlockCache, SingleFlight,
-                             decoded_nbytes)
+from repro.api.cache import CacheStats, DecodedBlockCache, SingleFlight
 from repro.genomics.reads import Read, ReadSet
 
-#: One int64 read offset (a batch of n reads holds n + 1).
+#: One int64 read offset (a set of n reads holds n + 1).
 OFFSET = 8
 
 
 class TestDecodedNbytes:
-    """The charge is the bytes of the columns: codes + quality +
-    offsets + header text, nothing guessed per read."""
+    """The charge is ``ReadSet.nbytes``, the bytes of the columns: codes
+    + quality + offsets + header text, nothing guessed per read."""
 
     def test_counts_arrays_headers_and_overhead(self):
         read = Read(codes=np.zeros(10, dtype=np.uint8),
                     quality=np.zeros(10, dtype=np.uint8),
                     header="r1")
         read_set = ReadSet([read])
-        assert decoded_nbytes(read_set) == 10 + 10 + 2 + 2 * OFFSET
-        assert decoded_nbytes(read_set) == read_set.batch.nbytes
+        assert read_set.nbytes == 10 + 10 + 2 + 2 * OFFSET
 
     def test_quality_less_read(self):
         read = Read(codes=np.zeros(8, dtype=np.uint8), quality=None,
                     header="")
-        assert decoded_nbytes(ReadSet([read])) == 8 + 2 * OFFSET
+        assert ReadSet([read]).nbytes == 8 + 2 * OFFSET
 
     def test_empty_set(self):
-        assert decoded_nbytes(ReadSet([])) == OFFSET
+        assert ReadSet([]).nbytes == OFFSET
 
 
 class TestDecodedBlockCache:

@@ -12,7 +12,8 @@ from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, OptLevel,
                         SAGeArchive, SAGeCompressor, SAGeConfig)
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
-from repro.genomics.reads import partition_reads
+from repro.genomics.reads import (PLACEHOLDER_SCORE, Read, ReadSet,
+                                  partition_reads)
 
 from tests.conftest import read_multiset
 
@@ -218,6 +219,42 @@ class TestFacadeSessions:
             assert read_multiset(session.read_set()) \
                 == read_multiset(rs3_small.read_set)
         assert session.closed
+
+    def test_zero_length_record_keeps_every_score(self, tmp_path,
+                                                  rs3_small):
+        """A FASTQ with an empty record in the middle comes back byte
+        for byte: the empty read owns an empty slice of the scores, it
+        does not switch the block's quality stream off."""
+        ref = rs3_small.reference
+        records = [("a", seq.decode(ref[100:160]), "5" * 60),
+                   ("b", "", ""),
+                   ("c", seq.decode(ref[300:360]), "#" * 30 + "F" * 30)]
+        text = "".join(f"@{h}\n{bases}\n+\n{scores}\n"
+                       for h, bases, scores in records)
+        source, archive = tmp_path / "in.fastq", tmp_path / "in.sage"
+        source.write_text(text, encoding="ascii")
+        SAGeDataset.from_fastq(
+            source, reference=ref,
+            config=SAGeConfig(preserve_order=True, with_headers=True)
+        ).save(archive)
+        with SAGeDataset.open(archive) as session:
+            assert session.to_fastq(tmp_path / "out.fastq") == 3
+        assert (tmp_path / "out.fastq").read_text(encoding="ascii") == text
+
+    def test_score_less_read_keeps_the_other_scores(self, rs3_small):
+        """One read without scores takes the placeholder; every other
+        read of its block keeps its own."""
+        reads = list(rs3_small.read_set.subset(range(6)))
+        bare = Read(reads[2].codes, header=reads[2].header)
+        mixed = ReadSet(reads[:2] + [bare] + reads[3:], name="mixed")
+        dataset = SAGeDataset.from_fastq(
+            mixed, reference=rs3_small.reference,
+            config=SAGeConfig(preserve_order=True))
+        back = dataset.read_set()
+        assert back[2].quality.tolist() \
+            == [PLACEHOLDER_SCORE] * len(bare)
+        assert [r for i, r in enumerate(back) if i != 2] \
+            == reads[:2] + reads[3:]
 
     def test_closed_session_rejects_streaming(self, tmp_path, dataset):
         path = tmp_path / "rs3.sage"

@@ -168,6 +168,7 @@ class TestEdgeCases:
             reads.append(Read(codes, qual))
         rs = ReadSet(reads)
         _, decoded = roundtrip(rs, self.reference)
+        assert rs._views is None        # encoded from the columns
         assert read_multiset(decoded) == read_multiset(rs)
 
 

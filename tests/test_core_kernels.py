@@ -547,7 +547,7 @@ class TestColumnarDecodeOracle:
                        ("sequence", "quality"), ("headers", "order"),
                        ("headers",)):
             decoded = decoder.decompress(select=select)
-            assert decoded._reads is None, "decode built Read objects"
+            assert decoded._views is None, "decode built Read objects"
             got = [(r.codes.tobytes(),
                     None if r.quality is None else r.quality.tobytes(),
                     r.header) for r in decoded]

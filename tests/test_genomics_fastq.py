@@ -94,20 +94,20 @@ class TestBlockRenderer:
 
     @given(_reads, st.booleans(), st.integers(min_value=0, max_value=99))
     def test_batch_backed_equals_list_backed(self, spec, scored, k):
-        # All-or-none scores: what a batch can hold without the
-        # placeholder rule.
+        """A set over a decoder's columns renders like the one packed
+        from a list, and neither builds a ``Read`` to do it."""
         listed = _read_set([(b, scored, h) for b, _, h in spec])
-        backed = ReadSet(name="h", batch=listed.batch)
-        assert backed._reads is None
+        backed = ReadSet.from_columns(listed.codes, listed.offsets,
+                                      listed.quality, listed.headers, "h")
+        assert fastq.write(backed, k) == fastq.write(listed, k)
+        assert backed._views is None and listed._views is None
         assert fastq.write(backed, k) == _oracle(listed, k)
-        assert backed._reads is None        # rendered from the columns
         again = pickle.loads(pickle.dumps(backed))
         assert again == backed
         assert fastq.write(again, k) == fastq.write(backed, k)
 
     def test_empty_set(self):
         assert fastq.write(ReadSet()) == ""
-        assert fastq.write(ReadSet(batch=ReadSet().batch)) == ""
 
     def test_mixed_scores_take_the_placeholder_per_read(self):
         rs = ReadSet([Read.from_text("AC", "!5", header="a"),
@@ -118,8 +118,6 @@ class TestBlockRenderer:
         bad = ReadSet([Read(np.array([0, 1, 7], dtype=np.uint8))])
         with pytest.raises(SequenceError, match="invalid DNA code 7"):
             fastq.write(bad)
-        with pytest.raises(SequenceError):
-            fastq.write(ReadSet(batch=bad.batch))
 
     def test_non_ascii_score_raises(self):
         rs = ReadSet([Read(np.zeros(2, dtype=np.uint8),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.genomics import sequence as seq
 from repro.genomics.reads import (PHRED_OFFSET, PLACEHOLDER_SCORE, Read,
-                                  ReadBatch, ReadSet)
+                                  ReadSet)
 
 
 def _read(bases="ACGT", qual=None, header="r"):
@@ -51,6 +51,12 @@ class TestRead:
         assert PHRED_OFFSET == 33
 
 
+def _scored(bases, header="r", seed=0):
+    rng = np.random.default_rng(seed)
+    return Read(seq.encode(bases),
+                rng.integers(0, 41, len(bases)).astype(np.uint8), header)
+
+
 class TestReadSet:
     def test_iteration_and_indexing(self):
         rs = ReadSet([_read("AC"), _read("GT")])
@@ -58,17 +64,30 @@ class TestReadSet:
         assert [r.text for r in rs] == ["AC", "GT"]
         assert rs[1].text == "GT"
 
-    def test_append_extend(self):
-        rs = ReadSet()
-        rs.append(_read("A"))
-        rs.extend([_read("C"), _read("G")])
-        assert len(rs) == 3
-
     def test_has_quality(self):
+        """One rule: the column exists when any read carries a score."""
         assert ReadSet([_read("AC", "II")]).has_quality
         assert not ReadSet([_read("AC")]).has_quality
-        assert not ReadSet([_read("AC", "II"), _read("GT")]).has_quality
+        assert ReadSet([_read("AC", "II"), _read("GT")]).has_quality
+        assert not ReadSet([_read("", "")]).has_quality
         assert not ReadSet().has_quality
+
+    def test_list_roundtrip(self):
+        """``ReadSet(list).reads`` is the list back, under the rule for
+        scores: in a set that has them a read without takes the
+        placeholder and a zero-length read an empty slice."""
+        scored = [_scored("ACGT", "a"), _scored("", "b"), _scored("N", "")]
+        assert ReadSet(scored).reads == scored
+        assert [r.header for r in ReadSet(scored)] == ["a", "b", ""]
+        bare = [_read("ACGT"), _read(""), _read("NN")]
+        assert ReadSet(bare).reads == bare
+        assert ReadSet(bare).quality is None
+        mixed = ReadSet([scored[0], _read("GT"), _read(""), scored[2]])
+        assert mixed.reads == [
+            scored[0], Read(seq.encode("GT"), [PLACEHOLDER_SCORE] * 2),
+            Read(seq.encode(""), []), scored[2]]
+        # Zero-length reads alone carry no score: no column, either way.
+        assert ReadSet([_read("", "")]).reads == [_read("")]
 
     def test_total_bases_and_lengths(self):
         rs = ReadSet([_read("ACGT"), _read("AC")])
@@ -92,134 +111,135 @@ class TestReadSet:
         assert sub.name == "x"
 
 
-def _scored(bases, header="r", seed=0):
-    rng = np.random.default_rng(seed)
-    return Read(seq.encode(bases),
-                rng.integers(0, 41, len(bases)).astype(np.uint8), header)
-
-
-def _columns(reads, name="x"):
-    """A batch-backed set over the same reads (and the listed twin)."""
-    listed = ReadSet(list(reads), name=name)
-    return ReadSet(name=name, batch=listed.batch), listed
-
-
 class TestReadBatch:
+    """The column operations: pack, views, slice, gather, concat."""
+
     def test_pack_and_views_roundtrip(self):
         reads = [_scored("ACGT", "a"), _scored("", "b"), _scored("NNG", "")]
-        batch = ReadBatch.pack(reads)
-        assert len(batch) == 3
-        assert batch.offsets.tolist() == [0, 4, 4, 7]
-        assert batch.lengths.tolist() == [4, 0, 3]
-        assert batch.headers == ["a", "b", ""]
-        views = batch.reads()
+        rs = ReadSet(reads, name="x")
+        assert len(rs) == 3
+        assert rs.offsets.tolist() == [0, 4, 4, 7]
+        assert rs.read_lengths().tolist() == [4, 0, 3]
+        assert rs.headers == ["a", "b", ""]
+        views = rs.reads
         assert views == reads
         assert [r.header for r in views] == ["a", "b", ""]
         # Views, not copies: they share the columns' memory.
-        assert np.shares_memory(views[0].codes, batch.codes)
-        assert np.shares_memory(views[2].quality, batch.quality)
+        assert np.shares_memory(views[0].codes, rs.codes)
+        assert np.shares_memory(views[2].quality, rs.quality)
+        # The decoders' constructor wraps the same columns uncopied.
+        twin = ReadSet.from_columns(rs.codes, rs.offsets, rs.quality,
+                                    rs.headers, name="x")
+        assert twin == rs and twin.codes is rs.codes
 
     def test_nbytes_is_the_columns(self):
-        batch = ReadBatch.pack([_scored("ACGT", "ab"), _scored("AC", "")])
-        assert batch.nbytes == 6 + 6 + 3 * 8 + 2
-        bare = ReadBatch.pack([_read("ACGT", header="ab")])
+        rs = ReadSet([_scored("ACGT", "ab"), _scored("AC", "")])
+        assert rs.nbytes == 6 + 6 + 3 * 8 + 2
+        bare = ReadSet([_read("ACGT", header="ab")])
         assert bare.quality is None
         assert bare.nbytes == 4 + 2 * 8 + 2
 
     def test_slice_is_a_view_and_take_gathers(self):
         reads = [_scored("ACGT", "a"), _scored("GG", "b"),
                  _scored("TTTAA", "c"), _scored("C", "d")]
-        batch = ReadBatch.pack(reads)
-        middle = batch.slice(1, 3)
-        assert middle.reads() == reads[1:3]
+        rs = ReadSet(reads)
+        middle = rs.subset(range(1, 3))
+        assert middle.reads == reads[1:3]
         assert middle.offsets.tolist() == [0, 2, 7]
-        assert np.shares_memory(middle.codes, batch.codes)
-        assert len(batch.slice(2, 2)) == 0
-        picked = batch.take([3, 0, 0, 2])
-        assert picked.reads() == [reads[3], reads[0], reads[0], reads[2]]
-        assert picked.headers == ["d", "a", "a", "c"]
-        assert len(batch.take([])) == 0
+        assert np.shares_memory(middle.codes, rs.codes)
+        assert np.shares_memory(middle.quality, rs.quality)
+        assert len(rs.subset(range(2, 2))) == 0
+        for indices in ([3, 0, 0, 2], np.array([3, 0, 0, -2])):
+            picked = rs.subset(indices)
+            assert picked.reads == [reads[3], reads[0], reads[0], reads[2]]
+            assert picked.headers == ["d", "a", "a", "c"]
+            assert not np.shares_memory(picked.codes, rs.codes)
+        assert len(rs.subset([])) == 0
 
     def test_concat(self):
-        a = ReadBatch.pack([_scored("ACGT", "a"), _scored("G", "b")])
-        b = ReadBatch.pack([_scored("TT", "c")])
-        joined = ReadBatch.concat([a, ReadBatch.pack([]), b])
-        assert joined.reads() == a.reads() + b.reads()
-        assert joined.headers == ["a", "b", "c"]
-        empty = ReadBatch.concat([])
+        a = ReadSet([_scored("ACGT", "a"), _scored("G", "b")])
+        b = ReadSet([_scored("TT", "c")])
+        joined = ReadSet.concat([a, ReadSet(), b], name="j")
+        assert joined.reads == a.reads + b.reads
+        assert joined.headers == ["a", "b", "c"] and joined.name == "j"
+        assert not np.shares_memory(joined.codes, a.codes)
+        empty = ReadSet.concat([])
         assert len(empty) == 0 and empty.quality is None
 
     def test_part_without_scores_takes_the_placeholder(self):
-        joined = ReadBatch.concat([ReadBatch.pack([_scored("AC")]),
-                                   ReadBatch.pack([_read("GT")])])
+        joined = ReadSet.concat([ReadSet([_scored("AC")]),
+                                 ReadSet([_read("GT")])])
         assert joined.quality[2:].tolist() == [PLACEHOLDER_SCORE] * 2
-        assert ReadBatch.pack([_read("GT")]).quality is None
+        assert ReadSet([_read("GT")]).quality is None
 
 
 class TestBatchBackedReadSet:
-    """A decoded block: answers from the columns, materializes lazily,
-    and otherwise behaves exactly like the list-backed set."""
+    """A set answers from its columns, builds its ``Read`` views only
+    when asked, and otherwise behaves exactly like the list it packed."""
 
     READS = [_scored("ACGT", "a", 1), _scored("TTGCA", "b", 2),
              _scored("G", "", 3)]
 
     def test_columnar_answers_do_not_materialize(self):
-        backed, listed = _columns(self.READS)
-        assert len(backed) == len(listed) == 3
-        assert backed.total_bases == listed.total_bases == 10
-        assert backed.read_lengths().tolist() \
-            == listed.read_lengths().tolist()
-        assert backed.has_quality and listed.has_quality
-        assert not backed.is_fixed_length
-        assert backed.uncompressed_dna_bytes() == 10
-        sub = backed.subset(range(1, 3))
-        assert backed._reads is None and sub._reads is None
-        assert sub == listed.subset(range(1, 3))
+        rs = ReadSet(self.READS, name="x")
+        assert len(rs) == 3
+        assert rs.total_bases == 10
+        assert rs.read_lengths().tolist() == [4, 5, 1]
+        assert rs.has_quality
+        assert not rs.is_fixed_length
+        assert rs.uncompressed_dna_bytes() == 10
+        sub = rs.subset(range(1, 3))
+        assert rs._views is None and sub._views is None
+        assert sub.reads == self.READS[1:3]
         assert sub.name == "x"
 
     def test_quality_less_and_empty(self):
-        backed, listed = _columns([_read("AC"), _read("GT")])
-        assert not backed.has_quality and not listed.has_quality
-        assert backed.is_fixed_length
-        assert backed[0].quality is None
-        empty, _ = _columns([])
+        rs = ReadSet([_read("AC"), _read("GT")])
+        assert not rs.has_quality
+        assert rs.is_fixed_length
+        assert rs[0].quality is None
+        empty = ReadSet()
         assert len(empty) == 0 and not empty.has_quality
         assert empty.is_fixed_length and list(empty) == []
 
     def test_public_surface_matches_the_list(self):
-        backed, listed = _columns(self.READS)
-        assert backed == listed and listed == backed
-        assert backed.reads == listed.reads
-        assert [r.header for r in backed] == ["a", "b", ""]
-        assert backed[1].text == "TTGCA" and backed[-1].text == "G"
-        assert backed.reads is backed.reads          # built once
-        assert backed.subset([2, 0]) == listed.subset([2, 0])
-        assert backed.subset(range(2, 0, -1)) \
-            == listed.subset(range(2, 0, -1))
-        assert backed.uncompressed_fastq_bytes() \
-            == listed.uncompressed_fastq_bytes()
+        rs = ReadSet(self.READS, name="x")
+        assert rs == ReadSet(list(self.READS), name="x")
+        assert rs.reads == self.READS
+        assert [r.header for r in rs] == ["a", "b", ""]
+        assert rs[1].text == "TTGCA" and rs[-1].text == "G"
+        assert rs.reads is rs.reads                  # built once
+        assert rs.subset([2, 0]).reads == [self.READS[2], self.READS[0]]
+        assert rs.subset(range(2, 0, -1)).reads \
+            == [self.READS[2], self.READS[1]]
+        # '@' header (or a one-character fallback) and four newlines,
+        # '+', bases and scores: the per-read count, kept as the oracle.
+        assert rs.uncompressed_fastq_bytes() == sum(
+            1 + (len(r.header) or 1) + 1 + len(r) + 1 + 2 + len(r) + 1
+            for r in self.READS)
         with pytest.raises(IndexError):
-            backed.subset(range(2, 5))
-        assert backed != ReadSet(list(self.READS), name="other")
-
-    def test_append_extend_behave_as_on_a_list(self):
-        backed, listed = _columns(self.READS)
-        for rs in (backed, listed):
-            rs.append(_scored("CC", "new"))
-            rs.extend([_read("A"), _read("T")])
-        assert len(backed) == len(listed) == 6
-        assert backed == listed
-        assert backed.total_bases == listed.total_bases == 14
-        assert not backed.has_quality      # two reads carry no scores
-        assert backed[3].header == "new"
-        # The set now renders and pickles what it holds.
-        assert pickle.loads(pickle.dumps(backed)) == listed
+            rs.subset(range(2, 5))
+        assert rs != ReadSet(list(self.READS), name="other")
 
     def test_pickle_ships_the_columns(self):
-        backed, listed = _columns(self.READS)
-        _ = backed.reads                    # materialized views stay home
-        again = pickle.loads(pickle.dumps(backed))
-        assert again._reads is None
-        assert again == listed and again.name == "x"
+        rs = ReadSet(self.READS, name="x")
+        _ = rs.reads                        # materialized views stay home
+        again = pickle.loads(pickle.dumps(rs))
+        assert again._views is None
+        assert again == rs and again.name == "x"
         assert [r.header for r in again] == ["a", "b", ""]
-        assert pickle.loads(pickle.dumps(listed)) == listed
+        # A slice ships its own reads, not the set it views.
+        assert len(pickle.dumps(rs.subset(range(2, 3)))) \
+            < len(pickle.dumps(rs))
+
+    def test_encode_chunk_pickles_as_three_arrays(self):
+        """What a ``workers>1`` encode ships per block: 1024 x 100 bp
+        with scores and headers is its columns plus small change."""
+        rng = np.random.default_rng(7)
+        chunk = ReadSet([
+            Read(rng.integers(0, 4, 100).astype(np.uint8),
+                 rng.integers(0, 41, 100).astype(np.uint8), f"run1.{i}")
+            for i in range(1024)], name="chunk")
+        blob = pickle.dumps(chunk)
+        assert len(blob) <= 230_000
+        assert pickle.loads(blob) == chunk

@@ -379,12 +379,17 @@ class TestOptionsThreadingEdges:
 
 
     def test_decoded_blocks_stay_columnar(self):
-        """A block decode produces a ``ReadBatch`` and every stage up
-        to the sink consumes it: the decode, transport, cache and
-        serve layers never construct a ``Read``, ``format_read`` is
-        nobody's inner loop, and ``fastq.write`` is the one function
-        that turns base codes into FASTQ text."""
+        """``ReadSet`` is the one read container and its columns its
+        one storage: no ``ReadBatch``, no ``batch=`` way in, no second
+        attribute standing for "list or columns".  A block decode
+        builds it and every stage up to the sink consumes it: the
+        decode, transport, cache and serve layers never construct a
+        ``Read``, ``format_read`` is nobody's inner loop, and
+        ``fastq.write`` is the one function that turns base codes into
+        FASTQ text."""
         src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        trees = {path: ast.parse(path.read_text())
+                 for path in sorted(src.rglob("*.py"))}
 
         def calls(tree, name):
             return [node.lineno for node in ast.walk(tree)
@@ -392,19 +397,34 @@ class TestOptionsThreadingEdges:
                     and name in (getattr(node.func, "id", None),
                                  getattr(node.func, "attr", None))]
 
+        offenders = [f"{path.relative_to(src)} mentions ReadBatch"
+                     for path in trees if "ReadBatch" in path.read_text()]
+        offenders += [f"{path.relative_to(src)}:{node.lineno} batch="
+                      for path, tree in trees.items()
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.keyword, ast.arg))
+                      and node.arg == "batch"]
         columnar = [src / "core/decompressor.py", src / "core/kernels.py",
                     src / "pipeline/executor.py", src / "api/cache.py",
                     *sorted((src / "serve").glob("*.py"))]
-        offenders = [f"{path.relative_to(src)}:{line} Read("
-                     for path in columnar
-                     for line in calls(ast.parse(path.read_text()), "Read")]
+        offenders += [f"{path.relative_to(src)}:{line} Read("
+                      for path in columnar
+                      for line in calls(trees[path], "Read")]
         offenders += [f"{path.relative_to(src)}:{line} format_read("
-                      for path in sorted(src.rglob("*.py"))
-                      for line in calls(ast.parse(path.read_text()),
-                                        "format_read")]
+                      for path, tree in trees.items()
+                      for line in calls(tree, "format_read")]
         assert offenders == []
-        fastq_tree = ast.parse((src / "genomics/fastq.py").read_text())
-        renderers = [node.name for node in fastq_tree.body
+        [read_set] = [node for node in trees[src / "genomics/reads.py"].body
+                      if isinstance(node, ast.ClassDef)
+                      and node.name == "ReadSet"]
+        stored = {node.attr for node in ast.walk(read_set)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) == "self"}
+        assert stored == {"name", "codes", "offsets", "quality", "headers",
+                          "_views"}           # the columns + a view cache
+        renderers = [node.name
+                     for node in trees[src / "genomics/fastq.py"].body
                      if isinstance(node, ast.FunctionDef)
                      and calls(node, "to_ascii")]
         assert renderers == ["write"]

@@ -84,6 +84,8 @@ class TestEndpoints:
             assert now - charged == block["decoded_nbytes_estimate"]
             charged = now
         assert charged == info["decoded_nbytes_estimate_total"]
+        assert charged == sum(server.cache.get(key).nbytes
+                              for key in server.cache.keys())
 
     def test_reads_slice_the_cached_columns(self, server, client):
         """``/reads`` and ``/block`` render from the cached block's
@@ -92,9 +94,9 @@ class TestEndpoints:
         client.get_text(f"/reads/{BLOCK_READS + 3}-{BLOCK_READS + 6}")
         client.get_text("/block/1")
         [key] = server.cache.keys()
-        assert server.cache.get(key)._reads is None
+        assert server.cache.get(key)._views is None
         client.get_json("/block/1?format=json")      # asks for reads
-        assert len(server.cache.get(key)._reads) == BLOCK_READS
+        assert len(server.cache.get(key)._views) == BLOCK_READS
 
     def test_block_fastq_roundtrip(self, client, served_archive):
         text = "".join(
