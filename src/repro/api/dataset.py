@@ -256,8 +256,8 @@ class SAGeDataset:
 
         ``config`` (default :class:`SAGeConfig`) states the format:
         level, quality, long-read mode, headers, order.  ``options``
-        carry none of that; their ``codec`` / ``mapper`` kernel names
-        are stamped onto the config unless ``"auto"``
+        carry none of that; their ``mapper`` kernel name is stamped
+        onto the config unless ``"auto"``
         (:meth:`EngineOptions.compressor_config`).
         """
         options = options if options is not None else EngineOptions()

@@ -1,14 +1,15 @@
 """Baseline compressors: general-purpose (pigz analog) and genomic
-(Spring/NanoSpring analog), plus the shared entropy/LZ building blocks."""
+(Spring/NanoSpring analog).  The entropy/LZ building blocks they share
+with the archive's own header stream live under :mod:`repro.core`
+(``huffman``, ``lz77``, ``deflate``)."""
 
 from ..core.huffman import HuffmanTable, entropy_bits
-from . import deflate, lz77, pigz, spring
-from .deflate import DeflateBlob
+from . import pigz, spring
 from .pigz import PigzArchive, compress_read_set, decompress_read_set
 from .spring import SpringArchive, SpringCompressor, SpringDecompressor
 
 __all__ = [
-    "deflate", "lz77", "pigz", "spring", "DeflateBlob",
+    "pigz", "spring",
     "HuffmanTable", "entropy_bits", "PigzArchive", "compress_read_set",
     "decompress_read_set", "SpringArchive", "SpringCompressor",
     "SpringDecompressor",

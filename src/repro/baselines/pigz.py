@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core import deflate
 from ..genomics import fastq
 from ..genomics.reads import PHRED_OFFSET, ReadSet
-from . import deflate
 
 
 @dataclass

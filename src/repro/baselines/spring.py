@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import deflate
 from ..core import quality as quality_codec
 from ..core.formats import pack_bits, unpack_bits
 from ..genomics import sequence as seq
 from ..genomics.reads import Read, ReadSet
 from ..mapping.alignment import DEL, INS, SUB
 from ..mapping.mapper import MapperConfig, ReadMapper
-from . import deflate
 
 _TYPE_CHAR = {SUB: 0, INS: 1, DEL: 2}
 _KIND_FROM_CHAR = {0: SUB, 1: INS, 2: DEL}

@@ -3,12 +3,12 @@
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
 from .blocks import BlockCompressor, imap_bounded, partition_reads
-from .compressor import CompressionError, SAGeCompressor, SAGeConfig
+from .compressor import SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
 from .decompressor import DecompressionError, SAGeDecompressor
-from .errors import (BlockDecodeError, CorruptArchiveError, SAGeError,
-                     TruncatedArchiveError)
+from .errors import (BlockDecodeError, CompressionError,
+                     CorruptArchiveError, SAGeError, TruncatedArchiveError)
 from .formats import OutputFormat
 from .kernels import (CodecKernel, available_kernels, get_kernel,
                       register_kernel, resolve_codec)

@@ -6,10 +6,11 @@ software model mirrors that: :class:`BitWriter` packs MSB-first fields into
 bytes, :class:`BitReader` consumes them strictly sequentially — there is no
 random access, by construction, matching the streaming-access contract.
 
-These two classes are the *reference* (bit-serial) codec primitives; the
-vectorized kernel layer (:mod:`repro.core.kernels`) provides batched
-drop-in counterparts (``TokenWriter`` / ``FastReader``) that produce and
-consume byte-identical streams.
+:class:`BitWriter` is the one stream writer — every archive stream, the
+quality codec and the container are written through it.  On the read
+side :class:`BitReader` is the *reference* (bit-serial) primitive; the
+numpy decode kernel (:mod:`repro.core.kernels`) reads the same bytes
+through ``FastReader``, a drop-in with O(1) field and unary reads.
 """
 
 from __future__ import annotations
@@ -135,16 +136,6 @@ class BitWriter:
         else:
             for byte in data:
                 self.write(byte, 8)
-
-    def extend(self, other: "BitWriter") -> None:
-        """Append another writer's bits to this stream."""
-        reader = BitReader(other.getvalue(), other.bit_length)
-        remaining = other.bit_length
-        while remaining >= 32:
-            self.write(reader.read(32), 32)
-            remaining -= 32
-        if remaining:
-            self.write(reader.read(remaining), remaining)
 
     def getvalue(self) -> bytes:
         """The stream contents, zero-padded to a byte boundary."""

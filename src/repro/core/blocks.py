@@ -121,11 +121,10 @@ class BlockCompressor:
     consensus:
         The consensus sequence (A/C/G/T codes) all blocks map against.
     config:
-        Shared :class:`SAGeConfig`; never mutated.  Its ``codec`` field
-        selects the encode kernel (:mod:`repro.core.kernels`) and ships
-        to the worker processes with the rest of the config — every
-        kernel (and every worker count) produces a byte-identical
-        archive.
+        Shared :class:`SAGeConfig`; never mutated.  It ships whole to
+        the worker processes (its ``mapper_kernel`` picks the mapper
+        there as here), and every worker count produces a
+        byte-identical archive.
     options:
         :class:`~repro.core.options.EngineOptions` supplying the block
         partition size (``block_reads``; ``0`` = one block) and

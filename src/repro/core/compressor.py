@@ -32,7 +32,7 @@ from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
 from .container import BLOCK_STREAM_NAMES, SAGeArchive, SAGeBlock
-from .kernels import resolve_kernel
+from .errors import CompressionError
 from .formats import pack_bits
 from .mismatch import (INDEL_DEL, INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB,
                        OptLevel, SizeBreakdown)
@@ -52,7 +52,9 @@ RAW_COUNT_BITS = 16
 class SAGeConfig:
     """Compression configuration: the one place an archive's format is
     stated (:class:`~repro.core.options.EngineOptions` says how the
-    session runs and carries none of these but the two kernel names)."""
+    session runs and carries none of these but the mapper kernel name).
+    The encoder has no codec kernel: every stream is written through
+    :class:`~repro.core.bitio.BitWriter`."""
 
     level: OptLevel = OptLevel.O4
     with_quality: bool = True
@@ -60,10 +62,6 @@ class SAGeConfig:
     epsilon: float = DEFAULT_EPSILON
     long_reads: bool | None = None    # None => auto (variable lengths)
     mapper: MapperConfig | None = None
-    #: Codec kernel emitting the array streams ("auto" resolves through
-    #: $SAGE_CODEC to the registry default).  Every kernel produces a
-    #: byte-identical archive; see :mod:`repro.core.kernels`.
-    codec: str = "auto"
     #: Mapper kernel finding mismatches ("auto" defers to the mapper
     #: config's ``kernel`` field, then $SAGE_MAPPER, then the registry
     #: default).  Every kernel produces a byte-identical archive; see
@@ -115,10 +113,6 @@ class _ReadPlan:
 @dataclass
 class _UnmappedPlan:
     codes: np.ndarray
-
-
-class CompressionError(ValueError):
-    """Raised when a read set cannot be compressed."""
 
 
 class SAGeCompressor:
@@ -348,10 +342,7 @@ class SAGeCompressor:
                 block_lengths, cfg.epsilon).table \
                 if block_lengths else AssociationTable((1,))
 
-        # ---- stream writers (kernel-provided sinks) ----
-        kernel = resolve_kernel(cfg.codec)
-        writers = {name: kernel.new_writer(name)
-                   for name in BLOCK_STREAM_NAMES}
+        writers = {name: BitWriter() for name in BLOCK_STREAM_NAMES}
 
         # ---- column passes: streams owned by a single field kind are
         # emitted as one batched run per block.  Byte-identical to the

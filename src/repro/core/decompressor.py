@@ -34,7 +34,7 @@ from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
 from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
-from .formats import unpack_bits
+from .formats import read_corner_payload, read_unmapped, unpack_bits
 from .kernels import (CodecKernel, gather_fields, get_kernel,
                       resolve_codec)
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
@@ -206,7 +206,8 @@ class SAGeDecompressor:
             codes, prev_cons = self._decode_mapped(blk, readers, prev_cons)
             yield codes
         for _ in range(blk.n_unmapped):
-            yield self._decode_unmapped(blk, readers["unmapped"])
+            yield read_unmapped(readers["unmapped"], blk.w_rlen,
+                                blk.fixed_length, blk.fixed_read_length)
 
     # ------------------------------------------------------------------
     # Mapped reads
@@ -259,7 +260,7 @@ class SAGeDecompressor:
             has_clip = bool(corner.read_bit())
             if has_n or has_clip:
                 n_runs, clip_s, clip_e = \
-                    self._read_corner_payload(blk, corner)
+                    read_corner_payload(corner, blk.w_rlen)
         elif count > 0:
             pos0 = self._decode_position(blk, 0, readers, level)
             remaining -= 1
@@ -267,7 +268,7 @@ class SAGeDecompressor:
                 if mbta.read_bit():
                     # Pseudo-mismatch: this read is a corner case.
                     n_runs, clip_s, clip_e = \
-                        self._read_corner_payload(blk, corner)
+                        read_corner_payload(corner, blk.w_rlen)
                 else:
                     pending_pos = 0
             else:
@@ -388,38 +389,3 @@ class SAGeDecompressor:
         if mmpga.read_bit():
             return 1
         return mmpa.read(INDEL_LENGTH_BITS)
-
-    # ------------------------------------------------------------------
-    # Corner payloads and unmapped reads
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _read_corner_payload(blk: SAGeBlock, corner: BitReader):
-        has_n = bool(corner.read_bit())
-        has_clip = bool(corner.read_bit())
-        n_runs: list[tuple[int, int]] = []
-        clip_s = clip_e = np.empty(0, dtype=np.uint8)
-        if has_n:
-            n_count = corner.read(8)
-            for _ in range(n_count):
-                pos = corner.read(blk.w_rlen)
-                run = corner.read(8)
-                n_runs.append((pos, run))
-        if has_clip:
-            len_s = corner.read(blk.w_rlen)
-            len_e = corner.read(blk.w_rlen)
-            total = len_s + len_e
-            payload = corner.read_bytes((3 * total + 7) // 8)
-            clip = unpack_bits(payload, 3, total)
-            clip_s, clip_e = clip[:len_s], clip[len_s:]
-        return n_runs, clip_s, clip_e
-
-    @staticmethod
-    def _decode_unmapped(blk: SAGeBlock, reader: BitReader) -> np.ndarray:
-        if blk.fixed_length:
-            length = blk.fixed_read_length
-        else:
-            length = reader.read(blk.w_rlen)
-        payload = reader.read_bytes((3 * length + 7) // 8)
-        return unpack_bits(payload, 3, length)
-

@@ -6,6 +6,10 @@ makes it a data-preparation bottleneck in §3.1.  This module reproduces
 the format shape: per-block LZ77 + canonical Huffman with DEFLATE's merged
 literal/length alphabet (0-255 literals, 256 end, 257+ length buckets)
 plus a separate distance alphabet, 128 KiB blocks.
+
+It lives under ``core`` because the archive's stored-header stream
+(:mod:`repro.core.headers`) is written with it; the pigz/Spring analogs
+in :mod:`repro.baselines` import it from here.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitio import BitReader, BitWriter
 from . import lz77
-from ..core.huffman import HuffmanTable
+from .bitio import BitReader, BitWriter
+from .errors import CorruptArchiveError
+from .huffman import HuffmanTable
 
 #: pigz default block size.
 BLOCK_SIZE = 128 * 1024
@@ -123,7 +128,8 @@ def decompress(blob: DeflateBlob) -> bytes:
     for _ in range(n_blocks):
         _decompress_block(reader, out)
     if len(out) != total:
-        raise ValueError(f"decompressed {len(out)} bytes, expected {total}")
+        raise CorruptArchiveError(
+            f"decompressed {len(out)} bytes, expected {total}")
     return bytes(out)
 
 
@@ -144,7 +150,8 @@ def _decompress_block(reader: BitReader, out: bytearray) -> None:
         distance = base + (reader.read(extra) if extra else 0)
         start = len(out) - distance
         if start < 0:
-            raise ValueError("match distance reaches before stream start")
+            raise CorruptArchiveError(
+                "match distance reaches before stream start")
         for k in range(length):
             out.append(out[start + k])
 
@@ -177,6 +184,6 @@ def _tree_decoder(table: HuffmanTable):
                 if 0 <= offset < len(symbols[length]):
                     return symbols[length][offset]
             if length > 15:
-                raise ValueError("invalid Huffman stream")
+                raise CorruptArchiveError("invalid Huffman stream")
 
     return decode

@@ -36,14 +36,19 @@ that contract:
 ``BitIOError`` (:mod:`repro.core.bitio`) also descends from
 :class:`SAGeError`, extending its stream-name/bit-offset context into
 the same family.
+
+``CompressionError`` is the write side's one error — an input that
+cannot be archived (a non-ACGT consensus, a header holding a newline).
+A plain :class:`ValueError`, outside the archive-damage family above.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["BlockDecodeError", "ContainerError", "CorruptArchiveError",
-           "DecompressionError", "SAGeError", "TruncatedArchiveError"]
+__all__ = ["BlockDecodeError", "CompressionError", "ContainerError",
+           "CorruptArchiveError", "DecompressionError", "SAGeError",
+           "TruncatedArchiveError"]
 
 
 class SAGeError(ValueError):
@@ -56,6 +61,10 @@ class ContainerError(SAGeError):
 
 class DecompressionError(SAGeError):
     """Raised on malformed or inconsistent archive content at decode."""
+
+
+class CompressionError(ValueError):
+    """Raised when a read set cannot be compressed."""
 
 
 def _rebuild(cls: type["SAGeError"], message: str,

@@ -78,3 +78,40 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
                          count=width * count)
     weights = (1 << np.arange(width - 1, -1, -1)).astype(np.uint8)
     return (bits.reshape(-1, width) * weights).sum(axis=1).astype(np.uint8)
+
+
+# ----------------------------------------------------------------------
+# 3-bit packed payloads inside the block streams.  One parser each for
+# the reference walk and the numpy kernel: ``reader`` is anything with
+# ``read(nbits)`` / ``read_bytes(count)`` (``BitReader``, ``FastReader``).
+# ----------------------------------------------------------------------
+
+
+def read_corner_payload(reader, w_rlen: int):
+    """One corner-case payload off the ``corner`` stream:
+    ``(n_runs, clip_start, clip_end)`` — ``(position, run length)`` N
+    runs and the soft-clipped bases of either end."""
+    has_n = reader.read(1)
+    has_clip = reader.read(1)
+    n_runs: list[tuple[int, int]] = []
+    clip_s = clip_e = np.empty(0, dtype=np.uint8)
+    if has_n:
+        for _ in range(reader.read(8)):
+            pos = reader.read(w_rlen)
+            run = reader.read(8)
+            n_runs.append((pos, run))
+    if has_clip:
+        len_s = reader.read(w_rlen)
+        len_e = reader.read(w_rlen)
+        total = len_s + len_e
+        clip = unpack_bits(reader.read_bytes((3 * total + 7) // 8), 3,
+                           total)
+        clip_s, clip_e = clip[:len_s], clip[len_s:]
+    return n_runs, clip_s, clip_e
+
+
+def read_unmapped(reader, w_rlen: int, fixed_length: bool,
+                  fixed_read_length: int) -> np.ndarray:
+    """One raw-stored read off the ``unmapped`` stream."""
+    length = fixed_read_length if fixed_length else reader.read(w_rlen)
+    return unpack_bits(reader.read_bytes((3 * length + 7) // 8), 3, length)

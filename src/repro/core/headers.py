@@ -11,17 +11,25 @@ separately from the mismatch-information categories.
 
 from __future__ import annotations
 
-from ..baselines import deflate
-from .errors import CorruptArchiveError
+from . import deflate
+from .errors import CompressionError, CorruptArchiveError
 
 
 def compress_headers(headers: list[str]) -> bytes:
-    """Front-code then DEFLATE a list of headers (emission order)."""
+    """Front-code then DEFLATE a list of headers (emission order).
+
+    One header per line as ``{shared prefix length}|{suffix}``; the
+    decoder splits at the *first* ``|`` and the prefix length is digits,
+    so a suffix may itself contain ``|`` (NCBI-style ``gi|123|ref|…``).
+    Only a newline cannot be stored.
+    """
     parts: list[str] = [str(len(headers))]
     prev = ""
     for header in headers:
-        if "\n" in header or "|" in header:
-            raise ValueError("headers must not contain newline or '|'")
+        if "\n" in header:
+            raise CompressionError(
+                f"header {header!r} contains a newline and cannot be "
+                "stored")
         shared = 0
         limit = min(len(prev), len(header))
         while shared < limit and prev[shared] == header[shared]:

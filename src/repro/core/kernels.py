@@ -1,48 +1,45 @@
-"""Vectorized codec kernel layer: batched encode/decode strategies.
+"""Codec kernel layer: interchangeable block *decode* strategies.
 
-The Scan/Locate unit model (§5.1–5.2) was designed around wide,
-predictable field layouts, yet the reference software path walks them
-one field at a time through :class:`~repro.core.bitio.BitReader` /
-:class:`~repro.core.bitio.BitWriter` calls.  This module restructures
-the hot path into batch-friendly kernels, following the co-design
-argument of the paper: the format stays *bit-identical*, only the
-software schedule changes.
+SAGe compresses a read set once, offline, and spends its design on the
+decode side — the Scan Unit / Read Construction Unit walk (§5.1–5.2) is
+the data-preparation path.  A kernel here is what that hardware is: a
+way to turn one block's streams back into reads.  The encoder has no
+kernel; :class:`~repro.core.compressor.SAGeCompressor` writes every
+stream through :class:`~repro.core.bitio.BitWriter`, so the format is
+stated by one writer and the kernels only change the read schedule.
 
 Two kernels are registered:
 
 ``python``
-    The reference bit-serial path: per-field :class:`BitWriter` writes
-    and the sequential :meth:`SAGeDecompressor.iter_read_codes` walk.
+    The reference bit-serial path: the sequential
+    :meth:`SAGeDecompressor.iter_read_codes` walk over
+    :class:`~repro.core.bitio.BitReader` fields.
 
 ``numpy``
-    The vectorized path.  Encode gathers every stream's fields into
-    structure-of-arrays token runs (:class:`TokenWriter`) and packs them
-    with one batched :func:`pack_fields` pass per stream.  Decode runs a
-    vectorized unary-prefix scan over the matching-position guide array
-    (``np.unpackbits`` + zero-run detection) to classify every entry at
-    once, gathers the variable-width position fields in one pass
-    (:func:`gather_fields`), walks the remaining interleaved streams
-    with O(1)-per-field :class:`FastReader` primitives, and
-    reconstructs all substitution-only reads with a single consensus
-    gather + mismatch scatter.
+    The vectorized path.  It runs a vectorized unary-prefix scan over
+    the matching-position guide array (``np.unpackbits`` + zero-run
+    detection) to classify every entry at once, gathers the
+    variable-width position fields in one pass (:func:`gather_fields`),
+    walks the remaining interleaved streams with O(1)-per-field
+    :class:`FastReader` primitives, and reconstructs all
+    substitution-only reads with a single consensus gather + mismatch
+    scatter.
 
-Both kernels produce **byte-identical archives** and identical decoded
-reads for every configuration — asserted both directions in
-``tests/test_core_kernels.py`` — so the codec is a pure-speed knob,
-chosen once per engine: :class:`repro.api.EngineOptions` ``codec``
-(carried by ``SAGeConfig.codec`` to the encoder and by
-``SAGeDecompressor(codec=)`` to a decoder, which keeps the kernel it
-resolved for life), with ``auto`` deferring to env ``SAGE_CODEC``.
+Both kernels decode identical reads from the same bytes for every
+configuration — asserted in ``tests/test_core_kernels.py`` — so the
+codec is a pure-speed knob, chosen once per decoder:
+:class:`repro.api.EngineOptions` ``codec`` reaches
+``SAGeDecompressor(codec=)``, which keeps the kernel it resolved for
+life, with ``auto`` deferring to env ``SAGE_CODEC``.
 
 Adding a kernel: subclass :class:`CodecKernel`, implement
-``new_writer`` (a ``BitWriter``-compatible sink per stream) and
 ``decode_reads`` (archive block → ``(codes, offsets)``: every read's
 base codes in one flat ``uint8`` buffer in emission order, read ``i``
 at ``codes[offsets[i]:offsets[i + 1]]``), then :func:`register_kernel`
 it.  The flat buffer becomes the ``codes`` column of the block's
 :class:`~repro.genomics.reads.ReadSet` as is — no kernel hands out
-per-read arrays.  The byte-identity contract is what keeps kernels
-freely interchangeable mid-pipeline.
+per-read arrays.  Identical output is what keeps kernels freely
+interchangeable mid-pipeline.
 """
 
 from __future__ import annotations
@@ -51,15 +48,18 @@ import os
 
 import numpy as np
 
-from .bitio import BitIOError, BitWriter
-from .errors import CorruptArchiveError
-from .formats import unpack_bits
+from ..genomics import sequence as seq
+from ..genomics.reads import run_index
+from .bitio import BitIOError
+from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
+from .errors import CorruptArchiveError, DecompressionError
+from .formats import read_corner_payload, read_unmapped
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB
 
 __all__ = ["CodecKernel", "DEFAULT_CODEC", "FastReader", "NumpyKernel",
-           "PythonKernel", "TokenWriter", "available_kernels",
-           "gather_fields", "get_kernel", "pack_fields",
-           "register_kernel", "resolve_codec", "resolve_kernel"]
+           "PythonKernel", "available_kernels", "gather_fields",
+           "get_kernel", "register_kernel", "resolve_codec",
+           "resolve_kernel"]
 
 #: Codec used when neither the options nor ``SAGE_CODEC`` select one.
 DEFAULT_CODEC = "numpy"
@@ -68,29 +68,8 @@ _EMPTY_U8 = np.empty(0, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
-# Batched bit packing / gathering primitives
+# Batched bit gathering primitives
 # ----------------------------------------------------------------------
-
-
-def pack_fields(values, widths) -> tuple[bytes, int]:
-    """Pack MSB-first variable-width fields in one vectorized pass.
-
-    ``values[i]`` is emitted as a ``widths[i]``-bit big-endian field;
-    the result is byte-identical to writing the same sequence through a
-    :class:`BitWriter` (including zero padding of the final byte).
-    Returns ``(payload, total_bits)``.
-    """
-    widths = np.asarray(widths, dtype=np.int64)
-    values = np.asarray(values, dtype=np.uint64)
-    total = int(widths.sum())
-    if total == 0:
-        return b"", 0
-    offsets = np.cumsum(widths) - widths
-    vidx = np.repeat(np.arange(values.size), widths)
-    local = np.arange(total, dtype=np.int64) - np.repeat(offsets, widths)
-    shift = (widths[vidx] - 1 - local).astype(np.uint64)
-    bits = ((values[vidx] >> shift) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total
 
 
 def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
@@ -156,150 +135,6 @@ def _build_next_zero(data: np.ndarray, limit: int) -> np.ndarray:
     idx = np.arange(limit, dtype=np.int64)
     nz = np.where(bits == 0, idx, np.int64(limit))
     return np.minimum.accumulate(nz[::-1])[::-1]
-
-
-# ----------------------------------------------------------------------
-# TokenWriter: the numpy kernel's structure-of-arrays stream sink
-# ----------------------------------------------------------------------
-
-
-class TokenWriter:
-    """A ``BitWriter``-compatible sink that packs fields in batches.
-
-    Instead of bit-twiddling per call, every write appends a
-    ``(value, width)`` token to structure-of-arrays lists;
-    :meth:`getvalue` renders the whole stream with one vectorized
-    :func:`pack_fields` pass per run.  Byte-aligned :meth:`write_bytes`
-    payloads pass through untouched.  The produced bytes (and
-    :attr:`bit_length`) are identical to a :class:`BitWriter` fed the
-    same call sequence.
-    """
-
-    __slots__ = ("name", "_parts", "_values", "_widths", "_total_bits")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._parts: list[tuple] = []    # ("t", values, widths) | ("b", data)
-        self._values: list[int] = []
-        self._widths: list[int] = []
-        self._total_bits = 0
-
-    def __len__(self) -> int:
-        return self._total_bits
-
-    @property
-    def bit_length(self) -> int:
-        """Number of bits written so far."""
-        return self._total_bits
-
-    def write(self, value: int, nbits: int) -> None:
-        """Append ``value`` as an ``nbits``-wide big-endian field."""
-        if nbits < 0:
-            raise BitIOError("field width must be non-negative")
-        if nbits == 0:
-            return
-        if value < 0 or value >> nbits:
-            raise BitIOError(f"value {value} does not fit in {nbits} bits")
-        if nbits > 64:
-            # Wider than one packing word: split MSB-first into chunks.
-            rem = nbits
-            while rem > 32:
-                rem -= 32
-                self._values.append((value >> rem) & 0xFFFFFFFF)
-                self._widths.append(32)
-            self._values.append(value & ((1 << rem) - 1))
-            self._widths.append(rem)
-        else:
-            self._values.append(value)
-            self._widths.append(nbits)
-        self._total_bits += nbits
-
-    def write_bit(self, bit: int) -> None:
-        """Append a single bit (0 or 1)."""
-        self.write(1 if bit else 0, 1)
-
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` ones and a terminating zero as one token."""
-        if value < 0:
-            raise BitIOError("unary value must be non-negative")
-        while value > 56:
-            self._values.append((1 << 32) - 1)
-            self._widths.append(32)
-            self._total_bits += 32
-            value -= 32
-        self._values.append(((1 << value) - 1) << 1)
-        self._widths.append(value + 1)
-        self._total_bits += value + 1
-
-    def write_run(self, values, nbits: int) -> None:
-        """Bulk-append every value as an ``nbits``-wide field."""
-        if nbits < 0:
-            raise BitIOError("field width must be non-negative")
-        if nbits == 0:
-            return
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        else:
-            values = list(values)
-        if nbits > 64:
-            for value in values:
-                self.write(value, nbits)
-            return
-        for value in values:
-            if value < 0 or value >> nbits:
-                raise BitIOError(
-                    f"value {value} does not fit in {nbits} bits")
-        self._values.extend(values)
-        self._widths.extend([nbits] * len(values))
-        self._total_bits += nbits * len(values)
-
-    def write_fields(self, values, widths) -> None:
-        """Bulk-append paired variable-width fields."""
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        if hasattr(widths, "tolist"):
-            widths = widths.tolist()
-        for value, width in zip(values, widths):
-            self.write(value, width)
-
-    def write_bytes(self, data: bytes) -> None:
-        """Append raw bytes (pass-through when byte-aligned)."""
-        if not data:
-            return
-        if self._total_bits & 7 == 0:
-            if self._values:
-                self._parts.append(("t", self._values, self._widths))
-                self._values, self._widths = [], []
-            self._parts.append(("b", bytes(data)))
-            self._total_bits += 8 * len(data)
-        else:
-            arr = np.frombuffer(bytes(data), dtype=np.uint8)
-            self._values.extend(arr.tolist())
-            self._widths.extend([8] * len(data))
-            self._total_bits += 8 * len(data)
-
-    def align_to_byte(self) -> None:
-        """Zero-pad forward to the next byte boundary."""
-        rem = self._total_bits & 7
-        if rem:
-            self.write(0, 8 - rem)
-
-    def getvalue(self) -> bytes:
-        """Render the stream: one vectorized pack per token run."""
-        chunks: list[bytes] = []
-        for part in self._parts:
-            if part[0] == "b":
-                chunks.append(part[1])
-            else:
-                payload, bits = pack_fields(part[1], part[2])
-                # Closed token runs always end byte-aligned (a byte part
-                # only ever starts on a boundary), so runs concatenate
-                # without bit shifting.
-                assert bits & 7 == 0
-                chunks.append(payload)
-        if self._values:
-            chunks.append(pack_fields(self._values, self._widths)[0])
-        return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------
@@ -434,27 +269,6 @@ class FastReader:
 # ----------------------------------------------------------------------
 
 
-def _read_corner_payload(corner: FastReader, w_rlen: int):
-    """Replicates ``SAGeDecompressor._read_corner_payload``."""
-    has_n = corner.read(1)
-    has_clip = corner.read(1)
-    n_runs: list[tuple[int, int]] = []
-    clip_s = clip_e = _EMPTY_U8
-    if has_n:
-        for _ in range(corner.read(8)):
-            pos = corner.read(w_rlen)
-            run = corner.read(8)
-            n_runs.append((pos, run))
-    if has_clip:
-        len_s = corner.read(w_rlen)
-        len_e = corner.read(w_rlen)
-        total = len_s + len_e
-        payload = corner.read_bytes((3 * total + 7) // 8)
-        clip = unpack_bits(payload, 3, total)
-        clip_s, clip_e = clip[:len_s], clip[len_s:]
-    return n_runs, clip_s, clip_e
-
-
 def _matching_positions(arch, blk, n_mapped: int) -> np.ndarray:
     """All matching positions in one pass over the mpga/mpa streams.
 
@@ -545,11 +359,6 @@ def _decode_reads_batched(dec, index: int
        and are complemented in the same buffer); indel/chimeric/corner
        reads take a per-read scalar fallback into their slice.
     """
-    from ..genomics import sequence as seq
-    from ..genomics.reads import run_index
-    from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
-    from .decompressor import DecompressionError
-
     arch = dec.archive
     block = arch.block(index)
     level = arch.level
@@ -675,8 +484,8 @@ def _decode_reads_batched(dec, index: int
             has_n = corner.read(1)
             has_clip = corner.read(1)
             if has_n or has_clip:
-                n_runs, clip_s, clip_e = _read_corner_payload(corner,
-                                                              w_rlen)
+                n_runs, clip_s, clip_e = read_corner_payload(corner,
+                                                             w_rlen)
                 clip_n = int(clip_s.size) + int(clip_e.size)
         elif count > 0:
             if tuned:
@@ -709,7 +518,7 @@ def _decode_reads_batched(dec, index: int
                 b_pos += 1
                 if flag:
                     # Pseudo-mismatch: this read is a corner case.
-                    n_runs, clip_s, clip_e = _read_corner_payload(
+                    n_runs, clip_s, clip_e = read_corner_payload(
                         corner, w_rlen)
                     clip_n = int(clip_s.size) + int(clip_e.size)
                 else:
@@ -978,13 +787,10 @@ def _decode_reads_batched(dec, index: int
     offsets = np.concatenate([[0], mapped_ends])
     if not block.n_unmapped:
         return flat, offsets
-    parts = [flat]
     unmapped = FastReader(*block.streams["unmapped"], name="unmapped")
-    for _ in range(block.n_unmapped):
-        length = fixed_len if block.fixed_length \
-            else unmapped.read(w_rlen)
-        payload = unmapped.read_bytes((3 * length + 7) // 8)
-        parts.append(unpack_bits(payload, 3, length))
+    parts = [flat] + [
+        read_unmapped(unmapped, w_rlen, block.fixed_length, fixed_len)
+        for _ in range(block.n_unmapped)]
     codes, tail = _flatten(parts)
     return codes, np.concatenate([offsets, tail[2:]])
 
@@ -995,18 +801,13 @@ def _decode_reads_batched(dec, index: int
 
 
 class CodecKernel:
-    """A named encode/decode strategy over the SAGe stream format.
+    """A named decode strategy over the SAGe stream format.
 
-    Kernels must be *byte-identity preserving*: every kernel's writers
-    emit exactly the same stream bytes for the same call sequence, and
-    ``decode_reads`` returns exactly the reference decoder's output.
+    Every kernel's ``decode_reads`` returns exactly the reference
+    decoder's output for the same block bytes.
     """
 
     name = "abstract"
-
-    def new_writer(self, stream_name: str = ""):
-        """A fresh ``BitWriter``-compatible sink for one stream."""
-        raise NotImplementedError
 
     def decode_reads(self, decompressor, select=None,
                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -1030,9 +831,6 @@ class PythonKernel(CodecKernel):
 
     name = "python"
 
-    def new_writer(self, stream_name: str = "") -> BitWriter:
-        return BitWriter()
-
     def decode_reads(self, decompressor, select=None,
                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
         return _flatten(list(decompressor.iter_read_codes(index=index)))
@@ -1042,9 +840,6 @@ class NumpyKernel(CodecKernel):
     """The vectorized structure-of-arrays path (see module docstring)."""
 
     name = "numpy"
-
-    def new_writer(self, stream_name: str = "") -> TokenWriter:
-        return TokenWriter(stream_name)
 
     def decode_reads(self, decompressor, select=None,
                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ all take ``options=`` and nothing else.  All validation happens here, in
 The options say how a session *runs*; what the archive bytes *are*
 (optimization level, quality, long-read mode, headers, order, …) is
 stated on :class:`~repro.core.compressor.SAGeConfig` and nowhere else.
-The only meanings both objects carry are the two kernel names, and
+The only meaning both objects carry is the mapper kernel name
+(``mapper`` here, ``mapper_kernel`` there), and
 :meth:`EngineOptions.compressor_config` is the one rule relating them.
 
 The module sits below the engines it configures (it imports no engine
@@ -49,7 +50,7 @@ INFLIGHT_PER_WORKER = 2
 
 #: Recognized decode backends.  ``auto`` picks ``serial`` for one worker
 #: and ``process`` (with graceful fallback) otherwise.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 #: Recognized streaming-decode failure policies.
 ON_ERROR = ("raise", "skip", "salvage")
@@ -77,12 +78,13 @@ class EngineOptions:
         caller's pre-chunked stream is taken as is), and the archive
         header records this value verbatim.
     codec:
-        Codec kernel for the array-stream encode/decode hot path, one
-        of :func:`repro.core.kernels.available_kernels` (``python`` =
+        Decode kernel for the array-stream hot path, one of
+        :func:`repro.core.kernels.available_kernels` (``python`` =
         bit-serial reference, ``numpy`` = vectorized batch kernel).
         ``auto`` resolves through ``$SAGE_CODEC`` to the registry
-        default.  Archives are byte-identical across kernels — this is
-        a pure-speed knob.
+        default.  Every kernel decodes identical reads — this is a
+        pure-speed knob, and it never touches the encoder (one writer,
+        no encode-side kernel).
     mapper:
         Mapper kernel for the read→consensus mismatch-finding hot path,
         one of :func:`repro.mapping.batch.available_mappers`
@@ -191,15 +193,14 @@ class EngineOptions:
     def compressor_config(self, config: SAGeConfig | None = None
                           ) -> SAGeConfig:
         """``config`` (default :class:`SAGeConfig`) on this session's
-        kernels: a copy whose ``codec`` / ``mapper_kernel`` are replaced
-        by :attr:`codec` / :attr:`mapper` unless those are ``"auto"``.
+        mapper: a copy whose ``mapper_kernel`` is replaced by
+        :attr:`mapper` unless that is ``"auto"``.
 
-        The one rule relating the two objects' kernel names — what the
-        session asked for wins, what it left open stays the config's.
+        The one rule relating the two objects' one shared meaning — what
+        the session asked for wins, what it left open stays the
+        config's.  :attr:`codec` is a decode kernel and stamps nothing.
         """
-        kernels: dict[str, Any] = {}
-        if self.codec != "auto":
-            kernels["codec"] = self.codec
-        if self.mapper != "auto":
-            kernels["mapper_kernel"] = self.mapper
-        return dataclasses.replace(config or SAGeConfig(), **kernels)
+        config = config or SAGeConfig()
+        if self.mapper == "auto":
+            return dataclasses.replace(config)
+        return dataclasses.replace(config, mapper_kernel=self.mapper)

@@ -244,9 +244,10 @@ class ErrorTaxonomyRule(Rule):
 class KernelDeterminismRule(Rule):
     """SGL002: kernel modules are pure functions of their input.
 
-    Archives are byte-identical across codec and mapper kernels — that
-    contract dies the moment a kernel consults a clock, an RNG, or an
-    environment variable outside the registry resolvers.
+    Archives are byte-identical across mapper kernels and decoded reads
+    identical across codec kernels — that contract dies the moment a
+    kernel consults a clock, an RNG, or an environment variable outside
+    the registry resolvers.
     """
 
     code = "SGL002"

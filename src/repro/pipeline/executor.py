@@ -9,7 +9,7 @@ this module executes it in software.
 
 A :class:`StreamExecutor` decodes the independently decodable blocks of
 a :class:`~repro.core.container.SAGeArchive` through a pluggable
-backend (serial / thread pool / process pool) with a bounded window —
+backend (serial / process pool) with a bounded window —
 the same ``EngineOptions.window`` backpressure policy as the compression
 engine in :mod:`repro.core.blocks` — and yields each block's
 :class:`~repro.genomics.reads.ReadSet` strictly in index order, so the
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor, \
-    ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, Protocol, runtime_checkable
@@ -210,8 +209,7 @@ class StreamExecutor:
         :class:`~repro.core.options.EngineOptions` supplying ``workers``
         (decode parallelism; ``1`` is the serial reference path),
         ``backend`` (one of :data:`BACKENDS`; ``auto`` selects
-        ``serial`` for one worker and ``process`` otherwise, ``thread``
-        trades process-pool startup cost for GIL contention); the
+        ``serial`` for one worker and ``process`` otherwise); the
         decode window is ``options.window`` and memory is bounded by
         that many blocks.
     decompressor:
@@ -328,11 +326,8 @@ class StreamExecutor:
                       ) -> Iterator[tuple[int, "ReadSet | BlockGap"]]:
         """Yield ``(block_index, ReadSet | BlockGap)`` in index order."""
         self.stats = ExecutorStats()
-        backend = self.resolved_backend
-        if backend == "serial":
+        if self.resolved_backend == "serial":
             source = self._iter_serial(select)
-        elif backend == "thread":
-            source = self._iter_threaded(select)
         else:
             source = self._iter_process(select)
         yield from enumerate(source)
@@ -405,14 +400,6 @@ class StreamExecutor:
                 item = self._resolve_failure(index, exc, pooled=False,
                                              select=select)
             yield self._account(item)
-
-    def _iter_threaded(self, select: StreamSelection
-                       ) -> Iterator["ReadSet | BlockGap"]:
-        self.archive.block_index()           # pre-build: no lazy races
-        decode = partial(_decode_block, self.decompressor(), select=select)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            yield from self._drain(pool, decode,
-                                   range(self.archive.n_blocks), select)
 
     def _iter_process(self, select: StreamSelection
                       ) -> Iterator["ReadSet | BlockGap"]:

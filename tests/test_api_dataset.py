@@ -83,17 +83,16 @@ class TestEngineOptions:
             options.replace(workers=0)
 
     def test_compressor_config(self):
-        # The one rule relating the two objects: a named kernel is
+        # The one rule relating the two objects: a named mapper is
         # stamped onto (a copy of) the config, "auto" leaves it alone.
         assert EngineOptions().compressor_config() == SAGeConfig()
-        given = SAGeConfig(level=OptLevel.O2, codec="python",
-                           mapper_kernel="python")
+        given = SAGeConfig(level=OptLevel.O2, mapper_kernel="python")
         assert EngineOptions().compressor_config(given) == given
         config = EngineOptions(codec="numpy", mapper="numpy") \
             .compressor_config(given)
-        assert (config.codec, config.mapper_kernel) == ("numpy", "numpy")
+        assert config.mapper_kernel == "numpy"
         assert config.level is OptLevel.O2
-        assert given.codec == "python"          # never mutated
+        assert given.mapper_kernel == "python"  # never mutated
 
 
 class TestFacadeCompression:
@@ -156,9 +155,9 @@ class TestFacadeCompression:
         assert ds.n_blocks > 1
 
     def test_config_keeps_the_session_kernels(self, rs3_small):
-        # config= states the format; the kernels the session named
-        # still reach the engine (a config handed over verbatim would
-        # drop options.codec / options.mapper without a word).
+        # config= states the format; the mapper the session named
+        # still reaches the engine (a config handed over verbatim would
+        # drop options.mapper without a word).
         from repro.mapping import batch
 
         def batch_mapped_reads(**kwargs):
@@ -239,6 +238,26 @@ class TestFacadeSessions:
         ).save(archive)
         with SAGeDataset.open(archive) as session:
             assert session.to_fastq(tmp_path / "out.fastq") == 3
+        assert (tmp_path / "out.fastq").read_text(encoding="ascii") == text
+
+    def test_pipe_in_headers_roundtrips(self, tmp_path, rs3_small):
+        """An NCBI-style FASTQ (``@gi|123|ref|…``) archives with stored
+        headers and comes back byte for byte: front coding splits each
+        line at its first ``|`` only."""
+        ref = rs3_small.reference
+        names = ["gi|123|ref|NC_000001.11|", "gi|124|ref|NC_000001.11|",
+                 "|", "7|x"]
+        text = "".join(
+            f"@{name}\n{seq.decode(ref[s:s + 50])}\n+\n{'F' * 50}\n"
+            for name, s in zip(names, range(100, 900, 200)))
+        source, archive = tmp_path / "in.fastq", tmp_path / "in.sage"
+        source.write_text(text, encoding="ascii")
+        SAGeDataset.from_fastq(
+            source, reference=ref,
+            config=SAGeConfig(preserve_order=True, with_headers=True)
+        ).save(archive)
+        with SAGeDataset.open(archive) as session:
+            assert session.to_fastq(tmp_path / "out.fastq") == len(names)
         assert (tmp_path / "out.fastq").read_text(encoding="ascii") == text
 
     def test_score_less_read_keeps_the_other_scores(self, rs3_small):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import deflate, lz77, pigz
-from repro.core.huffman import HuffmanTable, entropy_bits
+from repro.baselines import pigz
 from repro.baselines.spring import SpringCompressor, SpringDecompressor
+from repro.core import deflate, lz77
+from repro.core.huffman import HuffmanTable, entropy_bits
 from repro.genomics import fastq
 
 from tests.conftest import read_multiset

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import deflate, lz77, pigz
+from repro.baselines import pigz
 from repro.baselines.spring import SpringCompressor, SpringDecompressor
+from repro.core import deflate, lz77
 from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference

@@ -56,15 +56,6 @@ class TestWriter:
         assert r.read(1) == 1
         assert r.read(8) == 0xFF
 
-    def test_extend(self):
-        a, b = BitWriter(), BitWriter()
-        a.write(0b11, 2)
-        b.write(0b0101, 4)
-        a.extend(b)
-        r = BitReader(a.getvalue(), a.bit_length)
-        assert r.read(2) == 0b11
-        assert r.read(4) == 0b0101
-
 
 class TestReader:
     def test_read_past_end(self):

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
-from repro.core.bitio import BitIOError
+from repro.core.bitio import BitIOError, BitWriter
 from repro.core.container import SAGeArchive
 from repro.core.decompressor import DecompressionError
 from repro.core.errors import BlockDecodeError
-from repro.core.kernels import pack_fields
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +115,10 @@ class TestOrderStream:
     @staticmethod
     def _with_order(archive, entries):
         width = max(1, (len(entries) - 1).bit_length())
+        writer = BitWriter()
+        writer.write_fields(entries, [width] * len(entries))
         return _mutate(archive, "order",
-                       pack_fields(entries, [width] * len(entries)))
+                       (writer.getvalue(), writer.bit_length))
 
     def test_intact_order_restores_input(self, ordered, rs3_small):
         decoded = SAGeDecompressor(ordered).decompress()

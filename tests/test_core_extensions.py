@@ -71,15 +71,22 @@ class TestHeaderStream:
         assert decompress_headers(compress_headers(headers)) == headers
 
     def test_invalid_characters_rejected(self):
-        with pytest.raises(ValueError):
+        # A newline is the one thing front coding cannot store; the
+        # error names the header.
+        from repro.core.errors import CompressionError
+        with pytest.raises(CompressionError, match="bad"):
             compress_headers(["bad\nheader"])
-        with pytest.raises(ValueError):
-            compress_headers(["bad|header"])
+
+    def test_pipe_in_header_roundtrips(self):
+        # The decoder splits each line at the first '|' only and the
+        # prefix length is digits, so NCBI-style names are storable.
+        headers = ["gi|123|ref", "gi|124|ref|x", "", "|", "a|", "3|b"]
+        assert decompress_headers(compress_headers(headers)) == headers
 
     def test_corrupt_payload_raises_taxonomy_error(self):
         # Malformed header text must surface as CorruptArchiveError
         # (stream context included), not a bare int()/decode error.
-        from repro.baselines import deflate
+        from repro.core import deflate
         from repro.core.errors import CorruptArchiveError
         for text in ("not-a-count\nrest", "2\nnope|x\n0|y"):
             blob = deflate.compress(text.encode("utf-8"))

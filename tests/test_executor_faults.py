@@ -1,6 +1,8 @@
 """Fault-tolerant streaming: on_error policy, retries, gaps, timeouts."""
 
 import io
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -49,7 +51,7 @@ class TestOnErrorPolicy:
         assert executor.stats.blocks_failed == 1
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_skip_yields_survivors(self, intact, corrupt, backend,
                                    workers):
@@ -80,7 +82,9 @@ class TestOnErrorPolicy:
         assert executor.stats.gaps[0].index == BAD_BLOCK
 
     def test_pooled_failure_is_retried_before_gap(self, corrupt):
-        executor = _executor(corrupt, backend="thread", workers=2,
+        # A corrupt block fails in the worker too (it parses the same
+        # blob), so the pooled failure reaches the parent's retries.
+        executor = _executor(corrupt, backend="process", workers=2,
                              on_error="skip", block_retries=2)
         list(executor)
         # Deterministic corruption: the retries run, then the gap forms.
@@ -118,42 +122,53 @@ class TestSinksAcrossGaps:
 
 
 class TestRetryAndTimeout:
-    def test_timeout_rescued_by_serial_retry(self, intact):
-        executor = _executor(intact.archive, backend="thread", workers=2,
-                             block_timeout=0.05, block_retries=1)
+    """Timeouts are injected where the process backend waits: the
+    executor's own drain (``imap_bounded`` with ``block_timeout`` and
+    the retry/``on_error`` callback) over a plain thread pool — it takes
+    any ``Executor`` — whose decode function sleeps past the limit."""
+
+    @staticmethod
+    def _drain_slow(executor, slow):
+        """Every block through ``executor._drain``; ``slow(index)`` says
+        whether that pooled attempt oversleeps ``block_timeout``."""
+        select = executor.selection_for()
         decoder = executor.decompressor()
-        inner = decoder.decompress_block
-        state = {"slept": False}
 
-        def slow_once(index, **kwargs):
-            import time as _time
-            if index == 1 and not state["slept"]:
-                state["slept"] = True
-                _time.sleep(0.4)        # > block_timeout: pooled attempt dies
-            return inner(index, **kwargs)
+        def decode(index):
+            if slow(index):
+                time.sleep(0.4)             # > block_timeout
+            return decoder.decompress_block(index, select=select)
 
-        decoder.decompress_block = slow_once
-        sets = list(executor)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return list(executor._drain(
+                pool, decode, range(executor.archive.n_blocks), select))
+
+    def test_timeout_rescued_by_serial_retry(self, intact):
+        executor = _executor(intact.archive, workers=2,
+                             block_timeout=0.05, block_retries=1)
+        slept = []
+
+        def slow_once(index):
+            if index == 1 and not slept:
+                slept.append(index)
+                return True
+            return False
+
+        sets = self._drain_slow(executor, slow_once)
         # The timed-out block is re-decoded in the parent and recovered.
         assert len(sets) == intact.n_blocks
+        assert [read_multiset(s) for s in sets] \
+            == [read_multiset(intact.decode_block(i))
+                for i in range(intact.n_blocks)]
         assert executor.stats.blocks_retried == 1
         assert executor.stats.blocks_failed == 0
 
     def test_timeout_exhausted_raises(self, intact):
-        executor = _executor(intact.archive, backend="thread", workers=2,
+        executor = _executor(intact.archive, workers=2,
                              block_timeout=0.05, block_retries=0)
-        decoder = executor.decompressor()
-        inner = decoder.decompress_block
-
-        def always_slow(index, **kwargs):
-            import time as _time
-            if index == 1:
-                _time.sleep(0.4)
-            return inner(index, **kwargs)
-
-        decoder.decompress_block = always_slow
-        with pytest.raises(Exception):
-            list(executor)
+        with pytest.raises(TimeoutError):
+            self._drain_slow(executor, lambda index: index == 1)
+        assert executor.stats.blocks_failed == 1
 
 
 class TestOptionValidation:
@@ -166,6 +181,12 @@ class TestOptionValidation:
     def test_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             EngineOptions(**kwargs)
+
+    def test_thread_backend_is_gone(self):
+        with pytest.raises(ValueError) as info:
+            EngineOptions(backend="thread")
+        for name in ("auto", "serial", "process"):
+            assert name in str(info.value)
 
     def test_accepts_policy_values(self):
         for policy in ("raise", "skip", "salvage"):

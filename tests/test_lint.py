@@ -36,6 +36,34 @@ def codes_for(source, path, **kwargs):
     return [f.code for f in findings_for(source, path, **kwargs)]
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def imported_names(path):
+    """``(node, dotted name)`` for everything a file under ``src/``
+    imports, relative imports resolved, module level or not."""
+    package = ".".join(path.relative_to(SRC).parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = resolve_name(
+                "." * node.level + (node.module or ""), package)
+            for alias in node.names:
+                yield node, f"{module}.{alias.name}"
+
+
+def importers_of(package, *layers):
+    """``file:line`` of every import of ``package`` (a dotted prefix)
+    under the given ``src/repro`` sub-packages."""
+    return [f"{path.relative_to(SRC)}:{node.lineno}"
+            for layer in layers
+            for path in sorted((SRC / "repro" / layer).rglob("*.py"))
+            for node, name in imported_names(path)
+            if f"{name}.".startswith(f"{package}.")]
+
+
 # ----------------------------------------------------------------------
 # Per-rule fixture pairs (parametrized over rule code)
 # ----------------------------------------------------------------------
@@ -272,26 +300,15 @@ class TestOptionsThreadingEdges:
         """``EngineOptions`` sits under the engines: nothing below the
         facade imports ``repro.api``, at module level or inside a
         function."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        offenders = []
-        for layer in ("core", "pipeline", "mapping", "genomics"):
-            for path in sorted((src / "repro" / layer).rglob("*.py")):
-                package = ".".join(path.relative_to(src).parts[:-1])
-                for node in ast.walk(ast.parse(path.read_text())):
-                    if isinstance(node, ast.Import):
-                        names = [alias.name for alias in node.names]
-                    elif isinstance(node, ast.ImportFrom):
-                        module = resolve_name(
-                            "." * node.level + (node.module or ""), package)
-                        names = [f"{module}.{alias.name}"
-                                 for alias in node.names]
-                    else:
-                        continue
-                    if any(f"{name}.".startswith("repro.api.")
-                           for name in names):
-                        offenders.append(
-                            f"{path.relative_to(src)}:{node.lineno}")
-        assert offenders == []
+        assert importers_of("repro.api", "core", "pipeline", "mapping",
+                            "genomics") == []
+
+    def test_core_never_imports_baselines(self):
+        """The archive's bytes depend on nothing filed under
+        "baselines": the entropy/LZ coders the header stream and the
+        quality codec use live in ``core/`` and ``baselines/`` imports
+        them from there, not the other way round."""
+        assert importers_of("repro.baselines", "core") == []
 
     def test_archive_shape_fork_stays_deleted(self):
         """One block shape, one block decode: the flat/blocked switch
@@ -355,11 +372,12 @@ class TestOptionsThreadingEdges:
         from repro.core.options import EngineOptions
 
         # ``mapper`` is a name clash (kernel name here, the
-        # ``MapperConfig`` there); the two shared *meanings* are
-        # ``codec`` and ``mapper`` <-> ``mapper_kernel``, related by
+        # ``MapperConfig`` there); the one shared *meaning* is
+        # ``mapper`` <-> ``mapper_kernel``, related by
         # ``EngineOptions.compressor_config`` and nothing else.
+        # ``codec`` is a decode kernel: the encoder has none.
         assert {f.name for f in fields(EngineOptions)} \
-            & {f.name for f in fields(SAGeConfig)} == {"codec", "mapper"}
+            & {f.name for f in fields(SAGeConfig)} == {"mapper"}
         assert len(fields(EngineOptions)) == 9
 
         src = Path(__file__).resolve().parents[1] / "src"
@@ -377,6 +395,28 @@ class TestOptionsThreadingEdges:
                         f"{path.relative_to(src)}:{node.lineno}")
         assert offenders == []
 
+    def test_one_stream_writer_and_no_thread_backend(self):
+        """A codec kernel is a decode strategy: the compressor writes
+        through ``BitWriter`` and does not import the kernel module, so
+        ``core/kernels.py`` needs no function-level import to dodge a
+        cycle; the second writer and the scheduler that lost to
+        ``serial`` stay deleted."""
+        from repro.core.options import BACKENDS
+
+        core = SRC / "repro" / "core"
+        assert [name for _node, name
+                in imported_names(core / "compressor.py")
+                if f"{name}.".startswith("repro.core.kernels.")] == []
+        kernels = ast.parse((core / "kernels.py").read_text())
+        assert [node.lineno for scope in ast.walk(kernels)
+                if isinstance(scope, (ast.FunctionDef, ast.ClassDef))
+                for node in ast.walk(scope)
+                if isinstance(node, ast.ImportFrom) and node.level] == []
+        assert [str(path.relative_to(SRC))
+                for path in sorted(SRC.rglob("*.py"))
+                if any(name in path.read_text()
+                       for name in ("TokenWriter", "new_writer"))] == []
+        assert "thread" not in BACKENDS
 
     def test_decoded_blocks_stay_columnar(self):
         """``ReadSet`` is the one read container and its columns its

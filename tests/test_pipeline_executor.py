@@ -39,7 +39,7 @@ def serial_text(blocked):
 
 class TestStreamExecutor:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("process", 2), ("auto", 2)])
+        ("serial", 1), ("process", 2), ("auto", 2)])
     def test_output_identical_to_serial(self, blocked, serial_text,
                                         backend, workers):
         executor = StreamExecutor(blocked, options=EngineOptions(

@@ -35,7 +35,7 @@ from repro.testing import faults
 
 BLOCK_READS = 24
 
-BACKEND_MATRIX = [("serial", 1), ("thread", 2), ("process", 2)]
+BACKEND_MATRIX = [("serial", 1), ("process", 2)]
 
 
 def decode_trace(dataset: SAGeDataset, **options):
