@@ -89,7 +89,6 @@ class SpringArchive:
 class SpringCompressor:
     """Consensus-based compressor with a general-purpose back end."""
 
-    # sage-lint: disable-next=SGL003 - mapper kernel selection is this baseline's mechanism
     def __init__(self, consensus: np.ndarray, with_quality: bool = True,
                  mapper: MapperConfig | None = None):
         self.consensus = np.asarray(consensus, dtype=np.uint8)

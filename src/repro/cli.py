@@ -284,21 +284,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the SGL contract checker (exit 0 clean, 1 findings, 2 usage)."""
-    from .lint.cli import main as lint_main
-    argv: list[str] = list(args.paths)
-    if args.json:
-        argv.append("--json")
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve archives over HTTP with a decoded-block cache."""
     import time
@@ -456,21 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start, print the bound port, shut down cleanly "
                         "and exit (CI smoke mode)")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "lint", help="check the codebase's architectural contracts")
-    p.add_argument("paths", nargs="*",
-                   help="files or directories (default: src tests "
-                        "benchmarks)")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings as JSON")
-    p.add_argument("--select", default=None,
-                   help="comma-separated SGL codes to run")
-    p.add_argument("--ignore", default=None,
-                   help="comma-separated SGL codes to skip")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list registered rules and exit")
-    p.set_defaults(func=_cmd_lint)
     return parser
 
 

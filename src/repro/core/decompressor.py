@@ -53,7 +53,6 @@ class SAGeDecompressor:
     kernel means another decoder.
     """
 
-    # sage-lint: disable-next=SGL003 - codec selection is the kernel-registry mechanism itself
     def __init__(self, archive: SAGeArchive, *,
                  consensus: np.ndarray | None = None,
                  codec: str = "auto"):

@@ -23,6 +23,7 @@ it at module level; ``repro.api.EngineOptions`` is this class.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -130,6 +131,16 @@ class EngineOptions:
     streams: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("workers", "block_reads", "block_retries"):
+            # An integer is whatever has __index__ (Python and numpy
+            # ints); 2.5, "2" and None fail here, not in a worker pool.
+            if not hasattr(getattr(self, name), "__index__"):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
+        if self.block_timeout is not None \
+                and not isinstance(self.block_timeout, numbers.Real):
+            raise ValueError(f"block_timeout must be a number of seconds "
+                             f"(or None), got {self.block_timeout!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.backend not in BACKENDS:

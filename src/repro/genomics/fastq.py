@@ -63,7 +63,6 @@ def read_file(path: str | Path) -> ReadSet:
     return ReadSet(reads, name=Path(path).stem)
 
 
-# sage-lint: disable-next=SGL003 - block_reads is the parser's batching unit, not an engine knob here
 def iter_read_sets(path: str | Path,
                    block_reads: int) -> Iterator[ReadSet]:
     """Stream a FASTQ file as :class:`ReadSet` chunks of ``block_reads``.

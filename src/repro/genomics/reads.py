@@ -285,7 +285,6 @@ def iter_reads(reads: ReadSet | Iterable[ReadSet]) -> Iterator[Read]:
             yield from block
 
 
-# sage-lint: disable-next=SGL003 - block_reads is the partitioner's batching unit, not an engine knob here
 def partition_reads(reads: Iterable[Read], block_reads: int,
                     name: str = "") -> Iterator[ReadSet]:
     """Chunk a read stream into :class:`ReadSet` blocks in input order.

@@ -160,7 +160,6 @@ def batches_from_archive(archive) -> int:
     return max(1, min(MAX_SIM_BATCHES, _as_archive(archive).n_blocks))
 
 
-# sage-lint: disable-next=SGL003 - block_reads is the dataset batching unit, not an engine knob here
 def batches_for_dataset(dataset: DatasetModel,
                         block_reads: int = DEFAULT_BLOCK_READS) -> int:
     """Batch count a modeled dataset would have once block-compressed.

@@ -16,10 +16,10 @@ See the README "Serving: sage serve" section for the endpoint table.
 """
 
 from .client import ServeClient
-from .http import HTTPError, Request, Response, sage_error_boundary
+from .http import HTTPError, Request, Response
 from .server import DEFAULT_CACHE_BYTES, ArchiveServer
 from .stats import LatencyWindow, ServerStats
 
 __all__ = ["ArchiveServer", "DEFAULT_CACHE_BYTES", "HTTPError",
            "LatencyWindow", "Request", "Response", "ServeClient",
-           "ServerStats", "sage_error_boundary"]
+           "ServerStats"]

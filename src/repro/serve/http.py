@@ -1,26 +1,20 @@
 """Minimal HTTP/1.1 plumbing for the archive server.
 
 Stdlib-only on purpose: request parsing over asyncio streams, a small
-response renderer, and — the piece the SGL007 lint rule exists for —
-:func:`sage_error_boundary`, the decorator that maps the engine's typed
-:class:`~repro.core.errors.SAGeError` taxonomy onto HTTP statuses with
-a JSON body.  A handler that can raise a taxonomy error must either
-wear the decorator or catch the family itself; an escaped ``SAGeError``
-would otherwise surface as an opaque 500 with no block context.
+response renderer, and :class:`HTTPError` — the one way a request fails
+with a chosen status.  What a handler raises instead is mapped in one
+place, :meth:`repro.serve.server.ArchiveServer._dispatch`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
-from ..core.errors import SAGeError
-
 __all__ = ["HTTPError", "MAX_BODY_BYTES", "Request", "Response",
-           "error_response", "read_request", "sage_error_boundary"]
+           "error_response", "read_request"]
 
 #: Request bodies above this are refused with 413 before buffering.
 MAX_BODY_BYTES = 1 << 20
@@ -35,7 +29,7 @@ class HTTPError(Exception):
 
     Deliberately *not* a :class:`SAGeError`: raising one is how a
     handler says "already mapped" — the dispatch loop renders it
-    directly and the error boundary re-raises it untouched.
+    directly.
     """
 
     def __init__(self, status: int, message: str, **detail) -> None:
@@ -162,27 +156,3 @@ def error_response(exc: HTTPError) -> Response:
         if value is not None:
             payload[key] = value
     return Response.json(payload, status=exc.status)
-
-
-def sage_error_boundary(fn):
-    """Map escaped :class:`SAGeError` taxonomy errors to HTTP 500s.
-
-    Wraps an async handler.  :class:`HTTPError` passes through (the
-    handler already chose a status); any :class:`SAGeError` becomes a
-    500 whose JSON body carries the error type and the taxonomy's
-    ``.context`` (block index, stream, offset) so a client can localize
-    the damage.  This decorator is the SGL007 contract — every serve
-    handler wears it or catches ``SAGeError`` itself.
-    """
-    @functools.wraps(fn)
-    async def wrapper(*args, **kwargs):
-        try:
-            return await fn(*args, **kwargs)
-        except HTTPError:
-            raise
-        except SAGeError as exc:
-            raise HTTPError(
-                500, f"{type(exc).__name__}: {exc}",
-                error_type=type(exc).__name__,
-                **getattr(exc, "context", {})) from exc
-    return wrapper

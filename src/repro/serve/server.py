@@ -29,11 +29,12 @@ from ..api.cache import DecodedBlockCache, SingleFlight
 from ..api.dataset import SAGeDataset
 from ..api.describe import describe
 from ..api.sinks import result_info
+from ..core.errors import SAGeError
 from ..core.options import EngineOptions
 from ..core.selection import StreamSelection
 from ..genomics import fastq
 from .http import (HTTPError, Request, Response, error_response,
-                   read_request, sage_error_boundary)
+                   read_request)
 from .stats import ServerStats
 
 __all__ = ["ArchiveServer", "DEFAULT_CACHE_BYTES", "REQUEST_OPTION_KEYS"]
@@ -352,6 +353,14 @@ class ArchiveServer:
                 return
 
     async def _dispatch(self, request: Request) -> Response:
+        """Run the routed handler; the one place its failures are mapped.
+
+        An :class:`HTTPError` is a status the handler chose; a
+        :class:`SAGeError` (archive damage) becomes a 500 whose JSON body
+        carries the error type and the taxonomy's ``.context`` (block
+        index, stream, offset) so a client can localize the damage.
+        Every handler is called from here, so none has to remember to.
+        """
         endpoint, handler, args = self._route(request)
         self.stats.begin_request()
         started = time.perf_counter()
@@ -361,6 +370,12 @@ class ArchiveServer:
         except HTTPError as exc:
             failed = True
             return error_response(exc)
+        except SAGeError as exc:
+            failed = True
+            return error_response(HTTPError(
+                500, f"{type(exc).__name__}: {exc}",
+                error_type=type(exc).__name__,
+                **getattr(exc, "context", {})))
         except Exception as exc:   # the never-crash floor of the server
             failed = True
             return error_response(
@@ -413,7 +428,6 @@ class ArchiveServer:
                              f"{request.path}")
 
     @staticmethod
-    @sage_error_boundary
     async def _handle_not_found(request: Request) -> Response:
         raise HTTPError(404, f"no such endpoint: {request.path}")
 
@@ -469,9 +483,8 @@ class ArchiveServer:
         self._flights.resolve(key, read_set)
         return read_set
 
-    # -- handlers (each maps SAGeError via the boundary: SGL007) -------
+    # -- handlers ------------------------------------------------------
 
-    @sage_error_boundary
     async def _handle_archives(self, request: Request) -> Response:
         listing = [{"name": served.name,
                     "path": str(served.path),
@@ -484,14 +497,12 @@ class ArchiveServer:
         return Response.json({"archives":
                               sorted(listing, key=lambda a: a["name"])})
 
-    @sage_error_boundary
     async def _handle_inspect(self, request: Request) -> Response:
         served = self._served_for(request)
         loop = asyncio.get_running_loop()
         info = await loop.run_in_executor(self._pool, _inspect_sync, served)
         return Response.json(info)
 
-    @sage_error_boundary
     async def _handle_block(self, request: Request,
                             index: int) -> Response:
         served = self._served_for(request)
@@ -508,7 +519,6 @@ class ArchiveServer:
                                   "reads": _reads_payload(read_set, base)})
         return Response.text(fastq.write(read_set, base))
 
-    @sage_error_boundary
     async def _handle_reads(self, request: Request, start: int,
                             stop: int) -> Response:
         served = self._served_for(request)
@@ -532,7 +542,6 @@ class ArchiveServer:
                 fastq.write(read_set.subset(range(lo, hi)), base + lo))
         return Response.text("".join(records))
 
-    @sage_error_boundary
     async def _handle_analyze(self, request: Request) -> Response:
         payload = request.json()
         name = payload.get("archive")
@@ -557,11 +566,9 @@ class ArchiveServer:
             self._pool, _analyze_sync, served, sink_names, options)
         return Response.json(info)
 
-    @sage_error_boundary
     async def _handle_stats(self, request: Request) -> Response:
         return Response.json(self.stats.to_dict(self.cache.stats))
 
-    @sage_error_boundary
     async def _handle_cache_clear(self, request: Request) -> Response:
         dropped = self.cache.clear()
         return Response.json({"cleared": dropped})

@@ -510,3 +510,15 @@ class TestServe:
         assert main(["serve", str(tmp_path / "nope.sage"),
                      "--port", "0", "--smoke"]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+class TestNoLintCommand:
+    def test_lint_is_not_a_command_or_a_module(self, capsys):
+        # The contracts are tier-1 tests (tests/test_lint.py); the
+        # package ships no checker to run them from.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src"])
+        assert excinfo.value.code == 2  # argparse: unknown command
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+        with pytest.raises(ModuleNotFoundError):
+            import repro.lint  # noqa: F401

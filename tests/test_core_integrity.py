@@ -1,9 +1,13 @@
 """Error-taxonomy and checksum-integrity tests (v4 container)."""
 
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import repro
 from repro.api import EngineOptions
 from repro.core import BlockCompressor, SAGeCompressor, SAGeConfig
 from repro.core.bitio import BitIOError
@@ -12,6 +16,19 @@ from repro.core.decompressor import SAGeDecompressor
 from repro.core.errors import (BlockDecodeError, ContainerError,
                                CorruptArchiveError, DecompressionError,
                                SAGeError, TruncatedArchiveError)
+
+
+def _error_family():
+    """``SAGeError`` and every subclass reachable from it, transitively,
+    in every module of the package."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):    # importing one runs it
+            importlib.import_module(module.name)
+    family = [SAGeError]
+    for cls in family:          # grows while it is walked
+        family += [sub for sub in cls.__subclasses__()
+                   if sub not in family]
+    return family
 
 
 @pytest.fixture(scope="module")
@@ -49,18 +66,22 @@ class TestTaxonomy:
         assert err.expected == 100 and err.actual == 40
         assert "need 100" in str(err) and "have 40" in str(err)
 
-    @pytest.mark.parametrize("err", [
-        CorruptArchiveError("bad", block_index=2, offset=7),
-        TruncatedArchiveError("short", expected=9, actual=1),
-        BlockDecodeError("dead block", block_index=5, stream="mbta"),
-    ])
-    def test_pickle_roundtrip(self, err):
+    @pytest.mark.parametrize("cls", _error_family())
+    def test_pickle_roundtrip(self, cls):
         # These errors cross the process-pool boundary in the
-        # fault-tolerant executor; context must survive pickling.
+        # fault-tolerant executor; context must survive pickling.  The
+        # family is enumerated, so a new subclass is covered the day it
+        # is written, built with every context keyword it accepts.
+        parameters = inspect.signature(cls.__init__).parameters.values()
+        keywords = [p for p in parameters if p.kind is p.KEYWORD_ONLY]
+        err = cls("damaged", **{
+            p.name: "mpa" if "str" in str(p.annotation) else 3 + i
+            for i, p in enumerate(keywords)})
         back = pickle.loads(pickle.dumps(err))
-        assert type(back) is type(err)
+        assert type(back) is cls
         assert str(back) == str(err)
-        assert back.context == err.context
+        assert getattr(back, "context", {}) == getattr(err, "context", {})
+        assert len(getattr(err, "context", {})) == len(keywords)
 
 
 class TestBlockChecksums:

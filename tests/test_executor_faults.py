@@ -4,6 +4,7 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
@@ -177,6 +178,12 @@ class TestOptionValidation:
         (dict(block_retries=-1), "block_retries"),
         (dict(block_timeout=0), "block_timeout"),
         (dict(block_timeout=-2.5), "block_timeout"),
+        (dict(block_timeout="3"), "block_timeout"),
+        (dict(workers=2.5), "workers"),
+        (dict(workers="2"), "workers"),
+        (dict(workers=None), "workers"),
+        (dict(block_reads=64.0), "block_reads"),
+        (dict(block_retries=1.5), "block_retries"),
     ])
     def test_rejects_bad_values(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -192,3 +199,7 @@ class TestOptionValidation:
         for policy in ("raise", "skip", "salvage"):
             assert EngineOptions(on_error=policy).on_error == policy
         assert EngineOptions(block_timeout=1.5).block_timeout == 1.5
+        # "Integral" is whatever has __index__: numpy ints stay accepted.
+        options = EngineOptions(workers=np.int64(2), block_reads=np.int32(8),
+                                block_timeout=np.float32(2))
+        assert (options.workers, options.block_reads) == (2, 8)

@@ -1,49 +1,50 @@
-"""Tests for ``sage lint`` — the SGL architectural-contract checker.
+"""The architectural contracts, stated once, as tests.
 
-Each rule gets at least one violating and one clean fixture snippet,
-linted through :func:`repro.lint.lint_source` under a virtual path that
-puts it in the rule's scope.  The suite also covers suppression
-comments, ``--select``/``--ignore``/``--json``, the CLI exit codes,
-and a dogfood pass asserting the real tree is clean.
+A contract is one plain function ``contract(source, where) ->
+list[str]``: the offenders in one file's source, ``where`` being its
+repo-relative posix path (which decides whether the file is in the
+contract's scope at all).  Each is asserted ``== []`` over the real
+tree and non-empty on a violating snippet, so the evidence that it can
+fire is executable.  A sanctioned exception is an allow-list entry
+*here* (site -> reason), never a comment in ``src/``.  Contracts about
+what imports what, or about names that stay deleted, are the pins
+further down; a contract the code makes true by construction (the
+serve error boundary: ``ArchiveServer._dispatch``) has no check at all.
 """
 
 import ast
-import json
+import re
 import textwrap
+from functools import partial
 from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    PARSE_ERROR_CODE,
-    LintUsageError,
-    available_rules,
-    lint_paths,
-    lint_source,
-    render_report,
-)
-from repro.lint.cli import main as lint_main
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def findings_for(source, path, **kwargs):
-    findings, _ = lint_source(textwrap.dedent(source), path=path,
-                              **kwargs)
-    return findings
+def on_tree(contract, *roots):
+    """``contract``'s offenders over every ``.py`` file under ``roots``."""
+    return [offender
+            for root in roots
+            for path in sorted((ROOT / root).rglob("*.py"))
+            for offender in contract(path.read_text(),
+                                     path.relative_to(ROOT).as_posix())]
 
 
-def codes_for(source, path, **kwargs):
-    return [f.code for f in findings_for(source, path, **kwargs)]
+def on_snippet(contract, source, where):
+    """``contract``'s offenders in ``source`` as if it lived at ``where``."""
+    return contract(textwrap.dedent(source), where)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def imported_names(path):
-    """``(node, dotted name)`` for everything a file under ``src/``
+def imported_names(source, package):
+    """``(node, dotted name)`` for everything a module of ``package``
     imports, relative imports resolved, module level or not."""
-    package = ".".join(path.relative_to(SRC).parts[:-1])
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node, alias.name
@@ -56,25 +57,332 @@ def imported_names(path):
 
 def importers_of(package, *layers):
     """``file:line`` of every import of ``package`` (a dotted prefix)
-    under the given ``src/repro`` sub-packages."""
+    under the given entries of ``src/repro`` (sub-packages or files)."""
     return [f"{path.relative_to(SRC)}:{node.lineno}"
             for layer in layers
-            for path in sorted((SRC / "repro" / layer).rglob("*.py"))
-            for node, name in imported_names(path)
+            for path in sorted((SRC / "repro").glob(f"{layer}/**/*.py"))
+            + sorted((SRC / "repro").glob(f"{layer}.py"))
+            for node, name in imported_names(
+                path.read_text(),
+                ".".join(path.relative_to(SRC).parts[:-1]))
             if f"{name}.".startswith(f"{package}.")]
 
 
+def mentions(*banned):
+    """``file:line`` of every identifier under ``src/`` — definition,
+    name, attribute, argument or keyword — that is one of ``banned``."""
+    return [f"{path.relative_to(SRC)}:{node.lineno}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if {getattr(node, field, None)
+                for field in ("id", "attr", "arg", "name")} & set(banned)]
+
+
+def files_mentioning(*texts):
+    """The files under ``src/`` whose text contains one of ``texts``."""
+    return [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+            if any(text in path.read_text() for text in texts)]
+
+
+def _parameters(func):
+    args = func.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def _caught(handler):
+    """The exception names one ``except`` clause catches (bare: None)."""
+    node = handler.type
+    if node is None:
+        return {None}
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {getattr(e, "id", getattr(e, "attr", "")) for e in elts}
+
+
 # ----------------------------------------------------------------------
-# Per-rule fixture pairs (parametrized over rule code)
+# SGL001 error-taxonomy (PR 7): malformed input fails through
+# repro.core.errors.  In core/ and pipeline/ decode and parse paths
+# (functions named decode*/parse*/read*/..., plus the constructors of
+# classes that define deserialize/from_bytes — they validate wire data)
+# raise no bare ValueError/KeyError/struct.error/... and convert no
+# parsed text with an unguarded int()/float(); and nowhere in scope does
+# a broad ``except`` silently swallow.
+# ----------------------------------------------------------------------
+
+_BARE_ERRORS = {"ValueError", "KeyError", "IndexError", "TypeError",
+                "RuntimeError", "struct.error"}
+_DECODE_NAME = re.compile(
+    r"^_?(decode|decompress|deserialize|parse|unpack|from_bytes|load|"
+    r"iter_block|read(_|$))")
+_TEXT_SPLITS = {"split", "rsplit", "partition", "rpartition", "splitlines"}
+
+
+def _parses_text(func):
+    """int() of a numpy scalar never fails on a damaged archive;
+    int() of text the function split or decoded does."""
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and (node.func.attr in _TEXT_SPLITS
+                    or node.func.attr == "decode" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str))
+               for node in ast.walk(func))
+
+
+def error_taxonomy(source, where):
+    if not where.startswith(("src/repro/core/", "src/repro/pipeline/")):
+        return []
+    tree = ast.parse(source)
+    wire_classes = {
+        cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        and any(getattr(item, "name", "") in ("deserialize", "from_bytes")
+                for item in cls.body)}
+    offenders = []
+
+    def walk(node, func, cls, guarded):
+        decode_path = func is not None and (
+            _DECODE_NAME.match(func.name) is not None
+            or func.name in ("__init__", "__post_init__")
+            and cls in wire_classes)
+        at = f"{where}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Raise) and decode_path and node.exc:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if ast.unparse(exc) in _BARE_ERRORS:
+                offenders.append(f"{at} {func.name}() raises bare "
+                                 f"{ast.unparse(exc)}")
+        elif (isinstance(node, ast.Call) and decode_path and not guarded
+              and getattr(node.func, "id", None) in ("int", "float")
+              and node.args and not isinstance(node.args[0], ast.Constant)
+              and _parses_text(func)):
+            offenders.append(f"{at} unguarded {node.func.id}() on parsed "
+                             f"text in {func.name}()")
+        elif (isinstance(node, ast.ExceptHandler)
+              and all(isinstance(stmt, (ast.Pass, ast.Continue))
+                      for stmt in node.body)
+              and _caught(node) & {None, "Exception", "BaseException"}):
+            offenders.append(f"{at} broad except silently swallows")
+        if isinstance(node, FUNCTIONS):
+            func = node
+        elif isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Try):
+            # Only the body and else of a try are guarded by its
+            # handlers; catching a *subclass* of ValueError is no guard.
+            inner = guarded or any(
+                _caught(h) & {None, "ValueError", "Exception",
+                              "BaseException"} for h in node.handlers)
+            for child in node.body + node.orelse:
+                walk(child, func, cls, inner)
+            for child in node.handlers + node.finalbody:
+                walk(child, func, cls, guarded)
+        else:
+            for child in ast.iter_child_nodes(node):
+                walk(child, func, cls, guarded)
+
+    walk(tree, None, None, False)
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# SGL002 kernel-determinism (PR 5/6): archives are byte-identical
+# across mapper kernels and decoded reads across codec kernels, so no
+# module that decides bytes — every module under core/ and mapping/, a
+# computed scope, not a list somebody keeps — consults a clock, an RNG
+# or, outside the resolve_* registry resolvers, the environment.
+# ----------------------------------------------------------------------
+
+_NONDETERMINISTIC = {"random", "time", "datetime", "secrets", "uuid"}
+
+
+def kernel_determinism(source, where):
+    if not where.startswith(("src/repro/core/", "src/repro/mapping/")):
+        return []
+    offenders = []
+
+    def walk(node, in_resolver):
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        offenders.extend(f"{where}:{node.lineno} imports {module}"
+                         for module in modules
+                         if module.split(".")[0] in _NONDETERMINISTIC)
+        if (isinstance(node, ast.Attribute) and not in_resolver
+                and getattr(node.value, "id", None) == "os"
+                and node.attr in ("environ", "getenv")):
+            offenders.append(f"{where}:{node.lineno} reads os.{node.attr} "
+                             f"outside a resolve_* function")
+        if isinstance(node, FUNCTIONS) and node.name.startswith("resolve_"):
+            in_resolver = True
+        for child in ast.iter_child_nodes(node):
+            walk(child, in_resolver)
+
+    walk(ast.parse(source), False)
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# SGL003 options-threading (PR 4) + "decided once" (PR 15), one
+# statement: a session fixes its options and a decoder its kernel.  No
+# function under src/repro outside core/options.py takes an engine knob
+# as a parameter — knobs travel in EngineOptions — except the sanctioned
+# sites below; of SAGeDataset/Pipeline only the session constructors
+# (and the executor factory they feed) take ``options``; and the front
+# ends (cli.py, serve/) do not mention a codec at all.
+# ----------------------------------------------------------------------
+
+ENGINE_KNOBS = {"workers", "backend", "block_reads", "codec", "mapper"}
+
+#: site -> why a knob-named parameter there is not a re-decided option.
+SANCTIONED_KNOB_SITES = {
+    "src/repro/core/decompressor.py::SAGeDecompressor.__init__":
+        "codec selection is the kernel-registry mechanism itself",
+    "src/repro/baselines/spring.py::SpringCompressor.__init__":
+        "mapper kernel selection is this baseline's mechanism",
+    "src/repro/genomics/reads.py::partition_reads":
+        "block_reads is the partitioner's batching unit, not an engine "
+        "knob here",
+    "src/repro/genomics/fastq.py::iter_read_sets":
+        "block_reads is the parser's batching unit, not an engine knob "
+        "here",
+    "src/repro/pipeline/endtoend.py::batches_for_dataset":
+        "block_reads is the dataset batching unit, not an engine knob "
+        "here",
+}
+
+_SESSION_ENTRY = {"__init__", "from_fastq", "open", "_make_executor"}
+
+
+def options_decided_once(source, where, sanctioned=SANCTIONED_KNOB_SITES):
+    if not where.startswith("src/repro/") \
+            or where == "src/repro/core/options.py":
+        return []
+    offenders = []
+    if (where == "src/repro/cli.py"
+            or where.startswith("src/repro/serve/")) and "codec" in source:
+        offenders.append(f"{where} mentions codec")
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                site = f"{where}::{owner}.{child.name}" if owner \
+                    else f"{where}::{child.name}"
+                parameters = _parameters(child)
+                knobs = sorted(ENGINE_KNOBS.intersection(parameters))
+                if knobs and site not in sanctioned:
+                    offenders.append(f"{site} takes {', '.join(knobs)} "
+                                     f"(line {child.lineno})")
+                if "options" in parameters \
+                        and owner in ("SAGeDataset", "Pipeline") \
+                        and child.name not in _SESSION_ENTRY:
+                    offenders.append(f"{site} takes options "
+                                     f"(line {child.lineno})")
+            walk(child, child.name if isinstance(child, ast.ClassDef)
+                 else owner)
+
+    walk(ast.parse(source), "")
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# SGL004 sink-contract (PR 2/7/8), everywhere a sink can be written
+# (src/, examples/, benchmarks/): a class implementing the Sink protocol
+# (consume + finish) declares ``requires`` — None opts into the full
+# decode *explicitly* — and keeps consume(self, index, block); an
+# optional consume_gap takes exactly (self, gap), or the fault-tolerant
+# executor's hook dispatch breaks at the first lost block.
+# ----------------------------------------------------------------------
+
+def _required_positional(func):
+    args = func.args
+    return len(args.posonlyargs) + len(args.args) - len(args.defaults)
+
+
+def sink_contract(source, where):
+    offenders = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or any(
+                ast.unparse(base).split("[")[0].endswith("Protocol")
+                for base in cls.bases):
+            continue
+        at = f"{where}:{cls.lineno} {cls.name}"
+        methods = {item.name: item for item in cls.body
+                   if isinstance(item, FUNCTIONS)}
+        gap = methods.get("consume_gap")
+        if gap is not None and _required_positional(gap) != 2:
+            offenders.append(f"{at}.consume_gap must take (self, gap)")
+        if not {"consume", "finish"} <= methods.keys():
+            continue
+        declared = {ast.unparse(target) for item in cls.body
+                    if isinstance(item, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(item, "targets", None)
+                    or [item.target]}
+        if "requires" not in declared:
+            offenders.append(f"{at} does not declare requires")
+        if _required_positional(methods["consume"]) != 3:
+            offenders.append(f"{at}.consume must take (self, index, block)")
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# SGL006 mmap-lifetime (PR 8): SAGeArchive.open hands out zero-copy
+# memoryview slices of the archive mmap; one stored on ``self`` pins the
+# mapping past close().  Only core/container.py — the view's owner,
+# which knows when to release — may hold one; bytes(view) is the fix.
+# ----------------------------------------------------------------------
+
+def _payload_view(value):
+    """The call under ``value`` that yields an uncopied payload view."""
+    if isinstance(value, ast.Call):
+        name = getattr(value.func, "id", None)
+        if name == "memoryview":
+            return "memoryview(...)"
+        if name in ("bytes", "bytearray"):     # the sanctioned copy
+            return None
+        if getattr(value.func, "attr", None) in ("block_payload",
+                                                 "_checked_payload"):
+            return f".{value.func.attr}(...)"
+    for child in ast.iter_child_nodes(value):
+        found = _payload_view(child)
+        if found is not None:
+            return found
+    return None
+
+
+def mmap_lifetime(source, where):
+    if not where.startswith("src/repro/") \
+            or where == "src/repro/core/container.py":
+        return []
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) \
+                or node.value is None:
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target]
+        if any(isinstance(t, ast.Attribute)
+               and getattr(t.value, "id", None) == "self" for t in targets):
+            view = _payload_view(node.value)
+            if view is not None:
+                offenders.append(f"{where}:{node.lineno} stores {view} "
+                                 f"on self")
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# Per-contract fixture pairs (keyed by the code each contract carried
+# while it was a lint rule; SGL005 and SGL007 are gone — see the README
+# "Contracts are tests" table for what covers them)
 # ----------------------------------------------------------------------
 
 CORE = "src/repro/core/widget.py"
 KERNEL = "src/repro/core/kernels.py"
 PIPELINE = "src/repro/pipeline/widget.py"
-SERVE = "src/repro/serve/handlers.py"
 
 FIXTURES = {
     "SGL001": {
+        "contract": error_taxonomy,
         "violating": ("""\
             def parse_table(data):
                 if not data:
@@ -90,6 +398,7 @@ FIXTURES = {
             """, CORE),
     },
     "SGL002": {
+        "contract": kernel_determinism,
         "violating": ("""\
             import random
 
@@ -104,6 +413,7 @@ FIXTURES = {
             """, KERNEL),
     },
     "SGL003": {
+        "contract": options_decided_once,
         "violating": ("""\
             def run(data, *, workers=None, backend=None):
                 return data
@@ -114,6 +424,7 @@ FIXTURES = {
             """, PIPELINE),
     },
     "SGL004": {
+        "contract": sink_contract,
         "violating": ("""\
             class CountSink:
                 def consume(self, block):
@@ -133,21 +444,8 @@ FIXTURES = {
                     return 0
             """, PIPELINE),
     },
-    "SGL005": {
-        "violating": ("""\
-            def run(executor, items):
-                return [executor.submit(lambda x: x + 1, item)
-                        for item in items]
-            """, PIPELINE),
-        "clean": ("""\
-            def double(x):
-                return x + 1
-
-            def run(executor, items):
-                return [executor.submit(double, item) for item in items]
-            """, PIPELINE),
-    },
     "SGL006": {
+        "contract": mmap_lifetime,
         "violating": ("""\
             class BlockCache:
                 def load(self, archive, index):
@@ -159,79 +457,53 @@ FIXTURES = {
                     self._data = bytes(archive.block_payload(index))
             """, PIPELINE),
     },
-    "SGL007": {
-        "violating": ("""\
-            class Handlers:
-                async def _handle_block(self, request):
-                    return request.served.decode(0)
-            """, SERVE),
-        "clean": ("""\
-            from repro.core.errors import SAGeError
-            from repro.serve.http import sage_error_boundary
-
-            class Handlers:
-                @sage_error_boundary
-                async def _handle_block(self, request):
-                    return request.served.decode(0)
-
-                async def _handle_stats(self, request):
-                    try:
-                        return request.served.stats()
-                    except SAGeError as exc:
-                        return {"error": str(exc)}
-            """, SERVE),
-    },
 }
 
 
-@pytest.mark.parametrize("code", sorted(FIXTURES))
 class TestRuleFixtures:
+    @pytest.mark.parametrize("code", sorted(FIXTURES))
     def test_violating_snippet_flagged(self, code):
-        source, path = FIXTURES[code]["violating"]
-        assert code in codes_for(source, path)
+        source, where = FIXTURES[code]["violating"]
+        assert on_snippet(FIXTURES[code]["contract"], source, where) != []
 
+    @pytest.mark.parametrize("code", sorted(FIXTURES))
     def test_clean_snippet_passes(self, code):
-        source, path = FIXTURES[code]["clean"]
-        assert codes_for(source, path) == []
+        source, where = FIXTURES[code]["clean"]
+        assert on_snippet(FIXTURES[code]["contract"], source, where) == []
 
-    def test_rule_is_registered(self, code):
-        rules = available_rules()
-        assert code in rules
-        assert rules[code].contract
-
+    @pytest.mark.parametrize("code", sorted(set(FIXTURES) - {"SGL004"}))
     def test_out_of_scope_path_ignored(self, code):
-        # The same violating snippet under a path outside the rule's
-        # scope produces no finding for that rule (SGL004/SGL005 apply
-        # repo-wide, so exercise only the scoped rules).
-        if code in ("SGL004", "SGL005"):
-            pytest.skip("rule applies repo-wide")
+        # The same violating snippet outside the contract's scope is no
+        # offender (the sink contract applies everywhere a sink can be
+        # written, so it has no outside).
         source, _ = FIXTURES[code]["violating"]
-        assert code not in codes_for(source, "scripts/helper.py")
+        assert on_snippet(FIXTURES[code]["contract"], source,
+                          "scripts/helper.py") == []
 
 
 # ----------------------------------------------------------------------
-# Rule-specific edges
+# Contract-specific edges
 # ----------------------------------------------------------------------
 
 class TestErrorTaxonomyEdges:
     def test_swallowed_broad_except(self):
-        assert "SGL001" in codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             def decode_block(payload):
                 try:
                     return payload[0]
                 except Exception:
                     pass
-            """, CORE)
+            """, CORE) != []
 
     def test_unguarded_int_on_parsed_text(self):
-        assert "SGL001" in codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             def decode_names(payload):
                 lines = payload.decode("utf-8").split("\\n")
                 return int(lines[0])
-            """, CORE)
+            """, CORE) != []
 
     def test_guarded_int_is_clean(self):
-        assert codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             from repro.core.errors import CorruptArchiveError
 
             def decode_names(payload):
@@ -245,19 +517,19 @@ class TestErrorTaxonomyEdges:
     def test_numeric_cast_without_text_parse_is_clean(self):
         # int() on numpy scalars saturates decode kernels; without
         # text parsing in the function it is not a taxonomy risk.
-        assert codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             def decode_positions(arr):
                 return [int(x) for x in arr]
             """, CORE) == []
 
     def test_non_decode_function_may_raise_valueerror(self):
-        assert codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             def check_config(cfg):
                 raise ValueError("caller mistake")
             """, CORE) == []
 
     def test_wire_class_constructor_in_scope(self):
-        assert "SGL001" in codes_for("""\
+        assert on_snippet(error_taxonomy, """\
             class Table:
                 def __init__(self, widths):
                     if not widths:
@@ -266,35 +538,85 @@ class TestErrorTaxonomyEdges:
                 @classmethod
                 def deserialize(cls, payload):
                     return cls(list(payload))
-            """, CORE)
+            """, CORE) != []
 
 
 class TestKernelDeterminismEdges:
     def test_env_read_outside_resolver(self):
-        assert "SGL002" in codes_for("""\
+        assert on_snippet(kernel_determinism, """\
             import os
             LEVEL = os.environ.get("SAGE_LEVEL", "O4")
-            """, KERNEL)
+            """, KERNEL) != []
 
     def test_non_kernel_module_may_import_time(self):
-        assert "SGL002" not in codes_for(
-            "import time\n", "src/repro/pipeline/bench.py")
+        assert on_snippet(kernel_determinism, "import time\n",
+                          "src/repro/pipeline/bench.py") == []
+
+    @pytest.mark.parametrize("module", [
+        "core/huffman.py", "core/quality.py", "core/new_module.py",
+        "mapping/new_module.py"])
+    def test_scope_is_computed(self, module):
+        # Every module under core/ and mapping/ is in scope by its
+        # path, so one that starts deciding archive bytes is covered the
+        # day it is created (the hand-kept list had missed six).
+        assert on_snippet(kernel_determinism, "import time\n",
+                          f"src/repro/{module}") != []
 
 
 class TestOptionsThreadingEdges:
     def test_options_module_is_exempt(self):
-        assert codes_for("""\
+        assert on_snippet(options_decided_once, """\
             def resolve(*, workers=None, backend=None):
                 return workers
             """, "src/repro/core/options.py") == []
 
     def test_finding_names_the_knobs(self):
-        (finding,) = findings_for("""\
-            def run(data, *, workers=None, prefetch=2):
+        (offender,) = on_snippet(options_decided_once, """\
+            def run(data, *, workers=None, block_reads=2):
                 return data
             """, PIPELINE)
-        assert "prefetch" in finding.message
-        assert "workers" in finding.message
+        assert "block_reads" in offender
+        assert "workers" in offender
+
+    def test_options_and_kernel_are_decided_once(self):
+        """A session fixes its options and a decoder its kernel: under
+        ``src/`` only the session constructors (and the executor
+        factory they feed) take ``options``, only
+        ``SAGeDecompressor.__init__`` takes ``codec``, no other function
+        outside ``core/options.py`` takes an engine knob, and the front
+        ends (``cli.py``, ``serve/``) do not mention a codec at all."""
+        assert on_tree(options_decided_once, "src") == []
+        # The allow-list is exact: without it precisely the sanctioned
+        # sites fire, so an entry cannot outlive the code it excuses.
+        unsanctioned = on_tree(
+            partial(options_decided_once, sanctioned={}), "src")
+        assert sorted(o.split(" takes ")[0] for o in unsanctioned) \
+            == sorted(SANCTIONED_KNOB_SITES)
+        assert on_snippet(options_decided_once, """\
+            class SAGeDataset:
+                def to_fastq(self, sink, *, options=None):
+                    return sink
+
+            class SAGeCompressor:
+                def compress(self, reads, codec="numpy"):
+                    return reads
+            """, "src/repro/api/dataset.py") != []
+        assert on_snippet(options_decided_once, "CODECS = ('codec',)\n",
+                          "src/repro/serve/server.py") != []
+
+    def test_import_walk_sees_relative_and_function_level_imports(self):
+        # The evidence that the import pins below can fire.
+        source = textwrap.dedent("""\
+            import repro.baselines.spring
+
+            def late():
+                from ..api import dataset
+                from . import kernels
+            """)
+        assert [name for _node, name
+                in imported_names(source, "repro.core")] == [
+            "repro.baselines.spring", "repro.api.dataset",
+            "repro.core.kernels"]
 
     def test_engine_layers_never_import_the_facade(self):
         """``EngineOptions`` sits under the engines: nothing below the
@@ -310,57 +632,26 @@ class TestOptionsThreadingEdges:
         them from there, not the other way round."""
         assert importers_of("repro.baselines", "core") == []
 
+    def test_stream_executor_stays_behind_the_facade(self):
+        """``StreamExecutor`` is internal wiring of ``SAGeDataset``:
+        only its home layers (``api/``, ``pipeline/``) import it, so the
+        engine can change without breaking consumers."""
+        outside = sorted({path.stem for path in (SRC / "repro").iterdir()}
+                         - {"api", "pipeline", "__pycache__"})
+        assert importers_of("repro.pipeline.executor.StreamExecutor",
+                            *outside) == []
+        assert importers_of("repro.pipeline.StreamExecutor", *outside) == []
+        assert importers_of("repro.pipeline.executor.StreamExecutor",
+                            "api") != []       # the walk sees the name
+
     def test_archive_shape_fork_stays_deleted(self):
         """One block shape, one block decode: the flat/blocked switch
         (``is_blocked``), the block-to-flat-archive adapter and the
         second fallback-naming rule (``header_base``) may not reappear
         under ``src/`` — as a definition, attribute, argument or
         keyword."""
-        banned = {"is_blocked", "block_as_archive", "header_base"}
-        src = Path(__file__).resolve().parents[1] / "src"
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = {getattr(node, field, None)
-                         for field in ("id", "attr", "arg", "name")}
-                if names & banned:
-                    offenders.append(
-                        f"{path.relative_to(src)}:{node.lineno}")
-        assert offenders == []
-
-    def test_options_and_kernel_are_decided_once(self):
-        """A session fixes its options and a decoder its kernel: under
-        ``src/`` only the session constructors (and the executor
-        factory they feed) take ``options``, only
-        ``SAGeDecompressor.__init__`` takes ``codec``, and the front
-        ends (``cli.py``, ``serve/``) do not mention a codec at all."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        session_entry = {"__init__", "from_fastq", "open", "_make_executor"}
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            text = path.read_text()
-            where = str(path.relative_to(src))
-            front_end = where == "repro/cli.py" \
-                or where.startswith("repro/serve/")
-            if front_end and "codec" in text:
-                offenders.append(f"{where}: mentions codec")
-            for owner in ast.walk(ast.parse(text)):
-                owner_name = getattr(owner, "name", "")
-                for node in ast.iter_child_nodes(owner):
-                    if not isinstance(node, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef)):
-                        continue
-                    args = node.args
-                    params = {a.arg for a in (args.posonlyargs + args.args
-                                              + args.kwonlyargs)}
-                    if "codec" in params and (owner_name, node.name) != (
-                            "SAGeDecompressor", "__init__"):
-                        offenders.append(f"{where}:{node.lineno} codec=")
-                    if "options" in params \
-                            and owner_name in ("SAGeDataset", "Pipeline") \
-                            and node.name not in session_entry:
-                        offenders.append(f"{where}:{node.lineno} options=")
-        assert offenders == []
+        assert mentions("is_blocked", "block_as_archive",
+                        "header_base") == []
 
     def test_format_and_session_are_stated_once(self):
         """``SAGeConfig`` says what the bytes are, ``EngineOptions`` how
@@ -380,20 +671,10 @@ class TestOptionsThreadingEdges:
             & {f.name for f in fields(SAGeConfig)} == {"mapper"}
         assert len(fields(EngineOptions)) == 9
 
-        src = Path(__file__).resolve().parents[1] / "src"
-        facade = (src / "repro/api/dataset.py").read_text()
+        facade = (SRC / "repro/api/dataset.py").read_text()
         assert facade.count(".compress(") == 1
         assert "SAGeCompressor" not in facade
-        banned = {"blocked", "compress_blocked"}
-        offenders = []
-        for path in sorted(src.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                names = {getattr(node, field, None)
-                         for field in ("id", "attr", "arg", "name")}
-                if names & banned:
-                    offenders.append(
-                        f"{path.relative_to(src)}:{node.lineno}")
-        assert offenders == []
+        assert mentions("blocked", "compress_blocked") == []
 
     def test_one_stream_writer_and_no_thread_backend(self):
         """A codec kernel is a decode strategy: the compressor writes
@@ -403,19 +684,13 @@ class TestOptionsThreadingEdges:
         ``serial`` stay deleted."""
         from repro.core.options import BACKENDS
 
-        core = SRC / "repro" / "core"
-        assert [name for _node, name
-                in imported_names(core / "compressor.py")
-                if f"{name}.".startswith("repro.core.kernels.")] == []
-        kernels = ast.parse((core / "kernels.py").read_text())
+        assert importers_of("repro.core.kernels", "core/compressor") == []
+        kernels = ast.parse((SRC / "repro/core/kernels.py").read_text())
         assert [node.lineno for scope in ast.walk(kernels)
                 if isinstance(scope, (ast.FunctionDef, ast.ClassDef))
                 for node in ast.walk(scope)
                 if isinstance(node, ast.ImportFrom) and node.level] == []
-        assert [str(path.relative_to(SRC))
-                for path in sorted(SRC.rglob("*.py"))
-                if any(name in path.read_text()
-                       for name in ("TokenWriter", "new_writer"))] == []
+        assert files_mentioning("TokenWriter", "new_writer") == []
         assert "thread" not in BACKENDS
 
     def test_decoded_blocks_stay_columnar(self):
@@ -427,7 +702,7 @@ class TestOptionsThreadingEdges:
         ``Read``, ``format_read`` is nobody's inner loop, and
         ``fastq.write`` is the one function that turns base codes into
         FASTQ text."""
-        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        src = SRC / "repro"
         trees = {path: ast.parse(path.read_text())
                  for path in sorted(src.rglob("*.py"))}
 
@@ -437,8 +712,7 @@ class TestOptionsThreadingEdges:
                     and name in (getattr(node.func, "id", None),
                                  getattr(node.func, "attr", None))]
 
-        offenders = [f"{path.relative_to(src)} mentions ReadBatch"
-                     for path in trees if "ReadBatch" in path.read_text()]
+        offenders = files_mentioning("ReadBatch")
         offenders += [f"{path.relative_to(src)}:{node.lineno} batch="
                       for path, tree in trees.items()
                       for node in ast.walk(tree)
@@ -472,7 +746,7 @@ class TestOptionsThreadingEdges:
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):
-        assert codes_for("""\
+        assert on_snippet(sink_contract, """\
             from typing import Protocol
 
             class Sink(Protocol):
@@ -481,7 +755,7 @@ class TestSinkContractEdges:
             """, PIPELINE) == []
 
     def test_requires_none_is_an_explicit_declaration(self):
-        assert codes_for("""\
+        assert on_snippet(sink_contract, """\
             class FullDecodeSink:
                 requires = None
 
@@ -493,7 +767,7 @@ class TestSinkContractEdges:
             """, PIPELINE) == []
 
     def test_consume_gap_arity(self):
-        codes = codes_for("""\
+        offenders = on_snippet(sink_contract, """\
             class GapSink:
                 requires = None
 
@@ -506,311 +780,30 @@ class TestSinkContractEdges:
                 def finish(self):
                     return None
             """, PIPELINE)
-        assert codes == ["SGL004"]
-
-
-class TestPoolPickleSafetyEdges:
-    def test_local_function_submitted(self):
-        assert "SGL005" in codes_for("""\
-            def run(executor, items):
-                def helper(x):
-                    return x + 1
-                return [executor.submit(helper, i) for i in items]
-            """, PIPELINE)
-
-    def test_strategy_map_lambda_is_clean(self):
-        # hypothesis strategies have .map(); only pool-like receivers
-        # are in scope.
-        assert codes_for("""\
-            codes = lists(integers()).map(lambda xs: tuple(xs))
-            """, "tests/test_widget.py") == []
-
-    def test_pool_map_lambda_flagged(self):
-        assert "SGL005" in codes_for("""\
-            def run(pool, items):
-                return pool.map(lambda x: x + 1, items)
-            """, PIPELINE)
-
-    def test_error_family_kwonly_init_needs_reduce(self):
-        assert "SGL005" in codes_for("""\
-            from repro.core.errors import SAGeError
-
-            class WidgetError(SAGeError):
-                def __init__(self, message, *, widget=None):
-                    super().__init__(message)
-                    self.widget = widget
-            """, PIPELINE)
-
-    def test_error_with_reduce_is_clean(self):
-        assert codes_for("""\
-            from repro.core.errors import SAGeError
-
-            class WidgetError(SAGeError):
-                def __init__(self, message, *, widget=None):
-                    super().__init__(message)
-                    self.widget = widget
-
-                def __reduce__(self):
-                    return (type(self), (self.args[0],),
-                            {"widget": self.widget})
-            """, PIPELINE) == []
-
-    def test_context_mixin_subclass_inherits_reduce(self):
-        assert codes_for("""\
-            from repro.core.errors import CorruptArchiveError
-
-            class WidgetError(CorruptArchiveError):
-                def __init__(self, message, *, stream=None):
-                    super().__init__(message, stream=stream)
-            """, PIPELINE) == []
+        assert len(offenders) == 1 and "consume_gap" in offenders[0]
 
 
 class TestMmapLifetimeEdges:
     def test_memoryview_on_self(self):
-        assert "SGL005" not in codes_for("x = 1\n", PIPELINE)
-        assert "SGL006" in codes_for("""\
+        assert on_snippet(mmap_lifetime, """\
             class Holder:
                 def pin(self, buf):
                     self.view = memoryview(buf)
-            """, PIPELINE)
+            """, PIPELINE) != []
 
     def test_local_view_is_clean(self):
-        assert codes_for("""\
+        assert on_snippet(mmap_lifetime, """\
             def checksum(archive, index):
                 view = archive.block_payload(index)
                 return len(view)
             """, PIPELINE) == []
 
     def test_container_module_is_exempt(self):
-        assert codes_for("""\
+        assert on_snippet(mmap_lifetime, """\
             class SAGeArchive:
                 def _pin(self, buf):
                     self._view = memoryview(buf)
             """, "src/repro/core/container.py") == []
-
-
-class TestServeErrorMappingEdges:
-    def test_docstring_then_try_is_guarded(self):
-        assert codes_for("""\
-            from repro.core.errors import BlockDecodeError
-
-            class Handlers:
-                async def _handle_block(self, request):
-                    \"\"\"Serve one block.\"\"\"
-                    try:
-                        return request.served.decode(0)
-                    except BlockDecodeError as exc:
-                        return {"error": str(exc)}
-            """, SERVE) == []
-
-    def test_partial_guard_still_flagged(self):
-        # A try that does not cover the whole body (statements outside
-        # it) leaves an unguarded escape path.
-        assert "SGL007" in codes_for("""\
-            from repro.core.errors import SAGeError
-
-            class Handlers:
-                async def _handle_block(self, request):
-                    served = request.served.decode(0)
-                    try:
-                        return served
-                    except SAGeError:
-                        return None
-            """, SERVE)
-
-    def test_catching_unrelated_error_flagged(self):
-        assert "SGL007" in codes_for("""\
-            class Handlers:
-                async def _handle_block(self, request):
-                    try:
-                        return request.served.decode(0)
-                    except KeyError:
-                        return None
-            """, SERVE)
-
-    def test_non_handler_names_ignored(self):
-        assert codes_for("""\
-            class Server:
-                async def _decoded_block(self, request):
-                    return request.served.decode(0)
-
-                def _route(self, request):
-                    return request.path
-            """, SERVE) == []
-
-    def test_sync_handler_also_checked(self):
-        assert "SGL007" in codes_for("""\
-            class Handlers:
-                def handle_inspect(self, request):
-                    return request.served.inspect()
-            """, SERVE)
-
-    def test_out_of_serve_tree_ignored(self):
-        assert codes_for("""\
-            class Handlers:
-                async def _handle_block(self, request):
-                    return request.served.decode(0)
-            """, PIPELINE) == []
-
-
-# ----------------------------------------------------------------------
-# Suppressions
-# ----------------------------------------------------------------------
-
-class TestSuppressions:
-    VIOLATION = """\
-        def run(data, *, workers=None):  # sage-lint: disable=SGL003
-            return data
-        """
-
-    def test_same_line_disable(self):
-        findings, suppressed = lint_source(
-            textwrap.dedent(self.VIOLATION), path=PIPELINE)
-        assert findings == []
-        assert suppressed == 1
-
-    def test_disable_next(self):
-        findings, suppressed = lint_source(textwrap.dedent("""\
-            # sage-lint: disable-next=SGL003 - legacy shim
-            def run(data, *, workers=None):
-                return data
-            """), path=PIPELINE)
-        assert findings == []
-        assert suppressed == 1
-
-    def test_disable_file(self):
-        findings, suppressed = lint_source(textwrap.dedent("""\
-            # sage-lint: disable-file=SGL003
-            def run(data, *, workers=None):
-                return data
-
-            def go(data, *, backend=None):
-                return data
-            """), path=PIPELINE)
-        assert findings == []
-        assert suppressed == 2
-
-    def test_disable_all_wildcard(self):
-        findings, suppressed = lint_source(textwrap.dedent("""\
-            def run(data, *, workers=None):  # sage-lint: disable=all
-                return data
-            """), path=PIPELINE)
-        assert findings == []
-        assert suppressed == 1
-
-    def test_disable_other_code_does_not_suppress(self):
-        findings, suppressed = lint_source(textwrap.dedent("""\
-            def run(data, *, workers=None):  # sage-lint: disable=SGL006
-                return data
-            """), path=PIPELINE)
-        assert [f.code for f in findings] == ["SGL003"]
-        assert suppressed == 0
-
-
-# ----------------------------------------------------------------------
-# select / ignore / output / errors
-# ----------------------------------------------------------------------
-
-MIXED = """\
-    import random
-
-    def run(data, *, workers=None):
-        return data
-    """
-
-
-class TestSelectIgnore:
-    def test_select_narrows(self):
-        codes = codes_for(MIXED, KERNEL, select="SGL002")
-        assert codes == ["SGL002"]
-
-    def test_ignore_drops(self):
-        codes = codes_for(MIXED, KERNEL, ignore="SGL002")
-        assert codes == ["SGL003"]
-
-    def test_unknown_code_is_usage_error(self):
-        with pytest.raises(LintUsageError):
-            lint_source("x = 1\n", path=CORE, select="SGL999")
-
-    def test_syntax_error_becomes_sgl000(self):
-        findings, _ = lint_source("def broken(:\n", path=CORE)
-        assert [f.code for f in findings] == [PARSE_ERROR_CODE]
-
-    def test_sgl000_survives_select(self):
-        findings, _ = lint_source("def broken(:\n", path=CORE,
-                                  select="SGL003")
-        assert [f.code for f in findings] == [PARSE_ERROR_CODE]
-
-
-class TestOutput:
-    def test_finding_render_format(self):
-        (finding,) = findings_for("""\
-            def run(data, *, workers=None):
-                return data
-            """, PIPELINE)
-        assert finding.render().startswith(
-            f"{PIPELINE}:1:0: SGL003 ")
-
-    def test_json_output_shape(self, tmp_path):
-        bad = tmp_path / "src" / "repro" / "pipeline" / "w.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("def run(d, *, workers=None):\n    return d\n",
-                       encoding="ascii")
-        report = lint_paths([str(tmp_path)])
-        payload = json.loads(render_report(report, as_json=True))
-        assert payload["files_checked"] == 1
-        assert payload["suppressed"] == 0
-        (entry,) = payload["findings"]
-        assert entry["code"] == "SGL003"
-        assert entry["line"] == 1
-
-
-class TestCli:
-    def write_tree(self, tmp_path, source):
-        target = tmp_path / "src" / "repro" / "pipeline" / "w.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(textwrap.dedent(source), encoding="ascii")
-        return target
-
-    def test_exit_zero_on_clean(self, tmp_path, capsys):
-        self.write_tree(tmp_path, "def run(d, *, options=None):\n"
-                                  "    return d\n")
-        assert lint_main([str(tmp_path)]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_exit_one_on_findings(self, tmp_path, capsys):
-        self.write_tree(tmp_path, "def run(d, *, workers=None):\n"
-                                  "    return d\n")
-        assert lint_main([str(tmp_path)]) == 1
-        assert "SGL003" in capsys.readouterr().out
-
-    def test_exit_two_on_unknown_code(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path), "--select", "SGL999"]) == 2
-        assert "unknown rule code" in capsys.readouterr().err
-
-    def test_exit_two_on_missing_path(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "nope")]) == 2
-        assert "no such" in capsys.readouterr().err.lower()
-
-    def test_json_flag(self, tmp_path, capsys):
-        self.write_tree(tmp_path, "def run(d, *, workers=None):\n"
-                                  "    return d\n")
-        assert lint_main([str(tmp_path), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"][0]["code"] == "SGL003"
-
-    def test_sage_lint_subcommand(self, tmp_path, capsys):
-        from repro.cli import main as sage_main
-        self.write_tree(tmp_path, "def run(d, *, workers=None):\n"
-                                  "    return d\n")
-        assert sage_main(["lint", str(tmp_path)]) == 1
-        assert "SGL003" in capsys.readouterr().out
-
-    def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in available_rules():
-            assert code in out
 
 
 # ----------------------------------------------------------------------
@@ -819,13 +812,13 @@ class TestCli:
 
 class TestDogfood:
     def test_repo_is_clean(self):
-        report = lint_paths(["src", "tests", "benchmarks", "examples"])
-        assert report.findings == [], "\n".join(
-            f.render() for f in report.findings)
-        assert report.files_checked > 100
-        # The sanctioned carve-outs (kernel registry mechanism,
-        # batching units) stay visible as suppressions, not rule holes.
-        assert 0 < report.suppressed <= 7
-
-    def test_at_least_six_rules_registered(self):
-        assert len(available_rules()) >= 6
+        # Each contract scopes itself by path, so every one walks the
+        # same roots: the package plus the two trees users copy sinks
+        # from.
+        for fixture in FIXTURES.values():
+            assert on_tree(fixture["contract"],
+                           "src", "examples", "benchmarks") == []
+        # Exceptions are allow-list entries above, not comments in
+        # src/, and the package carries no trace of the checker.
+        assert files_mentioning("sage-lint:", "SGL0",
+                                "sage_error_boundary") == []

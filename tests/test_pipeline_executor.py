@@ -47,6 +47,10 @@ class TestStreamExecutor:
         buffer = io.StringIO()
         executor.run(FastqSink(buffer))
         assert buffer.getvalue() == serial_text
+        # A healthy pass needs no rescue: a task the pool cannot pickle
+        # (a lambda, a local function) would be retried serially,
+        # silently, for every block.
+        assert executor.stats.blocks_retried == 0
         if backend == "serial":
             assert executor.stats.peak_inflight == 1
 

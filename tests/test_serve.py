@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
+from repro.core.errors import CorruptArchiveError
 from repro.genomics import fastq
 from repro.serve import ArchiveServer, ServeClient
 from repro.serve.server import REQUEST_OPTION_KEYS
@@ -185,6 +186,18 @@ class TestEndpoints:
             "/analyze", {"sinks": ["mapping-rate"],
                          "options": {"workers": -3}})
         assert status == 400
+
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 2.5), ("block_retries", 1.5), ("workers", "2")])
+    def test_analyze_non_integral_option_400(self, client, field, value):
+        # Validated at the boundary, not inside ProcessPoolExecutor (a
+        # 500) or not at all (block_retries=1.5 was silently accepted).
+        status, info = client.post_json(
+            "/analyze", {"sinks": ["mapping-rate"],
+                         "options": {field: value}})
+        assert status == 400
+        assert info["error"].startswith(f"invalid options: {field} must "
+                                        f"be an integer")
 
     def test_request_overrides_run_on_a_sibling_session(
             self, client, served_archive):
@@ -366,6 +379,29 @@ class TestErrorMapping:
                 assert c.get("/block/0")[0] == 200
                 stats = c.get_json("/stats")
                 assert stats["errors"] >= 1
+
+    def test_boundary_is_structural(self, server, client, monkeypatch):
+        # No handler has to remember a decorator: _dispatch, the one
+        # caller of every handler, maps whatever a bare coroutine raises.
+        async def damaged(request):
+            raise CorruptArchiveError("x", block_index=3, stream="mpa")
+
+        async def broken(request):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server, "_handle_archives", damaged)
+        monkeypatch.setattr(server, "_handle_cache_clear", broken)
+        status, body = client.get("/archives")
+        assert status == 500
+        assert json.loads(body) == {
+            "error": "CorruptArchiveError: x (block 3, stream 'mpa')",
+            "status": 500, "error_type": "CorruptArchiveError",
+            "block_index": 3, "stream": "mpa"}
+        status, info = client.post_json("/cache/clear", {})
+        assert status == 500
+        assert info == {"error": "internal error: RuntimeError: boom",
+                        "status": 500}
+        assert client.get_json("/stats")["errors"] == 2
 
     def test_failed_decode_is_not_cached(self, tmp_path, rs3_small):
         path = tmp_path / "damaged2.sage"
