@@ -2,13 +2,15 @@
 
 from . import breakdown, properties, variants
 from .breakdown import FIG17_LABELS, AblationResult, run_ablation
-from .properties import PropertyAccumulator, PropertyReport, analyze
+from .properties import (MappingRateReport, MappingRateSink,
+                         PropertyAccumulator, PropertyReport, analyze)
 from .variants import (QualityAccessReport, VariantCall, call_variants,
                        host_quality_headroom, pileup,
                        quality_block_access)
 
 __all__ = ["breakdown", "properties", "variants", "FIG17_LABELS",
-           "AblationResult", "run_ablation", "PropertyAccumulator",
-           "PropertyReport", "analyze", "QualityAccessReport",
+           "AblationResult", "run_ablation", "MappingRateReport",
+           "MappingRateSink", "PropertyAccumulator", "PropertyReport",
+           "analyze", "QualityAccessReport",
            "VariantCall", "call_variants", "host_quality_headroom",
            "pileup", "quality_block_access"]

@@ -14,10 +14,11 @@ from typing import Iterable
 
 import numpy as np
 
+from ..core.options import EngineOptions
 from ..core.tuning import bit_count_histogram
-from ..genomics.reads import Read, ReadSet, iter_reads
+from ..genomics.reads import ReadSet
+from ..mapping import MapperConfig, make_mapper
 from ..mapping.alignment import DEL, INS
-from ..mapping.mapper import MapperConfig, ReadMapper
 
 
 @dataclass
@@ -75,19 +76,23 @@ class PropertyReport:
 
 
 class PropertyAccumulator:
-    """Incremental form of :func:`analyze` for streamed read sets.
+    """The Fig. 7 / Fig. 10 property analysis as a streaming sink.
 
-    Consumes reads (or :class:`ReadSet` blocks) one at a time — e.g. as
-    a :class:`~repro.pipeline.executor.StreamExecutor` decodes them —
-    and produces the same :class:`PropertyReport` a whole-dataset pass
-    would.  Only the per-read statistics are retained between calls;
-    the read data itself is never held.
+    Fed one decoded block at a time it produces the same
+    :class:`PropertyReport` a whole-dataset pass would; only per-read
+    statistics are retained between blocks.  ``options`` is the session
+    whose mapper kernel maps the blocks (``None``: ``"auto"``).
     """
 
+    #: Property aggregation maps base codes only (no quality, no
+    #: headers); the distributions are order-insensitive.
+    requires = ("sequence",)
+
     def __init__(self, reference: np.ndarray,
-                 mapper_config: MapperConfig | None = None):
-        self._mapper = ReadMapper(np.asarray(reference, dtype=np.uint8),
-                                  mapper_config)
+                 mapper_config: MapperConfig | None = None, *,
+                 options: EngineOptions | None = None):
+        self._mapper = make_mapper(options.mapper if options else None,
+                                   reference, mapper_config)
         self._pos_deltas: list[int] = []
         self._counts: list[int] = []
         self._indel_lengths: list[int] = []
@@ -96,34 +101,29 @@ class PropertyAccumulator:
         self._n_chimeric = 0
         self._n_reads = 0
 
-    def add(self, read: Read) -> None:
-        """Map one read and fold its statistics in."""
-        self._n_reads += 1
-        mapping = self._mapper.map_read(read.codes)
-        if mapping.unmapped:
-            self._n_unmapped += 1
-            return
-        if mapping.is_chimeric:
-            self._n_chimeric += 1
-        self._first_positions.append(mapping.segments[0].cons_start)
-        n_mismatches = 0
-        for segment in sorted(mapping.segments,
-                              key=lambda s: s.read_start):
-            prev = 0
-            for op in segment.ops:
-                n_mismatches += 1
-                self._pos_deltas.append(op.read_pos - prev)
-                prev = op.read_pos
-                if op.kind in (INS, DEL):
-                    self._indel_lengths.append(op.length)
-        self._counts.append(n_mismatches)
+    def consume(self, index: int, block: ReadSet) -> None:
+        """Map one block and fold its reads' statistics in."""
+        self._n_reads += len(block)
+        for mapping in self._mapper.map_batch(block.read_codes()):
+            if mapping.unmapped:
+                self._n_unmapped += 1
+                continue
+            if mapping.is_chimeric:
+                self._n_chimeric += 1
+            self._first_positions.append(mapping.segments[0].cons_start)
+            n_mismatches = 0
+            for segment in sorted(mapping.segments,
+                                  key=lambda s: s.read_start):
+                prev = 0
+                for op in segment.ops:
+                    n_mismatches += 1
+                    self._pos_deltas.append(op.read_pos - prev)
+                    prev = op.read_pos
+                    if op.kind in (INS, DEL):
+                        self._indel_lengths.append(op.length)
+            self._counts.append(n_mismatches)
 
-    def consume(self, reads: Iterable[Read]) -> None:
-        """Fold in a batch of reads (any iterable, e.g. a block)."""
-        for read in reads:
-            self.add(read)
-
-    def report(self) -> PropertyReport:
+    def finish(self) -> PropertyReport:
         """The distributions accumulated so far."""
         first_positions = sorted(self._first_positions)
         deltas = np.diff(np.array([0] + first_positions, dtype=np.int64))
@@ -137,6 +137,45 @@ class PropertyAccumulator:
             n_chimeric=self._n_chimeric, n_reads=self._n_reads)
 
 
+@dataclass
+class MappingRateReport:
+    """Outcome of a streaming mapping-rate pass."""
+
+    n_reads: int = 0
+    n_mapped: int = 0
+
+    @property
+    def n_unmapped(self) -> int:
+        return self.n_reads - self.n_mapped
+
+    @property
+    def mapping_rate(self) -> float:
+        return self.n_mapped / max(1, self.n_reads)
+
+
+class MappingRateSink:
+    """Maps every streamed block and tallies the mapping rate."""
+
+    #: Maps base codes only: no quality, headers, or order decode — an
+    #: aggregate rate is insensitive to read order.
+    requires = ("sequence",)
+
+    def __init__(self, reference: np.ndarray,
+                 mapper_config: MapperConfig | None = None, *,
+                 options: EngineOptions | None = None):
+        self._mapper = make_mapper(options.mapper if options else None,
+                                   reference, mapper_config)
+        self._report = MappingRateReport()
+
+    def consume(self, index: int, block: ReadSet) -> None:
+        mappings = self._mapper.map_batch(block.read_codes())
+        self._report.n_reads += len(mappings)
+        self._report.n_mapped += sum(not m.unmapped for m in mappings)
+
+    def finish(self) -> MappingRateReport:
+        return self._report
+
+
 def analyze(reads: ReadSet | Iterable[ReadSet], reference: np.ndarray,
             mapper_config: MapperConfig | None = None) -> PropertyReport:
     """Gather the Fig. 7 / Fig. 10 statistics for a read set.
@@ -145,6 +184,8 @@ def analyze(reads: ReadSet | Iterable[ReadSet], reference: np.ndarray,
     :class:`ReadSet` blocks (e.g. ``SAGeDataset.blocks()``), which is
     analyzed without ever holding the whole dataset.
     """
-    accumulator = PropertyAccumulator(reference, mapper_config)
-    accumulator.consume(iter_reads(reads))
-    return accumulator.report()
+    sink = PropertyAccumulator(reference, mapper_config)
+    for index, block in enumerate(
+            [reads] if isinstance(reads, ReadSet) else reads):
+        sink.consume(index, block)
+    return sink.finish()

@@ -20,13 +20,14 @@ are accessed.  This module reproduces that pipeline functionally:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from ..genomics.reads import ReadSet, iter_reads
+from ..genomics.reads import ReadSet
+from ..mapping import MapperConfig, MappingResult, make_mapper
 from ..mapping.alignment import INS, SUB
-from ..mapping.mapper import MapperConfig, MappingResult, ReadMapper
 
 #: Quality block size in scores.  The paper cites 25 MB blocks on real
 #: data; the default here scales to synthetic analog sizes.
@@ -72,13 +73,14 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
     same result as a whole-dataset pass.
     """
     reference = np.asarray(reference, dtype=np.uint8)
-    mapper = ReadMapper(reference, mapper_config)
+    mapper = make_mapper("auto", reference, mapper_config)
     depth = np.zeros(reference.size, dtype=np.int32)
     alt_counts = np.zeros((4, reference.size), dtype=np.int32)
     result = Pileup(depth=depth, alt_counts=alt_counts)
 
-    for read in iter_reads(read_set):
-        mapping = mapper.map_read(read.codes)
+    blocks = [read_set] if isinstance(read_set, ReadSet) else read_set
+    for mapping in chain.from_iterable(
+            mapper.map_batch(block.read_codes()) for block in blocks):
         result.mappings.append(None if mapping.unmapped else mapping)
         if mapping.unmapped:
             continue
@@ -93,18 +95,16 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
                         base = int(op.bases[0])
                         if base < 4:
                             alt_counts[base, cons_pos] += 1
-                elif op.kind == INS:
-                    key = (cons_pos, "ins")
-                    result.indel_counts[key] = \
-                        result.indel_counts.get(key, 0) + 1
-                    shift -= op.length
-                    consumed -= op.length
                 else:
-                    key = (cons_pos, "del")
+                    # An insertion consumes read bases only, a deletion
+                    # consensus bases only.
+                    kind, step = ("ins", -op.length) if op.kind == INS \
+                        else ("del", op.length)
+                    key = (cons_pos, kind)
                     result.indel_counts[key] = \
                         result.indel_counts.get(key, 0) + 1
-                    shift += op.length
-                    consumed += op.length
+                    shift += step
+                    consumed += step
             stop = min(reference.size, start + max(0, consumed))
             depth[start:stop] += 1
     return result
@@ -187,7 +187,7 @@ def quality_block_access(read_set: ReadSet, evidence: Pileup,
         total = max(1, -(-read_set.total_bases // block_size))
         return QualityAccessReport(total, 0, 0)
 
-    pairs = list(zip(read_set, evidence.mappings))
+    pairs = list(zip(read_set.read_lengths().tolist(), evidence.mappings))
     if emission_order:
         def sort_key(pair):
             mapping = pair[1]
@@ -200,8 +200,7 @@ def quality_block_access(read_set: ReadSet, evidence: Pileup,
                               dtype=np.int64)
     accessed: set[int] = set()
     offset = 0
-    for read, mapping in pairs:
-        length = len(read)
+    for length, mapping in pairs:
         if mapping is not None:
             for segment in mapping.segments:
                 lo = segment.cons_start - window

@@ -527,7 +527,7 @@ class SAGeDataset:
     def pipe(self, *sinks) -> "Pipeline":
         """Start a fluent sink pipeline: ``ds.pipe(a).pipe(b).run()``."""
         self._require_open()
-        return Pipeline(self, [resolve_sink(self, s) for s in sinks])
+        return Pipeline(self).pipe(*sinks)
 
 
 class Pipeline:
@@ -537,21 +537,31 @@ class Pipeline:
     sink (name, :class:`Sink`, or callable) and :meth:`run` drives one
     streaming decode through all of them, returning their results in
     order.  Executor accounting of the pass lands in :attr:`stats`.
+    Its sinks accumulate, so a pipeline runs once.
     """
 
-    def __init__(self, dataset: SAGeDataset, sinks: list[Sink]):
+    def __init__(self, dataset: SAGeDataset):
         self._dataset = dataset
-        self._sinks = list(sinks)
+        self._sinks: list[Sink] = []
+        self._ran = False
         self.stats: ExecutorStats | None = None
 
     def pipe(self, *sinks) -> "Pipeline":
+        """Append sinks; an unresolvable spec, or a sink the session's
+        ``options.streams`` would starve, is this call's error."""
         self._sinks.extend(resolve_sink(self._dataset, s) for s in sinks)
+        StreamExecutor(self._dataset.archive, options=self._dataset.options
+                       ).selection_for(self._sinks)
         return self
 
     def run(self) -> list:
         if not self._sinks:
             raise ValueError("pipeline has no sinks; call .pipe(...) "
                              "before .run()")
+        if self._ran:
+            raise RuntimeError("this pipeline already ran; build a new "
+                               "one with dataset.pipe(...)")
+        self._ran = True
         executor = self._dataset._make_executor()
         results = executor.run(*self._sinks)
         self.stats = executor.stats

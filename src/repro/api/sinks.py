@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..pipeline.executor import (CollectSink, MappingRateSink,
-                                 PropertySink, Sink)
+from ..analysis.properties import MappingRateSink, PropertyAccumulator
+from ..pipeline.executor import CollectSink, Sink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dataset import SAGeDataset
@@ -156,7 +156,8 @@ def resolve_sink(dataset: "SAGeDataset", spec: Any) -> Sink:
 # files — the paper's "directly analyzable" property.
 # ----------------------------------------------------------------------
 
-register_sink("property", lambda dataset: PropertySink(dataset.consensus))
-register_sink("mapping-rate",
-              lambda dataset: MappingRateSink(dataset.consensus))
+register_sink("property", lambda dataset: PropertyAccumulator(
+    dataset.consensus, options=dataset.options))
+register_sink("mapping-rate", lambda dataset: MappingRateSink(
+    dataset.consensus, options=dataset.options))
 register_sink("collect", lambda dataset: CollectSink())

@@ -62,10 +62,9 @@ class SAGeConfig:
     epsilon: float = DEFAULT_EPSILON
     long_reads: bool | None = None    # None => auto (variable lengths)
     mapper: MapperConfig | None = None
-    #: Mapper kernel finding mismatches ("auto" defers to the mapper
-    #: config's ``kernel`` field, then $SAGE_MAPPER, then the registry
-    #: default).  Every kernel produces a byte-identical archive; see
-    #: :mod:`repro.mapping.batch`.
+    #: Mapper kernel finding mismatches ("auto" resolves through
+    #: $SAGE_MAPPER to the registry default).  Every kernel produces a
+    #: byte-identical archive; see :mod:`repro.mapping.batch`.
     mapper_kernel: str = "auto"
     # Extensions beyond the paper's default configuration:
     preserve_order: bool = False      # store the original read order
@@ -170,9 +169,7 @@ class SAGeCompressor:
             long_reads = not read_set.is_fixed_length
         mapper = self._build_mapper(level, long_reads)
 
-        # Slices of the codes column: no ``Read`` is built to encode.
-        bounds = read_set.offsets.tolist()
-        reads = [read_set.codes[s:e] for s, e in zip(bounds, bounds[1:])]
+        reads = read_set.read_codes()    # no ``Read`` is built to encode
         mappings = mapper.map_batch(reads)
 
         plans: list[tuple[int, _ReadPlan]] = []

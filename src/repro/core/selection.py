@@ -17,7 +17,7 @@ Selections flow three ways:
 - sinks declare what they need via a ``requires`` attribute (see
   :class:`repro.pipeline.executor.Sink`), and the streaming executor
   unions the attached sinks' declarations per pass;
-- ``EngineOptions.streams`` overrides the union explicitly;
+- ``EngineOptions.streams`` overrides the union (never starving a sink);
 - ``SAGeDecompressor.decompress_block(select=...)`` takes one directly.
 
 Invariants: selecting ``quality`` requires ``sequence`` (quality scores

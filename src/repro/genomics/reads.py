@@ -103,10 +103,10 @@ class ReadSet:
     Read ``i`` owns ``codes[offsets[i]:offsets[i + 1]]`` and the same
     slice of ``quality``, and is named ``headers[i]``.  The columns are
     the set: what a block decode produces, what crosses a process
-    boundary, what the decoded-block cache holds and what the FASTQ
-    renderer reads.  ``ReadSet(reads, name=)`` packs a list once;
-    :attr:`reads`, iteration and indexing hand out :class:`Read` views
-    of the columns, built on first use.
+    boundary, what the decoded-block cache holds, what the FASTQ
+    renderer reads and what a sink consumes.  ``ReadSet(reads, name=)``
+    packs a list once; :attr:`reads`, iteration and indexing hand out
+    :class:`Read` views of the columns, built on first use.
 
     Scores: ``quality`` exists when any read carries at least one
     score and is ``None`` otherwise.  In a set that has it, a read
@@ -218,6 +218,12 @@ class ReadSet:
         """Array of per-read lengths."""
         return np.diff(self.offsets)
 
+    def read_codes(self) -> "list[np.ndarray]":
+        """Per-read views of the ``codes`` column — what a mapper's
+        ``map_batch`` takes.  No :class:`Read` is built."""
+        bounds = self.offsets.tolist()
+        return [self.codes[s:e] for s, e in zip(bounds, bounds[1:])]
+
     def uncompressed_dna_bytes(self) -> int:
         """Size of the DNA payload stored as 1 ASCII byte per base."""
         return self.total_bases
@@ -267,22 +273,6 @@ def _join(codes: list, quality: list, lengths,
             for bases, part in zip(codes, quality)])
     flat = np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
     return flat, offsets, scores, headers
-
-
-def iter_reads(reads: ReadSet | Iterable[ReadSet]) -> Iterator[Read]:
-    """Flatten a materialized read set or a stream of read-set blocks.
-
-    The shared dispatch rule of the streaming analysis entry points
-    (:func:`repro.analysis.properties.analyze`,
-    :func:`repro.analysis.variants.pileup`): a :class:`ReadSet` yields
-    its own reads; any other iterable is treated as blocks of reads —
-    the shape produced by ``SAGeDataset.blocks()``.
-    """
-    if isinstance(reads, ReadSet):
-        yield from reads
-    else:
-        for block in reads:
-            yield from block
 
 
 def partition_reads(reads: Iterable[Read], block_reads: int,

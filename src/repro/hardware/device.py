@@ -102,7 +102,8 @@ class SAGeDevice:
         reads, stats = self.hardware.run(archive)
         formatted = None
         if materialize:
-            formatted = [encode_output(read.codes, fmt) for read in reads]
+            formatted = [encode_output(codes, fmt)
+                         for codes in reads.read_codes()]
 
         compressed_bytes = stats.compressed_bits / 8.0
         nand_time = compressed_bytes / self.ssd.internal_read_bandwidth
@@ -125,6 +126,8 @@ class SAGeDevice:
         archive = self._archives.get(name)
         if archive is None:
             raise DeviceError(f"no genomic file {name!r}")
+        if batch_reads < 1:
+            raise DeviceError(f"batch_reads must be >= 1, got {batch_reads!r}")
         from ..core.decompressor import SAGeDecompressor
 
         # Decode section by section: the blocks are the SSD's natural

@@ -92,6 +92,16 @@ class HardwareThroughput:
             * bits_per_base(self.output_format) / 8.0
 
 
+def _first_difference(a: np.ndarray | None,
+                      b: np.ndarray | None) -> int | None:
+    """Where two equal-length columns first disagree (``None``: they
+    are equal; a column only one side has disagrees at 0)."""
+    if a is None or b is None:
+        return None if a is b else 0
+    differing = np.flatnonzero(a != b)
+    return int(differing[0]) if differing.size else None
+
+
 class SAGeHardwareModel:
     """Per-channel SU/RCU/CU array attached to an SSD."""
 
@@ -167,7 +177,8 @@ class SAGeHardwareModel:
         model and the service API cannot drift.  Runs the
         cycle-accounted hardware decode and the (optionally parallel,
         via ``options=EngineOptions(workers=...)``) streaming software
-        decode and compares base codes and quality scores read by read.
+        decode and compares base codes and quality scores column by
+        column, naming the first read that differs.
         Returns ``True`` on success and raises
         :class:`ValueError` on the first mismatch — equivalence is the
         §5.2 contract that the SU/RCU walk *is* the reference decoder.
@@ -188,16 +199,17 @@ class SAGeHardwareModel:
             raise ValueError(
                 f"hardware model decoded {len(hw_reads)} reads, software "
                 f"decoder {len(sw_reads)}")
-        for i, (hw, sw) in enumerate(zip(hw_reads, sw_reads)):
-            if not np.array_equal(hw.codes, sw.codes):
-                raise ValueError(f"read {i}: base codes diverge between "
+        for what, column in (("base codes", "offsets"),
+                             ("base codes", "codes"),
+                             ("quality scores", "quality")):
+            at = _first_difference(getattr(hw_reads, column),
+                                   getattr(sw_reads, column))
+            if at is not None:
+                # offsets[i + 1] closes read i; flat element -> its read
+                read = at - 1 if column == "offsets" else int(
+                    np.searchsorted(hw_reads.offsets, at, "right")) - 1
+                raise ValueError(f"read {read}: {what} diverge between "
                                  "hardware model and software decoder")
-            if (hw.quality is None) != (sw.quality is None) or (
-                    hw.quality is not None
-                    and not np.array_equal(hw.quality, sw.quality)):
-                raise ValueError(f"read {i}: quality scores diverge "
-                                 "between hardware model and software "
-                                 "decoder")
         return True
 
     # ------------------------------------------------------------------

@@ -10,7 +10,6 @@ from .endtoend import (MAX_SIM_BATCHES, EndToEndResult, SystemConfig,
                        build_stages, evaluate, geometric_mean,
                        speedup_over)
 from .executor import (BACKENDS, CollectSink, ExecutorStats, FastqSink,
-                       MappingRateReport, MappingRateSink, PropertySink,
                        Sink, StreamExecutor)
 from .stages import (PipelineResult, Stage, simulate_pipeline,
                      steady_state_throughput)
@@ -23,7 +22,6 @@ __all__ = [
     "EndToEndResult", "SystemConfig", "batches_for_dataset",
     "batches_from_archive", "build_stages", "evaluate", "geometric_mean",
     "speedup_over", "BACKENDS", "CollectSink", "ExecutorStats",
-    "FastqSink", "MappingRateReport", "MappingRateSink", "PropertySink",
-    "Sink", "StreamExecutor", "PipelineResult",
+    "FastqSink", "Sink", "StreamExecutor", "PipelineResult",
     "Stage", "simulate_pipeline", "steady_state_throughput",
 ]

@@ -104,9 +104,9 @@ def measure_filter_fraction(read_set: ReadSet, reference: np.ndarray,
     reference = np.asarray(reference, dtype=np.uint8)
     index = KmerIndex(reference, k=k, max_occurrences=64)
     filtered = 0
-    for read in read_set:
-        if _matches_exactly(read.codes, reference, index, k) or \
-                _matches_exactly(seq.reverse_complement(read.codes),
+    for codes in read_set.read_codes():
+        if _matches_exactly(codes, reference, index, k) or \
+                _matches_exactly(seq.reverse_complement(codes),
                                  reference, index, k):
             filtered += 1
     return filtered / len(read_set)

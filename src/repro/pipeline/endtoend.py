@@ -151,7 +151,7 @@ def _as_archive(archive) -> SAGeArchive:
 def batches_from_archive(archive) -> int:
     """Pipeline batch count of a real archive: one batch per block.
 
-    The v3 container's independently decodable blocks are exactly the
+    The container's independently decodable blocks are exactly the
     units that stream through the I/O → prep → analysis pipeline, so the
     simulator's ``n_batches`` is the archive's block count rather than a
     free parameter.  Accepts a :class:`SAGeArchive` or a

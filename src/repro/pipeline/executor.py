@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-import numpy as np
-
 from ..core.blocks import imap_bounded
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
@@ -43,11 +41,9 @@ from ..core.selection import STREAM_GROUPS, StreamSelection, \
     decoded_stream_bits
 from ..genomics import fastq
 from ..genomics.reads import ReadSet
-from ..mapping.mapper import MapperConfig, ReadMapper
 
 __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
-           "FastqSink", "MappingRateReport", "MappingRateSink",
-           "PropertySink", "Sink", "StreamExecutor"]
+           "FastqSink", "Sink", "StreamExecutor"]
 
 
 @dataclass(frozen=True)
@@ -120,13 +116,20 @@ class Sink(Protocol):
     blocks lost under ``on_error="skip"/"salvage"``; sinks without the
     hook simply never see the lost block.
 
+    A block *is* its columns — ``codes``, ``offsets``, ``quality`` (or
+    ``None``), ``headers`` — and a sink computes from those
+    (``block.read_codes()`` hands a mapper its per-read slices); the
+    :class:`~repro.genomics.reads.Read` views a block also hands out
+    are a convenience for user callables.
+
     Sinks may also declare ``requires`` — a tuple of stream group names
     (:data:`repro.core.selection.STREAM_GROUPS`) naming what they
     actually consume.  :meth:`StreamExecutor.run` decodes only the
     union of the attached sinks' declarations, so an aggregate sink
     never pays for quality or header decode it will not read.  Sinks
     without the attribute (or declaring ``None``) conservatively
-    request everything, which is also the pre-declaration behaviour.
+    request everything.  Declare a strict subset only for groups the
+    sink computes from: see :meth:`StreamExecutor.selection_for`.
     """
 
     def consume(self, index: int, block: ReadSet) -> None:
@@ -253,26 +256,33 @@ class StreamExecutor:
                 self.archive, codec=self.options.codec)
         return self._decompressor
 
-    def selection_for(self, sinks: "tuple[Sink, ...]" = ()
+    def selection_for(self, sinks: "list[Sink] | tuple[Sink, ...]" = ()
                       ) -> StreamSelection:
         """The stream groups a pass over ``sinks`` must decode.
 
-        ``options.streams`` is an explicit override; otherwise the
-        union of the sinks' ``requires`` declarations decides, with any
-        declaration-less sink (or an empty sink list) conservatively
-        requesting everything.
+        The union of the sinks' ``requires`` (a sink without one, or no
+        sink, asks for everything) unless ``options.streams`` overrides
+        it.  The override narrows a sink that asks for everything; a
+        sink naming a strict subset computes from each group it names,
+        so an override missing one raises :class:`ValueError` rather
+        than feed it empty placeholder reads.
         """
-        if self.options.streams is not None:
-            return StreamSelection.from_spec(self.options.streams)
-        if not sinks:
-            return StreamSelection.all_streams()
-        union = StreamSelection.none()
+        override = self.options.streams
+        union = StreamSelection.none() if sinks \
+            else StreamSelection.all_streams()
         for sink in sinks:
-            required = getattr(sink, "requires", None)
-            if required is None:
-                return StreamSelection.all_streams()
-            union = union.union(StreamSelection.from_spec(required))
-        return union
+            wanted = StreamSelection.from_spec(
+                getattr(sink, "requires", None))
+            if override is not None and not wanted.is_all:
+                for group in wanted.names:
+                    if group not in override:
+                        raise ValueError(
+                            f"sink {type(sink).__name__} computes from "
+                            f"stream group {group!r}; options.streams="
+                            f"{override!r} does not decode it")
+            union = union.union(wanted)
+        return union if override is None \
+            else StreamSelection.from_spec(override)
 
     def __iter__(self) -> Iterator[ReadSet]:
         """Yield each block's reads in index order.
@@ -298,12 +308,7 @@ class StreamExecutor:
         of the paper's prep/analysis overlap.  A block lost under
         ``on_error="skip"/"salvage"`` reaches each sink's optional
         ``consume_gap`` hook instead, so ordered consumers can account
-        for the hole.
-
-        Only the union of the sinks' ``requires`` declarations is
-        decoded (``options.streams`` overrides): an analysis pass whose
-        sinks consume only base codes never pays for quality or header
-        decode.
+        for the hole.  What is decoded: :meth:`selection_for`.
         """
         if not sinks:
             raise ValueError("need at least one sink")
@@ -445,7 +450,7 @@ class StreamExecutor:
 
 
 # ----------------------------------------------------------------------
-# Sinks
+# Transport sinks (analysis sinks: repro.analysis.properties)
 # ----------------------------------------------------------------------
 
 
@@ -497,61 +502,3 @@ class CollectSink:
 
     def finish(self) -> ReadSet:
         return ReadSet.concat(self._blocks)
-
-
-@dataclass
-class MappingRateReport:
-    """Outcome of a streaming mapping-rate pass."""
-
-    n_reads: int = 0
-    n_mapped: int = 0
-
-    @property
-    def n_unmapped(self) -> int:
-        return self.n_reads - self.n_mapped
-
-    @property
-    def mapping_rate(self) -> float:
-        return self.n_mapped / max(1, self.n_reads)
-
-
-class MappingRateSink:
-    """Maps every streamed read and tallies the mapping rate."""
-
-    #: Maps base codes only: no quality, headers, or order decode — an
-    #: aggregate rate is insensitive to read order.
-    requires = ("sequence",)
-
-    def __init__(self, reference: np.ndarray,
-                 mapper_config: MapperConfig | None = None):
-        self._mapper = ReadMapper(np.asarray(reference, dtype=np.uint8),
-                                  mapper_config)
-        self._report = MappingRateReport()
-
-    def consume(self, index: int, block: ReadSet) -> None:
-        for read in block:
-            self._report.n_reads += 1
-            if not self._mapper.map_read(read.codes).unmapped:
-                self._report.n_mapped += 1
-
-    def finish(self) -> MappingRateReport:
-        return self._report
-
-
-class PropertySink:
-    """Streams blocks into the Fig. 7 / Fig. 10 property analysis."""
-
-    #: Property aggregation maps base codes only (no quality, no
-    #: headers); the distributions are order-insensitive.
-    requires = ("sequence",)
-
-    def __init__(self, reference: np.ndarray,
-                 mapper_config: MapperConfig | None = None):
-        from ..analysis.properties import PropertyAccumulator
-        self._accumulator = PropertyAccumulator(reference, mapper_config)
-
-    def consume(self, index: int, block: ReadSet) -> None:
-        self._accumulator.consume(block)
-
-    def finish(self):
-        return self._accumulator.report()

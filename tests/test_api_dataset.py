@@ -358,6 +358,40 @@ class TestFacadeAnalysis:
         with pytest.raises(ValueError, match="no sinks"):
             dataset.pipe().run()
 
+    @pytest.mark.parametrize("spec", ["mapping-rate", "collect"])
+    def test_pipeline_runs_once(self, dataset, spec):
+        """The sinks accumulate, so a second ``run()`` used to report
+        every figure doubled (3584 reads of 1792; ``collect`` the
+        dataset twice over).  It is refused; ``analyze`` builds a new
+        pipeline per call and keeps answering the same."""
+        pipeline = dataset.pipe(spec)
+        [first] = pipeline.run()
+        with pytest.raises(RuntimeError, match=r"dataset\.pipe"):
+            pipeline.run()
+        [again] = dataset.analyze(spec)
+        assert first == again
+
+    def test_starved_sink_is_refused_when_piped(self, dataset):
+        """A session whose ``streams`` override drops the group a sink
+        computes from cannot pipe that sink (it used to answer
+        ``mapping_rate=0.0``): a ``ValueError`` from ``pipe()``, where
+        an unknown sink name also fails, before any decode."""
+        starving = SAGeDataset(dataset.archive,
+                               options=EngineOptions(streams=("headers",)))
+        for spec in ("mapping-rate", "property"):
+            with pytest.raises(ValueError, match="'sequence'"):
+                starving.pipe(spec)
+        assert starving.stats is None
+        [collected] = starving.analyze("collect")   # asks for everything
+        assert collected.total_bases == 0
+
+    def test_analysis_sinks_never_build_read_views(self, dataset):
+        """A block is its columns at the sink too: after the built-in
+        analysis sinks consumed it, no ``Read`` view exists."""
+        built = dataset.pipe("property", "mapping-rate").pipe(
+            lambda block: block._views is not None).run()[-1]
+        assert built == [False] * dataset.n_blocks
+
     def test_unknown_sink_name(self, dataset):
         with pytest.raises(ValueError, match="unknown sink"):
             dataset.analyze("nope")

@@ -189,6 +189,11 @@ class TestBatchBackedReadSet:
         assert not rs.is_fixed_length
         assert rs.uncompressed_dna_bytes() == 10
         sub = rs.subset(range(1, 3))
+        per_read = rs.read_codes()       # what a mapper's map_batch takes
+        assert [c.tolist() for c in per_read] \
+            == [r.codes.tolist() for r in self.READS]
+        assert all(np.shares_memory(c, rs.codes) for c in per_read)
+        assert ReadSet().read_codes() == []
         assert rs._views is None and sub._views is None
         assert sub.reads == self.READS[1:3]
         assert sub.name == "x"

@@ -116,3 +116,10 @@ class TestBatchStreaming:
                      for r in batch)
         want = sorted(r.codes.tobytes() for r in sim.read_set)
         assert got == want
+
+    @pytest.mark.parametrize("batch_reads", [0, -3])
+    def test_batching_unit_is_validated(self, loaded_device, batch_reads):
+        # 0 used to die with ZeroDivisionError (integer modulo by zero).
+        device, _ = loaded_device
+        with pytest.raises(DeviceError, match="batch_reads"):
+            list(device.iter_batches("rs3.sage", batch_reads=batch_reads))

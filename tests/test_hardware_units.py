@@ -6,6 +6,7 @@ import pytest
 from repro.api import EngineOptions
 from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
 from repro.core.formats import OutputFormat
+from repro.genomics.reads import ReadSet
 from repro.hardware import area_power, dram, energy, interconnect
 from repro.hardware.sage_units import SAGeHardwareModel
 from repro.hardware.ssd import pcie_ssd, sata_ssd
@@ -100,6 +101,27 @@ class TestHardwareVerify:
         with pytest.raises(ValueError):
             Lying(pcie_ssd()).verify(blocked,
                                      options=EngineOptions(workers=2))
+
+    @pytest.mark.parametrize("column,what", [
+        ("codes", "base codes"), ("quality", "quality scores")])
+    def test_verify_names_the_first_divergent_read(self, blocked, column,
+                                                   what):
+        """The compare is over columns and still says which read."""
+        hw = SAGeHardwareModel(pcie_ssd())
+
+        class OneWrongElement(SAGeHardwareModel):
+            def run(self, archive):
+                reads, stats = SAGeHardwareModel.run(hw, archive)
+                columns = {"codes": reads.codes, "quality": reads.quality}
+                damaged = columns[column].copy()
+                damaged[int(reads.offsets[5]) + 2] ^= 1
+                columns[column] = damaged
+                return ReadSet.from_columns(
+                    columns["codes"], reads.offsets, columns["quality"],
+                    reads.headers), stats
+
+        with pytest.raises(ValueError, match=f"read 5: {what} diverge"):
+            OneWrongElement(pcie_ssd()).verify(blocked)
 
 
 class TestAreaPower:

@@ -371,6 +371,73 @@ def mmap_lifetime(source, where):
 
 
 # ----------------------------------------------------------------------
+# The consumer boundary (PR 22): a block is its columns at the sink too.
+# The built-in consumers — everything under pipeline/, analysis/ and
+# hardware/ — take a block's columns (``block.read_codes()`` for a
+# mapper) and map it in one ``map_batch`` call on the session's kernel:
+# they never iterate a read set into ``Read`` views and never call the
+# scalar ``map_read`` per read; and outside mapping/ nothing constructs
+# the scalar ``ReadMapper`` by hand (``make_mapper`` decides), except
+# the sanctioned site below.
+# ----------------------------------------------------------------------
+
+COLUMN_CONSUMERS = ("src/repro/pipeline/", "src/repro/analysis/",
+                    "src/repro/hardware/")
+
+#: site -> why a hard-wired scalar ``ReadMapper(`` there is not a fork
+#: of the session's mapper choice.
+SANCTIONED_SCALAR_MAPPER_SITES = {
+    "src/repro/baselines/spring.py":
+        "the Spring baseline's mismatch finding is what "
+        "benchmarks/test_fig18_comptime.py times against a scalar "
+        "map_read pass; it is a baseline's own mechanism, not a "
+        "consumer of decoded blocks",
+}
+
+#: What a variable holding a read set is called in this tree.
+_READ_SET_NAME = re.compile(r"(^|_)(block|reads|read_set)$")
+#: Builtins that iterate their arguments.
+_ITERATING_CALLS = {"zip", "enumerate", "list", "tuple", "iter", "sorted",
+                    "reversed", "map", "filter"}
+
+
+def blocks_consumed_as_columns(source, where,
+                               sanctioned=SANCTIONED_SCALAR_MAPPER_SITES):
+    if not where.startswith("src/repro/") \
+            or where.startswith("src/repro/mapping/"):
+        return []
+    offenders = []
+    consumer = where.startswith(COLUMN_CONSUMERS)
+    for node in ast.walk(ast.parse(source)):
+        iterated, bound = [], []
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            iterated = [node.iter]
+            bound = [n.id for n in ast.walk(node.target)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "ReadMapper" and where not in sanctioned:
+                offenders.append(f"{where}:{node.lineno} constructs "
+                                 f"ReadMapper( (use make_mapper)")
+            if name == "map_read" and consumer:
+                offenders.append(f"{where}:{node.lineno} calls .map_read( "
+                                 f"per read (use map_batch)")
+            if name in _ITERATING_CALLS:
+                iterated = node.args
+        if not consumer:
+            continue
+        offenders += [
+            f"{where}:{expr.lineno} iterates Read views of "
+            f"{ast.unparse(expr)}" for expr in iterated
+            if _READ_SET_NAME.search(
+                getattr(expr, "id", getattr(expr, "attr", "")))]
+        if "read" in bound:
+            offenders.append(f"{where}:{iterated[0].lineno} loops over "
+                             f"Read views (for read in ...)")
+    return offenders
+
+
+# ----------------------------------------------------------------------
 # Per-contract fixture pairs (keyed by the code each contract carried
 # while it was a lint rule; SGL005 and SGL007 are gone — see the README
 # "Contracts are tests" table for what covers them)
@@ -701,7 +768,8 @@ class TestOptionsThreadingEdges:
         decode, transport, cache and serve layers never construct a
         ``Read``, ``format_read`` is nobody's inner loop, and
         ``fastq.write`` is the one function that turns base codes into
-        FASTQ text."""
+        FASTQ text.  At the sink the block is still its columns:
+        ``blocks_consumed_as_columns`` above."""
         src = SRC / "repro"
         trees = {path: ast.parse(path.read_text())
                  for path in sorted(src.rglob("*.py"))}
@@ -742,6 +810,44 @@ class TestOptionsThreadingEdges:
                      if isinstance(node, ast.FunctionDef)
                      and calls(node, "to_ascii")]
         assert renderers == ["write"]
+
+        # The sink side of the same contract (PR 22): built-in
+        # consumers take the columns, map a block at a time on the
+        # session's kernel, and the engine knows nothing of analysis.
+        assert on_tree(blocks_consumed_as_columns, "src") == []
+        unsanctioned = on_tree(
+            partial(blocks_consumed_as_columns, sanctioned={}), "src")
+        assert sorted({o.split(":")[0] for o in unsanctioned}) \
+            == sorted(SANCTIONED_SCALAR_MAPPER_SITES)
+        for violating in (
+                "for read in block:\n    total += read.codes.size\n",
+                "sizes = [r.codes.size for r in hw_reads]\n",
+                "pairs = list(zip(read_set, mappings))\n",
+                "for a, b in enumerate(zip(block.reads, other)):\n"
+                "    pass\n",
+                "hit = mapper.map_read(codes)\n",
+                "mapper = ReadMapper(reference, config)\n"):
+            assert on_snippet(blocks_consumed_as_columns, violating,
+                              "src/repro/analysis/widget.py") != [], violating
+        assert on_snippet(blocks_consumed_as_columns, """\
+            for index, block in enumerate(blocks):
+                for mapping in mapper.map_batch(block.read_codes()):
+                    n_reads += len(block)
+            """, "src/repro/analysis/widget.py") == []
+        # Read views stay a convenience for user-facing code.
+        assert on_snippet(blocks_consumed_as_columns,
+                          "for read in block:\n    yield read\n",
+                          "src/repro/api/dataset.py") == []
+        executor = "pipeline/executor"
+        assert importers_of("repro.mapping", executor) == []
+        assert importers_of("repro.analysis", executor) == []
+        assert importers_of("repro.mapping", "analysis/properties") != []
+        assert [node.lineno for scope in ast.walk(
+                    trees[src / "pipeline/executor.py"])
+                if isinstance(scope, FUNCTIONS)
+                for node in ast.walk(scope)
+                if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+        assert files_mentioning("PropertySink", "iter_reads") == []
 
 
 class TestSinkContractEdges:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import pileup
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import SAGeCompressor, SAGeConfig
 from repro.core import blocks as blocks_mod
@@ -99,6 +100,12 @@ def _result_key(res):
     )
 
 
+def _plain(report):
+    """A report's fields with its arrays as lists (comparable by ==)."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in vars(report).items()}
+
+
 # ----------------------------------------------------------------------
 # Cross-mapper fuzz: identical results, byte-identical archives
 # ----------------------------------------------------------------------
@@ -160,6 +167,34 @@ class TestCrossMapperFuzz:
                 options=options)
             blobs[mapper] = dataset.to_bytes()
         assert blobs["python"] == blobs["numpy"]
+
+    @pytest.mark.parametrize("analog", ["rs2_small", "rs3_small",
+                                        "rs4_small"])
+    def test_analysis_consumers_identical(self, analog, request,
+                                          monkeypatch):
+        """The session's mapper choice reaches every analysis consumer
+        and changes nothing they report."""
+        sim = request.getfixturevalue(analog)
+        archive = SAGeDataset.from_fastq(
+            sim.read_set, reference=sim.reference,
+            options=EngineOptions(block_reads=64)).archive
+        seen = {}
+        for mapper in available_mappers():
+            session = SAGeDataset(archive,
+                                  options=EngineOptions(mapper=mapper))
+            batch.reset_stats()
+            report, rate = session.analyze("property", "mapping-rate")
+            # One map_batch call per sink per block on the numpy
+            # kernel; the scalar kernel never reaches the batch mapper.
+            assert batch.GLOBAL_STATS.batches \
+                == (2 * archive.n_blocks if mapper == "numpy" else 0)
+            monkeypatch.setenv("SAGE_MAPPER", mapper)   # free functions
+            evidence = pileup(session.blocks(), sim.reference)
+            evidence.mappings = [m and _result_key(m)
+                                 for m in evidence.mappings]
+            seen[mapper] = (_plain(report), rate, _plain(evidence))
+        assert seen["python"] == seen["numpy"]
+        assert seen["numpy"][1].n_reads == len(sim.read_set)
 
     def test_consensus_with_n_disables_zero_shortcut(self, reference):
         """An N-bearing consensus must still map byte-identically."""

@@ -5,14 +5,13 @@ import io
 import numpy as np
 import pytest
 
-from repro.analysis import analyze
+from repro.analysis import MappingRateSink, PropertyAccumulator, analyze
 from repro.analysis.variants import call_variants, pileup
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, SAGeArchive,
                         SAGeCompressor, SAGeConfig, SAGeDecompressor)
 from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
-                                     MappingRateSink, PropertySink,
                                      StreamExecutor)
 
 from tests.conftest import decode_blocks, read_multiset
@@ -146,7 +145,7 @@ class TestSinks:
         executor = StreamExecutor(blocked,
                                   options=EngineOptions(workers=2),
                                   decompressor=decoder)
-        streamed = executor.run(PropertySink(decoder.consensus))[0]
+        streamed = executor.run(PropertyAccumulator(decoder.consensus))[0]
         whole = analyze(decode_blocks(SAGeDecompressor(blocked)),
                         rs3_small.reference)
         assert streamed.n_reads == whole.n_reads
@@ -163,6 +162,39 @@ class TestSinks:
         assert rate.n_reads == blocked.n_reads
         assert rate.n_mapped + rate.n_unmapped == rate.n_reads
         assert 0.5 < rate.mapping_rate <= 1.0
+
+    @pytest.mark.parametrize("sink_type", [MappingRateSink,
+                                           PropertyAccumulator])
+    def test_override_may_not_starve_a_sink(self, blocked, sink_type):
+        """A sink that names a strict subset of the stream groups
+        computes from each of them: an ``options.streams`` override
+        missing one is refused before any block decodes (it used to
+        hand the sink empty placeholder reads — mapping rate 0.0 on an
+        archive that maps — with no error)."""
+        decoder = SAGeDecompressor(blocked)
+        executor = StreamExecutor(
+            blocked, options=EngineOptions(streams=("headers",)),
+            decompressor=decoder)
+        with pytest.raises(ValueError, match=rf"{sink_type.__name__}"
+                                             r".*'sequence'"):
+            executor.run(sink_type(decoder.consensus))
+        assert executor.stats.blocks == 0
+        # An override that keeps the group the sink names is honoured.
+        wider = StreamExecutor(
+            blocked, options=EngineOptions(streams=("sequence", "quality")),
+            decompressor=decoder)
+        wider.run(sink_type(decoder.consensus))
+        assert wider.stats.streams_decoded["quality"] > 0
+
+    def test_override_narrows_a_sink_that_asks_for_everything(
+            self, blocked):
+        """``requires`` of ``None`` or all groups renders whatever was
+        decoded, so the override narrows it."""
+        executor = StreamExecutor(
+            blocked, options=EngineOptions(streams=("sequence",)))
+        [collected] = executor.run(CollectSink())
+        assert collected.quality is None
+        assert executor.stats.streams_decoded["quality"] == 0
 
     def test_fastq_sink_matches_write_file(self, blocked, tmp_path,
                                            serial_text):

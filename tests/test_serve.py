@@ -174,6 +174,23 @@ class TestEndpoints:
                          "options": {"workers": 2}})
         assert status == 200
 
+    @pytest.mark.parametrize("sink", ["mapping-rate", "property"])
+    def test_analyze_starved_sink_400(self, client, sink):
+        # A streams override that drops the group the sink computes
+        # from used to be served as a 200 with mapping_rate 0.0 (every
+        # read an empty placeholder); it is the request's mistake.
+        status, info = client.post_json(
+            "/analyze", {"sinks": [sink],
+                         "options": {"streams": ["headers"]}})
+        assert status == 400
+        assert "'sequence'" in info["error"]
+        # A sink that asks for everything is narrowed, not refused.
+        status, info = client.post_json(
+            "/analyze", {"sinks": ["collect"],
+                         "options": {"streams": ["headers"]}})
+        assert status == 200
+        assert info["results"]["collect"]["total_bases"] == 0
+
     def test_analyze_unknown_option_400(self, client):
         status, info = client.post_json(
             "/analyze", {"sinks": ["mapping-rate"],
