@@ -59,8 +59,8 @@ from .genomics import datasets, fastq
 from .genomics import sequence as seqmod
 
 
-#: Exit codes: 0 success, 1 damaged/failed input (``SAGeError``),
-#: 2 usage error (argparse convention).
+#: Exit codes: 0 success, 1 damaged/failed input (``SAGeError``,
+#: ``FastqError``), 2 usage error (argparse convention).
 EXIT_DAMAGE = 1
 EXIT_USAGE = 2
 
@@ -456,11 +456,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sage: {exc.filename or exc}: no such file",
               file=sys.stderr)
         return EXIT_USAGE
-    except SAGeError as exc:
-        # A malformed/corrupt archive is an input problem, not a crash:
-        # report the typed error (block/stream/offset context included)
-        # without a traceback.  Damage exits 1; usage errors exit 2
-        # (via argparse or _usage_exit).
+    except (SAGeError, fastq.FastqError) as exc:
+        # A malformed/corrupt archive or FASTQ file is an input problem,
+        # not a crash: report the typed error (block/stream/offset or
+        # record context included) without a traceback.  Damage exits
+        # 1; usage errors exit 2 (via argparse or _usage_exit).
         print(f"sage: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DAMAGE
 

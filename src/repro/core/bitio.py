@@ -15,7 +15,13 @@ through ``FastReader``, a drop-in with O(1) field and unary reads.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import SAGeError
+
+#: Fields in a :meth:`BitWriter.write_fields` run from which packing
+#: them with numpy beats the inlined loop.
+_PACK_FIELDS = 96
 
 
 class BitIOError(SAGeError):
@@ -99,14 +105,62 @@ class BitWriter:
 
         Bulk counterpart of :meth:`write` for runs of *variable*-width
         fields — the batched emission primitive of
-        :meth:`repro.core.prefix_codes.AssociationTable.encode_run`.
+        :meth:`repro.core.prefix_codes.AssociationTable.encode_run` and
+        of the compressor's column path.  The emitted bits are identical
+        to writing each pair in a loop; a long run is packed with numpy.
         """
+        if len(values) >= _PACK_FIELDS and self._pack_fields(values, widths):
+            return
         if hasattr(values, "tolist"):
             values = values.tolist()
         if hasattr(widths, "tolist"):
             widths = widths.tolist()
-        for value, width in zip(values, widths):
-            self.write(value, width)
+        acc = self._acc
+        nb = self._nbits
+        out = self._bytes
+        written = 0
+        for value, nbits in zip(values, widths):
+            if nbits <= 0 or value < 0 or value >> nbits:
+                if nbits == 0:
+                    continue
+                # Fail as a per-field loop would, its prefix written.
+                self._acc, self._nbits = acc, nb
+                self._total_bits += written
+                return self.write(value, nbits)
+            acc = (acc << nbits) | value
+            nb += nbits
+            written += nbits
+            while nb >= 8:
+                nb -= 8
+                out.append((acc >> nb) & 0xFF)
+            acc &= (1 << nb) - 1
+        self._acc, self._nbits = acc, nb
+        self._total_bits += written
+
+    def _pack_fields(self, values, widths) -> bool:
+        """:meth:`write_fields` in one vectorized pass: every field
+        (the pending bits first) expands to its bits, ``packbits`` makes
+        the bytes.  ``False`` — nothing written — when a field is
+        invalid or wider than an ``int64`` shift, which the loop handles
+        (and reports) field by field."""
+        values = np.asarray(values, dtype=np.int64)
+        widths = np.asarray(widths, dtype=np.int64)
+        if widths.min() < 0 or widths.max() > 63 \
+                or (values >> widths).any():
+            return False
+        total = int(widths.sum())
+        values = np.concatenate(([self._acc], values))
+        widths = np.concatenate(([self._nbits], widths))
+        shifts = np.repeat(np.cumsum(widths), widths) - 1 \
+            - np.arange(self._nbits + total)
+        packed = np.packbits(
+            (np.repeat(values, widths) >> shifts).astype(np.uint8) & 1)
+        whole, self._nbits = divmod(self._nbits + total, 8)
+        self._bytes += packed[:whole].tobytes()
+        self._acc = int(packed[whole]) >> (8 - self._nbits) \
+            if self._nbits else 0
+        self._total_bits += total
+        return True
 
     def write_bit(self, bit: int) -> None:
         """Write a single bit (0 or 1)."""

@@ -4,6 +4,14 @@ Pipeline: map reads against the consensus → plan per-read encodings
 (oriented, clip-split, N-sanitized edit events) → tune bit-width classes
 per read set (Algorithm 1) → emit the array/guide-array streams.
 
+A block is its columns on the way in too: a mapped read with one
+segment, no clip, substitutions only and no ``N`` — nearly every short
+read — never becomes a plan or event object.  :class:`_SimpleReads`
+holds such reads as arrays and each run of them, in emission order,
+reaches a stream in one ``write_fields``; only the other reads take the
+scalar path (:meth:`SAGeCompressor._plan_read` /
+:meth:`SAGeCompressor._write_read`), into the same writers.
+
 Every written bit is charged to a Fig. 17 category via
 :class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
 NO/O1/O2/O3/O4 are supported so the ablation decodes losslessly too.
@@ -19,6 +27,7 @@ from a partitioned read stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -114,6 +123,128 @@ class _UnmappedPlan:
     codes: np.ndarray
 
 
+def _is_simple(mapping: MappingResult, has_n: bool) -> bool:
+    """True for a mapped read the column path can emit: one segment
+    spanning the read, substitutions only, nothing a corner payload
+    would carry.  Decided from the mapping alone; every other read goes
+    through :meth:`SAGeCompressor._plan_read`."""
+    if has_n or len(mapping.segments) != 1 or mapping.clip_start.size \
+            or mapping.clip_end.size or mapping.segments[0].read_start:
+        return False
+    ops = mapping.segments[0].ops
+    return not ops or all(op.kind == SUB for op in ops)
+
+
+class _SimpleReads:
+    """The simple reads of a block (:func:`_is_simple`), in emission
+    order, as columns: per read ``reverse`` and ``n_subs``, per
+    substitution ``pos``, ``bases`` and ``deltas`` (the distance from
+    the read's previous substitution; the position itself for its
+    first)."""
+
+    def __init__(self, mappings: list[MappingResult]):
+        ops = [mapping.segments[0].ops for mapping in mappings]
+        subs = list(chain.from_iterable(ops))
+        self.reverse = np.fromiter((m.reverse for m in mappings),
+                                   np.int64, len(mappings))
+        self.n_subs = np.fromiter(map(len, ops), np.int64, len(ops))
+        self.pos = np.fromiter((op.read_pos for op in subs),
+                               np.int64, len(subs))
+        self.bases = np.fromiter((op.bases[0] for op in subs),
+                                 np.int64, len(subs))
+        #: Index of each read's first substitution, plus the total.
+        self.sub_bounds = np.zeros(len(ops) + 1, dtype=np.int64)
+        np.cumsum(self.n_subs, out=self.sub_bounds[1:])
+        self.first = np.zeros(len(subs), dtype=bool)
+        self.first[self.sub_bounds[:-1][self.n_subs > 0]] = True
+        self.deltas = self.pos.copy()
+        self.deltas[1:] -= np.where(self.first[1:], 0, self.pos[:-1])
+
+    def __len__(self) -> int:
+        return int(self.n_subs.size)
+
+    def fields(self, tables: dict[str, AssociationTable], level: OptLevel,
+               chimeric_side: bool, w_rlen: int,
+               breakdown: SizeBreakdown) -> dict[str, tuple]:
+        """What :meth:`SAGeCompressor._write_read` would write for these
+        reads, per stream: ``name -> (values, widths, bounds)`` with
+        ``bounds[i]`` the first field of read ``i`` (one more entry
+        than reads), so reads ``a:b`` own fields ``bounds[a]:bounds[b]``.
+        Adjacent fields of one stream are merged (a count's class code
+        and value; a substitution's position-0 flag, type and base);
+        the bits, and their ``breakdown`` charges, are the scalar
+        path's."""
+        n, n_subs = len(self), self.pos.size
+        reads = np.arange(n + 1)
+        # A field per read followed by one per substitution (``mbta``:
+        # the rev flag, then bases; tuned ``mmpga``: the count, then
+        # position classes).
+        heads = reads + self.sub_bounds
+        is_head = np.zeros(n + n_subs, dtype=bool)
+        is_head[heads[:-1]] = True
+
+        def interleaved(head: tuple, sub: tuple) -> tuple:
+            values = np.empty(n + n_subs, dtype=np.int64)
+            widths = np.empty(n + n_subs, dtype=np.int64)
+            values[is_head], widths[is_head] = head
+            values[~is_head], widths[~is_head] = sub
+            return values, widths, heads
+
+        def unary(classes: np.ndarray) -> tuple:
+            return ((1 << classes) - 1) << 1, classes + 1
+
+        # O4: a substitution at position 0 opening a read is told from
+        # the corner marker by a 0 bit ahead of its body.
+        at_zero = self.first & (self.pos == 0) if level.corner_marker \
+            else np.zeros(n_subs, dtype=np.int64)
+        sub_width = (2 if level.type_inference else 4) + at_zero
+        out = {"mbta": interleaved((self.reverse, 1),
+                                   (self.bases, sub_width))}
+        charges = {
+            "rev": n,
+            "mismatch_types": at_zero.sum()
+            + (0 if level.type_inference else 2 * n_subs),
+            "mismatch_bases": 2 * n_subs}
+        if chimeric_side:           # "no extra segments", a 0 bit each
+            out["side"] = np.zeros(n, dtype=np.int64), np.ones(
+                n, dtype=np.int64), reads
+            charges["matching_pos"] = n
+        if not level.corner_marker:  # the two corner indicator bits
+            out["corner"] = np.zeros(n, dtype=np.int64), np.full(
+                n, 2), reads
+            charges["contains_n"] = 2 * n
+        if level.tuned_mismatch:
+            count_class = tables["count"].classify(self.n_subs)
+            count_width = tables["count"].widths_np[count_class]
+            code, code_width = unary(count_class)
+            pos_class = tables["mmp"].classify(self.deltas)
+            pos_width = tables["mmp"].widths_np[pos_class]
+            out["mmpga"] = interleaved(
+                ((code << count_width) | self.n_subs,
+                 code_width + count_width), unary(pos_class))
+            out["mmpa"] = self.deltas, pos_width, self.sub_bounds
+            charges["mismatch_counts"] = (code_width + count_width).sum()
+            charges["mismatch_pos"] = (pos_class + 1 + pos_width).sum()
+        else:
+            out["mmpga"] = self.n_subs, np.full(n, RAW_COUNT_BITS), reads
+            out["mmpa"] = self.pos, np.full(n_subs, w_rlen), self.sub_bounds
+            charges["mismatch_counts"] = RAW_COUNT_BITS * n
+            charges["mismatch_pos"] = w_rlen * n_subs
+        for category, nbits in charges.items():
+            if nbits:
+                breakdown.charge(category, int(nbits))
+        return out
+
+
+def _reads_with_n(read_set: ReadSet) -> np.ndarray:
+    """Per read: does it hold an ``N``?"""
+    out = np.zeros(len(read_set), dtype=bool)
+    out[np.searchsorted(read_set.offsets,
+                        np.nonzero(read_set.codes == seq.N_CODE)[0],
+                        "right") - 1] = True
+    return out
+
+
 class SAGeCompressor:
     """Compresses read sets against a consensus sequence."""
 
@@ -171,21 +302,28 @@ class SAGeCompressor:
 
         reads = read_set.read_codes()    # no ``Read`` is built to encode
         mappings = mapper.map_batch(reads)
+        has_n = _reads_with_n(read_set).tolist()
 
-        plans: list[tuple[int, _ReadPlan]] = []
+        # Mapped reads as (matching position, input index, plan): a
+        # simple read has no plan and stays in columns.
+        rows: list[tuple[int, int, _ReadPlan | None]] = []
         unmapped: list[tuple[int, _UnmappedPlan]] = []
         for idx, (codes, mapping) in enumerate(zip(reads, mappings)):
             if mapping.unmapped:
                 unmapped.append((idx, _UnmappedPlan(codes)))
+            elif _is_simple(mapping, has_n[idx]):
+                rows.append((mapping.segments[0].cons_start, idx, None))
             else:
-                plans.append((idx, self._plan_read(codes, mapping)))
-
+                plan = self._plan_read(codes, mapping)
+                rows.append((plan.first_cons, idx, plan))
         if level.reorder:
-            plans.sort(key=lambda item: (item[1].first_cons, item[0]))
-        permutation = [idx for idx, _ in plans] + [i for i, _ in unmapped]
-
-        return self._encode(read_set, [p for _, p in plans],
-                            [u for _, u in unmapped], permutation,
+            rows.sort()      # (position, index) is unique: no plan compared
+        simple = _SimpleReads([mappings[idx] for _, idx, plan in rows
+                               if plan is None])
+        return self._encode(read_set, rows, simple,
+                            [u for _, u in unmapped],
+                            [idx for _, idx, _ in rows]
+                            + [idx for idx, _ in unmapped],
                             level, long_reads)
 
     # ------------------------------------------------------------------
@@ -288,9 +426,13 @@ class SAGeCompressor:
     # Encoding
     # ------------------------------------------------------------------
 
-    def _encode(self, read_set: ReadSet, plans: list[_ReadPlan],
-                unmapped: list[_UnmappedPlan], permutation: list[int],
-                level: OptLevel, long_reads: bool) -> SAGeBlock:
+    def _encode(self, read_set: ReadSet,
+                rows: list[tuple[int, int, _ReadPlan | None]],
+                simple: _SimpleReads, unmapped: list[_UnmappedPlan],
+                permutation: list[int], level: OptLevel,
+                long_reads: bool) -> SAGeBlock:
+        """Emit the mapped reads ``rows`` (emission order; ``simple``
+        holds the ones without a plan) and the ``unmapped`` ones."""
         cfg = self.config
         fixed_length = read_set.is_fixed_length
         read_lengths = read_set.read_lengths()
@@ -301,21 +443,22 @@ class SAGeCompressor:
         w_cons = max(1, int(self.consensus.size).bit_length())
         breakdown = SizeBreakdown()
 
-        expanded = [self._expand_events(p, level) for p in plans]
+        first_cons = np.array([row[0] for row in rows], dtype=np.int64)
+        lengths = read_lengths[permutation[:len(rows)]]
+        # The reads that need scalar handling: (row, plan, events).
+        planned = [(at, plan, self._expand_events(plan, level))
+                   for at, (_, _, plan) in enumerate(rows)
+                   if plan is not None]
 
         # ---- Algorithm 1 tuning over the read set's statistics ----
         tables: dict[str, AssociationTable] = {}
-        mp_deltas: list[int] = []
         if level.reorder:
-            prev = 0
-            for plan in plans:
-                mp_deltas.append(plan.first_cons - prev)
-                prev = plan.first_cons
+            mp_deltas = np.diff(first_cons, prepend=0)
             tables["mp"] = tune_values(mp_deltas, cfg.epsilon).table \
-                if mp_deltas else AssociationTable((w_cons,))
+                if rows else AssociationTable((w_cons,))
         if level.tuned_mismatch:
             counts, pos_values = [], []
-            for plan, events in zip(plans, expanded):
+            for _, plan, events in planned:
                 pseudo = 1 if (level.corner_marker and plan.is_corner) else 0
                 counts.append(len(events) + pseudo)
                 prev_pos = 0
@@ -324,16 +467,18 @@ class SAGeCompressor:
                 for event in events:
                     pos_values.append(event.pos - prev_pos)
                     prev_pos = event.pos
+            counts = np.append(simple.n_subs, np.array(counts, np.int64))
+            pos_values = np.append(simple.deltas,
+                                   np.array(pos_values, np.int64))
             tables["count"] = tune_values(counts, cfg.epsilon).table \
-                if counts else AssociationTable((1,))
+                if counts.size else AssociationTable((1,))
             tables["mmp"] = tune_values(pos_values, cfg.epsilon).table \
-                if pos_values else AssociationTable((1,))
+                if pos_values.size else AssociationTable((1,))
         if not fixed_length:
-            lengths = [p.length for p in plans]
             tables["len"] = tune_values(lengths, cfg.epsilon).table \
-                if lengths else AssociationTable((w_rlen,))
+                if rows else AssociationTable((w_rlen,))
         if cfg.tuned_indel_lengths and level.indel_blocks:
-            block_lengths = [ev.length for events in expanded
+            block_lengths = [ev.length for _, _, events in planned
                              for ev in events if ev.kind != SUB]
             tables["indel"] = tune_values(
                 block_lengths, cfg.epsilon).table \
@@ -345,25 +490,37 @@ class SAGeCompressor:
         # emitted as one batched run per block.  Byte-identical to the
         # historical per-read interleave because no other field ever
         # writes to these streams. ----
-        if plans:
+        if rows:
             if not fixed_length:
-                lengths = writers["lengths"]
-                tables["len"].encode_run([p.length for p in plans],
-                                         lengths, lengths)
-                breakdown.charge("read_length", lengths.bit_length)
+                stream = writers["lengths"]
+                tables["len"].encode_run(lengths, stream, stream)
+                breakdown.charge("read_length", stream.bit_length)
             if level.reorder:
                 tables["mp"].encode_run(mp_deltas, writers["mpga"],
                                         writers["mpa"])
             else:
-                writers["mpa"].write_run([p.first_cons for p in plans],
-                                         w_cons)
+                writers["mpa"].write_run(first_cons, w_cons)
             breakdown.charge("matching_pos",
                              writers["mpga"].bit_length
                              + writers["mpa"].bit_length)
 
-        for plan, events in zip(plans, expanded):
-            self._write_read(plan, events, writers, tables, breakdown,
-                             level, long_reads, w_rlen, w_cons)
+        # ---- the interleaved per-read remainder: each run of simple
+        # reads between two planned ones leaves as columns, so every
+        # stream sees the scalar path's fields in the scalar order. ----
+        fields = simple.fields(tables, level, level.chimeric and long_reads,
+                               w_rlen, breakdown)
+        written = 0                      # simple reads emitted so far
+        for n_planned, (at, plan, events) in enumerate(
+                planned + [(len(rows), None, None)]):
+            upto = at - n_planned        # simple reads ahead of row ``at``
+            if upto > written:
+                for name, (values, widths, bounds) in fields.items():
+                    lo, hi = bounds[written], bounds[upto]
+                    writers[name].write_fields(values[lo:hi], widths[lo:hi])
+                written = upto
+            if plan is not None:
+                self._write_read(plan, events, writers, tables, breakdown,
+                                 level, long_reads, w_rlen, w_cons)
         self._write_unmapped(unmapped, writers["unmapped"], breakdown,
                              fixed_length, w_rlen)
 
@@ -389,7 +546,7 @@ class SAGeCompressor:
         streams = {name: (w.getvalue(), w.bit_length)
                    for name, w in writers.items()}
         return SAGeBlock(
-            n_mapped=len(plans), n_unmapped=len(unmapped),
+            n_mapped=len(rows), n_unmapped=len(unmapped),
             long_reads=long_reads, fixed_length=fixed_length,
             fixed_read_length=fixed_len, w_rlen=w_rlen, tables=tables,
             streams=streams, quality=quality_blob,

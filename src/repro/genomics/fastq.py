@@ -3,64 +3,134 @@
 FASTQ is the paper's input format (§2.1): four lines per read — ``@header``,
 bases, ``+``, Phred+33 quality string.  The writer emits exactly that; the
 parser is tolerant of a repeated header on the ``+`` line, of CRLF line
-endings, and of missing trailing newlines.
+endings, of blank lines between records and of a missing trailing newline.
+
+The parser is the renderer's mirror: one vectorized pass per block.
+:func:`write` scatters a :class:`ReadSet`'s columns into one text
+buffer; :func:`iter_read_sets` walks the lines of ``block_reads``
+records, then encodes the block's joined bases once and subtracts the
+Phred offset from its joined scores once, and hands the result to
+:meth:`ReadSet.from_columns` — no per-read object is built on the way
+in either.  Everything the parser can find wrong with the text raises
+:class:`FastqError` naming the record.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from . import sequence as seq
-from .reads import (PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet,
-                    partition_reads, run_index)
+from .reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet, run_index
 
 
 #: Bases :func:`write` renders in one vectorized pass (a 1024 x 100 bp
 #: block is one pass); its index arrays are 8 bytes per base.
 RENDER_BASES = 1 << 18
 
+#: The bytes :func:`repro.genomics.sequence.encode` accepts.
+_BASE_BYTES = np.frombuffer(
+    (seq.ALPHABET + seq.ALPHABET.lower()).encode("ascii"), dtype=np.uint8)
+
 
 class FastqError(ValueError):
-    """Raised on malformed FASTQ input."""
+    """Raised on malformed FASTQ input; the message names the 1-based
+    record number and its header."""
 
 
-def parse_stream(stream: TextIO) -> Iterator[Read]:
-    """Yield reads from an open FASTQ text stream."""
+def _malformed(number: int, header: bytes, message: str) -> FastqError:
+    return FastqError(
+        f"record {number} ({_shown(header.removeprefix(b'@'))}): {message}")
+
+
+def _shown(line: bytes) -> str:
+    return repr(line.rstrip(b"\r\n").decode("ascii", "replace"))
+
+
+def _read_sets(handle: BinaryIO, per_set: int,
+               name: str) -> Iterator[ReadSet]:
+    """The one parser: the records of ``handle``, ``per_set`` to a
+    :class:`ReadSet` (``0``: all of them in one)."""
+    first = 1               # 1-based number of the block's first record
     while True:
-        header = stream.readline()
-        if not header:
+        headers: list[bytes] = []
+        bases: list[bytes] = []
+        scores: list[bytes] = []
+        for line in handle:
+            header = line.rstrip(b"\r\n")
+            if not header:
+                continue
+            read = handle.readline().rstrip(b"\r\n")
+            plus = handle.readline()
+            quality = handle.readline().rstrip(b"\r\n")
+            if not header.startswith(b"@"):
+                problem = ("expected '@' header line, got "
+                           + _shown(header[:20]))
+            elif not plus:
+                problem = "truncated record"
+            elif not plus.startswith(b"+"):
+                problem = ("expected '+' separator, got "
+                           + _shown(plus[:20]))
+            elif not (header.isascii() and read.isascii()
+                      and plus.isascii() and quality.isascii()):
+                problem = "non-ASCII byte"
+            elif len(quality) != len(read):
+                problem = (f"quality length {len(quality)} != sequence "
+                           f"length {len(read)}")
+            else:
+                headers.append(header)
+                bases.append(read)
+                scores.append(quality)
+                if len(headers) == per_set:
+                    break
+                continue
+            raise _malformed(first + len(headers), header, problem)
+        if not headers:
             return
-        header = header.rstrip("\r\n")
-        if not header:
-            continue
-        if not header.startswith("@"):
-            raise FastqError(f"expected '@' header line, got {header[:20]!r}")
-        bases = stream.readline().rstrip("\r\n")
-        plus = stream.readline().rstrip("\r\n")
-        quality = stream.readline().rstrip("\r\n")
-        if not plus.startswith("+"):
-            raise FastqError(f"expected '+' separator, got {plus[:20]!r}")
-        if len(quality) != len(bases):
-            raise FastqError(
-                f"quality length {len(quality)} != sequence length "
-                f"{len(bases)} for read {header[1:]!r}")
-        yield Read.from_text(bases, quality, header=header[1:])
+
+        offsets = np.zeros(len(bases) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, bases), np.int64, len(bases)),
+                  out=offsets[1:])
+
+        def owner(mask: np.ndarray, message: str) -> FastqError:
+            # The record of a vectorized check's first offending byte.
+            index = int(np.searchsorted(offsets, mask.argmax(), "right")) - 1
+            return _malformed(first + index, headers[index], message)
+
+        text = b"".join(bases)
+        try:
+            codes = seq.encode(text)
+        except seq.SequenceError as exc:
+            raise owner(np.isin(np.frombuffer(text, dtype=np.uint8),
+                                _BASE_BYTES, invert=True),
+                        str(exc)) from None
+        quality = np.frombuffer(b"".join(scores), dtype=np.uint8)
+        if quality.min(initial=PHRED_OFFSET) < PHRED_OFFSET:
+            raise owner(quality < PHRED_OFFSET,
+                        "quality character below '!'")
+        quality = quality - np.uint8(PHRED_OFFSET)
+        # "@a\n@b\n@c" -> ["a", "b", "c"]: one decode, one split.
+        names = b"\n".join(headers).decode("ascii")[1:].split("\n@")
+        yield ReadSet.from_columns(codes, offsets, quality, names, name)
+        first += len(headers)
+
+
+def _whole(handle: BinaryIO, name: str = "") -> ReadSet:
+    return next(_read_sets(handle, 0, name), ReadSet(name=name))
 
 
 def parse(text: str) -> ReadSet:
     """Parse a FASTQ string into a :class:`ReadSet`."""
-    return ReadSet(list(parse_stream(io.StringIO(text))))
+    return _whole(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def read_file(path: str | Path) -> ReadSet:
     """Read a FASTQ file from disk."""
-    with open(path, "r", encoding="ascii") as handle:
-        reads = list(parse_stream(handle))
-    return ReadSet(reads, name=Path(path).stem)
+    with open(path, "rb") as handle:
+        return _whole(handle, Path(path).stem)
 
 
 def iter_read_sets(path: str | Path,
@@ -72,9 +142,10 @@ def iter_read_sets(path: str | Path,
     compression engine (:class:`repro.core.blocks.BlockCompressor`) —
     each yielded chunk becomes one independently decodable block.
     """
-    with open(path, "r", encoding="ascii") as handle:
-        yield from partition_reads(parse_stream(handle), block_reads,
-                                   name=Path(path).stem)
+    if block_reads < 1:
+        raise ValueError("block_reads must be >= 1")
+    with open(path, "rb") as handle:
+        yield from _read_sets(handle, block_reads, Path(path).stem)
 
 
 def format_read(read: Read, index: int = 0) -> str:

@@ -279,10 +279,12 @@ def partition_reads(reads: Iterable[Read], block_reads: int,
                     name: str = "") -> Iterator[ReadSet]:
     """Chunk a read stream into :class:`ReadSet` blocks in input order.
 
-    The shared chunker behind streaming FASTQ input
-    (:func:`repro.genomics.fastq.iter_read_sets`) and the block-based
-    compression engine (:class:`repro.core.blocks.BlockCompressor`):
-    at most one ``block_reads``-sized chunk is held in memory.
+    The chunker of the block-based compression engine
+    (:class:`repro.core.blocks.BlockCompressor`) for reads that are
+    already objects: at most one ``block_reads``-sized chunk is held in
+    memory.  (FASTQ text is chunked by its parser,
+    :func:`repro.genomics.fastq.iter_read_sets`, without building
+    them.)
     """
     if block_reads < 1:
         raise ValueError("block_reads must be >= 1")

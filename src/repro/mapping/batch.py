@@ -8,9 +8,10 @@ the same computation into structure-of-arrays passes over a whole block of
 reads:
 
 1. **Batched seeding** — all reads (both orientations) are concatenated and
-   2-bit-packed k-mer codes are computed in one pass; a single
-   ``searchsorted`` resolves every strided query against the consensus
-   index, and per-read anchor diagonals reduce with
+   2-bit-packed k-mer codes are computed in one pass; one
+   ``KmerIndex.query_ranges`` call (a prefix-bucket table lookup)
+   resolves every strided query against the consensus index, and
+   per-read anchor diagonals reduce with
    ``np.minimum/maximum.reduceat``.
 2. **Bit-parallel pre-alignment filter** — candidate (read, diagonal)
    placements are screened GateKeeper / Shifted-Hamming-Distance style

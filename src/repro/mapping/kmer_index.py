@@ -2,8 +2,10 @@
 
 The compressor identifies mismatches "by mapping reads to the consensus
 sequence" (§5.1).  This index supports that: it stores every k-mer of the
-consensus in a sorted array so a read's k-mers can be looked up in one
-vectorized ``searchsorted`` pass.
+consensus in a sorted array, and a prefix-bucket table over the top bits
+of the k-mer value turns resolving a read's k-mers into a table lookup
+(seeding as Alser et al. and Senol Cali describe it) instead of a binary
+search per query.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..genomics import sequence as seq
+from ..genomics.reads import run_index
+
+#: Rounds of the in-bucket advance before the (rare) queries still
+#: behind their slot are finished by binary search.
+_ADVANCE_ROUNDS = 3
 
 
 @dataclass
@@ -53,19 +60,34 @@ class KmerIndex:
         positions = np.nonzero(valid)[0].astype(np.int64)
         values = kmers[valid]
         order = np.argsort(values, kind="stable")
-        self._values = values[order]
         self._positions = positions[order]
-        # Range of each distinct k-mer in the sorted arrays.
-        self._starts = np.searchsorted(self._values, self._values, "left")
+        n = values.size
+        # Slot ``n`` is a stop: a value no k-mer equals, ending an empty
+        # run, so a probe needs no bounds check.
+        self._values = np.append(values[order], ~np.uint64(0))
+        # One past the run of equal values each slot belongs to.
         self._ends = np.searchsorted(self._values, self._values, "right")
+        self._ends[n] = n
+        # Prefix-bucket table: the top ``bits`` bits of a 2k-bit value
+        # -> first slot whose value has that prefix or a later one.
+        # 4n <= 2**bits < 8n keeps most buckets empty or single, so the
+        # bucket's first slot is nearly always the answer.
+        bits = min(2 * k, max(4 * n - 1, 0).bit_length())
+        self._shift = np.uint64(2 * k - bits)
+        self._last_bucket = np.uint64(1 << bits)   # where the stop lives
+        self._buckets = np.zeros(
+            (1 << bits) + 1, dtype=np.int32 if n < 2 ** 31 else np.int64)
+        np.cumsum(np.bincount(
+            (self._values[:n] >> self._shift).astype(np.int64),
+            minlength=1 << bits), out=self._buckets[1:])
 
     def __len__(self) -> int:
-        return int(self._values.size)
+        return int(self._positions.size)
 
     @property
     def values(self) -> np.ndarray:
         """Sorted k-mer values (read-only; for batched queries)."""
-        return self._values
+        return self._values[:-1]
 
     @property
     def positions(self) -> np.ndarray:
@@ -76,44 +98,40 @@ class KmerIndex:
                      queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(first slot, uncapped occurrence count) per queried k-mer value.
 
-        One ``searchsorted`` instead of two: the right boundary of each
-        run is a precomputed table lookup.  Absent values (including the
-        N sentinel) report zero occurrences.  Requires a non-empty index.
+        The one k-mer resolution rule.  A query's prefix bucket gives
+        the first slot that can hold it; slots still behind the query
+        skip whole runs of equal values for a bounded number of rounds
+        (a crowded bucket of a repetitive consensus), and what is left
+        is finished by binary search, so the answer is exact.  Absent
+        values — the N sentinel and anything else >= 4**k included —
+        report zero occurrences; their slot is not meaningful.
         """
-        lo = np.searchsorted(self._values, queries, "left")
-        safe = np.minimum(lo, self._values.size - 1)
-        found = (lo < self._values.size) & (self._values[safe] == queries)
-        counts = np.where(found, self._ends[safe] - lo, 0)
+        queries = np.asarray(queries, dtype=np.uint64)
+        values, ends = self._values, self._ends
+        lo = self._buckets[
+            np.minimum(queries >> self._shift, self._last_bucket)
+        ].astype(np.int64)
+        at = values[lo]
+        behind = np.nonzero(at < queries)[0]
+        for _ in range(_ADVANCE_ROUNDS):
+            if not behind.size:
+                break
+            lo[behind] = ends[lo[behind]]
+            at[behind] = values[lo[behind]]
+            behind = behind[at[behind] < queries[behind]]
+        if behind.size:
+            lo[behind] = np.searchsorted(values, queries[behind], "left")
+            at[behind] = values[lo[behind]]
+        counts = np.where(at == queries, ends[lo] - lo, 0)
         return lo, counts
 
     def lookup(self, read_codes: np.ndarray, stride: int = 1) -> AnchorHits:
         """Anchor hits for every ``stride``-th k-mer of a read."""
         read_codes = np.asarray(read_codes, dtype=np.uint8)
-        kmers = seq.kmer_codes(read_codes, self.k)
-        if kmers.size == 0 or self._values.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return AnchorHits(empty, empty)
-        read_positions = np.arange(kmers.size, dtype=np.int64)
-        if stride > 1:
-            kmers = kmers[::stride]
-            read_positions = read_positions[::stride]
-        sentinel = np.uint64(1) << np.uint64(2 * self.k)
-        keep = kmers != sentinel
-        kmers = kmers[keep]
-        read_positions = read_positions[keep]
-
-        lo = np.searchsorted(self._values, kmers, "left")
-        hi = np.searchsorted(self._values, kmers, "right")
-        counts = np.minimum(hi - lo, self.max_occurrences)
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return AnchorHits(empty, empty)
-
-        out_read = np.repeat(read_positions, counts)
-        # Gather consensus positions: for query i, slots lo[i]..lo[i]+c-1.
-        cum = np.cumsum(counts) - counts
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, counts)
-        starts = np.repeat(lo, counts)
-        out_cons = self._positions[starts + offsets]
-        return AnchorHits(out_read, out_cons)
+        kmers = seq.kmer_codes(read_codes, self.k)[::stride]
+        lo, counts = self.query_ranges(kmers)
+        counts = np.minimum(counts, self.max_occurrences)
+        out_read = np.repeat(
+            np.arange(kmers.size, dtype=np.int64) * stride, counts)
+        # For query i, slots lo[i] .. lo[i] + counts[i] - 1.
+        return AnchorHits(out_read, self._positions[run_index(lo, counts)])

@@ -51,6 +51,37 @@ class TestCompressDecompress:
         assert back.block(0).quality is None
 
 
+class TestMalformedFastq:
+    """A bad input file is failed input (exit 1, one typed line naming
+    the record), never a traceback, and leaves no output behind."""
+
+    def _break(self, workdir, damage) -> str:
+        lines = (workdir / "reads.fastq").read_bytes().split(b"\n")
+        bad = workdir / "bad.fastq"
+        bad.write_bytes(b"\n".join(damage(lines)))
+        return str(bad)
+
+    @pytest.mark.parametrize("damage, what", [
+        (lambda lines: lines[:5] + [b"ACXT" + lines[5][4:]] + lines[6:],
+         "invalid DNA character 'X'"),
+        (lambda lines: lines[:6], "truncated record"),
+        (lambda lines: lines[:4] + [lines[4] + b"\xff"] + lines[5:],
+         "non-ASCII byte"),
+    ], ids=["bad-base", "truncated", "non-ascii-header"])
+    @pytest.mark.parametrize("blocked", [[], ["--block-reads", "1"]],
+                             ids=["one-block", "streamed"])
+    def test_compress_names_the_record(self, workdir, capsys, damage, what,
+                                       blocked):
+        out = workdir / "bad.sage"
+        assert main(["compress", self._break(workdir, damage),
+                     str(workdir / "ref.txt"), str(out)] + blocked) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sage: FastqError: record 2 (")
+        assert what in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestInspect:
     def test_reports_fields(self, workdir, capsys):
         archive = workdir / "reads.sage"

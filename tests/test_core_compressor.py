@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (OptLevel, SAGeCompressor, SAGeConfig,
                         SAGeDecompressor)
+from repro.core import compressor as compressor_module
 from repro.core.compressor import CompressionError
 from repro.core.container import SAGeArchive
 from repro.genomics import sequence as seq
@@ -170,6 +171,87 @@ class TestEdgeCases:
         _, decoded = roundtrip(rs, self.reference)
         assert rs._views is None        # encoded from the columns
         assert read_multiset(decoded) == read_multiset(rs)
+
+
+class TestColumnPath:
+    """Simple reads (one segment, no clip, substitutions only, no N)
+    are planned and emitted as columns; ``_plan_read``/``_write_read``
+    stay the reference, reached by declaring nothing simple."""
+
+    @staticmethod
+    def _block(variable: bool):
+        rng = np.random.default_rng(23)
+        reference = make_reference(6_000, rng)
+
+        def piece(start, length=90):
+            return reference[start:start + (
+                length + 37 * (start % 5) if variable else length)].copy()
+
+        def sub(codes, *positions):
+            codes[list(positions)] = (codes[list(positions)] + 1) % 4
+            return codes
+
+        simple = [piece(100), sub(piece(400), 0), sub(piece(700), 0, 1, 50),
+                  sub(piece(1_000), 33), sub(piece(1_300), -1),
+                  seq.reverse_complement(sub(piece(1_600), 0, 40)),
+                  seq.reverse_complement(piece(1_900)), piece(100)]
+        with_n = sub(piece(2_200), 0)
+        with_n[20:23] = seq.N_CODE
+        inserted = np.concatenate([reference[2_500:2_545],
+                                   seq.random_sequence(9, rng),
+                                   reference[2_545:2_590]])
+        deleted = np.concatenate([reference[2_800:2_850],
+                                  reference[2_861:2_911]])
+        clipped = np.concatenate([seq.random_sequence(20, rng),
+                                  reference[3_100:3_180]])
+        chimeric = np.concatenate([reference[3_400:3_600],
+                                   reference[5_200:5_400]])
+        others = [with_n, inserted, deleted, clipped,
+                  seq.random_sequence(90, rng)]
+        if variable:
+            others.append(chimeric)
+        # Interleaved, so runs of simple reads are broken by the rest.
+        codes = [c for pair in zip(simple, others + others[:3])
+                 for c in pair]
+        quality = [rng.integers(2, 40, c.size).astype(np.uint8)
+                   for c in codes]
+        return reference, ReadSet(
+            [Read(c, q, f"r{i}")
+             for i, (c, q) in enumerate(zip(codes, quality))])
+
+    @pytest.mark.parametrize("tuned_indel_lengths", [False, True],
+                             ids=["fixed-indel", "tuned-indel"])
+    @pytest.mark.parametrize("variable", [False, True],
+                             ids=["fixed-length", "variable-length"])
+    @pytest.mark.parametrize("level", list(OptLevel),
+                             ids=lambda level: level.name)
+    def test_equals_the_scalar_path(self, monkeypatch, level, variable,
+                                    tuned_indel_lengths):
+        reference, read_set = self._block(variable)
+        config = SAGeConfig(level=level, with_headers=True,
+                            tuned_indel_lengths=tuned_indel_lengths)
+        chosen = []
+        selection = compressor_module._is_simple
+        monkeypatch.setattr(
+            compressor_module, "_is_simple",
+            lambda *args: chosen.append(selection(*args)) or chosen[-1])
+        compressor = SAGeCompressor(reference, config)
+        columns = compressor.compress_block(read_set)
+        assert sum(chosen) >= 7 and chosen.count(False) >= 4
+
+        monkeypatch.setattr(compressor_module, "_is_simple",
+                            lambda *args: False)
+        scalar = SAGeCompressor(reference, config).compress_block(read_set)
+        assert columns.streams == scalar.streams
+        assert columns.tables == scalar.tables
+        assert columns.breakdown == scalar.breakdown
+        assert columns.permutation.tolist() == scalar.permutation.tolist()
+        if variable and level.chimeric:
+            assert columns.streams["side"][1] > 0
+
+        blob = compressor.assemble([columns]).to_bytes()
+        decoded = SAGeDecompressor(SAGeArchive.from_bytes(blob)).decompress()
+        assert read_multiset(decoded) == read_multiset(read_set)
 
 
 class TestBreakdownAccounting:

@@ -1,6 +1,9 @@
 """Unit tests for repro.genomics.fastq."""
 
+import io
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,127 @@ class TestParse:
 
     def test_empty_input(self):
         assert len(fastq.parse("")) == 0
+
+    @pytest.mark.parametrize("text, where, what", [
+        (SAMPLE + "@r3\nACXT\n+\nIIII\n", "record 3 ('r3')",
+         "invalid DNA character 'X'"),
+        (SAMPLE + "@r3\nACGT\n+\nII I\n", "record 3 ('r3')", "below '!'"),
+        (SAMPLE + "@r3\nACGT\n+\nII\x80I\n", "record 3 ('r3')",
+         "non-ASCII"),
+        (SAMPLE + "@r3\nAC\xe9T\n+\nIIII\n", "record 3 ('r3')",
+         "non-ASCII"),
+        (SAMPLE + "@r\x803\nACGT\n+\nIIII\n", "record 3", "non-ASCII"),
+        (SAMPLE + "r3\nACGT\n+\nIIII\n", "record 3", "expected '@'"),
+        (SAMPLE + "@r3\nACGT\nIIII\nIIII\n", "record 3 ('r3')",
+         "expected '+'"),
+        (SAMPLE + "@r3\nACGT\n+\nII\n", "record 3 ('r3')",
+         "quality length 2 != sequence length 4"),
+        (SAMPLE + "@r3\nAC", "record 3 ('r3')", "truncated"),
+    ], ids=["bad-base", "low-score", "non-ascii-score", "non-ascii-base",
+            "non-ascii-header", "missing-at", "missing-plus",
+            "length-mismatch", "truncated"])
+    def test_every_text_failure_names_its_record(self, tmp_path, text,
+                                                 where, what):
+        """Malformed input is a ``FastqError`` naming the 1-based record
+        and its header — from a string, a file and a block stream (the
+        third record is the first of its block)."""
+        path = tmp_path / "bad.fq"
+        path.write_bytes(text.encode("latin-1"))
+        for attempt in (lambda: fastq.parse(text),
+                        lambda: fastq.read_file(path),
+                        lambda: list(fastq.iter_read_sets(path, 2))):
+            with pytest.raises(fastq.FastqError) as caught:
+                attempt()
+            assert where in str(caught.value)
+            assert what in str(caught.value)
+
+    def test_block_reads_must_be_positive(self, tmp_path):
+        path = tmp_path / "x.fq"
+        path.write_text(SAMPLE)
+        with pytest.raises(ValueError, match="block_reads"):
+            list(fastq.iter_read_sets(path, 0))
+
+
+def _reference_parser(text):
+    """The per-record parser the block parser replaced, kept as its
+    oracle: a ``Read.from_text`` per record."""
+    stream = io.StringIO(text, newline="")
+    reads = []
+    while True:
+        header = stream.readline()
+        if not header:
+            return reads
+        header = header.rstrip("\r\n")
+        if not header:
+            continue
+        assert header.startswith("@")
+        bases = stream.readline().rstrip("\r\n")
+        plus = stream.readline().rstrip("\r\n")
+        quality = stream.readline().rstrip("\r\n")
+        assert plus.startswith("+") and len(quality) == len(bases)
+        reads.append(Read.from_text(bases, quality, header=header[1:]))
+
+
+def _same_columns(got, want):
+    assert got.headers == want.headers
+    assert got.codes.dtype == want.codes.dtype
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.offsets, want.offsets)
+    assert (got.quality is None) == (want.quality is None)
+    if got.quality is not None:
+        assert got.quality.dtype == want.quality.dtype
+        assert np.array_equal(got.quality, want.quality)
+
+
+_printable = st.characters(min_codepoint=32, max_codepoint=126)
+_eol = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def _fastq_text(draw):
+    """FASTQ text with everything the parser tolerates: CRLF, blank
+    lines between records, the header repeated on ``+``, zero-length
+    reads, lower-case bases, score lines starting with ``@``, and no
+    trailing newline."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        header = draw(st.text(_printable, max_size=12))
+        bases = draw(st.text(alphabet="ACGTNacgtn", max_size=24))
+        scores = draw(st.text(
+            st.characters(min_codepoint=33, max_codepoint=126),
+            min_size=len(bases), max_size=len(bases)))
+        if bases and draw(st.booleans()):
+            scores = "@" + scores[1:]
+        plus = "+" + (header if draw(st.booleans()) else "")
+        parts += [draw(_eol)] * draw(st.integers(min_value=0, max_value=2))
+        for line in ("@" + header, bases, plus, scores):
+            parts += [line, draw(_eol)]
+    if parts and draw(st.booleans()):
+        parts.pop()                         # no trailing newline
+    return "".join(parts)
+
+
+class TestBlockParser:
+    """One vectorized pass per block; its oracle is the per-record
+    parser it replaced."""
+
+    @given(_fastq_text(), st.integers(min_value=1, max_value=11))
+    def test_matches_per_record_oracle(self, text, block_reads):
+        reads = _reference_parser(text)
+        _same_columns(fastq.parse(text), ReadSet(reads))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.fastq"
+            path.write_bytes(text.encode("ascii"))
+            whole = fastq.read_file(path)
+            chunks = list(fastq.iter_read_sets(path, block_reads))
+        _same_columns(whole, ReadSet(reads))
+        assert whole.name == "x"
+        assert [len(chunk) for chunk in chunks] == [
+            min(block_reads, len(reads) - lo)
+            for lo in range(0, len(reads), block_reads)]
+        for lo, chunk in zip(range(0, len(reads), block_reads), chunks):
+            _same_columns(chunk, ReadSet(reads[lo:lo + block_reads]))
+            assert chunk.name == "x" and chunk._views is None
 
 
 class TestWrite:

@@ -437,6 +437,31 @@ def blocks_consumed_as_columns(source, where,
     return offenders
 
 
+#: Where a block is held between FASTQ text and the sink, both ways:
+#: the parser on the way in, decode / transport / cache / serve on the
+#: way out.
+COLUMNAR = ("src/repro/genomics/fastq.py", "src/repro/core/decompressor.py",
+            "src/repro/core/kernels.py", "src/repro/pipeline/executor.py",
+            "src/repro/api/cache.py", "src/repro/serve/")
+
+
+def blocks_held_as_columns(source, where):
+    """No ``Read`` is constructed where a block is its columns, and the
+    FASTQ parser has no per-record path to fall back on."""
+    if not where.startswith(COLUMNAR):
+        return []
+    offenders = [f"{where}:{node.lineno} Read("
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Call)
+                 and "Read" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))]
+    if where == "src/repro/genomics/fastq.py":
+        offenders += [f"{where} mentions {text}"
+                      for text in ("from_text", "parse_stream")
+                      if text in source]
+    return offenders
+
+
 # ----------------------------------------------------------------------
 # Per-contract fixture pairs (keyed by the code each contract carried
 # while it was a lint rule; SGL005 and SGL007 are gone — see the README
@@ -768,7 +793,10 @@ class TestOptionsThreadingEdges:
         decode, transport, cache and serve layers never construct a
         ``Read``, ``format_read`` is nobody's inner loop, and
         ``fastq.write`` is the one function that turns base codes into
-        FASTQ text.  At the sink the block is still its columns:
+        FASTQ text.  The way in obeys the same contract: the FASTQ
+        parser fills the columns a block at a time and has no
+        per-record ``Read.from_text`` path (``blocks_held_as_columns``).
+        At the sink the block is still its columns:
         ``blocks_consumed_as_columns`` above."""
         src = SRC / "repro"
         trees = {path: ast.parse(path.read_text())
@@ -786,12 +814,19 @@ class TestOptionsThreadingEdges:
                       for node in ast.walk(tree)
                       if isinstance(node, (ast.keyword, ast.arg))
                       and node.arg == "batch"]
-        columnar = [src / "core/decompressor.py", src / "core/kernels.py",
-                    src / "pipeline/executor.py", src / "api/cache.py",
-                    *sorted((src / "serve").glob("*.py"))]
-        offenders += [f"{path.relative_to(src)}:{line} Read("
-                      for path in columnar
-                      for line in calls(trees[path], "Read")]
+        offenders += on_tree(blocks_held_as_columns, "src")
+        for violating in (
+                "reads = [Read.from_text(b, q, header=h) for b, q, h in x]\n",
+                "yield Read(codes, quality, header)\n",
+                "return ReadSet(list(parse_stream(handle)))\n"):
+            assert on_snippet(blocks_held_as_columns, violating,
+                              "src/repro/genomics/fastq.py") != [], violating
+        assert on_snippet(blocks_held_as_columns,
+                          "block = [Read(c) for c in codes]\n",
+                          "src/repro/serve/server.py") != []
+        assert on_snippet(blocks_held_as_columns,
+                          "read = Read.from_text(bases)\n",
+                          "src/repro/genomics/simulator.py") == []
         offenders += [f"{path.relative_to(src)}:{line} format_read("
                       for path, tree in trees.items()
                       for line in calls(tree, "format_read")]

@@ -47,6 +47,107 @@ class TestKmerIndex:
         assert len(hits) <= 16
 
 
+def _crowded_consensus(rng):
+    """Random sequence with a poly-A stretch (one k-mer, hundreds of
+    slots) and a stretch of ``A``-runs ending in two random bases
+    (many distinct k-mers sharing their leading bits: one crowded
+    bucket)."""
+    tails = [np.concatenate([np.zeros(14, dtype=np.uint8),
+                             seq.random_sequence(2, rng)])
+             for _ in range(60)]
+    return np.concatenate([make_reference(1_500, rng),
+                           np.zeros(600, dtype=np.uint8), *tails,
+                           make_reference(1_500, rng)])
+
+
+def _lookup_oracle(index, read, stride):
+    """``KmerIndex.lookup`` as two binary searches over the sorted
+    values: the rule the bucket table replaced."""
+    kmers = seq.kmer_codes(read, index.k)
+    read_pos = np.arange(kmers.size)[::stride]
+    kmers = kmers[::stride]
+    keep = kmers != np.uint64(1) << np.uint64(2 * index.k)
+    kmers, read_pos = kmers[keep], read_pos[keep]
+    lo = np.searchsorted(index.values, kmers, "left")
+    hi = np.searchsorted(index.values, kmers, "right")
+    counts = np.minimum(hi - lo, index.max_occurrences)
+    slots = [np.arange(a, a + c) for a, c in zip(lo, counts)]
+    cons_pos = index.positions[np.concatenate(slots)] if slots \
+        else np.empty(0, dtype=np.int64)
+    return np.repeat(read_pos, counts), cons_pos
+
+
+class TestBucketTable:
+    """K-mer resolution is a table lookup plus a bounded advance; its
+    oracle is ``np.searchsorted`` on the same sorted values."""
+
+    @pytest.mark.parametrize("k", [8, 15, 31])
+    @pytest.mark.parametrize("crowded", [False, True],
+                             ids=["random", "poly-a"])
+    def test_query_ranges_equals_searchsorted(self, k, crowded):
+        rng = np.random.default_rng(k)
+        cons = _crowded_consensus(rng) if crowded \
+            else make_reference(3_000, rng)
+        index = KmerIndex(cons, k=k, max_occurrences=16)
+        values = index.values
+        sentinel = np.uint64(1) << np.uint64(2 * k)
+        present = values[rng.integers(0, values.size, 600)]
+        queries = np.concatenate([
+            present, present + np.uint64(1), present - np.uint64(1),
+            rng.integers(0, 1 << (2 * k), 600, dtype=np.uint64),
+            np.array([0, sentinel - 1, sentinel, sentinel + 1, 2 ** 64 - 1],
+                     dtype=np.uint64)])
+        lo, counts = index.query_ranges(queries)
+        left = np.searchsorted(values, queries, "left")
+        right = np.searchsorted(values, queries, "right")
+        assert np.array_equal(counts, right - left)
+        assert not counts[queries >= sentinel].any()
+        assert np.array_equal(lo[counts > 0], left[counts > 0])
+        if crowded and k <= 15:
+            assert counts.max() > index.max_occurrences
+
+    def test_advance_falls_back_to_binary_search(self):
+        """More distinct values ahead of a query in its bucket than the
+        advance has rounds: still exact."""
+        from repro.mapping import kmer_index
+        rng = np.random.default_rng(5)
+        index = KmerIndex(_crowded_consensus(rng), k=15)
+        values = np.unique(index.values)
+        crowd = values[values < 64]     # the A-run tails, one bucket
+        assert crowd.size > 2 * kmer_index._ADVANCE_ROUNDS
+        lo, counts = index.query_ranges(crowd)
+        assert np.array_equal(
+            lo, np.searchsorted(index.values, crowd, "left"))
+        assert (counts > 0).all()
+
+    @pytest.mark.parametrize("k", [8, 15, 31])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_lookup_is_unchanged_anchor_for_anchor(self, k, stride):
+        rng = np.random.default_rng(stride)
+        cons = _crowded_consensus(rng)
+        index = KmerIndex(cons, k=k, max_occurrences=16)
+        reads = [cons[1_400:1_560], cons[2_050:2_200].copy(),
+                 seq.random_sequence(90, rng), cons[:k - 1],
+                 np.empty(0, dtype=np.uint8)]
+        reads[1][[7, 60]] = seq.N_CODE
+        for read in reads:
+            hits = index.lookup(read, stride)
+            read_pos, cons_pos = _lookup_oracle(index, read, stride)
+            assert np.array_equal(hits.read_pos, read_pos)
+            assert np.array_equal(hits.cons_pos, cons_pos)
+
+    def test_empty_index(self):
+        index = KmerIndex(np.full(40, seq.N_CODE, dtype=np.uint8), k=11)
+        assert len(index) == 0 and index.values.size == 0
+        assert len(index.lookup(seq.encode("ACGTACGTACGTACGT"))) == 0
+        _, counts = index.query_ranges(np.array([0, 5], dtype=np.uint64))
+        assert not counts.any()
+
+    def test_no_dead_state(self):
+        assert not hasattr(KmerIndex(seq.encode("ACGTACGTACGT"), k=4),
+                           "_starts")
+
+
 class TestMapperExactness:
     """The mapper's edit scripts must be lossless, by construction."""
 
