@@ -38,11 +38,6 @@ class EditOp:
     bases: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.uint8))
 
-    def shifted(self, offset: int) -> "EditOp":
-        """Copy with the read position moved by ``offset``."""
-        return EditOp(self.kind, self.read_pos + offset, self.length,
-                      self.bases)
-
 
 @dataclass
 class AlignmentResult:
@@ -54,67 +49,73 @@ class AlignmentResult:
     cons_used_end: int        # one past the last consensus offset consumed
 
 
-# Backpointer codes in the traceback matrix.
-_BP_DIAG = 0
-_BP_UP = 1      # consumed a read base (insertion)
-_BP_LEFT = 2    # consumed a consensus base (deletion)
+#: Backpointer codes in the traceback matrix (shared with the batched
+#: kernel in ``mapping.batch``, whose cube :func:`trace_ops` walks too).
+BP_DIAG = 0
+BP_UP = 1      # consumed a read base (insertion)
+BP_LEFT = 2    # consumed a consensus base (deletion)
 
 
 def _dp_matrix(read_seg: np.ndarray, cons_seg: np.ndarray,
                free_start: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the edit-distance DP and backpointer matrices.
+    """Fill the edit-distance DP; returns ``(last_row, back)``.
 
     Rows index read positions (0..n), columns consensus positions (0..m).
     ``free_start`` makes leading consensus gaps free (row 0 all zeros).
+    Only the backpointer matrix is kept whole (one byte per cell); the
+    distances live in two rolling rows, and ``last_row`` is row ``n``.
+    This is the oracle ``mapping.batch``'s batched kernel is held to.
     """
     n, m = read_seg.size, cons_seg.size
-    dist = np.empty((n + 1, m + 1), dtype=np.int32)
     back = np.empty((n + 1, m + 1), dtype=np.uint8)
-    dist[0, :] = 0 if free_start else np.arange(m + 1)
-    back[0, :] = _BP_LEFT
-    dist[:, 0] = np.arange(n + 1)
-    back[:, 0] = _BP_UP
-    back[0, 0] = _BP_DIAG
+    back[0, :] = BP_LEFT
+    back[:, 0] = BP_UP
+    back[0, 0] = BP_DIAG
+    if m == 0:
+        return np.array([n], dtype=np.int32), back
 
-    if n == 0 or m == 0:
-        return dist, back
-
-    mismatch = (read_seg[:, None] != cons_seg[None, :]).astype(np.int32)
+    row = (np.zeros(m + 1, dtype=np.int32) if free_start
+           else np.arange(m + 1, dtype=np.int32))
     cols = np.arange(1, m + 1, dtype=np.int32)
     for i in range(1, n + 1):
-        diag = dist[i - 1, :-1] + mismatch[i - 1]
-        up = dist[i - 1, 1:] + 1
+        diag = row[:-1] + (read_seg[i - 1] != cons_seg)
+        up = row[1:] + 1
         best = np.minimum(diag, up)
-        bp = np.where(diag <= up, _BP_DIAG, _BP_UP).astype(np.uint8)
         # Left dependency row[j] = min(best[j], row[j-1] + 1) unrolls to a
         # prefix-min with unit carry: row[j] = j + min_{t<=j}(cand[t] - t)
         # where cand[0] is the first-column value.
-        base = best - cols
-        first = dist[i, 0] - 0
-        running = np.minimum.accumulate(np.concatenate(([first], base)))
-        row_vals = running[1:] + cols
-        left_better = row_vals < best
-        dist[i, 1:] = row_vals
-        back[i, 1:] = np.where(left_better, _BP_LEFT, bp)
-    return dist, back
+        nxt = np.empty(m + 1, dtype=np.int32)
+        nxt[0] = i
+        np.subtract(best, cols, out=nxt[1:])
+        np.minimum.accumulate(nxt, out=nxt)
+        nxt[1:] += cols
+        back[i, 1:] = np.where(nxt[1:] < best, BP_LEFT,
+                               np.where(diag <= up, BP_DIAG, BP_UP))
+        row = nxt
+    return row, back
 
 
-def _traceback(read_seg: np.ndarray, cons_seg: np.ndarray,
-               back: np.ndarray, end_i: int, end_j: int,
-               free_start: bool) -> tuple[list[EditOp], int]:
-    """Walk backpointers from (end_i, end_j); returns (ops, start_j)."""
+def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray,
+              back: np.ndarray, end_i: int, end_j: int,
+              free_start: bool) -> tuple[list[EditOp], int]:
+    """Walk backpointers from (end_i, end_j); returns (ops, start_j).
+
+    ``back`` may be wider than the problem (a padded slice of a batched
+    backpointer cube): only cells inside ``[0..end_i] x [0..end_j]`` are
+    read.
+    """
     raw: list[tuple[str, int]] = []  # (kind, read_pos) single-base steps
     i, j = end_i, end_j
     while i > 0 or j > 0:
         if free_start and i == 0:
             break  # leading consensus bases are free
         code = back[i, j]
-        if code == _BP_DIAG and i > 0 and j > 0:
+        if code == BP_DIAG and i > 0 and j > 0:
             i -= 1
             j -= 1
             if read_seg[i] != cons_seg[j]:
                 raw.append((SUB, i))
-        elif code == _BP_UP and i > 0:
+        elif code == BP_UP and i > 0:
             i -= 1
             raw.append((INS, i))
         else:
@@ -154,10 +155,10 @@ def global_align(read_seg: np.ndarray,
     """Align both segments end to end; unit-cost edit distance."""
     read_seg = np.asarray(read_seg, dtype=np.uint8)
     cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    dist, back = _dp_matrix(read_seg, cons_seg, free_start=False)
-    ops, start_j = _traceback(read_seg, cons_seg, back,
-                              read_seg.size, cons_seg.size, False)
-    return AlignmentResult(ops, int(dist[read_seg.size, cons_seg.size]),
+    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=False)
+    ops, start_j = trace_ops(read_seg, cons_seg, back,
+                             read_seg.size, cons_seg.size, False)
+    return AlignmentResult(ops, int(last_row[cons_seg.size]),
                            start_j, cons_seg.size)
 
 
@@ -166,10 +167,10 @@ def prefix_free_align(read_seg: np.ndarray,
     """Align the read segment to a suffix of the consensus window."""
     read_seg = np.asarray(read_seg, dtype=np.uint8)
     cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    dist, back = _dp_matrix(read_seg, cons_seg, free_start=True)
-    ops, start_j = _traceback(read_seg, cons_seg, back,
-                              read_seg.size, cons_seg.size, True)
-    return AlignmentResult(ops, int(dist[read_seg.size, cons_seg.size]),
+    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=True)
+    ops, start_j = trace_ops(read_seg, cons_seg, back,
+                             read_seg.size, cons_seg.size, True)
+    return AlignmentResult(ops, int(last_row[cons_seg.size]),
                            start_j, cons_seg.size)
 
 
@@ -178,11 +179,10 @@ def suffix_free_align(read_seg: np.ndarray,
     """Align the read segment to a prefix of the consensus window."""
     read_seg = np.asarray(read_seg, dtype=np.uint8)
     cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    dist, back = _dp_matrix(read_seg, cons_seg, free_start=False)
-    last_row = dist[read_seg.size]
+    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=False)
     end_j = int(np.argmin(last_row))
-    ops, start_j = _traceback(read_seg, cons_seg, back,
-                              read_seg.size, end_j, False)
+    ops, start_j = trace_ops(read_seg, cons_seg, back,
+                             read_seg.size, end_j, False)
     return AlignmentResult(ops, int(last_row[end_j]), start_j, end_j)
 
 

@@ -25,17 +25,28 @@ reads:
    (candidates × window) edit-distance DP reproducing the exact
    ``prefix_free_align``/``suffix_free_align`` optima, replacing one full
    ``_dp_matrix`` call per read end.
+4. **Batched extension** — every read stages 2–3 could not prove
+   (multi-diagonal chains, indel-bearing ends, chimeric candidates, filter
+   rejects: > 99 % of a long-read block) is chained by the scalar rules of
+   :mod:`repro.mapping.mapper`, but *planned* first: the block's gap, head
+   and tail alignments are collected into one job list and
+   :func:`solve_extension_jobs` solves it bucket by bucket, one numpy row
+   step per DP row of a whole bucket instead of one per row of every job
+   (GenASM's argument, Senol Cali: extension pays when issued as wide,
+   regular operations over many windows at once).  The reads are then
+   assembled from the results.
 
-Byte-identity contract: the batched mapper emits a result itself only when
-it can prove the scalar mapper would produce the identical
-``MappingResult``.  The provable region is single-diagonal anchor chains
-whose heads/tails are pure substitution paths (DP optimum equals the
+Byte-identity contract, in two halves.  Stages 2–3 emit a result
+themselves only when they can prove the scalar mapper would produce the
+identical ``MappingResult``: single-diagonal anchor chains whose
+heads/tails are pure substitution paths (DP optimum equals the
 straight-diagonal Hamming cost, which pins the scalar traceback to that
-diagonal) or soft clips (decided from the exact DP cost alone).
-Everything else — multi-diagonal chains, indel-bearing ends, chimeric
-candidates, filter rejects — falls back to the scalar ``map_read``, so
-archives are byte-identical between ``mapper="python"`` and
-``mapper="numpy"``.
+diagonal) or soft clips (decided from the exact DP cost alone).  For
+everything else there is nothing to prove: :class:`BatchReadMapper`
+inherits planning and assembly and overrides only the job solver, whose
+kernel runs ``alignment._dp_matrix``'s recurrence and tie-breaks cell for
+cell and hands the same backpointers to the same traceback — so archives
+are byte-identical between ``mapper="python"`` and ``mapper="numpy"``.
 """
 
 from __future__ import annotations
@@ -46,9 +57,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..genomics import sequence as seq
-from .alignment import SUB, EditOp
+from .alignment import (BP_DIAG, BP_LEFT, BP_UP, SUB, AlignmentResult, EditOp,
+                        trace_ops)
 from .kmer_index import AnchorHits, KmerIndex
-from .mapper import MappedSegment, MapperConfig, MappingResult, ReadMapper
+from .mapper import (AlignmentJob, MappedSegment, MapperConfig, MappingResult,
+                     ReadMapper)
 
 #: Mapper used when neither the options nor ``SAGE_MAPPER`` select one.
 DEFAULT_MAPPER = "numpy"
@@ -56,6 +69,14 @@ DEFAULT_MAPPER = "numpy"
 #: Heads/tails longer than this fall back to the scalar mapper instead of
 #: the batched verification DP (keeps the padded DP matrices narrow).
 _VERIFY_CAP = 128
+
+#: Most padded backpointer cells (one byte each) a bucket of extension
+#: jobs may hold at once; a fuller bucket is split, down to one job.
+_EXTENSION_CELL_CAP = 1 << 21
+
+#: Fill past the end of a padded read / consensus row: never equal to
+#: each other or to a base code (``N_CODE`` included).
+_READ_PAD, _CONS_PAD = 255, 254
 
 #: Mismatching 2-bit base slots per XOR byte (4 packed bases/byte).
 _SLOT_LUT = np.zeros(256, dtype=np.uint8)
@@ -83,9 +104,11 @@ class MapperStats:
     zero_mismatch: int = 0      # clean SHD mask: emitted with no DP at all
     verified: int = 0           # candidates exactly verified
     false_accepts: int = 0      # passed the filter, failed verification
-    fast_path: int = 0          # reads emitted without scalar code
-    fallback: int = 0           # reads delegated to the scalar mapper
+    fast_path: int = 0          # reads proven and emitted by stages 1-3
+    fallback: int = 0           # reads left to the scalar chain rules
     dp_cells: int = 0           # batched verification DP cells computed
+    extension_jobs: int = 0     # gap/head/tail alignments solved batched
+    extension_cells: int = 0    # their real (read x consensus) DP cells
 
     def merge(self, other: "MapperStats") -> None:
         """Accumulate ``other`` into this instance."""
@@ -186,49 +209,134 @@ def _shd_counts(packed_reads: np.ndarray, masks: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Batched verification DP
+# Batched edit-distance DP
 # ----------------------------------------------------------------------
 
-def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                       win_rows: np.ndarray, win_lens: np.ndarray,
-                       free_start: bool,
-                       stats: MapperStats) -> np.ndarray:
-    """Row ``i = read_lens[c]`` of ``alignment._dp_matrix`` per candidate.
+def _dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
+                  win_rows: np.ndarray, free_start: bool,
+                  back: np.ndarray | None = None) -> np.ndarray:
+    """``alignment._dp_matrix`` over a plane of problems, one numpy row
+    step per DP row of all of them; returns each problem's own last row
+    (row ``read_lens[p]``, int32, one row per problem).
 
-    Inputs are padded 2-D matrices (pad values never compare equal, so
-    padded cells only ever add cost beyond each candidate's real window;
-    extraction stays within ``win_lens``).  Returns an int32 matrix of
-    last-row values, one row per candidate.
+    ``read_rows`` / ``win_rows`` are padded 2-D inputs.  The recurrence
+    and tie-breaks are the oracle's (``diag <= up`` takes the diagonal,
+    left only when strictly smaller), and a cell depends only on cells
+    above and to its left, so padding past a problem's own rectangle
+    never reaches the cells inside it.  ``back``, when given, is the
+    (problems, rows + 1, columns + 1) uint8 cube that receives the
+    oracle's backpointers; distances live in two rolling rows.
     """
-    n_cand, n_max = read_rows.shape
+    n_prob, n_max = read_rows.shape
     m_max = win_rows.shape[1]
     cols = np.arange(1, m_max + 1, dtype=np.int32)
     if free_start:
-        prev = np.zeros((n_cand, m_max + 1), dtype=np.int32)
+        prev = np.zeros((n_prob, m_max + 1), dtype=np.int32)
     else:
-        prev = np.tile(np.arange(m_max + 1, dtype=np.int32), (n_cand, 1))
-    out = prev.copy()
+        prev = np.tile(np.arange(m_max + 1, dtype=np.int32), (n_prob, 1))
+    if back is not None:
+        back[:, 0, :] = BP_LEFT
+        back[:, :, 0] = BP_UP
+        back[:, 0, 0] = BP_DIAG
+    last = prev.copy()
+    ends = set(read_lens.tolist())
     for i in range(1, n_max + 1):
-        mismatch = (read_rows[:, i - 1][:, None]
-                    != win_rows).astype(np.int32)
-        diag = prev[:, :-1] + mismatch
+        diag = prev[:, :-1] + (read_rows[:, i - 1, None] != win_rows)
         up = prev[:, 1:] + 1
         best = np.minimum(diag, up)
-        # Left dependency via the same prefix-min-with-carry unrolling as
-        # the scalar _dp_matrix, vectorized across candidates.
-        carry = np.concatenate(
-            [np.full((n_cand, 1), i, dtype=np.int32), best - cols[None, :]],
-            axis=1)
-        running = np.minimum.accumulate(carry, axis=1)
+        # Left dependency row[j] = min(best[j], row[j-1] + 1) unrolls to
+        # a prefix-min with unit carry: row[j] = j + min_{t<=j}(cand[t]
+        # - t) where cand[0] is the first-column value.
         row = np.empty_like(prev)
         row[:, 0] = i
-        row[:, 1:] = running[:, 1:] + cols
-        done = read_lens == i
-        if done.any():
-            out[done] = row[done]
+        np.subtract(best, cols, out=row[:, 1:])
+        np.minimum.accumulate(row, axis=1, out=row)
+        row[:, 1:] += cols
+        if back is not None:
+            # (diag > up) as a byte is BP_DIAG / BP_UP already.
+            back[:, i, 1:] = np.where(row[:, 1:] < best, np.uint8(BP_LEFT),
+                                      (diag > up).view(np.uint8))
+        if i in ends:
+            done = read_lens == i
+            last[done] = row[done]
         prev = row
-    stats.dp_cells += int((read_lens * (m_max + 1)).sum())
-    return out
+    return last
+
+
+def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
+                       win_rows: np.ndarray, free_start: bool,
+                       stats: MapperStats) -> np.ndarray:
+    """Last DP rows of the fast path's head / tail verification
+    (:func:`_dp_last_rows`, no backpointers), counted in ``dp_cells``."""
+    stats.dp_cells += int((read_lens * (win_rows.shape[1] + 1)).sum())
+    return _dp_last_rows(read_rows, read_lens, win_rows, free_start)
+
+
+def solve_extension_jobs(jobs: list[AlignmentJob],
+                         stats: MapperStats) -> list[AlignmentResult]:
+    """Every job's ``global`` / ``prefix_free`` / ``suffix_free_align``
+    result, from one batched DP per bucket of similar shapes.
+
+    Jobs are bucketed by padded shape (ceil(log2) of the read and of the
+    consensus length) and by row-0 flavour; each bucket is one
+    :func:`_dp_last_rows` run with a backpointer cube (split while the
+    cube would exceed ``_EXTENSION_CELL_CAP``), and the traceback is the
+    oracle's own walk over the job's slice of the cube — so matrices,
+    tracebacks and results are the scalar aligners' exactly.
+    """
+    results: list[AlignmentResult | None] = [None] * len(jobs)
+    if not jobs:
+        return results  # type: ignore[return-value]
+    n = np.array([job.read_seg.size for job in jobs], dtype=np.int64)
+    m = np.array([job.cons_seg.size for job in jobs], dtype=np.int64)
+    free = np.array([job.flavour == "prefix_free" for job in jobs])
+    stats.extension_jobs += len(jobs)
+    stats.extension_cells += int((n * m).sum())
+
+    # frexp's exponent of (x - 1) is its bit length: ceil(log2 x).
+    key = ((np.frexp(np.maximum(n - 1, 0))[1] * 64
+            + np.frexp(np.maximum(m - 1, 0))[1]) * 2 + free)
+    order = np.argsort(key, kind="stable")
+    edges = np.nonzero(np.diff(key[order]))[0] + 1
+    for bucket in np.split(order, edges):
+        cube = (int(n[bucket].max()) + 1) * (int(m[bucket].max()) + 1)
+        step = max(1, _EXTENSION_CELL_CAP // cube)
+        for lo in range(0, bucket.size, step):
+            part = bucket[lo:lo + step]
+            which = part.tolist()
+            solved = _solve_bucket([jobs[j] for j in which], n[part],
+                                   m[part], bool(free[which[0]]))
+            for j, res in zip(which, solved):
+                results[j] = res
+    return results  # type: ignore[return-value]
+
+
+def _solve_bucket(jobs: list[AlignmentJob], n: np.ndarray, m: np.ndarray,
+                  free_start: bool) -> list[AlignmentResult]:
+    """Solve jobs of one row-0 flavour and similar shapes (``n`` x ``m``
+    their read x consensus lengths) in one batched DP."""
+    read_rows = np.full((len(jobs), int(n.max())), _READ_PAD, dtype=np.uint8)
+    cons_rows = np.full((len(jobs), int(m.max())), _CONS_PAD, dtype=np.uint8)
+    for r, job in enumerate(jobs):
+        read_rows[r, :job.read_seg.size] = job.read_seg
+        cons_rows[r, :job.cons_seg.size] = job.cons_seg
+    back = np.empty((len(jobs), read_rows.shape[1] + 1,
+                     cons_rows.shape[1] + 1), dtype=np.uint8)
+    last = _dp_last_rows(read_rows, n, cons_rows, free_start, back)
+
+    # global / prefix_free end in the last column; suffix_free at the
+    # first minimum of its own last row.
+    own = np.arange(last.shape[1])[None, :] <= m[:, None]
+    first_min = np.where(own, last, np.iinfo(np.int32).max).argmin(axis=1)
+    suffix_free = np.array([job.flavour == "suffix_free" for job in jobs])
+    end_j = np.where(suffix_free, first_min, m).tolist()
+    solved = []
+    for r, job in enumerate(jobs):
+        ops, start_j = trace_ops(job.read_seg, job.cons_seg, back[r],
+                                 job.read_seg.size, end_j[r], free_start)
+        solved.append(AlignmentResult(ops, int(last[r, end_j[r]]), start_j,
+                                      end_j[r]))
+    return solved
 
 
 # ----------------------------------------------------------------------
@@ -238,9 +346,11 @@ def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
 class BatchReadMapper(ReadMapper):
     """Block-at-a-time mapper; byte-identical to :class:`ReadMapper`.
 
-    ``map_read`` is inherited unchanged (it is also the fallback for
-    reads outside the provable fast path); ``map_batch`` runs the
-    vectorized pipeline described in the module docstring.
+    ``map_batch`` runs the vectorized pipeline described in the module
+    docstring.  The chain/segment rules are inherited unchanged; reads
+    outside the provable fast path are planned and assembled by them,
+    and only the alignments in between are solved here
+    (:meth:`_solve_jobs`).
     """
 
     def __init__(self, consensus: np.ndarray,
@@ -441,9 +551,9 @@ class BatchReadMapper(ReadMapper):
             self._verify_and_emit(verify, cand, c_diag, c_a0, c_end, c_len,
                                   oriented, offsets, use_rev, results, st)
 
-        # Everything unproven (multi-diagonal, filter rejects, indel-
-        # bearing ends) replays the scalar chain on the anchors already
-        # expanded above — no per-read k-mer or index work remains.
+        # ---- stage 4: everything unproven (multi-diagonal, filter
+        # rejects, indel-bearing ends) is chained on the anchors already
+        # expanded above and extended as one batch.
         self._drain_anchored(results, st, oriented, offsets, lengths,
                              use_rev, a_rpos, a_cons, start_of,
                              anchors_per_read)
@@ -454,15 +564,18 @@ class BatchReadMapper(ReadMapper):
                         use_rev: np.ndarray, a_rpos: np.ndarray,
                         a_cons: np.ndarray, start_of: np.ndarray,
                         anchors_per_read: np.ndarray) -> None:
-        """Scalar chaining for unproven reads, reusing the batch anchors.
+        """Chain, extend and assemble the unproven reads of the block.
 
-        Replays the tail of :meth:`ReadMapper.map_read`: the orientation
-        is already chosen (same capped-hit-count comparison) and the
-        anchors are already expanded in the exact order
-        :meth:`KmerIndex.lookup` would emit them, so the fallback skips
-        the redundant per-read k-mer passes and index lookups.
+        Replays the tail of :meth:`ReadMapper.map_read` on the batch's
+        anchors: the orientation is already chosen (same capped-hit-count
+        comparison) and the anchors are already expanded in the exact
+        order :meth:`KmerIndex.lookup` would emit them.  Every read is
+        planned first, so the block's gap, head and tail alignments are
+        solved in one :meth:`_solve_jobs` call.
         """
         ucf = self.config.unmapped_cost_fraction
+        jobs: list[AlignmentJob] = []
+        planned = []
         for r in range(len(results)):
             if results[r] is not None or anchors_per_read[r] == 0:
                 continue
@@ -471,16 +584,29 @@ class BatchReadMapper(ReadMapper):
             hits = AnchorHits(a_rpos[s:e], a_cons[s:e])
             o = int(offsets[r])
             codes = oriented[o:o + int(lengths[r])]
-            res = self._map_oriented(codes, hits)
+            planned.append((r, self._plan_read(codes, hits, jobs)))
+        solved = self._solve_jobs(jobs)
+        for r, plan in planned:
+            res = (self._assemble_read(plan, solved) if plan is not None
+                   else None)
             if res is not None:
                 res.reverse = bool(use_rev[r])
-                mapped_len = max(1, codes.size - res.clip_start.size
+                mapped_len = max(1, int(lengths[r]) - res.clip_start.size
                                  - res.clip_end.size)
                 if res.cost > ucf * mapped_len:
                     res = None
             results[r] = (res if res is not None
                           else MappingResult(unmapped=True))
             st.fallback += 1
+
+    def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
+        """The batched solver (the one thing this kernel overrides of
+        the chain/segment logic in :mod:`repro.mapping.mapper`)."""
+        st = MapperStats()
+        solved = solve_extension_jobs(jobs, st)
+        self.stats.merge(st)
+        GLOBAL_STATS.merge(st)
+        return solved
 
     @staticmethod
     def _flat_kmers(flat: np.ndarray, k: int) -> np.ndarray:
@@ -552,9 +678,9 @@ class BatchReadMapper(ReadMapper):
             win_lo = np.maximum(0, v_diag[need_head] - slack)
             hm = hn + v_diag[need_head] - win_lo
             read_rows = self._gather_rows(oriented, v_off[need_head], 0,
-                                          hn, pad=255)
-            win_rows = self._gather_rows(cons, win_lo, 0, hm, pad=254)
-            last = _batched_last_rows(read_rows, hn, win_rows, hm,
+                                          hn, pad=_READ_PAD)
+            win_rows = self._gather_rows(cons, win_lo, 0, hm, pad=_CONS_PAD)
+            last = _batched_last_rows(read_rows, hn, win_rows,
                                       free_start=True, stats=st)
             head_cost[need_head] = last[np.arange(need_head.size), hm]
         head_clip = ((cfg.clip_min_length <= v_a0)
@@ -578,9 +704,11 @@ class BatchReadMapper(ReadMapper):
             win_start = v_end[need_tail] + v_diag[need_tail]
             tm = np.minimum(cons.size - win_start, tn + slack)
             read_rows = self._gather_rows(oriented, v_off[need_tail],
-                                          v_end[need_tail], tn, pad=255)
-            win_rows = self._gather_rows(cons, win_start, 0, tm, pad=254)
-            last = _batched_last_rows(read_rows, tn, win_rows, tm,
+                                          v_end[need_tail], tn,
+                                          pad=_READ_PAD)
+            win_rows = self._gather_rows(cons, win_start, 0, tm,
+                                         pad=_CONS_PAD)
+            last = _batched_last_rows(read_rows, tn, win_rows,
                                       free_start=False, stats=st)
             col = np.arange(last.shape[1])[None, :]
             masked = np.where(col <= tm[:, None], last, np.iinfo(np.int32).max)

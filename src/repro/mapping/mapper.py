@@ -12,13 +12,47 @@ emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..genomics import sequence as seq
 from . import alignment
-from .alignment import EditOp, global_align, prefix_free_align, suffix_free_align
+from .alignment import (AlignmentResult, EditOp, global_align,
+                        prefix_free_align, suffix_free_align)
 from .kmer_index import AnchorHits, KmerIndex
+
+
+class AlignmentJob(NamedTuple):
+    """One extension problem a chain leaves open; the flavour names the
+    scalar aligner that defines its answer (``<flavour>_align``)."""
+
+    read_seg: np.ndarray
+    cons_seg: np.ndarray
+    flavour: str              # 'global' | 'prefix_free' | 'suffix_free'
+
+
+@dataclass
+class _SegmentPlan:
+    """What one chain needs, besides its jobs' results, to become a
+    :class:`MappedSegment`.  Job fields index the shared job list."""
+
+    seg_lo: int
+    seg_hi: int
+    is_first: bool
+    is_last: bool
+    a0_read: int              # read position of the first anchor
+    a0_cons: int
+    tail_read: int            # read position past the last anchor
+    head: np.ndarray
+    tail: np.ndarray
+    head_job: int | None
+    head_win_lo: int
+    tail_job: int | None
+    #: Interior gaps in read order, ``(read_start, piece)``: a job index
+    #: for an unequal-length gap, the substitutions themselves (in gap
+    #: coordinates) for an equal-length one.
+    gaps: list[tuple[int, int | list[EditOp]]]
 
 
 @dataclass
@@ -213,6 +247,25 @@ class ReadMapper:
 
     def _map_oriented(self, oriented: np.ndarray,
                       hits: AnchorHits) -> MappingResult | None:
+        jobs: list[AlignmentJob] = []
+        plan = self._plan_read(oriented, hits, jobs)
+        if plan is None:
+            return None
+        return self._assemble_read(plan, self._solve_jobs(jobs))
+
+    def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
+        """Solve extension jobs one at a time (the reference solver, and
+        the only caller of the scalar aligners)."""
+        aligners = {"global": global_align, "prefix_free": prefix_free_align,
+                    "suffix_free": suffix_free_align}
+        return [aligners[job.flavour](job.read_seg, job.cons_seg)
+                for job in jobs]
+
+    def _plan_read(self, oriented: np.ndarray, hits: AnchorHits,
+                   jobs: list[AlignmentJob]
+                   ) -> list[_SegmentPlan] | None:
+        """Chain the anchors into segment plans, appending every
+        alignment they leave open to ``jobs``."""
         clusters = self._cluster_anchors(hits)
         if not clusters:
             return None
@@ -258,23 +311,29 @@ class ReadMapper:
                                   (left_end + right_start) // 2)))
         bounds.append(oriented.size)
 
+        last = len(chains) - 1
+        return [self._plan_segment(oriented, chain, bounds[which],
+                                   bounds[which + 1], which == 0,
+                                   which == last, jobs)
+                for which, chain in enumerate(chains)]
+
+    def _assemble_read(self, plan: list[_SegmentPlan],
+                       solved: list[AlignmentResult]
+                       ) -> MappingResult | None:
+        """Finish a planned read from the results of ``jobs`` (same
+        indexing).  Consumes them: ops are shifted in place."""
         result = MappingResult()
-        total_cost = 0
-        for which, chain in enumerate(chains):
-            seg_lo, seg_hi = bounds[which], bounds[which + 1]
-            is_first = which == 0
-            is_last = which == len(chains) - 1
-            segment, clip_s, clip_e, cost = self._build_segment(
-                oriented, chain, seg_lo, seg_hi, is_first, is_last)
-            if segment is None:
+        for seg_plan in plan:
+            built = self._assemble_segment(seg_plan, solved)
+            if built is None:
                 return None
+            segment, clip_s, clip_e, cost = built
             if clip_s.size:
                 result.clip_start = clip_s
             if clip_e.size:
                 result.clip_end = clip_e
             result.segments.append(segment)
-            total_cost += cost
-        result.cost = total_cost
+            result.cost += cost
         return result
 
     @staticmethod
@@ -289,15 +348,13 @@ class ReadMapper:
     # Segment construction
     # ------------------------------------------------------------------
 
-    def _build_segment(self, oriented: np.ndarray,
-                       chain: list[tuple[int, int]], seg_lo: int,
-                       seg_hi: int, is_first: bool, is_last: bool):
+    def _plan_segment(self, oriented: np.ndarray,
+                      chain: list[tuple[int, int]], seg_lo: int,
+                      seg_hi: int, is_first: bool, is_last: bool,
+                      jobs: list[AlignmentJob]) -> _SegmentPlan:
         k = self.config.k
         cons = self.consensus
-        ops: list[EditOp] = []
-        cost = 0
-        clip_s = np.empty(0, dtype=np.uint8)
-        clip_e = np.empty(0, dtype=np.uint8)
+        gaps: list[tuple[int, int | list[EditOp]]] = []
 
         # --- interior: anchors + gap fills ---
         a0_read, a0_cons = chain[0]
@@ -314,65 +371,99 @@ class ReadMapper:
             cons_gap = cons[prev_cons:c]
             if read_gap.size == cons_gap.size:
                 diff = np.nonzero(read_gap != cons_gap)[0]
-                for d in diff:
-                    ops.append(EditOp(alignment.SUB, prev_read + int(d), 1,
-                                      read_gap[d:d + 1].copy()))
-                cost += int(diff.size)
+                if diff.size:
+                    gaps.append((prev_read, [
+                        EditOp(alignment.SUB, int(d), 1,
+                               read_gap[d:d + 1].copy()) for d in diff]))
             else:
-                res = global_align(read_gap, cons_gap)
-                ops.extend(op.shifted(prev_read) for op in res.ops)
-                cost += res.cost
+                gaps.append((prev_read, len(jobs)))
+                jobs.append(AlignmentJob(read_gap, cons_gap, "global"))
             prev_read, prev_cons = r + k, c + k
 
-        # --- head ---
+        # --- head: aligns to a suffix of its consensus window ---
         head = oriented[seg_lo:a0_read]
-        cons_start = a0_cons - head.size
+        head_job, win_lo = None, 0
         if head.size:
             win_lo = max(0, a0_cons - head.size - self.config.end_slack)
-            res = prefix_free_align(head, cons[win_lo:a0_cons])
-            head_is_clip = (is_first
-                            and self.config.clip_min_length <= head.size
-                            <= self.config.clip_max_length
-                            and res.cost
-                            > self.config.clip_cost_fraction * head.size)
-            if head_is_clip:
-                clip_s = head.copy()
-                seg_lo = a0_read
-                cons_start = a0_cons
-            else:
-                cons_start = win_lo + res.cons_used_start
-                ops = [op.shifted(seg_lo) for op in res.ops] + ops
-                cost += res.cost
+            head_job = len(jobs)
+            jobs.append(AlignmentJob(head, cons[win_lo:a0_cons],
+                                     "prefix_free"))
 
-        # --- tail ---
+        # --- tail: aligns to a prefix of its consensus window ---
         tail = oriented[prev_read:seg_hi]
+        tail_job = None
         if tail.size:
             win_hi = min(cons.size,
                          prev_cons + tail.size + self.config.end_slack)
-            res = suffix_free_align(tail, cons[prev_cons:win_hi])
-            tail_is_clip = (is_last
-                            and self.config.clip_min_length <= tail.size
-                            <= self.config.clip_max_length
-                            and res.cost
-                            > self.config.clip_cost_fraction * tail.size)
-            if tail_is_clip:
-                clip_e = tail.copy()
-                seg_hi = prev_read
+            tail_job = len(jobs)
+            jobs.append(AlignmentJob(tail, cons[prev_cons:win_hi],
+                                     "suffix_free"))
+        return _SegmentPlan(seg_lo, seg_hi, is_first, is_last, a0_read,
+                            a0_cons, prev_read, head, tail, head_job,
+                            win_lo, tail_job, gaps)
+
+    def _is_clip(self, flank: np.ndarray, cost: int) -> bool:
+        """A flank this short and this costly is a soft clip."""
+        return (self.config.clip_min_length <= flank.size
+                <= self.config.clip_max_length
+                and cost > self.config.clip_cost_fraction * flank.size)
+
+    def _assemble_segment(
+            self, plan: _SegmentPlan, solved: list[AlignmentResult]
+    ) -> tuple[MappedSegment, np.ndarray, np.ndarray, int] | None:
+        """``(segment, clip_start, clip_end, cost)``, or ``None`` when the
+        chain cannot be a segment (an edit left of the segment start, or
+        a placement left of the consensus).
+
+        Every op is built once, already in segment-local coordinates;
+        the pieces (head, gaps in chain order, tail) come in read order,
+        so no sort is needed.
+        """
+        seg_lo, seg_hi = plan.seg_lo, plan.seg_hi
+        cons_start = plan.a0_cons - plan.head.size
+        clip_s = clip_e = np.empty(0, dtype=np.uint8)
+        cost = 0
+
+        # (read offset of the piece, its ops in piece coordinates)
+        pieces: list[tuple[int, list[EditOp]]] = []
+        if plan.head_job is not None:
+            res = solved[plan.head_job]
+            if plan.is_first and self._is_clip(plan.head, res.cost):
+                clip_s = plan.head.copy()
+                seg_lo = plan.a0_read
+                cons_start = plan.a0_cons
             else:
-                ops.extend(op.shifted(prev_read) for op in res.ops)
+                cons_start = plan.head_win_lo + res.cons_used_start
+                pieces.append((plan.seg_lo, res.ops))
+                cost += res.cost
+        for read_start, piece in plan.gaps:
+            if isinstance(piece, int):
+                piece, gap_cost = solved[piece].ops, solved[piece].cost
+            else:
+                gap_cost = len(piece)
+            pieces.append((read_start, piece))
+            cost += gap_cost
+        if plan.tail_job is not None:
+            res = solved[plan.tail_job]
+            if plan.is_last and self._is_clip(plan.tail, res.cost):
+                clip_e = plan.tail.copy()
+                seg_hi = plan.tail_read
+            else:
+                pieces.append((plan.tail_read, res.ops))
                 cost += res.cost
 
-        # Normalize op coordinates to segment-local (relative to seg_lo).
-        local_ops = []
-        for op in sorted(ops, key=lambda o: o.read_pos):
-            local = op.shifted(-seg_lo)
-            if local.read_pos < 0:
-                return None, clip_s, clip_e, cost
-            local_ops.append(local)
-
+        ops: list[EditOp] = []
+        for read_start, piece_ops in pieces:
+            shift = read_start - seg_lo
+            if piece_ops and piece_ops[0].read_pos + shift < 0:
+                return None
+            if shift:
+                for op in piece_ops:
+                    op.read_pos += shift
+            ops.extend(piece_ops)
         if cons_start < 0:
-            return None, clip_s, clip_e, cost
+            return None
         segment = MappedSegment(cons_start=int(cons_start),
                                 read_start=int(seg_lo),
-                                read_end=int(seg_hi), ops=local_ops)
+                                read_end=int(seg_hi), ops=ops)
         return segment, clip_s, clip_e, cost

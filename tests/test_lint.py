@@ -463,6 +463,48 @@ def blocks_held_as_columns(source, where):
 
 
 # ----------------------------------------------------------------------
+# Extension stated once (PR 24): how a chain becomes a segment — which
+# alignments it leaves open (plan) and how their results become ops,
+# clips and a placement (assemble) — lives in mapping/mapper.py alone.
+# A mapper kernel is a ``ReadMapper`` subclass that overrides the job
+# *solver*; it restates none of that logic, and the scalar aligners (the
+# oracle a solver is held to) are reached through ``_solve_jobs`` in
+# mapper.py only, so no second extension path can grow beside it.
+# ----------------------------------------------------------------------
+
+_ALIGNERS = {"global_align", "prefix_free_align", "suffix_free_align"}
+_SEGMENT_LOGIC = re.compile(r"^_(map_oriented|build_segment|plan|assemble)")
+
+
+def extension_stated_once(source, where):
+    if not where.startswith("src/repro/") \
+            or where == "src/repro/mapping/alignment.py":
+        return []
+    in_mapper = where == "src/repro/mapping/mapper.py"
+    tree = ast.parse(source)
+    offenders = [
+        f"{where}:{item.lineno} {cls.name}.{item.name} restates segment "
+        f"logic (override _solve_jobs only)"
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        and any("ReadMapper" in (getattr(base, "id", None),
+                                 getattr(base, "attr", None))
+                for base in cls.bases)
+        for item in cls.body if isinstance(item, FUNCTIONS)
+        and _SEGMENT_LOGIC.match(item.name)]
+    in_solver = {
+        id(node) for func in ast.walk(tree)
+        if isinstance(func, FUNCTIONS) and func.name == "_solve_jobs"
+        and in_mapper for node in ast.walk(func)}
+    offenders += [
+        f"{where}:{node.lineno} uses {name} outside mapper.py's _solve_jobs"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        for name in [getattr(node, "id", getattr(node, "attr", None))]
+        if name in _ALIGNERS and id(node) not in in_solver]
+    return offenders
+
+
+# ----------------------------------------------------------------------
 # Per-contract fixture pairs (keyed by the code each contract carried
 # while it was a lint rule; SGL005 and SGL007 are gone — see the README
 # "Contracts are tests" table for what covers them)
@@ -883,6 +925,56 @@ class TestOptionsThreadingEdges:
                 for node in ast.walk(scope)
                 if isinstance(node, (ast.Import, ast.ImportFrom))] == []
         assert files_mentioning("PropertySink", "iter_reads") == []
+
+    def test_extension_is_stated_once(self):
+        """A mapper kernel overrides the job solver and nothing else of
+        the chain -> segment logic; the scalar aligners are called from
+        ``ReadMapper._solve_jobs`` only (``extension_stated_once``)."""
+        assert on_tree(extension_stated_once, "src") == []
+        for violating, where in (
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _map_oriented(self, oriented, hits):
+                         return None
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class GpuMapper(mapper.ReadMapper):
+                     def _assemble_segment(self, plan, solved):
+                         return None
+                 """, "src/repro/mapping/gpu.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _plan_segment(self, *args):
+                         return None
+                 """, "src/repro/mapping/batch.py"),
+                ("res = global_align(read_gap, cons_gap)\n",
+                 "src/repro/mapping/batch.py"),
+                ("res = alignment.suffix_free_align(tail, window)\n",
+                 "src/repro/analysis/variants.py"),
+                ("""\
+                 class ReadMapper:
+                     def _plan_segment(self, head, window):
+                         return prefix_free_align(head, window)
+                 """, "src/repro/mapping/mapper.py")):
+            assert on_snippet(extension_stated_once, violating,
+                              where) != [], violating
+        assert on_snippet(extension_stated_once, """\
+            from .alignment import global_align
+
+            class ReadMapper:
+                def _solve_jobs(self, jobs):
+                    return [global_align(*job) for job in jobs]
+
+            class BatchReadMapper(ReadMapper):
+                def _solve_jobs(self, jobs):
+                    return solve_extension_jobs(jobs, self.stats)
+            """, "src/repro/mapping/mapper.py") == []
+        # The compressor's own _plan_read is no mapper's segment logic.
+        assert on_snippet(extension_stated_once, """\
+            class SAGeCompressor:
+                def _plan_read(self, read, mapping):
+                    return None
+            """, "src/repro/core/compressor.py") == []
 
 
 class TestSinkContractEdges:

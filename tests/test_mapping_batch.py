@@ -4,7 +4,8 @@ The contract under test (:mod:`repro.mapping.batch`): the vectorized
 :class:`BatchReadMapper` produces ``MappingResult``s — and therefore
 archives — byte-identical to the scalar :class:`ReadMapper` reference,
 for every read shape (short/long, indels, Ns, reverse-complement,
-chimeric, unmapped junk).  Also covered: the mapper registry, the
+chimeric, unmapped junk).  Also covered: the batched extension solver
+against the three scalar aligners (its oracle), the mapper registry, the
 ``EngineOptions.mapper`` knob, the shared k-mer index (built once per
 archive, not once per worker), and the SHD filter primitives.
 """
@@ -23,12 +24,13 @@ from repro.core import blocks as blocks_mod
 from repro.core.mismatch import OptLevel
 from repro.genomics import sequence as seqmod
 from repro.genomics.reads import Read, ReadSet, partition_reads
-from repro.mapping import batch
+from repro.mapping import alignment, batch
 from repro.mapping.batch import (BatchReadMapper, MapperStats,
                                  available_mappers, make_mapper,
-                                 pack_bases, resolve_mapper)
+                                 pack_bases, resolve_mapper,
+                                 solve_extension_jobs)
 from repro.mapping.kmer_index import KmerIndex
-from repro.mapping.mapper import MapperConfig, ReadMapper
+from repro.mapping.mapper import AlignmentJob, MapperConfig, ReadMapper
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +150,31 @@ class TestCrossMapperFuzz:
         assert len(set(blobs.values())) == 1, \
             "mappers produced different archives"
 
+    @pytest.mark.parametrize("level", list(OptLevel))
+    def test_long_read_pieces(self, rs4_small, level):
+        """Indel/chimera-heavy variable-length reads (the RS4 analog cut
+        at 800 bp, as ``bench/harness.build_corpus`` does): nearly every
+        read leaves the fast path, so this is the batched extension."""
+        pieces = ReadSet([Read(codes=r.codes[s:s + 800],
+                               quality=r.quality[s:s + 800],
+                               header=f"{r.header}/{s}")
+                          for r in rs4_small.read_set
+                          for s in range(0, len(r), 800)
+                          if len(r) - s >= 100][:60], name="RS4")
+        blobs, mapped = {}, {}
+        for mapper in available_mappers():
+            compressor = SAGeCompressor(
+                rs4_small.reference,
+                SAGeConfig(level=level, mapper_kernel=mapper))
+            blobs[mapper] = compressor.compress(pieces).to_bytes()
+            kernel = make_mapper(mapper, compressor.consensus)
+            mapped[mapper] = [_result_key(res) for res
+                              in kernel.map_batch(pieces.read_codes())]
+            if mapper == "numpy":
+                assert kernel.stats.fallback > 0.9 * len(pieces)
+        assert mapped["python"] == mapped["numpy"]
+        assert blobs["python"] == blobs["numpy"]
+
     def test_simulator_analogs(self, rs2_small, rs4_small):
         """Short-read and chimeric/N-heavy long-read analogs."""
         for sim in (rs2_small, rs4_small):
@@ -212,6 +239,80 @@ class TestCrossMapperFuzz:
     def test_empty_batch(self, reference):
         batched = BatchReadMapper(reference, MapperConfig())
         assert batched.map_batch([]) == []
+
+
+# ----------------------------------------------------------------------
+# Batched extension: the solver against its oracle
+# ----------------------------------------------------------------------
+
+_ALIGNERS = {"global": alignment.global_align,
+             "prefix_free": alignment.prefix_free_align,
+             "suffix_free": alignment.suffix_free_align}
+
+
+def _fuzz_jobs(rng, n_jobs):
+    """Mixed extension jobs: empty sides, 1 x m, n x 1, Ns, and shapes
+    from a few cells to tens of thousands in one list."""
+    shapes = [(0, 9), (7, 0), (0, 0), (1, 12), (14, 1), (1, 1), (5, 8),
+              (33, 40), (70, 21), (130, 150)]
+    jobs = []
+    for _ in range(n_jobs):
+        n, m = shapes[int(rng.integers(len(shapes)))]
+        n, m = (int(rng.integers(s // 2, s + 1)) if s > 1 else s
+                for s in (n, m))
+        cons = rng.integers(0, 4, m).astype(np.uint8)
+        # A read related to its window (so the optimum is not all
+        # substitutions), with errors and Ns on either side.
+        read = (np.resize(np.roll(cons, int(rng.integers(-3, 4))), n)
+                if m else rng.integers(0, 4, n).astype(np.uint8))
+        for seg in (read, cons):
+            hit = rng.random(seg.size) < 0.1
+            seg[hit] = rng.integers(0, seqmod.N_CODE + 1, int(hit.sum()))
+        jobs.append(AlignmentJob(read, cons, str(rng.choice(list(_ALIGNERS)))))
+    return jobs
+
+
+def _alignment_key(res):
+    return (tuple((op.kind, int(op.read_pos), int(op.length),
+                   np.asarray(op.bases).tobytes()) for op in res.ops),
+            int(res.cost), int(res.cons_used_start), int(res.cons_used_end))
+
+
+class TestBatchedExtension:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n_jobs=st.integers(0, 30),
+           one_job_buckets=st.booleans())
+    def test_solver_matches_scalar_aligners(self, seed, n_jobs,
+                                            one_job_buckets):
+        jobs = _fuzz_jobs(np.random.default_rng(seed), n_jobs)
+        want = [_alignment_key(_ALIGNERS[job.flavour](job.read_seg,
+                                                      job.cons_seg))
+                for job in jobs]
+        buckets = []
+        solve_bucket = batch._solve_bucket
+
+        def counting(part, *args):
+            buckets.append(len(part))
+            return solve_bucket(part, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch, "_solve_bucket", counting)
+            if one_job_buckets:
+                patch.setattr(batch, "_EXTENSION_CELL_CAP", 1)
+            stats = MapperStats()
+            got = solve_extension_jobs(jobs, stats)
+        assert [_alignment_key(res) for res in got] == want
+        assert sum(buckets) == n_jobs
+        if one_job_buckets:
+            assert buckets == [1] * n_jobs
+        assert stats.extension_jobs == n_jobs
+        assert stats.extension_cells == sum(
+            job.read_seg.size * job.cons_seg.size for job in jobs)
+
+    def test_pad_codes_are_no_base(self):
+        codes = set(range(seqmod.N_CODE + 1))
+        assert batch._READ_PAD != batch._CONS_PAD
+        assert not {batch._READ_PAD, batch._CONS_PAD} & codes
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +472,33 @@ class TestMapperStats:
         assert st_.batches == 1
         assert st_.fast_path + st_.fallback == 50
         assert batch.GLOBAL_STATS.reads == 50
+
+    def test_extension_counters(self, reference, monkeypatch):
+        """``extension_jobs`` / ``extension_cells`` count every gap, head
+        and tail alignment of the reads the fast path left (``fallback``)
+        — real cells, not the padded buckets."""
+        solved = []
+        solve = batch.solve_extension_jobs
+
+        def recording(jobs, stats):
+            solved.extend(jobs)
+            return solve(jobs, stats)
+
+        monkeypatch.setattr(batch, "solve_extension_jobs", recording)
+        codes_list = _fuzz_reads(np.random.default_rng(1), reference, 50, 90)
+        batch.reset_stats()
+        mapper = BatchReadMapper(reference, MapperConfig())
+        mapper.map_batch(codes_list)
+        st_ = mapper.stats
+        assert st_.fallback > 0 and solved
+        assert st_.extension_jobs == len(solved)
+        assert st_.extension_cells == sum(
+            job.read_seg.size * job.cons_seg.size for job in solved)
+        assert (batch.GLOBAL_STATS.extension_jobs,
+                batch.GLOBAL_STATS.extension_cells) \
+            == (st_.extension_jobs, st_.extension_cells)
+        # The verification DP keeps its own counter.
+        assert st_.dp_cells == batch.GLOBAL_STATS.dp_cells
 
     def test_reset(self):
         batch.GLOBAL_STATS.reads = 7

@@ -5,7 +5,7 @@ import pytest
 
 from repro.genomics import sequence as seq
 from repro.genomics.reference import make_reference
-from repro.mapping import MapperConfig, ReadMapper, reconstruct
+from repro.mapping import MapperConfig, ReadMapper, alignment, reconstruct
 from repro.mapping.kmer_index import KmerIndex
 
 
@@ -258,3 +258,60 @@ class TestClips:
         assert mapping.clip_end.size == 0
         rebuilt = reconstruct(cons, mapping, read.size)
         assert np.array_equal(rebuilt, read)
+
+
+class TestSegmentAssembly:
+    """Plan -> solve -> assemble on hand-built chains."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(12)
+        cons = make_reference(400, rng)
+        # cons[130] deleted between the anchors; a substitution in the head.
+        read = np.concatenate([cons[100:130], cons[131:161]])
+        read[3] = (read[3] + 1) % 4
+        chain = [(10, 110), (40, 141)]          # k = 15 anchors
+        return ReadMapper(cons), cons, read, chain
+
+    @staticmethod
+    def _build(mapper, read, chain, seg_lo, seg_hi):
+        jobs = []
+        plan = mapper._plan_segment(read, chain, seg_lo, seg_hi,
+                                    True, True, jobs)
+        return plan, jobs, mapper._solve_jobs(jobs)
+
+    @pytest.mark.parametrize("seg_lo", [0, 2])
+    def test_ops_in_segment_local_coordinates(self, case, seg_lo):
+        mapper, cons, read, chain = case
+        plan, jobs, solved = self._build(mapper, read, chain, seg_lo, 60)
+        assert [job.flavour for job in jobs] \
+            == ["global", "prefix_free", "suffix_free"]
+        segment, clip_s, clip_e, cost = mapper._assemble_segment(plan, solved)
+        assert (segment.read_start, segment.read_end) == (seg_lo, 60)
+        assert segment.cons_start == 100 + seg_lo
+        assert clip_s.size == clip_e.size == 0 and cost == 2
+        assert [(op.kind, op.read_pos) for op in segment.ops] \
+            == [("sub", 3 - seg_lo), ("del", 30 - seg_lo)]
+        window = cons[segment.cons_start:segment.cons_start + 61]
+        assert np.array_equal(
+            alignment.apply_ops(window, segment.ops, segment.length),
+            read[seg_lo:])
+
+    def test_edit_left_of_segment_start_rejects_the_read(self, case):
+        mapper, _, read, chain = case
+        # seg_lo past the gap's deletion: its local position is negative.
+        plan, _, solved = self._build(mapper, read, chain, 35, 60)
+        assert mapper._assemble_segment(plan, solved) is None
+        assert mapper._assemble_read([plan], solved) is None
+
+    def test_placement_left_of_consensus_rejects_the_read(self, case):
+        mapper, _, read, _ = case
+        for cons_pos, placed in ((4, True), (-4, False)):
+            plan, jobs, solved = self._build(mapper, read, [(10, cons_pos)],
+                                             10, 25)
+            assert jobs == []
+            built = mapper._assemble_segment(plan, solved)
+            assert (built is not None) == placed
+            assert (mapper._assemble_read([plan], solved) is not None) \
+                == placed
+        assert built is None
