@@ -106,7 +106,8 @@ class BitWriter:
         Bulk counterpart of :meth:`write` for runs of *variable*-width
         fields — the batched emission primitive of
         :meth:`repro.core.prefix_codes.AssociationTable.encode_run` and
-        of the compressor's column path.  The emitted bits are identical
+        of the compressor, which writes each block stream in one call.
+        The emitted bits are identical
         to writing each pair in a loop; a long run is packed with numpy.
         """
         if len(values) >= _PACK_FIELDS and self._pack_fields(values, widths):

@@ -1,16 +1,18 @@
 """SAGe compression (§5.1).
 
-Pipeline: map reads against the consensus → plan per-read encodings
-(oriented, clip-split, N-sanitized edit events) → tune bit-width classes
-per read set (Algorithm 1) → emit the array/guide-array streams.
+Pipeline: map reads against the consensus → turn the block's mappings
+into columns (oriented, clip-split, N-sanitized edit events) → tune
+bit-width classes per read set (Algorithm 1) → emit the array/guide-array
+streams.
 
-A block is its columns on the way in too: a mapped read with one
-segment, no clip, substitutions only and no ``N`` — nearly every short
-read — never becomes a plan or event object.  :class:`_SimpleReads`
-holds such reads as arrays and each run of them, in emission order,
-reaches a stream in one ``write_fields``; only the other reads take the
-scalar path (:meth:`SAGeCompressor._plan_read` /
-:meth:`SAGeCompressor._write_read`), into the same writers.
+A block is its columns all the way to the bytes, the way the format is
+read (§5.1: independent arrays consumed with streaming accesses).
+:class:`_MappedReads` makes one pass over the mapped reads' segments and
+edit ops; every rule of the format after that — indel blocks, consensus
+markers, ``N`` sanitizing, the O4 corner pseudo-entry, chimeric sides,
+corner payloads — is an array operation.  :class:`_Fields` keys each
+field by its place in emission order, and each stream leaves in one
+``write_fields`` per block.
 
 Every written bit is charged to a Fig. 17 category via
 :class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from ..genomics import sequence as seq
-from ..genomics.reads import ReadSet
+from ..genomics.reads import ReadSet, run_index
 from ..mapping.alignment import DEL, INS, SUB
 from ..mapping.batch import make_mapper
 from ..mapping.kmer_index import KmerIndex
@@ -55,6 +58,22 @@ MAX_INDEL_BLOCK = (1 << INDEL_LENGTH_BITS) - 1
 
 #: Fixed-width mismatch count used below optimization level O2.
 RAW_COUNT_BITS = 16
+
+#: A corner payload (§5.1.4) lists ``N`` runs under an 8-bit count, each
+#: an 8-bit length: a longer run splits, and a read with more runs than
+#: the count holds is stored unmapped (its raw 3-bit payload holds N).
+N_RUN_BITS = 8
+MAX_N_RUN = (1 << N_RUN_BITS) - 1
+
+#: The side stream counts a chimeric read's extra segments in 2 bits.
+SIDE_COUNT_BITS = 2
+MAX_SEGMENTS = 1 << SIDE_COUNT_BITS
+
+#: Fields one entry may write to one stream (see :class:`_Fields`).
+_SLOTS = 8
+
+_TYPE_CODES = {SUB: TYPE_SUB, INS: TYPE_INS, DEL: TYPE_DEL}
+_READ_START = attrgetter("read_start")
 
 
 @dataclass
@@ -83,166 +102,309 @@ class SAGeConfig:
     #                                    1-bit/8-bit scheme (§5.1.1 note)
 
 
-@dataclass
-class _Event:
-    """One mismatch entry, in core (clip-stripped, oriented) coordinates."""
-
-    kind: str                  # 'sub' | 'ins' | 'del'
-    pos: int                   # core read coordinate
-    length: int                # block length (1 for subs)
-    bases: np.ndarray          # sub base or inserted bases (sanitized)
-    marker: int                # consensus base under the event
+def _column(items: list, get, dtype=np.int64) -> np.ndarray:
+    """``get(item)`` of every item, as an array."""
+    return np.fromiter(map(get, items), dtype, len(items))
 
 
-@dataclass
-class _ReadPlan:
-    """Everything needed to emit one mapped read."""
-
-    length: int                          # original (full) read length
-    reverse: bool
-    events: list[_Event]
-    first_cons: int                      # matching position (segment 0)
-    extra_segments: list[tuple[int, int]]  # (core_start, cons_start)
-    clip_start: np.ndarray
-    clip_end: np.ndarray
-    n_runs: list[tuple[int, int]]        # (oriented pos, run length)
-
-    @property
-    def is_corner(self) -> bool:
-        return bool(self.n_runs) or self.clip_start.size > 0 \
-            or self.clip_end.size > 0
-
-    @property
-    def core_length(self) -> int:
-        return self.length - int(self.clip_start.size) \
-            - int(self.clip_end.size)
+def _pieces(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For ``counts[i]`` pieces of item ``i``: every piece's item, and
+    its index within the item."""
+    return (np.repeat(np.arange(counts.size), counts),
+            run_index(np.zeros_like(counts), counts))
 
 
-@dataclass
-class _UnmappedPlan:
-    codes: np.ndarray
+def _n_runs(read_set: ReadSet) -> tuple[np.ndarray, np.ndarray,
+                                        np.ndarray]:
+    """``(read, start, length)`` of every ``N`` run of the block, in
+    read order (input coordinates, unsplit)."""
+    at = np.flatnonzero(read_set.codes == seq.N_CODE)
+    read = np.searchsorted(read_set.offsets, at, "right") - 1
+    opens = np.ones(at.size, dtype=bool)
+    opens[1:] = (np.diff(at) > 1) | (np.diff(read) > 0)
+    starts = np.flatnonzero(opens)
+    read = read[starts]
+    return (read, at[starts] - read_set.offsets[read],
+            np.diff(starts, append=at.size))
 
 
-def _is_simple(mapping: MappingResult, has_n: bool) -> bool:
-    """True for a mapped read the column path can emit: one segment
-    spanning the read, substitutions only, nothing a corner payload
-    would carry.  Decided from the mapping alone; every other read goes
-    through :meth:`SAGeCompressor._plan_read`."""
-    if has_n or len(mapping.segments) != 1 or mapping.clip_start.size \
-            or mapping.clip_end.size or mapping.segments[0].read_start:
-        return False
-    ops = mapping.segments[0].ops
-    return not ops or all(op.kind == SUB for op in ops)
+class _Fields:
+    """A block's stream fields, keyed by their place in emission order,
+    ``entry * _SLOTS + slot``.  A mapped read's entries are its header,
+    its O4 pseudo-entry and its events, in that order; ``slot`` orders
+    the fields one entry writes to one stream, and fields sharing a key
+    keep the order they were added in.  Every field's bits are charged
+    to its Fig. 17 category as it is added."""
+
+    def __init__(self) -> None:
+        self.parts: dict[str, list[tuple]] = {
+            name: [] for name in BLOCK_STREAM_NAMES}
+        self.bits: dict[str, int] = {}
+
+    def add(self, stream: str, category: str, entry, slot: int, values,
+            widths) -> None:
+        """``values`` as ``widths``-bit fields of ``stream`` (either may
+        be a scalar), one per ``entry``."""
+        entry = np.asarray(entry, dtype=np.int64)
+        values = np.broadcast_to(np.asarray(values, dtype=np.int64),
+                                 entry.shape)
+        widths = np.broadcast_to(np.asarray(widths, dtype=np.int64),
+                                 entry.shape)
+        self.parts[stream].append((entry * _SLOTS + slot, values, widths))
+        self.bits[category] = self.bits.get(category, 0) + int(widths.sum())
+
+    def add_pairs(self, stream: str, category: str, entry, slot: int,
+                  first, second, widths: tuple[int, int]) -> None:
+        """``first[i]`` then ``second[i]`` for every ``entry[i]``."""
+        self.add(stream, category, np.repeat(entry, 2), slot,
+                 np.column_stack((first, second)).ravel(),
+                 np.tile(widths, len(entry)))
+
+    def add_coded(self, guide: str, array: str, category: str, entry,
+                  slot: int, values, table: AssociationTable) -> None:
+        """:meth:`AssociationTable.encode` of every value: its unary
+        class code to ``guide`` at ``slot``, the value to ``array`` at
+        ``slot + 1`` (the same stream, for mismatch counts)."""
+        classes = table.classify(values)
+        self.add(guide, category, entry, slot, ((1 << classes) - 1) << 1,
+                 classes + 1)
+        self.add(array, category, entry, slot + 1, values,
+                 table.widths_np[classes])
+
+    def emit(self, writers: dict[str, BitWriter],
+             breakdown: SizeBreakdown) -> None:
+        """Each stream in one ``write_fields``; the bits to ``breakdown``."""
+        for name, parts in self.parts.items():
+            if parts:
+                keys, values, widths = (np.concatenate(column)
+                                        for column in zip(*parts))
+                order = np.argsort(keys, kind="stable")
+                writers[name].write_fields(values[order], widths[order])
+        for category, bits in self.bits.items():
+            if bits:
+                breakdown.charge(category, bits)
 
 
-class _SimpleReads:
-    """The simple reads of a block (:func:`_is_simple`), in emission
-    order, as columns: per read ``reverse`` and ``n_subs``, per
-    substitution ``pos``, ``bases`` and ``deltas`` (the distance from
-    the read's previous substitution; the position itself for its
-    first)."""
+class _MappedReads:
+    """A block's mapped reads in emission order, as columns, built in one
+    pass over their segments and ``EditOp`` s:
 
-    def __init__(self, mappings: list[MappingResult]):
-        ops = [mapping.segments[0].ops for mapping in mappings]
-        subs = list(chain.from_iterable(ops))
-        self.reverse = np.fromiter((m.reverse for m in mappings),
-                                   np.int64, len(mappings))
-        self.n_subs = np.fromiter(map(len, ops), np.int64, len(ops))
-        self.pos = np.fromiter((op.read_pos for op in subs),
-                               np.int64, len(subs))
-        self.bases = np.fromiter((op.bases[0] for op in subs),
-                                 np.int64, len(subs))
-        #: Index of each read's first substitution, plus the total.
-        self.sub_bounds = np.zeros(len(ops) + 1, dtype=np.int64)
-        np.cumsum(self.n_subs, out=self.sub_bounds[1:])
-        self.first = np.zeros(len(subs), dtype=bool)
-        self.first[self.sub_bounds[:-1][self.n_subs > 0]] = True
-        self.deltas = self.pos.copy()
-        self.deltas[1:] -= np.where(self.first[1:], 0, self.pos[:-1])
+    * per read: its input index ``rows``, ``reverse``, ``lengths``,
+      ``first_cons``, clip sizes ``clip_s`` / ``clip_e``, whether it is
+      a corner case (``has_n``, ``has_clip``; at O4 it opens with a
+      ``pseudo``-entry) and its mismatch ``count``; per extra chimeric
+      segment ``extra_row``, ``extra_core``, ``extra_cons``;
+    * per event — an edit op, an indel split into blocks of at most
+      :data:`MAX_INDEL_BLOCK` from O2 on and into single bases below:
+      ``row``, ``kind`` (its 2-bit type code), core position ``pos``,
+      ``delta`` from the read's previous event, ``length`` and ``base``
+      (a substitution's base, ``N`` replaced by the base after the
+      marker; an indel's marker, the consensus base under it, 0 past the
+      consensus end);
+    * per inserted base: ``ins_event`` and ``ins_base`` (``N`` as 0);
+    * per ``N`` run, split at :data:`MAX_N_RUN`: ``run_row``, oriented
+      ``run_pos`` and ``run_len``.
 
-    def __len__(self) -> int:
-        return int(self.n_subs.size)
+    Bases are gathered, oriented, from the read set's ``codes``.
+    """
 
-    def fields(self, tables: dict[str, AssociationTable], level: OptLevel,
-               chimeric_side: bool, w_rlen: int,
-               breakdown: SizeBreakdown) -> dict[str, tuple]:
-        """What :meth:`SAGeCompressor._write_read` would write for these
-        reads, per stream: ``name -> (values, widths, bounds)`` with
-        ``bounds[i]`` the first field of read ``i`` (one more entry
-        than reads), so reads ``a:b`` own fields ``bounds[a]:bounds[b]``.
-        Adjacent fields of one stream are merged (a count's class code
-        and value; a substitution's position-0 flag, type and base);
-        the bits, and their ``breakdown`` charges, are the scalar
-        path's."""
-        n, n_subs = len(self), self.pos.size
-        reads = np.arange(n + 1)
-        # A field per read followed by one per substitution (``mbta``:
-        # the rev flag, then bases; tuned ``mmpga``: the count, then
-        # position classes).
-        heads = reads + self.sub_bounds
-        is_head = np.zeros(n + n_subs, dtype=bool)
-        is_head[heads[:-1]] = True
+    def __init__(self, consensus: np.ndarray, read_set: ReadSet,
+                 rows: np.ndarray, per_read: list,
+                 mappings: list[MappingResult], runs: tuple,
+                 level: OptLevel):
+        """``per_read``: each mapped read's segments, in read order;
+        ``runs``: the block's ``N`` runs (:func:`_n_runs`)."""
+        n = rows.size
+        self.rows = rows
+        self.codes, self.starts = read_set.codes, read_set.offsets[rows]
+        self.lengths = read_set.read_lengths()[rows]
+        mapped = list(map(mappings.__getitem__, rows.tolist()))
+        self.reverse = _column(mapped, attrgetter("reverse"), bool)
+        self.clip_s = _column(mapped, attrgetter("clip_start.size"))
+        self.clip_e = _column(mapped, attrgetter("clip_end.size"))
+        self.has_clip = (self.clip_s > 0) | (self.clip_e > 0)
 
-        def interleaved(head: tuple, sub: tuple) -> tuple:
-            values = np.empty(n + n_subs, dtype=np.int64)
-            widths = np.empty(n + n_subs, dtype=np.int64)
-            values[is_head], widths[is_head] = head
-            values[~is_head], widths[~is_head] = sub
-            return values, widths, heads
+        # Segments and their edit ops.
+        segments = list(chain.from_iterable(per_read))
+        seg_row = np.repeat(np.arange(n), _column(per_read, len))
+        seg_read = _column(segments, _READ_START)
+        seg_cons = _column(segments, attrgetter("cons_start"))
+        extra = np.ones(len(segments), dtype=bool)
+        extra[np.searchsorted(seg_row, np.arange(n))] = False
+        self.first_cons = seg_cons[~extra]
+        self.extra_row = seg_row[extra]
+        self.extra_core = (seg_read - self.clip_s[seg_row])[extra]
+        self.extra_cons = seg_cons[extra]
 
-        def unary(classes: np.ndarray) -> tuple:
-            return ((1 << classes) - 1) << 1, classes + 1
+        per_segment = list(map(attrgetter("ops"), segments))
+        ops = list(chain.from_iterable(per_segment))
+        n_ops = _column(per_segment, len)
+        kind = np.fromiter(map(_TYPE_CODES.__getitem__,
+                               map(attrgetter("kind"), ops)),
+                           np.int64, len(ops))
+        op_pos = _column(ops, attrgetter("read_pos"))
+        op_len = _column(ops, attrgetter("length"))
+        op_seg = np.repeat(np.arange(len(segments)), n_ops)
+        # The consensus offset under an op: its segment's, plus its read
+        # offset, plus what the segment's earlier indels shifted.
+        shift = np.where(kind == TYPE_DEL, op_len, 0) \
+            - np.where(kind == TYPE_INS, op_len, 0)
+        shift = np.cumsum(shift) - shift
+        shift -= shift[(np.cumsum(n_ops) - n_ops)[op_seg]]
+        cons_at = seg_cons[op_seg] + op_pos + shift
+        read_at = seg_read[op_seg] + op_pos          # oriented read offset
 
-        # O4: a substitution at position 0 opening a read is told from
-        # the corner marker by a 0 bit ahead of its body.
-        at_zero = self.first & (self.pos == 0) if level.corner_marker \
-            else np.zeros(n_subs, dtype=np.int64)
-        sub_width = (2 if level.type_inference else 4) + at_zero
-        out = {"mbta": interleaved((self.reverse, 1),
-                                   (self.bases, sub_width))}
-        charges = {
-            "rev": n,
-            "mismatch_types": at_zero.sum()
-            + (0 if level.type_inference else 2 * n_subs),
-            "mismatch_bases": 2 * n_subs}
-        if chimeric_side:           # "no extra segments", a 0 bit each
-            out["side"] = np.zeros(n, dtype=np.int64), np.ones(
-                n, dtype=np.int64), reads
-            charges["matching_pos"] = n
-        if not level.corner_marker:  # the two corner indicator bits
-            out["corner"] = np.zeros(n, dtype=np.int64), np.full(
-                n, 2), reads
-            charges["contains_n"] = 2 * n
+        # Events.
+        block = MAX_INDEL_BLOCK if level.indel_blocks else 1
+        op_of, piece = _pieces(np.where(kind == TYPE_SUB, 1,
+                                        -(-op_len // block)))
+        self.kind = kind[op_of]
+        self.row = seg_row[op_seg[op_of]]
+        self.length = np.minimum(block, op_len[op_of] - block * piece)
+        read_at = read_at[op_of] \
+            + np.where(self.kind == TYPE_INS, block * piece, 0)
+        cons_at = cons_at[op_of] \
+            + np.where(self.kind == TYPE_DEL, block * piece, 0)
+        self.pos = read_at - self.clip_s[self.row]
+        self.base = np.where(
+            cons_at < consensus.size,
+            consensus[np.minimum(cons_at, consensus.size - 1)],
+            0).astype(np.int64)
+        sub = self.kind == TYPE_SUB
+        bases = self.oriented(self.row[sub], read_at[sub])
+        self.base[sub] = np.where(bases == seq.N_CODE,
+                                  (self.base[sub] + 1) % 4, bases)
+        ins = np.flatnonzero(self.kind == TYPE_INS)
+        event_of, offset = _pieces(self.length[ins])
+        self.ins_event = ins[event_of]
+        bases = self.oriented(self.row[self.ins_event],
+                              read_at[self.ins_event] + offset)
+        self.ins_base = np.where(bases == seq.N_CODE, 0, bases)
+        first = np.ones(self.row.size, dtype=bool)
+        first[1:] = self.row[1:] != self.row[:-1]
+        self.first = first
+        self.delta = self.pos - np.where(first, 0, np.roll(self.pos, 1))
+
+        # N runs, in oriented read order, split.
+        row_of = np.full(len(read_set), -1)
+        row_of[rows] = np.arange(n)
+        run_read, start, length = runs
+        row = row_of[run_read]
+        mapped_run = row >= 0
+        row, start, length = \
+            row[mapped_run], start[mapped_run], length[mapped_run]
+        start = np.where(self.reverse[row],
+                         self.lengths[row] - start - length, start)
+        order = np.lexsort((start, row))
+        run_of, piece = _pieces(-(-length[order] // MAX_N_RUN))
+        self.run_row = row[order][run_of]
+        self.run_pos = start[order][run_of] + MAX_N_RUN * piece
+        self.run_len = np.minimum(MAX_N_RUN,
+                                  length[order][run_of] - MAX_N_RUN * piece)
+        self.n_runs = np.bincount(self.run_row, minlength=n)
+        self.has_n = self.n_runs > 0
+
+        self.n_events = np.bincount(self.row, minlength=n)
+        self.pseudo = (self.has_n | self.has_clip) & level.corner_marker
+        self.count = self.n_events + self.pseudo
+
+    def oriented(self, row: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The bases at oriented positions ``pos`` of reads ``row``."""
+        reverse = self.reverse[row]
+        bases = self.codes[self.starts[row] + np.where(
+            reverse, self.lengths[row] - 1 - pos, pos)]
+        return np.where(reverse, seq.COMPLEMENT[bases],
+                        bases).astype(np.int64)
+
+    def fields(self, out: _Fields, tables: dict[str, AssociationTable],
+               level: OptLevel, chimeric_side: bool, w_rlen: int,
+               w_cons: int) -> None:
+        """Add every mapped-read field of the block to ``out``."""
+        n = self.reverse.size
+        head = np.cumsum(self.n_events) - self.n_events + 2 * np.arange(n)
+        entry = np.arange(self.row.size) + 2 * self.row + 2
+
+        out.add("mbta", "rev", head, 0, self.reverse, 1)
+        if chimeric_side:
+            n_extra = np.bincount(self.extra_row, minlength=n)
+            chimeric = n_extra > 0
+            out.add("side", "matching_pos", head, 0, chimeric, 1)
+            out.add("side", "matching_pos", head[chimeric], 1,
+                    n_extra[chimeric], SIDE_COUNT_BITS)
+            out.add_pairs("side", "matching_pos", head[self.extra_row], 2,
+                          self.extra_core, self.extra_cons, (w_rlen, w_cons))
         if level.tuned_mismatch:
-            count_class = tables["count"].classify(self.n_subs)
-            count_width = tables["count"].widths_np[count_class]
-            code, code_width = unary(count_class)
-            pos_class = tables["mmp"].classify(self.deltas)
-            pos_width = tables["mmp"].widths_np[pos_class]
-            out["mmpga"] = interleaved(
-                ((code << count_width) | self.n_subs,
-                 code_width + count_width), unary(pos_class))
-            out["mmpa"] = self.deltas, pos_width, self.sub_bounds
-            charges["mismatch_counts"] = (code_width + count_width).sum()
-            charges["mismatch_pos"] = (pos_class + 1 + pos_width).sum()
+            out.add_coded("mmpga", "mmpga", "mismatch_counts", head, 0,
+                          self.count, tables["count"])
         else:
-            out["mmpga"] = self.n_subs, np.full(n, RAW_COUNT_BITS), reads
-            out["mmpa"] = self.pos, np.full(n_subs, w_rlen), self.sub_bounds
-            charges["mismatch_counts"] = RAW_COUNT_BITS * n
-            charges["mismatch_pos"] = w_rlen * n_subs
-        for category, nbits in charges.items():
-            if nbits:
-                breakdown.charge(category, int(nbits))
-        return out
+            out.add("mmpga", "mismatch_counts", head, 0, self.count,
+                    RAW_COUNT_BITS)
 
+        # Corner cases: below O4 two indicator bits per read; a corner
+        # read's payload either way (at O4 its pseudo-entry flags it).
+        flags = 2 * self.has_n + self.has_clip
+        if not level.corner_marker:
+            out.add("corner", "contains_n", head, 0, flags, 2)
+        corner = self.has_n | self.has_clip
+        out.add("corner", "contains_n", head[corner], 1, flags[corner], 2)
+        out.add("corner", "contains_n", head[self.has_n], 2,
+                self.n_runs[self.has_n], N_RUN_BITS)
+        out.add_pairs("corner", "contains_n", head[self.run_row], 3,
+                      self.run_pos, self.run_len, (w_rlen, N_RUN_BITS))
+        clipped = np.flatnonzero(self.has_clip)
+        clip_s, clip_e = self.clip_s[clipped], self.clip_e[clipped]
+        out.add_pairs("corner", "contains_n", head[clipped], 4, clip_s,
+                      clip_e, (w_rlen, w_rlen))
+        of, at = _pieces(clip_s + clip_e)
+        at += np.where(at < clip_s[of], 0,
+                       self.lengths[clipped][of] - clip_s[of] - clip_e[of])
+        out.add("corner", "contains_n", head[clipped][of], 5,
+                self.oriented(clipped[of], at), 3)      # 3-bit packed,
+        out.add("corner", "contains_n", head[clipped], 6, 0,
+                -3 * (clip_s + clip_e) % 8)             # to a byte
 
-def _reads_with_n(read_set: ReadSet) -> np.ndarray:
-    """Per read: does it hold an ``N``?"""
-    out = np.zeros(len(read_set), dtype=bool)
-    out[np.searchsorted(read_set.offsets,
-                        np.nonzero(read_set.codes == seq.N_CODE)[0],
-                        "right") - 1] = True
-    return out
+        # Mismatch entries: O4's pseudo-entry (position 0, then a 1 bit),
+        # each event's position, O4's 0 bit ahead of a real entry at 0,
+        # the body.
+        if level.corner_marker:
+            pseudo = head[self.pseudo] + 1
+            out.add_coded("mmpga", "mmpa", "mismatch_pos", pseudo, 0,
+                          np.zeros(pseudo.size, dtype=np.int64),
+                          tables["mmp"])
+            out.add("mbta", "mismatch_types", pseudo, 0, 1, 1)
+            at_zero = self.first & (self.pos == 0) & ~self.pseudo[self.row]
+            out.add("mbta", "mismatch_types", entry[at_zero], 0, 0, 1)
+        if level.tuned_mismatch:
+            out.add_coded("mmpga", "mmpa", "mismatch_pos", entry, 0,
+                          self.delta, tables["mmp"])
+        else:
+            out.add("mmpa", "mismatch_pos", entry, 1, self.pos, w_rlen)
+        sub = self.kind == TYPE_SUB
+        indel = ~sub
+        if level.type_inference:
+            # Marker scheme (§5.1.2): base == consensus base <=> indel.
+            out.add("mbta", "mismatch_bases", entry, 2, self.base, 2)
+            out.add("mbta", "mismatch_types", entry[indel], 3,
+                    np.where(self.kind[indel] == TYPE_INS, INDEL_INS,
+                             INDEL_DEL), 1)
+        else:
+            out.add("mbta", "mismatch_types", entry, 1, self.kind, 2)
+            out.add("mbta", "mismatch_bases", entry[sub], 2, self.base[sub],
+                    2)
+        if level.indel_blocks:
+            lengths = self.length[indel]
+            if "indel" in tables:
+                # Extension: Algorithm-1 classes for indel lengths, for
+                # read sets where longer indels are frequent (§5.1.1).
+                out.add_coded("mmpga", "mmpa", "mismatch_pos", entry[indel],
+                              1, lengths, tables["indel"])
+            else:
+                single = lengths == 1
+                out.add("mmpga", "mismatch_pos", entry[indel], 1, single, 1)
+                out.add("mmpa", "mismatch_pos", entry[indel][~single], 2,
+                        lengths[~single], INDEL_LENGTH_BITS)
+        out.add("mbta", "mismatch_bases", entry[self.ins_event], 4,
+                self.ins_base, 2)
 
 
 class SAGeCompressor:
@@ -255,6 +417,12 @@ class SAGeCompressor:
         if self.consensus.size and self.consensus.max() >= 4:
             raise CompressionError("consensus must be A/C/G/T only")
         self.config = config or SAGeConfig()
+        segments = (self.config.mapper or MapperConfig()).max_segments
+        if not 1 <= segments <= MAX_SEGMENTS:
+            raise CompressionError(
+                f"mapper.max_segments={segments} is outside "
+                f"1..{MAX_SEGMENTS}: the side stream counts a chimeric "
+                f"read's extra segments in {SIDE_COUNT_BITS} bits")
         # Mappers are expensive to build (k-mer index over the consensus);
         # cache them so repeated compress() calls — the per-block loop of
         # the streaming engine — reuse the index.
@@ -300,34 +468,31 @@ class SAGeCompressor:
             long_reads = not read_set.is_fixed_length
         mapper = self._build_mapper(level, long_reads)
 
-        reads = read_set.read_codes()    # no ``Read`` is built to encode
-        mappings = mapper.map_batch(reads)
-        has_n = _reads_with_n(read_set).tolist()
-
-        # Mapped reads as (matching position, input index, plan): a
-        # simple read has no plan and stays in columns.
-        rows: list[tuple[int, int, _ReadPlan | None]] = []
-        unmapped: list[tuple[int, _UnmappedPlan]] = []
-        for idx, (codes, mapping) in enumerate(zip(reads, mappings)):
-            if mapping.unmapped:
-                unmapped.append((idx, _UnmappedPlan(codes)))
-            elif _is_simple(mapping, has_n[idx]):
-                rows.append((mapping.segments[0].cons_start, idx, None))
-            else:
-                plan = self._plan_read(codes, mapping)
-                rows.append((plan.first_cons, idx, plan))
-        if level.reorder:
-            rows.sort()      # (position, index) is unique: no plan compared
-        simple = _SimpleReads([mappings[idx] for _, idx, plan in rows
-                               if plan is None])
-        return self._encode(read_set, rows, simple,
-                            [u for _, u in unmapped],
-                            [idx for _, idx, _ in rows]
-                            + [idx for idx, _ in unmapped],
-                            level, long_reads)
+        mappings = mapper.map_batch(read_set.read_codes())
+        runs = _n_runs(read_set)
+        # Stored raw, in input order: the unmapped reads, and those with
+        # more N runs than a corner payload lists (the 3-bit raw payload
+        # holds N as it is).
+        raw = _column(mappings, attrgetter("unmapped"), bool) | (np.bincount(
+            runs[0], weights=-(-runs[2] // MAX_N_RUN),
+            minlength=len(read_set)) > MAX_N_RUN)
+        rows = np.flatnonzero(~raw)
+        segments = [m.segments if len(m.segments) < 2
+                    else sorted(m.segments, key=_READ_START)
+                    for m in map(mappings.__getitem__, rows.tolist())]
+        if level.reorder:        # by matching position, then input index
+            order = np.lexsort((rows, np.fromiter(
+                (segs[0].cons_start for segs in segments), np.int64,
+                rows.size)))
+            rows = rows[order]
+            segments = list(map(segments.__getitem__, order.tolist()))
+        mapped = _MappedReads(self.consensus, read_set, rows, segments,
+                              mappings, runs, level)
+        return self._encode(read_set, mapped, np.flatnonzero(raw), level,
+                            long_reads)
 
     # ------------------------------------------------------------------
-    # Mapping & planning
+    # Mapping
     # ------------------------------------------------------------------
 
     def _build_mapper(self, level: OptLevel, long_reads: bool) -> ReadMapper:
@@ -367,72 +532,15 @@ class SAGeCompressor:
             self._index_cache[key] = index
         return index
 
-    def _plan_read(self, codes: np.ndarray,
-                   mapping: MappingResult) -> _ReadPlan:
-        cons = self.consensus
-        oriented = (seq.reverse_complement(codes) if mapping.reverse
-                    else codes)
-        clip_s, clip_e = mapping.clip_start, mapping.clip_end
-        n_runs = _find_runs(oriented, seq.N_CODE)
-
-        events: list[_Event] = []
-        extra: list[tuple[int, int]] = []
-        segments = sorted(mapping.segments, key=lambda s: s.read_start)
-        for seg_idx, segment in enumerate(segments):
-            core_start = segment.read_start - int(clip_s.size)
-            if seg_idx:
-                extra.append((core_start, segment.cons_start))
-            shift = 0
-            for op in segment.ops:
-                cons_pos = segment.cons_start + op.read_pos + shift
-                marker = int(cons[cons_pos]) if cons_pos < cons.size else 0
-                pos = core_start + op.read_pos
-                if op.kind == SUB:
-                    base = int(op.bases[0])
-                    if base == seq.N_CODE:
-                        base = (marker + 1) % 4
-                    events.append(_Event(SUB, pos, 1,
-                                         np.array([base], dtype=np.uint8),
-                                         marker))
-                elif op.kind == INS:
-                    bases = op.bases.copy()
-                    bases[bases == seq.N_CODE] = 0
-                    for off in range(0, op.length, MAX_INDEL_BLOCK):
-                        chunk = bases[off:off + MAX_INDEL_BLOCK]
-                        events.append(_Event(INS, pos + off,
-                                             int(chunk.size), chunk, marker))
-                    shift -= op.length
-                else:  # DEL
-                    remaining = op.length
-                    local_shift = shift
-                    while remaining > 0:
-                        chunk = min(remaining, MAX_INDEL_BLOCK)
-                        cpos = segment.cons_start + op.read_pos + local_shift
-                        mark = int(cons[cpos]) if cpos < cons.size else 0
-                        events.append(_Event(
-                            DEL, pos, chunk,
-                            np.empty(0, dtype=np.uint8), mark))
-                        local_shift += chunk
-                        remaining -= chunk
-                    shift += op.length
-
-        return _ReadPlan(length=int(codes.size), reverse=mapping.reverse,
-                         events=events,
-                         first_cons=segments[0].cons_start,
-                         extra_segments=extra, clip_start=clip_s,
-                         clip_end=clip_e, n_runs=n_runs)
-
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
 
-    def _encode(self, read_set: ReadSet,
-                rows: list[tuple[int, int, _ReadPlan | None]],
-                simple: _SimpleReads, unmapped: list[_UnmappedPlan],
-                permutation: list[int], level: OptLevel,
+    def _encode(self, read_set: ReadSet, mapped: _MappedReads,
+                unmapped: np.ndarray, level: OptLevel,
                 long_reads: bool) -> SAGeBlock:
-        """Emit the mapped reads ``rows`` (emission order; ``simple``
-        holds the ones without a plan) and the ``unmapped`` ones."""
+        """Emit the ``mapped`` reads, then the ``unmapped`` ones (input
+        indices, stored raw)."""
         cfg = self.config
         fixed_length = read_set.is_fixed_length
         read_lengths = read_set.read_lengths()
@@ -443,54 +551,33 @@ class SAGeCompressor:
         w_cons = max(1, int(self.consensus.size).bit_length())
         breakdown = SizeBreakdown()
 
-        first_cons = np.array([row[0] for row in rows], dtype=np.int64)
-        lengths = read_lengths[permutation[:len(rows)]]
-        # The reads that need scalar handling: (row, plan, events).
-        planned = [(at, plan, self._expand_events(plan, level))
-                   for at, (_, _, plan) in enumerate(rows)
-                   if plan is not None]
+        permutation = np.concatenate((mapped.rows, unmapped))
+        emitted = read_set.subset(permutation)
+        n_mapped = mapped.rows.size
+        first_cons, lengths = mapped.first_cons, mapped.lengths
 
         # ---- Algorithm 1 tuning over the read set's statistics ----
         tables: dict[str, AssociationTable] = {}
         if level.reorder:
             mp_deltas = np.diff(first_cons, prepend=0)
             tables["mp"] = tune_values(mp_deltas, cfg.epsilon).table \
-                if rows else AssociationTable((w_cons,))
+                if n_mapped else AssociationTable((w_cons,))
         if level.tuned_mismatch:
-            counts, pos_values = [], []
-            for _, plan, events in planned:
-                pseudo = 1 if (level.corner_marker and plan.is_corner) else 0
-                counts.append(len(events) + pseudo)
-                prev_pos = 0
-                if pseudo:
-                    pos_values.append(0)
-                for event in events:
-                    pos_values.append(event.pos - prev_pos)
-                    prev_pos = event.pos
-            counts = np.append(simple.n_subs, np.array(counts, np.int64))
-            pos_values = np.append(simple.deltas,
-                                   np.array(pos_values, np.int64))
-            tables["count"] = tune_values(counts, cfg.epsilon).table \
-                if counts.size else AssociationTable((1,))
-            tables["mmp"] = tune_values(pos_values, cfg.epsilon).table \
-                if pos_values.size else AssociationTable((1,))
+            tables["count"] = tune_values(mapped.count, cfg.epsilon).table
+            tables["mmp"] = tune_values(np.append(
+                mapped.delta, np.zeros(mapped.pseudo.sum(), np.int64)),
+                cfg.epsilon).table
         if not fixed_length:
             tables["len"] = tune_values(lengths, cfg.epsilon).table \
-                if rows else AssociationTable((w_rlen,))
+                if n_mapped else AssociationTable((w_rlen,))
         if cfg.tuned_indel_lengths and level.indel_blocks:
-            block_lengths = [ev.length for _, _, events in planned
-                             for ev in events if ev.kind != SUB]
             tables["indel"] = tune_values(
-                block_lengths, cfg.epsilon).table \
-                if block_lengths else AssociationTable((1,))
+                mapped.length[mapped.kind != TYPE_SUB], cfg.epsilon).table
 
         writers = {name: BitWriter() for name in BLOCK_STREAM_NAMES}
 
-        # ---- column passes: streams owned by a single field kind are
-        # emitted as one batched run per block.  Byte-identical to the
-        # historical per-read interleave because no other field ever
-        # writes to these streams. ----
-        if rows:
+        # ---- streams owned by a single per-read field ----
+        if n_mapped:
             if not fixed_length:
                 stream = writers["lengths"]
                 tables["len"].encode_run(lengths, stream, stream)
@@ -504,34 +591,30 @@ class SAGeCompressor:
                              writers["mpga"].bit_length
                              + writers["mpa"].bit_length)
 
-        # ---- the interleaved per-read remainder: each run of simple
-        # reads between two planned ones leaves as columns, so every
-        # stream sees the scalar path's fields in the scalar order. ----
-        fields = simple.fields(tables, level, level.chimeric and long_reads,
-                               w_rlen, breakdown)
-        written = 0                      # simple reads emitted so far
-        for n_planned, (at, plan, events) in enumerate(
-                planned + [(len(rows), None, None)]):
-            upto = at - n_planned        # simple reads ahead of row ``at``
-            if upto > written:
-                for name, (values, widths, bounds) in fields.items():
-                    lo, hi = bounds[written], bounds[upto]
-                    writers[name].write_fields(values[lo:hi], widths[lo:hi])
-                written = upto
-            if plan is not None:
-                self._write_read(plan, events, writers, tables, breakdown,
-                                 level, long_reads, w_rlen, w_cons)
-        self._write_unmapped(unmapped, writers["unmapped"], breakdown,
-                             fixed_length, w_rlen)
+        # ---- the rest, every field keyed by its place in emission
+        # order: one write_fields per stream ----
+        fields = _Fields()
+        mapped.fields(fields, tables, level, level.chimeric and long_reads,
+                      w_rlen, w_cons)
+        # Unmapped reads: a length field (variable-length blocks), then
+        # every base as a 3-bit field, zero-padded to a byte.
+        raw_lengths = np.diff(emitted.offsets[n_mapped:])
+        raw = np.arange(raw_lengths.size)
+        if not fixed_length:
+            fields.add("unmapped", "unmapped", raw, 0, raw_lengths, w_rlen)
+        fields.add("unmapped", "unmapped", np.repeat(raw, raw_lengths), 1,
+                   emitted.codes[emitted.offsets[n_mapped]:], 3)
+        fields.add("unmapped", "unmapped", raw, 2, 0, -3 * raw_lengths % 8)
+        breakdown.charge("unmapped", 0)     # stated even when empty
+        fields.emit(writers, breakdown)
 
-        if cfg.preserve_order and permutation:
+        if cfg.preserve_order and permutation.size:
             w_reads = max(1, (len(read_set) - 1).bit_length())
             order = writers["order"]
             order.write_run(permutation, w_reads)
             breakdown.charge("header", order.bit_length)
 
         # Headers and scores leave in emission order: one gather.
-        emitted = read_set.subset(permutation)
         headers_blob = None
         if cfg.with_headers and len(read_set):
             headers_blob = headers_codec.compress_headers(emitted.headers)
@@ -546,220 +629,9 @@ class SAGeCompressor:
         streams = {name: (w.getvalue(), w.bit_length)
                    for name, w in writers.items()}
         return SAGeBlock(
-            n_mapped=len(rows), n_unmapped=len(unmapped),
+            n_mapped=n_mapped, n_unmapped=len(unmapped),
             long_reads=long_reads, fixed_length=fixed_length,
             fixed_read_length=fixed_len, w_rlen=w_rlen, tables=tables,
             streams=streams, quality=quality_blob,
             headers_blob=headers_blob, breakdown=breakdown,
-            permutation=np.array(permutation, dtype=np.int64))
-
-    # -- helpers -------------------------------------------------------
-
-    def _expand_events(self, plan: _ReadPlan,
-                       level: OptLevel) -> list[_Event]:
-        """Below O2 indel blocks are stored one base at a time."""
-        if level.indel_blocks:
-            return plan.events
-        out: list[_Event] = []
-        for ev in plan.events:
-            if ev.kind == SUB or ev.length == 1:
-                out.append(ev)
-            elif ev.kind == INS:
-                for i in range(ev.length):
-                    out.append(_Event(INS, ev.pos + i, 1,
-                                      ev.bases[i:i + 1], ev.marker))
-            else:
-                for _ in range(ev.length):
-                    out.append(_Event(DEL, ev.pos, 1, ev.bases, ev.marker))
-        return out
-
-    def _write_read(self, plan: _ReadPlan, events: list[_Event],
-                    writers: dict[str, BitWriter],
-                    tables: dict[str, AssociationTable],
-                    breakdown: SizeBreakdown, level: OptLevel,
-                    long_reads: bool, w_rlen: int, w_cons: int) -> None:
-        mbta, side = writers["mbta"], writers["side"]
-        corner = writers["corner"]
-        mmpga = writers["mmpga"]
-
-        # Read lengths and matching positions are emitted as batched
-        # column passes in :meth:`_encode` (their streams are exclusive
-        # to those fields); this method writes the interleaved per-read
-        # remainder.
-
-        # Rev flag.
-        mbta.write_bit(plan.reverse)
-        breakdown.charge("rev", 1)
-
-        # Chimeric side info (O3+, long reads only; the side stream is
-        # charged to Fig. 17 "Matching Pos." with the mp arrays).
-        if level.chimeric and long_reads:
-            start = side.bit_length
-            side.write_bit(1 if plan.extra_segments else 0)
-            if plan.extra_segments:
-                side.write(len(plan.extra_segments), 2)
-                for core_start, cons_start in plan.extra_segments:
-                    side.write(core_start, w_rlen)
-                    side.write(cons_start, w_cons)
-            breakdown.charge("matching_pos", side.bit_length - start)
-
-        # Mismatch count (Fig. 17 "Mismatch Counts").
-        pseudo = 1 if (level.corner_marker and plan.is_corner) else 0
-        count = len(events) + pseudo
-        start = mmpga.bit_length
-        if level.tuned_mismatch:
-            tables["count"].encode(count, mmpga, mmpga)
-        else:
-            mmpga.write(count, RAW_COUNT_BITS)
-        breakdown.charge("mismatch_counts", mmpga.bit_length - start)
-
-        # Corner handling below O4: per-read indicator bits.
-        if not level.corner_marker:
-            corner.write_bit(bool(plan.n_runs))
-            corner.write_bit(plan.clip_start.size > 0
-                             or plan.clip_end.size > 0)
-            breakdown.charge("contains_n", 2)
-            if plan.is_corner:
-                self._write_corner_payload(plan, corner, breakdown, w_rlen)
-
-        # Mismatch entries.
-        prev_pos = 0
-        first_entry = True
-        if pseudo:
-            self._write_position(0, writers, tables, breakdown, level,
-                                 w_rlen)
-            mbta.write_bit(1)  # corner disambiguation: is a corner case
-            breakdown.charge("mismatch_types", 1)
-            self._write_corner_payload(plan, corner, breakdown, w_rlen)
-            first_entry = False
-        for event in events:
-            delta = event.pos - prev_pos
-            value = delta if level.tuned_mismatch else event.pos
-            self._write_position(value, writers, tables, breakdown, level,
-                                 w_rlen)
-            prev_pos = event.pos
-            if (level.corner_marker and first_entry and event.pos == 0):
-                mbta.write_bit(0)  # real mismatch at position 0
-                breakdown.charge("mismatch_types", 1)
-            first_entry = False
-            self._write_event_body(event, writers, tables, breakdown,
-                                   level)
-
-    def _write_position(self, value: int, writers: dict[str, BitWriter],
-                        tables: dict[str, AssociationTable],
-                        breakdown: SizeBreakdown, level: OptLevel,
-                        w_rlen: int) -> None:
-        mmpa, mmpga = writers["mmpa"], writers["mmpga"]
-        start = mmpa.bit_length + mmpga.bit_length
-        if level.tuned_mismatch:
-            tables["mmp"].encode(value, mmpga, mmpa)
-        else:
-            mmpa.write(value, w_rlen)
-        breakdown.charge("mismatch_pos",
-                         mmpa.bit_length + mmpga.bit_length - start)
-
-    def _write_event_body(self, event: _Event,
-                          writers: dict[str, BitWriter],
-                          tables: dict[str, AssociationTable],
-                          breakdown: SizeBreakdown,
-                          level: OptLevel) -> None:
-        mbta = writers["mbta"]
-        mmpa, mmpga = writers["mmpa"], writers["mmpga"]
-
-        if level.type_inference:
-            # Marker scheme (§5.1.2): base == consensus base <=> indel.
-            if event.kind == SUB:
-                mbta.write(int(event.bases[0]), 2)
-                breakdown.charge("mismatch_bases", 2)
-            else:
-                mbta.write(event.marker, 2)
-                mbta.write_bit(INDEL_INS if event.kind == INS
-                               else INDEL_DEL)
-                breakdown.charge("mismatch_bases", 2)
-                breakdown.charge("mismatch_types", 1)
-                self._write_indel_length(event, mmpa, mmpga, tables,
-                                         breakdown, level)
-                if event.kind == INS:
-                    mbta.write_run(event.bases, 2)
-                    breakdown.charge("mismatch_bases", 2 * event.length)
-        else:
-            type_code = {SUB: TYPE_SUB, INS: TYPE_INS,
-                         DEL: TYPE_DEL}[event.kind]
-            mbta.write(type_code, 2)
-            breakdown.charge("mismatch_types", 2)
-            if event.kind == SUB:
-                mbta.write(int(event.bases[0]), 2)
-                breakdown.charge("mismatch_bases", 2)
-            else:
-                self._write_indel_length(event, mmpa, mmpga, tables,
-                                         breakdown, level)
-                if event.kind == INS:
-                    mbta.write_run(event.bases, 2)
-                    breakdown.charge("mismatch_bases", 2 * event.length)
-
-    @staticmethod
-    def _write_indel_length(event: _Event, mmpa: BitWriter,
-                            mmpga: BitWriter,
-                            tables: dict[str, AssociationTable],
-                            breakdown: SizeBreakdown,
-                            level: OptLevel) -> None:
-        if not level.indel_blocks:
-            return
-        start = mmpa.bit_length + mmpga.bit_length
-        if "indel" in tables:
-            # Extension: Algorithm-1 classes for indel lengths, for read
-            # sets where longer indels are frequent (§5.1.1).
-            tables["indel"].encode(event.length, mmpga, mmpa)
-        else:
-            mmpga.write_bit(1 if event.length == 1 else 0)
-            if event.length != 1:
-                mmpa.write(event.length, INDEL_LENGTH_BITS)
-        breakdown.charge("mismatch_pos",
-                         mmpa.bit_length + mmpga.bit_length - start)
-
-    def _write_corner_payload(self, plan: _ReadPlan, corner: BitWriter,
-                              breakdown: SizeBreakdown,
-                              w_rlen: int) -> None:
-        start = corner.bit_length
-        corner.write_bit(bool(plan.n_runs))
-        corner.write_bit(plan.clip_start.size > 0
-                         or plan.clip_end.size > 0)
-        if plan.n_runs:
-            corner.write(len(plan.n_runs), 8)
-            for pos, run in plan.n_runs:
-                corner.write(pos, w_rlen)
-                corner.write(run, 8)
-        if plan.clip_start.size or plan.clip_end.size:
-            corner.write(int(plan.clip_start.size), w_rlen)
-            corner.write(int(plan.clip_end.size), w_rlen)
-            clip = np.concatenate([plan.clip_start, plan.clip_end])
-            corner.write_bytes(pack_bits(clip, 3))
-        breakdown.charge("contains_n", corner.bit_length - start)
-
-    def _write_unmapped(self, unmapped: list[_UnmappedPlan],
-                        writer: BitWriter, breakdown: SizeBreakdown,
-                        fixed_length: bool, w_rlen: int) -> None:
-        start = writer.bit_length
-        for plan in unmapped:
-            if not fixed_length:
-                writer.write(int(plan.codes.size), w_rlen)
-            writer.write_bytes(pack_bits(plan.codes, 3))
-        breakdown.charge("unmapped", writer.bit_length - start)
-
-
-def _find_runs(codes: np.ndarray, target: int) -> list[tuple[int, int]]:
-    """(start, length) runs of ``target`` in ``codes`` (length <= 255)."""
-    mask = codes == target
-    if not mask.any():
-        return []
-    padded = np.concatenate([[False], mask, [False]])
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    runs: list[tuple[int, int]] = []
-    for s, e in zip(starts, ends):
-        length = int(e - s)
-        for off in range(0, length, 255):
-            runs.append((int(s) + off, min(255, length - off)))
-    return runs
-
+            permutation=permutation)

@@ -462,6 +462,29 @@ def blocks_held_as_columns(source, where):
     return offenders
 
 
+#: Per-field writes: a bit, a field, a unary code, one prefix-coded value.
+_FIELD_WRITES = {"write", "write_bit", "write_unary", "encode"}
+
+
+def streams_written_in_bulk(source, where):
+    """The encoder holds a block as columns down to the bytes: the
+    compressor has no per-read plan or event objects and makes no
+    per-field write — each stream leaves through ``write_fields`` /
+    ``write_run`` / ``encode_run`` / ``write_bytes``."""
+    if where != "src/repro/core/compressor.py":
+        return []
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "name", None)}
+        offenders += [f"{where}:{node.lineno} {name}"
+                      for name in sorted(names & {"_Event", "_ReadPlan"})]
+        if isinstance(node, ast.Call) \
+                and getattr(node.func, "attr", None) in _FIELD_WRITES:
+            offenders.append(f"{where}:{node.lineno} .{node.func.attr}(")
+    return offenders
+
+
 # ----------------------------------------------------------------------
 # Extension stated once (PR 24): how a chain becomes a segment — which
 # alignments it leaves open (plan) and how their results become ops,
@@ -926,6 +949,28 @@ class TestOptionsThreadingEdges:
                 if isinstance(node, (ast.Import, ast.ImportFrom))] == []
         assert files_mentioning("PropertySink", "iter_reads") == []
 
+    def test_streams_leave_in_bulk(self):
+        """The encoder's side of the same contract: a block's mapped and
+        unmapped reads become stream fields as columns, and each stream
+        leaves in bulk (``streams_written_in_bulk``); the per-field
+        writers stay, as the references the bulk ones are tested
+        against."""
+        assert on_tree(streams_written_in_bulk, "src") == []
+        for violating in ("mbta.write_bit(plan.reverse)\n",
+                          "side.write(len(extra), 2)\n",
+                          "tables['count'].encode(count, mmpga, mmpga)\n",
+                          "guide.write_unary(idx)\n",
+                          "events: list[_Event] = []\n",
+                          "class _ReadPlan:\n    pass\n"):
+            assert on_snippet(streams_written_in_bulk, violating,
+                              "src/repro/core/compressor.py") != [], violating
+        assert on_snippet(streams_written_in_bulk,
+                          "writer.write_fields(values, widths)\n"
+                          "table.encode_run(values, guide, array)\n",
+                          "src/repro/core/compressor.py") == []
+        assert on_snippet(streams_written_in_bulk, "writer.write(1, 1)\n",
+                          "src/repro/core/container.py") == []
+
     def test_extension_is_stated_once(self):
         """A mapper kernel overrides the job solver and nothing else of
         the chain -> segment logic; the scalar aligners are called from
@@ -969,7 +1014,8 @@ class TestOptionsThreadingEdges:
                 def _solve_jobs(self, jobs):
                     return solve_extension_jobs(jobs, self.stats)
             """, "src/repro/mapping/mapper.py") == []
-        # The compressor's own _plan_read is no mapper's segment logic.
+        # A _plan_read on a class that is no ReadMapper is not segment
+        # logic.
         assert on_snippet(extension_stated_once, """\
             class SAGeCompressor:
                 def _plan_read(self, read, mapping):
