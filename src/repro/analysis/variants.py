@@ -48,10 +48,6 @@ class VariantCall:
     depth: int
     alt_count: int
 
-    @property
-    def alt_fraction(self) -> float:
-        return self.alt_count / max(1, self.depth)
-
 
 @dataclass
 class Pileup:

@@ -368,9 +368,8 @@ class SAGeDataset:
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize the archive: a loaded archive keeps the container
-        version it was loaded from, a newly built one is written as the
-        checksummed v4."""
+        """Serialize the archive as the checksummed v4 (a loaded v3
+        archive is upgraded; see :meth:`SAGeArchive.to_bytes`)."""
         return self._archive.to_bytes()
 
     def save(self, path: str | Path) -> int:
@@ -427,15 +426,14 @@ class SAGeDataset:
     def salvage(self) -> SalvageReport:
         """Recover every intact block from a (possibly damaged) archive.
 
-        Runs a streaming decode under ``on_error="salvage"``: each
-        failing block is retried (last attempt on the ``python``
-        reference kernel) and, if unrecoverable, recorded as a
-        :class:`BlockGap` instead of killing the stream.  Returns the
-        recovered reads plus per-block loss accounting.
+        Runs a streaming decode under ``on_error="skip"``: a block that
+        fails to decode (after the session's pooled-failure retries) is
+        recorded as a :class:`BlockGap` instead of killing the stream.
+        Returns the recovered reads plus per-block loss accounting.
         """
         self._require_open()
         executor = self._make_executor(
-            self.options.replace(on_error="salvage"))
+            self.options.replace(on_error="skip"))
         sink = CollectSink()
         [read_set] = executor.run(sink)
         return SalvageReport(

@@ -7,10 +7,13 @@ bytes, :class:`BitReader` consumes them strictly sequentially — there is no
 random access, by construction, matching the streaming-access contract.
 
 :class:`BitWriter` is the one stream writer — every archive stream, the
-quality codec and the container are written through it.  On the read
-side :class:`BitReader` is the *reference* (bit-serial) primitive; the
-numpy decode kernel (:mod:`repro.core.kernels`) reads the same bytes
-through ``FastReader``, a drop-in with O(1) field and unary reads.
+quality codec and the container are written through it — and
+:class:`BitReader` the one sequential reader: the reference walk, the
+numpy decode kernel's side streams (:mod:`repro.core.kernels`), the
+container and quality parsers, and the hardware model, whose units'
+consumed bits are each stream reader's :attr:`BitReader.position` after
+the walk.  The numpy kernel's hot streams skip the reader altogether and
+gather fields from whole-stream windows.
 """
 
 from __future__ import annotations
@@ -271,14 +274,21 @@ class BitReader:
         return count
 
     def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` raw bytes (fast path when byte-aligned)."""
-        if self._pos + 8 * count > self._limit:
+        """Read ``count`` raw bytes: a slice when byte-aligned, else one
+        vectorized shift over the ``count + 1`` bytes they straddle."""
+        pos = self._pos
+        if pos + 8 * count > self._limit:
             raise self._past_end(8 * count)
-        if self._pos & 7 == 0:
-            start = self._pos >> 3
-            self._pos += 8 * count
+        start, skew = pos >> 3, pos & 7
+        self._pos = pos + 8 * count
+        if skew == 0:
             return bytes(self._data[start:start + count])
-        return bytes(self.read(8) for _ in range(count))
+        # In bounds: the last bit read lies inside the buffer, so byte
+        # ``start + count`` (holding it) does too.
+        span = np.frombuffer(self._data, dtype=np.uint8, count=count + 1,
+                             offset=start).astype(np.uint16)
+        return ((span[:-1] << skew | span[1:] >> (8 - skew)) & 0xFF) \
+            .astype(np.uint8).tobytes()
 
     def align_to_byte(self) -> None:
         """Skip forward to the next byte boundary."""

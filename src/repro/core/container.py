@@ -15,10 +15,9 @@ The **version 4** layout is v3 plus end-to-end integrity digests: a
 CRC32 over the global header, a CRC32 over the consensus payload, and a
 CRC32 per block payload carried in the block index — so a flipped bit
 anywhere is *detected* and *localized* to one block instead of decoding
-into silent garbage.  Version 3 blobs are still read by
-:meth:`SAGeArchive.from_bytes` and re-emitted by
-:meth:`SAGeArchive.to_bytes`; re-serializing a loaded archive preserves
-its version byte-identically.
+into silent garbage.  v4 is the one layout written: version 3 blobs are
+still read by :meth:`SAGeArchive.from_bytes`, and re-saving one writes
+v4 (the same bytes plus the digests).
 
 Byte layout (v4; v3 is the same without the ``crc`` fields)::
 
@@ -58,10 +57,10 @@ from .prefix_codes import AssociationTable
 
 MAGIC = 0x53414745  # "SAGE"
 
-#: Current (checksummed) layout and the default write version.
+#: Current (checksummed) layout, the one version written.
 VERSION = 4
 
-#: Block-based layout without integrity digests, still fully supported.
+#: Block-based layout without integrity digests, still read.
 V3_VERSION = 3
 
 #: Streams in serialization order.  ``consensus`` is the packed consensus;
@@ -75,14 +74,9 @@ BLOCK_STREAM_NAMES = STREAM_NAMES[1:]
 #: Table identifiers in serialization order.
 _TABLE_ORDER = ("mp", "count", "mmp", "len", "indel")
 
-#: Bits per v3 block-index entry (n_mapped 40 + n_unmapped 40 + size 32);
-#: v4 appends a 32-bit payload CRC.
-_INDEX_ENTRY_BITS = 112
-
-
-def _index_entry_bits(version: int) -> int:
-    return _INDEX_ENTRY_BITS + 32 if version >= VERSION \
-        else _INDEX_ENTRY_BITS
+#: Bytes per v4 block-index entry: n_mapped 40 + n_unmapped 40 + size
+#: 32 + payload crc32 32 bits (v3 entries lack the crc).
+_INDEX_ENTRY_NBYTES = 18
 
 
 def _checksum(payload: bytes) -> int:
@@ -343,8 +337,8 @@ class SAGeArchive:
     @classmethod
     def from_blocks(cls, blocks: list[SAGeBlock], *, level: OptLevel,
                     consensus: tuple[bytes, int], consensus_length: int,
-                    preserve_order: bool = False, name: str = "",
-                    source_version: int = VERSION) -> "SAGeArchive":
+                    preserve_order: bool = False,
+                    name: str = "") -> "SAGeArchive":
         """Build an archive around parsed ``blocks`` (at least one).
 
         The single place that knows how blocks combine with the shared
@@ -374,7 +368,7 @@ class SAGeArchive:
             w_cons=max(1, consensus_length.bit_length()),
             consensus=consensus, blocks=list(blocks),
             preserve_order=preserve_order, breakdown=breakdown,
-            name=name, source_version=source_version)
+            name=name)
         breakdown.charge("header", 8 * archive.header_bytes_estimate())
         return archive
 
@@ -550,20 +544,19 @@ class SAGeArchive:
             [self.block(index)], level=self.level,
             consensus=self.consensus,
             consensus_length=self.consensus_length,
-            preserve_order=self.preserve_order, name=self.name,
-            source_version=self.source_version)
+            preserve_order=self.preserve_order, name=self.name)
 
     def block_index(self) -> list[BlockIndexEntry]:
         """The top-level index: per-block read counts, payload sizes and
         the global position of each block's first read.
 
-        Offsets always locate the payload within the serialized blob
-        (:meth:`to_bytes`), whether the archive was loaded from bytes or
-        built in memory.
+        Offsets locate each payload within the blob the archive was
+        loaded from, or within :meth:`to_bytes` for an archive built in
+        memory (the two differ only for a loaded v3 archive, whose
+        re-save adds the digests).
         """
         if self._index is None:
             # Built in memory: every block is parsed.
-            checksummed = self.source_version >= VERSION
             offset = self.header_fixed_nbytes() + len(self.consensus[0])
             first_read = 0
             entries: list[BlockIndexEntry] = []
@@ -572,8 +565,7 @@ class SAGeArchive:
                 payload = blk.serialize()
                 entries.append(BlockIndexEntry(
                     blk.n_mapped, blk.n_unmapped, len(payload), offset,
-                    _checksum(payload) if checksummed else None,
-                    first_read))
+                    _checksum(payload), first_read))
                 offset += len(payload)
                 first_read += blk.n_reads
             self._index = entries
@@ -621,16 +613,14 @@ class SAGeArchive:
         """Header material that needs no block parsing.
 
         The global header, the consensus stream framing, and the block
-        index.  Unlike :meth:`header_bytes_estimate` this never touches
-        a block payload, so lazy consumers (``sage inspect``) can price
-        the fixed overhead without materializing any block.
+        index, as :meth:`to_bytes` writes them.  Unlike
+        :meth:`header_bytes_estimate` this never touches a block
+        payload, so lazy consumers (``sage inspect``) can price the
+        fixed overhead without materializing any block.
         """
-        version = self.source_version
-        total = len(self._global_header_blob(version))
-        # Consensus framing: bits(40) + nbytes(24) [+ crc32].
-        total += 12 if version >= VERSION else 8
-        total += (_index_entry_bits(version) // 8) * self.n_blocks
-        return total
+        # Consensus framing: bits(40) + nbytes(24) + crc32.
+        return len(self._global_header_blob()) + 12 \
+            + _INDEX_ENTRY_NBYTES * self.n_blocks
 
     def header_bytes_estimate(self) -> int:
         """Serialized size of all header material (global + per block).
@@ -661,15 +651,13 @@ class SAGeArchive:
     # Serialization
     # ------------------------------------------------------------------
 
-    def _global_header_blob(self, version: int) -> bytes:
-        """The serialized global header for ``version`` (3 or 4).
-
-        v4 appends a CRC32 over the preceding header bytes, so any flip
-        in the global fields is detected before they are trusted.
-        """
+    def _global_header_blob(self) -> bytes:
+        """The serialized global header, ending in a CRC32 over the
+        preceding header bytes, so any flip in the global fields is
+        detected before they are trusted."""
         writer = BitWriter()
         writer.write(MAGIC, 32)
-        writer.write(version, 8)
+        writer.write(VERSION, 8)
         writer.write(int(self.level), 4)
         writer.write_bit(self.long_reads)
         writer.write_bit(self.fixed_length)
@@ -683,34 +671,23 @@ class SAGeArchive:
         writer.write(self.n_blocks, 32)
         writer.write(self.block_reads, 32)
         writer.align_to_byte()
-        if version >= VERSION:
-            writer.write(_checksum(writer.getvalue()), 32)
+        writer.write(_checksum(writer.getvalue()), 32)
         return writer.getvalue()
 
-    def to_bytes(self, version: int | None = None) -> bytes:
-        """Serialize the archive to a byte blob.
+    def to_bytes(self) -> bytes:
+        """Serialize the archive as the checksummed :data:`VERSION`.
 
-        ``version=None`` (the default) preserves the version the archive
-        was loaded from — so reload/re-save round trips are
-        byte-identical — and writes the current checksummed
-        :data:`VERSION` for archives built in memory.  ``version=4``
-        writes the checksummed block layout, ``version=3`` the same
-        layout without digests (a v4 archive downgrades byte-identically
-        to the v3 bytes it extends).
+        The one layout written: a v4 archive re-saves byte-identically,
+        and a loaded v3 archive re-saves as v4 — its v3 bytes plus the
+        header, consensus and per-block digests.
         """
-        if version is None:
-            version = self.source_version
-        if version not in (V3_VERSION, VERSION):
-            raise ContainerError(f"cannot write version {version}")
-        checksummed = version >= VERSION
         writer = BitWriter()
-        writer.write_bytes(self._global_header_blob(version))
+        writer.write_bytes(self._global_header_blob())
         payload, bits = self.consensus
         writer.write(bits, 40)
         writer.write(len(payload), 24)
         writer.align_to_byte()
-        if checksummed:
-            writer.write(_checksum(payload), 32)
+        writer.write(_checksum(payload), 32)
         writer.write_bytes(payload)
         payloads = [self.block_payload(i) for i in range(self.n_blocks)]
         for i, blob in enumerate(payloads):
@@ -720,15 +697,15 @@ class SAGeArchive:
             writer.write(counts.n_mapped, 40)
             writer.write(counts.n_unmapped, 40)
             writer.write(len(blob), 32)
-            if checksummed:
-                writer.write(_checksum(blob), 32)
+            writer.write(_checksum(blob), 32)
         for blob in payloads:
             writer.write_bytes(blob)
         return writer.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: "bytes | memoryview") -> "SAGeArchive":
-        """Deserialize an archive written by :meth:`to_bytes` (v3/v4).
+        """Deserialize an archive blob: v4 (what :meth:`to_bytes`
+        writes) or v3.
 
         ``blob`` may be any byte buffer — :meth:`open` passes a
         ``memoryview`` over an mmap, keeping block payloads unread
@@ -858,7 +835,7 @@ class SAGeArchive:
         """The global-header digest a v4 serialization carries."""
         if not self.checksummed:
             return None
-        head = self._global_header_blob(VERSION)
+        head = self._global_header_blob()
         return int.from_bytes(head[-4:], "big")
 
     def consensus_crc32(self) -> int | None:

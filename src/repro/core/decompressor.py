@@ -106,7 +106,7 @@ class SAGeDecompressor:
 
         Any failure — corrupt payload, truncated stream, inconsistent
         content — surfaces as :class:`BlockDecodeError` carrying the
-        block index, the unit of skip/salvage recovery.
+        block index, the unit of ``on_error="skip"`` recovery.
         """
         try:
             return self._decode_block(
@@ -190,8 +190,9 @@ class SAGeDecompressor:
         """Yield block ``index``'s decoded base-code arrays in emission
         order — the bit-serial reference walk.
 
-        ``readers`` lets callers (the hardware model) substitute
-        instrumented readers; they must wrap the same streams.
+        ``readers`` lets a caller (the hardware model) supply the stream
+        readers and read how far the walk moved each one; they must wrap
+        the same streams.
         """
         blk = self.archive.block(index)
         if readers is None:

@@ -28,8 +28,8 @@ that contract:
     that only care about "damaged" catch one class.
 
 ``BlockDecodeError``
-    A decode failure *localized to one block* — the unit of skip /
-    salvage recovery.  Subclasses :class:`DecompressionError` so legacy
+    A decode failure *localized to one block* — the unit of skip
+    (and so salvage) recovery.  Subclasses :class:`DecompressionError` so legacy
     handlers still match; the fault-tolerant executor keys its
     ``on_error`` policy off this type.
 
@@ -142,8 +142,8 @@ class TruncatedArchiveError(CorruptArchiveError):
 class BlockDecodeError(_ContextMixin, DecompressionError):
     """A decode failure localized to one archive block.
 
-    The unit of fault tolerance: ``on_error="skip"``/``"salvage"``
-    turns this into a recorded gap instead of a dead stream.
+    The unit of fault tolerance: ``on_error="skip"`` (what salvage
+    runs) turns this into a recorded gap instead of a dead stream.
     """
 
     def __init__(self, message: str, *, block_index: int | None = None,

@@ -81,9 +81,9 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# 3-bit packed payloads inside the block streams.  One parser each for
-# the reference walk and the numpy kernel: ``reader`` is anything with
-# ``read(nbits)`` / ``read_bytes(count)`` (``BitReader``, ``FastReader``).
+# 3-bit packed payloads inside the block streams.  One parser each, for
+# the reference walk and the numpy kernel alike: ``reader`` is the
+# stream's ``BitReader``.
 # ----------------------------------------------------------------------
 
 

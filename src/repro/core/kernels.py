@@ -20,10 +20,13 @@ Two kernels are registered:
     the matching-position guide array (``np.unpackbits`` + zero-run
     detection) to classify every entry at once, gathers the
     variable-width position fields in one pass (:func:`gather_fields`),
-    walks the remaining interleaved streams with O(1)-per-field
-    :class:`FastReader` primitives, and reconstructs all
-    substitution-only reads with a single consensus gather + mismatch
-    scatter.
+    walks the interleaved mismatch streams over precomputed 64-bit
+    windows and next-zero indexes (one list lookup per field), and
+    reconstructs all substitution-only reads with a single consensus
+    gather + mismatch scatter.  The side streams a read touches at most
+    a few times — ``lengths``, ``corner``, ``side``, ``unmapped`` — go
+    through the same :class:`~repro.core.bitio.BitReader` as the
+    reference walk.
 
 Both kernels decode identical reads from the same bytes for every
 configuration — asserted in ``tests/test_core_kernels.py`` — so the
@@ -50,16 +53,15 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .bitio import BitIOError
+from .bitio import BitIOError, BitReader
 from .compressor import INDEL_LENGTH_BITS, RAW_COUNT_BITS
 from .errors import CorruptArchiveError, DecompressionError
 from .formats import read_corner_payload, read_unmapped
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB
 
-__all__ = ["CodecKernel", "DEFAULT_CODEC", "FastReader", "NumpyKernel",
-           "PythonKernel", "available_kernels", "gather_fields",
-           "get_kernel", "register_kernel", "resolve_codec",
-           "resolve_kernel"]
+__all__ = ["CodecKernel", "DEFAULT_CODEC", "NumpyKernel", "PythonKernel",
+           "available_kernels", "gather_fields", "get_kernel",
+           "register_kernel", "resolve_codec", "resolve_kernel"]
 
 #: Codec used when neither the options nor ``SAGE_CODEC`` select one.
 DEFAULT_CODEC = "numpy"
@@ -109,159 +111,33 @@ def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
     return np.where(w > 0, vals, np.uint64(0)).astype(np.int64)
 
 
-def _build_windows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(w64, ext)`` window view of a byte stream.
+def _stream_words(blk, name: str):
+    """``(w64, bit_length)`` window view of one stream.
 
-    ``w64[i]`` is the 64-bit big-endian window starting at byte ``i``;
-    ``ext`` is the stream zero-padded by 9 bytes so window reads (and
-    the 9th-byte spill of >56-bit spans) never index out of bounds.
-    Shared by :class:`FastReader` and the skeleton-walk stream views.
+    ``w64[i]`` is the 64-bit big-endian window starting at byte ``i`` of
+    the stream zero-padded by 8 bytes, as plain Python ints: any field of
+    up to 56 bits is one list lookup plus a shift/mask — the innermost
+    primitive of the skeleton walk, with no per-call method dispatch.
     """
-    ext = np.concatenate([data, np.zeros(9, dtype=np.uint8)])
+    payload, bits = blk.streams[name]
+    data = np.frombuffer(payload, dtype=np.uint8)
+    ext = np.concatenate([data, np.zeros(8, dtype=np.uint8)])
     window = np.zeros(len(data) + 1, dtype=np.uint64)
     for k in range(8):
         window = (window << np.uint64(8)) | ext[k:k + len(window)]
-    return window, ext
+    return window.tolist(), bits
 
 
-def _build_next_zero(data: np.ndarray, limit: int) -> np.ndarray:
-    """Per-bit next-zero index (the vectorized unary-prefix scan).
-
-    One ``np.unpackbits`` pass plus a reversed minimum-accumulate turns
-    every subsequent unary read into a single lookup; positions whose
-    run never terminates map to ``limit``.
-    """
-    bits = np.unpackbits(data)[:limit]
+def _next_zero_list(blk, name: str, limit: int) -> list[int]:
+    """Per-bit next-zero index of one stream (the vectorized unary-prefix
+    scan): one ``np.unpackbits`` pass plus a reversed minimum-accumulate
+    turns every unary read into a single lookup; positions whose run
+    never terminates map to ``limit``."""
+    payload, _bits = blk.streams[name]
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:limit]
     idx = np.arange(limit, dtype=np.int64)
     nz = np.where(bits == 0, idx, np.int64(limit))
-    return np.minimum.accumulate(nz[::-1])[::-1]
-
-
-# ----------------------------------------------------------------------
-# FastReader: O(1)-per-field sequential reads over precomputed views
-# ----------------------------------------------------------------------
-
-
-class FastReader:
-    """Sequential MSB-first reader with O(1) field and unary reads.
-
-    A ``BitReader``-compatible reader that precomputes a 64-bit window
-    per byte offset (field extraction becomes one shift/mask) and — on
-    first use — a next-zero index over the unpacked bit array, turning
-    :meth:`read_unary` from a bit-at-a-time loop into a single lookup.
-    This is the software analog of the Scan Unit's shift registers fed
-    at full width.
-    """
-
-    __slots__ = ("name", "_data", "_ext", "_w64", "_next_zero", "_limit",
-                 "_pos")
-
-    def __init__(self, payload: bytes, bit_length: int | None = None, *,
-                 name: str = "") -> None:
-        self.name = name
-        data = np.frombuffer(payload, dtype=np.uint8)
-        self._data = data
-        self._limit = 8 * len(payload) if bit_length is None else bit_length
-        if self._limit > 8 * len(payload):
-            raise BitIOError(
-                f"{name or 'bit stream'}: bit_length {self._limit} "
-                f"exceeds the {8 * len(payload)}-bit buffer")
-        window, ext = _build_windows(data)
-        self._ext = ext
-        self._w64 = window.tolist()
-        self._next_zero: np.ndarray | None = None
-        self._pos = 0
-
-    def _past_end(self, nbits: int) -> BitIOError:
-        return BitIOError(
-            f"{self.name or 'bit stream'}: read of {nbits} bits past end "
-            f"at bit {self._pos} (stream is {self._limit} bits)")
-
-    @property
-    def position(self) -> int:
-        """Current bit offset from the start of the stream."""
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        """Bits left before the end of the stream."""
-        return self._limit - self._pos
-
-    def read(self, nbits: int) -> int:
-        """Read an ``nbits``-wide big-endian field (one window lookup)."""
-        if nbits < 0:
-            raise BitIOError("field width must be non-negative")
-        if nbits == 0:
-            return 0
-        pos = self._pos
-        if pos + nbits > self._limit:
-            raise self._past_end(nbits)
-        if nbits > 64:
-            value = 0
-            need = nbits
-            while need:
-                take = min(56, need)
-                value = (value << take) | self.read(take)
-                need -= take
-            return value
-        off = pos & 7
-        span = off + nbits
-        word = self._w64[pos >> 3]
-        if span <= 64:
-            value = (word >> (64 - span)) & ((1 << nbits) - 1)
-        else:
-            word = (word << 8) | int(self._ext[(pos >> 3) + 8])
-            value = (word >> (72 - span)) & ((1 << nbits) - 1)
-        self._pos = pos + nbits
-        return value
-
-    def read_bit(self) -> int:
-        """Read a single bit."""
-        return self.read(1)
-
-    def read_unary(self) -> int:
-        """Read a unary value with one next-zero lookup."""
-        pos = self._pos
-        if pos >= self._limit:
-            raise self._past_end(1)
-        nz = self._next_zero
-        if nz is None:
-            nz = self._build_next_zero()
-        q = int(nz[pos])
-        if q >= self._limit:
-            # All ones to the end: the terminating zero is missing.
-            self._pos = self._limit
-            raise self._past_end(1)
-        self._pos = q + 1
-        return q - pos
-
-    def _build_next_zero(self) -> np.ndarray:
-        nz = _build_next_zero(self._data, self._limit)
-        self._next_zero = nz
-        return nz
-
-    def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` raw bytes (vectorized when unaligned)."""
-        pos = self._pos
-        if pos + 8 * count > self._limit:
-            raise self._past_end(8 * count)
-        if count == 0:
-            return b""
-        start = pos >> 3
-        off = pos & 7
-        self._pos = pos + 8 * count
-        if off == 0:
-            return self._data[start:start + count].tobytes()
-        hi = self._ext[start:start + count].astype(np.uint16)
-        lo = self._ext[start + 1:start + count + 1]
-        out = ((hi << off) | (lo >> (8 - off))) & 0xFF
-        return out.astype(np.uint8).tobytes()
-
-    def align_to_byte(self) -> None:
-        """Skip forward to the next byte boundary."""
-        rem = self._pos & 7
-        if rem:
-            self.read(8 - rem)
+    return np.minimum.accumulate(nz[::-1])[::-1].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -302,25 +178,6 @@ def _matching_positions(arch, blk, n_mapped: int) -> np.ndarray:
     deltas = gather_fields(blk.streams["mpa"], offsets, widths,
                            name="mpa")
     return np.cumsum(deltas)
-
-
-def _stream_words(blk, name: str):
-    """``(w64, bit_length)`` window view of one stream.
-
-    The windows come back as plain Python ints, so any field of up to
-    56 bits is one list lookup plus a shift/mask — the innermost
-    primitive of the skeleton walk, with no per-call method dispatch.
-    """
-    payload, bits = blk.streams[name]
-    window, _ext = _build_windows(np.frombuffer(payload, dtype=np.uint8))
-    return window.tolist(), bits
-
-
-def _next_zero_list(blk, name: str, limit: int) -> list[int]:
-    """:func:`_build_next_zero` of one stream, as a plain-int list."""
-    payload, _bits = blk.streams[name]
-    data = np.frombuffer(payload, dtype=np.uint8)
-    return _build_next_zero(data, limit).tolist()
 
 
 def _past(name: str, nbits: int, pos: int, limit: int) -> BitIOError:
@@ -389,7 +246,7 @@ def _decode_reads_batched(dec, index: int
         table = block.tables["len"]
         widths = table.widths
         n_classes = len(widths)
-        lr = FastReader(*block.streams["lengths"], name="lengths")
+        lr = BitReader(*block.streams["lengths"], name="lengths")
         lengths = [0] * n_mapped
         for i in range(n_mapped):
             idx = lr.read_unary()
@@ -409,8 +266,8 @@ def _decode_reads_batched(dec, index: int
     g_nz = _next_zero_list(block, "mmpga", g_lim)
     b_pos = g_pos = a_pos = 0
 
-    corner = FastReader(*block.streams["corner"], name="corner")
-    side = FastReader(*block.streams["side"], name="side") \
+    corner = BitReader(*block.streams["corner"], name="corner")
+    side = BitReader(*block.streams["side"], name="side") \
         if (level.chimeric and block.long_reads) else None
     type_inf = level.type_inference
     indel_blocks = level.indel_blocks
@@ -787,7 +644,7 @@ def _decode_reads_batched(dec, index: int
     offsets = np.concatenate([[0], mapped_ends])
     if not block.n_unmapped:
         return flat, offsets
-    unmapped = FastReader(*block.streams["unmapped"], name="unmapped")
+    unmapped = BitReader(*block.streams["unmapped"], name="unmapped")
     parts = [flat] + [
         read_unmapped(unmapped, w_rlen, block.fixed_length, fixed_len)
         for _ in range(block.n_unmapped)]

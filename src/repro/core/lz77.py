@@ -86,13 +86,3 @@ def detokenize(tokens: list[Token]) -> bytes:
             for k in range(token.match_length):
                 out.append(out[start + k])
     return bytes(out)
-
-
-def compressed_cost_estimate(tokens: list[Token]) -> int:
-    """Rough encoded size in bits (entropy-free), used in tests only."""
-    bits = 0
-    for token in tokens:
-        bits += 8 * len(token.literals) + 8
-        if token.match_length:
-            bits += 24
-    return bits

@@ -99,8 +99,3 @@ class SizeBreakdown:
     @property
     def total_bits(self) -> int:
         return sum(self.bits.values())
-
-    def as_fractions(self) -> dict[str, float]:
-        """Per-category fractions of the mismatch-information total."""
-        total = max(1, self.mismatch_info_bits)
-        return {c: self.bits.get(c, 0) / total for c in CATEGORIES}

@@ -54,7 +54,7 @@ INFLIGHT_PER_WORKER = 2
 BACKENDS = ("auto", "serial", "process")
 
 #: Recognized streaming-decode failure policies.
-ON_ERROR = ("raise", "skip", "salvage")
+ON_ERROR = ("raise", "skip")
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,16 @@ class EngineOptions:
     on_error:
         Streaming-decode failure policy, one of :data:`ON_ERROR`.
         ``"raise"`` (default) propagates the first block failure;
-        ``"skip"`` drops failed blocks and records a
-        :class:`~repro.pipeline.executor.BlockGap`; ``"salvage"``
-        additionally re-decodes each failed block with the ``python``
-        reference kernel before giving up, recovering every block the
-        damage did not actually touch.
+        ``"skip"`` drops each failed block and records a
+        :class:`~repro.pipeline.executor.BlockGap`, so every block the
+        damage did not touch is still delivered (what
+        ``SAGeDataset.salvage()`` runs).  Kernels decode identical
+        reads from the same bytes, so no second kernel is tried.
     block_retries:
         Serial in-parent re-decode attempts for a block that failed in
         a worker pool (rescues worker crashes / broken pools /
-        timeouts) before the ``on_error`` policy applies.
+        timeouts) before the ``on_error`` policy applies.  A block that
+        fails in a serial pass is not retried.
     block_timeout:
         Per-block decode timeout in seconds for pooled backends
         (``None`` = no limit; the serial backend cannot time out).

@@ -23,7 +23,6 @@ class DRAMModel:
     channel_bandwidth_bytes_per_s: float
     capacity_bytes: float
     idle_power_w: float
-    energy_pj_per_byte: float = 120.0   # DDR4 activate+IO class
 
     @property
     def peak_bandwidth(self) -> float:
@@ -32,13 +31,6 @@ class DRAMModel:
     def effective_bandwidth(self, random_access: bool = False) -> float:
         """Streaming gets peak; random access a fraction of it."""
         return self.peak_bandwidth * (0.35 if random_access else 0.85)
-
-    def access_time(self, nbytes: float,
-                    random_access: bool = False) -> float:
-        return nbytes / self.effective_bandwidth(random_access)
-
-    def access_energy(self, nbytes: float) -> float:
-        return nbytes * self.energy_pj_per_byte * 1e-12
 
 
 #: Host memory: 8-channel DDR4-3200 (EPYC 7742 class), 1.5 TB.

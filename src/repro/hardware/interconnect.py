@@ -49,9 +49,3 @@ CXL2_X8 = Link("CXL 2.0 x8", 16.0 * GIB, 12.0)
 
 #: On-chip attach for integration mode 2 (same-die, effectively free).
 ON_CHIP = Link("on-chip", 64.0 * GIB, 0.5)
-
-
-def named_links() -> dict[str, Link]:
-    """All predefined links keyed by name."""
-    return {link.name: link for link in
-            (PCIE_GEN4_X8, PCIE_GEN3_X4, SATA3, CXL2_X8, ON_CHIP)}

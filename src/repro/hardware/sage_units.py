@@ -5,9 +5,10 @@ guide arrays through 8-bit shift registers; the Read Construction Unit
 (RCU) walks the consensus and MBTA, emitting one reconstructed base per
 cycle through a 150-bp chunk register; the Control Unit (CU) coordinates
 them.  The functional behaviour *is* the software reference decoder —
-this model wraps it with instrumented readers and derives cycle counts,
-so output equivalence with :class:`~repro.core.SAGeDecompressor` holds by
-construction and is asserted in tests.
+this model runs its walk and derives cycle counts from the bits each
+stream reader consumed, so output equivalence with
+:class:`~repro.core.SAGeDecompressor` holds by construction and is
+asserted in tests.
 
 Throughput math (§8.2): the units run at 1 GHz and are deliberately
 faster than NAND streaming, so end-to-end decompression is bounded by
@@ -43,19 +44,6 @@ CU_CYCLES_PER_READ = 2
 #: walks the shared consensus).
 SU_STREAMS = ("mpga", "mpa", "mmpga", "mmpa", "lengths", "side")
 RCU_STREAMS = ("mbta", "corner", "unmapped")
-
-
-class _CountingReader(BitReader):
-    """BitReader that tallies every bit consumed."""
-
-    def __init__(self, payload: bytes, bits: int):
-        super().__init__(payload, bits)
-        self.bits_consumed = 0
-
-    def read(self, nbits: int) -> int:
-        value = super().read(nbits)
-        self.bits_consumed += nbits
-        return value
 
 
 @dataclass
@@ -122,8 +110,8 @@ class SAGeHardwareModel:
         independent unit of work for a channel's SU/RCU array (§5.3) —
         and the per-block accounting is summed.  The units *are* the
         bit-serial reference walk: the reads come from the ``python``
-        kernel's block decode, and the same walk over counting readers
-        supplies the bits each unit consumed.
+        kernel's block decode, and the bits each unit consumed are the
+        positions the same walk leaves its stream readers at.
         """
         decoder = SAGeDecompressor(archive, codec="python")
         # The consensus is stored once and striped to every channel, so
@@ -135,22 +123,24 @@ class SAGeHardwareModel:
         blocks: list[ReadSet] = []
         for index in range(archive.n_blocks):
             readers = {
-                name: _CountingReader(payload, bits) for name,
+                name: BitReader(payload, bits, name=name) for name,
                 (payload, bits) in archive.block(index).streams.items()}
             codes = list(decoder.iter_read_codes(readers, index))
-            for name, reader in readers.items():
+            consumed = {name: reader.position
+                        for name, reader in readers.items()}
+            for name, bits in consumed.items():
                 stats.stream_bits[name] = \
-                    stats.stream_bits.get(name, 0) + reader.bits_consumed
+                    stats.stream_bits.get(name, 0) + bits
             # The RCU walks the consensus (2 bits per copied base) as it
             # reconstructs; charge the full output for the register
             # traffic.
             output_bases = int(sum(c.size for c in codes))
-            su_cycles = -(-sum(readers[s].bits_consumed
-                               for s in SU_STREAMS) // SU_BITS_PER_CYCLE)
+            su_cycles = -(-sum(consumed[s] for s in SU_STREAMS)
+                          // SU_BITS_PER_CYCLE)
             # RCU: scan MBTA/corner through an 8-bit register, emit bases
             # in 150-bp chunk copies (mismatch patches ride on the scan
             # cost).
-            rcu_bits = consensus_bits + sum(readers[s].bits_consumed
+            rcu_bits = consensus_bits + sum(consumed[s]
                                             for s in RCU_STREAMS)
             rcu_scan = -(-rcu_bits // SU_BITS_PER_CYCLE)
             rcu_emit = -(-output_bases // READ_REGISTER_BP)
@@ -241,10 +231,6 @@ class SAGeHardwareModel:
         return HardwareThroughput(unit_bases_per_s=unit_rate,
                                   nand_bases_per_s=nand_rate,
                                   output_format=fmt)
-
-    def power_w(self, mode3: bool = False) -> float:
-        """Logic power of the unit array (Table 1)."""
-        return area_power.total_power_mw(self.channels, mode3) / 1000.0
 
     def area_mm2(self) -> float:
         """Logic area of the unit array (Table 1)."""

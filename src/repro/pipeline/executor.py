@@ -48,7 +48,7 @@ __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
 
 @dataclass(frozen=True)
 class BlockGap:
-    """Marker for a block lost to corruption under ``skip``/``salvage``.
+    """Marker for a block lost to corruption under ``on_error="skip"``.
 
     Ordered output stays well-defined in the presence of failures: the
     gap records which block is missing, how many reads it held (from the
@@ -113,7 +113,7 @@ class Sink(Protocol):
     blocks are still decoding in the executor's workers; ``finish`` is
     called after the last block and returns the sink's result.  Sinks
     may additionally define ``consume_gap(gap: BlockGap)`` to observe
-    blocks lost under ``on_error="skip"/"salvage"``; sinks without the
+    blocks lost under ``on_error="skip"``; sinks without the
     hook simply never see the lost block.
 
     A block *is* its columns — ``codes``, ``offsets``, ``quality`` (or
@@ -288,7 +288,7 @@ class StreamExecutor:
         """Yield each block's reads in index order.
 
         Statistics of the pass accumulate in :attr:`stats` (reset at the
-        start of every iteration).  Under ``on_error="skip"/"salvage"``
+        start of every iteration).  Under ``on_error="skip"``
         blocks lost to corruption are omitted here; their
         :class:`BlockGap` records accumulate in ``stats.gaps`` (and are
         delivered to sinks in :meth:`run`).  ``options.streams`` limits
@@ -306,7 +306,7 @@ class StreamExecutor:
         ``workers > 1`` the sinks process block *i* while blocks
         *i+1 … i+window* are still decoding — the software realization
         of the paper's prep/analysis overlap.  A block lost under
-        ``on_error="skip"/"salvage"`` reaches each sink's optional
+        ``on_error="skip"`` reaches each sink's optional
         ``consume_gap`` hook instead, so ordered consumers can account
         for the hole.  What is decoded: :meth:`selection_for`.
         """
@@ -339,8 +339,8 @@ class StreamExecutor:
 
     def _account(self, item) -> "ReadSet | BlockGap":
         if isinstance(item, tuple):
-            # Decode functions return (reads, per-group stream bits);
-            # failure-policy results arrive bare.
+            # Decodes return (reads, per-group stream bits); a lost
+            # block arrives as a bare gap.
             item, stream_bits = item
             self.stats.note_streams(stream_bits)
         if isinstance(item, ReadSet):
@@ -350,43 +350,30 @@ class StreamExecutor:
         return item
 
     def _resolve_failure(self, index: int, exc: Exception, *,
-                         pooled: bool,
-                         select: StreamSelection | None = None
-                         ) -> "ReadSet | BlockGap":
+                         pooled: bool, select: StreamSelection
+                         ) -> "tuple[ReadSet, dict[str, int]] | BlockGap":
         """Apply the retry + ``on_error`` policy to one failed block.
 
         ``pooled`` marks failures from a worker pool: those get
         ``block_retries`` serial in-parent re-decodes (rescuing blocks
-        lost to worker crashes, broken pools, or timeouts).  A failure
-        that already happened serially in-parent skips them —
-        re-running a deterministic decode cannot help.  Under
-        ``"salvage"`` the last attempt runs on the ``"python"``
-        reference kernel (a second decoder sharing the consensus, unless
-        the pass already decodes on it), so a vectorized-kernel bug
-        cannot cost a recoverable block.  Exhausted retries then follow
-        the policy: ``"raise"`` propagates, ``"skip"``/``"salvage"``
-        return a :class:`BlockGap`.
+        lost to worker crashes, broken pools, or timeouts), each the
+        same :func:`_decode_block` a serial pass runs.  A failure that
+        already happened serially in-parent skips them — re-running a
+        deterministic decode cannot help.  Exhausted retries then follow
+        the policy: ``"raise"`` propagates, ``"skip"`` returns a
+        :class:`BlockGap`.
         """
-        policy = self.options.on_error
-        decoder = self.decompressor()
-        decoders = [decoder] * (self.options.block_retries if pooled else 0)
-        if policy == "salvage":
-            if decoder.codec != "python":
-                decoders.append(SAGeDecompressor(
-                    self.archive, codec="python",
-                    consensus=decoder.consensus))
-            elif pooled and not decoders:
-                decoders.append(decoder)
+        retries = self.options.block_retries if pooled else 0
         last = exc
-        if decoders:
+        if retries:
             self.stats.blocks_retried += 1
-            for attempt in decoders:
+            for _ in range(retries):
                 try:
-                    return attempt.decompress_block(index, select=select)
+                    return _decode_block(self.decompressor(), index, select)
                 except Exception as retry_exc:
                     last = retry_exc
         self.stats.blocks_failed += 1
-        if policy == "raise":
+        if self.options.on_error == "raise":
             raise last
         gap = BlockGap(index, self.archive.block_index()[index].n_reads,
                        last)

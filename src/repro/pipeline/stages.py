@@ -41,10 +41,6 @@ class StageTimeline:
     def busy_s(self) -> float:
         return sum(b - a for a, b in self.intervals)
 
-    @property
-    def finish_s(self) -> float:
-        return self.intervals[-1][1] if self.intervals else 0.0
-
 
 @dataclass
 class PipelineResult:

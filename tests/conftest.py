@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,20 @@ SIZE_CONFIGS = (
     SAGeConfig(with_headers=True, preserve_order=True),
     SAGeConfig(with_quality=False, tuned_indel_lengths=True),
 )
+
+#: Cross-commit digests and archive blobs written by earlier commits.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_fingerprints.json").read_text())
+
+#: The committed v3 archives: one block with order and headers, and the
+#: four-block ``v4_blocked`` without its digests.
+V3_BLOBS = ("v3_one_block_order_headers", "v3_blocked")
+
+
+def golden_blob(name: str) -> bytes:
+    """Committed archive blob ``name`` — the only source of a v3 file,
+    since the container writes v4 alone."""
+    return base64.b64decode("".join(GOLDEN["blobs"][name]["base64"]))
 
 
 @pytest.fixture(scope="session")

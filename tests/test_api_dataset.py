@@ -15,7 +15,7 @@ from repro.genomics import sequence as seq
 from repro.genomics.reads import (PLACEHOLDER_SCORE, Read, ReadSet,
                                   partition_reads)
 
-from tests.conftest import read_multiset
+from tests.conftest import golden_blob, read_multiset
 
 BLOCK_READS = 16
 
@@ -473,9 +473,9 @@ class TestIntegrityAPI:
         assert deep.status == "ok" and deep.deep and not deep.errors
         assert deep.to_dict()["status"] == "ok"
 
-    def test_verify_pre_v4_unchecked(self, tmp_path, dataset):
+    def test_verify_pre_v4_unchecked(self, tmp_path):
         path = tmp_path / "v3.sage"
-        path.write_bytes(dataset.archive.to_bytes(version=3))
+        path.write_bytes(golden_blob("v3_blocked"))
         with SAGeDataset.open(path) as session:
             report = session.verify()
             assert report.status == "unchecked"

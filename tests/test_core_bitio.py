@@ -1,5 +1,6 @@
 """Unit tests for repro.core.bitio."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 from repro.core.bitio import BitIOError, BitReader, BitWriter
 
 fields = st.lists(
-    st.integers(min_value=1, max_value=40).flatmap(
+    st.integers(min_value=0, max_value=56).flatmap(
         lambda w: st.tuples(st.integers(min_value=0,
                                         max_value=(1 << w) - 1),
                             st.just(w))),
-    min_size=0, max_size=60)
+    min_size=0, max_size=80)
 
 
 class TestWriter:
@@ -94,6 +95,20 @@ class TestReader:
         r.align_to_byte()
         assert r.read(8) == 1
 
+    def test_wide_field(self):
+        w = BitWriter()
+        w.write(3, 7)                          # skew the alignment
+        value = (1 << 90) - 123
+        w.write(value, 91)
+        r = BitReader(w.getvalue(), w.bit_length)
+        assert r.read(7) == 3
+        assert r.read(91) == value
+
+    def test_unary_without_terminator(self):
+        r = BitReader(b"\xff", 8, name="mpga")
+        with pytest.raises(BitIOError, match="mpga.*past end"):
+            r.read_unary()
+
 
 class TestUnary:
     @pytest.mark.parametrize("value", [0, 1, 2, 7, 31])
@@ -133,6 +148,49 @@ class TestRoundtripProperties:
         w.write_bytes(data)
         r = BitReader(w.getvalue(), w.bit_length)
         assert r.read_bytes(len(data)) == data
+
+    @given(st.binary(max_size=40), st.integers(min_value=0, max_value=7))
+    def test_read_bytes_any_alignment(self, data, skew):
+        # The unaligned path shifts the straddled bytes in one pass; it
+        # must stop at the stream's last byte, not read past it.
+        w = BitWriter()
+        w.write(0, skew)
+        w.write_bytes(data)
+        r = BitReader(w.getvalue(), w.bit_length)
+        assert r.read(skew) == 0
+        assert r.read_bytes(len(data)) == data
+        assert r.remaining == 0
+
+    def test_mixed_script(self):
+        # Fields, unary codes and raw bytes interleaved at every
+        # alignment read back as written, position by position.
+        rng = np.random.default_rng(0)
+        w = BitWriter()
+        script = []
+        for _ in range(200):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                width = int(rng.integers(1, 57))
+                value = int(rng.integers(0, 1 << width))
+                w.write(value, width)
+                script.append((kind, value, width, w.bit_length))
+            elif kind == 1:
+                value = int(rng.integers(0, 12))
+                w.write_unary(value)
+                script.append((kind, value, None, w.bit_length))
+            else:
+                value = bytes(rng.integers(0, 256, 3, dtype=np.uint8))
+                w.write_bytes(value)
+                script.append((kind, value, len(value), w.bit_length))
+        r = BitReader(w.getvalue(), w.bit_length)
+        for kind, value, size, end in script:
+            if kind == 0:
+                assert r.read(size) == value
+            elif kind == 1:
+                assert r.read_unary() == value
+            else:
+                assert r.read_bytes(size) == value
+            assert r.position == end
 
     @given(st.lists(st.integers(min_value=0, max_value=20), max_size=30))
     def test_unary_sequence(self, values):

@@ -1,4 +1,4 @@
-"""Tests for the block-based streaming engine and the v3 container.
+"""Tests for the block-based streaming engine and the v3/v4 container.
 
 Covers the acceptance criteria of the block refactor: lossless round
 trips across all optimization levels and read-set families, byte-equal
@@ -19,7 +19,7 @@ from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
 from repro.mapping.mapper import MapperConfig
 
-from tests.conftest import SIZE_CONFIGS, read_multiset
+from tests.conftest import SIZE_CONFIGS, golden_blob, read_multiset
 
 BLOCK_READS = 9  # deliberately small: forces several partial blocks
 BLOCKED = EngineOptions(block_reads=BLOCK_READS)
@@ -176,19 +176,17 @@ class TestContainerCompat:
         sim = families["short"]
         archive = SAGeCompressor(sim.reference,
                                  SAGeConfig()).compress(sim.read_set)
-        blob = bytearray(archive.to_bytes(version=3))
+        assert archive.to_bytes()[4] == 4       # the one version written
+        blob = bytearray(golden_blob("v3_one_block_order_headers"))
         blob[4] = 2              # the version byte follows the magic
         with pytest.raises(ContainerError, match="unsupported version 2"):
             SAGeArchive.from_bytes(bytes(blob))
-        with pytest.raises(ContainerError):
-            archive.to_bytes(version=2)
 
-    def test_blocked_archive_refuses_v2(self, families):
-        sim = families["short"]
-        archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=BLOCKED).compress(sim.read_set)
-        with pytest.raises(ContainerError):
-            archive.to_bytes(version=2)
+    def test_blocked_archive_refuses_v2(self):
+        blob = bytearray(golden_blob("v3_blocked"))
+        blob[4] = 2
+        with pytest.raises(ContainerError, match="unsupported version 2"):
+            SAGeArchive.from_bytes(bytes(blob))
 
     def test_single_block_loads_lazily(self, families):
         sim = families["short"]
@@ -215,8 +213,8 @@ class TestContainerCompat:
                                         options=BLOCKED) \
                     .compress(sim.read_set)
                 assert built.n_blocks > 1
-                for archive in (built, SAGeArchive.from_bytes(
-                        built.to_bytes(version=3))):
+                for archive in (built,
+                                SAGeArchive.from_bytes(built.to_bytes())):
                     assert archive.byte_size() == len(archive.to_bytes())
 
 

@@ -6,7 +6,7 @@ from repro.core import SAGeCompressor, SAGeConfig
 from repro.core.container import (ContainerError, CorruptArchiveError,
                                   SAGeArchive, TruncatedArchiveError)
 
-from tests.conftest import SIZE_CONFIGS
+from tests.conftest import SIZE_CONFIGS, V3_BLOBS, golden_blob
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +50,18 @@ class TestSerialization:
     def test_byte_size_tracks_blob(self, rs3_small, rs4_small):
         # byte_size() re-derives the writer's layout by hand (tab02
         # reports it): it must equal the serialized size exactly, for
-        # every optional section and for both container versions.
+        # every optional section, built or reloaded — and for a loaded
+        # v3 archive, whose re-save is the v4 layout.
         for sim in (rs3_small, rs4_small):
             for config in SIZE_CONFIGS:
                 built = SAGeCompressor(sim.reference, config) \
                     .compress(sim.read_set)
-                for archive in (built, SAGeArchive.from_bytes(
-                        built.to_bytes(version=3))):
+                for archive in (built,
+                                SAGeArchive.from_bytes(built.to_bytes())):
                     assert archive.byte_size() == len(archive.to_bytes())
+        for name in V3_BLOBS:
+            archive = SAGeArchive.from_bytes(golden_blob(name))
+            assert archive.byte_size() == len(archive.to_bytes())
 
 
 class TestValidation:
@@ -140,22 +144,30 @@ class TestChecksums:
         with pytest.raises(CorruptArchiveError):
             SAGeArchive.from_bytes(bytes(blob))
 
-    def test_v3_downgrade_roundtrips_byte_identical(self, archive):
-        v3 = archive.to_bytes(version=3)
-        assert v3[4] == 3
-        back = SAGeArchive.from_bytes(v3)
-        assert back.source_version == 3
-        assert not back.checksummed
-        assert back.to_bytes() == v3
+    def test_v3_verify_reports_unchecked(self):
+        for name in V3_BLOBS:
+            back = SAGeArchive.from_bytes(golden_blob(name))
+            assert back.source_version == 3
+            assert not back.checksummed
+            report = back.verify_checksums()
+            assert report["header"] == "unchecked"
+            assert set(report["blocks"]) == {"unchecked"}
 
-    def test_v3_verify_reports_unchecked(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes(version=3))
-        report = back.verify_checksums()
-        assert report["header"] == "unchecked"
-        assert set(report["blocks"]) == {"unchecked"}
-
-    def test_v4_upgrade_from_v3(self, archive):
-        back = SAGeArchive.from_bytes(archive.to_bytes(version=3))
-        upgraded = SAGeArchive.from_bytes(back.to_bytes(version=4))
-        assert upgraded.checksummed
-        assert upgraded.verify_checksums()["header"] == "ok"
+    def test_v4_upgrade_from_v3(self):
+        for name in V3_BLOBS:
+            back = SAGeArchive.from_bytes(golden_blob(name))
+            blob = back.to_bytes()              # the one layout written
+            assert blob[4] == 4
+            upgraded = SAGeArchive.from_bytes(blob)
+            assert upgraded.checksummed
+            assert upgraded.verify_checksums() == {
+                "header": "ok", "consensus": "ok",
+                "blocks": ["ok"] * back.n_blocks}
+            # The digests are all the upgrade adds.
+            assert upgraded.consensus == back.consensus
+            for index in range(back.n_blocks):
+                assert bytes(upgraded.block_payload(index)) \
+                    == bytes(back.block_payload(index))
+            assert len(blob) - len(golden_blob(name)) \
+                == 4 * (2 + back.n_blocks)
+            assert upgraded.to_bytes() == blob

@@ -9,13 +9,15 @@ import pytest
 
 import repro
 from repro.api import EngineOptions
-from repro.core import BlockCompressor, SAGeCompressor, SAGeConfig
+from repro.core import BlockCompressor, SAGeConfig
 from repro.core.bitio import BitIOError
 from repro.core.container import SAGeArchive
 from repro.core.decompressor import SAGeDecompressor
 from repro.core.errors import (BlockDecodeError, ContainerError,
                                CorruptArchiveError, DecompressionError,
                                SAGeError, TruncatedArchiveError)
+
+from tests.conftest import golden_blob
 
 
 def _error_family():
@@ -122,17 +124,18 @@ class TestBlockChecksums:
         arch = SAGeArchive.from_bytes(blob)
         assert arch.header_crc32() is not None
         assert arch.consensus_crc32() is not None
-        v3_blob = arch.to_bytes(version=3)
+        v3_blob = golden_blob("v3_blocked")
         v3 = SAGeArchive.from_bytes(v3_blob)
         assert v3.header_crc32() is None
         assert v3.consensus_crc32() is None
         # The whole price of v4: one CRC32 each for the header, the
         # consensus and every block.
-        assert len(blob) - len(v3_blob) == 4 * (2 + arch.n_blocks)
+        assert len(golden_blob("v4_blocked")) - len(v3_blob) \
+            == 4 * (2 + v3.n_blocks)
 
     def test_consensus_crc_detects_damage(self, blocked):
         archive, blob = blocked
-        head = len(archive._global_header_blob(archive.source_version))
+        head = len(archive._global_header_blob())
         damaged = bytearray(blob)
         # First consensus payload byte: framing is 12 bytes in v4.
         damaged[head + 12] ^= 0x01
@@ -145,9 +148,8 @@ class TestContentCorruption:
     """Pre-v4 blobs carry no digests — damage must still surface as a
     typed error (or decode; never a bare IndexError/struct.error)."""
 
-    def test_v3_content_damage_is_typed(self, blocked):
-        archive, _ = blocked
-        blob = archive.to_bytes(version=3)
+    def test_v3_content_damage_is_typed(self):
+        blob = golden_blob("v3_blocked")
         arch = SAGeArchive.from_bytes(blob)
         entry = arch.block_index()[0]
         for delta in range(8):
@@ -159,11 +161,10 @@ class TestContentCorruption:
             except SAGeError:
                 pass            # typed detection is the contract
 
-    def test_flat_decode_wraps_kernel_errors(self, rs3_small):
-        archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
-            .compress(rs3_small.read_set)
-        blob = archive.to_bytes(version=3)       # no digests at all
-        for offset in range(60, 68):
+    def test_flat_decode_wraps_kernel_errors(self):
+        blob = golden_blob("v3_one_block_order_headers")  # no digests
+        start = SAGeArchive.from_bytes(blob).block_index()[0].offset
+        for offset in range(start + 60, start + 68):
             damaged = bytearray(blob)
             damaged[offset] ^= 0xFF
             try:

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
 from repro.core.bitio import BitIOError, BitReader, BitWriter
-from repro.core.kernels import (FastReader, available_kernels,
-                                gather_fields, get_kernel, resolve_codec)
+from repro.core.kernels import (available_kernels, gather_fields,
+                                get_kernel, resolve_codec)
 from repro.core.mismatch import OptLevel
 from repro.core.prefix_codes import AssociationTable
 from repro.genomics import sequence as seqmod
@@ -75,12 +75,16 @@ class TestWriteRun:
 
 
 class TestFastReader:
+    """The kernels' read path: every kernel decodes a block's streams
+    through one ``BitReader(*block.streams[name], name=name)``, which
+    carries the vectorized field, unary and past-end handling."""
+
     @given(fields)
     def test_field_sequence(self, pairs):
         w = BitWriter()
         for value, width in pairs:
             w.write(value, width)
-        r = FastReader(w.getvalue(), w.bit_length)
+        r = BitReader(w.getvalue(), w.bit_length, name="mbta")
         for value, width in pairs:
             assert r.read(width) == value
         assert r.remaining == 0
@@ -90,67 +94,15 @@ class TestFastReader:
         w = BitWriter()
         for v in values:
             w.write_unary(v)
-        r = FastReader(w.getvalue(), w.bit_length)
+        r = BitReader(w.getvalue(), w.bit_length, name="mpga")
         assert [r.read_unary() for _ in values] == values
-
-    @given(st.binary(max_size=40), st.integers(min_value=0, max_value=7))
-    def test_read_bytes_any_alignment(self, data, skew):
-        w = BitWriter()
-        w.write(0, skew)
-        w.write_bytes(data)
-        r = FastReader(w.getvalue(), w.bit_length)
-        assert r.read(skew) == 0
-        assert r.read_bytes(len(data)) == data
-
-    def test_mixed_against_bitreader(self):
-        rng = np.random.default_rng(0)
-        w = BitWriter()
-        script = []
-        for _ in range(200):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                width = int(rng.integers(1, 57))
-                value = int(rng.integers(0, 1 << min(width, 62)))
-                value &= (1 << width) - 1
-                w.write(value, width)
-                script.append(("f", width))
-            elif kind == 1:
-                w.write_unary(int(rng.integers(0, 12)))
-                script.append(("u", None))
-            else:
-                data = bytes(rng.integers(0, 256, 3, dtype=np.uint8))
-                w.write_bytes(data)
-                script.append(("b", len(data)))
-        ref = BitReader(w.getvalue(), w.bit_length)
-        fast = FastReader(w.getvalue(), w.bit_length)
-        for kind, arg in script:
-            if kind == "f":
-                assert fast.read(arg) == ref.read(arg)
-            elif kind == "u":
-                assert fast.read_unary() == ref.read_unary()
-            else:
-                assert fast.read_bytes(arg) == ref.read_bytes(arg)
-            assert fast.position == ref.position
-
-    def test_wide_field(self):
-        w = BitWriter()
-        w.write(3, 7)                          # skew the alignment
-        value = (1 << 90) - 123
-        w.write(value, 91)
-        r = FastReader(w.getvalue(), w.bit_length)
-        assert r.read(7) == 3
-        assert r.read(91) == value
+        assert r.remaining == 0
 
     def test_past_end_context(self):
-        r = FastReader(b"\x00", 4, name="mmpa")
+        r = BitReader(b"\x00", 4, name="mmpa")
         r.read(4)
         with pytest.raises(BitIOError, match=r"mmpa.*past end.*bit 4"):
             r.read(1)
-
-    def test_unary_without_terminator(self):
-        r = FastReader(b"\xff", 8, name="mpga")
-        with pytest.raises(BitIOError, match="mpga"):
-            r.read_unary()
 
 
 class TestReaderErrorContext:

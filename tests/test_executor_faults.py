@@ -76,11 +76,13 @@ class TestOnErrorPolicy:
             == [read_multiset(s) for s in expected]
 
     def test_salvage_matches_skip(self, intact, corrupt):
-        executor = _executor(corrupt, on_error="salvage")
-        sets = list(executor)
-        assert len(sets) == intact.n_blocks - 1
-        assert executor.stats.blocks_skipped == 1
-        assert executor.stats.gaps[0].index == BAD_BLOCK
+        # Salvage is a skip pass: no second kernel, no extra recovery.
+        report = SAGeDataset(corrupt).salvage()
+        executor = _executor(corrupt, on_error="skip")
+        [skipped] = executor.run(CollectSink())
+        assert report.blocks_recovered == intact.n_blocks - 1
+        assert [gap.index for gap in report.gaps] == [BAD_BLOCK]
+        assert read_multiset(report.read_set) == read_multiset(skipped)
 
     def test_pooled_failure_is_retried_before_gap(self, corrupt):
         # A corrupt block fails in the worker too (it parses the same
@@ -91,6 +93,29 @@ class TestOnErrorPolicy:
         # Deterministic corruption: the retries run, then the gap forms.
         assert executor.stats.blocks_retried == 1
         assert executor.stats.blocks_skipped == 1
+
+    def test_rescued_blocks_are_accounted_and_released(self, intact,
+                                                       tmp_path):
+        # Workers cannot open a file deleted after the parent mapped it,
+        # so every block fails in the pool and is rescued in the parent:
+        # the rescue is the serial decode, stream bits and release too.
+        path = tmp_path / "gone.sage"
+        path.write_bytes(intact.to_bytes())
+        archive = SAGeArchive.open(path)
+        path.unlink()
+        try:
+            executor = _executor(archive, backend="process", workers=2)
+            sets = list(executor)
+            assert executor.stats.blocks_retried == intact.n_blocks
+            assert archive.blocks == [None] * intact.n_blocks
+        finally:
+            archive.close()
+        serial = _executor(SAGeArchive.from_bytes(intact.to_bytes()))
+        assert [read_multiset(s) for s in sets] \
+            == [read_multiset(s) for s in serial]
+        assert executor.stats.streams_decoded \
+            == serial.stats.streams_decoded
+        assert executor.stats.stream_bits_total > 0
 
 
 class TestSinksAcrossGaps:
@@ -196,8 +221,10 @@ class TestOptionValidation:
             assert name in str(info.value)
 
     def test_accepts_policy_values(self):
-        for policy in ("raise", "skip", "salvage"):
+        for policy in ("raise", "skip"):
             assert EngineOptions(on_error=policy).on_error == policy
+        with pytest.raises(ValueError, match="on_error"):
+            EngineOptions(on_error="salvage")   # salvage() runs "skip"
         assert EngineOptions(block_timeout=1.5).block_timeout == 1.5
         # "Integral" is whatever has __index__: numpy ints stay accepted.
         options = EngineOptions(workers=np.int64(2), block_reads=np.int32(8),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.api import EngineOptions
-from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
+from repro.core import (BlockCompressor, SAGeCompressor, SAGeConfig,
+                        SAGeDecompressor)
 from repro.core.formats import OutputFormat
 from repro.genomics.reads import ReadSet
 from repro.hardware import area_power, dram, energy, interconnect
-from repro.hardware.sage_units import SAGeHardwareModel
+from repro.hardware.sage_units import (RCU_STREAMS, SU_STREAMS,
+                                      SAGeHardwareModel)
 from repro.hardware.ssd import pcie_ssd, sata_ssd
 
 
@@ -28,16 +30,26 @@ class TestHardwareModel:
         for a, b in zip(reads, sw):
             assert np.array_equal(a.codes, b.codes)
 
-    def test_stats_account_all_stream_bits(self, archive):
+    def test_stats_account_all_stream_bits(self, request):
+        # The walk consumes every bit of every stream it reads, and the
+        # units are charged exactly that — clip payloads, read as raw
+        # bytes, included — on every analog, across blocks.
         hw = SAGeHardwareModel(pcie_ssd())
-        _, stats = hw.run(archive)
-        streams = {"consensus": archive.consensus,
-                   **archive.block(0).streams}
-        for name, (_, bits) in streams.items():
-            assert stats.stream_bits[name] <= bits
-        # Everything but byte-padding must be consumed.
-        assert stats.compressed_bits >= 0.95 * sum(
-            bits for _, bits in streams.values())
+        for fixture in ("rs2_small", "rs3_small", "rs4_small", "rs5_small"):
+            sim = request.getfixturevalue(fixture)
+            archive = BlockCompressor(
+                sim.reference, SAGeConfig(with_quality=False),
+                options=EngineOptions(block_reads=64)) \
+                .compress(sim.read_set)
+            _, stats = hw.run(archive)
+            expected = {"consensus": archive.consensus[1]}
+            for index in range(archive.n_blocks):
+                streams = archive.block(index).streams
+                for name in SU_STREAMS + RCU_STREAMS:
+                    expected[name] = expected.get(name, 0) \
+                        + streams[name][1]
+            assert {name: stats.stream_bits[name] for name in expected} \
+                == expected, fixture
 
     def test_cycle_accounting_positive(self, archive):
         hw = SAGeHardwareModel(pcie_ssd())

@@ -485,6 +485,38 @@ def streams_written_in_bulk(source, where):
     return offenders
 
 
+#: What makes a class a sequential bit reader.
+_READER_METHODS = {"read_unary", "read_bytes"}
+
+
+def one_bit_reader(source, where):
+    """``BitReader`` is the one sequential bit reader: no class outside
+    ``core/bitio.py`` defines ``read_unary`` or ``read_bytes`` (a
+    faster or counting reader is a change to ``BitReader``, and the
+    bits a walk consumed are its readers' ``position``)."""
+    if where == "src/repro/core/bitio.py":
+        return []
+    return [f"{where}:{item.lineno} {cls.name}.{item.name}"
+            for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, FUNCTIONS) and item.name in _READER_METHODS]
+
+
+def one_format_written(source, where):
+    """v4 is the one container version written: nothing asks
+    ``to_bytes`` for a version or tells ``from_blocks`` which version
+    its blocks came from (a v3 file comes from the committed golden
+    blobs)."""
+    return [f"{where}:{node.lineno} {node.func.attr}({keyword.arg}="
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("to_bytes",
+                                                     "from_blocks")
+            for keyword in node.keywords
+            if keyword.arg in ("version", "source_version")]
+
+
 # ----------------------------------------------------------------------
 # Extension stated once (PR 24): how a chain becomes a segment — which
 # alignments it leaves open (plan) and how their results become ops,
@@ -849,6 +881,37 @@ class TestOptionsThreadingEdges:
                 if isinstance(node, ast.ImportFrom) and node.level] == []
         assert files_mentioning("TokenWriter", "new_writer") == []
         assert "thread" not in BACKENDS
+
+    def test_one_reader_one_recovery_rule_one_format_written(self):
+        """The read side states each decision once: one bit reader
+        class, one failure policy that loses a block (``skip``, which
+        salvage runs — no second kernel is tried), and one container
+        version written (v3 stays readable)."""
+        from repro.core.options import ON_ERROR
+
+        project = ("src", "tests", "examples", "benchmarks")
+        assert on_tree(one_bit_reader, *project) == []
+        assert on_snippet(one_bit_reader, """\
+            class FastReader:
+                def read_bytes(self, count):
+                    return b""
+            """, "src/repro/core/kernels.py") != []
+        assert on_snippet(one_bit_reader, """\
+            class CountingReader(BitReader):
+                def read_unary(self):
+                    return super().read_unary()
+            """, "src/repro/hardware/sage_units.py") != []
+        assert on_tree(one_format_written, *project) == []
+        for violating in ("blob = archive.to_bytes(version=3)\n",
+                          "SAGeArchive.from_blocks(blocks, level=level,"
+                          " source_version=3)\n"):
+            assert on_snippet(one_format_written, violating,
+                              "tests/test_widget.py") != [], violating
+        assert on_snippet(one_format_written,
+                          "crc = digest.to_bytes(4, 'big')\n",
+                          "src/repro/core/widget.py") == []
+        assert "salvage" not in ON_ERROR
+        assert ON_ERROR == ("raise", "skip")
 
     def test_decoded_blocks_stay_columnar(self):
         """``ReadSet`` is the one read container and its columns its
