@@ -25,33 +25,49 @@ from benchmarks.conftest import write_result
 
 LABELS = ("RS2", "RS4")
 
+#: Each pass is timed as the best of this many interleaved rounds.  On
+#: RS2 the encode share is a few percent of a pass, below the spread of
+#: one timing on a shared host, so a single round can put a tool's
+#: total under its own find time.
+ROUNDS = 3
+
+
+def _best_times(*passes):
+    """Fastest CPU time of each pass over ``ROUNDS`` interleaved rounds."""
+    best = [float("inf")] * len(passes)
+    for _ in range(ROUNDS):
+        for i, run in enumerate(passes):
+            t0 = time.process_time()
+            run()
+            best[i] = min(best[i], time.process_time() - t0)
+    return best
+
 
 def _split(sim):
     """(find_mismatches_s, encode_s) per tool for one dataset."""
     read_set, reference = sim.read_set, sim.reference
 
-    t0 = time.process_time()
-    mapper = ReadMapper(reference)
-    for read in read_set:
-        mapper.map_read(read.codes)
-    find_s = time.process_time() - t0
+    def find():
+        mapper = ReadMapper(reference)
+        for read in read_set:
+            mapper.map_read(read.codes)
 
     # The find/encode subtraction below pairs the scalar map_read pass
     # with a scalar-mapper compress; the batch kernel would erase the
     # very share this figure exists to show.
-    t0 = time.process_time()
-    SAGeCompressor(reference, SAGeConfig(with_quality=False,
-                                         mapper_kernel="python")) \
-        .compress(read_set)
-    sage_total = time.process_time() - t0
+    def sage():
+        SAGeCompressor(reference, SAGeConfig(with_quality=False,
+                                             mapper_kernel="python")) \
+            .compress(read_set)
 
-    t0 = time.process_time()
-    SpringCompressor(reference, with_quality=False).compress(read_set)
-    spring_total = time.process_time() - t0
+    def spring():
+        SpringCompressor(reference, with_quality=False).compress(read_set)
 
-    t0 = time.process_time()
-    pigz.compress_dna(read_set)
-    pigz_total = time.process_time() - t0
+    def gzip():
+        pigz.compress_dna(read_set)
+
+    find_s, sage_total, spring_total, pigz_total = \
+        _best_times(find, sage, spring, gzip)
 
     return {
         "pigz": (0.0, pigz_total),

@@ -32,8 +32,8 @@ def main() -> None:
     # Decode blocks on worker processes with bounded prefetch while the
     # sinks consume earlier blocks — prep overlaps analysis, and memory
     # stays bounded by the in-flight window, not the dataset.  One pass
-    # analyzes the reads ("property" resolves through the sink
-    # registry), re-emits them as FASTQ, and feeds a bare callable.
+    # analyzes the reads ("property" is a built-in sink name), re-emits
+    # them as FASTQ, and feeds a bare callable.
     fastq_out = io.StringIO()
     report, n_written, block_sizes = (
         dataset.pipe("property")

@@ -26,8 +26,7 @@ archives, streams, sinks and engine options::
 
 from . import analysis, baselines, core, genomics, hardware, mapping, pipeline
 from . import api
-from .api import (EngineOptions, Pipeline, SAGeDataset, available_sinks,
-                  make_sink, register_sink)
+from .api import EngineOptions, Pipeline, SAGeDataset, available_sinks
 from .core import (OptLevel, SAGeArchive, SAGeCompressor, SAGeConfig,
                    SAGeDecompressor)
 
@@ -36,7 +35,7 @@ __version__ = "1.1.0"
 __all__ = [
     "analysis", "api", "baselines", "core", "genomics", "hardware",
     "mapping", "pipeline", "EngineOptions", "Pipeline", "SAGeDataset",
-    "available_sinks", "make_sink", "register_sink", "OptLevel",
+    "available_sinks", "OptLevel",
     "SAGeArchive", "SAGeCompressor", "SAGeConfig", "SAGeDecompressor",
     "__version__",
 ]

@@ -23,8 +23,7 @@ from .cache import CacheStats, DecodedBlockCache, SingleFlight
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
 from .describe import describe
-from .sinks import (CallableSink, available_sinks, make_sink,
-                    register_sink, result_info, unregister_sink)
+from .sinks import CallableSink, available_sinks, result_info
 
 __all__ = [
     "BlockDecodeError", "CacheStats", "CallableSink",
@@ -32,6 +31,5 @@ __all__ = [
     "ON_ERROR", "Pipeline", "STREAM_GROUPS", "SAGeDataset", "SAGeError",
     "SalvageReport", "SingleFlight", "SourceTotals", "StreamSelection",
     "TruncatedArchiveError", "VerifyReport", "atomic_write_bytes",
-    "available_sinks", "describe", "make_sink", "register_sink",
-    "result_info", "unregister_sink",
+    "available_sinks", "describe", "result_info",
 ]

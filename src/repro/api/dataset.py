@@ -408,7 +408,7 @@ class SAGeDataset:
         blocks = list(digests["blocks"])
         if deep:
             executor = self._make_executor(
-                self.options.replace(on_error="skip", streams=None))
+                self.options.replace(on_error="skip"))
             for _ in executor:
                 pass
             # A successful full decode verifies a block even when the
@@ -427,8 +427,9 @@ class SAGeDataset:
         """Recover every intact block from a (possibly damaged) archive.
 
         Runs a streaming decode under ``on_error="skip"``: a block that
-        fails to decode (after the session's pooled-failure retries) is
-        recorded as a :class:`BlockGap` instead of killing the stream.
+        fails to decode (after the one parent-side retry of a pooled
+        failure) is recorded as a :class:`BlockGap` instead of killing
+        the stream.
         Returns the recovered reads plus per-block loss accounting.
         """
         self._require_open()
@@ -513,10 +514,11 @@ class SAGeDataset:
     def analyze(self, *sinks) -> list:
         """One streaming pass through ``sinks``; returns their results.
 
-        Each sink may be a registered name (``"property"``,
-        ``"mapping-rate"``, …), a :class:`Sink` object, or a per-block
-        callable.  All sinks share a single decode pass: analysis of
-        block *i* overlaps the decode of later blocks.  Defaults to the
+        Each sink may be a built-in name (``"property"``,
+        ``"mapping-rate"``, ``"collect"``), a :class:`Sink` object, or a
+        per-block callable.  All sinks share a single decode pass:
+        analysis of block *i* overlaps the decode of later blocks.
+        Defaults to the
         ``property`` sink when called with no arguments.
         """
         specs = sinks or ("property",)
@@ -545,11 +547,8 @@ class Pipeline:
         self.stats: ExecutorStats | None = None
 
     def pipe(self, *sinks) -> "Pipeline":
-        """Append sinks; an unresolvable spec, or a sink the session's
-        ``options.streams`` would starve, is this call's error."""
+        """Append sinks; an unresolvable spec is this call's error."""
         self._sinks.extend(resolve_sink(self._dataset, s) for s in sinks)
-        StreamExecutor(self._dataset.archive, options=self._dataset.options
-                       ).selection_for(self._sinks)
         return self
 
     def run(self) -> list:

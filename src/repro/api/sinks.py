@@ -1,11 +1,13 @@
-"""Named sink registry and adapters for the :class:`SAGeDataset` facade.
+"""Built-in sinks by name, and adapters, for the :class:`SAGeDataset`
+facade.
 
 Sinks are the pipelined consumers of the streaming decode
-(:class:`repro.pipeline.executor.Sink`).  The registry maps short names
-to factories so callers — most prominently ``sage analyze --sink NAME``
-— can resolve an analysis by name instead of wiring mapper/reference
-plumbing themselves.  A factory receives the dataset being analyzed and
-returns a fresh sink bound to it (e.g. to the archive's own consensus).
+(:class:`repro.pipeline.executor.Sink`).  Three are built in and
+resolve by name — most prominently for ``sage analyze --sink NAME`` —
+so a caller need not wire mapper/reference plumbing itself; each is
+built for the dataset being analyzed (e.g. bound to the archive's own
+consensus).  Any other sink is piped as an object or a per-block
+callable: ``ds.pipe(MySink(...))``.
 """
 
 from __future__ import annotations
@@ -18,53 +20,24 @@ from ..pipeline.executor import CollectSink, Sink
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dataset import SAGeDataset
 
-__all__ = ["CallableSink", "SinkFactory", "available_sinks", "make_sink",
-           "register_sink", "resolve_sink", "result_info",
-           "unregister_sink"]
+__all__ = ["CallableSink", "available_sinks", "resolve_sink",
+           "result_info"]
 
-SinkFactory = Callable[["SAGeDataset"], Sink]
-
-_REGISTRY: dict[str, SinkFactory] = {}
-
-
-def register_sink(name: str, factory: SinkFactory, *,
-                  replace: bool = False) -> None:
-    """Register ``factory`` under ``name``.
-
-    ``factory(dataset)`` must return a fresh object satisfying the
-    :class:`Sink` protocol.  Re-registering an existing name raises
-    unless ``replace=True``.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"sink name must be a non-empty string, "
-                         f"got {name!r}")
-    if not callable(factory):
-        raise ValueError(f"sink factory for {name!r} must be callable")
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"sink {name!r} is already registered "
-                         f"(pass replace=True to override)")
-    _REGISTRY[name] = factory
-
-
-def unregister_sink(name: str) -> None:
-    """Remove ``name`` from the registry (missing names are ignored)."""
-    _REGISTRY.pop(name, None)
+#: The built-in sinks.  Analysis sinks map against the dataset's own
+#: consensus, so they run straight off the compressed blob with no side
+#: files — the paper's "directly analyzable" property.
+_BUILT_IN: dict[str, Callable[["SAGeDataset"], Sink]] = {
+    "property": lambda dataset: PropertyAccumulator(
+        dataset.consensus, options=dataset.options),
+    "mapping-rate": lambda dataset: MappingRateSink(
+        dataset.consensus, options=dataset.options),
+    "collect": lambda dataset: CollectSink(),
+}
 
 
 def available_sinks() -> tuple[str, ...]:
-    """Registered sink names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def make_sink(name: str, dataset: "SAGeDataset") -> Sink:
-    """Instantiate the sink registered under ``name`` for ``dataset``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sink {name!r}; available: "
-            f"{', '.join(available_sinks()) or '(none)'}") from None
-    return factory(dataset)
+    """Built-in sink names, sorted."""
+    return tuple(sorted(_BUILT_IN))
 
 
 class CallableSink:
@@ -77,8 +50,8 @@ class CallableSink:
     """
 
     #: A bare callable's needs are unknown: request the full decode.
-    #: Wrap in a sink with a narrower ``requires`` (or set
-    #: ``EngineOptions.streams``) to opt into selective decode.
+    #: Wrap in a sink with a narrower ``requires`` to opt into
+    #: selective decode.
     requires = None
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
@@ -119,7 +92,7 @@ def _mapping_info(rate: Any) -> dict:
 
 
 def result_info(result: Any) -> dict:
-    """JSON-serializable rendering of any registered sink's result.
+    """JSON-serializable rendering of any sink's result.
 
     The shared presentation layer for ``sage analyze --json`` and the
     serve endpoint ``POST /analyze``: built-in report objects get
@@ -139,25 +112,18 @@ def result_info(result: Any) -> dict:
 
 
 def resolve_sink(dataset: "SAGeDataset", spec: Any) -> Sink:
-    """Turn a sink spec (name, sink object, or callable) into a sink."""
+    """Turn a sink spec (built-in name, sink object, or callable) into a
+    sink."""
     if isinstance(spec, str):
-        return make_sink(spec, dataset)
+        try:
+            factory = _BUILT_IN[spec]
+        except KeyError:
+            raise ValueError(f"unknown sink {spec!r}; available: "
+                             f"{', '.join(available_sinks())}") from None
+        return factory(dataset)
     if isinstance(spec, Sink):
         return spec
     if callable(spec):
         return CallableSink(spec)
     raise TypeError(f"cannot use {spec!r} as a sink: expected a "
-                    f"registered name, a Sink, or a callable")
-
-
-# ----------------------------------------------------------------------
-# Built-in sinks.  Analysis sinks map against the dataset's own
-# consensus, so they run straight off the compressed blob with no side
-# files — the paper's "directly analyzable" property.
-# ----------------------------------------------------------------------
-
-register_sink("property", lambda dataset: PropertyAccumulator(
-    dataset.consensus, options=dataset.options))
-register_sink("mapping-rate", lambda dataset: MappingRateSink(
-    dataset.consensus, options=dataset.options))
-register_sink("collect", lambda dataset: CollectSink())
+                    f"built-in name, a Sink, or a callable")

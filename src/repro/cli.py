@@ -33,7 +33,7 @@ one block); ``--workers N`` compresses/decodes blocks on ``N`` processes
 with a bounded in-flight window, byte-identical for every ``N``.
 ``sage cat --block I`` decodes a single block without touching the rest
 of the archive; ``sage analyze`` runs
-named sinks from the facade's registry (``--sink property --sink
+the facade's built-in sinks (``--sink property --sink
 mapping-rate``, default ``property``) directly off an archive, using
 the archive's own consensus as the reference.
 
@@ -369,9 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "analysis consumes them")
     p.add_argument("--sink", action="append", default=None,
                    metavar="NAME",
-                   help="named sink from the facade registry "
-                        f"(repeatable, default property; registered: "
-                        f"{', '.join(available_sinks())})")
+                   help="built-in sink (repeatable, default property; "
+                        f"one of: {', '.join(available_sinks())})")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     p.set_defaults(func=_cmd_analyze)

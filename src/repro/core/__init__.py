@@ -2,7 +2,7 @@
 
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
-from .blocks import BlockCompressor, imap_bounded, partition_reads
+from .blocks import BlockCompressor, imap_bounded
 from .compressor import SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
@@ -26,8 +26,7 @@ __all__ = [
     "BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
     "BlockCompressor",
     "STREAM_GROUPS", "StreamSelection", "decoded_stream_bits",
-    "imap_bounded",
-    "partition_reads", "CompressionError", "SAGeCompressor", "SAGeConfig",
+    "imap_bounded", "CompressionError", "SAGeCompressor", "SAGeConfig",
     "BlockIndexEntry", "ContainerError", "SAGeArchive",
     "SAGeBlock", "DecompressionError", "SAGeDecompressor",
     "OutputFormat", "CATEGORIES", "OptLevel", "SizeBreakdown",

@@ -34,13 +34,13 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..genomics.reads import ReadSet, partition_reads
+from ..genomics.reads import ReadSet
 from ..mapping.kmer_index import KmerIndex
 from .compressor import SAGeCompressor, SAGeConfig
 from .container import SAGeArchive, SAGeBlock
 from .options import EngineOptions
 
-__all__ = ["BlockCompressor", "imap_bounded", "partition_reads"]
+__all__ = ["BlockCompressor", "imap_bounded"]
 
 
 #: The worker process's compressor, built once by the pool initializer
@@ -68,7 +68,6 @@ def _compress_chunk_pooled(chunk: ReadSet) -> SAGeBlock:
 def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
                  window: int,
                  depth_probe: Callable[[int], None] | None = None,
-                 timeout: float | None = None,
                  failure: Callable[[int, BaseException], object] | None
                  = None) -> Iterator:
     """``executor.map`` with a bounded number of in-flight futures.
@@ -79,13 +78,12 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
     is called with the in-flight queue depth after every submission; the
     streaming decode executor uses it to record peak queue depth.
 
-    ``timeout`` bounds the wait for each future (seconds); a slot that
-    does not finish in time fails with
-    :class:`concurrent.futures.TimeoutError`.  ``failure`` (if given)
-    is called with ``(index, exception)`` when a slot fails — whether by
-    raising or by timeout — and its return value is yielded in place of
-    the lost result, so one bad item cannot kill the whole stream.
-    Without it, the exception propagates (historical behaviour).
+    ``failure`` (if given) is called with ``(index, exception)`` when a
+    slot raises, and its return value is yielded in place of the lost
+    result, so one bad item cannot kill the whole stream.  Without it,
+    the exception propagates.  There is no per-slot timeout: a process
+    task that is already running cannot be cancelled, and leaving the
+    pool waits for it anyway.
     """
     pending: deque = deque()
     yielded = 0
@@ -96,11 +94,10 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
         index = yielded
         yielded += 1
         try:
-            return future.result(timeout)
+            return future.result()
         except Exception as exc:
             if failure is None:
                 raise
-            future.cancel()
             return failure(index, exc)
 
     for item in items:

@@ -23,14 +23,12 @@ it at module level; ``repro.api.EngineOptions`` is this class.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Any
 
 from ..mapping.batch import available_mappers
 from .compressor import SAGeConfig
 from .kernels import available_kernels
-from .selection import STREAM_GROUPS, StreamSelection
 
 __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
            "ON_ERROR", "EngineOptions"]
@@ -101,24 +99,13 @@ class EngineOptions:
         :class:`~repro.pipeline.executor.BlockGap`, so every block the
         damage did not touch is still delivered (what
         ``SAGeDataset.salvage()`` runs).  Kernels decode identical
-        reads from the same bytes, so no second kernel is tried.
-    block_retries:
-        Serial in-parent re-decode attempts for a block that failed in
-        a worker pool (rescues worker crashes / broken pools /
-        timeouts) before the ``on_error`` policy applies.  A block that
-        fails in a serial pass is not retried.
-    block_timeout:
-        Per-block decode timeout in seconds for pooled backends
-        (``None`` = no limit; the serial backend cannot time out).
-    streams:
-        Explicit stream-selective decode override: a tuple of stream
-        group names from
-        :data:`repro.core.selection.STREAM_GROUPS`
-        (``sequence``/``quality``/``headers``/``order``).  ``None``
-        (default) lets each consumer decide — the streaming executor
-        unions the attached sinks' ``requires`` declarations, and
-        direct decodes take everything.  Groups not listed are skipped
-        outright at decode time (lazy, not decoded-and-dropped).
+        reads from the same bytes, so no second kernel is tried.  A
+        block that fails in a worker pool is first re-decoded once in
+        the parent; see :class:`~repro.pipeline.executor.StreamExecutor`.
+
+    What a pass decodes is not an option: the streaming executor decodes
+    the union of its sinks' ``requires`` declarations, and random access
+    (``decode_block(select=)``) names its stream groups per call.
     """
 
     workers: int = 1
@@ -127,21 +114,14 @@ class EngineOptions:
     codec: str = "auto"
     mapper: str = "auto"
     on_error: str = "raise"
-    block_retries: int = 1
-    block_timeout: float | None = None
-    streams: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("workers", "block_reads", "block_retries"):
+        for name in ("workers", "block_reads"):
             # An integer is whatever has __index__ (Python and numpy
             # ints); 2.5, "2" and None fail here, not in a worker pool.
             if not hasattr(getattr(self, name), "__index__"):
                 raise ValueError(f"{name} must be an integer, "
                                  f"got {getattr(self, name)!r}")
-        if self.block_timeout is not None \
-                and not isinstance(self.block_timeout, numbers.Real):
-            raise ValueError(f"block_timeout must be a number of seconds "
-                             f"(or None), got {self.block_timeout!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.backend not in BACKENDS:
@@ -162,27 +142,6 @@ class EngineOptions:
         if self.on_error not in ON_ERROR:
             raise ValueError(f"unknown on_error {self.on_error!r}; "
                              f"expected one of {ON_ERROR}")
-        if self.block_retries < 0:
-            raise ValueError(f"block_retries must be >= 0, "
-                             f"got {self.block_retries!r}")
-        if self.block_timeout is not None and self.block_timeout <= 0:
-            raise ValueError(
-                f"block_timeout must be > 0 seconds (or None for no "
-                f"limit), got {self.block_timeout!r}")
-        if self.streams is not None:
-            if isinstance(self.streams, str):
-                streams: tuple[str, ...] = (self.streams,)
-            else:
-                streams = tuple(self.streams)
-            for name in streams:
-                if name not in STREAM_GROUPS:
-                    raise ValueError(
-                        f"unknown stream group {name!r}; expected a "
-                        f"subset of {STREAM_GROUPS}")
-            # Normalizing to STREAM_GROUPS order also validates the
-            # quality-requires-sequence invariant (from_spec raises).
-            object.__setattr__(
-                self, "streams", StreamSelection.from_spec(streams).names)
 
     # ------------------------------------------------------------------
     # Derived views

@@ -12,13 +12,14 @@ that tells :class:`repro.core.decompressor.SAGeDecompressor` and the
 codec kernels which groups to decode; everything unselected is skipped
 outright — not decoded-and-dropped.
 
-Selections flow three ways:
+Selections flow two ways:
 
 - sinks declare what they need via a ``requires`` attribute (see
   :class:`repro.pipeline.executor.Sink`), and the streaming executor
   unions the attached sinks' declarations per pass;
-- ``EngineOptions.streams`` overrides the union (never starving a sink);
-- ``SAGeDecompressor.decompress_block(select=...)`` takes one directly.
+- random access — ``SAGeDecompressor.decompress_block(select=...)``,
+  ``SAGeDataset.decode_block(select=...)``, ``/block?streams=`` — takes
+  one directly.
 
 Invariants: selecting ``quality`` requires ``sequence`` (quality scores
 are sliced per read by decoded read lengths).  A selection that skips

@@ -273,26 +273,3 @@ def _join(codes: list, quality: list, lengths,
             for bases, part in zip(codes, quality)])
     flat = np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
     return flat, offsets, scores, headers
-
-
-def partition_reads(reads: Iterable[Read], block_reads: int,
-                    name: str = "") -> Iterator[ReadSet]:
-    """Chunk a read stream into :class:`ReadSet` blocks in input order.
-
-    The chunker of the block-based compression engine
-    (:class:`repro.core.blocks.BlockCompressor`) for reads that are
-    already objects: at most one ``block_reads``-sized chunk is held in
-    memory.  (FASTQ text is chunked by its parser,
-    :func:`repro.genomics.fastq.iter_read_sets`, without building
-    them.)
-    """
-    if block_reads < 1:
-        raise ValueError("block_reads must be >= 1")
-    chunk: list[Read] = []
-    for read in reads:
-        chunk.append(read)
-        if len(chunk) == block_reads:
-            yield ReadSet(chunk, name=name)
-            chunk = []
-    if chunk:
-        yield ReadSet(chunk, name=name)

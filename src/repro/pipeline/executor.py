@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import pickle
 import warnings
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from ..core.blocks import imap_bounded
 from ..core.container import SAGeArchive
@@ -74,8 +74,8 @@ class ExecutorStats:
     reads: int = 0
     bases: int = 0
     peak_inflight: int = 0      # peak decoded-block queue depth
-    blocks_failed: int = 0      # blocks whose decode exhausted retries
-    blocks_retried: int = 0     # blocks that needed >= 1 retry attempt
+    blocks_failed: int = 0      # blocks lost after any retry
+    blocks_retried: int = 0     # pool failures re-decoded in the parent
     blocks_skipped: int = 0     # failed blocks turned into gaps
     gaps: list = field(default_factory=list)   # BlockGap per lost block
     #: IPC bytes submitted to pooled workers: a few bytes per block (a
@@ -128,8 +128,8 @@ class Sink(Protocol):
     union of the attached sinks' declarations, so an aggregate sink
     never pays for quality or header decode it will not read.  Sinks
     without the attribute (or declaring ``None``) conservatively
-    request everything.  Declare a strict subset only for groups the
-    sink computes from: see :meth:`StreamExecutor.selection_for`.
+    request everything.  That union is the one statement of what a
+    pass decodes.
     """
 
     def consume(self, index: int, block: ReadSet) -> None:
@@ -171,14 +171,14 @@ _decode_state: "tuple[SAGeDecompressor, StreamSelection] | None" = None
 
 
 def _init_decode_worker(source: "str | bytes", name: str,
-                        options: EngineOptions) -> None:
+                        options: EngineOptions,
+                        select: StreamSelection) -> None:
     """Pool initializer: open the archive and unpack the consensus once.
 
-    ``options`` are the pass's options with its stream selection
-    resolved.  A failed open (file moved/deleted between
-    parent open and worker start) is not fatal here — tasks then raise
-    a typed error and the parent's retry path re-decodes the block
-    serially from its own mapping.
+    ``select`` is the pass's stream selection.  A failed open (file
+    moved/deleted between parent open and worker start) is not fatal
+    here — tasks then raise a typed error and the parent's retry
+    re-decodes the block serially from its own mapping.
     """
     global _decode_state
     try:
@@ -187,8 +187,7 @@ def _init_decode_worker(source: "str | bytes", name: str,
     except (OSError, SAGeError):
         return
     archive.name = name                 # not serialized; names reads
-    _decode_state = (SAGeDecompressor(archive, codec=options.codec),
-                     StreamSelection.from_spec(options.streams))
+    _decode_state = (SAGeDecompressor(archive, codec=options.codec), select)
 
 
 def _decode_task(index: int) -> "tuple[ReadSet, dict[str, int]]":
@@ -256,44 +255,28 @@ class StreamExecutor:
                 self.archive, codec=self.options.codec)
         return self._decompressor
 
-    def selection_for(self, sinks: "list[Sink] | tuple[Sink, ...]" = ()
+    @staticmethod
+    def selection_for(sinks: "list[Sink] | tuple[Sink, ...]" = ()
                       ) -> StreamSelection:
-        """The stream groups a pass over ``sinks`` must decode.
-
-        The union of the sinks' ``requires`` (a sink without one, or no
-        sink, asks for everything) unless ``options.streams`` overrides
-        it.  The override narrows a sink that asks for everything; a
-        sink naming a strict subset computes from each group it names,
-        so an override missing one raises :class:`ValueError` rather
-        than feed it empty placeholder reads.
-        """
-        override = self.options.streams
+        """The stream groups a pass over ``sinks`` decodes: the union of
+        their ``requires`` (a sink without one, or no sink, asks for
+        everything)."""
         union = StreamSelection.none() if sinks \
             else StreamSelection.all_streams()
         for sink in sinks:
-            wanted = StreamSelection.from_spec(
-                getattr(sink, "requires", None))
-            if override is not None and not wanted.is_all:
-                for group in wanted.names:
-                    if group not in override:
-                        raise ValueError(
-                            f"sink {type(sink).__name__} computes from "
-                            f"stream group {group!r}; options.streams="
-                            f"{override!r} does not decode it")
-            union = union.union(wanted)
-        return union if override is None \
-            else StreamSelection.from_spec(override)
+            union = union.union(StreamSelection.from_spec(
+                getattr(sink, "requires", None)))
+        return union
 
     def __iter__(self) -> Iterator[ReadSet]:
-        """Yield each block's reads in index order.
+        """Yield each block's reads, every stream group decoded, in
+        index order.
 
         Statistics of the pass accumulate in :attr:`stats` (reset at the
         start of every iteration).  Under ``on_error="skip"``
         blocks lost to corruption are omitted here; their
         :class:`BlockGap` records accumulate in ``stats.gaps`` (and are
-        delivered to sinks in :meth:`run`).  ``options.streams`` limits
-        the decode to the named stream groups; without it, plain
-        iteration decodes everything.
+        delivered to sinks in :meth:`run`).
         """
         for _index, item in self._iter_indexed(self.selection_for()):
             if isinstance(item, ReadSet):
@@ -354,29 +337,27 @@ class StreamExecutor:
                          ) -> "tuple[ReadSet, dict[str, int]] | BlockGap":
         """Apply the retry + ``on_error`` policy to one failed block.
 
-        ``pooled`` marks failures from a worker pool: those get
-        ``block_retries`` serial in-parent re-decodes (rescuing blocks
-        lost to worker crashes, broken pools, or timeouts), each the
-        same :func:`_decode_block` a serial pass runs.  A failure that
-        already happened serially in-parent skips them — re-running a
-        deterministic decode cannot help.  Exhausted retries then follow
+        ``pooled`` marks a failure from a worker pool (a worker crash, a
+        broken pool, a worker that could not open the archive): that
+        block is re-decoded exactly once in the parent, by the same
+        :func:`_decode_block` a serial pass runs.  The retry is that
+        deterministic serial decode, so a second attempt could not
+        succeed where it failed, and a failure that already happened
+        serially is not retried at all.  A block still lost then follows
         the policy: ``"raise"`` propagates, ``"skip"`` returns a
         :class:`BlockGap`.
         """
-        retries = self.options.block_retries if pooled else 0
-        last = exc
-        if retries:
+        if pooled:
             self.stats.blocks_retried += 1
-            for _ in range(retries):
-                try:
-                    return _decode_block(self.decompressor(), index, select)
-                except Exception as retry_exc:
-                    last = retry_exc
+            try:
+                return _decode_block(self.decompressor(), index, select)
+            except Exception as retry_exc:
+                exc = retry_exc
         self.stats.blocks_failed += 1
         if self.options.on_error == "raise":
-            raise last
+            raise exc
         gap = BlockGap(index, self.archive.block_index()[index].n_reads,
-                       last)
+                       exc)
         self.stats.blocks_skipped += 1
         self.stats.gaps.append(gap)
         return gap
@@ -412,28 +393,21 @@ class StreamExecutor:
             pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_decode_worker,
-                initargs=(source, arch.name,
-                          self.options.replace(streams=select.names)))
+                initargs=(source, arch.name, self.options, select))
         except (OSError, PermissionError) as exc:  # pragma: no cover
             warnings.warn(f"process pool unavailable ({exc}); "
                           "falling back to serial block decode",
                           RuntimeWarning, stacklevel=2)
             yield from self._iter_serial(select)
             return
-        with pool:
-            yield from self._drain(pool, _decode_task, tasks(), select)
-
-    def _drain(self, pool: Executor, fn, items: Iterable,
-               select: StreamSelection
-               ) -> Iterator["ReadSet | BlockGap"]:
         failure = partial(self._resolve_failure, pooled=True,
                           select=select)
-        for item in imap_bounded(
-                pool, fn, items, self.window,
-                depth_probe=self.stats.note_depth,
-                timeout=self.options.block_timeout,
-                failure=failure):
-            yield self._account(item)
+        with pool:
+            for item in imap_bounded(pool, _decode_task, tasks(),
+                                     self.window,
+                                     depth_probe=self.stats.note_depth,
+                                     failure=failure):
+                yield self._account(item)
 
 
 # ----------------------------------------------------------------------

@@ -44,11 +44,9 @@ DEFAULT_CACHE_BYTES = 64 << 20
 #: EngineOptions fields a single ``/analyze`` request may override.
 #: The rest partitions the write path (block_reads) or picks a
 #: byte-identical kernel, which the operator does once for the whole
-#: server, and stays server-side.
-REQUEST_OPTION_KEYS = frozenset({
-    "workers", "backend", "on_error", "block_retries", "block_timeout",
-    "streams",
-})
+#: server, and stays server-side.  What a pass decodes is its sinks'
+#: ``requires``, not an option.
+REQUEST_OPTION_KEYS = frozenset({"workers", "backend", "on_error"})
 
 _BLOCK_PATH = re.compile(r"^/block/(\d+)$")
 _READS_PATH = re.compile(r"^/reads/(\d+)-(\d+)$")

@@ -80,6 +80,13 @@ def read_multiset(read_set):
     return sorted(out)
 
 
+def chunked(read_set, n):
+    """``read_set`` as consecutive ``n``-read chunks (the last may be
+    shorter), each a column view: ``read_set.subset(range(lo, hi))``."""
+    return [read_set.subset(range(lo, min(lo + n, len(read_set))))
+            for lo in range(0, len(read_set), n)]
+
+
 def decode_blocks(decoder):
     """Reference walk: every block decoded one by one, in index order.
 

@@ -1,21 +1,18 @@
-"""Tests for the SAGeDataset facade, EngineOptions, and sink registry."""
+"""Tests for the SAGeDataset facade, EngineOptions, and built-in sinks."""
 
 import io
 
 import numpy as np
 import pytest
 
-from repro.api import (CallableSink, EngineOptions, SAGeDataset,
-                       available_sinks, make_sink, register_sink,
-                       unregister_sink)
+from repro.api import EngineOptions, SAGeDataset, available_sinks
 from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, OptLevel,
                         SAGeArchive, SAGeCompressor, SAGeConfig)
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
-from repro.genomics.reads import (PLACEHOLDER_SCORE, Read, ReadSet,
-                                  partition_reads)
+from repro.genomics.reads import PLACEHOLDER_SCORE, Read, ReadSet
 
-from tests.conftest import golden_blob, read_multiset
+from tests.conftest import chunked, golden_blob, read_multiset
 
 BLOCK_READS = 16
 
@@ -125,7 +122,7 @@ class TestFacadeCompression:
         assert totals.fastq_bytes > 0
 
     def test_from_prechunked_stream(self, rs3_small):
-        chunks = list(partition_reads(iter(rs3_small.read_set), 20))
+        chunks = chunked(rs3_small.read_set, 20)
         ds = SAGeDataset.from_fastq(iter(chunks),
                                     reference=rs3_small.reference)
         assert ds.n_blocks == len(chunks)
@@ -190,8 +187,8 @@ class TestOneWritePath:
         sources = {
             "read_set": lambda: reads,
             "path": lambda: path,
-            "chunks": lambda: partition_reads(
-                iter(reads), block_reads or len(reads)),
+            "chunks": lambda: iter(chunked(reads,
+                                           block_reads or len(reads))),
         }
         blobs = set()
         for make_source in sources.values():
@@ -354,6 +351,28 @@ class TestFacadeAnalysis:
         [collected] = dataset.pipe(CollectSink()).run()
         assert len(collected) == dataset.n_reads
 
+        class GCSink:
+            """A custom analysis (README's ``MyGCSink``): piped as is,
+            its ``requires`` narrows the decode like a built-in's."""
+
+            requires = ("sequence",)
+
+            def __init__(self):
+                self.gc = self.bases = 0
+
+            def consume(self, index, block):
+                self.gc += int(np.isin(block.codes, (1, 2)).sum())
+                self.bases += block.codes.size
+
+            def finish(self):
+                return self.gc / self.bases
+
+        pipeline = dataset.pipe(GCSink())
+        [fraction] = pipeline.run()
+        assert fraction == np.isin(collected.codes, (1, 2)).sum() \
+            / collected.codes.size
+        assert pipeline.stats.streams_decoded["quality"] == 0
+
     def test_empty_pipeline_rejected(self, dataset):
         with pytest.raises(ValueError, match="no sinks"):
             dataset.pipe().run()
@@ -370,20 +389,6 @@ class TestFacadeAnalysis:
             pipeline.run()
         [again] = dataset.analyze(spec)
         assert first == again
-
-    def test_starved_sink_is_refused_when_piped(self, dataset):
-        """A session whose ``streams`` override drops the group a sink
-        computes from cannot pipe that sink (it used to answer
-        ``mapping_rate=0.0``): a ``ValueError`` from ``pipe()``, where
-        an unknown sink name also fails, before any decode."""
-        starving = SAGeDataset(dataset.archive,
-                               options=EngineOptions(streams=("headers",)))
-        for spec in ("mapping-rate", "property"):
-            with pytest.raises(ValueError, match="'sequence'"):
-                starving.pipe(spec)
-        assert starving.stats is None
-        [collected] = starving.analyze("collect")   # asks for everything
-        assert collected.total_bases == 0
 
     def test_analysis_sinks_never_build_read_views(self, dataset):
         """A block is its columns at the sink too: after the built-in
@@ -403,40 +408,28 @@ class TestFacadeAnalysis:
 
 class TestSinkRegistry:
     def test_builtins_registered(self):
-        names = available_sinks()
-        assert {"property", "mapping-rate", "collect"} <= set(names)
+        # A fixed table: three names, nothing registers more.
+        assert available_sinks() == ("collect", "mapping-rate", "property")
 
     def test_register_resolve_unregister(self, dataset):
-        register_sink("block-count",
-                      lambda ds: CallableSink(lambda block: 1))
-        try:
-            assert "block-count" in available_sinks()
-            [ones] = dataset.analyze("block-count")
-            assert sum(ones) == dataset.n_blocks
-        finally:
-            unregister_sink("block-count")
-        assert "block-count" not in available_sinks()
+        # A custom sink needs no name: piped as a callable it resolves
+        # to a CallableSink, sees every block, and leaves the table as
+        # it was.
+        from repro.api.sinks import CallableSink, resolve_sink
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_sink("property", lambda ds: None)
+        def count_block(block):
+            return 1
 
-    def test_replace_allows_override(self, dataset):
-        from repro.pipeline import CollectSink
-        register_sink("collect", lambda ds: CallableSink(len),
-                      replace=True)
-        try:
-            replaced = make_sink("collect", dataset)
-            assert isinstance(replaced, CallableSink)
-        finally:
-            register_sink("collect", lambda ds: CollectSink(),
-                          replace=True)
+        assert isinstance(resolve_sink(dataset, count_block), CallableSink)
+        [ones] = dataset.pipe(count_block).run()
+        assert sum(ones) == dataset.n_blocks
+        assert available_sinks() == ("collect", "mapping-rate", "property")
 
-    def test_invalid_names_rejected(self):
-        with pytest.raises(ValueError):
-            register_sink("", lambda ds: None)
-        with pytest.raises(ValueError):
-            register_sink("x", "not callable")
+    def test_invalid_names_rejected(self, dataset):
+        for name in ("", "gc", "Property"):
+            with pytest.raises(ValueError, match="unknown sink") as info:
+                dataset.pipe(name)
+            assert "collect, mapping-rate, property" in str(info.value)
 
 
 class TestIntegrityAPI:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
-                        SAGeConfig, SAGeDecompressor, partition_reads)
+                        SAGeConfig, SAGeDecompressor)
 from repro.core.container import (BLOCK_STREAM_NAMES, ContainerError,
                                   SAGeArchive)
 from repro.genomics.reads import ReadSet
@@ -19,7 +19,8 @@ from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
 from repro.mapping.mapper import MapperConfig
 
-from tests.conftest import SIZE_CONFIGS, golden_blob, read_multiset
+from tests.conftest import (SIZE_CONFIGS, chunked, golden_blob,
+                            read_multiset)
 
 BLOCK_READS = 9  # deliberately small: forces several partial blocks
 BLOCKED = EngineOptions(block_reads=BLOCK_READS)
@@ -111,7 +112,7 @@ class TestRandomAccess:
         sim = families["short"]
         archive = BlockCompressor(sim.reference, SAGeConfig(),
                                   options=BLOCKED).compress(sim.read_set)
-        chunks = list(partition_reads(iter(sim.read_set), BLOCK_READS))
+        chunks = chunked(sim.read_set, BLOCK_READS)
         return SAGeArchive.from_bytes(archive.to_bytes()), chunks
 
     def test_block_index_counts(self, loaded):
@@ -297,7 +298,7 @@ class TestEngineEdges:
 
     def test_prechunked_stream_one_block_per_chunk(self, families):
         sim = families["short"]
-        chunks = list(partition_reads(iter(sim.read_set), 15))
+        chunks = chunked(sim.read_set, 15)
         archive = BlockCompressor(sim.reference,
                                   SAGeConfig()).compress(iter(chunks))
         assert archive.n_blocks == len(chunks)
@@ -306,14 +307,11 @@ class TestEngineEdges:
         assert archive.block_reads == 0
         assert SAGeArchive.from_bytes(archive.to_bytes()).block_reads == 0
 
-    def test_invalid_parameters_rejected(self, families):
-        sim = families["short"]
+    def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             EngineOptions(block_reads=-1)
         with pytest.raises(ValueError):
             EngineOptions(workers=0)
-        with pytest.raises(ValueError):
-            list(partition_reads(iter(sim.read_set), 0))
 
     def test_breakdown_counts_consensus_once(self, families):
         sim = families["short"]

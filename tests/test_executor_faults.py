@@ -1,8 +1,7 @@
-"""Fault-tolerant streaming: on_error policy, retries, gaps, timeouts."""
+"""Fault-tolerant streaming: on_error policy, the pooled retry, gaps."""
 
 import io
-import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -86,13 +85,17 @@ class TestOnErrorPolicy:
 
     def test_pooled_failure_is_retried_before_gap(self, corrupt):
         # A corrupt block fails in the worker too (it parses the same
-        # blob), so the pooled failure reaches the parent's retries.
+        # blob), so the pooled failure reaches the parent's one retry
+        # under default options.
         executor = _executor(corrupt, backend="process", workers=2,
-                             on_error="skip", block_retries=2)
+                             on_error="skip")
         list(executor)
-        # Deterministic corruption: the retries run, then the gap forms.
+        # Deterministic corruption: the one serial retry fails the same
+        # way, then the gap forms.
         assert executor.stats.blocks_retried == 1
+        assert executor.stats.blocks_failed == 1
         assert executor.stats.blocks_skipped == 1
+        assert [gap.index for gap in executor.stats.gaps] == [BAD_BLOCK]
 
     def test_rescued_blocks_are_accounted_and_released(self, intact,
                                                        tmp_path):
@@ -147,71 +150,28 @@ class TestSinksAcrossGaps:
         assert buffer.getvalue() == expected.getvalue()
 
 
-class TestRetryAndTimeout:
-    """Timeouts are injected where the process backend waits: the
-    executor's own drain (``imap_bounded`` with ``block_timeout`` and
-    the retry/``on_error`` callback) over a plain thread pool — it takes
-    any ``Executor`` — whose decode function sleeps past the limit."""
-
-    @staticmethod
-    def _drain_slow(executor, slow):
-        """Every block through ``executor._drain``; ``slow(index)`` says
-        whether that pooled attempt oversleeps ``block_timeout``."""
-        select = executor.selection_for()
-        decoder = executor.decompressor()
-
-        def decode(index):
-            if slow(index):
-                time.sleep(0.4)             # > block_timeout
-            return decoder.decompress_block(index, select=select)
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            return list(executor._drain(
-                pool, decode, range(executor.archive.n_blocks), select))
-
-    def test_timeout_rescued_by_serial_retry(self, intact):
-        executor = _executor(intact.archive, workers=2,
-                             block_timeout=0.05, block_retries=1)
-        slept = []
-
-        def slow_once(index):
-            if index == 1 and not slept:
-                slept.append(index)
-                return True
-            return False
-
-        sets = self._drain_slow(executor, slow_once)
-        # The timed-out block is re-decoded in the parent and recovered.
-        assert len(sets) == intact.n_blocks
-        assert [read_multiset(s) for s in sets] \
-            == [read_multiset(intact.decode_block(i))
-                for i in range(intact.n_blocks)]
-        assert executor.stats.blocks_retried == 1
-        assert executor.stats.blocks_failed == 0
-
-    def test_timeout_exhausted_raises(self, intact):
-        executor = _executor(intact.archive, workers=2,
-                             block_timeout=0.05, block_retries=0)
-        with pytest.raises(TimeoutError):
-            self._drain_slow(executor, lambda index: index == 1)
-        assert executor.stats.blocks_failed == 1
-
-
 class TestOptionValidation:
     @pytest.mark.parametrize("kwargs,fragment", [
         (dict(on_error="panic"), "on_error"),
-        (dict(block_retries=-1), "block_retries"),
-        (dict(block_timeout=0), "block_timeout"),
-        (dict(block_timeout=-2.5), "block_timeout"),
-        (dict(block_timeout="3"), "block_timeout"),
+        (dict(block_retries=1), "block_retries"),
+        (dict(block_timeout=None), "block_timeout"),
+        (dict(block_timeout=1.5), "block_timeout"),
+        (dict(block_timeout=np.float32(2)), "block_timeout"),
         (dict(workers=2.5), "workers"),
         (dict(workers="2"), "workers"),
         (dict(workers=None), "workers"),
         (dict(block_reads=64.0), "block_reads"),
-        (dict(block_retries=1.5), "block_retries"),
+        (dict(block_retries=0), "block_retries"),
     ])
     def test_rejects_bad_values(self, kwargs, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        # A bad value of a field is a ValueError naming it; the retry
+        # count and block timeout are no fields at all (one pooled
+        # retry is the rule, and no timeout can bound a running process
+        # task), so any value of theirs is a TypeError naming them.
+        [name] = kwargs
+        known = {f.name for f in fields(EngineOptions)}
+        error = ValueError if name in known else TypeError
+        with pytest.raises(error, match=fragment):
             EngineOptions(**kwargs)
 
     def test_thread_backend_is_gone(self):
@@ -225,8 +185,6 @@ class TestOptionValidation:
             assert EngineOptions(on_error=policy).on_error == policy
         with pytest.raises(ValueError, match="on_error"):
             EngineOptions(on_error="salvage")   # salvage() runs "skip"
-        assert EngineOptions(block_timeout=1.5).block_timeout == 1.5
         # "Integral" is whatever has __index__: numpy ints stay accepted.
-        options = EngineOptions(workers=np.int64(2), block_reads=np.int32(8),
-                                block_timeout=np.float32(2))
+        options = EngineOptions(workers=np.int64(2), block_reads=np.int32(8))
         assert (options.workers, options.block_reads) == (2, 8)

@@ -1,6 +1,10 @@
 """Unit tests for the SSD model and SAGe FTL (§5.3)."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.hardware.ssd import (FTLError, NANDConfig, SAGeFTL,
                                 pcie_ssd, sata_ssd)
@@ -120,3 +124,66 @@ class TestGarbageCollection:
             assert not ftl.blocks[c][b][p].valid
         with pytest.raises(FTLError):
             ftl.delete("a")
+
+
+class FTLMachine(RuleBasedStateMachine):
+    """Randomized write/delete/GC sequences must preserve §5.3 invariants."""
+
+    def __init__(self):
+        super().__init__()
+        nand = NANDConfig(pages_per_block=16, blocks_per_channel=12)
+        self.ftl = SAGeFTL(channels=4, nand=nand)
+        self.live: set[str] = set()
+        self.counter = 0
+
+    @rule(pages=st.integers(min_value=1, max_value=24))
+    def write_genomic(self, pages):
+        name = f"g{self.counter}"
+        self.counter += 1
+        try:
+            self.ftl.write_genomic(name, pages * 16384)
+        except FTLError:
+            return  # device full: acceptable
+        self.live.add(name)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def delete_one(self, data):
+        name = data.draw(st.sampled_from(sorted(self.live)))
+        self.ftl.delete(name)
+        self.live.discard(name)
+
+    @precondition(lambda self: True)
+    @rule()
+    def gc_some_unit(self):
+        victims = sorted(self.ftl._genomic_blocks)
+        if not victims:
+            return
+        block = victims[0]
+        if self.ftl._stripe_block == block:
+            return  # never GC the active write unit mid-stream
+        try:
+            self.ftl.gc_genomic_unit(block)
+        except FTLError:
+            pass  # no free unit to relocate into: acceptable
+
+    @invariant()
+    def all_live_files_aligned(self):
+        for name in self.live:
+            assert self.ftl.stripe_aligned(name), \
+                f"{name} lost stripe alignment"
+
+    @invariant()
+    def all_live_files_complete(self):
+        for name in self.live:
+            info = self.ftl.files[name]
+            logicals = sorted(
+                self.ftl.blocks[c][b][p].logical_index
+                for c, b, p in info["pages"])
+            assert logicals == list(range(len(logicals)))
+
+
+TestFTLStateMachine = FTLMachine.TestCase
+TestFTLStateMachine.settings = settings(max_examples=25,
+                                        stateful_step_count=30,
+                                        deadline=None)

@@ -240,9 +240,6 @@ SANCTIONED_KNOB_SITES = {
         "codec selection is the kernel-registry mechanism itself",
     "src/repro/baselines/spring.py::SpringCompressor.__init__":
         "mapper kernel selection is this baseline's mechanism",
-    "src/repro/genomics/reads.py::partition_reads":
-        "block_reads is the partitioner's batching unit, not an engine "
-        "knob here",
     "src/repro/genomics/fastq.py::iter_read_sets":
         "block_reads is the parser's batching unit, not an engine knob "
         "here",
@@ -515,6 +512,64 @@ def one_format_written(source, where):
                                                      "from_blocks")
             for keyword in node.keywords
             if keyword.arg in ("version", "source_version")]
+
+
+#: Everything a caller sets on a session.  What a pass decodes is its
+#: sinks' ``requires``, a pooled failure is retried once, and nothing
+#: times a block out, so none of the three is an option.
+SESSION_FIELDS = {"workers", "backend", "block_reads", "codec", "mapper",
+                  "on_error"}
+
+
+def options_a_caller_sets(source, where):
+    """``EngineOptions`` declares exactly :data:`SESSION_FIELDS`, a
+    ``/analyze`` request may override three of them
+    (``REQUEST_OPTION_KEYS``), and ``imap_bounded`` takes no
+    ``timeout``."""
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "EngineOptions":
+            declared = {item.target.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)}
+            offenders += [f"{where}:{node.lineno} EngineOptions.{name}"
+                          for name in sorted(declared ^ SESSION_FIELDS)]
+        elif isinstance(node, FUNCTIONS) and node.name == "imap_bounded" \
+                and "timeout" in _parameters(node):
+            offenders.append(f"{where}:{node.lineno} imap_bounded(timeout=")
+        elif isinstance(node, ast.Assign) and "REQUEST_OPTION_KEYS" in {
+                getattr(target, "id", None) for target in node.targets}:
+            keys = {leaf.value for leaf in ast.walk(node.value)
+                    if isinstance(leaf, ast.Constant)}
+            if len(keys) != 3 or not keys <= SESSION_FIELDS:
+                offenders.append(f"{where}:{node.lineno} "
+                                 f"REQUEST_OPTION_KEYS {sorted(keys)}")
+    return offenders
+
+
+#: Names that stay deleted: the sink registry's functions and factory
+#: type (the built-in sinks are a fixed table; a custom sink is piped as
+#: an object), the ``Read``-object chunker (chunks are
+#: ``ReadSet.subset`` views) and the SAM renderer nothing called.
+DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
+                       "SinkFactory", "partition_reads", "samlike"}
+
+
+def deleted_stay_deleted(source, where):
+    """No module, function, class or assigned name is one of
+    :data:`DELETED_DEFINITIONS`."""
+    offenders = [f"{where} is a deleted module"] \
+        if Path(where).stem in DELETED_DEFINITIONS else []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = {getattr(target, "id", None) for target in
+                     getattr(node, "targets", None) or [node.target]}
+        else:
+            continue
+        offenders += [f"{where}:{node.lineno} defines {name}"
+                      for name in sorted(names & DELETED_DEFINITIONS)]
+    return offenders
 
 
 # ----------------------------------------------------------------------
@@ -844,8 +899,10 @@ class TestOptionsThreadingEdges:
 
     def test_format_and_session_are_stated_once(self):
         """``SAGeConfig`` says what the bytes are, ``EngineOptions`` how
-        the session runs, ``block_reads`` alone partitions, and the
-        facade has one write path."""
+        the session runs — only what a caller sets
+        (``options_a_caller_sets``) — ``block_reads`` alone partitions,
+        the facade has one write path, and the entry points nothing
+        called stay deleted (``deleted_stay_deleted``)."""
         from dataclasses import fields
 
         from repro.core import SAGeConfig
@@ -858,12 +915,64 @@ class TestOptionsThreadingEdges:
         # ``codec`` is a decode kernel: the encoder has none.
         assert {f.name for f in fields(EngineOptions)} \
             & {f.name for f in fields(SAGeConfig)} == {"mapper"}
-        assert len(fields(EngineOptions)) == 9
+        assert {f.name for f in fields(EngineOptions)} == SESSION_FIELDS
 
         facade = (SRC / "repro/api/dataset.py").read_text()
         assert facade.count(".compress(") == 1
         assert "SAGeCompressor" not in facade
         assert mentions("blocked", "compress_blocked") == []
+
+        assert on_tree(options_a_caller_sets, "src") == []
+        for violating, where in (
+                ("""\
+                 class EngineOptions:
+                     workers: int = 1
+                     backend: str = "auto"
+                     block_reads: int = 0
+                     codec: str = "auto"
+                     mapper: str = "auto"
+                     on_error: str = "raise"
+                     streams: tuple | None = None
+                 """, "src/repro/core/options.py"),
+                ('REQUEST_OPTION_KEYS = frozenset({"workers", "backend", '
+                 '"on_error", "block_retries"})\n',
+                 "src/repro/serve/server.py"),
+                ('REQUEST_OPTION_KEYS = frozenset({"workers", "backend", '
+                 '"streams"})\n', "src/repro/serve/server.py"),
+                ("""\
+                 def imap_bounded(executor, fn, items, window, timeout=None):
+                     return executor.map(fn, items, timeout=timeout)
+                 """, "src/repro/core/blocks.py")):
+            assert on_snippet(options_a_caller_sets, violating,
+                              where) != [], violating
+        assert on_snippet(options_a_caller_sets,
+                          'REQUEST_OPTION_KEYS = frozenset({"workers", '
+                          '"backend", "on_error"})\n',
+                          "src/repro/serve/server.py") == []
+
+        assert on_tree(deleted_stay_deleted, "src") == []
+        for violating, where in (
+                ("""\
+                 def register_sink(name, factory, *, replace=False):
+                     _REGISTRY[name] = factory
+                 """, "src/repro/api/sinks.py"),
+                ("def unregister_sink(name):\n    pass\n",
+                 "src/repro/api/sinks.py"),
+                ("def make_sink(name, dataset):\n"
+                 "    return _REGISTRY[name](dataset)\n",
+                 "src/repro/api/sinks.py"),
+                ("SinkFactory = Callable[['SAGeDataset'], Sink]\n",
+                 "src/repro/api/sinks.py"),
+                ("def partition_reads(reads, block_reads):\n"
+                 "    yield ReadSet(list(reads))\n",
+                 "src/repro/genomics/reads.py"),
+                ("def to_sam_records(read, mapping):\n    return []\n",
+                 "src/repro/mapping/samlike.py")):
+            assert on_snippet(deleted_stay_deleted, violating,
+                              where) != [], violating
+        assert on_snippet(deleted_stay_deleted,
+                          "sink = _BUILT_IN[name](dataset)\n",
+                          "src/repro/api/sinks.py") == []
 
     def test_one_stream_writer_and_no_thread_backend(self):
         """A codec kernel is a decode strategy: the compressor writes

@@ -23,7 +23,7 @@ from repro.core import SAGeCompressor, SAGeConfig
 from repro.core import blocks as blocks_mod
 from repro.core.mismatch import OptLevel
 from repro.genomics import sequence as seqmod
-from repro.genomics.reads import Read, ReadSet, partition_reads
+from repro.genomics.reads import Read, ReadSet
 from repro.mapping import alignment, batch
 from repro.mapping.batch import (BatchReadMapper, MapperStats,
                                  available_mappers, make_mapper,
@@ -31,6 +31,8 @@ from repro.mapping.batch import (BatchReadMapper, MapperStats,
                                  solve_extension_jobs)
 from repro.mapping.kmer_index import KmerIndex
 from repro.mapping.mapper import AlignmentJob, MapperConfig, ReadMapper
+
+from tests.conftest import chunked
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +396,7 @@ class TestSharedIndex:
         before = KmerIndex.build_count
         blocks_mod._init_worker(bc.consensus, bc.config,
                                 pickle.loads(pickle.dumps(index)))
-        chunks = list(partition_reads(iter(rs3_small.read_set), 32,
-                                      name="t"))
+        chunks = chunked(rs3_small.read_set, 32)
         for chunk in chunks[:2]:
             blocks_mod._compress_chunk_pooled(chunk)
         assert KmerIndex.build_count == before

@@ -163,39 +163,6 @@ class TestSinks:
         assert rate.n_mapped + rate.n_unmapped == rate.n_reads
         assert 0.5 < rate.mapping_rate <= 1.0
 
-    @pytest.mark.parametrize("sink_type", [MappingRateSink,
-                                           PropertyAccumulator])
-    def test_override_may_not_starve_a_sink(self, blocked, sink_type):
-        """A sink that names a strict subset of the stream groups
-        computes from each of them: an ``options.streams`` override
-        missing one is refused before any block decodes (it used to
-        hand the sink empty placeholder reads — mapping rate 0.0 on an
-        archive that maps — with no error)."""
-        decoder = SAGeDecompressor(blocked)
-        executor = StreamExecutor(
-            blocked, options=EngineOptions(streams=("headers",)),
-            decompressor=decoder)
-        with pytest.raises(ValueError, match=rf"{sink_type.__name__}"
-                                             r".*'sequence'"):
-            executor.run(sink_type(decoder.consensus))
-        assert executor.stats.blocks == 0
-        # An override that keeps the group the sink names is honoured.
-        wider = StreamExecutor(
-            blocked, options=EngineOptions(streams=("sequence", "quality")),
-            decompressor=decoder)
-        wider.run(sink_type(decoder.consensus))
-        assert wider.stats.streams_decoded["quality"] > 0
-
-    def test_override_narrows_a_sink_that_asks_for_everything(
-            self, blocked):
-        """``requires`` of ``None`` or all groups renders whatever was
-        decoded, so the override narrows it."""
-        executor = StreamExecutor(
-            blocked, options=EngineOptions(streams=("sequence",)))
-        [collected] = executor.run(CollectSink())
-        assert collected.quality is None
-        assert executor.stats.streams_decoded["quality"] == 0
-
     def test_fastq_sink_matches_write_file(self, blocked, tmp_path,
                                            serial_text):
         out = tmp_path / "sink.fastq"

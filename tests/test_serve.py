@@ -174,22 +174,21 @@ class TestEndpoints:
                          "options": {"workers": 2}})
         assert status == 200
 
-    @pytest.mark.parametrize("sink", ["mapping-rate", "property"])
-    def test_analyze_starved_sink_400(self, client, sink):
-        # A streams override that drops the group the sink computes
-        # from used to be served as a 200 with mapping_rate 0.0 (every
-        # read an empty placeholder); it is the request's mistake.
+    @pytest.mark.parametrize("field,value", [
+        ("streams", "sequence"), ("block_retries", 1),
+        ("block_timeout", 1.5)])
+    def test_analyze_removed_option_400(self, client, field, value):
+        # What a pass decodes is its sinks' requires, a pooled failure is
+        # retried once, and nothing times a block out: none of the three
+        # is an option, so a request naming one is told which keys it
+        # may set.
         status, info = client.post_json(
-            "/analyze", {"sinks": [sink],
-                         "options": {"streams": ["headers"]}})
+            "/analyze", {"sinks": ["mapping-rate"],
+                         "options": {field: value}})
         assert status == 400
-        assert "'sequence'" in info["error"]
-        # A sink that asks for everything is narrowed, not refused.
-        status, info = client.post_json(
-            "/analyze", {"sinks": ["collect"],
-                         "options": {"streams": ["headers"]}})
-        assert status == 200
-        assert info["results"]["collect"]["total_bases"] == 0
+        assert info["error"].startswith(f"unknown option(s) {field};")
+        assert info["error"].endswith(
+            "requests may override: backend, on_error, workers")
 
     def test_analyze_unknown_option_400(self, client):
         status, info = client.post_json(
@@ -205,10 +204,10 @@ class TestEndpoints:
         assert status == 400
 
     @pytest.mark.parametrize("field,value", [
-        ("workers", 2.5), ("block_retries", 1.5), ("workers", "2")])
+        ("workers", 2.5), ("workers", "2")])
     def test_analyze_non_integral_option_400(self, client, field, value):
         # Validated at the boundary, not inside ProcessPoolExecutor (a
-        # 500) or not at all (block_retries=1.5 was silently accepted).
+        # 500).
         status, info = client.post_json(
             "/analyze", {"sinks": ["mapping-rate"],
                          "options": {field: value}})
@@ -229,7 +228,7 @@ class TestEndpoints:
             assert buffer.getvalue() == served_archive["fastq"]
             assert sibling.decompressor() is parent.decompressor()
         # The kernel is the operator's choice, not a request's.
-        assert len(REQUEST_OPTION_KEYS) == 6
+        assert REQUEST_OPTION_KEYS == {"workers", "backend", "on_error"}
         status, info = client.post_json(
             "/analyze", {"sinks": ["mapping-rate"],
                          "options": {"codec": "python"}})

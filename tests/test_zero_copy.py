@@ -31,6 +31,7 @@ from repro.core.errors import BlockDecodeError, CorruptArchiveError
 from repro.core.kernels import available_kernels
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
+from repro.pipeline.executor import CollectSink
 from repro.testing import faults
 
 BLOCK_READS = 24
@@ -38,15 +39,23 @@ BLOCK_READS = 24
 BACKEND_MATRIX = [("serial", 1), ("process", 2)]
 
 
-def decode_trace(dataset: SAGeDataset, **options):
+class Collect(CollectSink):
+    """``CollectSink`` asking for the stream groups ``requires`` names:
+    a pass decodes what its sinks declare, and nothing else says so."""
+
+    def __init__(self, requires):
+        super().__init__()
+        self.requires = requires
+
+
+def decode_trace(dataset: SAGeDataset, requires=None):
     """Ordered (name, bases, quality) decode signature — equivalent to
-    comparing the rendered FASTQ bytes.  ``options`` are applied
-    through a sibling session over the same archive."""
-    if options:
-        dataset = SAGeDataset(dataset.archive,
-                              options=dataset.options.replace(**options),
-                              decompressor=dataset.decompressor())
-    read_set = dataset.read_set()
+    comparing the rendered FASTQ bytes.  With ``requires``, the pass
+    decodes what a sink declaring it asks for."""
+    if requires is None:
+        read_set = dataset.read_set()
+    else:
+        [read_set] = dataset.pipe(Collect(requires)).run()
     out = []
     for read in read_set:
         qual = read.quality.tobytes() if read.quality is not None else b""
@@ -127,9 +136,9 @@ class TestByteIdentity:
         eager = SAGeDataset(SAGeArchive.from_bytes(blob),
                             options=EngineOptions(codec=codec))
         baseline = decode_trace(eager)
-        options = EngineOptions(codec=codec, streams=STREAM_GROUPS)
-        with SAGeDataset.open(path, options=options) as dataset:
-            assert decode_trace(dataset) == baseline
+        with SAGeDataset.open(
+                path, options=EngineOptions(codec=codec)) as dataset:
+            assert decode_trace(dataset, requires=STREAM_GROUPS) == baseline
 
 
 REFERENCE = make_reference(2_000, np.random.default_rng(99))
@@ -184,21 +193,27 @@ class TestByteIdentityFuzz:
                 path, options=EngineOptions(codec=codec)) as lazy:
             assert lazy.to_bytes() == blob
             assert decode_trace(lazy) == baseline
-        with SAGeDataset.open(path, options=EngineOptions(
-                codec=codec, streams=STREAM_GROUPS)) as full:
-            assert decode_trace(full) == baseline
+            assert decode_trace(lazy, requires=STREAM_GROUPS) == baseline
 
 
 class TestSelectiveDecode:
     def test_sequence_only_drops_quality_and_headers(self, archive_path):
+        """A sink declaring ``requires=("sequence",)`` gets only the
+        sequence decoded, on every backend (the pool's workers receive
+        the pass's selection from their initializer)."""
         path, _ = archive_path
-        options = EngineOptions(streams=("sequence",))
-        with SAGeDataset.open(path, options=options) as dataset:
-            reads = dataset.read_set()
-            assert all(read.quality is None for read in reads)
         with SAGeDataset.open(path) as dataset:
             full = dataset.read_set()
-            assert any(read.quality is not None for read in full)
+        assert full.quality is not None
+        for backend, workers in BACKEND_MATRIX:
+            options = EngineOptions(backend=backend, workers=workers)
+            with SAGeDataset.open(path, options=options) as dataset:
+                pipeline = dataset.pipe(Collect(("sequence",)))
+                [reads] = pipeline.run()
+            decoded = pipeline.stats.streams_decoded
+            assert reads.quality is None, backend
+            assert decoded["sequence"] > 0
+            assert decoded["quality"] == decoded["headers"] == 0, backend
             assert [r.codes.tobytes() for r in reads] \
                 == [r.codes.tobytes() for r in full]
 
@@ -228,8 +243,8 @@ class TestSelectiveDecode:
     def test_quality_requires_sequence(self):
         with pytest.raises(ValueError):
             StreamSelection(sequence=False, quality=True)
-        with pytest.raises(ValueError):
-            EngineOptions(streams=("nonsense",))
+        with pytest.raises(ValueError, match="unknown stream group"):
+            StreamSelection.from_spec(("nonsense",))
 
 
 class TestDescriptorTransport:
