@@ -104,7 +104,7 @@ class PropertyAccumulator:
     def consume(self, index: int, block: ReadSet) -> None:
         """Map one block and fold its reads' statistics in."""
         self._n_reads += len(block)
-        for mapping in self._mapper.map_batch(block.read_codes()):
+        for mapping in self._mapper.map_batch(block.codes, block.offsets):
             if mapping.unmapped:
                 self._n_unmapped += 1
                 continue
@@ -168,9 +168,9 @@ class MappingRateSink:
         self._report = MappingRateReport()
 
     def consume(self, index: int, block: ReadSet) -> None:
-        mappings = self._mapper.map_batch(block.read_codes())
-        self._report.n_reads += len(mappings)
-        self._report.n_mapped += sum(not m.unmapped for m in mappings)
+        mapped = self._mapper.map_batch(block.codes, block.offsets)
+        self._report.n_reads += len(mapped)
+        self._report.n_mapped += int((~mapped.unmapped).sum())
 
     def finish(self) -> MappingRateReport:
         return self._report

@@ -76,7 +76,7 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
 
     blocks = [read_set] if isinstance(read_set, ReadSet) else read_set
     for mapping in chain.from_iterable(
-            mapper.map_batch(block.read_codes()) for block in blocks):
+            mapper.map_batch(block.codes, block.offsets) for block in blocks):
         result.mappings.append(None if mapping.unmapped else mapping)
         if mapping.unmapped:
             continue

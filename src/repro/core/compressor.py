@@ -6,13 +6,14 @@ bit-width classes per read set (Algorithm 1) → emit the array/guide-array
 streams.
 
 A block is its columns all the way to the bytes, the way the format is
-read (§5.1: independent arrays consumed with streaming accesses).
-:class:`_MappedReads` makes one pass over the mapped reads' segments and
-edit ops; every rule of the format after that — indel blocks, consensus
-markers, ``N`` sanitizing, the O4 corner pseudo-entry, chimeric sides,
-corner payloads — is an array operation.  :class:`_Fields` keys each
-field by its place in emission order, and each stream leaves in one
-``write_fields`` per block.
+read (§5.1: independent arrays consumed with streaming accesses).  The
+mapper hands over its table (:class:`~repro.mapping.mapper.MappedBlock`)
+and :class:`_MappedReads` gathers the emitted reads' segments and edit
+ops from its columns; every rule of the format after that — indel
+blocks, consensus markers, ``N`` sanitizing, the O4 corner pseudo-entry,
+chimeric sides, corner payloads — is an array operation.
+:class:`_Fields` keys each field by its place in emission order, and
+each stream leaves in one ``write_fields`` per block.
 
 Every written bit is charged to a Fig. 17 category via
 :class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
@@ -29,8 +30,6 @@ from a partitioned read stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from ..genomics.reads import ReadSet, run_index
 from ..mapping.alignment import DEL, INS, SUB
 from ..mapping.batch import make_mapper
 from ..mapping.kmer_index import KmerIndex
-from ..mapping.mapper import MapperConfig, MappingResult, ReadMapper
+from ..mapping.mapper import OP_KINDS, MappedBlock, MapperConfig, ReadMapper
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
@@ -72,8 +71,9 @@ MAX_SEGMENTS = 1 << SIDE_COUNT_BITS
 #: Fields one entry may write to one stream (see :class:`_Fields`).
 _SLOTS = 8
 
-_TYPE_CODES = {SUB: TYPE_SUB, INS: TYPE_INS, DEL: TYPE_DEL}
-_READ_START = attrgetter("read_start")
+#: Format type code of each mapper op kind, in ``OP_KINDS`` order.
+_TYPE_CODES = np.array([{SUB: TYPE_SUB, INS: TYPE_INS, DEL: TYPE_DEL}[kind]
+                        for kind in OP_KINDS], dtype=np.int64)
 
 
 @dataclass
@@ -100,11 +100,6 @@ class SAGeConfig:
     tuned_indel_lengths: bool = False  # Algorithm-1 classes for indel
     #                                    lengths instead of the fixed
     #                                    1-bit/8-bit scheme (§5.1.1 note)
-
-
-def _column(items: list, get, dtype=np.int64) -> np.ndarray:
-    """``get(item)`` of every item, as an array."""
-    return np.fromiter(map(get, items), dtype, len(items))
 
 
 def _pieces(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +181,8 @@ class _Fields:
 
 
 class _MappedReads:
-    """A block's mapped reads in emission order, as columns, built in one
-    pass over their segments and ``EditOp`` s:
+    """A block's mapped reads in emission order, as columns, gathered
+    from the mapper's table:
 
     * per read: its input index ``rows``, ``reverse``, ``lengths``,
       ``first_cons``, clip sizes ``clip_s`` / ``clip_e``, whether it is
@@ -209,42 +204,41 @@ class _MappedReads:
     """
 
     def __init__(self, consensus: np.ndarray, read_set: ReadSet,
-                 rows: np.ndarray, per_read: list,
-                 mappings: list[MappingResult], runs: tuple,
-                 level: OptLevel):
-        """``per_read``: each mapped read's segments, in read order;
+                 rows: np.ndarray, mapped: MappedBlock,
+                 segments: np.ndarray, runs: tuple, level: OptLevel):
+        """``rows``: the mapped reads in emission order; ``segments``:
+        every segment of ``mapped``, by read and then by read start;
         ``runs``: the block's ``N`` runs (:func:`_n_runs`)."""
         n = rows.size
         self.rows = rows
         self.codes, self.starts = read_set.codes, read_set.offsets[rows]
         self.lengths = read_set.read_lengths()[rows]
-        mapped = list(map(mappings.__getitem__, rows.tolist()))
-        self.reverse = _column(mapped, attrgetter("reverse"), bool)
-        self.clip_s = _column(mapped, attrgetter("clip_start.size"))
-        self.clip_e = _column(mapped, attrgetter("clip_end.size"))
+        self.reverse = mapped.reverse[rows]
+        self.clip_s = mapped.clip_s[rows]
+        self.clip_e = mapped.clip_e[rows]
         self.has_clip = (self.clip_s > 0) | (self.clip_e > 0)
 
-        # Segments and their edit ops.
-        segments = list(chain.from_iterable(per_read))
-        seg_row = np.repeat(np.arange(n), _column(per_read, len))
-        seg_read = _column(segments, _READ_START)
-        seg_cons = _column(segments, attrgetter("cons_start"))
-        extra = np.ones(len(segments), dtype=bool)
+        # The emitted reads' segments and their edit ops.
+        n_segments = np.bincount(mapped.seg_row, minlength=len(read_set))
+        segments = segments[run_index(
+            np.searchsorted(mapped.seg_row, rows), n_segments[rows])]
+        seg_row = np.repeat(np.arange(n), n_segments[rows])
+        seg_read = mapped.read_start[segments]
+        seg_cons = mapped.cons_start[segments]
+        extra = np.ones(segments.size, dtype=bool)
         extra[np.searchsorted(seg_row, np.arange(n))] = False
         self.first_cons = seg_cons[~extra]
         self.extra_row = seg_row[extra]
         self.extra_core = (seg_read - self.clip_s[seg_row])[extra]
         self.extra_cons = seg_cons[extra]
 
-        per_segment = list(map(attrgetter("ops"), segments))
-        ops = list(chain.from_iterable(per_segment))
-        n_ops = _column(per_segment, len)
-        kind = np.fromiter(map(_TYPE_CODES.__getitem__,
-                               map(attrgetter("kind"), ops)),
-                           np.int64, len(ops))
-        op_pos = _column(ops, attrgetter("read_pos"))
-        op_len = _column(ops, attrgetter("length"))
-        op_seg = np.repeat(np.arange(len(segments)), n_ops)
+        first_op = np.searchsorted(mapped.op_seg, segments)
+        n_ops = np.searchsorted(mapped.op_seg, segments, "right") - first_op
+        ops = run_index(first_op, n_ops)
+        kind = _TYPE_CODES[mapped.kind[ops]]
+        op_pos = mapped.read_pos[ops]
+        op_len = mapped.length[ops]
+        op_seg = np.repeat(np.arange(segments.size), n_ops)
         # The consensus offset under an op: its segment's, plus its read
         # offset, plus what the segment's earlier indels shifted.
         shift = np.where(kind == TYPE_DEL, op_len, 0) \
@@ -468,27 +462,22 @@ class SAGeCompressor:
             long_reads = not read_set.is_fixed_length
         mapper = self._build_mapper(level, long_reads)
 
-        mappings = mapper.map_batch(read_set.read_codes())
+        mapped = mapper.map_batch(read_set.codes, read_set.offsets)
         runs = _n_runs(read_set)
         # Stored raw, in input order: the unmapped reads, and those with
         # more N runs than a corner payload lists (the 3-bit raw payload
         # holds N as it is).
-        raw = _column(mappings, attrgetter("unmapped"), bool) | (np.bincount(
+        raw = mapped.unmapped | (np.bincount(
             runs[0], weights=-(-runs[2] // MAX_N_RUN),
             minlength=len(read_set)) > MAX_N_RUN)
         rows = np.flatnonzero(~raw)
-        segments = [m.segments if len(m.segments) < 2
-                    else sorted(m.segments, key=_READ_START)
-                    for m in map(mappings.__getitem__, rows.tolist())]
+        segments = np.lexsort((mapped.read_start, mapped.seg_row))
         if level.reorder:        # by matching position, then input index
-            order = np.lexsort((rows, np.fromiter(
-                (segs[0].cons_start for segs in segments), np.int64,
-                rows.size)))
-            rows = rows[order]
-            segments = list(map(segments.__getitem__, order.tolist()))
-        mapped = _MappedReads(self.consensus, read_set, rows, segments,
-                              mappings, runs, level)
-        return self._encode(read_set, mapped, np.flatnonzero(raw), level,
+            first = segments[np.searchsorted(mapped.seg_row, rows)]
+            rows = rows[np.lexsort((rows, mapped.cons_start[first]))]
+        reads = _MappedReads(self.consensus, read_set, rows, mapped,
+                             segments, runs, level)
+        return self._encode(read_set, reads, np.flatnonzero(raw), level,
                             long_reads)
 
     # ------------------------------------------------------------------

@@ -11,10 +11,10 @@ over ``d`` with an early-exit convergence threshold ``ε``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
+from ..genomics.reads import run_index
 from .prefix_codes import MAX_CLASSES, AssociationTable
 
 #: Convergence threshold ε of Algorithm 1.
@@ -68,32 +68,14 @@ class TuningResult:
         return len(self.boundaries)
 
 
-def _encoded_size(hist: np.ndarray, boundaries: tuple[int, ...]) -> int:
-    """Total bits to encode the histogram's values at given boundaries.
-
-    Guide bits assume frequency-ranked unary codes: the class holding the
-    most values gets the 1-bit code, the next a 2-bit code, and so on.
-    """
-    counts = []
-    prev = 0
-    for bound in boundaries:
-        counts.append(int(hist[prev + 1:bound + 1].sum()))
-        prev = bound
-    data_bits = sum(c * w for c, w in zip(counts, boundaries))
-    guide_bits = sum(c * (rank + 1)
-                     for rank, c in enumerate(sorted(counts, reverse=True)))
-    table_bits = _TABLE_HEADER_BITS + _TABLE_ENTRY_BITS * len(boundaries)
-    return data_bits + guide_bits + table_bits
-
-
-def _class_counts(hist: np.ndarray,
-                  boundaries: tuple[int, ...]) -> list[int]:
-    counts = []
-    prev = 0
-    for bound in boundaries:
-        counts.append(int(hist[prev + 1:bound + 1].sum()))
-        prev = bound
-    return counts
+def _extend(combos: np.ndarray, m: int) -> np.ndarray:
+    """The ``r + 1``-combinations of ``range(m)`` in lexicographic order,
+    from the ``r``-combinations ``combos`` (rows, in that order): each
+    row followed by every larger index."""
+    last = combos[:, -1] if combos.shape[1] else np.full(len(combos), -1)
+    more = m - 1 - last
+    return np.column_stack((np.repeat(combos, more, axis=0),
+                            run_index(last + 1, more)))
 
 
 def tune(hist: np.ndarray, epsilon: float = DEFAULT_EPSILON,
@@ -105,6 +87,14 @@ def tune(hist: np.ndarray, epsilon: float = DEFAULT_EPSILON,
     support (every tuple must end at the maximum occupied bit count so
     all values remain representable).  Exits early once adding a class
     improves the best size by less than ``epsilon`` (relative).
+
+    A tuple's size is its data bits, plus guide bits for
+    frequency-ranked unary codes (the class holding the most values
+    gets the 1-bit code, the next a 2-bit code, and so on), plus the
+    table.  A level's tuples are scored as one array, their class counts
+    differences of one prefix sum; the first (lexicographic) tuple of
+    least size wins, and a level replaces the best only when strictly
+    smaller.
     """
     hist = np.asarray(hist, dtype=np.int64)
     support = [int(b) for b in np.nonzero(hist)[0] if b > 0]
@@ -123,31 +113,39 @@ def tune(hist: np.ndarray, epsilon: float = DEFAULT_EPSILON,
                 if hist[b] >= max(1, total // 4096) or b == max_bits]
         support = sorted(set(keep) | {max_bits})
 
+    # below[b]: values needing at most b bits (index 0 is unused).
+    below = np.cumsum(hist) - hist[0]
+    interior = np.array([b for b in support if b != max_bits],
+                        dtype=np.int64)
+    combos = np.empty((1, 0), dtype=np.int64)   # the one 0-combination
     best_size: int | None = None
-    best_bounds: tuple[int, ...] | None = None
     last_best: int | None = None
-    interior = [b for b in support if b != max_bits]
+    best_bounds = best_counts = combos[0]
 
     for d in range(1, max_classes + 1):
-        level_best: int | None = None
-        for combo in combinations(interior, d - 1):
-            bounds = tuple(sorted(combo)) + (max_bits,)
-            size = _encoded_size(hist, bounds)
-            if level_best is None or size < level_best:
-                level_best = size
-            if best_size is None or size < best_size:
-                best_size, best_bounds = size, bounds
-        if last_best is not None and best_size is not None:
-            if (last_best - best_size) / max(best_size, 1) < epsilon:
-                break
+        bounds = np.column_stack((interior[combos],
+                                  np.full(len(combos), max_bits)))
+        counts = np.diff(below[bounds], axis=1, prepend=0)
+        ranked = -np.sort(-counts, axis=1)
+        sizes = ((counts * bounds).sum(axis=1)
+                 + ranked @ np.arange(1, d + 1)
+                 + _TABLE_HEADER_BITS + _TABLE_ENTRY_BITS * d)
+        pick = int(sizes.argmin())
+        if best_size is None or sizes[pick] < best_size:
+            best_size = int(sizes[pick])
+            best_bounds, best_counts = bounds[pick], counts[pick]
+        if last_best is not None \
+                and (last_best - best_size) / max(best_size, 1) < epsilon:
+            break
         last_best = best_size
-        if d - 1 >= len(interior):
+        if d - 1 >= interior.size:
             break  # no more boundaries available
+        combos = _extend(combos, interior.size)
 
-    assert best_bounds is not None and best_size is not None
-    counts = _class_counts(hist, best_bounds)
-    table = AssociationTable.from_histogram(list(best_bounds), counts)
-    return TuningResult(best_bounds, best_size, table)
+    assert best_size is not None
+    table = AssociationTable.from_histogram(best_bounds.tolist(),
+                                            best_counts.tolist())
+    return TuningResult(tuple(best_bounds.tolist()), best_size, table)
 
 
 def tune_values(values: np.ndarray | list[int],

@@ -106,6 +106,12 @@ def kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:
     K-mers overlapping an N base are reported as ``2**(2k)`` (an
     out-of-range sentinel) so callers can mask them out.  ``k`` must be
     at most 31 so the packed value fits a ``uint64``.
+
+    Built by doubling: windows of ``w`` bases pack into windows of
+    ``2w`` with one shift, and the k-mer joins the windows of ``k``'s
+    binary digits — ⌈log₂ k⌉ doublings and at most as many joins instead
+    of ``k`` passes.  Over a concatenation of reads, the windows that
+    cross a read boundary hold garbage; callers never sample them.
     """
     if not 1 <= k <= 31:
         raise ValueError("k must be in [1, 31]")
@@ -113,12 +119,22 @@ def kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:
     n = codes.size - k + 1
     if n <= 0:
         return np.empty(0, dtype=np.uint64)
-    vals = np.zeros(n, dtype=np.uint64)
-    bad = np.zeros(n, dtype=bool)
-    for off in range(k):
-        window = codes[off:off + n]
-        bad |= window == N_CODE
-        vals = (vals << np.uint64(2)) | window.astype(np.uint64)
-    sentinel = np.uint64(1) << np.uint64(2 * k)
-    vals[bad] = sentinel
-    return vals
+    # Packed in 32 bits while the sentinel fits: half the bytes moved.
+    word = np.uint32 if 2 * k < 32 else np.uint64
+    windows = np.bitwise_and(codes, 3, dtype=word)  # every width-1 window
+    has_n = codes == N_CODE                         # ... and its N test
+    vals, bad = np.zeros(n, dtype=word), np.zeros(n, dtype=bool)
+    width, filled = 1, 0
+    while True:
+        if k & width:
+            vals <<= word(2 * width)
+            vals |= windows[filled:filled + n]
+            bad |= has_n[filled:filled + n]
+            filled += width
+        if 2 * width > k:
+            break
+        windows = (windows[:-width] << word(2 * width)) | windows[width:]
+        has_n = has_n[:-width] | has_n[width:]
+        width *= 2
+    vals[bad] = word(1) << word(2 * k)
+    return vals.astype(np.uint64, copy=False)

@@ -7,8 +7,10 @@ Python and tiny-array numpy overhead dominates compression time (Fig. 18:
 the same computation into structure-of-arrays passes over a whole block of
 reads:
 
-1. **Batched seeding** — all reads (both orientations) are concatenated and
-   2-bit-packed k-mer codes are computed in one pass; one
+1. **Batched seeding** — the block arrives as its flat ``codes`` column
+   and ``offsets``; 2-bit-packed k-mer codes are computed in one pass
+   over it (``seq.kmer_codes``), the reverse-complement queries are the
+   bit-reversed mirrored windows of the same pass, one
    ``KmerIndex.query_ranges`` call (a prefix-bucket table lookup)
    resolves every strided query against the consensus index, and
    per-read anchor diagonals reduce with
@@ -36,9 +38,13 @@ reads:
    regular operations over many windows at once).  The reads are then
    assembled from the results.
 
+Stages 1–3 write the reads they prove straight into the block's
+:class:`~repro.mapping.mapper.MappedBlock` columns; only stage 4's reads
+exist as ``MappingResult`` objects, flattened into the same table once.
+
 Byte-identity contract, in two halves.  Stages 2–3 emit a result
 themselves only when they can prove the scalar mapper would produce the
-identical ``MappingResult``: single-diagonal anchor chains whose
+identical mapping: single-diagonal anchor chains whose
 heads/tails are pure substitution paths (DP optimum equals the
 straight-diagonal Hamming cost, which pins the scalar traceback to that
 diagonal) or soft clips (decided from the exact DP cost alone).  For
@@ -57,11 +63,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..genomics import sequence as seq
-from .alignment import (BP_DIAG, BP_LEFT, BP_UP, SUB, AlignmentResult, EditOp,
-                        trace_ops)
+from ..genomics.reads import run_index
+from .alignment import BP_DIAG, BP_LEFT, BP_UP, SUB, AlignmentResult, trace_ops
 from .kmer_index import AnchorHits, KmerIndex
-from .mapper import (AlignmentJob, MappedSegment, MapperConfig, MappingResult,
-                     ReadMapper)
+from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
+                     Placed, ReadMapper, block_columns)
 
 #: Mapper used when neither the options nor ``SAGE_MAPPER`` select one.
 DEFAULT_MAPPER = "numpy"
@@ -206,6 +212,43 @@ def _shd_counts(packed_reads: np.ndarray, masks: np.ndarray,
     window ^= packed_reads
     window &= masks
     return _SLOT_LUT[window].sum(axis=1, dtype=np.int64)
+
+
+def _oriented(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+              reverse: np.ndarray) -> np.ndarray:
+    """The block's codes with each ``reverse`` read reverse-complemented
+    in place of its forward bases (the other reads are copied as is)."""
+    out = codes.copy()
+    if bool((lengths == lengths[0]).all()):
+        rows = out.reshape(lengths.size, int(lengths[0]))
+        rows[reverse] = seq.COMPLEMENT[rows[reverse, ::-1]]
+        return out
+    at = run_index(starts[reverse], lengths[reverse])
+    mirror = np.repeat(2 * starts[reverse] + lengths[reverse] - 1,
+                       lengths[reverse]) - at
+    out[at] = seq.COMPLEMENT[codes[mirror]]
+    return out
+
+
+def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
+                        cost=0, clip_s=0, clip_e=0, mm_seg=(),
+                        mm_pos=()) -> Placed:
+    """Reads placed as one segment each, whose edit ops are the
+    substitutions at segment-local ``mm_pos`` of segments ``mm_seg``
+    (ascending)."""
+    m = rows.size
+    mm_seg = np.asarray(mm_seg, dtype=np.int64)
+
+    def per_read(value):
+        return np.broadcast_to(np.asarray(value, dtype=np.int64), (m,))
+
+    return Placed(rows, reverse, per_read(cost), per_read(clip_s),
+                  per_read(clip_e), per_read(1), per_read(cons_start),
+                  per_read(read_start), per_read(read_end),
+                  np.bincount(mm_seg, minlength=m),
+                  np.full(mm_seg.size, OP_KINDS.index(SUB), dtype=np.int8),
+                  np.asarray(mm_pos, dtype=np.int64),
+                  np.ones(mm_seg.size, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -380,54 +423,36 @@ class BatchReadMapper(ReadMapper):
 
     # -- public API ----------------------------------------------------
 
-    def map_batch(self, reads) -> list[MappingResult]:
-        codes_list = [np.asarray(c, dtype=np.uint8) for c in reads]
-        n = len(codes_list)
-        results: list[MappingResult | None] = [None] * n
+    def map_batch(self, codes, offsets=None) -> MappedBlock:
+        codes, offsets = block_columns(codes, offsets)
         st = MapperStats()
-        st.reads = n
+        st.reads = offsets.size - 1
         st.batches = 1
-        if n:
-            self._map_block(codes_list, results, st)
-        # Anything not proven identical above goes through the scalar
-        # reference implementation.
-        for i, res in enumerate(results):
-            if res is None:
-                results[i] = self.map_read(codes_list[i])
-                st.fallback += 1
-        st.fast_path = n - st.fallback
+        parts = self._map_block(codes, offsets, st)
+        st.fast_path = st.reads - st.fallback
         self.stats.merge(st)
         GLOBAL_STATS.merge(st)
-        return results  # type: ignore[return-value]
+        return MappedBlock.assemble(codes, offsets, parts)
 
     # -- pipeline ------------------------------------------------------
 
-    def _map_block(self, codes_list: list[np.ndarray],
-                   results: list[MappingResult | None],
-                   st: MapperStats) -> None:
+    def _map_block(self, fwd: np.ndarray, bounds: np.ndarray,
+                   st: MapperStats) -> list[Placed]:
+        """The mapped reads of the block (``fwd`` / ``bounds``: its codes
+        and offsets), one part per stage that placed them; every read
+        no part places is unmapped."""
         cfg = self.config
         k = cfg.k
-        n = len(codes_list)
+        n = bounds.size - 1
         cons = self.consensus
         index = self.index
-        lengths = np.array([c.size for c in codes_list], dtype=np.int64)
-        total = int(lengths.sum())
-        if total == 0 or len(index) == 0 or total < k:
-            for i in range(n):
-                results[i] = MappingResult(unmapped=True)
+        offsets, lengths = bounds[:-1], np.diff(bounds)
+        if fwd.size < k or len(index) == 0:
             st.no_anchor += n
-            return
+            return []
 
         # ---- stage 1: batched seeding --------------------------------
-        offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lengths)[:-1]])
-        read_id = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        fwd = np.concatenate(codes_list)
-        local = np.arange(total, dtype=np.int64) - offsets[read_id]
-        rev_src = offsets[read_id] + lengths[read_id] - 1 - local
-        rev = seq.COMPLEMENT[fwd[rev_src]]
-
-        fwd_kmers = self._flat_kmers(fwd, k)
+        fwd_kmers = seq.kmer_codes(fwd, k)
 
         # Strided query positions, restarting at each read boundary
         # (identical to the scalar lookup's kmers[::stride]).
@@ -435,10 +460,8 @@ class BatchReadMapper(ReadMapper):
         n_sel = (n_kmers + cfg.stride - 1) // cfg.stride
         sel_total = int(n_sel.sum())
         if sel_total == 0:
-            for i in range(n):
-                results[i] = MappingResult(unmapped=True)
             st.no_anchor += n
-            return
+            return []
         sel_read = np.repeat(np.arange(n, dtype=np.int64), n_sel)
         sel_local = (np.arange(sel_total, dtype=np.int64)
                      - (np.cumsum(n_sel) - n_sel)[sel_read]) * cfg.stride
@@ -458,11 +481,8 @@ class BatchReadMapper(ReadMapper):
         rev_total = np.bincount(sel_read, weights=rev_counts,
                                 minlength=n).astype(np.int64)
         use_rev = rev_total > fwd_total
-        no_hit = (fwd_total + rev_total) == 0
-        for i in np.nonzero(no_hit)[0]:
-            results[i] = MappingResult(unmapped=True)
-        st.no_anchor += int(no_hit.sum())
-        oriented = np.where(use_rev[read_id], rev, fwd)
+        st.no_anchor += int(((fwd_total + rev_total) == 0).sum())
+        oriented = _oriented(fwd, offsets, lengths, use_rev)
 
         # Expand the chosen orientation's anchors (grouped by read).
         sel_rev = use_rev[sel_read]
@@ -470,7 +490,7 @@ class BatchReadMapper(ReadMapper):
         ch_cnt = np.where(sel_rev, rev_counts, fwd_counts).astype(np.int64)
         total_anchors = int(ch_cnt.sum())
         if total_anchors == 0:
-            return
+            return []
         a_sel = np.repeat(np.arange(sel_total, dtype=np.int64), ch_cnt)
         slot = (np.arange(total_anchors, dtype=np.int64)
                 - np.repeat(np.cumsum(ch_cnt) - ch_cnt, ch_cnt))
@@ -496,11 +516,12 @@ class BatchReadMapper(ReadMapper):
                   & (diag_min + read_len <= cons.size))
         st.multi_diagonal += int((~single).sum())
         keep = np.nonzero(single)[0]
+        # Reads whose answer stages 2-3 settle (mapped or unmapped).
+        settled = np.zeros(n, dtype=bool)
         if keep.size == 0:
-            self._drain_anchored(results, st, oriented, offsets, lengths,
-                                 use_rev, a_rpos, a_cons, start_of,
-                                 anchors_per_read)
-            return
+            return [self._drain_anchored(settled, st, oriented, offsets,
+                                         lengths, use_rev, a_rpos, a_cons,
+                                         start_of, anchors_per_read)]
 
         # Candidate arrays: one provisional placement per read.
         cand = with_anchors[keep]              # read index
@@ -527,44 +548,45 @@ class BatchReadMapper(ReadMapper):
         st.filter_rejected += int(reject.sum())
         accept = ~reject
 
-        read_has_n = np.bincount(
-            read_id, weights=(fwd == seq.N_CODE), minlength=n) > 0
         exact_zero = accept & (h0 == 0)
         if self._cons_has_n:
             # Packed N folds onto A, so a clean mask is not proof of a
             # clean window; route through exact verification instead.
             exact_zero &= False
         else:
+            read_has_n = np.zeros(n, dtype=bool)
+            read_has_n[np.searchsorted(
+                bounds, np.flatnonzero(fwd == seq.N_CODE), "right") - 1] = True
             exact_zero &= ~read_has_n[cand]
         st.zero_mismatch += int(exact_zero.sum())
-        for c in np.nonzero(exact_zero)[0]:
-            r = int(cand[c])
-            results[r] = MappingResult(
-                segments=[MappedSegment(cons_start=int(c_diag[c]),
-                                        read_start=0,
-                                        read_end=int(c_len[c]))],
-                reverse=bool(use_rev[r]))
+        zero = np.flatnonzero(exact_zero)
+        settled[cand[zero]] = True
+        parts = [_substitution_reads(
+            cand[zero], use_rev[cand[zero]], c_diag[zero], 0, c_len[zero])]
 
         # ---- stage 3: exact vectorized verification ------------------
         verify = np.nonzero(accept & ~exact_zero)[0]
         if verify.size:
-            self._verify_and_emit(verify, cand, c_diag, c_a0, c_end, c_len,
-                                  oriented, offsets, use_rev, results, st)
+            parts.append(self._verify_and_emit(
+                verify, cand, c_diag, c_a0, c_end, c_len, oriented, offsets,
+                use_rev, settled, st))
 
         # ---- stage 4: everything unproven (multi-diagonal, filter
         # rejects, indel-bearing ends) is chained on the anchors already
         # expanded above and extended as one batch.
-        self._drain_anchored(results, st, oriented, offsets, lengths,
-                             use_rev, a_rpos, a_cons, start_of,
-                             anchors_per_read)
+        parts.append(self._drain_anchored(
+            settled, st, oriented, offsets, lengths, use_rev, a_rpos, a_cons,
+            start_of, anchors_per_read))
+        return parts
 
-    def _drain_anchored(self, results: list[MappingResult | None],
-                        st: MapperStats, oriented: np.ndarray,
-                        offsets: np.ndarray, lengths: np.ndarray,
-                        use_rev: np.ndarray, a_rpos: np.ndarray,
-                        a_cons: np.ndarray, start_of: np.ndarray,
-                        anchors_per_read: np.ndarray) -> None:
-        """Chain, extend and assemble the unproven reads of the block.
+    def _drain_anchored(self, settled: np.ndarray, st: MapperStats,
+                        oriented: np.ndarray, offsets: np.ndarray,
+                        lengths: np.ndarray, use_rev: np.ndarray,
+                        a_rpos: np.ndarray, a_cons: np.ndarray,
+                        start_of: np.ndarray,
+                        anchors_per_read: np.ndarray) -> Placed:
+        """Chain, extend and assemble the anchored reads stages 2-3 did
+        not settle; the part holds those that map.
 
         Replays the tail of :meth:`ReadMapper.map_read` on the batch's
         anchors: the orientation is already chosen (same capped-hit-count
@@ -576,9 +598,7 @@ class BatchReadMapper(ReadMapper):
         ucf = self.config.unmapped_cost_fraction
         jobs: list[AlignmentJob] = []
         planned = []
-        for r in range(len(results)):
-            if results[r] is not None or anchors_per_read[r] == 0:
-                continue
+        for r in np.flatnonzero(~settled & (anchors_per_read > 0)).tolist():
             s = int(start_of[r])
             e = s + int(anchors_per_read[r])
             hits = AnchorHits(a_rpos[s:e], a_cons[s:e])
@@ -586,6 +606,7 @@ class BatchReadMapper(ReadMapper):
             codes = oriented[o:o + int(lengths[r])]
             planned.append((r, self._plan_read(codes, hits, jobs)))
         solved = self._solve_jobs(jobs)
+        rows, results = [], []
         for r, plan in planned:
             res = (self._assemble_read(plan, solved) if plan is not None
                    else None)
@@ -593,11 +614,11 @@ class BatchReadMapper(ReadMapper):
                 res.reverse = bool(use_rev[r])
                 mapped_len = max(1, int(lengths[r]) - res.clip_start.size
                                  - res.clip_end.size)
-                if res.cost > ucf * mapped_len:
-                    res = None
-            results[r] = (res if res is not None
-                          else MappingResult(unmapped=True))
-            st.fallback += 1
+                if res.cost <= ucf * mapped_len:
+                    rows.append(r)
+                    results.append(res)
+        st.fallback += len(planned)
+        return Placed.from_results(rows, results)
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """The batched solver (the one thing this kernel overrides of
@@ -608,31 +629,15 @@ class BatchReadMapper(ReadMapper):
         GLOBAL_STATS.merge(st)
         return solved
 
-    @staticmethod
-    def _flat_kmers(flat: np.ndarray, k: int) -> np.ndarray:
-        """``seq.kmer_codes`` over a concatenation of reads.
-
-        Windows crossing read boundaries produce garbage values, but the
-        strided query selection never samples those positions.
-        """
-        n_pos = flat.size - k + 1
-        vals = np.zeros(n_pos, dtype=np.uint64)
-        bad = np.zeros(n_pos, dtype=bool)
-        for off in range(k):
-            window = flat[off:off + n_pos]
-            bad |= window == seq.N_CODE
-            vals = (vals << np.uint64(2)) | window.astype(np.uint64)
-        vals[bad] = np.uint64(1) << np.uint64(2 * k)
-        return vals
-
     def _verify_and_emit(self, verify: np.ndarray, cand: np.ndarray,
                          c_diag: np.ndarray, c_a0: np.ndarray,
                          c_end: np.ndarray, c_len: np.ndarray,
                          oriented: np.ndarray, offsets: np.ndarray,
-                         use_rev: np.ndarray,
-                         results: list[MappingResult | None],
-                         st: MapperStats) -> None:
-        """Exactly verify filter survivors; emit or leave for fallback."""
+                         use_rev: np.ndarray, settled: np.ndarray,
+                         st: MapperStats) -> Placed:
+        """Exactly verify filter survivors: the reads they prove mapped
+        (those proven unmapped are only ``settled``); the rest are left
+        for the fallback."""
         cfg = self.config
         cons = self.consensus
         n_ver = verify.size
@@ -730,38 +735,20 @@ class BatchReadMapper(ReadMapper):
         mapped_len = np.maximum(1, v_len - clip_s - clip_e)
         unmapped = cost > cfg.unmapped_cost_fraction * mapped_len
 
-        # ---- emission ------------------------------------------------
-        mm_bounds = np.searchsorted(mm_row, np.arange(n_ver + 1))
-        for v in np.nonzero(~bad)[0]:
-            r = int(v_read[v])
-            if unmapped[v]:
-                results[r] = MappingResult(unmapped=True)
-                continue
-            length = int(v_len[v])
-            a0 = int(v_a0[v])
-            end = int(v_end[v])
-            base = int(v_off[v])
-            is_head_clip = bool(head_clip[v])
-            is_tail_clip = bool(tail_clip[v])
-            seg_lo = a0 if is_head_clip else 0
-            seg_hi = end if is_tail_clip else length
-            ops = []
-            for p in mm_pos[mm_bounds[v]:mm_bounds[v + 1]]:
-                p = int(p)
-                if (is_head_clip and p < a0) or (is_tail_clip and p >= end):
-                    continue
-                ops.append(EditOp(SUB, p - seg_lo, 1,
-                                  oriented[base + p:base + p + 1].copy()))
-            res = MappingResult(
-                segments=[MappedSegment(cons_start=int(v_diag[v]) + seg_lo,
-                                        read_start=seg_lo,
-                                        read_end=seg_hi, ops=ops)],
-                reverse=bool(use_rev[r]), cost=int(cost[v]))
-            if is_head_clip:
-                res.clip_start = oriented[base:base + a0].copy()
-            if is_tail_clip:
-                res.clip_end = oriented[base + end:base + length].copy()
-            results[r] = res
+        # ---- emission: one segment per mapped read; its mismatches
+        # outside the clips are its substitutions ----------------------
+        settled[v_read[~bad]] = True
+        mapped = ~bad & ~unmapped
+        seg_lo, seg_hi = clip_s, v_len - clip_e
+        inside = (mapped[mm_row] & (mm_pos >= seg_lo[mm_row])
+                  & (mm_pos < seg_hi[mm_row]))
+        mm_row, mm_pos = mm_row[inside], mm_pos[inside]
+        rank = np.cumsum(mapped) - 1
+        e = np.flatnonzero(mapped)
+        return _substitution_reads(
+            v_read[e], use_rev[v_read[e]], v_diag[e] + seg_lo[e], seg_lo[e],
+            seg_hi[e], cost[e], clip_s[e], clip_e[e], rank[mm_row],
+            mm_pos - seg_lo[mm_row])
 
     @staticmethod
     def _gather_rows(flat: np.ndarray, starts: np.ndarray, extra,

@@ -6,17 +6,23 @@ between anchors are closed with exact edit-distance alignment, yielding a
 lossless edit script per read.  Chimeric reads (Property 4) are detected
 when the primary chain leaves a large read flank uncovered; up to
 ``max_segments`` (the paper's N = 3) independently placed segments are
-emitted.
+emitted.  A block's mappings leave ``map_batch`` as one
+:class:`MappedBlock` table of columns, the layout the compressor's
+emitter consumes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from ..genomics import sequence as seq
+from ..genomics.reads import run_index
 from . import alignment
 from .alignment import (AlignmentResult, EditOp, global_align,
                         prefix_free_align, suffix_free_align)
@@ -89,6 +95,204 @@ class MappingResult:
     @property
     def n_mismatches(self) -> int:
         return sum(len(s.ops) for s in self.segments)
+
+
+#: Edit-op kinds, in the order :attr:`MappedBlock.kind` numbers them.
+OP_KINDS = (alignment.SUB, alignment.INS, alignment.DEL)
+_KIND_NUMBER = {kind: number for number, kind in enumerate(OP_KINDS)}
+
+
+def block_columns(codes, offsets=None) -> tuple[np.ndarray, np.ndarray]:
+    """A block's ``(codes, offsets)`` columns: as given, or packed from a
+    sequence of per-read code arrays when ``offsets`` is ``None``."""
+    if offsets is not None:
+        return (np.asarray(codes, dtype=np.uint8),
+                np.asarray(offsets, dtype=np.int64))
+    reads = [np.asarray(c, dtype=np.uint8) for c in codes]
+    offsets = np.zeros(len(reads) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, reads), np.int64, len(reads)),
+              out=offsets[1:])
+    flat = np.concatenate(reads) if reads else np.empty(0, dtype=np.uint8)
+    return flat, offsets
+
+
+def _column(items: list, get, dtype=np.int64) -> np.ndarray:
+    """``get(item)`` of every item, as an array."""
+    return np.fromiter(map(get, items), dtype, len(items))
+
+
+class Placed(NamedTuple):
+    """Mapped reads of a block as columns, in any row order: one part of
+    a :class:`MappedBlock`, as a kernel proves it."""
+
+    rows: np.ndarray          # per read: its row in the block
+    reverse: np.ndarray
+    cost: np.ndarray
+    clip_s: np.ndarray        # clip lengths
+    clip_e: np.ndarray
+    n_segments: np.ndarray
+    cons_start: np.ndarray    # per segment, read after read
+    read_start: np.ndarray
+    read_end: np.ndarray
+    n_ops: np.ndarray
+    kind: np.ndarray          # per op, segment after segment
+    read_pos: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def from_results(cls, rows, results: list[MappingResult]) -> "Placed":
+        """The mapped ones of ``results``, the mappings of reads
+        ``rows``, flattened.  Bases are dropped: an op's bases and a
+        clip are the oriented read's own."""
+        kept = [(row, res) for row, res in zip(rows, results)
+                if not res.unmapped]
+        mapped = [res for _, res in kept]
+        per_read = list(map(attrgetter("segments"), mapped))
+        segments = list(chain.from_iterable(per_read))
+        per_segment = list(map(attrgetter("ops"), segments))
+        ops = list(chain.from_iterable(per_segment))
+        return cls(
+            _column(kept, itemgetter(0)),
+            _column(mapped, attrgetter("reverse"), bool),
+            _column(mapped, attrgetter("cost")),
+            _column(mapped, attrgetter("clip_start.size")),
+            _column(mapped, attrgetter("clip_end.size")),
+            _column(per_read, len),
+            _column(segments, attrgetter("cons_start")),
+            _column(segments, attrgetter("read_start")),
+            _column(segments, attrgetter("read_end")),
+            _column(per_segment, len),
+            np.fromiter(map(_KIND_NUMBER.__getitem__,
+                            map(attrgetter("kind"), ops)), np.int8, len(ops)),
+            _column(ops, attrgetter("read_pos")),
+            _column(ops, attrgetter("length")))
+
+
+@dataclass(eq=False)
+class MappedBlock(Sequence[MappingResult]):
+    """The mappings of one block of reads, as one table of columns.
+
+    * per read (``len(self)`` rows): ``unmapped``, ``reverse``, ``cost``
+      and clip lengths ``clip_s`` / ``clip_e``;
+    * per segment, grouped by read in row order (a read's in the
+      mapper's order): ``seg_row``, ``cons_start``, ``read_start``,
+      ``read_end`` (oriented-read coordinates);
+    * per edit op, grouped by segment: ``op_seg``, ``kind`` (an index
+      into :data:`OP_KINDS`), segment-local ``read_pos`` and ``length``.
+
+    Bases are not stored: an op's bases and a clip are the oriented
+    read's own, gathered from the block's ``codes`` / ``offsets``.  As a
+    ``Sequence`` it holds one :class:`MappingResult` per read, built
+    from the columns on first use, the way a ``ReadSet`` builds its
+    ``Read`` views.
+    """
+
+    codes: np.ndarray
+    offsets: np.ndarray
+    unmapped: np.ndarray
+    reverse: np.ndarray
+    cost: np.ndarray
+    clip_s: np.ndarray
+    clip_e: np.ndarray
+    seg_row: np.ndarray
+    cons_start: np.ndarray
+    read_start: np.ndarray
+    read_end: np.ndarray
+    op_seg: np.ndarray
+    kind: np.ndarray
+    read_pos: np.ndarray
+    length: np.ndarray
+    _results: list[MappingResult] | None = field(
+        default=None, init=False, repr=False)
+
+    @classmethod
+    def assemble(cls, codes: np.ndarray, offsets: np.ndarray,
+                 parts: list[Placed]) -> "MappedBlock":
+        """The table of a block from parts placing disjoint sets of its
+        reads; a read no part places is unmapped."""
+        part = Placed._make(map(np.concatenate, zip(
+            *parts or [Placed.from_results([], [])])))
+        order = np.argsort(part.rows, kind="stable")
+        rows = part.rows[order]
+        n_segments = part.n_segments[order]
+        segs = run_index((np.cumsum(part.n_segments)
+                          - part.n_segments)[order], n_segments)
+        n_ops = part.n_ops[segs]
+        ops = run_index((np.cumsum(part.n_ops) - part.n_ops)[segs], n_ops)
+        n = offsets.size - 1
+        per_read = []
+        for column, default in ((part.reverse, False), (part.cost, 0),
+                                (part.clip_s, 0), (part.clip_e, 0)):
+            full = np.full(n, default, dtype=column.dtype)
+            full[rows] = column[order]
+            per_read.append(full)
+        unmapped = np.ones(n, dtype=bool)
+        unmapped[rows] = False
+        return cls(codes, offsets, unmapped, *per_read,
+                   np.repeat(rows, n_segments), part.cons_start[segs],
+                   part.read_start[segs], part.read_end[segs],
+                   np.repeat(np.arange(segs.size), n_ops), part.kind[ops],
+                   part.read_pos[ops], part.length[ops])
+
+    @classmethod
+    def from_results(cls, results: list[MappingResult], codes: np.ndarray,
+                     offsets: np.ndarray) -> "MappedBlock":
+        """The table of per-read ``results`` over the block's columns."""
+        return cls.assemble(codes, offsets, [
+            Placed.from_results(range(len(results)), results)])
+
+    # -- the items: MappingResults built from the columns --------------
+
+    @property
+    def results(self) -> list[MappingResult]:
+        """One :class:`MappingResult` per read, built once."""
+        if self._results is None:
+            self._results = self._build()
+        return self._results
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, index):
+        return self.results[index]
+
+    def __iter__(self) -> Iterator[MappingResult]:
+        return iter(self.results)
+
+    def _build(self) -> list[MappingResult]:
+        bounds = self.offsets.tolist()
+        results, oriented = [], []
+        for start, end, unmapped, reverse, cost, clip_s, clip_e in zip(
+                bounds, bounds[1:], self.unmapped.tolist(),
+                self.reverse.tolist(), self.cost.tolist(),
+                self.clip_s.tolist(), self.clip_e.tolist()):
+            codes = self.codes[start:end]
+            if reverse:
+                codes = seq.reverse_complement(codes)
+            oriented.append(codes)
+            results.append(MappingResult(unmapped=True) if unmapped else
+                           MappingResult(reverse=reverse, cost=cost,
+                                         clip_start=codes[:clip_s].copy(),
+                                         clip_end=codes[end - start
+                                                        - clip_e:].copy()))
+        op_bounds = np.searchsorted(
+            self.op_seg, np.arange(self.seg_row.size + 1)).tolist()
+        kinds = [OP_KINDS[kind] for kind in self.kind.tolist()]
+        positions, lengths = self.read_pos.tolist(), self.length.tolist()
+        for seg, (row, cons, lo, hi) in enumerate(zip(
+                self.seg_row.tolist(), self.cons_start.tolist(),
+                self.read_start.tolist(), self.read_end.tolist())):
+            codes = oriented[row]
+            ops = []
+            for op in range(op_bounds[seg], op_bounds[seg + 1]):
+                at = lo + positions[op]
+                bases = codes[at:at + lengths[op]].copy() \
+                    if kinds[op] != alignment.DEL \
+                    else np.empty(0, dtype=np.uint8)
+                ops.append(EditOp(kinds[op], positions[op], lengths[op],
+                                  bases))
+            results[row].segments.append(MappedSegment(cons, lo, hi, ops))
+        return results
 
 
 def reconstruct(consensus: np.ndarray, result: MappingResult,
@@ -173,14 +377,20 @@ class ReadMapper:
     # Public API
     # ------------------------------------------------------------------
 
-    def map_batch(self, reads) -> list[MappingResult]:
-        """Map a block of reads; the scalar reference maps one at a time.
+    def map_batch(self, codes, offsets=None) -> MappedBlock:
+        """Map a block of reads: its flat ``codes`` column and read
+        ``offsets``, or (``offsets`` omitted) a sequence of per-read code
+        arrays.  The scalar reference maps one read at a time.
 
         :class:`~repro.mapping.batch.BatchReadMapper` overrides this with
-        the vectorized structure-of-arrays implementation; results are
-        byte-identical by contract.
+        the vectorized structure-of-arrays implementation; the tables are
+        equal column for column by contract.
         """
-        return [self.map_read(codes) for codes in reads]
+        codes, offsets = block_columns(codes, offsets)
+        bounds = offsets.tolist()
+        return MappedBlock.from_results(
+            [self.map_read(codes[s:e]) for s, e in zip(bounds, bounds[1:])],
+            codes, offsets)
 
     def map_read(self, codes: np.ndarray) -> MappingResult:
         """Map one read; always returns a result (possibly unmapped)."""

@@ -22,7 +22,7 @@ from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
 from repro.mapping.alignment import DEL, INS, SUB
-from repro.mapping.mapper import MapperConfig
+from repro.mapping.mapper import MapperConfig, MappingResult
 
 from tests.conftest import read_multiset
 
@@ -601,6 +601,31 @@ class TestColumnPath:
         assert any(op.kind == INS and (op.bases == seq.N_CODE).any()
                    for m in mappings for s in m.segments for op in s.ops)
         assert any(plan[1] for plan in plans) == level.chimeric
+
+    def test_objects_only_for_fallback_reads(self, rs2_small, monkeypatch):
+        """The mapper hands the emitter its table: on a fixed-length
+        short block the only ``MappingResult`` s built are for the reads
+        the numpy kernel's fast path left to the scalar chain rules."""
+        read_set = rs2_small.read_set.subset(range(1_024))
+        assert read_set.is_fixed_length
+        compressor = SAGeCompressor(rs2_small.reference,
+                                    SAGeConfig(mapper_kernel="numpy"))
+        stats = compressor._build_mapper(OptLevel.O4, False).stats
+        built = []
+        init = MappingResult.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MappingResult, "__init__", counting)
+        fallback = stats.fallback
+        block = compressor.compress_block(read_set)
+        fallback = stats.fallback - fallback
+        assert 0 < len(built) <= fallback < len(read_set) // 10
+        monkeypatch.undo()
+        assert block.streams \
+            == scalar_block(compressor, read_set)[0]["streams"]
 
     @settings(max_examples=60, deadline=None)
     @given(specs=st.lists(st.tuples(

@@ -119,6 +119,22 @@ class TestKmerCodes:
         with pytest.raises(ValueError):
             seq.kmer_codes(seq.encode("ACGT"), 32)
 
+    @given(st.lists(st.integers(0, 4), max_size=120),
+           st.integers(min_value=1, max_value=31))
+    def test_doubling_equals_one_pass_per_offset(self, codes, k):
+        """The doubling packer against the ``k``-pass loop it replaced,
+        ``N`` sentinels included, for every ``k``."""
+        codes = np.array(codes, dtype=np.uint8)
+        n = codes.size - k + 1
+        want = np.zeros(max(n, 0), dtype=np.uint64)
+        bad = np.zeros(max(n, 0), dtype=bool)
+        for off in range(k):
+            window = codes[off:off + n] if n > 0 else codes[:0]
+            bad |= window == seq.N_CODE
+            want = (want << np.uint64(2)) | window.astype(np.uint64)
+        want[bad] = np.uint64(1) << np.uint64(2 * k)
+        assert seq.kmer_codes(codes, k).tolist() == want.tolist()
+
     @given(acgt_text, st.integers(min_value=1, max_value=8))
     def test_distinct_kmers_distinct_codes(self, text, k):
         codes = seq.encode(text)

@@ -370,8 +370,8 @@ def mmap_lifetime(source, where):
 # ----------------------------------------------------------------------
 # The consumer boundary (PR 22): a block is its columns at the sink too.
 # The built-in consumers — everything under pipeline/, analysis/ and
-# hardware/ — take a block's columns (``block.read_codes()`` for a
-# mapper) and map it in one ``map_batch`` call on the session's kernel:
+# hardware/ — take a block's columns (``block.codes, block.offsets`` for
+# a mapper) and map it in one ``map_batch`` call on the session's kernel:
 # they never iterate a read set into ``Read`` views and never call the
 # scalar ``map_read`` per read; and outside mapping/ nothing constructs
 # the scalar ``ReadMapper`` by hand (``make_mapper`` decides), except
@@ -479,6 +479,53 @@ def streams_written_in_bulk(source, where):
         if isinstance(node, ast.Call) \
                 and getattr(node.func, "attr", None) in _FIELD_WRITES:
             offenders.append(f"{where}:{node.lineno} .{node.func.attr}(")
+    return offenders
+
+
+#: Where a block is mapped from its columns: ``map_batch(x.codes,
+#: x.offsets)``, never a list of per-read views.
+COLUMN_MAPPERS = ("src/repro/core/compressor.py",
+                  "src/repro/analysis/properties.py",
+                  "src/repro/analysis/variants.py")
+
+
+def mappings_consumed_as_columns(source, where):
+    """The mapper hands over a block's mappings as one table: the
+    compressor reads its columns and names no ``MappingResult``,
+    ``.segments``, ``.ops`` or ``attrgetter``; no caller outside
+    ``mapping/`` hands ``map_batch`` a ``read_codes()`` list, and the
+    block callers pass ``codes, offsets``; the batched mapper packs
+    k-mers through ``seq.kmer_codes`` only (no shift loop of its own)."""
+    if not where.startswith("src/repro/"):
+        return []
+    offenders = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if where == "src/repro/core/compressor.py" and (
+                name in ("MappingResult", "attrgetter")
+                or isinstance(node, ast.Attribute)
+                and name in ("segments", "ops")):
+            offenders.append(f"{where}:{node.lineno} {name}")
+        if where == "src/repro/mapping/batch.py" \
+                and isinstance(node, (ast.For, ast.While)) \
+                and any(isinstance(inner, (ast.BinOp, ast.AugAssign))
+                        and isinstance(inner.op, ast.LShift)
+                        for inner in ast.walk(node)):
+            offenders.append(f"{where}:{node.lineno} packs k-mers in a "
+                             f"shift loop (use seq.kmer_codes)")
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "map_batch"):
+            continue
+        args = [ast.unparse(arg) for arg in node.args]
+        if not where.startswith("src/repro/mapping/") \
+                and any("read_codes(" in arg for arg in args):
+            offenders.append(f"{where}:{node.lineno} map_batch(read_codes())")
+        if where in COLUMN_MAPPERS and (
+                len(args) != 2 or not args[0].endswith(".codes")
+                or not args[1].endswith(".offsets")):
+            offenders.append(f"{where}:{node.lineno} "
+                             f"map_batch({', '.join(args)})")
     return offenders
 
 
@@ -1103,7 +1150,7 @@ class TestOptionsThreadingEdges:
                               "src/repro/analysis/widget.py") != [], violating
         assert on_snippet(blocks_consumed_as_columns, """\
             for index, block in enumerate(blocks):
-                for mapping in mapper.map_batch(block.read_codes()):
+                for mapping in mapper.map_batch(block.codes, block.offsets):
                     n_reads += len(block)
             """, "src/repro/analysis/widget.py") == []
         # Read views stay a convenience for user-facing code.
@@ -1142,6 +1189,43 @@ class TestOptionsThreadingEdges:
                           "src/repro/core/compressor.py") == []
         assert on_snippet(streams_written_in_bulk, "writer.write(1, 1)\n",
                           "src/repro/core/container.py") == []
+
+    def test_mappings_consumed_as_columns(self):
+        """The mapper's side of the same contract: a block goes in as
+        its columns and comes out as one ``MappedBlock`` table, which the
+        emitter reads without building or flattening result objects
+        (``mappings_consumed_as_columns``)."""
+        assert on_tree(mappings_consumed_as_columns, "src") == []
+        compressor = "src/repro/core/compressor.py"
+        for violating, where in (
+                ("rev = _column(mapped, attrgetter('reverse'), bool)\n",
+                 compressor),
+                ("segments = [m.segments for m in mappings]\n", compressor),
+                ("ops = list(chain.from_iterable(s.ops for s in segs))\n",
+                 compressor),
+                ("def emit(mappings: list[MappingResult]):\n    pass\n",
+                 compressor),
+                ("mapped = mapper.map_batch(read_set.read_codes())\n",
+                 compressor),
+                ("mapped = mapper.map_batch(list(block))\n",
+                 "src/repro/analysis/properties.py"),
+                ("hits = mapper.map_batch(block.read_codes())\n",
+                 "src/repro/hardware/widget.py"),
+                ("""\
+                 def _flat_kmers(flat, k):
+                     vals = np.zeros(flat.size - k + 1, dtype=np.uint64)
+                     for off in range(k):
+                         vals = (vals << np.uint64(2)) | flat[off:]
+                     return vals
+                 """, "src/repro/mapping/batch.py")):
+            assert on_snippet(mappings_consumed_as_columns, violating,
+                              where) != [], violating
+        assert on_snippet(mappings_consumed_as_columns,
+                          "mapped = mapper.map_batch(block.codes, "
+                          "block.offsets)\n", compressor) == []
+        assert on_snippet(mappings_consumed_as_columns,
+                          "table = self.map_batch(reads.read_codes())\n",
+                          "src/repro/mapping/widget.py") == []
 
     def test_extension_is_stated_once(self):
         """A mapper kernel overrides the job solver and nothing else of

@@ -1,15 +1,17 @@
 """Cross-mapper tests for the batched mapper kernel layer.
 
 The contract under test (:mod:`repro.mapping.batch`): the vectorized
-:class:`BatchReadMapper` produces ``MappingResult``s — and therefore
-archives — byte-identical to the scalar :class:`ReadMapper` reference,
-for every read shape (short/long, indels, Ns, reverse-complement,
+:class:`BatchReadMapper` produces a ``MappedBlock`` table equal column
+for column to the scalar :class:`ReadMapper` reference's — and therefore
+``MappingResult`` items and archives byte-identical — for every read
+shape (short/long, indels, Ns, reverse-complement,
 chimeric, unmapped junk).  Also covered: the batched extension solver
 against the three scalar aligners (its oracle), the mapper registry, the
 ``EngineOptions.mapper`` knob, the shared k-mer index (built once per
 archive, not once per worker), and the SHD filter primitives.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -30,7 +32,8 @@ from repro.mapping.batch import (BatchReadMapper, MapperStats,
                                  pack_bases, resolve_mapper,
                                  solve_extension_jobs)
 from repro.mapping.kmer_index import KmerIndex
-from repro.mapping.mapper import AlignmentJob, MapperConfig, ReadMapper
+from repro.mapping.mapper import (AlignmentJob, MappedBlock, MapperConfig,
+                                  ReadMapper, block_columns)
 
 from tests.conftest import chunked
 
@@ -104,6 +107,13 @@ def _result_key(res):
     )
 
 
+def _columns(table):
+    """Every column of a MappedBlock, with its dtype (comparable by ==)."""
+    return {f.name: (getattr(table, f.name).dtype.str,
+                     getattr(table, f.name).tolist())
+            for f in dataclasses.fields(table) if f.init}
+
+
 def _plain(report):
     """A report's fields with its arrays as lists (comparable by ==)."""
     return {name: value.tolist() if isinstance(value, np.ndarray) else value
@@ -129,9 +139,18 @@ class TestCrossMapperFuzz:
                           max_occurrences=cfg.max_occurrences)
         scalar = ReadMapper(reference, cfg, index=index)
         batched = BatchReadMapper(reference, cfg, index=index)
-        expected = [_result_key(scalar.map_read(c)) for c in codes_list]
-        got = [_result_key(r) for r in batched.map_batch(codes_list)]
-        assert got == expected
+        results = [scalar.map_read(c) for c in codes_list]
+        codes, offsets = block_columns(codes_list)
+        table = batched.map_batch(codes, offsets)
+        # The lazily built items are the scalar results ...
+        assert [_result_key(r) for r in table] \
+            == [_result_key(r) for r in results]
+        # ... and the columns are theirs, flattened, whichever way the
+        # block is handed over and whichever kernel maps it.
+        want = _columns(MappedBlock.from_results(results, codes, offsets))
+        assert _columns(table) == want
+        assert _columns(batched.map_batch(codes_list)) == want
+        assert _columns(scalar.map_batch(codes, offsets)) == want
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1),
@@ -239,8 +258,11 @@ class TestCrossMapperFuzz:
         assert got == expected
 
     def test_empty_batch(self, reference):
-        batched = BatchReadMapper(reference, MapperConfig())
-        assert batched.map_batch([]) == []
+        for kernel in (ReadMapper, BatchReadMapper):
+            table = kernel(reference, MapperConfig()).map_batch([])
+            assert len(table) == 0 and list(table) == []
+            assert _columns(table) == _columns(MappedBlock.from_results(
+                [], *block_columns([])))
 
 
 # ----------------------------------------------------------------------
