@@ -49,141 +49,164 @@ class AlignmentResult:
     cons_used_end: int        # one past the last consensus offset consumed
 
 
-#: Backpointer codes in the traceback matrix (shared with the batched
-#: kernel in ``mapping.batch``, whose cube :func:`trace_ops` walks too).
-BP_DIAG = 0
-BP_UP = 1      # consumed a read base (insertion)
-BP_LEFT = 2    # consumed a consensus base (deletion)
+def row_dtype(n: int, m: int) -> type:
+    """Integer type of the DP rows of an ``n`` x ``m`` problem.
 
-
-def _dp_matrix(read_seg: np.ndarray, cons_seg: np.ndarray,
-               free_start: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the edit-distance DP; returns ``(last_row, back)``.
-
-    Rows index read positions (0..n), columns consensus positions (0..m).
-    ``free_start`` makes leading consensus gaps free (row 0 all zeros).
-    Only the backpointer matrix is kept whole (one byte per cell); the
-    distances live in two rolling rows, and ``last_row`` is row ``n``.
-    This is the oracle ``mapping.batch``'s batched kernel is held to.
+    No cell exceeds ``i + j`` (a path of ``i`` insertions and ``j``
+    deletions reaches it), so ``int16`` holds every row unless
+    ``n + m`` does not fit in it.
     """
-    n, m = read_seg.size, cons_seg.size
-    back = np.empty((n + 1, m + 1), dtype=np.uint8)
-    back[0, :] = BP_LEFT
-    back[:, 0] = BP_UP
-    back[0, 0] = BP_DIAG
-    if m == 0:
-        return np.array([n], dtype=np.int32), back
-
-    row = (np.zeros(m + 1, dtype=np.int32) if free_start
-           else np.arange(m + 1, dtype=np.int32))
-    cols = np.arange(1, m + 1, dtype=np.int32)
-    for i in range(1, n + 1):
-        diag = row[:-1] + (read_seg[i - 1] != cons_seg)
-        up = row[1:] + 1
-        best = np.minimum(diag, up)
-        # Left dependency row[j] = min(best[j], row[j-1] + 1) unrolls to a
-        # prefix-min with unit carry: row[j] = j + min_{t<=j}(cand[t] - t)
-        # where cand[0] is the first-column value.
-        nxt = np.empty(m + 1, dtype=np.int32)
-        nxt[0] = i
-        np.subtract(best, cols, out=nxt[1:])
-        np.minimum.accumulate(nxt, out=nxt)
-        nxt[1:] += cols
-        back[i, 1:] = np.where(nxt[1:] < best, BP_LEFT,
-                               np.where(diag <= up, BP_DIAG, BP_UP))
-        row = nxt
-    return row, back
+    return np.int16 if n + m <= np.iinfo(np.int16).max else np.int32
 
 
-def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray,
-              back: np.ndarray, end_i: int, end_j: int,
+def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
+                 win_rows: np.ndarray, free_start: bool | np.ndarray,
+                 cube: np.ndarray | None = None) -> np.ndarray:
+    """The unit-cost edit-distance DP over a plane of problems, one numpy
+    row step per DP row of all of them; returns each problem's own last
+    row (row ``read_lens[p]``, exact, one row per problem).
+
+    Rows index read positions (0..n), columns consensus positions
+    (0..m); ``free_start`` (one flag, or one per problem) makes leading
+    consensus gaps free (row 0 all zeros).  ``read_rows`` / ``win_rows``
+    are padded 2-D inputs whose padding matches nothing; a cell depends
+    only on cells above and to its left, so padding past a problem's own
+    rectangle never reaches the cells inside it.  ``cube``, when given,
+    is the (problems, rows + 1, columns + 1) ``uint8`` array that
+    receives every row's distances mod 256 — what :func:`trace_ops`
+    walks.
+
+    Rows are carried as ``S[i][j] = D[i][j] - j``, which turns the left
+    dependency ``D[i][j] = min(best, D[i][j-1] + 1)`` into a plain prefix
+    minimum over ``min(S[i-1][j-1] - match, S[i-1][j] + 1)``, with
+    ``S[i][0] = i``.
+    """
+    n_prob, n_max = read_rows.shape
+    m_max = win_rows.shape[1]
+    dtype = row_dtype(n_max, m_max)
+    cols = np.arange(m_max + 1, dtype=dtype)
+    prev = np.empty((n_prob, m_max + 1), dtype=dtype)
+    prev[:] = np.where(np.reshape(free_start, (-1, 1)), -cols, 0)
+    if cube is not None:
+        np.add(prev, cols, out=cube[:, 0], casting="unsafe")
+    last = prev + cols
+    ends = set(read_lens.tolist())
+    row = np.empty_like(prev)
+    diag = np.empty((n_prob, m_max), dtype=dtype)
+    match = np.empty(diag.shape, dtype=bool)
+    for i in range(1, n_max + 1):
+        np.equal(read_rows[:, i - 1, None], win_rows, out=match)
+        np.subtract(prev[:, :-1], match, out=diag)
+        np.add(prev, 1, out=row)          # up; column 0 becomes i
+        np.minimum(row[:, 1:], diag, out=row[:, 1:])
+        np.minimum.accumulate(row, axis=1, out=row)
+        if cube is not None:
+            np.add(row, cols, out=cube[:, i], casting="unsafe")
+        if i in ends:
+            done = read_lens == i
+            last[done] = row[done] + cols
+        prev, row = row, prev
+    return last
+
+
+def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
+              end_i: int, end_j: int,
               free_start: bool) -> tuple[list[EditOp], int]:
-    """Walk backpointers from (end_i, end_j); returns (ops, start_j).
+    """Walk the DP back from (end_i, end_j); returns (ops, start_j).
 
-    ``back`` may be wider than the problem (a padded slice of a batched
-    backpointer cube): only cells inside ``[0..end_i] x [0..end_j]`` are
-    read.
+    ``dist[i * width + j]`` is cell (i, j)'s distance mod 256 (a flat
+    ``memoryview`` of a job's plane, which may be wider than the
+    problem: only cells inside ``[0..end_i] x [0..end_j]`` are read).
+    Each move is re-derived from the distances with the recurrence's
+    tie-breaks (left only when strictly below both other candidates,
+    else the diagonal when no worse than up).  A match is always the
+    diagonal.  At a mismatch, with ``base`` the distance of cell
+    (i-1, j-1): up when cell (i-1, j) is below ``base``, else left when
+    the cell equals ``base``, else the diagonal.  Adjacent cells of a
+    unit-cost DP differ by at most 1, so those differences are exact
+    mod 256.  Runs of insertions / deletions become one op each
+    (§5.1.1 indel blocks).
     """
-    raw: list[tuple[str, int]] = []  # (kind, read_pos) single-base steps
+    read, cons = read_seg.tobytes(), cons_seg.tobytes()
+    steps: list[list] = []   # [kind, read_pos, length], last op first
+    kind = None              # the previous move's op kind
     i, j = end_i, end_j
-    while i > 0 or j > 0:
-        if free_start and i == 0:
-            break  # leading consensus bases are free
-        code = back[i, j]
-        if code == BP_DIAG and i > 0 and j > 0:
+    while i and j:
+        if read[i - 1] == cons[j - 1]:
+            # A run of matches needs no distances: skip it 8 at a time.
             i -= 1
             j -= 1
-            if read_seg[i] != cons_seg[j]:
-                raw.append((SUB, i))
-        elif code == BP_UP and i > 0:
+            while i >= 8 and j >= 8 and read[i - 8:i] == cons[j - 8:j]:
+                i -= 8
+                j -= 8
+            kind = None
+            continue
+        at = i * width + j
+        base = dist[at - width - 1]
+        if (dist[at - width] - base) & 255 == 255:
             i -= 1
-            raw.append((INS, i))
+            if kind == INS:
+                steps[-1][1] = i
+                steps[-1][2] += 1
+            else:
+                steps.append([INS, i, 1])
+                kind = INS
+        elif dist[at] == base:
+            j -= 1
+            if kind == DEL:
+                steps[-1][2] += 1
+            else:
+                steps.append([DEL, i, 1])
+                kind = DEL
         else:
+            i -= 1
             j -= 1
-            raw.append((DEL, i))
-    raw.reverse()
-
-    # Merge runs of insertions/deletions into blocks (§5.1.1 indel blocks).
-    ops: list[EditOp] = []
-    idx = 0
-    while idx < len(raw):
-        kind, pos = raw[idx]
-        if kind == SUB:
-            ops.append(EditOp(SUB, pos, 1,
-                              read_seg[pos:pos + 1].copy()))
-            idx += 1
-        elif kind == INS:
-            run = 1
-            while (idx + run < len(raw) and raw[idx + run][0] == INS
-                   and raw[idx + run][1] == pos + run):
-                run += 1
-            ops.append(EditOp(INS, pos, run,
-                              read_seg[pos:pos + run].copy()))
-            idx += run
-        else:  # DEL
-            run = 1
-            while (idx + run < len(raw) and raw[idx + run][0] == DEL
-                   and raw[idx + run][1] == pos):
-                run += 1
-            ops.append(EditOp(DEL, pos, run))
-            idx += run
+            steps.append([SUB, i, 1])
+            kind = SUB
+    # Neither run extends the last op: the loop ended on a move that
+    # consumed consensus (j = 0) or read (i = 0), or never ran.
+    if i:                    # column 0: the rest of the read is inserted
+        steps.append([INS, 0, i])
+    elif j and not free_start:   # row 0: leading consensus is deleted
+        steps.append([DEL, 0, j])
+        j = 0
+    ops = [EditOp(kind, pos, length, read_seg[pos:pos + length].copy())
+           if kind != DEL else EditOp(DEL, pos, length)
+           for kind, pos, length in reversed(steps)]
     return ops, j
+
+
+def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
+           free_end: bool) -> AlignmentResult:
+    """One alignment: the DP, its end column, and the traceback."""
+    read_seg = np.asarray(read_seg, dtype=np.uint8)
+    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
+    n, m = read_seg.size, cons_seg.size
+    cube = np.empty((1, n + 1, m + 1), dtype=np.uint8)
+    last = dp_last_rows(read_seg[None, :], np.array([n]), cons_seg[None, :],
+                        free_start, cube)[0]
+    end_j = int(np.argmin(last)) if free_end else m
+    ops, start_j = trace_ops(read_seg, cons_seg, memoryview(cube).cast("B"),
+                             m + 1, n, end_j, free_start)
+    return AlignmentResult(ops, int(last[end_j]), start_j, end_j)
 
 
 def global_align(read_seg: np.ndarray,
                  cons_seg: np.ndarray) -> AlignmentResult:
     """Align both segments end to end; unit-cost edit distance."""
-    read_seg = np.asarray(read_seg, dtype=np.uint8)
-    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=False)
-    ops, start_j = trace_ops(read_seg, cons_seg, back,
-                             read_seg.size, cons_seg.size, False)
-    return AlignmentResult(ops, int(last_row[cons_seg.size]),
-                           start_j, cons_seg.size)
+    return _align(read_seg, cons_seg, free_start=False, free_end=False)
 
 
 def prefix_free_align(read_seg: np.ndarray,
                       cons_seg: np.ndarray) -> AlignmentResult:
     """Align the read segment to a suffix of the consensus window."""
-    read_seg = np.asarray(read_seg, dtype=np.uint8)
-    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=True)
-    ops, start_j = trace_ops(read_seg, cons_seg, back,
-                             read_seg.size, cons_seg.size, True)
-    return AlignmentResult(ops, int(last_row[cons_seg.size]),
-                           start_j, cons_seg.size)
+    return _align(read_seg, cons_seg, free_start=True, free_end=False)
 
 
 def suffix_free_align(read_seg: np.ndarray,
                       cons_seg: np.ndarray) -> AlignmentResult:
     """Align the read segment to a prefix of the consensus window."""
-    read_seg = np.asarray(read_seg, dtype=np.uint8)
-    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    last_row, back = _dp_matrix(read_seg, cons_seg, free_start=False)
-    end_j = int(np.argmin(last_row))
-    ops, start_j = trace_ops(read_seg, cons_seg, back,
-                             read_seg.size, end_j, False)
-    return AlignmentResult(ops, int(last_row[end_j]), start_j, end_j)
+    return _align(read_seg, cons_seg, free_start=False, free_end=True)
 
 
 def apply_ops(cons_seg: np.ndarray, ops: list[EditOp],

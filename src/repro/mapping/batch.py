@@ -25,18 +25,24 @@ reads:
    full-read window compare recovers mismatch positions, and read
    heads/tails with nonzero straight-diagonal cost run through a batched
    (candidates × window) edit-distance DP reproducing the exact
-   ``prefix_free_align``/``suffix_free_align`` optima, replacing one full
-   ``_dp_matrix`` call per read end.
+   ``prefix_free_align``/``suffix_free_align`` optima, replacing one
+   scalar alignment per read end.
 4. **Batched extension** — every read stages 2–3 could not prove
    (multi-diagonal chains, indel-bearing ends, chimeric candidates, filter
-   rejects: > 99 % of a long-read block) is chained by the scalar rules of
-   :mod:`repro.mapping.mapper`, but *planned* first: the block's gap, head
-   and tail alignments are collected into one job list and
-   :func:`solve_extension_jobs` solves it bucket by bucket, one numpy row
-   step per DP row of a whole bucket instead of one per row of every job
-   (GenASM's argument, Senol Cali: extension pays when issued as wide,
-   regular operations over many windows at once).  The reads are then
-   assembled from the results.
+   rejects: > 99 % of a long-read block) goes through the rules of
+   :mod:`repro.mapping.mapper`, stated once and run a block at a time:
+   ``ReadMapper._plan_block`` clusters, chains and cuts the block's
+   anchors into segment plans as block arrays (one sort, one chain test
+   per anchor pair, one flat compare for the equal-length gaps, Python
+   steps only where a chain's greedy rule or a diagonal change needs
+   one), collecting the block's gap, head and tail alignments into one
+   job list.  :func:`solve_extension_jobs` solves it bucket by bucket,
+   one numpy row step per DP row of a whole bucket instead of one per
+   row of every job (GenASM's argument, Senol Cali: extension pays when
+   issued as wide, regular operations over many windows at once); the
+   bucket keeps its distances (mod 256, one byte per cell) and each job
+   is traced back from them.  The reads are then assembled from the
+   results.
 
 Stages 1–3 write the reads they prove straight into the block's
 :class:`~repro.mapping.mapper.MappedBlock` columns; only stage 4's reads
@@ -49,10 +55,11 @@ heads/tails are pure substitution paths (DP optimum equals the
 straight-diagonal Hamming cost, which pins the scalar traceback to that
 diagonal) or soft clips (decided from the exact DP cost alone).  For
 everything else there is nothing to prove: :class:`BatchReadMapper`
-inherits planning and assembly and overrides only the job solver, whose
-kernel runs ``alignment._dp_matrix``'s recurrence and tie-breaks cell for
-cell and hands the same backpointers to the same traceback — so archives
-are byte-identical between ``mapper="python"`` and ``mapper="numpy"``.
+inherits planning and assembly and overrides only the job solver, which
+runs the scalar aligners' own DP (``alignment.dp_last_rows``) over a
+bucket and their own traceback (``alignment.trace_ops``) over each job's
+distances — so archives are byte-identical between ``mapper="python"``
+and ``mapper="numpy"``.
 """
 
 from __future__ import annotations
@@ -64,8 +71,8 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .alignment import BP_DIAG, BP_LEFT, BP_UP, SUB, AlignmentResult, trace_ops
-from .kmer_index import AnchorHits, KmerIndex
+from .alignment import SUB, AlignmentResult, dp_last_rows, trace_ops
+from .kmer_index import KmerIndex
 from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
                      Placed, ReadMapper, block_columns)
 
@@ -76,8 +83,9 @@ DEFAULT_MAPPER = "numpy"
 #: the batched verification DP (keeps the padded DP matrices narrow).
 _VERIFY_CAP = 128
 
-#: Most padded backpointer cells (one byte each) a bucket of extension
-#: jobs may hold at once; a fuller bucket is split, down to one job.
+#: Most padded DP cells a bucket of extension jobs may hold at once, one
+#: byte each (the cell's distance mod 256, all its traceback needs); a
+#: fuller bucket is split, down to one job.
 _EXTENSION_CELL_CAP = 1 << 21
 
 #: Fill past the end of a padded read / consensus row: never equal to
@@ -255,64 +263,14 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
 # Batched edit-distance DP
 # ----------------------------------------------------------------------
 
-def _dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                  win_rows: np.ndarray, free_start: bool,
-                  back: np.ndarray | None = None) -> np.ndarray:
-    """``alignment._dp_matrix`` over a plane of problems, one numpy row
-    step per DP row of all of them; returns each problem's own last row
-    (row ``read_lens[p]``, int32, one row per problem).
-
-    ``read_rows`` / ``win_rows`` are padded 2-D inputs.  The recurrence
-    and tie-breaks are the oracle's (``diag <= up`` takes the diagonal,
-    left only when strictly smaller), and a cell depends only on cells
-    above and to its left, so padding past a problem's own rectangle
-    never reaches the cells inside it.  ``back``, when given, is the
-    (problems, rows + 1, columns + 1) uint8 cube that receives the
-    oracle's backpointers; distances live in two rolling rows.
-    """
-    n_prob, n_max = read_rows.shape
-    m_max = win_rows.shape[1]
-    cols = np.arange(1, m_max + 1, dtype=np.int32)
-    if free_start:
-        prev = np.zeros((n_prob, m_max + 1), dtype=np.int32)
-    else:
-        prev = np.tile(np.arange(m_max + 1, dtype=np.int32), (n_prob, 1))
-    if back is not None:
-        back[:, 0, :] = BP_LEFT
-        back[:, :, 0] = BP_UP
-        back[:, 0, 0] = BP_DIAG
-    last = prev.copy()
-    ends = set(read_lens.tolist())
-    for i in range(1, n_max + 1):
-        diag = prev[:, :-1] + (read_rows[:, i - 1, None] != win_rows)
-        up = prev[:, 1:] + 1
-        best = np.minimum(diag, up)
-        # Left dependency row[j] = min(best[j], row[j-1] + 1) unrolls to
-        # a prefix-min with unit carry: row[j] = j + min_{t<=j}(cand[t]
-        # - t) where cand[0] is the first-column value.
-        row = np.empty_like(prev)
-        row[:, 0] = i
-        np.subtract(best, cols, out=row[:, 1:])
-        np.minimum.accumulate(row, axis=1, out=row)
-        row[:, 1:] += cols
-        if back is not None:
-            # (diag > up) as a byte is BP_DIAG / BP_UP already.
-            back[:, i, 1:] = np.where(row[:, 1:] < best, np.uint8(BP_LEFT),
-                                      (diag > up).view(np.uint8))
-        if i in ends:
-            done = read_lens == i
-            last[done] = row[done]
-        prev = row
-    return last
-
-
 def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
                        win_rows: np.ndarray, free_start: bool,
                        stats: MapperStats) -> np.ndarray:
     """Last DP rows of the fast path's head / tail verification
-    (:func:`_dp_last_rows`, no backpointers), counted in ``dp_cells``."""
+    (:func:`~repro.mapping.alignment.dp_last_rows`, no cube), counted in
+    ``dp_cells``."""
     stats.dp_cells += int((read_lens * (win_rows.shape[1] + 1)).sum())
-    return _dp_last_rows(read_rows, read_lens, win_rows, free_start)
+    return dp_last_rows(read_rows, read_lens, win_rows, free_start)
 
 
 def solve_extension_jobs(jobs: list[AlignmentJob],
@@ -321,64 +279,70 @@ def solve_extension_jobs(jobs: list[AlignmentJob],
     result, from one batched DP per bucket of similar shapes.
 
     Jobs are bucketed by padded shape (ceil(log2) of the read and of the
-    consensus length) and by row-0 flavour; each bucket is one
-    :func:`_dp_last_rows` run with a backpointer cube (split while the
-    cube would exceed ``_EXTENSION_CELL_CAP``), and the traceback is the
-    oracle's own walk over the job's slice of the cube — so matrices,
-    tracebacks and results are the scalar aligners' exactly.
+    consensus length); each bucket is one
+    :func:`~repro.mapping.alignment.dp_last_rows` run into a ``uint8``
+    cube of distances mod 256 (split while the cube would exceed
+    ``_EXTENSION_CELL_CAP``), and each job's traceback is the aligners'
+    own :func:`~repro.mapping.alignment.trace_ops` over its plane of the
+    cube — so distances, tracebacks and results are the scalar
+    aligners' exactly.
     """
     results: list[AlignmentResult | None] = [None] * len(jobs)
     if not jobs:
         return results  # type: ignore[return-value]
     n = np.array([job.read_seg.size for job in jobs], dtype=np.int64)
     m = np.array([job.cons_seg.size for job in jobs], dtype=np.int64)
-    free = np.array([job.flavour == "prefix_free" for job in jobs])
     stats.extension_jobs += len(jobs)
     stats.extension_cells += int((n * m).sum())
 
     # frexp's exponent of (x - 1) is its bit length: ceil(log2 x).
-    key = ((np.frexp(np.maximum(n - 1, 0))[1] * 64
-            + np.frexp(np.maximum(m - 1, 0))[1]) * 2 + free)
+    key = (np.frexp(np.maximum(n - 1, 0))[1] * 64
+           + np.frexp(np.maximum(m - 1, 0))[1])
     order = np.argsort(key, kind="stable")
     edges = np.nonzero(np.diff(key[order]))[0] + 1
     for bucket in np.split(order, edges):
         cube = (int(n[bucket].max()) + 1) * (int(m[bucket].max()) + 1)
         step = max(1, _EXTENSION_CELL_CAP // cube)
         for lo in range(0, bucket.size, step):
-            part = bucket[lo:lo + step]
-            which = part.tolist()
-            solved = _solve_bucket([jobs[j] for j in which], n[part],
-                                   m[part], bool(free[which[0]]))
+            which = bucket[lo:lo + step].tolist()
+            solved = _solve_bucket([jobs[j] for j in which], n[which],
+                                   m[which])
             for j, res in zip(which, solved):
                 results[j] = res
     return results  # type: ignore[return-value]
 
 
-def _solve_bucket(jobs: list[AlignmentJob], n: np.ndarray, m: np.ndarray,
-                  free_start: bool) -> list[AlignmentResult]:
-    """Solve jobs of one row-0 flavour and similar shapes (``n`` x ``m``
-    their read x consensus lengths) in one batched DP."""
+def _solve_bucket(jobs: list[AlignmentJob], n: np.ndarray,
+                  m: np.ndarray) -> list[AlignmentResult]:
+    """Solve jobs of similar shapes (``n`` x ``m`` their read x
+    consensus lengths) in one batched DP."""
     read_rows = np.full((len(jobs), int(n.max())), _READ_PAD, dtype=np.uint8)
     cons_rows = np.full((len(jobs), int(m.max())), _CONS_PAD, dtype=np.uint8)
-    for r, job in enumerate(jobs):
-        read_rows[r, :job.read_seg.size] = job.read_seg
-        cons_rows[r, :job.cons_seg.size] = job.cons_seg
-    back = np.empty((len(jobs), read_rows.shape[1] + 1,
-                     cons_rows.shape[1] + 1), dtype=np.uint8)
-    last = _dp_last_rows(read_rows, n, cons_rows, free_start, back)
+    for rows, lens, segs in ((read_rows, n, [job.read_seg for job in jobs]),
+                             (cons_rows, m, [job.cons_seg for job in jobs])):
+        rows.reshape(-1)[run_index(np.arange(len(jobs)) * rows.shape[1],
+                                   lens)] = np.concatenate(segs)
+    free = np.array([job.flavour == "prefix_free" for job in jobs])
+    width = cons_rows.shape[1] + 1
+    plane = (read_rows.shape[1] + 1) * width
+    cube = np.empty((len(jobs), read_rows.shape[1] + 1, width),
+                    dtype=np.uint8)
+    last = dp_last_rows(read_rows, n, cons_rows, free, cube)
 
     # global / prefix_free end in the last column; suffix_free at the
     # first minimum of its own last row.
-    own = np.arange(last.shape[1])[None, :] <= m[:, None]
-    first_min = np.where(own, last, np.iinfo(np.int32).max).argmin(axis=1)
+    own = np.arange(width)[None, :] <= m[:, None]
+    first_min = np.where(own, last, np.iinfo(last.dtype).max).argmin(axis=1)
     suffix_free = np.array([job.flavour == "suffix_free" for job in jobs])
     end_j = np.where(suffix_free, first_min, m).tolist()
+    costs = last[np.arange(len(jobs)), end_j].tolist()
+    dist = memoryview(cube).cast("B")
     solved = []
-    for r, job in enumerate(jobs):
-        ops, start_j = trace_ops(job.read_seg, job.cons_seg, back[r],
+    for r, (job, free_start) in enumerate(zip(jobs, free.tolist())):
+        ops, start_j = trace_ops(job.read_seg, job.cons_seg,
+                                 dist[r * plane:(r + 1) * plane], width,
                                  job.read_seg.size, end_j[r], free_start)
-        solved.append(AlignmentResult(ops, int(last[r, end_j[r]]), start_j,
-                                      end_j[r]))
+        solved.append(AlignmentResult(ops, costs[r], start_j, end_j[r]))
     return solved
 
 
@@ -503,8 +467,6 @@ class BatchReadMapper(ReadMapper):
         with_anchors = np.nonzero(anchors_per_read > 0)[0]
         group_start = (np.cumsum(anchors_per_read)
                        - anchors_per_read)[with_anchors]
-        start_of = np.zeros(n, dtype=np.int64)
-        start_of[with_anchors] = group_start
         diag_min = np.minimum.reduceat(diagonal, group_start)
         diag_max = np.maximum.reduceat(diagonal, group_start)
         first_anchor = a_rpos[group_start]
@@ -520,8 +482,8 @@ class BatchReadMapper(ReadMapper):
         settled = np.zeros(n, dtype=bool)
         if keep.size == 0:
             return [self._drain_anchored(settled, st, oriented, offsets,
-                                         lengths, use_rev, a_rpos, a_cons,
-                                         start_of, anchors_per_read)]
+                                         lengths, use_rev, a_read, a_rpos,
+                                         a_cons)]
 
         # Candidate arrays: one provisional placement per read.
         cand = with_anchors[keep]              # read index
@@ -575,50 +537,47 @@ class BatchReadMapper(ReadMapper):
         # rejects, indel-bearing ends) is chained on the anchors already
         # expanded above and extended as one batch.
         parts.append(self._drain_anchored(
-            settled, st, oriented, offsets, lengths, use_rev, a_rpos, a_cons,
-            start_of, anchors_per_read))
+            settled, st, oriented, offsets, lengths, use_rev, a_read, a_rpos,
+            a_cons))
         return parts
 
     def _drain_anchored(self, settled: np.ndarray, st: MapperStats,
                         oriented: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray, use_rev: np.ndarray,
-                        a_rpos: np.ndarray, a_cons: np.ndarray,
-                        start_of: np.ndarray,
-                        anchors_per_read: np.ndarray) -> Placed:
+                        a_read: np.ndarray, a_rpos: np.ndarray,
+                        a_cons: np.ndarray) -> Placed:
         """Chain, extend and assemble the anchored reads stages 2-3 did
         not settle; the part holds those that map.
 
         Replays the tail of :meth:`ReadMapper.map_read` on the batch's
         anchors: the orientation is already chosen (same capped-hit-count
-        comparison) and the anchors are already expanded in the exact
-        order :meth:`KmerIndex.lookup` would emit them.  Every read is
-        planned first, so the block's gap, head and tail alignments are
+        comparison) and the anchors are already expanded, grouped by
+        read, in the exact order :meth:`KmerIndex.lookup` would emit
+        them.  The inherited :meth:`ReadMapper._plan_block` plans every
+        read at once, so the block's gap, head and tail alignments are
         solved in one :meth:`_solve_jobs` call.
         """
         ucf = self.config.unmapped_cost_fraction
+        open_ = ~settled[a_read]
+        rows = np.unique(a_read[open_])
         jobs: list[AlignmentJob] = []
-        planned = []
-        for r in np.flatnonzero(~settled & (anchors_per_read > 0)).tolist():
-            s = int(start_of[r])
-            e = s + int(anchors_per_read[r])
-            hits = AnchorHits(a_rpos[s:e], a_cons[s:e])
-            o = int(offsets[r])
-            codes = oriented[o:o + int(lengths[r])]
-            planned.append((r, self._plan_read(codes, hits, jobs)))
+        plans = self._plan_block(
+            oriented, offsets[rows], lengths[rows],
+            np.searchsorted(rows, a_read[open_]), a_rpos[open_],
+            a_cons[open_], jobs)
         solved = self._solve_jobs(jobs)
-        rows, results = [], []
-        for r, plan in planned:
-            res = (self._assemble_read(plan, solved) if plan is not None
-                   else None)
+        kept, results = [], []
+        for r, plan in zip(rows.tolist(), plans):
+            res = self._assemble_read(plan, solved)
             if res is not None:
                 res.reverse = bool(use_rev[r])
                 mapped_len = max(1, int(lengths[r]) - res.clip_start.size
                                  - res.clip_end.size)
                 if res.cost <= ucf * mapped_len:
-                    rows.append(r)
+                    kept.append(r)
                     results.append(res)
-        st.fallback += len(planned)
-        return Placed.from_results(rows, results)
+        st.fallback += rows.size
+        return Placed.from_results(kept, results)
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """The batched solver (the one thing this kernel overrides of
@@ -716,7 +675,8 @@ class BatchReadMapper(ReadMapper):
             last = _batched_last_rows(read_rows, tn, win_rows,
                                       free_start=False, stats=st)
             col = np.arange(last.shape[1])[None, :]
-            masked = np.where(col <= tm[:, None], last, np.iinfo(np.int32).max)
+            masked = np.where(col <= tm[:, None], last,
+                              np.iinfo(last.dtype).max)
             arg = masked.argmin(axis=1)
             val = masked[np.arange(need_tail.size), arg]
             tail_cost[need_tail] = val

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -96,6 +96,10 @@ class MappingResult:
     def n_mismatches(self) -> int:
         return sum(len(s.ops) for s in self.segments)
 
+
+#: Anchors the block planner takes in one pass (whole rows, so a pass
+#: may hold more): bounds its per-anchor temporaries.
+_PLAN_ANCHORS = 4096
 
 #: Edit-op kinds, in the order :attr:`MappedBlock.kind` numbers them.
 OP_KINDS = (alignment.SUB, alignment.INS, alignment.DEL)
@@ -419,46 +423,18 @@ class ReadMapper:
         return result
 
     # ------------------------------------------------------------------
-    # Chaining
+    # Planning: anchors -> clusters -> chains -> segment plans, a block
+    # of reads at a time
     # ------------------------------------------------------------------
-
-    def _cluster_anchors(self, hits: AnchorHits) -> list[np.ndarray]:
-        """Group anchor indices into diagonal clusters, best first."""
-        diag = hits.cons_pos - hits.read_pos
-        order = np.argsort(diag, kind="stable")
-        sorted_diag = diag[order]
-        # Split where consecutive diagonals jump more than the tolerance.
-        splits = np.nonzero(np.diff(sorted_diag)
-                            > self.config.diag_cluster_gap)[0] + 1
-        groups = np.split(order, splits)
-        groups.sort(key=len, reverse=True)
-        return groups
-
-    def _monotone_chain(self, hits: AnchorHits,
-                        idx: np.ndarray) -> list[tuple[int, int]]:
-        """Greedy monotone chain of (read_pos, cons_pos) anchors."""
-        read_pos = hits.read_pos[idx]
-        cons_pos = hits.cons_pos[idx]
-        order = np.argsort(read_pos, kind="stable")
-        chain: list[tuple[int, int]] = []
-        prev_read = prev_cons = -1
-        prev_diag: int | None = None
-        for i in order:
-            r, c = int(read_pos[i]), int(cons_pos[i])
-            if chain:
-                if r <= prev_read or c <= prev_cons:
-                    continue
-                drift = (c - r) - prev_diag
-                if abs(drift) > self.config.diag_cluster_gap:
-                    continue
-            chain.append((r, c))
-            prev_read, prev_cons, prev_diag = r, c, c - r
-        return chain
 
     def _map_oriented(self, oriented: np.ndarray,
                       hits: AnchorHits) -> MappingResult | None:
         jobs: list[AlignmentJob] = []
-        plan = self._plan_read(oriented, hits, jobs)
+        plan = self._plan_block(
+            oriented, np.zeros(1, dtype=np.int64),
+            np.array([oriented.size], dtype=np.int64),
+            np.zeros(len(hits), dtype=np.int64), hits.read_pos,
+            hits.cons_pos, jobs)[0]
         if plan is None:
             return None
         return self._assemble_read(plan, self._solve_jobs(jobs))
@@ -471,61 +447,308 @@ class ReadMapper:
         return [aligners[job.flavour](job.read_seg, job.cons_seg)
                 for job in jobs]
 
-    def _plan_read(self, oriented: np.ndarray, hits: AnchorHits,
-                   jobs: list[AlignmentJob]
-                   ) -> list[_SegmentPlan] | None:
-        """Chain the anchors into segment plans, appending every
-        alignment they leave open to ``jobs``."""
-        clusters = self._cluster_anchors(hits)
-        if not clusters:
-            return None
+    def _plan_block(self, oriented: np.ndarray, starts: np.ndarray,
+                    lengths: np.ndarray, a_row: np.ndarray,
+                    a_rpos: np.ndarray, a_cons: np.ndarray,
+                    jobs: list[AlignmentJob]
+                    ) -> list[list[_SegmentPlan] | None]:
+        """Segment plans of every row of a block, appending each
+        alignment they leave open to ``jobs`` (row after row).
 
-        k = self.config.k
-        chains: list[list[tuple[int, int]]] = []
-        covered: list[tuple[int, int]] = []
+        Row ``i`` is the oriented read ``oriented[starts[i]:][:lengths[i]]``;
+        its anchors are those with ``a_row == i`` (``a_row`` ascending,
+        each row's anchors in :meth:`KmerIndex.lookup` order).  A row
+        without anchors plans to ``None``.  The rules, per read:
 
-        for cluster in clusters:
-            if len(chains) >= self.config.max_segments:
-                break
-            if chains and len(cluster) < self.config.min_segment_anchors:
-                break
-            chain = self._monotone_chain(hits, cluster)
-            if not chain:
-                continue
-            span = (chain[0][0], chain[-1][0] + k)
-            overlap = any(not (span[1] <= lo or span[0] >= hi)
-                          for lo, hi in covered)
-            if overlap:
-                continue
-            if chains:
-                uncovered = self._uncovered_length(oriented.size, covered)
-                if (uncovered < self.config.min_segment_length
-                        or span[1] - span[0]
-                        < self.config.min_segment_length // 2):
+        * *cluster* — anchors sorted (stably) by diagonal split where
+          consecutive diagonals jump more than ``diag_cluster_gap``;
+          clusters are tried largest first (ties in diagonal order);
+        * *chain* — a cluster's anchors in read order (ties by diagonal,
+          then lookup order) are taken greedily when read and consensus
+          position both advance past the last taken one and the diagonal
+          drifts at most ``diag_cluster_gap`` from it;
+        * *select* — at most ``max_segments`` chains; after the first,
+          only clusters of ``min_segment_anchors`` or more whose chain
+          span overlaps no chosen one, while ``min_segment_length``
+          bases stay uncovered and the span is at least half that.
+
+        Block arrays carry all of it but the selection: one sort clusters
+        a pass of rows, and when every consecutive pair of a cluster
+        passes the chain test, every anchor is taken (by induction), so
+        only a cluster with a failing pair walks the greedy rule, from
+        that pair on.
+        """
+        plans: list[list[_SegmentPlan] | None] = [None] * starts.size
+        # Whole rows per pass, about _PLAN_ANCHORS anchors each, so the
+        # per-anchor temporaries stay small next to the plans they make.
+        row_end = np.searchsorted(a_row, np.arange(starts.size), "right")
+        first = 0
+        while first < a_row.size:
+            last_row = max(int(a_row[first]), int(np.searchsorted(
+                row_end, first + _PLAN_ANCHORS, "right")) - 1)
+            part = slice(first, int(row_end[last_row]))
+            first = part.stop
+            R, C, D, lo, c_row = self._cluster_block(
+                a_row[part], a_rpos[part], a_cons[part])
+            rows, n_chains, chain_len, sel = self._chain_clusters(
+                R, C, D, lo, c_row, lengths)
+            for row, plan in zip(rows, self._plan_segments(
+                    oriented, starts[rows], lengths[rows], n_chains,
+                    chain_len, R[sel], C[sel], D[sel], jobs)):
+                plans[row] = plan
+        return plans
+
+    def _cluster_block(self, a_row: np.ndarray, a_rpos: np.ndarray,
+                       a_cons: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(R, C, D, lo, c_row)``: the anchors' read positions,
+        consensus positions and diagonals in chain order (cluster by
+        cluster, then by read position, diagonal and lookup order), the
+        first position of each cluster and its row."""
+        # Stable sorts on one int64 key each: rows x diagonal span and
+        # clusters x read length stay far below 2**63.
+        diag = a_cons - a_rpos
+        low = int(diag.min())
+        by_diag = np.argsort(a_row * (int(diag.max()) - low + 1)
+                             + (diag - low), kind="stable")
+        row_d, diag_d = a_row[by_diag], diag[by_diag]
+        new = np.ones(by_diag.size, dtype=bool)
+        new[1:] = (row_d[1:] != row_d[:-1]) \
+            | (np.diff(diag_d) > self.config.diag_cluster_gap)
+        rpos_d = a_rpos[by_diag]
+        # Within a cluster, read order; ties keep (diagonal, lookup) order.
+        order = by_diag[np.argsort((np.cumsum(new) - 1)
+                                   * (int(rpos_d.max()) + 1) + rpos_d,
+                                   kind="stable")]
+        lo = np.flatnonzero(new)
+        return a_rpos[order], a_cons[order], diag[order], lo, row_d[lo]
+
+    def _chain_clusters(self, R: np.ndarray, C: np.ndarray, D: np.ndarray,
+                        lo: np.ndarray, c_row: np.ndarray,
+                        lengths: np.ndarray
+                        ) -> tuple[list[int], list[int], np.ndarray,
+                                   np.ndarray]:
+        """Chain and select each row's clusters: ``(rows, n_chains,
+        chain_len, sel)``, where ``sel`` holds the positions of the
+        chosen chains' anchors, chain after chain (a row's in read
+        order), row after row."""
+        cfg = self.config
+        gap, k = cfg.diag_cluster_gap, cfg.k
+        size = np.diff(np.append(lo, R.size))
+        in_cluster = np.ones(R.size, dtype=bool)   # t-1 and t: one cluster
+        in_cluster[lo] = False
+        fails = np.flatnonzero(in_cluster[1:] & ((R[1:] <= R[:-1])
+                                                 | (C[1:] <= C[:-1])
+                                                 | (np.abs(np.diff(D))
+                                                    > gap)))
+        failing, first = np.unique(np.searchsorted(lo, fails, "right") - 1,
+                                   return_index=True)
+        first_fail = dict(zip(failing.tolist(), fails[first].tolist()))
+        lo_l, size_l = lo.tolist(), size.tolist()
+
+        def chain_of(c: int) -> range | list[int]:
+            """Positions of cluster ``c``'s chain, in chain order."""
+            start, end = lo_l[c], lo_l[c] + size_l[c]
+            f = first_fail.get(c)
+            if f is None:
+                return range(start, end)
+            r, cc, d = (a[start:end].tolist() for a in (R, C, D))
+            taken = list(range(start, f + 1))
+            f -= start
+            pr, pc, pd = r[f], cc[f], d[f]
+            for t in range(f + 1, end - start):
+                if r[t] <= pr or cc[t] <= pc or abs(d[t] - pd) > gap:
                     continue
-            chains.append(chain)
-            covered.append(span)
+                taken.append(start + t)
+                pr, pc, pd = r[t], cc[t], d[t]
+            return taken
 
-        if not chains:
-            return None
-        chains.sort(key=lambda ch: ch[0][0])
+        rows: list[int] = []
+        n_chains: list[int] = []
+        chain_len: list[int] = []
+        runs: list[tuple[int, int]] = []
+        by_size = np.lexsort((-size, c_row))
+        for row, clusters in groupby(zip(c_row[by_size].tolist(),
+                                         by_size.tolist()), itemgetter(0)):
+            chains: list = []
+            covered: list[tuple[int, int]] = []
+            for _, c in clusters:
+                if len(chains) >= cfg.max_segments:
+                    break
+                if chains and size_l[c] < cfg.min_segment_anchors:
+                    break
+                chain = chain_of(c)
+                span = (int(R[chain[0]]), int(R[chain[-1]]) + k)
+                if any(not (span[1] <= a or span[0] >= b)
+                       for a, b in covered):
+                    continue
+                if chains and (
+                        self._uncovered_length(int(lengths[row]), covered)
+                        < cfg.min_segment_length
+                        or span[1] - span[0] < cfg.min_segment_length // 2):
+                    continue
+                chains.append(chain)
+                covered.append(span)
+            chains.sort(key=lambda ch: R[ch[0]])
+            for chain in chains:
+                runs += ([(chain.start, len(chain))]
+                         if isinstance(chain, range)
+                         else [(t, 1) for t in chain])
+                chain_len.append(len(chain))
+            rows.append(row)
+            n_chains.append(len(chains))
+        begin, length = np.array(runs, dtype=np.int64).T
+        return (rows, n_chains, np.array(chain_len, dtype=np.int64),
+                run_index(begin, length))
 
-        # Assign contiguous read intervals: boundaries at midpoints
-        # between consecutive chains' anchor spans.
-        bounds = [0]
-        for left, right in zip(chains, chains[1:]):
-            left_end = left[-1][0] + k
-            right_start = right[0][0]
-            bounds.append(max(left_end,
-                              min(right_start,
-                                  (left_end + right_start) // 2)))
-        bounds.append(oriented.size)
+    def _plan_segments(self, oriented: np.ndarray, starts: np.ndarray,
+                       lengths: np.ndarray, n_chains: list[int],
+                       chain_len: np.ndarray, R: np.ndarray, C: np.ndarray,
+                       D: np.ndarray, jobs: list[AlignmentJob]
+                       ) -> list[list[_SegmentPlan]]:
+        """Cut chains into segment plans, one list per row.  ``R`` /
+        ``C`` / ``D`` are the chains' anchors, chain after chain
+        (``chain_len`` each); row ``i`` owns the next ``n_chains[i]``
+        chains, in read order, and its oriented read is
+        ``oriented[starts[i]:][:lengths[i]]``.  A segment's read interval
+        ends at the midpoint between its chain's span and the next one's
+        (clamped to both), its head and tail become ``prefix_free`` and
+        ``suffix_free`` jobs, and its gaps come from :meth:`_plan_gaps`.
+        """
+        cons, slack = self.consensus, self.config.end_slack
+        ends, pieces = self._plan_gaps(oriented, np.repeat(starts, n_chains),
+                                       chain_len, R, C, D)
+        plans = []
+        c = 0
+        for rs, n, count in zip(starts.tolist(), lengths.tolist(), n_chains):
+            own = range(c, c + count)
+            c += count
+            bounds = [0]
+            for left, right in zip(own, own[1:]):
+                left_end, right_start = ends[left][2], ends[right][0]
+                bounds.append(max(left_end,
+                                  min(right_start,
+                                      (left_end + right_start) // 2)))
+            bounds.append(n)
+            plan = []
+            for w, ch in enumerate(own):
+                gaps: list[tuple[int, int | list[EditOp]]] = []
+                for start, piece in pieces[ch]:
+                    if isinstance(piece, tuple):
+                        end, cons_lo, cons_hi = piece
+                        piece = len(jobs)
+                        jobs.append(AlignmentJob(
+                            oriented[rs + start:rs + end],
+                            cons[cons_lo:cons_hi], "global"))
+                    gaps.append((start, piece))
+                seg_lo, seg_hi = bounds[w], bounds[w + 1]
+                a0r, a0c, _, tr, tc = ends[ch]
+                # head: aligns to a suffix of its consensus window
+                head = oriented[rs + seg_lo:rs + a0r]
+                head_job, win_lo = None, 0
+                if head.size:
+                    win_lo = max(0, a0c - head.size - slack)
+                    head_job = len(jobs)
+                    jobs.append(AlignmentJob(head, cons[win_lo:a0c],
+                                             "prefix_free"))
+                # tail: aligns to a prefix of its consensus window
+                tail = oriented[rs + tr:rs + seg_hi]
+                tail_job = None
+                if tail.size:
+                    win_hi = min(cons.size, tc + tail.size + slack)
+                    tail_job = len(jobs)
+                    jobs.append(AlignmentJob(tail, cons[tc:win_hi],
+                                             "suffix_free"))
+                plan.append(_SegmentPlan(seg_lo, seg_hi, w == 0,
+                                         w == count - 1, a0r, a0c, tr,
+                                         head, tail, head_job, win_lo,
+                                         tail_job, gaps))
+            plans.append(plan)
+        return plans
 
-        last = len(chains) - 1
-        return [self._plan_segment(oriented, chain, bounds[which],
-                                   bounds[which + 1], which == 0,
-                                   which == last, jobs)
-                for which, chain in enumerate(chains)]
+    def _plan_gaps(self, oriented: np.ndarray, row_start: np.ndarray,
+                   chain_len: np.ndarray, R: np.ndarray, C: np.ndarray,
+                   D: np.ndarray) -> tuple[list[tuple], list[list]]:
+        """``(ends, pieces)`` of each chain (its oriented read at
+        ``row_start``): ``ends`` is ``(first anchor's read and consensus
+        position, span end, read and consensus position past the last
+        taken anchor)``; ``pieces`` its gaps in read order, each
+        ``(read_start, subs)`` for the substitutions of an equal-length
+        gap, or ``(read_start, (read_end, cons_start, cons_end))`` for a
+        ``global`` job.
+
+        Walking a chain, an anchor on the last taken anchor's diagonal is
+        always taken: past that anchor's k-mer the gap between them has
+        equal lengths (diffed for substitutions), inside it the exact
+        match goes on.  An anchor on another diagonal is taken only when
+        it starts past the last taken k-mer in read and consensus, and
+        its gap becomes a job; otherwise it is skipped.  When every
+        diagonal change of a chain starts past the previous anchor's
+        k-mer, every anchor is taken (by induction), so only a chain
+        with a change that does not walks the rule, from there; every
+        equal-length gap of the block is diffed in one flat compare.
+        """
+        k, cons = self.config.k, self.consensus
+        ch_end = np.cumsum(chain_len)
+        ch_start = ch_end - chain_len
+        which = np.repeat(np.arange(chain_len.size), chain_len)
+        taken = np.ones(R.size, dtype=bool)
+        change = np.flatnonzero(D[1:] != D[:-1]) + 1
+        change = change[which[change] == which[change - 1]]
+        late = change[(R[change] < R[change - 1] + k)
+                      | (C[change] < C[change - 1] + k)]
+        walked, first = np.unique(which[late], return_index=True)
+        for c, f in zip(walked.tolist(), late[first].tolist()):
+            s, e = int(ch_start[c]), int(ch_end[c])
+            r, cc, d = (a[s:e].tolist() for a in (R, C, D))
+            last = f - 1 - s
+            cur = d[last]
+            for t in range(f - s, e - s):
+                if d[t] != cur:
+                    if r[t] < r[last] + k or cc[t] < cc[last] + k:
+                        taken[s + t] = False
+                        continue
+                    cur = d[t]
+                last = t
+        kept = np.flatnonzero(taken)
+        last_taken = kept[np.searchsorted(kept, ch_end) - 1]
+        ends = list(zip(R[ch_start].tolist(), C[ch_start].tolist(),
+                        (R[ch_end - 1] + k).tolist(),
+                        (R[last_taken] + k).tolist(),
+                        (C[last_taken] + k).tolist()))
+
+        # Consecutive taken anchors p, q of a chain.
+        p, q = kept[:-1], kept[1:]
+        inside = which[p] == which[q]
+        p, q = p[inside], q[inside]
+        equal = D[p] == D[q]
+        length = R[q] - R[p] - k
+        diffed = equal & (length > 0)
+        dp, dlen = p[diffed], length[diffed]
+        at = run_index(row_start[which[dp]] + R[dp] + k, dlen)
+        hit = np.flatnonzero(oriented[at] != cons[run_index(C[dp] + k,
+                                                             dlen)])
+        hit_gap = np.repeat(np.arange(dp.size), dlen)[hit]
+        hit_pos = (hit - (np.cumsum(dlen) - dlen)[hit_gap]).tolist()
+        hit_base = oriented[at[hit]]
+        subs = np.unique(hit_gap)
+        gap_p = np.concatenate([dp[subs], p[~equal]])
+        gap_q = np.concatenate([q[diffed][subs], q[~equal]])
+        hits = np.concatenate([np.searchsorted(hit_gap, [subs, subs + 1]),
+                               np.full((2, gap_p.size - subs.size), -1)],
+                              axis=1)
+        by_p = np.argsort(gap_p)
+        gap_p, gap_q, hits = gap_p[by_p], gap_q[by_p], hits[:, by_p]
+        pieces: list[list] = [[] for _ in range(chain_len.size)]
+        for ch, start, h_lo, h_hi, end, cons_lo, cons_hi in zip(
+                which[gap_p].tolist(), (R[gap_p] + k).tolist(),
+                *hits.tolist(), R[gap_q].tolist(), (C[gap_p] + k).tolist(),
+                C[gap_q].tolist()):
+            pieces[ch].append((start, (end, cons_lo, cons_hi)) if h_lo < 0
+                              else (start, [
+                                  EditOp(alignment.SUB, hit_pos[h], 1,
+                                         hit_base[h:h + 1])
+                                  for h in range(h_lo, h_hi)]))
+        return ends, pieces
 
     def _assemble_read(self, plan: list[_SegmentPlan],
                        solved: list[AlignmentResult]
@@ -555,62 +778,8 @@ class ReadMapper:
         return int(read_len - mask.sum())
 
     # ------------------------------------------------------------------
-    # Segment construction
+    # Segment assembly
     # ------------------------------------------------------------------
-
-    def _plan_segment(self, oriented: np.ndarray,
-                      chain: list[tuple[int, int]], seg_lo: int,
-                      seg_hi: int, is_first: bool, is_last: bool,
-                      jobs: list[AlignmentJob]) -> _SegmentPlan:
-        k = self.config.k
-        cons = self.consensus
-        gaps: list[tuple[int, int | list[EditOp]]] = []
-
-        # --- interior: anchors + gap fills ---
-        a0_read, a0_cons = chain[0]
-        prev_read, prev_cons = a0_read + k, a0_cons + k
-        for r, c in chain[1:]:
-            if r < prev_read or c < prev_cons:
-                # Overlapping same-diagonal anchor: contiguous exact match.
-                # Different-diagonal overlaps (indel inside the overlap)
-                # are skipped; the next non-overlapping anchor closes them.
-                if c - r == prev_cons - prev_read:
-                    prev_read, prev_cons = r + k, c + k
-                continue
-            read_gap = oriented[prev_read:r]
-            cons_gap = cons[prev_cons:c]
-            if read_gap.size == cons_gap.size:
-                diff = np.nonzero(read_gap != cons_gap)[0]
-                if diff.size:
-                    gaps.append((prev_read, [
-                        EditOp(alignment.SUB, int(d), 1,
-                               read_gap[d:d + 1].copy()) for d in diff]))
-            else:
-                gaps.append((prev_read, len(jobs)))
-                jobs.append(AlignmentJob(read_gap, cons_gap, "global"))
-            prev_read, prev_cons = r + k, c + k
-
-        # --- head: aligns to a suffix of its consensus window ---
-        head = oriented[seg_lo:a0_read]
-        head_job, win_lo = None, 0
-        if head.size:
-            win_lo = max(0, a0_cons - head.size - self.config.end_slack)
-            head_job = len(jobs)
-            jobs.append(AlignmentJob(head, cons[win_lo:a0_cons],
-                                     "prefix_free"))
-
-        # --- tail: aligns to a prefix of its consensus window ---
-        tail = oriented[prev_read:seg_hi]
-        tail_job = None
-        if tail.size:
-            win_hi = min(cons.size,
-                         prev_cons + tail.size + self.config.end_slack)
-            tail_job = len(jobs)
-            jobs.append(AlignmentJob(tail, cons[prev_cons:win_hi],
-                                     "suffix_free"))
-        return _SegmentPlan(seg_lo, seg_hi, is_first, is_last, a0_read,
-                            a0_cons, prev_read, head, tail, head_job,
-                            win_lo, tail_job, gaps)
 
     def _is_clip(self, flank: np.ndarray, cost: int) -> bool:
         """A flank this short and this costly is a soft clip."""

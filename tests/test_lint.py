@@ -620,17 +620,19 @@ def deleted_stay_deleted(source, where):
 
 
 # ----------------------------------------------------------------------
-# Extension stated once (PR 24): how a chain becomes a segment — which
-# alignments it leaves open (plan) and how their results become ops,
-# clips and a placement (assemble) — lives in mapping/mapper.py alone.
-# A mapper kernel is a ``ReadMapper`` subclass that overrides the job
-# *solver*; it restates none of that logic, and the scalar aligners (the
-# oracle a solver is held to) are reached through ``_solve_jobs`` in
-# mapper.py only, so no second extension path can grow beside it.
+# Extension stated once (PR 24): how anchors become segments — how they
+# cluster and chain, which alignments a chain leaves open (plan, a block
+# at a time) and how their results become ops, clips and a placement
+# (assemble) — lives in mapping/mapper.py alone.  A mapper kernel is a
+# ``ReadMapper`` subclass that overrides the job *solver*; it restates
+# none of that logic, and the scalar aligners (the oracle a solver is
+# held to) are reached through ``_solve_jobs`` in mapper.py only, so no
+# second extension path can grow beside it.
 # ----------------------------------------------------------------------
 
 _ALIGNERS = {"global_align", "prefix_free_align", "suffix_free_align"}
-_SEGMENT_LOGIC = re.compile(r"^_(map_oriented|build_segment|plan|assemble)")
+_SEGMENT_LOGIC = re.compile(
+    r"^_(map_oriented|build_segment|plan|assemble|cluster|chain)")
 
 
 def extension_stated_once(source, where):
@@ -1229,7 +1231,8 @@ class TestOptionsThreadingEdges:
 
     def test_extension_is_stated_once(self):
         """A mapper kernel overrides the job solver and nothing else of
-        the chain -> segment logic; the scalar aligners are called from
+        the anchors -> segments logic (clustering, chaining, the block
+        planner, assembly); the scalar aligners are called from
         ``ReadMapper._solve_jobs`` only (``extension_stated_once``)."""
         assert on_tree(extension_stated_once, "src") == []
         for violating, where in (
@@ -1247,6 +1250,21 @@ class TestOptionsThreadingEdges:
                  class BatchReadMapper(ReadMapper):
                      def _plan_segment(self, *args):
                          return None
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _plan_block(self, *args):
+                         return []
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _cluster_block(self, a_row, a_rpos, a_cons):
+                         return ()
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _chain_clusters(self, *args):
+                         return [], [], None, None
                  """, "src/repro/mapping/batch.py"),
                 ("res = global_align(read_gap, cons_gap)\n",
                  "src/repro/mapping/batch.py"),

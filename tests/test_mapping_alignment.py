@@ -1,12 +1,16 @@
 """Unit tests for repro.mapping.alignment."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
-from repro.mapping.alignment import (DEL, INS, SUB, apply_ops, global_align,
-                                     prefix_free_align, suffix_free_align)
+from repro.mapping import alignment
+from repro.mapping.alignment import (DEL, INS, SUB, EditOp, apply_ops,
+                                     global_align, prefix_free_align,
+                                     suffix_free_align)
+from repro.mapping.batch import MapperStats, solve_extension_jobs
+from repro.mapping.mapper import AlignmentJob
 
 
 def enc(text):
@@ -142,3 +146,169 @@ class TestAlignmentProperties:
         assert positions == sorted(positions)
         for op in res.ops:
             assert 0 <= op.read_pos <= read.size
+
+
+# ----------------------------------------------------------------------
+# Traceback oracle: the backpointer DP and walk the distance traceback
+# replaced.  Each cell's move is stored when the cell is filled and the
+# walk follows it; the aligners re-derive the same move from distances.
+# ----------------------------------------------------------------------
+
+BP_DIAG, BP_UP, BP_LEFT = 0, 1, 2
+
+
+def oracle_dp_matrix(read_seg, cons_seg, free_start):
+    """``(last_row, back)``: the DP's last row and its backpointers."""
+    n, m = read_seg.size, cons_seg.size
+    back = np.empty((n + 1, m + 1), dtype=np.uint8)
+    back[0, :] = BP_LEFT
+    back[:, 0] = BP_UP
+    back[0, 0] = BP_DIAG
+    if m == 0:
+        return np.array([n], dtype=np.int32), back
+    row = (np.zeros(m + 1, dtype=np.int32) if free_start
+           else np.arange(m + 1, dtype=np.int32))
+    cols = np.arange(1, m + 1, dtype=np.int32)
+    for i in range(1, n + 1):
+        diag = row[:-1] + (read_seg[i - 1] != cons_seg)
+        up = row[1:] + 1
+        best = np.minimum(diag, up)
+        nxt = np.empty(m + 1, dtype=np.int32)
+        nxt[0] = i
+        np.subtract(best, cols, out=nxt[1:])
+        np.minimum.accumulate(nxt, out=nxt)
+        nxt[1:] += cols
+        back[i, 1:] = np.where(nxt[1:] < best, BP_LEFT,
+                               np.where(diag <= up, BP_DIAG, BP_UP))
+        row = nxt
+    return row, back
+
+
+def oracle_trace_ops(read_seg, cons_seg, back, end_i, end_j, free_start):
+    """Follow backpointers from (end_i, end_j); returns (ops, start_j)."""
+    raw = []
+    i, j = end_i, end_j
+    while i > 0 or j > 0:
+        if free_start and i == 0:
+            break
+        code = back[i, j]
+        if code == BP_DIAG and i > 0 and j > 0:
+            i -= 1
+            j -= 1
+            if read_seg[i] != cons_seg[j]:
+                raw.append((SUB, i))
+        elif code == BP_UP and i > 0:
+            i -= 1
+            raw.append((INS, i))
+        else:
+            j -= 1
+            raw.append((DEL, i))
+    raw.reverse()
+    ops = []
+    idx = 0
+    while idx < len(raw):
+        kind, pos = raw[idx]
+        if kind == SUB:
+            ops.append(EditOp(SUB, pos, 1, read_seg[pos:pos + 1].copy()))
+            idx += 1
+        elif kind == INS:
+            run = 1
+            while (idx + run < len(raw) and raw[idx + run][0] == INS
+                   and raw[idx + run][1] == pos + run):
+                run += 1
+            ops.append(EditOp(INS, pos, run, read_seg[pos:pos + run].copy()))
+            idx += run
+        else:
+            run = 1
+            while (idx + run < len(raw) and raw[idx + run][0] == DEL
+                   and raw[idx + run][1] == pos):
+                run += 1
+            ops.append(EditOp(DEL, pos, run))
+            idx += run
+    return ops, j
+
+
+def oracle_align(read_seg, cons_seg, flavour):
+    """``(ops, cost, cons_used_start, cons_used_end)`` of one flavour."""
+    free_start = flavour == "prefix_free"
+    last, back = oracle_dp_matrix(read_seg, cons_seg, free_start)
+    end_j = int(np.argmin(last)) if flavour == "suffix_free" \
+        else cons_seg.size
+    ops, start_j = oracle_trace_ops(read_seg, cons_seg, back, read_seg.size,
+                                    end_j, free_start)
+    return ops, int(last[end_j]), start_j, end_j
+
+
+_FLAVOURS = {"global": global_align, "prefix_free": prefix_free_align,
+             "suffix_free": suffix_free_align}
+
+
+def _key(ops, cost, start, end):
+    return ([(op.kind, op.read_pos, op.length, op.bases.tobytes())
+             for op in ops], cost, start, end)
+
+
+@st.composite
+def segment_pair(draw):
+    """Two segments over a 2-letter (tie-heavy) or 4-letter alphabet:
+    unrelated, or the read an edited copy of the consensus; either may
+    be empty."""
+    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
+    cons = draw(st.text(alphabet=alphabet, max_size=60))
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=alphabet, max_size=60)), cons
+    read = list(cons)
+    for _ in range(draw(st.integers(0, 6))):
+        pos = draw(st.integers(0, len(read)))
+        kind = draw(st.sampled_from(["sub", "ins", "del"]))
+        if kind == "ins" or not read:
+            read.insert(pos, draw(st.sampled_from(alphabet)))
+        elif kind == "sub":
+            read[min(pos, len(read) - 1)] = draw(st.sampled_from(alphabet))
+        else:
+            read.pop(min(pos, len(read) - 1))
+    return "".join(read), cons
+
+
+class TestTracebackOracle:
+    """One traceback over distances mod 256: every aligner and the
+    batched solver equal the backpointer oracle op for op."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=segment_pair())
+    @example(pair=("AC" * 150, "GT" * 150))        # costs past 255
+    @example(pair=("ACCA" * 75, "CAAC" * 80))
+    @example(pair=("", "ACGT"))
+    @example(pair=("ACGT", ""))
+    @example(pair=("", ""))
+    def test_aligners_equal_backpointer_oracle(self, pair):
+        read, cons = enc(pair[0]), enc(pair[1])
+        jobs, want = [], []
+        for flavour, align in _FLAVOURS.items():
+            want.append(_key(*oracle_align(read, cons, flavour)))
+            res = align(read, cons)
+            assert _key(res.ops, res.cost, res.cons_used_start,
+                        res.cons_used_end) == want[-1], flavour
+            jobs.append(AlignmentJob(read, cons, flavour))
+        # A shorter sibling of each job shares its bucket (padding).
+        for flavour in _FLAVOURS:
+            jobs.append(AlignmentJob(read[:read.size // 2], cons, flavour))
+            want.append(_key(*oracle_align(read[:read.size // 2], cons,
+                                           flavour)))
+        got = solve_extension_jobs(jobs, MapperStats())
+        assert [_key(r.ops, r.cost, r.cons_used_start, r.cons_used_end)
+                for r in got] == want
+
+    def test_row_dtype_rule(self):
+        """Rows are int16 while n + m fits in it, int32 past that."""
+        limit = np.iinfo(np.int16).max
+        assert alignment.row_dtype(0, 0) is np.int16
+        assert alignment.row_dtype(limit - 800, 800) is np.int16
+        assert alignment.row_dtype(limit - 800, 801) is np.int32
+        assert alignment.row_dtype(0, limit + 1) is np.int32
+        read, cons = enc("ACGTTGCA"), enc("ACGTGCA")
+        last = alignment.dp_last_rows(read[None, :], np.array([read.size]),
+                                      cons[None, :], False)
+        assert last.dtype == np.int16
+        assert last[0].tolist() == oracle_dp_matrix(read, cons,
+                                                    False)[0].tolist()

@@ -523,6 +523,22 @@ class TestMapperStats:
         # The verification DP keeps its own counter.
         assert st_.dp_cells == batch.GLOBAL_STATS.dp_cells
 
+    def test_tail_substitution_stays_on_the_fast_path(self, reference):
+        """A read whose only edit is a substitution past its last anchor
+        is proven by the verification DP: the padded columns of shorter
+        tails never win its argmin, whatever the row dtype."""
+        rng = np.random.default_rng(4)
+        reads = []
+        for start in rng.integers(0, reference.size - 200, 40):
+            length = int(rng.integers(80, 140))     # tails of many widths
+            codes = reference[start:start + length].copy()
+            codes[length - 8] = (codes[length - 8] + 1) % 4
+            reads.append(codes)
+        mapper = BatchReadMapper(reference, MapperConfig())
+        mapper.map_batch(reads)
+        assert mapper.stats.verified == 40
+        assert (mapper.stats.false_accepts, mapper.stats.fast_path) == (0, 40)
+
     def test_reset(self):
         batch.GLOBAL_STATS.reads = 7
         batch.reset_stats()

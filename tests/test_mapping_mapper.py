@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
 from repro.genomics.reference import make_reference
 from repro.mapping import MapperConfig, ReadMapper, alignment, reconstruct
-from repro.mapping.kmer_index import KmerIndex
+from repro.mapping import mapper as mapper_module
+from repro.mapping.kmer_index import AnchorHits, KmerIndex
+from repro.mapping.mapper import (AlignmentJob, _SegmentPlan,
+                                  block_columns)
 
 
 class TestKmerIndex:
@@ -276,8 +281,8 @@ class TestSegmentAssembly:
     @staticmethod
     def _build(mapper, read, chain, seg_lo, seg_hi):
         jobs = []
-        plan = mapper._plan_segment(read, chain, seg_lo, seg_hi,
-                                    True, True, jobs)
+        plan = oracle_plan_segment(mapper, read, chain, seg_lo, seg_hi,
+                                   True, True, jobs)
         return plan, jobs, mapper._solve_jobs(jobs)
 
     @pytest.mark.parametrize("seg_lo", [0, 2])
@@ -315,3 +320,224 @@ class TestSegmentAssembly:
             assert (mapper._assemble_read([plan], solved) is not None) \
                 == placed
         assert built is None
+
+
+# ----------------------------------------------------------------------
+# Planner oracle: the per-read, per-anchor loops the block planner
+# (``ReadMapper._plan_block``) replaced.
+# ----------------------------------------------------------------------
+
+def oracle_cluster_anchors(mapper, hits):
+    """Anchor indices grouped into diagonal clusters, largest first."""
+    diag = hits.cons_pos - hits.read_pos
+    order = np.argsort(diag, kind="stable")
+    splits = np.nonzero(np.diff(diag[order])
+                        > mapper.config.diag_cluster_gap)[0] + 1
+    groups = np.split(order, splits)
+    groups.sort(key=len, reverse=True)
+    return groups
+
+
+def oracle_monotone_chain(mapper, hits, idx):
+    """Greedy monotone chain of (read_pos, cons_pos) anchors."""
+    read_pos, cons_pos = hits.read_pos[idx], hits.cons_pos[idx]
+    chain = []
+    prev_read = prev_cons = -1
+    prev_diag = None
+    for i in np.argsort(read_pos, kind="stable"):
+        r, c = int(read_pos[i]), int(cons_pos[i])
+        if chain:
+            if r <= prev_read or c <= prev_cons:
+                continue
+            if abs((c - r) - prev_diag) > mapper.config.diag_cluster_gap:
+                continue
+        chain.append((r, c))
+        prev_read, prev_cons, prev_diag = r, c, c - r
+    return chain
+
+
+def oracle_plan_segment(mapper, oriented, chain, seg_lo, seg_hi, is_first,
+                        is_last, jobs):
+    """One chain's segment plan, anchor by anchor."""
+    k, cons = mapper.config.k, mapper.consensus
+    gaps = []
+    a0_read, a0_cons = chain[0]
+    prev_read, prev_cons = a0_read + k, a0_cons + k
+    for r, c in chain[1:]:
+        if r < prev_read or c < prev_cons:
+            if c - r == prev_cons - prev_read:
+                prev_read, prev_cons = r + k, c + k
+            continue
+        read_gap, cons_gap = oriented[prev_read:r], cons[prev_cons:c]
+        if read_gap.size == cons_gap.size:
+            diff = np.nonzero(read_gap != cons_gap)[0]
+            if diff.size:
+                gaps.append((prev_read, [
+                    alignment.EditOp(alignment.SUB, int(d), 1,
+                                     read_gap[d:d + 1].copy())
+                    for d in diff]))
+        else:
+            gaps.append((prev_read, len(jobs)))
+            jobs.append(AlignmentJob(read_gap, cons_gap, "global"))
+        prev_read, prev_cons = r + k, c + k
+    head = oriented[seg_lo:a0_read]
+    head_job, win_lo = None, 0
+    if head.size:
+        win_lo = max(0, a0_cons - head.size - mapper.config.end_slack)
+        head_job = len(jobs)
+        jobs.append(AlignmentJob(head, cons[win_lo:a0_cons], "prefix_free"))
+    tail = oriented[prev_read:seg_hi]
+    tail_job = None
+    if tail.size:
+        win_hi = min(cons.size,
+                     prev_cons + tail.size + mapper.config.end_slack)
+        tail_job = len(jobs)
+        jobs.append(AlignmentJob(tail, cons[prev_cons:win_hi],
+                                 "suffix_free"))
+    return _SegmentPlan(seg_lo, seg_hi, is_first, is_last, a0_read, a0_cons,
+                        prev_read, head, tail, head_job, win_lo, tail_job,
+                        gaps)
+
+
+def oracle_plan_read(mapper, oriented, hits, jobs):
+    """One read's segment plans (or ``None``), chain by chain."""
+    cfg, k = mapper.config, mapper.config.k
+    clusters = oracle_cluster_anchors(mapper, hits)
+    if not clusters:
+        return None
+    chains, covered = [], []
+    for cluster in clusters:
+        if len(chains) >= cfg.max_segments:
+            break
+        if chains and len(cluster) < cfg.min_segment_anchors:
+            break
+        chain = oracle_monotone_chain(mapper, hits, cluster)
+        span = (chain[0][0], chain[-1][0] + k)
+        if any(not (span[1] <= lo or span[0] >= hi) for lo, hi in covered):
+            continue
+        if chains and (mapper._uncovered_length(oriented.size, covered)
+                       < cfg.min_segment_length
+                       or span[1] - span[0] < cfg.min_segment_length // 2):
+            continue
+        chains.append(chain)
+        covered.append(span)
+    chains.sort(key=lambda ch: ch[0][0])
+    bounds = [0]
+    for left, right in zip(chains, chains[1:]):
+        left_end, right_start = left[-1][0] + k, right[0][0]
+        bounds.append(max(left_end,
+                          min(right_start, (left_end + right_start) // 2)))
+    bounds.append(oriented.size)
+    return [oracle_plan_segment(mapper, oriented, chain, bounds[w],
+                                bounds[w + 1], w == 0, w == len(chains) - 1,
+                                jobs)
+            for w, chain in enumerate(chains)]
+
+
+def _plan_key(plan):
+    """Segment plans by value."""
+    if plan is None:
+        return None
+    fields = [tuple(vars(p).values()) for p in plan]
+    return [(*f[:7], f[7].tobytes(), f[8].tobytes(), *f[9:12],
+             [(start, piece if isinstance(piece, int) else
+               [(op.kind, op.read_pos, op.length, op.bases.tobytes())
+                for op in piece]) for start, piece in f[12]])
+            for f in fields]
+
+
+def _jobs_key(jobs):
+    return [(job.read_seg.tobytes(), job.cons_seg.tobytes(), job.flavour)
+            for job in jobs]
+
+
+def _plan_both(mapper, reads, hits):
+    """Plans and jobs of a block of reads: the block planner's, and the
+    oracle's read after read."""
+    codes, offsets = block_columns(reads)
+    rows = np.repeat(np.arange(len(reads)), [len(h) for h in hits])
+    cat = (np.concatenate([getattr(h, f) for h in hits])
+           if hits else np.empty(0, dtype=np.int64)
+           for f in ("read_pos", "cons_pos"))
+    jobs = []
+    got = mapper._plan_block(codes, offsets[:-1], np.diff(offsets), rows,
+                             *cat, jobs)
+    want_jobs = []
+    want = [oracle_plan_read(mapper, read, h, want_jobs) if len(h) else None
+            for read, h in zip(reads, hits)]
+    return ([_plan_key(p) for p in got], _jobs_key(jobs),
+            [_plan_key(p) for p in want], _jobs_key(want_jobs))
+
+
+@st.composite
+def anchored_block(draw):
+    """A mapper config and a block of reads with synthetic anchors:
+    repeat hits (one read position, several diagonals), diagonals that
+    drift by exactly the cluster tolerance or one more, overlapping
+    k-mers on one diagonal and across two, gaps of equal and unequal
+    lengths, reads with more clusters than ``max_segments`` and small
+    secondaries."""
+    k = draw(st.sampled_from([4, 6]))
+    gap = draw(st.sampled_from([0, 2, 5]))
+    cfg = MapperConfig(k=k, diag_cluster_gap=gap,
+                       max_segments=draw(st.integers(1, 4)),
+                       min_segment_anchors=draw(st.integers(1, 3)),
+                       min_segment_length=draw(st.sampled_from([8, 24, 100])),
+                       end_slack=draw(st.sampled_from([0, 3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cons = rng.integers(0, 4, 300).astype(np.uint8)
+    drifts = [0, 0, 0, 1, -1, gap, -gap, gap + 1, -gap - 1, k, 40, -60]
+    reads, hits = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        length = int(rng.integers(k, 120))
+        base = int(rng.integers(-10, cons.size - length + 10))
+        read = rng.integers(0, 4, length).astype(np.uint8)
+        lo, hi = max(0, base), min(cons.size, base + length)
+        read[lo - base:hi - base] = cons[lo:hi]
+        flip = rng.random(length) < 0.08
+        read[flip] = (read[flip] + 1) % 4
+        n = int(rng.integers(0, 40))
+        read_pos = rng.integers(0, length - k + 1, n)
+        diag = base + np.cumsum(rng.choice(drifts, n))
+        repeat = rng.random(n) < 0.15        # a second hit of a k-mer
+        read_pos[1:][repeat[1:]] = read_pos[:-1][repeat[1:]]
+        cons_pos = np.clip(read_pos + diag, 0, cons.size - k)
+        order = (rng.permutation(n) if rng.random() < 0.2
+                 else np.argsort(read_pos, kind="stable"))
+        reads.append(read)
+        hits.append(AnchorHits(read_pos[order].astype(np.int64),
+                               cons_pos[order].astype(np.int64)))
+    return cfg, cons, reads, hits
+
+
+class TestBlockPlanner:
+    """``ReadMapper._plan_block`` equals the per-anchor loops it
+    replaced: the same plans, the same jobs, in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(anchored_block(), st.sampled_from([None, 1, 30]))
+    def test_plans_equal_oracle(self, block, pass_anchors):
+        """Also with passes cut small: a pass takes whole rows."""
+        cfg, cons, reads, hits = block
+        with pytest.MonkeyPatch.context() as patch:
+            if pass_anchors:
+                patch.setattr(mapper_module, "_PLAN_ANCHORS", pass_anchors)
+            got, got_jobs, want, want_jobs = _plan_both(
+                ReadMapper(cons, cfg), reads, hits)
+        assert got == want
+        assert got_jobs == want_jobs
+
+    @pytest.mark.parametrize("max_segments", [1, 3])
+    def test_real_anchors_equal_oracle(self, rs4_small, max_segments):
+        """Lookup anchors of whole long reads, both orientations."""
+        sim = rs4_small
+        mapper = ReadMapper(sim.reference,
+                            MapperConfig(max_segments=max_segments))
+        reads = [read.codes for read in sim.read_set.reads[:40]]
+        reads += [seq.reverse_complement(codes) for codes in reads[:10]]
+        hits = [mapper.index.lookup(codes, mapper.config.stride)
+                for codes in reads]
+        got, got_jobs, want, want_jobs = _plan_both(mapper, reads, hits)
+        assert got == want and got_jobs == want_jobs
+        assert got_jobs
+        assert any(p and len(p) > 1 for p in got) == (max_segments > 1)
