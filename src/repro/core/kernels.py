@@ -21,12 +21,15 @@ Two kernels are registered:
     detection) to classify every entry at once, gathers the
     variable-width position fields in one pass (:func:`gather_fields`),
     walks the interleaved mismatch streams over precomputed 64-bit
-    windows and next-zero indexes (one list lookup per field), and
-    reconstructs all substitution-only reads with a single consensus
-    gather + mismatch scatter.  The side streams a read touches at most
-    a few times — ``lengths``, ``corner``, ``side``, ``unmapped`` — go
-    through the same :class:`~repro.core.bitio.BitReader` as the
-    reference walk.
+    windows and next-zero indexes (one list lookup per field) into
+    consensus copy runs and literal patches, and rebuilds every mapped
+    read in one read construction (:func:`_construct_reads`): the runs
+    are gathered from the consensus, the patches, clips and N runs
+    scattered over them, and the reverse reads reverse-complemented by
+    one gather; there is no per-read path beside it.  The side streams
+    a read touches at most a few times — ``lengths``, ``corner``,
+    ``side``, ``unmapped`` — go through the same
+    :class:`~repro.core.bitio.BitReader` as the reference walk.
 
 Both kernels decode identical reads from the same bytes for every
 configuration — asserted in ``tests/test_core_kernels.py`` — so the
@@ -198,6 +201,93 @@ def _flatten(reads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return (np.concatenate(reads) if reads else _EMPTY_U8), offsets
 
 
+def _construct_reads(cons: np.ndarray, lengths: np.ndarray, runs: list[int],
+                     patches: list[int], corners: list[tuple],
+                     reverse_reads: list[int]) -> np.ndarray:
+    """The Read Construction Unit over a whole block: the mapped reads
+    the skeleton walk described, rebuilt into one flat buffer (read
+    ``i`` holds ``lengths[i]`` bases, read after read).
+
+    A read is its start clip, its core and its end clip.  The core is
+    its copy runs gathered from the consensus with its patches over
+    them; N runs then cover the whole read, and a reverse read is
+    reverse-complemented last, as the reference walk does per read.
+    """
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    head = starts.copy()                    # first core base of each read
+    core = lengths.copy()
+    if corners:
+        c_read, c_start, c_end = np.array(
+            [(i, clip_s.size, clip_e.size)
+             for i, clip_s, clip_e, _ in corners], dtype=np.int64).T
+        head[c_read] += c_start
+        core[c_read] -= c_start + c_end
+    if (core < 0).any():
+        bad = int(np.argmax(core < 0))
+        raise DecompressionError(
+            f"decoded {int(lengths[bad] - core[bad])} bases, "
+            f"expected {int(lengths[bad])}")
+
+    r_read, r_start, r_cons, r_len = \
+        np.array(runs, dtype=np.int64).reshape(-1, 4).T
+    if (r_len < 0).any():
+        raise DecompressionError("mismatch position outside its read")
+    live = r_len > 0
+    if live.any() and (int(r_cons[live].min()) < 0
+                       or int((r_cons + r_len)[live].max()) > cons.size):
+        raise DecompressionError(
+            "matching position walks outside the consensus")
+    # Runs come in buffer order and tile it but for the gaps between
+    # them — inserted bases and clips — so a mask places the gathered
+    # bases without a destination index.
+    total = int(ends[-1]) if ends.size else 0
+    flat = copied = cons[run_index(r_cons, r_len)]
+    if copied.size != total:
+        r_at = head[r_read] + r_start
+        gap_at = np.append(0, r_at + r_len)
+        keep = np.ones(total, dtype=bool)
+        keep[run_index(gap_at, np.append(r_at, total) - gap_at)] = False
+        flat = np.empty(total, dtype=np.uint8)
+        flat[keep] = copied
+
+    if patches:
+        p_read, p_pos, p_base = \
+            np.array(patches, dtype=np.int64).reshape(-1, 3).T
+        if (p_pos >= core[p_read]).any():
+            raise DecompressionError("mismatch position outside its read")
+        flat[head[p_read] + p_pos] = p_base
+
+    if corners:
+        clip_at = np.stack([starts[c_read], ends[c_read] - c_end], axis=1)
+        clip_len = np.stack([c_start, c_end], axis=1)
+        flat[run_index(clip_at.ravel(), clip_len.ravel())] = np.concatenate(
+            [clip for _, clip_s, clip_e, _ in corners
+             for clip in (clip_s, clip_e)])
+        n_runs = [(i, pos, run) for i, _, _, read_runs in corners
+                  for pos, run in read_runs]
+        if n_runs:
+            n_read, n_pos, n_run = np.array(n_runs, dtype=np.int64).T
+            # A run past the read's end is cut there, as a slice is.
+            n_len = np.clip(np.minimum(n_run, lengths[n_read] - n_pos), 0,
+                            None)
+            flat[run_index(starts[n_read] + n_pos, n_len)] = seq.N_CODE
+
+    if reverse_reads:
+        rev = np.array(reverse_reads, dtype=np.int64)
+        if (lengths == lengths[0]).all():
+            # Equal lengths: the reads are the rows of a matrix, and a
+            # row gather needs no index per base.
+            rows = flat.reshape(lengths.size, int(lengths[0]))
+            rows[rev] = seq.COMPLEMENT[rows[rev, ::-1]]
+        else:
+            at = run_index(starts[rev], lengths[rev])
+            mirror = np.repeat(starts[rev] + ends[rev] - 1, lengths[rev])
+            mirror -= at
+            flat[at] = seq.COMPLEMENT[flat[mirror]]
+    return flat
+
+
 def _decode_reads_batched(dec, index: int
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Decode every read of block ``index`` through the numpy kernel.
@@ -209,12 +299,21 @@ def _decode_reads_batched(dec, index: int
     1. one vectorized unary-prefix scan + field gather classifies every
        matching position (:func:`_matching_positions`) and read length;
     2. a skeleton walk over the interleaved mmpga/mmpa/mbta streams
-       records mismatch events without reconstructing — every field is
-       an O(1) window lookup on precomputed ``w64``/next-zero views;
-    3. all substitution-only reads are rebuilt with a single consensus
-       gather + mismatch scatter (reverse-strand rows gather backwards
-       and are complemented in the same buffer); indel/chimeric/corner
-       reads take a per-read scalar fallback into their slice.
+       describes every mapped read as columns without reconstructing
+       it — every field is an O(1) window lookup on precomputed
+       ``w64``/next-zero views.  It moves the read cursor and the
+       consensus cursor ``q`` as the reference walk does and records
+       consensus copy runs ``(read, start, cons_start, length)``, which
+       end only at an indel or a segment boundary (a substitution-only
+       read is one run), literal patches ``(read, pos, base)`` for
+       substitutions and inserted bases, and each read's clips, N runs
+       and strand;
+    3. one read construction (the RCU loop of §5.2, over the whole
+       block): every run is gathered from the consensus into the flat
+       buffer, the patches, clips and N runs are scattered over it, and
+       the reverse reads are reverse-complemented by one gather through
+       :data:`~repro.genomics.sequence.COMPLEMENT`.  The damage checks
+       are stated once, over these columns.
     """
     arch = dec.archive
     block = arch.block(index)
@@ -255,11 +354,10 @@ def _decode_reads_batched(dec, index: int
             lengths[i] = lr.read(widths[idx])
 
     # --- pass 1b: vectorized matching positions ---
-    fc_arr = _matching_positions(arch, block, n_mapped) if n_mapped \
-        else np.empty(0, dtype=np.int64)
-    first_cons = fc_arr.tolist()
+    first_cons = _matching_positions(arch, block, n_mapped).tolist() \
+        if n_mapped else []
 
-    # --- pass 2: skeleton walk (classify entries, no reconstruction) ---
+    # --- pass 2: skeleton walk (runs and patches, no reconstruction) ---
     b_w64, b_lim = _stream_words(block, "mbta")
     g_w64, g_lim = _stream_words(block, "mmpga")
     a_w64, a_lim = _stream_words(block, "mmpa")
@@ -284,27 +382,24 @@ def _decode_reads_batched(dec, index: int
     w_rlen_mask = (1 << w_rlen) - 1
     fixed_len = block.fixed_read_length
 
-    simple_idx: list[int] = []        # read index per simple row
-    simple_rev: list[int] = []        # parallel: reverse flag per row
-    sub_row: list[int] = []           # scatter coordinates (simple rows)
-    sub_pos: list[int] = []
-    sub_base: list[int] = []
-    complex_recs: list[tuple] = []
+    runs: list[int] = []              # (read, start, cons_start, length)
+    patches: list[int] = []           # (read, pos, base)
+    corners: list[tuple] = []         # (read, clip_s, clip_e, n_runs)
+    reverse_reads: list[int] = []
 
     for i in range(n_mapped):
         length = fixed_len if lengths is None else lengths[i]
         if b_pos >= b_lim:
             raise _past("mbta", 1, b_pos, b_lim)
-        reverse = (b_w64[b_pos >> 3] >> (63 - (b_pos & 7))) & 1
+        if (b_w64[b_pos >> 3] >> (63 - (b_pos & 7))) & 1:
+            reverse_reads.append(i)
         b_pos += 1
-        fc = first_cons[i]
-        segments = None                   # None => single segment at fc
+        later = ()              # (core_start, cons_start) per later segment
         if side is not None and side.read(1):
-            segments = [(0, fc)]
+            later = []
             for _ in range(side.read(2)):
                 core_start = side.read(w_rlen)
-                cons_start = side.read(w_cons)
-                segments.append((core_start, cons_start))
+                later.append((core_start, side.read(w_cons)))
 
         # mismatch count
         if tuned:
@@ -330,21 +425,21 @@ def _decode_reads_batched(dec, index: int
                      >> (64 - (g_pos & 7) - raw_bits)) & raw_mask
             g_pos += raw_bits
 
-        # corner-case info (must precede reconstruction)
-        n_runs: list[tuple[int, int]] | None = None
+        # Corner info.  With the marker it is a position-0
+        # pseudo-mismatch, met as the first entry below: nothing is
+        # reconstructed before pass 3, so nothing needs it sooner.
+        n_runs = ()
         clip_s = clip_e = _EMPTY_U8
-        clip_n = 0
-        remaining = count
-        pending = 0
-        have_pending = False
-        if not corner_marker:
-            has_n = corner.read(1)
-            has_clip = corner.read(1)
-            if has_n or has_clip:
-                n_runs, clip_s, clip_e = read_corner_payload(corner,
-                                                             w_rlen)
-                clip_n = int(clip_s.size) + int(clip_e.size)
-        elif count > 0:
+        if not corner_marker and corner.read(2):      # has_n, has_clip
+            n_runs, clip_s, clip_e = read_corner_payload(corner, w_rlen)
+
+        # The open copy run starts at read position ``start`` and
+        # consensus position ``run_cons``; substitutions leave it open,
+        # an indel or a later segment's core start closes it.
+        read_ptr = start = seg = pos = 0
+        q = run_cons = first_cons[i]
+        n_later = len(later)
+        for entry in range(count):
             if tuned:
                 if g_pos >= g_lim:
                     raise _past("mmpga", 1, g_pos, g_lim)
@@ -358,84 +453,30 @@ def _decode_reads_batched(dec, index: int
                 w = mmp_widths[pidx]
                 if a_pos + w > a_lim:
                     raise _past("mmpa", w, a_pos, a_lim)
-                pos0 = (a_w64[a_pos >> 3] >> (64 - (a_pos & 7) - w)) \
+                pos += (a_w64[a_pos >> 3] >> (64 - (a_pos & 7) - w)) \
                     & mmp_masks[pidx]
                 a_pos += w
             else:
                 if a_pos + w_rlen > a_lim:
                     raise _past("mmpa", w_rlen, a_pos, a_lim)
-                pos0 = (a_w64[a_pos >> 3]
-                        >> (64 - (a_pos & 7) - w_rlen)) & w_rlen_mask
+                pos = (a_w64[a_pos >> 3]
+                       >> (64 - (a_pos & 7) - w_rlen)) & w_rlen_mask
                 a_pos += w_rlen
-            remaining -= 1
-            if pos0 == 0:
+            if not pos and corner_marker and not entry:
                 if b_pos >= b_lim:
                     raise _past("mbta", 1, b_pos, b_lim)
                 flag = (b_w64[b_pos >> 3] >> (63 - (b_pos & 7))) & 1
                 b_pos += 1
                 if flag:
-                    # Pseudo-mismatch: this read is a corner case.
-                    n_runs, clip_s, clip_e = read_corner_payload(
-                        corner, w_rlen)
-                    clip_n = int(clip_s.size) + int(clip_e.size)
-                else:
-                    have_pending = True
-            else:
-                pending = pos0
-                have_pending = True
-
-        core_len = length - clip_n
-        multi = segments is not None and len(segments) > 1
-        events: list[tuple] | None = [] \
-            if (n_runs or clip_n or multi) else None
-        row = len(simple_idx)         # candidate simple row for this read
-        n_subs = 0                    # optimistically committed subs
-        read_ptr = 0
-        q = fc
-        if multi:
-            nseg = len(segments)
-            bounds = [start for start, _ in segments[1:]]
-            bounds.append(core_len)
-            seg_idx = 0
-            seg_end = bounds[0]
-        prev_pos = 0
-        while remaining > 0 or have_pending:
-            if have_pending:
-                pos = pending
-                have_pending = False
-            else:
-                if tuned:
-                    if g_pos >= g_lim:
-                        raise _past("mmpga", 1, g_pos, g_lim)
-                    z = g_nz[g_pos]
-                    if z >= g_lim:
-                        raise _past("mmpga", 1, g_lim, g_lim)
-                    pidx = z - g_pos
-                    if pidx >= n_mmp:
-                        raise _bad_class(pidx, n_mmp)
-                    g_pos = z + 1
-                    w = mmp_widths[pidx]
-                    if a_pos + w > a_lim:
-                        raise _past("mmpa", w, a_pos, a_lim)
-                    pos = prev_pos \
-                        + ((a_w64[a_pos >> 3]
-                            >> (64 - (a_pos & 7) - w)) & mmp_masks[pidx])
-                    a_pos += w
-                else:
-                    if a_pos + w_rlen > a_lim:
-                        raise _past("mmpa", w_rlen, a_pos, a_lim)
-                    pos = (a_w64[a_pos >> 3]
-                           >> (64 - (a_pos & 7) - w_rlen)) & w_rlen_mask
-                    a_pos += w_rlen
-                remaining -= 1
-            prev_pos = pos
-            if multi:
-                while pos >= seg_end and seg_idx < nseg - 1:
-                    q += seg_end - read_ptr
-                    read_ptr = seg_end
-                    seg_idx += 1
-                    q = segments[seg_idx][1]
-                    seg_end = bounds[seg_idx]
+                    n_runs, clip_s, clip_e = read_corner_payload(corner,
+                                                                 w_rlen)
+                    continue
+            while seg < n_later and pos >= later[seg][0]:
+                boundary, q = later[seg]
+                runs += (i, start, run_cons, boundary - start)
+                read_ptr = start = boundary
+                run_cons = q
+                seg += 1
             q += pos - read_ptr
             read_ptr = pos
 
@@ -458,20 +499,12 @@ def _decode_reads_batched(dec, index: int
                     raise DecompressionError(
                         f"invalid mismatch type {code}")
             if is_sub:
-                if events is not None:
-                    events.append((pos, 0, 1, base))
-                else:
-                    # Optimistically commit to the batched scatter; an
-                    # indel later in this read rolls these back.
-                    sub_row.append(row)
-                    sub_pos.append(pos)
-                    sub_base.append(base)
-                    n_subs += 1
+                patches += (i, pos, base)
                 read_ptr += 1
                 q += 1
                 continue
 
-            # indel: promote the read to the scalar reconstruction path
+            # indel: it closes the open copy run
             if type_inf:
                 if b_pos >= b_lim:
                     raise _past("mbta", 1, b_pos, b_lim)
@@ -480,15 +513,7 @@ def _decode_reads_batched(dec, index: int
                 is_ins = flag == INDEL_INS
             else:
                 is_ins = code == TYPE_INS
-            if events is None:
-                events = [(sub_pos[k], 0, 1, sub_base[k])
-                          for k in range(len(sub_pos) - n_subs,
-                                         len(sub_pos))]
-                if n_subs:
-                    del sub_row[-n_subs:]
-                    del sub_pos[-n_subs:]
-                    del sub_base[-n_subs:]
-                    n_subs = 0
+            runs += (i, start, run_cons, pos - start)
             # block length
             if not indel_blocks:
                 blk = 1
@@ -526,122 +551,34 @@ def _decode_reads_batched(dec, index: int
             if is_ins:
                 if b_pos + 2 * blk > b_lim:
                     raise _past("mbta", 2 * blk, b_pos, b_lim)
-                bases = []
-                for _ in range(blk):
-                    bases.append(
-                        (b_w64[b_pos >> 3] >> (62 - (b_pos & 7))) & 3)
+                for k in range(pos, pos + blk):
+                    patches += (i, k,
+                                (b_w64[b_pos >> 3] >> (62 - (b_pos & 7))) & 3)
                     b_pos += 2
-                events.append((pos, 1, blk, bases))
-                read_ptr += blk
-            else:
-                events.append((pos, 2, blk, None))
-                q += blk
-
-        if events is not None:
-            complex_recs.append((i, length, reverse,
-                                 segments or [(0, fc)], clip_s, clip_e,
-                                 n_runs or (), events, core_len))
-        else:
-            simple_idx.append(i)
-            simple_rev.append(reverse)
-
-    # --- pass 3a: batched reconstruction of substitution-only reads ---
-    if lengths is None:
-        mapped_len = np.full(n_mapped, fixed_len, dtype=np.int64)
-    else:
-        mapped_len = np.asarray(lengths, dtype=np.int64)
-    mapped_ends = np.cumsum(mapped_len)
-    mapped_offs = mapped_ends - mapped_len
-    flat = _EMPTY_U8
-    if simple_idx:
-        rows_idx = np.array(simple_idx, dtype=np.int64)
-        lens = mapped_len[rows_idx]
-        ends = np.cumsum(lens)
-        offs = ends - lens
-        total = int(ends[-1])
-        # A reverse-strand row is read off the consensus backwards and
-        # complemented in place: substitution-only rows hold codes 0..3
-        # only, so the complement is ``code ^ 3``.
-        rev = np.array(simple_rev, dtype=bool)
-        local = np.arange(total, dtype=np.int64) - np.repeat(offs, lens)
-        flat_idx = np.repeat(np.where(rev, -1, 1), lens) * local + np.repeat(
-            fc_arr[rows_idx] + np.where(rev, lens - 1, 0), lens)
-        if total and (int(flat_idx.max()) >= cons_size
-                      or int(flat_idx.min()) < 0):
-            raise DecompressionError(
-                "matching position walks outside the consensus")
-        flat = cons[flat_idx]
-        if sub_row:
-            srow = np.array(sub_row, dtype=np.int64)
-            spos = np.array(sub_pos, dtype=np.int64)
-            if (spos >= lens[srow]).any() or (spos < 0).any():
-                raise DecompressionError(
-                    "mismatch position outside its read")
-            spos = np.where(rev[srow], lens[srow] - 1 - spos, spos)
-            flat[offs[srow] + spos] = np.array(sub_base, dtype=np.uint8)
-        flat ^= np.repeat(np.where(rev, 3, 0).astype(np.uint8), lens)
-    if complex_recs:
-        # Simple rows move to their slots; complex reads fill the rest.
-        simple_flat = flat
-        flat = np.empty(int(mapped_ends[-1]), dtype=np.uint8)
-        if simple_idx:
-            flat[run_index(mapped_offs[rows_idx], lens)] = simple_flat
-    mapped_offs = mapped_offs.tolist()
-
-    # --- pass 3b: scalar fallback for indel/chimeric/corner reads ---
-    for (i, length, reverse, segments, clip_s, clip_e, n_runs, events,
-         core_len) in complex_recs:
-        out = np.empty(core_len, dtype=np.uint8)
-        bounds = [start for start, _ in segments[1:]]
-        bounds.append(core_len)
-        seg_idx = 0
-        seg_end = bounds[0]
-        read_ptr = 0
-        q = segments[0][1]
-        for pos, kind, blk, payload in events:
-            while pos >= seg_end and seg_idx < len(segments) - 1:
-                gap = seg_end - read_ptr
-                out[read_ptr:seg_end] = cons[q:q + gap]
-                q += gap
-                read_ptr = seg_end
-                seg_idx += 1
-                q = segments[seg_idx][1]
-                seg_end = bounds[seg_idx]
-            gap = pos - read_ptr
-            if gap:
-                out[read_ptr:pos] = cons[q:q + gap]
-                q += gap
-                read_ptr = pos
-            if kind == 0:
-                out[pos] = payload
-                read_ptr += 1
-                q += 1
-            elif kind == 1:
-                out[pos:pos + blk] = payload
                 read_ptr += blk
             else:
                 q += blk
-        while True:
-            gap = seg_end - read_ptr
-            out[read_ptr:seg_end] = cons[q:q + gap]
-            q += gap
-            read_ptr = seg_end
-            if seg_idx >= len(segments) - 1:
-                break
-            seg_idx += 1
-            q = segments[seg_idx][1]
-            seg_end = bounds[seg_idx]
-        oriented = np.concatenate([clip_s, out, clip_e]).astype(np.uint8)
-        for pos, run in n_runs:
-            oriented[pos:pos + run] = seq.N_CODE
-        if oriented.size != length:
-            raise DecompressionError(
-                f"decoded {oriented.size} bases, expected {length}")
-        flat[mapped_offs[i]:mapped_offs[i] + length] = \
-            seq.reverse_complement(oriented) if reverse else oriented
+            start = read_ptr
+            run_cons = q
+
+        # Later segments no entry reached still close the open run, and
+        # the last run ends with the core.
+        for boundary, cons_start in later[seg:]:
+            runs += (i, start, run_cons, boundary - start)
+            start, run_cons = boundary, cons_start
+        clip_n = clip_s.size + clip_e.size
+        runs += (i, start, run_cons, length - clip_n - start)
+        if n_runs or clip_n:
+            corners.append((i, clip_s, clip_e, n_runs))
+
+    # --- pass 3: one read construction for every mapped read ---
+    mapped_len = np.full(n_mapped, fixed_len, dtype=np.int64) \
+        if lengths is None else np.asarray(lengths, dtype=np.int64)
+    flat = _construct_reads(cons, mapped_len, runs, patches, corners,
+                            reverse_reads)
 
     # --- unmapped reads (3-bit packed payloads) ---
-    offsets = np.concatenate([[0], mapped_ends])
+    offsets = np.concatenate([[0], np.cumsum(mapped_len)])
     if not block.n_unmapped:
         return flat, offsets
     unmapped = BitReader(*block.streams["unmapped"], name="unmapped")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.container import SAGeArchive
+from ..core.decompressor import SAGeDecompressor
 from ..core.formats import OutputFormat, bits_per_base, encode_output
 from ..genomics.reads import ReadSet
 from .sage_units import HardwareRunStats, SAGeHardwareModel
@@ -128,8 +129,6 @@ class SAGeDevice:
             raise DeviceError(f"no genomic file {name!r}")
         if batch_reads < 1:
             raise DeviceError(f"batch_reads must be >= 1, got {batch_reads!r}")
-        from ..core.decompressor import SAGeDecompressor
-
         # Decode section by section: the blocks are the SSD's natural
         # streaming unit (§5.3); batches are slices of their columns.
         decoder = SAGeDecompressor(archive)

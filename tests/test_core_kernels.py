@@ -10,7 +10,7 @@ every registered kernel.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineOptions, SAGeDataset
@@ -353,6 +353,171 @@ class TestCrossKernelFuzz:
         """The long-read analog: chimeras, bursts, clips, and Ns."""
         _assert_cross_kernel(rs4_small.read_set, rs4_small.reference,
                              SAGeConfig())
+
+
+#: The consensus every recipe read is cut from.
+RECIPE_REFERENCE = np.random.default_rng(2026).integers(0, 4, 3_000) \
+    .astype(np.uint8)
+
+#: One read, as ``(start, length, edits, second, clips, n_runs, reverse)``
+#: over :data:`RECIPE_REFERENCE` (see :func:`_recipe_read`).
+read_recipes = st.tuples(
+    st.integers(-1, RECIPE_REFERENCE.size - 1),
+    st.integers(20, 300),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(0, 2),
+                       st.integers(1, 6)), max_size=4).map(tuple),
+    st.one_of(st.just(()),
+              st.tuples(st.integers(0, RECIPE_REFERENCE.size - 1),
+                        st.integers(100, 250))),
+    st.tuples(st.sampled_from([0, 0, 8, 15]), st.sampled_from([0, 0, 8, 15])),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(1, 8)),
+             max_size=2).map(tuple),
+    st.booleans())
+
+
+def _recipe_read(recipe) -> np.ndarray:
+    """Build one read from a recipe.
+
+    ``start`` < 0 is a junk read of ``length`` random bases.  Otherwise
+    the read is ``RECIPE_REFERENCE[start:start + length]`` (random bases
+    where it runs past the reference's end) with ``edits`` ``(pos, op,
+    size)`` applied last position first (op 0 substitutes, 1 inserts
+    ``size`` random bases, 2 deletes ``size`` bases), a ``second``
+    ``(start, length)`` reference piece appended (a chimera), random
+    ``clips`` ``(head, tail)`` flanks, N over each ``n_runs`` ``(pos,
+    run)`` and, last, the reverse complement if ``reverse``.
+    """
+    start, length, edits, second, clips, n_runs, reverse = recipe
+    rng = np.random.default_rng([start + 1, length, len(edits)])
+    if start < 0:
+        codes = rng.integers(0, 4, length).astype(np.uint8)
+    else:
+        codes = RECIPE_REFERENCE[start:start + length]
+        codes = np.concatenate([codes, rng.integers(
+            0, 4, length - codes.size).astype(np.uint8)])
+        for pos, op, size in sorted(edits, reverse=True):
+            pos %= codes.size
+            if op == 0:
+                codes[pos] = (codes[pos] + 1 + size % 3) % 4
+            elif op == 1:
+                codes = np.concatenate([
+                    codes[:pos], rng.integers(0, 4, size).astype(np.uint8),
+                    codes[pos:]])
+            elif codes.size > size:
+                codes = np.concatenate([codes[:pos], codes[pos + size:]])
+        if second:
+            codes = np.concatenate(
+                [codes, RECIPE_REFERENCE[second[0]:second[0] + second[1]]])
+        head, tail = clips
+        codes = np.concatenate([rng.integers(0, 4, head), codes,
+                                rng.integers(0, 4, tail)]).astype(np.uint8)
+    for pos, run in n_runs:
+        pos %= codes.size
+        codes[pos:pos + run] = seqmod.N_CODE
+    return seqmod.reverse_complement(codes) if reverse else codes
+
+
+def _recipe_archive(recipes, *, level, fixed, long_reads, tuned):
+    reads = [_recipe_read(recipe) for recipe in recipes]
+    if fixed:
+        shortest = min(read.size for read in reads)
+        reads = [read[:shortest] for read in reads]
+    read_set = ReadSet([Read(codes=read) for read in reads], name="recipe")
+    config = SAGeConfig(level=level, long_reads=long_reads,
+                        tuned_indel_lengths=tuned, with_quality=False)
+    return SAGeCompressor(RECIPE_REFERENCE, config).compress(read_set)
+
+
+class TestReadConstructionProperty:
+    """The numpy kernel's one read construction rebuilds exactly the
+    reads of the reference walk, on every level and block shape."""
+
+    O4 = dict(level=OptLevel.O4, fixed=False, long_reads=False, tuned=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(recipes=st.lists(read_recipes, min_size=1, max_size=10),
+           level=st.sampled_from(list(OptLevel)), fixed=st.booleans(),
+           long_reads=st.booleans(), tuned=st.booleans())
+    # An insertion at read position 0: the read starts at the consensus
+    # start, so no shift can turn the inserted bases into substitutions.
+    @example(recipes=[(0, 100, ((0, 1, 3),), (), (0, 0), (), False)],
+             **{**O4, "long_reads": True})
+    # A one-base deletion two bases before the boundary of a chimera.
+    @example(recipes=[(1000, 200, ((193, 2, 1),), (2200, 200), (0, 0), (),
+                       False)],
+             **{**O4, "long_reads": True, "tuned": True})
+    # An N run inside a six-base inserted block (explicit types, O2).
+    @example(recipes=[(1000, 120, ((50, 1, 6),), (), (0, 0), ((52, 2),),
+                       False)],
+             **{**O4, "level": OptLevel.O2})
+    # A reverse read with clips at both ends and an N run, next to a
+    # forward read with a substitution.
+    @example(recipes=[(1000, 120, (), (), (15, 15), ((40, 3),), True),
+                      (500, 150, ((30, 0, 1),), (), (0, 0), (), False)],
+             **O4)
+    # An insertion past the consensus end, in a fixed-length block.
+    @example(recipes=[(RECIPE_REFERENCE.size - 97, 100, (), (), (0, 0), (),
+                       False),
+                      (100, 100, (), (), (0, 0), (), True)],
+             **{**O4, "fixed": True})
+    # A block with no mapped read.
+    @example(recipes=[(-1, 100, (), (), (0, 0), (), False),
+                      (-1, 120, (), (), (0, 0), (), True)], **O4)
+    def test_numpy_equals_python(self, recipes, level, fixed, long_reads,
+                                 tuned):
+        archive = _recipe_archive(recipes, level=level, fixed=fixed,
+                                  long_reads=long_reads, tuned=tuned)
+        decoder = SAGeDecompressor(archive)
+        want = get_kernel("python").decode_reads(decoder)
+        got = get_kernel("numpy").decode_reads(decoder)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0])
+
+
+class TestWideTableFallback:
+    """A class wider than 56 bits overflows the skeleton walk's 64-bit
+    window, so the numpy kernel decodes such a block (a crafted table;
+    tuning never builds one) through the reference walk."""
+
+    def test_wide_count_class_takes_the_reference_walk(
+            self, fuzz_reference, monkeypatch):
+        from dataclasses import replace
+
+        from repro.core import compressor
+
+        tune = compressor.tune_values
+
+        def widened(values, *args, **kwargs):
+            result = tune(values, *args, **kwargs)
+            return replace(result, table=AssociationTable(
+                result.table.widths + (60,)))
+
+        monkeypatch.setattr(compressor, "tune_values", widened)
+        reads = _random_read_set(np.random.default_rng(3), fuzz_reference,
+                                 n_reads=40, read_len=90, fixed=True,
+                                 with_quality=False)
+        archive = SAGeCompressor(fuzz_reference,
+                                 SAGeConfig(with_quality=False)) \
+            .compress(reads)
+        assert max(archive.block(0).tables["count"].widths) > 56
+
+        walks = []
+        walk = SAGeDecompressor.iter_read_codes
+
+        def counted(self, *args, **kwargs):
+            walks.append(kwargs.get("index", 0))
+            return walk(self, *args, **kwargs)
+
+        decoder = SAGeDecompressor(archive)
+        want = get_kernel("python").decode_reads(decoder)
+        monkeypatch.setattr(SAGeDecompressor, "iter_read_codes", counted)
+        got = get_kernel("numpy").decode_reads(decoder)
+        assert walks == [0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0])
+        assert sorted(got[0][a:b].tobytes()
+                      for a, b in zip(got[1], got[1][1:])) \
+            == sorted(read.codes.tobytes() for read in reads)
 
 
 class TestColumnarDecodeOracle:

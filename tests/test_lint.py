@@ -482,6 +482,45 @@ def streams_written_in_bulk(source, where):
     return offenders
 
 
+#: The lists of the fork the numpy kernel's read construction replaced:
+#: substitution-only rows, the indel/chimeric/corner records and their
+#: events, and the count of optimistically committed substitutions.
+_FORK_NAMES = {"simple_idx", "simple_rev", "complex_recs", "events",
+               "n_subs"}
+
+
+def reads_constructed_once(source, where):
+    """The numpy kernel rebuilds every mapped read in one construction:
+    ``core/kernels.py`` reverse-complements no read on its own, makes no
+    ``np.concatenate`` / ``np.empty`` call and assigns no slice inside a
+    loop (a read built from its parts, or written into its slice, one
+    at a time), rolls back no substitution (``del rows[-n:]``) and names
+    none of the lists of the simple/complex split."""
+    if where != "src/repro/core/kernels.py":
+        return []
+    tree = ast.parse(source)
+    looped = {id(node) for loop in ast.walk(tree)
+              if isinstance(loop, (ast.For, ast.While))
+              for stmt in loop.body for node in ast.walk(stmt)}
+    offenders = []
+    for node in ast.walk(tree):
+        called = isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None))
+        if called == "reverse_complement" or (
+                called in ("concatenate", "empty") and id(node) in looped):
+            offenders.append(f"{where}:{node.lineno} {called}(")
+        elif isinstance(node, ast.Assign) and id(node) in looped and any(
+                isinstance(target, ast.Subscript)
+                and isinstance(target.slice, ast.Slice)
+                for target in node.targets):
+            offenders.append(f"{where}:{node.lineno} slice written in a loop")
+        elif isinstance(node, ast.Delete):
+            offenders.append(f"{where}:{node.lineno} del (a rollback)")
+        elif getattr(node, "id", None) in _FORK_NAMES:
+            offenders.append(f"{where}:{node.lineno} {node.id}")
+    return offenders
+
+
 #: Where a block is mapped from its columns: ``map_batch(x.codes,
 #: x.offsets)``, never a list of per-read views.
 COLUMN_MAPPERS = ("src/repro/core/compressor.py",
@@ -1191,6 +1230,39 @@ class TestOptionsThreadingEdges:
                           "src/repro/core/compressor.py") == []
         assert on_snippet(streams_written_in_bulk, "writer.write(1, 1)\n",
                           "src/repro/core/container.py") == []
+
+    def test_reads_constructed_once(self):
+        """The decoder's side of the same contract: the numpy kernel
+        describes every mapped read as copy runs and patches and rebuilds
+        them all in one construction, with no per-read fallback beside
+        it (``reads_constructed_once``).  The reference walk in
+        ``core/decompressor.py`` keeps its per-read RCU loop: it is the
+        oracle."""
+        assert on_tree(reads_constructed_once, "src") == []
+        kernels = "src/repro/core/kernels.py"
+        for violating in (
+                "oriented = seq.reverse_complement(oriented)\n",
+                """\
+                for i, clip_s, out, clip_e in reads:
+                    flat[offs[i]:offs[i + 1]] = np.concatenate(
+                        [clip_s, out, clip_e])
+                """,
+                """\
+                while remaining:
+                    out = np.empty(core_len, dtype=np.uint8)
+                """,
+                "del sub_row[-n_subs:]\n",
+                "complex_recs.append((i, events))\n"):
+            assert on_snippet(reads_constructed_once, violating,
+                              kernels) != [], violating
+        assert on_snippet(reads_constructed_once, """\
+            for k in range(8):
+                window = (window << np.uint64(8)) | ext[k:k + size]
+            flat[run_index(at, lens)] = np.concatenate(parts)
+            """, kernels) == []
+        assert on_snippet(reads_constructed_once,
+                          "codes = seq.reverse_complement(oriented)\n",
+                          "src/repro/core/decompressor.py") == []
 
     def test_mappings_consumed_as_columns(self):
         """The mapper's side of the same contract: a block goes in as

@@ -492,7 +492,9 @@ def anchored_block(draw):
         length = int(rng.integers(k, 120))
         base = int(rng.integers(-10, cons.size - length + 10))
         read = rng.integers(0, 4, length).astype(np.uint8)
-        lo, hi = max(0, base), min(cons.size, base + length)
+        # A read wholly before the consensus start overlaps none of it.
+        lo = max(0, base)
+        hi = max(lo, min(cons.size, base + length))
         read[lo - base:hi - base] = cons[lo:hi]
         flip = rng.random(length) < 0.08
         read[flip] = (read[flip] + 1) % 4
