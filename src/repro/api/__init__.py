@@ -1,9 +1,9 @@
 """repro.api — the :class:`SAGeDataset` session facade.
 
 One stable API over archives, streams, sinks and engine options: the
-CLI, the examples, the benchmarks, the end-to-end model and the
-hardware verification all sit on this package instead of re-wiring the
-compressor/decompressor/executor plumbing themselves.
+CLI, the examples, the benchmarks and the end-to-end model all sit on
+this package instead of re-wiring the compressor/decompressor/executor
+plumbing themselves.
 
     from repro.api import EngineOptions, SAGeDataset
 

@@ -8,8 +8,11 @@ decoded MBTA base with the consensus base under the cursor (§5.1.2), which
 is why entry decoding and reconstruction interleave — exactly as the SU
 and RCU operate concurrently in hardware.
 
-The hardware functional model (:mod:`repro.hardware.sage_units`) wraps
-this decoder with cycle/byte accounting and must produce identical output.
+The walk (:meth:`SAGeDecompressor.iter_read_codes`) is the ``python``
+kernel and the oracle the vectorized kernel is held to; it reads every
+stream to its end.  The hardware functional model
+(:mod:`repro.hardware.sage_units`) decodes through this class once per
+block and charges its units those stream lengths.
 
 Archives decode per independent section: decoding block *i* via
 :meth:`SAGeDecompressor.decompress_block` touches only that block's
@@ -184,23 +187,19 @@ class SAGeDecompressor:
         slots[original] = np.arange(n, dtype=np.int64)
         return slots
 
-    def iter_read_codes(
-            self, readers: dict[str, BitReader] | None = None,
-            index: int = 0) -> Iterator[np.ndarray]:
+    def iter_read_codes(self, index: int = 0) -> Iterator[np.ndarray]:
         """Yield block ``index``'s decoded base-code arrays in emission
         order — the bit-serial reference walk.
 
-        ``readers`` lets a caller (the hardware model) supply the stream
-        readers and read how far the walk moved each one; they must wrap
-        the same streams.
+        It consumes every stream it reads to its last bit, which is what
+        lets the hardware model charge its units the stored stream
+        lengths (``tests/test_hardware_units.py`` pins it).
         """
         blk = self.archive.block(index)
-        if readers is None:
-            # Readers carry their stream name, so a malformed archive
-            # fails with the offending stream and bit offset in the
-            # message.
-            readers = {name: BitReader(payload, bits, name=name)
-                       for name, (payload, bits) in blk.streams.items()}
+        # Readers carry their stream name, so a malformed archive fails
+        # with the offending stream and bit offset in the message.
+        readers = {name: BitReader(payload, bits, name=name)
+                   for name, (payload, bits) in blk.streams.items()}
         prev_cons = 0
         for _ in range(blk.n_mapped):
             codes, prev_cons = self._decode_mapped(blk, readers, prev_cons)

@@ -44,19 +44,6 @@ def encode_output(codes: np.ndarray, fmt: OutputFormat):
     raise FormatError(f"unknown format {fmt!r}")
 
 
-def decode_output(data, fmt: OutputFormat, length: int) -> np.ndarray:
-    """Invert :func:`encode_output` back to base codes."""
-    if fmt is OutputFormat.ASCII:
-        return seq.encode(data)
-    if fmt is OutputFormat.TWO_BIT:
-        return unpack_bits(data, 2, length)
-    if fmt is OutputFormat.THREE_BIT:
-        return unpack_bits(data, 3, length)
-    if fmt is OutputFormat.ONE_HOT:
-        return np.argmax(np.asarray(data), axis=1).astype(np.uint8)
-    raise FormatError(f"unknown format {fmt!r}")
-
-
 def bits_per_base(fmt: OutputFormat) -> float:
     """Output width per base, used by the hardware throughput model."""
     return {OutputFormat.ASCII: 8.0, OutputFormat.TWO_BIT: 2.0,

@@ -72,17 +72,3 @@ def tokenize(data: bytes, max_chain: int = 8) -> list[Token]:
             i += 1 + (run >> 6 if run > step_trigger else 0)
     tokens.append(Token(bytes(data[literal_start:n]), 0, 0))
     return tokens
-
-
-def detokenize(tokens: list[Token]) -> bytes:
-    """Reconstruct the original byte stream from LZ77 tokens."""
-    out = bytearray()
-    for token in tokens:
-        out.extend(token.literals)
-        if token.match_length:
-            start = len(out) - token.distance
-            if start < 0:
-                raise ValueError("match distance reaches before stream start")
-            for k in range(token.match_length):
-                out.append(out[start + k])
-    return bytes(out)

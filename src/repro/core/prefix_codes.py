@@ -63,11 +63,6 @@ class AssociationTable:
                        key=lambda i: (-counts[i], widths[i]))
         return cls(tuple(widths[i] for i in order))
 
-    @property
-    def max_width(self) -> int:
-        """Largest field width among the classes."""
-        return max(self.widths)
-
     @cached_property
     def widths_np(self) -> np.ndarray:
         """The class widths as an int64 array (vectorized lookups)."""
@@ -172,10 +167,3 @@ class AssociationTable:
         count = reader.read(3) + 1
         widths = tuple(reader.read(6) for _ in range(count))
         return cls(widths)
-
-
-def unary_code_length(class_index: int) -> int:
-    """Length in bits of the unary code for a class index."""
-    if class_index < 0:
-        raise ValueError("class index must be non-negative")
-    return class_index + 1

@@ -25,13 +25,6 @@ _TABLE_HEADER_BITS = 3
 _TABLE_ENTRY_BITS = 6
 
 
-def bit_count(value: int) -> int:
-    """Number of bits needed to store ``value`` (0 needs 1 bit)."""
-    if value < 0:
-        raise ValueError("values must be non-negative")
-    return max(1, int(value).bit_length())
-
-
 def bit_count_histogram(values: np.ndarray | list[int],
                         max_bits: int = 32) -> np.ndarray:
     """Histogram ``H[b]`` of how many values need exactly ``b`` bits.
@@ -154,9 +147,3 @@ def tune_values(values: np.ndarray | list[int],
     """Convenience wrapper: histogram then :func:`tune`."""
     return tune(bit_count_histogram(values), epsilon=epsilon,
                 max_classes=max_classes)
-
-
-def tune_exhaustive(hist: np.ndarray,
-                    max_classes: int = MAX_CLASSES) -> TuningResult:
-    """Reference implementation without the ε early exit (for tests)."""
-    return tune(hist, epsilon=-1.0, max_classes=max_classes)

@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from . import sequence as seq
-from .reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet, run_index
+from .reads import PHRED_OFFSET, PLACEHOLDER_SCORE, ReadSet, run_index
 
 
 #: Bases :func:`write` renders in one vectorized pass (a 1024 x 100 bp
@@ -146,14 +146,6 @@ def iter_read_sets(path: str | Path,
         raise ValueError("block_reads must be >= 1")
     with open(path, "rb") as handle:
         yield from _read_sets(handle, block_reads, Path(path).stem)
-
-
-def format_read(read: Read, index: int = 0) -> str:
-    """Render one read as a FASTQ record (:func:`write` renders blocks)."""
-    header = read.header or f"read{index}"
-    qual = read.quality_text if read.quality is not None \
-        else chr(PLACEHOLDER_SCORE + PHRED_OFFSET) * len(read)
-    return f"@{header}\n{read.text}\n+\n{qual}\n"
 
 
 def write(read_set: ReadSet, first_index: int = 0) -> str:

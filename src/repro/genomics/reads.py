@@ -68,19 +68,6 @@ class Read:
             raise ValueError("read has no quality scores")
         return (self.quality + PHRED_OFFSET).tobytes().decode("ascii")
 
-    @classmethod
-    def from_text(cls, bases: str, quality: str | None = None,
-                  header: str = "") -> "Read":
-        """Build a read from a base string and optional Phred+33 string."""
-        codes = seq.encode(bases)
-        qual = None
-        if quality is not None:
-            raw = np.frombuffer(quality.encode("ascii"), dtype=np.uint8)
-            if (raw < PHRED_OFFSET).any():
-                raise ValueError("quality string has characters below '!'")
-            qual = (raw - PHRED_OFFSET).astype(np.uint8)
-        return cls(codes=codes, quality=qual, header=header)
-
     def reverse_complement(self) -> "Read":
         """Reverse-complemented copy (quality reversed alongside)."""
         qual = None if self.quality is None else self.quality[::-1].copy()
@@ -223,10 +210,6 @@ class ReadSet:
         ``map_batch`` takes.  No :class:`Read` is built."""
         bounds = self.offsets.tolist()
         return [self.codes[s:e] for s, e in zip(bounds, bounds[1:])]
-
-    def uncompressed_dna_bytes(self) -> int:
-        """Size of the DNA payload stored as 1 ASCII byte per base."""
-        return self.total_bases
 
     def uncompressed_fastq_bytes(self) -> int:
         """Approximate FASTQ size: header + bases + separator + qualities."""

@@ -35,13 +35,6 @@ class DonorGenome:
     sequence: np.ndarray
     variants: list[Variant] = field(default_factory=list)
 
-    @property
-    def variant_density(self) -> float:
-        """Variants per reference base."""
-        if self.reference.size == 0:
-            return 0.0
-        return len(self.variants) / self.reference.size
-
 
 def make_reference(length: int, rng: np.random.Generator,
                    gc_content: float = 0.42) -> np.ndarray:

@@ -91,15 +91,6 @@ def random_sequence(length: int, rng: np.random.Generator,
     return rng.choice(N_BASES, size=length, p=probs).astype(np.uint8)
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Hamming distance between two equal-length code arrays."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError("sequences must have equal length")
-    return int(np.count_nonzero(a != b))
-
-
 def kmer_codes(codes: np.ndarray, k: int) -> np.ndarray:
     """Pack every k-mer of an A/C/G/T sequence into a ``uint64`` value.
 

@@ -15,10 +15,8 @@ Non-genomic files coexist through the vendor FTL path, untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ..core.container import SAGeArchive
-from ..core.decompressor import SAGeDecompressor
 from ..core.formats import OutputFormat, bits_per_base, encode_output
 from ..genomics.reads import ReadSet
 from .sage_units import HardwareRunStats, SAGeHardwareModel
@@ -40,12 +38,6 @@ class ReadCommandResult:
     nand_time_s: float          # streaming the compressed bytes
     decode_time_s: float        # SU/RCU array time
     delivery_time_s: float      # formatted output over the external link
-
-    @property
-    def prepared_time_s(self) -> float:
-        """End-to-end preparation latency (stages overlap; max rules)."""
-        return max(self.nand_time_s, self.decode_time_s,
-                   self.delivery_time_s)
 
 
 @dataclass
@@ -117,39 +109,9 @@ class SAGeDevice:
             stats=stats, nand_time_s=nand_time,
             decode_time_s=decode_time, delivery_time_s=delivery_time)
 
-    def iter_batches(self, name: str,
-                     batch_reads: int = 4096) -> Iterator[ReadSet]:
-        """Stream decoded reads in batches (the pipeline's unit of work).
-
-        Decompressed batches feed the analysis system directly — they
-        are never written back to the SSD (§3.1).
-        """
-        archive = self._archives.get(name)
-        if archive is None:
-            raise DeviceError(f"no genomic file {name!r}")
-        if batch_reads < 1:
-            raise DeviceError(f"batch_reads must be >= 1, got {batch_reads!r}")
-        # Decode section by section: the blocks are the SSD's natural
-        # streaming unit (§5.3); batches are slices of their columns.
-        decoder = SAGeDecompressor(archive)
-        pending = ReadSet(name=name)
-        for index in range(archive.n_blocks):
-            pending = ReadSet.concat(
-                [pending, decoder.decompress_block(index, select="sequence")],
-                name=name)
-            cut = len(pending) - len(pending) % batch_reads
-            for lo in range(0, cut, batch_reads):
-                yield pending.subset(range(lo, lo + batch_reads))
-            pending = pending.subset(range(cut, len(pending)))
-        if len(pending):
-            yield pending
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def genomic_files(self) -> list[str]:
-        return sorted(self._archives)
 
     def layout_report(self, name: str) -> dict:
         """FTL placement summary for one genomic file."""

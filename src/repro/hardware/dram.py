@@ -24,14 +24,6 @@ class DRAMModel:
     capacity_bytes: float
     idle_power_w: float
 
-    @property
-    def peak_bandwidth(self) -> float:
-        return self.channels * self.channel_bandwidth_bytes_per_s
-
-    def effective_bandwidth(self, random_access: bool = False) -> float:
-        """Streaming gets peak; random access a fraction of it."""
-        return self.peak_bandwidth * (0.35 if random_access else 0.85)
-
 
 #: Host memory: 8-channel DDR4-3200 (EPYC 7742 class), 1.5 TB.
 HOST_DDR4 = DRAMModel("host DDR4-3200 x8", 8, 25.6e9, 1.5e12, 24.0)
@@ -43,8 +35,3 @@ SSD_INTERNAL_DRAM = DRAMModel("SSD internal LPDDR4 x1", 1, 4.26e9,
 
 #: Fraction of SSD DRAM available to anything but mapping metadata.
 SSD_DRAM_AVAILABLE_FRACTION = 0.05
-
-
-def ssd_dram_free_bytes(model: DRAMModel = SSD_INTERNAL_DRAM) -> float:
-    """Bytes of SSD DRAM actually available for data buffering."""
-    return model.capacity_bytes * SSD_DRAM_AVAILABLE_FRACTION

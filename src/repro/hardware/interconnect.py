@@ -20,12 +20,6 @@ class Link:
     bandwidth_bytes_per_s: float
     energy_pj_per_byte: float = 20.0
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to move ``nbytes`` across the link."""
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        return nbytes / self.bandwidth_bytes_per_s
-
     def transfer_energy(self, nbytes: float) -> float:
         """Joules to move ``nbytes`` across the link."""
         return nbytes * self.energy_pj_per_byte * 1e-12

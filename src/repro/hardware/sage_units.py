@@ -4,11 +4,13 @@ Three units per SSD channel: the Scan Unit (SU) walks the position and
 guide arrays through 8-bit shift registers; the Read Construction Unit
 (RCU) walks the consensus and MBTA, emitting one reconstructed base per
 cycle through a 150-bp chunk register; the Control Unit (CU) coordinates
-them.  The functional behaviour *is* the software reference decoder —
-this model runs its walk and derives cycle counts from the bits each
-stream reader consumed, so output equivalence with
-:class:`~repro.core.SAGeDecompressor` holds by construction and is
-asserted in tests.
+them.  The functional behaviour *is* the software decoder — this model
+decodes each block once through :class:`~repro.core.SAGeDecompressor`,
+so output equivalence holds by construction.  Cycle counts come from the
+bits each unit is charged, which are its streams' stored lengths: the
+reference walk consumes every stream in full (pinned by
+``test_reference_walk_ends_at_every_stream_end`` in
+``tests/test_hardware_units.py``).
 
 Throughput math (§8.2): the units run at 1 GHz and are deliberately
 faster than NAND streaming, so end-to-end decompression is bounded by
@@ -19,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..core.bitio import BitReader
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
-from ..core.formats import OutputFormat, bits_per_base
+from ..core.formats import OutputFormat
 from ..genomics.reads import ReadSet
 from . import area_power
 from .ssd import SSDModel
@@ -74,21 +73,6 @@ class HardwareThroughput:
     def effective_bases_per_s(self) -> float:
         return min(self.unit_bases_per_s, self.nand_bases_per_s)
 
-    @property
-    def effective_output_bytes_per_s(self) -> float:
-        return self.effective_bases_per_s \
-            * bits_per_base(self.output_format) / 8.0
-
-
-def _first_difference(a: np.ndarray | None,
-                      b: np.ndarray | None) -> int | None:
-    """Where two equal-length columns first disagree (``None``: they
-    are equal; a column only one side has disagrees at 0)."""
-    if a is None or b is None:
-        return None if a is b else 0
-    differing = np.flatnonzero(a != b)
-    return int(differing[0]) if differing.size else None
-
 
 class SAGeHardwareModel:
     """Per-channel SU/RCU/CU array attached to an SSD."""
@@ -108,12 +92,12 @@ class SAGeHardwareModel:
 
         Archives decode section by section — each block is an
         independent unit of work for a channel's SU/RCU array (§5.3) —
-        and the per-block accounting is summed.  The units *are* the
-        bit-serial reference walk: the reads come from the ``python``
-        kernel's block decode, and the bits each unit consumed are the
-        positions the same walk leaves its stream readers at.
+        and the per-block accounting is summed.  Each block is decoded
+        once, on the default decode kernel (``$SAGE_CODEC``); its units
+        are charged the stored length of every stream they walk, which
+        is exactly what the reference walk consumes.
         """
-        decoder = SAGeDecompressor(archive, codec="python")
+        decoder = SAGeDecompressor(archive)
         # The consensus is stored once and striped to every channel, so
         # its fetch is counted once; each block's RCU still walks it end
         # to end — sequentially, because a block's reads are sorted by
@@ -122,85 +106,32 @@ class SAGeHardwareModel:
         stats = HardwareRunStats(stream_bits={"consensus": consensus_bits})
         blocks: list[ReadSet] = []
         for index in range(archive.n_blocks):
-            readers = {
-                name: BitReader(payload, bits, name=name) for name,
-                (payload, bits) in archive.block(index).streams.items()}
-            codes = list(decoder.iter_read_codes(readers, index))
-            consumed = {name: reader.position
-                        for name, reader in readers.items()}
-            for name, bits in consumed.items():
-                stats.stream_bits[name] = \
-                    stats.stream_bits.get(name, 0) + bits
+            block = decoder.decompress_block(index)
+            bits = {name: archive.block(index).streams[name][1]
+                    for name in SU_STREAMS + RCU_STREAMS}
+            for name, n in bits.items():
+                stats.stream_bits[name] = stats.stream_bits.get(name, 0) + n
             # The RCU walks the consensus (2 bits per copied base) as it
             # reconstructs; charge the full output for the register
             # traffic.
-            output_bases = int(sum(c.size for c in codes))
-            su_cycles = -(-sum(consumed[s] for s in SU_STREAMS)
+            output_bases = int(block.offsets[-1])
+            su_cycles = -(-sum(bits[s] for s in SU_STREAMS)
                           // SU_BITS_PER_CYCLE)
             # RCU: scan MBTA/corner through an 8-bit register, emit bases
             # in 150-bp chunk copies (mismatch patches ride on the scan
             # cost).
-            rcu_bits = consensus_bits + sum(consumed[s]
-                                            for s in RCU_STREAMS)
+            rcu_bits = consensus_bits + sum(bits[s] for s in RCU_STREAMS)
             rcu_scan = -(-rcu_bits // SU_BITS_PER_CYCLE)
             rcu_emit = -(-output_bases // READ_REGISTER_BP)
             rcu_cycles = rcu_scan + rcu_emit
             stats.output_bases += output_bases
-            stats.n_reads += len(codes)
+            stats.n_reads += len(block)
             stats.su_cycles += su_cycles
             stats.rcu_cycles += rcu_cycles
             stats.total_cycles += (max(su_cycles, rcu_cycles)
-                                   + CU_CYCLES_PER_READ * len(codes))
-            blocks.append(decoder.decompress_block(index))
+                                   + CU_CYCLES_PER_READ * len(block))
+            blocks.append(block)
         return ReadSet.concat(blocks, name=archive.name), stats
-
-    # ------------------------------------------------------------------
-    # Validation against the software decoders
-    # ------------------------------------------------------------------
-
-    def verify(self, archive, *, options=None) -> bool:
-        """Check functional equivalence with the software decode path.
-
-        ``archive`` may be a :class:`SAGeArchive` or the
-        :class:`repro.api.SAGeDataset` facade — the software side always
-        decodes through the facade (the served path), so the functional
-        model and the service API cannot drift.  Runs the
-        cycle-accounted hardware decode and the (optionally parallel,
-        via ``options=EngineOptions(workers=...)``) streaming software
-        decode and compares base codes and quality scores column by
-        column, naming the first read that differs.
-        Returns ``True`` on success and raises
-        :class:`ValueError` on the first mismatch — equivalence is the
-        §5.2 contract that the SU/RCU walk *is* the reference decoder.
-        """
-        # Function-level: only this check sits on the facade, whose
-        # engines (pipeline.endtoend) import this package at module level.
-        from ..api.dataset import SAGeDataset
-        if isinstance(archive, SAGeDataset):
-            # Keep the caller's session (its options and cached
-            # decoder) unless an explicit override was given.
-            dataset = archive if options is None \
-                else SAGeDataset(archive.archive, options=options)
-        else:
-            dataset = SAGeDataset(archive, options=options)
-        hw_reads, _ = self.run(dataset.archive)
-        sw_reads = dataset.read_set()
-        if len(hw_reads) != len(sw_reads):
-            raise ValueError(
-                f"hardware model decoded {len(hw_reads)} reads, software "
-                f"decoder {len(sw_reads)}")
-        for what, column in (("base codes", "offsets"),
-                             ("base codes", "codes"),
-                             ("quality scores", "quality")):
-            at = _first_difference(getattr(hw_reads, column),
-                                   getattr(sw_reads, column))
-            if at is not None:
-                # offsets[i + 1] closes read i; flat element -> its read
-                read = at - 1 if column == "offsets" else int(
-                    np.searchsorted(hw_reads.offsets, at, "right")) - 1
-                raise ValueError(f"read {read}: {what} diverge between "
-                                 "hardware model and software decoder")
-        return True
 
     # ------------------------------------------------------------------
     # Rate model

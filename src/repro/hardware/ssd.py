@@ -4,11 +4,10 @@ The timing side feeds the pipeline simulator (MQSim-class inputs): internal
 streaming bandwidth is the per-channel min(sense rate, bus rate) times the
 channel count; external reads are additionally capped by the host link.
 
-The functional side models the FTL changes SAGe needs: genomic files are
+The functional side models the FTL change SAGe needs: genomic files are
 striped round-robin across channels with *equal page offsets in the active
-blocks* so multi-plane reads engage every channel, and garbage collection
-relocates whole parallel units in original write order, preserving the
-alignment invariant.  Non-genomic data uses the baseline allocation path.
+blocks* so multi-plane reads engage every channel.  Non-genomic data uses
+the baseline allocation path.
 """
 
 from __future__ import annotations
@@ -64,11 +63,6 @@ class SSDModel:
         return min(self.internal_read_bandwidth,
                    self.external.bandwidth_bytes_per_s)
 
-    def read_time(self, nbytes: float, internal: bool = False) -> float:
-        bandwidth = (self.internal_read_bandwidth if internal
-                     else self.external_read_bandwidth)
-        return self.nand.read_latency_s + nbytes / bandwidth
-
 
 def pcie_ssd(channels: int = 8) -> SSDModel:
     """Performance-optimized PCIe SSD (PM1735 class)."""
@@ -101,7 +95,7 @@ class FTLError(RuntimeError):
 
 
 class SAGeFTL:
-    """Functional FTL with genomic striping and grouped GC."""
+    """Functional FTL with genomic striping."""
 
     def __init__(self, channels: int = 8,
                  nand: NANDConfig | None = None):
@@ -207,7 +201,7 @@ class SAGeFTL:
                             "pages": placements}
 
     def delete(self, name: str) -> None:
-        """Invalidate a file's pages (GC reclaims them later)."""
+        """Invalidate a file's pages."""
         info = self.files.pop(name, None)
         if info is None:
             raise FTLError(f"no such file {name!r}")
@@ -250,47 +244,3 @@ class SAGeFTL:
         n_stripes = (n_pages + self.channels - 1) // self.channels
         return n_pages / max(1, n_stripes)
 
-    # -- garbage collection ----------------------------------------------
-
-    def gc_genomic_unit(self, block: int) -> int:
-        """Grouped GC: relocate every valid page of a parallel unit.
-
-        Valid stripes are rewritten in their original logical order to a
-        fresh parallel unit, preserving the alignment invariant.  Returns
-        the number of pages moved.
-        """
-        if block not in self._genomic_blocks:
-            raise FTLError(f"block {block} is not a genomic parallel unit")
-        victims: list[tuple[str, int]] = []
-        for channel in range(self.channels):
-            for page in range(self.nand.pages_per_block):
-                slot = self.blocks[channel][block][page]
-                if slot.valid:
-                    victims.append((slot.file, slot.logical_index))
-                slot.file = None
-                slot.valid = False
-                slot.logical_index = -1
-        self._genomic_blocks.discard(block)
-        if self._stripe_block == block:
-            self._stripe_block = None  # the cursor pointed into the victim
-
-        # Rewrite per file, stripe by stripe, in logical order.
-        moved = 0
-        files: dict[str, list[int]] = {}
-        for fname, logical in victims:
-            files.setdefault(fname, []).append(logical)
-        for fname, logicals in files.items():
-            info = self.files[fname]
-            info["pages"] = [
-                p for p in info["pages"]
-                if self.blocks[p[0]][p[1]][p[2]].valid
-                and self.blocks[p[0]][p[1]][p[2]].file == fname]
-            logicals.sort()
-            for i, logical in enumerate(logicals):
-                channel = logical % self.channels
-                if i == 0 or channel == 0:
-                    new_block, new_page = self._alloc_stripe()
-                self._place(fname, logical, channel, new_block, new_page,
-                            info["pages"])
-                moved += 1
-        return moved

@@ -19,11 +19,6 @@ from ..genomics import sequence as seq
 from ..genomics.reads import ReadSet
 
 
-def reference_consensus(reference: np.ndarray) -> np.ndarray:
-    """Reference mode: the consensus is the supplied reference."""
-    return np.asarray(reference, dtype=np.uint8)
-
-
 def _count_kmers(read_set: ReadSet, k: int) -> Counter:
     counts: Counter = Counter()
     sentinel = int(np.uint64(1) << np.uint64(2 * k))

@@ -39,7 +39,6 @@ class PrepTool:
     reads_quality: bool = False      # must fetch+decode quality streams
     working_set_bytes: float = 0.0   # decode working set (Table 3)
     cpu_threads_fraction: float = 0.0  # share of the 128-core host busy
-    saturation_threads: int = 32     # thread count where scaling stops
 
     def software_rate(self, long_reads: bool) -> float:
         """Decode rate at the best-performing thread count (§7)."""
@@ -50,28 +49,12 @@ class PrepTool:
         return self.long_bases_per_s if long_reads \
             else self.short_bases_per_s
 
-    def software_rate_at(self, threads: int,
-                         long_reads: bool = False) -> float:
-        """Decode rate at a given thread count.
-
-        Models §3.2's observation: random-access-heavy genomic
-        decompressors saturate main-memory bandwidth at ~32 threads on
-        an 8-channel host, pigz decode is serial-dominated (~2 useful
-        threads), and SAGe's streaming software decode keeps scaling.
-        """
-        if threads < 1:
-            raise ValueError("need at least one thread")
-        peak = self.software_rate(long_reads)
-        effective = min(threads, self.saturation_threads)
-        return peak * effective / self.saturation_threads
-
 
 #: pigz: block-parallel compress, serial-dominated decode; must decode
 #: the full FASTQ text (bases + quality interleaved).
 PIGZ = PrepTool("pigz", "software", short_bases_per_s=0.35 * GB,
                 long_bases_per_s=0.35 * GB, reads_quality=True,
-                working_set_bytes=0.5 * GB, cpu_threads_fraction=0.15,
-                saturation_threads=2)
+                working_set_bytes=0.5 * GB, cpu_threads_fraction=0.15)
 
 #: Spring / NanoSpring: 0.7 GB/s-class decode, 26 GB working set,
 #: random-access heavy (saturates at 32 threads / 8 DRAM channels).
@@ -87,7 +70,7 @@ NSPRAC = PrepTool("(N)SprAC", "software", short_bases_per_s=1.56 * GB,
 #: SAGe's algorithm in software on the host (§8.1 SAGeSW).
 SAGESW = PrepTool("SAGeSW", "software", short_bases_per_s=2.6 * GB,
                   long_bases_per_s=1.7 * GB, working_set_bytes=0.2 * GB,
-                  cpu_threads_fraction=0.30, saturation_threads=64)
+                  cpu_threads_fraction=0.30)
 
 #: Idealized zero-time decompressor (§7 baseline iv).
 ZERO_TIME = PrepTool("0TimeDec", "ideal")

@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic datasets, cached per session."""
+"""Shared fixtures (small deterministic datasets, cached per session)
+and the reference oracles the library's vectorized paths are held to."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import SAGeConfig
+from repro.core.formats import FormatError, OutputFormat, unpack_bits
 from repro.genomics import datasets
-from repro.genomics.reads import ReadSet
+from repro.genomics import sequence as seq
+from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
 from repro.genomics.simulator import ReadSimulator, short_read_profile
 
 #: Every optional container section switched on and off — the sweep of
@@ -80,6 +83,16 @@ def read_multiset(read_set):
     return sorted(out)
 
 
+def assert_same_columns(got, want):
+    """Two read sets hold the same reads in the same order, column by
+    column: read boundaries, base codes and quality scores."""
+    assert np.array_equal(got.offsets, want.offsets)
+    assert np.array_equal(got.codes, want.codes)
+    assert (got.quality is None) == (want.quality is None)
+    if got.quality is not None:
+        assert np.array_equal(got.quality, want.quality)
+
+
 def chunked(read_set, n):
     """``read_set`` as consecutive ``n``-read chunks (the last may be
     shorter), each a column view: ``read_set.subset(range(lo, hi))``."""
@@ -96,3 +109,47 @@ def decode_blocks(decoder):
     return ReadSet([read for index in range(decoder.archive.n_blocks)
                     for read in decoder.decompress_block(index)],
                    name=decoder.archive.name or "sage")
+
+
+def read_from_text(bases, quality=None, header=""):
+    """One :class:`Read` from a base string and an optional Phred+33
+    string — the per-record oracle the block FASTQ parser is held to."""
+    scores = None if quality is None else \
+        np.frombuffer(quality.encode("ascii"), np.uint8) - PHRED_OFFSET
+    return Read(seq.encode(bases), scores, header)
+
+
+def format_read(read, index=0):
+    """One read as a FASTQ record — the per-record oracle
+    :func:`repro.genomics.fastq.write` is held to."""
+    header = read.header or f"read{index}"
+    qual = read.quality_text if read.quality is not None \
+        else chr(PLACEHOLDER_SCORE + PHRED_OFFSET) * len(read)
+    return f"@{header}\n{read.text}\n+\n{qual}\n"
+
+
+def decode_output(data, fmt, length):
+    """Invert :func:`repro.core.formats.encode_output` back to codes."""
+    if fmt is OutputFormat.ASCII:
+        return seq.encode(data)
+    if fmt is OutputFormat.TWO_BIT:
+        return unpack_bits(data, 2, length)
+    if fmt is OutputFormat.THREE_BIT:
+        return unpack_bits(data, 3, length)
+    if fmt is OutputFormat.ONE_HOT:
+        return np.argmax(np.asarray(data), axis=1).astype(np.uint8)
+    raise FormatError(f"unknown format {fmt!r}")
+
+
+def detokenize(tokens):
+    """The byte stream LZ77 ``tokens`` stand for — the oracle
+    :func:`repro.core.lz77.tokenize` is held to."""
+    out = bytearray()
+    for token in tokens:
+        out.extend(token.literals)
+        start = len(out) - token.distance
+        if token.match_length and start < 0:
+            raise ValueError("match distance reaches before stream start")
+        for k in range(token.match_length):
+            out.append(out[start + k])
+    return bytes(out)

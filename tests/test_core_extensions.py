@@ -1,5 +1,5 @@
-"""Tests for codec extensions: order preservation, headers, tuned indel
-lengths, and the thread-scaling model."""
+"""Tests for codec extensions: order preservation, headers and tuned
+indel lengths."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core import (OptLevel, SAGeCompressor, SAGeConfig,
                         SAGeDecompressor)
 from repro.core.container import SAGeArchive
 from repro.core.headers import compress_headers, decompress_headers
-from repro.pipeline.configs import NSPR, PIGZ, SAGESW
 
 
 def roundtrip(read_set, reference, **kwargs):
@@ -127,22 +126,3 @@ class TestTunedIndelLengths:
                                tuned_indel_lengths=True)
         assert "indel" not in archive.block(0).tables
 
-
-class TestThreadScaling:
-    def test_spring_saturates_at_32(self):
-        assert NSPR.software_rate_at(32) == NSPR.software_rate_at(64)
-        assert NSPR.software_rate_at(16) \
-            == pytest.approx(NSPR.software_rate_at(32) / 2)
-
-    def test_pigz_serial_decode(self):
-        assert PIGZ.software_rate_at(2) == PIGZ.software_rate_at(128)
-        assert PIGZ.software_rate_at(1) \
-            == pytest.approx(PIGZ.software_rate_at(2) / 2)
-
-    def test_sagesw_scales_further(self):
-        assert SAGESW.software_rate_at(64) \
-            > SAGESW.software_rate_at(32) * 1.9
-
-    def test_invalid_threads(self):
-        with pytest.raises(ValueError):
-            NSPR.software_rate_at(0)

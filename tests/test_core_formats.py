@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.formats import (FormatError, OutputFormat, bits_per_base,
-                                decode_output, encode_output, pack_bits,
+                                encode_output, pack_bits,
                                 unpack_bits)
 from repro.genomics import sequence as seq
+from tests.conftest import decode_output
 
 acgt_codes = st.lists(st.integers(min_value=0, max_value=3), min_size=0,
                       max_size=300).map(

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bitio import BitReader, BitWriter
-from repro.core.prefix_codes import (MAX_CLASSES, AssociationTable,
-                                     unary_code_length)
+from repro.core.prefix_codes import MAX_CLASSES, AssociationTable
 
 
 class TestValidation:
@@ -50,9 +49,6 @@ class TestClassSelection:
     def test_from_histogram_orders_by_frequency(self):
         table = AssociationTable.from_histogram([2, 5, 8], [10, 500, 3])
         assert table.widths == (5, 2, 8)
-
-    def test_max_width(self):
-        assert AssociationTable((3, 7, 5)).max_width == 7
 
 
 class TestEncodeDecode:
@@ -107,7 +103,10 @@ class TestSerialization:
 
 
 def test_unary_code_length():
-    assert unary_code_length(0) == 1
-    assert unary_code_length(3) == 4
-    with pytest.raises(ValueError):
-        unary_code_length(-1)
+    # Class i's guide code is i ones and a terminating zero.
+    table = AssociationTable((2, 4, 6, 8))
+    for index, value in enumerate((3, 15, 63, 255)):
+        guide, array = BitWriter(), BitWriter()
+        table.encode(value, guide, array)
+        assert guide.bit_length == index + 1
+        assert table.encoded_bits(value) == index + 1 + table.widths[index]

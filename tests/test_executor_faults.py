@@ -9,11 +9,10 @@ import pytest
 from repro.api import EngineOptions, SAGeDataset
 from repro.core.container import SAGeArchive
 from repro.core.errors import BlockDecodeError, SAGeError
-from repro.genomics import fastq
 from repro.pipeline.executor import (BlockGap, CollectSink, FastqSink,
                                      StreamExecutor)
 
-from tests.conftest import read_multiset
+from tests.conftest import format_read, read_multiset
 
 BLOCK_READS = 24
 BAD_BLOCK = 2
@@ -145,7 +144,7 @@ class TestSinksAcrossGaps:
             block = roundtrip.decode_block(i)
             if i != BAD_BLOCK:
                 for j, read in enumerate(block):
-                    expected.write(fastq.format_read(read, base + j))
+                    expected.write(format_read(read, base + j))
             base += len(block)
         assert buffer.getvalue() == expected.getvalue()
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.genomics import fastq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.sequence import SequenceError
+from tests.conftest import format_read, read_from_text
 
 SAMPLE = "@r1\nACGT\n+\nIIII\n@r2\nTTGCA\n+\n!!!!!\n"
 
@@ -104,7 +105,7 @@ def _reference_parser(text):
         plus = stream.readline().rstrip("\r\n")
         quality = stream.readline().rstrip("\r\n")
         assert plus.startswith("+") and len(quality) == len(bases)
-        reads.append(Read.from_text(bases, quality, header=header[1:]))
+        reads.append(read_from_text(bases, quality, header=header[1:]))
 
 
 def _same_columns(got, want):
@@ -175,18 +176,18 @@ class TestWrite:
         assert fastq.write(rs) == SAMPLE
 
     def test_placeholder_quality(self):
-        rs = ReadSet([Read.from_text("ACG", header="q")])
+        rs = ReadSet([read_from_text("ACG", header="q")])
         text = fastq.write(rs)
         assert text == "@q\nACG\n+\nIII\n"
 
     def test_header_generated_when_missing(self):
-        rs = ReadSet([Read.from_text("A", "J")])
+        rs = ReadSet([read_from_text("A", "J")])
         assert fastq.write(rs).startswith("@read0\n")
 
 
 def _oracle(read_set, first_index=0):
     """The per-record renderer: what the block renderer must equal."""
-    return "".join(fastq.format_read(read, first_index + i)
+    return "".join(format_read(read, first_index + i)
                    for i, read in enumerate(read_set))
 
 
@@ -200,8 +201,8 @@ _reads = st.lists(st.tuples(
 def _read_set(spec, score_seed=0):
     rng = np.random.default_rng(score_seed)
     return ReadSet([
-        Read.from_text(bases, header=header) if not scored else Read(
-            Read.from_text(bases).codes,
+        read_from_text(bases, header=header) if not scored else Read(
+            read_from_text(bases).codes,
             rng.integers(0, 61, len(bases)).astype(np.uint8), header)
         for bases, scored, header in spec], name="h")
 
@@ -234,8 +235,8 @@ class TestBlockRenderer:
         assert fastq.write(ReadSet()) == ""
 
     def test_mixed_scores_take_the_placeholder_per_read(self):
-        rs = ReadSet([Read.from_text("AC", "!5", header="a"),
-                      Read.from_text("GT", header="b")])
+        rs = ReadSet([read_from_text("AC", "!5", header="a"),
+                      read_from_text("GT", header="b")])
         assert fastq.write(rs) == "@a\nAC\n+\n!5\n@b\nGT\n+\nII\n"
 
     def test_out_of_range_code_raises(self):

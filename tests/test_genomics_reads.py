@@ -5,13 +5,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import (PHRED_OFFSET, PLACEHOLDER_SCORE, Read,
                                   ReadSet)
+from tests.conftest import read_from_text
 
 
 def _read(bases="ACGT", qual=None, header="r"):
-    return Read.from_text(bases, qual, header=header)
+    return read_from_text(bases, qual, header=header)
 
 
 class TestRead:
@@ -27,7 +29,7 @@ class TestRead:
 
     def test_quality_below_offset_rejected(self):
         with pytest.raises(ValueError):
-            Read.from_text("AC", quality="I\x20")
+            fastq.parse("@r\nAC\n+\nI\x20\n")
 
     def test_no_quality_access(self):
         with pytest.raises(ValueError):
@@ -100,7 +102,7 @@ class TestReadSet:
         assert ReadSet().is_fixed_length
 
     def test_fastq_size_estimate(self):
-        rs = ReadSet([Read.from_text("ACGT", "IIII", header="x")])
+        rs = ReadSet([read_from_text("ACGT", "IIII", header="x")])
         # "@x\nACGT\n+\nIIII\n" = 15 bytes
         assert rs.uncompressed_fastq_bytes() == 15
 
@@ -187,7 +189,6 @@ class TestBatchBackedReadSet:
         assert rs.read_lengths().tolist() == [4, 5, 1]
         assert rs.has_quality
         assert not rs.is_fixed_length
-        assert rs.uncompressed_dna_bytes() == 10
         sub = rs.subset(range(1, 3))
         per_read = rs.read_codes()       # what a mapper's map_batch takes
         assert [c.tolist() for c in per_read] \

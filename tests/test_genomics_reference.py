@@ -64,7 +64,8 @@ class TestMakeDonor:
         rng = np.random.default_rng(1)
         ref = make_reference(60_000, rng)
         donor = make_donor(ref, rng, snp_rate=0.002, indel_rate=0.0002)
-        assert 0.0010 < donor.variant_density < 0.0040
+        density = len(donor.variants) / ref.size
+        assert 0.0010 < density < 0.0040
 
     def test_donor_differs_but_is_similar(self):
         rng = np.random.default_rng(2)

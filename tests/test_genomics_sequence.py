@@ -82,21 +82,6 @@ class TestRandomSequence:
             seq.random_sequence(10, rng, gc_content=1.5)
 
 
-class TestHamming:
-    def test_known(self):
-        assert seq.hamming_distance(seq.encode("ACGT"),
-                                    seq.encode("ACCT")) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            seq.hamming_distance(seq.encode("AC"), seq.encode("ACG"))
-
-    @given(acgt_text)
-    def test_zero_to_self(self, text):
-        codes = seq.encode(text)
-        assert seq.hamming_distance(codes, codes) == 0
-
-
 class TestKmerCodes:
     def test_values_match_manual_packing(self):
         codes = seq.encode("ACGTA")

@@ -84,9 +84,8 @@ class TestFullSystemFlow:
                                  SAGeConfig(with_quality=False)) \
             .compress(rs2_small.read_set)
         device.sage_write("cohort1.sage", archive)
-        assert set(device.genomic_files()) >= {"cohort0.sage",
-                                               "cohort1.sage"}
-        assert device.layout_report("cohort1.sage")["aligned"]
+        for name in ("cohort0.sage", "cohort1.sage"):
+            assert device.layout_report(name)["aligned"]
         result = device.sage_read("cohort1.sage", materialize=False)
         assert len(result.reads) == len(rs2_small.read_set)
         device.delete("cohort1.sage")

@@ -635,9 +635,12 @@ def options_a_caller_sets(source, where):
 #: Names that stay deleted: the sink registry's functions and factory
 #: type (the built-in sinks are a fixed table; a custom sink is piped as
 #: an object), the ``Read``-object chunker (chunks are
-#: ``ReadSet.subset`` views) and the SAM renderer nothing called.
+#: ``ReadSet.subset`` views), the SAM renderer nothing called, and the
+#: FTL's grouped GC, the device's batch iterator and the thread-scaling
+#: rate that only tests called.
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
-                       "SinkFactory", "partition_reads", "samlike"}
+                       "SinkFactory", "partition_reads", "samlike",
+                       "gc_genomic_unit", "iter_batches", "software_rate_at"}
 
 
 def deleted_stay_deleted(source, where):
@@ -656,6 +659,102 @@ def deleted_stay_deleted(source, where):
         offenders += [f"{where}:{node.lineno} defines {name}"
                       for name in sorted(names & DELETED_DEFINITIONS)]
     return offenders
+
+
+def hardware_decodes_once(source, where):
+    """The hardware model is one session decode per block: nothing
+    under ``hardware/`` opens stream readers of its own (imports
+    ``BitReader``), pins a decode kernel (passes ``codec=``) or defines
+    a second equivalence check (``verify``), and the reference walk
+    takes no caller-supplied readers (``iter_read_codes(readers=)``)."""
+    in_hardware = where.startswith("src/repro/hardware/")
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, FUNCTIONS) and node.name == "iter_read_codes" \
+                and "readers" in _parameters(node):
+            offenders.append(f"{where}:{node.lineno} iter_read_codes(readers=")
+        if not in_hardware:
+            continue
+        if isinstance(node, ast.alias) \
+                and node.name.rpartition(".")[2] == "BitReader":
+            offenders.append(f"{where}:{node.lineno} imports BitReader")
+        elif isinstance(node, ast.Call) \
+                and any(keyword.arg == "codec" for keyword in node.keywords):
+            offenders.append(f"{where}:{node.lineno} passes codec=")
+        elif isinstance(node, FUNCTIONS) and node.name == "verify":
+            offenders.append(f"{where}:{node.lineno} defines verify")
+    return offenders
+
+
+# ----------------------------------------------------------------------
+# Nothing in src/ only the tests call: every public function,
+# class or method defined under src/ is named somewhere in the code that
+# uses the package — src/ itself (the CLI included), bench/,
+# benchmarks/ or examples/ — other than at its own definition.  An
+# oracle a fast path is held to lives under tests/ (``conftest.py``);
+# a helper only tests called is deleted with them.  Unlike the
+# per-file contracts this one reads a whole tree.
+# ----------------------------------------------------------------------
+
+#: Where code that uses the package lives.
+CALLER_ROOTS = ("src", "bench", "benchmarks", "examples")
+
+#: site -> why a definition only tests name stays in ``src/``.
+SANCTIONED_TEST_ONLY = {
+    "src/repro/api/dataset.py::SAGeDataset.closed":
+        "the session's public lifecycle flag, read by a caller after "
+        "close() the way a file object's closed is; nothing inside the "
+        "package needs to ask",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _names_used(tree):
+    """Every identifier a module names outside a definition: loaded or
+    stored names, attributes, imported names, and identifier-like
+    strings (``__all__`` entries, ``getattr`` hooks)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _IDENTIFIER.match(node.value):
+            yield node.value
+
+
+def _public_definitions(tree, where):
+    """``(site, node)`` for each public module-level function or class
+    and each public method, classes nested at any depth."""
+    def walk(body, owner):
+        for item in body:
+            if isinstance(item, FUNCTIONS + (ast.ClassDef,)) \
+                    and not item.name.startswith("_"):
+                yield f"{where}::{owner}{item.name}", item
+            if isinstance(item, ast.ClassDef):
+                yield from walk(item.body, f"{owner}{item.name}.")
+    return walk(tree.body, "")
+
+
+def definitions_have_a_caller(root=ROOT, sanctioned=SANCTIONED_TEST_ONLY):
+    """Public definitions under ``root/src`` that nothing in
+    :data:`CALLER_ROOTS` names, and allow-list entries that are not
+    such a definition (the list is exact)."""
+    trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text())
+             for caller in CALLER_ROOTS
+             for path in sorted((root / caller).rglob("*.py"))}
+    named = {name for tree in trees.values() for name in _names_used(tree)}
+    uncalled = {site: node.lineno
+                for where, tree in trees.items() if where.startswith("src/")
+                for site, node in _public_definitions(tree, where)
+                if node.name not in named}
+    return [f"{site} (line {line}) has no caller outside tests/"
+            for site, line in uncalled.items() if site not in sanctioned] \
+        + [f"{site} is sanctioned but has a caller or is gone"
+           for site in sanctioned if site not in uncalled]
 
 
 # ----------------------------------------------------------------------
@@ -1368,6 +1467,86 @@ class TestOptionsThreadingEdges:
                     return None
             """, "src/repro/core/compressor.py") == []
 
+
+    def test_hardware_decodes_once(self):
+        """The hardware model decodes each block once, on the session's
+        kernel, and its equivalence check, the FTL's GC, the device's
+        batch iterator and the thread-scaling rate stay deleted
+        (``hardware_decodes_once``, ``deleted_stay_deleted``)."""
+        assert on_tree(hardware_decodes_once, "src") == []
+        for violating, where in (
+                ("from ..core.bitio import BitReader\n",
+                 "src/repro/hardware/sage_units.py"),
+                ("decoder = SAGeDecompressor(archive, codec='python')\n",
+                 "src/repro/hardware/sage_units.py"),
+                ("""\
+                 class SAGeHardwareModel:
+                     def verify(self, archive):
+                         return True
+                 """, "src/repro/hardware/sage_units.py"),
+                ("""\
+                 class SAGeDecompressor:
+                     def iter_read_codes(self, readers=None, index=0):
+                         return iter(())
+                 """, "src/repro/core/decompressor.py")):
+            assert on_snippet(hardware_decodes_once, violating,
+                              where) != [], violating
+        # The kernel layer may name a kernel; the facade may verify.
+        assert on_snippet(hardware_decodes_once,
+                          "decoder = SAGeDecompressor(archive, "
+                          "codec='python')\n",
+                          "src/repro/core/kernels.py") == []
+        assert on_snippet(hardware_decodes_once, """\
+            class SAGeDataset:
+                def verify(self, *, deep=False):
+                    return None
+            """, "src/repro/api/dataset.py") == []
+        for name in ("gc_genomic_unit", "iter_batches", "software_rate_at"):
+            assert on_snippet(deleted_stay_deleted,
+                              f"def {name}(self, *args):\n    pass\n",
+                              "src/repro/hardware/device.py") != [], name
+
+    def test_definitions_have_a_caller(self, tmp_path):
+        """Code only tests call does not live in ``src/``: an oracle
+        moves to ``tests/``, anything else goes
+        (``definitions_have_a_caller``)."""
+        assert definitions_have_a_caller() == []
+        assert len(SANCTIONED_TEST_ONLY) <= 3
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "model.py").write_text(textwrap.dedent("""\
+            def helper():
+                return _checked()
+
+
+            def _checked():
+                return 1
+
+
+            class Model:
+                def run(self):
+                    return helper()
+
+                def verify(self):
+                    return True
+            """))
+        (tmp_path / "examples").mkdir()
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from pkg.model import Model\nModel().run()\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_model.py").write_text(
+            "from pkg.model import Model\nassert Model().verify()\n")
+        # A test is no caller; a private helper is not in scope.
+        assert definitions_have_a_caller(tmp_path, {}) == [
+            "src/pkg/model.py::Model.verify (line 13) has no caller "
+            "outside tests/"]
+        site = "src/pkg/model.py::Model.verify"
+        assert definitions_have_a_caller(tmp_path, {site: "why"}) == []
+        # The allow-list is exact: an entry that has a caller is stale.
+        assert definitions_have_a_caller(
+            tmp_path, {site: "why", "src/pkg/model.py::helper": "why"}) \
+            == ["src/pkg/model.py::helper is sanctioned but has a caller "
+                "or is gone"]
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):

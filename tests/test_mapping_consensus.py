@@ -2,15 +2,20 @@
 
 import numpy as np
 
+from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
 from repro.genomics import sequence as seq
 from repro.mapping import ReadMapper
-from repro.mapping.consensus import denovo_consensus, reference_consensus
+from repro.mapping.consensus import denovo_consensus
 
 
 class TestReferenceMode:
-    def test_passthrough(self):
-        ref = seq.encode("ACGTACGT")
-        assert np.array_equal(reference_consensus(ref), ref)
+    def test_passthrough(self, rs3_small):
+        # Reference mode: the archive's consensus is the supplied
+        # reference, base for base.
+        ref = rs3_small.reference
+        archive = SAGeCompressor(ref, SAGeConfig(with_quality=False)) \
+            .compress(rs3_small.read_set)
+        assert np.array_equal(SAGeDecompressor(archive).consensus, ref)
 
 
 class TestDenovo:

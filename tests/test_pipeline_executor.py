@@ -14,7 +14,7 @@ from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
                                      StreamExecutor)
 
-from tests.conftest import decode_blocks, read_multiset
+from tests.conftest import decode_blocks, format_read, read_multiset
 
 BLOCK_READS = 16
 
@@ -114,7 +114,7 @@ class TestStreamExecutor:
     def test_stream_read_sets_wrapper(self, blocked, serial_text):
         sets = list(StreamExecutor(blocked,
                                    options=EngineOptions(workers=2)))
-        text = "".join(fastq.format_read(r, 0)
+        text = "".join(format_read(r, 0)
                        for s in sets for r in s)
         assert text == serial_text
 
@@ -124,7 +124,7 @@ class TestDecompressorIntegration:
         sets = list(SAGeDataset(
             blocked, options=EngineOptions(workers=2)).blocks())
         assert len(sets) == blocked.n_blocks
-        text = "".join(fastq.format_read(r, 0)
+        text = "".join(format_read(r, 0)
                        for s in sets for r in s)
         assert text == serial_text
 
