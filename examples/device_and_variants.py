@@ -44,7 +44,8 @@ def main() -> None:
     # Downstream analysis: map, call variants.
     reads = result.reads
     evidence = pileup(reads, sim.reference)
-    calls = call_variants(reads, sim.reference, min_alt_fraction=0.7)
+    calls = call_variants(reads, sim.reference, min_alt_fraction=0.7,
+                          evidence=evidence)
     print(f"variant calling: {len(calls)} sites over "
           f"{sim.reference.size:,} consensus bases")
 

@@ -16,9 +16,10 @@ import numpy as np
 
 from ..core.options import EngineOptions
 from ..core.tuning import bit_count_histogram
-from ..genomics.reads import ReadSet
+from ..genomics.reads import ReadSet, run_index
 from ..mapping import MapperConfig, make_mapper
-from ..mapping.alignment import DEL, INS
+from ..mapping.alignment import SUB
+from ..mapping.mapper import OP_KINDS
 
 
 @dataclass
@@ -93,48 +94,54 @@ class PropertyAccumulator:
                  options: EngineOptions | None = None):
         self._mapper = make_mapper(options.mapper if options else None,
                                    reference, mapper_config)
-        self._pos_deltas: list[int] = []
-        self._counts: list[int] = []
-        self._indel_lengths: list[int] = []
-        self._first_positions: list[int] = []
+        self._pos_deltas: list[np.ndarray] = []
+        self._counts: list[np.ndarray] = []
+        self._indel_lengths: list[np.ndarray] = []
+        self._first_positions: list[np.ndarray] = []
         self._n_unmapped = 0
         self._n_chimeric = 0
         self._n_reads = 0
 
     def consume(self, index: int, block: ReadSet) -> None:
         """Map one block and fold its reads' statistics in."""
-        self._n_reads += len(block)
-        for mapping in self._mapper.map_batch(block.codes, block.offsets):
-            if mapping.unmapped:
-                self._n_unmapped += 1
-                continue
-            if mapping.is_chimeric:
-                self._n_chimeric += 1
-            self._first_positions.append(mapping.segments[0].cons_start)
-            n_mismatches = 0
-            for segment in sorted(mapping.segments,
-                                  key=lambda s: s.read_start):
-                prev = 0
-                for op in segment.ops:
-                    n_mismatches += 1
-                    self._pos_deltas.append(op.read_pos - prev)
-                    prev = op.read_pos
-                    if op.kind in (INS, DEL):
-                        self._indel_lengths.append(op.length)
-            self._counts.append(n_mismatches)
+        mapped = self._mapper.map_batch(block.codes, block.offsets)
+        n = len(mapped)
+        self._n_reads += n
+        self._n_unmapped += int(mapped.unmapped.sum())
+        self._n_chimeric += int(
+            (np.bincount(mapped.seg_row, minlength=n) > 1).sum())
+        heads = np.diff(mapped.seg_row, prepend=-1) != 0
+        self._first_positions.append(mapped.cons_start[heads])
+        self._counts.append(np.bincount(mapped.seg_row[mapped.op_seg],
+                                        minlength=n)[~mapped.unmapped])
+        # Ops read after read, a read's segments by read start; a
+        # mismatch position is a delta from the previous one in its
+        # segment.
+        segments = np.lexsort((mapped.read_start, mapped.seg_row))
+        first_op = np.searchsorted(mapped.op_seg, segments)
+        ops = run_index(first_op, np.searchsorted(
+            mapped.op_seg, segments, "right") - first_op)
+        pos = mapped.read_pos[ops]
+        opens = np.diff(mapped.op_seg[ops], prepend=-1) != 0
+        self._pos_deltas.append(pos - np.where(opens, 0, np.roll(pos, 1)))
+        self._indel_lengths.append(
+            mapped.length[ops][mapped.kind[ops] != OP_KINDS.index(SUB)])
 
     def finish(self) -> PropertyReport:
         """The distributions accumulated so far."""
-        first_positions = sorted(self._first_positions)
-        deltas = np.diff(np.array([0] + first_positions, dtype=np.int64))
         return PropertyReport(
-            mismatch_pos_deltas=np.array(self._pos_deltas,
-                                         dtype=np.int64),
-            mismatch_counts=np.array(self._counts, dtype=np.int64),
-            indel_block_lengths=np.array(self._indel_lengths,
-                                         dtype=np.int64),
-            matching_pos_deltas=deltas, n_unmapped=self._n_unmapped,
-            n_chimeric=self._n_chimeric, n_reads=self._n_reads)
+            mismatch_pos_deltas=_joined(self._pos_deltas),
+            mismatch_counts=_joined(self._counts),
+            indel_block_lengths=_joined(self._indel_lengths),
+            matching_pos_deltas=np.diff(
+                np.sort(_joined(self._first_positions)), prepend=0),
+            n_unmapped=self._n_unmapped, n_chimeric=self._n_chimeric,
+            n_reads=self._n_reads)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Per-block columns as one ``int64`` column, in block order."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 @dataclass

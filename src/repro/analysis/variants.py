@@ -19,15 +19,15 @@ are accessed.  This module reproduces that pipeline functionally:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from ..genomics.reads import ReadSet
-from ..mapping import MapperConfig, MappingResult, make_mapper
-from ..mapping.alignment import INS, SUB
+from ..genomics.reads import ReadSet, run_index
+from ..mapping import MapperConfig, make_mapper
+from ..mapping.alignment import DEL, SUB
+from ..mapping.mapper import OP_KINDS
 
 #: Quality block size in scores.  The paper cites 25 MB blocks on real
 #: data; the default here scales to synthetic analog sizes.
@@ -51,12 +51,19 @@ class VariantCall:
 
 @dataclass
 class Pileup:
-    """Per-position evidence accumulated from mappings."""
+    """Per-position evidence accumulated from mappings, and where the
+    reads were placed (columns in stream order)."""
 
     depth: np.ndarray                 # coverage per consensus position
     alt_counts: np.ndarray            # (4, L) substitution evidence
-    indel_counts: dict[tuple[int, str], int] = field(default_factory=dict)
-    mappings: list[MappingResult | None] = field(default_factory=list)
+    indel_counts: dict[tuple[int, str], int]
+    unmapped: np.ndarray              # per read
+    #: Per segment of a mapped read, read after read (a read's in the
+    #: mapper's order): the read's stream index, the consensus start and
+    #: the length in read bases.
+    seg_row: np.ndarray
+    cons_start: np.ndarray
+    seg_length: np.ndarray
 
 
 def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
@@ -65,45 +72,48 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
 
     ``read_set`` may be a stream of :class:`ReadSet` blocks (e.g. from
     ``SAGeDataset.blocks()``); evidence accumulates block by block and
-    ``mappings`` keeps stream order, so downstream consumers see the
-    same result as a whole-dataset pass.
+    the placement columns keep stream order, so downstream consumers see
+    the same result as a whole-dataset pass.
     """
     reference = np.asarray(reference, dtype=np.uint8)
+    size = reference.size
     mapper = make_mapper("auto", reference, mapper_config)
-    depth = np.zeros(reference.size, dtype=np.int32)
-    alt_counts = np.zeros((4, reference.size), dtype=np.int32)
-    result = Pileup(depth=depth, alt_counts=alt_counts)
+    edges = np.zeros(size + 1, dtype=np.int64)      # depth, differenced
+    alt_counts = np.zeros((4, size), dtype=np.int32)
+    none = np.empty(0, dtype=np.int64)
+    indels = [none]                                 # 2 * offset + is_del
+    columns = [(np.empty(0, dtype=bool), none, none, none)]
+    n_reads = 0
 
     blocks = [read_set] if isinstance(read_set, ReadSet) else read_set
-    for mapping in chain.from_iterable(
-            mapper.map_batch(block.codes, block.offsets) for block in blocks):
-        result.mappings.append(None if mapping.unmapped else mapping)
-        if mapping.unmapped:
-            continue
-        for segment in mapping.segments:
-            start = segment.cons_start
-            consumed = segment.length
-            shift = 0
-            for op in segment.ops:
-                cons_pos = start + op.read_pos + shift
-                if op.kind == SUB:
-                    if cons_pos < reference.size and op.bases.size:
-                        base = int(op.bases[0])
-                        if base < 4:
-                            alt_counts[base, cons_pos] += 1
-                else:
-                    # An insertion consumes read bases only, a deletion
-                    # consensus bases only.
-                    kind, step = ("ins", -op.length) if op.kind == INS \
-                        else ("del", op.length)
-                    key = (cons_pos, kind)
-                    result.indel_counts[key] = \
-                        result.indel_counts.get(key, 0) + 1
-                    shift += step
-                    consumed += step
-            stop = min(reference.size, start + max(0, consumed))
-            depth[start:stop] += 1
-    return result
+    for block in blocks:
+        mapped = mapper.map_batch(block.codes, block.offsets)
+        # A segment covers its consensus span, clipped to the reference.
+        start = mapped.cons_start
+        stop = np.minimum(size, np.maximum(start, mapped.cons_end()))
+        live = start < stop
+        edges += np.bincount(start[live], minlength=size + 1) \
+            - np.bincount(stop[live], minlength=size + 1)
+        # A substitution counts its read base (not N) where it sits.
+        cons_at, read_at = mapped.placements()
+        sub = mapped.kind == OP_KINDS.index(SUB)
+        at = cons_at[sub]
+        base = mapped.oriented(mapped.seg_row[mapped.op_seg[sub]],
+                               read_at[sub])
+        seen = (at < size) & (base < 4)
+        np.add.at(alt_counts, (base[seen], at[seen]), 1)
+        indels.append(2 * cons_at[~sub]
+                      + (mapped.kind[~sub] == OP_KINDS.index(DEL)))
+        columns.append((mapped.unmapped, n_reads + mapped.seg_row, start,
+                        mapped.read_end - mapped.read_start))
+        n_reads += len(mapped)
+
+    keys, counts = np.unique(np.concatenate(indels), return_counts=True)
+    return Pileup(
+        np.cumsum(edges[:-1]).astype(np.int32), alt_counts,
+        {(key >> 1, "del" if key & 1 else "ins"): count
+         for key, count in zip(keys.tolist(), counts.tolist())},
+        *map(np.concatenate, zip(*columns)))
 
 
 def call_variants(read_set: ReadSet | Iterable[ReadSet],
@@ -178,40 +188,39 @@ def quality_block_access(read_set: ReadSet, evidence: Pileup,
     store it — reads sorted by matching position (§5.1.3) — which packs
     the reads covering one site into few, contiguous blocks.  Passing
     ``False`` models an input-ordered stream for comparison.
+    ``evidence`` is the pileup of ``read_set``: one covering a different
+    number of reads is a ``ValueError``.
     """
+    lengths = read_set.read_lengths()
+    if lengths.size != evidence.unmapped.size:
+        raise ValueError(f"the pileup covers {evidence.unmapped.size} "
+                         f"reads, the read set holds {lengths.size}")
+    total = max(1, -(-read_set.total_bases // block_size))
     if not calls:
-        total = max(1, -(-read_set.total_bases // block_size))
         return QualityAccessReport(total, 0, 0)
 
-    pairs = list(zip(read_set.read_lengths().tolist(), evidence.mappings))
+    order = np.arange(lengths.size)
     if emission_order:
-        def sort_key(pair):
-            mapping = pair[1]
-            if mapping is None:
-                return (1, 0)
-            return (0, mapping.segments[0].cons_start)
-        pairs.sort(key=sort_key)
+        # Mapped reads by their first segment's consensus start, then the
+        # unmapped ones, each in stream order among equals.
+        heads = np.diff(evidence.seg_row, prepend=-1) != 0
+        first = np.zeros(lengths.size, dtype=np.int64)
+        first[evidence.seg_row[heads]] = evidence.cons_start[heads]
+        order = np.lexsort((first, evidence.unmapped))
+    offset = np.empty_like(lengths)
+    offset[order] = np.cumsum(lengths[order]) - lengths[order]
 
-    site_positions = np.array(sorted(c.position for c in calls),
-                              dtype=np.int64)
-    accessed: set[int] = set()
-    offset = 0
-    for length, mapping in pairs:
-        if mapping is not None:
-            for segment in mapping.segments:
-                lo = segment.cons_start - window
-                hi = segment.cons_start + segment.length + window
-                i = np.searchsorted(site_positions, lo)
-                if i < site_positions.size and site_positions[i] < hi:
-                    # Read overlaps a site: its quality bytes are read.
-                    first_block = offset // block_size
-                    last_block = (offset + length - 1) // block_size
-                    accessed.update(range(first_block, last_block + 1))
-                    break
-        offset += length
-    total_blocks = max(1, -(-offset // block_size))
-    return QualityAccessReport(total_blocks, len(accessed),
-                               len(calls))
+    # A read overlapping (within ``window``) a site has its scores read.
+    sites = np.sort(np.array([c.position for c in calls], dtype=np.int64))
+    near = np.searchsorted(sites, evidence.cons_start
+                           + evidence.seg_length + window) \
+        > np.searchsorted(sites, evidence.cons_start - window)
+    hit = np.unique(evidence.seg_row[near])
+    first_block = offset[hit] // block_size
+    n_blocks = (offset[hit] + lengths[hit] - 1) // block_size \
+        - first_block + 1
+    accessed = np.unique(run_index(first_block, np.maximum(0, n_blocks)))
+    return QualityAccessReport(total, accessed.size, len(calls))
 
 
 def host_quality_headroom(host_decode_bytes_per_s: float = 1.2e9,

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..analysis.properties import MappingRateSink, PropertyAccumulator
+from ..analysis.properties import (MappingRateReport, MappingRateSink,
+                                   PropertyAccumulator, PropertyReport)
+from ..genomics.reads import ReadSet
 from ..pipeline.executor import CollectSink, Sink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -23,9 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CallableSink", "available_sinks", "resolve_sink",
            "result_info"]
 
-#: The built-in sinks.  Analysis sinks map against the dataset's own
-#: consensus, so they run straight off the compressed blob with no side
-#: files — the paper's "directly analyzable" property.
+#: The built-in sinks.  The analysis sinks decode a block's sequence
+#: group and map it against the archive's own consensus, so they need no
+#: side files (no reference, no index).
 _BUILT_IN: dict[str, Callable[["SAGeDataset"], Sink]] = {
     "property": lambda dataset: PropertyAccumulator(
         dataset.consensus, options=dataset.options),
@@ -65,7 +67,7 @@ class CallableSink:
         return self._results
 
 
-def _property_info(report: Any) -> dict:
+def _property_info(report: PropertyReport) -> dict:
     """JSON rendering of a ``property`` sink result."""
     mismatch_hist = report.mismatch_count_hist()
     return {
@@ -84,7 +86,7 @@ def _property_info(report: Any) -> dict:
     }
 
 
-def _mapping_info(rate: Any) -> dict:
+def _mapping_info(rate: MappingRateReport) -> dict:
     """JSON rendering of a ``mapping-rate`` sink result."""
     return {"n_reads": rate.n_reads, "n_mapped": rate.n_mapped,
             "n_unmapped": rate.n_unmapped,
@@ -99,11 +101,9 @@ def result_info(result: Any) -> dict:
     structured summaries, a collected :class:`ReadSet` gets counts, and
     anything else falls back to ``str``.
     """
-    from ..genomics.reads import ReadSet
-
-    if hasattr(result, "mismatch_count_hist"):      # PropertyReport
+    if isinstance(result, PropertyReport):
         return _property_info(result)
-    if hasattr(result, "mapping_rate"):             # MappingRateReport
+    if isinstance(result, MappingRateReport):
         return _mapping_info(result)
     if isinstance(result, ReadSet):                 # collect
         return {"n_reads": len(result),

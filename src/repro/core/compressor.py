@@ -200,7 +200,10 @@ class _MappedReads:
     * per ``N`` run, split at :data:`MAX_N_RUN`: ``run_row``, oriented
       ``run_pos`` and ``run_len``.
 
-    Bases are gathered, oriented, from the read set's ``codes``.
+    Bases are gathered, oriented, through the table
+    (:meth:`~repro.mapping.mapper.MappedBlock.oriented`), and an op's
+    consensus offset is the table's
+    (:meth:`~repro.mapping.mapper.MappedBlock.placements`).
     """
 
     def __init__(self, consensus: np.ndarray, read_set: ReadSet,
@@ -210,8 +213,7 @@ class _MappedReads:
         every segment of ``mapped``, by read and then by read start;
         ``runs``: the block's ``N`` runs (:func:`_n_runs`)."""
         n = rows.size
-        self.rows = rows
-        self.codes, self.starts = read_set.codes, read_set.offsets[rows]
+        self.rows, self.mapped = rows, mapped
         self.lengths = read_set.read_lengths()[rows]
         self.reverse = mapped.reverse[rows]
         self.clip_s = mapped.clip_s[rows]
@@ -223,30 +225,22 @@ class _MappedReads:
         segments = segments[run_index(
             np.searchsorted(mapped.seg_row, rows), n_segments[rows])]
         seg_row = np.repeat(np.arange(n), n_segments[rows])
-        seg_read = mapped.read_start[segments]
         seg_cons = mapped.cons_start[segments]
         extra = np.ones(segments.size, dtype=bool)
         extra[np.searchsorted(seg_row, np.arange(n))] = False
         self.first_cons = seg_cons[~extra]
         self.extra_row = seg_row[extra]
-        self.extra_core = (seg_read - self.clip_s[seg_row])[extra]
+        self.extra_core = (mapped.read_start[segments]
+                           - self.clip_s[seg_row])[extra]
         self.extra_cons = seg_cons[extra]
 
         first_op = np.searchsorted(mapped.op_seg, segments)
         n_ops = np.searchsorted(mapped.op_seg, segments, "right") - first_op
         ops = run_index(first_op, n_ops)
         kind = _TYPE_CODES[mapped.kind[ops]]
-        op_pos = mapped.read_pos[ops]
         op_len = mapped.length[ops]
         op_seg = np.repeat(np.arange(segments.size), n_ops)
-        # The consensus offset under an op: its segment's, plus its read
-        # offset, plus what the segment's earlier indels shifted.
-        shift = np.where(kind == TYPE_DEL, op_len, 0) \
-            - np.where(kind == TYPE_INS, op_len, 0)
-        shift = np.cumsum(shift) - shift
-        shift -= shift[(np.cumsum(n_ops) - n_ops)[op_seg]]
-        cons_at = seg_cons[op_seg] + op_pos + shift
-        read_at = seg_read[op_seg] + op_pos          # oriented read offset
+        cons_at, read_at = (at[ops] for at in mapped.placements())
 
         # Events.
         block = MAX_INDEL_BLOCK if level.indel_blocks else 1
@@ -304,11 +298,7 @@ class _MappedReads:
 
     def oriented(self, row: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """The bases at oriented positions ``pos`` of reads ``row``."""
-        reverse = self.reverse[row]
-        bases = self.codes[self.starts[row] + np.where(
-            reverse, self.lengths[row] - 1 - pos, pos)]
-        return np.where(reverse, seq.COMPLEMENT[bases],
-                        bases).astype(np.int64)
+        return self.mapped.oriented(self.rows[row], pos)
 
     def fields(self, out: _Fields, tables: dict[str, AssociationTable],
                level: OptLevel, chimeric_side: bool, w_rlen: int,

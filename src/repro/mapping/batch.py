@@ -47,6 +47,9 @@ reads:
 Stages 1–3 write the reads they prove straight into the block's
 :class:`~repro.mapping.mapper.MappedBlock` columns; only stage 4's reads
 exist as ``MappingResult`` objects, flattened into the same table once.
+The table is what leaves the mapper: it is no sequence of per-read
+objects, and its consumers (the compressor's emitter, the analysis
+sinks, the pileup) read its columns.
 
 Byte-identity contract, in two halves.  Stages 2–3 emit a result
 themselves only when they can prove the scalar mapper would produce the

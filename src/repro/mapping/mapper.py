@@ -13,7 +13,6 @@ emitter consumes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
@@ -88,14 +87,6 @@ class MappingResult:
         default_factory=lambda: np.empty(0, dtype=np.uint8))
     cost: int = 0
 
-    @property
-    def is_chimeric(self) -> bool:
-        return len(self.segments) > 1
-
-    @property
-    def n_mismatches(self) -> int:
-        return sum(len(s.ops) for s in self.segments)
-
 
 #: Anchors the block planner takes in one pass (whole rows, so a pass
 #: may hold more): bounds its per-anchor temporaries.
@@ -104,6 +95,7 @@ _PLAN_ANCHORS = 4096
 #: Edit-op kinds, in the order :attr:`MappedBlock.kind` numbers them.
 OP_KINDS = (alignment.SUB, alignment.INS, alignment.DEL)
 _KIND_NUMBER = {kind: number for number, kind in enumerate(OP_KINDS)}
+_INS, _DEL = _KIND_NUMBER[alignment.INS], _KIND_NUMBER[alignment.DEL]
 
 
 def block_columns(codes, offsets=None) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +165,7 @@ class Placed(NamedTuple):
 
 
 @dataclass(eq=False)
-class MappedBlock(Sequence[MappingResult]):
+class MappedBlock:
     """The mappings of one block of reads, as one table of columns.
 
     * per read (``len(self)`` rows): ``unmapped``, ``reverse``, ``cost``
@@ -185,10 +177,10 @@ class MappedBlock(Sequence[MappingResult]):
       into :data:`OP_KINDS`), segment-local ``read_pos`` and ``length``.
 
     Bases are not stored: an op's bases and a clip are the oriented
-    read's own, gathered from the block's ``codes`` / ``offsets``.  As a
-    ``Sequence`` it holds one :class:`MappingResult` per read, built
-    from the columns on first use, the way a ``ReadSet`` builds its
-    ``Read`` views.
+    read's own, gathered from the block's ``codes`` / ``offsets``
+    (:meth:`oriented`).  This table is the one form a block's mappings
+    take outside :mod:`repro.mapping`; :class:`MappingResult` is the
+    scalar mapper's per-read form.
     """
 
     codes: np.ndarray
@@ -206,8 +198,6 @@ class MappedBlock(Sequence[MappingResult]):
     kind: np.ndarray
     read_pos: np.ndarray
     length: np.ndarray
-    _results: list[MappingResult] | None = field(
-        default=None, init=False, repr=False)
 
     @classmethod
     def assemble(cls, codes: np.ndarray, offsets: np.ndarray,
@@ -245,58 +235,42 @@ class MappedBlock(Sequence[MappingResult]):
         return cls.assemble(codes, offsets, [
             Placed.from_results(range(len(results)), results)])
 
-    # -- the items: MappingResults built from the columns --------------
-
-    @property
-    def results(self) -> list[MappingResult]:
-        """One :class:`MappingResult` per read, built once."""
-        if self._results is None:
-            self._results = self._build()
-        return self._results
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, index):
-        return self.results[index]
+    def _steps(self) -> np.ndarray:
+        """Per op, how far it moves the consensus against the read: a
+        deletion's length forward, an insertion's back, 0 for a
+        substitution."""
+        return np.where(self.kind == _DEL, self.length, 0) \
+            - np.where(self.kind == _INS, self.length, 0)
 
-    def __iter__(self) -> Iterator[MappingResult]:
-        return iter(self.results)
+    def placements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each op sits: ``(cons_at, read_at)``, its consensus
+        offset — its segment's ``cons_start`` plus its ``read_pos`` plus
+        the steps of the segment's earlier ops — and its oriented read
+        offset."""
+        step = self._steps()
+        shift = np.cumsum(step) - step
+        shift -= shift[np.searchsorted(self.op_seg, self.op_seg)]
+        return (self.cons_start[self.op_seg] + self.read_pos + shift,
+                self.read_start[self.op_seg] + self.read_pos)
 
-    def _build(self) -> list[MappingResult]:
-        bounds = self.offsets.tolist()
-        results, oriented = [], []
-        for start, end, unmapped, reverse, cost, clip_s, clip_e in zip(
-                bounds, bounds[1:], self.unmapped.tolist(),
-                self.reverse.tolist(), self.cost.tolist(),
-                self.clip_s.tolist(), self.clip_e.tolist()):
-            codes = self.codes[start:end]
-            if reverse:
-                codes = seq.reverse_complement(codes)
-            oriented.append(codes)
-            results.append(MappingResult(unmapped=True) if unmapped else
-                           MappingResult(reverse=reverse, cost=cost,
-                                         clip_start=codes[:clip_s].copy(),
-                                         clip_end=codes[end - start
-                                                        - clip_e:].copy()))
-        op_bounds = np.searchsorted(
-            self.op_seg, np.arange(self.seg_row.size + 1)).tolist()
-        kinds = [OP_KINDS[kind] for kind in self.kind.tolist()]
-        positions, lengths = self.read_pos.tolist(), self.length.tolist()
-        for seg, (row, cons, lo, hi) in enumerate(zip(
-                self.seg_row.tolist(), self.cons_start.tolist(),
-                self.read_start.tolist(), self.read_end.tolist())):
-            codes = oriented[row]
-            ops = []
-            for op in range(op_bounds[seg], op_bounds[seg + 1]):
-                at = lo + positions[op]
-                bases = codes[at:at + lengths[op]].copy() \
-                    if kinds[op] != alignment.DEL \
-                    else np.empty(0, dtype=np.uint8)
-                ops.append(EditOp(kinds[op], positions[op], lengths[op],
-                                  bases))
-            results[row].segments.append(MappedSegment(cons, lo, hi, ops))
-        return results
+    def cons_end(self) -> np.ndarray:
+        """Per segment, the consensus offset past it: its ``cons_start``
+        plus its read length plus the steps of all its ops."""
+        end = self.cons_start + (self.read_end - self.read_start)
+        np.add.at(end, self.op_seg, self._steps())
+        return end
+
+    def oriented(self, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """The bases at oriented positions ``pos`` of reads ``rows``:
+        reverse-complemented for a ``reverse`` read."""
+        reverse = self.reverse[rows]
+        length = self.offsets[rows + 1] - self.offsets[rows]
+        bases = self.codes[self.offsets[rows]
+                           + np.where(reverse, length - 1 - pos, pos)]
+        return np.where(reverse, seq.COMPLEMENT[bases], bases)
 
 
 def reconstruct(consensus: np.ndarray, result: MappingResult,

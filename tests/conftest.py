@@ -10,12 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import PropertyReport
+from repro.analysis.variants import Pileup, QualityAccessReport
 from repro.core import SAGeConfig
 from repro.core.formats import FormatError, OutputFormat, unpack_bits
 from repro.genomics import datasets
 from repro.genomics import sequence as seq
 from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
 from repro.genomics.simulator import ReadSimulator, short_read_profile
+from repro.mapping import alignment, make_mapper
+from repro.mapping.alignment import EditOp
+from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
 
 #: Every optional container section switched on and off — the sweep of
 #: the ``byte_size() == len(to_bytes())`` tests.
@@ -153,3 +158,172 @@ def detokenize(tokens):
         for k in range(token.match_length):
             out.append(out[start + k])
     return bytes(out)
+
+
+# ----------------------------------------------------------------------
+# Mapping oracles: one MappingResult per read, and the per-read loops
+# the analysis consumers' column passes are held to.
+# ----------------------------------------------------------------------
+
+def mapping_results(table):
+    """One :class:`MappingResult` per read of a ``MappedBlock`` table,
+    its op bases and clips gathered from the oriented read."""
+    bounds = table.offsets.tolist()
+    results, oriented = [], []
+    for start, end, unmapped, reverse, cost, clip_s, clip_e in zip(
+            bounds, bounds[1:], table.unmapped.tolist(),
+            table.reverse.tolist(), table.cost.tolist(),
+            table.clip_s.tolist(), table.clip_e.tolist()):
+        codes = table.codes[start:end]
+        if reverse:
+            codes = seq.reverse_complement(codes)
+        oriented.append(codes)
+        results.append(MappingResult(unmapped=True) if unmapped else
+                       MappingResult(reverse=reverse, cost=cost,
+                                     clip_start=codes[:clip_s].copy(),
+                                     clip_end=codes[end - start
+                                                    - clip_e:].copy()))
+    op_bounds = np.searchsorted(
+        table.op_seg, np.arange(table.seg_row.size + 1)).tolist()
+    kinds = [OP_KINDS[kind] for kind in table.kind.tolist()]
+    positions, lengths = table.read_pos.tolist(), table.length.tolist()
+    for seg, (row, cons, lo, hi) in enumerate(zip(
+            table.seg_row.tolist(), table.cons_start.tolist(),
+            table.read_start.tolist(), table.read_end.tolist())):
+        codes = oriented[row]
+        ops = []
+        for op in range(op_bounds[seg], op_bounds[seg + 1]):
+            at = lo + positions[op]
+            bases = codes[at:at + lengths[op]].copy() \
+                if kinds[op] != alignment.DEL \
+                else np.empty(0, dtype=np.uint8)
+            ops.append(EditOp(kinds[op], positions[op], lengths[op], bases))
+        results[row].segments.append(MappedSegment(cons, lo, hi, ops))
+    return results
+
+
+def _streamed_results(blocks, reference, mapper_config=None):
+    """Every read's :class:`MappingResult`, block after block, mapped
+    the way the analysis consumers map them (``$SAGE_MAPPER``)."""
+    mapper = make_mapper("auto", np.asarray(reference, dtype=np.uint8),
+                         mapper_config)
+    blocks = [blocks] if isinstance(blocks, ReadSet) else blocks
+    return [result for block in blocks for result in mapping_results(
+        mapper.map_batch(block.codes, block.offsets))]
+
+
+def property_oracle(blocks, reference, mapper_config=None):
+    """The :class:`PropertyReport` of ``blocks``, one read at a time."""
+    pos_deltas, counts, indel_lengths, first_positions = [], [], [], []
+    n_reads = n_unmapped = n_chimeric = 0
+    for mapping in _streamed_results(blocks, reference, mapper_config):
+        n_reads += 1
+        if mapping.unmapped:
+            n_unmapped += 1
+            continue
+        if len(mapping.segments) > 1:
+            n_chimeric += 1
+        first_positions.append(mapping.segments[0].cons_start)
+        n_mismatches = 0
+        for segment in sorted(mapping.segments, key=lambda s: s.read_start):
+            prev = 0
+            for op in segment.ops:
+                n_mismatches += 1
+                pos_deltas.append(op.read_pos - prev)
+                prev = op.read_pos
+                if op.kind in (alignment.INS, alignment.DEL):
+                    indel_lengths.append(op.length)
+        counts.append(n_mismatches)
+    return PropertyReport(
+        mismatch_pos_deltas=np.array(pos_deltas, dtype=np.int64),
+        mismatch_counts=np.array(counts, dtype=np.int64),
+        indel_block_lengths=np.array(indel_lengths, dtype=np.int64),
+        matching_pos_deltas=np.diff(np.array(
+            [0] + sorted(first_positions), dtype=np.int64)),
+        n_unmapped=n_unmapped, n_chimeric=n_chimeric, n_reads=n_reads)
+
+
+def pileup_oracle(blocks, reference, mapper_config=None):
+    """``(Pileup, mappings)`` of ``blocks``, one read at a time:
+    ``mappings`` holds every read's :class:`MappingResult`, ``None``
+    for an unmapped one (what :func:`quality_access_oracle` takes)."""
+    reference = np.asarray(reference, dtype=np.uint8)
+    depth = np.zeros(reference.size, dtype=np.int32)
+    alt_counts = np.zeros((4, reference.size), dtype=np.int32)
+    indel_counts, mappings = {}, []
+    for mapping in _streamed_results(blocks, reference, mapper_config):
+        mappings.append(None if mapping.unmapped else mapping)
+        for segment in mapping.segments:
+            start = segment.cons_start
+            consumed = segment.length
+            shift = 0
+            for op in segment.ops:
+                cons_pos = start + op.read_pos + shift
+                if op.kind == alignment.SUB:
+                    if cons_pos < reference.size and op.bases.size:
+                        base = int(op.bases[0])
+                        if base < 4:
+                            alt_counts[base, cons_pos] += 1
+                else:
+                    # An insertion consumes read bases only, a deletion
+                    # consensus bases only.
+                    kind, step = ("ins", -op.length) \
+                        if op.kind == alignment.INS else ("del", op.length)
+                    indel_counts[(cons_pos, kind)] = \
+                        indel_counts.get((cons_pos, kind), 0) + 1
+                    shift += step
+                    consumed += step
+            stop = min(reference.size, start + max(0, consumed))
+            depth[start:stop] += 1
+    segments = [(row, segment) for row, mapping in enumerate(mappings)
+                if mapping is not None for segment in mapping.segments]
+    return Pileup(
+        depth, alt_counts, indel_counts,
+        np.array([mapping is None for mapping in mappings], dtype=bool),
+        np.array([row for row, _ in segments], dtype=np.int64),
+        np.array([s.cons_start for _, s in segments], dtype=np.int64),
+        np.array([s.length for _, s in segments], dtype=np.int64)), mappings
+
+
+def quality_access_oracle(read_set, mappings, calls, block_size=4096,
+                          window=10, emission_order=True):
+    """The :class:`QualityAccessReport` of ``calls`` over ``mappings``
+    (:func:`pileup_oracle`'s), one read at a time."""
+    if not calls:
+        total = max(1, -(-read_set.total_bases // block_size))
+        return QualityAccessReport(total, 0, 0)
+    assert len(mappings) == len(read_set)
+    pairs = list(zip(read_set.read_lengths().tolist(), mappings))
+    if emission_order:
+        pairs.sort(key=lambda pair: (1, 0) if pair[1] is None
+                   else (0, pair[1].segments[0].cons_start))
+    sites = np.array(sorted(c.position for c in calls), dtype=np.int64)
+    accessed = set()
+    offset = 0
+    for length, mapping in pairs:
+        if mapping is not None:
+            for segment in mapping.segments:
+                lo = segment.cons_start - window
+                hi = segment.cons_start + segment.length + window
+                i = np.searchsorted(sites, lo)
+                if i < sites.size and sites[i] < hi:
+                    accessed.update(range(offset // block_size,
+                                          (offset + length - 1)
+                                          // block_size + 1))
+                    break
+        offset += length
+    return QualityAccessReport(max(1, -(-offset // block_size)),
+                               len(accessed), len(calls))
+
+
+def assert_same_report(got, want):
+    """Two reports (any dataclass) are equal field for field: arrays
+    element for element, in the same order and dtype."""
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype, name
+            assert other.tolist() == value.tolist(), name
+        else:
+            assert other == value, name

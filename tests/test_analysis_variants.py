@@ -130,6 +130,17 @@ class TestQualityAccess:
         assert ordered.fraction < 1.0
 
 
+    def test_rejects_a_pileup_of_other_reads(self, snp_scenario):
+        """A pileup of a subset does not describe the full set: its
+        reads past the subset must not be dropped without a word."""
+        reference, reads, _ = snp_scenario
+        evidence = pileup(reads.subset(range(len(reads) // 2)), reference)
+        calls = call_variants(reads, reference)
+        assert calls
+        with pytest.raises(ValueError, match="pileup covers 350 reads"):
+            quality_block_access(reads, evidence, calls)
+
+
 class TestHeadroom:
     def test_paper_17_percent(self):
         """Spring-class quality decode vs GEM gives the paper's ~17%."""

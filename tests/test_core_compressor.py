@@ -24,7 +24,7 @@ from repro.genomics.reference import make_reference
 from repro.mapping.alignment import DEL, INS, SUB
 from repro.mapping.mapper import MapperConfig, MappingResult
 
-from tests.conftest import read_multiset
+from tests.conftest import mapping_results, read_multiset
 
 
 def roundtrip(read_set, reference, **config_kwargs):
@@ -255,7 +255,8 @@ def scalar_block(compressor, read_set):
     long_reads = not read_set.is_fixed_length if cfg.long_reads is None \
         else cfg.long_reads
     reads = read_set.read_codes()
-    mappings = compressor._build_mapper(level, long_reads).map_batch(reads)
+    mappings = mapping_results(
+        compressor._build_mapper(level, long_reads).map_batch(reads))
     rows, unmapped = [], []
     for idx, (codes, mapping) in enumerate(zip(reads, mappings)):
         plan = None if mapping.unmapped \
@@ -596,8 +597,8 @@ class TestColumnPath:
             assert len(blocks) > 300 // cap
         assert any(ev[0] == INS and ev[5] >= CONSENSUS.size
                    for ev in events)
-        mappings = compressor._build_mapper(level, True).map_batch(
-            read_set.read_codes())
+        mappings = mapping_results(compressor._build_mapper(
+            level, True).map_batch(read_set.read_codes()))
         assert any(op.kind == INS and (op.bases == seq.N_CODE).any()
                    for m in mappings for s in m.segments for op in s.ops)
         assert any(plan[1] for plan in plans) == level.chimeric

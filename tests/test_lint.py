@@ -528,10 +528,19 @@ COLUMN_MAPPERS = ("src/repro/core/compressor.py",
                   "src/repro/analysis/variants.py")
 
 
+#: Where a block's mappings may take their per-read object form
+#: (``MappingResult`` / ``.segments`` / ``.ops``): the mapper itself,
+#: and the Spring baseline's own scalar ``map_read`` pass.
+PER_READ_MAPPINGS = ("src/repro/mapping/", "src/repro/baselines/spring.py")
+
+
 def mappings_consumed_as_columns(source, where):
-    """The mapper hands over a block's mappings as one table: the
-    compressor reads its columns and names no ``MappingResult``,
-    ``.segments``, ``.ops`` or ``attrgetter``; no caller outside
+    """The mapper hands over a block's mappings as one table, and that
+    table is the one form they take outside ``mapping/``: nothing else
+    in ``src/`` (Spring's scalar pass aside) names ``MappingResult``,
+    ``.segments`` or ``.ops``, the compressor no ``attrgetter``, and
+    ``MappedBlock`` is no sequence of per-read objects (no ``__iter__``
+    / ``__getitem__``, no ``Sequence`` base); no caller outside
     ``mapping/`` hands ``map_batch`` a ``read_codes()`` list, and the
     block callers pass ``codes, offsets``; the batched mapper packs
     k-mers through ``seq.kmer_codes`` only (no shift loop of its own)."""
@@ -540,12 +549,24 @@ def mappings_consumed_as_columns(source, where):
     offenders = []
     tree = ast.parse(source)
     for node in ast.walk(tree):
-        name = getattr(node, "id", getattr(node, "attr", None))
-        if where == "src/repro/core/compressor.py" and (
-                name in ("MappingResult", "attrgetter")
+        name = node.name if isinstance(node, ast.alias) \
+            else getattr(node, "id", getattr(node, "attr", None))
+        if not where.startswith(PER_READ_MAPPINGS) and (
+                name == "MappingResult"
                 or isinstance(node, ast.Attribute)
                 and name in ("segments", "ops")):
             offenders.append(f"{where}:{node.lineno} {name}")
+        if where == "src/repro/core/compressor.py" and name == "attrgetter":
+            offenders.append(f"{where}:{node.lineno} {name}")
+        if isinstance(node, ast.ClassDef) and node.name == "MappedBlock":
+            offenders += [
+                f"{where}:{item.lineno} MappedBlock.{item.name}"
+                for item in node.body
+                if isinstance(item, FUNCTIONS)
+                and item.name in ("__iter__", "__getitem__")]
+            offenders += [
+                f"{where}:{node.lineno} MappedBlock({ast.unparse(base)})"
+                for base in node.bases if "Sequence" in ast.unparse(base)]
         if where == "src/repro/mapping/batch.py" \
                 and isinstance(node, (ast.For, ast.While)) \
                 and any(isinstance(inner, (ast.BinOp, ast.AugAssign))
@@ -1393,9 +1414,44 @@ class TestOptionsThreadingEdges:
                  """, "src/repro/mapping/batch.py")):
             assert on_snippet(mappings_consumed_as_columns, violating,
                               where) != [], violating
-        assert on_snippet(mappings_consumed_as_columns,
-                          "mapped = mapper.map_batch(block.codes, "
-                          "block.offsets)\n", compressor) == []
+        # The table is the one form outside mapping/ (PR 28 held the
+        # compressor to it; the analysis consumers are held too).
+        for violating, where in (
+                ("for mapping in mapper.map_batch(block.codes, "
+                 "block.offsets):\n    first = mapping.segments[0]\n",
+                 "src/repro/analysis/properties.py"),
+                ("for op in segment.ops:\n    pass\n",
+                 "src/repro/analysis/variants.py"),
+                ("mappings: list[MappingResult | None] = []\n",
+                 "src/repro/analysis/variants.py"),
+                ("from ..mapping import MappingResult\n",
+                 "src/repro/pipeline/accelerators.py"),
+                ("""\
+                 class MappedBlock:
+                     def __iter__(self):
+                         return iter(self.results)
+                 """, "src/repro/mapping/mapper.py"),
+                ("""\
+                 class MappedBlock:
+                     def __getitem__(self, index):
+                         return self.results[index]
+                 """, "src/repro/mapping/mapper.py"),
+                ("class MappedBlock(Sequence[MappingResult]):\n    pass\n",
+                 "src/repro/mapping/mapper.py")):
+            assert on_snippet(mappings_consumed_as_columns, violating,
+                              where) != [], violating
+        for allowed, where in (
+                ("mapped = mapper.map_batch(block.codes, block.offsets)\n",
+                 compressor),
+                ("start = mapping.segments[0].cons_start\n",
+                 "src/repro/baselines/spring.py"),
+                ("def map_read(self, codes) -> MappingResult:\n"
+                 "    return MappingResult(segments=[])\n",
+                 "src/repro/mapping/mapper.py"),
+                ("class MappedBlock:\n    def __len__(self):\n"
+                 "        return 0\n", "src/repro/mapping/mapper.py")):
+            assert on_snippet(mappings_consumed_as_columns, allowed,
+                              where) == [], allowed
         assert on_snippet(mappings_consumed_as_columns,
                           "table = self.map_batch(reads.read_codes())\n",
                           "src/repro/mapping/widget.py") == []

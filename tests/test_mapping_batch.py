@@ -3,12 +3,13 @@
 The contract under test (:mod:`repro.mapping.batch`): the vectorized
 :class:`BatchReadMapper` produces a ``MappedBlock`` table equal column
 for column to the scalar :class:`ReadMapper` reference's — and therefore
-``MappingResult`` items and archives byte-identical — for every read
-shape (short/long, indels, Ns, reverse-complement,
-chimeric, unmapped junk).  Also covered: the batched extension solver
-against the three scalar aligners (its oracle), the mapper registry, the
-``EngineOptions.mapper`` knob, the shared k-mer index (built once per
-archive, not once per worker), and the SHD filter primitives.
+per-read mappings and archives byte-identical — for every read shape
+(short/long, indels, Ns, reverse-complement, chimeric, unmapped junk).
+Also covered: the analysis consumers' column passes against their
+per-read oracles, the batched extension solver against the three scalar
+aligners (its oracle), the mapper registry, the ``EngineOptions.mapper``
+knob, the shared k-mer index (built once per archive, not once per
+worker), and the SHD filter primitives.
 """
 
 import dataclasses
@@ -19,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import pileup
+from repro.analysis import analyze, pileup
+from repro.analysis.variants import (VariantCall, call_variants,
+                                     quality_block_access)
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import SAGeCompressor, SAGeConfig
 from repro.core import blocks as blocks_mod
@@ -35,7 +38,9 @@ from repro.mapping.kmer_index import KmerIndex
 from repro.mapping.mapper import (AlignmentJob, MappedBlock, MapperConfig,
                                   ReadMapper, block_columns)
 
-from tests.conftest import chunked
+from tests.conftest import (assert_same_report, chunked, mapping_results,
+                            pileup_oracle, property_oracle,
+                            quality_access_oracle)
 
 
 # ----------------------------------------------------------------------
@@ -50,8 +55,10 @@ def reference():
 
 def _fuzz_reads(rng, reference, n_reads, read_len, *, junk_rate=0.08,
                 n_rate=0.08, indel_rate=0.25, chimera_rate=0.1,
-                tiny_rate=0.05):
-    """Randomized read codes exercising every mapper branch."""
+                tiny_rate=0.05, clip_rate=0.0):
+    """Randomized read codes exercising every mapper branch; with
+    ``clip_rate``, that share of the mapped reads also carries a random
+    flank the mapper soft-clips."""
     out = []
     for _ in range(n_reads):
         length = int(rng.integers(max(16, read_len // 2), read_len * 2))
@@ -89,6 +96,11 @@ def _fuzz_reads(rng, reference, n_reads, read_len, *, junk_rate=0.08,
         if rng.random() < n_rate:
             p = int(rng.integers(0, codes.size))
             codes[p:p + int(rng.integers(1, 4))] = seqmod.N_CODE
+        if clip_rate and rng.random() < clip_rate:
+            flank = rng.integers(0, 4, int(rng.integers(8, 40))) \
+                .astype(np.uint8)
+            codes = np.concatenate([flank, codes] if rng.random() < 0.5
+                                   else [codes, flank])
         if rng.random() < 0.5:
             codes = seqmod.reverse_complement(codes)
         out.append(codes.astype(np.uint8))
@@ -142,8 +154,8 @@ class TestCrossMapperFuzz:
         results = [scalar.map_read(c) for c in codes_list]
         codes, offsets = block_columns(codes_list)
         table = batched.map_batch(codes, offsets)
-        # The lazily built items are the scalar results ...
-        assert [_result_key(r) for r in table] \
+        # The table's reads are the scalar results ...
+        assert [_result_key(r) for r in mapping_results(table)] \
             == [_result_key(r) for r in results]
         # ... and the columns are theirs, flattened, whichever way the
         # block is handed over and whichever kernel maps it.
@@ -189,8 +201,8 @@ class TestCrossMapperFuzz:
                 SAGeConfig(level=level, mapper_kernel=mapper))
             blobs[mapper] = compressor.compress(pieces).to_bytes()
             kernel = make_mapper(mapper, compressor.consensus)
-            mapped[mapper] = [_result_key(res) for res
-                              in kernel.map_batch(pieces.read_codes())]
+            mapped[mapper] = _columns(
+                kernel.map_batch(pieces.read_codes()))
             if mapper == "numpy":
                 assert kernel.stats.fallback > 0.9 * len(pieces)
         assert mapped["python"] == mapped["numpy"]
@@ -238,8 +250,6 @@ class TestCrossMapperFuzz:
                 == (2 * archive.n_blocks if mapper == "numpy" else 0)
             monkeypatch.setenv("SAGE_MAPPER", mapper)   # free functions
             evidence = pileup(session.blocks(), sim.reference)
-            evidence.mappings = [m and _result_key(m)
-                                 for m in evidence.mappings]
             seen[mapper] = (_plain(report), rate, _plain(evidence))
         assert seen["python"] == seen["numpy"]
         assert seen["numpy"][1].n_reads == len(sim.read_set)
@@ -254,15 +264,87 @@ class TestCrossMapperFuzz:
         scalar = ReadMapper(cons, cfg)
         batched = BatchReadMapper(cons, cfg)
         expected = [_result_key(scalar.map_read(c)) for c in codes_list]
-        got = [_result_key(r) for r in batched.map_batch(codes_list)]
+        got = [_result_key(r)
+               for r in mapping_results(batched.map_batch(codes_list))]
         assert got == expected
 
     def test_empty_batch(self, reference):
         for kernel in (ReadMapper, BatchReadMapper):
             table = kernel(reference, MapperConfig()).map_batch([])
-            assert len(table) == 0 and list(table) == []
+            assert len(table) == 0 and mapping_results(table) == []
+            with pytest.raises(TypeError):    # a table, not a sequence
+                iter(table)
             assert _columns(table) == _columns(MappedBlock.from_results(
                 [], *block_columns([])))
+
+
+# ----------------------------------------------------------------------
+# Analysis consumers: column passes against the per-read oracles
+# ----------------------------------------------------------------------
+
+class TestAnalysisColumns:
+    """``PropertyAccumulator``, ``pileup`` and ``quality_block_access``
+    compute from the table's columns; the per-read loops in
+    ``tests/conftest.py`` are their oracles, on either mapper kernel."""
+
+    @staticmethod
+    def _check(blocks, reference, mapper_config, sites):
+        assert_same_report(analyze(blocks, reference, mapper_config),
+                           property_oracle(blocks, reference, mapper_config))
+        evidence = pileup(blocks, reference, mapper_config)
+        want, mappings = pileup_oracle(blocks, reference, mapper_config)
+        assert_same_report(evidence, want)
+        read_set = ReadSet.concat(blocks)
+        calls = [VariantCall(int(p), "sub", 0, 0, 1, 1) for p in sites]
+        for block_size in (64, 1_024):
+            for emission_order in (True, False):
+                got = quality_block_access(read_set, evidence, calls,
+                                           block_size,
+                                           emission_order=emission_order)
+                assert got == quality_access_oracle(
+                    read_set, mappings, calls, block_size,
+                    emission_order=emission_order)
+
+    def test_fuzz_material_covers_every_shape(self, reference):
+        """The property below sees reverse reads, clips, indels, ``N``,
+        chimeras and unmapped reads."""
+        rng = np.random.default_rng(1)
+        codes, offsets = block_columns(_fuzz_reads(
+            rng, reference, 200, 260, clip_rate=0.2))
+        table = make_mapper("auto", reference, MapperConfig(
+            max_segments=3)).map_batch(codes, offsets)
+        assert table.reverse.any() and table.unmapped.any()
+        assert (table.clip_s > 0).any() and (table.clip_e > 0).any()
+        assert (table.kind != 0).any() and (codes == seqmod.N_CODE).any()
+        assert (np.bincount(table.seg_row) > 1).any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           n_reads=st.integers(0, 40),
+           read_len=st.sampled_from([30, 90, 260]),
+           max_segments=st.sampled_from([1, 3]),
+           block_reads=st.integers(1, 40),
+           n_sites=st.integers(0, 12))
+    def test_equals_the_oracles(self, reference, seed, n_reads, read_len,
+                                max_segments, block_reads, n_sites):
+        rng = np.random.default_rng(seed)
+        reads = ReadSet([Read(codes=c) for c in _fuzz_reads(
+            rng, reference, n_reads, read_len, clip_rate=0.2)])
+        sites = rng.integers(0, reference.size + 20, n_sites)
+        self._check(chunked(reads, block_reads), reference,
+                    MapperConfig(max_segments=max_segments), sites)
+
+    @pytest.mark.parametrize("analog", ["rs2_small", "rs3_small",
+                                        "rs4_small"])
+    def test_analogs_equal_the_oracles(self, analog, request):
+        sim = request.getfixturevalue(analog)
+        blocks = chunked(sim.read_set, 256)
+        evidence = pileup(blocks, sim.reference)
+        sites = [call.position for call in call_variants(
+            blocks, sim.reference, min_depth=1, min_alt_fraction=0.2,
+            evidence=evidence)]
+        assert sites
+        self._check(blocks, sim.reference, None, sites)
 
 
 # ----------------------------------------------------------------------
