@@ -70,9 +70,10 @@ class SourceTotals:
 def atomic_write_bytes(path: str | Path, blob: bytes) -> int:
     """Write ``blob`` to ``path`` atomically; returns the byte count.
 
-    The bytes land in a same-directory temp file, are fsynced, and the
-    temp file is :func:`os.replace`-d over the target — an interrupted
-    write leaves either the old file or the new one, never a half
+    The bytes land in a same-directory temp file, are fsynced, the temp
+    file is :func:`os.replace`-d over the target, and the directory is
+    fsynced so the rename itself is durable — an interrupted write or a
+    power loss leaves either the old file or the new one, never a half
     archive.  The temp file is removed on failure.
     """
     path = Path(path)
@@ -83,6 +84,11 @@ def atomic_write_bytes(path: str | Path, blob: bytes) -> int:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -333,7 +339,7 @@ class SAGeDataset:
 
     @property
     def archive(self) -> SAGeArchive:
-        """The underlying in-memory archive."""
+        """The underlying archive."""
         return self._archive
 
     @property

@@ -3,38 +3,13 @@
 pigz compresses FASTQ text block-parallel; ratios are general-purpose
 class (~2-6× on genomic data, §2.2) because 32 KiB windows cannot exploit
 genome-scale redundancy.  Table 2 reports DNA and quality ratios
-separately, so helpers are provided per stream as well as whole-FASTQ.
+separately, so the helpers compress one stream each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core import deflate
-from ..genomics import fastq
 from ..genomics.reads import PHRED_OFFSET, ReadSet
-
-
-@dataclass
-class PigzArchive:
-    """A pigz-analog compressed read set (FASTQ text blob)."""
-
-    blob: deflate.DeflateBlob
-
-    def byte_size(self) -> int:
-        return self.blob.byte_size
-
-
-def compress_read_set(read_set: ReadSet) -> PigzArchive:
-    """Compress the full FASTQ rendering of a read set."""
-    text = fastq.write(read_set).encode("ascii")
-    return PigzArchive(deflate.compress(text))
-
-
-def decompress_read_set(archive: PigzArchive) -> ReadSet:
-    """Recover the read set from a pigz-analog archive."""
-    text = deflate.decompress(archive.blob).decode("ascii")
-    return fastq.parse(text)
 
 
 def dna_stream(read_set: ReadSet) -> bytes:

@@ -21,14 +21,13 @@ import numpy as np
 
 from ..core import deflate
 from ..core import quality as quality_codec
-from ..core.formats import pack_bits, unpack_bits
+from ..core.formats import pack_bits
 from ..genomics import sequence as seq
-from ..genomics.reads import Read, ReadSet
+from ..genomics.reads import ReadSet
 from ..mapping.alignment import DEL, INS, SUB
 from ..mapping.mapper import MapperConfig, ReadMapper
 
 _TYPE_CHAR = {SUB: 0, INS: 1, DEL: 2}
-_KIND_FROM_CHAR = {0: SUB, 1: INS, 2: DEL}
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -42,23 +41,6 @@ def _write_varint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
-
-
-class _VarintReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.data[self.pos]
-            self.pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
 
 
 @dataclass
@@ -195,109 +177,3 @@ class SpringCompressor:
             for pos in n_positions:
                 _write_varint(corner, int(pos) - prev)
                 prev = int(pos)
-
-
-class SpringDecompressor:
-    """Functional decompression of a Spring-analog archive."""
-
-    def __init__(self, archive: SpringArchive):
-        self.archive = archive
-        raw = {name: deflate.decompress(blob)
-               for name, blob in archive.streams.items()}
-        self.consensus = unpack_bits(raw["consensus"], 2,
-                                     archive.consensus_length)
-        self.raw = raw
-
-    def decompress(self) -> ReadSet:
-        arch = self.archive
-        cons = self.consensus
-        positions = _VarintReader(self.raw["positions"])
-        counts = _VarintReader(self.raw["counts"])
-        mm_positions = _VarintReader(self.raw["mm_positions"])
-        types = _VarintReader(self.raw["types"])
-        bases = self.raw["bases"]
-        lengths = _VarintReader(self.raw["lengths"])
-        flags = self.raw["flags"]
-        corner = _VarintReader(self.raw["corner"])
-        unmapped = _VarintReader(self.raw["unmapped"])
-
-        reads: list[np.ndarray] = []
-        base_pos = 0
-        prev_cons = 0
-        for i in range(arch.n_mapped):
-            length = arch.fixed_length or lengths.read()
-            prev_cons += positions.read()
-            flag = flags[i]
-            reverse = bool(flag & 1)
-            has_clip = bool(flag & 2)
-            has_n = bool(flag & 4)
-            clip_s = clip_e = np.empty(0, dtype=np.uint8)
-            if has_clip:
-                len_s = corner.read()
-                len_e = corner.read()
-                total = len_s + len_e
-                nbytes = (3 * total + 7) // 8
-                payload = corner.data[corner.pos:corner.pos + nbytes]
-                corner.pos += nbytes
-                clip = unpack_bits(payload, 3, total)
-                clip_s, clip_e = clip[:len_s], clip[len_s:]
-            core_len = length - int(clip_s.size) - int(clip_e.size)
-
-            count = counts.read()
-            out = np.empty(core_len, dtype=np.uint8)
-            read_ptr = 0
-            q = prev_cons
-            pos = 0
-            for _ in range(count):
-                pos += mm_positions.read()
-                gap = pos - read_ptr
-                out[read_ptr:pos] = cons[q:q + gap]
-                q += gap
-                read_ptr = pos
-                kind = _KIND_FROM_CHAR[types.read()]
-                block = types.read()
-                if kind == SUB:
-                    out[read_ptr] = bases[base_pos]
-                    base_pos += 1
-                    read_ptr += 1
-                    q += 1
-                elif kind == INS:
-                    out[read_ptr:read_ptr + block] = \
-                        np.frombuffer(bases[base_pos:base_pos + block],
-                                      dtype=np.uint8)
-                    base_pos += block
-                    read_ptr += block
-                else:
-                    q += block
-            tail = core_len - read_ptr
-            out[read_ptr:] = cons[q:q + tail]
-
-            oriented = np.concatenate([clip_s, out, clip_e])
-            if has_n:
-                n_count = corner.read()
-                prev = 0
-                for _ in range(n_count):
-                    prev += corner.read()
-                    oriented[prev] = seq.N_CODE
-            codes = seq.reverse_complement(oriented) if reverse \
-                else oriented
-            reads.append(codes.astype(np.uint8))
-
-        for _ in range(arch.n_unmapped):
-            length = unmapped.read()
-            nbytes = (3 * length + 7) // 8
-            payload = unmapped.data[unmapped.pos:unmapped.pos + nbytes]
-            unmapped.pos += nbytes
-            reads.append(unpack_bits(payload, 3, length))
-
-        qualities: list[np.ndarray | None] = [None] * len(reads)
-        if arch.quality is not None:
-            scores = quality_codec.decompress(arch.quality)
-            offset = 0
-            for i, codes in enumerate(reads):
-                qualities[i] = scores[offset:offset + codes.size] \
-                    .astype(np.uint8)
-                offset += codes.size
-        name = arch.name or "spring"
-        return ReadSet([Read(c, qualities[i], header=f"{name}.{i}")
-                        for i, c in enumerate(reads)], name=name)

@@ -164,9 +164,8 @@ class BlockCompressor:
             chunks = (reads.subset(range(lo, min(lo + n, len(reads))))
                       for lo in range(0, len(reads), n))
         blocks, name = self._compress_chunks(chunks, name)
-        archive = self._compressor.assemble(blocks, name=name)
-        archive.block_reads = self.block_reads     # header field only
-        return archive
+        return self._compressor.assemble(blocks, name=name,
+                                         block_reads=self.block_reads)
 
     # ------------------------------------------------------------------
     # Internals

@@ -429,15 +429,17 @@ class SAGeCompressor:
         return self.assemble([self.compress_block(read_set)],
                              name=read_set.name)
 
-    def assemble(self, blocks: list[SAGeBlock], *,
-                 name: str = "") -> SAGeArchive:
-        """Wrap compressed ``blocks`` and the consensus into an archive."""
+    def assemble(self, blocks: list[SAGeBlock], *, name: str = "",
+                 block_reads: int = 0) -> SAGeArchive:
+        """Write compressed ``blocks`` and the consensus as an archive
+        whose header records ``block_reads``."""
         payload = pack_bits(self.consensus, 2)
         return SAGeArchive.from_blocks(
             blocks, level=self.config.level,
             consensus=(payload, 8 * len(payload)),
             consensus_length=int(self.consensus.size),
-            preserve_order=self.config.preserve_order, name=name)
+            preserve_order=self.config.preserve_order,
+            block_reads=block_reads, name=name)
 
     def compress_block(self, read_set: ReadSet) -> SAGeBlock:
         """Compress a read set into one independently decodable block.

@@ -19,6 +19,11 @@ into silent garbage.  v4 is the one layout written: version 3 blobs are
 still read by :meth:`SAGeArchive.from_bytes`, and re-saving one writes
 v4 (the same bytes plus the digests).
 
+An archive is its bytes.  Every :class:`SAGeArchive` is backed by one
+blob: :meth:`SAGeArchive.from_blocks` serializes freshly compressed
+blocks once, through the one v4 writer, and parses the result like any
+loaded file, keeping the blocks it was given as the parse cache.
+
 Byte layout (v4; v3 is the same without the ``crc`` fields)::
 
     +--------------------------------------------------------------+
@@ -287,16 +292,18 @@ class SAGeBlock:
 
 @dataclass
 class SAGeArchive:
-    """An in-memory SAGe-compressed read set.
+    """A SAGe-compressed read set, backed by the blob it was written as.
 
     One shape: the global header fields, the shared consensus stream
     (stored once), and ``blocks`` — at least one independently decodable
     :class:`SAGeBlock`, which is where every per-section table, stream
-    and side blob lives.  Archives built in memory
-    (:meth:`from_blocks`) hold every block parsed; archives loaded from
-    a blob (:meth:`from_bytes` / :meth:`open`) parse each block lazily
-    from the source bytes, one-block files included, so random access
-    to block *i* touches only its bytes.
+    and side blob lives.  One backing: every archive holds its source
+    bytes and their block index (:meth:`from_bytes` / :meth:`open` parse
+    a file; :meth:`from_blocks` writes the blocks it is given and parses
+    that).  ``blocks`` is a parse cache over those bytes: an entry is
+    parsed on first access (:meth:`block`) and dropped again by
+    :meth:`release_block`, so random access to block *i* touches only
+    its bytes.  A fresh archive starts with every entry cached.
     """
 
     level: OptLevel
@@ -310,8 +317,8 @@ class SAGeArchive:
     w_cons: int
     #: The 2-bit packed consensus as ``(payload, bit length)``.
     consensus: tuple[bytes, int]
-    #: Per-block sections; an entry is ``None`` until lazily parsed from
-    #: the source blob.
+    #: The parse cache: per-block sections; an entry is ``None`` until
+    #: parsed from the source blob.
     blocks: list[SAGeBlock | None]
     preserve_order: bool = False              # "order" streams present
     #: Configured reads-per-block partition size (0 = monolithic).
@@ -319,16 +326,16 @@ class SAGeArchive:
     # Metadata (not serialized):
     breakdown: SizeBreakdown = field(default_factory=SizeBreakdown)
     name: str = ""
-    #: Container version this archive was loaded from (:data:`VERSION`
-    #: when built in memory).
+    #: Container version of the source bytes (:data:`VERSION` for a
+    #: fresh archive).
     source_version: int = VERSION
 
     def __post_init__(self) -> None:
-        #: Source bytes of a blob-loaded archive.  A ``memoryview`` for
-        #: archives opened with :meth:`open` (zero-copy, mmap-backed);
-        #: plain ``bytes`` for :meth:`from_bytes` on a materialized blob.
+        #: The source bytes.  A ``memoryview`` for archives opened with
+        #: :meth:`open` (zero-copy, mmap-backed); plain ``bytes``
+        #: otherwise.  ``None`` only after :meth:`close`.
         self._source_blob: bytes | memoryview | None = None
-        self._index: list[BlockIndexEntry] | None = None
+        self._index: list[BlockIndexEntry] = []
         self._mmap: mmap.mmap | None = None
         #: Path of the backing file for archives opened with :meth:`open`
         #: — process-pool decode workers open the same file themselves.
@@ -337,26 +344,25 @@ class SAGeArchive:
     @classmethod
     def from_blocks(cls, blocks: list[SAGeBlock], *, level: OptLevel,
                     consensus: tuple[bytes, int], consensus_length: int,
-                    preserve_order: bool = False,
+                    preserve_order: bool = False, block_reads: int = 0,
                     name: str = "") -> "SAGeArchive":
-        """Build an archive around parsed ``blocks`` (at least one).
+        """Write compressed ``blocks`` (at least one) as an archive.
 
         The single place that knows how blocks combine with the shared
         global state: the global header fields are derived from the
-        blocks, and the Fig. 17 breakdown sums what each block charged
-        for itself plus what only the container owns — the consensus
-        and the header material, each charged once.
+        blocks, each block is serialized exactly once into the v4 blob,
+        and the archive returned is :meth:`from_bytes` of that blob with
+        ``blocks`` and ``consensus`` kept as its parse cache.
+        ``block_reads`` is the header field, written verbatim.  The
+        Fig. 17 breakdown sums what each block charged for itself plus
+        what only the container owns — the consensus and the header
+        material, each charged once.
         """
         fixed_lengths = {b.fixed_read_length for b in blocks
                          if b.n_reads and b.fixed_length}
         fixed_length = (all(b.fixed_length for b in blocks)
                         and len(fixed_lengths) <= 1)
-        breakdown = SizeBreakdown()
-        breakdown.charge("consensus", consensus[1])
-        for blk in blocks:
-            for category, bits in blk.breakdown.bits.items():
-                breakdown.charge(category, bits)
-        archive = cls(
+        header = cls(
             level=level, long_reads=any(b.long_reads for b in blocks),
             fixed_length=fixed_length,
             fixed_read_length=fixed_lengths.pop()
@@ -367,9 +373,17 @@ class SAGeArchive:
             w_rlen=max(b.w_rlen for b in blocks),
             w_cons=max(1, consensus_length.bit_length()),
             consensus=consensus, blocks=list(blocks),
-            preserve_order=preserve_order, breakdown=breakdown,
-            name=name)
-        breakdown.charge("header", 8 * archive.header_bytes_estimate())
+            preserve_order=preserve_order, block_reads=block_reads)
+        archive = cls.from_bytes(
+            header._write([(blk, blk.serialize()) for blk in blocks]))
+        archive.blocks, archive.consensus = header.blocks, consensus
+        archive.name = name
+        archive.breakdown.charge("consensus", consensus[1])
+        for blk in blocks:
+            for category, bits in blk.breakdown.bits.items():
+                archive.breakdown.charge(category, bits)
+        archive.breakdown.charge("header",
+                                 8 * archive.header_bytes_estimate())
         return archive
 
     # ------------------------------------------------------------------
@@ -424,13 +438,13 @@ class SAGeArchive:
                 and self._source_blob is not None)
 
     def close(self) -> None:
-        """Release the memory map behind an :meth:`open`-ed archive.
+        """Drop the source bytes (and the memory map behind an
+        :meth:`open`-ed archive).
 
         Blocks parsed so far keep working (their streams are copies);
-        *unparsed* blocks become inaccessible.  A no-op for archives
-        built in memory.  If a payload view is still exported (e.g. an
-        array wrapping it), the mapping is left to the garbage
-        collector instead of invalidating the view.
+        *unparsed* blocks become inaccessible.  If a payload view is
+        still exported (e.g. an array wrapping it), the mapping is left
+        to the garbage collector instead of invalidating the view.
 
         Contract: ``close`` is idempotent and safe to call from any
         thread, including while another thread is mid-decode.  The blob
@@ -462,8 +476,8 @@ class SAGeArchive:
         The inverse of the lazy parse in :meth:`block`: a streaming
         pass that has fully consumed a block calls this so a whole-
         archive walk holds O(window) parsed blocks, not O(n_blocks).
-        Only blocks re-parseable from the source blob are dropped;
-        archives built in memory (no source bytes) are untouched.
+        The next :meth:`block` re-parses it from the source bytes; a
+        closed archive, which has none left, keeps what it parsed.
         """
         if self._source_blob is not None:
             self.blocks[index] = None
@@ -547,28 +561,14 @@ class SAGeArchive:
             preserve_order=self.preserve_order, name=self.name)
 
     def block_index(self) -> list[BlockIndexEntry]:
-        """The top-level index: per-block read counts, payload sizes and
-        the global position of each block's first read.
+        """The top-level index, as parsed from the source bytes:
+        per-block read counts, payload sizes and digests, and the
+        global position of each block's first read.
 
-        Offsets locate each payload within the blob the archive was
-        loaded from, or within :meth:`to_bytes` for an archive built in
-        memory (the two differ only for a loaded v3 archive, whose
+        Offsets locate each payload within the source bytes (which
+        differ from :meth:`to_bytes` only for a loaded v3 archive, whose
         re-save adds the digests).
         """
-        if self._index is None:
-            # Built in memory: every block is parsed.
-            offset = self.header_fixed_nbytes() + len(self.consensus[0])
-            first_read = 0
-            entries: list[BlockIndexEntry] = []
-            for i in range(self.n_blocks):
-                blk = self.block(i)
-                payload = blk.serialize()
-                entries.append(BlockIndexEntry(
-                    blk.n_mapped, blk.n_unmapped, len(payload), offset,
-                    _checksum(payload), first_read))
-                offset += len(payload)
-                first_read += blk.n_reads
-            self._index = entries
         return self._index
 
     def fallback_headers(self, index: int) -> list[str]:
@@ -581,26 +581,19 @@ class SAGeArchive:
             entry.first_read, entry.first_read + entry.n_reads)]
 
     def block_payload(self, index: int) -> "bytes | memoryview":
-        """Raw serialized payload of block ``index``.
-
-        Uses the source blob's bytes when the block is still unparsed
-        (no re-serialization), which also guarantees byte-stable round
-        trips.
-        """
-        parsed = self.blocks[index]
-        if parsed is None:
-            return self._checked_payload(index, self.block_index()[index])
-        return parsed.serialize()
+        """Raw serialized payload of block ``index``: a digest-checked
+        slice of the source bytes, parsed or not (never a
+        re-serialization)."""
+        return self._checked_payload(index, self.block_index()[index])
 
     def source_bytes(self) -> bytes:
-        """The archive as one blob another process can ``from_bytes``.
-
-        A loaded archive hands back the bytes it was loaded from,
-        unverified — per-block damage must surface where the block is
-        decoded, not here; an archive built in memory serializes.
-        """
+        """The archive as one blob another process can ``from_bytes``:
+        the source bytes, unverified — per-block damage must surface
+        where the block is decoded, not here."""
         blob = self._source_blob
-        return bytes(blob) if blob is not None else self.to_bytes()
+        if blob is None:
+            raise ContainerError("archive closed")
+        return bytes(blob)
 
     # ------------------------------------------------------------------
     # Sizes
@@ -634,18 +627,11 @@ class SAGeArchive:
         return total
 
     def dna_byte_size(self) -> int:
-        """Compressed size of the DNA payload: :meth:`byte_size` minus
-        the quality and read-header sections, to the byte."""
+        """Compressed size of the DNA payload: ``len(to_bytes())``
+        minus every block's quality and read-header sections, to the
+        byte."""
         return self.header_fixed_nbytes() + len(self.consensus[0]) \
             + sum(blk.section_nbytes()[0] for blk in self._parsed_blocks())
-
-    def byte_size(self) -> int:
-        """Total archive size including quality and header streams:
-        exactly ``len(self.to_bytes())``, computed from the layout
-        without serializing (``tests/test_core_container.py`` and
-        ``tests/test_core_blocks.py`` hold it to equality)."""
-        return self.header_fixed_nbytes() + len(self.consensus[0]) \
-            + sum(sum(blk.section_nbytes()) for blk in self._parsed_blocks())
 
     # ------------------------------------------------------------------
     # Serialization
@@ -674,13 +660,11 @@ class SAGeArchive:
         writer.write(_checksum(writer.getvalue()), 32)
         return writer.getvalue()
 
-    def to_bytes(self) -> bytes:
-        """Serialize the archive as the checksummed :data:`VERSION`.
-
-        The one layout written: a v4 archive re-saves byte-identically,
-        and a loaded v3 archive re-saves as v4 — its v3 bytes plus the
-        header, consensus and per-block digests.
-        """
+    def _write(self, sections: list[tuple[SAGeBlock | BlockIndexEntry,
+                                          bytes | memoryview]]) -> bytes:
+        """The one writer: this archive's global header and consensus
+        around ``sections``, one ``(counts, payload)`` per block, as the
+        checksummed :data:`VERSION`."""
         writer = BitWriter()
         writer.write_bytes(self._global_header_blob())
         payload, bits = self.consensus
@@ -689,18 +673,26 @@ class SAGeArchive:
         writer.align_to_byte()
         writer.write(_checksum(payload), 32)
         writer.write_bytes(payload)
-        payloads = [self.block_payload(i) for i in range(self.n_blocks)]
-        for i, blob in enumerate(payloads):
-            # A parsed block and an index entry both carry the counts;
-            # an unparsed block always has its index entry.
-            counts = self.blocks[i] or self.block_index()[i]
+        for counts, blob in sections:
             writer.write(counts.n_mapped, 40)
             writer.write(counts.n_unmapped, 40)
             writer.write(len(blob), 32)
             writer.write(_checksum(blob), 32)
-        for blob in payloads:
+        for _, blob in sections:
             writer.write_bytes(blob)
         return writer.getvalue()
+
+    def to_bytes(self) -> bytes:
+        """The archive as the checksummed :data:`VERSION`.
+
+        The one layout written: a v4 archive is its source bytes, and a
+        loaded v3 archive re-saves as v4 — its v3 block payloads plus
+        the header, consensus and per-block digests.
+        """
+        if not self.checksummed:
+            return self._write([(entry, self.block_payload(i))
+                                for i, entry in enumerate(self._index)])
+        return self.source_bytes()
 
     @classmethod
     def from_bytes(cls, blob: "bytes | memoryview") -> "SAGeArchive":
@@ -851,22 +843,19 @@ class SAGeArchive:
         with each status one of ``"ok"`` (digest matches),
         ``"failed"`` (mismatch), or ``"unchecked"`` (the layout carries
         no digest — v3 archives).  Never raises on corruption; the
-        report localizes it instead.  Archives built in memory are
-        self-consistent by construction and report ``"ok"`` throughout
-        when checksummed.
+        report localizes it instead.  The header and consensus digests
+        were verified when the source bytes were parsed, so only the
+        lazily checked block payloads are re-walked.
         """
         if not self.checksummed:
             return {"header": "unchecked", "consensus": "unchecked",
                     "blocks": ["unchecked"] * self.n_blocks}
-        # A blob-backed v4 archive had its header and consensus digests
-        # verified at load; re-walk only the lazily checked blocks.
-        statuses = ["ok"] * self.n_blocks
-        blob, index_entries = self._source_blob, self._index
-        if blob is not None and index_entries is not None:
-            for i, entry in enumerate(index_entries):
-                payload = blob[entry.offset:entry.offset + entry.nbytes]
-                if len(payload) != entry.nbytes or (
-                        entry.crc32 is not None
-                        and _checksum(payload) != entry.crc32):
-                    statuses[i] = "failed"
+        statuses = []
+        for i, entry in enumerate(self._index):
+            try:
+                self._checked_payload(i, entry)
+            except CorruptArchiveError:
+                statuses.append("failed")
+            else:
+                statuses.append("ok")
         return {"header": "ok", "consensus": "ok", "blocks": statuses}

@@ -257,13 +257,3 @@ class HuffmanTable:
                 f"last symbol ends at bit {end} of a {nbits}-bit stream",
                 last)
         return sym_tab.take(peek.take(pos))
-
-
-def entropy_bits(counts: np.ndarray) -> float:
-    """Shannon entropy (bits/symbol) of a count vector; 0 if empty."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    probs = counts[counts > 0] / total
-    return float(-(probs * np.log2(probs)).sum())

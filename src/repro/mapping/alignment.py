@@ -207,35 +207,3 @@ def suffix_free_align(read_seg: np.ndarray,
                       cons_seg: np.ndarray) -> AlignmentResult:
     """Align the read segment to a prefix of the consensus window."""
     return _align(read_seg, cons_seg, free_start=False, free_end=True)
-
-
-def apply_ops(cons_seg: np.ndarray, ops: list[EditOp],
-              read_length: int) -> np.ndarray:
-    """Reconstruct a read segment from consensus bases + edit ops.
-
-    This is the reference implementation of the decoder's reconstruction
-    loop, used in tests to validate alignment output.
-    """
-    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
-    out = np.empty(read_length, dtype=np.uint8)
-    read_ptr = 0
-    cons_ptr = 0
-    for op in sorted(ops, key=lambda o: o.read_pos):
-        gap = op.read_pos - read_ptr
-        if gap < 0:
-            raise ValueError("ops out of order")
-        out[read_ptr:op.read_pos] = cons_seg[cons_ptr:cons_ptr + gap]
-        read_ptr += gap
-        cons_ptr += gap
-        if op.kind == SUB:
-            out[read_ptr] = op.bases[0]
-            read_ptr += 1
-            cons_ptr += 1
-        elif op.kind == INS:
-            out[read_ptr:read_ptr + op.length] = op.bases
-            read_ptr += op.length
-        else:  # DEL
-            cons_ptr += op.length
-    tail = read_length - read_ptr
-    out[read_ptr:] = cons_seg[cons_ptr:cons_ptr + tail]
-    return out

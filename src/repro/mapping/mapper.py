@@ -273,44 +273,6 @@ class MappedBlock:
         return np.where(reverse, seq.COMPLEMENT[bases], bases)
 
 
-def reconstruct(consensus: np.ndarray, result: MappingResult,
-                read_length: int) -> np.ndarray:
-    """Rebuild the original read from a mapping (reference decoder).
-
-    Mirrors what the SAGe hardware does: copy consensus bases, apply
-    mismatches, reattach clips, un-reverse.  Used by tests to prove the
-    mapper's edit scripts are lossless.
-    """
-    if result.unmapped:
-        raise ValueError("cannot reconstruct an unmapped read from mapping")
-    parts = [result.clip_start]
-    for segment in result.segments:
-        window = consensus[segment.cons_start:
-                           segment.cons_start + segment.length
-                           + _ops_cons_extra(segment.ops)]
-        parts.append(alignment.apply_ops(window, segment.ops,
-                                         segment.length))
-    parts.append(result.clip_end)
-    oriented = np.concatenate(parts).astype(np.uint8)
-    if oriented.size != read_length:
-        raise ValueError(
-            f"reconstructed {oriented.size} bases, expected {read_length}")
-    if result.reverse:
-        return seq.reverse_complement(oriented)
-    return oriented
-
-
-def _ops_cons_extra(ops: list[EditOp]) -> int:
-    """Extra consensus bases consumed beyond the read length (dels - ins)."""
-    extra = 0
-    for op in ops:
-        if op.kind == alignment.DEL:
-            extra += op.length
-        elif op.kind == alignment.INS:
-            extra -= op.length
-    return max(0, extra)
-
-
 @dataclass
 class MapperConfig:
     """Tunables for the mapper."""

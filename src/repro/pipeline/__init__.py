@@ -7,12 +7,10 @@ from .configs import (PREP_ORDER, PREP_TOOLS, DatasetModel,
                       dataset_from_paper, paper_dataset_models)
 from .endtoend import (MAX_SIM_BATCHES, EndToEndResult, SystemConfig,
                        batches_for_dataset, batches_from_archive,
-                       build_stages, evaluate, geometric_mean,
-                       speedup_over)
+                       build_stages, evaluate, geometric_mean)
 from .executor import (BACKENDS, CollectSink, ExecutorStats, FastqSink,
                        Sink, StreamExecutor)
-from .stages import (PipelineResult, Stage, simulate_pipeline,
-                     steady_state_throughput)
+from .stages import PipelineResult, Stage, simulate_pipeline
 
 __all__ = [
     "accelerators", "configs", "endtoend", "executor", "stages",
@@ -21,7 +19,7 @@ __all__ = [
     "dataset_from_paper", "paper_dataset_models", "MAX_SIM_BATCHES",
     "EndToEndResult", "SystemConfig", "batches_for_dataset",
     "batches_from_archive", "build_stages", "evaluate", "geometric_mean",
-    "speedup_over", "BACKENDS", "CollectSink", "ExecutorStats",
+    "BACKENDS", "CollectSink", "ExecutorStats",
     "FastqSink", "Sink", "StreamExecutor", "PipelineResult",
-    "Stage", "simulate_pipeline", "steady_state_throughput",
+    "Stage", "simulate_pipeline",
 ]

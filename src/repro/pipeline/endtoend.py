@@ -253,15 +253,6 @@ def _account_energy(prep_name: str, dataset: DatasetModel,
     return ledger
 
 
-def speedup_over(prep_name: str, baseline: str, dataset: DatasetModel,
-                 system: SystemConfig | None = None) -> float:
-    """Throughput ratio of a configuration over a baseline."""
-    system = system or SystemConfig()
-    a = evaluate(prep_name, dataset, system)
-    b = evaluate(baseline, dataset, system)
-    return a.throughput_bases_per_s / b.throughput_bases_per_s
-
-
 def geometric_mean(values: list[float]) -> float:
     """GMean used throughout the paper's figures.
 

@@ -89,8 +89,3 @@ def simulate_pipeline(stages: list[Stage], total_units: float,
             upstream = finish
     return PipelineResult(makespan_s=prev_finish[-1],
                           total_units=total_units, timelines=timelines)
-
-
-def steady_state_throughput(stages: list[Stage]) -> float:
-    """The asymptotic pipeline rate: the slowest stage's rate."""
-    return min(s.rate_units_per_s for s in stages)

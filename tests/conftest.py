@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis import PropertyReport
 from repro.analysis.variants import Pileup, QualityAccessReport
-from repro.core import SAGeConfig
+from repro.core import SAGeConfig, deflate
+from repro.core import quality as quality_codec
 from repro.core.formats import FormatError, OutputFormat, unpack_bits
 from repro.genomics import datasets
 from repro.genomics import sequence as seq
@@ -23,7 +24,7 @@ from repro.mapping.alignment import EditOp
 from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
 
 #: Every optional container section switched on and off — the sweep of
-#: the ``byte_size() == len(to_bytes())`` tests.
+#: the ``sections_nbytes(archive) == len(to_bytes())`` tests.
 SIZE_CONFIGS = (
     SAGeConfig(),
     SAGeConfig(with_headers=True, preserve_order=True),
@@ -43,6 +44,15 @@ def golden_blob(name: str) -> bytes:
     """Committed archive blob ``name`` — the only source of a v3 file,
     since the container writes v4 alone."""
     return base64.b64decode("".join(GOLDEN["blobs"][name]["base64"]))
+
+
+def sections_nbytes(archive) -> int:
+    """``dna_byte_size()`` (what tab02 reports) plus every block's
+    quality and header sections: the written size, derived from the
+    layout."""
+    return archive.dna_byte_size() + sum(
+        sum(archive.block(i).section_nbytes()[1:])
+        for i in range(archive.n_blocks))
 
 
 @pytest.fixture(scope="session")
@@ -160,10 +170,193 @@ def detokenize(tokens):
     return bytes(out)
 
 
+def entropy_bits(counts):
+    """Shannon entropy (bits/symbol) of a count vector; 0 if empty —
+    the bound a Huffman table is held to."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    probs = counts[counts > 0] / total
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def steady_state_throughput(stages):
+    """The asymptotic pipeline rate, the slowest stage's — the limit
+    :func:`repro.pipeline.stages.simulate_pipeline` is held to."""
+    return min(s.rate_units_per_s for s in stages)
+
+
+class _VarintReader:
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def read(self):
+        shift = value = 0
+        while True:
+            byte = self.data[self.pos]
+            self.pos += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+
+
+_SPRING_KIND = {0: alignment.SUB, 1: alignment.INS, 2: alignment.DEL}
+
+
+def spring_decompress(archive):
+    """The reads a Spring-analog archive holds — the decoder that shows
+    :class:`repro.baselines.spring.SpringCompressor` is lossless."""
+    raw = {name: deflate.decompress(blob)
+           for name, blob in archive.streams.items()}
+    cons = unpack_bits(raw["consensus"], 2, archive.consensus_length)
+    positions = _VarintReader(raw["positions"])
+    counts = _VarintReader(raw["counts"])
+    mm_positions = _VarintReader(raw["mm_positions"])
+    types = _VarintReader(raw["types"])
+    bases = raw["bases"]
+    lengths = _VarintReader(raw["lengths"])
+    flags = raw["flags"]
+    corner = _VarintReader(raw["corner"])
+    unmapped = _VarintReader(raw["unmapped"])
+
+    reads = []
+    base_pos = 0
+    prev_cons = 0
+    for i in range(archive.n_mapped):
+        length = archive.fixed_length or lengths.read()
+        prev_cons += positions.read()
+        flag = flags[i]
+        clip_s = clip_e = np.empty(0, dtype=np.uint8)
+        if flag & 2:
+            len_s = corner.read()
+            len_e = corner.read()
+            total = len_s + len_e
+            nbytes = (3 * total + 7) // 8
+            payload = corner.data[corner.pos:corner.pos + nbytes]
+            corner.pos += nbytes
+            clip = unpack_bits(payload, 3, total)
+            clip_s, clip_e = clip[:len_s], clip[len_s:]
+        core_len = length - int(clip_s.size) - int(clip_e.size)
+
+        out = np.empty(core_len, dtype=np.uint8)
+        read_ptr = pos = 0
+        q = prev_cons
+        for _ in range(counts.read()):
+            pos += mm_positions.read()
+            gap = pos - read_ptr
+            out[read_ptr:pos] = cons[q:q + gap]
+            q += gap
+            read_ptr = pos
+            kind = _SPRING_KIND[types.read()]
+            block = types.read()
+            if kind == alignment.SUB:
+                out[read_ptr] = bases[base_pos]
+                base_pos += 1
+                read_ptr += 1
+                q += 1
+            elif kind == alignment.INS:
+                out[read_ptr:read_ptr + block] = np.frombuffer(
+                    bases[base_pos:base_pos + block], dtype=np.uint8)
+                base_pos += block
+                read_ptr += block
+            else:
+                q += block
+        out[read_ptr:] = cons[q:q + core_len - read_ptr]
+
+        oriented = np.concatenate([clip_s, out, clip_e])
+        if flag & 4:
+            prev = 0
+            for _ in range(corner.read()):
+                prev += corner.read()
+                oriented[prev] = seq.N_CODE
+        codes = seq.reverse_complement(oriented) if flag & 1 else oriented
+        reads.append(codes.astype(np.uint8))
+
+    for _ in range(archive.n_unmapped):
+        length = unmapped.read()
+        nbytes = (3 * length + 7) // 8
+        payload = unmapped.data[unmapped.pos:unmapped.pos + nbytes]
+        unmapped.pos += nbytes
+        reads.append(unpack_bits(payload, 3, length))
+
+    qualities = [None] * len(reads)
+    if archive.quality is not None:
+        scores = quality_codec.decompress(archive.quality)
+        offset = 0
+        for i, codes in enumerate(reads):
+            qualities[i] = scores[offset:offset + codes.size] \
+                .astype(np.uint8)
+            offset += codes.size
+    name = archive.name or "spring"
+    return ReadSet([Read(c, qualities[i], header=f"{name}.{i}")
+                    for i, c in enumerate(reads)], name=name)
+
+
 # ----------------------------------------------------------------------
-# Mapping oracles: one MappingResult per read, and the per-read loops
-# the analysis consumers' column passes are held to.
+# Mapping oracles: one MappingResult per read, its reference decoder,
+# and the per-read loops the analysis consumers' column passes are held
+# to.
 # ----------------------------------------------------------------------
+
+def apply_ops(cons_seg, ops, read_length):
+    """Reconstruct a read segment from consensus bases + edit ops — the
+    reference of the decoder's reconstruction loop that alignment output
+    is validated with."""
+    cons_seg = np.asarray(cons_seg, dtype=np.uint8)
+    out = np.empty(read_length, dtype=np.uint8)
+    read_ptr = 0
+    cons_ptr = 0
+    for op in sorted(ops, key=lambda o: o.read_pos):
+        gap = op.read_pos - read_ptr
+        if gap < 0:
+            raise ValueError("ops out of order")
+        out[read_ptr:op.read_pos] = cons_seg[cons_ptr:cons_ptr + gap]
+        read_ptr += gap
+        cons_ptr += gap
+        if op.kind == alignment.SUB:
+            out[read_ptr] = op.bases[0]
+            read_ptr += 1
+            cons_ptr += 1
+        elif op.kind == alignment.INS:
+            out[read_ptr:read_ptr + op.length] = op.bases
+            read_ptr += op.length
+        else:  # DEL
+            cons_ptr += op.length
+    tail = read_length - read_ptr
+    out[read_ptr:] = cons_seg[cons_ptr:cons_ptr + tail]
+    return out
+
+
+def reconstruct(consensus, result, read_length):
+    """Rebuild the original read from a mapping (reference decoder).
+
+    Mirrors what the SAGe hardware does: copy consensus bases, apply
+    mismatches, reattach clips, un-reverse — the proof that the mapper's
+    edit scripts are lossless.
+    """
+    if result.unmapped:
+        raise ValueError("cannot reconstruct an unmapped read from mapping")
+    parts = [result.clip_start]
+    for segment in result.segments:
+        # Extra consensus bases consumed beyond the read (dels - ins).
+        extra = sum(op.length if op.kind == alignment.DEL else -op.length
+                    for op in segment.ops
+                    if op.kind in (alignment.DEL, alignment.INS))
+        window = consensus[segment.cons_start:segment.cons_start
+                           + segment.length + max(0, extra)]
+        parts.append(apply_ops(window, segment.ops, segment.length))
+    parts.append(result.clip_end)
+    oriented = np.concatenate(parts).astype(np.uint8)
+    if oriented.size != read_length:
+        raise ValueError(
+            f"reconstructed {oriented.size} bases, expected {read_length}")
+    if result.reverse:
+        return seq.reverse_complement(oriented)
+    return oriented
+
 
 def mapping_results(table):
     """One :class:`MappingResult` per read of a ``MappedBlock`` table,

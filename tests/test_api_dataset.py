@@ -441,6 +441,29 @@ class TestIntegrityAPI:
         assert path.read_bytes() == b"abc"
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_atomic_write_syncs_the_directory(self, tmp_path, monkeypatch):
+        """The rename is durable only once its directory is fsynced."""
+        import os
+        import stat
+
+        from repro.api import atomic_write_bytes
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recorded_fsync(fd):
+            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            fsync(fd)
+
+        def recorded_replace(src, dst):
+            events.append(("replace", None))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recorded_fsync)
+        monkeypatch.setattr(os, "replace", recorded_replace)
+        atomic_write_bytes(tmp_path / "out.bin", b"abc")
+        after = events[events.index(("replace", None)) + 1:]
+        assert ("fsync", True) in after
+
     def test_save_failure_keeps_old_file(self, tmp_path, dataset,
                                          monkeypatch):
         import os

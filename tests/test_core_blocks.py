@@ -13,14 +13,14 @@ from repro.api import EngineOptions, SAGeDataset
 from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
                         SAGeConfig, SAGeDecompressor)
 from repro.core.container import (BLOCK_STREAM_NAMES, ContainerError,
-                                  SAGeArchive)
+                                  SAGeArchive, SAGeBlock)
 from repro.genomics.reads import ReadSet
 from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
 from repro.mapping.mapper import MapperConfig
 
 from tests.conftest import (SIZE_CONFIGS, chunked, golden_blob,
-                            read_multiset)
+                            read_multiset, sections_nbytes)
 
 BLOCK_READS = 9  # deliberately small: forces several partial blocks
 BLOCKED = EngineOptions(block_reads=BLOCK_READS)
@@ -216,7 +216,49 @@ class TestContainerCompat:
                 assert built.n_blocks > 1
                 for archive in (built,
                                 SAGeArchive.from_bytes(built.to_bytes())):
-                    assert archive.byte_size() == len(archive.to_bytes())
+                    assert sections_nbytes(archive) \
+                        == len(archive.to_bytes())
+
+
+class TestOneBacking:
+    """An archive is its bytes: a fresh one is the blob ``from_blocks``
+    wrote, parsed, with the blocks it was given as the parse cache."""
+
+    @pytest.fixture
+    def fresh(self, families):
+        sim = families["short"]
+        return BlockCompressor(sim.reference, SAGeConfig(),
+                               options=BLOCKED).compress(sim.read_set)
+
+    def test_release_block_reparses_from_bytes(self, fresh):
+        original = fresh.block(1)
+        fresh.release_block(1)
+        assert fresh.blocks[1] is None
+        again = fresh.block(1)
+        assert again is not original
+        assert again.serialize() == original.serialize()
+        assert again.n_reads == fresh.block_index()[1].n_reads
+
+    def test_decode_then_save_serializes_each_block_once(
+            self, families, monkeypatch, tmp_path):
+        written = []
+        serialize = SAGeBlock.serialize
+
+        def counted(block):
+            written.append(block)
+            return serialize(block)
+
+        monkeypatch.setattr(SAGeBlock, "serialize", counted)
+        sim = families["short"]
+        dataset = SAGeDataset(
+            BlockCompressor(sim.reference, SAGeConfig(), options=BLOCKED)
+            .compress(sim.read_set))
+        assert read_multiset(dataset.read_set()) \
+            == read_multiset(sim.read_set)
+        dataset.save(tmp_path / "fresh.sage")
+        assert len(written) == dataset.n_blocks > 1
+        assert (tmp_path / "fresh.sage").read_bytes() \
+            == dataset.archive.source_bytes()
 
 
 class TestBlockedHardwarePath:
@@ -254,8 +296,7 @@ class TestBlockedHardwarePath:
         assert np.array_equal(result.reads.codes, np.concatenate(per_block))
 
     def test_block_index_offsets_locate_payloads(self, blocked):
-        """Built-in-memory offsets must match the serialized layout."""
-        from repro.core.container import SAGeBlock
+        """A fresh archive's index is the one its bytes carry."""
         _, archive = blocked
         blob = archive.to_bytes()
         loaded = SAGeArchive.from_bytes(blob)

@@ -6,7 +6,8 @@ from repro.core import SAGeCompressor, SAGeConfig
 from repro.core.container import (ContainerError, CorruptArchiveError,
                                   SAGeArchive, TruncatedArchiveError)
 
-from tests.conftest import SIZE_CONFIGS, V3_BLOBS, golden_blob
+from tests.conftest import (SIZE_CONFIGS, V3_BLOBS, golden_blob,
+                            sections_nbytes)
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +49,19 @@ class TestSerialization:
         assert back.quality.n_scores == quality.n_scores
 
     def test_byte_size_tracks_blob(self, rs3_small, rs4_small):
-        # byte_size() re-derives the writer's layout by hand (tab02
-        # reports it): it must equal the serialized size exactly, for
-        # every optional section, built or reloaded — and for a loaded
-        # v3 archive, whose re-save is the v4 layout.
+        # dna_byte_size() is the number tab02 reports: with every
+        # block's quality and header sections it is the written size
+        # exactly, for every optional section, built or reloaded — and
+        # for a loaded v3 archive, whose re-save is the v4 layout.
+        archives = [SAGeArchive.from_bytes(golden_blob(name))
+                    for name in V3_BLOBS]
         for sim in (rs3_small, rs4_small):
             for config in SIZE_CONFIGS:
                 built = SAGeCompressor(sim.reference, config) \
                     .compress(sim.read_set)
-                for archive in (built,
-                                SAGeArchive.from_bytes(built.to_bytes())):
-                    assert archive.byte_size() == len(archive.to_bytes())
-        for name in V3_BLOBS:
-            archive = SAGeArchive.from_bytes(golden_blob(name))
-            assert archive.byte_size() == len(archive.to_bytes())
+                archives += [built, SAGeArchive.from_bytes(built.to_bytes())]
+        for archive in archives:
+            assert sections_nbytes(archive) == len(archive.to_bytes())
 
 
 class TestValidation:

@@ -37,7 +37,7 @@ class TestPreserveOrder:
                              with_quality=False)
         ordered, _ = roundtrip(rs3_small.read_set, rs3_small.reference,
                                with_quality=False, preserve_order=True)
-        extra = ordered.byte_size() - plain.byte_size()
+        extra = len(ordered.to_bytes()) - len(plain.to_bytes())
         n = len(rs3_small.read_set)
         # ~log2(n) bits per read.
         assert 0 < extra <= (n * 3)

@@ -17,6 +17,8 @@ from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
 
+from tests.conftest import sections_nbytes
+
 REFERENCE = make_reference(3_000, np.random.default_rng(1234))
 
 
@@ -124,8 +126,5 @@ class TestPropertyRoundtrip:
         archive = SAGeCompressor(REFERENCE, SAGeConfig()) \
             .compress(read_set)
         assert archive.n_reads == len(read_set)
-        blob = archive.to_bytes()
-        # byte_size is the accounting estimate; serialization agrees
-        # within the per-section padding.
-        assert abs(len(blob) - archive.byte_size()) \
-            <= 0.05 * len(blob) + 64
+        # The layout's section sizes add up to the written bytes.
+        assert sections_nbytes(archive) == len(archive.to_bytes())

@@ -246,6 +246,12 @@ SANCTIONED_KNOB_SITES = {
     "src/repro/pipeline/endtoend.py::batches_for_dataset":
         "block_reads is the dataset batching unit, not an engine knob "
         "here",
+    "src/repro/core/container.py::SAGeArchive.from_blocks":
+        "block_reads is the header field written verbatim, not a "
+        "partition decision",
+    "src/repro/core/compressor.py::SAGeCompressor.assemble":
+        "block_reads is the header field written verbatim (forwarded to "
+        "from_blocks), not a partition decision",
 }
 
 _SESSION_ENTRY = {"__init__", "from_fastq", "open", "_make_executor"}
@@ -707,6 +713,31 @@ def hardware_decodes_once(source, where):
     return offenders
 
 
+def blocks_serialized_once(source, where):
+    """An archive is its bytes: a block is rendered whole (the
+    argument-less ``SAGeBlock.serialize()``; a table's
+    ``serialize(writer)`` is a field writer) only where
+    ``SAGeArchive.from_blocks`` writes it, and every later payload is a
+    slice of those bytes."""
+    if not where.startswith("src/repro/"):
+        return []
+    tree = ast.parse(source)
+    writer = {id(node)
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              and cls.name == "SAGeArchive"
+              and where == "src/repro/core/container.py"
+              for func in cls.body if isinstance(func, FUNCTIONS)
+              and func.name == "from_blocks"
+              for node in ast.walk(func)}
+    return [f"{where}:{node.lineno} serialize() outside "
+            f"SAGeArchive.from_blocks"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "serialize"
+            and not node.args and not node.keywords
+            and id(node) not in writer]
+
+
 # ----------------------------------------------------------------------
 # Nothing in src/ only the tests call: every public function,
 # class or method defined under src/ is named somewhere in the code that
@@ -726,6 +757,10 @@ SANCTIONED_TEST_ONLY = {
         "the session's public lifecycle flag, read by a caller after "
         "close() the way a file object's closed is; nothing inside the "
         "package needs to ask",
+    "src/repro/genomics/fastq.py::parse":
+        "the block parser's text entry, read_file's twin for FASTQ a "
+        "caller already holds as a string; the package itself reads "
+        "files",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
@@ -767,7 +802,11 @@ def definitions_have_a_caller(root=ROOT, sanctioned=SANCTIONED_TEST_ONLY):
     trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text())
              for caller in CALLER_ROOTS
              for path in sorted((root / caller).rglob("*.py"))}
-    named = {name for tree in trees.values() for name in _names_used(tree)}
+    # A package ``__init__.py`` re-export (import or ``__all__``
+    # string) is no caller.
+    named = {name for where, tree in trees.items()
+             if Path(where).name != "__init__.py"
+             for name in _names_used(tree)}
     uncalled = {site: node.lineno
                 for where, tree in trees.items() if where.startswith("src/")
                 for site, node in _public_definitions(tree, where)
@@ -1562,6 +1601,46 @@ class TestOptionsThreadingEdges:
                               f"def {name}(self, *args):\n    pass\n",
                               "src/repro/hardware/device.py") != [], name
 
+    def test_blocks_serialized_once(self):
+        """One backing: ``SAGeArchive.from_blocks`` writes each block
+        once and the archive is that blob from then on, so no index
+        builder, payload accessor or size helper re-serializes a block
+        (``blocks_serialized_once``)."""
+        assert on_tree(blocks_serialized_once, "src") == []
+        container = "src/repro/core/container.py"
+        for violating, where in (
+                ("""\
+                 class SAGeArchive:
+                     def block_payload(self, index):
+                         return self.blocks[index].serialize()
+                 """, container),
+                ("""\
+                 class SAGeArchive:
+                     def block_index(self):
+                         return [len(blk.serialize()) for blk in self.blocks]
+                 """, container),
+                ("""\
+                 class Writer:
+                     def from_blocks(self, blocks):
+                         return [blk.serialize() for blk in blocks]
+                 """, container),
+                ("""\
+                 class SAGeArchive:
+                     def from_blocks(self, blocks):
+                         return [blk.serialize() for blk in blocks]
+                 """, "src/repro/api/dataset.py")):
+            assert on_snippet(blocks_serialized_once, violating,
+                              where) != [], violating
+        assert on_snippet(blocks_serialized_once, """\
+            class SAGeArchive:
+                @classmethod
+                def from_blocks(cls, blocks):
+                    return [(blk, blk.serialize()) for blk in blocks]
+
+                def _write_meta(self, writer):
+                    self.tables["mp"].serialize(writer)
+            """, container) == []
+
     def test_definitions_have_a_caller(self, tmp_path):
         """Code only tests call does not live in ``src/``: an oracle
         moves to ``tests/``, anything else goes
@@ -1603,6 +1682,16 @@ class TestOptionsThreadingEdges:
             tmp_path, {site: "why", "src/pkg/model.py::helper": "why"}) \
             == ["src/pkg/model.py::helper is sanctioned but has a caller "
                 "or is gone"]
+        # A package re-export (import or ``__all__`` string) is no
+        # caller either.
+        (package / "__init__.py").write_text(
+            'from .model import Model, helper\n'
+            '__all__ = ["Model", "helper", "run", "verify"]\n')
+        (tmp_path / "examples" / "demo.py").write_text(
+            "from pkg import Model\n")
+        assert definitions_have_a_caller(tmp_path, {}) == [
+            f"src/pkg/model.py::Model.{name} (line {line}) has no caller "
+            f"outside tests/" for name, line in (("run", 10), ("verify", 13))]
 
 class TestSinkContractEdges:
     def test_protocol_class_is_exempt(self):

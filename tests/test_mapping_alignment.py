@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
 from repro.mapping import alignment
-from repro.mapping.alignment import (DEL, INS, SUB, EditOp, apply_ops,
-                                     global_align, prefix_free_align,
-                                     suffix_free_align)
+from repro.mapping.alignment import (DEL, INS, SUB, EditOp, global_align,
+                                     prefix_free_align, suffix_free_align)
 from repro.mapping.batch import MapperStats, solve_extension_jobs
 from repro.mapping.mapper import AlignmentJob
+
+from tests.conftest import apply_ops
 
 
 def enc(text):

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
 from repro.genomics.reference import make_reference
-from repro.mapping import MapperConfig, ReadMapper, alignment, reconstruct
+from repro.mapping import MapperConfig, ReadMapper, alignment
 from repro.mapping import mapper as mapper_module
 from repro.mapping.kmer_index import AnchorHits, KmerIndex
 from repro.mapping.mapper import (AlignmentJob, _SegmentPlan,
                                   block_columns)
+
+from tests.conftest import apply_ops, reconstruct
 
 
 class TestKmerIndex:
@@ -299,7 +301,7 @@ class TestSegmentAssembly:
             == [("sub", 3 - seg_lo), ("del", 30 - seg_lo)]
         window = cons[segment.cons_start:segment.cons_start + 61]
         assert np.array_equal(
-            alignment.apply_ops(window, segment.ops, segment.length),
+            apply_ops(window, segment.ops, segment.length),
             read[seg_lo:])
 
     def test_edit_left_of_segment_start_rejects_the_read(self, case):

@@ -9,7 +9,9 @@ from repro.pipeline import (MAX_SIM_BATCHES, PREP_ORDER, SystemConfig,
                             geometric_mean, measure_filter_fraction,
                             paper_dataset_models)
 from repro.pipeline.accelerators import ISFModel, gem, software_mapper
-from repro.pipeline.stages import Stage, simulate_pipeline, steady_state_throughput
+from repro.pipeline.stages import Stage, simulate_pipeline
+
+from tests.conftest import steady_state_throughput
 
 
 class TestPipelineSimulator:
