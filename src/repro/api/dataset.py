@@ -374,8 +374,8 @@ class SAGeDataset:
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialize the archive as the checksummed v4 (a loaded v3
-        archive is upgraded; see :meth:`SAGeArchive.to_bytes`)."""
+        """Serialize the archive in a checksummed layout (a loaded v3
+        archive is upgraded to v4; see :meth:`SAGeArchive.to_bytes`)."""
         return self._archive.to_bytes()
 
     def save(self, path: str | Path) -> int:

@@ -15,16 +15,26 @@ The **version 4** layout is v3 plus end-to-end integrity digests: a
 CRC32 over the global header, a CRC32 over the consensus payload, and a
 CRC32 per block payload carried in the block index — so a flipped bit
 anywhere is *detected* and *localized* to one block instead of decoding
-into silent garbage.  v4 is the one layout written: version 3 blobs are
-still read by :meth:`SAGeArchive.from_bytes`, and re-saving one writes
-v4 (the same bytes plus the digests).
+into silent garbage.
+
+The **version 5** layout is v4 with lane-ordered quality blobs
+(:func:`repro.core.quality.compress`): order-1 scores are cut into lanes
+whose context chain restarts every :data:`~repro.core.quality.LANE`
+scores, so the decoder steps every lane one column at a time.  Only the
+quality payload differs; the version byte is what tells the block parser
+which quality layout a blob holds.  v5 is the one layout written for
+freshly compressed blocks.  v3 and v4 blobs are still read by
+:meth:`SAGeArchive.from_bytes`: a v4 archive saves as its own bytes, and
+a v3 one re-saves as v4 (the same bytes plus the digests) — never as
+v5, whose version byte would make its walk-layout quality decode as
+lanes.
 
 An archive is its bytes.  Every :class:`SAGeArchive` is backed by one
 blob: :meth:`SAGeArchive.from_blocks` serializes freshly compressed
-blocks once, through the one v4 writer, and parses the result like any
+blocks once, through the one writer, and parses the result like any
 loaded file, keeping the blocks it was given as the parse cache.
 
-Byte layout (v4; v3 is the same without the ``crc`` fields)::
+Byte layout (v4 and v5; v3 is the same without the ``crc`` fields)::
 
     +--------------------------------------------------------------+
     | global header: magic, version, level, flags, totals,         |
@@ -62,8 +72,13 @@ from .prefix_codes import AssociationTable
 
 MAGIC = 0x53414745  # "SAGE"
 
-#: Current (checksummed) layout, the one version written.
-VERSION = 4
+#: Current layout (checksummed, lane-ordered quality), the one version
+#: written for freshly compressed blocks.
+VERSION = 5
+
+#: Checksummed layout with walk-ordered quality: read, and written only
+#: to re-save a v3 or v4 source.
+V4_VERSION = 4
 
 #: Block-based layout without integrity digests, still read.
 V3_VERSION = 3
@@ -231,8 +246,11 @@ class SAGeBlock:
         return writer.getvalue()
 
     @classmethod
-    def deserialize(cls, payload: "bytes | memoryview") -> "SAGeBlock":
-        """Parse one block payload written by :meth:`serialize`.
+    def deserialize(cls, payload: "bytes | memoryview",
+                    version: int = VERSION) -> "SAGeBlock":
+        """Parse one block payload written by :meth:`serialize` into an
+        archive of container ``version``, which decides the layout of
+        its quality blob.
 
         ``payload`` may be a zero-copy ``memoryview`` (mmap-backed
         archives); parsed streams are always materialized as ``bytes``,
@@ -242,7 +260,7 @@ class SAGeBlock:
         applies) — never a bare ``IndexError``/``KeyError``.
         """
         try:
-            return cls._deserialize(payload)
+            return cls._deserialize(payload, version)
         except SAGeError:
             raise
         except Exception as exc:
@@ -250,7 +268,8 @@ class SAGeBlock:
                 f"malformed block payload ({exc})") from exc
 
     @classmethod
-    def _deserialize(cls, payload: "bytes | memoryview") -> "SAGeBlock":
+    def _deserialize(cls, payload: "bytes | memoryview",
+                     version: int) -> "SAGeBlock":
         reader = BitReader(payload)
         long_reads = bool(reader.read_bit())
         fixed_length = bool(reader.read_bit())
@@ -276,8 +295,9 @@ class SAGeBlock:
             nbytes = reader.read(40)
             n_scores = reader.read(40)
             reader.align_to_byte()
-            quality = quality_codec.QualityBlob(reader.read_bytes(nbytes),
-                                                n_scores)
+            quality = quality_codec.QualityBlob(
+                reader.read_bytes(nbytes), n_scores,
+                laned=version >= VERSION)
         headers_blob = None
         if has_headers:
             nbytes = reader.read(40)
@@ -350,14 +370,20 @@ class SAGeArchive:
 
         The single place that knows how blocks combine with the shared
         global state: the global header fields are derived from the
-        blocks, each block is serialized exactly once into the v4 blob,
+        blocks, each block is serialized exactly once into one blob,
         and the archive returned is :meth:`from_bytes` of that blob with
-        ``blocks`` and ``consensus`` kept as its parse cache.
+        ``blocks`` and ``consensus`` kept as its parse cache.  The blob
+        is :data:`VERSION` unless a block carries walk-layout quality
+        parsed from a v3/v4 archive (a :meth:`block_view` of one), which
+        only :data:`V4_VERSION` can hold.
         ``block_reads`` is the header field, written verbatim.  The
         Fig. 17 breakdown sums what each block charged for itself plus
         what only the container owns — the consensus and the header
         material, each charged once.
         """
+        layouts = {b.quality.laned for b in blocks if b.quality is not None}
+        if len(layouts) > 1:
+            raise ContainerError("blocks mix v5 and v3/v4 quality layouts")
         fixed_lengths = {b.fixed_read_length for b in blocks
                          if b.n_reads and b.fixed_length}
         fixed_length = (all(b.fixed_length for b in blocks)
@@ -373,7 +399,8 @@ class SAGeArchive:
             w_rlen=max(b.w_rlen for b in blocks),
             w_cons=max(1, consensus_length.bit_length()),
             consensus=consensus, blocks=list(blocks),
-            preserve_order=preserve_order, block_reads=block_reads)
+            preserve_order=preserve_order, block_reads=block_reads,
+            source_version=V4_VERSION if False in layouts else VERSION)
         archive = cls.from_bytes(
             header._write([(blk, blk.serialize()) for blk in blocks]))
         archive.blocks, archive.consensus = header.blocks, consensus
@@ -506,12 +533,20 @@ class SAGeArchive:
             entry = self.block_index()[index]
             payload = self._checked_payload(index, entry)
             try:
-                parsed = SAGeBlock.deserialize(payload)
+                parsed = SAGeBlock.deserialize(payload, self.source_version)
             except CorruptArchiveError as exc:
                 raise CorruptArchiveError(
                     str(exc.message), block_index=index, stream=exc.stream,
                     offset=exc.offset if exc.offset is not None
                     else entry.offset) from exc
+            # No digest covers the index entries, and the read count of
+            # an entry sizes the block's fallback names.
+            if (parsed.n_mapped, parsed.n_unmapped) \
+                    != (entry.n_mapped, entry.n_unmapped):
+                raise CorruptArchiveError(
+                    f"block index lists {entry.n_reads} reads, the "
+                    f"payload {parsed.n_reads}", block_index=index,
+                    offset=entry.offset)
             self.blocks[index] = parsed
         return parsed
 
@@ -519,8 +554,8 @@ class SAGeArchive:
                          entry: BlockIndexEntry) -> "bytes | memoryview":
         """Slice block ``index``'s payload from the blob, digest-checked.
 
-        The single decode-time integrity gate of v4 archives, in the
-        parent and in pool workers alike: any payload whose stored
+        The single decode-time integrity gate of checksummed archives,
+        in the parent and in pool workers alike: any payload whose stored
         CRC32 does not match raises :class:`CorruptArchiveError` naming
         the block and offset, before a single stream bit is parsed.
         For mmap-backed archives the slice is a zero-copy
@@ -640,10 +675,11 @@ class SAGeArchive:
     def _global_header_blob(self) -> bytes:
         """The serialized global header, ending in a CRC32 over the
         preceding header bytes, so any flip in the global fields is
-        detected before they are trusted."""
+        detected before they are trusted.  Stamped with the source
+        version, or :data:`V4_VERSION` for a v3 source."""
         writer = BitWriter()
         writer.write(MAGIC, 32)
-        writer.write(VERSION, 8)
+        writer.write(max(self.source_version, V4_VERSION), 8)
         writer.write(int(self.level), 4)
         writer.write_bit(self.long_reads)
         writer.write_bit(self.fixed_length)
@@ -663,8 +699,8 @@ class SAGeArchive:
     def _write(self, sections: list[tuple[SAGeBlock | BlockIndexEntry,
                                           bytes | memoryview]]) -> bytes:
         """The one writer: this archive's global header and consensus
-        around ``sections``, one ``(counts, payload)`` per block, as the
-        checksummed :data:`VERSION`."""
+        around ``sections``, one ``(counts, payload)`` per block, in the
+        checksummed layout."""
         writer = BitWriter()
         writer.write_bytes(self._global_header_blob())
         payload, bits = self.consensus
@@ -683,11 +719,11 @@ class SAGeArchive:
         return writer.getvalue()
 
     def to_bytes(self) -> bytes:
-        """The archive as the checksummed :data:`VERSION`.
+        """The archive in a checksummed layout.
 
-        The one layout written: a v4 archive is its source bytes, and a
-        loaded v3 archive re-saves as v4 — its v3 block payloads plus
-        the header, consensus and per-block digests.
+        A v4 or v5 archive is its source bytes, and a loaded v3 archive
+        re-saves as v4 — its v3 block payloads plus the header,
+        consensus and per-block digests.
         """
         if not self.checksummed:
             return self._write([(entry, self.block_payload(i))
@@ -696,8 +732,8 @@ class SAGeArchive:
 
     @classmethod
     def from_bytes(cls, blob: "bytes | memoryview") -> "SAGeArchive":
-        """Deserialize an archive blob: v4 (what :meth:`to_bytes`
-        writes) or v3.
+        """Deserialize an archive blob: v5 (what :meth:`from_blocks`
+        writes), v4 or v3.
 
         ``blob`` may be any byte buffer — :meth:`open` passes a
         ``memoryview`` over an mmap, keeping block payloads unread
@@ -708,7 +744,7 @@ class SAGeArchive:
         :class:`TruncatedArchiveError` (with the offset the layout ran
         past), structural damage raises :class:`CorruptArchiveError` /
         :class:`ContainerError` — never a raw ``struct.error`` or
-        ``IndexError``.  For v4 blobs the global-header and consensus
+        ``IndexError``.  For v4/v5 blobs the global-header and consensus
         digests are verified here; per-block digests are verified
         lazily when a block's payload is first touched.
         """
@@ -721,7 +757,7 @@ class SAGeArchive:
             raise CorruptArchiveError("bad magic; not a SAGe archive",
                                       offset=0)
         version = reader.read(8)
-        if version not in (V3_VERSION, VERSION):
+        if version not in (V3_VERSION, V4_VERSION, VERSION):
             raise ContainerError(f"unsupported version {version}")
         try:
             return cls._from_reader(reader, blob, version)
@@ -735,7 +771,7 @@ class SAGeArchive:
     @classmethod
     def _from_reader(cls, reader: BitReader, blob: "bytes | memoryview",
                      version: int) -> "SAGeArchive":
-        checksummed = version >= VERSION
+        checksummed = version >= V4_VERSION
         try:
             level = OptLevel(reader.read(4))
             long_reads = bool(reader.read_bit())
@@ -821,17 +857,18 @@ class SAGeArchive:
         re-serialization would write the checksummed layout: its bytes
         were never protected, so ``verify_checksums`` must say
         ``unchecked``, not ``ok``."""
-        return self.source_version >= VERSION
+        return self.source_version >= V4_VERSION
 
     def header_crc32(self) -> int | None:
-        """The global-header digest a v4 serialization carries."""
+        """The global-header digest a checksummed serialization carries."""
         if not self.checksummed:
             return None
         head = self._global_header_blob()
         return int.from_bytes(head[-4:], "big")
 
     def consensus_crc32(self) -> int | None:
-        """The consensus-payload digest a v4 serialization carries."""
+        """The consensus-payload digest a checksummed serialization
+        carries."""
         if not self.checksummed:
             return None
         return _checksum(self.consensus[0])

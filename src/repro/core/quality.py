@@ -11,14 +11,21 @@ The paper keeps quality decode host-side, off the accelerator's
 critical path.  In this software reproduction it is *on* the path: with
 quality selected it is the largest single stage of a block decode.  It
 has two stages.  Each Huffman sub-stream decodes at numpy speed
-(:meth:`repro.core.huffman.HuffmanTable.decode`, ~1.3 ms per
-sub-stream of a 1024 x 100 bp block).  The order-1 model then has to
-interleave its ``CONTEXT_BUCKETS`` sub-streams back into one, and the
-context of score *i* is the decoded score *i-1* — a serial dependence
-the format bakes in — so :func:`_reassemble_order1` is a per-score walk
-(~6 ms per such block, about half of what quality decode costs, and it
-holds the GIL).  Removing it takes a format whose context is known before
-decoding, not a faster loop.
+(:meth:`repro.core.huffman.HuffmanTable.decode`).  The order-1 model
+then interleaves its ``CONTEXT_BUCKETS`` sub-streams back into one, and
+a score's context is a *decoded* score — a serial dependence.
+
+The v5 layout (what :func:`compress` writes) bounds that chain: a block
+is cut into lanes of :data:`LANE` consecutive scores, a score's context
+is the previous score *in its lane*, and every sub-stream lists its
+scores column-major.  So :func:`_unlane` fills one column of every lane
+per numpy step — at most 64 steps per block.  On simulated RS2 scores
+that step takes ~2.0 ms for a 1024 x 100 bp block, where the per-score
+walk took ~8.3 ms, and ~0.7 ms for a 128-read block against ~1.0 ms
+(median of 31, 2-vCPU VM, numpy 2.4).  Restarting the chain every 64
+scores costs ~1.7 % of order-1 bytes on Markov-correlated scores.  The
+v3/v4 layout is the one-lane case, and :func:`_reassemble_order1`, the
+per-score walk, is now only its reader.
 
 Everything :func:`decompress` reads from the stream is checked before
 it sizes a buffer or bounds a loop, and damage surfaces as a
@@ -43,6 +50,10 @@ DEFAULT_BLOCK = 1 << 20
 #: Number of previous-score context buckets for the order-1 model.
 CONTEXT_BUCKETS = 4
 
+#: Scores per lane of the v5 order-1 layout.  Written into each blob's
+#: header, so a reader takes the lane length from the bytes.
+LANE = 64
+
 
 @dataclass
 class QualityBlob:
@@ -50,26 +61,61 @@ class QualityBlob:
 
     payload: bytes
     n_scores: int
+    #: Which order-1 layout the payload holds: lanes (v5, what
+    #: :func:`compress` writes) or the one-lane walk of v3/v4 archives,
+    #: which carries no lane field.  Set by the container parser from
+    #: the archive version.
+    laned: bool = True
 
     @property
     def byte_size(self) -> int:
         return len(self.payload)
 
 
-def _context_ids(scores: np.ndarray, max_score: int) -> np.ndarray:
-    """Order-1 context: bucket of the previous score (0 for the first)."""
-    bucket_width = max(1, (max_score + CONTEXT_BUCKETS) // CONTEXT_BUCKETS)
-    ctx = np.empty(scores.size, dtype=np.int64)
-    ctx[0] = 0
-    ctx[1:] = scores[:-1] // bucket_width
-    np.clip(ctx, 0, CONTEXT_BUCKETS - 1, out=ctx)
-    return ctx
+def _bucket_width(max_score: int) -> int:
+    """Scores per context bucket.  ``score // width`` is below
+    :data:`CONTEXT_BUCKETS` for every score up to ``max_score``."""
+    return max(1, (max_score + CONTEXT_BUCKETS) // CONTEXT_BUCKETS)
+
+
+def _lane_split(block: np.ndarray, lane: int,
+                max_score: int) -> list[np.ndarray]:
+    """One block's order-1 sub-streams in the lane layout.
+
+    The block is cut into lanes of ``lane`` consecutive scores; a
+    score's context is the bucket of the previous score in its lane
+    (context 0 at lane position 0), and each sub-stream lists its scores
+    column-major: lane position first, then lane index.  Built on a
+    padded ``uint8`` (lanes, ``lane``) grid, whose padding belongs to
+    no sub-stream.
+    """
+    lane = min(lane, block.size)
+    grid = np.zeros((-(-block.size // lane), lane), dtype=np.uint8)
+    grid.reshape(-1)[:block.size] = block
+    ctx = np.zeros_like(grid)
+    ctx[:, 1:] = grid[:, :-1] // _bucket_width(max_score)
+    ctx.reshape(-1)[block.size:] = CONTEXT_BUCKETS
+    scores, ctx = grid.T.ravel(), ctx.T.ravel()
+    return [scores[ctx == c] for c in range(CONTEXT_BUCKETS)]
+
+
+def _write_substream(writer: BitWriter, sub: np.ndarray,
+                     max_score: int) -> None:
+    """Write one (table, count, nbits, payload) record."""
+    table = HuffmanTable.from_counts(
+        np.bincount(sub, minlength=max_score + 1))
+    table.serialize(writer)
+    payload, nbits = table.encode(sub)
+    writer.write(sub.size, 32)
+    writer.write(nbits, 40)
+    writer.align_to_byte()
+    writer.write_bytes(payload)
 
 
 def compress(scores: np.ndarray, order1: bool = True,
              block_size: int = DEFAULT_BLOCK) -> QualityBlob:
     """Compress a concatenated quality-score array losslessly."""
-    scores = np.asarray(scores, dtype=np.int64)
+    scores = np.asarray(scores)
     writer = BitWriter()
     writer.write(scores.size, 40)
     writer.write(1 if order1 else 0, 1)
@@ -77,32 +123,15 @@ def compress(scores: np.ndarray, order1: bool = True,
         return QualityBlob(writer.getvalue(), 0)
     max_score = int(scores.max())
     writer.write(max_score, 8)
-    n_blocks = (scores.size + block_size - 1) // block_size
     writer.write(block_size, 32)
-
-    for b in range(n_blocks):
-        block = scores[b * block_size:(b + 1) * block_size]
-        if order1:
-            ctx = _context_ids(block, max_score)
-            for c in range(CONTEXT_BUCKETS):
-                sub = block[ctx == c]
-                counts = np.bincount(sub, minlength=max_score + 1)
-                table = HuffmanTable.from_counts(counts)
-                table.serialize(writer)
-                payload, nbits = table.encode(sub)
-                writer.write(sub.size, 32)
-                writer.write(nbits, 40)
-                writer.align_to_byte()
-                writer.write_bytes(payload)
-        else:
-            counts = np.bincount(block, minlength=max_score + 1)
-            table = HuffmanTable.from_counts(counts)
-            table.serialize(writer)
-            payload, nbits = table.encode(block)
-            writer.write(block.size, 32)
-            writer.write(nbits, 40)
-            writer.align_to_byte()
-            writer.write_bytes(payload)
+    lane = min(LANE, block_size)
+    writer.write(lane, 32)
+    scores = scores.astype(np.uint8, copy=False)
+    for start in range(0, scores.size, block_size):
+        block = scores[start:start + block_size]
+        for sub in (_lane_split(block, lane, max_score) if order1
+                    else [block]):
+            _write_substream(writer, sub, max_score)
     return QualityBlob(writer.getvalue(), int(scores.size))
 
 
@@ -116,26 +145,35 @@ def decompress(blob: QualityBlob) -> np.ndarray:
     """Recover the concatenated quality-score array."""
     reader = BitReader(blob.payload, name="quality")
     try:
-        return _decompress(reader)
+        return _decompress(reader, blob)
     except BitIOError as exc:
         raise TruncatedArchiveError(
             str(exc), stream="quality",
             offset=reader.position // 8) from exc
 
 
-def _decompress(reader: BitReader) -> np.ndarray:
+def _decompress(reader: BitReader, blob: QualityBlob) -> np.ndarray:
     n_scores = reader.read(40)
+    # The container prices the block from its own copy of the count.
+    if n_scores != blob.n_scores:
+        raise _damaged(
+            f"blob holds {n_scores} scores, its container says "
+            f"{blob.n_scores}", reader)
     order1 = bool(reader.read(1))
     if n_scores == 0:
         return np.empty(0, dtype=np.uint8)
     max_score = reader.read(8)
     block_size = reader.read(32)
+    lane = reader.read(32) if blob.laned else block_size
     # Every score costs at least one bit, so a count the rest of the
     # blob cannot hold is damage — caught before it sizes ``out``.
     if block_size == 0 or n_scores > reader.remaining:
         raise _damaged(
             f"{n_scores} scores in blocks of {block_size} cannot come "
             f"from the {reader.remaining} bits that follow", reader)
+    if not 0 < lane <= block_size:
+        raise _damaged(
+            f"lanes of {lane} scores in blocks of {block_size}", reader)
     out = np.empty(n_scores, dtype=np.uint8)
     for done in range(0, n_scores, block_size):
         block_len = min(block_size, n_scores - done)
@@ -146,8 +184,14 @@ def _decompress(reader: BitReader) -> np.ndarray:
             raise _damaged(
                 f"sub-streams hold {decoded} scores for a block of "
                 f"{block_len}", reader)
-        out[done:done + block_len] = _reassemble_order1(
-            parts, block_len, max_score) if order1 else parts[0]
+        if not order1:
+            out[done:done + block_len] = parts[0]
+        elif blob.laned:
+            out[done:done + block_len] = _unlane(parts, block_len, lane,
+                                                 max_score)
+        else:
+            out[done:done + block_len] = _reassemble_order1(
+                parts, block_len, max_score)
     return out
 
 
@@ -176,16 +220,52 @@ def _read_substream(reader: BitReader, block_len: int,
                         origin=origin)
 
 
+def _unlane(parts: list[np.ndarray], block_len: int, lane: int,
+            max_score: int) -> np.ndarray:
+    """Invert :func:`_lane_split`: one numpy step per lane position.
+
+    Column *j* of every lane is filled at once: the buckets of column
+    *j-1* (all zero for column 0) pick each lane's sub-stream, a stable
+    sort by bucket lines the lanes up with the next slice of every
+    sub-stream, and one scatter puts the slices in place.  Only the
+    last lane can be short, so the lanes still running at a column are
+    always a prefix.
+    """
+    width = -(-block_len // lane)
+    tail = block_len - (width - 1) * lane     # length of the last lane
+    bucket_width = np.uint8(_bucket_width(max_score))
+    grid = np.empty((lane, width), dtype=np.uint8)   # one column per row
+    starts = [0] * CONTEXT_BUCKETS
+    ctx = np.zeros(width, dtype=np.uint8)
+    for j in range(min(lane, block_len)):
+        rows = width if j < tail else width - 1
+        if j:
+            ctx = grid[j - 1, :rows] // bucket_width
+        counts = np.bincount(ctx, minlength=CONTEXT_BUCKETS).tolist()
+        slices = []
+        for c, count in enumerate(counts):
+            slices.append(parts[c][starts[c]:starts[c] + count])
+            starts[c] += count
+        column = np.concatenate(slices)
+        if column.size != rows:
+            raise CorruptArchiveError(
+                f"a context sub-stream ran out at lane step {j} of "
+                f"{min(lane, block_len)}", stream="quality")
+        grid[j, np.argsort(ctx, kind="stable")] = column
+    return grid.T.reshape(-1)[:block_len]
+
+
 def _reassemble_order1(parts: list[np.ndarray], block_len: int,
                        max_score: int) -> np.ndarray:
-    """Invert the context split: scores must be replayed in order.
+    """Invert the v3/v4 context split, where a block is one lane and
+    scores must be replayed in order.
 
-    The one per-score loop left in the decoder, kept to interpreter
-    primitives: each sub-stream is a ``bytes`` iterator and a score
-    indexes straight into the bound ``__next__`` of the sub-stream its
-    successor was coded in.
+    The reader of walk-layout blobs only (v5 blobs go through
+    :func:`_unlane`), kept to interpreter primitives: each sub-stream
+    is a ``bytes`` iterator and a score indexes straight into the bound
+    ``__next__`` of the sub-stream its successor was coded in.
     """
-    bucket_width = max(1, (max_score + CONTEXT_BUCKETS) // CONTEXT_BUCKETS)
+    bucket_width = _bucket_width(max_score)
     streams = [iter(part.tobytes()).__next__ for part in parts]
     following = [streams[min(score // bucket_width, CONTEXT_BUCKETS - 1)]
                  for score in range(256)]

@@ -1,6 +1,6 @@
 """Deterministic archive fault injectors.
 
-The robustness contract of the checksummed (v4) container is a
+The robustness contract of the checksummed (v4/v5) container is a
 *property*: for any archive and any byte-level damage, decoding either
 fails with a typed :class:`~repro.core.errors.SAGeError` or produces
 output identical to the undamaged decode — never silent wrong FASTQ.

@@ -18,7 +18,8 @@ from repro.core.formats import FormatError, OutputFormat, unpack_bits
 from repro.genomics import datasets
 from repro.genomics import sequence as seq
 from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
-from repro.genomics.simulator import ReadSimulator, short_read_profile
+from repro.genomics.simulator import (QualityModel, ReadSimulator,
+                                      short_read_profile)
 from repro.mapping import alignment, make_mapper
 from repro.mapping.alignment import EditOp
 from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
@@ -41,8 +42,8 @@ V3_BLOBS = ("v3_one_block_order_headers", "v3_blocked")
 
 
 def golden_blob(name: str) -> bytes:
-    """Committed archive blob ``name`` — the only source of a v3 file,
-    since the container writes v4 alone."""
+    """Committed archive blob ``name`` — the only source of a v3 or v4
+    file, since the container writes v5 alone."""
     return base64.b64decode("".join(GOLDEN["blobs"][name]["base64"]))
 
 
@@ -87,6 +88,32 @@ def clean_short_sim():
                                  indel_variant_rate=0.0)
     sim = ReadSimulator(profile, np.random.default_rng(7))
     return sim.simulate(6_000, 450)
+
+
+def markov_scores(n_reads, read_length=100, stay=0.9, seed=0):
+    """Concatenated scores of ``n_reads`` reads with the correlation
+    real qualities have and the simulator's i.i.d. draw lacks: per read,
+    a first-order Markov chain over the Illumina-binned levels that
+    keeps its level with probability ``stay`` and otherwise redraws it
+    from the binned weights, so runs last tens of scores (mean ~33 at
+    37, ~10 at 2).  Test-side only: ``QualityModel.sample`` stays
+    i.i.d."""
+    model = QualityModel.illumina_binned()
+    rng = np.random.default_rng(seed)
+    level = rng.choice(model.levels.size, size=n_reads, p=model.weights)
+    columns = []
+    for _ in range(read_length):
+        columns.append(model.levels[level])
+        redraw = rng.random(n_reads) >= stay
+        level[redraw] = rng.choice(model.levels.size,
+                                   size=int(redraw.sum()), p=model.weights)
+    return np.stack(columns, axis=1).reshape(-1)
+
+
+@pytest.fixture(scope="session")
+def correlated_scores():
+    """One 1024 x 100 bp block of :func:`markov_scores`."""
+    return markov_scores(1024)
 
 
 def read_multiset(read_set):

@@ -8,6 +8,7 @@ import pytest
 from repro.api import EngineOptions, SAGeDataset, available_sinks
 from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, OptLevel,
                         SAGeArchive, SAGeCompressor, SAGeConfig)
+from repro.core.container import VERSION
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import PLACEHOLDER_SCORE, Read, ReadSet
@@ -211,7 +212,7 @@ class TestFacadeSessions:
         nbytes = dataset.save(path)
         assert path.stat().st_size == nbytes
         with SAGeDataset.open(path) as session:
-            assert session.format_version == 4
+            assert session.format_version == VERSION
             assert session.n_blocks == dataset.n_blocks
             assert read_multiset(session.read_set()) \
                 == read_multiset(rs3_small.read_set)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import EngineOptions, SAGeDataset
 from repro.cli import main
+from repro.core.container import VERSION
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
 
@@ -275,7 +276,7 @@ class TestInspectJson:
         capsys.readouterr()
         assert main(["inspect", str(archive), "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["format_version"] == 4
+        assert info["format_version"] == VERSION
         # Each fact once: no duplicate version key, no options echo.
         assert "version" not in info and "options" not in info
         assert info["block_reads"] == 16
@@ -434,7 +435,7 @@ class TestVerifySalvage:
         assert main(["verify", str(blocked), "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["status"] == "ok"
-        assert info["format_version"] == 4
+        assert info["format_version"] == VERSION
         assert set(info["blocks"]) == {"ok"}
 
     def test_verify_damaged_exits_nonzero(self, damaged, capsys):

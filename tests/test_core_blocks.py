@@ -12,8 +12,8 @@ import pytest
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
                         SAGeConfig, SAGeDecompressor)
-from repro.core.container import (BLOCK_STREAM_NAMES, ContainerError,
-                                  SAGeArchive, SAGeBlock)
+from repro.core.container import (BLOCK_STREAM_NAMES, VERSION,
+                                  ContainerError, SAGeArchive, SAGeBlock)
 from repro.genomics.reads import ReadSet
 from repro.genomics.simulator import (ReadSimulator, long_read_profile,
                                       short_read_profile)
@@ -177,7 +177,7 @@ class TestContainerCompat:
         sim = families["short"]
         archive = SAGeCompressor(sim.reference,
                                  SAGeConfig()).compress(sim.read_set)
-        assert archive.to_bytes()[4] == 4       # the one version written
+        assert archive.to_bytes()[4] == VERSION  # the one version written
         blob = bytearray(golden_blob("v3_one_block_order_headers"))
         blob[4] = 2              # the version byte follows the magic
         with pytest.raises(ContainerError, match="unsupported version 2"):

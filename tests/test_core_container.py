@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.core import SAGeCompressor, SAGeConfig
-from repro.core.container import (ContainerError, CorruptArchiveError,
-                                  SAGeArchive, TruncatedArchiveError)
+from repro.api import SAGeDataset
+from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
+from repro.core.container import (VERSION, ContainerError,
+                                  CorruptArchiveError, SAGeArchive,
+                                  TruncatedArchiveError)
 
 from tests.conftest import (SIZE_CONFIGS, V3_BLOBS, golden_blob,
-                            sections_nbytes)
+                            read_multiset, sections_nbytes)
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +126,11 @@ class TestMalformedInput:
 
 
 class TestChecksums:
-    def test_v4_is_default_write(self, archive):
+    def test_current_version_is_default_write(self, archive):
         blob = archive.to_bytes()
-        assert blob[4] == 4
+        assert blob[4] == VERSION
         back = SAGeArchive.from_bytes(blob)
-        assert back.source_version == 4
+        assert back.source_version == VERSION
         assert back.checksummed
 
     def test_verify_checksums_ok(self, archive):
@@ -144,6 +146,20 @@ class TestChecksums:
         with pytest.raises(CorruptArchiveError):
             SAGeArchive.from_bytes(bytes(blob))
 
+    def test_walk_layout_quality_is_written_only_as_v4(self, archive):
+        v4 = SAGeArchive.from_bytes(golden_blob("v4_blocked"))
+        view = v4.block_view(1)
+        assert not view.block(0).quality.laned
+        assert view.to_bytes()[4] == 4
+        back = SAGeArchive.from_bytes(view.to_bytes())
+        assert read_multiset(SAGeDecompressor(back).decompress()) \
+            == read_multiset(SAGeDataset(v4).decode_block(1))
+        with pytest.raises(ContainerError, match="mix"):
+            SAGeArchive.from_blocks(
+                [v4.block(0), archive.block(0)], level=archive.level,
+                consensus=archive.consensus,
+                consensus_length=archive.consensus_length)
+
     def test_v3_verify_reports_unchecked(self):
         for name in V3_BLOBS:
             back = SAGeArchive.from_bytes(golden_blob(name))
@@ -156,7 +172,7 @@ class TestChecksums:
     def test_v4_upgrade_from_v3(self):
         for name in V3_BLOBS:
             back = SAGeArchive.from_bytes(golden_blob(name))
-            blob = back.to_bytes()              # the one layout written
+            blob = back.to_bytes()      # v4, never v5: walk-layout quality
             assert blob[4] == 4
             upgraded = SAGeArchive.from_bytes(blob)
             assert upgraded.checksummed

@@ -111,6 +111,24 @@ class TestBlockChecksums:
             SAGeDecompressor(bad).decompress_block(1)
         assert info.value.block_index == 1
 
+    def test_index_counts_must_match_the_payload(self, blocked):
+        # The index entries carry no digest: a damaged read count must
+        # fail the block, not size ~2^26 fallback names.
+        _, blob = blocked
+        arch = SAGeArchive.from_bytes(blob)
+        start = arch.block_index()[0].offset - 18 * arch.n_blocks
+        damaged = bytearray(blob)
+        damaged[start + 18 * 2 + 6] ^= 0x04       # block 2's n_unmapped
+        bad = SAGeArchive.from_bytes(bytes(damaged))
+        assert bad.block_index()[2].n_reads > 2**26
+        with pytest.raises(CorruptArchiveError, match="index lists") \
+                as info:
+            bad.block(2)
+        assert info.value.block_index == 2
+        with pytest.raises(BlockDecodeError) as info:
+            SAGeDecompressor(bad).decompress_block(2)
+        assert info.value.block_index == 2
+
     def test_verify_localizes(self, blocked):
         archive, blob = blocked
         bad = SAGeArchive.from_bytes(self._corrupt_block(blob, 3))

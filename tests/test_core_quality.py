@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import quality
+from repro.core import SAGeArchive, quality
 from repro.core.bitio import BitReader
-from repro.core.errors import SAGeError
+from repro.core.errors import CorruptArchiveError, SAGeError
 from repro.core.huffman import (PEEK_BITS, HuffmanError, HuffmanTable,
                                 canonical_codes)
+
+from tests.conftest import GOLDEN, golden_blob
 
 score_arrays = st.lists(st.integers(min_value=0, max_value=60),
                         min_size=0, max_size=2000).map(
@@ -37,12 +39,15 @@ def reference_huffman_decode(table, payload, n_symbols):
 
 def reference_decompress(blob):
     """Bit-serial oracle for ``quality.decompress``: the reference
-    Huffman loop plus the numpy-scalar order-1 replay."""
+    Huffman loop plus a scalar per-score replay of the order-1 lanes.
+    A walk-layout (v3/v4) blob has no lane field and is one lane per
+    block, so the one replay pins both layouts."""
     reader = BitReader(blob.payload)
     n_scores, order1 = reader.read(40), bool(reader.read(1))
     if n_scores == 0:
         return np.empty(0, dtype=np.uint8)
     max_score, block_size = reader.read(8), reader.read(32)
+    lane = reader.read(32) if blob.laned else block_size
     width = max(1, (max_score + quality.CONTEXT_BUCKETS)
                 // quality.CONTEXT_BUCKETS)
     out = []
@@ -54,14 +59,37 @@ def reference_decompress(blob):
             count, nbits = reader.read(32), reader.read(40)
             reader.align_to_byte()
             payload = reader.read_bytes((nbits + 7) // 8)
-            parts.append(list(reference_huffman_decode(table, payload,
+            parts.append(iter(reference_huffman_decode(table, payload,
                                                        count)))
-        ctx = 0
-        for _ in range(block_len):
-            out.append(parts[ctx].pop(0))
-            if order1:
-                ctx = min(out[-1] // width, quality.CONTEXT_BUCKETS - 1)
+        block = [None] * block_len
+        # Column-major: every lane's position 0, then every position 1...
+        for pos in range(min(lane, block_len) if order1 else 0):
+            for at in range(pos, block_len, lane):
+                ctx = 0 if at % lane == 0 else min(
+                    block[at - 1] // width, quality.CONTEXT_BUCKETS - 1)
+                block[at] = next(parts[ctx])
+        out += block if order1 else list(parts[0])
+        assert all(next(part, None) is None for part in parts)
     return np.array(out, dtype=np.uint8)
+
+
+def with_lane(blob, lane):
+    """``blob`` with its v5 lane field (bits 81..112) set to ``lane``."""
+    bits = np.unpackbits(np.frombuffer(blob.payload, dtype=np.uint8))
+    bits[81:113] = np.unpackbits(
+        np.array([lane], dtype=">u4").view(np.uint8))
+    return quality.QualityBlob(np.packbits(bits).tobytes(), blob.n_scores)
+
+
+def golden_quality_blobs():
+    """Every quality blob of the committed v3/v4 archives (walk
+    layout)."""
+    blobs = []
+    for name in sorted(GOLDEN["blobs"]):
+        archive = SAGeArchive.from_bytes(golden_blob(name))
+        blobs += [archive.block(i).quality for i in range(archive.n_blocks)
+                  if archive.block(i).quality is not None]
+    return blobs
 
 
 class TestRoundtrip:
@@ -90,6 +118,84 @@ class TestRoundtrip:
         scores = rng.integers(0, 40, 5000).astype(np.uint8)
         blob = quality.compress(scores, block_size=1024)
         assert np.array_equal(quality.decompress(blob), scores)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, 63, 64, 65, 1023, 1024, 1025, 4097]),
+           order1=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_lane_and_block_edges(self, size, order1, seed):
+        scores = np.random.default_rng(seed).choice(
+            [2, 12, 23, 37], size=size).astype(np.uint8)
+        blob = quality.compress(scores, order1=order1, block_size=1024)
+        assert np.array_equal(quality.decompress(blob), scores)
+        assert np.array_equal(reference_decompress(blob), scores)
+
+
+class TestLayouts:
+    """v5 blobs decode lane by lane; the per-score walk reads only the
+    walk layout of v3/v4 archives."""
+
+    def test_v5_decode_never_walks(self, monkeypatch, correlated_scores):
+        def walk(*args):
+            raise AssertionError("the walk decoded a v5 blob")
+
+        monkeypatch.setattr(quality, "_reassemble_order1", walk)
+        for size in (1, 64, 65, 4097, correlated_scores.size):
+            scores = correlated_scores[:size]
+            blob = quality.compress(scores, block_size=1024)
+            assert np.array_equal(quality.decompress(blob), scores)
+
+    def test_walk_layout_is_the_one_lane_case(self, monkeypatch):
+        def lanes(*args):
+            raise AssertionError("a walk-layout blob decoded as lanes")
+
+        monkeypatch.setattr(quality, "_unlane", lanes)
+        blobs = golden_quality_blobs()
+        assert blobs and not any(blob.laned for blob in blobs)
+        for blob in blobs:
+            assert np.array_equal(quality.decompress(blob),
+                                  reference_decompress(blob))
+
+    def test_lane_field_is_written_and_read(self, monkeypatch,
+                                            correlated_scores):
+        scores = correlated_scores[:5000]
+        blob = quality.compress(scores, block_size=1024)
+        assert with_lane(blob, quality.LANE) == blob
+        # A reader takes the lane length from the bytes.
+        monkeypatch.setattr(quality, "LANE", 100)
+        other = quality.compress(scores, block_size=1024)
+        assert other != blob
+        monkeypatch.undo()
+        assert np.array_equal(quality.decompress(other), scores)
+        assert np.array_equal(reference_decompress(other), scores)
+
+    @pytest.mark.parametrize("lane", [0, 1025, 2**32 - 1])
+    def test_damaged_lane_field(self, lane, correlated_scores):
+        blob = quality.compress(correlated_scores[:5000], block_size=1024)
+        with pytest.raises(CorruptArchiveError, match="lanes of") as info:
+            quality.decompress(with_lane(blob, lane))
+        assert info.value.stream == "quality"
+        assert info.value.offset is not None
+
+    @pytest.mark.parametrize("claimed", [999, 1001, 10**9])
+    def test_the_two_score_counts_must_agree(self, claimed):
+        blob = quality.compress(np.arange(1000) % 40)
+        with pytest.raises(CorruptArchiveError, match="container says") \
+                as info:
+            quality.decompress(quality.QualityBlob(blob.payload, claimed))
+        assert info.value.stream == "quality"
+
+    def test_substream_running_out_at_a_lane_step(self):
+        # Moving a score from one sub-stream to another keeps the block
+        # total, so only the lane step can see that one runs out.
+        scores = np.tile([2, 37], 200).astype(np.uint8)
+        parts = quality._lane_split(scores, quality.LANE, 37)
+        assert np.array_equal(
+            quality._unlane(parts, scores.size, quality.LANE, 37), scores)
+        starved = [parts[0][:-1], parts[1], parts[2],
+                   np.append(parts[3], parts[0][-1])]
+        with pytest.raises(CorruptArchiveError, match="ran out") as info:
+            quality._unlane(starved, scores.size, quality.LANE, 37)
+        assert info.value.stream == "quality"
 
 
 #: Symbol counts on both sides of every anchor-stride (64) edge.
@@ -240,6 +346,20 @@ class TestCompressionBehaviour:
         blob = quality.compress(scores, order1=False)
         ratio = scores.size / blob.byte_size
         assert ratio < 1.6
+
+    def test_context_model_pays_on_correlated_scores(self,
+                                                     correlated_scores):
+        order0 = quality.compress(correlated_scores, order1=False)
+        order1 = quality.compress(correlated_scores)
+        assert order1.byte_size <= 0.8 * order0.byte_size
+
+    def test_lanes_cost_little_against_one_lane(self, monkeypatch,
+                                                correlated_scores):
+        lanes = quality.compress(correlated_scores)
+        monkeypatch.setattr(quality, "LANE", correlated_scores.size)
+        one_lane = quality.compress(correlated_scores)
+        assert one_lane.byte_size < lanes.byte_size \
+            <= 1.02 * one_lane.byte_size
 
     def test_blob_records_count(self):
         scores = np.array([1, 2, 3], dtype=np.uint8)

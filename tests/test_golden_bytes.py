@@ -62,8 +62,9 @@ def test_archive_and_fastq_fingerprints(sims, row):
 def test_old_blobs_load_and_resave_byte_identically(name, tmp_path):
     golden = GOLDEN["blobs"][name]
     blob = golden_blob(name)
-    # Only v4 is written: a v4 blob re-saves as itself, a v3 blob as
-    # its pinned v4 re-save (for v3_blocked, the v4_blocked blob).
+    # A v4 blob re-saves as itself, a v3 blob as its pinned v4 re-save
+    # (for v3_blocked, the v4_blocked blob) — never as v5, whose
+    # version byte would make their walk-layout quality decode as lanes.
     resaved = golden.get("v4_sha256", _sha(blob))
     path = tmp_path / f"{name}.sage"
     path.write_bytes(blob)

@@ -614,10 +614,11 @@ def one_bit_reader(source, where):
 
 
 def one_format_written(source, where):
-    """v4 is the one container version written: nothing asks
-    ``to_bytes`` for a version or tells ``from_blocks`` which version
-    its blocks came from (a v3 file comes from the committed golden
-    blobs)."""
+    """v5 is the one container version written for fresh blocks:
+    nothing asks ``to_bytes`` for a version or tells ``from_blocks``
+    which version its blocks came from — a v3 source re-saves as v4 and
+    ``from_blocks`` reads v4 off walk-layout quality itself (a v3 or v4
+    file comes from the committed golden blobs)."""
     return [f"{where}:{node.lineno} {node.func.attr}({keyword.arg}="
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
@@ -1242,7 +1243,7 @@ class TestOptionsThreadingEdges:
         """The read side states each decision once: one bit reader
         class, one failure policy that loses a block (``skip``, which
         salvage runs — no second kernel is tried), and one container
-        version written (v3 stays readable)."""
+        version written (v3 and v4 stay readable)."""
         from repro.core.options import ON_ERROR
 
         project = ("src", "tests", "examples", "benchmarks")

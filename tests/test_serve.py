@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
+from repro.core.container import VERSION
 from repro.core.errors import CorruptArchiveError
 from repro.genomics import fastq
 from repro.serve import ArchiveServer, ServeClient
@@ -56,7 +57,7 @@ class TestEndpoints:
         [entry] = info["archives"]
         assert entry["name"] == "reads"
         assert entry["n_blocks"] == served_archive["n_blocks"]
-        assert entry["format_version"] == 4
+        assert entry["format_version"] == VERSION
 
     def test_inspect_reports_size_estimates(self, client,
                                             served_archive):
