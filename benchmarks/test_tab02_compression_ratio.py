@@ -61,5 +61,5 @@ def test_tab02_compression_ratios(benchmark, bench_sims, sage_archives,
     assert measured["RS4"][2] < measured["RS2"][2] / 2
 
     benchmark.pedantic(
-        lambda: SAGeDecompressor(sage_archives["RS3"]).decompress(),
+        lambda: SAGeDecompressor(sage_archives["RS3"]).decompress_block(0),
         rounds=1, iterations=1)

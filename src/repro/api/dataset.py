@@ -19,7 +19,7 @@ the CLI, examples, benchmarks and the server sit on:
         for block in ds.blocks():        # block i while i+1 decodes
             ...
 
-Everything executes on the engines underneath — the block compressor,
+Everything executes on the engines underneath — the compressor,
 the streaming executor, the reference decompressor — which take the
 session's one :class:`EngineOptions` and nothing else.  What the archive
 bytes are is stated once, on the :class:`SAGeConfig` given to
@@ -42,14 +42,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..core.blocks import BlockCompressor
-from ..core.compressor import SAGeConfig
+from ..core.compressor import SAGeCompressor, SAGeConfig
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
 from ..core.options import EngineOptions
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
-from ..genomics.reads import Read, ReadSet
+from ..genomics.reads import ReadSet
 from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
     FastqSink, Sink, StreamExecutor
 from .sinks import resolve_sink
@@ -190,7 +189,7 @@ def _compress_stream(source: ReadSet | Iterable[ReadSet],
         fastq_bytes += read_set.uncompressed_fastq_bytes()
         return read_set
 
-    archive = BlockCompressor(consensus, config, options=options).compress(
+    archive = SAGeCompressor(consensus, config, options=options).compress(
         counted(source) if isinstance(source, ReadSet)
         else map(counted, source))
     return archive, SourceTotals(reads=reads, bases=bases,
@@ -216,11 +215,11 @@ class SAGeDataset:
     Construct with :meth:`from_fastq` (compress a source) or
     :meth:`open` (load an archive; usable as a context manager).  The
     dataset owns the engine wiring: streaming iteration
-    (:meth:`blocks` / :meth:`reads`), FASTQ export (:meth:`to_fastq`),
-    sink analysis (:meth:`analyze`, :meth:`pipe`), and persistence
-    (:meth:`save`).  ``options`` (:class:`EngineOptions`) are fixed for
-    the session; ``decompressor`` hands a sibling session over the same
-    archive an existing decoder (unpacked consensus and kernel).
+    (:meth:`blocks`), FASTQ export (:meth:`to_fastq`), sink analysis
+    (:meth:`pipe`), and persistence (:meth:`save`).  ``options``
+    (:class:`EngineOptions`) are fixed for the session;
+    ``decompressor`` hands a sibling session over the same archive an
+    existing decoder (unpacked consensus and kernel).
     """
 
     def __init__(self, archive: SAGeArchive, *,
@@ -475,11 +474,6 @@ class SAGeDataset:
         """
         return iter(self._make_executor())
 
-    def reads(self) -> Iterator[Read]:
-        """Yield every read, flattened across the block stream."""
-        for block in self.blocks():
-            yield from block
-
     def read_set(self) -> ReadSet:
         """Materialize the whole dataset as one :class:`ReadSet`."""
         [read_set] = self._make_executor().run(CollectSink())
@@ -516,19 +510,6 @@ class SAGeDataset:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-
-    def analyze(self, *sinks) -> list:
-        """One streaming pass through ``sinks``; returns their results.
-
-        Each sink may be a built-in name (``"property"``,
-        ``"mapping-rate"``, ``"collect"``), a :class:`Sink` object, or a
-        per-block callable.  All sinks share a single decode pass:
-        analysis of block *i* overlaps the decode of later blocks.
-        Defaults to the
-        ``property`` sink when called with no arguments.
-        """
-        specs = sinks or ("property",)
-        return self.pipe(*specs).run()
 
     def pipe(self, *sinks) -> "Pipeline":
         """Start a fluent sink pipeline: ``ds.pipe(a).pipe(b).run()``."""

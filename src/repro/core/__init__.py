@@ -2,7 +2,7 @@
 
 from . import bitio, blocks, errors, formats, kernels, prefix_codes, \
     quality, selection, tuning
-from .blocks import BlockCompressor, imap_bounded
+from .blocks import imap_bounded
 from .compressor import SAGeCompressor, SAGeConfig
 from .container import (BlockIndexEntry, ContainerError, SAGeArchive,
                         SAGeBlock)
@@ -24,7 +24,6 @@ __all__ = [
     "BlockDecodeError", "CorruptArchiveError", "SAGeError",
     "TruncatedArchiveError",
     "BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
-    "BlockCompressor",
     "STREAM_GROUPS", "StreamSelection", "decoded_stream_bits",
     "imap_bounded", "CompressionError", "SAGeCompressor", "SAGeConfig",
     "BlockIndexEntry", "ContainerError", "SAGeArchive",

@@ -20,16 +20,22 @@ Every written bit is charged to a Fig. 17 category via
 NO/O1/O2/O3/O4 are supported so the ablation decodes losslessly too.
 
 :meth:`SAGeCompressor.compress_block` turns one read set into one
-independently decodable :class:`~repro.core.container.SAGeBlock`;
-:meth:`SAGeCompressor.assemble` wraps any number of blocks, with the
-consensus stored once, into an archive.  :meth:`SAGeCompressor.compress`
-is the one-block case; :mod:`repro.core.blocks` feeds the same two calls
-from a partitioned read stream.
+independently decodable :class:`~repro.core.container.SAGeBlock`, a pure
+function of ``(consensus, config, reads)``.  :meth:`SAGeCompressor.compress`
+is the one way to an archive: it cuts a read set into
+``options.block_reads``-read blocks (or takes a caller's chunks one block
+each), compresses them — on a process pool when ``options.workers > 1``,
+merged in block order, so every worker count writes the same bytes — and
+writes the blocks, with the consensus stored once, as one archive (§5.3).
 """
 
 from __future__ import annotations
 
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from ..mapping.mapper import OP_KINDS, MappedBlock, MapperConfig, ReadMapper
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
+from .blocks import imap_bounded
 from .container import BLOCK_STREAM_NAMES, SAGeArchive, SAGeBlock
 from .errors import CompressionError
 from .formats import pack_bits
@@ -49,6 +56,9 @@ from .mismatch import (INDEL_DEL, INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB,
                        OptLevel, SizeBreakdown)
 from .prefix_codes import AssociationTable
 from .tuning import DEFAULT_EPSILON, tune_values
+
+if TYPE_CHECKING:       # options.py imports SAGeConfig from this module
+    from .options import EngineOptions
 
 #: Indel-length encoding (§5.1.1): 1 guide bit for single-base blocks,
 #: otherwise a fixed 8-bit length field.  Blocks longer than 255 split.
@@ -392,54 +402,85 @@ class _MappedReads:
 
 
 class SAGeCompressor:
-    """Compresses read sets against a consensus sequence."""
+    """Compresses read sets against a consensus sequence.
+
+    ``options`` (:class:`~repro.core.options.EngineOptions`) say how
+    :meth:`compress` partitions and parallelises — ``block_reads``
+    (``0``, the default, is one block), ``workers`` and ``window`` are
+    all it reads — and never change a byte.  ``shared_index`` hands in
+    a consensus k-mer index built elsewhere (a pool worker's, built once
+    in the parent); one built for another ``k`` / ``max_occurrences``
+    is ignored.
+    """
 
     def __init__(self, consensus: np.ndarray,
-                 config: SAGeConfig | None = None,
+                 config: SAGeConfig | None = None, *,
+                 options: EngineOptions | None = None,
                  shared_index: KmerIndex | None = None):
         self.consensus = np.asarray(consensus, dtype=np.uint8)
         if self.consensus.size and self.consensus.max() >= 4:
             raise CompressionError("consensus must be A/C/G/T only")
         self.config = config or SAGeConfig()
-        segments = (self.config.mapper or MapperConfig()).max_segments
+        self.block_reads, self.workers, self.window = (
+            options.block_reads, options.workers, options.window) \
+            if options is not None else (0, 1, 1)
+        mapper_cfg = self.config.mapper or MapperConfig()
+        segments = mapper_cfg.max_segments
         if not 1 <= segments <= MAX_SEGMENTS:
             raise CompressionError(
                 f"mapper.max_segments={segments} is outside "
                 f"1..{MAX_SEGMENTS}: the side stream counts a chimeric "
                 f"read's extra segments in {SIDE_COUNT_BITS} bits")
-        # Mappers are expensive to build (k-mer index over the consensus);
-        # cache them so repeated compress() calls — the per-block loop of
-        # the streaming engine — reuse the index.
-        self._mapper_cache: dict[tuple, ReadMapper] = {}
-        # One k-mer index serves every mapper variant: the level
-        # adjustments in _build_mapper never touch k/max_occurrences.
-        # ``shared_index`` lets the block engine inject an index built
-        # once in the parent process.
-        self._index_cache: dict[tuple[int, int], KmerIndex] = {}
-        if shared_index is not None:
-            self._index_cache[(shared_index.k,
-                               shared_index.max_occurrences)] = shared_index
+        # Mappers are expensive to build, so every block reuses them;
+        # with the level fixed, only the long-read mode varies.  All of
+        # them share one k-mer index: the level adjustments in
+        # _build_mapper never touch k / max_occurrences.
+        self._mappers: dict[bool, ReadMapper] = {}
+        self._index = shared_index if shared_index is not None and (
+            shared_index.k, shared_index.max_occurrences) == (
+            mapper_cfg.k, mapper_cfg.max_occurrences) else None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def compress(self, read_set: ReadSet) -> SAGeArchive:
-        """Compress a read set into a self-contained one-block archive."""
-        return self.assemble([self.compress_block(read_set)],
-                             name=read_set.name)
+    def compress(self, reads: ReadSet | Iterable[ReadSet]) -> SAGeArchive:
+        """Compress a read set, or a stream of chunks, into an archive.
 
-    def assemble(self, blocks: list[SAGeBlock], *, name: str = "",
-                 block_reads: int = 0) -> SAGeArchive:
-        """Write compressed ``blocks`` and the consensus as an archive
-        whose header records ``block_reads``."""
+        A :class:`ReadSet` is cut into ``options.block_reads``-read
+        blocks (one block when that is ``0`` or there are no options);
+        any other iterable is taken as already chunked, each chunk one
+        block (the contract of
+        :func:`repro.genomics.fastq.iter_read_sets`), and is consumed
+        lazily.  The archive is named for the read set, or else for the
+        first named chunk; its header records ``block_reads`` as given.
+        An empty input is one empty block.
+        """
+        name = ""
+        chunks: Iterable[ReadSet] = reads
+        if isinstance(reads, ReadSet):
+            name = reads.name
+            n = self.block_reads or max(len(reads), 1)
+            chunks = (reads.subset(range(lo, min(lo + n, len(reads))))
+                      for lo in range(0, len(reads), n))
+        names: list[str] = []
+
+        def named(source: Iterable[ReadSet]) -> Iterator[ReadSet]:
+            for chunk in source:
+                if not names and chunk.name:
+                    names.append(chunk.name)
+                yield chunk
+
+        blocks = self._compress_chunks(named(chunks)) \
+            or [self.compress_block(ReadSet([], name=name))]
         payload = pack_bits(self.consensus, 2)
         return SAGeArchive.from_blocks(
             blocks, level=self.config.level,
             consensus=(payload, 8 * len(payload)),
             consensus_length=int(self.consensus.size),
             preserve_order=self.config.preserve_order,
-            block_reads=block_reads, name=name)
+            block_reads=self.block_reads,
+            name=name or (names[0] if names else ""))
 
     def compress_block(self, read_set: ReadSet) -> SAGeBlock:
         """Compress a read set into one independently decodable block.
@@ -452,7 +493,7 @@ class SAGeCompressor:
         long_reads = cfg.long_reads
         if long_reads is None:
             long_reads = not read_set.is_fixed_length
-        mapper = self._build_mapper(level, long_reads)
+        mapper = self._build_mapper(long_reads)
 
         mapped = mapper.map_batch(read_set.codes, read_set.offsets)
         runs = _n_runs(read_set)
@@ -473,10 +514,40 @@ class SAGeCompressor:
                             long_reads)
 
     # ------------------------------------------------------------------
+    # Blocks and the process pool
+    # ------------------------------------------------------------------
+
+    def _compress_chunks(self, chunks: Iterator[ReadSet]) -> list[SAGeBlock]:
+        """Compress every chunk, in order: serially with one worker or
+        fewer than two chunks (no pool is started), otherwise on a
+        process pool with ``options.window`` blocks in flight."""
+        head = list(islice(chunks, 2)) if self.workers > 1 else []
+        chunks = chain(head, chunks)
+        if len(head) < 2:
+            return [self.compress_block(c) for c in chunks]
+        try:
+            executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_init_worker,
+                initargs=(self.consensus, self.config,
+                          self.shared_kmer_index()))
+        except OSError as exc:
+            warnings.warn(f"process pool unavailable ({exc}); "
+                          "falling back to serial block compression",
+                          RuntimeWarning, stacklevel=3)
+            return [self.compress_block(c) for c in chunks]
+        with executor:
+            return list(imap_bounded(executor, _compress_chunk_pooled,
+                                     chunks, self.window))
+
+    # ------------------------------------------------------------------
     # Mapping
     # ------------------------------------------------------------------
 
-    def _build_mapper(self, level: OptLevel, long_reads: bool) -> ReadMapper:
+    def _build_mapper(self, long_reads: bool) -> ReadMapper:
+        cached = self._mappers.get(long_reads)
+        if cached is not None:
+            return cached
+        level = self.config.level
         # Copy before adjusting: the caller's MapperConfig must not be
         # mutated (it may be shared across compressors or blocks).
         mapper_cfg = replace(self.config.mapper or MapperConfig())
@@ -488,30 +559,24 @@ class SAGeCompressor:
             mapper_cfg.unmapped_cost_fraction = 0.80
         if long_reads:
             mapper_cfg.stride = max(mapper_cfg.stride, 4)
-        key = (level.chimeric and long_reads, level.chimeric, long_reads)
-        cached = self._mapper_cache.get(key)
-        if cached is not None:
-            return cached
         mapper = make_mapper(self.config.mapper_kernel, self.consensus,
                              mapper_cfg, index=self.shared_kmer_index())
-        self._mapper_cache[key] = mapper
+        self._mappers[long_reads] = mapper
         return mapper
 
     def shared_kmer_index(self) -> KmerIndex:
         """The consensus k-mer index this compressor's mappers share.
 
-        Built (or injected) once per compressor; the block engine ships
-        it to process workers so the consensus is indexed exactly once
+        Built (or injected) once per compressor; :meth:`compress` ships
+        it to its pool workers, so the consensus is indexed exactly once
         per archive instead of once per worker.
         """
-        mapper_cfg = self.config.mapper or MapperConfig()
-        key = (mapper_cfg.k, mapper_cfg.max_occurrences)
-        index = self._index_cache.get(key)
-        if index is None:
-            index = KmerIndex(self.consensus, k=mapper_cfg.k,
-                              max_occurrences=mapper_cfg.max_occurrences)
-            self._index_cache[key] = index
-        return index
+        if self._index is None:
+            mapper_cfg = self.config.mapper or MapperConfig()
+            self._index = KmerIndex(
+                self.consensus, k=mapper_cfg.k,
+                max_occurrences=mapper_cfg.max_occurrences)
+        return self._index
 
     # ------------------------------------------------------------------
     # Encoding
@@ -616,3 +681,25 @@ class SAGeCompressor:
             streams=streams, quality=quality_blob,
             headers_blob=headers_blob, breakdown=breakdown,
             permutation=permutation)
+
+
+#: The worker process's compressor, built once by the pool initializer
+#: from the parent's (consensus, config, k-mer index) — so per-chunk
+#: submissions ship only the chunk, not the genome, and the consensus is
+#: indexed once in the parent, not once per worker.
+_worker_compressor: SAGeCompressor | None = None
+
+
+def _init_worker(consensus: np.ndarray, config: SAGeConfig,
+                 index: KmerIndex) -> None:
+    """Pool initializer: receive the shared inputs once per process."""
+    global _worker_compressor
+    _worker_compressor = SAGeCompressor(consensus, config,
+                                        shared_index=index)
+
+
+def _compress_chunk_pooled(chunk: ReadSet) -> SAGeBlock:
+    """Process-pool entry point; uses the initializer-built compressor."""
+    if _worker_compressor is None:
+        raise RuntimeError("worker initializer did not run")
+    return _worker_compressor.compress_block(chunk)

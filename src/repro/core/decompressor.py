@@ -72,20 +72,6 @@ class SAGeDecompressor:
     # Public API
     # ------------------------------------------------------------------
 
-    def decompress(self, *, select=None) -> ReadSet:
-        """Decode a one-block archive: ``decompress_block(0)``.
-
-        Multi-block archives are walked by
-        :class:`~repro.pipeline.executor.StreamExecutor` (which the
-        :class:`repro.api.SAGeDataset` facade drives).
-        """
-        if self.archive.n_blocks != 1:
-            raise DecompressionError(
-                f"archive has {self.archive.n_blocks} blocks: decode per "
-                "block via decompress_block() or walk it with "
-                "StreamExecutor / SAGeDataset.read_set()")
-        return self.decompress_block(0, select=select)
-
     def decompress_block(self, index: int, *, select=None) -> ReadSet:
         """Decode only block ``index`` of the archive.
 

@@ -2,7 +2,7 @@
 
 :class:`EngineOptions` is the only way to pass ``workers`` /
 ``backend`` / ``block_reads`` (and every other session knob) to an
-engine: :mod:`repro.core.blocks`,
+engine: :class:`~repro.core.compressor.SAGeCompressor`,
 :mod:`repro.pipeline.executor`, the :mod:`repro.api` facade and the CLI
 all take ``options=`` and nothing else.  All validation happens here, in
 ``__post_init__`` — bad values fail at the API boundary with a clear
@@ -15,9 +15,10 @@ The only meaning both objects carry is the mapper kernel name
 (``mapper`` here, ``mapper_kernel`` there), and
 :meth:`EngineOptions.compressor_config` is the one rule relating them.
 
-The module sits below the engines it configures (it imports no engine
-and nothing from :mod:`repro.api`), so ``core`` and ``pipeline`` import
-it at module level; ``repro.api.EngineOptions`` is this class.
+The module sits below the engines it configures (of them it imports
+only :class:`SAGeConfig`, and nothing from :mod:`repro.api`), so
+``pipeline`` imports it at module level and the compressor names it for
+type checking only; ``repro.api.EngineOptions`` is this class.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
 DEFAULT_BLOCK_READS = 4096
 
 #: Submitted-but-unfinished blocks kept in flight per worker: the one
-#: backpressure policy of both the compression engine
-#: (:mod:`repro.core.blocks`) and the streaming decode executor
-#: (:mod:`repro.pipeline.executor`), read through
-#: :attr:`EngineOptions.window`.
+#: backpressure policy of both block compression
+#: (:meth:`~repro.core.compressor.SAGeCompressor.compress`) and the
+#: streaming decode executor (:mod:`repro.pipeline.executor`), read
+#: through :attr:`EngineOptions.window`.
 INFLIGHT_PER_WORKER = 2
 
 #: Recognized decode backends.  ``auto`` picks ``serial`` for one worker

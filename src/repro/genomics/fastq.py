@@ -138,9 +138,10 @@ def iter_read_sets(path: str | Path,
     """Stream a FASTQ file as :class:`ReadSet` chunks of ``block_reads``.
 
     Never materializes the full dataset: at most one chunk of reads is
-    held in memory.  This is the input contract of the block-based
-    compression engine (:class:`repro.core.blocks.BlockCompressor`) —
-    each yielded chunk becomes one independently decodable block.
+    held in memory.  :meth:`SAGeCompressor.compress
+    <repro.core.compressor.SAGeCompressor.compress>` takes the stream
+    as it comes: each yielded chunk becomes one independently decodable
+    block.
     """
     if block_reads < 1:
         raise ValueError("block_reads must be >= 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..genomics import sequence as seq
-from ..genomics.reads import ReadSet
+from ..genomics.reads import ReadSet, run_index
 from ..hardware.energy import ANALYSIS_ACC, PowerSpec
 from ..mapping.kmer_index import KmerIndex
 
@@ -96,31 +96,38 @@ def measure_filter_fraction(read_set: ReadSet, reference: np.ndarray,
     """Functional GenStore-EM filter: exact full-length matches.
 
     A read is filtered when it (or its reverse complement) occurs verbatim
-    in the reference.  Seeding uses one k-mer lookup followed by direct
-    verification, mirroring GenStore's in-flash exact-match scan.
+    in the reference; a read shorter than ``k`` or holding an ``N`` never
+    is.  Seeding mirrors GenStore's in-flash exact-match scan, over the
+    block's columns in one pass: the first k-mer of every read and of its
+    reverse complement is resolved in one index query (at most 64
+    reference positions each), and every candidate window is verified
+    base for base with one gather.
     """
-    if len(read_set) == 0:
+    n = len(read_set)
+    if n == 0:
         return 0.0
     reference = np.asarray(reference, dtype=np.uint8)
     index = KmerIndex(reference, k=k, max_occurrences=64)
-    filtered = 0
-    for codes in read_set.read_codes():
-        if _matches_exactly(codes, reference, index, k) or \
-                _matches_exactly(seq.reverse_complement(codes),
-                                 reference, index, k):
-            filtered += 1
-    return filtered / len(read_set)
-
-
-def _matches_exactly(codes: np.ndarray, reference: np.ndarray,
-                     index: KmerIndex, k: int) -> bool:
-    if codes.size < k or seq.contains_n(codes):
-        return False
-    hits = index.lookup(codes[:k], stride=1)
-    for cons_pos in hits.cons_pos:
-        start = int(cons_pos)
-        end = start + codes.size
-        if end <= reference.size and \
-                np.array_equal(reference[start:end], codes):
-            return True
-    return False
+    codes, offsets = read_set.codes, read_set.offsets
+    lengths = read_set.read_lengths()
+    has_n = np.bincount(np.searchsorted(offsets, np.flatnonzero(
+        codes == seq.N_CODE), "right") - 1, minlength=n) > 0
+    rows = np.flatnonzero((lengths >= k) & ~has_n)
+    # Both strands as one column: behind the forward bases, their
+    # reverse complement holds read i's from 2 * total - offsets[i + 1].
+    strands = np.concatenate([codes, seq.reverse_complement(codes)])
+    starts = np.concatenate([offsets[rows],
+                             2 * codes.size - offsets[rows + 1]])
+    span = np.tile(lengths[rows], 2)
+    lo, counts = index.query_ranges(seq.kmer_codes(strands, k)[starts])
+    counts = np.minimum(counts, index.max_occurrences)
+    query = np.repeat(np.arange(starts.size), counts)
+    at = index.positions[run_index(lo, counts)]
+    fits = at + span[query] <= reference.size
+    query, at = query[fits], at[fits]
+    mismatched = reference[run_index(at, span[query])] \
+        != strands[run_index(starts[query], span[query])]
+    exact = np.bincount(np.repeat(np.arange(query.size), span[query]),
+                        weights=mismatched, minlength=query.size) == 0
+    filtered = np.unique(rows[query[exact] % rows.size])
+    return filtered.size / n

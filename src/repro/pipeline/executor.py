@@ -10,8 +10,8 @@ this module executes it in software.
 A :class:`StreamExecutor` decodes the independently decodable blocks of
 a :class:`~repro.core.container.SAGeArchive` through a pluggable
 backend (serial / process pool) with a bounded window —
-the same ``EngineOptions.window`` backpressure policy as the compression
-engine in :mod:`repro.core.blocks` — and yields each block's
+the same ``EngineOptions.window`` backpressure loop as block
+compression, :func:`repro.core.blocks.imap_bounded` — and yields each block's
 :class:`~repro.genomics.reads.ReadSet` strictly in index order, so the
 concatenated output is byte-identical to a serial decode.  Consumers
 attach through the :class:`Sink` protocol: while a sink processes block
@@ -394,7 +394,7 @@ class StreamExecutor:
                 max_workers=self.workers,
                 initializer=_init_decode_worker,
                 initargs=(source, arch.name, self.options, select))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
+        except OSError as exc:
             warnings.warn(f"process pool unavailable ({exc}); "
                           "falling back to serial block decode",
                           RuntimeWarning, stacklevel=2)

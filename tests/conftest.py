@@ -22,6 +22,7 @@ from repro.genomics.simulator import (QualityModel, ReadSimulator,
                                       short_read_profile)
 from repro.mapping import alignment, make_mapper
 from repro.mapping.alignment import EditOp
+from repro.mapping.kmer_index import KmerIndex
 from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
 
 #: Every optional container section switched on and off — the sweep of
@@ -547,3 +548,23 @@ def assert_same_report(got, want):
             assert other.tolist() == value.tolist(), name
         else:
             assert other == value, name
+
+
+def filter_fraction_oracle(read_set, reference, k=31):
+    """``measure_filter_fraction`` one read at a time: one k-mer lookup
+    per strand, then each candidate window compared in turn."""
+    if len(read_set) == 0:
+        return 0.0
+    reference = np.asarray(reference, dtype=np.uint8)
+    index = KmerIndex(reference, k=k, max_occurrences=64)
+
+    def exact(codes):
+        if codes.size < k or seq.contains_n(codes):
+            return False
+        return any(int(at) + codes.size <= reference.size
+                   and np.array_equal(
+                       reference[int(at):int(at) + codes.size], codes)
+                   for at in index.lookup(codes[:k]).cons_pos)
+
+    return sum(exact(codes) or exact(seq.reverse_complement(codes))
+               for codes in read_set.read_codes()) / len(read_set)

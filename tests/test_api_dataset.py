@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset, available_sinks
-from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, OptLevel,
-                        SAGeArchive, SAGeCompressor, SAGeConfig)
+from repro.core import (INFLIGHT_PER_WORKER, OptLevel, SAGeCompressor,
+                        SAGeConfig)
 from repro.core.container import VERSION
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
@@ -105,8 +105,8 @@ class TestFacadeCompression:
 
     def test_blocked_byte_identical_to_legacy(self, rs3_small, dataset,
                                               blocked_options):
-        legacy = BlockCompressor(rs3_small.reference,
-                                 options=blocked_options) \
+        legacy = SAGeCompressor(rs3_small.reference,
+                                options=blocked_options) \
             .compress(rs3_small.read_set)
         assert dataset.to_bytes() == legacy.to_bytes()
         assert dataset.n_blocks > 2
@@ -299,7 +299,7 @@ class TestFacadeStreaming:
             == [r.header for s in expected for r in s]
 
     def test_reads_flatten(self, dataset, rs3_small):
-        assert sum(1 for _ in dataset.reads()) \
+        assert sum(1 for block in dataset.blocks() for _ in block) \
             == len(rs3_small.read_set)
 
     def test_parallel_blocks_identical(self, dataset):
@@ -331,11 +331,12 @@ class TestFacadeStreaming:
 
 class TestFacadeAnalysis:
     def test_analyze_default_property(self, dataset):
-        [report] = dataset.analyze()
+        """The ``property`` sink, ``sage analyze``'s default."""
+        [report] = dataset.pipe("property").run()
         assert report.n_reads == dataset.n_reads
 
     def test_analyze_by_name(self, dataset):
-        report, rate = dataset.analyze("property", "mapping-rate")
+        report, rate = dataset.pipe("property", "mapping-rate").run()
         assert report.n_reads == rate.n_reads == dataset.n_reads
         assert rate.n_mapped + rate.n_unmapped == rate.n_reads
 
@@ -383,13 +384,13 @@ class TestFacadeAnalysis:
     def test_pipeline_runs_once(self, dataset, spec):
         """The sinks accumulate, so a second ``run()`` used to report
         every figure doubled (3584 reads of 1792; ``collect`` the
-        dataset twice over).  It is refused; ``analyze`` builds a new
-        pipeline per call and keeps answering the same."""
+        dataset twice over).  It is refused; ``dataset.pipe`` builds a
+        new pipeline per call and keeps answering the same."""
         pipeline = dataset.pipe(spec)
         [first] = pipeline.run()
         with pytest.raises(RuntimeError, match=r"dataset\.pipe"):
             pipeline.run()
-        [again] = dataset.analyze(spec)
+        [again] = dataset.pipe(spec).run()
         assert first == again
 
     def test_analysis_sinks_never_build_read_views(self, dataset):
@@ -401,7 +402,7 @@ class TestFacadeAnalysis:
 
     def test_unknown_sink_name(self, dataset):
         with pytest.raises(ValueError, match="unknown sink"):
-            dataset.analyze("nope")
+            dataset.pipe("nope")
 
     def test_bad_sink_spec(self, dataset):
         with pytest.raises(TypeError):

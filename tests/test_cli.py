@@ -233,16 +233,15 @@ class TestCat:
         """Reads stored with empty headers are named ``read{i}`` by the
         renderer; ``i`` is the archive-wide position, not the position
         inside the block."""
-        from repro.core import SAGeConfig
-        from repro.core.blocks import BlockCompressor
+        from repro.core import SAGeCompressor, SAGeConfig
         from repro.genomics.reads import Read, ReadSet
         reads = ReadSet([Read(codes=r.codes, quality=r.quality, header="")
                          for r in list(rs3_small.read_set)[:120]])
         archive = workdir / "anon.sage"
         archive.write_bytes(
-            BlockCompressor(rs3_small.reference,
-                            SAGeConfig(with_headers=True),
-                            options=EngineOptions(block_reads=40))
+            SAGeCompressor(rs3_small.reference,
+                           SAGeConfig(with_headers=True),
+                           options=EngineOptions(block_reads=40))
             .compress(reads).to_bytes())
         plain = workdir / "anon.fastq"
         assert main(["decompress", str(archive), str(plain)]) == 0

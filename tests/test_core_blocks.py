@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import (BlockCompressor, OptLevel, SAGeCompressor,
-                        SAGeConfig, SAGeDecompressor)
+from repro.core import (OptLevel, SAGeCompressor, SAGeConfig,
+                        SAGeDecompressor)
 from repro.core.container import (BLOCK_STREAM_NAMES, VERSION,
                                   ContainerError, SAGeArchive, SAGeBlock)
 from repro.genomics.reads import ReadSet
@@ -56,7 +56,7 @@ class TestRoundtrips:
                                               level):
         sim = families[family]
         config = SAGeConfig(level=level)
-        archive = BlockCompressor(sim.reference, config, options=BLOCKED) \
+        archive = SAGeCompressor(sim.reference, config, options=BLOCKED) \
             .compress(sim.read_set)
         assert archive.n_blocks > 1
         back = SAGeArchive.from_bytes(archive.to_bytes())
@@ -66,7 +66,7 @@ class TestRoundtrips:
     def test_preserve_order_restores_global_order(self, families):
         sim = families["short"]
         config = SAGeConfig(preserve_order=True)
-        archive = BlockCompressor(sim.reference, config, options=BLOCKED) \
+        archive = SAGeCompressor(sim.reference, config, options=BLOCKED) \
             .compress(sim.read_set)
         decoded = SAGeDataset(
             SAGeArchive.from_bytes(archive.to_bytes())).read_set()
@@ -78,7 +78,7 @@ class TestRoundtrips:
         """Blocks may disagree on fixed-length/long-read flags."""
         mixed = ReadSet(list(families["short"].read_set)
                         + list(families["long"].read_set), name="mixed")
-        archive = BlockCompressor(
+        archive = SAGeCompressor(
             families["short"].reference, SAGeConfig(),
             options=EngineOptions(block_reads=40)).compress(mixed)
         decoded = SAGeDataset(
@@ -90,8 +90,8 @@ class TestParallelDeterminism:
     def test_parallel_matches_serial_bytes(self, families):
         sim = families["short"]
         serial, parallel = (
-            BlockCompressor(sim.reference, SAGeConfig(),
-                            options=BLOCKED.replace(workers=workers))
+            SAGeCompressor(sim.reference, SAGeConfig(),
+                           options=BLOCKED.replace(workers=workers))
             .compress(sim.read_set)
             .to_bytes() for workers in (1, 4))
         assert serial == parallel
@@ -100,8 +100,8 @@ class TestParallelDeterminism:
         sim = families["long"]
         mapper = MapperConfig()
         config = SAGeConfig(mapper=mapper)
-        BlockCompressor(sim.reference, config,
-                        options=BLOCKED.replace(workers=2)) \
+        SAGeCompressor(sim.reference, config,
+                       options=BLOCKED.replace(workers=2)) \
             .compress(sim.read_set)
         assert mapper == MapperConfig()
 
@@ -110,8 +110,8 @@ class TestRandomAccess:
     @pytest.fixture(scope="class")
     def loaded(self, families):
         sim = families["short"]
-        archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=BLOCKED).compress(sim.read_set)
+        archive = SAGeCompressor(sim.reference, SAGeConfig(),
+                                 options=BLOCKED).compress(sim.read_set)
         chunks = chunked(sim.read_set, BLOCK_READS)
         return SAGeArchive.from_bytes(archive.to_bytes()), chunks
 
@@ -168,7 +168,7 @@ class TestRandomAccess:
         assert view.n_blocks == 1
         assert view.block(0) is archive.block(1)
         assert view.consensus is archive.consensus
-        assert read_multiset(SAGeDecompressor(view).decompress()) \
+        assert read_multiset(SAGeDecompressor(view).decompress_block(0)) \
             == read_multiset(chunks[1])
 
 
@@ -201,7 +201,7 @@ class TestContainerCompat:
 
     def test_roundtrip_is_byte_stable(self, families):
         sim = families["short"]
-        blob = BlockCompressor(sim.reference, SAGeConfig(), options=BLOCKED) \
+        blob = SAGeCompressor(sim.reference, SAGeConfig(), options=BLOCKED) \
             .compress(sim.read_set).to_bytes()
         assert SAGeArchive.from_bytes(blob).to_bytes() == blob
 
@@ -210,8 +210,8 @@ class TestContainerCompat:
         # test_core_container.py (index entries, per-block framing).
         for sim in (families["short"], families["chimeric"]):
             for config in SIZE_CONFIGS:
-                built = BlockCompressor(sim.reference, config,
-                                        options=BLOCKED) \
+                built = SAGeCompressor(sim.reference, config,
+                                       options=BLOCKED) \
                     .compress(sim.read_set)
                 assert built.n_blocks > 1
                 for archive in (built,
@@ -227,8 +227,8 @@ class TestOneBacking:
     @pytest.fixture
     def fresh(self, families):
         sim = families["short"]
-        return BlockCompressor(sim.reference, SAGeConfig(),
-                               options=BLOCKED).compress(sim.read_set)
+        return SAGeCompressor(sim.reference, SAGeConfig(),
+                              options=BLOCKED).compress(sim.read_set)
 
     def test_release_block_reparses_from_bytes(self, fresh):
         original = fresh.block(1)
@@ -251,7 +251,7 @@ class TestOneBacking:
         monkeypatch.setattr(SAGeBlock, "serialize", counted)
         sim = families["short"]
         dataset = SAGeDataset(
-            BlockCompressor(sim.reference, SAGeConfig(), options=BLOCKED)
+            SAGeCompressor(sim.reference, SAGeConfig(), options=BLOCKED)
             .compress(sim.read_set))
         assert read_multiset(dataset.read_set()) \
             == read_multiset(sim.read_set)
@@ -267,8 +267,8 @@ class TestBlockedHardwarePath:
     @pytest.fixture(scope="class")
     def blocked(self, families):
         sim = families["short"]
-        archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=BLOCKED).compress(sim.read_set)
+        archive = SAGeCompressor(sim.reference, SAGeConfig(),
+                                 options=BLOCKED).compress(sim.read_set)
         return sim, archive
 
     def test_hardware_model_decodes_blocked(self, blocked):
@@ -311,37 +311,60 @@ class TestEngineEdges:
         sim = families["short"]
         # One empty chunk (block_reads=0) or an empty partition.
         for options in (EngineOptions(), BLOCKED):
-            archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                      options=options).compress(ReadSet([]))
+            archive = SAGeCompressor(sim.reference, SAGeConfig(),
+                                     options=options).compress(ReadSet([]))
             assert archive.n_blocks == 1
             assert archive.n_reads == 0
             decoded = SAGeDecompressor(
-                SAGeArchive.from_bytes(archive.to_bytes())).decompress()
+                SAGeArchive.from_bytes(archive.to_bytes())).decompress_block(0)
             assert len(decoded) == 0
 
     def test_one_block_starts_no_pool(self, families, monkeypatch):
         """``workers`` is pure speed: with one block there is nothing to
         parallelise, so the bytes are the serial ones and no process
         pool is started for them."""
-        from repro.core import blocks
+        from repro.core import compressor
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for one block")
 
         sim = families["short"]
-        serial = BlockCompressor(sim.reference).compress(sim.read_set)
-        monkeypatch.setattr(blocks, "ProcessPoolExecutor", no_pool)
-        pooled = BlockCompressor(sim.reference,
-                                 options=EngineOptions(workers=4)) \
+        serial = SAGeCompressor(sim.reference).compress(sim.read_set)
+        monkeypatch.setattr(compressor, "ProcessPoolExecutor", no_pool)
+        pooled = SAGeCompressor(sim.reference,
+                                options=EngineOptions(workers=4)) \
             .compress(sim.read_set)
         assert pooled.n_blocks == 1
+        assert pooled.to_bytes() == serial.to_bytes()
+
+    def test_pool_unavailable_compresses_serially(self, families,
+                                                  monkeypatch):
+        """No process pool can start: one ``RuntimeWarning`` and the
+        blocks are compressed in process, to the serial bytes."""
+        from repro.core import compressor
+
+        def no_pool(*args, **kwargs):
+            raise OSError("process creation refused")
+
+        sim = families["short"]
+        serial = SAGeCompressor(sim.reference, SAGeConfig(),
+                                options=BLOCKED).compress(sim.read_set)
+        monkeypatch.setattr(compressor, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning) as caught:
+            pooled = SAGeCompressor(
+                sim.reference, SAGeConfig(),
+                options=BLOCKED.replace(workers=2)).compress(sim.read_set)
+        assert [str(w.message) for w in caught] == [
+            "process pool unavailable (process creation refused); "
+            "falling back to serial block compression"]
+        assert pooled.n_blocks > 1
         assert pooled.to_bytes() == serial.to_bytes()
 
     def test_prechunked_stream_one_block_per_chunk(self, families):
         sim = families["short"]
         chunks = chunked(sim.read_set, 15)
-        archive = BlockCompressor(sim.reference,
-                                  SAGeConfig()).compress(iter(chunks))
+        archive = SAGeCompressor(sim.reference,
+                                 SAGeConfig()).compress(iter(chunks))
         assert archive.n_blocks == len(chunks)
         # The header records options.block_reads as given — here the
         # default 0, not a partition size nobody chose.
@@ -356,8 +379,8 @@ class TestEngineEdges:
 
     def test_breakdown_counts_consensus_once(self, families):
         sim = families["short"]
-        blocked = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=BLOCKED).compress(sim.read_set)
+        blocked = SAGeCompressor(sim.reference, SAGeConfig(),
+                                 options=BLOCKED).compress(sim.read_set)
         flat = SAGeCompressor(sim.reference,
                               SAGeConfig()).compress(sim.read_set)
         assert blocked.breakdown.get("consensus") \
@@ -372,11 +395,11 @@ class TestEngineEdges:
         config = SAGeConfig(preserve_order=True, with_headers=True)
         one_shot = SAGeCompressor(sim.reference,
                                   config).compress(sim.read_set)
-        one_block = BlockCompressor(
+        one_block = SAGeCompressor(
             sim.reference, config,
             options=EngineOptions(block_reads=len(sim.read_set))) \
             .compress(sim.read_set)
-        blocked = BlockCompressor(sim.reference, config, options=BLOCKED) \
+        blocked = SAGeCompressor(sim.reference, config, options=BLOCKED) \
             .compress(sim.read_set)
         assert blocked.n_blocks > 1 and one_block.n_blocks == 1
         for archive in (one_shot, one_block, blocked):
@@ -386,14 +409,14 @@ class TestEngineEdges:
             assert owned > 0
             assert archive.breakdown.get("header") \
                 == owned + 8 * archive.header_bytes_estimate()
-        # The same reads in one block are the same archive, whichever
-        # engine built it.
+        # The same reads in one block are the same archive, whether the
+        # partition was the default or a block as large as the input.
         assert one_block.breakdown.bits == one_shot.breakdown.bits
 
     def test_block_streams_exclude_consensus(self, families):
         sim = families["short"]
-        archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=BLOCKED).compress(sim.read_set)
+        archive = SAGeCompressor(sim.reference, SAGeConfig(),
+                                 options=BLOCKED).compress(sim.read_set)
         for i in range(archive.n_blocks):
             assert set(archive.block(i).streams) \
                 == set(BLOCK_STREAM_NAMES)

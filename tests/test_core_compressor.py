@@ -31,7 +31,8 @@ def roundtrip(read_set, reference, **config_kwargs):
     config = SAGeConfig(**config_kwargs)
     archive = SAGeCompressor(reference, config).compress(read_set)
     blob = archive.to_bytes()
-    decoded = SAGeDecompressor(SAGeArchive.from_bytes(blob)).decompress()
+    decoded = SAGeDecompressor(SAGeArchive.from_bytes(blob)) \
+        .decompress_block(0)
     return archive, decoded
 
 
@@ -256,7 +257,7 @@ def scalar_block(compressor, read_set):
         else cfg.long_reads
     reads = read_set.read_codes()
     mappings = mapping_results(
-        compressor._build_mapper(level, long_reads).map_batch(reads))
+        compressor._build_mapper(long_reads).map_batch(reads))
     rows, unmapped = [], []
     for idx, (codes, mapping) in enumerate(zip(reads, mappings)):
         plan = None if mapping.unmapped \
@@ -430,8 +431,9 @@ def assert_equals_the_oracle(compressor, read_set):
     assert block.permutation.tolist() == expected["permutation"]
     assert (block.n_mapped, block.n_unmapped) \
         == (expected["n_mapped"], expected["n_unmapped"])
-    blob = compressor.assemble([block]).to_bytes()
-    decoded = SAGeDecompressor(SAGeArchive.from_bytes(blob)).decompress()
+    blob = compressor.compress(read_set).to_bytes()
+    decoded = SAGeDecompressor(SAGeArchive.from_bytes(blob)) \
+        .decompress_block(0)
     assert read_multiset(decoded) == read_multiset(read_set)
     return plans
 
@@ -597,8 +599,8 @@ class TestColumnPath:
             assert len(blocks) > 300 // cap
         assert any(ev[0] == INS and ev[5] >= CONSENSUS.size
                    for ev in events)
-        mappings = mapping_results(compressor._build_mapper(
-            level, True).map_batch(read_set.read_codes()))
+        mappings = mapping_results(compressor._build_mapper(True)
+                                   .map_batch(read_set.read_codes()))
         assert any(op.kind == INS and (op.bases == seq.N_CODE).any()
                    for m in mappings for s in m.segments for op in s.ops)
         assert any(plan[1] for plan in plans) == level.chimeric
@@ -611,7 +613,7 @@ class TestColumnPath:
         assert read_set.is_fixed_length
         compressor = SAGeCompressor(rs2_small.reference,
                                     SAGeConfig(mapper_kernel="numpy"))
-        stats = compressor._build_mapper(OptLevel.O4, False).stats
+        stats = compressor._build_mapper(False).stats
         built = []
         init = MappingResult.__init__
 
@@ -734,7 +736,7 @@ class TestPermutation:
         config = SAGeConfig(with_quality=False)
         archive = SAGeCompressor(sim.reference, config) \
             .compress(sim.read_set)
-        decoded = SAGeDecompressor(archive).decompress()
+        decoded = SAGeDecompressor(archive).decompress_block(0)
         for out_idx, in_idx in enumerate(archive.block(0).permutation):
             assert np.array_equal(decoded[out_idx].codes,
                                   sim.read_set[int(in_idx)].codes)

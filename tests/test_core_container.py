@@ -152,7 +152,7 @@ class TestChecksums:
         assert not view.block(0).quality.laned
         assert view.to_bytes()[4] == 4
         back = SAGeArchive.from_bytes(view.to_bytes())
-        assert read_multiset(SAGeDecompressor(back).decompress()) \
+        assert read_multiset(SAGeDecompressor(back).decompress_block(0)) \
             == read_multiset(SAGeDataset(v4).decode_block(1))
         with pytest.raises(ContainerError, match="mix"):
             SAGeArchive.from_blocks(

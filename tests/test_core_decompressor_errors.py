@@ -39,19 +39,19 @@ class TestTruncation:
                                           bits // 2))
         with pytest.raises((BitIOError, DecompressionError, ValueError,
                             IndexError)):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)
 
     def test_truncated_consensus_raises(self, archive):
         payload, bits = archive.consensus
         clone = _mutate(archive, "consensus",
                         (payload[:len(payload) // 2], bits // 2))
         with pytest.raises(Exception):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)
 
     def test_empty_mbta_raises(self, archive):
         clone = _mutate(archive, "mbta", (b"", 0))
         with pytest.raises((BitIOError, DecompressionError, ValueError)):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)
 
 
 class TestContainerValidation:
@@ -67,7 +67,7 @@ class TestContainerValidation:
         clone.block(0).n_mapped += 1
         with pytest.raises((BitIOError, DecompressionError, ValueError,
                             IndexError)):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)
 
     def test_quality_read_count_mismatch(self, rs3_small):
         full = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
@@ -81,7 +81,7 @@ class TestContainerValidation:
         else:
             blk.n_mapped -= 1
         with pytest.raises(Exception):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)
 
 
 class TestStreamContentCorruption:
@@ -90,12 +90,12 @@ class TestStreamContentCorruption:
         clone = _mutate(archive, "mmpga", (bytes(len(payload)), bits))
         decoder = SAGeDecompressor(clone)
         try:
-            decoded = decoder.decompress()
+            decoded = decoder.decompress_block(0)
         except Exception:
             return  # loud failure is acceptable
         # If it decodes structurally, the content must differ from the
         # original (corruption must not be silently absorbed).
-        original = SAGeDecompressor(archive).decompress()
+        original = SAGeDecompressor(archive).decompress_block(0)
         same = all(np.array_equal(a.codes, b.codes)
                    for a, b in zip(decoded, original))
         assert not same
@@ -121,7 +121,7 @@ class TestOrderStream:
                        (writer.getvalue(), writer.bit_length))
 
     def test_intact_order_restores_input(self, ordered, rs3_small):
-        decoded = SAGeDecompressor(ordered).decompress()
+        decoded = SAGeDecompressor(ordered).decompress_block(0)
         assert [r.text for r in decoded] \
             == [r.text for r in rs3_small.read_set.reads[:37]]
 
@@ -134,11 +134,12 @@ class TestOrderStream:
         entries[5] = entries[6] if damage == "duplicate" else 63
         with pytest.raises(BlockDecodeError,
                            match="order stream is not a permutation") as err:
-            SAGeDecompressor(self._with_order(ordered, entries)).decompress()
+            SAGeDecompressor(self._with_order(ordered, entries)) \
+                .decompress_block(0)
         assert isinstance(err.value.__cause__, DecompressionError)
 
     def test_truncated_order_stream(self, ordered):
         payload, bits = ordered.block(0).streams["order"]
         clone = _mutate(ordered, "order", (payload[:2], 16))
         with pytest.raises(BlockDecodeError, match="order"):
-            SAGeDecompressor(clone).decompress()
+            SAGeDecompressor(clone).decompress_block(0)

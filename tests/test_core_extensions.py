@@ -15,7 +15,7 @@ def roundtrip(read_set, reference, **kwargs):
         .compress(read_set)
     blob = archive.to_bytes()
     return archive, SAGeDecompressor(
-        SAGeArchive.from_bytes(blob)).decompress()
+        SAGeArchive.from_bytes(blob)).decompress_block(0)
 
 
 class TestPreserveOrder:

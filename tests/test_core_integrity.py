@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.api import EngineOptions
-from repro.core import BlockCompressor, SAGeConfig
+from repro.core import SAGeCompressor, SAGeConfig
 from repro.core.bitio import BitIOError
 from repro.core.container import SAGeArchive
 from repro.core.decompressor import SAGeDecompressor
@@ -36,8 +36,8 @@ def _error_family():
 @pytest.fixture(scope="module")
 def blocked(rs3_small):
     """A blocked archive plus its serialized v4 blob."""
-    archive = BlockCompressor(rs3_small.reference, SAGeConfig(),
-                              options=EngineOptions(block_reads=24)) \
+    archive = SAGeCompressor(rs3_small.reference, SAGeConfig(),
+                             options=EngineOptions(block_reads=24)) \
         .compress(rs3_small.read_set)
     return archive, archive.to_bytes()
 
@@ -187,6 +187,6 @@ class TestContentCorruption:
             damaged[offset] ^= 0xFF
             try:
                 bad = SAGeArchive.from_bytes(bytes(damaged))
-                SAGeDecompressor(bad).decompress()
+                SAGeDecompressor(bad).decompress_block(0)
             except SAGeError:
                 pass            # typed detection is the contract

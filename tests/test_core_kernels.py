@@ -133,7 +133,7 @@ class TestReaderErrorContext:
         clone = type(archive).from_bytes(archive.to_bytes())
         clone.block(0).streams["mbta"] = (b"", 0)
         with pytest.raises((BitIOError, ValueError)) as err:
-            SAGeDecompressor(clone, codec="python").decompress()
+            SAGeDecompressor(clone, codec="python").decompress_block(0)
         assert "mbta" in str(err.value)
 
 
@@ -215,7 +215,7 @@ class TestRegistry:
         # first block.
         monkeypatch.setenv("SAGE_CODEC", "bogus")
         assert decoder.codec in available_kernels()
-        decoder.decompress()
+        decoder.decompress_block(0)
         with pytest.raises(ValueError, match="unknown codec"):
             SAGeDecompressor(archive, codec="auto")
         with pytest.raises(ValueError, match="unknown codec"):
@@ -275,10 +275,10 @@ def _random_read_set(rng, reference, *, n_reads, read_len, fixed,
 
 def _assert_cross_kernel(read_set, reference, config):
     archive = SAGeCompressor(reference, config).compress(read_set)
-    baseline = SAGeDecompressor(archive, codec="python").decompress()
+    baseline = SAGeDecompressor(archive, codec="python").decompress_block(0)
     assert len(baseline) == len(read_set)
     for codec in available_kernels():
-        result = SAGeDecompressor(archive, codec=codec).decompress()
+        result = SAGeDecompressor(archive, codec=codec).decompress_block(0)
         assert len(result) == len(baseline), codec
         for a, b in zip(baseline, result):
             assert np.array_equal(a.codes, b.codes), codec
@@ -574,14 +574,14 @@ class TestColumnarDecodeOracle:
                        ("sequence",), ("sequence", "order"),
                        ("sequence", "quality"), ("headers", "order"),
                        ("headers",)):
-            decoded = decoder.decompress(select=select)
+            decoded = decoder.decompress_block(0, select=select)
             assert decoded._views is None, "decode built Read objects"
             got = [(r.codes.tobytes(),
                     None if r.quality is None else r.quality.tobytes(),
                     r.header) for r in decoded]
             assert got == self._oracle(archive, select), select
         if preserve_order:
-            full = decoder.decompress()
+            full = decoder.decompress_block(0)
             assert [r.codes.tobytes() for r in full] \
                 == [r.codes.tobytes() for r in reads]
 
@@ -601,7 +601,7 @@ class TestFallbackHeaderNaming:
             SAGeConfig(preserve_order=True, with_quality=False)) \
             .compress(reads)
         decoder = SAGeDecompressor(archive)
-        whole = [r.header for r in decoder.decompress()]
+        whole = [r.header for r in decoder.decompress_block(0)]
         block0 = [r.header for r in decoder.decompress_block(0)]
         assert whole == block0
 
@@ -625,7 +625,7 @@ class TestFallbackHeaderNaming:
         assert archive.n_blocks == 1
 
         def rendered(source):
-            return fastq.write(SAGeDecompressor(source).decompress())
+            return fastq.write(SAGeDecompressor(source).decompress_block(0))
 
         before = rendered(archive)
         assert before.splitlines()[0::4] \
@@ -645,7 +645,7 @@ class TestFallbackHeaderNaming:
             rs3_small.read_set, reference=rs3_small.reference,
             options=EngineOptions(block_reads=32),
             config=SAGeConfig(with_quality=False))
-        headers = [r.header for r in dataset.reads()]
+        headers = [r.header for block in dataset.blocks() for r in block]
         name = rs3_small.read_set.name or "sage"
         assert headers == [f"{name}.{i}" for i in range(len(headers))]
 

@@ -6,8 +6,8 @@ import pytest
 
 import repro.core.decompressor as decompressor_module
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import (BlockCompressor, OptLevel, SAGeArchive,
-                        SAGeCompressor, SAGeConfig, SAGeDecompressor)
+from repro.core import (OptLevel, SAGeArchive, SAGeCompressor,
+                        SAGeConfig, SAGeDecompressor)
 from repro.core.bitio import BitReader
 from repro.core.formats import OutputFormat
 from repro.hardware import area_power, dram, energy, interconnect
@@ -31,7 +31,8 @@ class TestHardwareModel:
     def test_output_identical_to_software(self, archive):
         hw = SAGeHardwareModel(pcie_ssd())
         reads, _ = hw.run(archive)
-        assert_same_columns(reads, SAGeDecompressor(archive).decompress())
+        assert_same_columns(reads,
+                            SAGeDecompressor(archive).decompress_block(0))
 
     def test_stats_account_all_stream_bits(self, request):
         # The walk consumes every bit of every stream it reads, and the
@@ -40,7 +41,7 @@ class TestHardwareModel:
         hw = SAGeHardwareModel(pcie_ssd())
         for fixture in ("rs2_small", "rs3_small", "rs4_small", "rs5_small"):
             sim = request.getfixturevalue(fixture)
-            archive = BlockCompressor(
+            archive = SAGeCompressor(
                 sim.reference, SAGeConfig(with_quality=False),
                 options=EngineOptions(block_reads=64)) \
                 .compress(sim.read_set)
@@ -77,7 +78,7 @@ class TestHardwareModel:
             config = SAGeConfig(level=level, with_quality=False,
                                 preserve_order=preserve_order,
                                 tuned_indel_lengths=tuned)
-            archive = BlockCompressor(
+            archive = SAGeCompressor(
                 sim.reference, config,
                 options=EngineOptions(block_reads=64)) \
                 .compress(sim.read_set)
@@ -96,7 +97,7 @@ class TestHardwareModel:
         """One session decode per block and no reference walk: the
         model is pinned to no kernel (here the vectorized one)."""
         monkeypatch.setenv("SAGE_CODEC", "numpy")
-        blocked = BlockCompressor(
+        blocked = SAGeCompressor(
             rs4_small.reference, SAGeConfig(),
             options=EngineOptions(block_reads=64)).compress(
                 rs4_small.read_set)
@@ -164,8 +165,8 @@ class TestHardwareVerify:
 
     @pytest.fixture(scope="class")
     def blocked(self, rs3_small):
-        archive = BlockCompressor(rs3_small.reference, SAGeConfig(),
-                                  options=EngineOptions(block_reads=16)) \
+        archive = SAGeCompressor(rs3_small.reference, SAGeConfig(),
+                                 options=EngineOptions(block_reads=16)) \
             .compress(rs3_small.read_set)
         return SAGeArchive.from_bytes(archive.to_bytes())
 

@@ -249,9 +249,6 @@ SANCTIONED_KNOB_SITES = {
     "src/repro/core/container.py::SAGeArchive.from_blocks":
         "block_reads is the header field written verbatim, not a "
         "partition decision",
-    "src/repro/core/compressor.py::SAGeCompressor.assemble":
-        "block_reads is the header field written verbatim (forwarded to "
-        "from_blocks), not a partition decision",
 }
 
 _SESSION_ENTRY = {"__init__", "from_fastq", "open", "_make_executor"}
@@ -665,10 +662,12 @@ def options_a_caller_sets(source, where):
 #: an object), the ``Read``-object chunker (chunks are
 #: ``ReadSet.subset`` views), the SAM renderer nothing called, and the
 #: FTL's grouped GC, the device's batch iterator and the thread-scaling
-#: rate that only tests called.
+#: rate that only tests called, and the second compressor
+#: (``SAGeCompressor.compress`` cuts and pools a read stream itself).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
-                       "gc_genomic_unit", "iter_batches", "software_rate_at"}
+                       "gc_genomic_unit", "iter_batches", "software_rate_at",
+                       "BlockCompressor"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1167,7 +1166,7 @@ class TestOptionsThreadingEdges:
 
         facade = (SRC / "repro/api/dataset.py").read_text()
         assert facade.count(".compress(") == 1
-        assert "SAGeCompressor" not in facade
+        assert "BlockCompressor" not in facade
         assert mentions("blocked", "compress_blocked") == []
 
         assert on_tree(options_a_caller_sets, "src") == []

@@ -25,7 +25,7 @@ from repro.analysis.variants import (VariantCall, call_variants,
                                      quality_block_access)
 from repro.api import EngineOptions, SAGeDataset
 from repro.core import SAGeCompressor, SAGeConfig
-from repro.core import blocks as blocks_mod
+from repro.core import compressor as compressor_mod
 from repro.core.mismatch import OptLevel
 from repro.genomics import sequence as seqmod
 from repro.genomics.reads import Read, ReadSet
@@ -243,7 +243,7 @@ class TestCrossMapperFuzz:
             session = SAGeDataset(archive,
                                   options=EngineOptions(mapper=mapper))
             batch.reset_stats()
-            report, rate = session.analyze("property", "mapping-rate")
+            report, rate = session.pipe("property", "mapping-rate").run()
             # One map_batch call per sink per block on the numpy
             # kernel; the scalar kernel never reaches the batch mapper.
             assert batch.GLOBAL_STATS.batches \
@@ -471,10 +471,10 @@ class TestMapperRegistry:
 class TestSharedIndex:
     @pytest.fixture(autouse=True)
     def _clean_worker_globals(self):
-        saved = blocks_mod._worker_compressor
-        blocks_mod._worker_compressor = None
+        saved = compressor_mod._worker_compressor
+        compressor_mod._worker_compressor = None
         yield
-        blocks_mod._worker_compressor = saved
+        compressor_mod._worker_compressor = saved
 
     def test_pickle_does_not_rebuild(self, reference):
         index = KmerIndex(reference)
@@ -493,30 +493,31 @@ class TestSharedIndex:
     def test_worker_initializer_reuses_parent_index(self, rs3_small):
         """The regression test for per-worker index rebuilds: a worker
         seeded through ``_init_worker`` must not build its own index."""
-        options = EngineOptions(block_reads=32)
-        bc = blocks_mod.BlockCompressor(rs3_small.reference, SAGeConfig(),
-                                        options=options)
-        index = bc._compressor.shared_kmer_index()
+        compressor = SAGeCompressor(rs3_small.reference, SAGeConfig())
+        index = compressor.shared_kmer_index()
         before = KmerIndex.build_count
-        blocks_mod._init_worker(bc.consensus, bc.config,
-                                pickle.loads(pickle.dumps(index)))
+        compressor_mod._init_worker(compressor.consensus, compressor.config,
+                                    pickle.loads(pickle.dumps(index)))
         chunks = chunked(rs3_small.read_set, 32)
         for chunk in chunks[:2]:
-            blocks_mod._compress_chunk_pooled(chunk)
+            compressor_mod._compress_chunk_pooled(chunk)
         assert KmerIndex.build_count == before
 
     def test_blocked_compression_single_build(self, rs3_small):
         before = KmerIndex.build_count
         options = EngineOptions(block_reads=32)
-        bc = blocks_mod.BlockCompressor(rs3_small.reference, SAGeConfig(),
-                                        options=options)
-        bc.compress(rs3_small.read_set)
+        SAGeCompressor(rs3_small.reference, SAGeConfig(),
+                       options=options).compress(rs3_small.read_set)
         assert KmerIndex.build_count == before + 1
 
     def test_mismatched_index_is_ignored(self, reference):
         wrong = KmerIndex(reference, k=11)
         mapper = ReadMapper(reference, MapperConfig(k=15), index=wrong)
         assert mapper.index.k == 15
+        compressor = SAGeCompressor(
+            reference, SAGeConfig(mapper=MapperConfig(k=15)),
+            shared_index=wrong)
+        assert compressor.shared_kmer_index().k == 15
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for the pipeline simulator and end-to-end system model."""
 
+import numpy as np
 import pytest
 
+from repro.genomics import sequence as seq
+from repro.genomics.reads import Read, ReadSet
 from repro.hardware.ssd import pcie_ssd, sata_ssd
 from repro.pipeline import (MAX_SIM_BATCHES, PREP_ORDER, SystemConfig,
                             batches_for_dataset, batches_from_archive,
@@ -11,7 +14,7 @@ from repro.pipeline import (MAX_SIM_BATCHES, PREP_ORDER, SystemConfig,
 from repro.pipeline.accelerators import ISFModel, gem, software_mapper
 from repro.pipeline.stages import Stage, simulate_pipeline
 
-from tests.conftest import steady_state_throughput
+from tests.conftest import filter_fraction_oracle, steady_state_throughput
 
 
 class TestPipelineSimulator:
@@ -158,6 +161,40 @@ class TestAccelerators:
         # Donor variants + errors: only a fraction matches exactly.
         assert frac < 0.9
 
+    @pytest.mark.parametrize("against", ["reference", "donor"])
+    def test_functional_filter_equals_the_oracle(self, rs2_small, against):
+        sim = rs2_small
+        genome = sim.reference if against == "reference" \
+            else sim.donor.sequence
+        frac = measure_filter_fraction(sim.read_set, genome)
+        assert 0 < frac < 1
+        assert frac == filter_fraction_oracle(sim.read_set, genome)
+
+    def test_functional_filter_edges(self, clean_short_sim):
+        """Per read: an exact hit passes on either strand; an ``N`` or
+        fewer than ``k`` bases never does."""
+        genome = clean_short_sim.donor.sequence
+        with_n = genome[1_000:1_100].copy()
+        with_n[50] = seq.N_CODE
+        reads = {
+            "forward": genome[1_000:1_100],
+            "with N": with_n,
+            "shorter than k": genome[2_000:2_030],
+            "reverse complement only":
+                seq.reverse_complement(genome[3_000:3_100]),
+            "absent": seq.random_sequence(100, np.random.default_rng(3)),
+        }
+        passed = {name: measure_filter_fraction(ReadSet([Read(codes)]),
+                                                genome)
+                  for name, codes in reads.items()}
+        assert passed == {"forward": 1.0, "with N": 0.0,
+                          "shorter than k": 0.0,
+                          "reverse complement only": 1.0, "absent": 0.0}
+        together = ReadSet([Read(codes) for codes in reads.values()])
+        assert measure_filter_fraction(together, genome) == 2 / 5 \
+            == filter_fraction_oracle(together, genome)
+        assert measure_filter_fraction(ReadSet([]), genome) == 0.0
+
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
@@ -263,11 +300,11 @@ class TestEndToEnd:
     def test_batches_derive_from_block_structure(self, models, pcie):
         """n_batches comes from the real archive block count when given."""
         from repro.api import EngineOptions
-        from repro.core import BlockCompressor, SAGeConfig
+        from repro.core import SAGeCompressor, SAGeConfig
         from repro.genomics import datasets
         sim = datasets.generate("RS3", base_genome=4_000)
-        archive = BlockCompressor(sim.reference, SAGeConfig(),
-                                  options=EngineOptions(block_reads=16)) \
+        archive = SAGeCompressor(sim.reference, SAGeConfig(),
+                                 options=EngineOptions(block_reads=16)) \
             .compress(sim.read_set)
         assert batches_from_archive(archive) == archive.n_blocks
         result = evaluate("SAGe", models["RS2"], pcie, archive=archive)

@@ -8,8 +8,8 @@ import pytest
 from repro.analysis import MappingRateSink, PropertyAccumulator, analyze
 from repro.analysis.variants import call_variants, pileup
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import (INFLIGHT_PER_WORKER, BlockCompressor, SAGeArchive,
-                        SAGeCompressor, SAGeConfig, SAGeDecompressor)
+from repro.core import (INFLIGHT_PER_WORKER, SAGeArchive, SAGeCompressor,
+                        SAGeConfig, SAGeDecompressor)
 from repro.genomics import fastq
 from repro.pipeline.executor import (CollectSink, FastqSink,
                                      StreamExecutor)
@@ -22,7 +22,7 @@ BLOCK_READS = 16
 @pytest.fixture(scope="module")
 def blocked(rs3_small):
     """A multi-block archive round-tripped through bytes."""
-    archive = BlockCompressor(
+    archive = SAGeCompressor(
         rs3_small.reference, SAGeConfig(),
         options=EngineOptions(block_reads=BLOCK_READS)) \
         .compress(rs3_small.read_set)
@@ -52,6 +52,26 @@ class TestStreamExecutor:
         assert executor.stats.blocks_retried == 0
         if backend == "serial":
             assert executor.stats.peak_inflight == 1
+
+    def test_pool_unavailable_decodes_serially(self, blocked, serial_text,
+                                               monkeypatch):
+        """No process pool can start: one ``RuntimeWarning`` and the
+        pass decodes in process, to the serial FASTQ."""
+        from repro.pipeline import executor as executor_mod
+
+        def no_pool(*args, **kwargs):
+            raise OSError("process creation refused")
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", no_pool)
+        executor = StreamExecutor(blocked, options=EngineOptions(
+            workers=2, backend="process"))
+        buffer = io.StringIO()
+        with pytest.warns(RuntimeWarning) as caught:
+            executor.run(FastqSink(buffer))
+        assert [str(w.message) for w in caught] == [
+            "process pool unavailable (process creation refused); "
+            "falling back to serial block decode"]
+        assert buffer.getvalue() == serial_text
 
     def test_blocks_arrive_in_index_order(self, blocked):
         executor = StreamExecutor(blocked,

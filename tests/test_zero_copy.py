@@ -222,7 +222,7 @@ class TestSelectiveDecode:
         with SAGeDataset.open(path) as dataset:
             # Both sinks read base codes only.
             for sink in ("mapping-rate", "property"):
-                dataset.analyze(sink)
+                dataset.pipe(sink).run()
                 stats = dataset.stats
                 assert stats.streams_decoded.get("sequence", 0) > 0
                 assert stats.streams_decoded.get("quality", 0) == 0
@@ -231,12 +231,12 @@ class TestSelectiveDecode:
     def test_full_decode_counts_all_groups(self, archive_path):
         path, _ = archive_path
         with SAGeDataset.open(path) as dataset:
-            dataset.analyze("collect")
+            dataset.pipe("collect").run()
             stats = dataset.stats
             assert stats.streams_decoded.get("sequence", 0) > 0
             assert stats.streams_decoded.get("quality", 0) > 0
             full_bits = stats.stream_bits_total
-            dataset.analyze("mapping-rate")
+            dataset.pipe("mapping-rate").run()
             # Skipping quality and headers is most of the archive.
             assert full_bits >= 2 * dataset.stats.stream_bits_total > 0
 
@@ -253,7 +253,7 @@ class TestDescriptorTransport:
         options = EngineOptions(backend="process", workers=2)
         with SAGeDataset.open(path, options=options) as dataset:
             n_blocks = dataset.n_blocks
-            dataset.analyze("collect")
+            dataset.pipe("collect").run()
             shipped = dataset.stats.bytes_shipped
         # Descriptor tasks are tens of bytes; payload pickling would be
         # the full archive (tens of KB here, MBs in production).
@@ -265,7 +265,7 @@ class TestDescriptorTransport:
         archive = SAGeArchive.from_bytes(blob)
         options = EngineOptions(backend="process", workers=2)
         dataset = SAGeDataset(archive, options=options)
-        dataset.analyze("collect")
+        dataset.pipe("collect").run()
         payload_total = sum(e.nbytes for e in archive.block_index())
         assert dataset.stats.bytes_shipped >= payload_total
         # The blob ships once per pool; each task is still a bare index.
@@ -300,7 +300,7 @@ def _streaming_peak(path, options) -> tuple[int, int]:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            dataset.analyze(lambda block: counts.append(len(block)))
+            dataset.pipe(lambda block: counts.append(len(block))).run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
