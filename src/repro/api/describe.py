@@ -45,6 +45,8 @@ def _block_info(archive: SAGeArchive, index: int, entry: BlockIndexEntry
             "has_quality": blk.quality is not None,
             "quality_bytes": blk.quality.byte_size
             if blk.quality is not None else 0,
+            "quality_model": blk.quality.model
+            if blk.quality is not None else None,
             "has_headers": blk.headers_blob is not None,
             "headers_bytes": len(blk.headers_blob)
             if blk.headers_blob is not None else 0,

@@ -96,6 +96,9 @@ class SAGeConfig:
 
     level: OptLevel = OptLevel.O4
     with_quality: bool = True
+    #: Allows the order-1 quality model: each block's scores are written
+    #: in whichever of order-0 and order-1 is smaller
+    #: (:func:`repro.core.quality.compress`); ``False`` forces order-0.
     quality_order1: bool = True
     epsilon: float = DEFAULT_EPSILON
     long_reads: bool | None = None    # None => auto (variable lengths)

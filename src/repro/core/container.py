@@ -20,14 +20,16 @@ into silent garbage.
 The **version 5** layout is v4 with lane-ordered quality blobs
 (:func:`repro.core.quality.compress`): order-1 scores are cut into lanes
 whose context chain restarts every :data:`~repro.core.quality.LANE`
-scores, so the decoder steps every lane one column at a time.  Only the
+scores, so the decoder steps every lane one column at a time.  Each
+blob's own model flag says whether it holds order-1 lanes or order-0
+scores, and the writer picks the smaller of the two per blob.  Only the
 quality payload differs; the version byte is what tells the block parser
-which quality layout a blob holds.  v5 is the one layout written for
-freshly compressed blocks.  v3 and v4 blobs are still read by
-:meth:`SAGeArchive.from_bytes`: a v4 archive saves as its own bytes, and
-a v3 one re-saves as v4 (the same bytes plus the digests) — never as
-v5, whose version byte would make its walk-layout quality decode as
-lanes.
+which quality layout a blob holds (every version after v4 holds lanes).
+v5 is the one layout written for freshly compressed blocks.  v3 and v4
+blobs are still read by :meth:`SAGeArchive.from_bytes`: a v4 archive
+saves as its own bytes, and a v3 one re-saves as v4 (the same bytes plus
+the digests) — never as v5, whose version byte would make its
+walk-layout quality decode as lanes.
 
 An archive is its bytes.  Every :class:`SAGeArchive` is backed by one
 blob: :meth:`SAGeArchive.from_blocks` serializes freshly compressed
@@ -297,7 +299,7 @@ class SAGeBlock:
             reader.align_to_byte()
             quality = quality_codec.QualityBlob(
                 reader.read_bytes(nbytes), n_scores,
-                laned=version >= VERSION)
+                laned=version > V4_VERSION)
         headers_blob = None
         if has_headers:
             nbytes = reader.read(40)

@@ -107,9 +107,12 @@ class HuffmanTable:
     codes: np.ndarray
 
     @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "HuffmanTable":
-        lengths = code_lengths_from_counts(counts)
+    def from_lengths(cls, lengths: np.ndarray) -> "HuffmanTable":
         return cls(lengths=lengths, codes=canonical_codes(lengths))
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "HuffmanTable":
+        return cls.from_lengths(code_lengths_from_counts(counts))
 
     @property
     def alphabet_size(self) -> int:
@@ -127,9 +130,8 @@ class HuffmanTable:
     @classmethod
     def deserialize(cls, reader: BitReader) -> "HuffmanTable":
         size = reader.read(16)
-        lengths = np.array([reader.read(4) for _ in range(size)],
-                           dtype=np.int64)
-        return cls(lengths=lengths, codes=canonical_codes(lengths))
+        return cls.from_lengths(np.array(
+            [reader.read(4) for _ in range(size)], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Vectorized encode

@@ -7,8 +7,9 @@ from repro.cli import main
 from repro.core.container import VERSION
 from repro.genomics import fastq
 from repro.genomics import sequence as seq
+from repro.genomics.reads import ReadSet
 
-from tests.conftest import golden_blob, read_multiset
+from tests.conftest import golden_blob, markov_scores, read_multiset
 
 
 @pytest.fixture()
@@ -307,10 +308,35 @@ class TestInspectJson:
             assert sections["stream_bytes"] > 0
             assert sections["meta_bytes"] > 0
             assert sections["quality_bytes"] > 0      # default keeps Q
+            assert sections["quality_model"] in ("order0", "order1")
             # Section sizes never exceed the indexed payload size.
-            assert sum(sections.values()) <= block["bytes"]
+            assert sum(value for value in sections.values()
+                       if isinstance(value, int)) <= block["bytes"]
             assert block["stream_bits"]["mbta"] >= 0
             assert "consensus" not in block["stream_bits"]
+
+    def test_json_reports_each_blocks_quality_model(self, workdir,
+                                                    rs3_small, capsys):
+        """The model a block's scores were written in: the simulator's
+        i.i.d. scores pick order-0, Markov-correlated ones order-1, and
+        a block without scores has none."""
+        import json
+        reads = rs3_small.read_set
+        fastq.write_file(ReadSet.from_columns(
+            reads.codes, reads.offsets, markov_scores(len(reads)),
+            reads.headers), workdir / "correlated.fastq")
+        runs = [("reads.fastq", [], "order0"),
+                ("correlated.fastq", [], "order1"),
+                ("reads.fastq", ["--no-quality"], None)]
+        for name, flags, model in runs:
+            archive = workdir / "model.sage"
+            main(["compress", str(workdir / name), str(workdir / "ref.txt"),
+                  str(archive), "--block-reads", "48", *flags])
+            capsys.readouterr()
+            assert main(["inspect", str(archive), "--json"]) == 0
+            info = json.loads(capsys.readouterr().out)
+            assert [block["sections"]["quality_model"]
+                    for block in info["blocks"]] == [model] * 3
 
     def test_json_reports_decoded_size_estimates(self, workdir, capsys):
         """Every block advertises its decoded-bytes estimate — the

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.api import SAGeDataset
-from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
+from repro.core import (SAGeCompressor, SAGeConfig, SAGeDecompressor,
+                        container)
 from repro.core.container import (VERSION, ContainerError,
                                   CorruptArchiveError, SAGeArchive,
-                                  TruncatedArchiveError)
+                                  SAGeBlock, TruncatedArchiveError)
 
 from tests.conftest import (SIZE_CONFIGS, V3_BLOBS, golden_blob,
                             read_multiset, sections_nbytes)
@@ -159,6 +160,15 @@ class TestChecksums:
                 [v4.block(0), archive.block(0)], level=archive.level,
                 consensus=archive.consensus,
                 consensus_length=archive.consensus_length)
+
+    def test_every_version_after_v4_reads_lanes(self, archive,
+                                                monkeypatch):
+        # The layout rule is "after v4", not "the current version": a
+        # later bump must still read a v5 blob's quality as lanes.
+        payload = bytes(archive.block_payload(0))
+        monkeypatch.setattr(container, "VERSION", 6)
+        assert SAGeBlock.deserialize(payload, version=5).quality.laned
+        assert not SAGeBlock.deserialize(payload, version=4).quality.laned
 
     def test_v3_verify_reports_unchecked(self):
         for name in V3_BLOBS:

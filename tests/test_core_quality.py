@@ -10,6 +10,7 @@ from repro.core.bitio import BitReader
 from repro.core.errors import CorruptArchiveError, SAGeError
 from repro.core.huffman import (PEEK_BITS, HuffmanError, HuffmanTable,
                                 canonical_codes)
+from repro.genomics import datasets
 
 from tests.conftest import GOLDEN, golden_blob
 
@@ -97,8 +98,7 @@ class TestRoundtrip:
     @given(score_arrays, st.booleans(),
            st.sampled_from([1024, quality.DEFAULT_BLOCK]))
     def test_lossless(self, scores, order1, block_size):
-        blob = quality.compress(scores, order1=order1,
-                                block_size=block_size)
+        blob = quality._write(scores, order1, block_size)
         back = quality.decompress(blob)
         assert back.dtype == np.uint8
         assert np.array_equal(back, scores)
@@ -125,7 +125,7 @@ class TestRoundtrip:
     def test_lane_and_block_edges(self, size, order1, seed):
         scores = np.random.default_rng(seed).choice(
             [2, 12, 23, 37], size=size).astype(np.uint8)
-        blob = quality.compress(scores, order1=order1, block_size=1024)
+        blob = quality._write(scores, order1, block_size=1024)
         assert np.array_equal(quality.decompress(blob), scores)
         assert np.array_equal(reference_decompress(blob), scores)
 
@@ -141,7 +141,7 @@ class TestLayouts:
         monkeypatch.setattr(quality, "_reassemble_order1", walk)
         for size in (1, 64, 65, 4097, correlated_scores.size):
             scores = correlated_scores[:size]
-            blob = quality.compress(scores, block_size=1024)
+            blob = quality._write(scores, True, block_size=1024)
             assert np.array_equal(quality.decompress(blob), scores)
 
     def test_walk_layout_is_the_one_lane_case(self, monkeypatch):
@@ -158,11 +158,11 @@ class TestLayouts:
     def test_lane_field_is_written_and_read(self, monkeypatch,
                                             correlated_scores):
         scores = correlated_scores[:5000]
-        blob = quality.compress(scores, block_size=1024)
+        blob = quality._write(scores, True, block_size=1024)
         assert with_lane(blob, quality.LANE) == blob
         # A reader takes the lane length from the bytes.
         monkeypatch.setattr(quality, "LANE", 100)
-        other = quality.compress(scores, block_size=1024)
+        other = quality._write(scores, True, block_size=1024)
         assert other != blob
         monkeypatch.undo()
         assert np.array_equal(quality.decompress(other), scores)
@@ -170,7 +170,8 @@ class TestLayouts:
 
     @pytest.mark.parametrize("lane", [0, 1025, 2**32 - 1])
     def test_damaged_lane_field(self, lane, correlated_scores):
-        blob = quality.compress(correlated_scores[:5000], block_size=1024)
+        blob = quality._write(correlated_scores[:5000], True,
+                              block_size=1024)
         with pytest.raises(CorruptArchiveError, match="lanes of") as info:
             quality.decompress(with_lane(blob, lane))
         assert info.value.stream == "quality"
@@ -196,6 +197,73 @@ class TestLayouts:
         with pytest.raises(CorruptArchiveError, match="ran out") as info:
             quality._unlane(starved, scores.size, quality.LANE, 37)
         assert info.value.stream == "quality"
+
+
+class TestModelChoice:
+    """``compress`` writes whichever allowed model is smaller, priced
+    exactly from histograms; order-0 wins a tie."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(score_arrays, st.sampled_from([7, 64, 1024,
+                                          quality.DEFAULT_BLOCK]))
+    def test_writes_the_smaller_model(self, scores, block_size):
+        written = [quality._write(scores, order1, block_size)
+                   for order1 in (False, True)]
+        blob = quality.compress(scores, block_size=block_size)
+        sizes = [w.byte_size for w in written]
+        assert blob.byte_size == min(sizes)
+        assert blob == written[sizes[1] < sizes[0]]
+        assert np.array_equal(quality.decompress(blob), scores)
+        if scores.size:
+            # The price is the written size, for both models.
+            max_score = int(scores.max())
+            for order1, w in zip((False, True), written):
+                counts = quality._counts(scores, order1, block_size,
+                                         max_score)
+                assert quality._nbytes(
+                    counts, quality._code_lengths(counts), max_score) \
+                    == w.byte_size
+
+    def test_a_tie_writes_order0(self):
+        def runs(seed):
+            rng = np.random.default_rng(seed)
+            return np.repeat(rng.choice([2, 12, 23, 37], size=100),
+                             rng.integers(1, 20, size=100)).astype(np.uint8)
+
+        def tied(scores):
+            return quality._write(scores, False).byte_size \
+                == quality._write(scores, True).byte_size
+
+        # Runs of scores make order-1 about as small as order-0; the
+        # first seed whose two blobs are the same size is the tie.
+        scores = next(runs(seed) for seed in range(5000) if tied(runs(seed)))
+        assert quality.compress(scores).model == "order0"
+        empty = np.empty(0, dtype=np.uint8)
+        assert tied(empty) and quality.compress(empty).model == "order0"
+
+    @settings(max_examples=30, deadline=None)
+    @given(score_arrays)
+    def test_order0_forced(self, scores):
+        blob = quality.compress(scores, order1=False)
+        assert blob.model == "order0"
+        assert blob == quality._write(scores, False)
+
+    def test_no_model_without_a_flag(self):
+        # A damaged section can be shorter than the header's 41 bits.
+        assert quality.QualityBlob(b"\0" * 5, 0).model is None
+
+    def test_correlated_scores_keep_order1(self, correlated_scores):
+        assert quality.compress(correlated_scores).model == "order1"
+
+    def test_simulated_short_read_block_picks_order0(self):
+        read_set = datasets.generate("RS2", base_genome=27_500,
+                                     seed=71).read_set
+        scores = read_set.quality[:read_set.offsets[1024]]
+        assert quality.compress(scores).model == "order0"
+
+    def test_long_read_scores_keep_order1(self, rs4_small):
+        assert quality.compress(rs4_small.read_set.quality).model \
+            == "order1"
 
 
 #: Symbol counts on both sides of every anchor-stride (64) edge.
@@ -274,7 +342,7 @@ class TestVectorizedDecoderMatchesReference:
         rng = np.random.default_rng(5)
         scores = rng.choice([2, 12, 23, 37], size=4097,
                             p=[.04, .09, .17, .7]).astype(np.uint8)
-        blob = quality.compress(scores, order1=order1, block_size=1024)
+        blob = quality._write(scores, order1, block_size=1024)
         assert np.array_equal(quality.decompress(blob), scores)
         assert np.array_equal(reference_decompress(blob), scores)
 
@@ -355,9 +423,9 @@ class TestCompressionBehaviour:
 
     def test_lanes_cost_little_against_one_lane(self, monkeypatch,
                                                 correlated_scores):
-        lanes = quality.compress(correlated_scores)
+        lanes = quality._write(correlated_scores, True)
         monkeypatch.setattr(quality, "LANE", correlated_scores.size)
-        one_lane = quality.compress(correlated_scores)
+        one_lane = quality._write(correlated_scores, True)
         assert one_lane.byte_size < lanes.byte_size \
             <= 1.02 * one_lane.byte_size
 

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from repro.api import EngineOptions, SAGeDataset, SAGeError
 from repro.core import quality
 from repro.core.container import SAGeArchive
-from repro.core.errors import BlockDecodeError
+from repro.core.errors import BlockDecodeError, CorruptArchiveError
 from repro.core.kernels import available_kernels
 from repro.pipeline.executor import StreamExecutor
 from repro.testing import faults
 
-from tests.conftest import read_multiset
+from tests.conftest import markov_scores, read_multiset
 
 BLOCK_READS = 24
 
@@ -153,7 +153,7 @@ class TestQualityStreamDamage:
         rng = np.random.default_rng(3)
         scores = rng.choice([2, 12, 23, 37], size=300,
                             p=[.04, .09, .17, .7]).astype(np.uint8)
-        blob = quality.compress(scores, order1=order1, block_size=128)
+        blob = quality._write(scores, order1, block_size=128)
         raised = 0
         for bit in range(8 * blob.byte_size):
             damaged = bytearray(blob.payload)
@@ -171,6 +171,23 @@ class TestQualityStreamDamage:
             else:
                 assert out.dtype == np.uint8
         assert raised > blob.byte_size       # most flips are detected
+
+    @pytest.mark.parametrize("model", ["order0", "order1"])
+    def test_flipped_model_flag_is_detected(self, model):
+        # The flag (bit 40) differs from blob to blob, so a flip reads
+        # one model's records as the other's: never scores, always a
+        # typed quality error.
+        scores = markov_scores(300) if model == "order1" else \
+            np.random.default_rng(4).choice(
+                [2, 12, 23, 37], size=30_000).astype(np.uint8)
+        blob = quality.compress(scores)
+        assert blob.model == model
+        damaged = bytearray(blob.payload)
+        damaged[5] ^= 0x80
+        with pytest.raises(CorruptArchiveError) as info:
+            quality.decompress(
+                quality.QualityBlob(bytes(damaged), blob.n_scores))
+        assert info.value.stream == "quality"
 
     def test_damaged_quality_block_is_skipped(self, rs3_small):
         dataset = SAGeDataset.from_fastq(
