@@ -1,20 +1,21 @@
 """Decoded-block caching and request coalescing primitives.
 
 The serve layer (:mod:`repro.serve`) — and, later, a sharded
-``SAGeCorpus`` — repeatedly answers the same question: *the decoded
-form of block i of archive A under stream selection S*.  Answering it
-twice wastes the numpy decode; answering it twice **concurrently**
-wastes it twice at once.  This module holds the two primitives that
-close both gaps, deliberately free of any HTTP or asyncio dependency
-so every consumer (event loop, thread pool, plain synchronous code)
-shares one implementation:
+``SAGeCorpus`` — repeatedly answers the same question: *block i of
+archive A, decoded under stream selection S and rendered as F*.
+Answering it twice wastes the numpy decode; answering it twice
+**concurrently** wastes it twice at once.  This module holds the two
+primitives that close both gaps, deliberately free of any HTTP or
+asyncio dependency so every consumer (event loop, thread pool, plain
+synchronous code) shares one implementation:
 
 :class:`DecodedBlockCache`
     A bytes-bounded, thread-safe LRU.  Entries are keyed by an opaque
     hashable — the convention is ``(archive, block, selection_token)``
-    (see ``StreamSelection.cache_token``) — and charged their *decoded*
-    size, not their compressed size, so the budget reflects resident
-    memory.  Hit/miss/evict accounting lives on :attr:`~DecodedBlockCache.stats`.
+    (see ``StreamSelection.cache_token``), plus whatever else decides
+    the value — and charged their *decoded* size, not their compressed
+    size, so the budget reflects resident memory.  Hit/miss/evict
+    accounting lives on :attr:`~DecodedBlockCache.stats`.
 
 :class:`SingleFlight`
     Duplicate-suppression for in-flight work: the first caller to
@@ -24,13 +25,12 @@ shares one implementation:
     recomputing.  Failures propagate to all waiters and are **not**
     cached — the next request retries.
 
-The charge for a decoded :class:`~repro.genomics.reads.ReadSet` is its
-:attr:`~repro.genomics.reads.ReadSet.nbytes` — the bytes of its columns
-(base codes, quality scores, read offsets, header text).  The static
-counterpart,
+Neither primitive looks at a value; the caller names its charge.
+``sage serve`` caches the response bodies it sends — a block's FASTQ or
+JSON bytes — and charges each its length.  The static counterpart,
 :meth:`repro.core.container.SAGeBlock.decoded_nbytes_estimate`, prices
-the same buffers *without* decoding the block, which is how a server
-sizes this cache up front.
+a block's FASTQ body *without* decoding the block, which is how a
+server sizes this cache up front.
 """
 
 from __future__ import annotations

@@ -428,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 = pick a free port)")
     p.add_argument("--cache-mb", type=int, default=64,
-                   help="decoded-block LRU cache budget in MiB (size it "
-                        "from inspect --json decoded_nbytes_estimate)")
+                   help="LRU budget in MiB for rendered blocks (one "
+                        "costs its inspect --json decoded_nbytes_estimate)")
     p.add_argument("--decode-threads", type=int, default=4,
                    help="bounded pool running block decodes off the "
                         "event loop")

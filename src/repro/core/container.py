@@ -158,19 +158,18 @@ class SAGeBlock:
 
     def decoded_nbytes_estimate(self, fallback_header_nbytes: int = 0
                                 ) -> int:
-        """Resident bytes of this block's decoded columns — the
-        ``ReadSet.nbytes`` a cache is charged for the full decode.
+        """Bytes of this block's FASTQ, ``2 * bases + 6 * n_reads +
+        header bytes`` — what ``sage serve``'s cache is charged for it.
 
         Priced from stream metadata alone — no decode happens — so a
-        server can size a :class:`~repro.api.cache.DecodedBlockCache`
-        from ``sage inspect --json`` output.  Base count comes from the
-        quality-score count when present (exact: one score per base),
-        from ``n_reads * fixed_read_length`` for fixed-length blocks,
-        else from the sequence stream bit totals at ~2 bits/base.
-        Stored headers are deflate-compressed text, budgeted at 4x
-        expansion; a block that stores none is charged the
-        ``fallback_header_nbytes`` of names its archive gives it
-        (:meth:`SAGeArchive.fallback_headers`).
+        server can size its cache from ``sage inspect --json`` output.
+        Base count comes from the quality-score count when present
+        (exact: one score per base), from ``n_reads * fixed_read_length``
+        for fixed-length blocks, else from the sequence stream bit
+        totals at ~2 bits/base.  Stored headers are deflate-compressed
+        text, budgeted at 4x expansion; a block that stores none is
+        charged the (exact) ``fallback_header_nbytes`` of names its
+        archive gives it (:meth:`SAGeArchive.fallback_headers`).
         """
         if self.quality is not None:
             bases = self.quality.n_scores
@@ -181,13 +180,9 @@ class SAGeBlock:
                 bits for name, (_, bits) in self.streams.items()
                 if name != "order")
             bases = max(self.n_reads, seq_bits // 2)
-        total = bases                       # one uint8 code per base
-        if self.quality is not None:
-            total += self.quality.n_scores  # one uint8 score per base
-        total += 8 * (self.n_reads + 1)     # int64 read offsets
-        total += 4 * len(self.headers_blob) \
+        headers = 4 * len(self.headers_blob) \
             if self.headers_blob is not None else fallback_header_nbytes
-        return total
+        return 2 * bases + 6 * self.n_reads + headers
 
     # -- serialization -------------------------------------------------
 

@@ -184,13 +184,6 @@ class ReadSet:
         return self.quality is not None
 
     @property
-    def nbytes(self) -> int:
-        """Resident bytes of the columns, header text included."""
-        quality = 0 if self.quality is None else self.quality.nbytes
-        return (self.codes.nbytes + self.offsets.nbytes + quality
-                + sum(map(len, self.headers)))
-
-    @property
     def total_bases(self) -> int:
         """Total number of bases across all reads."""
         return int(self.offsets[-1])

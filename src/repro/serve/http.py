@@ -75,10 +75,9 @@ class Response:
         return cls(status=status, body=body)
 
     @classmethod
-    def text(cls, text: str, status: int = 200,
-             content_type: str = "text/plain; charset=utf-8") -> "Response":
-        return cls(status=status, content_type=content_type,
-                   body=text.encode("utf-8"))
+    def text(cls, body: bytes) -> "Response":
+        """A plain-text response over already-encoded ``body`` bytes."""
+        return cls(content_type="text/plain; charset=utf-8", body=body)
 
     def render(self, *, keep_alive: bool) -> bytes:
         reason = _REASONS.get(self.status, "Unknown")

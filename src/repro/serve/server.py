@@ -1,28 +1,29 @@
 """The archive server: asyncio front end, pooled decodes, shared cache.
 
 Concurrency model, in one paragraph: a single event-loop thread owns
-all request parsing, routing, and coalescing bookkeeping; numpy block
-decodes run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-via ``loop.run_in_executor`` so the loop never blocks on kernel work.
-The decoded-block cache (:class:`~repro.api.cache.DecodedBlockCache`)
-is keyed by ``(archive, block, selection.cache_token)``; every block is
-decoded by its archive's session, on the kernel that session fixed at
-start-up.  Concurrent misses of one key collapse into a single decode
-through :class:`~repro.api.cache.SingleFlight`: the leader runs the
-decode on the pool, every follower ``await``s the leader's future on
-the event loop — followers never occupy a pool thread, so a 32-client
-burst on one block costs one decode and cannot starve the pool.
+all request parsing, routing, and coalescing bookkeeping; block decodes
+and renders run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
+so the loop never blocks on kernel work.  The cache
+(:class:`~repro.api.cache.DecodedBlockCache`) holds the bytes the server
+sends, keyed by ``(archive, block, selection.cache_token, fmt)`` and
+charged their length: a miss decodes (on the kernel the archive's
+session fixed at start-up) and renders once, a hit is a lookup and a
+socket write.  Concurrent misses of one key collapse into one decode
+through :class:`~repro.api.cache.SingleFlight`: the leader runs it on
+the pool, every follower ``await``s the leader's future on the event
+loop — followers never occupy a pool thread, so a 32-client burst on
+one block costs one decode and cannot starve the pool.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import re
 import threading
 import time
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from ..api.cache import DecodedBlockCache, SingleFlight
@@ -148,14 +149,28 @@ def _analyze_sync(served: _ServedArchive, sink_names: list,
     }
 
 
-def _reads_payload(read_set, base: int) -> list:
-    """JSON rendering of decoded reads with global indices."""
-    return [{"index": base + i,
-             "header": read.header or f"read{base + i}",
-             "sequence": read.text,
-             "quality": read.quality_text
-             if read.quality is not None else None}
-            for i, read in enumerate(read_set)]
+def _render_block(served: _ServedArchive, index: int,
+                  selection: StreamSelection, fmt: str) -> bytes:
+    """Block ``index`` decoded and rendered as ``fmt`` (a pool job)."""
+    read_set = served.dataset.decode_block(index, select=selection)
+    base = served.read_offsets[index]
+    if fmt == "fastq":
+        return fastq.write(read_set, base).encode("ascii")
+    reads = [{"index": base + i,
+              "header": read.header or f"read{base + i}",
+              "sequence": read.text,
+              "quality": read.quality_text
+              if read.quality is not None else None}
+             for i, read in enumerate(read_set)]
+    return json.dumps({"archive": served.name, "block": index,
+                       "first_read": base, "reads": reads},
+                      sort_keys=True).encode("utf-8")
+
+
+def _records(body: bytes, lo: int, hi: int) -> bytes:
+    """Records ``[lo, hi)`` of a FASTQ body: ``fastq.write`` writes
+    four lines a record, and no header holds a newline."""
+    return b"\n".join(body.split(b"\n")[4 * lo:4 * hi] + [b""])
 
 
 class ArchiveServer:
@@ -173,7 +188,7 @@ class ArchiveServer:
         GET  /reads/{a}-{b}       global read range [a, b) across blocks
         POST /analyze             {"archive": A, "sinks": [...], "options": {}}
         GET  /stats               ServerStats + cache counters
-        POST /cache/clear         drop cached decoded blocks
+        POST /cache/clear         drop the cached block bodies
 
     ``/block`` and ``/reads`` accept ``?streams=`` (a
     :meth:`StreamSelection.from_query` spec); the ``/analyze`` body may
@@ -454,10 +469,10 @@ class ArchiveServer:
         except ValueError as exc:
             raise HTTPError(400, str(exc)) from exc
 
-    async def _decoded_block(self, served: _ServedArchive, index: int,
-                             selection: StreamSelection):
+    async def _block_body(self, served: _ServedArchive, index: int,
+                          selection: StreamSelection, fmt: str) -> bytes:
         """The cache + coalescing + pooled-decode core of the server."""
-        key = (served.name, index, selection.cache_token)
+        key = (served.name, index, selection.cache_token, fmt)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
@@ -468,18 +483,17 @@ class ArchiveServer:
             return await asyncio.wrap_future(future)
         loop = asyncio.get_running_loop()
         try:
-            read_set = await loop.run_in_executor(
-                self._pool, partial(served.dataset.decode_block, index,
-                                    select=selection))
+            body = await loop.run_in_executor(
+                self._pool, _render_block, served, index, selection, fmt)
         except BaseException as exc:
             # Failures wake every follower and are not cached: the
             # next request for this block retries the decode.
             self._flights.reject(key, exc)
             raise
         self.stats.decodes += 1
-        self.cache.put(key, read_set, read_set.nbytes)
-        self._flights.resolve(key, read_set)
-        return read_set
+        self.cache.put(key, body, len(body))
+        self._flights.resolve(key, body)
+        return body
 
     # -- handlers ------------------------------------------------------
 
@@ -509,13 +523,10 @@ class ArchiveServer:
                                  f"{served.name!r} has {served.n_blocks} "
                                  f"blocks)")
         selection = self._selection_of(request)
-        read_set = await self._decoded_block(served, index, selection)
-        base = served.read_offsets[index]
-        if request.query.get("format") == "json":
-            return Response.json({"archive": served.name, "block": index,
-                                  "first_read": base,
-                                  "reads": _reads_payload(read_set, base)})
-        return Response.text(fastq.write(read_set, base))
+        fmt = "json" if request.query.get("format") == "json" else "fastq"
+        body = await self._block_body(served, index, selection, fmt)
+        return Response(body=body) if fmt == "json" \
+            else Response.text(body)
 
     async def _handle_reads(self, request: Request, start: int,
                             stop: int) -> Response:
@@ -529,16 +540,15 @@ class ArchiveServer:
         offsets = served.read_offsets
         first = bisect_right(offsets, start) - 1
         last = bisect_left(offsets, stop)      # exclusive block bound
-        records: list[str] = []
+        records: list[bytes] = []
         for block_index in range(first, last):
-            read_set = await self._decoded_block(
-                served, block_index, selection)
+            body = await self._block_body(
+                served, block_index, selection, "fastq")
             base = offsets[block_index]
             lo = max(start, base) - base
             hi = min(stop, offsets[block_index + 1]) - base
-            records.append(
-                fastq.write(read_set.subset(range(lo, hi)), base + lo))
-        return Response.text("".join(records))
+            records.append(_records(body, lo, hi))
+        return Response.text(b"".join(records))
 
     async def _handle_analyze(self, request: Request) -> Response:
         payload = request.json()

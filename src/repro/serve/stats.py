@@ -11,6 +11,7 @@ stopped.  Cache statistics live with the cache itself
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = ["LatencyWindow", "ServerStats"]
@@ -26,14 +27,12 @@ class LatencyWindow:
     def __init__(self) -> None:
         self.count = 0
         self.total_ms = 0.0
-        self._samples: list[float] = []
+        self._samples: deque[float] = deque(maxlen=_WINDOW_SAMPLES)
 
     def record(self, elapsed_ms: float) -> None:
         self.count += 1
         self.total_ms += elapsed_ms
         self._samples.append(elapsed_ms)
-        if len(self._samples) > _WINDOW_SAMPLES:
-            del self._samples[:len(self._samples) - _WINDOW_SAMPLES]
 
     def percentile(self, q: float) -> float:
         """Exact q-th percentile (0..100) of the retained window."""

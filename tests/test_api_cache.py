@@ -6,30 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api.cache import CacheStats, DecodedBlockCache, SingleFlight
-from repro.genomics.reads import Read, ReadSet
-
-#: One int64 read offset (a set of n reads holds n + 1).
-OFFSET = 8
-
-
-class TestDecodedNbytes:
-    """The charge is ``ReadSet.nbytes``, the bytes of the columns: codes
-    + quality + offsets + header text, nothing guessed per read."""
-
-    def test_counts_arrays_headers_and_overhead(self):
-        read = Read(codes=np.zeros(10, dtype=np.uint8),
-                    quality=np.zeros(10, dtype=np.uint8),
-                    header="r1")
-        read_set = ReadSet([read])
-        assert read_set.nbytes == 10 + 10 + 2 + 2 * OFFSET
-
-    def test_quality_less_read(self):
-        read = Read(codes=np.zeros(8, dtype=np.uint8), quality=None,
-                    header="")
-        assert ReadSet([read]).nbytes == 8 + 2 * OFFSET
-
-    def test_empty_set(self):
-        assert ReadSet([]).nbytes == OFFSET
 
 
 class TestDecodedBlockCache:

@@ -134,13 +134,6 @@ class TestReadBatch:
                                     rs.headers, name="x")
         assert twin == rs and twin.codes is rs.codes
 
-    def test_nbytes_is_the_columns(self):
-        rs = ReadSet([_scored("ACGT", "ab"), _scored("AC", "")])
-        assert rs.nbytes == 6 + 6 + 3 * 8 + 2
-        bare = ReadSet([_read("ACGT", header="ab")])
-        assert bare.quality is None
-        assert bare.nbytes == 4 + 2 * 8 + 2
-
     def test_slice_is_a_view_and_take_gathers(self):
         reads = [_scored("ACGT", "a"), _scored("GG", "b"),
                  _scored("TTTAA", "c"), _scored("C", "d")]

@@ -15,6 +15,7 @@ import pytest
 from repro.api import EngineOptions, SAGeDataset
 from repro.core.container import VERSION
 from repro.core.errors import CorruptArchiveError
+from repro.core.selection import StreamSelection
 from repro.genomics import fastq
 from repro.serve import ArchiveServer, ServeClient
 from repro.serve.server import REQUEST_OPTION_KEYS
@@ -72,39 +73,100 @@ class TestEndpoints:
 
     def test_estimate_is_the_cache_charge(self, server, client,
                                           served_archive):
-        """``/inspect`` prices exactly the buffers the cache is charged
-        for: a fully-selected block of a fixed-length archive costs
-        what its estimate said, to the byte."""
+        """``/inspect`` prices exactly what the cache is charged for a
+        block: its FASTQ body, ``2 * bases + 6 * n_reads + header
+        bytes``, to the byte on a fixed-length archive with fallback
+        names."""
         with SAGeDataset.open(served_archive["path"]) as session:
             assert session.archive.fixed_length
         info = client.get_json("/inspect")
         client.post_json("/cache/clear", {})
         charged = 0
         for block in info["blocks"]:
-            client.get_text(f"/block/{block['index']}")
+            body = client.get_text(f"/block/{block['index']}")
+            lines = body.splitlines()
+            bases = sum(map(len, lines[1::4]))
+            header_bytes = sum(len(line) - 1 for line in lines[0::4])
+            assert block["decoded_nbytes_estimate"] == len(body) \
+                == 2 * bases + 6 * block["n_reads"] + header_bytes
             now = client.get_json("/stats")["cache"]["current_bytes"]
             assert now - charged == block["decoded_nbytes_estimate"]
             charged = now
         assert charged == info["decoded_nbytes_estimate_total"]
-        assert charged == sum(server.cache.get(key).nbytes
+        assert charged == sum(len(server.cache.get(key))
                               for key in server.cache.keys())
 
     def test_reads_slice_the_cached_columns(self, server, client):
-        """``/reads`` and ``/block`` render from the cached block's
-        columns: no ``Read`` is built to serve FASTQ."""
+        """``/reads`` and ``/block`` are views of one cached value, the
+        block's FASTQ bytes; the JSON document is a second entry."""
         client.post_json("/cache/clear", {})
         client.get_text(f"/reads/{BLOCK_READS + 3}-{BLOCK_READS + 6}")
-        client.get_text("/block/1")
+        body = client.get_text("/block/1")
         [key] = server.cache.keys()
-        assert server.cache.get(key)._views is None
-        client.get_json("/block/1?format=json")      # asks for reads
-        assert len(server.cache.get(key)._views) == BLOCK_READS
+        cached = server.cache.get(key)
+        assert type(cached) is bytes
+        assert cached == body.encode("ascii")
+        client.get_json("/block/1?format=json")
+        assert len(server.cache.keys()) == 2
+        assert client.get_json("/stats")["decodes"] == 2
+
+    def test_a_hit_renders_nothing(self, server, client, monkeypatch):
+        """A block is rendered once, at its miss: later ``/block`` hits
+        and ``/reads`` ranges inside it are cut from the cached bytes."""
+        from repro.serve import server as server_module
+        render = server_module.fastq.write
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(server_module.fastq, "write", counted)
+        client.post_json("/cache/clear", {})
+        first = client.get_text("/block/1")
+        assert len(calls) == 1
+        for _ in range(20):
+            assert client.get_text("/block/1") == first
+        assert client.get_text(
+            f"/reads/{BLOCK_READS + 3}-{BLOCK_READS + 6}") \
+            == "".join(first.splitlines(True)[4 * 3:4 * 6])
+        assert len(calls) == 1
 
     def test_block_fastq_roundtrip(self, client, served_archive):
         text = "".join(
             client.get_text(f"/block/{i}")
             for i in range(served_archive["n_blocks"]))
         assert text == served_archive["fastq"]
+
+    @pytest.mark.parametrize("streams", [None, "sequence"])
+    def test_block_json_is_the_document(self, client, served_archive,
+                                        streams):
+        """``?format=json`` answers the block's reads as one
+        ``sort_keys`` document, byte for byte; a sequence-only request
+        has no scores."""
+        query = "" if streams is None else f"&streams={streams}"
+        select = None if streams is None \
+            else StreamSelection.from_query(streams)
+        with SAGeDataset.open(served_archive["path"]) as session:
+            for index in range(served_archive["n_blocks"]):
+                read_set = session.decode_block(index, select=select)
+                base = index * BLOCK_READS
+                expected = json.dumps(
+                    {"archive": "reads", "block": index,
+                     "first_read": base,
+                     "reads": [{"index": base + i,
+                                "header": read.header or f"read{base + i}",
+                                "sequence": read.text,
+                                "quality": read.quality_text
+                                if read.quality is not None else None}
+                               for i, read in enumerate(read_set)]},
+                    sort_keys=True).encode("utf-8")
+                status, body = client.get(
+                    f"/block/{index}?format=json{query}")
+                assert status == 200 and body == expected
+                scoreless = {read["quality"] is None
+                             for read in json.loads(body)["reads"]}
+                assert scoreless == {streams is not None}
 
     def test_block_json_format(self, client):
         info = client.get_json("/block/1?format=json")
@@ -139,6 +201,38 @@ class TestEndpoints:
         expected_lines = served_archive["fastq"].splitlines(True)
         expected = "".join(expected_lines[4 * start:4 * stop])
         assert text == expected
+
+    @pytest.mark.parametrize("streams", [None, "sequence"])
+    def test_reads_at_every_block_boundary(self, client, served_archive,
+                                           streams):
+        """``/reads/{a}-{b}`` with ``a`` and ``b`` on every block
+        boundary and one read either side of it (the whole archive
+        included) equals the same records of a whole decode."""
+        select = None if streams is None \
+            else StreamSelection.from_query(streams)
+        with SAGeDataset.open(served_archive["path"]) as session:
+            offsets = [entry.first_read
+                       for entry in session.archive.block_index()]
+            n_reads = session.archive.n_reads
+            if streams is None:
+                text = served_archive["fastq"]
+            else:
+                text = "".join(
+                    fastq.write(session.decode_block(i, select=select),
+                                first)
+                    for i, first in enumerate(offsets))
+        records = text.splitlines(True)
+        points = sorted({min(max(bound + step, 0), n_reads)
+                         for bound in [*offsets, n_reads]
+                         for step in (-1, 0, 1)})
+        query = "" if streams is None else f"?streams={streams}"
+        for start in points:
+            for stop in points:
+                if start < stop:
+                    assert client.get_text(
+                        f"/reads/{start}-{stop}{query}") \
+                        == "".join(records[4 * start:4 * stop]), \
+                        (start, stop)
 
     def test_reads_whole_archive(self, client, served_archive):
         n_reads = client.get_json("/archives")["archives"][0]["n_reads"]
@@ -269,6 +363,36 @@ class TestEndpoints:
         status, info = client.post_json("/cache/clear", {})
         assert status == 200
         assert info["cleared"] >= 1
+
+
+class TestLatencyWindow:
+    def test_keeps_the_last_window_of_samples(self):
+        """A full window drops its oldest sample per record; what it
+        reports equals a list oracle over the last 4,096 samples."""
+        import random
+
+        from repro.serve.stats import _WINDOW_SAMPLES, LatencyWindow
+        assert _WINDOW_SAMPLES == 4096
+        rng = random.Random(5)
+        samples = [rng.uniform(0.0, 9.0) for _ in range(5000)]
+        window = LatencyWindow()
+        for sample in samples:
+            window.record(sample)
+        kept = samples[-_WINDOW_SAMPLES:]
+        assert list(window._samples) == kept
+
+        def oracle(q):
+            ordered = sorted(kept)
+            rank = min(len(ordered) - 1,
+                       max(0, round(q / 100.0 * (len(ordered) - 1))))
+            return ordered[rank]
+
+        for q in (0, 1, 50, 90, 99, 100):
+            assert window.percentile(q) == oracle(q)
+        assert window.to_dict() == {
+            "count": 5000, "p50_ms": round(oracle(50), 3),
+            "p99_ms": round(oracle(99), 3),
+            "mean_ms": round(sum(samples) / 5000, 3)}
 
 
 class TestCacheAndCoalescing:
