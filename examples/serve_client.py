@@ -4,8 +4,8 @@ Starts an in-process :class:`ArchiveServer` on a loopback port, then
 walks the whole API surface from the client side: listing, per-block
 inspection with decoded-size estimates, random block and read-range
 fetches, a streaming analysis POST, and — the point of the server — a
-burst of clients hammering one block to show the decoded-block cache
-and request coalescing collapsing the work to a single decode.
+burst of clients hammering one block to show the response cache and
+request coalescing collapsing the work to a single decode.
 
 Run:  python examples/serve_client.py
 """
@@ -78,16 +78,16 @@ def main() -> None:
                       f"{analysis['stream']['blocks']} blocks "
                       f"(HTTP {status})")
 
-            # The headline behavior: 16 simultaneous clients ask for the
-            # same cold block; the server performs exactly one decode.
-            server.cache.clear()
-            decodes_before = server.stats.decodes
-            burst(server, n_clients=16, block=2)
-            with ServeClient(server.host, port) as client:
-                stats = client.get_json("/stats")
+                # The headline behavior: 16 simultaneous clients ask for
+                # the same cold block; the server performs one decode.
+                client.post_json("/cache/clear", {})
+                before = client.get_json("/stats")
+                burst(server, n_clients=16, block=2)
+                after = client.get_json("/stats")
             print(f"16-client burst on one cold block: "
-                  f"{server.stats.decodes - decodes_before} decode(s), "
-                  f"{stats['coalesced']} requests coalesced")
+                  f"{after['decodes'] - before['decodes']} decode(s), "
+                  f"{after['coalesced'] - before['coalesced']} requests "
+                  f"coalesced")
 
         final = server.final_stats
         print(f"served {final['requests']} requests, "

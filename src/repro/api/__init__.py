@@ -19,17 +19,15 @@ from ..core.errors import (BlockDecodeError, CorruptArchiveError,
                            SAGeError, TruncatedArchiveError)
 from ..core.options import ON_ERROR, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection
-from .cache import CacheStats, DecodedBlockCache, SingleFlight
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
 from .describe import describe
 from .sinks import CallableSink, available_sinks, result_info
 
 __all__ = [
-    "BlockDecodeError", "CacheStats", "CallableSink",
-    "CorruptArchiveError", "DecodedBlockCache", "EngineOptions",
-    "ON_ERROR", "Pipeline", "STREAM_GROUPS", "SAGeDataset", "SAGeError",
-    "SalvageReport", "SingleFlight", "SourceTotals", "StreamSelection",
-    "TruncatedArchiveError", "VerifyReport", "atomic_write_bytes",
-    "available_sinks", "describe", "result_info",
+    "BlockDecodeError", "CallableSink", "CorruptArchiveError",
+    "EngineOptions", "ON_ERROR", "Pipeline", "STREAM_GROUPS",
+    "SAGeDataset", "SAGeError", "SalvageReport", "SourceTotals",
+    "StreamSelection", "TruncatedArchiveError", "VerifyReport",
+    "atomic_write_bytes", "available_sinks", "describe", "result_info",
 ]

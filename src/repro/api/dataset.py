@@ -351,7 +351,7 @@ class SAGeDataset:
 
     @property
     def format_version(self) -> int:
-        """Container version the archive was loaded from (3 or 4)."""
+        """Container version the archive was loaded from (3, 4 or 5)."""
         return self._archive.source_version
 
     @property

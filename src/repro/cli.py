@@ -317,7 +317,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pass
     finally:
         server.close()
-        print(server.stats.render(server.cache.stats), file=sys.stderr)
+        print(server.stats.render(), file=sys.stderr)
     return 0
 
 

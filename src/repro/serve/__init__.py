@@ -2,9 +2,9 @@
 
 The served counterpart of the block-indexed container: an asyncio HTTP
 front end over one or more :class:`~repro.api.SAGeDataset` sessions,
-with a decoded-block LRU cache and single-flight request coalescing so
-many concurrent readers share each numpy decode (paper Fig. 15's
-many-readers scenario, in software).
+with an LRU cache of the rendered block bodies it sends and request
+coalescing so many concurrent readers share each decode (paper
+Fig. 15's many-readers scenario, in software).
 
     from repro.serve import ArchiveServer
 

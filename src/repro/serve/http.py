@@ -13,11 +13,14 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, urlsplit
 
-__all__ = ["HTTPError", "MAX_BODY_BYTES", "Request", "Response",
-           "error_response", "read_request"]
+__all__ = ["HTTPError", "MAX_BODY_BYTES", "MAX_HEADER_LINES", "Request",
+           "Response", "error_response", "read_request"]
 
 #: Request bodies above this are refused with 413 before buffering.
 MAX_BODY_BYTES = 1 << 20
+
+#: A request with more header lines than this is refused with 400.
+MAX_HEADER_LINES = 100
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -104,10 +107,10 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
 
     Whatever the peer sends, the outcome is a :class:`Request`,
     ``None``, or an :class:`HTTPError`: 400 on a malformed or over-long
-    request/header line, an invalid ``Content-Length`` and a body that
-    ends early, 413 when the declared body exceeds
-    :data:`MAX_BODY_BYTES` (checked before buffering a single body
-    byte).
+    request/header line, more than :data:`MAX_HEADER_LINES` header
+    lines, an invalid ``Content-Length`` and a body that ends early, 413
+    when the declared body exceeds :data:`MAX_BODY_BYTES` (checked
+    before buffering a single body byte).
     """
     try:
         line = await _read_line(reader)
@@ -118,12 +121,15 @@ async def read_request(reader: asyncio.StreamReader) -> Request | None:
             raise HTTPError(400, f"malformed request line: {line!r}")
         method, target, version = parts
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(MAX_HEADER_LINES + 1):
             raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("ascii", "replace").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise HTTPError(400, f"too many header lines (more than "
+                                 f"{MAX_HEADER_LINES})")
         declared = headers.get("content-length") or "0"
         if not declared.isdigit():
             raise HTTPError(400, f"invalid Content-Length: {declared!r}")

@@ -1,18 +1,21 @@
-"""The archive server: asyncio front end, pooled decodes, shared cache.
+"""The archive server: asyncio front end, pooled decodes, its own cache.
 
 Concurrency model, in one paragraph: a single event-loop thread owns
-all request parsing, routing, and coalescing bookkeeping; block decodes
-and renders run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-so the loop never blocks on kernel work.  The cache
-(:class:`~repro.api.cache.DecodedBlockCache`) holds the bytes the server
-sends, keyed by ``(archive, block, selection.cache_token, fmt)`` and
-charged their length: a miss decodes (on the kernel the archive's
-session fixed at start-up) and renders once, a hit is a lookup and a
-socket write.  Concurrent misses of one key collapse into one decode
-through :class:`~repro.api.cache.SingleFlight`: the leader runs it on
-the pool, every follower ``await``s the leader's future on the event
-loop — followers never occupy a pool thread, so a 32-client burst on
-one block costs one decode and cannot starve the pool.
+all request parsing, routing, and cache bookkeeping; block decodes and
+renders run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
+so the loop never blocks on kernel work.  The cache is two plain
+structures on :class:`ArchiveServer`.  ``_bodies`` is an LRU
+``OrderedDict`` of the bytes the server sends, keyed by ``(archive,
+block, selection.cache_token, fmt)`` and charged their length: a miss
+decodes (on the kernel the archive's session fixed at start-up) and
+renders once, a hit is a lookup and a socket write.  ``_pending`` maps
+a key to the :class:`asyncio.Future` of its render, so concurrent
+misses of one key await one pool job — waiters never occupy a pool
+thread, and a 32-client burst on one block costs one decode.  Both
+structures, and the counters on :class:`~repro.serve.stats.ServerStats`,
+belong to the loop thread: nothing else touches them while it runs,
+and :meth:`ArchiveServer.close` reads them only after that thread has
+joined.  That is why none of them takes a lock.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import re
 import threading
 import time
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from ..api.cache import DecodedBlockCache, SingleFlight
 from ..api.dataset import SAGeDataset
 from ..api.describe import describe
 from ..api.sinks import result_info
@@ -200,12 +203,18 @@ class ArchiveServer:
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  decode_threads: int = 4, host: str = "127.0.0.1",
                  port: int = 0) -> None:
+        if cache_bytes < 0:
+            raise ValueError(
+                f"cache capacity must be >= 0 bytes, got {cache_bytes}")
         self.options = options if options is not None else EngineOptions()
         self.host = host
         self.port = port
-        self.cache = DecodedBlockCache(cache_bytes)
+        self.cache_bytes = int(cache_bytes)
         self.stats = ServerStats()
-        self._flights = SingleFlight()
+        #: key -> body, least recently used first.
+        self._bodies: OrderedDict[tuple, bytes] = OrderedDict()
+        #: key -> the future of its in-flight render.
+        self._pending: dict[tuple, asyncio.Future] = {}
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, decode_threads),
             thread_name_prefix="sage-serve")
@@ -288,7 +297,7 @@ class ArchiveServer:
             self._thread.join()
             self._thread = None
         self._pool.shutdown(wait=True)
-        self.final_stats = self.stats.to_dict(self.cache.stats)
+        self.final_stats = self.stats.to_dict()
         self._shutdown_resources()
         return self.final_stats
 
@@ -296,7 +305,7 @@ class ArchiveServer:
         self._pool.shutdown(wait=True)
         for served in self._served.values():
             served.dataset.close()
-        self.cache.clear()
+        self._bodies.clear()
 
     def _thread_main(self) -> None:
         try:
@@ -473,27 +482,46 @@ class ArchiveServer:
                           selection: StreamSelection, fmt: str) -> bytes:
         """The cache + coalescing + pooled-decode core of the server."""
         key = (served.name, index, selection.cache_token, fmt)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        future, leader = self._flights.begin(key)
-        if not leader:
-            # Join the in-flight decode without holding a pool thread.
-            self.stats.coalesced += 1
-            return await asyncio.wrap_future(future)
-        loop = asyncio.get_running_loop()
-        try:
-            body = await loop.run_in_executor(
+        stats = self.stats
+        body = self._bodies.get(key)
+        if body is not None:
+            self._bodies.move_to_end(key)
+            stats.hits += 1
+            return body
+        stats.misses += 1
+        pending = self._pending.get(key)
+        if pending is not None:
+            stats.coalesced += 1
+        else:
+            pending = asyncio.get_running_loop().run_in_executor(
                 self._pool, _render_block, served, index, selection, fmt)
-        except BaseException as exc:
-            # Failures wake every follower and are not cached: the
-            # next request for this block retries the decode.
-            self._flights.reject(key, exc)
-            raise
-        self.stats.decodes += 1
-        self.cache.put(key, body, len(body))
-        self._flights.resolve(key, body)
-        return body
+            self._pending[key] = pending
+            pending.add_done_callback(
+                lambda done: self._retire(key, done))
+        # A cancelled waiter leaves the render running for the others.
+        return await asyncio.shield(pending)
+
+    def _retire(self, key: tuple, done: asyncio.Future) -> None:
+        """Forget ``key``'s finished render and cache its body, evicting
+        from the LRU end until the budget holds.  A failure reaches
+        every waiter through the future and is not cached, so the next
+        request renders again."""
+        del self._pending[key]
+        if done.cancelled() or done.exception() is not None:
+            return
+        body = done.result()
+        stats = self.stats
+        stats.decodes += 1
+        if len(body) > self.cache_bytes:
+            stats.rejected += 1
+            return
+        while stats.current_bytes + len(body) > self.cache_bytes:
+            _, dropped = self._bodies.popitem(last=False)
+            stats.current_bytes -= len(dropped)
+            stats.evictions += 1
+        self._bodies[key] = body
+        stats.current_bytes += len(body)
+        stats.peak_bytes = max(stats.peak_bytes, stats.current_bytes)
 
     # -- handlers ------------------------------------------------------
 
@@ -575,8 +603,11 @@ class ArchiveServer:
         return Response.json(info)
 
     async def _handle_stats(self, request: Request) -> Response:
-        return Response.json(self.stats.to_dict(self.cache.stats))
+        return Response.json(self.stats.to_dict())
 
     async def _handle_cache_clear(self, request: Request) -> Response:
-        dropped = self.cache.clear()
+        """Drop every cached body; the counters keep their history."""
+        dropped = len(self._bodies)
+        self._bodies.clear()
+        self.stats.current_bytes = 0
         return Response.json({"cleared": dropped})

@@ -3,9 +3,7 @@
 All mutation happens on the server's event-loop thread, so the
 structures here are deliberately lock-free; readers that snapshot from
 other threads (the shutdown path) only do so after the loop has
-stopped.  Cache statistics live with the cache itself
-(:class:`repro.api.cache.CacheStats`) and are merged into
-:meth:`ServerStats.to_dict` at render time.
+stopped.
 """
 
 from __future__ import annotations
@@ -64,6 +62,14 @@ class ServerStats:
     coalesced: int = 0
     inflight: int = 0
     inflight_peak: int = 0
+    #: Body-cache counters: lookups, LRU drops, bodies over the whole
+    #: budget (never stored), and the bytes held now and at most.
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    rejected: int = 0
+    current_bytes: int = 0
+    peak_bytes: int = 0
     endpoints: dict[str, LatencyWindow] = field(default_factory=dict)
 
     def begin_request(self) -> None:
@@ -81,8 +87,9 @@ class ServerStats:
             window = self.endpoints[endpoint] = LatencyWindow()
         window.record(elapsed_ms)
 
-    def to_dict(self, cache_stats=None) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        lookups = self.hits + self.misses
+        return {
             "uptime_s": round(time.monotonic() - self.started, 3),
             "requests": self.requests,
             "errors": self.errors,
@@ -92,25 +99,27 @@ class ServerStats:
             "inflight_peak": self.inflight_peak,
             "endpoints": {name: window.to_dict()
                           for name, window in sorted(self.endpoints.items())},
+            "cache": {"hits": self.hits, "misses": self.misses,
+                      "evictions": self.evictions,
+                      "rejected": self.rejected,
+                      "current_bytes": self.current_bytes,
+                      "peak_bytes": self.peak_bytes,
+                      "hit_rate": round(self.hits / lookups, 4)
+                      if lookups else 0.0},
         }
-        if cache_stats is not None:
-            payload["cache"] = cache_stats.to_dict()
-        return payload
 
-    def render(self, cache_stats=None) -> str:
+    def render(self) -> str:
         """Human-readable shutdown summary."""
-        info = self.to_dict(cache_stats)
+        info = self.to_dict()
+        cache = info["cache"]
         lines = [f"requests: {info['requests']} "
                  f"(errors {info['errors']}, inflight peak "
                  f"{info['inflight_peak']})",
                  f"decodes: {info['decodes']} "
-                 f"(coalesced {info['coalesced']})"]
-        if "cache" in info:
-            cache = info["cache"]
-            lines.append(
-                f"cache: {cache['hits']} hits / {cache['misses']} misses "
-                f"(rate {cache['hit_rate']:.2%}, "
-                f"evictions {cache['evictions']})")
+                 f"(coalesced {info['coalesced']})",
+                 f"cache: {cache['hits']} hits / {cache['misses']} misses "
+                 f"(rate {cache['hit_rate']:.2%}, "
+                 f"evictions {cache['evictions']})"]
         for name, window in info["endpoints"].items():
             lines.append(f"  {name}: n={window['count']} "
                          f"p50={window['p50_ms']}ms "

@@ -558,6 +558,17 @@ class TestServe:
         assert excinfo.value.code == 2  # usage error
         assert "duplicate" in capsys.readouterr().err
 
+    def test_negative_cache_is_usage_error(self, workdir, capsys):
+        archive = workdir / "reads.sage"
+        main(["compress", str(workdir / "reads.fastq"),
+              str(workdir / "ref.txt"), str(archive)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(archive), "--cache-mb", "-1",
+                  "--port", "0", "--smoke"])
+        assert excinfo.value.code == 2  # usage error
+        assert "cache capacity must be >= 0" in capsys.readouterr().err
+
     def test_missing_archive_is_usage_error(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.sage"),
                      "--port", "0", "--smoke"]) == 2

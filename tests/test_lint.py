@@ -438,11 +438,10 @@ def blocks_consumed_as_columns(source, where,
 
 
 #: Where a block is held between FASTQ text and the sink, both ways:
-#: the parser on the way in, decode / transport / cache / serve on the
-#: way out.
+#: the parser on the way in, decode / transport / serve on the way out.
 COLUMNAR = ("src/repro/genomics/fastq.py", "src/repro/core/decompressor.py",
             "src/repro/core/kernels.py", "src/repro/pipeline/executor.py",
-            "src/repro/api/cache.py", "src/repro/serve/")
+            "src/repro/serve/")
 
 
 def blocks_held_as_columns(source, where):
@@ -667,7 +666,8 @@ def options_a_caller_sets(source, where):
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
-                       "BlockCompressor"}
+                       "BlockCompressor", "DecodedBlockCache", "SingleFlight",
+                       "CacheStats"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1274,7 +1274,7 @@ class TestOptionsThreadingEdges:
         one storage: no ``ReadBatch``, no ``batch=`` way in, no second
         attribute standing for "list or columns".  A block decode
         builds it and every stage up to the sink consumes it: the
-        decode, transport, cache and serve layers never construct a
+        decode, transport and serve layers never construct a
         ``Read``, ``format_read`` is nobody's inner loop, and
         ``fastq.write`` is the one function that turns base codes into
         FASTQ text.  The way in obeys the same contract: the FASTQ

@@ -9,12 +9,14 @@ what production requests would exercise.
 import io
 import json
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
 from repro.core.container import VERSION
-from repro.core.errors import CorruptArchiveError
+from repro.core.errors import BlockDecodeError, CorruptArchiveError
 from repro.core.selection import StreamSelection
 from repro.genomics import fastq
 from repro.serve import ArchiveServer, ServeClient
@@ -93,22 +95,25 @@ class TestEndpoints:
             assert now - charged == block["decoded_nbytes_estimate"]
             charged = now
         assert charged == info["decoded_nbytes_estimate_total"]
-        assert charged == sum(len(server.cache.get(key))
-                              for key in server.cache.keys())
+        stats = client.get_json("/stats")
+        assert stats["decodes"] == len(info["blocks"])
+        assert stats["cache"]["evictions"] == 0
 
     def test_reads_slice_the_cached_columns(self, server, client):
         """``/reads`` and ``/block`` are views of one cached value, the
         block's FASTQ bytes; the JSON document is a second entry."""
         client.post_json("/cache/clear", {})
+        decodes = client.get_json("/stats")["decodes"]
         client.get_text(f"/reads/{BLOCK_READS + 3}-{BLOCK_READS + 6}")
-        body = client.get_text("/block/1")
-        [key] = server.cache.keys()
-        cached = server.cache.get(key)
-        assert type(cached) is bytes
-        assert cached == body.encode("ascii")
-        client.get_json("/block/1?format=json")
-        assert len(server.cache.keys()) == 2
-        assert client.get_json("/stats")["decodes"] == 2
+        body = client.get("/block/1")[1]
+        stats = client.get_json("/stats")
+        assert stats["decodes"] == decodes + 1
+        assert stats["cache"]["current_bytes"] == len(body)
+        document = client.get("/block/1?format=json")[1]
+        stats = client.get_json("/stats")
+        assert stats["decodes"] == decodes + 2
+        assert stats["cache"]["current_bytes"] == len(body) + len(document)
+        assert client.post_json("/cache/clear", {}) == (200, {"cleared": 2})
 
     def test_a_hit_renders_nothing(self, server, client, monkeypatch):
         """A block is rendered once, at its miss: later ``/block`` hits
@@ -492,6 +497,412 @@ class TestCacheAndCoalescing:
         assert not errors
         assert text == served_archive["fastq"]
 
+@pytest.fixture(scope="module")
+def bodies(served_archive):
+    """``{(block, fmt): body}``: every block as a default server sends
+    it, FASTQ and JSON."""
+    with ArchiveServer([str(served_archive["path"])], port=0) as srv:
+        srv.start()
+        with ServeClient(srv.host, srv.port) as c:
+            return {(i, fmt): c.get(_block_target(i, fmt))[1]
+                    for i in range(served_archive["n_blocks"])
+                    for fmt in ("fastq", "json")}
+
+
+def _block_target(index, fmt="fastq"):
+    return f"/block/{index}" + ("?format=json" if fmt == "json" else "")
+
+
+@contextmanager
+def _budgeted(path, cache_bytes):
+    """A client of a live server whose cache holds ``cache_bytes``."""
+    with ArchiveServer([str(path)], port=0, cache_bytes=cache_bytes) as srv:
+        srv.start()
+        with ServeClient(srv.host, srv.port) as c:
+            yield c
+
+
+def _damaged_copy(source, target, block):
+    """``source`` with one payload byte of ``block`` flipped."""
+    with SAGeDataset.open(source) as session:
+        offset = session.archive.block_index()[block].offset
+    blob = bytearray(source.read_bytes())
+    blob[offset + 3] ^= 0xFF
+    target.write_bytes(bytes(blob))
+    return target
+
+
+class TestServerCache:
+    """The server's body cache, seen only through ``/stats`` and
+    ``/cache/clear``: an LRU over the bodies it sends, charged their
+    length against ``cache_bytes``, with one pending render per key."""
+
+    @staticmethod
+    def _fetch(client, bodies, *blocks, fmt="fastq"):
+        for index in blocks:
+            status, body = client.get(_block_target(index, fmt))
+            assert status == 200 and body == bodies[index, fmt]
+
+    @staticmethod
+    def _cache(client):
+        stats = client.get_json("/stats")
+        return {**stats["cache"], "decodes": stats["decodes"],
+                "coalesced": stats["coalesced"]}
+
+    def test_hit_rate_with_no_lookups(self, served_archive):
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            assert c.get_json("/stats")["cache"] == {
+                "hits": 0, "misses": 0, "evictions": 0, "rejected": 0,
+                "current_bytes": 0, "peak_bytes": 0, "hit_rate": 0.0}
+
+    def test_stats_cache_keys(self, served_archive, bodies):
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            self._fetch(c, bodies, 0, 0, 0, 0)
+            cache = c.get_json("/stats")["cache"]
+        assert set(cache) == {"hits", "misses", "evictions", "rejected",
+                              "current_bytes", "peak_bytes", "hit_rate"}
+        assert (cache["hits"], cache["misses"], cache["hit_rate"]) \
+            == (3, 1, 0.75)
+
+    def test_miss_then_hit(self, served_archive, bodies):
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            self._fetch(c, bodies, 0)
+            first = self._cache(c)
+            self._fetch(c, bodies, 0)
+            second = self._cache(c)
+        assert (first["hits"], first["misses"], first["decodes"]) \
+            == (0, 1, 1)
+        assert (second["hits"], second["misses"], second["decodes"]) \
+            == (1, 1, 1)
+        assert second["hit_rate"] == 0.5
+        assert second["current_bytes"] == len(bodies[0, "fastq"])
+
+    def test_lru_eviction_order(self, served_archive, bodies):
+        size = [len(bodies[i, "fastq"]) for i in range(4)]
+        budget = size[1] + size[2] + size[3]
+        assert size[0] <= min(size[1:])
+        with _budgeted(served_archive["path"], budget) as c:
+            self._fetch(c, bodies, 0, 1, 2, 3)     # 3 evicts 0
+            cache = self._cache(c)
+            assert (cache["evictions"], cache["current_bytes"]) \
+                == (1, budget)
+            self._fetch(c, bodies, 1, 2, 3)        # hits, 1 now LRU
+            assert self._cache(c)["hits"] == 3
+            self._fetch(c, bodies, 0)              # a miss, evicts 1
+            cache = self._cache(c)
+            assert (cache["misses"], cache["evictions"]) == (5, 2)
+            self._fetch(c, bodies, 2, 3, 0)
+            assert self._cache(c)["hits"] == 6
+            self._fetch(c, bodies, 1)
+            cache = self._cache(c)
+        assert (cache["misses"], cache["decodes"]) == (6, 6)
+        assert cache["current_bytes"] <= budget
+
+    def test_bodies_in_lru_order(self, served_archive, bodies):
+        with ArchiveServer([str(served_archive["path"])], port=0) as srv:
+            srv.start()
+            with ServeClient(srv.host, srv.port) as c:
+                self._fetch(c, bodies, 0, 1, 0)
+                order = [key[1] for key in srv._bodies]
+        assert order == [1, 0]
+
+    def test_hit_refreshes_recency(self, served_archive, bodies):
+        size = [len(bodies[i, "fastq"]) for i in range(4)]
+        budget = size[1] + size[2] + size[3]
+        assert size[0] <= size[2]
+        with _budgeted(served_archive["path"], budget) as c:
+            self._fetch(c, bodies, 1, 2, 3, 1)     # 2 becomes LRU
+            self._fetch(c, bodies, 0)              # evicts 2 alone
+            cache = self._cache(c)
+            assert (cache["hits"], cache["evictions"]) == (1, 1)
+            self._fetch(c, bodies, 1, 3)
+            assert self._cache(c)["hits"] == 3
+            self._fetch(c, bodies, 2)
+            cache = self._cache(c)
+        assert (cache["hits"], cache["misses"]) == (3, 5)
+
+    def test_oversized_body_rejected(self, served_archive, bodies):
+        """A body larger than the whole budget is served, counted in
+        ``rejected`` and not stored: it evicts nothing."""
+        budget = len(bodies[0, "fastq"])
+        assert len(bodies[0, "json"]) > budget
+        with _budgeted(served_archive["path"], budget) as c:
+            self._fetch(c, bodies, 0)
+            self._fetch(c, bodies, 0, 0, fmt="json")
+            cache = self._cache(c)
+            assert (cache["rejected"], cache["evictions"]) == (2, 0)
+            assert cache["current_bytes"] == budget
+            self._fetch(c, bodies, 0)
+            cache = self._cache(c)
+        assert (cache["hits"], cache["misses"], cache["decodes"]) \
+            == (1, 3, 3)
+
+    def test_large_body_evicts_several(self, served_archive, bodies):
+        size = [len(bodies[i, "fastq"]) for i in (1, 2)]
+        document = len(bodies[0, "json"])
+        budget = sum(size)
+        assert size[0] < document <= budget
+        with _budgeted(served_archive["path"], budget) as c:
+            self._fetch(c, bodies, 1, 2)
+            self._fetch(c, bodies, 0, fmt="json")
+            cache = self._cache(c)
+            assert (cache["evictions"], cache["current_bytes"]) \
+                == (2, document)
+            self._fetch(c, bodies, 1, 2)
+            assert self._cache(c)["hits"] == 0
+
+    def test_zero_budget_stores_nothing(self, served_archive, bodies):
+        with _budgeted(served_archive["path"], 0) as c:
+            self._fetch(c, bodies, 0, 0, 1)
+            cache = self._cache(c)
+        assert (cache["misses"], cache["decodes"], cache["rejected"]) \
+            == (3, 3, 3)
+        assert (cache["hits"], cache["current_bytes"],
+                cache["peak_bytes"]) == (0, 0, 0)
+
+    def test_negative_budget_rejected(self, served_archive):
+        with pytest.raises(ValueError, match="cache capacity"):
+            ArchiveServer([str(served_archive["path"])], port=0,
+                          cache_bytes=-1)
+
+    def test_clear_keeps_history(self, served_archive, bodies):
+        """``/cache/clear`` drops the bodies, not the counters."""
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            self._fetch(c, bodies, 0, 1, 0)
+            before = self._cache(c)
+            assert c.post_json("/cache/clear", {}) == (200, {"cleared": 2})
+            after = self._cache(c)
+            assert after == {**before, "current_bytes": 0}
+            self._fetch(c, bodies, 0)
+            assert self._cache(c)["misses"] == before["misses"] + 1
+
+    def test_peak_bytes_tracks_high_water(self, served_archive, bodies):
+        high = sum(len(bodies[i, "fastq"]) for i in range(3))
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            self._fetch(c, bodies, 0, 1, 2)
+            c.post_json("/cache/clear", {})
+            self._fetch(c, bodies, 3)
+            cache = self._cache(c)
+        assert cache["peak_bytes"] == high
+        assert cache["current_bytes"] == len(bodies[3, "fastq"])
+
+    def test_failure_reaches_every_coalesced_waiter(
+            self, served_archive, tmp_path, monkeypatch):
+        """Waiters coalesced on a failing render all get its 500; the
+        failure is neither cached nor left pending, so the next request
+        renders again on its own."""
+        from repro.serve import server as server_module
+        render = server_module._render_block
+        gate = threading.Event()
+        calls = []
+
+        def gated(*args):
+            calls.append(args[1])
+            gate.wait(timeout=30)
+            return render(*args)
+
+        monkeypatch.setattr(server_module, "_render_block", gated)
+        path = _damaged_copy(served_archive["path"],
+                             tmp_path / "damaged.sage", block=1)
+        n_clients = 6
+        answers = []
+
+        def waiter(port):
+            with ServeClient("127.0.0.1", port) as own:
+                answers.append(own.get("/block/1"))
+
+        with _budgeted(path, 1 << 20) as c:
+            threads = [threading.Thread(target=waiter, args=(c.port,))
+                       for _ in range(n_clients)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while self._cache(c)["misses"] < n_clients:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            cache = self._cache(c)
+            assert c.get("/block/1") == answers[0]
+            again = self._cache(c)
+        assert len(answers) == n_clients and len(set(answers)) == 1
+        status, body = answers[0]
+        assert status == 500 and json.loads(body)["block_index"] == 1
+        assert calls == [1, 1]
+        assert (cache["coalesced"], cache["decodes"],
+                cache["current_bytes"]) == (n_clients - 1, 0, 0)
+        assert (again["coalesced"], again["misses"]) \
+            == (n_clients - 1, n_clients + 1)
+
+    def test_concurrent_misses_await_one_render(
+            self, served_archive, bodies, monkeypatch):
+        """Clients that miss one key while its render runs all await
+        that render: one pool job, one decode, the rest coalesced."""
+        from repro.serve import server as server_module
+        render = server_module._render_block
+        gate = threading.Event()
+        calls = []
+
+        def gated(*args):
+            calls.append(args[1])
+            gate.wait(timeout=30)
+            return render(*args)
+
+        monkeypatch.setattr(server_module, "_render_block", gated)
+        n_clients = 8
+        answers = []
+
+        def waiter(port):
+            with ServeClient("127.0.0.1", port) as own:
+                answers.append(own.get("/block/2"))
+
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            threads = [threading.Thread(target=waiter, args=(c.port,))
+                       for _ in range(n_clients)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while self._cache(c)["misses"] < n_clients:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            cache = self._cache(c)
+        assert calls == [2]
+        assert answers == [(200, bodies[2, "fastq"])] * n_clients
+        assert (cache["decodes"], cache["coalesced"], cache["misses"]) \
+            == (1, n_clients - 1, n_clients)
+
+    def test_follower_shares_the_leaders_body(
+            self, served_archive, bodies, monkeypatch):
+        """The first miss of a key starts its render; a second miss
+        while it runs follows it and gets the very same bytes.  Driven
+        on a loop of its own so the pending table can be seen between
+        the two."""
+        import asyncio
+
+        from repro.serve import server as server_module
+        render = server_module._render_block
+        gate = threading.Event()
+
+        def gated(*args):
+            gate.wait(timeout=30)
+            return render(*args)
+
+        monkeypatch.setattr(server_module, "_render_block", gated)
+
+        async def scenario(srv):
+            served = srv._served["reads"]
+            selection = StreamSelection.all_streams()
+            leader = asyncio.ensure_future(srv._block_body(
+                served, 1, selection, "fastq"))
+            await asyncio.sleep(0)
+            follower = asyncio.ensure_future(srv._block_body(
+                served, 1, selection, "fastq"))
+            await asyncio.sleep(0)
+            assert len(srv._pending) == 1 and srv.stats.coalesced == 1
+            gate.set()
+            first, second = await asyncio.gather(leader, follower)
+            assert not srv._pending
+            return first, second
+
+        with ArchiveServer([str(served_archive["path"])], port=0) as srv:
+            first, second = asyncio.run(scenario(srv))
+            assert (srv.stats.decodes, srv.stats.misses) == (1, 2)
+        assert first is second
+        assert first == bodies[1, "fastq"]
+
+    def test_failed_render_is_retired(self, served_archive, tmp_path):
+        """A failed render raises its error to the awaiting request and
+        leaves the pending table, so the next miss of the key leads a
+        fresh render rather than joining the dead one."""
+        import asyncio
+
+        path = _damaged_copy(served_archive["path"],
+                             tmp_path / "retired.sage", block=1)
+
+        async def scenario(srv):
+            served = srv._served["retired"]
+            selection = StreamSelection.all_streams()
+            for _ in range(2):
+                with pytest.raises(BlockDecodeError, match="block 1"):
+                    await srv._block_body(served, 1, selection, "fastq")
+                assert not srv._pending
+
+        with ArchiveServer([str(path)], port=0) as srv:
+            asyncio.run(scenario(srv))
+            assert (srv.stats.misses, srv.stats.coalesced,
+                    srv.stats.decodes) == (2, 0, 0)
+            assert srv.stats.to_dict()["cache"]["current_bytes"] == 0
+
+    def test_cancelled_waiter_leaves_the_render_running(
+            self, served_archive, bodies, monkeypatch):
+        """A waiter cancelled mid-render (its connection torn down) does
+        not cancel the render the other waiters of its key await.  No
+        client can cancel a handler, so this drives ``_block_body`` on
+        a loop of its own."""
+        import asyncio
+
+        from repro.serve import server as server_module
+        render = server_module._render_block
+        gate = threading.Event()
+
+        def gated(*args):
+            gate.wait(timeout=30)
+            return render(*args)
+
+        monkeypatch.setattr(server_module, "_render_block", gated)
+
+        async def scenario(srv):
+            served = srv._served["reads"]
+            selection = StreamSelection.all_streams()
+            first, second = (asyncio.ensure_future(srv._block_body(
+                served, 1, selection, "fastq")) for _ in range(2))
+            await asyncio.sleep(0)
+            first.cancel()
+            gate.set()
+            body = await second
+            assert first.cancelled()
+            return body
+
+        with ArchiveServer([str(served_archive["path"])], port=0) as srv:
+            assert asyncio.run(scenario(srv)) == bodies[1, "fastq"]
+            cache = srv.stats.to_dict()["cache"]
+            assert (srv.stats.decodes, srv.stats.coalesced) == (1, 1)
+        assert cache["current_bytes"] == len(bodies[1, "fastq"])
+
+    def test_distinct_keys_render_independently(
+            self, served_archive, bodies, monkeypatch):
+        """Two keys' renders run at once: neither waits on the other."""
+        from repro.serve import server as server_module
+        render = server_module._render_block
+        both = threading.Barrier(2, timeout=30)
+
+        def paired(*args):
+            both.wait()
+            return render(*args)
+
+        monkeypatch.setattr(server_module, "_render_block", paired)
+        answers = {}
+
+        def fetch(port, index):
+            with ServeClient("127.0.0.1", port) as own:
+                answers[index] = own.get(f"/block/{index}")
+
+        with _budgeted(served_archive["path"], 1 << 20) as c:
+            threads = [threading.Thread(target=fetch, args=(c.port, i))
+                       for i in (1, 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            cache = self._cache(c)
+        assert answers == {i: (200, bodies[i, "fastq"]) for i in (1, 2)}
+        assert (cache["decodes"], cache["coalesced"], cache["misses"]) \
+            == (2, 0, 2)
+
 
 class TestErrorMapping:
     def test_corrupt_block_maps_to_500_with_context(self, tmp_path,
@@ -544,17 +955,9 @@ class TestErrorMapping:
                         "status": 500}
         assert client.get_json("/stats")["errors"] == 2
 
-    def test_failed_decode_is_not_cached(self, tmp_path, rs3_small):
-        path = tmp_path / "damaged2.sage"
-        dataset = SAGeDataset.from_fastq(
-            rs3_small.read_set, reference=rs3_small.reference,
-            options=EngineOptions(block_reads=BLOCK_READS))
-        dataset.save(path)
-        with SAGeDataset.open(path) as session:
-            entry = session.archive.block_index()[1]
-        blob = bytearray(path.read_bytes())
-        blob[entry.offset + 3] ^= 0xFF
-        path.write_bytes(bytes(blob))
+    def test_failed_decode_is_not_cached(self, tmp_path, served_archive):
+        path = _damaged_copy(served_archive["path"],
+                             tmp_path / "damaged2.sage", block=1)
         with ArchiveServer([str(path)], port=0) as srv:
             srv.start()
             with ServeClient(srv.host, srv.port) as c:
@@ -588,6 +991,10 @@ class TestMalformedRequests:
         "short-body":
             (b"POST /analyze HTTP/1.1\r\nContent-Length: 50\r\n\r\n{}",
              "cut short"),
+        "many-headers":
+            (b"GET /archives HTTP/1.1\r\n"
+             + b"".join(b"X-%d: v\r\n" % i for i in range(101))
+             + b"\r\n", "too many header lines"),
     }
 
     @staticmethod
@@ -611,6 +1018,15 @@ class TestMalformedRequests:
             self._parse(payload)
         assert info.value.status == 400
         assert fragment in info.value.message
+
+    def test_parser_takes_max_header_lines(self):
+        from repro.serve.http import MAX_HEADER_LINES
+        request = self._parse(
+            b"GET /archives HTTP/1.1\r\n"
+            + b"".join(b"X-%d: v\r\n" % i
+                       for i in range(MAX_HEADER_LINES))
+            + b"\r\n")
+        assert len(request.headers) == MAX_HEADER_LINES
 
     def test_parser_returns_none_on_closed_peer(self):
         assert self._parse(b"") is None
