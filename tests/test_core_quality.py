@@ -1,16 +1,20 @@
 """Unit tests for repro.core.quality."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SAGeArchive, quality
-from repro.core.bitio import BitReader
+from repro.core import SAGeArchive, huffman, quality
+from repro.core.bitio import BitReader, BitWriter
 from repro.core.errors import CorruptArchiveError, SAGeError
-from repro.core.huffman import (PEEK_BITS, HuffmanError, HuffmanTable,
+from repro.core.huffman import (MAX_CODE_LENGTH, HuffmanError, HuffmanTable,
                                 canonical_codes)
 from repro.genomics import datasets
+from repro.genomics.simulator import QualityModel
 
 from tests.conftest import GOLDEN, golden_blob
 
@@ -19,22 +23,74 @@ score_arrays = st.lists(st.integers(min_value=0, max_value=60),
     lambda xs: np.array(xs, dtype=np.uint8))
 
 
-def reference_huffman_decode(table, payload, n_symbols):
-    """The per-symbol decode loop the vectorized decoder replaced."""
-    sym_tab, len_tab = table._decode_table()
+#: Bits the per-symbol oracle looks at to decode one symbol.
+PEEK_BITS = MAX_CODE_LENGTH
+
+
+def decode_table(table):
+    """(symbol, length) lookup tables indexed by a PEEK_BITS-bit peek:
+    the per-symbol oracle's table."""
+    sym_tab = np.zeros(1 << PEEK_BITS, dtype=np.int64)
+    len_tab = np.zeros(1 << PEEK_BITS, dtype=np.int64)
+    for sym in range(table.alphabet_size):
+        length = int(table.lengths[sym])
+        if length == 0:
+            continue
+        prefix = int(table.codes[sym]) << (PEEK_BITS - length)
+        span = 1 << (PEEK_BITS - length)
+        sym_tab[prefix:prefix + span] = sym
+        len_tab[prefix:prefix + span] = length
+    return sym_tab, len_tab
+
+
+def reference_huffman_decode(table, payload, n_symbols, nbits, *,
+                             stream=None, origin=0):
+    """The per-symbol decode loop: one PEEK_BITS-bit peek per symbol
+    over the first ``(nbits + 7) // 8`` payload bytes, zero-extended.
+
+    Raises the decoder's located :class:`HuffmanError` for the first
+    fault: an invalid code, a stream that ends (or a code that runs past
+    ``nbits``) before ``n_symbols`` symbols do, or a last symbol that
+    does not end at ``nbits``.
+    """
+    def damaged(message, bit):
+        return HuffmanError(f"{message} at bit {bit}", stream=stream,
+                            offset=origin + bit // 8)
+
+    if n_symbols > nbits or nbits > 8 * len(payload):
+        raise damaged(f"{n_symbols} symbols cannot fill {nbits} bits of a "
+                      f"{len(payload)}-byte payload", 0)
+    if n_symbols == 0 and nbits:
+        raise damaged(f"{nbits} bits left over after 0 symbols", 0)
+    sym_tab, len_tab = decode_table(table)
+    data = payload[:(nbits + 7) // 8] + bytes(2)
     out = np.empty(n_symbols, dtype=np.int64)
-    data = payload + b"\x00\x00"
-    acc = acc_bits = byte_pos = 0
+    acc = acc_bits = byte_pos = pos = start = 0
     for i in range(n_symbols):
+        if pos == nbits:
+            raise damaged(f"stream ends before its {n_symbols} symbols do",
+                          start)
         while acc_bits < PEEK_BITS:
             acc = (acc << 8) | data[byte_pos]
             byte_pos += 1
             acc_bits += 8
         peek = (acc >> (acc_bits - PEEK_BITS)) & ((1 << PEEK_BITS) - 1)
-        assert len_tab[peek], "invalid code in stream"
+        length = int(len_tab[peek])
+        if not length:
+            raise damaged("invalid code", pos)
+        if pos + length > nbits:
+            if i == n_symbols - 1:
+                raise damaged(f"last symbol ends at bit {pos + length} of "
+                              f"a {nbits}-bit stream", pos)
+            raise damaged(f"stream ends before its {n_symbols} symbols do",
+                          pos)
         out[i] = sym_tab[peek]
-        acc_bits -= int(len_tab[peek])
+        start, pos = pos, pos + length
+        acc_bits -= length
         acc &= (1 << acc_bits) - 1
+    if pos != nbits:
+        raise damaged(f"last symbol ends at bit {pos} of a {nbits}-bit "
+                      f"stream", start)
     return out
 
 
@@ -61,7 +117,7 @@ def reference_decompress(blob):
             reader.align_to_byte()
             payload = reader.read_bytes((nbits + 7) // 8)
             parts.append(iter(reference_huffman_decode(table, payload,
-                                                       count)))
+                                                       count, nbits)))
         block = [None] * block_len
         # Column-major: every lane's position 0, then every position 1...
         for pos in range(min(lane, block_len) if order1 else 0):
@@ -266,8 +322,13 @@ class TestModelChoice:
             == "order1"
 
 
-#: Symbol counts on both sides of every anchor-stride (64) edge.
+#: Symbol counts from none to a few chunks of payload, on both sides of
+#: powers of two.
 EDGE_COUNTS = [0, 1, 63, 64, 65, 4095, 4096, 4097]
+
+
+#: Symbol counts whose optimal code is deeper than MAX_CODE_LENGTH.
+FIBONACCI_COUNTS = np.array([1, 1] + [2 ** k for k in range(1, 29)])
 
 
 def _distribution(kind, alphabet, rng):
@@ -298,24 +359,23 @@ class TestVectorizedDecoderMatchesReference:
         assert decoded.dtype == np.uint8
         assert np.array_equal(decoded, symbols)
         assert np.array_equal(
-            decoded, reference_huffman_decode(table, payload, count))
+            decoded, reference_huffman_decode(table, payload, count, nbits))
 
     @pytest.mark.parametrize("count", EDGE_COUNTS[1:])
     def test_code_lengths_forced_to_the_limit(self, count):
         # Fibonacci-like counts make the optimal tree deeper than
-        # PEEK_BITS, so from_counts takes its damped-rebuild path and
-        # the longest codes are exactly PEEK_BITS bits.
-        counts = np.array([1, 1] + [2 ** k for k in range(1, 29)])
-        table = HuffmanTable.from_counts(counts)
-        assert table.lengths.max() == PEEK_BITS
+        # MAX_CODE_LENGTH, so from_counts takes its damped-rebuild path
+        # and the longest codes are exactly MAX_CODE_LENGTH bits.
+        table = HuffmanTable.from_counts(FIBONACCI_COUNTS)
+        assert table.lengths.max() == MAX_CODE_LENGTH
         rng = np.random.default_rng(count)
         # Rare symbols on purpose: long codes must occur in the stream.
-        symbols = rng.integers(0, counts.size, count)
+        symbols = rng.integers(0, FIBONACCI_COUNTS.size, count)
         payload, nbits = table.encode(symbols)
         assert np.array_equal(table.decode(payload, count, nbits),
                               symbols)
         assert np.array_equal(
-            reference_huffman_decode(table, payload, count), symbols)
+            reference_huffman_decode(table, payload, count, nbits), symbols)
 
     @pytest.mark.parametrize("pad", [0, 3])
     def test_nbits_byte_aligned_and_not(self, pad):
@@ -345,6 +405,144 @@ class TestVectorizedDecoderMatchesReference:
         blob = quality._write(scores, order1, block_size=1024)
         assert np.array_equal(quality.decompress(blob), scores)
         assert np.array_equal(reference_decompress(blob), scores)
+
+
+def _staircase(longest):
+    """Complete code lengths 1, 2, ..., longest - 1, longest, longest."""
+    return np.array(list(range(1, longest)) + [longest, longest])
+
+
+def _with_residue(table, symbols, residue):
+    """``symbols`` plus copies of the symbol with the shortest code
+    until the stream is ``residue`` bits past a whole byte; that code's
+    length must be odd, so that some 0..7 copies do it."""
+    short = int(np.argmin(np.where(table.lengths > 0, table.lengths, 99)))
+    _, nbits = table.encode(symbols)
+    extra = next(k for k in range(8)
+                 if (nbits + k * int(table.lengths[short])) % 8 == residue)
+    return np.append(symbols, [short] * extra)
+
+
+class TestByteAutomaton:
+    """The chunked byte automaton against the per-symbol oracle on what
+    it adds: many chunk boundaries, every candidate entry depth, the
+    tail bits, wide and one-symbol alphabets, and shared tables."""
+
+    N = 20_000
+
+    def check(self, table, symbols):
+        payload, nbits = table.encode(symbols)
+        decoded = table.decode(payload, symbols.size, nbits)
+        assert np.array_equal(decoded, symbols)
+        assert np.array_equal(
+            decoded,
+            reference_huffman_decode(table, payload, symbols.size, nbits))
+        return decoded
+
+    @pytest.mark.parametrize("longest", list(range(1, 16)) + ["fibonacci"])
+    def test_every_longest_code_length(self, longest):
+        # A chunk has one candidate entry per depth below the longest
+        # code, so 1..15 lanes are all stepped.
+        if longest == "fibonacci":
+            table = HuffmanTable.from_counts(FIBONACCI_COUNTS)
+        else:
+            table = HuffmanTable.from_lengths(_staircase(longest))
+        assert table.lengths.max() == (
+            MAX_CODE_LENGTH if longest == "fibonacci" else longest)
+        rng = np.random.default_rng(table.alphabet_size)
+        # Uniform draws make the longest codes common.
+        self.check(table, rng.integers(0, table.alphabet_size, self.N))
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 15])
+    def test_one_symbol_codes(self, length):
+        # An incomplete code: every other prefix continues no code.
+        lengths = np.zeros(5, dtype=np.int64)
+        lengths[3] = length
+        table = HuffmanTable.from_lengths(lengths)
+        self.check(table, np.full(self.N, 3))
+        payload, nbits = table.encode(np.full(10, 3))
+        damaged = bytearray(payload)
+        damaged[-1] ^= 0x80
+        with pytest.raises(HuffmanError, match="invalid code"):
+            table.decode(bytes(damaged), 10, nbits)
+
+    @pytest.mark.parametrize("alphabet", [257, 300, 1000])
+    def test_uint16_alphabets(self, alphabet):
+        rng = np.random.default_rng(alphabet)
+        weights = 0.99 ** np.arange(alphabet)
+        symbols = rng.choice(alphabet, size=self.N,
+                             p=weights / weights.sum())
+        table = HuffmanTable.from_counts(
+            np.bincount(symbols, minlength=alphabet))
+        assert self.check(table, symbols).dtype == np.uint16
+
+    @pytest.mark.parametrize("residue", range(8))
+    # Rows of 8, 4 and 2 symbol slots.
+    @pytest.mark.parametrize("lengths", [[1, 2, 3, 3], [3] * 8, [5] * 20])
+    def test_every_tail_length(self, lengths, residue):
+        table = HuffmanTable.from_lengths(np.array(lengths))
+        rng = np.random.default_rng(residue)
+        symbols = _with_residue(
+            table, rng.integers(0, len(lengths), self.N), residue)
+        payload, nbits = table.encode(symbols)
+        assert nbits % 8 == residue
+        self.check(table, symbols)
+        # One symbol too few or too many puts the fault in the tail, also
+        # in streams with no whole byte.
+        for part in [symbols] + [symbols[-k:] for k in range(1, 9)]:
+            payload, nbits = table.encode(part)
+            for n_symbols in (part.size - 1, part.size + 1):
+                with pytest.raises(HuffmanError) as expected:
+                    reference_huffman_decode(table, payload, n_symbols,
+                                             nbits)
+                with pytest.raises(HuffmanError) as info:
+                    table.decode(payload, n_symbols, nbits)
+                assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("order1", [False, True])
+    @pytest.mark.parametrize("size", [12_800, 102_400])
+    @pytest.mark.parametrize("model", ["illumina_binned", "illumina_legacy",
+                                       "nanopore"])
+    def test_simulator_models(self, model, size, order1):
+        scores = getattr(QualityModel, model)().sample(
+            size, np.zeros(size, dtype=bool), np.random.default_rng(size))
+        blob = quality._write(scores, order1, quality.DEFAULT_BLOCK)
+        assert blob.model == ("order1" if order1 else "order0")
+        assert np.array_equal(quality.decompress(blob), scores)
+        assert np.array_equal(reference_decompress(blob), scores)
+
+    def test_threads_share_the_tables(self):
+        # As sage serve's decode pool does: threads decode streams coded
+        # with different tables at once, building and sharing them.
+        rng = np.random.default_rng(8)
+        jobs = []
+        for k in range(16):
+            model = (QualityModel.illumina_binned() if k % 2 else
+                     QualityModel.illumina_legacy())
+            symbols = rng.choice(model.levels, size=5_000, p=model.weights)
+            table = HuffmanTable.from_counts(np.bincount(symbols,
+                                                         minlength=42))
+            payload, nbits = table.encode(symbols)
+            jobs.append((table, payload, symbols.size, nbits,
+                         reference_huffman_decode(table, payload,
+                                                  symbols.size, nbits)))
+        huffman._automaton.cache_clear()
+        start = threading.Barrier(8)
+
+        def decode_all(offset):
+            start.wait()
+            return [job[0].decode(*job[1:4]) for job in
+                    jobs[offset:] + jobs[:offset]]
+
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(decode_all, range(8)))
+        for offset, decoded in enumerate(results):
+            for job, out in zip(jobs[offset:] + jobs[:offset], decoded):
+                assert np.array_equal(out, job[4])
+        auto = huffman._automaton(
+            np.asarray(jobs[0][0].lengths, dtype=np.int64).tobytes())
+        assert not any(field.flags.writeable for field in auto
+                       if isinstance(field, np.ndarray))
 
 
 class TestDamagedStreams:
@@ -388,6 +586,59 @@ class TestDamagedStreams:
             table.decode(payload, 10, 2**40 - 1)        # nbits > payload
         with pytest.raises(HuffmanError, match="left over"):
             table.decode(payload, 0, 8)
+
+    def test_over_subscribed_table_is_rejected(self):
+        # Three 1-bit codes cannot all exist: canonical code 2 does not
+        # fit in one bit.  Only damage makes such a table, built
+        # directly or read off the wire.
+        direct = HuffmanTable.from_lengths(np.array([1, 1, 1]))
+        writer = BitWriter()
+        direct.serialize(writer)
+        wire = HuffmanTable.deserialize(BitReader(writer.getvalue()))
+        for table in (direct, wire):
+            with pytest.raises(HuffmanError, match="over-subscribed") \
+                    as info:
+                table.decode(bytes([0b0101_0101]), 8, 8, stream="quality",
+                             origin=12)
+            assert info.value.stream == "quality"
+            assert info.value.offset == 12
+
+
+class TestDamageMatchesReference:
+    """A damaged stream decodes to the oracle's symbols or raises the
+    oracle's message at the oracle's bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(alphabet=st.integers(1, 48),
+           kind=st.sampled_from(["skewed", "uniform", "single"]),
+           count=st.integers(1, 40) | st.integers(1, 2_500),
+           seed=st.integers(0, 2**32 - 1),
+           flips=st.lists(st.integers(0, 2**31), max_size=3),
+           cut=st.integers(0, 20) | st.just(0),
+           delta=st.integers(-4, 4) | st.just(0))
+    def test_damage(self, alphabet, kind, count, seed, flips, cut, delta):
+        rng = np.random.default_rng(seed)
+        symbols = rng.choice(alphabet, size=count,
+                             p=_distribution(kind, alphabet, rng))
+        table = HuffmanTable.from_counts(
+            np.bincount(symbols, minlength=alphabet))
+        payload, nbits = table.encode(symbols)
+        payload = bytearray(payload)
+        for flip in flips:
+            bit = flip % (8 * len(payload))
+            payload[bit >> 3] ^= 0x80 >> (bit & 7)
+        args = (bytes(payload), max(count + delta, 0), max(nbits - cut, 0))
+        try:
+            expected = reference_huffman_decode(
+                table, *args, stream="quality", origin=40)
+        except HuffmanError as exc:
+            with pytest.raises(HuffmanError) as info:
+                table.decode(*args, stream="quality", origin=40)
+            assert str(info.value) == str(exc)
+            assert info.value.offset == exc.offset
+        else:
+            assert np.array_equal(
+                table.decode(*args, stream="quality", origin=40), expected)
 
 
 class TestCompressionBehaviour:
