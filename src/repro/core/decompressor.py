@@ -269,11 +269,18 @@ class SAGeDecompressor:
         q = segments[0][1]
         prev_pos = 0
 
+        def take(gap: int) -> np.ndarray:
+            # A one-base tail would broadcast over the whole gap.
+            if gap > 0 and q + gap > cons.size:
+                raise DecompressionError(
+                    "matching position walks outside the consensus")
+            return cons[q:q + gap]
+
         def advance(pos: int) -> None:
             nonlocal read_ptr, q, seg_idx, seg_end
             while pos >= seg_end and seg_idx < len(segments) - 1:
                 gap = seg_end - read_ptr
-                out[read_ptr:seg_end] = cons[q:q + gap]
+                out[read_ptr:seg_end] = take(gap)
                 q += gap
                 read_ptr = seg_end
                 seg_idx += 1
@@ -281,7 +288,7 @@ class SAGeDecompressor:
                 seg_end = bounds[seg_idx]
             gap = pos - read_ptr
             if gap:
-                out[read_ptr:pos] = cons[q:q + gap]
+                out[read_ptr:pos] = take(gap)
                 q += gap
                 read_ptr = pos
 
@@ -301,7 +308,7 @@ class SAGeDecompressor:
         # Copy through any remaining segment tails.
         while True:
             gap = seg_end - read_ptr
-            out[read_ptr:seg_end] = cons[q:q + gap]
+            out[read_ptr:seg_end] = take(gap)
             q += gap
             read_ptr = seg_end
             if seg_idx >= len(segments) - 1:

@@ -12,6 +12,7 @@ from enum import Enum
 import numpy as np
 
 from ..genomics import sequence as seq
+from .errors import CorruptArchiveError
 
 
 class OutputFormat(Enum):
@@ -70,8 +71,17 @@ def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # 3-bit packed payloads inside the block streams.  One parser each, for
 # the reference walk and the numpy kernel alike: ``reader`` is the
-# stream's ``BitReader``.
+# stream's ``BitReader``.  A 3-bit field can hold 5..7, which names no
+# base; both parsers refuse it, so every code they hand on is at most N.
 # ----------------------------------------------------------------------
+
+
+def _base_codes(data: bytes, count: int, stream: str) -> np.ndarray:
+    codes = unpack_bits(data, 3, count)
+    if codes.size and int(codes.max()) > seq.N_CODE:
+        raise CorruptArchiveError(
+            f"base code {int(codes.max())} is not a base", stream=stream)
+    return codes
 
 
 def read_corner_payload(reader, w_rlen: int):
@@ -91,8 +101,8 @@ def read_corner_payload(reader, w_rlen: int):
         len_s = reader.read(w_rlen)
         len_e = reader.read(w_rlen)
         total = len_s + len_e
-        clip = unpack_bits(reader.read_bytes((3 * total + 7) // 8), 3,
-                           total)
+        clip = _base_codes(reader.read_bytes((3 * total + 7) // 8), total,
+                           "corner")
         clip_s, clip_e = clip[:len_s], clip[len_s:]
     return n_runs, clip_s, clip_e
 
@@ -101,4 +111,5 @@ def read_unmapped(reader, w_rlen: int, fixed_length: bool,
                   fixed_read_length: int) -> np.ndarray:
     """One raw-stored read off the ``unmapped`` stream."""
     length = fixed_read_length if fixed_length else reader.read(w_rlen)
-    return unpack_bits(reader.read_bytes((3 * length + 7) // 8), 3, length)
+    return _base_codes(reader.read_bytes((3 * length + 7) // 8), length,
+                       "unmapped")

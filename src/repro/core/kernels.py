@@ -22,13 +22,16 @@ Two kernels are registered:
     variable-width position fields in one pass (:func:`gather_fields`),
     walks the interleaved mismatch streams over precomputed 64-bit
     windows and next-zero indexes (one list lookup per field) into
-    consensus copy runs and literal patches, and rebuilds every mapped
-    read in one read construction (:func:`_construct_reads`): the runs
-    are gathered from the consensus, the patches, clips and N runs
-    scattered over them, and the reverse reads reverse-complemented by
-    one gather; there is no per-read path beside it.  The side streams
-    a read touches at most a few times — ``lengths``, ``corner``,
-    ``side``, ``unmapped`` — go through the same
+    consensus copy runs and literal patches of the deviant reads only (a
+    plain read, with no mismatch entry, later segment or corner, leaves
+    just its strand), and rebuilds every mapped read in one read
+    construction (:func:`_construct_reads`): a plain read is one row
+    copy of the consensus in a fixed-length block, the runs are
+    scattered from the consensus, the patches, clips and N runs over
+    them, and the reverse reads reverse-complemented by one
+    ``bytes.translate``; there is no per-read path beside it.  The side
+    streams a read touches at most a few times — ``lengths``,
+    ``corner``, ``side``, ``unmapped`` — go through the same
     :class:`~repro.core.bitio.BitReader` as the reference walk.
 
 Both kernels decode identical reads from the same bytes for every
@@ -77,15 +80,20 @@ _EMPTY_U8 = np.empty(0, dtype=np.uint8)
 # ----------------------------------------------------------------------
 
 
+def _windows(ext: bytes) -> np.ndarray:
+    """Every 64-bit big-endian window of ``ext``, as one unaligned view."""
+    return np.ndarray((len(ext) - 7,), ">u8", ext, strides=(1,))
+
+
 def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
                   name: str = "") -> np.ndarray:
     """Extract many big-endian fields from one stream in one pass.
 
     ``stream`` is a ``(payload, bit_length)`` pair; ``offsets[i]`` /
     ``widths[i]`` locate each field in bits.  Every field is read
-    through a 64-bit window gathered per offset, so the whole batch
-    costs a handful of vectorized passes.  Fields must be at most 63
-    bits wide (the format's :data:`~repro.core.prefix_codes.MAX_WIDTH`).
+    through a 64-bit window gathered per offset off one :func:`_windows`
+    view, so the batch costs a handful of vectorized passes.  Fields
+    must be at most 63 bits wide (:data:`~repro.core.prefix_codes.MAX_WIDTH`).
     """
     payload, bit_length = stream
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -96,12 +104,9 @@ def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
         raise BitIOError(
             f"{name or 'bit stream'}: field gather past end "
             f"(stream is {bit_length} bits)")
-    data = np.frombuffer(payload, dtype=np.uint8)
-    ext = np.concatenate([data, np.zeros(9, dtype=np.uint8)])
+    words = _windows(bytes(payload) + bytes(9))
     byte = offsets >> 3
-    window = np.zeros(offsets.size, dtype=np.uint64)
-    for k in range(8):
-        window = (window << np.uint64(8)) | ext[byte + k]
+    window = words[byte].astype(np.uint64)
     off = (offsets & 7).astype(np.uint64)
     w = widths.astype(np.uint64)
     shifted = window << off                      # drops the leading bits
@@ -109,7 +114,7 @@ def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
     need = off + w
     over = need > np.uint64(64)
     if over.any():
-        extra = ext[byte[over] + 8].astype(np.uint64)
+        extra = words[byte[over] + 1].astype(np.uint64) & np.uint64(0xFF)
         vals[over] |= extra >> (np.uint64(72) - need[over])
     return np.where(w > 0, vals, np.uint64(0)).astype(np.int64)
 
@@ -118,17 +123,12 @@ def _stream_words(blk, name: str):
     """``(w64, bit_length)`` window view of one stream.
 
     ``w64[i]`` is the 64-bit big-endian window starting at byte ``i`` of
-    the stream zero-padded by 8 bytes, as plain Python ints: any field of
-    up to 56 bits is one list lookup plus a shift/mask — the innermost
-    primitive of the skeleton walk, with no per-call method dispatch.
+    the stream zero-padded by 8 bytes (a :func:`_windows` view), as
+    Python ints: any field of up to 56 bits is one list lookup plus a
+    shift/mask — the innermost primitive of the skeleton walk.
     """
     payload, bits = blk.streams[name]
-    data = np.frombuffer(payload, dtype=np.uint8)
-    ext = np.concatenate([data, np.zeros(8, dtype=np.uint8)])
-    window = np.zeros(len(data) + 1, dtype=np.uint64)
-    for k in range(8):
-        window = (window << np.uint64(8)) | ext[k:k + len(window)]
-    return window.tolist(), bits
+    return _windows(bytes(payload) + bytes(8)).tolist(), bits
 
 
 def _next_zero_list(blk, name: str, limit: int) -> list[int]:
@@ -201,18 +201,31 @@ def _flatten(reads: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return (np.concatenate(reads) if reads else _EMPTY_U8), offsets
 
 
-def _construct_reads(cons: np.ndarray, lengths: np.ndarray, runs: list[int],
-                     patches: list[int], corners: list[tuple],
+#: ``COMPLEMENT`` as a translate table; the 3-bit parsers refuse codes > N.
+_COMPLEMENT_BYTES = bytes(seq.COMPLEMENT) + bytes(range(5, 256))
+
+
+def _complement(codes: np.ndarray) -> np.ndarray:
+    return np.frombuffer(codes.tobytes().translate(_COMPLEMENT_BYTES),
+                         dtype=np.uint8).reshape(codes.shape)
+
+
+def _construct_reads(cons: np.ndarray, lengths: np.ndarray,
+                     first_cons: np.ndarray, deviant: list[int],
+                     runs: list[int], patches: list[int],
+                     corners: list[tuple],
                      reverse_reads: list[int]) -> np.ndarray:
     """The Read Construction Unit over a whole block: the mapped reads
     the skeleton walk described, rebuilt into one flat buffer (read
     ``i`` holds ``lengths[i]`` bases, read after read).
 
-    A read is its start clip, its core and its end clip.  The core is
-    its copy runs gathered from the consensus with its patches over
-    them; N runs then cover the whole read, and a reverse read is
+    A plain read (not in ``deviant``) is the consensus from
+    ``first_cons[i]`` on.  A deviant read is its start clip, its core
+    and its end clip: the core is its copy runs with its patches over
+    them; N runs then cover the whole read.  A reverse read is
     reverse-complemented last, as the reference walk does per read.
     """
+    n = lengths.size
     ends = np.cumsum(lengths)
     starts = ends - lengths
     head = starts.copy()                    # first core base of each read
@@ -233,23 +246,29 @@ def _construct_reads(cons: np.ndarray, lengths: np.ndarray, runs: list[int],
         np.array(runs, dtype=np.int64).reshape(-1, 4).T
     if (r_len < 0).any():
         raise DecompressionError("mismatch position outside its read")
-    live = r_len > 0
-    if live.any() and (int(r_cons[live].min()) < 0
-                       or int((r_cons + r_len)[live].max()) > cons.size):
+    plain = np.ones(n, dtype=bool)
+    plain[deviant] = False
+    n_plain = n - len(deviant)
+    # Every copy (destination, consensus start, length): plain reads
+    # whole, then the deviant reads' runs.
+    at = np.concatenate([starts[plain], head[r_read] + r_start])
+    src = np.concatenate([first_cons[plain], r_cons])
+    size = np.concatenate([lengths[plain], r_len])
+    live = size > 0
+    if live.any() and (int(src[live].min()) < 0
+                       or int((src + size)[live].max()) > cons.size):
         raise DecompressionError(
             "matching position walks outside the consensus")
-    # Runs come in buffer order and tile it but for the gaps between
-    # them — inserted bases and clips — so a mask places the gathered
-    # bases without a destination index.
-    total = int(ends[-1]) if ends.size else 0
-    flat = copied = cons[run_index(r_cons, r_len)]
-    if copied.size != total:
-        r_at = head[r_read] + r_start
-        gap_at = np.append(0, r_at + r_len)
-        keep = np.ones(total, dtype=bool)
-        keep[run_index(gap_at, np.append(r_at, total) - gap_at)] = False
-        flat = np.empty(total, dtype=np.uint8)
-        flat[keep] = copied
+    flat = np.empty(int(ends[-1]) if n else 0, dtype=np.uint8)
+    width = int(lengths[0]) if n and (lengths == lengths[0]).all() else 0
+    if width and n_plain:
+        # Equal lengths: a plain read is one row copied from a view of
+        # the consensus windows, with no index per base.
+        windows = np.ndarray((cons.size - width + 1, width), dtype=np.uint8,
+                             buffer=cons, strides=(1, 1))
+        flat.reshape(n, width)[plain] = windows[first_cons[plain]]
+        at, src, size = at[n_plain:], src[n_plain:], size[n_plain:]
+    flat[run_index(at, size)] = cons[run_index(src, size)]
 
     if patches:
         p_read, p_pos, p_base = \
@@ -275,16 +294,14 @@ def _construct_reads(cons: np.ndarray, lengths: np.ndarray, runs: list[int],
 
     if reverse_reads:
         rev = np.array(reverse_reads, dtype=np.int64)
-        if (lengths == lengths[0]).all():
-            # Equal lengths: the reads are the rows of a matrix, and a
-            # row gather needs no index per base.
-            rows = flat.reshape(lengths.size, int(lengths[0]))
-            rows[rev] = seq.COMPLEMENT[rows[rev, ::-1]]
+        if width:
+            rows = flat.reshape(n, width)
+            rows[rev] = _complement(rows[rev, ::-1])
         else:
             at = run_index(starts[rev], lengths[rev])
             mirror = np.repeat(starts[rev] + ends[rev] - 1, lengths[rev])
             mirror -= at
-            flat[at] = seq.COMPLEMENT[flat[mirror]]
+            flat[at] = _complement(flat[mirror])
     return flat
 
 
@@ -301,19 +318,20 @@ def _decode_reads_batched(dec, index: int
     2. a skeleton walk over the interleaved mmpga/mmpa/mbta streams
        describes every mapped read as columns without reconstructing
        it — every field is an O(1) window lookup on precomputed
-       ``w64``/next-zero views.  It moves the read cursor and the
-       consensus cursor ``q`` as the reference walk does and records
-       consensus copy runs ``(read, start, cons_start, length)``, which
-       end only at an indel or a segment boundary (a substitution-only
-       read is one run), literal patches ``(read, pos, base)`` for
-       substitutions and inserted bases, and each read's clips, N runs
-       and strand;
+       ``w64``/next-zero views.  A plain read (no mismatch entry, later
+       segment or corner) records only its strand.  For a deviant read
+       it moves the read and consensus cursors as the reference walk
+       does and records consensus copy runs ``(read, start, cons_start,
+       length)``, which end only at an indel or a segment boundary (a
+       substitution-only read is one run), literal patches ``(read,
+       pos, base)`` for substitutions and inserted bases, and the read's
+       clips and N runs;
     3. one read construction (the RCU loop of §5.2, over the whole
-       block): every run is gathered from the consensus into the flat
-       buffer, the patches, clips and N runs are scattered over it, and
-       the reverse reads are reverse-complemented by one gather through
-       :data:`~repro.genomics.sequence.COMPLEMENT`.  The damage checks
-       are stated once, over these columns.
+       block): a plain read is one consensus row (fixed lengths), the
+       runs are scattered from the consensus by destination index, the
+       patches, clips and N runs over them, and the reverse reads are
+       reverse-complemented by one ``bytes.translate``.  The damage
+       checks are stated once, over these columns.
     """
     arch = dec.archive
     block = arch.block(index)
@@ -354,8 +372,9 @@ def _decode_reads_batched(dec, index: int
             lengths[i] = lr.read(widths[idx])
 
     # --- pass 1b: vectorized matching positions ---
-    first_cons = _matching_positions(arch, block, n_mapped).tolist() \
-        if n_mapped else []
+    matching = _matching_positions(arch, block, n_mapped) if n_mapped \
+        else np.empty(0, dtype=np.int64)
+    first_cons = matching.tolist()
 
     # --- pass 2: skeleton walk (runs and patches, no reconstruction) ---
     b_w64, b_lim = _stream_words(block, "mbta")
@@ -386,6 +405,7 @@ def _decode_reads_batched(dec, index: int
     patches: list[int] = []           # (read, pos, base)
     corners: list[tuple] = []         # (read, clip_s, clip_e, n_runs)
     reverse_reads: list[int] = []
+    deviant: list[int] = []           # the reads that emit runs
 
     for i in range(n_mapped):
         length = fixed_len if lengths is None else lengths[i]
@@ -432,6 +452,9 @@ def _decode_reads_batched(dec, index: int
         clip_s = clip_e = _EMPTY_U8
         if not corner_marker and corner.read(2):      # has_n, has_clip
             n_runs, clip_s, clip_e = read_corner_payload(corner, w_rlen)
+        elif not (count or later):
+            continue            # a plain read: its strand is all it needs
+        deviant.append(i)
 
         # The open copy run starts at read position ``start`` and
         # consensus position ``run_cons``; substitutions leave it open,
@@ -574,8 +597,8 @@ def _decode_reads_batched(dec, index: int
     # --- pass 3: one read construction for every mapped read ---
     mapped_len = np.full(n_mapped, fixed_len, dtype=np.int64) \
         if lengths is None else np.asarray(lengths, dtype=np.int64)
-    flat = _construct_reads(cons, mapped_len, runs, patches, corners,
-                            reverse_reads)
+    flat = _construct_reads(cons, mapped_len, matching, deviant, runs,
+                            patches, corners, reverse_reads)
 
     # --- unmapped reads (3-bit packed payloads) ---
     offsets = np.concatenate([[0], np.cumsum(mapped_len)])

@@ -14,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import SAGeCompressor, SAGeConfig, SAGeDecompressor
+from repro.core import (SAGeCompressor, SAGeConfig, SAGeDecompressor,
+                        kernels)
 from repro.core.bitio import BitIOError, BitReader, BitWriter
+from repro.core.errors import DecompressionError, SAGeError
 from repro.core.kernels import (available_kernels, gather_fields,
                                 get_kernel, resolve_codec)
 from repro.core.mismatch import OptLevel
@@ -463,6 +465,33 @@ class TestReadConstructionProperty:
     # A block with no mapped read.
     @example(recipes=[(-1, 100, (), (), (0, 0), (), False),
                       (-1, 120, (), (), (0, 0), (), True)], **O4)
+    # Every read plain (no entry, segment or corner), on both strands,
+    # in a fixed-length block: every read is one consensus row.
+    @example(recipes=[(100, 100, (), (), (0, 0), (), False),
+                      (700, 100, (), (), (0, 0), (), True),
+                      (1500, 100, (), (), (0, 0), (), False),
+                      (2200, 100, (), (), (0, 0), (), True)],
+             **{**O4, "fixed": True})
+    # A plain read that ends exactly at the consensus end, in a
+    # fixed-length block.
+    @example(recipes=[(RECIPE_REFERENCE.size - 100, 100, (), (), (0, 0),
+                       (), False),
+                      (300, 100, (), (), (0, 0), (), True)],
+             **{**O4, "fixed": True})
+    # Plain and deviant reads alternating in a variable-length block,
+    # some of either kind reverse.
+    @example(recipes=[(100, 120, (), (), (0, 0), (), False),
+                      (500, 150, ((30, 0, 1),), (), (0, 0), (), True),
+                      (900, 130, (), (), (0, 0), (), True),
+                      (1300, 140, ((40, 1, 2),), (), (0, 0), (), False),
+                      (1800, 110, (), (), (0, 0), (), False),
+                      (2300, 160, (), (), (12, 0), (), True)], **O4)
+    # No read plain: a substitution, clips, an N run, a deletion.
+    @example(recipes=[(100, 100, ((50, 0, 1),), (), (0, 0), (), False),
+                      (600, 100, (), (), (8, 0), (), True),
+                      (1100, 100, (), (), (0, 0), ((20, 3),), False),
+                      (1600, 110, ((60, 2, 2),), (), (0, 0), (), True)],
+             **{**O4, "fixed": True})
     def test_numpy_equals_python(self, recipes, level, fixed, long_reads,
                                  tuned):
         archive = _recipe_archive(recipes, level=level, fixed=fixed,
@@ -470,6 +499,75 @@ class TestReadConstructionProperty:
         decoder = SAGeDecompressor(archive)
         want = get_kernel("python").decode_reads(decoder)
         got = get_kernel("numpy").decode_reads(decoder)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0])
+
+
+class TestPlainReadRows:
+    """A plain read — a mapped read with no mismatch entry, no later
+    segment and no corner — is one copy of the consensus: the walk
+    records only its strand, and construction copies it whole."""
+
+    @staticmethod
+    def _plain_archive(lengths):
+        # O0 stores every matching position as a plain ``w_cons``-bit
+        # field, so one position can be rewritten in place.
+        recipes = [(400 * k + 100, length, (), (), (0, 0), (), k % 2 == 1)
+                   for k, length in enumerate(lengths)]
+        return _recipe_archive(recipes, level=OptLevel.NO,
+                               fixed=len(set(lengths)) == 1,
+                               long_reads=False, tuned=False)
+
+    @pytest.mark.parametrize("lengths", [(100, 100, 100), (100, 120, 140)],
+                             ids=["fixed", "variable"])
+    def test_position_past_consensus_end_is_typed(self, lengths):
+        archive = self._plain_archive(lengths)
+        block = archive.block(0)
+        assert block.fixed_length == (len(set(lengths)) == 1)
+        w_cons = archive.w_cons
+        n = block.n_mapped
+        positions = gather_fields(block.streams["mpa"],
+                                  np.arange(n) * w_cons,
+                                  np.full(n, w_cons)).tolist()
+        positions[n // 2] = RECIPE_REFERENCE.size - 1
+        assert positions[n // 2] < 1 << w_cons
+        writer = BitWriter()
+        for position in positions:
+            writer.write(position, w_cons)
+        block.streams["mpa"] = (writer.getvalue(), writer.bit_length)
+        with pytest.raises(DecompressionError,
+                           match="matching position walks outside the "
+                                 "consensus"):
+            get_kernel("numpy").decode_reads(SAGeDecompressor(archive))
+        with pytest.raises(SAGeError):
+            SAGeDecompressor(archive, codec="python").decompress_block(0)
+
+    def test_walk_emits_no_run_for_a_plain_read(self, monkeypatch):
+        # Three plain reads and three with one substitution each: a
+        # substitution-only read needs exactly one run, a plain read none.
+        recipes = [(300 * k + 100, 100,
+                    ((30 + 10 * k, 0, 1),) if k % 2 else (), (), (0, 0), (),
+                    k % 3 == 0)
+                   for k in range(6)]
+        archive = _recipe_archive(recipes, level=OptLevel.O4, fixed=True,
+                                  long_reads=False, tuned=False)
+        calls = []
+        construct = kernels._construct_reads
+
+        def spied(cons, lengths, first_cons, deviant, runs, *rest):
+            calls.append((list(deviant), list(runs)))
+            return construct(cons, lengths, first_cons, deviant, runs,
+                             *rest)
+
+        monkeypatch.setattr(kernels, "_construct_reads", spied)
+        decoder = SAGeDecompressor(archive)
+        got = get_kernel("numpy").decode_reads(decoder)
+        [(deviant, runs)] = calls
+        assert len(deviant) == 3
+        assert len(runs) == 4 * len(deviant)
+        assert runs[0::4] == deviant
+        assert runs[3::4] == [100] * len(deviant)
+        want = get_kernel("python").decode_reads(decoder)
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0], want[0])
 

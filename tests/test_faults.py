@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from repro.api import EngineOptions, SAGeDataset, SAGeError
 from repro.core import quality
+from repro.core.bitio import BitReader, BitWriter
 from repro.core.container import SAGeArchive
 from repro.core.errors import BlockDecodeError, CorruptArchiveError
+from repro.core.formats import read_corner_payload, read_unmapped
 from repro.core.kernels import available_kernels
+from repro.genomics.reads import Read, ReadSet
 from repro.pipeline.executor import StreamExecutor
 from repro.testing import faults
 
@@ -210,3 +213,44 @@ class TestQualityStreamDamage:
         assert isinstance(gap.error, BlockDecodeError)
         assert gap.error.stream == "quality"
         assert gap.error.offset is not None
+
+
+class TestBaseCodeDamage:
+    """A 3-bit base field can hold 5..7, which names no base.  Below the
+    CRC the two 3-bit parsers (clips and unmapped reads, shared by both
+    kernels) are the last line of defence: a code above N must never
+    reach a read's codes or the reverse-complement table."""
+
+    def test_unmapped_code_above_n_is_typed(self):
+        with pytest.raises(CorruptArchiveError) as info:
+            read_unmapped(BitReader(b"\xff" * 4), 8, True, 8)
+        assert info.value.stream == "unmapped"
+
+    def test_clip_code_above_n_is_typed(self):
+        writer = BitWriter()
+        for value, nbits in ((0, 1), (1, 1), (1, 4), (1, 4)):
+            writer.write(value, nbits)      # no N runs; clips of 1 and 1
+        writer.write(0xFF, 8)               # two 3-bit codes of 7
+        with pytest.raises(CorruptArchiveError) as info:
+            read_corner_payload(BitReader(writer.getvalue(),
+                                          writer.bit_length), 4)
+        assert info.value.stream == "corner"
+
+    @pytest.mark.parametrize("codec", available_kernels())
+    def test_damaged_unmapped_read_is_typed(self, rs3_small, codec):
+        junk = np.random.default_rng(5).integers(0, 4, 100)
+        reads = list(rs3_small.read_set)[:BLOCK_READS - 1] + [
+            Read(codes=junk.astype(np.uint8))]
+        dataset = SAGeDataset.from_fastq(
+            ReadSet(reads, name="junk"), reference=rs3_small.reference,
+            options=EngineOptions(block_reads=BLOCK_READS))
+        # The flip happens after the block passed its CRC check.
+        archive = SAGeArchive.from_bytes(dataset.to_bytes())
+        block = archive.block(0)
+        assert block.n_unmapped == 1
+        payload, bits = block.streams["unmapped"]
+        block.streams["unmapped"] = (b"\xff" * len(payload), bits)
+        with pytest.raises(BlockDecodeError) as info:
+            SAGeDataset(archive, options=EngineOptions(codec=codec)) \
+                .decode_block(0)
+        assert info.value.stream == "unmapped"

@@ -1392,9 +1392,10 @@ class TestOptionsThreadingEdges:
 
     def test_reads_constructed_once(self):
         """The decoder's side of the same contract: the numpy kernel
-        describes every mapped read as copy runs and patches and rebuilds
-        them all in one construction, with no per-read fallback beside
-        it (``reads_constructed_once``).  The reference walk in
+        describes every mapped read that is not plain as copy runs and
+        patches and rebuilds them all, plain reads included, in one
+        construction, with no per-read fallback beside it
+        (``reads_constructed_once``).  The reference walk in
         ``core/decompressor.py`` keeps its per-read RCU loop: it is the
         oracle."""
         assert on_tree(reads_constructed_once, "src") == []
