@@ -10,8 +10,8 @@ not the absolute time, is the reproduced quantity, so the split runs on
 the scalar ``python`` mapper kernel (the reference the paper's
 observation describes).  The table varies run to run, so
 ``results/fig18_comptime.txt`` is git-ignored; absolute encode
-throughput per mapper kernel is ``bench/``'s ``encode_short`` /
-``encode_long`` under ``SAGE_MAPPER``.
+throughput on the default mapper kernel is ``bench/``'s
+``encode_short`` / ``encode_long``.
 """
 
 import time

@@ -14,10 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.options import EngineOptions
 from ..core.tuning import bit_count_histogram
 from ..genomics.reads import ReadSet, run_index
-from ..mapping import MapperConfig, make_mapper
+from ..mapping import DEFAULT_MAPPER, MapperConfig, make_mapper
 from ..mapping.alignment import SUB
 from ..mapping.mapper import OP_KINDS
 
@@ -81,8 +80,8 @@ class PropertyAccumulator:
 
     Fed one decoded block at a time it produces the same
     :class:`PropertyReport` a whole-dataset pass would; only per-read
-    statistics are retained between blocks.  ``options`` is the session
-    whose mapper kernel maps the blocks (``None``: ``"auto"``).
+    statistics are retained between blocks.  Blocks are mapped on
+    :data:`~repro.mapping.batch.DEFAULT_MAPPER`.
     """
 
     #: Property aggregation maps base codes only (no quality, no
@@ -90,10 +89,8 @@ class PropertyAccumulator:
     requires = ("sequence",)
 
     def __init__(self, reference: np.ndarray,
-                 mapper_config: MapperConfig | None = None, *,
-                 options: EngineOptions | None = None):
-        self._mapper = make_mapper(options.mapper if options else None,
-                                   reference, mapper_config)
+                 mapper_config: MapperConfig | None = None):
+        self._mapper = make_mapper(DEFAULT_MAPPER, reference, mapper_config)
         self._pos_deltas: list[np.ndarray] = []
         self._counts: list[np.ndarray] = []
         self._indel_lengths: list[np.ndarray] = []
@@ -161,17 +158,17 @@ class MappingRateReport:
 
 
 class MappingRateSink:
-    """Maps every streamed block and tallies the mapping rate."""
+    """Maps every streamed block (on
+    :data:`~repro.mapping.batch.DEFAULT_MAPPER`) and tallies the
+    mapping rate."""
 
     #: Maps base codes only: no quality, headers, or order decode — an
     #: aggregate rate is insensitive to read order.
     requires = ("sequence",)
 
     def __init__(self, reference: np.ndarray,
-                 mapper_config: MapperConfig | None = None, *,
-                 options: EngineOptions | None = None):
-        self._mapper = make_mapper(options.mapper if options else None,
-                                   reference, mapper_config)
+                 mapper_config: MapperConfig | None = None):
+        self._mapper = make_mapper(DEFAULT_MAPPER, reference, mapper_config)
         self._report = MappingRateReport()
 
     def consume(self, index: int, block: ReadSet) -> None:

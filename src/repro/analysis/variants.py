@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from ..genomics.reads import ReadSet, run_index
-from ..mapping import MapperConfig, make_mapper
+from ..mapping import DEFAULT_MAPPER, MapperConfig, make_mapper
 from ..mapping.alignment import DEL, SUB
 from ..mapping.mapper import OP_KINDS
 
@@ -77,7 +77,7 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
     """
     reference = np.asarray(reference, dtype=np.uint8)
     size = reference.size
-    mapper = make_mapper("auto", reference, mapper_config)
+    mapper = make_mapper(DEFAULT_MAPPER, reference, mapper_config)
     edges = np.zeros(size + 1, dtype=np.int64)      # depth, differenced
     alt_counts = np.zeros((4, size), dtype=np.int32)
     none = np.empty(0, dtype=np.int64)

@@ -259,11 +259,9 @@ class SAGeDataset:
         ``options.workers``.  ``reference`` is an array of consensus
         base codes or a path to an ACGT text file.
 
-        ``config`` (default :class:`SAGeConfig`) states the format:
-        level, quality, long-read mode, headers, order.  ``options``
-        carry none of that; their ``mapper`` kernel name is stamped
-        onto the config unless ``"auto"``
-        (:meth:`EngineOptions.compressor_config`).
+        ``config`` (default :class:`SAGeConfig`) states the format —
+        level, quality, long-read mode, headers, order — and the mapper
+        kernel.  ``options`` carry none of that.
         """
         options = options if options is not None else EngineOptions()
         consensus = _as_consensus(reference)

@@ -29,10 +29,8 @@ __all__ = ["CallableSink", "available_sinks", "resolve_sink",
 #: group and map it against the archive's own consensus, so they need no
 #: side files (no reference, no index).
 _BUILT_IN: dict[str, Callable[["SAGeDataset"], Sink]] = {
-    "property": lambda dataset: PropertyAccumulator(
-        dataset.consensus, options=dataset.options),
-    "mapping-rate": lambda dataset: MappingRateSink(
-        dataset.consensus, options=dataset.options),
+    "property": lambda dataset: PropertyAccumulator(dataset.consensus),
+    "mapping-rate": lambda dataset: MappingRateSink(dataset.consensus),
     "collect": lambda dataset: CollectSink(),
 }
 

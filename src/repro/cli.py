@@ -37,10 +37,11 @@ the facade's built-in sinks (``--sink property --sink
 mapping-rate``, default ``property``) directly off an archive, using
 the archive's own consensus as the reference.
 
-No flag picks a kernel: archives and decodes are byte-identical across
-them, so the operator's switch is the environment (``$SAGE_CODEC`` for
-the array-stream hot path, :mod:`repro.core.kernels`; ``$SAGE_MAPPER``
-for read mapping, :mod:`repro.mapping.batch`).  Performance is measured
+Nothing here picks a kernel: archives and decodes are byte-identical
+across them, so the CLI runs the ``numpy`` defaults of
+:mod:`repro.core.kernels` and :mod:`repro.mapping.batch`, and the
+reference kernels are named from Python, where a session or a
+:class:`SAGeConfig` is built.  Performance is measured
 by the repo benchmark (``python3 -m bench.run``, see
 ``bench/README.md``), not by a subcommand here.
 """

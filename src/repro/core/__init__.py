@@ -10,8 +10,7 @@ from .decompressor import DecompressionError, SAGeDecompressor
 from .errors import (BlockDecodeError, CompressionError,
                      CorruptArchiveError, SAGeError, TruncatedArchiveError)
 from .formats import OutputFormat
-from .kernels import (CodecKernel, available_kernels, get_kernel,
-                      register_kernel, resolve_codec)
+from .kernels import available_kernels, resolve_kernel
 from .mismatch import CATEGORIES, OptLevel, SizeBreakdown
 from .options import BACKENDS, DEFAULT_BLOCK_READS, INFLIGHT_PER_WORKER
 from .prefix_codes import AssociationTable
@@ -29,8 +28,7 @@ __all__ = [
     "BlockIndexEntry", "ContainerError", "SAGeArchive",
     "SAGeBlock", "DecompressionError", "SAGeDecompressor",
     "OutputFormat", "CATEGORIES", "OptLevel", "SizeBreakdown",
-    "CodecKernel", "available_kernels", "get_kernel", "register_kernel",
-    "resolve_codec",
+    "available_kernels", "resolve_kernel",
     "AssociationTable", "TuningResult", "bit_count_histogram", "tune",
     "tune_values",
 ]

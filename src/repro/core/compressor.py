@@ -42,7 +42,7 @@ import numpy as np
 from ..genomics import sequence as seq
 from ..genomics.reads import ReadSet, run_index
 from ..mapping.alignment import DEL, INS, SUB
-from ..mapping.batch import make_mapper
+from ..mapping.batch import DEFAULT_MAPPER, make_mapper
 from ..mapping.kmer_index import KmerIndex
 from ..mapping.mapper import OP_KINDS, MappedBlock, MapperConfig, ReadMapper
 from . import headers as headers_codec
@@ -89,10 +89,10 @@ _TYPE_CODES = np.array([{SUB: TYPE_SUB, INS: TYPE_INS, DEL: TYPE_DEL}[kind]
 @dataclass
 class SAGeConfig:
     """Compression configuration: the one place an archive's format is
-    stated (:class:`~repro.core.options.EngineOptions` says how the
-    session runs and carries none of these but the mapper kernel name).
-    The encoder has no codec kernel: every stream is written through
-    :class:`~repro.core.bitio.BitWriter`."""
+    stated, and the mapper kernel named
+    (:class:`~repro.core.options.EngineOptions` says how the session
+    runs and shares no field with it).  The encoder has no codec kernel:
+    every stream is written through :class:`~repro.core.bitio.BitWriter`."""
 
     level: OptLevel = OptLevel.O4
     with_quality: bool = True
@@ -103,10 +103,10 @@ class SAGeConfig:
     epsilon: float = DEFAULT_EPSILON
     long_reads: bool | None = None    # None => auto (variable lengths)
     mapper: MapperConfig | None = None
-    #: Mapper kernel finding mismatches ("auto" resolves through
-    #: $SAGE_MAPPER to the registry default).  Every kernel produces a
-    #: byte-identical archive; see :mod:`repro.mapping.batch`.
-    mapper_kernel: str = "auto"
+    #: Mapper kernel finding mismatches, one of
+    #: :func:`repro.mapping.batch.available_mappers`.  Every kernel
+    #: produces a byte-identical archive; see :mod:`repro.mapping.batch`.
+    mapper_kernel: str = DEFAULT_MAPPER
     # Extensions beyond the paper's default configuration:
     preserve_order: bool = False      # store the original read order
     with_headers: bool = False        # store read headers (front-coded)

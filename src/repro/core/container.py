@@ -70,7 +70,7 @@ from .bitio import BitIOError, BitReader, BitWriter
 from .errors import (ContainerError, CorruptArchiveError, SAGeError,
                      TruncatedArchiveError)
 from .mismatch import OptLevel, SizeBreakdown
-from .prefix_codes import AssociationTable
+from .prefix_codes import MAX_WIDTH, AssociationTable
 
 MAGIC = 0x53414745  # "SAGE"
 
@@ -276,6 +276,9 @@ class SAGeBlock:
         n_mapped = reader.read(40)
         n_unmapped = reader.read(40)
         w_rlen = reader.read(6)
+        if w_rlen > MAX_WIDTH:
+            raise CorruptArchiveError(
+                f"read-length width {w_rlen} out of range")
         tables: dict[str, AssociationTable] = {}
         for key in _TABLE_ORDER:
             if reader.read_bit():

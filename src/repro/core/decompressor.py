@@ -38,8 +38,7 @@ from .container import SAGeArchive, SAGeBlock
 from .errors import (BlockDecodeError, DecompressionError,  # noqa: F401
                      SAGeError)
 from .formats import read_corner_payload, read_unmapped, unpack_bits
-from .kernels import (CodecKernel, gather_fields, get_kernel,
-                      resolve_codec)
+from .kernels import DEFAULT_CODEC, gather_fields, resolve_kernel
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB, OptLevel
 from .selection import StreamSelection
 
@@ -47,20 +46,19 @@ from .selection import StreamSelection
 class SAGeDecompressor:
     """Decodes a :class:`SAGeArchive` back into reads.
 
-    ``codec`` picks the decode kernel (:mod:`repro.core.kernels`):
-    ``"python"`` is the bit-serial reference walk, ``"numpy"`` the
-    vectorized batch path, ``"auto"`` resolves through ``$SAGE_CODEC``
-    to the registry default.  Every kernel returns identical reads.
-    The choice is made once, here: :attr:`codec` is the registered name
-    it resolved to (an unknown one raises :class:`ValueError`); another
-    kernel means another decoder.
+    ``codec`` names the decode kernel (:mod:`repro.core.kernels`):
+    ``"numpy"`` (the default) is the vectorized batch path, ``"python"``
+    the bit-serial reference walk.  Every kernel returns identical
+    reads.  The choice is made once, here (an unknown name raises
+    :class:`ValueError`); another kernel means another decoder.
     """
 
     def __init__(self, archive: SAGeArchive, *,
                  consensus: np.ndarray | None = None,
-                 codec: str = "auto"):
+                 codec: str = DEFAULT_CODEC):
         self.archive = archive
-        self.codec = resolve_codec(codec)
+        self._kernel = resolve_kernel(codec)
+        self.codec = codec
         # ``consensus`` lets a second decoder over the same (or a view
         # of the same) archive reuse an already-unpacked consensus.
         if consensus is None:
@@ -98,9 +96,8 @@ class SAGeDecompressor:
         block index, the unit of ``on_error="skip"`` recovery.
         """
         try:
-            return self._decode_block(
-                index, get_kernel(self.codec),
-                StreamSelection.from_spec(select))
+            return self._decode_block(index,
+                                      StreamSelection.from_spec(select))
         except BlockDecodeError:
             raise
         except SAGeError as exc:
@@ -115,13 +112,13 @@ class SAGeDecompressor:
                 f"block decode failed ({type(exc).__name__}: {exc})",
                 block_index=index) from exc
 
-    def _decode_block(self, index: int, kernel: CodecKernel,
+    def _decode_block(self, index: int,
                       select: StreamSelection) -> ReadSet:
         arch = self.archive
         blk = arch.block(index)
         if select.sequence:
-            codes, offsets = kernel.decode_reads(self, select=select,
-                                                 index=index)
+            codes, offsets = self._kernel.decode_reads(
+                self, select=select, index=index)
         else:
             # Sequence deselected: reads become empty placeholders so
             # counting consumers (and header-only passes) still see the

@@ -8,7 +8,7 @@ kernel; :class:`~repro.core.compressor.SAGeCompressor` writes every
 stream through :class:`~repro.core.bitio.BitWriter`, so the format is
 stated by one writer and the kernels only change the read schedule.
 
-Two kernels are registered:
+There are two kernels:
 
 ``python``
     The reference bit-serial path: the sequential
@@ -16,44 +16,41 @@ Two kernels are registered:
     :class:`~repro.core.bitio.BitReader` fields.
 
 ``numpy``
-    The vectorized path.  It runs a vectorized unary-prefix scan over
-    the matching-position guide array (``np.unpackbits`` + zero-run
-    detection) to classify every entry at once, gathers the
-    variable-width position fields in one pass (:func:`gather_fields`),
-    walks the interleaved mismatch streams over precomputed 64-bit
-    windows and next-zero indexes (one list lookup per field) into
-    consensus copy runs and literal patches of the deviant reads only (a
-    plain read, with no mismatch entry, later segment or corner, leaves
-    just its strand), and rebuilds every mapped read in one read
-    construction (:func:`_construct_reads`): a plain read is one row
-    copy of the consensus in a fixed-length block, the runs are
-    scattered from the consensus, the patches, clips and N runs over
-    them, and the reverse reads reverse-complemented by one
-    ``bytes.translate``; there is no per-read path beside it.  The side
+    The vectorized path, and the default.  It runs a vectorized
+    unary-prefix scan over the matching-position guide array
+    (``np.unpackbits`` + zero-run detection) to classify every entry at
+    once, gathers the variable-width position fields in one pass
+    (:func:`gather_fields`), walks the interleaved mismatch streams over
+    precomputed 64-bit windows and next-zero indexes (one list lookup
+    per field) into consensus copy runs and literal patches of the
+    deviant reads only (a plain read, with no mismatch entry, later
+    segment or corner, leaves just its strand), and rebuilds every
+    mapped read in one read construction (:func:`_construct_reads`): a
+    plain read is one row copy of the consensus in a fixed-length block,
+    the runs are scattered from the consensus, the patches, clips and N
+    runs over them, and the reverse reads reverse-complemented by one
+    ``bytes.translate``; there is no per-read path beside it.  A 64-bit
+    window holds every field the format allows, because the block parser
+    refuses a class or read-length width over
+    :data:`~repro.core.prefix_codes.MAX_WIDTH` (56) bits.  The side
     streams a read touches at most a few times — ``lengths``,
     ``corner``, ``side``, ``unmapped`` — go through the same
     :class:`~repro.core.bitio.BitReader` as the reference walk.
 
 Both kernels decode identical reads from the same bytes for every
 configuration — asserted in ``tests/test_core_kernels.py`` — so the
-codec is a pure-speed knob, chosen once per decoder:
+codec only chooses speed.  It is named where a decoder is built:
 :class:`repro.api.EngineOptions` ``codec`` reaches
-``SAGeDecompressor(codec=)``, which keeps the kernel it resolved for
-life, with ``auto`` deferring to env ``SAGE_CODEC``.
-
-Adding a kernel: subclass :class:`CodecKernel`, implement
-``decode_reads`` (archive block → ``(codes, offsets)``: every read's
-base codes in one flat ``uint8`` buffer in emission order, read ``i``
-at ``codes[offsets[i]:offsets[i + 1]]``), then :func:`register_kernel`
-it.  The flat buffer becomes the ``codes`` column of the block's
+``SAGeDecompressor(codec=)``, which keeps that kernel for life.  A
+kernel's ``decode_reads`` returns one block as ``(codes, offsets)``:
+every read's base codes in one flat ``uint8`` buffer in emission order,
+read ``i`` at ``codes[offsets[i]:offsets[i + 1]]``.  The flat buffer
+becomes the ``codes`` column of the block's
 :class:`~repro.genomics.reads.ReadSet` as is — no kernel hands out
-per-read arrays.  Identical output is what keeps kernels freely
-interchangeable mid-pipeline.
+per-read arrays.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -65,11 +62,10 @@ from .errors import CorruptArchiveError, DecompressionError
 from .formats import read_corner_payload, read_unmapped
 from .mismatch import INDEL_INS, TYPE_DEL, TYPE_INS, TYPE_SUB
 
-__all__ = ["CodecKernel", "DEFAULT_CODEC", "NumpyKernel", "PythonKernel",
-           "available_kernels", "gather_fields", "get_kernel",
-           "register_kernel", "resolve_codec", "resolve_kernel"]
+__all__ = ["DEFAULT_CODEC", "NumpyKernel", "PythonKernel",
+           "available_kernels", "gather_fields", "resolve_kernel"]
 
-#: Codec used when neither the options nor ``SAGE_CODEC`` select one.
+#: The decode kernel of a session or decoder that names none.
 DEFAULT_CODEC = "numpy"
 
 _EMPTY_U8 = np.empty(0, dtype=np.uint8)
@@ -93,7 +89,7 @@ def gather_fields(stream: tuple[bytes, int], offsets, widths, *,
     ``widths[i]`` locate each field in bits.  Every field is read
     through a 64-bit window gathered per offset off one :func:`_windows`
     view, so the batch costs a handful of vectorized passes.  Fields
-    must be at most 63 bits wide (:data:`~repro.core.prefix_codes.MAX_WIDTH`).
+    must be at most 63 bits wide.
     """
     payload, bit_length = stream
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -125,7 +121,8 @@ def _stream_words(blk, name: str):
     ``w64[i]`` is the 64-bit big-endian window starting at byte ``i`` of
     the stream zero-padded by 8 bytes (a :func:`_windows` view), as
     Python ints: any field of up to 56 bits is one list lookup plus a
-    shift/mask — the innermost primitive of the skeleton walk.
+    shift/mask — the innermost primitive of the skeleton walk, and no
+    field is wider (:data:`~repro.core.prefix_codes.MAX_WIDTH`).
     """
     payload, bits = blk.streams[name]
     return _windows(bytes(payload) + bytes(8)).tolist(), bits
@@ -346,12 +343,6 @@ def _decode_reads_batched(dec, index: int
     indel_widths = indel_table.widths if indel_table is not None else ()
     w_rlen = block.w_rlen
     w_cons = arch.w_cons
-    if max((w_rlen, *count_widths, *mmp_widths, *indel_widths)) > 56:
-        # Adversarially wide field classes would overflow the single
-        # 64-bit window; such tables never occur in practice — stay on
-        # the reference walk rather than complicate the hot loop.
-        return _flatten(list(dec.iter_read_codes(index=index)))
-
     cons = dec.consensus
     cons_size = int(cons.size)
     n_mapped = block.n_mapped
@@ -613,18 +604,14 @@ def _decode_reads_batched(dec, index: int
 
 
 # ----------------------------------------------------------------------
-# Kernel registry
+# The two kernels
 # ----------------------------------------------------------------------
 
 
-class CodecKernel:
-    """A named decode strategy over the SAGe stream format.
+class PythonKernel:
+    """The reference bit-serial path (pure-Python field loops)."""
 
-    Every kernel's ``decode_reads`` returns exactly the reference
-    decoder's output for the same block bytes.
-    """
-
-    name = "abstract"
+    name = "python"
 
     def decode_reads(self, decompressor, select=None,
                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -633,73 +620,36 @@ class CodecKernel:
         codes in emission order, and the ``int64`` bounds (one more
         than there are reads, starting at 0) that cut it into reads.
 
-        ``select`` (:class:`~repro.core.selection.StreamSelection` or
-        ``None`` = everything) is the stream-selective decode request.
-        Kernels own only the *sequence* group — the decompressor never
-        calls a kernel when sequence is deselected — so the in-tree
-        kernels treat it as informational; custom kernels may use it to
-        skip work for sub-streams they decode speculatively.
+        ``select`` is informational: the decompressor calls a kernel
+        only when the *sequence* group is selected.
         """
-        raise NotImplementedError
-
-
-class PythonKernel(CodecKernel):
-    """The reference bit-serial path (pure-Python field loops)."""
-
-    name = "python"
-
-    def decode_reads(self, decompressor, select=None,
-                     index: int = 0) -> tuple[np.ndarray, np.ndarray]:
         return _flatten(list(decompressor.iter_read_codes(index=index)))
 
 
-class NumpyKernel(CodecKernel):
+class NumpyKernel:
     """The vectorized structure-of-arrays path (see module docstring)."""
 
     name = "numpy"
 
     def decode_reads(self, decompressor, select=None,
                      index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Same contract as :meth:`PythonKernel.decode_reads`."""
         return _decode_reads_batched(decompressor, index)
 
 
-_KERNELS: dict[str, CodecKernel] = {}
-
-
-def register_kernel(kernel: CodecKernel) -> CodecKernel:
-    """Add a kernel to the registry (name collisions overwrite)."""
-    _KERNELS[kernel.name] = kernel
-    return kernel
+_KERNELS = {kernel.name: kernel for kernel in (PythonKernel(),
+                                                NumpyKernel())}
 
 
 def available_kernels() -> tuple[str, ...]:
-    """Registered kernel names, sorted."""
+    """The decode kernel names, sorted."""
     return tuple(sorted(_KERNELS))
 
 
-def get_kernel(name: str) -> CodecKernel:
-    """Look up a kernel by exact name."""
+def resolve_kernel(name: str) -> PythonKernel | NumpyKernel:
+    """The decode kernel called ``name``."""
     try:
         return _KERNELS[name]
     except KeyError:
-        raise ValueError(f"unknown codec kernel {name!r}; registered: "
+        raise ValueError(f"unknown codec {name!r}; expected one of "
                          f"{available_kernels()}") from None
-
-
-def resolve_codec(spec: str | None) -> str:
-    """Resolve a codec spec (``None``/``"auto"`` → env → default)."""
-    if spec in (None, "auto"):
-        spec = os.environ.get("SAGE_CODEC", DEFAULT_CODEC)
-    if spec not in _KERNELS:
-        raise ValueError(f"unknown codec {spec!r}; expected 'auto' or "
-                         f"one of {available_kernels()}")
-    return spec
-
-
-def resolve_kernel(spec: str | None) -> CodecKernel:
-    """The kernel a codec spec resolves to."""
-    return _KERNELS[resolve_codec(spec)]
-
-
-register_kernel(PythonKernel())
-register_kernel(NumpyKernel())

@@ -9,11 +9,10 @@ all take ``options=`` and nothing else.  All validation happens here, in
 :class:`ValueError` instead of deep inside a worker pool.
 
 The options say how a session *runs*; what the archive bytes *are*
-(optimization level, quality, long-read mode, headers, order, …) is
-stated on :class:`~repro.core.compressor.SAGeConfig` and nowhere else.
-The only meaning both objects carry is the mapper kernel name
-(``mapper`` here, ``mapper_kernel`` there), and
-:meth:`EngineOptions.compressor_config` is the one rule relating them.
+(optimization level, quality, long-read mode, headers, order, …) and
+which mapper finds the mismatches are stated on
+:class:`~repro.core.compressor.SAGeConfig` and nowhere else.  The two
+objects share no field.
 
 The module sits below the engines it configures (of them it imports
 only :class:`SAGeConfig`, and nothing from :mod:`repro.api`), so
@@ -27,9 +26,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from ..mapping.batch import available_mappers
 from .compressor import SAGeConfig
-from .kernels import available_kernels
+from .kernels import DEFAULT_CODEC, available_kernels
 
 __all__ = ["BACKENDS", "DEFAULT_BLOCK_READS", "INFLIGHT_PER_WORKER",
            "ON_ERROR", "EngineOptions"]
@@ -79,20 +77,12 @@ class EngineOptions:
         header records this value verbatim.
     codec:
         Decode kernel for the array-stream hot path, one of
-        :func:`repro.core.kernels.available_kernels` (``python`` =
-        bit-serial reference, ``numpy`` = vectorized batch kernel).
-        ``auto`` resolves through ``$SAGE_CODEC`` to the registry
-        default.  Every kernel decodes identical reads — this is a
+        :func:`repro.core.kernels.available_kernels` (``numpy`` =
+        vectorized batch kernel, the default; ``python`` = bit-serial
+        reference).  Every kernel decodes identical reads — this is a
         pure-speed knob, and it never touches the encoder (one writer,
-        no encode-side kernel).
-    mapper:
-        Mapper kernel for the read→consensus mismatch-finding hot path,
-        one of :func:`repro.mapping.batch.available_mappers`
-        (``python`` = scalar seed-chain-extend reference, ``numpy`` =
-        vectorized batch mapper with the bit-parallel pre-alignment
-        filter).  ``auto`` resolves through ``$SAGE_MAPPER`` to the
-        registry default.  Archives are byte-identical across mappers —
-        like ``codec``, a pure-speed knob.
+        no encode-side kernel).  The mapper kernel is a format-side
+        choice: ``SAGeConfig(mapper_kernel=)``.
     on_error:
         Streaming-decode failure policy, one of :data:`ON_ERROR`.
         ``"raise"`` (default) propagates the first block failure;
@@ -112,17 +102,18 @@ class EngineOptions:
     workers: int = 1
     backend: str = "auto"
     block_reads: int = 0
-    codec: str = "auto"
-    mapper: str = "auto"
+    codec: str = DEFAULT_CODEC
     on_error: str = "raise"
 
     def __post_init__(self) -> None:
         for name in ("workers", "block_reads"):
             # An integer is whatever has __index__ (Python and numpy
-            # ints); 2.5, "2" and None fail here, not in a worker pool.
-            if not hasattr(getattr(self, name), "__index__"):
+            # ints) and is not a bool; 2.5, "2", None and True fail
+            # here, not in a worker pool.
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
+                                 f"got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         if self.backend not in BACKENDS:
@@ -132,14 +123,9 @@ class EngineOptions:
             raise ValueError(
                 f"block_reads must be >= 0 (0 = one-block "
                 f"archive), got {self.block_reads!r}")
-        if self.codec != "auto" and self.codec not in available_kernels():
-            raise ValueError(
-                f"unknown codec {self.codec!r}; expected 'auto' or one "
-                f"of {available_kernels()}")
-        if self.mapper != "auto" and self.mapper not in available_mappers():
-            raise ValueError(
-                f"unknown mapper {self.mapper!r}; expected 'auto' or one "
-                f"of {available_mappers()}")
+        if self.codec not in available_kernels():
+            raise ValueError(f"unknown codec {self.codec!r}; expected one "
+                             f"of {available_kernels()}")
         if self.on_error not in ON_ERROR:
             raise ValueError(f"unknown on_error {self.on_error!r}; "
                              f"expected one of {ON_ERROR}")
@@ -164,15 +150,6 @@ class EngineOptions:
 
     def compressor_config(self, config: SAGeConfig | None = None
                           ) -> SAGeConfig:
-        """``config`` (default :class:`SAGeConfig`) on this session's
-        mapper: a copy whose ``mapper_kernel`` is replaced by
-        :attr:`mapper` unless that is ``"auto"``.
-
-        The one rule relating the two objects' one shared meaning — what
-        the session asked for wins, what it left open stays the
-        config's.  :attr:`codec` is a decode kernel and stamps nothing.
-        """
-        config = config or SAGeConfig()
-        if self.mapper == "auto":
-            return dataclasses.replace(config)
-        return dataclasses.replace(config, mapper_kernel=self.mapper)
+        """A copy of ``config`` (default :class:`SAGeConfig`): the
+        session stamps nothing on the format."""
+        return dataclasses.replace(config or SAGeConfig())

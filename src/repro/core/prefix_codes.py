@@ -21,8 +21,12 @@ from .errors import CorruptArchiveError
 #: Maximum number of bit-width classes (paper: |W| converges at d < 8).
 MAX_CLASSES = 8
 
-#: Maximum representable field width in bits.
-MAX_WIDTH = 63
+#: Widest field a class (or a block's read-length field) may have: a
+#: 64-bit window read at any bit offset holds it whole, which is what
+#: the numpy decode kernel reads every field through.  Field values are
+#: bounded by read lengths and by the 40-bit consensus length, so the
+#: encoder never needs more; the parser refuses a wider table.
+MAX_WIDTH = 56
 
 
 @dataclass(frozen=True)

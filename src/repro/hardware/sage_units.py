@@ -93,7 +93,7 @@ class SAGeHardwareModel:
         Archives decode section by section — each block is an
         independent unit of work for a channel's SU/RCU array (§5.3) —
         and the per-block accounting is summed.  Each block is decoded
-        once, on the default decode kernel (``$SAGE_CODEC``); its units
+        once, on the default decode kernel (``numpy``); its units
         are charged the stored length of every stream they walk, which
         is exactly what the reference walk consumes.
         """

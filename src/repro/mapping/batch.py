@@ -61,13 +61,12 @@ everything else there is nothing to prove: :class:`BatchReadMapper`
 inherits planning and assembly and overrides only the job solver, which
 runs the scalar aligners' own DP (``alignment.dp_last_rows``) over a
 bucket and their own traceback (``alignment.trace_ops``) over each job's
-distances — so archives are byte-identical between ``mapper="python"``
-and ``mapper="numpy"``.
+distances — so archives are byte-identical between
+``SAGeConfig(mapper_kernel="python")`` and ``mapper_kernel="numpy"``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,7 +78,7 @@ from .kmer_index import KmerIndex
 from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
                      Placed, ReadMapper, block_columns)
 
-#: Mapper used when neither the options nor ``SAGE_MAPPER`` select one.
+#: The mapper of ``SAGeConfig()`` and of every analysis consumer.
 DEFAULT_MAPPER = "numpy"
 
 #: Heads/tails longer than this fall back to the scalar mapper instead of
@@ -728,7 +727,7 @@ class BatchReadMapper(ReadMapper):
 
 
 # ----------------------------------------------------------------------
-# Mapper kernel registry
+# The two mapper kernels
 # ----------------------------------------------------------------------
 
 _MAPPERS: dict[str, type[ReadMapper]] = {
@@ -738,22 +737,22 @@ _MAPPERS: dict[str, type[ReadMapper]] = {
 
 
 def available_mappers() -> tuple[str, ...]:
-    """Registered mapper kernel names, sorted."""
+    """The mapper kernel names, sorted."""
     return tuple(sorted(_MAPPERS))
 
 
-def resolve_mapper(spec: str | None) -> str:
-    """Resolve a mapper spec (``None``/``"auto"`` → env → default)."""
-    if spec in (None, "auto"):
-        spec = os.environ.get("SAGE_MAPPER", DEFAULT_MAPPER)
-    if spec not in _MAPPERS:
-        raise ValueError(f"unknown mapper {spec!r}; expected 'auto' or "
-                         f"one of {available_mappers()}")
-    return spec
+def resolve_mapper(name: str | None) -> str:
+    """A mapper kernel name, checked (``None`` is :data:`DEFAULT_MAPPER`)."""
+    name = DEFAULT_MAPPER if name is None else name
+    if name not in _MAPPERS:
+        raise ValueError(f"unknown mapper {name!r}; expected one of "
+                         f"{available_mappers()}")
+    return name
 
 
-def make_mapper(spec: str | None, consensus: np.ndarray,
+def make_mapper(name: str, consensus: np.ndarray,
                 config: MapperConfig | None = None,
                 index: KmerIndex | None = None) -> ReadMapper:
-    """Build the mapper a spec resolves to (sharing ``index`` if given)."""
-    return _MAPPERS[resolve_mapper(spec)](consensus, config, index)
+    """Build the mapper kernel called ``name`` (sharing ``index`` if
+    given)."""
+    return _MAPPERS[resolve_mapper(name)](consensus, config, index)

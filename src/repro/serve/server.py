@@ -551,7 +551,10 @@ class ArchiveServer:
                                  f"{served.name!r} has {served.n_blocks} "
                                  f"blocks)")
         selection = self._selection_of(request)
-        fmt = "json" if request.query.get("format") == "json" else "fastq"
+        fmt = request.query.get("format", "fastq")
+        if fmt not in ("fastq", "json"):
+            raise HTTPError(400, f"unknown format {fmt!r}; expected "
+                                 f"'fastq' or 'json'")
         body = await self._block_body(served, index, selection, fmt)
         return Response(body=body) if fmt == "json" \
             else Response.text(body)

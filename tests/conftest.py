@@ -20,7 +20,7 @@ from repro.genomics import sequence as seq
 from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
 from repro.genomics.simulator import (QualityModel, ReadSimulator,
                                       short_read_profile)
-from repro.mapping import alignment, make_mapper
+from repro.mapping import DEFAULT_MAPPER, alignment, make_mapper
 from repro.mapping.alignment import EditOp
 from repro.mapping.kmer_index import KmerIndex
 from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
@@ -425,9 +425,9 @@ def mapping_results(table):
 
 def _streamed_results(blocks, reference, mapper_config=None):
     """Every read's :class:`MappingResult`, block after block, mapped
-    the way the analysis consumers map them (``$SAGE_MAPPER``)."""
-    mapper = make_mapper("auto", np.asarray(reference, dtype=np.uint8),
-                         mapper_config)
+    the way the analysis consumers map them (``DEFAULT_MAPPER``)."""
+    mapper = make_mapper(DEFAULT_MAPPER,
+                         np.asarray(reference, dtype=np.uint8), mapper_config)
     blocks = [blocks] if isinstance(blocks, ReadSet) else blocks
     return [result for block in blocks for result in mapping_results(
         mapper.map_batch(block.codes, block.offsets))]

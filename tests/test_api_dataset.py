@@ -82,16 +82,21 @@ class TestEngineOptions:
             options.replace(workers=0)
 
     def test_compressor_config(self):
-        # The one rule relating the two objects: a named mapper is
-        # stamped onto (a copy of) the config, "auto" leaves it alone.
+        # The two objects share no field, so the session stamps nothing
+        # on the format: the config comes back as a copy.
         assert EngineOptions().compressor_config() == SAGeConfig()
         given = SAGeConfig(level=OptLevel.O2, mapper_kernel="python")
-        assert EngineOptions().compressor_config(given) == given
-        config = EngineOptions(codec="numpy", mapper="numpy") \
-            .compressor_config(given)
-        assert config.mapper_kernel == "numpy"
-        assert config.level is OptLevel.O2
-        assert given.mapper_kernel == "python"  # never mutated
+        config = EngineOptions(codec="python").compressor_config(given)
+        assert config == given and config is not given
+        with pytest.raises(TypeError, match="mapper"):
+            EngineOptions(mapper="numpy")
+
+    @pytest.mark.parametrize("field", ["workers", "block_reads"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            EngineOptions(**{field: value})
+        assert getattr(EngineOptions(**{field: np.int64(1)}), field) == 1
 
 
 class TestFacadeCompression:
@@ -154,26 +159,25 @@ class TestFacadeCompression:
         assert ds.n_blocks > 1
 
     def test_config_keeps_the_session_kernels(self, rs3_small):
-        # config= states the format; the mapper the session named
-        # still reaches the engine (a config handed over verbatim would
-        # drop options.mapper without a word).
+        # Each kernel is named on the object it belongs to: the mapper
+        # on the format config, the decode kernel on the session, and
+        # neither overrides the other.  Both mappers write the same
+        # bytes.
         from repro.mapping import batch
 
-        def batch_mapped_reads(**kwargs):
+        blobs = {}
+        for mapper in ("numpy", "python"):
             batch.reset_stats()
-            SAGeDataset.from_fastq(rs3_small.read_set,
-                                   reference=rs3_small.reference, **kwargs)
-            return batch.GLOBAL_STATS.reads
-
-        n_reads = len(rs3_small.read_set)
-        assert batch_mapped_reads(
-            options=EngineOptions(mapper="numpy")) == n_reads
-        assert batch_mapped_reads(
-            options=EngineOptions(mapper="python"),
-            config=SAGeConfig(with_headers=True)) == 0
-        # A kernel the session left open stays the config's.
-        assert batch_mapped_reads(
-            config=SAGeConfig(mapper_kernel="python")) == 0
+            ds = SAGeDataset.from_fastq(
+                rs3_small.read_set, reference=rs3_small.reference,
+                options=EngineOptions(block_reads=BLOCK_READS,
+                                      codec="python"),
+                config=SAGeConfig(mapper_kernel=mapper))
+            assert batch.GLOBAL_STATS.reads \
+                == (len(rs3_small.read_set) if mapper == "numpy" else 0)
+            assert ds.decompressor().codec == "python"
+            blobs[mapper] = ds.to_bytes()
+        assert blobs["python"] == blobs["numpy"]
 
 
 class TestOneWritePath:

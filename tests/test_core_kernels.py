@@ -17,11 +17,13 @@ from repro.api import EngineOptions, SAGeDataset
 from repro.core import (SAGeCompressor, SAGeConfig, SAGeDecompressor,
                         kernels)
 from repro.core.bitio import BitIOError, BitReader, BitWriter
-from repro.core.errors import DecompressionError, SAGeError
+from repro.core.container import SAGeArchive
+from repro.core.errors import (BlockDecodeError, CorruptArchiveError,
+                               DecompressionError, SAGeError)
 from repro.core.kernels import (available_kernels, gather_fields,
-                                get_kernel, resolve_codec)
+                                resolve_kernel)
 from repro.core.mismatch import OptLevel
-from repro.core.prefix_codes import AssociationTable
+from repro.core.prefix_codes import MAX_WIDTH, AssociationTable
 from repro.genomics import sequence as seqmod
 from repro.genomics.reads import Read, ReadSet
 
@@ -172,34 +174,33 @@ class TestClassify:
 
 class TestRegistry:
     def test_available(self):
-        assert set(available_kernels()) >= {"python", "numpy"}
+        assert available_kernels() == ("numpy", "python")
 
     def test_get_unknown(self):
-        with pytest.raises(ValueError, match="unknown codec kernel"):
-            get_kernel("fpga")
+        with pytest.raises(ValueError, match="unknown codec"):
+            resolve_kernel("fpga")
+        with pytest.raises(ValueError, match="unknown codec"):
+            resolve_kernel("auto")
 
     def test_resolve_env(self, monkeypatch):
-        monkeypatch.delenv("SAGE_CODEC", raising=False)
-        assert resolve_codec("python") == "python"
-        assert resolve_codec("auto") in available_kernels()
+        # The kernel is named where a decoder is built; the environment
+        # chooses nothing.
         monkeypatch.setenv("SAGE_CODEC", "python")
-        assert resolve_codec("auto") == "python"
-        assert resolve_codec(None) == "python"
-        monkeypatch.setenv("SAGE_CODEC", "bogus")
-        with pytest.raises(ValueError, match="unknown codec"):
-            resolve_codec("auto")
+        assert EngineOptions().codec == "numpy"
+        assert resolve_kernel("numpy").name == "numpy"
 
     def test_engine_options_validation(self):
-        assert EngineOptions(codec="numpy").codec == "numpy"
-        with pytest.raises(ValueError, match="unknown codec"):
-            EngineOptions(codec="fpga")
+        assert EngineOptions(codec="python").codec == "python"
+        for bad in ("fpga", "auto", None):
+            with pytest.raises(ValueError, match="unknown codec"):
+                EngineOptions(codec=bad)
 
     def test_options_reach_compressor_config(self):
-        # ``mapper`` is the one name a session stamps onto the format
-        # config; ``codec`` is a decode kernel and the encoder has none.
-        stamped = EngineOptions(codec="python", mapper="python") \
-            .compressor_config()
-        assert stamped == SAGeConfig(mapper_kernel="python")
+        # ``codec`` is a decode kernel and the encoder has none: the
+        # session stamps nothing on the format config.
+        given = SAGeConfig(with_quality=False, mapper_kernel="python")
+        assert EngineOptions(codec="python").compressor_config(given) \
+            == given
         assert EngineOptions(codec="python").compressor_config() \
             == SAGeConfig()
         with pytest.raises(TypeError):
@@ -210,18 +211,14 @@ class TestRegistry:
         archive = SAGeCompressor(rs3_small.reference, SAGeConfig()) \
             .compress(rs3_small.read_set)
         monkeypatch.setenv("SAGE_CODEC", "python")
-        decoder = SAGeDecompressor(archive, codec="auto")
+        assert SAGeDecompressor(archive).codec == "numpy"
+        decoder = SAGeDecompressor(archive, codec="python")
         assert decoder.codec == "python"
-        # Resolved at construction: a later env change cannot switch
-        # the kernel mid-archive, and a bad name fails here, not at the
-        # first block.
-        monkeypatch.setenv("SAGE_CODEC", "bogus")
-        assert decoder.codec in available_kernels()
         decoder.decompress_block(0)
-        with pytest.raises(ValueError, match="unknown codec"):
-            SAGeDecompressor(archive, codec="auto")
-        with pytest.raises(ValueError, match="unknown codec"):
-            SAGeDecompressor(archive, codec="fpga")
+        # A bad name fails here, not at the first block.
+        for bad in ("fpga", "auto"):
+            with pytest.raises(ValueError, match="unknown codec"):
+                SAGeDecompressor(archive, codec=bad)
 
 
 # ----------------------------------------------------------------------
@@ -497,8 +494,8 @@ class TestReadConstructionProperty:
         archive = _recipe_archive(recipes, level=level, fixed=fixed,
                                   long_reads=long_reads, tuned=tuned)
         decoder = SAGeDecompressor(archive)
-        want = get_kernel("python").decode_reads(decoder)
-        got = get_kernel("numpy").decode_reads(decoder)
+        want = resolve_kernel("python").decode_reads(decoder)
+        got = resolve_kernel("numpy").decode_reads(decoder)
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0], want[0])
 
@@ -538,7 +535,7 @@ class TestPlainReadRows:
         with pytest.raises(DecompressionError,
                            match="matching position walks outside the "
                                  "consensus"):
-            get_kernel("numpy").decode_reads(SAGeDecompressor(archive))
+            resolve_kernel("numpy").decode_reads(SAGeDecompressor(archive))
         with pytest.raises(SAGeError):
             SAGeDecompressor(archive, codec="python").decompress_block(0)
 
@@ -561,27 +558,29 @@ class TestPlainReadRows:
 
         monkeypatch.setattr(kernels, "_construct_reads", spied)
         decoder = SAGeDecompressor(archive)
-        got = get_kernel("numpy").decode_reads(decoder)
+        got = resolve_kernel("numpy").decode_reads(decoder)
         [(deviant, runs)] = calls
         assert len(deviant) == 3
         assert len(runs) == 4 * len(deviant)
         assert runs[0::4] == deviant
         assert runs[3::4] == [100] * len(deviant)
-        want = get_kernel("python").decode_reads(decoder)
+        want = resolve_kernel("python").decode_reads(decoder)
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[0], want[0])
 
 
-class TestWideTableFallback:
-    """A class wider than 56 bits overflows the skeleton walk's 64-bit
-    window, so the numpy kernel decodes such a block (a crafted table;
-    tuning never builds one) through the reference walk."""
+class TestWideClassRefused:
+    """Every field the format allows fits one 64-bit window: a class
+    wider than :data:`MAX_WIDTH` (56) bits is refused when its block is
+    parsed, the same typed error on both kernels, so the numpy kernel
+    has no second path for it.  Tuning never builds such a table; the
+    writer is let past the bound to craft one."""
 
-    def test_wide_count_class_takes_the_reference_walk(
-            self, fuzz_reference, monkeypatch):
+    def test_wide_count_class_is_a_corrupt_archive(self, fuzz_reference,
+                                                   monkeypatch):
         from dataclasses import replace
 
-        from repro.core import compressor
+        from repro.core import compressor, prefix_codes
 
         tune = compressor.tune_values
 
@@ -590,32 +589,50 @@ class TestWideTableFallback:
             return replace(result, table=AssociationTable(
                 result.table.widths + (60,)))
 
-        monkeypatch.setattr(compressor, "tune_values", widened)
         reads = _random_read_set(np.random.default_rng(3), fuzz_reference,
                                  n_reads=40, read_len=90, fixed=True,
                                  with_quality=False)
-        archive = SAGeCompressor(fuzz_reference,
-                                 SAGeConfig(with_quality=False)) \
-            .compress(reads)
-        assert max(archive.block(0).tables["count"].widths) > 56
+        with monkeypatch.context() as patch:
+            patch.setattr(prefix_codes, "MAX_WIDTH", 63)
+            patch.setattr(compressor, "tune_values", widened)
+            blob = SAGeCompressor(fuzz_reference,
+                                  SAGeConfig(with_quality=False)) \
+                .compress(reads).to_bytes()
+        assert MAX_WIDTH == 56
 
-        walks = []
-        walk = SAGeDecompressor.iter_read_codes
+        with pytest.raises(CorruptArchiveError, match="width 60") as info:
+            SAGeArchive.from_bytes(blob).block(0)
+        assert info.value.block_index == 0
+        for codec in available_kernels():
+            with pytest.raises(CorruptArchiveError, match="width 60"):
+                resolve_kernel(codec).decode_reads(
+                    SAGeDecompressor(SAGeArchive.from_bytes(blob),
+                                     codec=codec))
+            session = SAGeDataset(SAGeArchive.from_bytes(blob),
+                                  options=EngineOptions(codec=codec))
+            with pytest.raises(BlockDecodeError) as info:
+                session.read_set()
+            assert isinstance(info.value.__cause__, CorruptArchiveError)
+            assert info.value.block_index == 0
 
-        def counted(self, *args, **kwargs):
-            walks.append(kwargs.get("index", 0))
-            return walk(self, *args, **kwargs)
+    def test_wide_read_length_field_is_a_corrupt_archive(self,
+                                                         fuzz_reference):
+        from dataclasses import replace
 
-        decoder = SAGeDecompressor(archive)
-        want = get_kernel("python").decode_reads(decoder)
-        monkeypatch.setattr(SAGeDecompressor, "iter_read_codes", counted)
-        got = get_kernel("numpy").decode_reads(decoder)
-        assert walks == [0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[0], want[0])
-        assert sorted(got[0][a:b].tobytes()
-                      for a, b in zip(got[1], got[1][1:])) \
-            == sorted(read.codes.tobytes() for read in reads)
+        from repro.core.container import VERSION, SAGeBlock
+
+        reads = _random_read_set(np.random.default_rng(3), fuzz_reference,
+                                 n_reads=20, read_len=90, fixed=False,
+                                 with_quality=False)
+        block = SAGeCompressor(fuzz_reference,
+                               SAGeConfig(with_quality=False)) \
+            .compress(reads).block(0)
+        assert SAGeBlock.deserialize(block.serialize(), VERSION).w_rlen \
+            == block.w_rlen
+        wide = replace(block, w_rlen=MAX_WIDTH + 1).serialize()
+        with pytest.raises(CorruptArchiveError,
+                           match=f"read-length width {MAX_WIDTH + 1}"):
+            SAGeBlock.deserialize(wide, VERSION)
 
 
 class TestColumnarDecodeOracle:

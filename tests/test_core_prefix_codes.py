@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bitio import BitReader, BitWriter
-from repro.core.prefix_codes import MAX_CLASSES, AssociationTable
+from repro.core.errors import CorruptArchiveError
+from repro.core.prefix_codes import MAX_CLASSES, MAX_WIDTH, AssociationTable
 
 
 class TestValidation:
@@ -91,8 +92,8 @@ class TestEncodeDecode:
 
 
 class TestSerialization:
-    @given(st.sets(st.integers(min_value=0, max_value=63), min_size=1,
-                   max_size=MAX_CLASSES))
+    @given(st.sets(st.integers(min_value=0, max_value=MAX_WIDTH),
+                   min_size=1, max_size=MAX_CLASSES))
     def test_roundtrip(self, widths):
         table = AssociationTable(tuple(widths))
         w = BitWriter()
@@ -100,6 +101,18 @@ class TestSerialization:
         back = AssociationTable.deserialize(
             BitReader(w.getvalue(), w.bit_length))
         assert back.widths == table.widths
+
+    @pytest.mark.parametrize("width", range(MAX_WIDTH + 1, 64))
+    def test_wider_than_a_window_is_refused(self, width):
+        # The 6-bit width field can say 57..63; no decoder reads such a
+        # field through one 64-bit window, so the table is corrupt.
+        w = BitWriter()
+        w.write(1, 3)
+        w.write(3, 6)
+        w.write(width, 6)
+        with pytest.raises(CorruptArchiveError, match=f"width {width}"):
+            AssociationTable.deserialize(BitReader(w.getvalue(),
+                                                   w.bit_length))
 
 
 def test_unary_code_length():

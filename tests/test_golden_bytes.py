@@ -28,10 +28,10 @@ def _sha(data: bytes) -> str:
 
 
 def _fastq_sha(dataset: SAGeDataset, **options) -> str:
-    """FASTQ digest of a sibling session with ``options`` replaced."""
+    """FASTQ digest of a sibling session with ``options`` replaced (and
+    a decoder of its own, on its own kernel)."""
     sibling = SAGeDataset(dataset.archive,
-                          options=dataset.options.replace(**options),
-                          decompressor=dataset.decompressor())
+                          options=dataset.options.replace(**options))
     buffer = io.StringIO()
     sibling.to_fastq(buffer)
     return _sha(buffer.getvalue().encode("ascii"))
@@ -54,6 +54,7 @@ def test_archive_and_fastq_fingerprints(sims, row):
         options=EngineOptions(block_reads=row["block_reads"]))
     assert _sha(dataset.to_bytes()) == row["archive_sha256"]
     assert _fastq_sha(dataset) == row["fastq_sha256"]
+    assert _fastq_sha(dataset, codec="python") == row["fastq_sha256"]
     assert _fastq_sha(dataset, workers=2, backend="process") \
         == row["fastq_sha256"]
 

@@ -95,8 +95,7 @@ class TestHardwareModel:
 
     def test_run_decodes_each_block_once(self, monkeypatch, rs4_small):
         """One session decode per block and no reference walk: the
-        model is pinned to no kernel (here the vectorized one)."""
-        monkeypatch.setenv("SAGE_CODEC", "numpy")
+        model decodes on the default (vectorized) kernel."""
         blocked = SAGeCompressor(
             rs4_small.reference, SAGeConfig(),
             options=EngineOptions(block_reads=64)).compress(

@@ -187,38 +187,38 @@ def error_taxonomy(source, where):
 # SGL002 kernel-determinism (PR 5/6): archives are byte-identical
 # across mapper kernels and decoded reads across codec kernels, so no
 # module that decides bytes — every module under core/ and mapping/, a
-# computed scope, not a list somebody keeps — consults a clock, an RNG
-# or, outside the resolve_* registry resolvers, the environment.
+# computed scope, not a list somebody keeps — consults a clock or an
+# RNG, and nothing under src/ reads the environment: a kernel is named
+# where a decoder or a config is built, never in a variable.
 # ----------------------------------------------------------------------
 
 _NONDETERMINISTIC = {"random", "time", "datetime", "secrets", "uuid"}
+_ENVIRONMENT = {"environ", "getenv"}
 
 
 def kernel_determinism(source, where):
-    if not where.startswith(("src/repro/core/", "src/repro/mapping/")):
+    if not where.startswith("src/"):
         return []
+    decides_bytes = where.startswith(("src/repro/core/",
+                                      "src/repro/mapping/"))
     offenders = []
-
-    def walk(node, in_resolver):
+    for node in ast.walk(ast.parse(source)):
         modules = []
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             modules = [node.module]
         offenders.extend(f"{where}:{node.lineno} imports {module}"
-                         for module in modules
-                         if module.split(".")[0] in _NONDETERMINISTIC)
-        if (isinstance(node, ast.Attribute) and not in_resolver
+                         for module in modules if decides_bytes
+                         and module.split(".")[0] in _NONDETERMINISTIC)
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            offenders.extend(f"{where}:{node.lineno} imports os.{alias.name}"
+                             for alias in node.names
+                             if alias.name in _ENVIRONMENT)
+        if (isinstance(node, ast.Attribute)
                 and getattr(node.value, "id", None) == "os"
-                and node.attr in ("environ", "getenv")):
-            offenders.append(f"{where}:{node.lineno} reads os.{node.attr} "
-                             f"outside a resolve_* function")
-        if isinstance(node, FUNCTIONS) and node.name.startswith("resolve_"):
-            in_resolver = True
-        for child in ast.iter_child_nodes(node):
-            walk(child, in_resolver)
-
-    walk(ast.parse(source), False)
+                and node.attr in _ENVIRONMENT):
+            offenders.append(f"{where}:{node.lineno} reads os.{node.attr}")
     return offenders
 
 
@@ -232,14 +232,12 @@ def kernel_determinism(source, where):
 # ends (cli.py, serve/) do not mention a codec at all.
 # ----------------------------------------------------------------------
 
-ENGINE_KNOBS = {"workers", "backend", "block_reads", "codec", "mapper"}
+ENGINE_KNOBS = {"workers", "backend", "block_reads", "codec"}
 
 #: site -> why a knob-named parameter there is not a re-decided option.
 SANCTIONED_KNOB_SITES = {
     "src/repro/core/decompressor.py::SAGeDecompressor.__init__":
-        "codec selection is the kernel-registry mechanism itself",
-    "src/repro/baselines/spring.py::SpringCompressor.__init__":
-        "mapper kernel selection is this baseline's mechanism",
+        "a decoder is where its kernel is named",
     "src/repro/genomics/fastq.py::iter_read_sets":
         "block_reads is the parser's batching unit, not an engine knob "
         "here",
@@ -496,11 +494,16 @@ def reads_constructed_once(source, where):
     ``core/kernels.py`` reverse-complements no read on its own, makes no
     ``np.concatenate`` / ``np.empty`` call and assigns no slice inside a
     loop (a read built from its parts, or written into its slice, one
-    at a time), rolls back no substitution (``del rows[-n:]``) and names
-    none of the lists of the simple/complex split."""
+    at a time), rolls back no substitution (``del rows[-n:]``), names
+    none of the lists of the simple/complex split, and calls the
+    reference walk (``iter_read_codes``) only as the ``python`` kernel:
+    the numpy kernel has no block it hands over."""
     if where != "src/repro/core/kernels.py":
         return []
     tree = ast.parse(source)
+    reference = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "PythonKernel"
+                 for node in ast.walk(cls)}
     looped = {id(node) for loop in ast.walk(tree)
               if isinstance(loop, (ast.For, ast.While))
               for stmt in loop.body for node in ast.walk(stmt)}
@@ -520,6 +523,9 @@ def reads_constructed_once(source, where):
             offenders.append(f"{where}:{node.lineno} del (a rollback)")
         elif getattr(node, "id", None) in _FORK_NAMES:
             offenders.append(f"{where}:{node.lineno} {node.id}")
+        elif called == "iter_read_codes" and id(node) not in reference:
+            offenders.append(f"{where}:{node.lineno} iter_read_codes( "
+                             f"outside the python kernel")
     return offenders
 
 
@@ -627,8 +633,7 @@ def one_format_written(source, where):
 #: Everything a caller sets on a session.  What a pass decodes is its
 #: sinks' ``requires``, a pooled failure is retried once, and nothing
 #: times a block out, so none of the three is an option.
-SESSION_FIELDS = {"workers", "backend", "block_reads", "codec", "mapper",
-                  "on_error"}
+SESSION_FIELDS = {"workers", "backend", "block_reads", "codec", "on_error"}
 
 
 def options_a_caller_sets(source, where):
@@ -659,15 +664,18 @@ def options_a_caller_sets(source, where):
 #: Names that stay deleted: the sink registry's functions and factory
 #: type (the built-in sinks are a fixed table; a custom sink is piped as
 #: an object), the ``Read``-object chunker (chunks are
-#: ``ReadSet.subset`` views), the SAM renderer nothing called, and the
+#: ``ReadSet.subset`` views), the SAM renderer nothing called, the
 #: FTL's grouped GC, the device's batch iterator and the thread-scaling
-#: rate that only tests called, and the second compressor
-#: (``SAGeCompressor.compress`` cuts and pools a read stream itself).
+#: rate that only tests called, the second compressor
+#: (``SAGeCompressor.compress`` cuts and pools a read stream itself),
+#: and the decode-kernel extension point (the two kernels are a fixed
+#: table that ``resolve_kernel`` reads).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
                        "BlockCompressor", "DecodedBlockCache", "SingleFlight",
-                       "CacheStats"}
+                       "CacheStats", "CodecKernel", "register_kernel",
+                       "get_kernel", "resolve_codec"}
 
 
 def deleted_stay_deleted(source, where):
@@ -899,8 +907,8 @@ FIXTURES = {
         "clean": ("""\
             import os
 
-            def resolve_codec(name):
-                return os.environ.get("SAGE_CODEC", name)
+            def archive_path(directory, name):
+                return os.path.join(directory, name + ".sage")
             """, KERNEL),
     },
     "SGL003": {
@@ -1039,9 +1047,29 @@ class TestKernelDeterminismEdges:
             LEVEL = os.environ.get("SAGE_LEVEL", "O4")
             """, KERNEL) != []
 
+    def test_env_read_inside_a_resolver(self):
+        # No function name excuses an environment read: a kernel is
+        # named where a decoder or a config is built.
+        assert on_snippet(kernel_determinism, """\
+            import os
+
+            def resolve_codec(spec):
+                return os.environ.get("SAGE_CODEC", spec)
+            """, KERNEL) != []
+        assert on_snippet(kernel_determinism, """\
+            from os import getenv
+
+            def resolve_mapper(spec):
+                return getenv("SAGE_MAPPER") or spec
+            """, "src/repro/mapping/batch.py") != []
+
     def test_non_kernel_module_may_import_time(self):
         assert on_snippet(kernel_determinism, "import time\n",
                           "src/repro/pipeline/bench.py") == []
+        # ... but no module under src/ reads the environment.
+        assert on_snippet(kernel_determinism,
+                          "import os\nWORKERS = os.environ['WORKERS']\n",
+                          "src/repro/cli.py") != []
 
     @pytest.mark.parametrize("module", [
         "core/huffman.py", "core/quality.py", "core/new_module.py",
@@ -1155,13 +1183,11 @@ class TestOptionsThreadingEdges:
         from repro.core import SAGeConfig
         from repro.core.options import EngineOptions
 
-        # ``mapper`` is a name clash (kernel name here, the
-        # ``MapperConfig`` there); the one shared *meaning* is
-        # ``mapper`` <-> ``mapper_kernel``, related by
-        # ``EngineOptions.compressor_config`` and nothing else.
-        # ``codec`` is a decode kernel: the encoder has none.
+        # The two objects share no field: the mapper kernel is
+        # ``SAGeConfig.mapper_kernel`` alone, and ``codec`` is a decode
+        # kernel (the encoder has none).
         assert {f.name for f in fields(EngineOptions)} \
-            & {f.name for f in fields(SAGeConfig)} == {"mapper"}
+            & {f.name for f in fields(SAGeConfig)} == set()
         assert {f.name for f in fields(EngineOptions)} == SESSION_FIELDS
 
         facade = (SRC / "repro/api/dataset.py").read_text()
@@ -1176,10 +1202,18 @@ class TestOptionsThreadingEdges:
                      workers: int = 1
                      backend: str = "auto"
                      block_reads: int = 0
-                     codec: str = "auto"
-                     mapper: str = "auto"
+                     codec: str = "numpy"
                      on_error: str = "raise"
                      streams: tuple | None = None
+                 """, "src/repro/core/options.py"),
+                ("""\
+                 class EngineOptions:
+                     workers: int = 1
+                     backend: str = "auto"
+                     block_reads: int = 0
+                     codec: str = "numpy"
+                     mapper: str = "numpy"
+                     on_error: str = "raise"
                  """, "src/repro/core/options.py"),
                 ('REQUEST_OPTION_KEYS = frozenset({"workers", "backend", '
                  '"on_error", "block_retries"})\n',
@@ -1412,9 +1446,20 @@ class TestOptionsThreadingEdges:
                     out = np.empty(core_len, dtype=np.uint8)
                 """,
                 "del sub_row[-n_subs:]\n",
-                "complex_recs.append((i, events))\n"):
+                "complex_recs.append((i, events))\n",
+                """\
+                def _decode_reads_batched(dec, index):
+                    if wide:
+                        return _flatten(list(dec.iter_read_codes(index=index)))
+                """):
             assert on_snippet(reads_constructed_once, violating,
                               kernels) != [], violating
+        assert on_snippet(reads_constructed_once, """\
+            class PythonKernel:
+                def decode_reads(self, decompressor, select=None, index=0):
+                    return _flatten(list(decompressor.iter_read_codes(
+                        index=index)))
+            """, kernels) == []
         assert on_snippet(reads_constructed_once, """\
             for k in range(8):
                 window = (window << np.uint64(8)) | ext[k:k + size]

@@ -221,10 +221,10 @@ class TestCrossMapperFuzz:
     def test_blocked_archive_identical(self, rs3_small):
         blobs = {}
         for mapper in available_mappers():
-            options = EngineOptions(block_reads=64, mapper=mapper)
             dataset = SAGeDataset.from_fastq(
                 rs3_small.read_set, reference=rs3_small.reference,
-                options=options)
+                config=SAGeConfig(mapper_kernel=mapper),
+                options=EngineOptions(block_reads=64))
             blobs[mapper] = dataset.to_bytes()
         assert blobs["python"] == blobs["numpy"]
 
@@ -232,23 +232,25 @@ class TestCrossMapperFuzz:
                                         "rs4_small"])
     def test_analysis_consumers_identical(self, analog, request,
                                           monkeypatch):
-        """The session's mapper choice reaches every analysis consumer
-        and changes nothing they report."""
+        """The analysis consumers map on ``DEFAULT_MAPPER`` (no session
+        chooses), and what they report does not depend on which kernel
+        that name builds."""
         sim = request.getfixturevalue(analog)
-        archive = SAGeDataset.from_fastq(
+        session = SAGeDataset.from_fastq(
             sim.read_set, reference=sim.reference,
-            options=EngineOptions(block_reads=64)).archive
+            options=EngineOptions(block_reads=64))
+        n_blocks = session.archive.n_blocks
         seen = {}
         for mapper in available_mappers():
-            session = SAGeDataset(archive,
-                                  options=EngineOptions(mapper=mapper))
+            monkeypatch.setitem(batch._MAPPERS, batch.DEFAULT_MAPPER,
+                                {"python": ReadMapper,
+                                 "numpy": BatchReadMapper}[mapper])
             batch.reset_stats()
             report, rate = session.pipe("property", "mapping-rate").run()
             # One map_batch call per sink per block on the numpy
             # kernel; the scalar kernel never reaches the batch mapper.
             assert batch.GLOBAL_STATS.batches \
-                == (2 * archive.n_blocks if mapper == "numpy" else 0)
-            monkeypatch.setenv("SAGE_MAPPER", mapper)   # free functions
+                == (2 * n_blocks if mapper == "numpy" else 0)
             evidence = pileup(session.blocks(), sim.reference)
             seen[mapper] = (_plain(report), rate, _plain(evidence))
         assert seen["python"] == seen["numpy"]
@@ -311,7 +313,7 @@ class TestAnalysisColumns:
         rng = np.random.default_rng(1)
         codes, offsets = block_columns(_fuzz_reads(
             rng, reference, 200, 260, clip_rate=0.2))
-        table = make_mapper("auto", reference, MapperConfig(
+        table = make_mapper(batch.DEFAULT_MAPPER, reference, MapperConfig(
             max_segments=3)).map_batch(codes, offsets)
         assert table.reverse.any() and table.unmapped.any()
         assert (table.clip_s > 0).any() and (table.clip_e > 0).any()
@@ -429,20 +431,22 @@ class TestMapperRegistry:
     def test_available(self):
         assert available_mappers() == ("numpy", "python")
 
-    def test_resolve_default(self, monkeypatch):
-        monkeypatch.delenv("SAGE_MAPPER", raising=False)
-        assert resolve_mapper(None) == batch.DEFAULT_MAPPER
-        assert resolve_mapper("auto") == batch.DEFAULT_MAPPER
+    def test_resolve_default(self):
+        assert resolve_mapper(None) == batch.DEFAULT_MAPPER == "numpy"
+        assert SAGeConfig().mapper_kernel == batch.DEFAULT_MAPPER
         assert resolve_mapper("python") == "python"
 
     def test_resolve_env(self, monkeypatch):
+        # The kernel is named where a config is built; the environment
+        # chooses nothing.
         monkeypatch.setenv("SAGE_MAPPER", "python")
-        assert resolve_mapper("auto") == "python"
-        assert resolve_mapper("numpy") == "numpy"
+        assert resolve_mapper(None) == "numpy"
+        assert SAGeConfig().mapper_kernel == "numpy"
 
     def test_resolve_unknown(self):
-        with pytest.raises(ValueError, match="unknown mapper"):
-            resolve_mapper("simd")
+        for bad in ("simd", "auto"):
+            with pytest.raises(ValueError, match="unknown mapper"):
+                resolve_mapper(bad)
 
     def test_make_mapper_classes(self, reference):
         assert type(make_mapper("python", reference)) is ReadMapper
@@ -455,13 +459,16 @@ class TestMapperRegistry:
         assert mapper.config is cfg
 
     def test_engine_options_validation(self):
-        with pytest.raises(ValueError, match="unknown mapper"):
-            EngineOptions(mapper="simd")
-        assert EngineOptions(mapper="numpy").mapper == "numpy"
+        # A session does not name a mapper: that is the format config's.
+        with pytest.raises(TypeError):
+            EngineOptions(mapper="numpy")
 
     def test_options_reach_compressor_config(self):
-        cfg = EngineOptions(mapper="python").compressor_config()
-        assert cfg.mapper_kernel == "python"
+        config = SAGeConfig(mapper_kernel="python")
+        copied = EngineOptions().compressor_config(config)
+        assert copied == config and copied is not config
+        assert EngineOptions().compressor_config().mapper_kernel \
+            == batch.DEFAULT_MAPPER
 
 
 # ----------------------------------------------------------------------

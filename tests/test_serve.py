@@ -195,6 +195,18 @@ class TestEndpoints:
         assert status == 404
         assert "out of range" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("fmt", ["sam", "", "JSON"])
+    def test_unknown_format_400(self, client, fmt):
+        # The server renders two bodies; any other name is the
+        # client's mistake, not a FASTQ body.
+        status, body = client.get(f"/block/0?format={fmt}")
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert repr(fmt) in error
+        assert "'fastq'" in error and "'json'" in error
+        assert client.get_text("/block/0?format=fastq") \
+            == client.get_text("/block/0")
+
     def test_bad_streams_400(self, client):
         status, body = client.get("/block/0?streams=bogus")
         assert status == 400
@@ -304,7 +316,7 @@ class TestEndpoints:
         assert status == 400
 
     @pytest.mark.parametrize("field,value", [
-        ("workers", 2.5), ("workers", "2")])
+        ("workers", 2.5), ("workers", "2"), ("workers", True)])
     def test_analyze_non_integral_option_400(self, client, field, value):
         # Validated at the boundary, not inside ProcessPoolExecutor (a
         # 500).
