@@ -47,7 +47,9 @@ def burst(server: ArchiveServer, n_clients: int, block: int) -> None:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         archive_path = build_archive(Path(tmp))
-        with ArchiveServer([str(archive_path)], port=0) as server:
+        # /analyze requests may use up to the server's two workers.
+        with ArchiveServer([str(archive_path)], port=0,
+                           options=EngineOptions(workers=2)) as server:
             port = server.start()
             print(f"serving on http://{server.host}:{port}")
             with ServeClient(server.host, port) as client:

@@ -12,6 +12,8 @@ Run:  python examples/streaming_analyze.py
 """
 
 import io
+import tempfile
+from pathlib import Path
 
 from repro import EngineOptions, SAGeDataset
 from repro.genomics import datasets
@@ -21,27 +23,36 @@ OPTIONS = EngineOptions(block_reads=32, workers=2)
 
 
 def main() -> None:
-    # A blocked v3 archive: each block decodes independently.
+    # A blocked archive: each block decodes independently.
     sim = datasets.generate("RS3", base_genome=12_000)
-    dataset = SAGeDataset.from_fastq(sim.read_set,
-                                     reference=sim.reference,
-                                     options=OPTIONS)
-    print(f"archive: {len(sim.read_set)} reads in {dataset.n_blocks} "
+    compressed = SAGeDataset.from_fastq(sim.read_set,
+                                        reference=sim.reference,
+                                        options=OPTIONS)
+    print(f"archive: {len(sim.read_set)} reads in {compressed.n_blocks} "
           f"independently decodable blocks")
+    with tempfile.TemporaryDirectory() as tmp:
+        # Pool workers open the archive file themselves: save it, then
+        # open it as the session the passes run on.
+        path = Path(tmp) / "reads.sage"
+        compressed.save(path)
+        with SAGeDataset.open(path, options=OPTIONS) as dataset:
+            analyze(dataset, len(sim.read_set))
 
+
+def analyze(dataset: SAGeDataset, n_reads: int) -> None:
     # Decode blocks on worker processes with bounded prefetch while the
     # sinks consume earlier blocks — prep overlaps analysis, and memory
     # stays bounded by the in-flight window, not the dataset.  One pass
     # analyzes the reads ("property" is a built-in sink name), re-emits
-    # them as FASTQ, and feeds a bare callable.
+    # them as FASTQ (rendered in the workers), and feeds a bare callable.
     fastq_out = io.StringIO()
     report, n_written, block_sizes = (
         dataset.pipe("property")
                .pipe(FastqSink(fastq_out))
                .pipe(lambda block: len(block))
                .run())
-    assert n_written == len(sim.read_set)
-    assert sum(block_sizes) == len(sim.read_set)
+    assert n_written == n_reads
+    assert sum(block_sizes) == n_reads
 
     stats = dataset.stats
     print(f"streamed {stats.blocks} blocks ({stats.reads} reads, "

@@ -283,8 +283,8 @@ class SAGeDataset:
         payload bytes are faulted in (zero-copy) the first time that
         block is accessed.  A streaming pass over the archive therefore
         peaks far below the archive size, and the process-backend
-        executor's workers open the same file themselves — a task is a
-        bare block index.  Usable as a context manager; :meth:`close`
+        executor's workers open the same file themselves — a task names
+        the file and a block.  Usable as a context manager; :meth:`close`
         releases the mapping.
         """
         return cls(SAGeArchive.open(path), options=options, path=path)
@@ -316,6 +316,11 @@ class SAGeDataset:
         ``ValueError("dataset session is closed")``.  This is what
         allows a server to close a dataset during shutdown without
         fencing its worker threads first.
+
+        Decode pool workers are the process's, not the session's: each
+        keeps the archive file of its latest task mapped, idle or not,
+        until a task names another file (see
+        :class:`~repro.pipeline.executor.StreamExecutor`).
         """
         self._closed = True
         self._decompressor = None
@@ -495,12 +500,13 @@ class SAGeDataset:
     def to_fastq(self, target) -> int:
         """Stream the dataset out as FASTQ; returns the read count.
 
-        ``target`` is a path or an open text handle.  Blocks are
+        ``target`` is a path or an open handle (binary, or text: see
+        :class:`~repro.pipeline.executor.FastqSink`).  Blocks are
         written as they decode — the dataset is never materialized.
         """
         self._require_open()
         if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="ascii") as handle:
+            with open(target, "wb") as handle:
                 return self.to_fastq(handle)
         [n_reads] = self._make_executor().run(FastqSink(target))
         return n_reads

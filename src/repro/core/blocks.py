@@ -14,18 +14,19 @@ worker finished first.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Executor
+from concurrent.futures import Future
 from typing import Callable, Iterable, Iterator
 
 __all__ = ["imap_bounded"]
 
 
-def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
+def imap_bounded(submit: Callable[[object], Future], items: Iterable,
                  window: int,
                  depth_probe: Callable[[int], None] | None = None,
                  failure: Callable[[int, BaseException], object] | None
                  = None) -> Iterator:
-    """``executor.map`` with a bounded number of in-flight futures.
+    """``executor.map`` with a bounded number of in-flight futures, each
+    started by ``submit(item)`` (e.g. ``partial(pool.submit, fn)``).
 
     Preserves submission order, so merged results are independent of
     completion order — and the input iterator is consumed lazily, so a
@@ -37,8 +38,8 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
     slot raises, and its return value is yielded in place of the lost
     result, so one bad item cannot kill the whole stream.  Without it,
     the exception propagates.  There is no per-slot timeout: a process
-    task that is already running cannot be cancelled, and leaving the
-    pool waits for it anyway.
+    task that is already running cannot be cancelled, so its worker
+    stays busy until it ends anyway.
     """
     pending: deque = deque()
     yielded = 0
@@ -56,7 +57,7 @@ def imap_bounded(executor: Executor, fn: Callable, items: Iterable,
             return failure(index, exc)
 
     for item in items:
-        pending.append(executor.submit(fn, item))
+        pending.append(submit(item))
         if depth_probe is not None:
             depth_probe(len(pending))
         if len(pending) >= window:

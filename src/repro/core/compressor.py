@@ -34,6 +34,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -539,8 +540,9 @@ class SAGeCompressor:
                           RuntimeWarning, stacklevel=3)
             return [self.compress_block(c) for c in chunks]
         with executor:
-            return list(imap_bounded(executor, _compress_chunk_pooled,
-                                     chunks, self.window))
+            return list(imap_bounded(
+                partial(executor.submit, _compress_chunk_pooled), chunks,
+                self.window))
 
     # ------------------------------------------------------------------
     # Mapping

@@ -59,6 +59,7 @@ and header blobs for that block's reads.
 from __future__ import annotations
 
 import mmap
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -360,6 +361,9 @@ class SAGeArchive:
         #: Path of the backing file for archives opened with :meth:`open`
         #: — process-pool decode workers open the same file themselves.
         self.source_path: Path | None = None
+        #: ``(st_dev, st_ino, st_size, st_mtime_ns)`` of the file
+        #: :meth:`open` mapped, which a worker opening the path checks.
+        self.file_identity: tuple[int, int, int, int] | None = None
 
     @classmethod
     def from_blocks(cls, blocks: list[SAGeBlock], *, level: OptLevel,
@@ -429,9 +433,10 @@ class SAGeArchive:
         a zero-copy ``memoryview`` slice whose CRC32 is verified on the
         view.  No payload is copied on the intact path.
 
-        The archive records its :attr:`source_path`, which is what lets
-        process-pool decode workers open the same file themselves
-        instead of receiving payload bytes.  Call :meth:`close` (or let
+        The archive records its :attr:`source_path` and
+        :attr:`file_identity`, which is what lets process-pool decode
+        workers open the same file themselves instead of receiving
+        payload bytes.  Call :meth:`close` (or let
         the dataset session do it) to drop the mapping; writers never
         mutate a mapped file in place
         (:func:`repro.api.dataset.atomic_write_bytes` replaces the
@@ -439,6 +444,7 @@ class SAGeArchive:
         """
         path = Path(path)
         with open(path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
             try:
                 mapped = mmap.mmap(handle.fileno(), 0,
                                    access=mmap.ACCESS_READ)
@@ -455,6 +461,8 @@ class SAGeArchive:
             raise
         archive._mmap = mapped
         archive.source_path = path
+        archive.file_identity = (stat.st_dev, stat.st_ino, stat.st_size,
+                                 stat.st_mtime_ns)
         return archive
 
     @property
@@ -622,9 +630,8 @@ class SAGeArchive:
         return self._checked_payload(index, self.block_index()[index])
 
     def source_bytes(self) -> bytes:
-        """The archive as one blob another process can ``from_bytes``:
-        the source bytes, unverified — per-block damage must surface
-        where the block is decoded, not here."""
+        """The source bytes as one blob, unverified — per-block damage
+        must surface where the block is decoded, not here."""
         blob = self._source_blob
         if blob is None:
             raise ContainerError("archive closed")

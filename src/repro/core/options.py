@@ -64,11 +64,14 @@ class EngineOptions:
         Worker processes for block compression / parallel block decode.
         ``1`` is the serial reference path; every value produces
         byte-identical output (a one-block archive has nothing to
-        parallelise and is compressed and decoded serially).
+        parallelise and is compressed and decoded serially, and so is
+        an archive with no file behind it).  The decode pool of
+        ``workers`` processes is the process's, reused by every pass.
     backend:
         Decode backend, one of :data:`BACKENDS`
         (``auto`` picks ``serial`` for one worker, ``process``
-        otherwise).
+        otherwise).  ``process`` workers open the archive file and
+        send back each block as its sinks take it (FASTQ or columns).
     block_reads:
         Reads per independently decodable block when compressing: ``0``
         writes a one-block archive, ``N > 0`` partitions the input into

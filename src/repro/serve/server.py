@@ -61,7 +61,9 @@ def request_options(base: EngineOptions, overrides: dict) -> EngineOptions:
 
     Unknown keys and invalid values are client errors (400), surfaced
     through the facade's own validation — ``EngineOptions.replace``
-    re-runs ``__post_init__`` on the merged options.
+    re-runs ``__post_init__`` on the merged options.  So is ``workers``
+    above the server's own: decode pools live as long as the process,
+    and a request starts no worker the operator did not configure.
     """
     if not overrides:
         return base
@@ -71,9 +73,13 @@ def request_options(base: EngineOptions, overrides: dict) -> EngineOptions:
             400, f"unknown option(s) {', '.join(unknown)}; requests may "
                  f"override: {', '.join(sorted(REQUEST_OPTION_KEYS))}")
     try:
-        return base.replace(**overrides)
+        options = base.replace(**overrides)
     except (TypeError, ValueError) as exc:
         raise HTTPError(400, f"invalid options: {exc}") from exc
+    if options.workers > base.workers:
+        raise HTTPError(400, f"invalid options: workers {options.workers} "
+                             f"exceeds the server's {base.workers}")
+    return options
 
 
 class _ServedArchive:
@@ -567,6 +573,10 @@ class ArchiveServer:
                 400, f"read range [{start}, {stop}) is invalid for "
                      f"archive {served.name!r} with {served.n_reads} "
                      f"reads")
+        fmt = request.query.get("format", "fastq")
+        if fmt != "fastq":
+            raise HTTPError(400, f"unknown format {fmt!r}; /reads answers "
+                                 f"'fastq'")
         selection = self._selection_of(request)
         offsets = served.read_offsets
         first = bisect_right(offsets, start) - 1

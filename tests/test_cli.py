@@ -483,9 +483,11 @@ class TestVerifySalvage:
         with SAGeDataset.open(blocked, options=options) as dataset:
             assert dataset.verify(deep=True).status == "ok"
             stats = dataset.stats
-        # The deep pass ran on the pool: tasks were shipped to workers.
+        # The deep pass ran on the pool: tasks, each naming the file and
+        # a block, were shipped to workers.
         assert stats.blocks > 1 and not stats.gaps
-        assert 0 < stats.bytes_shipped < 64 * stats.blocks
+        assert 0 < stats.bytes_shipped \
+            < (len(str(blocked)) + 64) * stats.blocks
 
     def test_salvage_recovers_survivors(self, damaged, workdir, capsys,
                                         rs3_small):

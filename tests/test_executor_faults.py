@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from repro.api import EngineOptions, SAGeDataset
+from repro.api import EngineOptions, SAGeDataset, atomic_write_bytes
 from repro.core.container import SAGeArchive
 from repro.core.errors import BlockDecodeError, SAGeError
 from repro.pipeline.executor import (BlockGap, CollectSink, FastqSink,
@@ -27,16 +27,23 @@ def intact(rs3_small):
 
 
 @pytest.fixture(scope="module")
-def corrupt(intact):
-    """The intact archive with one byte flipped inside block BAD_BLOCK."""
+def corrupt(intact, tmp_path_factory):
+    """The intact archive with one byte flipped inside block BAD_BLOCK,
+    as a mapped file (pool workers open the file)."""
     blob = intact.to_bytes()
     entry = intact.archive.block_index()[BAD_BLOCK]
     damaged = bytearray(blob)
     damaged[entry.offset + entry.nbytes // 2] ^= 0xFF
-    return SAGeArchive.from_bytes(bytes(damaged))
+    path = tmp_path_factory.mktemp("faults") / "corrupt.sage"
+    path.write_bytes(bytes(damaged))
+    archive = SAGeArchive.open(path)
+    yield archive
+    archive.close()
 
 
 def _executor(archive, **kwargs):
+    """An executor over ``archive``, which is file-backed wherever a
+    test pools it: an archive with no file decodes in the parent."""
     kwargs.setdefault("workers", 1)
     return StreamExecutor(archive, options=EngineOptions(**kwargs))
 
@@ -118,6 +125,33 @@ class TestOnErrorPolicy:
         assert executor.stats.streams_decoded \
             == serial.stats.streams_decoded
         assert executor.stats.stream_bits_total > 0
+
+    def test_replaced_file_is_rescued_from_the_parent_mapping(
+            self, intact, rs3_small, tmp_path):
+        # A session maps archive A; its path is then replaced by archive
+        # B.  Workers opening the path find B's identity, so every block
+        # is decoded in the parent, from A's mapping, as the serial
+        # backend of the same session does.
+        path = tmp_path / "replaced.sage"
+        atomic_write_bytes(path, intact.to_bytes())
+        reads = rs3_small.read_set
+        other = SAGeDataset.from_fastq(
+            reads.subset(range(len(reads) - 1, -1, -1)),
+            reference=rs3_small.reference,
+            options=EngineOptions(block_reads=BLOCK_READS))
+        with SAGeDataset.open(path, options=EngineOptions(
+                workers=2, backend="process")) as dataset:
+            atomic_write_bytes(path, other.to_bytes())
+            pooled = io.BytesIO()
+            dataset.to_fastq(pooled)
+            assert dataset.stats.blocks_retried == dataset.n_blocks
+            serial = io.BytesIO()
+            SAGeDataset(dataset.archive,
+                        decompressor=dataset.decompressor()).to_fastq(serial)
+        replaced = io.BytesIO()
+        with SAGeDataset.open(path) as now:
+            now.to_fastq(replaced)
+        assert pooled.getvalue() == serial.getvalue() != replaced.getvalue()
 
 
 class TestSinksAcrossGaps:

@@ -668,14 +668,15 @@ def options_a_caller_sets(source, where):
 #: FTL's grouped GC, the device's batch iterator and the thread-scaling
 #: rate that only tests called, the second compressor
 #: (``SAGeCompressor.compress`` cuts and pools a read stream itself),
-#: and the decode-kernel extension point (the two kernels are a fixed
-#: table that ``resolve_kernel`` reads).
+#: the decode-kernel extension point (the two kernels are a fixed
+#: table that ``resolve_kernel`` reads), and the decode pool's
+#: initializer (a pool outlives a pass; a task names its archive file).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
                        "BlockCompressor", "DecodedBlockCache", "SingleFlight",
                        "CacheStats", "CodecKernel", "register_kernel",
-                       "get_kernel", "resolve_codec"}
+                       "get_kernel", "resolve_codec", "_init_decode_worker"}
 
 
 def deleted_stay_deleted(source, where):

@@ -1,6 +1,11 @@
 """Tests for the overlapped streaming execution engine."""
 
 import io
+import os
+import shutil
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -11,8 +16,8 @@ from repro.api import EngineOptions, SAGeDataset
 from repro.core import (INFLIGHT_PER_WORKER, SAGeArchive, SAGeCompressor,
                         SAGeConfig, SAGeDecompressor)
 from repro.genomics import fastq
-from repro.pipeline.executor import (CollectSink, FastqSink,
-                                     StreamExecutor)
+from repro.pipeline import executor as executor_mod
+from repro.pipeline.executor import CollectSink, FastqSink, StreamExecutor
 
 from tests.conftest import decode_blocks, format_read, read_multiset
 
@@ -20,15 +25,39 @@ BLOCK_READS = 16
 
 
 @pytest.fixture(scope="module")
-def blocked(rs3_small):
-    """A multi-block archive round-tripped through bytes."""
+def blocked(rs3_small, tmp_path_factory):
+    """A multi-block archive file, mapped: pool workers open the file."""
     archive = SAGeCompressor(
         rs3_small.reference, SAGeConfig(),
         options=EngineOptions(block_reads=BLOCK_READS)) \
         .compress(rs3_small.read_set)
-    loaded = SAGeArchive.from_bytes(archive.to_bytes())
+    path = tmp_path_factory.mktemp("blocked") / "blocked.sage"
+    path.write_bytes(archive.to_bytes())
+    loaded = SAGeArchive.open(path)
     assert loaded.n_blocks > 2
-    return loaded
+    yield loaded
+    loaded.close()
+
+
+@pytest.fixture()
+def fresh_pools(monkeypatch):
+    """The process as if no decode pool had started; yields the pools
+    the test constructs, which are shut down afterwards."""
+    built = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(executor_mod, "_pools", {})
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", Counted)
+    yield built
+    for pool in built:
+        pool.shutdown()
+
+
+POOLED = EngineOptions(workers=2, backend="process")
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +86,10 @@ class TestStreamExecutor:
                                                monkeypatch):
         """No process pool can start: one ``RuntimeWarning`` and the
         pass decodes in process, to the serial FASTQ."""
-        from repro.pipeline import executor as executor_mod
-
         def no_pool(*args, **kwargs):
             raise OSError("process creation refused")
 
+        monkeypatch.setattr(executor_mod, "_pools", {})
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", no_pool)
         executor = StreamExecutor(blocked, options=EngineOptions(
             workers=2, backend="process"))
@@ -220,3 +248,103 @@ class TestStreamedAnalysis:
                               rs3_small.reference)
         assert [(c.position, c.kind) for c in streamed] \
             == [(c.position, c.kind) for c in whole]
+
+
+def _pooled_fastq(archive) -> str:
+    buffer = io.StringIO()
+    executor = StreamExecutor(archive, options=POOLED)
+    executor.run(FastqSink(buffer))
+    assert executor.stats.blocks_retried == 0
+    return buffer.getvalue()
+
+
+class TestPoolLifetime:
+    """The decode pool is the process's: started by the first pooled
+    pass, reused by the next, replaced when broken, never inherited."""
+
+    def test_passes_over_two_datasets_share_one_pool(
+            self, blocked, serial_text, fresh_pools, tmp_path):
+        copy = tmp_path / "copy.sage"
+        shutil.copyfile(blocked.source_path, copy)
+        with SAGeDataset.open(blocked.source_path, options=POOLED) as one, \
+                SAGeDataset.open(copy, options=POOLED) as two:
+            texts = []
+            for dataset in (one, two, one):
+                buffer = io.StringIO()
+                dataset.to_fastq(buffer)
+                texts.append(buffer.getvalue())
+                assert dataset.stats.blocks_retried == 0
+        assert texts == [serial_text] * 3
+        assert len(fresh_pools) == 1
+
+    def test_broken_pool_is_replaced_at_the_next_pass(
+            self, blocked, serial_text, fresh_pools):
+        assert _pooled_fastq(blocked) == serial_text
+        [pool] = fresh_pools
+        crash = pool.submit(os._exit, 1)
+        assert isinstance(crash.exception(timeout=60), BrokenProcessPool)
+        # The next pass's first submit finds the pool broken and starts
+        # a new one: every block still decodes in a worker.
+        assert _pooled_fastq(blocked) == serial_text
+        assert len(fresh_pools) == 2
+        assert executor_mod._pools == {2: fresh_pools[1]}
+
+    def test_forked_child_does_not_see_the_parent_pool(self, blocked,
+                                                       fresh_pools):
+        _pooled_fastq(blocked)
+        assert executor_mod._pools
+        pid = os.fork()
+        if pid == 0:                         # the child: report and leave
+            os._exit(1 if executor_mod._pools else 0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert executor_mod._pools == {2: fresh_pools[0]}
+
+    def test_worker_keeps_one_archive(self, blocked, serial_text,
+                                      fresh_pools, tmp_path, monkeypatch):
+        # Pooled passes over one file, then over another once the first
+        # is deleted: the pool reopens what it needs and rescues nothing.
+        first, second = tmp_path / "first.sage", tmp_path / "second.sage"
+        for path in (first, second):
+            shutil.copyfile(blocked.source_path, path)
+        with SAGeDataset.open(first, options=POOLED) as dataset:
+            assert _pooled_fastq(dataset.archive) == serial_text
+        first.unlink()
+        with SAGeDataset.open(second, options=POOLED) as dataset:
+            assert _pooled_fastq(dataset.archive) == serial_text
+        # A worker's entry point, run here: a task naming another file
+        # closes the archive the worker held, deleted or not.
+        monkeypatch.setattr(executor_mod, "_worker_decoder", None)
+        shutil.copyfile(second, first)
+        held = []
+        try:
+            for path in (first, second):
+                probe = SAGeArchive.open(path)
+                identity = hash(probe.file_identity)
+                probe.close()
+                task = (str(path), identity, "", 0, 0b1111, True, False, 0)
+                decoded = executor_mod._decode_task(task)
+                assert decoded.reads is None and decoded.fastq
+                held.append(executor_mod._worker_decoder[1])
+                if path == first:
+                    first.unlink()
+            assert not held[0].archive.file_backed
+            assert held[1].archive.file_backed
+        finally:
+            held[-1].archive.close()
+
+    def test_text_and_binary_handles_get_the_same_fastq(self, blocked,
+                                                        serial_text):
+        # Text unless clearly binary: a NamedTemporaryFile("w") is no
+        # io.TextIOBase, and still takes str.
+        text, binary = io.StringIO(), io.BytesIO()
+        with tempfile.NamedTemporaryFile("w", encoding="ascii") as wrapped:
+            for handle in (text, binary, wrapped):
+                [n_reads] = StreamExecutor(blocked, options=POOLED) \
+                    .run(FastqSink(handle))
+                assert n_reads == blocked.n_reads
+            wrapped.flush()
+            with open(wrapped.name, encoding="ascii") as written:
+                assert written.read() == serial_text
+        assert binary.getvalue() == text.getvalue().encode("ascii")
+        assert text.getvalue() == serial_text

@@ -260,6 +260,17 @@ class TestEndpoints:
         assert client.get("/reads/5-5")[0] == 400
         assert client.get("/reads/0-999999")[0] == 400
 
+    @pytest.mark.parametrize("fmt", ["json", "sam", ""])
+    def test_reads_unknown_format_400(self, client, fmt):
+        # /reads cuts records out of FASTQ bodies: FASTQ is the one
+        # format it answers, and asking for another is a 400 naming it.
+        status, body = client.get(f"/reads/0-3?format={fmt}")
+        assert status == 400
+        error = json.loads(body)["error"]
+        assert repr(fmt) in error and "'fastq'" in error
+        assert client.get_text("/reads/0-3?format=fastq") \
+            == client.get_text("/reads/0-3")
+
     def test_analyze_mapping_rate(self, client):
         status, info = client.post_json(
             "/analyze", {"sinks": ["mapping-rate"]})
@@ -283,8 +294,29 @@ class TestEndpoints:
     def test_analyze_options_override(self, client):
         status, info = client.post_json(
             "/analyze", {"sinks": ["mapping-rate"],
-                         "options": {"workers": 2}})
+                         "options": {"workers": 1, "backend": "serial",
+                                     "on_error": "skip"}})
         assert status == 200
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_analyze_workers_above_the_server_400(self, client,
+                                                  monkeypatch, workers):
+        # Decode pools outlive the request: a request may not start
+        # more workers than the operator gave the server (1 here), and
+        # the refusal comes before any pool is constructed.
+        from repro.pipeline import executor as executor_mod
+
+        built = []
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(executor_mod, "_pools", {})
+        status, info = client.post_json(
+            "/analyze", {"sinks": ["mapping-rate"],
+                         "options": {"workers": workers}})
+        assert status == 400
+        assert info["error"] == (f"invalid options: workers {workers} "
+                                 f"exceeds the server's 1")
+        assert built == []
 
     @pytest.mark.parametrize("field,value", [
         ("streams", "sequence"), ("block_retries", 1),
