@@ -4,7 +4,9 @@ The cross-kernel and cross-backend suites prove every path of one
 commit agrees with every other; this file proves a commit agrees with
 its predecessors.  ``golden_fingerprints.json`` holds sha256 digests of
 the archive bytes and the decoded FASTQ for RS2/RS3/RS4 at
-``block_reads`` 0 and 256, plus v3 and v4 blobs written by earlier
+``block_reads`` 0 and 256 under the default configuration, for RS2 at
+level NO (raw matching positions) and RS4 with ``preserve_order`` (the
+order and read-length streams), plus v3 and v4 blobs written by earlier
 commits (each v3 blob with the digest of its v4 re-save).  A digest
 that moves means the container bytes or the decoded output changed —
 which is either a bug or a deliberate format change that must say so
@@ -17,7 +19,7 @@ import io
 import pytest
 
 from repro.api import EngineOptions, SAGeDataset
-from repro.core import SAGeArchive
+from repro.core import OptLevel, SAGeArchive, SAGeConfig
 from repro.genomics import datasets
 
 from tests.conftest import GOLDEN, golden_blob
@@ -43,14 +45,22 @@ def sims():
             for label in {row["dataset"] for row in GOLDEN["fingerprints"]}}
 
 
-@pytest.mark.parametrize(
-    "row", GOLDEN["fingerprints"],
-    ids=[f"{row['dataset']}-{row['block_reads']}"
-         for row in GOLDEN["fingerprints"]])
+def _row_id(row) -> str:
+    """``dataset-block_reads``, then what the row sets beyond the
+    default configuration."""
+    return "-".join([row["dataset"], str(row["block_reads"])]
+                    + ([row["level"]] if "level" in row else [])
+                    + (["order"] if row.get("preserve_order") else []))
+
+
+@pytest.mark.parametrize("row", GOLDEN["fingerprints"],
+                         ids=[_row_id(row) for row in GOLDEN["fingerprints"]])
 def test_archive_and_fastq_fingerprints(sims, row):
     sim = sims[row["dataset"]]
+    config = SAGeConfig(level=OptLevel[row.get("level", "O4")],
+                        preserve_order=row.get("preserve_order", False))
     dataset = SAGeDataset.from_fastq(
-        sim.read_set, reference=sim.reference,
+        sim.read_set, reference=sim.reference, config=config,
         options=EngineOptions(block_reads=row["block_reads"]))
     assert _sha(dataset.to_bytes()) == row["archive_sha256"]
     assert _fastq_sha(dataset) == row["fastq_sha256"]
