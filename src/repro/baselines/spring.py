@@ -61,12 +61,6 @@ class SpringArchive:
         """Compressed DNA payload size (everything but quality)."""
         return sum(blob.byte_size for blob in self.streams.values()) + 64
 
-    def byte_size(self) -> int:
-        total = self.dna_byte_size()
-        if self.quality is not None:
-            total += self.quality.byte_size
-        return total
-
 
 class SpringCompressor:
     """Consensus-based compressor with a general-purpose back end."""

@@ -7,8 +7,10 @@ bytes, :class:`BitReader` consumes them strictly sequentially — there is no
 random access, by construction, matching the streaming-access contract.
 
 :class:`BitWriter` is the one stream writer — every archive stream, the
-quality codec and the container are written through it — and
-:class:`BitReader` the one sequential reader: the reference walk, the
+quality codec and the container are written through it, and a block's
+streams leave the compressor's one field emitter in one
+:meth:`~BitWriter.write_fields` each, unary guide codes included.
+:class:`BitReader` is the one sequential reader: the reference walk, the
 numpy decode kernel's side streams (:mod:`repro.core.kernels`), the
 container and quality parsers, and the hardware model, whose units'
 consumed bits are each stream reader's :attr:`BitReader.position` after
@@ -42,9 +44,6 @@ class BitWriter:
         self._nbits = 0        # number of pending bits in _acc
         self._total_bits = 0
 
-    def __len__(self) -> int:
-        return self._total_bits
-
     @property
     def bit_length(self) -> int:
         """Number of bits written so far."""
@@ -66,52 +65,14 @@ class BitWriter:
             self._bytes.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
-    def write_run(self, values, nbits: int) -> None:
-        """Write every value of ``values`` as an ``nbits``-wide field.
-
-        Bulk counterpart of :meth:`write` for runs of same-width fields
-        (insertion bases, raw matching positions, order permutations);
-        the emitted bits are identical to writing each value in a loop,
-        without per-value method dispatch.  Accepts any iterable,
-        including numpy arrays.
-        """
-        if nbits < 0:
-            raise BitIOError("field width must be non-negative")
-        if nbits == 0:
-            return
-        if hasattr(values, "tolist"):          # numpy array fast path
-            values = values.tolist()
-        acc = self._acc
-        nb = self._nbits
-        out = self._bytes
-        count = 0
-        for value in values:
-            if value < 0 or value >> nbits:
-                # Restore a consistent prefix before failing, exactly as
-                # a per-value write loop would have left it.
-                self._acc, self._nbits = acc, nb
-                self._total_bits += count * nbits
-                raise BitIOError(
-                    f"value {value} does not fit in {nbits} bits")
-            acc = (acc << nbits) | value
-            nb += nbits
-            count += 1
-            while nb >= 8:
-                nb -= 8
-                out.append((acc >> nb) & 0xFF)
-            acc &= (1 << nb) - 1
-        self._acc, self._nbits = acc, nb
-        self._total_bits += count * nbits
-
     def write_fields(self, values, widths) -> None:
         """Write paired ``values[i]`` as ``widths[i]``-wide fields.
 
-        Bulk counterpart of :meth:`write` for runs of *variable*-width
-        fields — the batched emission primitive of
-        :meth:`repro.core.prefix_codes.AssociationTable.encode_run` and
-        of the compressor, which writes each block stream in one call.
-        The emitted bits are identical
-        to writing each pair in a loop; a long run is packed with numpy.
+        Bulk counterpart of :meth:`write`, and how every block stream
+        is written: the compressor's field emitter
+        (:class:`repro.core.compressor._Fields`) makes one call per
+        stream per block.  The emitted bits are identical to writing
+        each pair in a loop; a long run is packed with numpy.
         """
         if len(values) >= _PACK_FIELDS and self._pack_fields(values, widths):
             return
@@ -169,17 +130,6 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         """Write a single bit (0 or 1)."""
         self.write(1 if bit else 0, 1)
-
-    def write_unary(self, value: int) -> None:
-        """Write ``value`` ones followed by a terminating zero.
-
-        This is the paper's guide-array prefix family: 0, 10, 110, 1110…
-        """
-        if value < 0:
-            raise BitIOError("unary value must be non-negative")
-        for _ in range(value):
-            self.write(1, 1)
-        self.write(0, 1)
 
     def align_to_byte(self) -> None:
         """Zero-pad forward to the next byte boundary."""

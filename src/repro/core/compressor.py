@@ -12,11 +12,12 @@ and :class:`_MappedReads` gathers the emitted reads' segments and edit
 ops from its columns; every rule of the format after that — indel
 blocks, consensus markers, ``N`` sanitizing, the O4 corner pseudo-entry,
 chimeric sides, corner payloads — is an array operation.
-:class:`_Fields` keys each field by its place in emission order, and
-each stream leaves in one ``write_fields`` per block.
-
-Every written bit is charged to a Fig. 17 category via
-:class:`~repro.core.mismatch.SizeBreakdown`, and all optimization levels
+:class:`_Fields` is the one field emitter: every field of every block
+stream — read lengths, matching positions, the order permutation, guide
+codes and arrays alike — is keyed there by its place in emission order,
+each stream leaves in one ``write_fields`` per block, and every field's
+bits are charged to its Fig. 17 category
+(:class:`~repro.core.mismatch.SizeBreakdown`).  All optimization levels
 NO/O1/O2/O3/O4 are supported so the ablation decodes losslessly too.
 
 :meth:`SAGeCompressor.compress_block` turns one read set into one
@@ -171,27 +172,31 @@ class _Fields:
 
     def add_coded(self, guide: str, array: str, category: str, entry,
                   slot: int, values, table: AssociationTable) -> None:
-        """:meth:`AssociationTable.encode` of every value: its unary
-        class code to ``guide`` at ``slot``, the value to ``array`` at
-        ``slot + 1`` (the same stream, for mismatch counts)."""
-        classes = table.classify(values)
-        self.add(guide, category, entry, slot, ((1 << classes) - 1) << 1,
-                 classes + 1)
-        self.add(array, category, entry, slot + 1, values,
-                 table.widths_np[classes])
+        """Every value's unary class code (:meth:`AssociationTable.
+        guide_codes`) to ``guide`` at ``slot``, the value to ``array``
+        at ``slot + 1`` (the same stream, for read lengths and mismatch
+        counts)."""
+        codes, code_widths, field_widths = table.guide_codes(values)
+        self.add(guide, category, entry, slot, codes, code_widths)
+        self.add(array, category, entry, slot + 1, values, field_widths)
 
-    def emit(self, writers: dict[str, BitWriter],
-             breakdown: SizeBreakdown) -> None:
-        """Each stream in one ``write_fields``; the bits to ``breakdown``."""
+    def emit(self, breakdown: SizeBreakdown) -> dict[str,
+                                                      tuple[bytes, int]]:
+        """Every stream, each in one ``write_fields``, as ``(payload,
+        bit length)``; the bits to ``breakdown``."""
+        streams: dict[str, tuple[bytes, int]] = {}
         for name, parts in self.parts.items():
+            writer = BitWriter()
             if parts:
                 keys, values, widths = (np.concatenate(column)
                                         for column in zip(*parts))
                 order = np.argsort(keys, kind="stable")
-                writers[name].write_fields(values[order], widths[order])
+                writer.write_fields(values[order], widths[order])
+            streams[name] = (writer.getvalue(), writer.bit_length)
         for category, bits in self.bits.items():
             if bits:
                 breakdown.charge(category, bits)
+        return streams
 
 
 class _MappedReads:
@@ -199,7 +204,8 @@ class _MappedReads:
     from the mapper's table:
 
     * per read: its input index ``rows``, ``reverse``, ``lengths``,
-      ``first_cons``, clip sizes ``clip_s`` / ``clip_e``, whether it is
+      ``first_cons`` and its ``cons_delta`` from the previous read's,
+      clip sizes ``clip_s`` / ``clip_e``, whether it is
       a corner case (``has_n``, ``has_clip``; at O4 it opens with a
       ``pseudo``-entry) and its mismatch ``count``; per extra chimeric
       segment ``extra_row``, ``extra_core``, ``extra_cons``;
@@ -243,6 +249,7 @@ class _MappedReads:
         extra = np.ones(segments.size, dtype=bool)
         extra[np.searchsorted(seg_row, np.arange(n))] = False
         self.first_cons = seg_cons[~extra]
+        self.cons_delta = np.diff(self.first_cons, prepend=0)
         self.extra_row = seg_row[extra]
         self.extra_core = (mapped.read_start[segments]
                            - self.clip_s[seg_row])[extra]
@@ -322,6 +329,14 @@ class _MappedReads:
         head = np.cumsum(self.n_events) - self.n_events + 2 * np.arange(n)
         entry = np.arange(self.row.size) + 2 * self.row + 2
 
+        if "len" in tables:                 # variable-length reads
+            out.add_coded("lengths", "lengths", "read_length", head, 0,
+                          self.lengths, tables["len"])
+        if level.reorder:
+            out.add_coded("mpga", "mpa", "matching_pos", head, 0,
+                          self.cons_delta, tables["mp"])
+        else:
+            out.add("mpa", "matching_pos", head, 0, self.first_cons, w_cons)
         out.add("mbta", "rev", head, 0, self.reverse, 1)
         if chimeric_side:
             n_extra = np.bincount(self.extra_row, minlength=n)
@@ -605,13 +620,11 @@ class SAGeCompressor:
         permutation = np.concatenate((mapped.rows, unmapped))
         emitted = read_set.subset(permutation)
         n_mapped = mapped.rows.size
-        first_cons, lengths = mapped.first_cons, mapped.lengths
 
         # ---- Algorithm 1 tuning over the read set's statistics ----
         tables: dict[str, AssociationTable] = {}
         if level.reorder:
-            mp_deltas = np.diff(first_cons, prepend=0)
-            tables["mp"] = tune_values(mp_deltas, cfg.epsilon).table \
+            tables["mp"] = tune_values(mapped.cons_delta, cfg.epsilon).table \
                 if n_mapped else AssociationTable((w_cons,))
         if level.tuned_mismatch:
             tables["count"] = tune_values(mapped.count, cfg.epsilon).table
@@ -619,31 +632,14 @@ class SAGeCompressor:
                 mapped.delta, np.zeros(mapped.pseudo.sum(), np.int64)),
                 cfg.epsilon).table
         if not fixed_length:
-            tables["len"] = tune_values(lengths, cfg.epsilon).table \
+            tables["len"] = tune_values(mapped.lengths, cfg.epsilon).table \
                 if n_mapped else AssociationTable((w_rlen,))
         if cfg.tuned_indel_lengths and level.indel_blocks:
             tables["indel"] = tune_values(
                 mapped.length[mapped.kind != TYPE_SUB], cfg.epsilon).table
 
-        writers = {name: BitWriter() for name in BLOCK_STREAM_NAMES}
-
-        # ---- streams owned by a single per-read field ----
-        if n_mapped:
-            if not fixed_length:
-                stream = writers["lengths"]
-                tables["len"].encode_run(lengths, stream, stream)
-                breakdown.charge("read_length", stream.bit_length)
-            if level.reorder:
-                tables["mp"].encode_run(mp_deltas, writers["mpga"],
-                                        writers["mpa"])
-            else:
-                writers["mpa"].write_run(first_cons, w_cons)
-            breakdown.charge("matching_pos",
-                             writers["mpga"].bit_length
-                             + writers["mpa"].bit_length)
-
-        # ---- the rest, every field keyed by its place in emission
-        # order: one write_fields per stream ----
+        # ---- every field keyed by its place in emission order: one
+        # write_fields per stream ----
         fields = _Fields()
         mapped.fields(fields, tables, level, level.chimeric and long_reads,
                       w_rlen, w_cons)
@@ -656,14 +652,11 @@ class SAGeCompressor:
         fields.add("unmapped", "unmapped", np.repeat(raw, raw_lengths), 1,
                    emitted.codes[emitted.offsets[n_mapped]:], 3)
         fields.add("unmapped", "unmapped", raw, 2, 0, -3 * raw_lengths % 8)
+        if cfg.preserve_order:
+            fields.add("order", "header", np.arange(permutation.size), 0,
+                       permutation, max(1, (len(read_set) - 1).bit_length()))
+        streams = fields.emit(breakdown)
         breakdown.charge("unmapped", 0)     # stated even when empty
-        fields.emit(writers, breakdown)
-
-        if cfg.preserve_order and permutation.size:
-            w_reads = max(1, (len(read_set) - 1).bit_length())
-            order = writers["order"]
-            order.write_run(permutation, w_reads)
-            breakdown.charge("header", order.bit_length)
 
         # Headers and scores leave in emission order: one gather.
         headers_blob = None
@@ -677,8 +670,6 @@ class SAGeCompressor:
                 emitted.quality, order1=cfg.quality_order1)
             breakdown.charge("quality", 8 * quality_blob.byte_size)
 
-        streams = {name: (w.getvalue(), w.bit_length)
-                   for name, w in writers.items()}
         return SAGeBlock(
             n_mapped=n_mapped, n_unmapped=len(unmapped),
             long_reads=long_reads, fixed_length=fixed_length,

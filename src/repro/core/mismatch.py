@@ -95,7 +95,3 @@ class SizeBreakdown:
     def mismatch_info_bits(self) -> int:
         """Total over the Fig. 17 mismatch-information categories."""
         return sum(self.bits.get(c, 0) for c in CATEGORIES)
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self.bits.values())

@@ -6,6 +6,11 @@ Classes are identified by unary prefix codes — ``0``, ``10``, ``110``,
 The small Association Table records, per class, the bit width of the
 corresponding array entries, and is stored in the compressed file header
 so the Scan Unit can load it into its configuration registers.
+
+The guide code is stated once, on the write side, by
+:meth:`AssociationTable.guide_codes`: every value's code and field width
+as columns, which the compressor's one field emitter writes.  The
+reference walk reads a value back with :meth:`AssociationTable.decode`.
 """
 
 from __future__ import annotations
@@ -72,31 +77,9 @@ class AssociationTable:
         """The class widths as an int64 array (vectorized lookups)."""
         return np.array(self.widths, dtype=np.int64)
 
-    def class_for_value(self, value: int) -> int:
-        """Cheapest class (unary length + width) able to hold ``value``."""
-        best = -1
-        best_cost = None
-        for idx, width in enumerate(self.widths):
-            if value < (1 << width):
-                cost = (idx + 1) + width
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = idx, cost
-        if best < 0:
-            raise ValueError(
-                f"value {value} exceeds all class widths {self.widths}")
-        return best
-
-    def encoded_bits(self, value: int) -> int:
-        """Total bits (guide + array) this table spends on ``value``."""
-        idx = self.class_for_value(value)
-        return (idx + 1) + self.widths[idx]
-
     def classify(self, values) -> np.ndarray:
-        """Vectorized :meth:`class_for_value` over an array of values.
-
-        Returns the per-value class indices; ties resolve to the lowest
-        index, exactly like the scalar path.
-        """
+        """Every value's cheapest class: the one whose unary code plus
+        field width is fewest bits, the lowest index on a tie."""
         values = np.asarray(values, dtype=np.int64)
         widths = self.widths_np
         limits = np.uint64(1) << widths.astype(np.uint64)
@@ -109,42 +92,15 @@ class AssociationTable:
         costs = np.where(fits, costs[None, :], np.iinfo(np.int64).max)
         return np.argmin(costs, axis=1)
 
-    def encode_run(self, values, guide: BitWriter,
-                   array: BitWriter) -> None:
-        """Batched :meth:`encode` of a run of values.
-
-        Classifies every value in one vectorized pass, then bulk-writes
-        the unary codes to ``guide`` and the fields to ``array``.  When
-        ``guide is array`` (the read-length and mismatch-count layouts)
-        the unary/field pairs interleave per value, so the emitted bits
-        are identical to calling :meth:`encode` in a loop in both
-        stream arrangements.
-        """
-        values = np.asarray(values, dtype=np.int64)
-        if values.size == 0:
-            return
-        idx = self.classify(values)
-        widths = self.widths_np[idx]
-        unary_vals = ((np.int64(1) << idx) - 1) << 1
-        unary_widths = idx + 1
-        if guide is array:
-            pairs_v = np.stack([unary_vals, values], axis=1).reshape(-1)
-            pairs_w = np.stack([unary_widths, widths], axis=1).reshape(-1)
-            guide.write_fields(pairs_v, pairs_w)
-        else:
-            guide.write_fields(unary_vals, unary_widths)
-            array.write_fields(values, widths)
-
-    # ------------------------------------------------------------------
-    # Value encode/decode: guide bits go to one stream, array bits to
-    # another, mirroring the separate MMPGA/MMPA arrays.
-    # ------------------------------------------------------------------
-
-    def encode(self, value: int, guide: BitWriter, array: BitWriter) -> None:
-        """Encode a value: unary class to ``guide``, field to ``array``."""
-        idx = self.class_for_value(value)
-        guide.write_unary(idx)
-        array.write(value, self.widths[idx])
+    def guide_codes(self, values) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+        """Every value's guide code and field width, as columns
+        ``(codes, code_widths, field_widths)``: a value of class ``c``
+        (:meth:`classify`) is tagged by ``c`` ones and a terminating
+        zero and stored in ``widths[c]`` bits."""
+        classes = self.classify(values)
+        return ((1 << classes) - 1) << 1, classes + 1, \
+            self.widths_np[classes]
 
     def decode(self, guide: BitReader, array: BitReader) -> int:
         """Decode one value from guide + array streams."""

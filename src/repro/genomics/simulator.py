@@ -22,6 +22,7 @@ and compressor tests can check against the generative model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -283,8 +284,7 @@ class ReadSimulator:
         return np.concatenate(out), np.concatenate(err)
 
     def _fixed_length_read(self, donor: np.ndarray) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray, SegmentTruth,
-            int, int]:
+            np.ndarray, np.ndarray, np.ndarray, np.ndarray, SegmentTruth]:
         """Short-read path: the instrument emits exactly ``read_length``
         cycles, so clips and indel errors never change the total length."""
         p = self.profile
@@ -309,17 +309,34 @@ class ReadSimulator:
         error_mask = error_mask[:core_target]
         clip_s = seq.random_sequence(clip_s_len, rng)
         clip_e = seq.random_sequence(clip_e_len, rng)
-        truth_segment = SegmentTruth(start, core_target)
-        return codes, error_mask, clip_s, clip_e, truth_segment, \
-            clip_s_len, clip_e_len
+        return codes, error_mask, clip_s, clip_e, \
+            SegmentTruth(start, core_target)
 
-    def _one_fixed_read(self, donor: np.ndarray,
-                        index: int) -> tuple[Read, ReadTruth]:
+    def _draw_clips(self) -> tuple[np.ndarray, np.ndarray]:
+        """Long-read soft clips: adapter-like random sequence at the
+        start, and at the end of half the clipped reads."""
         p = self.profile
         rng = self.rng
-        codes, error_mask, clip_s, clip_e, segment, cs_len, ce_len = \
-            self._fixed_length_read(donor)
+        head = tail = np.empty(0, dtype=np.uint8)
+        if p.clip_rate > 0 and rng.random() < p.clip_rate:
+            head = seq.random_sequence(int(rng.integers(5, p.clip_max + 1)),
+                                       rng)
+            if rng.random() < 0.5:
+                tail = seq.random_sequence(
+                    int(rng.integers(5, p.clip_max + 1)), rng)
+        return head, tail
 
+    def _finish_read(self, index: int, codes: np.ndarray,
+                     error_mask: np.ndarray,
+                     clips: Callable[[], tuple[np.ndarray, np.ndarray]],
+                     segments: list[SegmentTruth],
+                     is_chimeric: bool) -> tuple[Read, ReadTruth]:
+        """The tail every read shares: a short ``N`` run of ambiguity,
+        the soft clips ``clips()`` returns, the strand, the scores.
+        ``clips`` is called after the ``N`` draw because long reads draw
+        their clips there, and the draw order fixes every simulated read."""
+        p = self.profile
+        rng = self.rng
         has_n = False
         if p.n_rate > 0 and rng.random() < p.n_rate and codes.size > 4:
             run = int(rng.integers(1, p.n_run_max + 1))
@@ -328,10 +345,11 @@ class ReadSimulator:
             error_mask[pos:pos + run] = True
             has_n = True
 
-        codes = np.concatenate([clip_s, codes, clip_e])
-        error_mask = np.concatenate(
-            [np.zeros(cs_len, dtype=bool), error_mask,
-             np.zeros(ce_len, dtype=bool)])
+        head, tail = clips()
+        codes = np.concatenate([head, codes, tail])
+        error_mask = np.concatenate([np.zeros(head.size, dtype=bool),
+                                     error_mask,
+                                     np.zeros(tail.size, dtype=bool)])
 
         reverse = rng.random() < p.reverse_fraction
         if reverse:
@@ -343,17 +361,21 @@ class ReadSimulator:
             quality = p.quality.sample(codes.size, error_mask, rng)
 
         read = Read(codes=codes, quality=quality, header=f"sim.{index}")
-        truth = ReadTruth(segments=[segment], reverse=reverse,
-                          is_chimeric=False,
+        truth = ReadTruth(segments=segments, reverse=reverse,
+                          is_chimeric=is_chimeric,
                           n_errors=int(error_mask.sum()), has_n=has_n,
-                          clip_start=cs_len, clip_end=ce_len)
+                          clip_start=head.size, clip_end=tail.size)
         return read, truth
 
     def _one_read(self, donor: np.ndarray, index: int) -> tuple[Read, ReadTruth]:
         p = self.profile
         rng = self.rng
         if not p.is_long_read:
-            return self._one_fixed_read(donor, index)
+            codes, error_mask, clip_s, clip_e, segment = \
+                self._fixed_length_read(donor)
+            return self._finish_read(index, codes, error_mask,
+                                     lambda: (clip_s, clip_e), [segment],
+                                     False)
         length = self._draw_length()
 
         segments: list[SegmentTruth] = []
@@ -376,43 +398,5 @@ class ReadSimulator:
             segments.append(SegmentTruth(start, int(fragment.size)))
 
         codes, error_mask = self._apply_errors(fragment)
-
-        # N bases: short runs of ambiguity.
-        has_n = False
-        if p.n_rate > 0 and rng.random() < p.n_rate and codes.size > 4:
-            run = int(rng.integers(1, p.n_run_max + 1))
-            pos = int(rng.integers(0, codes.size - run))
-            codes[pos:pos + run] = seq.N_CODE
-            error_mask[pos:pos + run] = True
-            has_n = True
-
-        # Soft clips: adapter-like random sequence at the ends.
-        clip_start = clip_end = 0
-        if p.clip_rate > 0 and rng.random() < p.clip_rate:
-            clip_start = int(rng.integers(5, p.clip_max + 1))
-            head = seq.random_sequence(clip_start, rng)
-            codes = np.concatenate([head, codes])
-            error_mask = np.concatenate(
-                [np.zeros(clip_start, dtype=bool), error_mask])
-            if rng.random() < 0.5:
-                clip_end = int(rng.integers(5, p.clip_max + 1))
-                tail = seq.random_sequence(clip_end, rng)
-                codes = np.concatenate([codes, tail])
-                error_mask = np.concatenate(
-                    [error_mask, np.zeros(clip_end, dtype=bool)])
-
-        reverse = rng.random() < p.reverse_fraction
-        if reverse:
-            codes = seq.reverse_complement(codes)
-            error_mask = error_mask[::-1].copy()
-
-        quality = None
-        if p.with_quality:
-            quality = p.quality.sample(codes.size, error_mask, rng)
-
-        read = Read(codes=codes, quality=quality, header=f"sim.{index}")
-        truth = ReadTruth(segments=segments, reverse=reverse,
-                          is_chimeric=is_chimeric,
-                          n_errors=int(error_mask.sum()), has_n=has_n,
-                          clip_start=clip_start, clip_end=clip_end)
-        return read, truth
+        return self._finish_read(index, codes, error_mask, self._draw_clips,
+                                 segments, is_chimeric)

@@ -24,10 +24,6 @@ class Link:
         """Joules to move ``nbytes`` across the link."""
         return nbytes * self.energy_pj_per_byte * 1e-12
 
-    def throughput(self) -> float:
-        """Bytes per second (alias for readability at call sites)."""
-        return self.bandwidth_bytes_per_s
-
 
 #: PCIe Gen4 x8 — PM1735-class external interface (~8 GB/s usable read).
 PCIE_GEN4_X8 = Link("PCIe 4.0 x8", 8.0 * GIB, 18.0)

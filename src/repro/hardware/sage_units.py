@@ -162,7 +162,3 @@ class SAGeHardwareModel:
         return HardwareThroughput(unit_bases_per_s=unit_rate,
                                   nand_bases_per_s=nand_rate,
                                   output_format=fmt)
-
-    def area_mm2(self) -> float:
-        """Logic area of the unit array (Table 1)."""
-        return area_power.total_area_mm2(self.channels)

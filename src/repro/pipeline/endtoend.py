@@ -39,11 +39,6 @@ class SystemConfig:
     n_ssd: int = 1
     analysis: AnalysisAccelerator = field(default_factory=gem)
 
-    @property
-    def name(self) -> str:
-        suffix = f" x{self.n_ssd}" if self.n_ssd > 1 else ""
-        return f"{self.ssd.name}{suffix}"
-
 
 @dataclass
 class EndToEndResult:

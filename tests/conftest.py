@@ -215,6 +215,43 @@ def steady_state_throughput(stages):
     return min(s.rate_units_per_s for s in stages)
 
 
+def write_unary(writer, value):
+    """``value`` ones and a terminating zero, one bit at a time — the
+    guide-code family ``0, 10, 110, …`` the unary reader is held to."""
+    for _ in range(value):
+        writer.write(1, 1)
+    writer.write(0, 1)
+
+
+def class_for_value(table, value):
+    """The cheapest class (unary code + width) holding ``value``, the
+    lowest index on a tie — the per-value rule
+    :meth:`repro.core.prefix_codes.AssociationTable.classify` is held
+    to."""
+    costs = [(index + 1 + width, index)
+             for index, width in enumerate(table.widths)
+             if value < (1 << width)]
+    if not costs:
+        raise ValueError(
+            f"value {value} exceeds all class widths {table.widths}")
+    return min(costs)[1]
+
+
+def encoded_bits(table, value):
+    """Guide plus array bits ``table`` spends on ``value``."""
+    index = class_for_value(table, value)
+    return index + 1 + table.widths[index]
+
+
+def encode_value(table, value, guide, array):
+    """One prefix-coded value: its unary class to ``guide``, the value
+    to ``array`` (the same writer for read lengths and mismatch counts)
+    — the per-value emitter the compressor's columns are held to."""
+    index = class_for_value(table, value)
+    write_unary(guide, index)
+    array.write(value, table.widths[index])
+
+
 class _VarintReader:
     def __init__(self, data):
         self.data = data

@@ -6,6 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bitio import BitIOError, BitReader, BitWriter
+from repro.core.prefix_codes import AssociationTable
+
+from tests.conftest import write_unary
 
 fields = st.lists(
     st.integers(min_value=0, max_value=56).flatmap(
@@ -111,23 +114,28 @@ class TestReader:
 
 
 class TestUnary:
+    """Unary codes are fields like any other on the write side; the
+    reader's ``read_unary`` is held to a bit-by-bit writer."""
+
     @pytest.mark.parametrize("value", [0, 1, 2, 7, 31])
     def test_roundtrip(self, value):
         w = BitWriter()
-        w.write_unary(value)
+        write_unary(w, value)
         assert w.bit_length == value + 1
         r = BitReader(w.getvalue(), w.bit_length)
         assert r.read_unary() == value
 
     def test_negative_rejected(self):
-        with pytest.raises(BitIOError):
-            BitWriter().write_unary(-1)
+        with pytest.raises(ValueError, match="exceeds all class widths"):
+            AssociationTable((2, 4)).guide_codes([-1])
 
     def test_paper_code_family(self):
-        # §5.1.1: codes 0, 10, 110, 1110 for four classes.
+        # §5.1.1: codes 0, 10, 110, 1110 for four classes, written as
+        # the table's guide-code fields.
+        table = AssociationTable((1, 2, 3, 4))
+        codes, code_widths, _ = table.guide_codes([1, 3, 7, 15])
         w = BitWriter()
-        for i in range(4):
-            w.write_unary(i)
+        w.write_fields(codes, code_widths)
         assert w.getvalue() == bytes([0b01011011, 0b10000000])
 
 
@@ -176,7 +184,7 @@ class TestRoundtripProperties:
                 script.append((kind, value, width, w.bit_length))
             elif kind == 1:
                 value = int(rng.integers(0, 12))
-                w.write_unary(value)
+                write_unary(w, value)
                 script.append((kind, value, None, w.bit_length))
             else:
                 value = bytes(rng.integers(0, 256, 3, dtype=np.uint8))
@@ -196,6 +204,6 @@ class TestRoundtripProperties:
     def test_unary_sequence(self, values):
         w = BitWriter()
         for v in values:
-            w.write_unary(v)
+            write_unary(w, v)
         r = BitReader(w.getvalue(), w.bit_length)
         assert [r.read_unary() for _ in values] == values

@@ -24,7 +24,7 @@ from repro.genomics.reference import make_reference
 from repro.mapping.alignment import DEL, INS, SUB
 from repro.mapping.mapper import MapperConfig, MappingResult
 
-from tests.conftest import mapping_results, read_multiset
+from tests.conftest import encode_value, mapping_results, read_multiset
 
 
 def roundtrip(read_set, reference, **config_kwargs):
@@ -314,7 +314,8 @@ def scalar_block(compressor, read_set):
     def code(table, value, guide, array, category):
         streams = {writers[guide], writers[array]}
         before = sum(w.bit_length for w in streams)
-        tables[table].encode(int(value), writers[guide], writers[array])
+        encode_value(tables[table], int(value), writers[guide],
+                     writers[array])
         breakdown.charge(category, sum(w.bit_length for w in streams)
                          - before)
 

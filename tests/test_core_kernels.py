@@ -27,6 +27,8 @@ from repro.core.prefix_codes import MAX_WIDTH, AssociationTable
 from repro.genomics import sequence as seqmod
 from repro.genomics.reads import Read, ReadSet
 
+from tests.conftest import class_for_value, encode_value, write_unary
+
 fields = st.lists(
     st.integers(min_value=0, max_value=56).flatmap(
         lambda w: st.tuples(st.integers(min_value=0,
@@ -56,12 +58,15 @@ class TestPackFields:
 
 
 class TestWriteRun:
+    """A run of same-width fields is a ``write_fields`` call (raw
+    matching positions, the order permutation)."""
+
     def test_equivalent_to_loop(self):
         a, b = BitWriter(), BitWriter()
         values = list(range(16))
         for v in values:
             a.write(v, 5)
-        b.write_run(np.array(values, dtype=np.uint8), 5)
+        b.write_fields(np.array(values, dtype=np.uint8), [5] * 16)
         assert a.getvalue() == b.getvalue()
         assert a.bit_length == b.bit_length
 
@@ -69,7 +74,7 @@ class TestWriteRun:
         w = BitWriter()
         w.write(1, 1)
         with pytest.raises(BitIOError):
-            w.write_run([1, 2, 9], 3)
+            w.write_fields([1, 2, 9], [3, 3, 3])
         # the valid prefix was committed, like a per-value loop
         assert w.bit_length == 1 + 2 * 3
 
@@ -97,7 +102,7 @@ class TestFastReader:
     def test_unary_sequence(self, values):
         w = BitWriter()
         for v in values:
-            w.write_unary(v)
+            write_unary(w, v)
         r = BitReader(w.getvalue(), w.bit_length, name="mpga")
         assert [r.read_unary() for _ in values] == values
         assert r.remaining == 0
@@ -146,7 +151,7 @@ class TestClassify:
                     min_size=1, max_size=50))
     def test_matches_scalar(self, values):
         table = AssociationTable((2, 7, 14, 0))
-        expected = [table.class_for_value(v) for v in values]
+        expected = [class_for_value(table, v) for v in values]
         assert table.classify(values).tolist() == expected
 
     def test_out_of_range(self):
@@ -154,21 +159,24 @@ class TestClassify:
         with pytest.raises(ValueError, match="exceeds all class widths"):
             table.classify([1, 4])
 
-    def test_encode_run_matches_scalar(self):
+    def test_guide_codes_match_scalar(self):
         table = AssociationTable((3, 9, 0))
         values = [0, 5, 130, 7, 0, 511]
+        codes, code_widths, field_widths = table.guide_codes(values)
         g1, a1 = BitWriter(), BitWriter()
         for v in values:
-            table.encode(v, g1, a1)
+            encode_value(table, v, g1, a1)
         g2, a2 = BitWriter(), BitWriter()
-        table.encode_run(values, g2, a2)
+        g2.write_fields(codes, code_widths)
+        a2.write_fields(values, field_widths)
         assert (g1.getvalue(), a1.getvalue()) \
             == (g2.getvalue(), a2.getvalue())
-        # shared-stream arrangement (guide is array)
+        # shared-stream arrangement: code and field interleave
         s1, s2 = BitWriter(), BitWriter()
         for v in values:
-            table.encode(v, s1, s1)
-        table.encode_run(values, s2, s2)
+            encode_value(table, v, s1, s1)
+        s2.write_fields(np.column_stack((codes, values)).ravel(),
+                        np.column_stack((code_widths, field_widths)).ravel())
         assert s1.getvalue() == s2.getvalue()
 
 

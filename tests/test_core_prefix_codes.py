@@ -1,5 +1,6 @@
 """Unit tests for repro.core.prefix_codes."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,18 @@ from hypothesis import strategies as st
 from repro.core.bitio import BitReader, BitWriter
 from repro.core.errors import CorruptArchiveError
 from repro.core.prefix_codes import MAX_CLASSES, MAX_WIDTH, AssociationTable
+
+from tests.conftest import encode_value, encoded_bits, write_unary
+
+
+def coded_streams(table, values):
+    """``values`` written as the compressor writes them: guide codes
+    to one stream, fields to another, one ``write_fields`` each."""
+    codes, code_widths, field_widths = table.guide_codes(values)
+    guide, array = BitWriter(), BitWriter()
+    guide.write_fields(codes, code_widths)
+    array.write_fields(np.asarray(values), field_widths)
+    return guide, array
 
 
 class TestValidation:
@@ -30,22 +43,21 @@ class TestValidation:
 class TestClassSelection:
     def test_smallest_fitting_class(self):
         table = AssociationTable((2, 4, 8))
-        assert table.class_for_value(3) == 0
-        assert table.class_for_value(4) == 1
-        assert table.class_for_value(200) == 2
+        assert table.classify([3, 4, 200]).tolist() == [0, 1, 2]
 
     def test_cheapest_not_first(self):
         # Class 0 is wide (frequent large values); a small value is still
         # cheaper in class 0 (1+8) than class 1 (2+2=4)?  No: 4 < 9, so
         # the narrow class wins despite its longer unary code.
         table = AssociationTable((8, 2))
-        assert table.class_for_value(3) == 1
-        assert table.encoded_bits(3) == 2 + 2
+        assert table.classify([3]).tolist() == [1]
+        _, code_widths, field_widths = table.guide_codes([3])
+        assert code_widths[0] + field_widths[0] == 2 + 2
 
     def test_value_too_large(self):
         table = AssociationTable((2, 4))
         with pytest.raises(ValueError):
-            table.class_for_value(16)
+            table.classify([16])
 
     def test_from_histogram_orders_by_frequency(self):
         table = AssociationTable.from_histogram([2, 5, 8], [10, 500, 3])
@@ -57,25 +69,23 @@ class TestEncodeDecode:
                     max_size=100))
     def test_roundtrip(self, values):
         table = AssociationTable((2, 5, 8))
-        guide, array = BitWriter(), BitWriter()
-        for v in values:
-            table.encode(v, guide, array)
+        guide, array = coded_streams(table, values)
         gr = BitReader(guide.getvalue(), guide.bit_length)
         ar = BitReader(array.getvalue(), array.bit_length)
         assert [table.decode(gr, ar) for _ in values] == values
 
     def test_guide_and_array_separated(self):
         table = AssociationTable((1, 4))
-        guide, array = BitWriter(), BitWriter()
-        table.encode(0, guide, array)   # class 0: guide '0', array 1 bit
-        table.encode(9, guide, array)   # class 1: guide '10', array 4 bits
+        # 0 is class 0: guide '0', array 1 bit; 9 is class 1: guide '10',
+        # array 4 bits.
+        guide, array = coded_streams(table, [0, 9])
         assert guide.bit_length == 1 + 2
         assert array.bit_length == 1 + 4
 
     def test_decode_unknown_class(self):
         table = AssociationTable((2,))
         guide, array = BitWriter(), BitWriter()
-        guide.write_unary(3)  # class 3 does not exist
+        write_unary(guide, 3)  # class 3 does not exist
         array.write(0, 2)
         gr = BitReader(guide.getvalue(), guide.bit_length)
         ar = BitReader(array.getvalue(), array.bit_length)
@@ -85,10 +95,13 @@ class TestEncodeDecode:
     def test_encoded_bits_matches_streams(self):
         table = AssociationTable((3, 6))
         for value in (0, 7, 8, 63):
-            guide, array = BitWriter(), BitWriter()
-            table.encode(value, guide, array)
-            assert table.encoded_bits(value) \
+            guide, array = coded_streams(table, [value])
+            assert encoded_bits(table, value) \
                 == guide.bit_length + array.bit_length
+            oracle = BitWriter(), BitWriter()
+            encode_value(table, value, *oracle)
+            assert [w.getvalue() for w in oracle] \
+                == [guide.getvalue(), array.getvalue()]
 
 
 class TestSerialization:
@@ -119,7 +132,7 @@ def test_unary_code_length():
     # Class i's guide code is i ones and a terminating zero.
     table = AssociationTable((2, 4, 6, 8))
     for index, value in enumerate((3, 15, 63, 255)):
-        guide, array = BitWriter(), BitWriter()
-        table.encode(value, guide, array)
+        guide, array = coded_streams(table, [value])
         assert guide.bit_length == index + 1
-        assert table.encoded_bits(value) == index + 1 + table.widths[index]
+        assert guide.getvalue()[0] >> (7 - index) == (1 << (index + 1)) - 2
+        assert array.bit_length == table.widths[index]

@@ -135,7 +135,8 @@ class TestTune:
         values = (rng.geometric(0.2, 2000) - 1).tolist()
         result = tune_values(values)
         # Re-cost the chosen boundaries by encoding every value.
-        total = sum(result.table.encoded_bits(v) for v in values)
+        _, code_widths, field_widths = result.table.guide_codes(values)
+        total = int(code_widths.sum() + field_widths.sum())
         # The tuner's estimate assumes range-based class assignment; the
         # encoder picks the cheapest class, so it can only do better.
         assert total <= result.encoded_bits
@@ -156,8 +157,7 @@ class TestTune:
                     max_size=300))
     def test_all_values_representable(self, values):
         result = tune_values(values)
-        for v in set(values):
-            result.table.class_for_value(v)  # must not raise
+        result.table.classify(sorted(set(values)))  # must not raise
 
     @settings(max_examples=60, deadline=None)
     # Levels that tie: the strict ``<`` keeps the fewer classes.
@@ -190,5 +190,4 @@ class TestTune:
             rng.integers(0, 2**28, 20)]).tolist()
         result = tune_values(values)
         assert result.boundaries[-1] >= max(values).bit_length()
-        for v in values:
-            result.table.class_for_value(v)
+        result.table.classify(values)       # must not raise

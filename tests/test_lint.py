@@ -459,26 +459,60 @@ def blocks_held_as_columns(source, where):
     return offenders
 
 
-#: Per-field writes: a bit, a field, a unary code, one prefix-coded value.
-_FIELD_WRITES = {"write", "write_bit", "write_unary", "encode"}
+#: Writes that bypass the field emitter: a bit, a field, a unary code,
+#: one prefix-coded value, a same-width run, a prefix-coded run.
+_FIELD_WRITES = {"write", "write_bit", "write_unary", "encode", "write_run",
+                 "encode_run"}
+
+#: Public surfaces that say how a field is written, exactly: the
+#: writer's five field writers (plus its bit count and bytes), and the
+#: table's one columnar guide-code method (over ``classify``) beside
+#: what builds, reads and (de)serializes a table — no other encoder.
+WRITE_SURFACES = {
+    "src/repro/core/bitio.py": ("BitWriter", {
+        "write", "write_bit", "write_fields", "write_bytes",
+        "align_to_byte", "bit_length", "getvalue"}),
+    "src/repro/core/prefix_codes.py": ("AssociationTable", {
+        "from_histogram", "widths_np", "classify", "guide_codes", "decode",
+        "serialize", "deserialize"}),
+}
 
 
 def streams_written_in_bulk(source, where):
-    """The encoder holds a block as columns down to the bytes: the
-    compressor has no per-read plan or event objects and makes no
-    per-field write — each stream leaves through ``write_fields`` /
-    ``write_run`` / ``encode_run`` / ``write_bytes``."""
+    """The encoder holds a block as columns down to the bytes and has
+    one field emitter: the compressor has no per-read plan or event
+    objects, makes no per-field or per-run write, and calls
+    ``write_fields`` only in ``_Fields.emit``; ``BitWriter`` and
+    ``AssociationTable`` have exactly the public methods of
+    :data:`WRITE_SURFACES`."""
+    tree = ast.parse(source)
+    if where in WRITE_SURFACES:
+        owner, surface = WRITE_SURFACES[where]
+        return [f"{where}:{cls.lineno} {owner} {sorted(found ^ surface)}"
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == owner
+                for found in [{item.name for item in cls.body
+                               if isinstance(item, FUNCTIONS)
+                               and not item.name.startswith("_")}]
+                if found != surface]
     if where != "src/repro/core/compressor.py":
         return []
+    emitter = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "_Fields"
+               for func in cls.body
+               if isinstance(func, FUNCTIONS) and func.name == "emit"
+               for node in ast.walk(func)}
     offenders = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         names = {getattr(node, "id", None), getattr(node, "attr", None),
                  getattr(node, "name", None)}
         offenders += [f"{where}:{node.lineno} {name}"
                       for name in sorted(names & {"_Event", "_ReadPlan"})]
-        if isinstance(node, ast.Call) \
-                and getattr(node.func, "attr", None) in _FIELD_WRITES:
-            offenders.append(f"{where}:{node.lineno} .{node.func.attr}(")
+        called = isinstance(node, ast.Call) \
+            and getattr(node.func, "attr", None)
+        if called in _FIELD_WRITES or (called == "write_fields"
+                                       and id(node) not in emitter):
+            offenders.append(f"{where}:{node.lineno} .{called}(")
     return offenders
 
 
@@ -669,14 +703,19 @@ def options_a_caller_sets(source, where):
 #: rate that only tests called, the second compressor
 #: (``SAGeCompressor.compress`` cuts and pools a read stream itself),
 #: the decode-kernel extension point (the two kernels are a fixed
-#: table that ``resolve_kernel`` reads), and the decode pool's
-#: initializer (a pool outlives a pass; a task names its archive file).
+#: table that ``resolve_kernel`` reads), the decode pool's
+#: initializer (a pool outlives a pass; a task names its archive file),
+#: and the stream writers beside the one field emitter (a run of fields
+#: is ``write_fields``, a guide code ``AssociationTable.guide_codes``;
+#: the per-value oracles are in ``tests/conftest.py``).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
                        "BlockCompressor", "DecodedBlockCache", "SingleFlight",
                        "CacheStats", "CodecKernel", "register_kernel",
-                       "get_kernel", "resolve_codec", "_init_decode_worker"}
+                       "get_kernel", "resolve_codec", "_init_decode_worker",
+                       "write_run", "write_unary", "encode_run",
+                       "class_for_value"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1405,23 +1444,38 @@ class TestOptionsThreadingEdges:
 
     def test_streams_leave_in_bulk(self):
         """The encoder's side of the same contract: a block's mapped and
-        unmapped reads become stream fields as columns, and each stream
-        leaves in bulk (``streams_written_in_bulk``); the per-field
-        writers stay, as the references the bulk ones are tested
-        against."""
+        unmapped reads become stream fields as columns, and every stream
+        leaves through the one emitter, ``_Fields.emit``
+        (``streams_written_in_bulk``); the writer and the table expose
+        no other way to write a field, and the per-value references the
+        columns are tested against live in ``tests/conftest.py``."""
         assert on_tree(streams_written_in_bulk, "src") == []
+        compressor = "src/repro/core/compressor.py"
         for violating in ("mbta.write_bit(plan.reverse)\n",
                           "side.write(len(extra), 2)\n",
                           "tables['count'].encode(count, mmpga, mmpga)\n",
                           "guide.write_unary(idx)\n",
+                          "writers['mpa'].write_run(first_cons, w_cons)\n",
+                          "table.encode_run(values, guide, array)\n",
+                          "writers['lengths'].write_fields(values, widths)\n",
                           "events: list[_Event] = []\n",
                           "class _ReadPlan:\n    pass\n"):
             assert on_snippet(streams_written_in_bulk, violating,
-                              "src/repro/core/compressor.py") != [], violating
-        assert on_snippet(streams_written_in_bulk,
-                          "writer.write_fields(values, widths)\n"
-                          "table.encode_run(values, guide, array)\n",
-                          "src/repro/core/compressor.py") == []
+                              compressor) != [], violating
+        assert on_snippet(streams_written_in_bulk, """\
+            class _Fields:
+                def emit(self, breakdown):
+                    writer.write_fields(values, widths)
+            """, compressor) == []
+        for violating, where in (
+                ("class BitWriter:\n"
+                 "    def write_unary(self, value):\n        pass\n",
+                 "src/repro/core/bitio.py"),
+                ("class AssociationTable:\n"
+                 "    def encode(self, value, guide, array):\n        pass\n",
+                 "src/repro/core/prefix_codes.py")):
+            assert on_snippet(streams_written_in_bulk, violating,
+                              where) != [], violating
         assert on_snippet(streams_written_in_bulk, "writer.write(1, 1)\n",
                           "src/repro/core/container.py") == []
 
