@@ -22,7 +22,8 @@ from ..core.selection import STREAM_GROUPS, StreamSelection
 from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
                       VerifyReport, atomic_write_bytes)
 from .describe import describe
-from .sinks import CallableSink, available_sinks, result_info
+from .sinks import CallableSink, available_sinks, result_info, \
+    stream_info
 
 __all__ = [
     "BlockDecodeError", "CallableSink", "CorruptArchiveError",
@@ -30,4 +31,5 @@ __all__ = [
     "SAGeDataset", "SAGeError", "SalvageReport", "SourceTotals",
     "StreamSelection", "TruncatedArchiveError", "VerifyReport",
     "atomic_write_bytes", "available_sinks", "describe", "result_info",
+    "stream_info",
 ]

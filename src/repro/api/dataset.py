@@ -46,11 +46,12 @@ from ..core.compressor import SAGeCompressor, SAGeConfig
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
 from ..core.options import EngineOptions
+from ..core.selection import StreamSelection
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
 from ..genomics.reads import ReadSet
 from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
-    FastqSink, Sink, StreamExecutor
+    FastqSink, Sink, StreamExecutor, decode_block
 from .sinks import resolve_sink
 
 __all__ = ["Pipeline", "SAGeDataset", "SalvageReport", "SourceTotals",
@@ -487,15 +488,13 @@ class SAGeDataset:
 
         ``select`` (a :class:`~repro.core.selection.StreamSelection`
         spec, ``None`` = everything) limits the decode to the named
-        stream groups.  The block's parsed form is released afterwards
-        — the decoded reads are the caller's to keep, so random access
-        over a blob-backed archive does not accumulate parsed blocks.
+        stream groups.  The executor's per-block decode runs it, and
+        releases the block's parsed form afterwards — the decoded reads
+        are the caller's to keep, so random access over a blob-backed
+        archive does not accumulate parsed blocks.
         """
-        try:
-            return self.decompressor().decompress_block(
-                index, select=select)
-        finally:
-            self._archive.release_block(index)
+        return decode_block(self.decompressor(), index,
+                            StreamSelection.from_spec(select)).reads
 
     def to_fastq(self, target) -> int:
         """Stream the dataset out as FASTQ; returns the read count.

@@ -1,5 +1,6 @@
-"""Machine-readable archive metadata: what ``sage inspect`` prints and
-what ``sage serve``'s ``/inspect`` endpoint is cut from."""
+"""Machine-readable archive metadata: what ``sage inspect --json``
+prints and what ``sage serve``'s ``/inspect`` answers (with the served
+``archive`` name and ``path`` added)."""
 
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ def _block_info(archive: SAGeArchive, index: int, entry: BlockIndexEntry
     description, and has no section sizes.
     """
     info = {"index": index, "n_reads": entry.n_reads,
-            "bytes": entry.nbytes, "offset": entry.offset,
-            "crc32": entry.crc32}
+            "first_read": entry.first_read, "bytes": entry.nbytes,
+            "offset": entry.offset, "crc32": entry.crc32}
     try:
         blk = archive.block(index)
     except SAGeError as exc:
@@ -115,6 +116,11 @@ def describe(dataset: SAGeDataset) -> dict:
         "block_reads": archive.block_reads,
         "n_blocks": archive.n_blocks,
         "blocks": blocks_info,
+        # What a whole-archive FASTQ body costs a cache (damaged blocks
+        # have no estimate and count 0).
+        "decoded_nbytes_estimate_total": sum(
+            block.get("decoded_nbytes_estimate", 0)
+            for block in blocks_info),
         "stream_bits": {name: bits
                         for name, bits in sorted(stream_totals.items())},
         "tables": {key: list(table.widths)

@@ -17,13 +17,13 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..analysis.properties import (MappingRateReport, MappingRateSink,
                                    PropertyAccumulator, PropertyReport)
 from ..genomics.reads import ReadSet
-from ..pipeline.executor import CollectSink, Sink
+from ..pipeline.executor import CollectSink, ExecutorStats, Sink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .dataset import SAGeDataset
 
 __all__ = ["CallableSink", "available_sinks", "resolve_sink",
-           "result_info"]
+           "result_info", "stream_info"]
 
 #: The built-in sinks.  The analysis sinks decode a block's sequence
 #: group and map it against the archive's own consensus, so they need no
@@ -107,6 +107,21 @@ def result_info(result: Any) -> dict:
         return {"n_reads": len(result),
                 "total_bases": result.total_bases}
     return {"result": str(result)}
+
+
+def stream_info(stats: ExecutorStats) -> dict:
+    """JSON rendering of a pass's :class:`ExecutorStats`: the
+    ``stream`` object of ``sage analyze --json`` and ``POST /analyze``.
+
+    Beside the block count and queue depth, the transport and selection
+    observability: pickled task bytes sent to pooled workers (0 on
+    in-parent backends) and the stream bits each group decoded.
+    """
+    return {"blocks": stats.blocks,
+            "peak_inflight_blocks": stats.peak_inflight,
+            "bytes_shipped": stats.bytes_shipped,
+            "streams_decoded": dict(stats.streams_decoded),
+            "stream_bits_total": stats.stream_bits_total}
 
 
 def resolve_sink(dataset: "SAGeDataset", spec: Any) -> Sink:

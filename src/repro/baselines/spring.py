@@ -65,14 +65,11 @@ class SpringArchive:
 class SpringCompressor:
     """Consensus-based compressor with a general-purpose back end."""
 
-    def __init__(self, consensus: np.ndarray, with_quality: bool = True,
-                 mapper: MapperConfig | None = None):
+    def __init__(self, consensus: np.ndarray, with_quality: bool = True):
         self.consensus = np.asarray(consensus, dtype=np.uint8)
         self.with_quality = with_quality
-        mapper_cfg = mapper or MapperConfig()
-        mapper_cfg.max_segments = 1
-        mapper_cfg.unmapped_cost_fraction = 0.80
-        self.mapper = ReadMapper(self.consensus, mapper_cfg)
+        self.mapper = ReadMapper(self.consensus, MapperConfig(
+            max_segments=1, unmapped_cost_fraction=0.80))
 
     def compress(self, read_set: ReadSet) -> SpringArchive:
         fixed = read_set.is_fixed_length and len(read_set) > 0

@@ -53,11 +53,12 @@ import json
 import sys
 from pathlib import Path
 
-from .api import (EngineOptions, SAGeDataset, available_sinks, describe,
-                  result_info)
+from .api import (EngineOptions, SAGeDataset, StreamSelection,
+                  available_sinks, describe, result_info, stream_info)
 from .core import OptLevel, SAGeConfig, SAGeError
 from .genomics import datasets, fastq
 from .genomics import sequence as seqmod
+from .pipeline.executor import decode_block
 
 
 #: Exit codes: 0 success, 1 damaged/failed input (``SAGeError``,
@@ -124,11 +125,12 @@ def _cmd_cat(args: argparse.Namespace) -> int:
             if args.block is None:
                 dataset.to_fastq(out)
             else:
-                # Fallback names count from the block's global position,
-                # as the whole-archive pass numbers them.
-                base = dataset.archive.block_index()[args.block].first_read
-                out.write(fastq.write(dataset.decode_block(args.block),
-                                      base))
+                # The per-block decode every FASTQ pass runs: names
+                # count from the block's global position.
+                out.write(decode_block(
+                    dataset.decompressor(), args.block,
+                    StreamSelection.all_streams(), render=True,
+                    columns=False).fastq.decode("ascii"))
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -163,19 +165,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         stats = dataset.stats
     infos = {name: result_info(result)
              for name, result in zip(sink_names, results)}
-    stream_info = {"blocks": stats.blocks,
-                   "peak_inflight_blocks": stats.peak_inflight,
-                   "workers": args.workers,
-                   # Transport/selection observability: IPC bytes sent
-                   # to pooled workers (0 on in-parent backends) and
-                   # the stream bits each group actually decoded.
-                   "bytes_shipped": stats.bytes_shipped,
-                   "streams_decoded": dict(stats.streams_decoded),
-                   "stream_bits_total": stats.stream_bits_total}
 
     if args.json:
         print(json.dumps({"input": args.input, "sinks": infos,
-                          "stream": stream_info},
+                          "stream": {**stream_info(stats),
+                                     "workers": args.workers}},
                          indent=2, sort_keys=True))
         return 0
     for name, info in infos.items():

@@ -10,8 +10,12 @@ paper feeds measured component latencies/throughputs into its simulator:
   1.3× decode-rate uplift;
 - SAGeSW is SAGe's algorithm on the host CPU (§8.1: ~2.3× over (N)Spr
   end to end, up to 4× slower than SAGe hardware);
-- SAGe hardware rates come from :mod:`repro.hardware.sage_units`, not
-  from constants.
+- the SAGe hardware rate of the end-to-end model is a constant too,
+  :attr:`DatasetModel.sage_unit_bases_per_s` (the SU/RCU array of one
+  8-channel SSD), scaled by channel and SSD count in
+  :func:`repro.pipeline.endtoend._sage_unit_rate`; the unit model's own
+  :meth:`repro.hardware.sage_units.SAGeHardwareModel.throughput`, run
+  on a real archive, feeds only the Table 3 comparison.
 
 Working-set sizes drive the resource-requirements comparison (Table 3).
 """

@@ -57,7 +57,8 @@ from ..genomics import fastq
 from ..genomics.reads import ReadSet
 
 __all__ = ["BACKENDS", "BlockGap", "CollectSink", "ExecutorStats",
-           "FASTQ", "FastqBlock", "FastqSink", "Sink", "StreamExecutor"]
+           "FASTQ", "FastqBlock", "FastqSink", "Sink", "StreamExecutor",
+           "decode_block"]
 
 #: A ``requires`` entry: the sink takes each block rendered, as a
 #: :class:`FastqBlock`, which needs every stream group.
@@ -199,27 +200,31 @@ class _Decoded(NamedTuple):
     stream_bits: "dict[str, int]"
 
 
-def _decode_block(decoder: SAGeDecompressor, index: int,
-                  plan: _Plan) -> _Decoded:
-    """Decode (and render) one block on ``decoder``, with stream-bit
-    accounting.
+def decode_block(decoder: SAGeDecompressor, index: int,
+                 select: StreamSelection, render: bool = False,
+                 columns: bool = True) -> _Decoded:
+    """Decode block ``index``'s ``select`` groups on ``decoder``, with
+    stream-bit accounting: its reads if ``columns``, its FASTQ bytes if
+    ``render`` (the fields of a :class:`_Plan`).
 
-    What every backend runs per block — in the parent or in a pool
-    worker — which is what keeps the parallel decode byte-identical to
-    the serial one: FASTQ numbers the reads from the block's index
-    entry, wherever it renders.  The block's parsed form is released
-    afterwards, so a whole-archive pass keeps O(window) parsed blocks
-    in memory, not O(n_blocks).
+    The one per-block decode: what every backend runs — in the parent
+    or in a pool worker — and what random access
+    (``SAGeDataset.decode_block``, ``sage cat --block``, a ``sage
+    serve`` miss) runs, which is what keeps every one of them
+    byte-identical to the serial pass: FASTQ numbers the reads from the
+    block's index entry, wherever it renders.  The block's parsed form
+    is released afterwards, so a whole-archive pass keeps O(window)
+    parsed blocks in memory, not O(n_blocks), and random access
+    accumulates none.
     """
     archive = decoder.archive
     try:
-        reads = decoder.decompress_block(index, select=plan.select)
+        reads = decoder.decompress_block(index, select=select)
         body = fastq.write(reads, archive.block_index()[index].first_read) \
-            .encode("ascii") if plan.render else None
-        return _Decoded(reads if plan.columns else None, body, len(reads),
+            .encode("ascii") if render else None
+        return _Decoded(reads if columns else None, body, len(reads),
                         reads.total_bases,
-                        decoded_stream_bits(archive.block(index),
-                                            plan.select))
+                        decoded_stream_bits(archive.block(index), select))
     finally:
         archive.release_block(index)
 
@@ -296,7 +301,7 @@ def _decode_task(task: tuple) -> _Decoded:
     decoder.archive.name = name             # not serialized; names reads
     select = StreamSelection.of(*(group for bit, group in enumerate(
         STREAM_GROUPS) if groups >> bit & 1))
-    return _decode_block(decoder, index, _Plan(select, render, columns))
+    return decode_block(decoder, index, select, render, columns)
 
 
 class StreamExecutor:
@@ -428,8 +433,8 @@ class StreamExecutor:
         ``pooled`` marks a failure from a worker pool (a worker crash, a
         broken pool, a worker that could not open the archive file or
         found another file at its path): that block is re-decoded
-        exactly once in the parent, from its own mapping, by the same
-        :func:`_decode_block` a serial pass runs.  The retry is that
+        exactly once in the parent, from its own mapping, by the
+        :func:`decode_block` a serial pass runs.  The retry is that
         deterministic serial decode, so a second attempt could not
         succeed where it failed, and a failure that already happened
         serially is not retried at all.  A block still lost then follows
@@ -439,7 +444,7 @@ class StreamExecutor:
         if pooled:
             self.stats.blocks_retried += 1
             try:
-                return _decode_block(self.decompressor(), index, plan)
+                return decode_block(self.decompressor(), index, *plan)
             except Exception as retry_exc:
                 exc = retry_exc
         self.stats.blocks_failed += 1
@@ -456,7 +461,7 @@ class StreamExecutor:
         for index in range(self.archive.n_blocks):
             self.stats.note_depth(1)
             try:
-                item = _decode_block(decoder, index, plan)
+                item = decode_block(decoder, index, *plan)
             except Exception as exc:
                 item = self._resolve_failure(index, exc, pooled=False,
                                              plan=plan)

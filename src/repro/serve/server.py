@@ -1,4 +1,12 @@
-"""The archive server: asyncio front end, pooled decodes, its own cache.
+"""The archive server: a thin asyncio HTTP face over dataset sessions.
+
+The server holds one :class:`~repro.api.SAGeDataset` per served name
+and answers through the engine: a ``/block`` or ``/reads`` miss runs
+the executor's per-block decode
+(:func:`repro.pipeline.executor.decode_block`, what ``to_fastq`` runs
+for every block), ``/inspect`` is :func:`~repro.api.describe` of the
+session, and ``/analyze`` a sink pass reported as ``sage analyze``
+reports it.
 
 Concurrency model, in one paragraph: a single event-loop thread owns
 all request parsing, routing, and cache bookkeeping; block decodes and
@@ -28,15 +36,16 @@ import time
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 from pathlib import Path
 
 from ..api.dataset import SAGeDataset
 from ..api.describe import describe
-from ..api.sinks import result_info
+from ..api.sinks import result_info, stream_info
 from ..core.errors import SAGeError
 from ..core.options import EngineOptions
 from ..core.selection import StreamSelection
-from ..genomics import fastq
+from ..pipeline.executor import decode_block
 from .http import (HTTPError, Request, Response, error_response,
                    read_request)
 from .stats import ServerStats
@@ -52,8 +61,24 @@ DEFAULT_CACHE_BYTES = 64 << 20
 #: ``requires``, not an option.
 REQUEST_OPTION_KEYS = frozenset({"workers", "backend", "on_error"})
 
-_BLOCK_PATH = re.compile(r"^/block/(\d+)$")
-_READS_PATH = re.compile(r"^/reads/(\d+)-(\d+)$")
+#: endpoint label (its ``/stats`` key) -> (path pattern, method,
+#: handler method).  A path no pattern matches is a 404, a matched path
+#: asked with another method a 405; a pattern's groups are the handler's
+#: integer arguments.
+_ROUTES = {
+    "/archives": (re.compile(r"/archives"), "GET", "_handle_archives"),
+    "/inspect": (re.compile(r"/inspect"), "GET", "_handle_inspect"),
+    "/block": (re.compile(r"/block/(\d+)"), "GET", "_handle_block"),
+    "/reads": (re.compile(r"/reads/(\d+)-(\d+)"), "GET", "_handle_reads"),
+    "/analyze": (re.compile(r"/analyze"), "POST", "_handle_analyze"),
+    "/stats": (re.compile(r"/stats"), "GET", "_handle_stats"),
+    "/cache/clear": (re.compile(r"/cache/clear"), "POST",
+                     "_handle_cache_clear"),
+}
+
+#: A block index entry's global read position: the key ``/reads``
+#: bisects the index by.
+_FIRST_READ = attrgetter("first_read")
 
 
 def request_options(base: EngineOptions, overrides: dict) -> EngineOptions:
@@ -82,56 +107,7 @@ def request_options(base: EngineOptions, overrides: dict) -> EngineOptions:
     return options
 
 
-class _ServedArchive:
-    """One archive under service: its session plus the read-index map."""
-
-    def __init__(self, name: str, path: Path,
-                 dataset: SAGeDataset) -> None:
-        self.name = name
-        self.path = path
-        self.dataset = dataset
-        # read_offsets[i] is the global index of block i's first read,
-        # with a final sentinel equal to n_reads.  This is the
-        # /reads/{a}-{b} lookup table and the FASTQ numbering base that
-        # makes block-by-block serving byte-identical to a streaming
-        # to_fastq pass.
-        archive = dataset.archive
-        self.read_offsets = [entry.first_read
-                             for entry in archive.block_index()]
-        self.read_offsets.append(archive.n_reads)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.dataset.archive.n_blocks
-
-    @property
-    def n_reads(self) -> int:
-        return self.read_offsets[-1]
-
-
-def _inspect_sync(served: _ServedArchive) -> dict:
-    """Block-level metadata for /inspect (runs on a pool thread)."""
-    info = describe(served.dataset)
-    keys = ("index", "n_reads", "bytes", "offset", "crc32",
-            "decoded_nbytes_estimate", "error")
-    blocks = [{key: block[key] for key in keys if key in block}
-              | {"first_read": first_read}
-              for block, first_read
-              in zip(info["blocks"], served.read_offsets)]
-    return {
-        "archive": served.name,
-        "path": str(served.path),
-        "format_version": info["format_version"],
-        "n_blocks": info["n_blocks"],
-        "n_reads": info["n_reads"],
-        "block_reads": info["block_reads"],
-        "decoded_nbytes_estimate_total":
-            sum(b.get("decoded_nbytes_estimate", 0) for b in blocks),
-        "blocks": blocks,
-    }
-
-
-def _analyze_sync(served: _ServedArchive, sink_names: list,
+def _analyze_sync(name: str, dataset: SAGeDataset, sink_names: list,
                   options: EngineOptions) -> dict:
     """One streaming analysis pass (runs on a pool thread).
 
@@ -139,39 +115,36 @@ def _analyze_sync(served: _ServedArchive, sink_names: list,
     archive, sharing the served session's decoder; it is not closed —
     the archive belongs to the served session.
     """
-    session = SAGeDataset(served.dataset.archive, options=options,
-                          decompressor=served.dataset.decompressor())
+    session = SAGeDataset(dataset.archive, options=options,
+                          decompressor=dataset.decompressor())
     try:
         pipeline = session.pipe(*sink_names)
     except (TypeError, ValueError) as exc:
         raise HTTPError(400, str(exc)) from exc
     results = pipeline.run()
-    stats = pipeline.stats
-    return {
-        "archive": served.name,
-        "results": {name: result_info(result)
-                    for name, result in zip(sink_names, results)},
-        "stream": {"blocks": stats.blocks,
-                   "peak_inflight_blocks": stats.peak_inflight,
-                   "bytes_shipped": stats.bytes_shipped,
-                   "streams_decoded": dict(stats.streams_decoded)},
-    }
+    return {"archive": name,
+            "results": {sink: result_info(result)
+                        for sink, result in zip(sink_names, results)},
+            "stream": stream_info(pipeline.stats)}
 
 
-def _render_block(served: _ServedArchive, index: int,
-                  selection: StreamSelection, fmt: str) -> bytes:
-    """Block ``index`` decoded and rendered as ``fmt`` (a pool job)."""
-    read_set = served.dataset.decode_block(index, select=selection)
-    base = served.read_offsets[index]
+def _render_block(dataset: SAGeDataset, index: int,
+                  selection: StreamSelection, fmt: str, name: str) -> bytes:
+    """Block ``index`` of the archive served as ``name``, as ``fmt``
+    (a pool job): the executor's per-block decode, whose FASTQ is what
+    ``to_fastq`` writes for the block."""
+    decoded = decode_block(dataset.decompressor(), index, selection,
+                           render=fmt == "fastq", columns=fmt == "json")
     if fmt == "fastq":
-        return fastq.write(read_set, base).encode("ascii")
+        return decoded.fastq
+    base = dataset.archive.block_index()[index].first_read
     reads = [{"index": base + i,
               "header": read.header or f"read{base + i}",
               "sequence": read.text,
               "quality": read.quality_text
               if read.quality is not None else None}
-             for i, read in enumerate(read_set)]
-    return json.dumps({"archive": served.name, "block": index,
+             for i, read in enumerate(decoded.reads)]
+    return json.dumps({"archive": name, "block": index,
                        "first_read": base, "reads": reads},
                       sort_keys=True).encode("utf-8")
 
@@ -186,13 +159,15 @@ class ArchiveServer:
     """Serve one or more SAGe archives over HTTP.
 
     ``archives`` is a list of paths (or ``name=path`` strings to pick
-    the served name explicitly; the default name is the file stem).
-    The server owns its datasets: :meth:`close` closes them.
+    the served name explicitly; the default name is the file stem).  A
+    spec splits at its first ``=``: a name holds none, a path may, so a
+    path with an ``=`` in it is served as ``name=path``.  The server
+    owns its datasets: :meth:`close` closes them.
 
     Endpoints::
 
         GET  /archives            served archives + shape metadata
-        GET  /inspect?archive=A   per-block index incl. decoded-size estimates
+        GET  /inspect?archive=A   ``sage inspect --json`` + archive/path
         GET  /block/{i}           one decoded block (FASTQ; ?format=json)
         GET  /reads/{a}-{b}       global read range [a, b) across blocks
         POST /analyze             {"archive": A, "sinks": [...], "options": {}}
@@ -224,18 +199,19 @@ class ArchiveServer:
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, decode_threads),
             thread_name_prefix="sage-serve")
-        self._served: dict[str, _ServedArchive] = {}
+        #: served name -> its session.
+        self._served: dict[str, SAGeDataset] = {}
         try:
             for spec in archives:
-                name, _, path_text = str(spec).rpartition("=")
+                *named, path_text = str(spec).split("=", 1)
                 path = Path(path_text)
-                name = name or path.stem
+                name = "".join(named) or path.stem
                 if name in self._served:
                     raise ValueError(
                         f"duplicate served archive name {name!r}; "
                         f"disambiguate with name=path")
-                dataset = SAGeDataset.open(path, options=self.options)
-                self._served[name] = _ServedArchive(name, path, dataset)
+                self._served[name] = SAGeDataset.open(
+                    path, options=self.options)
             if not self._served:
                 raise ValueError("no archives to serve")
         except BaseException:
@@ -287,8 +263,8 @@ class ArchiveServer:
 
         Idempotent and safe from any thread.  Shutdown order matters:
         stop the loop (no new requests), drain the pool (in-flight
-        decodes finish), snapshot stats, then close the datasets — so
-        no decode ever races a closing archive from inside the server.
+        decodes finish), then close the datasets — so no decode ever
+        races a closing archive from inside the server.
         """
         if self._closed:
             return self.final_stats or {}
@@ -302,15 +278,14 @@ class ArchiveServer:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        self._pool.shutdown(wait=True)
-        self.final_stats = self.stats.to_dict()
         self._shutdown_resources()
+        self.final_stats = self.stats.to_dict()
         return self.final_stats
 
     def _shutdown_resources(self) -> None:
         self._pool.shutdown(wait=True)
-        for served in self._served.values():
-            served.dataset.close()
+        for dataset in self._served.values():
+            dataset.close()
         self._bodies.clear()
 
     def _thread_main(self) -> None:
@@ -381,20 +356,35 @@ class ArchiveServer:
                 return
 
     async def _dispatch(self, request: Request) -> Response:
-        """Run the routed handler; the one place its failures are mapped.
+        """Route ``request`` and run its handler; the one place its
+        failures are mapped.
 
-        An :class:`HTTPError` is a status the handler chose; a
-        :class:`SAGeError` (archive damage) becomes a 500 whose JSON body
-        carries the error type and the taxonomy's ``.context`` (block
-        index, stream, offset) so a client can localize the damage.
-        Every handler is called from here, so none has to remember to.
+        An :class:`HTTPError` is a status the handler (or the route
+        table: 404, 405) chose; a :class:`SAGeError` (archive damage)
+        becomes a 500 whose JSON body carries the error type and the
+        taxonomy's ``.context`` (block index, stream, offset) so a
+        client can localize the damage.  Every handler is called from
+        here, so none has to remember to.
         """
-        endpoint, handler, args = self._route(request)
+        for endpoint, (pattern, method, handler) in _ROUTES.items():
+            match = pattern.fullmatch(request.path)
+            if match:
+                break
+        else:
+            # One shared label keeps /stats from growing a latency
+            # window per mistyped path.
+            endpoint = "(unknown)"
         self.stats.begin_request()
         started = time.perf_counter()
         failed = False
         try:
-            return await handler(request, *args)
+            if match is None:
+                raise HTTPError(404, f"no such endpoint: {request.path}")
+            if request.method != method:
+                raise HTTPError(405, f"{request.method} not allowed on "
+                                     f"{request.path}")
+            return await getattr(self, handler)(
+                request, *map(int, match.groups()))
         except HTTPError as exc:
             failed = True
             return error_response(exc)
@@ -413,67 +403,22 @@ class ArchiveServer:
             elapsed_ms = (time.perf_counter() - started) * 1e3
             self.stats.end_request(endpoint, elapsed_ms, error=failed)
 
-    def _route(self, request: Request):
-        """Resolve ``(endpoint_label, handler, extra_args)``."""
-        path = request.path
-        if path == "/archives":
-            return "/archives", self._expect(
-                request, "GET", self._handle_archives), ()
-        if path == "/inspect":
-            return "/inspect", self._expect(
-                request, "GET", self._handle_inspect), ()
-        match = _BLOCK_PATH.match(path)
-        if match:
-            return "/block", self._expect(
-                request, "GET", self._handle_block), (int(match.group(1)),)
-        match = _READS_PATH.match(path)
-        if match:
-            return "/reads", self._expect(
-                request, "GET", self._handle_reads), (
-                    int(match.group(1)), int(match.group(2)))
-        if path == "/analyze":
-            return "/analyze", self._expect(
-                request, "POST", self._handle_analyze), ()
-        if path == "/stats":
-            return "/stats", self._expect(
-                request, "GET", self._handle_stats), ()
-        if path == "/cache/clear":
-            return "/cache/clear", self._expect(
-                request, "POST", self._handle_cache_clear), ()
-        # One shared label keeps /stats from growing a latency window
-        # per mistyped path.
-        return "(unknown)", self._handle_not_found, ()
-
-    @staticmethod
-    def _expect(request: Request, method: str, handler):
-        if request.method != method:
-            return ArchiveServer._method_not_allowed
-        return handler
-
-    @staticmethod
-    async def _method_not_allowed(request: Request, *args) -> Response:
-        raise HTTPError(405, f"{request.method} not allowed on "
-                             f"{request.path}")
-
-    @staticmethod
-    async def _handle_not_found(request: Request) -> Response:
-        raise HTTPError(404, f"no such endpoint: {request.path}")
-
     # -- shared request plumbing ---------------------------------------
 
-    def _served_for(self, request: Request) -> _ServedArchive:
-        name = request.query.get("archive")
+    def _served_for(self, name: str | None) -> tuple[str, SAGeDataset]:
+        """``(name, session)`` of the archive a request names; ``None``
+        names the only one served."""
         if name is None:
             if len(self._served) == 1:
-                return next(iter(self._served.values()))
+                return next(iter(self._served.items()))
             raise HTTPError(400, "multiple archives are served; pick one "
                                  "with ?archive=NAME",
                             archives=sorted(self._served))
-        served = self._served.get(name)
-        if served is None:
+        dataset = self._served.get(name)
+        if dataset is None:
             raise HTTPError(404, f"unknown archive {name!r}",
                             archives=sorted(self._served))
-        return served
+        return name, dataset
 
     def _selection_of(self, request: Request) -> StreamSelection:
         spec = request.query.get("streams")
@@ -484,10 +429,10 @@ class ArchiveServer:
         except ValueError as exc:
             raise HTTPError(400, str(exc)) from exc
 
-    async def _block_body(self, served: _ServedArchive, index: int,
+    async def _block_body(self, name: str, index: int,
                           selection: StreamSelection, fmt: str) -> bytes:
         """The cache + coalescing + pooled-decode core of the server."""
-        key = (served.name, index, selection.cache_token, fmt)
+        key = (name, index, selection.cache_token, fmt)
         stats = self.stats
         body = self._bodies.get(key)
         if body is not None:
@@ -500,7 +445,8 @@ class ArchiveServer:
             stats.coalesced += 1
         else:
             pending = asyncio.get_running_loop().run_in_executor(
-                self._pool, _render_block, served, index, selection, fmt)
+                self._pool, _render_block, self._served[name], index,
+                selection, fmt, name)
             self._pending[key] = pending
             pending.add_done_callback(
                 lambda done: self._retire(key, done))
@@ -532,73 +478,64 @@ class ArchiveServer:
     # -- handlers ------------------------------------------------------
 
     async def _handle_archives(self, request: Request) -> Response:
-        listing = [{"name": served.name,
-                    "path": str(served.path),
-                    "n_blocks": served.n_blocks,
-                    "n_reads": served.n_reads,
-                    "format_version":
-                        served.dataset.archive.source_version,
-                    "block_reads": served.dataset.archive.block_reads}
-                   for served in self._served.values()]
-        return Response.json({"archives":
-                              sorted(listing, key=lambda a: a["name"])})
+        return Response.json({"archives": [
+            {"name": name, "path": str(dataset.path),
+             "n_blocks": dataset.n_blocks, "n_reads": dataset.n_reads,
+             "format_version": dataset.format_version,
+             "block_reads": dataset.archive.block_reads}
+            for name, dataset in sorted(self._served.items())]})
 
     async def _handle_inspect(self, request: Request) -> Response:
-        served = self._served_for(request)
-        loop = asyncio.get_running_loop()
-        info = await loop.run_in_executor(self._pool, _inspect_sync, served)
-        return Response.json(info)
+        name, dataset = self._served_for(request.query.get("archive"))
+        info = await asyncio.get_running_loop().run_in_executor(
+            self._pool, describe, dataset)
+        return Response.json(info | {"archive": name,
+                                     "path": str(dataset.path)})
 
     async def _handle_block(self, request: Request,
                             index: int) -> Response:
-        served = self._served_for(request)
-        if not 0 <= index < served.n_blocks:
+        name, dataset = self._served_for(request.query.get("archive"))
+        if not 0 <= index < dataset.n_blocks:
             raise HTTPError(404, f"block {index} out of range (archive "
-                                 f"{served.name!r} has {served.n_blocks} "
+                                 f"{name!r} has {dataset.n_blocks} "
                                  f"blocks)")
         selection = self._selection_of(request)
         fmt = request.query.get("format", "fastq")
         if fmt not in ("fastq", "json"):
             raise HTTPError(400, f"unknown format {fmt!r}; expected "
                                  f"'fastq' or 'json'")
-        body = await self._block_body(served, index, selection, fmt)
+        body = await self._block_body(name, index, selection, fmt)
         return Response(body=body) if fmt == "json" \
             else Response.text(body)
 
     async def _handle_reads(self, request: Request, start: int,
                             stop: int) -> Response:
-        served = self._served_for(request)
-        if not 0 <= start < stop <= served.n_reads:
+        name, dataset = self._served_for(request.query.get("archive"))
+        if not 0 <= start < stop <= dataset.n_reads:
             raise HTTPError(
                 400, f"read range [{start}, {stop}) is invalid for "
-                     f"archive {served.name!r} with {served.n_reads} "
-                     f"reads")
+                     f"archive {name!r} with {dataset.n_reads} reads")
         fmt = request.query.get("format", "fastq")
         if fmt != "fastq":
             raise HTTPError(400, f"unknown format {fmt!r}; /reads answers "
                                  f"'fastq'")
         selection = self._selection_of(request)
-        offsets = served.read_offsets
-        first = bisect_right(offsets, start) - 1
-        last = bisect_left(offsets, stop)      # exclusive block bound
+        entries = dataset.archive.block_index()
+        first = bisect_right(entries, start, key=_FIRST_READ) - 1
+        last = bisect_left(entries, stop, key=_FIRST_READ)
         records: list[bytes] = []
-        for block_index in range(first, last):
-            body = await self._block_body(
-                served, block_index, selection, "fastq")
-            base = offsets[block_index]
-            lo = max(start, base) - base
-            hi = min(stop, offsets[block_index + 1]) - base
-            records.append(_records(body, lo, hi))
+        for index in range(first, last):
+            body = await self._block_body(name, index, selection, "fastq")
+            base = entries[index].first_read
+            records.append(_records(body, max(start - base, 0),
+                                    min(stop - base, entries[index].n_reads)))
         return Response.text(b"".join(records))
 
     async def _handle_analyze(self, request: Request) -> Response:
         payload = request.json()
         name = payload.get("archive")
-        if name is not None:
-            request = Request(method=request.method, path=request.path,
-                              query={**request.query,
-                                     "archive": str(name)})
-        served = self._served_for(request)
+        name, dataset = self._served_for(
+            request.query.get("archive") if name is None else str(name))
         sink_names = payload.get("sinks", ["property"])
         if (not isinstance(sink_names, list) or not sink_names
                 or not all(isinstance(s, str) and s for s in sink_names)):
@@ -610,9 +547,8 @@ class ArchiveServer:
         if not isinstance(overrides, dict):
             raise HTTPError(400, "options must be an object")
         options = request_options(self.options, overrides)
-        loop = asyncio.get_running_loop()
-        info = await loop.run_in_executor(
-            self._pool, _analyze_sync, served, sink_names, options)
+        info = await asyncio.get_running_loop().run_in_executor(
+            self._pool, _analyze_sync, name, dataset, sink_names, options)
         return Response.json(info)
 
     async def _handle_stats(self, request: Request) -> Response:

@@ -10,6 +10,7 @@ from repro.genomics import fastq
 from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
+from repro.mapping.mapper import MapperConfig
 from tests.conftest import detokenize, spring_decompress
 
 
@@ -17,6 +18,17 @@ class TestSpringEdges:
     def setup_method(self):
         self.rng = np.random.default_rng(17)
         self.reference = make_reference(4_000, self.rng)
+
+    def test_builds_its_own_mapper_config(self):
+        """Spring's mapper settings are its own: the constructor takes
+        no caller config, so it has none to overwrite."""
+        compressor = SpringCompressor(self.reference)
+        assert (compressor.mapper.config.max_segments,
+                compressor.mapper.config.unmapped_cost_fraction) == (1, 0.80)
+        with pytest.raises(TypeError):
+            SpringCompressor(self.reference, mapper=MapperConfig())
+        assert (MapperConfig().max_segments,
+                MapperConfig().unmapped_cost_fraction) == (3, 0.40)
 
     def test_empty_read_set(self):
         archive = SpringCompressor(self.reference).compress(ReadSet())

@@ -705,9 +705,12 @@ def options_a_caller_sets(source, where):
 #: the decode-kernel extension point (the two kernels are a fixed
 #: table that ``resolve_kernel`` reads), the decode pool's
 #: initializer (a pool outlives a pass; a task names its archive file),
-#: and the stream writers beside the one field emitter (a run of fields
+#: the stream writers beside the one field emitter (a run of fields
 #: is ``write_fields``, a guide code ``AssociationTable.guide_codes``;
-#: the per-value oracles are in ``tests/conftest.py``).
+#: the per-value oracles are in ``tests/conftest.py``), and the server's
+#: wrapper around its sessions and its projection of ``describe()``
+#: (``sage serve`` holds ``name -> SAGeDataset`` and ``/inspect`` is
+#: the description).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -715,7 +718,7 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "CacheStats", "CodecKernel", "register_kernel",
                        "get_kernel", "resolve_codec", "_init_decode_worker",
                        "write_run", "write_unary", "encode_run",
-                       "class_for_value"}
+                       "class_for_value", "_ServedArchive", "_inspect_sync"}
 
 
 def deleted_stay_deleted(source, where):
@@ -784,6 +787,62 @@ def blocks_serialized_once(source, where):
             and getattr(node.func, "attr", None) == "serialize"
             and not node.args and not node.keywords
             and id(node) not in writer]
+
+
+def fastq_rendered_once(source, where):
+    """FASTQ leaves the engine one way: under ``src/`` only the
+    executor's per-block decode (``pipeline/executor.py::decode_block``)
+    calls ``fastq.write(`` or imports ``write`` from the FASTQ module —
+    ``to_fastq``, ``sage cat --block`` and a ``sage serve`` miss all
+    run it (``genomics/fastq.py`` is the renderer itself)."""
+    if not where.startswith("src/repro/") \
+            or where == "src/repro/genomics/fastq.py":
+        return []
+    tree = ast.parse(source)
+    renderer = {id(node) for func in ast.walk(tree)
+                if isinstance(func, FUNCTIONS) and func.name == "decode_block"
+                and where == "src/repro/pipeline/executor.py"
+                for node in ast.walk(func)}
+    offenders = [f"{where}:{node.lineno} fastq.write( outside "
+                 f"executor.decode_block"
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "write"
+                 and getattr(node.func.value, "id", None) == "fastq"
+                 and id(node) not in renderer]
+    offenders += [f"{where}:{node.lineno} imports fastq.write"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").endswith("fastq")
+                  and "write" in {alias.name for alias in node.names}]
+    return offenders
+
+
+def serve_keeps_no_read_index(source, where):
+    """``sage serve`` finds a read range's blocks by bisecting the
+    archive's own block index by ``first_read``: nothing under
+    ``serve/`` collects a per-block ``first_read`` table (in a
+    comprehension, a ``map`` or an ``append``/``extend``)."""
+    if not where.startswith("src/repro/serve/"):
+        return []
+    offenders = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            collected = [node.elt]
+        elif isinstance(node, ast.DictComp):
+            collected = [node.key, node.value]
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) \
+                in ("map", "append", "extend"):
+            collected = node.args
+        else:
+            continue
+        if any(getattr(leaf, "attr", None) == "first_read"
+               or isinstance(leaf, ast.Constant) and leaf.value == "first_read"
+               for part in collected for leaf in ast.walk(part)):
+            offenders.append(f"{where}:{node.lineno} collects a per-block "
+                             f"first_read table")
+    return offenders
 
 
 # ----------------------------------------------------------------------
@@ -1741,6 +1800,61 @@ class TestOptionsThreadingEdges:
                 def _write_meta(self, writer):
                     self.tables["mp"].serialize(writer)
             """, container) == []
+
+    def test_serve_answers_through_the_engine(self):
+        """``sage serve`` restates none of the library: FASTQ is
+        rendered by the executor's per-block decode alone
+        (``fastq_rendered_once``), the server bisects the archive's
+        block index instead of keeping its own
+        (``serve_keeps_no_read_index``), and its session wrapper and
+        ``describe()`` projection stay deleted
+        (``deleted_stay_deleted``)."""
+        assert on_tree(fastq_rendered_once, "src") == []
+        for violating, where in (
+                ("""\
+                 def _render_block(dataset, index, selection, fmt):
+                     reads = dataset.decode_block(index, select=selection)
+                     return fastq.write(reads, 0).encode("ascii")
+                 """, "src/repro/serve/server.py"),
+                ("out.write(fastq.write(dataset.decode_block(i), base))\n",
+                 "src/repro/cli.py"),
+                ("from ..genomics.fastq import write\n",
+                 "src/repro/serve/server.py"),
+                ("""\
+                 def _decode_task(task):
+                     return fastq.write(reads, base)
+                 """, "src/repro/pipeline/executor.py")):
+            assert on_snippet(fastq_rendered_once, violating,
+                              where) != [], violating
+        assert on_snippet(fastq_rendered_once, """\
+            def decode_block(decoder, index, select, render, columns):
+                return fastq.write(reads, base) if render else None
+            """, "src/repro/pipeline/executor.py") == []
+        assert on_snippet(fastq_rendered_once,
+                          "fastq.write_file(report.read_set, path)\n",
+                          "src/repro/cli.py") == []
+
+        assert on_tree(serve_keeps_no_read_index, "src") == []
+        for violating in (
+                "offsets = [e.first_read for e in archive.block_index()]\n",
+                "offsets = list(map(attrgetter('first_read'), entries))\n",
+                "for entry in index:\n    offsets.append(entry.first_read)\n",
+                "starts = {i: e.first_read for i, e in enumerate(index)}\n"):
+            assert on_snippet(serve_keeps_no_read_index, violating,
+                              "src/repro/serve/server.py") != [], violating
+        assert on_snippet(serve_keeps_no_read_index,
+                          "first = bisect_right(entries, start, "
+                          "key=_FIRST_READ) - 1\n"
+                          "base = entries[first].first_read\n",
+                          "src/repro/serve/server.py") == []
+        assert on_snippet(serve_keeps_no_read_index,
+                          "offsets = [e.first_read for e in index]\n",
+                          "src/repro/api/describe.py") == []
+
+        for violating in ("class _ServedArchive:\n    pass\n",
+                          "def _inspect_sync(served):\n    return {}\n"):
+            assert on_snippet(deleted_stay_deleted, violating,
+                              "src/repro/serve/server.py") != [], violating
 
     def test_definitions_have_a_caller(self, tmp_path):
         """Code only tests call does not live in ``src/``: an oracle

@@ -73,6 +73,29 @@ class TestEndpoints:
             assert block["decoded_nbytes_estimate"] > 0
             assert block["crc32"] is not None
 
+    def test_inspect_is_the_description(self, client, served_archive):
+        """``/inspect`` is ``sage inspect --json``'s object plus the
+        served ``archive`` and ``path``, and still carries what the
+        server's own projection of it reported: the shape, each block's
+        index entry with its ``first_read``, and the estimate total."""
+        from repro.api import describe
+        info = client.get_json("/inspect")
+        path = served_archive["path"]
+        with SAGeDataset.open(path) as session:
+            expected = json.loads(json.dumps(describe(session)))
+            entries = session.archive.block_index()
+            shape = (session.format_version, session.n_blocks,
+                     session.n_reads, session.archive.block_reads)
+        assert info == expected | {"archive": "reads", "path": str(path)}
+        assert (info["format_version"], info["n_blocks"], info["n_reads"],
+                info["block_reads"]) == shape
+        assert [(b["index"], b["n_reads"], b["first_read"], b["bytes"],
+                 b["offset"], b["crc32"]) for b in info["blocks"]] \
+            == [(i, e.n_reads, e.first_read, e.nbytes, e.offset, e.crc32)
+                for i, e in enumerate(entries)]
+        assert info["decoded_nbytes_estimate_total"] == sum(
+            b["decoded_nbytes_estimate"] for b in info["blocks"])
+
     def test_estimate_is_the_cache_charge(self, server, client,
                                           served_archive):
         """``/inspect`` prices exactly what the cache is charged for a
@@ -118,15 +141,14 @@ class TestEndpoints:
     def test_a_hit_renders_nothing(self, server, client, monkeypatch):
         """A block is rendered once, at its miss: later ``/block`` hits
         and ``/reads`` ranges inside it are cut from the cached bytes."""
-        from repro.serve import server as server_module
-        render = server_module.fastq.write
+        render = fastq.write
         calls = []
 
         def counted(*args):
             calls.append(args)
             return render(*args)
 
-        monkeypatch.setattr(server_module.fastq, "write", counted)
+        monkeypatch.setattr(fastq, "write", counted)
         client.post_json("/cache/clear", {})
         first = client.get_text("/block/1")
         assert len(calls) == 1
@@ -838,13 +860,12 @@ class TestServerCache:
         monkeypatch.setattr(server_module, "_render_block", gated)
 
         async def scenario(srv):
-            served = srv._served["reads"]
             selection = StreamSelection.all_streams()
             leader = asyncio.ensure_future(srv._block_body(
-                served, 1, selection, "fastq"))
+                "reads", 1, selection, "fastq"))
             await asyncio.sleep(0)
             follower = asyncio.ensure_future(srv._block_body(
-                served, 1, selection, "fastq"))
+                "reads", 1, selection, "fastq"))
             await asyncio.sleep(0)
             assert len(srv._pending) == 1 and srv.stats.coalesced == 1
             gate.set()
@@ -868,11 +889,10 @@ class TestServerCache:
                              tmp_path / "retired.sage", block=1)
 
         async def scenario(srv):
-            served = srv._served["retired"]
             selection = StreamSelection.all_streams()
             for _ in range(2):
                 with pytest.raises(BlockDecodeError, match="block 1"):
-                    await srv._block_body(served, 1, selection, "fastq")
+                    await srv._block_body("retired", 1, selection, "fastq")
                 assert not srv._pending
 
         with ArchiveServer([str(path)], port=0) as srv:
@@ -900,10 +920,9 @@ class TestServerCache:
         monkeypatch.setattr(server_module, "_render_block", gated)
 
         async def scenario(srv):
-            served = srv._served["reads"]
             selection = StreamSelection.all_streams()
             first, second = (asyncio.ensure_future(srv._block_body(
-                served, 1, selection, "fastq")) for _ in range(2))
+                "reads", 1, selection, "fastq")) for _ in range(2))
             await asyncio.sleep(0)
             first.cancel()
             gate.set()
@@ -1114,6 +1133,21 @@ class TestMultiArchive:
                 assert c.get("/block/0?archive=first")[0] == 200
                 assert c.get("/block/0?archive=second")[0] == 200
                 assert c.get("/block/0?archive=third")[0] == 404
+
+    def test_name_splits_at_the_first_equals(self, served_archive,
+                                             tmp_path):
+        """A name holds no ``=``, a path may: ``a=/data/run=5/x.sage``
+        serves ``/data/run=5/x.sage`` as ``a``."""
+        path = tmp_path / "run=5" / "x.sage"
+        path.parent.mkdir()
+        path.write_bytes(served_archive["path"].read_bytes())
+        with ArchiveServer([f"a={path}"], port=0) as srv:
+            srv.start()
+            assert srv.archive_names == ("a",)
+            with ServeClient(srv.host, srv.port) as c:
+                [entry] = c.get_json("/archives")["archives"]
+                assert c.get_json("/inspect")["path"] == str(path)
+        assert (entry["name"], entry["path"]) == ("a", str(path))
 
     def test_duplicate_names_rejected(self, served_archive):
         path = str(served_archive["path"])
