@@ -19,8 +19,8 @@ from ..core.errors import (BlockDecodeError, CorruptArchiveError,
                            SAGeError, TruncatedArchiveError)
 from ..core.options import ON_ERROR, EngineOptions
 from ..core.selection import STREAM_GROUPS, StreamSelection
-from .dataset import (Pipeline, SAGeDataset, SalvageReport, SourceTotals,
-                      VerifyReport, atomic_write_bytes)
+from .dataset import (Pipeline, SAGeDataset, SourceTotals, VerifyReport,
+                      atomic_write_bytes)
 from .describe import describe
 from .sinks import CallableSink, available_sinks, result_info, \
     stream_info
@@ -28,7 +28,7 @@ from .sinks import CallableSink, available_sinks, result_info, \
 __all__ = [
     "BlockDecodeError", "CallableSink", "CorruptArchiveError",
     "EngineOptions", "ON_ERROR", "Pipeline", "STREAM_GROUPS",
-    "SAGeDataset", "SAGeError", "SalvageReport", "SourceTotals",
+    "SAGeDataset", "SAGeError", "SourceTotals",
     "StreamSelection", "TruncatedArchiveError", "VerifyReport",
     "atomic_write_bytes", "available_sinks", "describe", "result_info",
     "stream_info",

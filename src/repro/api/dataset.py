@@ -50,12 +50,12 @@ from ..core.selection import StreamSelection
 from ..genomics import fastq
 from ..genomics import sequence as seqmod
 from ..genomics.reads import ReadSet
-from ..pipeline.executor import BlockGap, CollectSink, ExecutorStats, \
-    FastqSink, Sink, StreamExecutor, decode_block
+from ..pipeline.executor import CollectSink, ExecutorStats, FastqSink, \
+    Sink, StreamExecutor, decode_block
 from .sinks import resolve_sink
 
-__all__ = ["Pipeline", "SAGeDataset", "SalvageReport", "SourceTotals",
-           "VerifyReport", "atomic_write_bytes"]
+__all__ = ["Pipeline", "SAGeDataset", "SourceTotals", "VerifyReport",
+           "atomic_write_bytes"]
 
 
 @dataclass(frozen=True)
@@ -137,42 +137,6 @@ class VerifyReport:
                 "deep": self.deep,
                 "errors": {str(k): str(v)
                            for k, v in sorted(self.errors.items())}}
-
-
-@dataclass(frozen=True)
-class SalvageReport:
-    """Outcome of :meth:`SAGeDataset.salvage`.
-
-    ``read_set`` holds every read recovered from intact blocks, in
-    index order; ``gaps`` the :class:`BlockGap` of each lost block.
-    """
-
-    read_set: ReadSet
-    n_blocks: int
-    blocks_recovered: int
-    gaps: tuple[BlockGap, ...]
-
-    @property
-    def blocks_lost(self) -> int:
-        return len(self.gaps)
-
-    @property
-    def reads_lost(self) -> int:
-        return sum(gap.n_reads for gap in self.gaps)
-
-    @property
-    def recovery_rate(self) -> float:
-        return self.blocks_recovered / max(1, self.n_blocks)
-
-    def to_dict(self) -> dict:
-        return {"n_blocks": self.n_blocks,
-                "blocks_recovered": self.blocks_recovered,
-                "blocks_lost": self.blocks_lost,
-                "reads_recovered": len(self.read_set),
-                "reads_lost": self.reads_lost,
-                "recovery_rate": self.recovery_rate,
-                "gaps": [{"block": gap.index, "n_reads": gap.n_reads,
-                          "error": gap.message} for gap in self.gaps]}
 
 
 def _compress_stream(source: ReadSet | Iterable[ReadSet],
@@ -432,25 +396,6 @@ class SAGeDataset:
                             blocks=tuple(blocks), deep=deep,
                             errors=errors)
 
-    def salvage(self) -> SalvageReport:
-        """Recover every intact block from a (possibly damaged) archive.
-
-        Runs a streaming decode under ``on_error="skip"``: a block that
-        fails to decode (after the one parent-side retry of a pooled
-        failure) is recorded as a :class:`BlockGap` instead of killing
-        the stream.
-        Returns the recovered reads plus per-block loss accounting.
-        """
-        self._require_open()
-        executor = self._make_executor(
-            self.options.replace(on_error="skip"))
-        sink = CollectSink()
-        [read_set] = executor.run(sink)
-        return SalvageReport(
-            read_set=read_set, n_blocks=self._archive.n_blocks,
-            blocks_recovered=executor.stats.blocks,
-            gaps=tuple(executor.stats.gaps))
-
     # ------------------------------------------------------------------
     # Streaming decode
     # ------------------------------------------------------------------
@@ -466,7 +411,15 @@ class SAGeDataset:
 
     @property
     def stats(self) -> ExecutorStats | None:
-        """Accounting of the most recent streaming pass (or ``None``)."""
+        """Accounting of the most recent streaming pass (or ``None``).
+
+        This is also the recovery report: in a session opened with
+        ``EngineOptions(on_error="skip")`` any pass (:meth:`to_fastq`,
+        :meth:`read_set`, :meth:`pipe`) delivers every intact block and
+        leaves each lost one as a
+        :class:`~repro.pipeline.executor.BlockGap` in ``stats.gaps``;
+        ``stats.blocks`` / ``stats.reads`` count what was recovered.
+        """
         return self._last_executor.stats if self._last_executor else None
 
     def blocks(self) -> Iterator[ReadSet]:

@@ -247,23 +247,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_salvage(args: argparse.Namespace) -> int:
-    """Recover every intact block of a damaged archive to FASTQ."""
-    options = _engine_options(workers=args.workers)
+    """Recover every intact block of a damaged archive to FASTQ: a
+    ``decompress`` under ``on_error="skip"``, reported from its stats."""
+    options = _engine_options(workers=args.workers, on_error="skip")
     with SAGeDataset.open(args.input, options=options) as dataset:
-        report = dataset.salvage()
-    fastq.write_file(report.read_set, args.output)
+        n_reads = dataset.to_fastq(args.output)
+        n_blocks, stats = dataset.n_blocks, dataset.stats
     if args.json:
-        info = report.to_dict()
-        info.update(input=args.input, output=args.output)
-        print(json.dumps(info, indent=2, sort_keys=True))
+        print(json.dumps({
+            "n_blocks": n_blocks, "blocks_recovered": stats.blocks,
+            "blocks_lost": len(stats.gaps), "reads_recovered": n_reads,
+            "reads_lost": sum(gap.n_reads for gap in stats.gaps),
+            "recovery_rate": stats.blocks / max(1, n_blocks),
+            "gaps": [{"block": gap.index, "n_reads": gap.n_reads,
+                      "error": gap.message} for gap in stats.gaps],
+            "input": args.input, "output": args.output},
+            indent=2, sort_keys=True))
     else:
-        print(f"{args.input}: recovered {report.blocks_recovered}/"
-              f"{report.n_blocks} blocks "
-              f"({len(report.read_set)} reads) -> {args.output}")
-        for gap in report.gaps:
+        print(f"{args.input}: recovered {stats.blocks}/{n_blocks} blocks "
+              f"({n_reads} reads) -> {args.output}")
+        for gap in stats.gaps:
             print(f"  lost block {gap.index} ({gap.n_reads} reads): "
                   f"{gap.message}")
-    return 0 if not report.gaps else 1
+    return 0 if not stats.gaps else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

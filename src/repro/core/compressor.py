@@ -183,15 +183,19 @@ class _Fields:
     def emit(self, breakdown: SizeBreakdown) -> dict[str,
                                                       tuple[bytes, int]]:
         """Every stream, each in one ``write_fields``, as ``(payload,
-        bit length)``; the bits to ``breakdown``."""
+        bit length)``; the bits to ``breakdown``.  A stream whose keys
+        already run in order is written without the stable sort (which
+        would be the identity on it)."""
         streams: dict[str, tuple[bytes, int]] = {}
         for name, parts in self.parts.items():
             writer = BitWriter()
             if parts:
                 keys, values, widths = (np.concatenate(column)
                                         for column in zip(*parts))
-                order = np.argsort(keys, kind="stable")
-                writer.write_fields(values[order], widths[order])
+                if (keys[1:] < keys[:-1]).any():
+                    order = np.argsort(keys, kind="stable")
+                    values, widths = values[order], widths[order]
+                writer.write_fields(values, widths)
             streams[name] = (writer.getvalue(), writer.bit_length)
         for category, bits in self.bits.items():
             if bits:

@@ -29,9 +29,9 @@ that contract:
 
 ``BlockDecodeError``
     A decode failure *localized to one block* — the unit of skip
-    (and so salvage) recovery.  Subclasses :class:`DecompressionError` so legacy
-    handlers still match; the fault-tolerant executor keys its
-    ``on_error`` policy off this type.
+    recovery (``sage salvage``).  Subclasses
+    :class:`DecompressionError` so legacy handlers still match; the
+    fault-tolerant executor keys its ``on_error`` policy off this type.
 
 ``BitIOError`` (:mod:`repro.core.bitio`) also descends from
 :class:`SAGeError`, extending its stream-name/bit-offset context into
@@ -142,8 +142,9 @@ class TruncatedArchiveError(CorruptArchiveError):
 class BlockDecodeError(_ContextMixin, DecompressionError):
     """A decode failure localized to one archive block.
 
-    The unit of fault tolerance: ``on_error="skip"`` (what salvage
-    runs) turns this into a recorded gap instead of a dead stream.
+    The unit of fault tolerance: ``on_error="skip"`` (the session
+    ``sage salvage`` decodes on) turns this into a recorded gap instead
+    of a dead stream.
     """
 
     def __init__(self, message: str, *, block_index: int | None = None,

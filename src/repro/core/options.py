@@ -91,8 +91,8 @@ class EngineOptions:
         ``"raise"`` (default) propagates the first block failure;
         ``"skip"`` drops each failed block and records a
         :class:`~repro.pipeline.executor.BlockGap`, so every block the
-        damage did not touch is still delivered (what
-        ``SAGeDataset.salvage()`` runs).  Kernels decode identical
+        damage did not touch is still delivered (``sage salvage`` is
+        a ``to_fastq`` on such a session).  Kernels decode identical
         reads from the same bytes, so no second kernel is tried.  A
         block that fails in a worker pool is first re-decoded once in
         the parent; see :class:`~repro.pipeline.executor.StreamExecutor`.

@@ -95,7 +95,9 @@ class SAGeHardwareModel:
         and the per-block accounting is summed.  Each block is decoded
         once, on the default decode kernel (``numpy``); its units
         are charged the stored length of every stream they walk, which
-        is exactly what the reference walk consumes.
+        is exactly what the reference walk consumes.  A block's parsed
+        form is released once it is charged, so a walk over an opened
+        archive leaves none behind.
         """
         decoder = SAGeDecompressor(archive)
         # The consensus is stored once and striped to every channel, so
@@ -109,6 +111,7 @@ class SAGeHardwareModel:
             block = decoder.decompress_block(index)
             bits = {name: archive.block(index).streams[name][1]
                     for name in SU_STREAMS + RCU_STREAMS}
+            archive.release_block(index)
             for name, n in bits.items():
                 stats.stream_bits[name] = stats.stream_bits.get(name, 0) + n
             # The RCU walks the consensus (2 bits per copied base) as it

@@ -141,8 +141,9 @@ class MapperStats:
         return self.fast_path / self.reads if self.reads else 0.0
 
 
-#: Process-wide accumulator (``bench/`` reads it; workers=1 only —
-#: process-pool workers accumulate into their own copy).
+#: The mapper's one counter, process-wide: every batch of every
+#: :class:`BatchReadMapper` adds to it (``bench/`` reads it; workers=1
+#: only — process-pool workers accumulate into their own copy).
 GLOBAL_STATS = MapperStats()
 
 
@@ -366,7 +367,6 @@ class BatchReadMapper(ReadMapper):
                  config: MapperConfig | None = None,
                  index: KmerIndex | None = None):
         super().__init__(consensus, config, index)
-        self.stats = MapperStats()
         self._phased_cons: list[np.ndarray] | None = None
         self._cons_has_n = bool((self.consensus == seq.N_CODE).any())
 
@@ -396,7 +396,6 @@ class BatchReadMapper(ReadMapper):
         st.batches = 1
         parts = self._map_block(codes, offsets, st)
         st.fast_path = st.reads - st.fallback
-        self.stats.merge(st)
         GLOBAL_STATS.merge(st)
         return MappedBlock.assemble(codes, offsets, parts)
 
@@ -584,11 +583,7 @@ class BatchReadMapper(ReadMapper):
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """The batched solver (the one thing this kernel overrides of
         the chain/segment logic in :mod:`repro.mapping.mapper`)."""
-        st = MapperStats()
-        solved = solve_extension_jobs(jobs, st)
-        self.stats.merge(st)
-        GLOBAL_STATS.merge(st)
-        return solved
+        return solve_extension_jobs(jobs, GLOBAL_STATS)
 
     def _verify_and_emit(self, verify: np.ndarray, cand: np.ndarray,
                          c_diag: np.ndarray, c_a0: np.ndarray,

@@ -10,8 +10,8 @@ Each injector takes the archive blob and a seeded :class:`random.Random`
 and returns a :class:`FaultReport` carrying the damaged blob plus where
 and how it was damaged, so a failing test case reproduces from its seed
 alone.  ``region`` restricts damage to a byte range — e.g. one block's
-payload span from the archive index, which is how the salvage tests
-know exactly which blocks an injection could have touched.
+payload span from the archive index, which is how the skip-recovery
+tests know exactly which blocks an injection could have touched.
 """
 
 from __future__ import annotations

@@ -511,12 +511,16 @@ class TestIntegrityAPI:
             assert deep.ok and not deep.errors
 
     def test_salvage_intact_archive(self, dataset, rs3_small):
-        report = dataset.salvage()
-        assert report.recovery_rate == 1.0
-        assert report.blocks_lost == 0 and not report.gaps
-        assert read_multiset(report.read_set) \
+        # Salvage is a pass on a skip session; its stats are the report.
+        session = SAGeDataset(dataset.archive,
+                              options=EngineOptions(on_error="skip"),
+                              decompressor=dataset.decompressor())
+        recovered = session.read_set()
+        stats = session.stats
+        assert stats.blocks == dataset.n_blocks and not stats.gaps
+        assert stats.reads == len(recovered) == dataset.n_reads
+        assert read_multiset(recovered) \
             == read_multiset(rs3_small.read_set)
-        assert report.to_dict()["reads_lost"] == 0
 
 
 class TestSystemIntegration:

@@ -81,13 +81,21 @@ class TestOnErrorPolicy:
             == [read_multiset(s) for s in expected]
 
     def test_salvage_matches_skip(self, intact, corrupt):
-        # Salvage is a skip pass: no second kernel, no extra recovery.
-        report = SAGeDataset(corrupt).salvage()
+        # Salvage is a skip session's FASTQ pass: no second kernel, no
+        # extra recovery, and its stats are the report.
+        session = SAGeDataset(corrupt,
+                              options=EngineOptions(on_error="skip"))
+        out = io.BytesIO()
+        n_reads = session.to_fastq(out)
         executor = _executor(corrupt, on_error="skip")
         [skipped] = executor.run(CollectSink())
-        assert report.blocks_recovered == intact.n_blocks - 1
-        assert [gap.index for gap in report.gaps] == [BAD_BLOCK]
-        assert read_multiset(report.read_set) == read_multiset(skipped)
+        assert session.stats.blocks == intact.n_blocks - 1
+        assert [gap.index for gap in session.stats.gaps] == [BAD_BLOCK]
+        assert n_reads == session.stats.reads == len(skipped)
+        # Every read carries its global name, so the concatenated
+        # survivors render to exactly the streamed bytes.
+        assert out.getvalue().decode("ascii") \
+            == "".join(map(format_read, skipped))
 
     def test_pooled_failure_is_retried_before_gap(self, corrupt):
         # A corrupt block fails in the worker too (it parses the same
@@ -217,7 +225,7 @@ class TestOptionValidation:
         for policy in ("raise", "skip"):
             assert EngineOptions(on_error=policy).on_error == policy
         with pytest.raises(ValueError, match="on_error"):
-            EngineOptions(on_error="salvage")   # salvage() runs "skip"
+            EngineOptions(on_error="salvage")   # salvage runs "skip"
         # "Integral" is whatever has __index__: numpy ints stay accepted.
         options = EngineOptions(workers=np.int64(2), block_reads=np.int32(8))
         assert (options.workers, options.block_reads) == (2, 8)

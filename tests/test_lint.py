@@ -710,7 +710,8 @@ def options_a_caller_sets(source, where):
 #: the per-value oracles are in ``tests/conftest.py``), and the server's
 #: wrapper around its sessions and its projection of ``describe()``
 #: (``sage serve`` holds ``name -> SAGeDataset`` and ``/inspect`` is
-#: the description).
+#: the description), and the salvage pass with its report (recovery is
+#: any pass on an ``on_error="skip"`` session, reported by its stats).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -718,7 +719,8 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "CacheStats", "CodecKernel", "register_kernel",
                        "get_kernel", "resolve_codec", "_init_decode_worker",
                        "write_run", "write_unary", "encode_run",
-                       "class_for_value", "_ServedArchive", "_inspect_sync"}
+                       "class_for_value", "_ServedArchive", "_inspect_sync",
+                       "SalvageReport", "salvage"}
 
 
 def deleted_stay_deleted(source, where):
@@ -789,12 +791,23 @@ def blocks_serialized_once(source, where):
             and id(node) not in writer]
 
 
-def fastq_rendered_once(source, where):
+#: Functions that may render a whole read set with ``fastq.write_file``:
+#: none of them writes an archive's reads.
+SANCTIONED_FASTQ_FILE_WRITERS = {
+    "src/repro/cli.py::_cmd_simulate":
+        "renders simulated input, not archive output",
+}
+
+
+def fastq_rendered_once(source, where,
+                        sanctioned=SANCTIONED_FASTQ_FILE_WRITERS):
     """FASTQ leaves the engine one way: under ``src/`` only the
     executor's per-block decode (``pipeline/executor.py::decode_block``)
-    calls ``fastq.write(`` or imports ``write`` from the FASTQ module —
-    ``to_fastq``, ``sage cat --block`` and a ``sage serve`` miss all
-    run it (``genomics/fastq.py`` is the renderer itself)."""
+    calls ``fastq.write(`` or imports ``write`` / ``write_file`` from
+    the FASTQ module — ``to_fastq``, ``sage salvage``, ``sage cat
+    --block`` and a ``sage serve`` miss all run it
+    (``genomics/fastq.py`` is the renderer itself) — and
+    ``fastq.write_file(`` is called only in ``sanctioned`` functions."""
     if not where.startswith("src/repro/") \
             or where == "src/repro/genomics/fastq.py":
         return []
@@ -810,11 +823,28 @@ def fastq_rendered_once(source, where):
                  and getattr(node.func, "attr", None) == "write"
                  and getattr(node.func.value, "id", None) == "fastq"
                  and id(node) not in renderer]
-    offenders += [f"{where}:{node.lineno} imports fastq.write"
+    offenders += [f"{where}:{node.lineno} imports fastq.{name}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)
                   and (node.module or "").endswith("fastq")
-                  and "write" in {alias.name for alias in node.names}]
+                  for name in sorted({"write", "write_file"}.intersection(
+                      alias.name for alias in node.names))]
+
+    def walk(node, site):
+        for child in ast.iter_child_nodes(node):
+            inner = site
+            if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+                inner = f"{site}.{child.name}" if site \
+                    else f"{where}::{child.name}"
+            elif isinstance(child, ast.Call) \
+                    and getattr(child.func, "attr", None) == "write_file" \
+                    and getattr(child.func.value, "id", None) == "fastq" \
+                    and (site or where) not in sanctioned:
+                offenders.append(f"{site or where} calls fastq.write_file "
+                                 f"(line {child.lineno})")
+            walk(child, inner)
+
+    walk(tree, "")
     return offenders
 
 
@@ -1347,7 +1377,14 @@ class TestOptionsThreadingEdges:
                  "    yield ReadSet(list(reads))\n",
                  "src/repro/genomics/reads.py"),
                 ("def to_sam_records(read, mapping):\n    return []\n",
-                 "src/repro/mapping/samlike.py")):
+                 "src/repro/mapping/samlike.py"),
+                ("""\
+                 class SAGeDataset:
+                     def salvage(self):
+                         return SalvageReport(self.read_set())
+                 """, "src/repro/api/dataset.py"),
+                ("class SalvageReport:\n    pass\n",
+                 "src/repro/api/dataset.py")):
             assert on_snippet(deleted_stay_deleted, violating,
                               where) != [], violating
         assert on_snippet(deleted_stay_deleted,
@@ -1830,9 +1867,27 @@ class TestOptionsThreadingEdges:
             def decode_block(decoder, index, select, render, columns):
                 return fastq.write(reads, base) if render else None
             """, "src/repro/pipeline/executor.py") == []
-        assert on_snippet(fastq_rendered_once,
-                          "fastq.write_file(report.read_set, path)\n",
-                          "src/repro/cli.py") == []
+        # Rendering a whole read set to a file is the same fork; the
+        # allow-list is exact, so an entry cannot outlive its call.
+        unsanctioned = on_tree(
+            partial(fastq_rendered_once, sanctioned={}), "src")
+        assert sorted(o.split(" calls ")[0] for o in unsanctioned) \
+            == sorted(SANCTIONED_FASTQ_FILE_WRITERS)
+        for violating, where in (
+                ("""\
+                 def _cmd_salvage(args):
+                     fastq.write_file(report.read_set, args.output)
+                 """, "src/repro/cli.py"),
+                ("fastq.write_file(dataset.read_set(), path)\n",
+                 "src/repro/api/dataset.py"),
+                ("from ..genomics.fastq import write_file\n",
+                 "src/repro/cli.py")):
+            assert on_snippet(fastq_rendered_once, violating,
+                              where) != [], violating
+        assert on_snippet(fastq_rendered_once, """\
+            def _cmd_simulate(args):
+                fastq.write_file(sim.read_set, args.output)
+            """, "src/repro/cli.py") == []
 
         assert on_tree(serve_keeps_no_read_index, "src") == []
         for violating in (

@@ -201,10 +201,11 @@ class TestCrossMapperFuzz:
                 SAGeConfig(level=level, mapper_kernel=mapper))
             blobs[mapper] = compressor.compress(pieces).to_bytes()
             kernel = make_mapper(mapper, compressor.consensus)
+            batch.reset_stats()
             mapped[mapper] = _columns(
                 kernel.map_batch(pieces.read_codes()))
             if mapper == "numpy":
-                assert kernel.stats.fallback > 0.9 * len(pieces)
+                assert batch.GLOBAL_STATS.fallback > 0.9 * len(pieces)
         assert mapped["python"] == mapped["numpy"]
         assert blobs["python"] == blobs["numpy"]
 
@@ -578,13 +579,11 @@ class TestMapperStats:
         rng = np.random.default_rng(1)
         codes_list = _fuzz_reads(rng, reference, 50, 90)
         batch.reset_stats()
-        mapper = BatchReadMapper(reference, MapperConfig())
-        mapper.map_batch(codes_list)
-        st_ = mapper.stats
+        BatchReadMapper(reference, MapperConfig()).map_batch(codes_list)
+        st_ = batch.GLOBAL_STATS
         assert st_.reads == 50
         assert st_.batches == 1
         assert st_.fast_path + st_.fallback == 50
-        assert batch.GLOBAL_STATS.reads == 50
 
     def test_extension_counters(self, reference, monkeypatch):
         """``extension_jobs`` / ``extension_cells`` count every gap, head
@@ -600,18 +599,14 @@ class TestMapperStats:
         monkeypatch.setattr(batch, "solve_extension_jobs", recording)
         codes_list = _fuzz_reads(np.random.default_rng(1), reference, 50, 90)
         batch.reset_stats()
-        mapper = BatchReadMapper(reference, MapperConfig())
-        mapper.map_batch(codes_list)
-        st_ = mapper.stats
+        BatchReadMapper(reference, MapperConfig()).map_batch(codes_list)
+        st_ = batch.GLOBAL_STATS
         assert st_.fallback > 0 and solved
         assert st_.extension_jobs == len(solved)
         assert st_.extension_cells == sum(
             job.read_seg.size * job.cons_seg.size for job in solved)
-        assert (batch.GLOBAL_STATS.extension_jobs,
-                batch.GLOBAL_STATS.extension_cells) \
-            == (st_.extension_jobs, st_.extension_cells)
-        # The verification DP keeps its own counter.
-        assert st_.dp_cells == batch.GLOBAL_STATS.dp_cells
+        # The verification DP's cells are counted apart from them.
+        assert st_.dp_cells > 0
 
     def test_tail_substitution_stays_on_the_fast_path(self, reference):
         """A read whose only edit is a substitution past its last anchor
@@ -624,10 +619,11 @@ class TestMapperStats:
             codes = reference[start:start + length].copy()
             codes[length - 8] = (codes[length - 8] + 1) % 4
             reads.append(codes)
-        mapper = BatchReadMapper(reference, MapperConfig())
-        mapper.map_batch(reads)
-        assert mapper.stats.verified == 40
-        assert (mapper.stats.false_accepts, mapper.stats.fast_path) == (0, 40)
+        batch.reset_stats()
+        BatchReadMapper(reference, MapperConfig()).map_batch(reads)
+        st_ = batch.GLOBAL_STATS
+        assert st_.verified == 40
+        assert (st_.false_accepts, st_.fast_path) == (0, 40)
 
     def test_reset(self):
         batch.GLOBAL_STATS.reads = 7

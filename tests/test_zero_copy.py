@@ -107,6 +107,17 @@ class TestMmapArchive:
             assert [r.codes.tobytes() for r in first] \
                 == [r.codes.tobytes() for r in again]
 
+    def test_hardware_model_releases_what_it_parses(self, archive_path):
+        from repro.hardware.sage_units import SAGeHardwareModel
+        from repro.hardware.ssd import pcie_ssd
+        path, _ = archive_path
+        with SAGeDataset.open(path) as dataset:
+            archive = dataset.archive
+            assert archive.n_blocks > 1
+            reads, _ = SAGeHardwareModel(pcie_ssd()).run(archive)
+            assert len(reads) == archive.n_reads
+            assert archive.blocks == [None] * archive.n_blocks
+
     def test_close_releases_mapping(self, archive_path):
         path, _ = archive_path
         dataset = SAGeDataset.open(path)
@@ -396,10 +407,14 @@ class TestCorruptMappedBlock:
             expected = {i: [r.codes.tobytes() for r in clean.decode_block(i)]
                         for i in range(clean.n_blocks)
                         if i != self.DAMAGED}
-        with SAGeDataset.open(damaged_path) as dataset:
-            report = dataset.salvage()
-        assert [gap.index for gap in report.gaps] == [self.DAMAGED]
-        assert report.blocks_recovered == len(expected)
+        options = EngineOptions(on_error="skip")
+        with SAGeDataset.open(damaged_path, options=options) as dataset:
+            recovered = dataset.read_set()
+            stats = dataset.stats
+        assert [gap.index for gap in stats.gaps] == [self.DAMAGED]
+        assert stats.blocks == len(expected)
+        assert [r.codes.tobytes() for r in recovered] \
+            == [codes for i in sorted(expected) for codes in expected[i]]
 
     def test_verify_localizes_damage(self, damaged_path):
         with SAGeDataset.open(damaged_path) as dataset:
