@@ -2,15 +2,20 @@
 
 Genomic compressors (both the Spring analog and SAGe) are dominated by
 finding mismatch information; their encoding back-ends differ but are a
-small fraction.  pigz has no mismatch-finding phase at all.  CPU time
+small fraction.  pigz has no mismatch-finding phase at all.
+
+Each tool compresses each dataset in one pass, and the split is taken
+inside that pass.  Both genomic compressors map a read set in one
+``map_batch`` call on the mapper they build, so ``find`` is the CPU time
 (``time.process_time``: every call below is single-process and
-single-thread, and a busy host must not move the subtraction) is
-measured on this repository's Python implementations — the *split*,
-not the absolute time, is the reproduced quantity, so the split runs on
-the scalar ``python`` mapper kernel (the reference the paper's
-observation describes).  The table varies run to run, so
-``results/fig18_comptime.txt`` is git-ignored; absolute encode
-throughput on the default mapper kernel is ``bench/``'s
+single-thread) spent in the tool's own mapping work — building its
+``KmerIndex`` and ``ReadMapper.map_batch`` — and ``encode`` is the rest
+of the same pass.  Times are of this repository's Python
+implementations — the *split*, not the absolute time, is the reproduced
+quantity, so SAGe maps on the scalar ``python`` kernel, as Spring always
+does (the reference the paper's observation describes).  The table
+varies run to run, so ``results/fig18_comptime.txt`` is git-ignored;
+absolute encode throughput on the default mapper kernel is ``bench/``'s
 ``encode_short`` / ``encode_long``.
 """
 
@@ -20,70 +25,57 @@ from repro.baselines import pigz
 from repro.baselines.spring import SpringCompressor
 from repro.core import SAGeCompressor, SAGeConfig
 from repro.mapping import ReadMapper
+from repro.mapping.kmer_index import KmerIndex
 
 from benchmarks.conftest import write_result
 
 LABELS = ("RS2", "RS4")
 
-#: Each pass is timed as the best of this many interleaved rounds.  On
-#: RS2 the encode share is a few percent of a pass, below the spread of
-#: one timing on a shared host, so a single round can put a tool's
-#: total under its own find time.
-ROUNDS = 3
+
+def _clocked(method, clock):
+    """``method``, adding the CPU time of every call to ``clock[0]``."""
+    def timed(*args, **kwargs):
+        t0 = time.process_time()
+        try:
+            return method(*args, **kwargs)
+        finally:
+            clock[0] += time.process_time() - t0
+    return timed
 
 
-def _best_times(*passes):
-    """Fastest CPU time of each pass over ``ROUNDS`` interleaved rounds."""
-    best = [float("inf")] * len(passes)
-    for _ in range(ROUNDS):
-        for i, run in enumerate(passes):
-            t0 = time.process_time()
-            run()
-            best[i] = min(best[i], time.process_time() - t0)
-    return best
-
-
-def _split(sim):
-    """(find_mismatches_s, encode_s) per tool for one dataset."""
+def _split(sim, find_clock):
+    """(find_s, encode_s) per tool for one dataset, one pass each."""
     read_set, reference = sim.read_set, sim.reference
 
-    def find():
-        mapper = ReadMapper(reference)
-        for read in read_set:
-            mapper.map_read(read.codes)
-
-    # The find/encode subtraction below pairs the scalar map_read pass
-    # with a scalar-mapper compress; the batch kernel would erase the
-    # very share this figure exists to show.
-    def sage():
-        SAGeCompressor(reference, SAGeConfig(with_quality=False,
-                                             mapper_kernel="python")) \
-            .compress(read_set)
-
-    def spring():
-        SpringCompressor(reference, with_quality=False).compress(read_set)
-
-    def gzip():
-        pigz.compress_dna(read_set)
-
-    find_s, sage_total, spring_total, pigz_total = \
-        _best_times(find, sage, spring, gzip)
+    def one_pass(compress):
+        find_clock[0] = 0.0
+        t0 = time.process_time()
+        compress()
+        total = time.process_time() - t0
+        return find_clock[0], total - find_clock[0]
 
     return {
-        "pigz": (0.0, pigz_total),
-        "(N)Spr": (find_s, max(1e-9, spring_total - find_s)),
-        "SAGe": (find_s, max(1e-9, sage_total - find_s)),
+        "pigz": one_pass(lambda: pigz.compress_dna(read_set)),
+        "(N)Spr": one_pass(lambda: SpringCompressor(
+            reference, with_quality=False).compress(read_set)),
+        "SAGe": one_pass(lambda: SAGeCompressor(reference, SAGeConfig(
+            with_quality=False, mapper_kernel="python")).compress(read_set)),
     }
 
 
-def test_fig18_compression_time(benchmark, bench_sims):
+def test_fig18_compression_time(benchmark, bench_sims, monkeypatch):
+    find_clock = [0.0]
+    for owner, name in ((KmerIndex, "__init__"), (ReadMapper, "map_batch")):
+        monkeypatch.setattr(owner, name,
+                            _clocked(getattr(owner, name), find_clock))
+
     lines = ["Fig. 18 — compression time split "
              "(normalized per dataset to the slowest tool)", "",
              f"{'dataset':<9}{'tool':<9}{'find':>8}{'encode':>8}"
              f"{'total':>8}  (fractions of slowest)"]
     splits = {}
     for label in LABELS:
-        split = _split(bench_sims[label])
+        split = _split(bench_sims[label], find_clock)
         splits[label] = split
         slowest = max(f + e for f, e in split.values())
         for tool, (find_s, encode_s) in split.items():

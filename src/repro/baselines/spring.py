@@ -9,6 +9,10 @@ its decode needs large windows and random accesses, which is what makes
 (N)Spring heavy (26 GB working set, 0.7 GB/s class decode — modeled in
 ``repro.pipeline.configs``).
 
+A read set is mapped in one ``map_batch`` call, and every stream is
+written from the :class:`~repro.mapping.mapper.MappedBlock` columns it
+returns.
+
 Quality scores use the same codec as SAGe (§5.1.5: "SAGe's quality score
 (de)compression is based on the same software used in Spring").
 """
@@ -23,24 +27,23 @@ from ..core import deflate
 from ..core import quality as quality_codec
 from ..core.formats import pack_bits
 from ..genomics import sequence as seq
-from ..genomics.reads import ReadSet
-from ..mapping.alignment import DEL, INS, SUB
-from ..mapping.mapper import MapperConfig, ReadMapper
+from ..genomics.reads import ReadSet, run_index
+from ..mapping.alignment import DEL
+from ..mapping.mapper import OP_KINDS, MapperConfig, ReadMapper
 
-_TYPE_CHAR = {SUB: 0, INS: 1, DEL: 2}
+#: The types stream numbers an op kind by its index in ``OP_KINDS``.
+_DEL = OP_KINDS.index(DEL)
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
+def _varints(values) -> bytes:
+    """Every value as an LEB128 varint, back to back."""
+    values = np.asarray(values, dtype=np.int64).reshape(-1, 1)
+    if (values < 0).any():
         raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    n_bytes = 1 + ((values >> np.arange(7, 63, 7)) > 0).sum(1, keepdims=True)
+    at = np.arange(9)                   # 7-bit groups, least first
+    groups = ((values >> 7 * at) & 0x7F) | np.where(at < n_bytes - 1, 0x80, 0)
+    return groups[at < n_bytes].astype(np.uint8).tobytes()
 
 
 @dataclass
@@ -72,69 +75,70 @@ class SpringCompressor:
             max_segments=1, unmapped_cost_fraction=0.80))
 
     def compress(self, read_set: ReadSet) -> SpringArchive:
+        mapped = self.mapper.map_batch(read_set.codes, read_set.offsets)
+        lengths = read_set.read_lengths()
         fixed = read_set.is_fixed_length and len(read_set) > 0
-        fixed_length = len(read_set[0]) if fixed else 0
+        fixed_length = int(lengths[0]) if fixed else 0
 
-        mapped: list[tuple[int, int, object, np.ndarray]] = []
-        unmapped: list[int] = []
-        for idx, read in enumerate(read_set):
-            mapping = self.mapper.map_read(read.codes)
-            if mapping.unmapped:
-                unmapped.append(idx)
-            else:
-                oriented = (seq.reverse_complement(read.codes)
-                            if mapping.reverse else read.codes)
-                mapped.append((mapping.segments[0].cons_start, idx,
-                               mapping, oriented))
-        mapped.sort(key=lambda item: (item[0], item[1]))
-        permutation = [idx for _, idx, _, _ in mapped] + unmapped
+        # One segment per mapped read (max_segments=1): segment i is the
+        # i-th mapped row.  Order them by matching position, then row.
+        rows = np.flatnonzero(~mapped.unmapped)
+        order = np.argsort(mapped.cons_start, kind="stable")
+        rows, cons_start = rows[order], mapped.cons_start[order]
+        unmapped = np.flatnonzero(mapped.unmapped)
+        permutation = np.concatenate([rows, unmapped])
 
-        positions = bytearray()
-        counts = bytearray()
-        mm_positions = bytearray()
-        types = bytearray()
-        bases = bytearray()
-        lengths = bytearray()
-        flags = bytearray()          # rev + corner-ish info per read
+        per_segment = np.bincount(mapped.op_seg, minlength=rows.size)
+        n_ops = per_segment[order]
+        ops = run_index((np.cumsum(per_segment) - per_segment)[order], n_ops)
+        seg, kind, length = (mapped.op_seg[ops], mapped.kind[ops],
+                             mapped.length[ops])
+        read_pos = mapped.read_pos[ops]
+        # An op's position is a delta from its read's previous op.
+        first = np.diff(seg, prepend=-1) != 0
+        delta = np.where(first, read_pos, np.diff(read_pos, prepend=0))
+        # An op carries its read bases (none for a deletion), N as 0.
+        n_bases = np.where(kind == _DEL, 0, length)
+        bases = mapped.oriented(
+            np.repeat(mapped.seg_row[seg], n_bases),
+            run_index(mapped.read_start[seg] + read_pos, n_bases))
+        bases[bases == seq.N_CODE] = 0
+
+        clipped = (mapped.clip_s > 0) | (mapped.clip_e > 0)
+        has_n = np.zeros(len(read_set), dtype=bool)
+        has_n[np.searchsorted(read_set.offsets,
+                              np.flatnonzero(read_set.codes == seq.N_CODE),
+                              side="right") - 1] = True
         corner = bytearray()
+        for row in rows[(clipped | has_n)[rows]].tolist():
+            oriented = mapped.oriented(np.full(lengths[row], row),
+                                       np.arange(lengths[row]))
+            s_len, e_len = int(mapped.clip_s[row]), int(mapped.clip_e[row])
+            if clipped[row]:
+                corner += _varints([s_len, e_len])
+                corner += pack_bits(np.concatenate(
+                    [oriented[:s_len], oriented[oriented.size - e_len:]]), 3)
+            if has_n[row]:
+                n_at = np.flatnonzero(oriented == seq.N_CODE)
+                corner += _varints([n_at.size, *np.diff(n_at, prepend=0)])
+
         unmapped_stream = bytearray()
+        for lo, hi in zip(read_set.offsets[unmapped].tolist(),
+                          read_set.offsets[unmapped + 1].tolist()):
+            unmapped_stream += _varints([hi - lo])
+            unmapped_stream += pack_bits(read_set.codes[lo:hi], 3)
 
-        prev_cons = 0
-        for cons_start, idx, mapping, oriented in mapped:
-            read = read_set[idx]
-            _write_varint(positions, cons_start - prev_cons)
-            prev_cons = cons_start
-            if not fixed:
-                _write_varint(lengths, len(read))
-            segment = mapping.segments[0]
-            flags.append((1 if mapping.reverse else 0)
-                         | (2 if mapping.clip_start.size
-                            or mapping.clip_end.size else 0)
-                         | (4 if seq.contains_n(oriented) else 0))
-            self._encode_corner(mapping, oriented, corner)
-            _write_varint(counts, len(segment.ops))
-            prev_pos = 0
-            for op in segment.ops:
-                _write_varint(mm_positions, op.read_pos - prev_pos)
-                prev_pos = op.read_pos
-                types.append(_TYPE_CHAR[op.kind])
-                _write_varint(types, op.length)
-                clean = op.bases.copy()
-                clean[clean == seq.N_CODE] = 0
-                bases.extend(int(b) for b in clean)
-
-        for idx in unmapped:
-            read = read_set[idx]
-            _write_varint(unmapped_stream, len(read))
-            unmapped_stream.extend(pack_bits(read.codes, 3))
-
-        consensus_packed = pack_bits(self.consensus, 2)
         raw_streams = {
-            "consensus": bytes(consensus_packed),
-            "positions": bytes(positions), "counts": bytes(counts),
-            "mm_positions": bytes(mm_positions), "types": bytes(types),
-            "bases": bytes(bases), "lengths": bytes(lengths),
-            "flags": bytes(flags), "corner": bytes(corner),
+            "consensus": pack_bits(self.consensus, 2),
+            "positions": _varints(np.diff(cons_start, prepend=0)),
+            "counts": _varints(n_ops),
+            "mm_positions": _varints(delta),
+            "types": _varints(np.column_stack([kind, length])),
+            "bases": bases.tobytes(),
+            "lengths": b"" if fixed else _varints(lengths[rows]),
+            "flags": (mapped.reverse | 2 * clipped
+                      | 4 * has_n)[rows].astype(np.uint8).tobytes(),
+            "corner": bytes(corner),
             "unmapped": bytes(unmapped_stream),
         }
         streams = {name: deflate.compress(raw)
@@ -142,29 +146,11 @@ class SpringCompressor:
 
         quality = None
         if self.with_quality and read_set.has_quality and len(read_set):
-            scores = np.concatenate(
-                [read_set[i].quality for i in permutation])
-            quality = quality_codec.compress(scores)
+            quality = quality_codec.compress(
+                read_set.subset(permutation).quality)
 
         return SpringArchive(
-            streams=streams, quality=quality, n_mapped=len(mapped),
-            n_unmapped=len(unmapped), fixed_length=fixed_length,
+            streams=streams, quality=quality, n_mapped=int(rows.size),
+            n_unmapped=int(unmapped.size), fixed_length=fixed_length,
             consensus_length=int(self.consensus.size),
-            name=read_set.name,
-            permutation=np.array(permutation, dtype=np.int64))
-
-    @staticmethod
-    def _encode_corner(mapping, oriented: np.ndarray,
-                       corner: bytearray) -> None:
-        if mapping.clip_start.size or mapping.clip_end.size:
-            _write_varint(corner, int(mapping.clip_start.size))
-            _write_varint(corner, int(mapping.clip_end.size))
-            clip = np.concatenate([mapping.clip_start, mapping.clip_end])
-            corner.extend(pack_bits(clip, 3))
-        if seq.contains_n(oriented):
-            n_positions = np.nonzero(oriented == seq.N_CODE)[0]
-            _write_varint(corner, int(n_positions.size))
-            prev = 0
-            for pos in n_positions:
-                _write_varint(corner, int(pos) - prev)
-                prev = int(pos)
+            name=read_set.name, permutation=permutation)

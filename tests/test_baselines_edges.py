@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import pigz
+from repro.baselines import pigz, spring
 from repro.baselines.spring import SpringCompressor
 from repro.core import deflate, lz77
 from repro.genomics import fastq
@@ -81,6 +81,27 @@ class TestSpringEdges:
         assert got == sorted(r.codes.tobytes() for r in reads)
 
 
+    def test_varints_match_the_per_value_encoder(self):
+        """The column varint encoder writes what one LEB128 loop per
+        value writes, at every byte-count boundary."""
+        def reference(values):
+            out = bytearray()
+            for value in values:
+                while value > 0x7F:
+                    out.append(value & 0x7F | 0x80)
+                    value >>= 7
+                out.append(value)
+            return bytes(out)
+
+        values = [0, 1, 2 ** 63 - 1] + [2 ** (7 * n) + d for n in range(1, 9)
+                                        for d in (-1, 0)]
+        values += self.rng.integers(0, 2 ** 40, 200).tolist()
+        assert spring._varints(values) == reference(values)
+        assert spring._varints([]) == b""
+        with pytest.raises(ValueError):
+            spring._varints([3, -1])
+
+
 class TestDeflateEdges:
     def test_single_byte(self):
         blob = deflate.compress(b"x")
@@ -138,6 +159,14 @@ class TestPigzEdges:
             pigz.quality_stream(reads)
 
     def test_dna_stream_layout(self):
-        reads = ReadSet([Read(seq.encode("ACGT")),
-                         Read(seq.encode("TT"))])
-        assert pigz.dna_stream(reads) == b"ACGT\nTT"
+        for bases, want in ((["ACGT", "TT"], b"ACGT\nTT"),
+                            (["", "A", ""], b"\nA\n"),
+                            ([""], b""), ([], b"")):
+            reads = ReadSet([Read(seq.encode(b)) for b in bases])
+            assert pigz.dna_stream(reads) == want, bases
+
+    def test_quality_stream_layout(self):
+        reads = ReadSet([Read(seq.encode("AC"), np.array([0, 40])),
+                         Read(seq.encode("")), Read(seq.encode("G"))])
+        assert pigz.quality_stream(reads) == b"!I\n\nI"
+        assert pigz.quality_stream(ReadSet()) == b""

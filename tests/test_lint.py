@@ -370,26 +370,26 @@ def mmap_lifetime(source, where):
 
 # ----------------------------------------------------------------------
 # The consumer boundary (PR 22): a block is its columns at the sink too.
-# The built-in consumers — everything under pipeline/, analysis/ and
-# hardware/ — take a block's columns (``block.codes, block.offsets`` for
-# a mapper) and map it in one ``map_batch`` call on the session's kernel:
-# they never iterate a read set into ``Read`` views and never call the
-# scalar ``map_read`` per read; and outside mapping/ nothing constructs
-# the scalar ``ReadMapper`` by hand (``make_mapper`` decides), except
-# the sanctioned site below.
+# The built-in consumers — everything under pipeline/, analysis/,
+# hardware/ and baselines/ — take a block's columns (``block.codes,
+# block.offsets`` for a mapper) and map it in one ``map_batch`` call:
+# they never iterate or index a read set into ``Read`` views and never
+# call the scalar ``map_read`` per read; and outside mapping/ nothing
+# constructs the scalar ``ReadMapper`` by hand (``make_mapper``
+# decides), except the sanctioned site below.
 # ----------------------------------------------------------------------
 
 COLUMN_CONSUMERS = ("src/repro/pipeline/", "src/repro/analysis/",
-                    "src/repro/hardware/")
+                    "src/repro/hardware/", "src/repro/baselines/")
 
 #: site -> why a hard-wired scalar ``ReadMapper(`` there is not a fork
 #: of the session's mapper choice.
 SANCTIONED_SCALAR_MAPPER_SITES = {
     "src/repro/baselines/spring.py":
-        "the Spring baseline's mismatch finding is what "
-        "benchmarks/test_fig18_comptime.py times against a scalar "
-        "map_read pass; it is a baseline's own mechanism, not a "
-        "consumer of decoded blocks",
+        "the Spring baseline maps on the scalar kernel, its own "
+        "mechanism and not a session's choice: "
+        "benchmarks/test_fig18_comptime.py times that mapper's "
+        "map_batch call as Spring's mismatch finding",
 }
 
 #: What a variable holding a read set is called in this tree.
@@ -432,6 +432,10 @@ def blocks_consumed_as_columns(source, where,
         if "read" in bound:
             offenders.append(f"{where}:{iterated[0].lineno} loops over "
                              f"Read views (for read in ...)")
+        if isinstance(node, ast.Subscript) and _READ_SET_NAME.search(
+                getattr(node.value, "id", getattr(node.value, "attr", ""))):
+            offenders.append(f"{where}:{node.lineno} indexes a Read view "
+                             f"{ast.unparse(node)}")
     return offenders
 
 
@@ -567,19 +571,19 @@ def reads_constructed_once(source, where):
 #: x.offsets)``, never a list of per-read views.
 COLUMN_MAPPERS = ("src/repro/core/compressor.py",
                   "src/repro/analysis/properties.py",
-                  "src/repro/analysis/variants.py")
+                  "src/repro/analysis/variants.py",
+                  "src/repro/baselines/spring.py")
 
 
 #: Where a block's mappings may take their per-read object form
-#: (``MappingResult`` / ``.segments`` / ``.ops``): the mapper itself,
-#: and the Spring baseline's own scalar ``map_read`` pass.
-PER_READ_MAPPINGS = ("src/repro/mapping/", "src/repro/baselines/spring.py")
+#: (``MappingResult`` / ``.segments`` / ``.ops``): the mapper itself.
+PER_READ_MAPPINGS = ("src/repro/mapping/",)
 
 
 def mappings_consumed_as_columns(source, where):
     """The mapper hands over a block's mappings as one table, and that
     table is the one form they take outside ``mapping/``: nothing else
-    in ``src/`` (Spring's scalar pass aside) names ``MappingResult``,
+    in ``src/`` names ``MappingResult``,
     ``.segments`` or ``.ops``, the compressor no ``attrgetter``, and
     ``MappedBlock`` is no sequence of per-read objects (no ``__iter__``
     / ``__getitem__``, no ``Sequence`` base); no caller outside
@@ -1518,6 +1522,20 @@ class TestOptionsThreadingEdges:
                 "mapper = ReadMapper(reference, config)\n"):
             assert on_snippet(blocks_consumed_as_columns, violating,
                               "src/repro/analysis/widget.py") != [], violating
+        # The baselines read columns too: no Read view, iterated or
+        # indexed, and no per-read map_read.
+        for violating, where in (
+                ("for idx, read in enumerate(read_set):\n"
+                 "    mapping = self.mapper.map_read(read.codes)\n",
+                 "src/repro/baselines/spring.py"),
+                ("fixed_length = len(read_set[0])\n",
+                 "src/repro/baselines/spring.py"),
+                ("scores = [read_set[i].quality for i in permutation]\n",
+                 "src/repro/baselines/spring.py"),
+                ("text = '\\n'.join(r.text for r in read_set)\n",
+                 "src/repro/baselines/pigz.py")):
+            assert on_snippet(blocks_consumed_as_columns, violating,
+                              where) != [], violating
         assert on_snippet(blocks_consumed_as_columns, """\
             for index, block in enumerate(blocks):
                 for mapping in mapper.map_batch(block.codes, block.offsets):
@@ -1673,14 +1691,24 @@ class TestOptionsThreadingEdges:
                          return self.results[index]
                  """, "src/repro/mapping/mapper.py"),
                 ("class MappedBlock(Sequence[MappingResult]):\n    pass\n",
-                 "src/repro/mapping/mapper.py")):
+                 "src/repro/mapping/mapper.py"),
+                # Spring reads the table like everyone else outside
+                # mapping/, from one map_batch over the set's columns.
+                ("start = mapping.segments[0].cons_start\n",
+                 "src/repro/baselines/spring.py"),
+                ("for op in segment.ops:\n    pass\n",
+                 "src/repro/baselines/spring.py"),
+                ("mapped = self.mapper.map_batch(read_set.read_codes())\n",
+                 "src/repro/baselines/spring.py"),
+                ("mapped = self.mapper.map_batch(codes)\n",
+                 "src/repro/baselines/spring.py")):
             assert on_snippet(mappings_consumed_as_columns, violating,
                               where) != [], violating
         for allowed, where in (
                 ("mapped = mapper.map_batch(block.codes, block.offsets)\n",
                  compressor),
-                ("start = mapping.segments[0].cons_start\n",
-                 "src/repro/baselines/spring.py"),
+                ("mapped = self.mapper.map_batch(read_set.codes, "
+                 "read_set.offsets)\n", "src/repro/baselines/spring.py"),
                 ("def map_read(self, codes) -> MappingResult:\n"
                  "    return MappingResult(segments=[])\n",
                  "src/repro/mapping/mapper.py"),
