@@ -99,8 +99,8 @@ def test_fig18_compression_time(benchmark, bench_sims, monkeypatch):
         # Mismatch finding dominates genomic compression.
         assert sage_find > sage_encode
         # SAGe's lightweight encoding beats the general-purpose back
-        # end (with slack for timing noise in the find/total split).
-        assert sage_encode < spr_encode * 1.2 + 0.25 * sage_find
+        # end (with 20 % slack for timing noise).
+        assert sage_encode < spr_encode * 1.2
         # pigz is faster than both genomic compressors end to end.
         assert pigz_total < sage_find + sage_encode
         assert pigz_total < spr_find + spr_encode

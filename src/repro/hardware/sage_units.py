@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 from ..core.container import SAGeArchive
 from ..core.decompressor import SAGeDecompressor
-from ..core.formats import OutputFormat
 from ..genomics.reads import ReadSet
 from . import area_power
 from .ssd import SSDModel
@@ -67,7 +66,6 @@ class HardwareThroughput:
 
     unit_bases_per_s: float        # what the SU/RCU array can sustain
     nand_bases_per_s: float        # what flash streaming can feed
-    output_format: OutputFormat
 
     @property
     def effective_bases_per_s(self) -> float:
@@ -142,7 +140,6 @@ class SAGeHardwareModel:
 
     def throughput(self, archive: SAGeArchive,
                    stats: HardwareRunStats | None = None,
-                   fmt: OutputFormat = OutputFormat.ASCII,
                    internal: bool = True) -> HardwareThroughput:
         """Sustained decompression rate for this archive's statistics.
 
@@ -163,5 +160,4 @@ class SAGeHardwareModel:
         bases_per_compressed_byte = stats.output_bases / compressed_bytes
         nand_rate = nand_bw * bases_per_compressed_byte
         return HardwareThroughput(unit_bases_per_s=unit_rate,
-                                  nand_bases_per_s=nand_rate,
-                                  output_format=fmt)
+                                  nand_bases_per_s=nand_rate)

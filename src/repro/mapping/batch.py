@@ -1,4 +1,4 @@
-"""Vectorized batched read mapper with bit-parallel pre-alignment filtering.
+"""Vectorized batched read mapper: seeding, exact window compare, batched DP.
 
 :class:`~repro.mapping.mapper.ReadMapper` (the scalar reference) walks one
 read at a time through seed–chain–extend; at short-read scale the per-read
@@ -15,21 +15,20 @@ reads:
    resolves every strided query against the consensus index, and
    per-read anchor diagonals reduce with
    ``np.minimum/maximum.reduceat``.
-2. **Bit-parallel pre-alignment filter** — candidate (read, diagonal)
-   placements are screened GateKeeper / Shifted-Hamming-Distance style
-   (Alser et al.; Senol Cali): read and consensus windows are packed four
-   bases per byte and XORed, and a 256-entry LUT counts mismatching 2-bit
-   base slots.  Candidates whose zero-shift count exceeds the edit
-   threshold are rejected before any DP runs.
-3. **Banded vectorized verification** — survivors are verified exactly: a
-   full-read window compare recovers mismatch positions, and read
-   heads/tails with nonzero straight-diagonal cost run through a batched
-   (candidates × window) edit-distance DP reproducing the exact
+2. **Exact window compare** — every read whose anchors all sit on one
+   diagonal is compared base for base with the consensus window at that
+   diagonal (one ``(candidates × read length)`` compare; ``N`` against
+   ``N`` is equal, as in the scalar DP).  A read with no mismatch is
+   emitted as it stands, with no DP at all.
+3. **Banded vectorized verification** — the other candidates' mismatch
+   positions come from the same compare; read heads/tails with nonzero
+   straight-diagonal cost run through a batched (candidates × window)
+   edit-distance DP reproducing the exact
    ``prefix_free_align``/``suffix_free_align`` optima, replacing one
    scalar alignment per read end.
 4. **Batched extension** — every read stages 2–3 could not prove
-   (multi-diagonal chains, indel-bearing ends, chimeric candidates, filter
-   rejects: > 99 % of a long-read block) goes through the rules of
+   (multi-diagonal chains, indel-bearing ends, chimeric candidates:
+   > 99 % of a long-read block) goes through the rules of
    :mod:`repro.mapping.mapper`, stated once and run a block at a time:
    ``ReadMapper._plan_block`` clusters, chains and cuts the block's
    anchors into segment plans as block arrays (one sort, one chain test
@@ -94,14 +93,6 @@ _EXTENSION_CELL_CAP = 1 << 21
 #: each other or to a base code (``N_CODE`` included).
 _READ_PAD, _CONS_PAD = 255, 254
 
-#: Mismatching 2-bit base slots per XOR byte (4 packed bases/byte).
-_SLOT_LUT = np.zeros(256, dtype=np.uint8)
-for _s in (0, 2, 4, 6):
-    _SLOT_LUT += (((np.arange(256) >> _s) & 3) != 0).astype(np.uint8)
-
-#: Byte mask keeping the first r packed bases of a byte (MSB-first).
-_KEEP_MASK = np.array([0x00, 0xC0, 0xF0, 0xFC, 0xFF], dtype=np.uint8)
-
 
 # ----------------------------------------------------------------------
 # Statistics
@@ -109,32 +100,24 @@ _KEEP_MASK = np.array([0x00, 0xC0, 0xF0, 0xFC, 0xFF], dtype=np.uint8)
 
 @dataclass
 class MapperStats:
-    """Counters from the batched mapper's filter and verify stages."""
+    """Counters of the batched mapper's stages."""
 
     reads: int = 0              # reads presented to map_batch
     batches: int = 0            # map_batch calls
-    no_anchor: int = 0          # reads unmapped for lack of any anchor
-    multi_diagonal: int = 0     # anchor chains not on a single diagonal
-    candidates: int = 0         # single-diagonal placements filtered
-    filter_rejected: int = 0    # exceeded the edit threshold before DP
-    zero_mismatch: int = 0      # clean SHD mask: emitted with no DP at all
-    verified: int = 0           # candidates exactly verified
-    false_accepts: int = 0      # passed the filter, failed verification
-    fast_path: int = 0          # reads proven and emitted by stages 1-3
+    verified: int = 0           # candidates with a mismatch, sent to stage 3
     fallback: int = 0           # reads left to the scalar chain rules
     dp_cells: int = 0           # batched verification DP cells computed
     extension_jobs: int = 0     # gap/head/tail alignments solved batched
     extension_cells: int = 0    # their real (read x consensus) DP cells
 
-    def merge(self, other: "MapperStats") -> None:
-        """Accumulate ``other`` into this instance."""
-        for f in fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
-
     def reset(self) -> None:
         for f in fields(self):
             setattr(self, f.name, 0)
+
+    @property
+    def fast_path(self) -> int:
+        """Reads stages 1-3 settled (mapped or unmapped)."""
+        return self.reads - self.fallback
 
     @property
     def fast_path_fraction(self) -> float:
@@ -153,25 +136,8 @@ def reset_stats() -> None:
 
 
 # ----------------------------------------------------------------------
-# Bit-parallel primitives
+# Block primitives
 # ----------------------------------------------------------------------
-
-def pack_bases(rows: np.ndarray) -> np.ndarray:
-    """Pack base-code rows four bases per byte, first base in the high bits.
-
-    ``N`` (code 4) folds onto ``A``; the filter consuming these bytes can
-    therefore only under-count mismatches, which is safe (it only admits
-    more candidates to exact verification).
-    """
-    rows = np.asarray(rows, dtype=np.uint8)
-    n, width = rows.shape
-    n_bytes = (width + 3) // 4
-    padded = np.zeros((n, n_bytes * 4), dtype=np.uint8)
-    padded[:, :width] = rows & 3
-    quads = padded.reshape(n, n_bytes, 4)
-    return ((quads[:, :, 0] << 6) | (quads[:, :, 1] << 4)
-            | (quads[:, :, 2] << 2) | quads[:, :, 3])
-
 
 def _revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     """Reverse-complement packed k-mer values (sentinels pass through).
@@ -190,39 +156,6 @@ def _revcomp_kmers(kmers: np.ndarray, k: int) -> np.ndarray:
     x = x.byteswap()
     x >>= np.uint64(64 - 2 * k)
     return np.where(kmers == sentinel, sentinel, x)
-
-
-def _byte_masks(lengths: np.ndarray, n_bytes: int) -> np.ndarray:
-    """Per-row byte masks zeroing packed base slots beyond each length."""
-    byte_idx = np.arange(n_bytes)
-    full = lengths[:, None] // 4
-    mask = np.where(byte_idx[None, :] < full, 0xFF, 0).astype(np.uint8)
-    partial = byte_idx[None, :] == full
-    mask = np.where(partial, _KEEP_MASK[lengths % 4][:, None], mask)
-    return mask
-
-
-def _shd_counts(packed_reads: np.ndarray, masks: np.ndarray,
-                diagonals: np.ndarray,
-                phased_cons: list[np.ndarray]) -> np.ndarray:
-    """Masked mismatch count of each packed read against the consensus
-    window starting at its diagonal (one shifted-Hamming evaluation)."""
-    n, n_bytes = packed_reads.shape
-    window = np.empty_like(packed_reads)
-    phase = diagonals & 3
-    start = diagonals >> 2
-    span = np.arange(n_bytes, dtype=np.int64)
-    for p in range(4):
-        grp = np.nonzero(phase == p)[0]
-        if grp.size:
-            # Clamp: rows shorter than the padded width would gather past
-            # the phase array; the masks zero those bytes anyway.
-            idx = np.minimum(start[grp][:, None] + span[None, :],
-                             phased_cons[p].size - 1)
-            window[grp] = phased_cons[p][idx]
-    window ^= packed_reads
-    window &= masks
-    return _SLOT_LUT[window].sum(axis=1, dtype=np.int64)
 
 
 def _oriented(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
@@ -267,12 +200,11 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
 # ----------------------------------------------------------------------
 
 def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                       win_rows: np.ndarray, free_start: bool,
-                       stats: MapperStats) -> np.ndarray:
+                       win_rows: np.ndarray, free_start: bool) -> np.ndarray:
     """Last DP rows of the fast path's head / tail verification
     (:func:`~repro.mapping.alignment.dp_last_rows`, no cube), counted in
     ``dp_cells``."""
-    stats.dp_cells += int((read_lens * (win_rows.shape[1] + 1)).sum())
+    GLOBAL_STATS.dp_cells += int((read_lens * (win_rows.shape[1] + 1)).sum())
     return dp_last_rows(read_rows, read_lens, win_rows, free_start)
 
 
@@ -363,46 +295,18 @@ class BatchReadMapper(ReadMapper):
     (:meth:`_solve_jobs`).
     """
 
-    def __init__(self, consensus: np.ndarray,
-                 config: MapperConfig | None = None,
-                 index: KmerIndex | None = None):
-        super().__init__(consensus, config, index)
-        self._phased_cons: list[np.ndarray] | None = None
-        self._cons_has_n = bool((self.consensus == seq.N_CODE).any())
-
-    # -- consensus packing (lazy; shared across batches) ---------------
-
-    def _cons_phases(self) -> list[np.ndarray]:
-        if self._phased_cons is None:
-            cons = self.consensus
-            phases = []
-            for p in range(4):
-                tail = cons[p:]
-                packed = (pack_bases(tail[None, :])[0] if tail.size
-                          else np.zeros(1, dtype=np.uint8))
-                # Pad so shifted gathers near the consensus end stay in
-                # bounds; padded bytes are masked out of every count.
-                phases.append(np.concatenate(
-                    [packed, np.zeros(2, dtype=np.uint8)]))
-            self._phased_cons = phases
-        return self._phased_cons
-
     # -- public API ----------------------------------------------------
 
     def map_batch(self, codes, offsets=None) -> MappedBlock:
         codes, offsets = block_columns(codes, offsets)
-        st = MapperStats()
-        st.reads = offsets.size - 1
-        st.batches = 1
-        parts = self._map_block(codes, offsets, st)
-        st.fast_path = st.reads - st.fallback
-        GLOBAL_STATS.merge(st)
-        return MappedBlock.assemble(codes, offsets, parts)
+        GLOBAL_STATS.reads += offsets.size - 1
+        GLOBAL_STATS.batches += 1
+        return MappedBlock.assemble(codes, offsets,
+                                    self._map_block(codes, offsets))
 
     # -- pipeline ------------------------------------------------------
 
-    def _map_block(self, fwd: np.ndarray, bounds: np.ndarray,
-                   st: MapperStats) -> list[Placed]:
+    def _map_block(self, fwd: np.ndarray, bounds: np.ndarray) -> list[Placed]:
         """The mapped reads of the block (``fwd`` / ``bounds``: its codes
         and offsets), one part per stage that placed them; every read
         no part places is unmapped."""
@@ -413,7 +317,6 @@ class BatchReadMapper(ReadMapper):
         index = self.index
         offsets, lengths = bounds[:-1], np.diff(bounds)
         if fwd.size < k or len(index) == 0:
-            st.no_anchor += n
             return []
 
         # ---- stage 1: batched seeding --------------------------------
@@ -425,7 +328,6 @@ class BatchReadMapper(ReadMapper):
         n_sel = (n_kmers + cfg.stride - 1) // cfg.stride
         sel_total = int(n_sel.sum())
         if sel_total == 0:
-            st.no_anchor += n
             return []
         sel_read = np.repeat(np.arange(n, dtype=np.int64), n_sel)
         sel_local = (np.arange(sel_total, dtype=np.int64)
@@ -446,7 +348,6 @@ class BatchReadMapper(ReadMapper):
         rev_total = np.bincount(sel_read, weights=rev_counts,
                                 minlength=n).astype(np.int64)
         use_rev = rev_total > fwd_total
-        st.no_anchor += int(((fwd_total + rev_total) == 0).sum())
         oriented = _oriented(fwd, offsets, lengths, use_rev)
 
         # Expand the chosen orientation's anchors (grouped by read).
@@ -477,14 +378,12 @@ class BatchReadMapper(ReadMapper):
         read_len = lengths[with_anchors]
         single = ((diag_min == diag_max) & (diag_min >= 0)
                   & (diag_min + read_len <= cons.size))
-        st.multi_diagonal += int((~single).sum())
         keep = np.nonzero(single)[0]
         # Reads whose answer stages 2-3 settle (mapped or unmapped).
         settled = np.zeros(n, dtype=bool)
         if keep.size == 0:
-            return [self._drain_anchored(settled, st, oriented, offsets,
-                                         lengths, use_rev, a_read, a_rpos,
-                                         a_cons)]
+            return [self._drain_anchored(settled, oriented, offsets, lengths,
+                                         use_rev, a_read, a_rpos, a_cons)]
 
         # Candidate arrays: one provisional placement per read.
         cand = with_anchors[keep]              # read index
@@ -492,57 +391,43 @@ class BatchReadMapper(ReadMapper):
         c_a0 = first_anchor[keep]              # head length
         c_end = last_anchor[keep] + k          # read pos past last anchor
         c_len = read_len[keep]
-        n_cand = cand.size
-        st.candidates += n_cand
 
-        # ---- stage 2: bit-parallel pre-alignment filter --------------
-        width = int(c_len.max())
+        # ---- stage 2: exact window compare ---------------------------
+        # ``single`` keeps every window inside the consensus.
         if bool((lengths == lengths[0]).all()):
-            rows = oriented.reshape(n, int(lengths[0]))[cand]
+            width = int(lengths[0])
+            mism = (oriented.reshape(n, width)[cand]
+                    != np.lib.stride_tricks.sliding_window_view(
+                        cons, width)[c_diag])
         else:
-            span = np.minimum(np.arange(width, dtype=np.int64)[None, :],
-                              (c_len - 1)[:, None])
-            rows = oriented[offsets[cand][:, None] + span]
-        packed = pack_bases(rows)
-        masks = _byte_masks(c_len, packed.shape[1])
-        h0 = _shd_counts(packed, masks, c_diag, self._cons_phases())
-        threshold = cfg.unmapped_cost_fraction * c_len
-        reject = h0 > threshold
-        st.filter_rejected += int(reject.sum())
-        accept = ~reject
-
-        exact_zero = accept & (h0 == 0)
-        if self._cons_has_n:
-            # Packed N folds onto A, so a clean mask is not proof of a
-            # clean window; route through exact verification instead.
-            exact_zero &= False
-        else:
-            read_has_n = np.zeros(n, dtype=bool)
-            read_has_n[np.searchsorted(
-                bounds, np.flatnonzero(fwd == seq.N_CODE), "right") - 1] = True
-            exact_zero &= ~read_has_n[cand]
-        st.zero_mismatch += int(exact_zero.sum())
-        zero = np.flatnonzero(exact_zero)
+            span = np.arange(int(c_len.max()), dtype=np.int64)[None, :]
+            at = np.minimum(span, (c_len - 1)[:, None])
+            mism = ((oriented[offsets[cand][:, None] + at]
+                     != cons[c_diag[:, None] + at])
+                    & (span < c_len[:, None]))
+        clean = ~mism.any(axis=1)
+        zero = np.flatnonzero(clean)
         settled[cand[zero]] = True
         parts = [_substitution_reads(
             cand[zero], use_rev[cand[zero]], c_diag[zero], 0, c_len[zero])]
 
         # ---- stage 3: exact vectorized verification ------------------
-        verify = np.nonzero(accept & ~exact_zero)[0]
+        verify = np.flatnonzero(~clean)
         if verify.size:
+            mm_row, mm_pos = np.nonzero(mism[verify])
             parts.append(self._verify_and_emit(
-                verify, cand, c_diag, c_a0, c_end, c_len, oriented, offsets,
-                use_rev, settled, st))
+                verify, mm_row, mm_pos, cand, c_diag, c_a0, c_end, c_len,
+                oriented, offsets, use_rev, settled))
 
-        # ---- stage 4: everything unproven (multi-diagonal, filter
-        # rejects, indel-bearing ends) is chained on the anchors already
-        # expanded above and extended as one batch.
+        # ---- stage 4: everything unproven (multi-diagonal,
+        # indel-bearing ends) is chained on the anchors already expanded
+        # above and extended as one batch.
         parts.append(self._drain_anchored(
-            settled, st, oriented, offsets, lengths, use_rev, a_read, a_rpos,
+            settled, oriented, offsets, lengths, use_rev, a_read, a_rpos,
             a_cons))
         return parts
 
-    def _drain_anchored(self, settled: np.ndarray, st: MapperStats,
+    def _drain_anchored(self, settled: np.ndarray,
                         oriented: np.ndarray, offsets: np.ndarray,
                         lengths: np.ndarray, use_rev: np.ndarray,
                         a_read: np.ndarray, a_rpos: np.ndarray,
@@ -577,7 +462,7 @@ class BatchReadMapper(ReadMapper):
                 if res.cost <= ucf * mapped_len:
                     kept.append(r)
                     results.append(res)
-        st.fallback += rows.size
+        GLOBAL_STATS.fallback += rows.size
         return Placed.from_results(kept, results)
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
@@ -585,19 +470,21 @@ class BatchReadMapper(ReadMapper):
         the chain/segment logic in :mod:`repro.mapping.mapper`)."""
         return solve_extension_jobs(jobs, GLOBAL_STATS)
 
-    def _verify_and_emit(self, verify: np.ndarray, cand: np.ndarray,
+    def _verify_and_emit(self, verify: np.ndarray, mm_row: np.ndarray,
+                         mm_pos: np.ndarray, cand: np.ndarray,
                          c_diag: np.ndarray, c_a0: np.ndarray,
                          c_end: np.ndarray, c_len: np.ndarray,
                          oriented: np.ndarray, offsets: np.ndarray,
-                         use_rev: np.ndarray, settled: np.ndarray,
-                         st: MapperStats) -> Placed:
-        """Exactly verify filter survivors: the reads they prove mapped
-        (those proven unmapped are only ``settled``); the rest are left
-        for the fallback."""
+                         use_rev: np.ndarray,
+                         settled: np.ndarray) -> Placed:
+        """Exactly verify the candidates ``verify`` (with mismatches at
+        read positions ``mm_pos`` of rows ``mm_row``, ascending): the
+        reads they prove mapped (those proven unmapped are only
+        ``settled``); the rest are left for the fallback."""
         cfg = self.config
         cons = self.consensus
         n_ver = verify.size
-        st.verified += n_ver
+        GLOBAL_STATS.verified += n_ver
         v_read = cand[verify]
         v_diag = c_diag[verify]
         v_a0 = c_a0[verify]
@@ -605,17 +492,6 @@ class BatchReadMapper(ReadMapper):
         v_len = c_len[verify]
         v_off = offsets[v_read]
 
-        # Full-window compare at the candidate diagonal: exact mismatch
-        # positions (oriented-read coordinates) grouped by candidate.
-        flat_total = int(v_len.sum())
-        row_of = np.repeat(np.arange(n_ver, dtype=np.int64), v_len)
-        pos_in_read = (np.arange(flat_total, dtype=np.int64)
-                       - np.repeat(np.cumsum(v_len) - v_len, v_len))
-        mism = (oriented[v_off[row_of] + pos_in_read]
-                != cons[v_diag[row_of] + pos_in_read])
-        hit = np.nonzero(mism)[0]
-        mm_row = row_of[hit]
-        mm_pos = pos_in_read[hit]
         h_all = np.bincount(mm_row, minlength=n_ver)
         in_head = mm_pos < v_a0[mm_row]
         in_tail = mm_pos >= v_end[mm_row]
@@ -642,7 +518,7 @@ class BatchReadMapper(ReadMapper):
                                           hn, pad=_READ_PAD)
             win_rows = self._gather_rows(cons, win_lo, 0, hm, pad=_CONS_PAD)
             last = _batched_last_rows(read_rows, hn, win_rows,
-                                      free_start=True, stats=st)
+                                      free_start=True)
             head_cost[need_head] = last[np.arange(need_head.size), hm]
         head_clip = ((cfg.clip_min_length <= v_a0)
                      & (v_a0 <= cfg.clip_max_length)
@@ -670,7 +546,7 @@ class BatchReadMapper(ReadMapper):
             win_rows = self._gather_rows(cons, win_start, 0, tm,
                                          pad=_CONS_PAD)
             last = _batched_last_rows(read_rows, tn, win_rows,
-                                      free_start=False, stats=st)
+                                      free_start=False)
             col = np.arange(last.shape[1])[None, :]
             masked = np.where(col <= tm[:, None], last,
                               np.iinfo(last.dtype).max)
@@ -682,8 +558,6 @@ class BatchReadMapper(ReadMapper):
                      & (tail_n <= cfg.clip_max_length)
                      & (tail_cost > cfg.clip_cost_fraction * tail_n))
         bad |= ~tail_clip & ~tail_sub
-
-        st.false_accepts += int(bad.sum())
 
         cost = (h_mid + np.where(head_clip, 0, head_cost)
                 + np.where(tail_clip, 0, tail_cost))

@@ -140,15 +140,7 @@ class TestHardwareModel:
         assert external.nand_bases_per_s < internal.nand_bases_per_s
 
     def test_packed_output_rate(self, archive):
-        # The units emit bases at one rate whatever the format; 2-bit
-        # output is a quarter of ASCII's bytes on the link.
-        hw = SAGeHardwareModel(pcie_ssd())
-        _, stats = hw.run(archive)
-        ascii_tp = hw.throughput(archive, stats, fmt=OutputFormat.ASCII)
-        packed_tp = hw.throughput(archive, stats,
-                                  fmt=OutputFormat.TWO_BIT)
-        assert packed_tp.effective_bases_per_s \
-            == ascii_tp.effective_bases_per_s
+        # 2-bit output is a quarter of ASCII's bytes on the link.
         device = SAGeDevice(ssd=pcie_ssd())
         device.sage_write("a", archive)
         delivery = {fmt: device.sage_read("a", fmt=fmt, materialize=False)

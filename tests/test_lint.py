@@ -724,7 +724,8 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "get_kernel", "resolve_codec", "_init_decode_worker",
                        "write_run", "write_unary", "encode_run",
                        "class_for_value", "_ServedArchive", "_inspect_sync",
-                       "SalvageReport", "salvage"}
+                       "SalvageReport", "salvage", "pack_bases",
+                       "_byte_masks", "_shd_counts", "_cons_phases"}
 
 
 def deleted_stay_deleted(source, where):
