@@ -20,28 +20,29 @@ reads:
    diagonal (one ``(candidates × read length)`` compare; ``N`` against
    ``N`` is equal, as in the scalar DP).  A read with no mismatch is
    emitted as it stands, with no DP at all.
-3. **Banded vectorized verification** — the other candidates' mismatch
-   positions come from the same compare; read heads/tails with nonzero
-   straight-diagonal cost run through a batched (candidates × window)
-   edit-distance DP reproducing the exact
-   ``prefix_free_align``/``suffix_free_align`` optima, replacing one
+3. **Flank verification** — the other candidates' mismatch positions
+   come from the same compare.  One loop over the two flanks (the head
+   before the first anchor, the tail past the last) runs each flank
+   with a mismatch through one batched (candidates × window)
+   edit-distance DP, reproducing the exact
+   ``prefix_free_align``/``suffix_free_align`` optima in place of one
    scalar alignment per read end.
 4. **Batched extension** — every read stages 2–3 could not prove
    (multi-diagonal chains, indel-bearing ends, chimeric candidates:
-   > 99 % of a long-read block) goes through the rules of
-   :mod:`repro.mapping.mapper`, stated once and run a block at a time:
-   ``ReadMapper._plan_block`` clusters, chains and cuts the block's
-   anchors into segment plans as block arrays (one sort, one chain test
-   per anchor pair, one flat compare for the equal-length gaps, Python
-   steps only where a chain's greedy rule or a diagonal change needs
-   one), collecting the block's gap, head and tail alignments into one
-   job list.  :func:`solve_extension_jobs` solves it bucket by bucket,
-   one numpy row step per DP row of a whole bucket instead of one per
-   row of every job (GenASM's argument, Senol Cali: extension pays when
-   issued as wide, regular operations over many windows at once); the
-   bucket keeps its distances (mod 256, one byte per cell) and each job
-   is traced back from them.  The reads are then assembled from the
-   results.
+   > 99 % of a long-read block) goes, in one call, through
+   ``ReadMapper._extend``: the scalar mapper's own extension, run a
+   block at a time.  ``ReadMapper._plan_block`` clusters, chains and
+   cuts the block's anchors into segment plans as block arrays (one
+   sort, one chain test per anchor pair, one flat compare for the
+   equal-length gaps, Python steps only where a chain's greedy rule or
+   a diagonal change needs one), collecting the block's gap, head and
+   tail alignments into one job list.  :func:`solve_extension_jobs`
+   solves it bucket by bucket, one numpy row step per DP row of a whole
+   bucket instead of one per row of every job (GenASM's argument,
+   Senol Cali: extension pays when issued as wide, regular operations
+   over many windows at once); the bucket keeps its distances (mod 256,
+   one byte per cell) and each job is traced back from them.  The reads
+   are then assembled from the results and held to the unmapped rule.
 
 Stages 1–3 write the reads they prove straight into the block's
 :class:`~repro.mapping.mapper.MappedBlock` columns; only stage 4's reads
@@ -52,15 +53,19 @@ sinks, the pileup) read its columns.
 
 Byte-identity contract, in two halves.  Stages 2–3 emit a result
 themselves only when they can prove the scalar mapper would produce the
-identical mapping: single-diagonal anchor chains whose
-heads/tails are pure substitution paths (DP optimum equals the
-straight-diagonal Hamming cost, which pins the scalar traceback to that
-diagonal) or soft clips (decided from the exact DP cost alone).  For
-everything else there is nothing to prove: :class:`BatchReadMapper`
-inherits planning and assembly and overrides only the job solver, which
-runs the scalar aligners' own DP (``alignment.dp_last_rows``) over a
-bucket and their own traceback (``alignment.trace_ops``) over each job's
-distances — so archives are byte-identical between
+identical mapping, and what they prove is one thing: that a flank's DP
+optimum lies on the candidate's straight diagonal (it equals the
+flank's Hamming cost, which pins the scalar traceback there).  Every
+rule the answer then follows — which flank is a soft clip, which read
+is unmapped, which consensus window a flank aligns in — is a
+``ReadMapper`` method that takes arrays as well as scalars
+(``_soft_clipped``, ``_unmapped``, ``_flank_windows``), called here and
+by the scalar mapper alike.  For everything else there is nothing to
+prove: stage 4 is ``ReadMapper._extend`` itself, and
+:class:`BatchReadMapper` overrides only its job solver, which runs the
+scalar aligners' own DP (``alignment.dp_last_rows``) over a bucket and
+their own traceback (``alignment.trace_ops``) over each job's distances
+— so archives are byte-identical between
 ``SAGeConfig(mapper_kernel="python")`` and ``mapper_kernel="numpy"``.
 """
 
@@ -80,8 +85,11 @@ from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
 #: The mapper of ``SAGeConfig()`` and of every analysis consumer.
 DEFAULT_MAPPER = "numpy"
 
-#: Heads/tails longer than this fall back to the scalar mapper instead of
-#: the batched verification DP (keeps the padded DP matrices narrow).
+#: Heads/tails longer than this go to stage 4 instead of the batched
+#: verification DP.  Each flank's candidates share one padded DP plane:
+#: on flanks this short the plane's row steps cost more than its padded
+#: cells, so bucketing them by shape (as the extension solver does) is
+#: slower.
 _VERIFY_CAP = 128
 
 #: Most padded DP cells a bucket of extension jobs may hold at once, one
@@ -106,7 +114,7 @@ class MapperStats:
     batches: int = 0            # map_batch calls
     verified: int = 0           # candidates with a mismatch, sent to stage 3
     fallback: int = 0           # reads left to the scalar chain rules
-    dp_cells: int = 0           # batched verification DP cells computed
+    dp_cells: int = 0           # stage-3 DP cells computed, padding included
     extension_jobs: int = 0     # gap/head/tail alignments solved batched
     extension_cells: int = 0    # their real (read x consensus) DP cells
 
@@ -199,15 +207,6 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
 # Batched edit-distance DP
 # ----------------------------------------------------------------------
 
-def _batched_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                       win_rows: np.ndarray, free_start: bool) -> np.ndarray:
-    """Last DP rows of the fast path's head / tail verification
-    (:func:`~repro.mapping.alignment.dp_last_rows`, no cube), counted in
-    ``dp_cells``."""
-    GLOBAL_STATS.dp_cells += int((read_lens * (win_rows.shape[1] + 1)).sum())
-    return dp_last_rows(read_rows, read_lens, win_rows, free_start)
-
-
 def solve_extension_jobs(jobs: list[AlignmentJob],
                          stats: MapperStats) -> list[AlignmentResult]:
     """Every job's ``global`` / ``prefix_free`` / ``suffix_free_align``
@@ -289,10 +288,10 @@ class BatchReadMapper(ReadMapper):
     """Block-at-a-time mapper; byte-identical to :class:`ReadMapper`.
 
     ``map_batch`` runs the vectorized pipeline described in the module
-    docstring.  The chain/segment rules are inherited unchanged; reads
-    outside the provable fast path are planned and assembled by them,
-    and only the alignments in between are solved here
-    (:meth:`_solve_jobs`).
+    docstring.  The rules and the extension are inherited unchanged;
+    reads outside the provable fast path go through
+    :meth:`ReadMapper._extend`, and only the alignments it leaves open
+    are solved here (:meth:`_solve_jobs`).
     """
 
     # -- public API ----------------------------------------------------
@@ -432,38 +431,20 @@ class BatchReadMapper(ReadMapper):
                         lengths: np.ndarray, use_rev: np.ndarray,
                         a_read: np.ndarray, a_rpos: np.ndarray,
                         a_cons: np.ndarray) -> Placed:
-        """Chain, extend and assemble the anchored reads stages 2-3 did
-        not settle; the part holds those that map.
-
-        Replays the tail of :meth:`ReadMapper.map_read` on the batch's
-        anchors: the orientation is already chosen (same capped-hit-count
-        comparison) and the anchors are already expanded, grouped by
-        read, in the exact order :meth:`KmerIndex.lookup` would emit
-        them.  The inherited :meth:`ReadMapper._plan_block` plans every
-        read at once, so the block's gap, head and tail alignments are
-        solved in one :meth:`_solve_jobs` call.
-        """
-        ucf = self.config.unmapped_cost_fraction
+        """Stage 4: the anchored reads stages 2-3 did not settle, taken
+        through the scalar mapper's own extension
+        (:meth:`ReadMapper._extend`) in one call; the part holds those
+        that map.  Their orientation is already chosen (the same
+        capped-hit-count comparison) and their anchors are already
+        expanded, grouped by read, in the order :meth:`KmerIndex.lookup`
+        would emit them."""
         open_ = ~settled[a_read]
         rows = np.unique(a_read[open_])
-        jobs: list[AlignmentJob] = []
-        plans = self._plan_block(
-            oriented, offsets[rows], lengths[rows],
-            np.searchsorted(rows, a_read[open_]), a_rpos[open_],
-            a_cons[open_], jobs)
-        solved = self._solve_jobs(jobs)
-        kept, results = [], []
-        for r, plan in zip(rows.tolist(), plans):
-            res = self._assemble_read(plan, solved)
-            if res is not None:
-                res.reverse = bool(use_rev[r])
-                mapped_len = max(1, int(lengths[r]) - res.clip_start.size
-                                 - res.clip_end.size)
-                if res.cost <= ucf * mapped_len:
-                    kept.append(r)
-                    results.append(res)
         GLOBAL_STATS.fallback += rows.size
-        return Placed.from_results(kept, results)
+        return Placed.from_results(rows, self._extend(
+            oriented, offsets[rows], lengths[rows], use_rev[rows],
+            np.searchsorted(rows, a_read[open_]), a_rpos[open_],
+            a_cons[open_]))
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """The batched solver (the one thing this kernel overrides of
@@ -480,8 +461,15 @@ class BatchReadMapper(ReadMapper):
         """Exactly verify the candidates ``verify`` (with mismatches at
         read positions ``mm_pos`` of rows ``mm_row``, ascending): the
         reads they prove mapped (those proven unmapped are only
-        ``settled``); the rest are left for the fallback."""
-        cfg = self.config
+        ``settled``); the rest are left for stage 4.
+
+        A candidate is one segment on one diagonal.  What stage 3 proves
+        of each flank (the head before its first anchor, the tail past
+        its last) is that the scalar aligner's optimum lies on that
+        diagonal — it costs exactly the flank's substitutions and, for a
+        tail, its first minimum ends where the flank's bases do — or
+        that the flank is clipped.  The clip, unmapped and window rules
+        are the scalar mapper's own methods."""
         cons = self.consensus
         n_ver = verify.size
         GLOBAL_STATS.verified += n_ver
@@ -491,80 +479,52 @@ class BatchReadMapper(ReadMapper):
         v_end = c_end[verify]
         v_len = c_len[verify]
         v_off = offsets[v_read]
-
-        h_all = np.bincount(mm_row, minlength=n_ver)
+        tail_n = v_len - v_end
+        head_lo, tail_hi = self._flank_windows(v_diag + v_a0, v_a0,
+                                               v_diag + v_end, tail_n)
         in_head = mm_pos < v_a0[mm_row]
         in_tail = mm_pos >= v_end[mm_row]
-        h_head = np.bincount(mm_row[in_head], minlength=n_ver)
-        h_tail = np.bincount(mm_row[in_tail], minlength=n_ver)
-        h_mid = h_all - h_head - h_tail
-
+        # Between the anchors a candidate's cost is its substitutions.
+        cost = np.bincount(mm_row[~in_head & ~in_tail], minlength=n_ver)
         bad = np.zeros(n_ver, dtype=bool)  # provably-identical test failed
-        slack = cfg.end_slack
-
-        # Heads: cost 0 when the straight diagonal is clean; otherwise the
-        # exact prefix_free_align optimum from the batched DP.
-        head_cost = np.zeros(n_ver, dtype=np.int64)
-        need_head = np.nonzero(h_head > 0)[0]
-        if need_head.size:
-            too_long = v_a0[need_head] > _VERIFY_CAP
-            bad[need_head[too_long]] = True
-            need_head = need_head[~too_long]
-        if need_head.size:
-            hn = v_a0[need_head]
-            win_lo = np.maximum(0, v_diag[need_head] - slack)
-            hm = hn + v_diag[need_head] - win_lo
-            read_rows = self._gather_rows(oriented, v_off[need_head], 0,
-                                          hn, pad=_READ_PAD)
-            win_rows = self._gather_rows(cons, win_lo, 0, hm, pad=_CONS_PAD)
-            last = _batched_last_rows(read_rows, hn, win_rows,
-                                      free_start=True)
-            head_cost[need_head] = last[np.arange(need_head.size), hm]
-        head_clip = ((cfg.clip_min_length <= v_a0)
-                     & (v_a0 <= cfg.clip_max_length)
-                     & (head_cost > cfg.clip_cost_fraction * v_a0))
-        head_sub = head_cost == h_head
-        bad |= ~head_clip & ~head_sub
-
-        # Tails: suffix_free_align additionally requires the first argmin
-        # of the last DP row to land exactly at the straight diagonal.
-        tail_n = v_len - v_end
-        tail_cost = np.zeros(n_ver, dtype=np.int64)
-        tail_sub = np.ones(n_ver, dtype=bool)
-        need_tail = np.nonzero(h_tail > 0)[0]
-        if need_tail.size:
-            too_long = tail_n[need_tail] > _VERIFY_CAP
-            bad[need_tail[too_long]] = True
-            need_tail = need_tail[~too_long]
-        if need_tail.size:
-            tn = tail_n[need_tail]
-            win_start = v_end[need_tail] + v_diag[need_tail]
-            tm = np.minimum(cons.size - win_start, tn + slack)
-            read_rows = self._gather_rows(oriented, v_off[need_tail],
-                                          v_end[need_tail], tn,
-                                          pad=_READ_PAD)
-            win_rows = self._gather_rows(cons, win_start, 0, tm,
-                                         pad=_CONS_PAD)
-            last = _batched_last_rows(read_rows, tn, win_rows,
-                                      free_start=False)
-            col = np.arange(last.shape[1])[None, :]
-            masked = np.where(col <= tm[:, None], last,
-                              np.iinfo(last.dtype).max)
-            arg = masked.argmin(axis=1)
-            val = masked[np.arange(need_tail.size), arg]
-            tail_cost[need_tail] = val
-            tail_sub[need_tail] = (arg == tn) & (val == h_tail[need_tail])
-        tail_clip = ((cfg.clip_min_length <= tail_n)
-                     & (tail_n <= cfg.clip_max_length)
-                     & (tail_cost > cfg.clip_cost_fraction * tail_n))
-        bad |= ~tail_clip & ~tail_sub
-
-        cost = (h_mid + np.where(head_clip, 0, head_cost)
-                + np.where(tail_clip, 0, tail_cost))
-        clip_s = np.where(head_clip, v_a0, 0)
-        clip_e = np.where(tail_clip, tail_n, 0)
-        mapped_len = np.maximum(1, v_len - clip_s - clip_e)
-        unmapped = cost > cfg.unmapped_cost_fraction * mapped_len
+        clips = []
+        # Per flank: its read offset and length, its mismatches, its
+        # consensus window, and whether it is a head (prefix_free: it
+        # ends in the window's last column) or a tail (suffix_free: it
+        # ends at the first minimum of its last row).
+        for at, n, in_flank, lo, hi, head in (
+                (0, v_a0, in_head, head_lo, v_diag + v_a0, True),
+                (v_end, tail_n, in_tail, v_diag + v_end, tail_hi, False)):
+            subs = np.bincount(mm_row[in_flank], minlength=n_ver)
+            flank_cost = np.zeros(n_ver, dtype=np.int64)
+            straight = np.ones(n_ver, dtype=bool)
+            need = np.flatnonzero(subs > 0)
+            bad[need[n[need] > _VERIFY_CAP]] = True
+            need = need[n[need] <= _VERIFY_CAP]
+            if need.size:
+                fn, m = n[need], (hi - lo)[need]
+                read_rows = self._gather_rows(oriented, (v_off + at)[need],
+                                              fn, _READ_PAD)
+                win_rows = self._gather_rows(cons, lo[need], m, _CONS_PAD)
+                GLOBAL_STATS.dp_cells += read_rows.size \
+                    * (win_rows.shape[1] + 1)
+                last = dp_last_rows(read_rows, fn, win_rows, head)
+                if head:
+                    end = straight_end = m
+                else:
+                    own = np.arange(last.shape[1])[None, :] <= m[:, None]
+                    end = np.where(own, last, np.iinfo(last.dtype).max) \
+                        .argmin(axis=1)
+                    straight_end = fn
+                flank_cost[need] = last[np.arange(need.size), end]
+                straight[need] = (end == straight_end) \
+                    & (flank_cost[need] == subs[need])
+            clip = self._soft_clipped(n, flank_cost)
+            bad |= ~clip & ~straight
+            cost += np.where(clip, 0, flank_cost)
+            clips.append(np.where(clip, n, 0))
+        clip_s, clip_e = clips
+        unmapped = self._unmapped(cost, v_len, clip_s, clip_e)
 
         # ---- emission: one segment per mapped read; its mismatches
         # outside the clips are its substitutions ----------------------
@@ -582,14 +542,13 @@ class BatchReadMapper(ReadMapper):
             mm_pos - seg_lo[mm_row])
 
     @staticmethod
-    def _gather_rows(flat: np.ndarray, starts: np.ndarray, extra,
-                     lens: np.ndarray, pad: int) -> np.ndarray:
-        """Pad variable-length slices ``flat[starts+extra :][:lens]`` into a
-        2-D matrix; ``pad`` fills past each row's length."""
+    def _gather_rows(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                     pad: int) -> np.ndarray:
+        """Pad variable-length slices ``flat[starts:][:lens]`` into a 2-D
+        matrix; ``pad`` fills past each row's length."""
         width = int(lens.max())
         span = np.arange(width, dtype=np.int64)[None, :]
-        begin = (starts + extra)[:, None]
-        idx = begin + np.minimum(span, (lens - 1)[:, None])
+        idx = starts[:, None] + np.minimum(span, (lens - 1)[:, None])
         rows = flat[idx].astype(np.uint8, copy=True)
         rows[span >= lens[:, None]] = pad
         return rows

@@ -25,7 +25,7 @@ from ..genomics.reads import run_index
 from . import alignment
 from .alignment import (AlignmentResult, EditOp, global_align,
                         prefix_free_align, suffix_free_align)
-from .kmer_index import AnchorHits, KmerIndex
+from .kmer_index import KmerIndex
 
 
 class AlignmentJob(NamedTuple):
@@ -348,32 +348,43 @@ class ReadMapper:
         else:
             oriented, hits, reverse = codes, fwd_hits, False
 
-        result = self._map_oriented(oriented, hits)
-        if result is None:
-            return MappingResult(unmapped=True)
-        result.reverse = reverse
-        mapped_len = max(1, codes.size - result.clip_start.size
-                         - result.clip_end.size)
-        if result.cost > self.config.unmapped_cost_fraction * mapped_len:
-            return MappingResult(unmapped=True)
-        return result
+        return self._extend(oriented, np.zeros(1, dtype=np.int64),
+                            np.array([oriented.size], dtype=np.int64),
+                            np.array([reverse]),
+                            np.zeros(len(hits), dtype=np.int64),
+                            hits.read_pos, hits.cons_pos)[0]
 
     # ------------------------------------------------------------------
     # Planning: anchors -> clusters -> chains -> segment plans, a block
     # of reads at a time
     # ------------------------------------------------------------------
 
-    def _map_oriented(self, oriented: np.ndarray,
-                      hits: AnchorHits) -> MappingResult | None:
+    def _extend(self, oriented: np.ndarray, starts: np.ndarray,
+                lengths: np.ndarray, reverse: np.ndarray, a_row: np.ndarray,
+                a_rpos: np.ndarray, a_cons: np.ndarray
+                ) -> list[MappingResult]:
+        """The mapping of every anchored row: the rows are planned
+        (:meth:`_plan_block`, whose arguments these are), the alignments
+        they leave open are solved in one :meth:`_solve_jobs` call, and
+        each row is assembled and held to the unmapped rule.  Row ``i``
+        is oriented ``reverse[i]``; a read both kernels extend is mapped
+        here and nowhere else."""
         jobs: list[AlignmentJob] = []
-        plan = self._plan_block(
-            oriented, np.zeros(1, dtype=np.int64),
-            np.array([oriented.size], dtype=np.int64),
-            np.zeros(len(hits), dtype=np.int64), hits.read_pos,
-            hits.cons_pos, jobs)[0]
-        if plan is None:
-            return None
-        return self._assemble_read(plan, self._solve_jobs(jobs))
+        plans = self._plan_block(oriented, starts, lengths, a_row, a_rpos,
+                                 a_cons, jobs)
+        solved = self._solve_jobs(jobs)
+        results = []
+        for plan, length, rev in zip(plans, lengths.tolist(),
+                                     reverse.tolist()):
+            res = None if plan is None else self._assemble_read(plan, solved)
+            if res is None or self._unmapped(res.cost, length,
+                                             res.clip_start.size,
+                                             res.clip_end.size):
+                res = MappingResult(unmapped=True)
+            else:
+                res.reverse = rev
+            results.append(res)
+        return results
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """Solve extension jobs one at a time (the reference solver, and
@@ -550,7 +561,7 @@ class ReadMapper:
         (clamped to both), its head and tail become ``prefix_free`` and
         ``suffix_free`` jobs, and its gaps come from :meth:`_plan_gaps`.
         """
-        cons, slack = self.consensus, self.config.end_slack
+        cons = self.consensus
         ends, pieces = self._plan_gaps(oriented, np.repeat(starts, n_chains),
                                        chain_len, R, C, D)
         plans = []
@@ -578,21 +589,22 @@ class ReadMapper:
                     gaps.append((start, piece))
                 seg_lo, seg_hi = bounds[w], bounds[w + 1]
                 a0r, a0c, _, tr, tc = ends[ch]
-                # head: aligns to a suffix of its consensus window
                 head = oriented[rs + seg_lo:rs + a0r]
+                tail = oriented[rs + tr:rs + seg_hi]
+                head_lo, tail_hi = self._flank_windows(a0c, head.size, tc,
+                                                       tail.size)
+                # head: aligns to a suffix of its consensus window
                 head_job, win_lo = None, 0
                 if head.size:
-                    win_lo = max(0, a0c - head.size - slack)
+                    win_lo = int(head_lo)
                     head_job = len(jobs)
                     jobs.append(AlignmentJob(head, cons[win_lo:a0c],
                                              "prefix_free"))
                 # tail: aligns to a prefix of its consensus window
-                tail = oriented[rs + tr:rs + seg_hi]
                 tail_job = None
                 if tail.size:
-                    win_hi = min(cons.size, tc + tail.size + slack)
                     tail_job = len(jobs)
-                    jobs.append(AlignmentJob(tail, cons[tc:win_hi],
+                    jobs.append(AlignmentJob(tail, cons[tc:tail_hi],
                                              "suffix_free"))
                 plan.append(_SegmentPlan(seg_lo, seg_hi, w == 0,
                                          w == count - 1, a0r, a0c, tr,
@@ -714,14 +726,39 @@ class ReadMapper:
         return int(read_len - mask.sum())
 
     # ------------------------------------------------------------------
-    # Segment assembly
+    # The rules a kernel's proof rests on, each stated once.  Every
+    # argument may be a scalar or an array (one entry per flank or read).
     # ------------------------------------------------------------------
 
-    def _is_clip(self, flank: np.ndarray, cost: int) -> bool:
-        """A flank this short and this costly is a soft clip."""
-        return (self.config.clip_min_length <= flank.size
-                <= self.config.clip_max_length
-                and cost > self.config.clip_cost_fraction * flank.size)
+    def _soft_clipped(self, n, cost):
+        """Whether a flank of ``n`` bases (a first segment's head or a
+        last one's tail) whose alignment costs ``cost`` is a soft clip:
+        this short and this costly."""
+        cfg = self.config
+        return ((cfg.clip_min_length <= n) & (n <= cfg.clip_max_length)
+                & (cost > cfg.clip_cost_fraction * n))
+
+    def _unmapped(self, cost, length, clip_s, clip_e):
+        """Whether a read of ``length`` bases, mapped at ``cost`` with
+        ``clip_s`` / ``clip_e`` bases clipped, is stored unmapped: its cost
+        is above ``unmapped_cost_fraction`` of its unclipped bases."""
+        return cost > self.config.unmapped_cost_fraction \
+            * np.maximum(1, length - clip_s - clip_e)
+
+    def _flank_windows(self, head_end, head_len, tail_start, tail_len):
+        """``(head_lo, tail_hi)``: a head of ``head_len`` bases ending at
+        consensus ``head_end`` aligns in ``consensus[head_lo:head_end]``,
+        a tail of ``tail_len`` bases starting at ``tail_start`` in
+        ``consensus[tail_start:tail_hi]``; each window is ``end_slack``
+        bases longer than its flank, clamped to the consensus."""
+        slack = self.config.end_slack
+        return (np.maximum(0, head_end - head_len - slack),
+                np.minimum(self.consensus.size,
+                           tail_start + tail_len + slack))
+
+    # ------------------------------------------------------------------
+    # Segment assembly
+    # ------------------------------------------------------------------
 
     def _assemble_segment(
             self, plan: _SegmentPlan, solved: list[AlignmentResult]
@@ -743,7 +780,8 @@ class ReadMapper:
         pieces: list[tuple[int, list[EditOp]]] = []
         if plan.head_job is not None:
             res = solved[plan.head_job]
-            if plan.is_first and self._is_clip(plan.head, res.cost):
+            if plan.is_first and self._soft_clipped(plan.head.size,
+                                                     res.cost):
                 clip_s = plan.head.copy()
                 seg_lo = plan.a0_read
                 cons_start = plan.a0_cons
@@ -760,7 +798,8 @@ class ReadMapper:
             cost += gap_cost
         if plan.tail_job is not None:
             res = solved[plan.tail_job]
-            if plan.is_last and self._is_clip(plan.tail, res.cost):
+            if plan.is_last and self._soft_clipped(plan.tail.size,
+                                                   res.cost):
                 clip_e = plan.tail.copy()
                 seg_hi = plan.tail_read
             else:

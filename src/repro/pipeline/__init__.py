@@ -6,8 +6,8 @@ from .accelerators import (AnalysisAccelerator, ISFModel, gem,
 from .configs import (PREP_ORDER, PREP_TOOLS, DatasetModel,
                       dataset_from_paper, paper_dataset_models)
 from .endtoend import (MAX_SIM_BATCHES, EndToEndResult, SystemConfig,
-                       batches_for_dataset, batches_from_archive,
-                       build_stages, evaluate, geometric_mean)
+                       batches_for_dataset, build_stages, evaluate,
+                       geometric_mean)
 from .executor import (BACKENDS, CollectSink, ExecutorStats, FastqSink,
                        Sink, StreamExecutor)
 from .stages import PipelineResult, Stage, simulate_pipeline
@@ -18,7 +18,7 @@ __all__ = [
     "software_mapper", "PREP_ORDER", "PREP_TOOLS", "DatasetModel",
     "dataset_from_paper", "paper_dataset_models", "MAX_SIM_BATCHES",
     "EndToEndResult", "SystemConfig", "batches_for_dataset",
-    "batches_from_archive", "build_stages", "evaluate", "geometric_mean",
+    "build_stages", "evaluate", "geometric_mean",
     "BACKENDS", "CollectSink", "ExecutorStats",
     "FastqSink", "Sink", "StreamExecutor", "PipelineResult",
     "Stage", "simulate_pipeline",

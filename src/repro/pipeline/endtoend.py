@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..core.container import SAGeArchive
 from ..core.options import DEFAULT_BLOCK_READS
 from ..hardware import energy as energy_mod
 from ..hardware.energy import (BWT_ACC, HOST_CPU, HOST_DRAM, SAGE_LOGIC,
@@ -131,36 +130,13 @@ def build_stages(prep_name: str, dataset: DatasetModel,
 MAX_SIM_BATCHES = 256
 
 
-def _as_archive(archive) -> SAGeArchive:
-    """Accept either a raw archive or the :class:`SAGeDataset` facade.
-
-    The facade is the served path; letting the system model consume it
-    directly keeps the functional model and the service API from
-    drifting apart.
-    """
-    if isinstance(archive, SAGeArchive):
-        return archive
-    return archive.archive
-
-
-def batches_from_archive(archive) -> int:
-    """Pipeline batch count of a real archive: one batch per block.
-
-    The container's independently decodable blocks are exactly the
-    units that stream through the I/O → prep → analysis pipeline, so the
-    simulator's ``n_batches`` is the archive's block count rather than a
-    free parameter.  Accepts a :class:`SAGeArchive` or a
-    :class:`repro.api.SAGeDataset`.
-    """
-    return max(1, min(MAX_SIM_BATCHES, _as_archive(archive).n_blocks))
-
-
 def batches_for_dataset(dataset: DatasetModel,
                         block_reads: int = DEFAULT_BLOCK_READS) -> int:
     """Batch count a modeled dataset would have once block-compressed.
 
-    Mirrors :func:`batches_from_archive` for paper-scale datasets that
-    exist only as models: the read count implied by ``total_bases`` and
+    The container's independently decodable blocks are the units that
+    stream through the I/O → prep → analysis pipeline, so a batch is a
+    block: the read count implied by ``total_bases`` and
     ``mean_read_length``, partitioned into ``block_reads``-sized blocks.
     """
     reads = dataset.total_bases / max(1.0, dataset.mean_read_length)
@@ -169,22 +145,13 @@ def batches_for_dataset(dataset: DatasetModel,
 
 
 def evaluate(prep_name: str, dataset: DatasetModel,
-             system: SystemConfig | None = None,
-             n_batches: int | None = None, *,
-             archive=None) -> EndToEndResult:
-    """Run one configuration end to end and account energy.
-
-    ``n_batches`` defaults to the dataset's real block structure: the
-    block count of ``archive`` (a :class:`SAGeArchive` or a
-    :class:`repro.api.SAGeDataset`) when one is given, otherwise the
-    count a block-compressed version of ``dataset`` would have.
-    """
+             system: SystemConfig | None = None) -> EndToEndResult:
+    """Run one configuration end to end and account energy, over the
+    batches :func:`batches_for_dataset` gives ``dataset``."""
     system = system or SystemConfig()
-    if n_batches is None:
-        n_batches = batches_from_archive(archive) if archive is not None \
-            else batches_for_dataset(dataset)
     stages = build_stages(prep_name, dataset, system)
-    pipeline = simulate_pipeline(stages, dataset.total_bases, n_batches)
+    pipeline = simulate_pipeline(stages, dataset.total_bases,
+                                 batches_for_dataset(dataset))
     ledger = _account_energy(prep_name, dataset, system, pipeline)
     return EndToEndResult(prep=prep_name, dataset=dataset.label,
                           pipeline=pipeline, energy=ledger)

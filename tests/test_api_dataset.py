@@ -534,14 +534,5 @@ class TestSystemIntegration:
                 dataset.archive, options=EngineOptions(workers=2))):
             assert_same_columns(reads, session.read_set())
 
-    def test_endtoend_consumes_dataset(self, dataset):
-        from repro.pipeline import (batches_from_archive, evaluate,
-                                    paper_dataset_models)
-        assert batches_from_archive(dataset) == dataset.n_blocks
-        assert batches_from_archive(dataset.archive) == dataset.n_blocks
-        model = paper_dataset_models()["RS2"]
-        result = evaluate("SAGe", model, archive=dataset)
-        assert result.throughput_bases_per_s > 0
-
     def test_consensus_matches_reference(self, dataset, rs3_small):
         assert np.array_equal(dataset.consensus, rs3_small.reference)

@@ -714,8 +714,13 @@ def options_a_caller_sets(source, where):
 #: the per-value oracles are in ``tests/conftest.py``), and the server's
 #: wrapper around its sessions and its projection of ``describe()``
 #: (``sage serve`` holds ``name -> SAGeDataset`` and ``/inspect`` is
-#: the description), and the salvage pass with its report (recovery is
-#: any pass on an ``on_error="skip"`` session, reported by its stats).
+#: the description), the salvage pass with its report (recovery is
+#: any pass on an ``on_error="skip"`` session, reported by its stats),
+#: the batch mapper's bit-packed pre-alignment filter (stage 2 compares
+#: bases), and the mapper's second extension path and its wrappers
+#: (anchored reads of either kernel go through ``ReadMapper._extend``,
+#: the clip test is ``ReadMapper._soft_clipped``, and stage 3 calls
+#: ``dp_last_rows`` itself).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -725,7 +730,8 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "write_run", "write_unary", "encode_run",
                        "class_for_value", "_ServedArchive", "_inspect_sync",
                        "SalvageReport", "salvage", "pack_bases",
-                       "_byte_masks", "_shd_counts", "_cons_phases"}
+                       "_byte_masks", "_shd_counts", "_cons_phases",
+                       "_map_oriented", "_is_clip", "_batched_last_rows"}
 
 
 def deleted_stay_deleted(source, where):
@@ -963,16 +969,48 @@ def definitions_have_a_caller(root=ROOT, sanctioned=SANCTIONED_TEST_ONLY):
 # Extension stated once (PR 24): how anchors become segments — how they
 # cluster and chain, which alignments a chain leaves open (plan, a block
 # at a time) and how their results become ops, clips and a placement
-# (assemble) — lives in mapping/mapper.py alone.  A mapper kernel is a
-# ``ReadMapper`` subclass that overrides the job *solver*; it restates
-# none of that logic, and the scalar aligners (the oracle a solver is
-# held to) are reached through ``_solve_jobs`` in mapper.py only, so no
-# second extension path can grow beside it.
+# (assemble) — lives in mapping/mapper.py alone, and so does the one
+# routine that takes anchored reads through all of it
+# (``ReadMapper._extend``).  A mapper kernel is a ``ReadMapper`` subclass
+# that overrides the job *solver*; it restates none of that logic, and
+# the scalar aligners (the oracle a solver is held to) are reached
+# through ``_solve_jobs`` in mapper.py only, so no second extension path
+# can grow beside it.  The rules a kernel's proof rests on — the soft
+# clip, the unmapped read, the flanks' consensus windows — are
+# ``ReadMapper`` methods taking scalars or arrays, and the configuration
+# fields each decides on are read there and nowhere else under
+# ``src/repro/``, so a stage that restates a rule inline shows.
 # ----------------------------------------------------------------------
 
 _ALIGNERS = {"global_align", "prefix_free_align", "suffix_free_align"}
+#: Each rule method of ``ReadMapper`` and the configuration fields that
+#: only it reads.
+_RULES = {"_soft_clipped": {"clip_min_length", "clip_max_length",
+                            "clip_cost_fraction"},
+          "_unmapped": {"unmapped_cost_fraction"},
+          "_flank_windows": {"end_slack"}}
+_RULE_OF = {name: rule for rule, names in _RULES.items() for name in names}
 _SEGMENT_LOGIC = re.compile(
-    r"^_(map_oriented|build_segment|plan|assemble|cluster|chain)")
+    r"^_(extend|map_oriented|build_segment|plan|assemble|cluster|chain)"
+    r"|^(" + "|".join(_RULES) + r")$")
+
+
+def rule_field_reads(tree):
+    """``(node, field, function)`` for every read of a rule's
+    configuration field (an attribute load, or the name as a string):
+    ``function`` is the innermost function around it, or ``None``."""
+    owner = {id(node): func for func in ast.walk(tree)
+             if isinstance(func, FUNCTIONS) for node in ast.walk(func)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if isinstance(name, str) and name in _RULE_OF:
+            yield node, name, owner.get(id(node))
 
 
 def extension_stated_once(source, where):
@@ -1000,6 +1038,15 @@ def extension_stated_once(source, where):
         if isinstance(node, (ast.Name, ast.Attribute))
         for name in [getattr(node, "id", getattr(node, "attr", None))]
         if name in _ALIGNERS and id(node) not in in_solver]
+    rule_methods = {
+        id(item): item.name for cls in ast.walk(tree) if in_mapper
+        and isinstance(cls, ast.ClassDef) and cls.name == "ReadMapper"
+        for item in cls.body if isinstance(item, FUNCTIONS)}
+    offenders += [
+        f"{where}:{node.lineno} reads {name} outside "
+        f"ReadMapper.{_RULE_OF[name]}"
+        for node, name, func in rule_field_reads(tree)
+        if rule_methods.get(id(func)) != _RULE_OF[name]]
     return offenders
 
 
@@ -1724,10 +1771,61 @@ class TestOptionsThreadingEdges:
     def test_extension_is_stated_once(self):
         """A mapper kernel overrides the job solver and nothing else of
         the anchors -> segments logic (clustering, chaining, the block
-        planner, assembly); the scalar aligners are called from
-        ``ReadMapper._solve_jobs`` only (``extension_stated_once``)."""
+        planner, assembly, the extension routine, the rules); the scalar
+        aligners are called from ``ReadMapper._solve_jobs`` only, and
+        each rule's configuration fields are read in exactly one
+        function under ``src/repro/``, its ``ReadMapper`` method
+        (``extension_stated_once``)."""
         assert on_tree(extension_stated_once, "src") == []
+        readers = {}
+        for _, name, func in rule_field_reads(ast.parse(
+                (SRC / "repro/mapping/mapper.py").read_text())):
+            readers.setdefault(name, set()).add(func.name)
+        assert readers == {name: {rule} for name, rule in _RULE_OF.items()}
         for violating, where in (
+                # One stage restating each rule inline.
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _verify_and_emit(self, n, cost):
+                         cfg = self.config
+                         return ((cfg.clip_min_length <= n)
+                                 & (n <= cfg.clip_max_length)
+                                 & (cost > cfg.clip_cost_fraction * n))
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 def _drain_anchored(self, res, length):
+                     mapped_len = max(1, length - res.clip_start.size)
+                     return res.cost <= (self.config.unmapped_cost_fraction
+                                         * mapped_len)
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _verify_and_emit(self, v_diag):
+                         return np.maximum(0, v_diag - self.config.end_slack)
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class ReadMapper:
+                     def _plan_segments(self, a0c, head):
+                         slack = getattr(self.config, "end_slack")
+                         return max(0, a0c - head.size - slack)
+                 """, "src/repro/mapping/mapper.py"),
+                ("""\
+                 class ReadMapper:
+                     def _assemble_segment(self, head, cost):
+                         return cost > self.config.clip_cost_fraction \\
+                             * head.size
+                 """, "src/repro/mapping/mapper.py"),
+                # A kernel overriding a rule or the extension routine.
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _soft_clipped(self, n, cost):
+                         return n < 0
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 class BatchReadMapper(ReadMapper):
+                     def _extend(self, *rows):
+                         return []
+                 """, "src/repro/mapping/batch.py"),
                 ("""\
                  class BatchReadMapper(ReadMapper):
                      def _map_oriented(self, oriented, hits):
@@ -1780,6 +1878,18 @@ class TestOptionsThreadingEdges:
                 def _solve_jobs(self, jobs):
                     return solve_extension_jobs(jobs, self.stats)
             """, "src/repro/mapping/mapper.py") == []
+        # A rule method reading its fields, and a config that sets one.
+        assert on_snippet(extension_stated_once, """\
+            class ReadMapper:
+                def _unmapped(self, cost, length, clip_s, clip_e):
+                    return cost > self.config.unmapped_cost_fraction \\
+                        * np.maximum(1, length - clip_s - clip_e)
+            """, "src/repro/mapping/mapper.py") == []
+        assert on_snippet(extension_stated_once, """\
+            def _build_mapper(cfg):
+                cfg.unmapped_cost_fraction = 0.80
+                return MapperConfig(end_slack=0)
+            """, "src/repro/core/compressor.py") == []
         # A _plan_read on a class that is no ReadMapper is not segment
         # logic.
         assert on_snippet(extension_stated_once, """\

@@ -4,7 +4,10 @@ The contract under test (:mod:`repro.mapping.batch`): the vectorized
 :class:`BatchReadMapper` produces a ``MappedBlock`` table equal column
 for column to the scalar :class:`ReadMapper` reference's — and therefore
 per-read mappings and archives byte-identical — for every read shape
-(short/long, indels, Ns, reverse-complement, chimeric, unmapped junk).
+(short/long, indels, Ns, reverse-complement, chimeric, unmapped junk),
+and at the boundaries of the rules both kernels share (a flank of
+exactly the shortest / longest clip length, a read costing exactly the
+unmapped fraction, flank windows clamped at either consensus end).
 Also covered: the analysis consumers' column passes against their
 per-read oracles, the batched extension solver against the three scalar
 aligners (its oracle), the mapper registry, the ``EngineOptions.mapper``
@@ -116,6 +119,33 @@ def _result_key(res):
                       np.asarray(op.bases).tobytes()) for op in s.ops))
               for s in res.segments),
     )
+
+
+def _maps_like_map_read(reference, reads, cfg):
+    """``map_read``'s result for each of ``reads``, once both kernels'
+    ``map_batch`` tables are held to them through :func:`_result_key`."""
+    scalar = ReadMapper(reference, cfg)
+    want = [scalar.map_read(c) for c in reads]
+    for kernel in (ReadMapper, BatchReadMapper):
+        table = kernel(reference, cfg, index=scalar.index).map_batch(reads)
+        assert [_result_key(r) for r in mapping_results(table)] \
+            == [_result_key(r) for r in want], kernel.__name__
+    return want
+
+
+def _n_flank(reference, start, length, flank, cost, head):
+    """``reference[start:][:length]`` whose first (``head``) or last
+    ``flank`` bases carry ``cost`` ``N``s, placed from the anchor side
+    and at least one in every 14 bases: no strided 15-mer reaching into
+    the flank matches, so the flank is exactly ``flank`` bases long
+    (``length - flank - 15`` must be even for a tail)."""
+    codes = reference[start:start + length].copy()
+    near = list(range(flank - 1, -1, -1)) if head \
+        else list(range(length - flank, length))
+    taken = near[::14]
+    taken += [p for p in near if p not in taken][:cost - len(taken)]
+    codes[taken] = seqmod.N_CODE
+    return codes
 
 
 def _columns(table):
@@ -296,6 +326,85 @@ class TestCrossMapperFuzz:
         assert batch.GLOBAL_STATS.verified == 9
         assert [_result_key(r) for r in mapping_results(table)] \
             == [_result_key(scalar.map_read(c)) for c in reads]
+
+    @pytest.mark.parametrize("head", [True, False], ids=["head", "tail"])
+    @pytest.mark.parametrize("bound", ["clip_min_length", "clip_max_length"])
+    def test_clip_rule_boundaries(self, reference, head, bound):
+        """A head or tail of exactly ``clip_min_length`` /
+        ``clip_max_length`` bases, costing the most that is no clip and
+        one more.  The flank's cost is its count of ``N``s: an ``N``
+        matches nothing, so each costs exactly 1 on any path."""
+        cfg = MapperConfig()
+        n = getattr(cfg, bound)
+        below = int(cfg.clip_cost_fraction * n)
+        reads = [_n_flank(reference, 1_000, 151, n, cost, head)
+                 for cost in (below, below + 1)]
+        want = _maps_like_map_read(reference, reads, cfg)
+        clips = [(r.clip_start if head else r.clip_end).size for r in want]
+        assert clips == [0, n]
+        assert [r.cost for r in want] == [below, 0]
+
+    def test_unmapped_rule_boundary(self, reference):
+        """Reads costing exactly ``unmapped_cost_fraction`` of their
+        mapped length, and one more: the first maps, the second does
+        not.  Both flanks are longer than any clip."""
+        cfg = MapperConfig()
+        reads = []
+        for extra in ([], [1]):
+            codes = reference[2_000:2_200].copy()
+            codes[list(range(21, 100, 2)) + list(range(115, 195, 2))
+                  + extra] = seqmod.N_CODE
+            reads.append(codes)
+        assert cfg.unmapped_cost_fraction * 200 == 80
+        want = _maps_like_map_read(reference, reads, cfg)
+        assert [(r.unmapped, r.cost) for r in want] \
+            == [(False, 80), (True, 0)]
+
+    def test_head_window_clamped_at_consensus_start(self, reference):
+        """Reads starting within ``end_slack`` bases of the consensus
+        start (and at the first unclamped starts), with a 6-base head
+        carrying one or two substitutions: the head's window is cut at
+        consensus base 0."""
+        cfg = MapperConfig()
+        starts = [0, 5, cfg.end_slack - 1, cfg.end_slack,
+                  cfg.end_slack + 1]
+        reads = []
+        for subs in ([5], [1, 5]):
+            for start in starts:
+                codes = reference[start:start + 100].copy()
+                codes[subs] = (codes[subs] + 1) % 4
+                reads.append(codes)
+        want = _maps_like_map_read(reference, reads, cfg)
+        assert [(r.unmapped, r.clip_start.size, r.segments[0].cons_start)
+                for r in want] == [(False, 0, s) for s in 2 * starts]
+        # The batch kernel proves the one-substitution heads itself, in
+        # the same windows: it leaves none of them to stage 4.
+        batch.reset_stats()
+        BatchReadMapper(reference, cfg).map_batch(reads[:len(starts)])
+        assert batch.GLOBAL_STATS.fallback == 0
+
+    def test_tail_window_clamped_at_consensus_end(self, reference):
+        """Reads ending within ``end_slack`` bases of the consensus end
+        (and at the first unclamped ends), with a short tail carrying
+        one or two substitutions: the tail's window is cut at the last
+        consensus base."""
+        cfg = MapperConfig()
+        gaps = [0, 5, cfg.end_slack - 1, cfg.end_slack, cfg.end_slack + 1]
+        reads = []
+        for subs in ([94], [94, 98]):
+            for gap in gaps:
+                end = reference.size - gap
+                codes = reference[end - 100:end].copy()
+                codes[subs] = (codes[subs] + 1) % 4
+                reads.append(codes)
+        want = _maps_like_map_read(reference, reads, cfg)
+        assert [(r.unmapped, r.clip_end.size, r.cost) for r in want] \
+            == [(False, 0, 1)] * 5 + [(False, 0, 2)] * 5
+        # The batch kernel proves the one-substitution tails itself, in
+        # the same windows: it leaves none of them to stage 4.
+        batch.reset_stats()
+        BatchReadMapper(reference, cfg).map_batch(reads[:len(gaps)])
+        assert batch.GLOBAL_STATS.fallback == 0
 
     def test_empty_batch(self, reference):
         for kernel in (ReadMapper, BatchReadMapper):
@@ -588,15 +697,28 @@ class TestMapperStats:
     def test_extension_counters(self, reference, monkeypatch):
         """``extension_jobs`` / ``extension_cells`` count every gap, head
         and tail alignment of the reads the fast path left (``fallback``)
-        — real cells, not the padded buckets."""
+        — real cells, not the padded buckets; ``dp_cells`` counts the
+        cells the verification DP computes: problems x rows x (columns
+        + 1) of each plane it is handed."""
         solved = []
         solve = batch.solve_extension_jobs
+        computed = []
+        last_rows = batch.dp_last_rows
 
         def recording(jobs, stats):
             solved.extend(jobs)
             return solve(jobs, stats)
 
+        def measuring(read_rows, read_lens, win_rows, free_start,
+                      cube=None):
+            if cube is None:            # a verification plane
+                computed.append(read_rows.shape[0] * read_rows.shape[1]
+                                * (win_rows.shape[1] + 1))
+            return last_rows(read_rows, read_lens, win_rows, free_start,
+                             cube)
+
         monkeypatch.setattr(batch, "solve_extension_jobs", recording)
+        monkeypatch.setattr(batch, "dp_last_rows", measuring)
         codes_list = _fuzz_reads(np.random.default_rng(1), reference, 50, 90)
         batch.reset_stats()
         BatchReadMapper(reference, MapperConfig()).map_batch(codes_list)
@@ -606,7 +728,7 @@ class TestMapperStats:
         assert st_.extension_cells == sum(
             job.read_seg.size * job.cons_seg.size for job in solved)
         # The verification DP's cells are counted apart from them.
-        assert st_.dp_cells > 0
+        assert computed and st_.dp_cells == sum(computed)
 
     def test_tail_substitution_stays_on_the_fast_path(self, reference):
         """A read whose only edit is a substitution past its last anchor

@@ -7,10 +7,9 @@ from repro.genomics import sequence as seq
 from repro.genomics.reads import Read, ReadSet
 from repro.hardware.ssd import pcie_ssd, sata_ssd
 from repro.pipeline import (MAX_SIM_BATCHES, PREP_ORDER, SystemConfig,
-                            batches_for_dataset, batches_from_archive,
-                            build_stages, dataset_from_paper, evaluate,
-                            geometric_mean, measure_filter_fraction,
-                            paper_dataset_models)
+                            batches_for_dataset, build_stages,
+                            dataset_from_paper, evaluate, geometric_mean,
+                            measure_filter_fraction, paper_dataset_models)
 from repro.pipeline.accelerators import ISFModel, gem, software_mapper
 from repro.pipeline.stages import Stage, simulate_pipeline
 
@@ -296,20 +295,6 @@ class TestEndToEnd:
         assert result.bottleneck == "analysis"
         result = evaluate("(N)Spr", models["RS2"], pcie)
         assert result.bottleneck == "prep"
-
-    def test_batches_derive_from_block_structure(self, models, pcie):
-        """n_batches comes from the real archive block count when given."""
-        from repro.api import EngineOptions
-        from repro.core import SAGeCompressor, SAGeConfig
-        from repro.genomics import datasets
-        sim = datasets.generate("RS3", base_genome=4_000)
-        archive = SAGeCompressor(sim.reference, SAGeConfig(),
-                                 options=EngineOptions(block_reads=16)) \
-            .compress(sim.read_set)
-        assert batches_from_archive(archive) == archive.n_blocks
-        result = evaluate("SAGe", models["RS2"], pcie, archive=archive)
-        timeline = result.pipeline.stage("io")
-        assert len(timeline.intervals) == archive.n_blocks
 
     def test_batches_for_paper_scale_dataset_capped(self, models):
         # Paper-scale read counts partition into far more blocks than
