@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lz77
+from ..genomics.reads import run_index
 from .bitio import BitReader, BitWriter
 from .errors import CorruptArchiveError
 from .huffman import HuffmanTable
@@ -45,11 +46,8 @@ _DISTANCE_BUCKETS = [(1, 0), (2, 0), (3, 0), (4, 1), (6, 1), (8, 2),
 _ALPHABET_SIZE = _LENGTH_BASE + len(_LENGTH_BUCKETS)
 
 
-def _bucket_for(value: int, buckets: list[tuple[int, int]]) -> int:
-    for i in range(len(buckets) - 1, -1, -1):
-        if value >= buckets[i][0]:
-            return i
-    raise ValueError(f"value {value} below smallest bucket")
+_LENGTH_BASES, _LENGTH_EXTRA = np.array(_LENGTH_BUCKETS).T
+_DISTANCE_BASES, _DISTANCE_EXTRA = np.array(_DISTANCE_BUCKETS).T
 
 
 @dataclass
@@ -78,45 +76,59 @@ def compress(data: bytes, block_size: int = BLOCK_SIZE) -> DeflateBlob:
 
 
 def _compress_block(block: bytes, writer: BitWriter) -> None:
+    """One block: its LZ77 tokens' symbols, the two Huffman tables, and
+    every field in one :meth:`BitWriter.write_fields` call.  Token ``t``
+    writes its literals, then — if it ends in a match — four fields:
+    length symbol, length extra bits, distance symbol, distance extra
+    bits (an extra field may be 0 bits wide); the block ends with the
+    end symbol."""
     tokens = lz77.tokenize(block)
+    literals = np.frombuffer(b"".join(token.literals for token in tokens),
+                             dtype=np.uint8)
+    n_lit = np.array([len(token.literals) for token in tokens],
+                     dtype=np.int64)
+    length = np.array([token.match_length for token in tokens],
+                      dtype=np.int64)
+    distance = np.array([token.distance for token in tokens],
+                        dtype=np.int64)
+    matched = length > 0
+    length, distance = length[matched], distance[matched]
+    # A value's bucket is the last one whose base it reaches.
+    len_bucket = np.searchsorted(_LENGTH_BASES, length, side="right") - 1
+    dist_bucket = np.searchsorted(_DISTANCE_BASES, distance,
+                                  side="right") - 1
 
     lit_counts = np.zeros(_ALPHABET_SIZE, dtype=np.int64)
-    dist_counts = np.zeros(len(_DISTANCE_BUCKETS), dtype=np.int64)
+    lit_counts[:256] = np.bincount(literals, minlength=256)
     lit_counts[_END_SYMBOL] = 1
-    for token in tokens:
-        if token.literals:
-            lit_counts[:256] += np.bincount(
-                np.frombuffer(token.literals, dtype=np.uint8),
-                minlength=256)
-        if token.match_length:
-            sym = _LENGTH_BASE + _bucket_for(token.match_length,
-                                             _LENGTH_BUCKETS)
-            lit_counts[sym] += 1
-            dist_counts[_bucket_for(token.distance, _DISTANCE_BUCKETS)] += 1
-
+    lit_counts[_LENGTH_BASE:] = np.bincount(len_bucket,
+                                            minlength=len(_LENGTH_BUCKETS))
+    dist_counts = np.bincount(dist_bucket, minlength=len(_DISTANCE_BUCKETS))
     lit_table = HuffmanTable.from_counts(lit_counts)
     dist_table = HuffmanTable.from_counts(dist_counts)
     lit_table.serialize(writer)
     dist_table.serialize(writer)
 
-    lit_codes, lit_lens = lit_table.codes, lit_table.lengths
-    for token in tokens:
-        for byte in token.literals:
-            writer.write(int(lit_codes[byte]), int(lit_lens[byte]))
-        if token.match_length:
-            bucket = _bucket_for(token.match_length, _LENGTH_BUCKETS)
-            sym = _LENGTH_BASE + bucket
-            base, extra = _LENGTH_BUCKETS[bucket]
-            writer.write(int(lit_codes[sym]), int(lit_lens[sym]))
-            if extra:
-                writer.write(token.match_length - base, extra)
-            bucket = _bucket_for(token.distance, _DISTANCE_BUCKETS)
-            base, extra = _DISTANCE_BUCKETS[bucket]
-            writer.write(int(dist_table.codes[bucket]),
-                         int(dist_table.lengths[bucket]))
-            if extra:
-                writer.write(token.distance - base, extra)
-    writer.write(int(lit_codes[_END_SYMBOL]), int(lit_lens[_END_SYMBOL]))
+    lit_codes = np.asarray(lit_table.codes, dtype=np.int64)
+    lit_lens = np.asarray(lit_table.lengths, dtype=np.int64)
+    fields = n_lit + 4 * matched
+    first = np.cumsum(fields) - fields        # each token's first field
+    values = np.empty(int(fields.sum()) + 1, dtype=np.int64)
+    widths = np.empty_like(values)
+    at = run_index(first, n_lit)
+    values[at], widths[at] = lit_codes[literals], lit_lens[literals]
+    at = (first + n_lit)[matched]
+    sym = _LENGTH_BASE + len_bucket
+    for k, (value, width) in enumerate((
+            (lit_codes[sym], lit_lens[sym]),
+            (length - _LENGTH_BASES[len_bucket], _LENGTH_EXTRA[len_bucket]),
+            (np.asarray(dist_table.codes, dtype=np.int64)[dist_bucket],
+             np.asarray(dist_table.lengths, dtype=np.int64)[dist_bucket]),
+            (distance - _DISTANCE_BASES[dist_bucket],
+             _DISTANCE_EXTRA[dist_bucket]))):
+        values[at + k], widths[at + k] = value, width
+    values[-1], widths[-1] = lit_codes[_END_SYMBOL], lit_lens[_END_SYMBOL]
+    writer.write_fields(values, widths)
 
 
 def decompress(blob: DeflateBlob) -> bytes:

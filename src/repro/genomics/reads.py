@@ -225,14 +225,23 @@ class ReadSet:
         if not isinstance(indices, np.ndarray):
             indices = np.array(list(indices), dtype=np.int64)
         picks = np.arange(len(self))[indices]       # bounds, negatives
-        lengths = self.read_lengths()[picks]
-        offsets = np.zeros(picks.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        source = run_index(self.offsets[picks], lengths)
-        quality = None if self.quality is None else self.quality[source]
-        return ReadSet.from_columns(
-            self.codes[source], offsets, quality,
-            [self.headers[i] for i in picks.tolist()], self.name)
+        headers = [self.headers[i] for i in picks.tolist()]
+        width = int(self.offsets[1]) if len(self) else 0
+        if width and self.is_fixed_length:          # rows of a matrix
+            def gather(column: np.ndarray) -> np.ndarray:
+                return column.reshape(-1, width)[picks].reshape(-1)
+            offsets = np.arange(picks.size + 1, dtype=np.int64) * width
+        else:
+            lengths = self.read_lengths()[picks]
+            offsets = np.zeros(picks.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            source = run_index(self.offsets[picks], lengths)
+
+            def gather(column: np.ndarray) -> np.ndarray:
+                return column[source]
+        quality = None if self.quality is None else gather(self.quality)
+        return ReadSet.from_columns(gather(self.codes), offsets, quality,
+                                    headers, self.name)
 
 
 def _join(codes: list, quality: list, lengths,

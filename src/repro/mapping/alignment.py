@@ -14,11 +14,21 @@ read coordinates.  Three flavours are provided:
 Edit operations use the reconstruction semantics of DESIGN.md §3:
 substitution consumes one base of both sequences, insertion consumes read
 bases only, deletion consumes consensus bases only.
+
+All three run one unit-cost recurrence in bit-vector form (Myers'
+algorithm in Hyyro's formulation; GenASM, Senol Cali, makes the same
+move in hardware): a DP row is two words, its +1 and -1 column steps
+(:func:`row_step`), and :func:`trace_ops` — the one traceback — walks
+those words back.  The scalar aligners hold a row in Python ints
+(:func:`dp_rows`); the batch mapper runs many rows side by side in
+``uint64`` lanes through the same :func:`row_step`.  :func:`dp_last_rows`
+is the batch mapper's flank check, which needs costs only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -60,21 +70,21 @@ def row_dtype(n: int, m: int) -> type:
 
 
 def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                 win_rows: np.ndarray, free_start: bool | np.ndarray,
-                 cube: np.ndarray | None = None) -> np.ndarray:
+                 win_rows: np.ndarray,
+                 free_start: bool | np.ndarray) -> np.ndarray:
     """The unit-cost edit-distance DP over a plane of problems, one numpy
     row step per DP row of all of them; returns each problem's own last
     row (row ``read_lens[p]``, exact, one row per problem).
 
+    This is the batch mapper's flank check (stage 3), which needs costs
+    and end columns only; alignments are traced from bit-vector rows
+    (:func:`row_step`).
     Rows index read positions (0..n), columns consensus positions
     (0..m); ``free_start`` (one flag, or one per problem) makes leading
     consensus gaps free (row 0 all zeros).  ``read_rows`` / ``win_rows``
     are padded 2-D inputs whose padding matches nothing; a cell depends
     only on cells above and to its left, so padding past a problem's own
-    rectangle never reaches the cells inside it.  ``cube``, when given,
-    is the (problems, rows + 1, columns + 1) ``uint8`` array that
-    receives every row's distances mod 256 — what :func:`trace_ops`
-    walks.
+    rectangle never reaches the cells inside it.
 
     Rows are carried as ``S[i][j] = D[i][j] - j``, which turns the left
     dependency ``D[i][j] = min(best, D[i][j-1] + 1)`` into a plain prefix
@@ -87,9 +97,7 @@ def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
     cols = np.arange(m_max + 1, dtype=dtype)
     prev = np.empty((n_prob, m_max + 1), dtype=dtype)
     prev[:] = np.where(np.reshape(free_start, (-1, 1)), -cols, 0)
-    if cube is not None:
-        np.add(prev, cols, out=cube[:, 0], casting="unsafe")
-    last = prev + cols
+    last: np.ndarray = prev + cols
     ends = set(read_lens.tolist())
     row = np.empty_like(prev)
     diag = np.empty((n_prob, m_max), dtype=dtype)
@@ -100,8 +108,6 @@ def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
         np.add(prev, 1, out=row)          # up; column 0 becomes i
         np.minimum(row[:, 1:], diag, out=row[:, 1:])
         np.minimum.accumulate(row, axis=1, out=row)
-        if cube is not None:
-            np.add(row, cols, out=cube[:, i], casting="unsafe")
         if i in ends:
             done = read_lens == i
             last[done] = row[done] + cols
@@ -109,28 +115,102 @@ def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
     return last
 
 
-def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
-              end_i: int, end_j: int,
-              free_start: bool) -> tuple[list[EditOp], int]:
-    """Walk the DP back from (end_i, end_j); returns (ops, start_j).
+# ----------------------------------------------------------------------
+# Bit-vector rows (Myers / Hyyro) and the traceback over them
+# ----------------------------------------------------------------------
 
-    ``dist[i * width + j]`` is cell (i, j)'s distance mod 256 (a flat
-    ``memoryview`` of a job's plane, which may be wider than the
-    problem: only cells inside ``[0..end_i] x [0..end_j]`` are read).
-    Each move is re-derived from the distances with the recurrence's
-    tie-breaks (left only when strictly below both other candidates,
-    else the diagonal when no worse than up).  A match is always the
-    diagonal.  At a mismatch, with ``base`` the distance of cell
-    (i-1, j-1): up when cell (i-1, j) is below ``base``, else left when
-    the cell equals ``base``, else the diagonal.  Adjacent cells of a
-    unit-cost DP differ by at most 1, so those differences are exact
-    mod 256.  Runs of insertions / deletions become one op each
-    (§5.1.1 indel blocks).
+def row_step(pos: Any, neg: Any, eq: Any) -> tuple[Any, Any]:
+    """DP row ``i`` from row ``i - 1``, as bit-vectors; returns its
+    ``(pos, neg)`` words.
+
+    A row is stored as its column steps: bit ``j - 1`` of ``pos`` is set
+    when ``D[i][j] - D[i][j-1]`` is +1, of ``neg`` when it is -1 (0
+    otherwise); ``D[i][0] = i``.  ``eq`` has bit ``j - 1`` set when the
+    read base of row ``i`` equals consensus base ``j - 1``.  This is
+    Myers' recurrence (in Hyyro's form) with the read as the text and
+    the consensus window as the pattern; the steps down column 0 are all
+    +1, hence the 1 shifted in.  The words are ``uint64`` arrays (one
+    problem per lane) or Python ints (one problem); carries and shifts
+    only move upwards, so bits past a problem's width never reach the
+    bits inside it, and callers ignore or mask them.
+    """
+    xv = eq | neg
+    xh = (((eq & pos) + pos) ^ pos) | eq
+    up = neg | ~(xh | pos)          # +1 steps down each column
+    down = pos & xh                 # -1 steps down each column
+    up = (up << 1) | 1
+    down = down << 1
+    return down | ~(xv | up), up & xv
+
+
+def dp_rows(read_seg: np.ndarray, cons_seg: np.ndarray,
+            free_start: bool) -> tuple[list[int], list[int]]:
+    """Every DP row of one problem as Python-int words, ``(pos, neg)``
+    with ``pos[i]`` / ``neg[i]`` row ``i`` (see :func:`row_step`);
+    ``free_start`` makes row 0 all zeros (else ``D[0][j] = j``)."""
+    full = (1 << cons_seg.size) - 1
+    codes = read_seg.tolist()
+    # The eq word of each code the read holds: bit j where cons_seg[j]
+    # is that code.
+    eqs = [int.from_bytes(row.tobytes(), "little") for row in np.packbits(
+        cons_seg[None, :] == np.arange(max(codes, default=0) + 1)[:, None],
+        axis=1, bitorder="little")]
+    p, q = (0 if free_start else full), 0
+    pos, neg = [p], [q]
+    for code in codes:
+        p, q = row_step(p, q, eqs[code])
+        p &= full
+        q &= full
+        pos.append(p)
+        neg.append(q)
+    return pos, neg
+
+
+def first_minima(last_pos: list[int], last_neg: list[int],
+                 m: np.ndarray) -> list[int]:
+    """The column of each last row's first minimum (columns 0..m[p] of
+    problem ``p``), from the row's words (no bit at or past ``m[p]``
+    set)."""
+    size = max(1, (int(m.max()) + 7) // 8)
+    pos, neg = (np.unpackbits(np.frombuffer(b"".join(
+        word.to_bytes(size, "little") for word in words), dtype=np.uint8)
+        .reshape(m.size, size), axis=1, bitorder="little")
+        for words in (last_pos, last_neg))
+    dist = np.zeros((m.size, 8 * size + 1), dtype=np.int32)
+    np.cumsum(pos.astype(np.int32) - neg, axis=1, out=dist[:, 1:])
+    dist[np.arange(dist.shape[1])[None, :] > m[:, None]] = \
+        np.iinfo(np.int32).max
+    ends: list[int] = dist.argmin(axis=1).tolist()
+    return ends
+
+
+def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
+              neg: list[int], end_i: int, end_j: int,
+              free_start: bool) -> tuple[list[EditOp], int, int]:
+    """Walk the DP back from (end_i, end_j); returns (ops, start_j,
+    cost), ``cost`` the distance of cell (end_i, end_j).
+
+    ``pos[i]`` / ``neg[i]`` are row ``i``'s words (:func:`row_step`;
+    bits past ``end_j`` are never read).  Each move is re-derived with
+    the recurrence's tie-breaks (left only when strictly below both
+    other candidates, else the diagonal when no worse than up).  A
+    match is always the diagonal.  At a mismatch, with ``base`` the
+    distance of cell (i-1, j-1): up when cell (i-1, j) is below
+    ``base`` (bit ``j - 1`` of ``neg[i-1]`` is set), else left when
+    cell (i, j) equals ``base`` (counted from ``pos[i-1]`` /
+    ``neg[i-1]``'s prefix popcounts), else the diagonal.  Every
+    mismatch move lowers the distance by exactly 1, so the walk carries
+    cell (i, j)'s distance instead of recounting it.
+    Runs of insertions / deletions become one op each (§5.1.1 indel
+    blocks).
     """
     read, cons = read_seg.tobytes(), cons_seg.tobytes()
     steps: list[list] = []   # [kind, read_pos, length], last op first
-    kind = None              # the previous move's op kind
+    kind: str | None = None  # the previous move's op kind
     i, j = end_i, end_j
+    below = (1 << j) - 1
+    cost = dist = (i + (pos[i] & below).bit_count()
+                   - (neg[i] & below).bit_count())
     while i and j:
         if read[i - 1] == cons[j - 1]:
             # A run of matches needs no distances: skip it 8 at a time.
@@ -141,9 +221,8 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
                 j -= 8
             kind = None
             continue
-        at = i * width + j
-        base = dist[at - width - 1]
-        if (dist[at - width] - base) & 255 == 255:
+        below = (1 << (j - 1)) - 1
+        if neg[i - 1] >> (j - 1) & 1:
             i -= 1
             if kind == INS:
                 steps[-1][1] = i
@@ -151,7 +230,8 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
             else:
                 steps.append([INS, i, 1])
                 kind = INS
-        elif dist[at] == base:
+        elif dist - i + 1 == ((pos[i - 1] & below).bit_count()
+                              - (neg[i - 1] & below).bit_count()):
             j -= 1
             if kind == DEL:
                 steps[-1][2] += 1
@@ -163,6 +243,7 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
             j -= 1
             steps.append([SUB, i, 1])
             kind = SUB
+        dist -= 1
     # Neither run extends the last op: the loop ended on a move that
     # consumed consensus (j = 0) or read (i = 0), or never ran.
     if i:                    # column 0: the rest of the read is inserted
@@ -170,25 +251,24 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, dist, width: int,
     elif j and not free_start:   # row 0: leading consensus is deleted
         steps.append([DEL, 0, j])
         j = 0
-    ops = [EditOp(kind, pos, length, read_seg[pos:pos + length].copy())
-           if kind != DEL else EditOp(DEL, pos, length)
-           for kind, pos, length in reversed(steps)]
-    return ops, j
+    ops = [EditOp(op, at, length, read_seg[at:at + length].copy())
+           if op != DEL else EditOp(DEL, at, length)
+           for op, at, length in reversed(steps)]
+    return ops, j, cost
 
 
 def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
            free_end: bool) -> AlignmentResult:
-    """One alignment: the DP, its end column, and the traceback."""
+    """One alignment: the DP rows, its end column, and the traceback."""
     read_seg = np.asarray(read_seg, dtype=np.uint8)
     cons_seg = np.asarray(cons_seg, dtype=np.uint8)
     n, m = read_seg.size, cons_seg.size
-    cube = np.empty((1, n + 1, m + 1), dtype=np.uint8)
-    last = dp_last_rows(read_seg[None, :], np.array([n]), cons_seg[None, :],
-                        free_start, cube)[0]
-    end_j = int(np.argmin(last)) if free_end else m
-    ops, start_j = trace_ops(read_seg, cons_seg, memoryview(cube).cast("B"),
-                             m + 1, n, end_j, free_start)
-    return AlignmentResult(ops, int(last[end_j]), start_j, end_j)
+    pos, neg = dp_rows(read_seg, cons_seg, free_start)
+    end_j = first_minima([pos[n]], [neg[n]], np.array([m]))[0] \
+        if free_end else m
+    ops, start_j, cost = trace_ops(read_seg, cons_seg, pos, neg, n, end_j,
+                                   free_start)
+    return AlignmentResult(ops, cost, start_j, end_j)
 
 
 def global_align(read_seg: np.ndarray,

@@ -37,11 +37,13 @@ reads:
    equal-length gaps, Python steps only where a chain's greedy rule or
    a diagonal change needs one), collecting the block's gap, head and
    tail alignments into one job list.  :func:`solve_extension_jobs`
-   solves it bucket by bucket, one numpy row step per DP row of a whole
-   bucket instead of one per row of every job (GenASM's argument,
-   Senol Cali: extension pays when issued as wide, regular operations
-   over many windows at once); the bucket keeps its distances (mod 256,
-   one byte per cell) and each job is traced back from them.  The reads
+   solves it in bit-vector form (GenASM's argument, Senol Cali: a DP
+   row is a few word operations, issued over many windows at once):
+   each job whose consensus window fits 64 bits is one ``uint64`` lane,
+   the lanes advance together one numpy row step per read base, and
+   each lane keeps two words per row (its +1 and -1 column steps), all
+   its traceback needs; a wider job runs the same recurrence on Python
+   ints.  Each job is traced back from its own row words.  The reads
    are then assembled from the results and held to the unmapped rule.
 
 Stages 1–3 write the reads they prove straight into the block's
@@ -63,8 +65,8 @@ is unmapped, which consensus window a flank aligns in — is a
 by the scalar mapper alike.  For everything else there is nothing to
 prove: stage 4 is ``ReadMapper._extend`` itself, and
 :class:`BatchReadMapper` overrides only its job solver, which runs the
-scalar aligners' own DP (``alignment.dp_last_rows``) over a bucket and
-their own traceback (``alignment.trace_ops``) over each job's distances
+scalar aligners' own recurrence (``alignment.row_step``, in lanes) and
+their own traceback (``alignment.trace_ops``) over each job's row words
 — so archives are byte-identical between
 ``SAGeConfig(mapper_kernel="python")`` and ``mapper_kernel="numpy"``.
 """
@@ -77,7 +79,8 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .alignment import SUB, AlignmentResult, dp_last_rows, trace_ops
+from .alignment import (SUB, AlignmentResult, dp_last_rows, dp_rows,
+                        first_minima, row_step, trace_ops)
 from .kmer_index import KmerIndex
 from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
                      Placed, ReadMapper, block_columns)
@@ -88,14 +91,17 @@ DEFAULT_MAPPER = "numpy"
 #: Heads/tails longer than this go to stage 4 instead of the batched
 #: verification DP.  Each flank's candidates share one padded DP plane:
 #: on flanks this short the plane's row steps cost more than its padded
-#: cells, so bucketing them by shape (as the extension solver does) is
-#: slower.
+#: cells, so splitting them by shape is slower.
 _VERIFY_CAP = 128
 
-#: Most padded DP cells a bucket of extension jobs may hold at once, one
-#: byte each (the cell's distance mod 256, all its traceback needs); a
-#: fuller bucket is split, down to one job.
-_EXTENSION_CELL_CAP = 1 << 21
+#: Widest consensus window an extension job may have to run as a lane
+#: (one ``uint64`` word per row step).
+_LANE_BITS = 64
+
+#: Most bytes of row words one chunk of lanes may store (two 8-byte
+#: words per DP row of each lane, all a traceback needs); a fuller
+#: chunk is split, down to one lane.
+_LANE_CHUNK_BYTES = 1 << 21
 
 #: Fill past the end of a padded read / consensus row: never equal to
 #: each other or to a base code (``N_CODE`` included).
@@ -204,21 +210,24 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
 
 
 # ----------------------------------------------------------------------
-# Batched edit-distance DP
+# Batched extension: bit-vector lanes
 # ----------------------------------------------------------------------
 
 def solve_extension_jobs(jobs: list[AlignmentJob],
                          stats: MapperStats) -> list[AlignmentResult]:
     """Every job's ``global`` / ``prefix_free`` / ``suffix_free_align``
-    result, from one batched DP per bucket of similar shapes.
+    result, from the aligners' own bit-vector recurrence
+    (:func:`~repro.mapping.alignment.row_step`) and traceback
+    (:func:`~repro.mapping.alignment.trace_ops`).
 
-    Jobs are bucketed by padded shape (ceil(log2) of the read and of the
-    consensus length); each bucket is one
-    :func:`~repro.mapping.alignment.dp_last_rows` run into a ``uint8``
-    cube of distances mod 256 (split while the cube would exceed
-    ``_EXTENSION_CELL_CAP``), and each job's traceback is the aligners'
-    own :func:`~repro.mapping.alignment.trace_ops` over its plane of the
-    cube — so distances, tracebacks and results are the scalar
+    A job whose consensus window fits one ``uint64`` word is a lane:
+    lanes sorted by read length advance together, one numpy row step
+    per read base, in chunks whose stored row words stay within
+    ``_LANE_CHUNK_BYTES`` (a chunk holds at least one lane).  A wider
+    job runs the same recurrence on Python ints
+    (:func:`~repro.mapping.alignment.dp_rows`), one job at a time.
+    Each job is traced from its own rows as Python ints, converted when
+    it is traced — so costs, tracebacks and results are the scalar
     aligners' exactly.
     """
     results: list[AlignmentResult | None] = [None] * len(jobs)
@@ -229,55 +238,100 @@ def solve_extension_jobs(jobs: list[AlignmentJob],
     stats.extension_jobs += len(jobs)
     stats.extension_cells += int((n * m).sum())
 
-    # frexp's exponent of (x - 1) is its bit length: ceil(log2 x).
-    key = (np.frexp(np.maximum(n - 1, 0))[1] * 64
-           + np.frexp(np.maximum(m - 1, 0))[1])
-    order = np.argsort(key, kind="stable")
-    edges = np.nonzero(np.diff(key[order]))[0] + 1
-    for bucket in np.split(order, edges):
-        cube = (int(n[bucket].max()) + 1) * (int(m[bucket].max()) + 1)
-        step = max(1, _EXTENSION_CELL_CAP // cube)
-        for lo in range(0, bucket.size, step):
-            which = bucket[lo:lo + step].tolist()
-            solved = _solve_bucket([jobs[j] for j in which], n[which],
-                                   m[which])
-            for j, res in zip(which, solved):
-                results[j] = res
+    for j in np.flatnonzero(m > _LANE_BITS).tolist():
+        rows = dp_rows(jobs[j].read_seg, jobs[j].cons_seg,
+                       jobs[j].flavour == "prefix_free")
+        _store_results([jobs[j]], [j], m[[j]], [rows[0][-1]], [rows[1][-1]],
+                       lambda _: rows, results)
+    lanes = np.flatnonzero(m <= _LANE_BITS)
+    lanes = lanes[np.argsort(-n[lanes], kind="stable")]
+    # Greedy chunks: a chunk takes lanes while their row words (two
+    # 8-byte words per row, n + 1 rows) fit under the cap.
+    words = 16 * (n[lanes] + 1)
+    after = np.cumsum(words)
+    lo = 0
+    while lo < lanes.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            after, after[lo] - words[lo] + _LANE_CHUNK_BYTES, side="right")))
+        which = lanes[lo:hi]
+        _solve_lanes([jobs[j] for j in which.tolist()], which, n[which],
+                     m[which], results)
+        lo = hi
     return results  # type: ignore[return-value]
 
 
-def _solve_bucket(jobs: list[AlignmentJob], n: np.ndarray,
-                  m: np.ndarray) -> list[AlignmentResult]:
-    """Solve jobs of similar shapes (``n`` x ``m`` their read x
-    consensus lengths) in one batched DP."""
-    read_rows = np.full((len(jobs), int(n.max())), _READ_PAD, dtype=np.uint8)
-    cons_rows = np.full((len(jobs), int(m.max())), _CONS_PAD, dtype=np.uint8)
-    for rows, lens, segs in ((read_rows, n, [job.read_seg for job in jobs]),
-                             (cons_rows, m, [job.cons_seg for job in jobs])):
-        rows.reshape(-1)[run_index(np.arange(len(jobs)) * rows.shape[1],
-                                   lens)] = np.concatenate(segs)
-    free = np.array([job.flavour == "prefix_free" for job in jobs])
-    width = cons_rows.shape[1] + 1
-    plane = (read_rows.shape[1] + 1) * width
-    cube = np.empty((len(jobs), read_rows.shape[1] + 1, width),
-                    dtype=np.uint8)
-    last = dp_last_rows(read_rows, n, cons_rows, free, cube)
+def _solve_lanes(jobs: list[AlignmentJob], which: np.ndarray, n: np.ndarray,
+                 m: np.ndarray, results: list) -> None:
+    """Solve one chunk of lanes into ``results`` (``which`` their job
+    indices, ``n`` their read lengths, descending, ``m`` their window
+    widths, at most 64).
 
-    # global / prefix_free end in the last column; suffix_free at the
-    # first minimum of its own last row.
-    own = np.arange(width)[None, :] <= m[:, None]
-    first_min = np.where(own, last, np.iinfo(last.dtype).max).argmin(axis=1)
-    suffix_free = np.array([job.flavour == "suffix_free" for job in jobs])
-    end_j = np.where(suffix_free, first_min, m).tolist()
-    costs = last[np.arange(len(jobs)), end_j].tolist()
-    dist = memoryview(cube).cast("B")
-    solved = []
-    for r, (job, free_start) in enumerate(zip(jobs, free.tolist())):
-        ops, start_j = trace_ops(job.read_seg, job.cons_seg,
-                                 dist[r * plane:(r + 1) * plane], width,
-                                 job.read_seg.size, end_j[r], free_start)
-        solved.append(AlignmentResult(ops, costs[r], start_j, end_j[r]))
-    return solved
+    Lane ``r`` stores its rows 0..n[r] from ``start[r]`` on, and the
+    read base of its row ``i`` sits at ``start[r] + i`` of ``reads``;
+    the lanes still stepping at row ``i`` are the first ``active[i]``.
+    """
+    k = len(jobs)
+    start = np.zeros(k, dtype=np.int64)
+    np.cumsum(n[:-1] + 1, out=start[1:])
+    size = int(start[-1] + n[-1] + 1)
+    reads = np.zeros(size, dtype=np.uint8)
+    reads[run_index(start + 1, n)] = np.concatenate(
+        [job.read_seg for job in jobs])
+    cons_rows = np.full((k, _LANE_BITS), _CONS_PAD, dtype=np.uint8)
+    cons_rows.reshape(-1)[run_index(np.arange(k) * _LANE_BITS, m)] = \
+        np.concatenate([job.cons_seg for job in jobs])
+    # Lane r's eq word for base code c is eq[r * n_codes + c].
+    n_codes = int(reads.max(initial=0)) + 1
+    eq = np.packbits(cons_rows[:, None, :]
+                     == np.arange(n_codes, dtype=np.uint8)[None, :, None],
+                     axis=2, bitorder="little").view("<u8").reshape(-1)
+    eq_at = np.arange(k, dtype=np.int64) * n_codes
+    active = np.searchsorted(-n, -np.arange(int(n[0]) + 1), side="right")
+
+    ones = ~np.uint64(0)
+    pos_rows = np.empty(size, dtype=np.uint64)
+    neg_rows = np.empty(size, dtype=np.uint64)
+    pos = np.where([job.flavour == "prefix_free" for job in jobs],
+                   np.uint64(0), ones)          # D[0][j] = 0, or j
+    neg = np.zeros(k, dtype=np.uint64)
+    pos_rows[start], neg_rows[start] = pos, neg
+    for i in range(1, active.size):
+        a = int(active[i])
+        at = start[:a] + i
+        pos, neg = row_step(pos[:a], neg[:a], eq[eq_at[:a] + reads[at]])
+        pos_rows[at], neg_rows[at] = pos, neg
+
+    last = start + n
+    inside = ones >> (_LANE_BITS - m).astype(np.uint64)   # 0 when m = 0
+    bounds = np.stack([start, last + 1], axis=1).tolist()
+    _store_results(jobs, which.tolist(), m,
+                   (pos_rows[last] & inside).tolist(),
+                   (neg_rows[last] & inside).tolist(),
+                   lambda r: (pos_rows[slice(*bounds[r])].tolist(),
+                              neg_rows[slice(*bounds[r])].tolist()),
+                   results)
+
+
+def _store_results(jobs: list[AlignmentJob], which: list[int],
+                   m: np.ndarray, last_pos: list[int], last_neg: list[int],
+                   rows, results: list) -> None:
+    """Store each job's result at ``results[which[r]]``: it ends in its
+    last column or, ``suffix_free``, at the first minimum of its last
+    row (words ``last_pos[r]`` / ``last_neg[r]``), and is traced from
+    ``rows(r)``, its ``(pos, neg)`` row words as Python ints."""
+    end_j = m.tolist()
+    free = [r for r, job in enumerate(jobs) if job.flavour == "suffix_free"]
+    if free:
+        for r, end in zip(free, first_minima([last_pos[r] for r in free],
+                                             [last_neg[r] for r in free],
+                                             m[free])):
+            end_j[r] = end
+    for r, job in enumerate(jobs):
+        pos, neg = rows(r)
+        ops, start_j, cost = trace_ops(job.read_seg, job.cons_seg, pos, neg,
+                                       job.read_seg.size, end_j[r],
+                                       job.flavour == "prefix_free")
+        results[which[r]] = AlignmentResult(ops, cost, start_j, end_j[r])
 
 
 # ----------------------------------------------------------------------

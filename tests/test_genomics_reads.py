@@ -151,6 +151,21 @@ class TestReadBatch:
             assert not np.shares_memory(picked.codes, rs.codes)
         assert len(rs.subset([])) == 0
 
+    def test_fixed_length_gather_takes_rows(self):
+        """A fixed-length set gathers whole rows; the result equals the
+        run gather of a variable-length set holding the same reads."""
+        reads = [_scored("ACGT", "a"), _scored("GGCA", "b"),
+                 _scored("TTNA", "c"), _scored("CCCC", "d")]
+        rs, ragged = ReadSet(reads), ReadSet(reads + [_scored("A", "e")])
+        for indices in ([3, 0, 0, 2], np.array([-1, 1]), []):
+            picked = rs.subset(indices)
+            want = ragged.subset(np.arange(4)[indices])
+            assert picked == want and picked.reads == want.reads
+            assert picked.offsets.tolist() == want.offsets.tolist()
+            assert not np.shares_memory(picked.codes, rs.codes)
+        assert ReadSet([_scored("", "x"), _scored("", "y")]).subset(
+            [1, 0]).headers == ["y", "x"]
+
     def test_concat(self):
         a = ReadSet([_scored("ACGT", "a"), _scored("G", "b")])
         b = ReadSet([_scored("TT", "c")])

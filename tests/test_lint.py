@@ -720,7 +720,9 @@ def options_a_caller_sets(source, where):
 #: bases), and the mapper's second extension path and its wrappers
 #: (anchored reads of either kernel go through ``ReadMapper._extend``,
 #: the clip test is ``ReadMapper._soft_clipped``, and stage 3 calls
-#: ``dp_last_rows`` itself).
+#: ``dp_last_rows`` itself), and the extension solver's bucketed DP
+#: with its byte cube and cap (jobs run as bit-vector lanes, capped by
+#: ``_LANE_CHUNK_BYTES``).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -731,7 +733,8 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "class_for_value", "_ServedArchive", "_inspect_sync",
                        "SalvageReport", "salvage", "pack_bases",
                        "_byte_masks", "_shd_counts", "_cons_phases",
-                       "_map_oriented", "_is_clip", "_batched_last_rows"}
+                       "_map_oriented", "_is_clip", "_batched_last_rows",
+                       "_solve_bucket", "_EXTENSION_CELL_CAP"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1047,6 +1050,47 @@ def extension_stated_once(source, where):
         f"ReadMapper.{_RULE_OF[name]}"
         for node, name, func in rule_field_reads(tree)
         if rule_methods.get(id(func)) != _RULE_OF[name]]
+    return offenders
+
+
+def traced_once(source, where):
+    """``alignment.trace_ops`` is the one traceback under ``src/``: no
+    other function is named for one, and none builds an ``EditOp`` of a
+    kind other than ``SUB`` (an insertion or deletion only comes out of
+    a walk back through the DP).  ``dp_last_rows``, which gives stage 3
+    its costs, takes no ``cube`` of distances for a walk, in its
+    definition or at a call."""
+    if not where.startswith("src/repro/"):
+        return []
+    tree = ast.parse(source)
+    in_trace_ops = {
+        id(node) for func in ast.walk(tree)
+        if isinstance(func, FUNCTIONS) and func.name == "trace_ops"
+        and where == "src/repro/mapping/alignment.py"
+        for node in ast.walk(func)}
+    offenders = [
+        f"{where}:{func.lineno} {func.name} is a second traceback"
+        for func in ast.walk(tree) if isinstance(func, FUNCTIONS)
+        and "trace" in func.name.lower() and id(func) not in in_trace_ops]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "EditOp" and id(node) not in in_trace_ops:
+            kind = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "kind"), None)
+            if getattr(kind, "id", getattr(kind, "attr", None)) != "SUB":
+                offenders.append(f"{where}:{node.lineno} builds a non-SUB "
+                                 f"EditOp outside alignment.trace_ops")
+        if name == "dp_last_rows" and (len(node.args) > 4 or any(
+                kw.arg == "cube" for kw in node.keywords)):
+            offenders.append(f"{where}:{node.lineno} passes dp_last_rows "
+                             f"a cube")
+    offenders += [
+        f"{where}:{func.lineno} dp_last_rows takes a cube"
+        for func in ast.walk(tree) if isinstance(func, FUNCTIONS)
+        and func.name == "dp_last_rows"
+        and (len(_parameters(func)) > 4 or "cube" in _parameters(func))]
     return offenders
 
 
@@ -1898,6 +1942,46 @@ class TestOptionsThreadingEdges:
                     return None
             """, "src/repro/core/compressor.py") == []
 
+
+    def test_traced_once(self):
+        """``alignment.trace_ops`` is the only traceback in ``src/`` and
+        ``dp_last_rows`` takes no ``cube`` (``traced_once``)."""
+        assert on_tree(traced_once, "src") == []
+        for violating, where in (
+                # A second walk: named for one, or emitting indels.
+                ("""\
+                 def _trace_bucket(cube, width, jobs):
+                     return [walk(cube, job) for job in jobs]
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 def _solve_lanes(jobs, rows):
+                     return [EditOp(INS, i, 1, read[i:i + 1]) for i in rows]
+                 """, "src/repro/mapping/batch.py"),
+                ("ops.append(alignment.EditOp(kind=alignment.DEL, "
+                 "read_pos=i))\n", "src/repro/mapping/mapper.py"),
+                ("""\
+                 def trace_ops(read, cons, dist, width):
+                     return []
+                 """, "src/repro/mapping/batch.py"),
+                # A cube back on the stage-3 DP.
+                ("""\
+                 def dp_last_rows(read_rows, read_lens, win_rows,
+                                  free_start, cube=None):
+                     return read_rows
+                 """, "src/repro/mapping/alignment.py"),
+                ("last = dp_last_rows(read_rows, fn, win_rows, head, cube)\n",
+                 "src/repro/mapping/batch.py"),
+                ("last = alignment.dp_last_rows(rows, lens, wins, free, "
+                 "cube=planes)\n", "src/repro/mapping/batch.py")):
+            assert on_snippet(traced_once, violating, where) != [], violating
+        assert on_snippet(traced_once, """\
+            def _verify_and_emit(self, rows, hit_pos):
+                last = dp_last_rows(rows, lens, wins, head)
+                return [EditOp(alignment.SUB, p, 1, rows[p]) for p in hit_pos]
+            """, "src/repro/mapping/batch.py") == []
+        assert on_snippet(traced_once, "def trace_ops(read, cons):\n"
+                          "    return [EditOp(DEL, 0, 1)]\n",
+                          "src/repro/mapping/alignment.py") == []
 
     def test_hardware_decodes_once(self):
         """The hardware model decodes each block once, on the session's

@@ -253,11 +253,11 @@ def _key(ops, cost, start, end):
 def segment_pair(draw):
     """Two segments over a 2-letter (tie-heavy) or 4-letter alphabet:
     unrelated, or the read an edited copy of the consensus; either may
-    be empty."""
+    be empty.  Windows range past the 64 columns of one row word."""
     alphabet = draw(st.sampled_from(["AC", "ACGT"]))
-    cons = draw(st.text(alphabet=alphabet, max_size=60))
+    cons = draw(st.text(alphabet=alphabet, max_size=140))
     if draw(st.booleans()):
-        return draw(st.text(alphabet=alphabet, max_size=60)), cons
+        return draw(st.text(alphabet=alphabet, max_size=140)), cons
     read = list(cons)
     for _ in range(draw(st.integers(0, 6))):
         pos = draw(st.integers(0, len(read)))
@@ -272,8 +272,9 @@ def segment_pair(draw):
 
 
 class TestTracebackOracle:
-    """One traceback over distances mod 256: every aligner and the
-    batched solver equal the backpointer oracle op for op."""
+    """One traceback over bit-vector rows: every aligner and the batched
+    solver (lanes and wide jobs alike) equal the backpointer oracle op
+    for op."""
 
     @settings(max_examples=200, deadline=None)
     @given(pair=segment_pair())
@@ -282,6 +283,18 @@ class TestTracebackOracle:
     @example(pair=("", "ACGT"))
     @example(pair=("ACGT", ""))
     @example(pair=("", ""))
+    # Windows of 63, 64 and 65 columns: the last lane bit, a full lane
+    # word, and the first window past it (a Python-int row).
+    @example(pair=("ACGTTACG" * 7 + "AGTCA", "ACGTACGA" * 7 + "CGTACGT"))
+    @example(pair=("ACGTTACG" * 8, "ACGTACGA" * 8))
+    @example(pair=("ACGTTACG" * 8 + "C", "ACGTACGA" * 8 + "T"))
+    # A full-word window under a read longer than it.
+    @example(pair=("ACGTAACGTC" * 10, "ACGTACGTTC" * 6 + "ACGT"))
+    # suffix_free first-minimum ties: the last row's minimum recurs,
+    # and the end is its first column.
+    @example(pair=("AC", "AGC"))
+    @example(pair=("AC" * 20, "CA" * 32))
+    @example(pair=("CA" * 40, "AC" * 35))
     def test_aligners_equal_backpointer_oracle(self, pair):
         read, cons = enc(pair[0]), enc(pair[1])
         jobs, want = [], []
@@ -291,7 +304,8 @@ class TestTracebackOracle:
             assert _key(res.ops, res.cost, res.cons_used_start,
                         res.cons_used_end) == want[-1], flavour
             jobs.append(AlignmentJob(read, cons, flavour))
-        # A shorter sibling of each job shares its bucket (padding).
+        # A shorter sibling of each job shares its chunk of lanes (it
+        # stops stepping first).
         for flavour in _FLAVOURS:
             jobs.append(AlignmentJob(read[:read.size // 2], cons, flavour))
             want.append(_key(*oracle_align(read[:read.size // 2], cons,
@@ -299,6 +313,14 @@ class TestTracebackOracle:
         got = solve_extension_jobs(jobs, MapperStats())
         assert [_key(r.ops, r.cost, r.cons_used_start, r.cons_used_end)
                 for r in got] == want
+
+    def test_suffix_free_ties_end_at_the_first_minimum(self):
+        """The last row of ``AC`` against ``AGC`` is 2, 1, 1, 1: the
+        read ends at column 1, as in the oracle."""
+        read, cons = enc("AC"), enc("AGC")
+        assert oracle_dp_matrix(read, cons, False)[0].tolist() == [2, 1, 1, 1]
+        res = suffix_free_align(read, cons)
+        assert (res.cost, res.cons_used_end) == (1, 1)
 
     def test_row_dtype_rule(self):
         """Rows are int16 while n + m fits in it, int32 past that."""

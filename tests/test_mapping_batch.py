@@ -17,6 +17,7 @@ worker), and the reverse-complement k-mer primitive.
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,10 +496,11 @@ _ALIGNERS = {"global": alignment.global_align,
 
 
 def _fuzz_jobs(rng, n_jobs):
-    """Mixed extension jobs: empty sides, 1 x m, n x 1, Ns, and shapes
-    from a few cells to tens of thousands in one list."""
+    """Mixed extension jobs: empty sides, 1 x m, n x 1, Ns, windows on
+    either side of one 64-bit lane word, and shapes from a few cells to
+    tens of thousands in one list."""
     shapes = [(0, 9), (7, 0), (0, 0), (1, 12), (14, 1), (1, 1), (5, 8),
-              (33, 40), (70, 21), (130, 150)]
+              (33, 40), (70, 21), (60, 64), (64, 65), (90, 63), (130, 150)]
     jobs = []
     for _ in range(n_jobs):
         n, m = shapes[int(rng.integers(len(shapes)))]
@@ -525,33 +527,68 @@ def _alignment_key(res):
 class TestBatchedExtension:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_jobs=st.integers(0, 30),
-           one_job_buckets=st.booleans())
+           one_job_chunks=st.booleans())
     def test_solver_matches_scalar_aligners(self, seed, n_jobs,
-                                            one_job_buckets):
+                                            one_job_chunks):
         jobs = _fuzz_jobs(np.random.default_rng(seed), n_jobs)
         want = [_alignment_key(_ALIGNERS[job.flavour](job.read_seg,
                                                       job.cons_seg))
                 for job in jobs]
-        buckets = []
-        solve_bucket = batch._solve_bucket
+        chunks = []
+        solve_lanes = batch._solve_lanes
 
         def counting(part, *args):
-            buckets.append(len(part))
-            return solve_bucket(part, *args)
+            chunks.append(len(part))
+            return solve_lanes(part, *args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(batch, "_solve_bucket", counting)
-            if one_job_buckets:
-                patch.setattr(batch, "_EXTENSION_CELL_CAP", 1)
+            patch.setattr(batch, "_solve_lanes", counting)
+            if one_job_chunks:
+                patch.setattr(batch, "_LANE_CHUNK_BYTES", 1)
             stats = MapperStats()
             got = solve_extension_jobs(jobs, stats)
         assert [_alignment_key(res) for res in got] == want
-        assert sum(buckets) == n_jobs
-        if one_job_buckets:
-            assert buckets == [1] * n_jobs
+        lanes = sum(job.cons_seg.size <= batch._LANE_BITS for job in jobs)
+        assert sum(chunks) == lanes
+        if one_job_chunks:
+            assert chunks == [1] * lanes
         assert stats.extension_jobs == n_jobs
         assert stats.extension_cells == sum(
             job.read_seg.size * job.cons_seg.size for job in jobs)
+
+    def test_lane_chunks_stay_under_the_cap(self, monkeypatch):
+        """Long-read jobs (heads, tails and gaps of up to 90 read bases
+        in windows up to 64 wide, as ``encode_long`` hands the solver)
+        store two 8-byte words per DP row of each lane; no chunk of
+        lanes stores more than ``_LANE_CHUNK_BYTES`` of them, and what
+        the solve holds beyond its results stays near one chunk's
+        words (1.26x the cap here; 3.3x were they one chunk)."""
+        rng = np.random.default_rng(7)
+        jobs = []
+        for n in rng.integers(60, 91, 4000).tolist():
+            cons = rng.integers(0, 4, int(rng.integers(min(n - 8, 48), 65)))
+            read = np.resize(cons, n).astype(np.uint8)
+            jobs.append(AlignmentJob(read, cons.astype(np.uint8),
+                                     str(rng.choice(list(_ALIGNERS)))))
+        stored = []
+        solve_lanes = batch._solve_lanes
+
+        def measuring(part, which, n, *args):
+            stored.append(int((n + 1).sum()) * 2 * 8)
+            return solve_lanes(part, which, n, *args)
+
+        monkeypatch.setattr(batch, "_solve_lanes", measuring)
+        tracemalloc.start()
+        try:
+            results = solve_extension_jobs(jobs, MapperStats())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cap = batch._LANE_CHUNK_BYTES
+        assert len(results) == len(jobs)
+        assert sum(stored) > 2 * cap            # the cap is what splits
+        assert max(stored) <= cap
+        assert peak - held < 1.5 * cap, (peak - held) / cap
 
     def test_pad_codes_are_no_base(self):
         codes = set(range(seqmod.N_CODE + 1))
@@ -709,13 +746,10 @@ class TestMapperStats:
             solved.extend(jobs)
             return solve(jobs, stats)
 
-        def measuring(read_rows, read_lens, win_rows, free_start,
-                      cube=None):
-            if cube is None:            # a verification plane
-                computed.append(read_rows.shape[0] * read_rows.shape[1]
-                                * (win_rows.shape[1] + 1))
-            return last_rows(read_rows, read_lens, win_rows, free_start,
-                             cube)
+        def measuring(read_rows, read_lens, win_rows, free_start):
+            computed.append(read_rows.shape[0] * read_rows.shape[1]
+                            * (win_rows.shape[1] + 1))
+            return last_rows(read_rows, read_lens, win_rows, free_start)
 
         monkeypatch.setattr(batch, "solve_extension_jobs", recording)
         monkeypatch.setattr(batch, "dp_last_rows", measuring)
