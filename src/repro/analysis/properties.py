@@ -18,7 +18,6 @@ from ..core.tuning import bit_count_histogram
 from ..genomics.reads import ReadSet, run_index
 from ..mapping import DEFAULT_MAPPER, MapperConfig, make_mapper
 from ..mapping.alignment import SUB
-from ..mapping.mapper import OP_KINDS
 
 
 @dataclass
@@ -122,7 +121,7 @@ class PropertyAccumulator:
         opens = np.diff(mapped.op_seg[ops], prepend=-1) != 0
         self._pos_deltas.append(pos - np.where(opens, 0, np.roll(pos, 1)))
         self._indel_lengths.append(
-            mapped.length[ops][mapped.kind[ops] != OP_KINDS.index(SUB)])
+            mapped.length[ops][mapped.kind[ops] != SUB])
 
     def finish(self) -> PropertyReport:
         """The distributions accumulated so far."""

@@ -27,7 +27,6 @@ import numpy as np
 from ..genomics.reads import ReadSet, run_index
 from ..mapping import DEFAULT_MAPPER, MapperConfig, make_mapper
 from ..mapping.alignment import DEL, SUB
-from ..mapping.mapper import OP_KINDS
 
 #: Quality block size in scores.  The paper cites 25 MB blocks on real
 #: data; the default here scales to synthetic analog sizes.
@@ -96,14 +95,14 @@ def pileup(read_set: ReadSet | Iterable[ReadSet], reference: np.ndarray,
             - np.bincount(stop[live], minlength=size + 1)
         # A substitution counts its read base (not N) where it sits.
         cons_at, read_at = mapped.placements()
-        sub = mapped.kind == OP_KINDS.index(SUB)
+        sub = mapped.kind == SUB
         at = cons_at[sub]
         base = mapped.oriented(mapped.seg_row[mapped.op_seg[sub]],
                                read_at[sub])
         seen = (at < size) & (base < 4)
         np.add.at(alt_counts, (base[seen], at[seen]), 1)
         indels.append(2 * cons_at[~sub]
-                      + (mapped.kind[~sub] == OP_KINDS.index(DEL)))
+                      + (mapped.kind[~sub] == DEL))
         columns.append((mapped.unmapped, n_reads + mapped.seg_row, start,
                         mapped.read_end - mapped.read_start))
         n_reads += len(mapped)

@@ -29,10 +29,7 @@ from ..core.formats import pack_bits
 from ..genomics import sequence as seq
 from ..genomics.reads import ReadSet, run_index
 from ..mapping.alignment import DEL
-from ..mapping.mapper import OP_KINDS, MapperConfig, ReadMapper
-
-#: The types stream numbers an op kind by its index in ``OP_KINDS``.
-_DEL = OP_KINDS.index(DEL)
+from ..mapping.mapper import MapperConfig, ReadMapper
 
 
 def _varints(values) -> bytes:
@@ -98,7 +95,7 @@ class SpringCompressor:
         first = np.diff(seg, prepend=-1) != 0
         delta = np.where(first, read_pos, np.diff(read_pos, prepend=0))
         # An op carries its read bases (none for a deletion), N as 0.
-        n_bases = np.where(kind == _DEL, 0, length)
+        n_bases = np.where(kind == DEL, 0, length)
         bases = mapped.oriented(
             np.repeat(mapped.seg_row[seg], n_bases),
             run_index(mapped.read_start[seg] + read_pos, n_bases))
@@ -133,6 +130,7 @@ class SpringCompressor:
             "positions": _varints(np.diff(cons_start, prepend=0)),
             "counts": _varints(n_ops),
             "mm_positions": _varints(delta),
+            # Each op's kind number (``alignment.SUB`` / ``INS`` / ``DEL``).
             "types": _varints(np.column_stack([kind, length])),
             "bases": bases.tobytes(),
             "lengths": b"" if fixed else _varints(lengths[rows]),

@@ -43,10 +43,10 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import ReadSet, run_index
-from ..mapping.alignment import DEL, INS, SUB
+from ..mapping.alignment import INS, SUB
 from ..mapping.batch import DEFAULT_MAPPER, make_mapper
 from ..mapping.kmer_index import KmerIndex
-from ..mapping.mapper import OP_KINDS, MappedBlock, MapperConfig, ReadMapper
+from ..mapping.mapper import MappedBlock, MapperConfig, ReadMapper
 from . import headers as headers_codec
 from . import quality as quality_codec
 from .bitio import BitWriter
@@ -82,10 +82,6 @@ MAX_SEGMENTS = 1 << SIDE_COUNT_BITS
 
 #: Fields one entry may write to one stream (see :class:`_Fields`).
 _SLOTS = 8
-
-#: Format type code of each mapper op kind, in ``OP_KINDS`` order.
-_TYPE_CODES = np.array([{SUB: TYPE_SUB, INS: TYPE_INS, DEL: TYPE_DEL}[kind]
-                        for kind in OP_KINDS], dtype=np.int64)
 
 
 @dataclass
@@ -262,7 +258,10 @@ class _MappedReads:
         first_op = np.searchsorted(mapped.op_seg, segments)
         n_ops = np.searchsorted(mapped.op_seg, segments, "right") - first_op
         ops = run_index(first_op, n_ops)
-        kind = _TYPE_CODES[mapped.kind[ops]]
+        # Each op's format type code, from its mapper kind.
+        op_kind = mapped.kind[ops]
+        kind = np.select([op_kind == SUB, op_kind == INS],
+                         [TYPE_SUB, TYPE_INS], TYPE_DEL)
         op_len = mapped.length[ops]
         op_seg = np.repeat(np.arange(segments.size), n_ops)
         cons_at, read_at = (at[ops] for at in mapped.placements())

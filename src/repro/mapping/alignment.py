@@ -1,7 +1,9 @@
 """Pairwise alignment with edit-script traceback.
 
 Produces the mismatch information SAGe encodes: ordered edit operations in
-read coordinates.  Three flavours are provided:
+read coordinates, as integer columns (``kind``, ``read_pos``,
+``length``; an op's bases are the read's own).  Three flavours are
+provided:
 
 - :func:`global_align` — both sequences aligned end to end (used to fill
   gaps between chained anchors);
@@ -27,33 +29,25 @@ is the batch mapper's flank check, which needs costs only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-#: Edit operation kinds.
-SUB = "sub"
-INS = "ins"
-DEL = "del"
-
-
-@dataclass
-class EditOp:
-    """One edit operation, in read-segment coordinates."""
-
-    kind: str                 # 'sub' | 'ins' | 'del'
-    read_pos: int             # position in the read segment
-    length: int = 1           # block length (indel blocks; subs are 1)
-    bases: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.uint8))
+#: Edit operation kinds: the numbers of every op ``kind`` column, from
+#: :func:`trace_ops` to ``MappedBlock.kind``.
+SUB, INS, DEL = 0, 1, 2
 
 
 @dataclass
 class AlignmentResult:
-    """Outcome of one alignment call."""
+    """Outcome of one alignment call: its ops as columns, in read order
+    and read-segment coordinates (a substitution's length is 1, an
+    indel block's its run)."""
 
-    ops: list[EditOp]
+    kind: list[int]
+    read_pos: list[int]
+    length: list[int]
     cost: int                 # edit distance (unit costs)
     cons_used_start: int      # first consensus offset consumed (window-rel)
     cons_used_end: int        # one past the last consensus offset consumed
@@ -185,10 +179,11 @@ def first_minima(last_pos: list[int], last_neg: list[int],
 
 
 def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
-              neg: list[int], end_i: int, end_j: int,
-              free_start: bool) -> tuple[list[EditOp], int, int]:
+              neg: list[int], end_i: int, end_j: int, free_start: bool
+              ) -> tuple[tuple[list[int], list[int], list[int]], int, int]:
     """Walk the DP back from (end_i, end_j); returns (ops, start_j,
-    cost), ``cost`` the distance of cell (end_i, end_j).
+    cost), ``ops`` the ``(kind, read_pos, length)`` columns in read
+    order and ``cost`` the distance of cell (end_i, end_j).
 
     ``pos[i]`` / ``neg[i]`` are row ``i``'s words (:func:`row_step`;
     bits past ``end_j`` are never read).  Each move is re-derived with
@@ -205,8 +200,10 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
     blocks).
     """
     read, cons = read_seg.tobytes(), cons_seg.tobytes()
-    steps: list[list] = []   # [kind, read_pos, length], last op first
-    kind: str | None = None  # the previous move's op kind
+    kinds: list[int] = []    # the op columns, last op first
+    at: list[int] = []
+    lengths: list[int] = []
+    kind = -1                # the previous move's op kind (-1: a match)
     i, j = end_i, end_j
     below = (1 << j) - 1
     cost = dist = (i + (pos[i] & below).bit_count()
@@ -219,42 +216,49 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
             while i >= 8 and j >= 8 and read[i - 8:i] == cons[j - 8:j]:
                 i -= 8
                 j -= 8
-            kind = None
+            kind = -1
             continue
         below = (1 << (j - 1)) - 1
         if neg[i - 1] >> (j - 1) & 1:
             i -= 1
             if kind == INS:
-                steps[-1][1] = i
-                steps[-1][2] += 1
+                at[-1] = i
+                lengths[-1] += 1
             else:
-                steps.append([INS, i, 1])
                 kind = INS
+                kinds.append(INS)
+                at.append(i)
+                lengths.append(1)
         elif dist - i + 1 == ((pos[i - 1] & below).bit_count()
                               - (neg[i - 1] & below).bit_count()):
             j -= 1
             if kind == DEL:
-                steps[-1][2] += 1
+                lengths[-1] += 1
             else:
-                steps.append([DEL, i, 1])
                 kind = DEL
+                kinds.append(DEL)
+                at.append(i)
+                lengths.append(1)
         else:
             i -= 1
             j -= 1
-            steps.append([SUB, i, 1])
             kind = SUB
+            kinds.append(SUB)
+            at.append(i)
+            lengths.append(1)
         dist -= 1
     # Neither run extends the last op: the loop ended on a move that
     # consumed consensus (j = 0) or read (i = 0), or never ran.
     if i:                    # column 0: the rest of the read is inserted
-        steps.append([INS, 0, i])
+        kinds.append(INS)
+        at.append(0)
+        lengths.append(i)
     elif j and not free_start:   # row 0: leading consensus is deleted
-        steps.append([DEL, 0, j])
+        kinds.append(DEL)
+        at.append(0)
+        lengths.append(j)
         j = 0
-    ops = [EditOp(op, at, length, read_seg[at:at + length].copy())
-           if op != DEL else EditOp(DEL, at, length)
-           for op, at, length in reversed(steps)]
-    return ops, j, cost
+    return (kinds[::-1], at[::-1], lengths[::-1]), j, cost
 
 
 def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
@@ -268,7 +272,7 @@ def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
         if free_end else m
     ops, start_j, cost = trace_ops(read_seg, cons_seg, pos, neg, n, end_j,
                                    free_start)
-    return AlignmentResult(ops, cost, start_j, end_j)
+    return AlignmentResult(*ops, cost, start_j, end_j)
 
 
 def global_align(read_seg: np.ndarray,

@@ -43,15 +43,16 @@ reads:
    the lanes advance together one numpy row step per read base, and
    each lane keeps two words per row (its +1 and -1 column steps), all
    its traceback needs; a wider job runs the same recurrence on Python
-   ints.  Each job is traced back from its own row words.  The reads
-   are then assembled from the results and held to the unmapped rule.
+   ints.  Each job is traced back from its own row words into op
+   columns, and ``ReadMapper._assemble`` copies them, shifted, into the
+   reads' columns and holds the reads to the clip and unmapped rules.
 
-Stages 1–3 write the reads they prove straight into the block's
-:class:`~repro.mapping.mapper.MappedBlock` columns; only stage 4's reads
-exist as ``MappingResult`` objects, flattened into the same table once.
-The table is what leaves the mapper: it is no sequence of per-read
-objects, and its consumers (the compressor's emitter, the analysis
-sinks, the pileup) read its columns.
+Every stage writes the reads it maps straight into columns (a
+:class:`~repro.mapping.mapper.Placed` part each), and the parts become
+the block's :class:`~repro.mapping.mapper.MappedBlock` table once.  The
+table is what leaves the mapper: there are no per-read objects, and its
+consumers (the compressor's emitter, the analysis sinks, the pileup)
+read its columns.
 
 Byte-identity contract, in two halves.  Stages 2–3 emit a result
 themselves only when they can prove the scalar mapper would produce the
@@ -82,8 +83,8 @@ from ..genomics.reads import run_index
 from .alignment import (SUB, AlignmentResult, dp_last_rows, dp_rows,
                         first_minima, row_step, trace_ops)
 from .kmer_index import KmerIndex
-from .mapper import (OP_KINDS, AlignmentJob, MappedBlock, MapperConfig,
-                     Placed, ReadMapper, block_columns)
+from .mapper import (AlignmentJob, MappedBlock, MapperConfig, Placed,
+                     ReadMapper, block_columns)
 
 #: The mapper of ``SAGeConfig()`` and of every analysis consumer.
 DEFAULT_MAPPER = "numpy"
@@ -204,7 +205,7 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
                   per_read(clip_e), per_read(1), per_read(cons_start),
                   per_read(read_start), per_read(read_end),
                   np.bincount(mm_seg, minlength=m),
-                  np.full(mm_seg.size, OP_KINDS.index(SUB), dtype=np.int8),
+                  np.full(mm_seg.size, SUB, dtype=np.int8),
                   np.asarray(mm_pos, dtype=np.int64),
                   np.ones(mm_seg.size, dtype=np.int64))
 
@@ -331,7 +332,7 @@ def _store_results(jobs: list[AlignmentJob], which: list[int],
         ops, start_j, cost = trace_ops(job.read_seg, job.cons_seg, pos, neg,
                                        job.read_seg.size, end_j[r],
                                        job.flavour == "prefix_free")
-        results[which[r]] = AlignmentResult(ops, cost, start_j, end_j[r])
+        results[which[r]] = AlignmentResult(*ops, cost, start_j, end_j[r])
 
 
 # ----------------------------------------------------------------------
@@ -495,10 +496,11 @@ class BatchReadMapper(ReadMapper):
         open_ = ~settled[a_read]
         rows = np.unique(a_read[open_])
         GLOBAL_STATS.fallback += rows.size
-        return Placed.from_results(rows, self._extend(
-            oriented, offsets[rows], lengths[rows], use_rev[rows],
-            np.searchsorted(rows, a_read[open_]), a_rpos[open_],
-            a_cons[open_]))
+        part = self._extend(oriented, offsets[rows], lengths[rows],
+                            use_rev[rows],
+                            np.searchsorted(rows, a_read[open_]),
+                            a_rpos[open_], a_cons[open_])
+        return part._replace(rows=rows[part.rows])
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """The batched solver (the one thing this kernel overrides of

@@ -6,24 +6,29 @@ between anchors are closed with exact edit-distance alignment, yielding a
 lossless edit script per read.  Chimeric reads (Property 4) are detected
 when the primary chain leaves a large read flank uncovered; up to
 ``max_segments`` (the paper's N = 3) independently placed segments are
-emitted.  A block's mappings leave ``map_batch`` as one
-:class:`MappedBlock` table of columns, the layout the compressor's
-emitter consumes.
+emitted.
+
+The edit scripts are columns from the traceback on: each alignment's
+ops are ``(kind, read_pos, length)`` integer columns, an equal-length
+gap's are its substitution positions, and :meth:`ReadMapper._assemble`
+copies them, shifted into segment coordinates, into one
+:class:`Placed` part of the rows it maps.  A block's mappings leave
+``map_batch`` as one :class:`MappedBlock` table of columns, the layout
+the compressor's emitter consumes; no per-read object is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from . import alignment
-from .alignment import (AlignmentResult, EditOp, global_align,
+from .alignment import (DEL, INS, SUB, AlignmentResult, global_align,
                         prefix_free_align, suffix_free_align)
 from .kmer_index import KmerIndex
 
@@ -40,7 +45,7 @@ class AlignmentJob(NamedTuple):
 @dataclass
 class _SegmentPlan:
     """What one chain needs, besides its jobs' results, to become a
-    :class:`MappedSegment`.  Job fields index the shared job list."""
+    mapped segment.  Job fields index the shared job list."""
 
     seg_lo: int
     seg_hi: int
@@ -55,47 +60,14 @@ class _SegmentPlan:
     head_win_lo: int
     tail_job: int | None
     #: Interior gaps in read order, ``(read_start, piece)``: a job index
-    #: for an unequal-length gap, the substitutions themselves (in gap
-    #: coordinates) for an equal-length one.
-    gaps: list[tuple[int, int | list[EditOp]]]
-
-
-@dataclass
-class MappedSegment:
-    """One contiguous read interval placed at one consensus position."""
-
-    cons_start: int
-    read_start: int           # oriented-read coordinate (inclusive)
-    read_end: int             # oriented-read coordinate (exclusive)
-    ops: list[EditOp] = field(default_factory=list)  # segment-local coords
-
-    @property
-    def length(self) -> int:
-        return self.read_end - self.read_start
-
-
-@dataclass
-class MappingResult:
-    """Lossless mapping of one read against the consensus."""
-
-    segments: list[MappedSegment] = field(default_factory=list)
-    reverse: bool = False
-    unmapped: bool = False
-    clip_start: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.uint8))
-    clip_end: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.uint8))
-    cost: int = 0
+    #: for an unequal-length gap, the positions of its substitutions (in
+    #: gap coordinates) for an equal-length one.
+    gaps: list[tuple[int, int | list[int]]]
 
 
 #: Anchors the block planner takes in one pass (whole rows, so a pass
 #: may hold more): bounds its per-anchor temporaries.
 _PLAN_ANCHORS = 4096
-
-#: Edit-op kinds, in the order :attr:`MappedBlock.kind` numbers them.
-OP_KINDS = (alignment.SUB, alignment.INS, alignment.DEL)
-_KIND_NUMBER = {kind: number for number, kind in enumerate(OP_KINDS)}
-_INS, _DEL = _KIND_NUMBER[alignment.INS], _KIND_NUMBER[alignment.DEL]
 
 
 def block_columns(codes, offsets=None) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +82,6 @@ def block_columns(codes, offsets=None) -> tuple[np.ndarray, np.ndarray]:
               out=offsets[1:])
     flat = np.concatenate(reads) if reads else np.empty(0, dtype=np.uint8)
     return flat, offsets
-
-
-def _column(items: list, get, dtype=np.int64) -> np.ndarray:
-    """``get(item)`` of every item, as an array."""
-    return np.fromiter(map(get, items), dtype, len(items))
 
 
 class Placed(NamedTuple):
@@ -135,33 +102,12 @@ class Placed(NamedTuple):
     read_pos: np.ndarray
     length: np.ndarray
 
-    @classmethod
-    def from_results(cls, rows, results: list[MappingResult]) -> "Placed":
-        """The mapped ones of ``results``, the mappings of reads
-        ``rows``, flattened.  Bases are dropped: an op's bases and a
-        clip are the oriented read's own."""
-        kept = [(row, res) for row, res in zip(rows, results)
-                if not res.unmapped]
-        mapped = [res for _, res in kept]
-        per_read = list(map(attrgetter("segments"), mapped))
-        segments = list(chain.from_iterable(per_read))
-        per_segment = list(map(attrgetter("ops"), segments))
-        ops = list(chain.from_iterable(per_segment))
-        return cls(
-            _column(kept, itemgetter(0)),
-            _column(mapped, attrgetter("reverse"), bool),
-            _column(mapped, attrgetter("cost")),
-            _column(mapped, attrgetter("clip_start.size")),
-            _column(mapped, attrgetter("clip_end.size")),
-            _column(per_read, len),
-            _column(segments, attrgetter("cons_start")),
-            _column(segments, attrgetter("read_start")),
-            _column(segments, attrgetter("read_end")),
-            _column(per_segment, len),
-            np.fromiter(map(_KIND_NUMBER.__getitem__,
-                            map(attrgetter("kind"), ops)), np.int8, len(ops)),
-            _column(ops, attrgetter("read_pos")),
-            _column(ops, attrgetter("length")))
+
+#: The part that places no read, in every column's dtype.
+_NONE_PLACED = Placed._make(
+    np.empty(0, dtype=bool if name == "reverse" else
+             np.int8 if name == "kind" else np.int64)
+    for name in Placed._fields)
 
 
 @dataclass(eq=False)
@@ -173,14 +119,14 @@ class MappedBlock:
     * per segment, grouped by read in row order (a read's in the
       mapper's order): ``seg_row``, ``cons_start``, ``read_start``,
       ``read_end`` (oriented-read coordinates);
-    * per edit op, grouped by segment: ``op_seg``, ``kind`` (an index
-      into :data:`OP_KINDS`), segment-local ``read_pos`` and ``length``.
+    * per edit op, grouped by segment: ``op_seg``, ``kind``
+      (``alignment.SUB`` / ``INS`` / ``DEL``), segment-local
+      ``read_pos`` and ``length``.
 
     Bases are not stored: an op's bases and a clip are the oriented
     read's own, gathered from the block's ``codes`` / ``offsets``
     (:meth:`oriented`).  This table is the one form a block's mappings
-    take outside :mod:`repro.mapping`; :class:`MappingResult` is the
-    scalar mapper's per-read form.
+    take: both kernels write columns from the traceback on.
     """
 
     codes: np.ndarray
@@ -205,7 +151,7 @@ class MappedBlock:
         """The table of a block from parts placing disjoint sets of its
         reads; a read no part places is unmapped."""
         part = Placed._make(map(np.concatenate, zip(
-            *parts or [Placed.from_results([], [])])))
+            *parts or [_NONE_PLACED])))
         order = np.argsort(part.rows, kind="stable")
         rows = part.rows[order]
         n_segments = part.n_segments[order]
@@ -228,13 +174,6 @@ class MappedBlock:
                    np.repeat(np.arange(segs.size), n_ops), part.kind[ops],
                    part.read_pos[ops], part.length[ops])
 
-    @classmethod
-    def from_results(cls, results: list[MappingResult], codes: np.ndarray,
-                     offsets: np.ndarray) -> "MappedBlock":
-        """The table of per-read ``results`` over the block's columns."""
-        return cls.assemble(codes, offsets, [
-            Placed.from_results(range(len(results)), results)])
-
     def __len__(self) -> int:
         return self.offsets.size - 1
 
@@ -242,8 +181,8 @@ class MappedBlock:
         """Per op, how far it moves the consensus against the read: a
         deletion's length forward, an insertion's back, 0 for a
         substitution."""
-        return np.where(self.kind == _DEL, self.length, 0) \
-            - np.where(self.kind == _INS, self.length, 0)
+        return np.where(self.kind == DEL, self.length, 0) \
+            - np.where(self.kind == INS, self.length, 0)
 
     def placements(self) -> tuple[np.ndarray, np.ndarray]:
         """Where each op sits: ``(cons_at, read_at)``, its consensus
@@ -320,7 +259,9 @@ class ReadMapper:
     def map_batch(self, codes, offsets=None) -> MappedBlock:
         """Map a block of reads: its flat ``codes`` column and read
         ``offsets``, or (``offsets`` omitted) a sequence of per-read code
-        arrays.  The scalar reference maps one read at a time.
+        arrays.  The scalar reference maps one read at a time: each read
+        is seeded with :meth:`KmerIndex.lookup` on both strands, takes
+        the strand with more hits, and is extended on its own.
 
         :class:`~repro.mapping.batch.BatchReadMapper` overrides this with
         the vectorized structure-of-arrays implementation; the tables are
@@ -328,31 +269,26 @@ class ReadMapper:
         """
         codes, offsets = block_columns(codes, offsets)
         bounds = offsets.tolist()
-        return MappedBlock.from_results(
-            [self.map_read(codes[s:e]) for s, e in zip(bounds, bounds[1:])],
-            codes, offsets)
-
-    def map_read(self, codes: np.ndarray) -> MappingResult:
-        """Map one read; always returns a result (possibly unmapped)."""
-        codes = np.asarray(codes, dtype=np.uint8)
-        if codes.size < self.config.k:
-            return MappingResult(unmapped=True)
-
-        fwd_hits = self.index.lookup(codes, self.config.stride)
-        rev_codes = seq.reverse_complement(codes)
-        rev_hits = self.index.lookup(rev_codes, self.config.stride)
-        if len(fwd_hits) == 0 and len(rev_hits) == 0:
-            return MappingResult(unmapped=True)
-        if len(rev_hits) > len(fwd_hits):
-            oriented, hits, reverse = rev_codes, rev_hits, True
-        else:
-            oriented, hits, reverse = codes, fwd_hits, False
-
-        return self._extend(oriented, np.zeros(1, dtype=np.int64),
-                            np.array([oriented.size], dtype=np.int64),
-                            np.array([reverse]),
-                            np.zeros(len(hits), dtype=np.int64),
-                            hits.read_pos, hits.cons_pos)[0]
+        stride = self.config.stride
+        parts = []
+        for row, (start, end) in enumerate(zip(bounds, bounds[1:])):
+            fwd = codes[start:end]
+            if fwd.size < self.config.k:
+                continue
+            fwd_hits = self.index.lookup(fwd, stride)
+            rev = seq.reverse_complement(fwd)
+            rev_hits = self.index.lookup(rev, stride)
+            reverse = len(rev_hits) > len(fwd_hits)
+            oriented, hits = (rev, rev_hits) if reverse else (fwd, fwd_hits)
+            if len(hits) == 0:
+                continue
+            part = self._extend(oriented, np.zeros(1, dtype=np.int64),
+                                np.array([oriented.size], dtype=np.int64),
+                                np.array([reverse]),
+                                np.zeros(len(hits), dtype=np.int64),
+                                hits.read_pos, hits.cons_pos)
+            parts.append(part._replace(rows=part.rows + row))
+        return MappedBlock.assemble(codes, offsets, parts)
 
     # ------------------------------------------------------------------
     # Planning: anchors -> clusters -> chains -> segment plans, a block
@@ -361,30 +297,19 @@ class ReadMapper:
 
     def _extend(self, oriented: np.ndarray, starts: np.ndarray,
                 lengths: np.ndarray, reverse: np.ndarray, a_row: np.ndarray,
-                a_rpos: np.ndarray, a_cons: np.ndarray
-                ) -> list[MappingResult]:
-        """The mapping of every anchored row: the rows are planned
+                a_rpos: np.ndarray, a_cons: np.ndarray) -> Placed:
+        """The rows that map, of every anchored row: the rows are planned
         (:meth:`_plan_block`, whose arguments these are), the alignments
         they leave open are solved in one :meth:`_solve_jobs` call, and
-        each row is assembled and held to the unmapped rule.  Row ``i``
-        is oriented ``reverse[i]``; a read both kernels extend is mapped
+        :meth:`_assemble` writes the rows out and holds them to the
+        rules.  Row ``i`` is oriented ``reverse[i]``, and the part's
+        ``rows`` index these rows; a read both kernels extend is mapped
         here and nowhere else."""
         jobs: list[AlignmentJob] = []
         plans = self._plan_block(oriented, starts, lengths, a_row, a_rpos,
                                  a_cons, jobs)
-        solved = self._solve_jobs(jobs)
-        results = []
-        for plan, length, rev in zip(plans, lengths.tolist(),
-                                     reverse.tolist()):
-            res = None if plan is None else self._assemble_read(plan, solved)
-            if res is None or self._unmapped(res.cost, length,
-                                             res.clip_start.size,
-                                             res.clip_end.size):
-                res = MappingResult(unmapped=True)
-            else:
-                res.reverse = rev
-            results.append(res)
-        return results
+        return self._assemble(plans, self._solve_jobs(jobs), lengths,
+                              reverse)
 
     def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
         """Solve extension jobs one at a time (the reference solver, and
@@ -578,7 +503,7 @@ class ReadMapper:
             bounds.append(n)
             plan = []
             for w, ch in enumerate(own):
-                gaps: list[tuple[int, int | list[EditOp]]] = []
+                gaps: list[tuple[int, int | list[int]]] = []
                 for start, piece in pieces[ch]:
                     if isinstance(piece, tuple):
                         end, cons_lo, cons_hi = piece
@@ -620,9 +545,9 @@ class ReadMapper:
         ``row_start``): ``ends`` is ``(first anchor's read and consensus
         position, span end, read and consensus position past the last
         taken anchor)``; ``pieces`` its gaps in read order, each
-        ``(read_start, subs)`` for the substitutions of an equal-length
-        gap, or ``(read_start, (read_end, cons_start, cons_end))`` for a
-        ``global`` job.
+        ``(read_start, positions)`` for the substitutions of an
+        equal-length gap (gap coordinates), or ``(read_start, (read_end,
+        cons_start, cons_end))`` for a ``global`` job.
 
         Walking a chain, an anchor on the last taken anchor's diagonal is
         always taken: past that anchor's k-mer the gap between them has
@@ -677,7 +602,6 @@ class ReadMapper:
                                                              dlen)])
         hit_gap = np.repeat(np.arange(dp.size), dlen)[hit]
         hit_pos = (hit - (np.cumsum(dlen) - dlen)[hit_gap]).tolist()
-        hit_base = oriented[at[hit]]
         subs = np.unique(hit_gap)
         gap_p = np.concatenate([dp[subs], p[~equal]])
         gap_q = np.concatenate([q[diffed][subs], q[~equal]])
@@ -692,30 +616,8 @@ class ReadMapper:
                 *hits.tolist(), R[gap_q].tolist(), (C[gap_p] + k).tolist(),
                 C[gap_q].tolist()):
             pieces[ch].append((start, (end, cons_lo, cons_hi)) if h_lo < 0
-                              else (start, [
-                                  EditOp(alignment.SUB, hit_pos[h], 1,
-                                         hit_base[h:h + 1])
-                                  for h in range(h_lo, h_hi)]))
+                              else (start, hit_pos[h_lo:h_hi]))
         return ends, pieces
-
-    def _assemble_read(self, plan: list[_SegmentPlan],
-                       solved: list[AlignmentResult]
-                       ) -> MappingResult | None:
-        """Finish a planned read from the results of ``jobs`` (same
-        indexing).  Consumes them: ops are shifted in place."""
-        result = MappingResult()
-        for seg_plan in plan:
-            built = self._assemble_segment(seg_plan, solved)
-            if built is None:
-                return None
-            segment, clip_s, clip_e, cost = built
-            if clip_s.size:
-                result.clip_start = clip_s
-            if clip_e.size:
-                result.clip_end = clip_e
-            result.segments.append(segment)
-            result.cost += cost
-        return result
 
     @staticmethod
     def _uncovered_length(read_len: int,
@@ -757,67 +659,111 @@ class ReadMapper:
                            tail_start + tail_len + slack))
 
     # ------------------------------------------------------------------
-    # Segment assembly
+    # Assembly: solved jobs -> the rows' columns
     # ------------------------------------------------------------------
 
-    def _assemble_segment(
-            self, plan: _SegmentPlan, solved: list[AlignmentResult]
-    ) -> tuple[MappedSegment, np.ndarray, np.ndarray, int] | None:
-        """``(segment, clip_start, clip_end, cost)``, or ``None`` when the
-        chain cannot be a segment (an edit left of the segment start, or
-        a placement left of the consensus).
+    def _assemble(self, plans: list[list[_SegmentPlan] | None],
+                  solved: list[AlignmentResult], lengths: np.ndarray,
+                  reverse: np.ndarray) -> Placed:
+        """The rows of ``plans`` that map (row ``i`` is ``lengths[i]``
+        bases, oriented ``reverse[i]``), written from the results of
+        their jobs (``solved``, same indexing) into one part.
 
-        Every op is built once, already in segment-local coordinates;
-        the pieces (head, gaps in chain order, tail) come in read order,
-        so no sort is needed.
+        The clip rule is applied to every segment's head and tail at
+        once: a first segment's head or a last one's tail that is a soft
+        clip is left out, and its segment starts at its first anchor or
+        ends past its last.  Every other piece (the head, the gaps in
+        chain order, the tail: read order) costs its alignment, and the
+        unmapped rule is applied to the rows' costs at once.  A row is
+        also left out without a plan, or when a piece's first op would
+        sit left of its segment's start or a segment left of the
+        consensus.  Only then are the mapped rows' pieces copied into
+        the op columns, each position shifted from piece to segment
+        coordinates; the results are not changed.
         """
-        seg_lo, seg_hi = plan.seg_lo, plan.seg_hi
-        cons_start = plan.a0_cons - plan.head.size
-        clip_s = clip_e = np.empty(0, dtype=np.uint8)
-        cost = 0
+        segs = [seg for plan in plans if plan for seg in plan]
+        if not segs:
+            return _NONE_PLACED
+        # Per segment, (head, tail): the length and alignment cost of a
+        # flank that may be a soft clip (a first segment's head, a last
+        # one's tail), else 0 and 0, which is no clip.
+        n, cost = np.array([
+            (seg.head.size if seg.is_first else 0,
+             seg.tail.size if seg.is_last else 0,
+             solved[seg.head_job].cost
+             if seg.is_first and seg.head_job is not None else 0,
+             solved[seg.tail_job].cost
+             if seg.is_last and seg.tail_job is not None else 0)
+            for seg in segs], dtype=np.int64).T.reshape(2, 2, -1)
+        clips = iter(self._soft_clipped(n, cost).T.tolist())
 
-        # (read offset of the piece, its ops in piece coordinates)
-        pieces: list[tuple[int, list[EditOp]]] = []
-        if plan.head_job is not None:
-            res = solved[plan.head_job]
-            if plan.is_first and self._soft_clipped(plan.head.size,
-                                                     res.cost):
-                clip_s = plan.head.copy()
-                seg_lo = plan.a0_read
-                cons_start = plan.a0_cons
-            else:
-                cons_start = plan.head_win_lo + res.cons_used_start
-                pieces.append((plan.seg_lo, res.ops))
-                cost += res.cost
-        for read_start, piece in plan.gaps:
-            if isinstance(piece, int):
-                piece, gap_cost = solved[piece].ops, solved[piece].cost
-            else:
-                gap_cost = len(piece)
-            pieces.append((read_start, piece))
-            cost += gap_cost
-        if plan.tail_job is not None:
-            res = solved[plan.tail_job]
-            if plan.is_last and self._soft_clipped(plan.tail.size,
-                                                   res.cost):
-                clip_e = plan.tail.copy()
-                seg_hi = plan.tail_read
-            else:
-                pieces.append((plan.tail_read, res.ops))
-                cost += res.cost
+        # Each row's segments as (start, end, consensus start, pieces),
+        # its cost and clip lengths, and whether it stays placed.
+        planned, row_cost, clip_s, clip_e, placed = [], [], [], [], []
+        for plan in plans:
+            segments, total, head_clip, tail_clip = [], 0, 0, 0
+            ok = plan is not None
+            for seg in plan or ():
+                clip_h, clip_t = next(clips)
+                lo, hi = seg.seg_lo, seg.seg_hi
+                cons_start, pieces = seg.a0_cons, []
+                if clip_h:
+                    lo, head_clip = seg.a0_read, seg.head.size
+                elif seg.head_job is not None:
+                    cons_start = seg.head_win_lo \
+                        + solved[seg.head_job].cons_used_start
+                    pieces.append((seg.seg_lo, seg.head_job))
+                pieces += seg.gaps
+                if clip_t:
+                    hi, tail_clip = seg.tail_read, seg.tail.size
+                elif seg.tail_job is not None:
+                    pieces.append((seg.tail_read, seg.tail_job))
+                for at, piece in pieces:
+                    if isinstance(piece, int):
+                        total += solved[piece].cost
+                        piece = solved[piece].read_pos
+                    else:
+                        total += len(piece)
+                    ok &= not piece or piece[0] + at - lo >= 0
+                ok &= cons_start >= 0
+                segments.append((lo, hi, cons_start, pieces))
+            planned.append(segments)
+            row_cost.append(total)
+            clip_s.append(head_clip)
+            clip_e.append(tail_clip)
+            placed.append(ok)
+        per_row = np.array([row_cost, clip_s, clip_e, placed,
+                            [len(segments) for segments in planned]],
+                           dtype=np.int64)
+        rows = np.flatnonzero((per_row[3] == 1) & ~self._unmapped(
+            per_row[0], lengths, per_row[1], per_row[2]))
+        row_cost, clip_s, clip_e, _, n_segments = per_row[:, rows]
 
-        ops: list[EditOp] = []
-        for read_start, piece_ops in pieces:
-            shift = read_start - seg_lo
-            if piece_ops and piece_ops[0].read_pos + shift < 0:
-                return None
-            if shift:
-                for op in piece_ops:
-                    op.read_pos += shift
-            ops.extend(piece_ops)
-        if cons_start < 0:
-            return None
-        segment = MappedSegment(cons_start=int(cons_start),
-                                read_start=int(seg_lo),
-                                read_end=int(seg_hi), ops=ops)
-        return segment, clip_s, clip_e, cost
+        # The mapped rows' columns: every kept piece's ops copied, each
+        # position shifted into its segment's coordinates.
+        kind: list[int] = []
+        read_pos: list[int] = []
+        length: list[int] = []
+        seg_columns = []
+        for row in rows.tolist():
+            for lo, hi, cons_start, pieces in planned[row]:
+                before = len(kind)
+                for at, piece in pieces:
+                    if isinstance(piece, int):
+                        res = solved[piece]
+                        kinds, positions, lens = (res.kind, res.read_pos,
+                                                  res.length)
+                    else:               # substitution positions
+                        kinds, positions, lens = ([SUB] * len(piece), piece,
+                                                  [1] * len(piece))
+                    kind += kinds
+                    read_pos += [p + at - lo for p in positions]
+                    length += lens
+                seg_columns.append((cons_start, lo, hi, len(kind) - before))
+        cons_start, lo, hi, n_ops = np.array(
+            seg_columns, dtype=np.int64).reshape(-1, 4).T
+        return Placed(rows, reverse[rows], row_cost, clip_s, clip_e,
+                      n_segments, cons_start, lo, hi, n_ops,
+                      np.array(kind, dtype=np.int8),
+                      np.array(read_pos, dtype=np.int64),
+                      np.array(length, dtype=np.int64))

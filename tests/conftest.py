@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,7 @@ from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
 from repro.genomics.simulator import (QualityModel, ReadSimulator,
                                       short_read_profile)
 from repro.mapping import DEFAULT_MAPPER, alignment, make_mapper
-from repro.mapping.alignment import EditOp
 from repro.mapping.kmer_index import KmerIndex
-from repro.mapping.mapper import OP_KINDS, MappedSegment, MappingResult
 
 #: Every optional container section switched on and off — the sweep of
 #: the ``sections_nbytes(archive) == len(to_bytes())`` tests.
@@ -268,9 +267,6 @@ class _VarintReader:
             shift += 7
 
 
-_SPRING_KIND = {0: alignment.SUB, 1: alignment.INS, 2: alignment.DEL}
-
-
 def spring_decompress(archive):
     """The reads a Spring-analog archive holds — the decoder that shows
     :class:`repro.baselines.spring.SpringCompressor` is lossless."""
@@ -315,7 +311,7 @@ def spring_decompress(archive):
             out[read_ptr:pos] = cons[q:q + gap]
             q += gap
             read_ptr = pos
-            kind = _SPRING_KIND[types.read()]
+            kind = types.read()             # an alignment op kind
             block = types.read()
             if kind == alignment.SUB:
                 out[read_ptr] = bases[base_pos]
@@ -363,8 +359,63 @@ def spring_decompress(archive):
 # ----------------------------------------------------------------------
 # Mapping oracles: one MappingResult per read, its reference decoder,
 # and the per-read loops the analysis consumers' column passes are held
-# to.
+# to.  The mapper writes columns only; these records are the tests' own
+# per-read view of a table, bases gathered from the oriented read.
 # ----------------------------------------------------------------------
+
+@dataclass
+class EditOp:
+    """One edit operation, in read-segment coordinates, with its read
+    bases (none for a deletion)."""
+
+    kind: int                 # alignment.SUB | INS | DEL
+    read_pos: int
+    length: int = 1
+    bases: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.uint8))
+
+
+@dataclass
+class MappedSegment:
+    """One contiguous read interval placed at one consensus position."""
+
+    cons_start: int
+    read_start: int           # oriented-read coordinate (inclusive)
+    read_end: int             # oriented-read coordinate (exclusive)
+    ops: list[EditOp] = field(default_factory=list)  # segment-local coords
+
+    @property
+    def length(self) -> int:
+        return self.read_end - self.read_start
+
+
+@dataclass
+class MappingResult:
+    """Lossless mapping of one read against the consensus."""
+
+    segments: list[MappedSegment] = field(default_factory=list)
+    reverse: bool = False
+    unmapped: bool = False
+    clip_start: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.uint8))
+    clip_end: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.uint8))
+    cost: int = 0
+
+
+def edit_ops(read_seg, kind, read_pos, length):
+    """:class:`EditOp` s from op columns, bases gathered from
+    ``read_seg`` (the coordinates the columns are in)."""
+    return [EditOp(k, p, n, read_seg[p:p + n].copy() if k != alignment.DEL
+                   else np.empty(0, dtype=np.uint8))
+            for k, p, n in zip(kind, read_pos, length)]
+
+
+def map_one(mapper, codes):
+    """The :class:`MappingResult` of one read: a one-read ``map_batch``
+    table, as a record."""
+    return mapping_results(mapper.map_batch([codes]))[0]
+
 
 def apply_ops(cons_seg, ops, read_length):
     """Reconstruct a read segment from consensus bases + edit ops — the
@@ -443,20 +494,14 @@ def mapping_results(table):
                                                     - clip_e:].copy()))
     op_bounds = np.searchsorted(
         table.op_seg, np.arange(table.seg_row.size + 1)).tolist()
-    kinds = [OP_KINDS[kind] for kind in table.kind.tolist()]
-    positions, lengths = table.read_pos.tolist(), table.length.tolist()
+    kinds, positions, lengths = (table.kind.tolist(), table.read_pos.tolist(),
+                                 table.length.tolist())
     for seg, (row, cons, lo, hi) in enumerate(zip(
             table.seg_row.tolist(), table.cons_start.tolist(),
             table.read_start.tolist(), table.read_end.tolist())):
-        codes = oriented[row]
-        ops = []
-        for op in range(op_bounds[seg], op_bounds[seg + 1]):
-            at = lo + positions[op]
-            bases = codes[at:at + lengths[op]].copy() \
-                if kinds[op] != alignment.DEL \
-                else np.empty(0, dtype=np.uint8)
-            ops.append(EditOp(kinds[op], positions[op], lengths[op], bases))
-        results[row].segments.append(MappedSegment(cons, lo, hi, ops))
+        ops = slice(op_bounds[seg], op_bounds[seg + 1])
+        results[row].segments.append(MappedSegment(cons, lo, hi, edit_ops(
+            oriented[row][lo:], kinds[ops], positions[ops], lengths[ops])))
     return results
 
 

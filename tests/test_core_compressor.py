@@ -23,7 +23,7 @@ from repro.genomics.reads import Read, ReadSet
 from repro.genomics.reference import make_reference
 from repro.mapping.alignment import DEL, INS, SUB
 from repro.mapping.batch import GLOBAL_STATS
-from repro.mapping.mapper import MapperConfig, MappingResult
+from repro.mapping.mapper import MapperConfig, ReadMapper
 
 from tests.conftest import encode_value, mapping_results, read_multiset
 
@@ -609,25 +609,27 @@ class TestColumnPath:
 
     def test_objects_only_for_fallback_reads(self, rs2_small, monkeypatch):
         """The mapper hands the emitter its table: on a fixed-length
-        short block the only ``MappingResult`` s built are for the reads
-        the numpy kernel's fast path left to the scalar chain rules."""
+        short block the rows the extension (``ReadMapper._extend``)
+        takes are exactly the reads the numpy kernel's fast path left to
+        the scalar chain rules, and they are few."""
         read_set = rs2_small.read_set.subset(range(1_024))
         assert read_set.is_fixed_length
         compressor = SAGeCompressor(rs2_small.reference,
                                     SAGeConfig(mapper_kernel="numpy"))
         stats = GLOBAL_STATS            # the mapper's one counter
-        built = []
-        init = MappingResult.__init__
+        extended = []
+        extend = ReadMapper._extend
 
-        def counting(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+        def counting(self, oriented, starts, *args):
+            extended.append(starts.size)
+            return extend(self, oriented, starts, *args)
 
-        monkeypatch.setattr(MappingResult, "__init__", counting)
+        monkeypatch.setattr(ReadMapper, "_extend", counting)
         fallback = stats.fallback
         block = compressor.compress_block(read_set)
         fallback = stats.fallback - fallback
-        assert 0 < len(built) <= fallback < len(read_set) // 10
+        assert sum(extended) == fallback
+        assert 0 < fallback < len(read_set) // 10
         monkeypatch.undo()
         assert block.streams \
             == scalar_block(compressor, read_set)[0]["streams"]

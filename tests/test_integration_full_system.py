@@ -16,6 +16,8 @@ from repro.hardware.ssd import pcie_ssd
 from repro.mapping import ReadMapper
 from repro.pipeline.accelerators import measure_filter_fraction
 
+from tests.conftest import map_one
+
 
 @pytest.fixture(scope="module")
 def system(rs3_small):
@@ -43,13 +45,9 @@ class TestFullSystemFlow:
         assert 0.0 <= frac < 1.0
 
         # 3. Map the survivors (host-side accelerator stand-in).
-        mapper = ReadMapper(sim.reference)
-        mapped = 0
-        for read in reads.reads[:120]:
-            mapping = mapper.map_read(read.codes)
-            if not mapping.unmapped:
-                mapped += 1
-        assert mapped > 100
+        table = ReadMapper(sim.reference).map_batch(
+            [read.codes for read in reads.reads[:120]])
+        assert int((~table.unmapped).sum()) > 100
 
     def test_decoded_content_matches_origin(self, system):
         device, sim = system
@@ -69,7 +67,7 @@ class TestFullSystemFlow:
             if truth.reverse or truth.is_chimeric or truth.has_n \
                     or truth.clip_start or truth.clip_end:
                 continue
-            mapping = mapper.map_read(read.codes)
+            mapping = map_one(mapper, read.codes)
             if mapping.unmapped or mapping.reverse:
                 continue
             donor_start = truth.segments[0].donor_start

@@ -575,30 +575,34 @@ COLUMN_MAPPERS = ("src/repro/core/compressor.py",
                   "src/repro/baselines/spring.py")
 
 
-#: Where a block's mappings may take their per-read object form
-#: (``MappingResult`` / ``.segments`` / ``.ops``): the mapper itself.
-PER_READ_MAPPINGS = ("src/repro/mapping/",)
+#: The per-read object form of a mapping, which no module under
+#: ``src/`` names: a mapping is columns from the traceback on.
+PER_READ_MAPPING_NAMES = {"MappingResult", "MappedSegment", "EditOp",
+                          "map_read"}
 
 
 def mappings_consumed_as_columns(source, where):
-    """The mapper hands over a block's mappings as one table, and that
-    table is the one form they take outside ``mapping/``: nothing else
-    in ``src/`` names ``MappingResult``,
-    ``.segments`` or ``.ops``, the compressor no ``attrgetter``, and
-    ``MappedBlock`` is no sequence of per-read objects (no ``__iter__``
-    / ``__getitem__``, no ``Sequence`` base); no caller outside
-    ``mapping/`` hands ``map_batch`` a ``read_codes()`` list, and the
-    block callers pass ``codes, offsets``; the batched mapper packs
-    k-mers through ``seq.kmer_codes`` only (no shift loop of its own)."""
+    """The mapper writes a block's mappings as columns from the
+    traceback on and hands them over as one table, the one form they
+    take: nothing in ``src/``, ``mapping/`` included, names
+    ``MappingResult``, ``MappedSegment``, ``EditOp`` or ``map_read``
+    (defined, imported, called or read) or an attribute ``.segments`` or
+    ``.ops``, the compressor no ``attrgetter``, and ``MappedBlock`` is
+    no sequence of per-read objects (no ``__iter__`` / ``__getitem__``,
+    no ``Sequence`` base); no caller outside ``mapping/`` hands
+    ``map_batch`` a ``read_codes()`` list, and the block callers pass
+    ``codes, offsets``; the batched mapper packs k-mers through
+    ``seq.kmer_codes`` only (no shift loop of its own)."""
     if not where.startswith("src/repro/"):
         return []
     offenders = []
     tree = ast.parse(source)
     for node in ast.walk(tree):
-        name = node.name if isinstance(node, ast.alias) \
+        name = node.name if isinstance(
+            node, (ast.alias, ast.ClassDef) + FUNCTIONS) \
             else getattr(node, "id", getattr(node, "attr", None))
-        if not where.startswith(PER_READ_MAPPINGS) and (
-                name == "MappingResult"
+        if isinstance(name, str) and (
+                name.split(".")[-1] in PER_READ_MAPPING_NAMES
                 or isinstance(node, ast.Attribute)
                 and name in ("segments", "ops")):
             offenders.append(f"{where}:{node.lineno} {name}")
@@ -722,7 +726,10 @@ def options_a_caller_sets(source, where):
 #: the clip test is ``ReadMapper._soft_clipped``, and stage 3 calls
 #: ``dp_last_rows`` itself), and the extension solver's bucketed DP
 #: with its byte cube and cap (jobs run as bit-vector lanes, capped by
-#: ``_LANE_CHUNK_BYTES``).
+#: ``_LANE_CHUNK_BYTES``), and the mapper's per-read object form — the
+#: op, segment and result records, the one-read entry point and the
+#: flattening of records into columns (a mapping is columns from the
+#: traceback on).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -734,7 +741,9 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SalvageReport", "salvage", "pack_bases",
                        "_byte_masks", "_shd_counts", "_cons_phases",
                        "_map_oriented", "_is_clip", "_batched_last_rows",
-                       "_solve_bucket", "_EXTENSION_CELL_CAP"}
+                       "_solve_bucket", "_EXTENSION_CELL_CAP", "EditOp",
+                       "MappedSegment", "MappingResult", "map_read",
+                       "from_results", "_column"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1055,11 +1064,13 @@ def extension_stated_once(source, where):
 
 def traced_once(source, where):
     """``alignment.trace_ops`` is the one traceback under ``src/``: no
-    other function is named for one, and none builds an ``EditOp`` of a
-    kind other than ``SUB`` (an insertion or deletion only comes out of
-    a walk back through the DP).  ``dp_last_rows``, which gives stage 3
-    its costs, takes no ``cube`` of distances for a walk, in its
-    definition or at a call."""
+    other function is named for one, and an insertion or deletion op
+    only comes out of a walk back through the DP — outside
+    ``trace_ops``, the ``INS`` / ``DEL`` kind numbers are only compared
+    with (an operand of a comparison, or an item of a tuple, list or set
+    that is one), never written into a kind column.  ``dp_last_rows``,
+    which gives stage 3 its costs, takes no ``cube`` of distances for a
+    walk, in its definition or at a call."""
     if not where.startswith("src/repro/"):
         return []
     tree = ast.parse(source)
@@ -1072,16 +1083,26 @@ def traced_once(source, where):
         f"{where}:{func.lineno} {func.name} is a second traceback"
         for func in ast.walk(tree) if isinstance(func, FUNCTIONS)
         and "trace" in func.name.lower() and id(func) not in in_trace_ops]
+    compared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                compared.add(id(operand))
+                if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+                    compared.update(map(id, operand.elts))
+    offenders += [
+        f"{where}:{node.lineno} writes the {name} kind outside "
+        f"alignment.trace_ops"
+        for node in ast.walk(tree) if isinstance(node, (ast.Name,
+                                                         ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        for name in [getattr(node, "id", getattr(node, "attr", None))]
+        if name in ("INS", "DEL") and id(node) not in compared
+        and id(node) not in in_trace_ops]
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == "EditOp" and id(node) not in in_trace_ops:
-            kind = node.args[0] if node.args else next(
-                (kw.value for kw in node.keywords if kw.arg == "kind"), None)
-            if getattr(kind, "id", getattr(kind, "attr", None)) != "SUB":
-                offenders.append(f"{where}:{node.lineno} builds a non-SUB "
-                                 f"EditOp outside alignment.trace_ops")
         if name == "dp_last_rows" and (len(node.args) > 4 or any(
                 kw.arg == "cube" for kw in node.keywords)):
             offenders.append(f"{where}:{node.lineno} passes dp_last_rows "
@@ -1732,8 +1753,9 @@ class TestOptionsThreadingEdges:
 
     def test_mappings_consumed_as_columns(self):
         """The mapper's side of the same contract: a block goes in as
-        its columns and comes out as one ``MappedBlock`` table, which the
-        emitter reads without building or flattening result objects
+        its columns and comes out as one ``MappedBlock`` table, written
+        as columns from the traceback on, which the emitter reads
+        without building or flattening result objects
         (``mappings_consumed_as_columns``)."""
         assert on_tree(mappings_consumed_as_columns, "src") == []
         compressor = "src/repro/core/compressor.py"
@@ -1793,7 +1815,26 @@ class TestOptionsThreadingEdges:
                 ("mapped = self.mapper.map_batch(read_set.read_codes())\n",
                  "src/repro/baselines/spring.py"),
                 ("mapped = self.mapper.map_batch(codes)\n",
-                 "src/repro/baselines/spring.py")):
+                 "src/repro/baselines/spring.py"),
+                # No per-read form inside mapping/ either: no record
+                # types, no per-read entry point, no op objects.
+                ("def map_read(self, codes) -> MappingResult:\n"
+                 "    return MappingResult(segments=[])\n",
+                 "src/repro/mapping/mapper.py"),
+                ("""\
+                 class MappedSegment:
+                     cons_start: int
+                 """, "src/repro/mapping/mapper.py"),
+                ("from .alignment import EditOp\n",
+                 "src/repro/mapping/batch.py"),
+                ("ops = [alignment.EditOp(SUB, p) for p in hit_pos]\n",
+                 "src/repro/mapping/mapper.py"),
+                ("results = [self.map_read(c) for c in reads]\n",
+                 "src/repro/mapping/mapper.py"),
+                ("for op in segment.ops:\n    op.read_pos += shift\n",
+                 "src/repro/mapping/mapper.py"),
+                ("n = len(result.segments)\n",
+                 "src/repro/mapping/batch.py")):
             assert on_snippet(mappings_consumed_as_columns, violating,
                               where) != [], violating
         for allowed, where in (
@@ -1801,8 +1842,7 @@ class TestOptionsThreadingEdges:
                  compressor),
                 ("mapped = self.mapper.map_batch(read_set.codes, "
                  "read_set.offsets)\n", "src/repro/baselines/spring.py"),
-                ("def map_read(self, codes) -> MappingResult:\n"
-                 "    return MappingResult(segments=[])\n",
+                ("read_pos += [p + shift for p in res.read_pos]\n",
                  "src/repro/mapping/mapper.py"),
                 ("class MappedBlock:\n    def __len__(self):\n"
                  "        return 0\n", "src/repro/mapping/mapper.py")):
@@ -1955,10 +1995,14 @@ class TestOptionsThreadingEdges:
                  """, "src/repro/mapping/batch.py"),
                 ("""\
                  def _solve_lanes(jobs, rows):
-                     return [EditOp(INS, i, 1, read[i:i + 1]) for i in rows]
+                     return [INS] * len(rows), rows, [1] * len(rows)
                  """, "src/repro/mapping/batch.py"),
-                ("ops.append(alignment.EditOp(kind=alignment.DEL, "
-                 "read_pos=i))\n", "src/repro/mapping/mapper.py"),
+                ("kind[at] = alignment.DEL\n", "src/repro/mapping/mapper.py"),
+                ("kinds.append(INS)\n", "src/repro/mapping/mapper.py"),
+                ("kind = np.full(n, DEL, dtype=np.int8)\n",
+                 "src/repro/mapping/batch.py"),
+                ("codes = {SUB: 0, INS: 1, DEL: 2}\n",
+                 "src/repro/core/compressor.py"),
                 ("""\
                  def trace_ops(read, cons, dist, width):
                      return []
@@ -1974,13 +2018,23 @@ class TestOptionsThreadingEdges:
                 ("last = alignment.dp_last_rows(rows, lens, wins, free, "
                  "cube=planes)\n", "src/repro/mapping/batch.py")):
             assert on_snippet(traced_once, violating, where) != [], violating
+        # Substitutions are written anywhere; INS / DEL are compared
+        # with, and written in trace_ops.
         assert on_snippet(traced_once, """\
             def _verify_and_emit(self, rows, hit_pos):
                 last = dp_last_rows(rows, lens, wins, head)
-                return [EditOp(alignment.SUB, p, 1, rows[p]) for p in hit_pos]
+                return np.full(hit_pos.size, SUB, dtype=np.int8)
             """, "src/repro/mapping/batch.py") == []
+        assert on_snippet(traced_once, """\
+            def _steps(self):
+                return np.where(self.kind == DEL, self.length, 0) \\
+                    - np.where(alignment.INS == self.kind, self.length, 0)
+            """, "src/repro/mapping/mapper.py") == []
+        assert on_snippet(traced_once,
+                          "indel = kind in (alignment.INS, alignment.DEL)\n",
+                          "src/repro/analysis/properties.py") == []
         assert on_snippet(traced_once, "def trace_ops(read, cons):\n"
-                          "    return [EditOp(DEL, 0, 1)]\n",
+                          "    kinds.append(DEL)\n",
                           "src/repro/mapping/alignment.py") == []
 
     def test_hardware_decodes_once(self):

@@ -6,57 +6,63 @@ from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
 from repro.mapping import alignment
-from repro.mapping.alignment import (DEL, INS, SUB, EditOp, global_align,
+from repro.mapping.alignment import (DEL, INS, SUB, global_align,
                                      prefix_free_align, suffix_free_align)
 from repro.mapping.batch import MapperStats, solve_extension_jobs
 from repro.mapping.mapper import AlignmentJob
 
-from tests.conftest import apply_ops
+from tests.conftest import EditOp, apply_ops, edit_ops
 
 
 def enc(text):
     return seq.encode(text)
 
 
+def ops_of(read, res):
+    """An alignment's op columns as :class:`EditOp` s, bases from
+    ``read``."""
+    return edit_ops(read, res.kind, res.read_pos, res.length)
+
+
 class TestGlobalAlign:
     def test_identical(self):
         res = global_align(enc("ACGTACGT"), enc("ACGTACGT"))
         assert res.cost == 0
-        assert res.ops == []
+        assert res.kind == res.read_pos == res.length == []
 
     def test_single_substitution(self):
         res = global_align(enc("ACGA"), enc("ACGT"))
         assert res.cost == 1
-        assert len(res.ops) == 1
-        op = res.ops[0]
+        assert len(res.kind) == 1
+        op = ops_of(enc("ACGA"), res)[0]
         assert op.kind == SUB and op.read_pos == 3
         assert op.bases.tolist() == [0]
 
     def test_insertion_block_merged(self):
         res = global_align(enc("ACGGGGT"), enc("ACT"))
-        ins_ops = [op for op in res.ops if op.kind == INS]
+        ins_ops = [op for op in ops_of(enc("ACGGGGT"), res) if op.kind == INS]
         assert sum(op.length for op in ins_ops) == 4
         assert any(op.length >= 3 for op in ins_ops)
 
     def test_deletion_block_merged(self):
         res = global_align(enc("ACT"), enc("ACGGGGT"))
-        del_ops = [op for op in res.ops if op.kind == DEL]
+        del_ops = [op for op in ops_of(enc("ACT"), res) if op.kind == DEL]
         assert sum(op.length for op in del_ops) == 4
 
     def test_empty_read(self):
         res = global_align(enc(""), enc("ACG"))
         assert res.cost == 3
-        assert res.ops[0].kind == DEL and res.ops[0].length == 3
+        assert res.kind == [DEL] and res.length == [3]
 
     def test_empty_consensus(self):
         res = global_align(enc("ACG"), enc(""))
         assert res.cost == 3
-        assert res.ops[0].kind == INS and res.ops[0].length == 3
+        assert res.kind == [INS] and res.length == [3]
 
     def test_reconstruction(self):
         read, cons = enc("AATTCCGG"), enc("AAGTCCG")
         res = global_align(read, cons)
-        rebuilt = apply_ops(cons, res.ops, read.size)
+        rebuilt = apply_ops(cons, ops_of(read, res), read.size)
         assert np.array_equal(rebuilt, read)
 
 
@@ -72,7 +78,7 @@ class TestPrefixFreeAlign:
         read = enc("ACGAACGT")
         res = prefix_free_align(read, cons)
         window = cons[res.cons_used_start:]
-        rebuilt = apply_ops(window, res.ops, read.size)
+        rebuilt = apply_ops(window, ops_of(read, res), read.size)
         assert np.array_equal(rebuilt, read)
 
 
@@ -86,13 +92,13 @@ class TestSuffixFreeAlign:
     def test_no_trailing_deletions(self):
         cons = enc("ACGTACGTAA")
         res = suffix_free_align(enc("ACGT"), cons)
-        assert all(op.kind != DEL or op.read_pos < 4 for op in res.ops)
+        assert all(kind != DEL or at < 4
+                   for kind, at in zip(res.kind, res.read_pos))
         assert res.cost == 0
 
 
 class TestApplyOps:
     def test_out_of_order_rejected(self):
-        from repro.mapping.alignment import EditOp
         cons = enc("ACGT")
         ops = [EditOp(SUB, 2, 1, enc("A")), EditOp(SUB, 0, 1, enc("C"))]
         # apply_ops sorts, so this must still work.
@@ -128,7 +134,7 @@ class TestAlignmentProperties:
     def test_global_alignment_is_lossless(self, pair):
         read, cons = pair
         res = global_align(read, cons)
-        rebuilt = apply_ops(cons, res.ops, read.size)
+        rebuilt = apply_ops(cons, ops_of(read, res), read.size)
         assert np.array_equal(rebuilt, read)
 
     @settings(max_examples=40, deadline=None)
@@ -143,10 +149,10 @@ class TestAlignmentProperties:
     def test_ops_sorted_and_in_range(self, pair):
         read, cons = pair
         res = global_align(read, cons)
-        positions = [op.read_pos for op in res.ops]
-        assert positions == sorted(positions)
-        for op in res.ops:
-            assert 0 <= op.read_pos <= read.size
+        assert len(res.kind) == len(res.read_pos) == len(res.length)
+        assert res.read_pos == sorted(res.read_pos)
+        for at in res.read_pos:
+            assert 0 <= at <= read.size
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +307,7 @@ class TestTracebackOracle:
         for flavour, align in _FLAVOURS.items():
             want.append(_key(*oracle_align(read, cons, flavour)))
             res = align(read, cons)
-            assert _key(res.ops, res.cost, res.cons_used_start,
+            assert _key(ops_of(read, res), res.cost, res.cons_used_start,
                         res.cons_used_end) == want[-1], flavour
             jobs.append(AlignmentJob(read, cons, flavour))
         # A shorter sibling of each job shares its chunk of lanes (it
@@ -311,8 +317,8 @@ class TestTracebackOracle:
             want.append(_key(*oracle_align(read[:read.size // 2], cons,
                                            flavour)))
         got = solve_extension_jobs(jobs, MapperStats())
-        assert [_key(r.ops, r.cost, r.cons_used_start, r.cons_used_end)
-                for r in got] == want
+        assert [_key(ops_of(job.read_seg, r), r.cost, r.cons_used_start,
+                     r.cons_used_end) for job, r in zip(jobs, got)] == want
 
     def test_suffix_free_ties_end_at_the_first_minimum(self):
         """The last row of ``AC`` against ``AGC`` is 2, 1, 1, 1: the

@@ -38,11 +38,11 @@ from repro.mapping.batch import (BatchReadMapper, MapperStats,
                                  available_mappers, make_mapper,
                                  resolve_mapper, solve_extension_jobs)
 from repro.mapping.kmer_index import KmerIndex
-from repro.mapping.mapper import (AlignmentJob, MappedBlock, MapperConfig,
-                                  ReadMapper, block_columns)
+from repro.mapping.mapper import (AlignmentJob, MapperConfig, ReadMapper,
+                                  block_columns)
 
-from tests.conftest import (assert_same_report, chunked, mapping_results,
-                            pileup_oracle, property_oracle,
+from tests.conftest import (assert_same_report, chunked, map_one,
+                            mapping_results, pileup_oracle, property_oracle,
                             quality_access_oracle)
 
 
@@ -122,11 +122,12 @@ def _result_key(res):
     )
 
 
-def _maps_like_map_read(reference, reads, cfg):
-    """``map_read``'s result for each of ``reads``, once both kernels'
-    ``map_batch`` tables are held to them through :func:`_result_key`."""
+def _maps_like_map_one(reference, reads, cfg):
+    """Each of ``reads`` mapped alone on the scalar kernel
+    (:func:`map_one`), once both kernels' ``map_batch`` tables of the
+    whole block are held to them through :func:`_result_key`."""
     scalar = ReadMapper(reference, cfg)
-    want = [scalar.map_read(c) for c in reads]
+    want = [map_one(scalar, c) for c in reads]
     for kernel in (ReadMapper, BatchReadMapper):
         table = kernel(reference, cfg, index=scalar.index).map_batch(reads)
         assert [_result_key(r) for r in mapping_results(table)] \
@@ -156,6 +157,28 @@ def _columns(table):
             for f in dataclasses.fields(table) if f.init}
 
 
+def _row_columns(table):
+    """Each read's part of every column of a MappedBlock, with its dtype:
+    its per-read entries, its segments' and its ops' (``seg_row`` and
+    ``op_seg`` counted from the read's own first row and segment)."""
+    seg_at = np.searchsorted(table.seg_row, np.arange(len(table) + 1))
+    op_at = np.searchsorted(table.op_seg, seg_at)
+    per_read = ("unmapped", "reverse", "cost", "clip_s", "clip_e")
+    per_seg = ("seg_row", "cons_start", "read_start", "read_end")
+    per_op = ("op_seg", "kind", "read_pos", "length")
+    rows = []
+    for row in range(len(table)):
+        parts = dict.fromkeys(per_read, slice(row, row + 1))
+        parts.update(dict.fromkeys(per_seg, slice(*seg_at[row:row + 2])))
+        parts.update(dict.fromkeys(per_op, slice(*op_at[row:row + 2])))
+        base = {"seg_row": row, "op_seg": seg_at[row]}
+        rows.append({name: (getattr(table, name).dtype.str,
+                            (getattr(table, name)[part]
+                             - base.get(name, 0)).tolist())
+                     for name, part in parts.items()})
+    return rows
+
+
 def _plain(report):
     """A report's fields with its arrays as lists (comparable by ==)."""
     return {name: value.tolist() if isinstance(value, np.ndarray) else value
@@ -181,16 +204,18 @@ class TestCrossMapperFuzz:
                           max_occurrences=cfg.max_occurrences)
         scalar = ReadMapper(reference, cfg, index=index)
         batched = BatchReadMapper(reference, cfg, index=index)
-        results = [scalar.map_read(c) for c in codes_list]
+        alone = [scalar.map_batch([c]) for c in codes_list]
         codes, offsets = block_columns(codes_list)
         table = batched.map_batch(codes, offsets)
-        # The table's reads are the scalar results ...
+        # The table's reads are the scalar kernel's, each mapped alone,
+        # column for column ...
+        assert _row_columns(table) \
+            == [_row_columns(one)[0] for one in alone]
         assert [_result_key(r) for r in mapping_results(table)] \
-            == [_result_key(r) for r in results]
-        # ... and the columns are theirs, flattened, whichever way the
-        # block is handed over and whichever kernel maps it.
-        want = _columns(MappedBlock.from_results(results, codes, offsets))
-        assert _columns(table) == want
+            == [_result_key(mapping_results(one)[0]) for one in alone]
+        # ... whichever way the block is handed over and whichever
+        # kernel maps it.
+        want = _columns(table)
         assert _columns(batched.map_batch(codes_list)) == want
         assert _columns(scalar.map_batch(codes, offsets)) == want
 
@@ -296,7 +321,7 @@ class TestCrossMapperFuzz:
         cfg = MapperConfig(max_segments=1)
         scalar = ReadMapper(cons, cfg)
         batched = BatchReadMapper(cons, cfg)
-        expected = [_result_key(scalar.map_read(c)) for c in codes_list]
+        expected = [_result_key(map_one(scalar, c)) for c in codes_list]
         got = [_result_key(r)
                for r in mapping_results(batched.map_batch(codes_list))]
         assert got == expected
@@ -326,7 +351,7 @@ class TestCrossMapperFuzz:
         # The compare sees every substitution, the last base's too.
         assert batch.GLOBAL_STATS.verified == 9
         assert [_result_key(r) for r in mapping_results(table)] \
-            == [_result_key(scalar.map_read(c)) for c in reads]
+            == [_result_key(map_one(scalar, c)) for c in reads]
 
     @pytest.mark.parametrize("head", [True, False], ids=["head", "tail"])
     @pytest.mark.parametrize("bound", ["clip_min_length", "clip_max_length"])
@@ -340,7 +365,7 @@ class TestCrossMapperFuzz:
         below = int(cfg.clip_cost_fraction * n)
         reads = [_n_flank(reference, 1_000, 151, n, cost, head)
                  for cost in (below, below + 1)]
-        want = _maps_like_map_read(reference, reads, cfg)
+        want = _maps_like_map_one(reference, reads, cfg)
         clips = [(r.clip_start if head else r.clip_end).size for r in want]
         assert clips == [0, n]
         assert [r.cost for r in want] == [below, 0]
@@ -357,7 +382,7 @@ class TestCrossMapperFuzz:
                   + extra] = seqmod.N_CODE
             reads.append(codes)
         assert cfg.unmapped_cost_fraction * 200 == 80
-        want = _maps_like_map_read(reference, reads, cfg)
+        want = _maps_like_map_one(reference, reads, cfg)
         assert [(r.unmapped, r.cost) for r in want] \
             == [(False, 80), (True, 0)]
 
@@ -375,7 +400,7 @@ class TestCrossMapperFuzz:
                 codes = reference[start:start + 100].copy()
                 codes[subs] = (codes[subs] + 1) % 4
                 reads.append(codes)
-        want = _maps_like_map_read(reference, reads, cfg)
+        want = _maps_like_map_one(reference, reads, cfg)
         assert [(r.unmapped, r.clip_start.size, r.segments[0].cons_start)
                 for r in want] == [(False, 0, s) for s in 2 * starts]
         # The batch kernel proves the one-substitution heads itself, in
@@ -398,7 +423,7 @@ class TestCrossMapperFuzz:
                 codes = reference[end - 100:end].copy()
                 codes[subs] = (codes[subs] + 1) % 4
                 reads.append(codes)
-        want = _maps_like_map_read(reference, reads, cfg)
+        want = _maps_like_map_one(reference, reads, cfg)
         assert [(r.unmapped, r.clip_end.size, r.cost) for r in want] \
             == [(False, 0, 1)] * 5 + [(False, 0, 2)] * 5
         # The batch kernel proves the one-substitution tails itself, in
@@ -408,13 +433,17 @@ class TestCrossMapperFuzz:
         assert batch.GLOBAL_STATS.fallback == 0
 
     def test_empty_batch(self, reference):
+        # The columns of an empty table have a mapped one's dtypes.
+        mapped = _columns(ReadMapper(reference, MapperConfig()).map_batch(
+            [reference[100:200], reference[300:400]]))
         for kernel in (ReadMapper, BatchReadMapper):
             table = kernel(reference, MapperConfig()).map_batch([])
             assert len(table) == 0 and mapping_results(table) == []
             with pytest.raises(TypeError):    # a table, not a sequence
                 iter(table)
-            assert _columns(table) == _columns(MappedBlock.from_results(
-                [], *block_columns([])))
+            assert _columns(table) == {
+                name: (dtype, [0] if name == "offsets" else [])
+                for name, (dtype, _) in mapped.items()}
 
 
 # ----------------------------------------------------------------------
@@ -519,9 +548,8 @@ def _fuzz_jobs(rng, n_jobs):
 
 
 def _alignment_key(res):
-    return (tuple((op.kind, int(op.read_pos), int(op.length),
-                   np.asarray(op.bases).tobytes()) for op in res.ops),
-            int(res.cost), int(res.cons_used_start), int(res.cons_used_end))
+    return (tuple(zip(res.kind, res.read_pos, res.length)), int(res.cost),
+            int(res.cons_used_start), int(res.cons_used_end))
 
 
 class TestBatchedExtension:

@@ -26,17 +26,11 @@ class TestDenovo:
         # The greedy walk should recover a contig covering most of the
         # donor; mapping the donor against it validates content.
         assert consensus.size > 0.5 * donor.size
-        mapper = ReadMapper(consensus)
+        table = ReadMapper(consensus).map_batch(
+            [read.codes for read in sim.read_set.reads[:60]])
         # Most reads should map with zero mismatches against the contig.
-        zero_cost = 0
-        total = 0
-        for read in sim.read_set.reads[:60]:
-            mapping = mapper.map_read(read.codes)
-            if mapping.unmapped:
-                continue
-            total += 1
-            if mapping.cost == 0:
-                zero_cost += 1
+        total = int((~table.unmapped).sum())
+        zero_cost = int((~table.unmapped & (table.cost == 0)).sum())
         assert total > 30
         assert zero_cost / total > 0.8
 

@@ -1,5 +1,7 @@
 """Integration tests for the read mapper (seed-chain-extend)."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
 from repro.genomics.reference import make_reference
-from repro.mapping import MapperConfig, ReadMapper, alignment
+from repro.mapping import MapperConfig, ReadMapper
 from repro.mapping import mapper as mapper_module
+from repro.mapping.alignment import DEL, SUB
 from repro.mapping.kmer_index import AnchorHits, KmerIndex
-from repro.mapping.mapper import (AlignmentJob, _SegmentPlan,
+from repro.mapping.mapper import (AlignmentJob, MappedBlock, _SegmentPlan,
                                   block_columns)
 
-from tests.conftest import apply_ops, reconstruct
+from tests.conftest import apply_ops, map_one, mapping_results, reconstruct
 
 
 class TestKmerIndex:
@@ -163,7 +166,7 @@ class TestMapperExactness:
         sim = request.getfixturevalue(fixture)
         mapper = ReadMapper(sim.reference)
         for read in sim.read_set.reads[:150]:
-            mapping = mapper.map_read(read.codes)
+            mapping = map_one(mapper, read.codes)
             if mapping.unmapped:
                 continue
             rebuilt = reconstruct(sim.reference, mapping, len(read))
@@ -173,7 +176,7 @@ class TestMapperExactness:
         rng = np.random.default_rng(3)
         cons = make_reference(5_000, rng)
         mapper = ReadMapper(cons)
-        mapping = mapper.map_read(cons[1000:1100])
+        mapping = map_one(mapper, cons[1000:1100])
         assert not mapping.unmapped
         assert mapping.cost == 0
         assert mapping.segments[0].cons_start == 1000
@@ -182,8 +185,7 @@ class TestMapperExactness:
         rng = np.random.default_rng(4)
         cons = make_reference(5_000, rng)
         mapper = ReadMapper(cons)
-        mapping = mapper.map_read(
-            seq.reverse_complement(cons[2000:2100]))
+        mapping = map_one(mapper, seq.reverse_complement(cons[2000:2100]))
         assert not mapping.unmapped
         assert mapping.reverse
 
@@ -191,14 +193,14 @@ class TestMapperExactness:
         rng = np.random.default_rng(5)
         cons = make_reference(5_000, rng)
         mapper = ReadMapper(cons)
-        mapping = mapper.map_read(seq.random_sequence(100, rng))
+        mapping = map_one(mapper, seq.random_sequence(100, rng))
         assert mapping.unmapped
 
     def test_too_short_read_unmapped(self):
         rng = np.random.default_rng(6)
         cons = make_reference(1_000, rng)
         mapper = ReadMapper(cons)
-        assert mapper.map_read(cons[10:20]).unmapped
+        assert map_one(mapper, cons[10:20]).unmapped
 
 
 class TestChimericReads:
@@ -207,7 +209,7 @@ class TestChimericReads:
         cons = make_reference(20_000, rng)
         read = np.concatenate([cons[1000:2200], cons[15000:16300]])
         mapper = ReadMapper(cons, MapperConfig(max_segments=3))
-        mapping = mapper.map_read(read)
+        mapping = map_one(mapper, read)
         assert not mapping.unmapped
         assert len(mapping.segments) > 1
         rebuilt = reconstruct(cons, mapping, read.size)
@@ -221,7 +223,7 @@ class TestChimericReads:
         read = np.concatenate([cons[1000:1600], cons[15000:15600]])
         config = MapperConfig(max_segments=1,
                               unmapped_cost_fraction=0.90)
-        mapping = ReadMapper(cons, config).map_read(read)
+        mapping = map_one(ReadMapper(cons, config), read)
         assert not mapping.unmapped
         assert len(mapping.segments) == 1
         rebuilt = reconstruct(cons, mapping, read.size)
@@ -236,7 +238,7 @@ class TestClips:
         adapter = seq.random_sequence(20, rng)
         read = np.concatenate([adapter, cons[3000:3100]])
         mapper = ReadMapper(cons)
-        mapping = mapper.map_read(read)
+        mapping = map_one(mapper, read)
         assert not mapping.unmapped
         assert mapping.clip_start.size >= 10
         rebuilt = reconstruct(cons, mapping, read.size)
@@ -247,7 +249,7 @@ class TestClips:
         cons = make_reference(8_000, rng)
         adapter = seq.random_sequence(18, rng)
         read = np.concatenate([cons[4000:4100], adapter])
-        mapping = ReadMapper(cons).map_read(read)
+        mapping = map_one(ReadMapper(cons), read)
         assert not mapping.unmapped
         rebuilt = reconstruct(cons, mapping, read.size)
         assert np.array_equal(rebuilt, read)
@@ -260,7 +262,7 @@ class TestClips:
         read = np.concatenate([cons[4000:4400], junk])
         config = MapperConfig(max_segments=1,
                               unmapped_cost_fraction=0.90)
-        mapping = ReadMapper(cons, config).map_read(read)
+        mapping = map_one(ReadMapper(cons, config), read)
         assert not mapping.unmapped
         assert mapping.clip_end.size == 0
         rebuilt = reconstruct(cons, mapping, read.size)
@@ -287,18 +289,34 @@ class TestSegmentAssembly:
                                    True, True, jobs)
         return plan, jobs, mapper._solve_jobs(jobs)
 
+    @staticmethod
+    def _assembled(mapper, read, plan, solved):
+        """The one-segment row ``plan`` plans, as ``_assemble`` writes
+        it, as a record (``None`` when the row is left out); the solved
+        jobs are not changed by it."""
+        before = copy.deepcopy(solved)
+        part = mapper._assemble([[plan]], solved, np.array([read.size]),
+                                np.array([False]))
+        assert solved == before
+        if part.rows.size == 0:
+            return None
+        return mapping_results(MappedBlock.assemble(
+            read, np.array([0, read.size]), [part]))[0]
+
     @pytest.mark.parametrize("seg_lo", [0, 2])
     def test_ops_in_segment_local_coordinates(self, case, seg_lo):
         mapper, cons, read, chain = case
         plan, jobs, solved = self._build(mapper, read, chain, seg_lo, 60)
         assert [job.flavour for job in jobs] \
             == ["global", "prefix_free", "suffix_free"]
-        segment, clip_s, clip_e, cost = mapper._assemble_segment(plan, solved)
+        mapping = self._assembled(mapper, read, plan, solved)
+        [segment] = mapping.segments
         assert (segment.read_start, segment.read_end) == (seg_lo, 60)
         assert segment.cons_start == 100 + seg_lo
-        assert clip_s.size == clip_e.size == 0 and cost == 2
+        assert mapping.clip_start.size == mapping.clip_end.size == 0
+        assert mapping.cost == 2
         assert [(op.kind, op.read_pos) for op in segment.ops] \
-            == [("sub", 3 - seg_lo), ("del", 30 - seg_lo)]
+            == [(SUB, 3 - seg_lo), (DEL, 30 - seg_lo)]
         window = cons[segment.cons_start:segment.cons_start + 61]
         assert np.array_equal(
             apply_ops(window, segment.ops, segment.length),
@@ -308,8 +326,7 @@ class TestSegmentAssembly:
         mapper, _, read, chain = case
         # seg_lo past the gap's deletion: its local position is negative.
         plan, _, solved = self._build(mapper, read, chain, 35, 60)
-        assert mapper._assemble_segment(plan, solved) is None
-        assert mapper._assemble_read([plan], solved) is None
+        assert self._assembled(mapper, read, plan, solved) is None
 
     def test_placement_left_of_consensus_rejects_the_read(self, case):
         mapper, _, read, _ = case
@@ -317,11 +334,9 @@ class TestSegmentAssembly:
             plan, jobs, solved = self._build(mapper, read, [(10, cons_pos)],
                                              10, 25)
             assert jobs == []
-            built = mapper._assemble_segment(plan, solved)
-            assert (built is not None) == placed
-            assert (mapper._assemble_read([plan], solved) is not None) \
-                == placed
-        assert built is None
+            mapping = self._assembled(mapper, read, plan, solved)
+            assert (mapping is not None) == placed
+        assert mapping is None
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +389,7 @@ def oracle_plan_segment(mapper, oriented, chain, seg_lo, seg_hi, is_first,
         if read_gap.size == cons_gap.size:
             diff = np.nonzero(read_gap != cons_gap)[0]
             if diff.size:
-                gaps.append((prev_read, [
-                    alignment.EditOp(alignment.SUB, int(d), 1,
-                                     read_gap[d:d + 1].copy())
-                    for d in diff]))
+                gaps.append((prev_read, diff.tolist()))
         else:
             gaps.append((prev_read, len(jobs)))
             jobs.append(AlignmentJob(read_gap, cons_gap, "global"))
@@ -441,10 +453,7 @@ def _plan_key(plan):
     if plan is None:
         return None
     fields = [tuple(vars(p).values()) for p in plan]
-    return [(*f[:7], f[7].tobytes(), f[8].tobytes(), *f[9:12],
-             [(start, piece if isinstance(piece, int) else
-               [(op.kind, op.read_pos, op.length, op.bases.tobytes())
-                for op in piece]) for start, piece in f[12]])
+    return [(*f[:7], f[7].tobytes(), f[8].tobytes(), *f[9:])
             for f in fields]
 
 
