@@ -6,7 +6,9 @@ the Spring-analog genomic compressor, and as the quality-score codec
 shared between the Spring analog and SAGe (§5.1.5: SAGe reuses the same
 quality compression as Spring's lossless mode).
 
-Encoding is vectorized through string join + ``np.packbits``; decoding
+Encoding ORs the codes, joined in pairs, into the big-endian 32-bit
+words they span: bit offsets from one ``cumsum``, then one ``reduceat``
+per half of a two-word window (:meth:`HuffmanTable.encode`).  Decoding
 is a byte automaton over the prefixes of the code, stepped one payload
 byte per table lookup in independent chunks
 (:meth:`HuffmanTable.decode`).
@@ -140,19 +142,48 @@ class HuffmanTable:
     # ------------------------------------------------------------------
 
     def encode(self, symbols: np.ndarray) -> tuple[bytes, int]:
-        """Encode a symbol array; returns (payload bytes, bit length)."""
+        """Encode a symbol array; returns (payload bytes, bit length).
+
+        The codes follow each other MSB first, zero-padded to a byte.
+        Adjacent codes are joined in pairs, so a field is at most
+        ``2 * MAX_CODE_LENGTH`` = 30 bits and its start is a ``cumsum``
+        of the field lengths.  A field that starts ``p`` bits into a
+        big-endian 32-bit word ends within the next one (``p + 30 <=
+        61``), so it is placed in the 62-bit window of the two, and a
+        word is the OR of the windows' top halves of the fields that
+        start in it and bottom halves of those that start in the word
+        before: one ``reduceat`` each.  A field starts a new word when
+        it lies fewer bits into its word than the field before it is
+        long; every word but the last has a field starting in it.
+        """
         symbols = np.asarray(symbols, dtype=np.int64)
         if symbols.size == 0:
             return b"", 0
-        if (self.lengths[symbols] == 0).any():
+        lengths = np.asarray(self.lengths, dtype=np.int64).take(symbols)
+        if not lengths.all():
             raise HuffmanError("symbol outside the coded alphabet")
-        strings = np.array(
-            [format(int(c), f"0{int(l)}b") if l else ""
-             for c, l in zip(self.codes, self.lengths)], dtype=object)
-        bit_text = "".join(strings[symbols])
-        bits = np.frombuffer(bit_text.encode("ascii"), dtype=np.uint8) - 48
-        payload = np.packbits(bits).tobytes()
-        return payload, len(bit_text)
+        if lengths.max() > MAX_CODE_LENGTH:
+            raise HuffmanError(
+                f"code length {int(lengths.max())} exceeds "
+                f"{MAX_CODE_LENGTH} bits")
+        codes = np.asarray(self.codes, dtype=np.int64).take(symbols)
+        if symbols.size & 1:            # pad with an empty code
+            lengths, codes = np.append(lengths, 0), np.append(codes, 0)
+        codes = (codes[0::2] << lengths[1::2]) | codes[1::2]
+        lengths = lengths[0::2] + lengths[1::2]
+        ends = np.cumsum(lengths)
+        at = (ends - lengths) & 31
+        window = codes << (62 - at - lengths)
+        opens = np.empty(lengths.size, dtype=bool)
+        opens[0] = True
+        np.less(at[1:], lengths[:-1], out=opens[1:])
+        first = np.flatnonzero(opens)
+        words = np.zeros(first.size + 1, dtype=np.int64)
+        words[:-1] = np.bitwise_or.reduceat(window >> 30, first)
+        words[1:] |= np.bitwise_or.reduceat(
+            (window & ((1 << 30) - 1)) << 2, first)
+        nbits = int(ends[-1])
+        return words.astype(">u4").tobytes()[:(nbits + 7) // 8], nbits
 
     # ------------------------------------------------------------------
     # Byte-automaton decode

@@ -5,14 +5,17 @@ bases, ``+``, Phred+33 quality string.  The writer emits exactly that; the
 parser is tolerant of a repeated header on the ``+`` line, of CRLF line
 endings, of blank lines between records and of a missing trailing newline.
 
-The parser is the renderer's mirror: one vectorized pass per block.
-:func:`write` scatters a :class:`ReadSet`'s columns into one text
-buffer; :func:`iter_read_sets` walks the lines of ``block_reads``
-records, then encodes the block's joined bases once and subtracts the
-Phred offset from its joined scores once, and hands the result to
-:meth:`ReadSet.from_columns` — no per-read object is built on the way
-in either.  Everything the parser can find wrong with the text raises
-:class:`FastqError` naming the record.
+Both directions work a block at a time, on a :class:`ReadSet`'s columns.
+:func:`render` turns the set's codes and scores into ASCII once each,
+encodes each header once, and joins the records' pieces with one
+``bytes.join``: a fixed-length block's record tails are the rows of
+one ``uint8`` array, a variable-length block's are slices of the two
+ASCII buffers.  :func:`iter_read_sets` walks the lines of
+``block_reads`` records, then encodes the block's joined bases once
+and subtracts the Phred offset from its joined scores once, and hands
+the result to :meth:`ReadSet.from_columns` — no per-read object is
+built on the way in either.  Everything the parser can find wrong with
+the text raises :class:`FastqError` naming the record.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from . import sequence as seq
-from .reads import PHRED_OFFSET, PLACEHOLDER_SCORE, ReadSet, run_index
+from .reads import PHRED_OFFSET, PLACEHOLDER_SCORE, ReadSet
 
-
-#: Bases :func:`write` renders in one vectorized pass (a 1024 x 100 bp
-#: block is one pass); its index arrays are 8 bytes per base.
-RENDER_BASES = 1 << 18
+#: Reads :func:`write_file` renders at a time: a render holds about
+#: four times its output, so a whole data set is written in pieces.
+WRITE_READS = 1024
 
 #: The bytes :func:`repro.genomics.sequence.encode` accepts.
 _BASE_BYTES = np.frombuffer(
@@ -149,51 +151,78 @@ def iter_read_sets(path: str | Path,
         yield from _read_sets(handle, block_reads, Path(path).stem)
 
 
-def write(read_set: ReadSet, first_index: int = 0) -> str:
-    """Render a read set as FASTQ text — the one block renderer.
+def render(read_set: ReadSet, first_index: int = 0) -> bytes:
+    """Render a read set as FASTQ bytes — the one block renderer.
 
     ``first_index`` is the global position of the first read: a read
     without a header is named ``read{first_index + i}``, so a block
     rendered alone matches its slice of the whole-archive output.
     Reads without scores print the placeholder ``"I"``.
 
-    One vectorized pass over the set's columns: record offsets by
-    ``cumsum``, then headers, bases, ``+`` and scores are
-    scattered into one newline-filled byte buffer.  FASTQ is ASCII: a
-    header or score outside it raises ``UnicodeError``.
+    Bases go through one :func:`~repro.genomics.sequence.to_ascii`
+    and scores through one Phred offset, and each header is encoded
+    once; a record is then the piece ``@header`` and its tail, and one
+    ``bytes.join`` assembles them.  When every read has the same
+    length ``L``, the tails (``\n`` bases ``\n+\n`` scores ``\n``) are
+    the rows of one ``(reads, 2L + 5)`` array filled column by column;
+    otherwise each record slices its bases and scores from the two
+    ASCII buffers.  FASTQ is ASCII: a header or score outside it raises
+    ``UnicodeError``.
     """
     n_reads = len(read_set)
     if not n_reads:
-        return ""
-    if read_set.total_bases > RENDER_BASES and n_reads > 1:
-        # A scatter index costs 8 bytes per base: a large set renders
-        # in halves so the working set stays bounded.
-        mid = n_reads // 2
-        return write(read_set.subset(range(mid)), first_index) \
-            + write(read_set.subset(range(mid, n_reads)),
-                    first_index + mid)
-    headers = [header or f"read{i}"
-               for i, header in enumerate(read_set.headers, first_index)]
-    header_len = np.fromiter(map(len, headers), np.int64, len(headers))
+        return b""
+    heads = [("@" + (header or f"read{i}")).encode("ascii")
+             for i, header in enumerate(read_set.headers, first_index)]
+    bases = seq.to_ascii(read_set.codes)
+    if read_set.quality is None:
+        scores = np.full(bases.size, PLACEHOLDER_SCORE + PHRED_OFFSET,
+                         dtype=np.uint8)
+    else:
+        scores = read_set.quality + np.uint8(PHRED_OFFSET)
+        if scores.max(initial=0) >= 0x80:
+            raise UnicodeError("quality score outside ASCII")
     lengths = read_set.read_lengths()
-    # '@' header '\n' bases '\n' '+' '\n' scores '\n'
-    record_len = header_len + 2 * lengths + 6
-    ends = np.cumsum(record_len)
-    at = ends - record_len
-    out = np.full(ends[-1], ord("\n"), dtype=np.uint8)
-    out[at] = ord("@")
-    out[run_index(at + 1, header_len)] = np.frombuffer(
-        "".join(headers).encode("ascii"), dtype=np.uint8)
-    bases = run_index(at + header_len + 2, lengths)
-    out[bases] = seq.to_ascii(read_set.codes)
-    out[at + header_len + lengths + 3] = ord("+")
-    bases += np.repeat(lengths + 3, lengths)      # now the score slots
-    out[bases] = PLACEHOLDER_SCORE + PHRED_OFFSET \
-        if read_set.quality is None else read_set.quality + PHRED_OFFSET
-    return out.tobytes().decode("ascii")
+    size = int(lengths[0])
+    if (lengths == size).all():
+        tails = np.empty((n_reads, 2 * size + 5), dtype=np.uint8)
+        tails[:, 0] = tails[:, size + 1] = tails[:, size + 3] = \
+            tails[:, -1] = ord("\n")
+        tails[:, size + 2] = ord("+")
+        tails[:, 1:size + 1] = bases.reshape(n_reads, size)
+        tails[:, size + 4:-1] = scores.reshape(n_reads, size)
+        pieces = [b""] * (2 * n_reads)
+        pieces[0::2] = heads
+        # A row as one fixed-width bytes item: it ends in "\n", so the
+        # trim of trailing NULs never shortens it.
+        pieces[1::2] = tails.view(f"S{tails.shape[1]}").ravel().tolist()
+        # The join then holds two copies of the records, not four.
+        del bases, scores, tails
+        return b"".join(pieces)
+    ends = read_set.offsets[1:].tolist()
+    views: list[bytes | memoryview] = [b"\n"] * (6 * n_reads)
+    views[0::6] = heads
+    views[2::6] = _cut(memoryview(bases), ends)
+    views[3::6] = [b"\n+\n"] * n_reads
+    views[4::6] = _cut(memoryview(scores), ends)
+    return b"".join(views)
+
+
+def _cut(buffer: memoryview, ends: list[int]) -> list[memoryview]:
+    """``buffer`` cut at ``ends`` (the first piece starts at 0), as
+    views: the join copies each byte once."""
+    return [buffer[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def write(read_set: ReadSet, first_index: int = 0) -> str:
+    """:func:`render` as text."""
+    return render(read_set, first_index).decode("ascii")
 
 
 def write_file(read_set: ReadSet, path: str | Path) -> None:
-    """Write a read set to a FASTQ file."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(write(read_set))
+    """Write a read set to a FASTQ file, :data:`WRITE_READS` reads at
+    a time."""
+    with open(path, "wb") as handle:
+        for lo in range(0, len(read_set), WRITE_READS):
+            hi = min(lo + WRITE_READS, len(read_set))
+            handle.write(render(read_set.subset(range(lo, hi)), lo))

@@ -220,8 +220,8 @@ def decode_block(decoder: SAGeDecompressor, index: int,
     archive = decoder.archive
     try:
         reads = decoder.decompress_block(index, select=select)
-        body = fastq.write(reads, archive.block_index()[index].first_read) \
-            .encode("ascii") if render else None
+        body = fastq.render(reads, archive.block_index()[index].first_read) \
+            if render else None
         return _Decoded(reads if columns else None, body, len(reads),
                         reads.total_bases,
                         decoded_stream_bits(archive.block(index), select))

@@ -150,7 +150,7 @@ def _render_block(dataset: SAGeDataset, index: int,
 
 
 def _records(body: bytes, lo: int, hi: int) -> bytes:
-    """Records ``[lo, hi)`` of a FASTQ body: ``fastq.write`` writes
+    """Records ``[lo, hi)`` of a FASTQ body: ``fastq.render`` writes
     four lines a record, and no header holds a newline."""
     return b"\n".join(body.split(b"\n")[4 * lo:4 * hi] + [b""])
 

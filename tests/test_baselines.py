@@ -26,6 +26,32 @@ class TestHuffman:
         payload, nbits = table.encode(arr)
         assert np.array_equal(table.decode(payload, arr.size, nbits), arr)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                    max_size=300), st.integers(min_value=0, max_value=4000),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_encode_matches_per_code_oracle(self, powers, n_symbols, seed):
+        """The word-packed encode emits each code's bits in turn, zero
+        padded to a byte: the string-join encoder it replaced.  Counts
+        of ``2**power`` reach the 15-bit length limit."""
+        table = HuffmanTable.from_counts(2 ** np.array(powers, np.int64))
+        present = np.flatnonzero(table.lengths)
+        symbols = np.random.default_rng(seed).choice(present, n_symbols)
+        text = "".join(format(int(table.codes[s]), f"0{table.lengths[s]}b")
+                       for s in symbols)
+        payload, nbits = table.encode(symbols)
+        assert nbits == len(text)
+        assert payload == np.packbits(
+            np.frombuffer(text.encode(), np.uint8) - 48).tobytes()
+
+    def test_encode_refuses_codes_it_cannot_pack(self):
+        from repro.core.huffman import HuffmanError
+        for lengths, what in (([1, 0, 1], "outside the coded alphabet"),
+                              ([1, 16, 16], "exceeds 15 bits")):
+            table = HuffmanTable.from_lengths(np.array(lengths))
+            with pytest.raises(HuffmanError, match=what):
+                table.encode(np.array([0, 1]))
+
     def test_codes_are_prefix_free(self):
         counts = np.array([100, 50, 25, 12, 6, 3, 1])
         table = HuffmanTable.from_counts(counts)

@@ -197,6 +197,28 @@ _reads = st.lists(st.tuples(
     st.text(alphabet="ACGTN", max_size=40), st.booleans(),
     st.sampled_from(["", "r", "run1:7:1101", "x y"])), max_size=12)
 
+#: Stored headers of different lengths, and the fallback (``""``).
+_headers = st.sampled_from(["", "r", "run1:7:1101", "x y",
+                            "SRR062634.7:1101:15/1"])
+
+
+@st.composite
+def _fixed_reads(draw):
+    """A fixed-length set, which ``_reads`` almost never draws: every
+    read ``L`` bases (``L = 0`` and one read included), numbered from a
+    first index whose fallback names cross 9 -> 10 or 99 -> 100, with
+    no scores, all scores or mixed scores.  Returns the set's spec and
+    its first index."""
+    size = draw(st.integers(min_value=0, max_value=30))
+    n_reads = draw(st.integers(min_value=1, max_value=12))
+    scores = draw(st.sampled_from(["none", "all", "mixed"]))
+    spec = [(draw(st.text(alphabet="ACGTN", min_size=size, max_size=size)),
+             scores == "all" or scores == "mixed" and draw(st.booleans()),
+             draw(_headers))
+            for _ in range(n_reads)]
+    first_index = draw(st.sampled_from([0, 5, 8, 9, 95, 98, 99]))
+    return spec, first_index
+
 
 def _read_set(spec, score_seed=0):
     rng = np.random.default_rng(score_seed)
@@ -207,15 +229,29 @@ def _read_set(spec, score_seed=0):
         for bases, scored, header in spec], name="h")
 
 
+def _renders_like_oracle(read_set, first_index):
+    rendered = fastq.render(read_set, first_index)
+    assert isinstance(rendered, bytes)
+    assert rendered == fastq.write(read_set, first_index).encode("ascii") \
+        == _oracle(read_set, first_index).encode("ascii")
+
+
 class TestBlockRenderer:
-    """``fastq.write`` is one vectorized pass over columns; its oracle
-    is ``format_read`` record by record."""
+    """``fastq.render`` is the one block renderer, with ``fastq.write``
+    its text; their oracle is ``format_read`` record by record."""
 
     @given(_reads, st.integers(min_value=0, max_value=10**6))
     def test_matches_per_record_oracle(self, spec, first_index):
+        _renders_like_oracle(_read_set(spec), first_index)
+
+    @given(_fixed_reads())
+    def test_fixed_length_matches_per_record_oracle(self, drawn):
+        """A set whose reads share one length renders through the
+        record-tail array."""
+        spec, first_index = drawn
         listed = _read_set(spec)
-        assert fastq.write(listed, first_index) \
-            == _oracle(listed, first_index)
+        assert listed.is_fixed_length
+        _renders_like_oracle(listed, first_index)
 
     @given(_reads, st.booleans(), st.integers(min_value=0, max_value=99))
     def test_batch_backed_equals_list_backed(self, spec, scored, k):
@@ -233,6 +269,7 @@ class TestBlockRenderer:
 
     def test_empty_set(self):
         assert fastq.write(ReadSet()) == ""
+        assert fastq.render(ReadSet()) == b""
 
     def test_mixed_scores_take_the_placeholder_per_read(self):
         rs = ReadSet([read_from_text("AC", "!5", header="a"),
@@ -240,22 +277,39 @@ class TestBlockRenderer:
         assert fastq.write(rs) == "@a\nAC\n+\n!5\n@b\nGT\n+\nII\n"
 
     def test_out_of_range_code_raises(self):
-        bad = ReadSet([Read(np.array([0, 1, 7], dtype=np.uint8))])
-        with pytest.raises(SequenceError, match="invalid DNA code 7"):
-            fastq.write(bad)
+        # A fixed-length set, then a variable-length one.
+        for lengths in ((3, 3), (3, 1)):
+            bad = ReadSet([Read(np.array([0, 1, 7][:n], dtype=np.uint8))
+                           for n in lengths])
+            with pytest.raises(SequenceError, match="invalid DNA code 7"):
+                fastq.render(bad)
 
     def test_non_ascii_score_raises(self):
-        rs = ReadSet([Read(np.zeros(2, dtype=np.uint8),
-                           np.array([10, 120], dtype=np.uint8))])
-        with pytest.raises(UnicodeError):
-            fastq.write(rs)
+        for lengths in ((2, 2), (2, 1)):
+            rs = ReadSet([Read(np.zeros(n, dtype=np.uint8),
+                               np.array([10, 120][:n], dtype=np.uint8))
+                          for n in lengths])
+            with pytest.raises(UnicodeError):
+                fastq.render(rs)
+            with pytest.raises(UnicodeError):
+                fastq.write(rs)
 
-    def test_large_set_renders_in_bounded_pieces(self, monkeypatch):
-        rs = _read_set([("ACGTN" * 3, i % 2 == 0, "" if i % 3 else f"h{i}")
-                        for i in range(37)], score_seed=3)
-        whole = fastq.write(rs, 5)
-        monkeypatch.setattr(fastq, "RENDER_BASES", 20)
-        assert fastq.write(rs, 5) == whole == _oracle(rs, 5)
+    def test_non_ascii_header_raises(self):
+        for lengths in ((2, 2), (2, 1)):
+            rs = ReadSet([Read(np.zeros(n, dtype=np.uint8), header=header)
+                          for n, header in zip(lengths, ("a", "r\xe9"))])
+            with pytest.raises(UnicodeError):
+                fastq.render(rs)
+
+    def test_large_set_matches_per_record_oracle(self):
+        """Past 2**18 bases, fixed-length and variable-length, with
+        stored and fallback names and mixed scores."""
+        for lengths in ([100] * 2700, [90, 110] * 1350):
+            rs = _read_set([(("ACGTN" * 22)[:n], i % 2 == 0,
+                             "" if i % 3 else f"h{i}")
+                            for i, n in enumerate(lengths)], score_seed=3)
+            assert rs.total_bases > 1 << 18
+            _renders_like_oracle(rs, 5)
 
 
 class TestFileIO:
@@ -266,6 +320,18 @@ class TestFileIO:
         back = fastq.read_file(path)
         assert fastq.write(back) == SAMPLE
         assert back.name == "x"
+
+    def test_file_written_in_pieces_is_the_whole_render(self, tmp_path,
+                                                        monkeypatch):
+        """A set of more than ``WRITE_READS`` reads is rendered a piece
+        at a time; fallback names keep counting across pieces."""
+        rs = _read_set([("ACGTN"[:i % 6], i % 2 == 0, "" if i % 3 else "h")
+                        for i in range(11)], score_seed=1)
+        monkeypatch.setattr(fastq, "WRITE_READS", 3)
+        path = tmp_path / "x.fastq"
+        fastq.write_file(rs, path)
+        assert path.read_bytes() == fastq.render(rs) \
+            == _oracle(rs).encode("ascii")
 
     def test_dataset_roundtrip(self, tmp_path, rs2_small):
         path = tmp_path / "rs2.fastq"

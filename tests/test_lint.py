@@ -826,11 +826,14 @@ def fastq_rendered_once(source, where,
                         sanctioned=SANCTIONED_FASTQ_FILE_WRITERS):
     """FASTQ leaves the engine one way: under ``src/`` only the
     executor's per-block decode (``pipeline/executor.py::decode_block``)
-    calls ``fastq.write(`` or imports ``write`` / ``write_file`` from
-    the FASTQ module — ``to_fastq``, ``sage salvage``, ``sage cat
-    --block`` and a ``sage serve`` miss all run it
-    (``genomics/fastq.py`` is the renderer itself) — and
-    ``fastq.write_file(`` is called only in ``sanctioned`` functions."""
+    calls ``fastq.render(`` or ``fastq.write(``, nothing imports
+    ``render``, ``write`` or ``write_file`` from the FASTQ module (a
+    bare name would escape the first rule), and ``fastq.write_file(``
+    is called only in ``sanctioned`` functions.  ``to_fastq`` (and so
+    ``sage decompress`` and ``sage salvage``), pooled workers, ``sage
+    cat --block`` and a ``sage serve`` miss all reach the renderer
+    through that one decode; ``genomics/fastq.py`` is the renderer
+    itself."""
     if not where.startswith("src/repro/") \
             or where == "src/repro/genomics/fastq.py":
         return []
@@ -839,19 +842,20 @@ def fastq_rendered_once(source, where,
                 if isinstance(func, FUNCTIONS) and func.name == "decode_block"
                 and where == "src/repro/pipeline/executor.py"
                 for node in ast.walk(func)}
-    offenders = [f"{where}:{node.lineno} fastq.write( outside "
+    offenders = [f"{where}:{node.lineno} fastq.{node.func.attr}( outside "
                  f"executor.decode_block"
                  for node in ast.walk(tree)
                  if isinstance(node, ast.Call)
-                 and getattr(node.func, "attr", None) == "write"
+                 and getattr(node.func, "attr", None) in ("render", "write")
                  and getattr(node.func.value, "id", None) == "fastq"
                  and id(node) not in renderer]
     offenders += [f"{where}:{node.lineno} imports fastq.{name}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)
                   and (node.module or "").endswith("fastq")
-                  for name in sorted({"write", "write_file"}.intersection(
-                      alias.name for alias in node.names))]
+                  for name in sorted({"render", "write", "write_file"}
+                                     .intersection(alias.name
+                                                   for alias in node.names))]
 
     def walk(node, site):
         for child in ast.iter_child_nodes(node):
@@ -1563,9 +1567,10 @@ class TestOptionsThreadingEdges:
         builds it and every stage up to the sink consumes it: the
         decode, transport and serve layers never construct a
         ``Read``, ``format_read`` is nobody's inner loop, and
-        ``fastq.write`` is the one function that turns base codes into
-        FASTQ text.  The way in obeys the same contract: the FASTQ
-        parser fills the columns a block at a time and has no
+        ``fastq.render`` is the one function that turns base codes into
+        FASTQ bytes (``fastq.write`` decodes what it returns).  The
+        way in obeys the same contract: the FASTQ parser fills the
+        columns a block at a time and has no
         per-record ``Read.from_text`` path (``blocks_held_as_columns``).
         At the sink the block is still its columns:
         ``blocks_consumed_as_columns`` above."""
@@ -1615,7 +1620,7 @@ class TestOptionsThreadingEdges:
                      for node in trees[src / "genomics/fastq.py"].body
                      if isinstance(node, ast.FunctionDef)
                      and calls(node, "to_ascii")]
-        assert renderers == ["write"]
+        assert renderers == ["render"]
 
         # The sink side of the same contract (PR 22): built-in
         # consumers take the columns, map a block at a time on the
@@ -2137,13 +2142,30 @@ class TestOptionsThreadingEdges:
                 ("""\
                  def _decode_task(task):
                      return fastq.write(reads, base)
+                 """, "src/repro/pipeline/executor.py"),
+                ("""\
+                 def _render_block(dataset, index, selection, fmt):
+                     reads = dataset.decode_block(index, select=selection)
+                     return fastq.render(reads, 0)
+                 """, "src/repro/serve/server.py"),
+                ("out.write(fastq.render(dataset.decode_block(i), base))\n",
+                 "src/repro/cli.py"),
+                ("from ..genomics.fastq import render\n",
+                 "src/repro/serve/server.py"),
+                ("from ..genomics.fastq import FastqError, render\n",
+                 "src/repro/pipeline/executor.py"),
+                ("""\
+                 def _decode_task(task):
+                     return fastq.render(reads, base)
                  """, "src/repro/pipeline/executor.py")):
             assert on_snippet(fastq_rendered_once, violating,
                               where) != [], violating
-        assert on_snippet(fastq_rendered_once, """\
-            def decode_block(decoder, index, select, render, columns):
-                return fastq.write(reads, base) if render else None
-            """, "src/repro/pipeline/executor.py") == []
+        for sanctioned in ("fastq.render(reads, base)",
+                           "fastq.write(reads, base).encode('ascii')"):
+            assert on_snippet(fastq_rendered_once, f"""\
+                def decode_block(decoder, index, select, render, columns):
+                    return {sanctioned} if render else None
+                """, "src/repro/pipeline/executor.py") == [], sanctioned
         # Rendering a whole read set to a file is the same fork; the
         # allow-list is exact, so an entry cannot outlive its call.
         unsanctioned = on_tree(

@@ -141,14 +141,14 @@ class TestEndpoints:
     def test_a_hit_renders_nothing(self, server, client, monkeypatch):
         """A block is rendered once, at its miss: later ``/block`` hits
         and ``/reads`` ranges inside it are cut from the cached bytes."""
-        render = fastq.write
+        render = fastq.render
         calls = []
 
         def counted(*args):
             calls.append(args)
             return render(*args)
 
-        monkeypatch.setattr(fastq, "write", counted)
+        monkeypatch.setattr(fastq, "render", counted)
         client.post_json("/cache/clear", {})
         first = client.get_text("/block/1")
         assert len(calls) == 1
