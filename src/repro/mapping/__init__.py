@@ -1,7 +1,8 @@
 """Read mapping substrate: k-mer index, alignment, seed-chain-extend.
 
 A block's mappings are columns from the traceback on: ``(kind,
-read_pos, length)`` op columns from ``alignment.trace_ops``, one
+read_pos, length)`` op columns from ``alignment.trace_ops`` /
+``trace_lanes``, one
 ``mapper.Placed`` part per kernel stage, and one ``MappedBlock`` table
 per ``map_batch`` call.
 """

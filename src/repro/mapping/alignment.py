@@ -20,17 +20,25 @@ bases only, deletion consumes consensus bases only.
 All three run one unit-cost recurrence in bit-vector form (Myers'
 algorithm in Hyyro's formulation; GenASM, Senol Cali, makes the same
 move in hardware): a DP row is two words, its +1 and -1 column steps
-(:func:`row_step`), and :func:`trace_ops` — the one traceback — walks
-those words back.  The scalar aligners hold a row in Python ints
-(:func:`dp_rows`); the batch mapper runs many rows side by side in
-``uint64`` lanes through the same :func:`row_step`.  :func:`dp_last_rows`
-is the batch mapper's flank check, which needs costs only.
+(:func:`row_step`), and a traceback walks those words back by one rule.
+There are two walks, and only two: :func:`trace_ops` walks one job
+whose rows are Python ints (:func:`dp_rows`; the scalar aligners, and
+the batch mapper's jobs wider than 64 columns), and
+:func:`trace_lanes` steps a chunk of one-word jobs forward side by side
+in ``uint64`` lanes through the same :func:`row_step` and walks them
+all back at once, one cell per numpy step, into one
+:class:`SolvedJobs` table.  A ``suffix_free`` job ends at the first
+minimum of its last row: :func:`first_minimum` walks a Python-int
+row's words a byte at a time, and the lanes take theirs from their
+words' unpacked steps.  :func:`dp_last_rows` is the batch mapper's
+flank check, which needs costs only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -51,6 +59,38 @@ class AlignmentResult:
     cost: int                 # edit distance (unit costs)
     cons_used_start: int      # first consensus offset consumed (window-rel)
     cons_used_end: int        # one past the last consensus offset consumed
+
+
+class SolvedJobs(NamedTuple):
+    """Solved alignments as one table of columns: per job its ``cost``,
+    the consensus span it used (``cons_used_start`` /
+    ``cons_used_end``) and its ops ``op_lo`` .. ``op_lo + n_ops``; per
+    op ``kind``, ``read_pos`` and ``length``, as in
+    :class:`AlignmentResult`.  A job's ops are contiguous and in read
+    order; the jobs' op ranges may lie in any order."""
+
+    cost: np.ndarray
+    cons_used_start: np.ndarray
+    cons_used_end: np.ndarray
+    op_lo: np.ndarray
+    n_ops: np.ndarray
+    kind: np.ndarray
+    read_pos: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def of(cls, results: list[AlignmentResult]) -> "SolvedJobs":
+        """The table of ``results``, job after job."""
+        cost, start, end, n_ops = np.array(
+            [(res.cost, res.cons_used_start, res.cons_used_end,
+              len(res.kind)) for res in results],
+            dtype=np.int64).reshape(-1, 4).T
+        kind, read_pos, length = np.array(
+            [op for res in results
+             for op in zip(res.kind, res.read_pos, res.length)],
+            dtype=np.int64).reshape(-1, 3).T
+        return cls(cost, start, end, np.cumsum(n_ops) - n_ops, n_ops,
+                   kind.astype(np.int8), read_pos, length)
 
 
 def row_dtype(n: int, m: int) -> type:
@@ -160,22 +200,33 @@ def dp_rows(read_seg: np.ndarray, cons_seg: np.ndarray,
     return pos, neg
 
 
-def first_minima(last_pos: list[int], last_neg: list[int],
-                 m: np.ndarray) -> list[int]:
-    """The column of each last row's first minimum (columns 0..m[p] of
-    problem ``p``), from the row's words (no bit at or past ``m[p]``
-    set)."""
-    size = max(1, (int(m.max()) + 7) // 8)
-    pos, neg = (np.unpackbits(np.frombuffer(b"".join(
-        word.to_bytes(size, "little") for word in words), dtype=np.uint8)
-        .reshape(m.size, size), axis=1, bitorder="little")
-        for words in (last_pos, last_neg))
-    dist = np.zeros((m.size, 8 * size + 1), dtype=np.int32)
-    np.cumsum(pos.astype(np.int32) - neg, axis=1, out=dist[:, 1:])
-    dist[np.arange(dist.shape[1])[None, :] > m[:, None]] = \
-        np.iinfo(np.int32).max
-    ends: list[int] = dist.argmin(axis=1).tolist()
-    return ends
+@functools.cache
+def _byte_dip(pos: int, neg: int) -> tuple[int, int, int]:
+    """``(dip, at, step)`` of one byte of a row's words: the lowest
+    prefix sum of its eight column steps, the first column (1..8) that
+    reaches it, and the sum of all eight (at most 3**8 byte pairs, as
+    the words share no bit)."""
+    run, dip, at = 0, 9, 0
+    for c in range(8):
+        run += (pos >> c & 1) - (neg >> c & 1)
+        if run < dip:
+            dip, at = run, c + 1
+    return dip, at, run
+
+
+def first_minimum(pos: int, neg: int, m: int) -> int:
+    """The column of the first minimum of a DP row (columns 0..m), from
+    its words as Python ints (no bit at or past ``m`` set), walked a
+    byte at a time."""
+    size = (m + 7) // 8
+    best = low = end = 0         # distances relative to column 0's
+    for b, (p, q) in enumerate(zip(pos.to_bytes(size, "little"),
+                                   neg.to_bytes(size, "little"))):
+        dip, at, step = _byte_dip(p, q)
+        if low + dip < best:
+            best, end = low + dip, 8 * b + at
+        low += step
+    return end
 
 
 def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
@@ -261,6 +312,166 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
     return (kinds[::-1], at[::-1], lengths[::-1]), j, cost
 
 
+#: ``_MASKS[c]``: a row word's low ``c`` bits set (c = 0..64).
+_MASKS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)
+
+
+def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
+                m: np.ndarray, free_start: np.ndarray,
+                free_end: np.ndarray) -> SolvedJobs:
+    """Align a chunk of one-word lanes: their rows stepped forward
+    together, then walked back together; returns their alignments,
+    lane after lane, equal to what :func:`dp_rows`, :func:`trace_ops`
+    and the aligners' end columns give one job at a time.
+
+    Lane ``r`` has ``n[r]`` read bases (``n`` descending) and a window
+    of ``m[r]`` <= 64 columns, ``cons[r, :m[r]]`` (``cons`` is 64
+    columns wide); its rows 0..n[r] are stored from ``start[r] =
+    sum(n[:r] + 1)`` on, and the read base of its row ``i`` is
+    ``reads[start[r] + i]``.  ``free_start`` / ``free_end`` mark the
+    ``prefix_free`` / ``suffix_free`` lanes.  The lanes still stepping
+    at row ``i`` are the first ``active[i]``; each stores two words per
+    row (:func:`row_step`), all the walk reads.
+
+    A ``suffix_free`` lane ends at the first minimum of its last row
+    (prefix sums of the row's unpacked column steps), any other in its
+    last column, and costs that cell's distance.  Each numpy step then
+    moves every live lane back one cell by :func:`trace_ops`'s rule and
+    tie-breaks, until its row or column is 0.  Every mismatch move
+    lowers the distance by 1, so a lane makes ``cost`` less its tail's
+    length of them; each is written, as its row and whether it is an
+    insertion or a deletion, into the lane's own ``cost`` slots from
+    the top down, which leaves them in read order, and the tail (column
+    0's insertion, or row 0's deletion when the start is not free) into
+    the slot below.  Runs of insertions / deletions then become one op
+    each.
+    """
+    k = n.size
+    start = np.cumsum(n + 1) - (n + 1)
+    # Lane r's eq word for base code c is eq[r * n_codes + c].
+    n_codes = int(reads.max(initial=0)) + 1
+    eq = np.packbits(cons[:, None, :]
+                     == np.arange(n_codes, dtype=np.uint8)[None, :, None],
+                     axis=2, bitorder="little").view("<u8").reshape(-1)
+    eq_at = np.arange(k, dtype=np.int64) * n_codes
+    active = np.searchsorted(-n, -np.arange(int(n[0]) + 1), side="right")
+    pos = np.empty(reads.size, dtype=np.uint64)
+    neg = np.empty(reads.size, dtype=np.uint64)
+    p = np.where(free_start, np.uint64(0), ~np.uint64(0))   # D[0][j]: 0, j
+    q = np.zeros(k, dtype=np.uint64)
+    pos[start], neg[start] = p, q
+    for i in range(1, active.size):
+        a = int(active[i])
+        at = start[:a] + i
+        p, q = row_step(p[:a], q[:a], eq[eq_at[:a] + reads[at]])
+        pos[at], neg[at] = p, q
+    del eq
+
+    last = start + n
+    inside = _MASKS[m]
+    last_pos, last_neg = pos[last] & inside, neg[last] & inside
+    end_j = m.copy()
+    if free_end.any():
+        steps = np.unpackbits(
+            np.stack([last_pos[free_end], last_neg[free_end]])
+            .astype("<u8").view(np.uint8).reshape(2, -1, 8),
+            axis=2, bitorder="little").astype(np.int8)
+        dist = np.zeros((steps.shape[1], _MASKS.size), dtype=np.int8)
+        np.cumsum(steps[0] - steps[1], axis=1, out=dist[:, 1:])
+        end_j[free_end] = dist.argmin(axis=1)
+    below = _MASKS[end_j]
+    cost = n + (np.bitwise_count(last_pos & below).astype(np.int64)
+                - np.bitwise_count(last_neg & below))
+
+    # Lane r's slots are top[r] - cost[r] .. top[r]; ``at`` holds the
+    # index of row i - 1 after each move, at least -1 (-2: an unused
+    # slot).
+    top = np.cumsum(cost)
+    at = np.full(int(top[-1]), -2,
+                 dtype=np.int32 if reads.size < 1 << 31 else np.int64)
+    is_ins = np.zeros(at.size, dtype=bool)
+    is_del = np.zeros(at.size, dtype=bool)
+    # Where each walk ends, (i, j); a walked lane's is kept as its row
+    # index and j - 1 until the walk is over.
+    i_end, j_end = n.copy(), end_j.copy()
+    walked = lane = np.flatnonzero((n > 0) & (end_j > 0))
+    # Per live lane: the index of its row i - 1 and of its row 0, its
+    # column j - 1 and that column's index in ``cons``, dist - i + 1
+    # (within -63..65, kept modulo 256 as are the popcount differences
+    # it is compared with) and its next free slot, plus one.
+    row, base, col = last[lane] - 1, start[lane], end_j[lane] - 1
+    cpos = lane * cons.shape[1] + col
+    e = (cost - n + 1)[lane].astype(np.uint8)
+    slot = top[lane]
+    read_of_row = reads[1:]
+    window = cons.reshape(-1)
+    while lane.size:
+        mism = read_of_row[row] != window[cpos]
+        above_neg, above_pos = neg[row], pos[row]
+        below = _MASKS[col]
+        up = (above_neg & (below + 1)) != 0
+        left = (np.bitwise_count(above_pos & below)
+                - np.bitwise_count(above_neg & below)) == e
+        ins = mism & up
+        dele = mism & (left > up)
+        takes_read, takes_cons = ~dele, ~ins
+        row -= takes_read
+        col -= takes_cons
+        cpos -= takes_cons
+        e += takes_read
+        e -= mism
+        ev = np.flatnonzero(mism)
+        slot -= mism
+        w = slot[ev]
+        at[w] = row[ev]
+        is_ins[w] = ins[ev]
+        is_del[w] = dele[ev]
+        alive = (row >= base) & (col >= 0)
+        if not alive.all():
+            dead = ~alive
+            gone = lane[dead]
+            i_end[gone] = row[dead]
+            j_end[gone] = col[dead]
+            lane, row, base, col, cpos, e, slot = (
+                x[alive] for x in (lane, row, base, col, cpos, e, slot))
+    i_end[walked] -= start[walked] - 1
+    j_end[walked] += 1
+
+    del pos, neg
+
+    # The tails: a walk ends in column 0 with read bases left, or in
+    # row 0 (or, never walked, with an empty read or window).  Neither
+    # extends the op next to it: the move that ended the walk consumed
+    # what the tail does not.
+    tail = np.where(j_end == 0, i_end, np.where(free_start, 0, j_end))
+    has = np.flatnonzero(tail)
+    t = (top - cost + tail - 1)[has]
+    at[t] = start[has] - 1                  # read position 0, below
+    used = np.flatnonzero(at > -2)
+    owner = np.searchsorted(top, used, side="right")
+    at = at[used] - (start - 1)[owner]
+    kind = np.full(used.size, SUB, dtype=np.int8)
+    kind[is_ins[used]] = INS
+    kind[is_del[used]] = DEL
+    t = np.searchsorted(used, t)
+    kind[t] = np.where(j_end == 0, INS, DEL)[has]
+    length = np.ones(used.size, dtype=np.int64)
+    length[t] = tail[has]
+    # An insertion extends the run before it when it sits one base
+    # past it, a deletion when it sits at the same base.
+    joins = np.zeros(used.size, dtype=bool)
+    joins[1:] = ((owner[1:] == owner[:-1]) & (kind[1:] == kind[:-1])
+                 & (kind[1:] != SUB)
+                 & (at[1:] - at[:-1] == (kind[1:] == INS)))
+    first = np.flatnonzero(~joins)
+    n_ops = np.bincount(owner[first], minlength=k)
+    return SolvedJobs(cost, np.where(free_start, j_end, 0), end_j,
+                      np.cumsum(n_ops) - n_ops, n_ops, kind[first],
+                      at[first],
+                      np.add.reduceat(length, first) if first.size
+                      else length)
+
+
 def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
            free_end: bool) -> AlignmentResult:
     """One alignment: the DP rows, its end column, and the traceback."""
@@ -268,8 +479,7 @@ def _align(read_seg: np.ndarray, cons_seg: np.ndarray, free_start: bool,
     cons_seg = np.asarray(cons_seg, dtype=np.uint8)
     n, m = read_seg.size, cons_seg.size
     pos, neg = dp_rows(read_seg, cons_seg, free_start)
-    end_j = first_minima([pos[n]], [neg[n]], np.array([m]))[0] \
-        if free_end else m
+    end_j = first_minimum(pos[n], neg[n], m) if free_end else m
     ops, start_j, cost = trace_ops(read_seg, cons_seg, pos, neg, n, end_j,
                                    free_start)
     return AlignmentResult(*ops, cost, start_j, end_j)

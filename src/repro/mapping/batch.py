@@ -38,14 +38,17 @@ reads:
    a diagonal change needs one), collecting the block's gap, head and
    tail alignments into one job list.  :func:`solve_extension_jobs`
    solves it in bit-vector form (GenASM's argument, Senol Cali: a DP
-   row is a few word operations, issued over many windows at once):
-   each job whose consensus window fits 64 bits is one ``uint64`` lane,
-   the lanes advance together one numpy row step per read base, and
-   each lane keeps two words per row (its +1 and -1 column steps), all
-   its traceback needs; a wider job runs the same recurrence on Python
-   ints.  Each job is traced back from its own row words into op
-   columns, and ``ReadMapper._assemble`` copies them, shifted, into the
-   reads' columns and holds the reads to the clip and unmapped rules.
+   row and a traceback step are a few word operations, issued over
+   many windows at once): each job whose consensus window fits 64 bits
+   is one ``uint64`` lane, the lanes of a chunk advance together one
+   numpy row step per read base, each keeping two words per row (its +1
+   and -1 column steps), and are walked back together one cell per
+   numpy step over those words (``alignment.trace_lanes``).  A job
+   wider than 64 columns (4 % of a long-read block's) is solved as the
+   scalar aligners solve it, on Python-int rows.  The solved jobs leave
+   as one table of op columns, and ``ReadMapper._assemble`` copies the
+   kept pieces' ops, shifted, into the reads' columns in one gather and
+   holds the reads to the clip and unmapped rules.
 
 Every stage writes the reads it maps straight into columns (a
 :class:`~repro.mapping.mapper.Placed` part each), and the parts become
@@ -67,8 +70,9 @@ by the scalar mapper alike.  For everything else there is nothing to
 prove: stage 4 is ``ReadMapper._extend`` itself, and
 :class:`BatchReadMapper` overrides only its job solver, which runs the
 scalar aligners' own recurrence (``alignment.row_step``, in lanes) and
-their own traceback (``alignment.trace_ops``) over each job's row words
-— so archives are byte-identical between
+their own traceback rule and tie-breaks (``alignment.trace_ops``, one
+job at a time, or ``alignment.trace_lanes``, a chunk of lanes at once)
+over each job's row words — so archives are byte-identical between
 ``SAGeConfig(mapper_kernel="python")`` and ``mapper_kernel="numpy"``.
 """
 
@@ -80,8 +84,8 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .alignment import (SUB, AlignmentResult, dp_last_rows, dp_rows,
-                        first_minima, row_step, trace_ops)
+from .alignment import (SUB, SolvedJobs, _align, dp_last_rows,
+                        trace_lanes)
 from .kmer_index import KmerIndex
 from .mapper import (AlignmentJob, MappedBlock, MapperConfig, Placed,
                      ReadMapper, block_columns)
@@ -215,35 +219,30 @@ def _substitution_reads(rows, reverse, cons_start, read_start, read_end,
 # ----------------------------------------------------------------------
 
 def solve_extension_jobs(jobs: list[AlignmentJob],
-                         stats: MapperStats) -> list[AlignmentResult]:
+                         stats: MapperStats) -> SolvedJobs:
     """Every job's ``global`` / ``prefix_free`` / ``suffix_free_align``
-    result, from the aligners' own bit-vector recurrence
-    (:func:`~repro.mapping.alignment.row_step`) and traceback
-    (:func:`~repro.mapping.alignment.trace_ops`).
+    result, as one table, from the aligners' own bit-vector recurrence
+    (:func:`~repro.mapping.alignment.row_step`) and traceback rule.
 
     A job whose consensus window fits one ``uint64`` word is a lane:
     lanes sorted by read length advance together, one numpy row step
     per read base, in chunks whose stored row words stay within
-    ``_LANE_CHUNK_BYTES`` (a chunk holds at least one lane).  A wider
-    job runs the same recurrence on Python ints
-    (:func:`~repro.mapping.alignment.dp_rows`), one job at a time.
-    Each job is traced from its own rows as Python ints, converted when
-    it is traced — so costs, tracebacks and results are the scalar
-    aligners' exactly.
+    ``_LANE_CHUNK_BYTES`` (a chunk holds at least one lane), and each
+    chunk is walked back at once
+    (:func:`~repro.mapping.alignment.trace_lanes`).  A wider job is
+    solved as the scalar aligners solve it
+    (:func:`~repro.mapping.alignment._align`), one job at a time.
     """
-    results: list[AlignmentResult | None] = [None] * len(jobs)
-    if not jobs:
-        return results  # type: ignore[return-value]
     n = np.array([job.read_seg.size for job in jobs], dtype=np.int64)
     m = np.array([job.cons_seg.size for job in jobs], dtype=np.int64)
     stats.extension_jobs += len(jobs)
     stats.extension_cells += int((n * m).sum())
 
-    for j in np.flatnonzero(m > _LANE_BITS).tolist():
-        rows = dp_rows(jobs[j].read_seg, jobs[j].cons_seg,
-                       jobs[j].flavour == "prefix_free")
-        _store_results([jobs[j]], [j], m[[j]], [rows[0][-1]], [rows[1][-1]],
-                       lambda _: rows, results)
+    wide = np.flatnonzero(m > _LANE_BITS)
+    parts = [(wide, SolvedJobs.of([
+        _align(jobs[j].read_seg, jobs[j].cons_seg,
+               jobs[j].flavour == "prefix_free",
+               jobs[j].flavour == "suffix_free") for j in wide.tolist()]))]
     lanes = np.flatnonzero(m <= _LANE_BITS)
     lanes = lanes[np.argsort(-n[lanes], kind="stable")]
     # Greedy chunks: a chunk takes lanes while their row words (two
@@ -255,84 +254,42 @@ def solve_extension_jobs(jobs: list[AlignmentJob],
         hi = max(lo + 1, int(np.searchsorted(
             after, after[lo] - words[lo] + _LANE_CHUNK_BYTES, side="right")))
         which = lanes[lo:hi]
-        _solve_lanes([jobs[j] for j in which.tolist()], which, n[which],
-                     m[which], results)
+        parts.append((which, _solve_lanes([jobs[j] for j in which.tolist()],
+                                          which, n[which], m[which])))
         lo = hi
-    return results  # type: ignore[return-value]
+    # One table: each part's per-job columns put at its jobs, its op
+    # ranges shifted past the ops of the parts before it.
+    per_job, per_op = SolvedJobs._fields[:5], SolvedJobs._fields[5:]
+    columns = {name: np.zeros(len(jobs), dtype=np.int64) for name in per_job}
+    shift = 0
+    for which, part in parts:
+        for name in per_job:
+            columns[name][which] = getattr(part, name)
+        columns["op_lo"][which] += shift
+        shift += part.kind.size
+    return SolvedJobs(**columns, **{
+        name: np.concatenate([getattr(part, name) for _, part in parts])
+        for name in per_op})
 
 
 def _solve_lanes(jobs: list[AlignmentJob], which: np.ndarray, n: np.ndarray,
-                 m: np.ndarray, results: list) -> None:
-    """Solve one chunk of lanes into ``results`` (``which`` their job
-    indices, ``n`` their read lengths, descending, ``m`` their window
-    widths, at most 64).
-
-    Lane ``r`` stores its rows 0..n[r] from ``start[r]`` on, and the
-    read base of its row ``i`` sits at ``start[r] + i`` of ``reads``;
-    the lanes still stepping at row ``i`` are the first ``active[i]``.
-    """
+                 m: np.ndarray) -> SolvedJobs:
+    """Solve one chunk of lanes (``which`` their job indices, ``n`` their
+    read lengths, descending, ``m`` their window widths, at most 64):
+    their table, lane after lane, laid out as
+    :func:`~repro.mapping.alignment.trace_lanes` takes them."""
     k = len(jobs)
     start = np.zeros(k, dtype=np.int64)
     np.cumsum(n[:-1] + 1, out=start[1:])
-    size = int(start[-1] + n[-1] + 1)
-    reads = np.zeros(size, dtype=np.uint8)
+    reads = np.zeros(int(start[-1] + n[-1] + 1), dtype=np.uint8)
     reads[run_index(start + 1, n)] = np.concatenate(
         [job.read_seg for job in jobs])
     cons_rows = np.full((k, _LANE_BITS), _CONS_PAD, dtype=np.uint8)
     cons_rows.reshape(-1)[run_index(np.arange(k) * _LANE_BITS, m)] = \
         np.concatenate([job.cons_seg for job in jobs])
-    # Lane r's eq word for base code c is eq[r * n_codes + c].
-    n_codes = int(reads.max(initial=0)) + 1
-    eq = np.packbits(cons_rows[:, None, :]
-                     == np.arange(n_codes, dtype=np.uint8)[None, :, None],
-                     axis=2, bitorder="little").view("<u8").reshape(-1)
-    eq_at = np.arange(k, dtype=np.int64) * n_codes
-    active = np.searchsorted(-n, -np.arange(int(n[0]) + 1), side="right")
-
-    ones = ~np.uint64(0)
-    pos_rows = np.empty(size, dtype=np.uint64)
-    neg_rows = np.empty(size, dtype=np.uint64)
-    pos = np.where([job.flavour == "prefix_free" for job in jobs],
-                   np.uint64(0), ones)          # D[0][j] = 0, or j
-    neg = np.zeros(k, dtype=np.uint64)
-    pos_rows[start], neg_rows[start] = pos, neg
-    for i in range(1, active.size):
-        a = int(active[i])
-        at = start[:a] + i
-        pos, neg = row_step(pos[:a], neg[:a], eq[eq_at[:a] + reads[at]])
-        pos_rows[at], neg_rows[at] = pos, neg
-
-    last = start + n
-    inside = ones >> (_LANE_BITS - m).astype(np.uint64)   # 0 when m = 0
-    bounds = np.stack([start, last + 1], axis=1).tolist()
-    _store_results(jobs, which.tolist(), m,
-                   (pos_rows[last] & inside).tolist(),
-                   (neg_rows[last] & inside).tolist(),
-                   lambda r: (pos_rows[slice(*bounds[r])].tolist(),
-                              neg_rows[slice(*bounds[r])].tolist()),
-                   results)
-
-
-def _store_results(jobs: list[AlignmentJob], which: list[int],
-                   m: np.ndarray, last_pos: list[int], last_neg: list[int],
-                   rows, results: list) -> None:
-    """Store each job's result at ``results[which[r]]``: it ends in its
-    last column or, ``suffix_free``, at the first minimum of its last
-    row (words ``last_pos[r]`` / ``last_neg[r]``), and is traced from
-    ``rows(r)``, its ``(pos, neg)`` row words as Python ints."""
-    end_j = m.tolist()
-    free = [r for r, job in enumerate(jobs) if job.flavour == "suffix_free"]
-    if free:
-        for r, end in zip(free, first_minima([last_pos[r] for r in free],
-                                             [last_neg[r] for r in free],
-                                             m[free])):
-            end_j[r] = end
-    for r, job in enumerate(jobs):
-        pos, neg = rows(r)
-        ops, start_j, cost = trace_ops(job.read_seg, job.cons_seg, pos, neg,
-                                       job.read_seg.size, end_j[r],
-                                       job.flavour == "prefix_free")
-        results[which[r]] = AlignmentResult(*ops, cost, start_j, end_j[r])
+    flavour = np.array([job.flavour for job in jobs])
+    return trace_lanes(reads, cons_rows, n, m, flavour == "prefix_free",
+                       flavour == "suffix_free")
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +459,7 @@ class BatchReadMapper(ReadMapper):
                             a_rpos[open_], a_cons[open_])
         return part._replace(rows=rows[part.rows])
 
-    def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
+    def _solve_jobs(self, jobs: list[AlignmentJob]) -> SolvedJobs:
         """The batched solver (the one thing this kernel overrides of
         the chain/segment logic in :mod:`repro.mapping.mapper`)."""
         return solve_extension_jobs(jobs, GLOBAL_STATS)

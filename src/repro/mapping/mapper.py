@@ -28,7 +28,7 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .alignment import (DEL, INS, SUB, AlignmentResult, global_align,
+from .alignment import (DEL, INS, SUB, SolvedJobs, global_align,
                         prefix_free_align, suffix_free_align)
 from .kmer_index import KmerIndex
 
@@ -311,13 +311,14 @@ class ReadMapper:
         return self._assemble(plans, self._solve_jobs(jobs), lengths,
                               reverse)
 
-    def _solve_jobs(self, jobs: list[AlignmentJob]) -> list[AlignmentResult]:
+    def _solve_jobs(self, jobs: list[AlignmentJob]) -> SolvedJobs:
         """Solve extension jobs one at a time (the reference solver, and
-        the only caller of the scalar aligners)."""
+        the only caller of the scalar aligners), into one table."""
         aligners = {"global": global_align, "prefix_free": prefix_free_align,
                     "suffix_free": suffix_free_align}
-        return [aligners[job.flavour](job.read_seg, job.cons_seg)
-                for job in jobs]
+        return SolvedJobs.of([aligners[job.flavour](job.read_seg,
+                                                    job.cons_seg)
+                              for job in jobs])
 
     def _plan_block(self, oriented: np.ndarray, starts: np.ndarray,
                     lengths: np.ndarray, a_row: np.ndarray,
@@ -663,107 +664,112 @@ class ReadMapper:
     # ------------------------------------------------------------------
 
     def _assemble(self, plans: list[list[_SegmentPlan] | None],
-                  solved: list[AlignmentResult], lengths: np.ndarray,
+                  solved: SolvedJobs, lengths: np.ndarray,
                   reverse: np.ndarray) -> Placed:
         """The rows of ``plans`` that map (row ``i`` is ``lengths[i]``
-        bases, oriented ``reverse[i]``), written from the results of
-        their jobs (``solved``, same indexing) into one part.
+        bases, oriented ``reverse[i]``), written from their jobs' table
+        (``solved``, same job indexing) into one part.
 
         The clip rule is applied to every segment's head and tail at
         once: a first segment's head or a last one's tail that is a soft
         clip is left out, and its segment starts at its first anchor or
         ends past its last.  Every other piece (the head, the gaps in
         chain order, the tail: read order) costs its alignment, and the
-        unmapped rule is applied to the rows' costs at once.  A row is
-        also left out without a plan, or when a piece's first op would
-        sit left of its segment's start or a segment left of the
-        consensus.  Only then are the mapped rows' pieces copied into
-        the op columns, each position shifted from piece to segment
-        coordinates; the results are not changed.
+        unmapped rule is applied to the rows' costs at once; a row
+        without a plan is left out.  The mapped rows' pieces are then
+        copied into the op columns in one gather, each position shifted
+        from piece to segment coordinates.
+
+        No piece starts left of its segment and no segment left of the
+        consensus, by construction: a segment starts at or before its
+        first anchor (at the previous chain's span end or later, which
+        does not overlap it) and its gaps and tail start past that
+        anchor, or at its head; and it is placed at an anchor or inside
+        a head window clamped at 0 (``_flank_windows``).
         """
         segs = [seg for plan in plans if plan for seg in plan]
         if not segs:
             return _NONE_PLACED
+        job_cost = solved.cost.tolist()
+        used_start = solved.cons_used_start.tolist()
+        op_lo, n_ops = solved.op_lo.tolist(), solved.n_ops.tolist()
         # Per segment, (head, tail): the length and alignment cost of a
         # flank that may be a soft clip (a first segment's head, a last
         # one's tail), else 0 and 0, which is no clip.
         n, cost = np.array([
             (seg.head.size if seg.is_first else 0,
              seg.tail.size if seg.is_last else 0,
-             solved[seg.head_job].cost
+             job_cost[seg.head_job]
              if seg.is_first and seg.head_job is not None else 0,
-             solved[seg.tail_job].cost
+             job_cost[seg.tail_job]
              if seg.is_last and seg.tail_job is not None else 0)
             for seg in segs], dtype=np.int64).T.reshape(2, 2, -1)
         clips = iter(self._soft_clipped(n, cost).T.tolist())
 
         # Each row's segments as (start, end, consensus start, pieces),
-        # its cost and clip lengths, and whether it stays placed.
-        planned, row_cost, clip_s, clip_e, placed = [], [], [], [], []
+        # a piece ``(read start, first op, ops)`` in the job ops
+        # followed by the equal-length gaps' substitutions; its cost and
+        # clip lengths.
+        subs: list[int] = []
+        n_job_ops = solved.kind.size
+        planned, row_cost, clip_s, clip_e = [], [], [], []
         for plan in plans:
             segments, total, head_clip, tail_clip = [], 0, 0, 0
-            ok = plan is not None
             for seg in plan or ():
                 clip_h, clip_t = next(clips)
                 lo, hi = seg.seg_lo, seg.seg_hi
-                cons_start, pieces = seg.a0_cons, []
+                cons_start, jobs = seg.a0_cons, []
                 if clip_h:
                     lo, head_clip = seg.a0_read, seg.head.size
                 elif seg.head_job is not None:
-                    cons_start = seg.head_win_lo \
-                        + solved[seg.head_job].cons_used_start
-                    pieces.append((seg.seg_lo, seg.head_job))
-                pieces += seg.gaps
+                    cons_start = seg.head_win_lo + used_start[seg.head_job]
+                    jobs.append((seg.seg_lo, seg.head_job))
+                jobs += seg.gaps
                 if clip_t:
                     hi, tail_clip = seg.tail_read, seg.tail.size
                 elif seg.tail_job is not None:
-                    pieces.append((seg.tail_read, seg.tail_job))
-                for at, piece in pieces:
+                    jobs.append((seg.tail_read, seg.tail_job))
+                pieces = []
+                for at, piece in jobs:
                     if isinstance(piece, int):
-                        total += solved[piece].cost
-                        piece = solved[piece].read_pos
-                    else:
+                        total += job_cost[piece]
+                        pieces.append((at, op_lo[piece], n_ops[piece]))
+                    else:               # substitution positions
                         total += len(piece)
-                    ok &= not piece or piece[0] + at - lo >= 0
-                ok &= cons_start >= 0
+                        pieces.append((at, n_job_ops + len(subs),
+                                       len(piece)))
+                        subs += piece
                 segments.append((lo, hi, cons_start, pieces))
             planned.append(segments)
             row_cost.append(total)
             clip_s.append(head_clip)
             clip_e.append(tail_clip)
-            placed.append(ok)
-        per_row = np.array([row_cost, clip_s, clip_e, placed,
+        per_row = np.array([row_cost, clip_s, clip_e,
                             [len(segments) for segments in planned]],
                            dtype=np.int64)
-        rows = np.flatnonzero((per_row[3] == 1) & ~self._unmapped(
-            per_row[0], lengths, per_row[1], per_row[2]))
-        row_cost, clip_s, clip_e, _, n_segments = per_row[:, rows]
+        rows = np.flatnonzero(np.array([plan is not None for plan in plans])
+                              & ~self._unmapped(per_row[0], lengths,
+                                                per_row[1], per_row[2]))
+        row_cost, clip_s, clip_e, n_segments = per_row[:, rows]
 
-        # The mapped rows' columns: every kept piece's ops copied, each
-        # position shifted into its segment's coordinates.
-        kind: list[int] = []
-        read_pos: list[int] = []
-        length: list[int] = []
-        seg_columns = []
+        # The mapped rows' pieces, gathered from the ops at once.
+        seg_columns, piece_columns = [], []
         for row in rows.tolist():
             for lo, hi, cons_start, pieces in planned[row]:
-                before = len(kind)
-                for at, piece in pieces:
-                    if isinstance(piece, int):
-                        res = solved[piece]
-                        kinds, positions, lens = (res.kind, res.read_pos,
-                                                  res.length)
-                    else:               # substitution positions
-                        kinds, positions, lens = ([SUB] * len(piece), piece,
-                                                  [1] * len(piece))
-                    kind += kinds
-                    read_pos += [p + at - lo for p in positions]
-                    length += lens
-                seg_columns.append((cons_start, lo, hi, len(kind) - before))
-        cons_start, lo, hi, n_ops = np.array(
+                seg_columns.append((cons_start, lo, hi,
+                                    sum(count for _, _, count in pieces)))
+                piece_columns += [(first, count, at - lo)
+                                  for at, first, count in pieces]
+        cons_start, lo, hi, seg_ops = np.array(
             seg_columns, dtype=np.int64).reshape(-1, 4).T
+        first, count, shift = np.array(
+            piece_columns, dtype=np.int64).reshape(-1, 3).T
+        kind, read_pos, length = np.concatenate(
+            [np.stack([solved.kind, solved.read_pos, solved.length]),
+             np.array([[SUB] * len(subs), subs, [1] * len(subs)],
+                      dtype=np.int64).reshape(3, -1)],
+            axis=1)[:, run_index(first, count)]
+        read_pos += np.repeat(shift, count)
         return Placed(rows, reverse[rows], row_cost, clip_s, clip_e,
-                      n_segments, cons_start, lo, hi, n_ops,
-                      np.array(kind, dtype=np.int8),
-                      np.array(read_pos, dtype=np.int64),
-                      np.array(length, dtype=np.int64))
+                      n_segments, cons_start, lo, hi, seg_ops,
+                      kind.astype(np.int8), read_pos, length)

@@ -411,6 +411,20 @@ def edit_ops(read_seg, kind, read_pos, length):
             for k, p, n in zip(kind, read_pos, length)]
 
 
+def solved_results(solved):
+    """Per job of a solved-jobs table (``alignment.SolvedJobs``), its
+    row as an :class:`~repro.mapping.alignment.AlignmentResult`."""
+    kinds, positions, lengths = (solved.kind.tolist(),
+                                 solved.read_pos.tolist(),
+                                 solved.length.tolist())
+    return [alignment.AlignmentResult(kinds[lo:lo + n], positions[lo:lo + n],
+                                      lengths[lo:lo + n], cost, start, end)
+            for cost, start, end, lo, n in zip(
+                solved.cost.tolist(), solved.cons_used_start.tolist(),
+                solved.cons_used_end.tolist(), solved.op_lo.tolist(),
+                solved.n_ops.tolist())]
+
+
 def map_one(mapper, codes):
     """The :class:`MappingResult` of one read: a one-read ``map_batch``
     table, as a record."""

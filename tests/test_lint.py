@@ -1066,21 +1066,27 @@ def extension_stated_once(source, where):
     return offenders
 
 
+#: The two walks back through the DP, both in ``mapping/alignment.py``:
+#: one job's (the scalar aligners' and the wide jobs'), and a chunk of
+#: one-word lanes' (the batch mapper's).
+_WALKS = ("trace_ops", "trace_lanes")
+
+
 def traced_once(source, where):
-    """``alignment.trace_ops`` is the one traceback under ``src/``: no
-    other function is named for one, and an insertion or deletion op
-    only comes out of a walk back through the DP — outside
-    ``trace_ops``, the ``INS`` / ``DEL`` kind numbers are only compared
-    with (an operand of a comparison, or an item of a tuple, list or set
-    that is one), never written into a kind column.  ``dp_last_rows``,
-    which gives stage 3 its costs, takes no ``cube`` of distances for a
-    walk, in its definition or at a call."""
+    """``alignment.trace_ops`` and ``alignment.trace_lanes`` are the two
+    tracebacks under ``src/``: no other function is named for one, and
+    an insertion or deletion op only comes out of a walk back through
+    the DP — outside those two, the ``INS`` / ``DEL`` kind numbers are
+    only compared with (an operand of a comparison, or an item of a
+    tuple, list or set that is one), never written into a kind column.
+    ``dp_last_rows``, which gives stage 3 its costs, takes no ``cube``
+    of distances for a walk, in its definition or at a call."""
     if not where.startswith("src/repro/"):
         return []
     tree = ast.parse(source)
     in_trace_ops = {
         id(node) for func in ast.walk(tree)
-        if isinstance(func, FUNCTIONS) and func.name == "trace_ops"
+        if isinstance(func, FUNCTIONS) and func.name in _WALKS
         and where == "src/repro/mapping/alignment.py"
         for node in ast.walk(func)}
     offenders = [
@@ -1096,7 +1102,7 @@ def traced_once(source, where):
                     compared.update(map(id, operand.elts))
     offenders += [
         f"{where}:{node.lineno} writes the {name} kind outside "
-        f"alignment.trace_ops"
+        f"alignment's two walks"
         for node in ast.walk(tree) if isinstance(node, (ast.Name,
                                                          ast.Attribute))
         and isinstance(node.ctx, ast.Load)
@@ -1989,10 +1995,25 @@ class TestOptionsThreadingEdges:
 
 
     def test_traced_once(self):
-        """``alignment.trace_ops`` is the only traceback in ``src/`` and
-        ``dp_last_rows`` takes no ``cube`` (``traced_once``)."""
+        """``alignment.trace_ops`` and ``alignment.trace_lanes`` are the
+        only tracebacks in ``src/`` and ``dp_last_rows`` takes no
+        ``cube`` (``traced_once``)."""
         assert on_tree(traced_once, "src") == []
         for violating, where in (
+                # A third walk, beside the lanes' one.
+                ("""\
+                 def trace_wide_lanes(words, n, m, free_start):
+                     kind = np.where(up, INS, np.where(left, DEL, SUB))
+                     return kind, n, m
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 def trace_lanes(reads, cons, n, m, free_start, free_end):
+                     return np.full(n.size, DEL, dtype=np.int8)
+                 """, "src/repro/mapping/batch.py"),
+                ("""\
+                 def trace_blocks(rows, n, m):
+                     return rows
+                 """, "src/repro/mapping/alignment.py"),
                 # A second walk: named for one, or emitting indels.
                 ("""\
                  def _trace_bucket(cube, width, jobs):
@@ -2041,6 +2062,11 @@ class TestOptionsThreadingEdges:
         assert on_snippet(traced_once, "def trace_ops(read, cons):\n"
                           "    kinds.append(DEL)\n",
                           "src/repro/mapping/alignment.py") == []
+        assert on_snippet(traced_once, """\
+            def trace_lanes(reads, cons, n, m, free_start, free_end):
+                kind[t] = np.where(j_end == 0, INS, DEL)[has]
+                return kind
+            """, "src/repro/mapping/alignment.py") == []
 
     def test_hardware_decodes_once(self):
         """The hardware model decodes each block once, on the session's

@@ -1,17 +1,18 @@
 """Unit tests for repro.mapping.alignment."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.genomics import sequence as seq
-from repro.mapping import alignment
+from repro.mapping import alignment, batch
 from repro.mapping.alignment import (DEL, INS, SUB, global_align,
                                      prefix_free_align, suffix_free_align)
 from repro.mapping.batch import MapperStats, solve_extension_jobs
 from repro.mapping.mapper import AlignmentJob
 
-from tests.conftest import EditOp, apply_ops, edit_ops
+from tests.conftest import EditOp, apply_ops, edit_ops, solved_results
 
 
 def enc(text):
@@ -257,10 +258,11 @@ def _key(ops, cost, start, end):
 
 @st.composite
 def segment_pair(draw):
-    """Two segments over a 2-letter (tie-heavy) or 4-letter alphabet:
-    unrelated, or the read an edited copy of the consensus; either may
-    be empty.  Windows range past the 64 columns of one row word."""
-    alphabet = draw(st.sampled_from(["AC", "ACGT"]))
+    """Two segments over a 2-letter (tie-heavy), 4-letter or 5-letter
+    (``N`` equals only ``N``) alphabet: unrelated, or the read an edited
+    copy of the consensus; either may be empty.  Windows range past the
+    64 columns of one row word."""
+    alphabet = draw(st.sampled_from(["AC", "ACGT", "ACGTN"]))
     cons = draw(st.text(alphabet=alphabet, max_size=140))
     if draw(st.booleans()):
         return draw(st.text(alphabet=alphabet, max_size=140)), cons
@@ -316,7 +318,67 @@ class TestTracebackOracle:
             jobs.append(AlignmentJob(read[:read.size // 2], cons, flavour))
             want.append(_key(*oracle_align(read[:read.size // 2], cons,
                                            flavour)))
-        got = solve_extension_jobs(jobs, MapperStats())
+        got = solved_results(solve_extension_jobs(jobs, MapperStats()))
+        assert [_key(ops_of(job.read_seg, r), r.cost, r.cons_used_start,
+                     r.cons_used_end) for job, r in zip(jobs, got)] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(segment_pair(), min_size=1, max_size=10),
+           one_lane_chunks=st.booleans())
+    def test_lane_walk_equals_backpointer_oracle(self, pairs,
+                                                 one_lane_chunks):
+        """Sibling lanes of many lengths share a chunk (they stop
+        stepping, and stop walking, at different steps), or each lane
+        is a chunk of its own (``_LANE_CHUNK_BYTES = 1``)."""
+        self._assert_lanes_equal_oracle(pairs, one_lane_chunks)
+
+    # Each case runs in all three flavours, alone and beside the others.
+    _EDGES = [
+        ("ACGT", ""), ("", ""),                       # m = 0
+        ("ACGT", "G"), ("G", "T"),                    # m = 1
+        ("", "ACGT"), ("", "ACGT" * 16),              # n = 0
+        ("ACGTTACG" * 7 + "AGTCA", "ACGTACGA" * 7 + "CGTACGT"),   # m = 63
+        ("ACGTTACG" * 8, "ACGTACGA" * 8),             # m = 64
+        ("AC" * 45, "CA" * 32),                       # n > m = 64
+        ("ANNGTNCA", "ACNGTTNA"), ("NNNN", "NANN"),   # N on both sides
+        ("AC", "AGC"), ("AC" * 20, "CA" * 32),        # first-minimum ties
+        ("CA" * 40, "AC" * 32),
+        ("TTTTACGT", "ACGT"), ("GGACGTAC", "CGTAC"),  # INS run to column 0
+        ("ACGT", "TTTTACGT"), ("ACGTA", "GGTACGTA"),  # DEL run to row 0
+    ]
+
+    @pytest.mark.parametrize("one_lane_chunks", [False, True])
+    @pytest.mark.parametrize("case", range(len(_EDGES)))
+    def test_lane_walk_edges(self, case, one_lane_chunks):
+        self._assert_lanes_equal_oracle([self._EDGES[case]],
+                                        one_lane_chunks)
+
+    @pytest.mark.parametrize("one_lane_chunks", [False, True])
+    def test_lane_walk_edges_as_siblings(self, one_lane_chunks):
+        self._assert_lanes_equal_oracle(self._EDGES, one_lane_chunks)
+
+    def test_lane_walk_ends_runs_at_the_table_edges(self):
+        """The column-0 insertion and the row-0 deletion, as the lane
+        walk writes them: the walk matches its way to column 0 (row 0)
+        and the read bases (window bases) left are one op."""
+        jobs = [AlignmentJob(enc("TTTTACGT"), enc("ACGT"), "global"),
+                AlignmentJob(enc("ACGT"), enc("TTTTACGT"), "global")]
+        got = solved_results(solve_extension_jobs(jobs, MapperStats()))
+        assert [(r.kind, r.read_pos, r.length) for r in got] \
+            == [([INS], [0], [4]), ([DEL], [0], [4])]
+
+    @staticmethod
+    def _assert_lanes_equal_oracle(pairs, one_lane_chunks):
+        jobs, want = [], []
+        for read, cons in pairs:
+            read, cons = enc(read), enc(cons)
+            for flavour in _FLAVOURS:
+                jobs.append(AlignmentJob(read, cons, flavour))
+                want.append(_key(*oracle_align(read, cons, flavour)))
+        with pytest.MonkeyPatch.context() as patch:
+            if one_lane_chunks:
+                patch.setattr(batch, "_LANE_CHUNK_BYTES", 1)
+            got = solved_results(solve_extension_jobs(jobs, MapperStats()))
         assert [_key(ops_of(job.read_seg, r), r.cost, r.cons_used_start,
                      r.cons_used_end) for job, r in zip(jobs, got)] == want
 

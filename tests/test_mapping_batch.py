@@ -43,7 +43,7 @@ from repro.mapping.mapper import (AlignmentJob, MapperConfig, ReadMapper,
 
 from tests.conftest import (assert_same_report, chunked, map_one,
                             mapping_results, pileup_oracle, property_oracle,
-                            quality_access_oracle)
+                            quality_access_oracle, solved_results)
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +575,7 @@ class TestBatchedExtension:
                 patch.setattr(batch, "_LANE_CHUNK_BYTES", 1)
             stats = MapperStats()
             got = solve_extension_jobs(jobs, stats)
-        assert [_alignment_key(res) for res in got] == want
+        assert [_alignment_key(res) for res in solved_results(got)] == want
         lanes = sum(job.cons_seg.size <= batch._LANE_BITS for job in jobs)
         assert sum(chunks) == lanes
         if one_job_chunks:
@@ -613,10 +613,26 @@ class TestBatchedExtension:
         finally:
             tracemalloc.stop()
         cap = batch._LANE_CHUNK_BYTES
-        assert len(results) == len(jobs)
+        assert results.cost.size == len(jobs)
         assert sum(stored) > 2 * cap            # the cap is what splits
         assert max(stored) <= cap
         assert peak - held < 1.5 * cap, (peak - held) / cap
+
+    def test_only_wide_jobs_are_traced_one_at_a_time(self, monkeypatch):
+        """Every job of at most 64 columns is traced in lanes: during
+        the solve, ``trace_ops`` and ``dp_rows`` run once per wider job
+        and for nothing else."""
+        jobs = _fuzz_jobs(np.random.default_rng(5), 200)
+        calls = {"trace_ops": 0, "dp_rows": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(alignment, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(alignment, name, counted)
+        solve_extension_jobs(jobs, MapperStats())
+        wide = sum(job.cons_seg.size > batch._LANE_BITS for job in jobs)
+        assert 0 < wide < len(jobs)
+        assert calls == {"trace_ops": wide, "dp_rows": wide}
 
     def test_pad_codes_are_no_base(self):
         codes = set(range(seqmod.N_CODE + 1))

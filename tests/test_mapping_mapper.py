@@ -297,7 +297,7 @@ class TestSegmentAssembly:
         before = copy.deepcopy(solved)
         part = mapper._assemble([[plan]], solved, np.array([read.size]),
                                 np.array([False]))
-        assert solved == before
+        assert all(map(np.array_equal, solved, before))
         if part.rows.size == 0:
             return None
         return mapping_results(MappedBlock.assemble(
@@ -322,21 +322,48 @@ class TestSegmentAssembly:
             apply_ops(window, segment.ops, segment.length),
             read[seg_lo:])
 
-    def test_edit_left_of_segment_start_rejects_the_read(self, case):
-        mapper, _, read, chain = case
-        # seg_lo past the gap's deletion: its local position is negative.
-        plan, _, solved = self._build(mapper, read, chain, 35, 60)
-        assert self._assembled(mapper, read, plan, solved) is None
+    @settings(max_examples=100, deadline=None)
+    @given(block=st.deferred(lambda: anchored_block()))
+    def test_planned_pieces_start_inside_their_segment(self, block):
+        """No planned piece starts left of its segment, and no segment
+        left of the consensus, so ``_assemble`` checks neither: a
+        segment starts at or before its first anchor (at the previous
+        chain's span end or later, which it does not overlap), its gaps
+        and tail start past that anchor's k-mer, and it is placed at an
+        anchor or in a head window clamped at 0.  (A hand-built plan
+        with the start past the first anchor, or an anchor left of the
+        consensus, is no plan the planner makes.)"""
+        cfg, cons, reads, hits = block
+        mapper = ReadMapper(cons, cfg)
+        jobs = []
+        codes, offsets, plans = _plan_block_of(mapper, reads, hits, jobs)
+        for plan in plans:
+            for seg in plan or ():
+                assert 0 <= seg.seg_lo <= seg.a0_read
+                assert seg.a0_cons >= 0 and seg.head_win_lo >= 0
+                assert all(at >= seg.a0_read + cfg.k for at, _ in seg.gaps)
+                assert seg.tail_read >= seg.a0_read + cfg.k
+        part = mapper._assemble(plans, mapper._solve_jobs(jobs),
+                                np.diff(offsets), np.zeros(len(reads), bool))
+        table = MappedBlock.assemble(codes, offsets, [part])
+        assert (table.read_pos >= 0).all()
+        assert (table.read_pos
+                <= (table.read_end - table.read_start)[table.op_seg]).all()
+        assert (table.cons_start >= 0).all()
 
-    def test_placement_left_of_consensus_rejects_the_read(self, case):
+    def test_head_window_clamped_at_the_consensus_start(self, case):
+        """A chain whose first anchor sits 4 bases into the consensus,
+        under a 10-base head: the head aligns in ``consensus[0:4]``
+        (where it costs enough to be a soft clip) and the read is placed
+        at its anchor, inside the consensus."""
         mapper, _, read, _ = case
-        for cons_pos, placed in ((4, True), (-4, False)):
-            plan, jobs, solved = self._build(mapper, read, [(10, cons_pos)],
-                                             10, 25)
-            assert jobs == []
-            mapping = self._assembled(mapper, read, plan, solved)
-            assert (mapping is not None) == placed
-        assert mapping is None
+        plan, jobs, solved = self._build(mapper, read, [(10, 4)], 0, 25)
+        assert [(job.flavour, job.cons_seg.size) for job in jobs] \
+            == [("prefix_free", 4)]
+        assert plan.head_win_lo == 0
+        mapping = self._assembled(mapper, read, plan, solved)
+        assert mapping.clip_start.size == 10
+        assert mapping.segments[0].cons_start == 4
 
 
 # ----------------------------------------------------------------------
@@ -462,17 +489,23 @@ def _jobs_key(jobs):
             for job in jobs]
 
 
-def _plan_both(mapper, reads, hits):
-    """Plans and jobs of a block of reads: the block planner's, and the
-    oracle's read after read."""
+def _plan_block_of(mapper, reads, hits, jobs):
+    """``(codes, offsets, plans)``: a block of reads, with anchors
+    ``hits``, as the block planner plans it (appending to ``jobs``)."""
     codes, offsets = block_columns(reads)
     rows = np.repeat(np.arange(len(reads)), [len(h) for h in hits])
     cat = (np.concatenate([getattr(h, f) for h in hits])
            if hits else np.empty(0, dtype=np.int64)
            for f in ("read_pos", "cons_pos"))
+    return codes, offsets, mapper._plan_block(
+        codes, offsets[:-1], np.diff(offsets), rows, *cat, jobs)
+
+
+def _plan_both(mapper, reads, hits):
+    """Plans and jobs of a block of reads: the block planner's, and the
+    oracle's read after read."""
     jobs = []
-    got = mapper._plan_block(codes, offsets[:-1], np.diff(offsets), rows,
-                             *cat, jobs)
+    _, _, got = _plan_block_of(mapper, reads, hits, jobs)
     want_jobs = []
     want = [oracle_plan_read(mapper, read, h, want_jobs) if len(h) else None
             for read, h in zip(reads, hits)]
