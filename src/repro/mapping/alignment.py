@@ -379,6 +379,7 @@ def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
         dist = np.zeros((steps.shape[1], _MASKS.size), dtype=np.int8)
         np.cumsum(steps[0] - steps[1], axis=1, out=dist[:, 1:])
         end_j[free_end] = dist.argmin(axis=1)
+        del steps, dist
     below = _MASKS[end_j]
     cost = n + (np.bitwise_count(last_pos & below).astype(np.int64)
                 - np.bitwise_count(last_neg & below))

@@ -287,9 +287,9 @@ def _solve_lanes(jobs: list[AlignmentJob], which: np.ndarray, n: np.ndarray,
     cons_rows = np.full((k, _LANE_BITS), _CONS_PAD, dtype=np.uint8)
     cons_rows.reshape(-1)[run_index(np.arange(k) * _LANE_BITS, m)] = \
         np.concatenate([job.cons_seg for job in jobs])
-    flavour = np.array([job.flavour for job in jobs])
-    return trace_lanes(reads, cons_rows, n, m, flavour == "prefix_free",
-                       flavour == "suffix_free")
+    free_start, free_end = (np.array([job.flavour == flavour for job in jobs])
+                            for flavour in ("prefix_free", "suffix_free"))
+    return trace_lanes(reads, cons_rows, n, m, free_start, free_end)
 
 
 # ----------------------------------------------------------------------

@@ -590,7 +590,7 @@ class TestBatchedExtension:
         store two 8-byte words per DP row of each lane; no chunk of
         lanes stores more than ``_LANE_CHUNK_BYTES`` of them, and what
         the solve holds beyond its results stays near one chunk's
-        words (1.26x the cap here; 3.3x were they one chunk)."""
+        words (1.37x the cap here; 3.3x were they one chunk)."""
         rng = np.random.default_rng(7)
         jobs = []
         for n in rng.integers(60, 91, 4000).tolist():
