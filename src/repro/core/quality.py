@@ -111,7 +111,8 @@ def _lane_split(block: np.ndarray, lane: int,
     (context 0 at lane position 0), and each sub-stream lists its scores
     column-major: lane position first, then lane index.  Built on a
     padded ``uint8`` (lanes, ``lane``) grid, whose padding belongs to
-    no sub-stream.
+    no sub-stream, with one stable sort of the column-major scores by
+    context: the sub-streams are its runs.
     """
     lane = min(lane, block.size)
     grid = np.zeros((-(-block.size // lane), lane), dtype=np.uint8)
@@ -119,8 +120,10 @@ def _lane_split(block: np.ndarray, lane: int,
     ctx = np.zeros_like(grid)
     ctx[:, 1:] = grid[:, :-1] // _bucket_width(max_score)
     ctx.reshape(-1)[block.size:] = CONTEXT_BUCKETS
-    scores, ctx = grid.T.ravel(), ctx.T.ravel()
-    return [scores[ctx == c] for c in range(CONTEXT_BUCKETS)]
+    ctx = ctx.T.ravel()
+    grouped = grid.T.ravel()[np.argsort(ctx, kind="stable")]
+    ends = np.cumsum(np.bincount(ctx, minlength=CONTEXT_BUCKETS))
+    return np.split(grouped, ends[:CONTEXT_BUCKETS])[:CONTEXT_BUCKETS]
 
 
 def _write_substream(writer: BitWriter, sub: np.ndarray,

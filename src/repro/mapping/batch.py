@@ -365,13 +365,10 @@ class BatchReadMapper(ReadMapper):
         sel_rev = use_rev[sel_read]
         ch_lo = np.where(sel_rev, lo[sel_total:], lo[:sel_total])
         ch_cnt = np.where(sel_rev, rev_counts, fwd_counts).astype(np.int64)
-        total_anchors = int(ch_cnt.sum())
-        if total_anchors == 0:
+        if not ch_cnt.any():
             return []
         a_sel = np.repeat(np.arange(sel_total, dtype=np.int64), ch_cnt)
-        slot = (np.arange(total_anchors, dtype=np.int64)
-                - np.repeat(np.cumsum(ch_cnt) - ch_cnt, ch_cnt))
-        a_cons = index.positions[ch_lo[a_sel] + slot]
+        a_cons = index.hit_positions(ch_lo, ch_cnt)
         a_read = sel_read[a_sel]
         a_rpos = sel_local[a_sel]
         diagonal = a_cons - a_rpos

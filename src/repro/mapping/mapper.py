@@ -30,7 +30,7 @@ from ..genomics import sequence as seq
 from ..genomics.reads import run_index
 from .alignment import (DEL, INS, SUB, SolvedJobs, global_align,
                         prefix_free_align, suffix_free_align)
-from .kmer_index import KmerIndex
+from .kmer_index import MAX_K, KmerIndex
 
 
 class AlignmentJob(NamedTuple):
@@ -228,6 +228,11 @@ class MapperConfig:
     clip_cost_fraction: float = 0.45  # head/tail cost ratio that means clip
     unmapped_cost_fraction: float = 0.40  # whole-read cost ratio => unmapped
     end_slack: int = 24             # extra consensus window at segment ends
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= MAX_K:
+            raise ValueError(f"MapperConfig(k={self.k}): the k-mer index "
+                             f"holds k = 1..{MAX_K}")
 
 
 class ReadMapper:

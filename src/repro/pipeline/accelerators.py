@@ -18,6 +18,10 @@ from ..genomics import sequence as seq
 from ..genomics.reads import ReadSet, run_index
 from ..hardware.energy import ANALYSIS_ACC, PowerSpec
 from ..mapping.kmer_index import KmerIndex
+from ..mapping.mapper import MapperConfig
+
+#: GenStore-EM's k: a read shorter than this is never filtered.
+EXACT_MATCH_MIN_LENGTH = 31
 
 #: GEM short-read mapping throughput (Fig. 1: 69,200 KReads/s at ~100 bp).
 GEM_SHORT_READS_PER_S = 69_200e3
@@ -91,28 +95,29 @@ class ISFModel:
         return 1.0 - self.filter_fraction
 
 
-def measure_filter_fraction(read_set: ReadSet, reference: np.ndarray,
-                            k: int = 31) -> float:
+def measure_filter_fraction(read_set: ReadSet,
+                            reference: np.ndarray) -> float:
     """Functional GenStore-EM filter: exact full-length matches.
 
     A read is filtered when it (or its reverse complement) occurs verbatim
-    in the reference; a read shorter than ``k`` or holding an ``N`` never
-    is.  Seeding mirrors GenStore's in-flash exact-match scan, over the
-    block's columns in one pass: the first k-mer of every read and of its
-    reverse complement is resolved in one index query (at most 64
-    reference positions each), and every candidate window is verified
-    base for base with one gather.
+    in the reference; a read shorter than :data:`EXACT_MATCH_MIN_LENGTH`
+    or holding an ``N`` never is.  Over the block's columns in one pass:
+    the first k-mer of every read and of its reverse complement is
+    resolved in one query of the mapper's k-mer index, every occurrence
+    is a candidate, and every candidate window is verified base for base
+    with one gather.
     """
     n = len(read_set)
     if n == 0:
         return 0.0
     reference = np.asarray(reference, dtype=np.uint8)
-    index = KmerIndex(reference, k=k, max_occurrences=64)
+    k = MapperConfig().k
+    index = KmerIndex(reference, k=k)
     codes, offsets = read_set.codes, read_set.offsets
     lengths = read_set.read_lengths()
     has_n = np.bincount(np.searchsorted(offsets, np.flatnonzero(
         codes == seq.N_CODE), "right") - 1, minlength=n) > 0
-    rows = np.flatnonzero((lengths >= k) & ~has_n)
+    rows = np.flatnonzero((lengths >= EXACT_MATCH_MIN_LENGTH) & ~has_n)
     # Both strands as one column: behind the forward bases, their
     # reverse complement holds read i's from 2 * total - offsets[i + 1].
     strands = np.concatenate([codes, seq.reverse_complement(codes)])
@@ -120,9 +125,8 @@ def measure_filter_fraction(read_set: ReadSet, reference: np.ndarray,
                              2 * codes.size - offsets[rows + 1]])
     span = np.tile(lengths[rows], 2)
     lo, counts = index.query_ranges(seq.kmer_codes(strands, k)[starts])
-    counts = np.minimum(counts, index.max_occurrences)
     query = np.repeat(np.arange(starts.size), counts)
-    at = index.positions[run_index(lo, counts)]
+    at = index.hit_positions(lo, counts)
     fits = at + span[query] <= reference.size
     query, at = query[fits], at[fits]
     mismatched = reference[run_index(at, span[query])] \

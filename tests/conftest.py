@@ -22,7 +22,6 @@ from repro.genomics.reads import PHRED_OFFSET, PLACEHOLDER_SCORE, Read, ReadSet
 from repro.genomics.simulator import (QualityModel, ReadSimulator,
                                       short_read_profile)
 from repro.mapping import DEFAULT_MAPPER, alignment, make_mapper
-from repro.mapping.kmer_index import KmerIndex
 
 #: Every optional container section switched on and off — the sweep of
 #: the ``sections_nbytes(archive) == len(to_bytes())`` tests.
@@ -646,21 +645,55 @@ def assert_same_report(got, want):
             assert other == value, name
 
 
-def filter_fraction_oracle(read_set, reference, k=31):
-    """``measure_filter_fraction`` one read at a time: one k-mer lookup
-    per strand, then each candidate window compared in turn."""
+def filter_fraction_oracle(read_set, reference, min_length=31):
+    """``measure_filter_fraction`` one read at a time, stated without an
+    index: a read of at least ``min_length`` bases and no ``N`` is
+    filtered when its codes, or their reverse complement, occur
+    verbatim in the reference."""
     if len(read_set) == 0:
         return 0.0
-    reference = np.asarray(reference, dtype=np.uint8)
-    index = KmerIndex(reference, k=k, max_occurrences=64)
+    genome = np.asarray(reference, dtype=np.uint8).tobytes()
 
     def exact(codes):
-        if codes.size < k or seq.contains_n(codes):
-            return False
-        return any(int(at) + codes.size <= reference.size
-                   and np.array_equal(
-                       reference[int(at):int(at) + codes.size], codes)
-                   for at in index.lookup(codes[:k]).cons_pos)
+        return codes.size >= min_length and not seq.contains_n(codes) \
+            and genome.find(codes.tobytes()) >= 0
 
     return sum(exact(codes) or exact(seq.reverse_complement(codes))
                for codes in read_set.read_codes()) / len(read_set)
+
+
+@dataclass
+class ReferenceKmerIndex:
+    """The k-mer index as it was first built: a stable argsort of the
+    valid k-mer values, their positions gathered in that order, and
+    every query answered by two binary searches.  The oracle for
+    :class:`~repro.mapping.kmer_index.KmerIndex`'s columns and
+    answers."""
+
+    values: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def build(cls, consensus, k):
+        kmers = seq.kmer_codes(np.asarray(consensus, dtype=np.uint8), k)
+        valid = np.flatnonzero(kmers != np.uint64(1) << np.uint64(2 * k))
+        order = np.argsort(kmers[valid], kind="stable")
+        return cls(kmers[valid][order], valid[order])
+
+    def query_ranges(self, queries):
+        """(first slot, uncapped count) per query; a count of 0 for
+        every value absent, whatever its slot."""
+        queries = np.asarray(queries, dtype=np.uint64)
+        lo = np.searchsorted(self.values, queries, "left")
+        return lo, np.searchsorted(self.values, queries, "right") - lo
+
+    def lookup(self, read_codes, k, stride, max_occurrences):
+        """(read positions, consensus positions) of ``KmerIndex.lookup``."""
+        kmers = seq.kmer_codes(read_codes, k)[::stride]
+        lo, counts = self.query_ranges(kmers)
+        counts = np.minimum(counts, max_occurrences)
+        slots = [np.arange(a, a + c) for a, c in zip(lo, counts)]
+        cons_pos = self.positions[np.concatenate(slots)] if slots \
+            else np.empty(0, dtype=np.int64)
+        return (np.repeat(np.arange(kmers.size) * stride, counts),
+                cons_pos.astype(np.int64))

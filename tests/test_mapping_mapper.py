@@ -16,7 +16,8 @@ from repro.mapping.kmer_index import AnchorHits, KmerIndex
 from repro.mapping.mapper import (AlignmentJob, MappedBlock, _SegmentPlan,
                                   block_columns)
 
-from tests.conftest import apply_ops, map_one, mapping_results, reconstruct
+from tests.conftest import (ReferenceKmerIndex, apply_ops, map_one,
+                            mapping_results, reconstruct)
 
 
 class TestKmerIndex:
@@ -70,28 +71,11 @@ def _crowded_consensus(rng):
                            make_reference(1_500, rng)])
 
 
-def _lookup_oracle(index, read, stride):
-    """``KmerIndex.lookup`` as two binary searches over the sorted
-    values: the rule the bucket table replaced."""
-    kmers = seq.kmer_codes(read, index.k)
-    read_pos = np.arange(kmers.size)[::stride]
-    kmers = kmers[::stride]
-    keep = kmers != np.uint64(1) << np.uint64(2 * index.k)
-    kmers, read_pos = kmers[keep], read_pos[keep]
-    lo = np.searchsorted(index.values, kmers, "left")
-    hi = np.searchsorted(index.values, kmers, "right")
-    counts = np.minimum(hi - lo, index.max_occurrences)
-    slots = [np.arange(a, a + c) for a, c in zip(lo, counts)]
-    cons_pos = index.positions[np.concatenate(slots)] if slots \
-        else np.empty(0, dtype=np.int64)
-    return np.repeat(read_pos, counts), cons_pos
-
-
 class TestBucketTable:
     """K-mer resolution is a table lookup plus a bounded advance; its
     oracle is ``np.searchsorted`` on the same sorted values."""
 
-    @pytest.mark.parametrize("k", [8, 15, 31])
+    @pytest.mark.parametrize("k", [8, 15, 16])
     @pytest.mark.parametrize("crowded", [False, True],
                              ids=["random", "poly-a"])
     def test_query_ranges_equals_searchsorted(self, k, crowded):
@@ -113,36 +97,37 @@ class TestBucketTable:
         assert np.array_equal(counts, right - left)
         assert not counts[queries >= sentinel].any()
         assert np.array_equal(lo[counts > 0], left[counts > 0])
-        if crowded and k <= 15:
+        if crowded:
             assert counts.max() > index.max_occurrences
 
     def test_advance_falls_back_to_binary_search(self):
-        """More distinct values ahead of a query in its bucket than the
-        advance has rounds: still exact."""
+        """More slots ahead of a query in its bucket than the probes
+        read: still exact."""
         from repro.mapping import kmer_index
         rng = np.random.default_rng(5)
         index = KmerIndex(_crowded_consensus(rng), k=15)
         values = np.unique(index.values)
         crowd = values[values < 64]     # the A-run tails, one bucket
-        assert crowd.size > 2 * kmer_index._ADVANCE_ROUNDS
+        assert crowd.size > kmer_index._MAX_PROBES
         lo, counts = index.query_ranges(crowd)
         assert np.array_equal(
             lo, np.searchsorted(index.values, crowd, "left"))
         assert (counts > 0).all()
 
-    @pytest.mark.parametrize("k", [8, 15, 31])
+    @pytest.mark.parametrize("k", [8, 15, 16])
     @pytest.mark.parametrize("stride", [1, 2, 4])
     def test_lookup_is_unchanged_anchor_for_anchor(self, k, stride):
         rng = np.random.default_rng(stride)
         cons = _crowded_consensus(rng)
         index = KmerIndex(cons, k=k, max_occurrences=16)
+        oracle = ReferenceKmerIndex.build(cons, k)
         reads = [cons[1_400:1_560], cons[2_050:2_200].copy(),
                  seq.random_sequence(90, rng), cons[:k - 1],
                  np.empty(0, dtype=np.uint8)]
         reads[1][[7, 60]] = seq.N_CODE
         for read in reads:
             hits = index.lookup(read, stride)
-            read_pos, cons_pos = _lookup_oracle(index, read, stride)
+            read_pos, cons_pos = oracle.lookup(read, k, stride, 16)
             assert np.array_equal(hits.read_pos, read_pos)
             assert np.array_equal(hits.cons_pos, cons_pos)
 
@@ -154,8 +139,144 @@ class TestBucketTable:
         assert not counts.any()
 
     def test_no_dead_state(self):
-        assert not hasattr(KmerIndex(seq.encode("ACGTACGTACGT"), k=4),
-                           "_starts")
+        index = KmerIndex(seq.encode("ACGTACGTACGT"), k=4)
+        assert not hasattr(index, "_starts")
+        assert not hasattr(index, "_ends")
+
+
+def _held_bytes(index):
+    """Bytes the index's own arrays hold (the consensus is the
+    caller's)."""
+    return sum(value.nbytes for value in vars(index).values()
+               if isinstance(value, np.ndarray)
+               and value is not index.consensus)
+
+
+def _assert_like_oracle(index, cons, k, rng):
+    """Columns, ``query_ranges`` and ``lookup`` equal the argsort-built
+    reference index's."""
+    oracle = ReferenceKmerIndex.build(cons, k)
+    assert index.values.dtype == index.positions.dtype == np.uint32
+    assert np.array_equal(index.values, oracle.values)
+    assert np.array_equal(index.positions, oracle.positions)
+    sentinel = 1 << (2 * k)
+    present = oracle.values[rng.integers(0, max(oracle.values.size, 1),
+                                         50)] if oracle.values.size \
+        else np.zeros(0, dtype=np.uint64)
+    queries = np.concatenate([
+        present, present + np.uint64(1), present - np.uint64(1),
+        rng.integers(0, sentinel, 50, dtype=np.uint64),
+        np.array([0, sentinel - 1, sentinel, sentinel + 1,
+                  2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], dtype=np.uint64)])
+    lo, counts = index.query_ranges(queries)
+    want_lo, want_counts = oracle.query_ranges(queries)
+    assert counts.dtype == lo.dtype == np.int64
+    assert np.array_equal(counts, want_counts)
+    assert not counts[queries >= np.uint64(sentinel)].any()
+    assert np.array_equal(lo[counts > 0], want_lo[counts > 0])
+    for read in (cons[:60], cons[len(cons) // 2:], cons[::-1][:40]):
+        for stride in (1, 3):
+            hits = index.lookup(read, stride)
+            read_pos, cons_pos = oracle.lookup(read, k, stride,
+                                               index.max_occurrences)
+            assert hits.cons_pos.dtype == np.int64
+            assert np.array_equal(hits.read_pos, read_pos)
+            assert np.array_equal(hits.cons_pos, cons_pos)
+
+
+@st.composite
+def indexed_consensus(draw):
+    """A consensus of random, repeated and ``N`` stretches, and a k."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "repeat", "run", "n"]))
+        size = draw(st.integers(0, 400))
+        if kind == "random":
+            parts.append(seq.random_sequence(size, rng))
+        elif kind == "repeat":
+            unit = seq.random_sequence(draw(st.integers(1, 9)), rng)
+            parts.append(np.resize(unit, size))
+        else:
+            parts.append(np.full(size, 0 if kind == "run" else seq.N_CODE,
+                                 dtype=np.uint8))
+    cons = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+    return cons, draw(st.integers(1, 16)), rng
+
+
+class TestPackedIndex:
+    """The index built by one packed sort equals the argsort-built
+    reference index in its columns and every answer."""
+
+    @given(indexed_consensus())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_argsort_oracle(self, case):
+        cons, k, rng = case
+        index = KmerIndex(cons, k=k, max_occurrences=8)
+        _assert_like_oracle(index, cons, k, rng)
+
+    @pytest.mark.parametrize("cons, k", [
+        (np.empty(0, dtype=np.uint8), 15),
+        (np.full(50, seq.N_CODE, dtype=np.uint8), 15),
+        (seq.encode("ACGTACGTAC"), 15),
+        (seq.encode("ACGTTTGCAN" * 30), 1),
+        (seq.encode("TTTTTTTTTTTTTTTTTT"), 16),
+        (seq.encode("GATTACAGATTACATTTTTTTTTTTTTTTTTTT"), 16),
+    ], ids=["empty", "all-n", "shorter-than-k", "k1", "k16-poly-t",
+            "k16-mixed"])
+    def test_edges(self, cons, k):
+        index = KmerIndex(cons, k=k)
+        _assert_like_oracle(index, cons, k, np.random.default_rng(k))
+
+    def test_crowded(self):
+        rng = np.random.default_rng(9)
+        cons = _crowded_consensus(rng)
+        index = KmerIndex(cons, k=15, max_occurrences=16)
+        _assert_like_oracle(index, cons, 15, rng)
+        _, counts = index.query_ranges(np.zeros(1, dtype=np.uint64))
+        assert counts[0] > 600 - 15     # the poly-A stretch, uncapped
+
+    def test_k_above_16_is_refused(self):
+        with pytest.raises(ValueError, match="k=17"):
+            KmerIndex(seq.encode("ACGT" * 10), k=17)
+        with pytest.raises(ValueError, match="k=17"):
+            MapperConfig(k=17)
+        with pytest.raises(ValueError, match="k=0"):
+            MapperConfig(k=0)
+
+    def test_consensus_of_2_32_bases_is_refused(self):
+        # A broadcast view: 2**32 bases long, one byte of memory.
+        huge = np.broadcast_to(np.uint8(0), (1 << 32,))
+        before = KmerIndex.build_count
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            KmerIndex(huge)
+        assert KmerIndex.build_count == before
+
+    def test_memory_per_base(self):
+        """Held: values and positions (4 B each) and a bucket table of
+        1-2 entries per k-mer.  Building: one packed word per k-mer
+        and its sort."""
+        import tracemalloc
+        cons = make_reference(400_000, np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            index = KmerIndex(cons)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _held_bytes(index) / cons.size <= 16
+        assert peak / cons.size <= 40
+
+    def test_one_build_per_compress(self, tmp_path):
+        from repro.api import EngineOptions, SAGeDataset
+        from repro.genomics import datasets
+        sim = datasets.generate("RS2", base_genome=4_000, seed=2)
+        before = KmerIndex.build_count
+        SAGeDataset.from_fastq(
+            [sim.read_set.subset(range(0, 60)),
+             sim.read_set.subset(range(60, 120))],
+            reference=sim.reference, options=EngineOptions(block_reads=60))
+        assert KmerIndex.build_count == before + 1
 
 
 class TestMapperExactness:
