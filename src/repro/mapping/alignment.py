@@ -21,17 +21,18 @@ All three run one unit-cost recurrence in bit-vector form (Myers'
 algorithm in Hyyro's formulation; GenASM, Senol Cali, makes the same
 move in hardware): a DP row is two words, its +1 and -1 column steps
 (:func:`row_step`), and a traceback walks those words back by one rule.
-There are two walks, and only two: :func:`trace_ops` walks one job
-whose rows are Python ints (:func:`dp_rows`; the scalar aligners, and
-the batch mapper's jobs wider than 64 columns), and
-:func:`trace_lanes` steps a chunk of one-word jobs forward side by side
-in ``uint64`` lanes through the same :func:`row_step` and walks them
-all back at once, one cell per numpy step, into one
-:class:`SolvedJobs` table.  A ``suffix_free`` job ends at the first
-minimum of its last row: :func:`first_minimum` walks a Python-int
-row's words a byte at a time, and the lanes take theirs from their
-words' unpacked steps.  :func:`dp_last_rows` is the batch mapper's
-flank check, which needs costs only.
+Two functions step rows, and only two: :func:`dp_rows` one job's,
+as Python ints, and :func:`step_lanes` a chunk of one-word jobs' side
+by side in ``uint64`` lanes.  There are two walks, and only two:
+:func:`trace_ops` walks one job (the scalar aligners, and the batch
+mapper's jobs wider than 64 columns), and :func:`trace_lanes` walks a
+stepped chunk of lanes all back at once, one cell per numpy step, into
+one :class:`SolvedJobs` table.  A ``suffix_free`` job ends at the
+first minimum of its last row: :func:`first_minimum` walks a
+Python-int row's words a byte at a time, and :func:`step_lanes` takes
+each lane's from its words' unpacked steps.  The batch mapper's flank
+check (stage 3) needs only each lane's end column and cost, so it
+calls :func:`step_lanes` and walks nothing.
 """
 
 from __future__ import annotations
@@ -91,62 +92,6 @@ class SolvedJobs(NamedTuple):
             dtype=np.int64).reshape(-1, 3).T
         return cls(cost, start, end, np.cumsum(n_ops) - n_ops, n_ops,
                    kind.astype(np.int8), read_pos, length)
-
-
-def row_dtype(n: int, m: int) -> type:
-    """Integer type of the DP rows of an ``n`` x ``m`` problem.
-
-    No cell exceeds ``i + j`` (a path of ``i`` insertions and ``j``
-    deletions reaches it), so ``int16`` holds every row unless
-    ``n + m`` does not fit in it.
-    """
-    return np.int16 if n + m <= np.iinfo(np.int16).max else np.int32
-
-
-def dp_last_rows(read_rows: np.ndarray, read_lens: np.ndarray,
-                 win_rows: np.ndarray,
-                 free_start: bool | np.ndarray) -> np.ndarray:
-    """The unit-cost edit-distance DP over a plane of problems, one numpy
-    row step per DP row of all of them; returns each problem's own last
-    row (row ``read_lens[p]``, exact, one row per problem).
-
-    This is the batch mapper's flank check (stage 3), which needs costs
-    and end columns only; alignments are traced from bit-vector rows
-    (:func:`row_step`).
-    Rows index read positions (0..n), columns consensus positions
-    (0..m); ``free_start`` (one flag, or one per problem) makes leading
-    consensus gaps free (row 0 all zeros).  ``read_rows`` / ``win_rows``
-    are padded 2-D inputs whose padding matches nothing; a cell depends
-    only on cells above and to its left, so padding past a problem's own
-    rectangle never reaches the cells inside it.
-
-    Rows are carried as ``S[i][j] = D[i][j] - j``, which turns the left
-    dependency ``D[i][j] = min(best, D[i][j-1] + 1)`` into a plain prefix
-    minimum over ``min(S[i-1][j-1] - match, S[i-1][j] + 1)``, with
-    ``S[i][0] = i``.
-    """
-    n_prob, n_max = read_rows.shape
-    m_max = win_rows.shape[1]
-    dtype = row_dtype(n_max, m_max)
-    cols = np.arange(m_max + 1, dtype=dtype)
-    prev = np.empty((n_prob, m_max + 1), dtype=dtype)
-    prev[:] = np.where(np.reshape(free_start, (-1, 1)), -cols, 0)
-    last: np.ndarray = prev + cols
-    ends = set(read_lens.tolist())
-    row = np.empty_like(prev)
-    diag = np.empty((n_prob, m_max), dtype=dtype)
-    match = np.empty(diag.shape, dtype=bool)
-    for i in range(1, n_max + 1):
-        np.equal(read_rows[:, i - 1, None], win_rows, out=match)
-        np.subtract(prev[:, :-1], match, out=diag)
-        np.add(prev, 1, out=row)          # up; column 0 becomes i
-        np.minimum(row[:, 1:], diag, out=row[:, 1:])
-        np.minimum.accumulate(row, axis=1, out=row)
-        if i in ends:
-            done = read_lens == i
-            last[done] = row[done] + cols
-        prev, row = row, prev
-    return last
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +261,13 @@ def trace_ops(read_seg: np.ndarray, cons_seg: np.ndarray, pos: list[int],
 _MASKS = np.array([(1 << c) - 1 for c in range(65)], dtype=np.uint64)
 
 
-def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
-                m: np.ndarray, free_start: np.ndarray,
-                free_end: np.ndarray) -> SolvedJobs:
-    """Align a chunk of one-word lanes: their rows stepped forward
-    together, then walked back together; returns their alignments,
-    lane after lane, equal to what :func:`dp_rows`, :func:`trace_ops`
-    and the aligners' end columns give one job at a time.
+def step_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
+               m: np.ndarray, free_start: np.ndarray, free_end: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step a chunk of one-word lanes' rows forward together; returns
+    ``(pos, neg, end_j, cost)``: every row's two words
+    (:func:`row_step`), stored where the row's read base is, and each
+    lane's end column and the distance of its cell there.
 
     Lane ``r`` has ``n[r]`` read bases (``n`` descending) and a window
     of ``m[r]`` <= 64 columns, ``cons[r, :m[r]]`` (``cons`` is 64
@@ -330,21 +275,11 @@ def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
     sum(n[:r] + 1)`` on, and the read base of its row ``i`` is
     ``reads[start[r] + i]``.  ``free_start`` / ``free_end`` mark the
     ``prefix_free`` / ``suffix_free`` lanes.  The lanes still stepping
-    at row ``i`` are the first ``active[i]``; each stores two words per
-    row (:func:`row_step`), all the walk reads.
+    at row ``i`` are the first ``active[i]``.
 
     A ``suffix_free`` lane ends at the first minimum of its last row
     (prefix sums of the row's unpacked column steps), any other in its
-    last column, and costs that cell's distance.  Each numpy step then
-    moves every live lane back one cell by :func:`trace_ops`'s rule and
-    tie-breaks, until its row or column is 0.  Every mismatch move
-    lowers the distance by 1, so a lane makes ``cost`` less its tail's
-    length of them; each is written, as its row and whether it is an
-    insertion or a deletion, into the lane's own ``cost`` slots from
-    the top down, which leaves them in read order, and the tail (column
-    0's insertion, or row 0's deletion when the start is not free) into
-    the slot below.  Runs of insertions / deletions then become one op
-    each.
+    last column.
     """
     k = n.size
     start = np.cumsum(n + 1) - (n + 1)
@@ -365,7 +300,6 @@ def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
         at = start[:a] + i
         p, q = row_step(p[:a], q[:a], eq[eq_at[:a] + reads[at]])
         pos[at], neg[at] = p, q
-    del eq
 
     last = start + n
     inside = _MASKS[m]
@@ -379,10 +313,36 @@ def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
         dist = np.zeros((steps.shape[1], _MASKS.size), dtype=np.int8)
         np.cumsum(steps[0] - steps[1], axis=1, out=dist[:, 1:])
         end_j[free_end] = dist.argmin(axis=1)
-        del steps, dist
     below = _MASKS[end_j]
     cost = n + (np.bitwise_count(last_pos & below).astype(np.int64)
                 - np.bitwise_count(last_neg & below))
+    return pos, neg, end_j, cost
+
+
+def trace_lanes(reads: np.ndarray, cons: np.ndarray, n: np.ndarray,
+                m: np.ndarray, free_start: np.ndarray,
+                free_end: np.ndarray) -> SolvedJobs:
+    """Align a chunk of one-word lanes, laid out as :func:`step_lanes`
+    takes them: their rows stepped forward and their ends found by it,
+    then walked back together; returns their alignments, lane after
+    lane, equal to what :func:`dp_rows`, :func:`trace_ops` and the
+    aligners' end columns give one job at a time.
+
+    Each numpy step moves every live lane back one cell by
+    :func:`trace_ops`'s rule and tie-breaks, until its row or column is
+    0.  Every mismatch move lowers the distance by 1, so a lane makes
+    ``cost`` less its tail's length of them; each is written, as its
+    row and whether it is an insertion or a deletion, into the lane's
+    own ``cost`` slots from the top down, which leaves them in read
+    order, and the tail (column 0's insertion, or row 0's deletion when
+    the start is not free) into the slot below.  Runs of insertions /
+    deletions then become one op each.
+    """
+    pos, neg, end_j, cost = step_lanes(reads, cons, n, m, free_start,
+                                       free_end)
+    k = n.size
+    start = np.cumsum(n + 1) - (n + 1)
+    last = start + n
 
     # Lane r's slots are top[r] - cost[r] .. top[r]; ``at`` holds the
     # index of row i - 1 after each move, at least -1 (-2: an unused

@@ -21,12 +21,15 @@ reads:
    ``N`` is equal, as in the scalar DP).  A read with no mismatch is
    emitted as it stands, with no DP at all.
 3. **Flank verification** — the other candidates' mismatch positions
-   come from the same compare.  One loop over the two flanks (the head
-   before the first anchor, the tail past the last) runs each flank
-   with a mismatch through one batched (candidates × window)
-   edit-distance DP, reproducing the exact
-   ``prefix_free_align``/``suffix_free_align`` optima in place of one
-   scalar alignment per read end.
+   come from the same compare.  Each flank with a mismatch (the head
+   before the first anchor, the tail past the last) whose consensus
+   window fits 64 columns is one ``uint64`` lane, the block's heads and
+   tails in one set, stepped forward on the recurrence stage 4's lanes
+   are traced on (``alignment.step_lanes``, with no walk back); each
+   lane's cost and end column are the exact
+   ``prefix_free_align``/``suffix_free_align`` optima, in place of one
+   scalar alignment per read end.  A flank with a wider window is left
+   to stage 4.
 4. **Batched extension** — every read stages 2–3 could not prove
    (multi-diagonal chains, indel-bearing ends, chimeric candidates:
    > 99 % of a long-read block) goes, in one call, through
@@ -84,8 +87,7 @@ import numpy as np
 
 from ..genomics import sequence as seq
 from ..genomics.reads import run_index
-from .alignment import (SUB, SolvedJobs, _align, dp_last_rows,
-                        trace_lanes)
+from .alignment import SUB, SolvedJobs, _align, step_lanes, trace_lanes
 from .kmer_index import KmerIndex
 from .mapper import (AlignmentJob, MappedBlock, MapperConfig, Placed,
                      ReadMapper, block_columns)
@@ -93,14 +95,8 @@ from .mapper import (AlignmentJob, MappedBlock, MapperConfig, Placed,
 #: The mapper of ``SAGeConfig()`` and of every analysis consumer.
 DEFAULT_MAPPER = "numpy"
 
-#: Heads/tails longer than this go to stage 4 instead of the batched
-#: verification DP.  Each flank's candidates share one padded DP plane:
-#: on flanks this short the plane's row steps cost more than its padded
-#: cells, so splitting them by shape is slower.
-_VERIFY_CAP = 128
-
-#: Widest consensus window an extension job may have to run as a lane
-#: (one ``uint64`` word per row step).
+#: Widest consensus window an extension job or a stage-3 flank may have
+#: to run as a lane (one ``uint64`` word per row step).
 _LANE_BITS = 64
 
 #: Most bytes of row words one chunk of lanes may store (two 8-byte
@@ -108,9 +104,9 @@ _LANE_BITS = 64
 #: chunk is split, down to one lane.
 _LANE_CHUNK_BYTES = 1 << 21
 
-#: Fill past the end of a padded read / consensus row: never equal to
-#: each other or to a base code (``N_CODE`` included).
-_READ_PAD, _CONS_PAD = 255, 254
+#: Fill past the end of a lane's consensus window: never equal to a
+#: base code (``N_CODE`` included).
+_CONS_PAD = 254
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +121,7 @@ class MapperStats:
     batches: int = 0            # map_batch calls
     verified: int = 0           # candidates with a mismatch, sent to stage 3
     fallback: int = 0           # reads left to the scalar chain rules
-    dp_cells: int = 0           # stage-3 DP cells computed, padding included
+    dp_cells: int = 0           # stage-3 lanes' real (n x (m + 1)) DP cells
     extension_jobs: int = 0     # gap/head/tail alignments solved batched
     extension_cells: int = 0    # their real (read x consensus) DP cells
 
@@ -276,20 +272,29 @@ def _solve_lanes(jobs: list[AlignmentJob], which: np.ndarray, n: np.ndarray,
                  m: np.ndarray) -> SolvedJobs:
     """Solve one chunk of lanes (``which`` their job indices, ``n`` their
     read lengths, descending, ``m`` their window widths, at most 64):
-    their table, lane after lane, laid out as
-    :func:`~repro.mapping.alignment.trace_lanes` takes them."""
-    k = len(jobs)
-    start = np.zeros(k, dtype=np.int64)
-    np.cumsum(n[:-1] + 1, out=start[1:])
-    reads = np.zeros(int(start[-1] + n[-1] + 1), dtype=np.uint8)
-    reads[run_index(start + 1, n)] = np.concatenate(
-        [job.read_seg for job in jobs])
-    cons_rows = np.full((k, _LANE_BITS), _CONS_PAD, dtype=np.uint8)
-    cons_rows.reshape(-1)[run_index(np.arange(k) * _LANE_BITS, m)] = \
-        np.concatenate([job.cons_seg for job in jobs])
+    their table, lane after lane."""
     free_start, free_end = (np.array([job.flavour == flavour for job in jobs])
                             for flavour in ("prefix_free", "suffix_free"))
-    return trace_lanes(reads, cons_rows, n, m, free_start, free_end)
+    return trace_lanes(*_lane_layout(
+        np.concatenate([job.read_seg for job in jobs]),
+        np.concatenate([job.cons_seg for job in jobs]), n, m),
+        n, m, free_start, free_end)
+
+
+def _lane_layout(read_codes: np.ndarray, cons_codes: np.ndarray,
+                 n: np.ndarray, m: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``(reads, cons)`` of lanes whose read bases are ``read_codes`` and
+    windows ``cons_codes``, lane after lane (``n`` / ``m`` their lengths,
+    ``m`` at most 64), laid out as
+    :func:`~repro.mapping.alignment.step_lanes` takes them."""
+    k = n.size
+    start = np.cumsum(n + 1) - (n + 1)
+    reads = np.zeros(int(start[-1] + n[-1] + 1), dtype=np.uint8)
+    reads[run_index(start + 1, n)] = read_codes
+    cons = np.full((k, _LANE_BITS), _CONS_PAD, dtype=np.uint8)
+    cons.reshape(-1)[run_index(np.arange(k) * _LANE_BITS, m)] = cons_codes
+    return reads, cons
 
 
 # ----------------------------------------------------------------------
@@ -478,9 +483,14 @@ class BatchReadMapper(ReadMapper):
         its last) is that the scalar aligner's optimum lies on that
         diagonal — it costs exactly the flank's substitutions and, for a
         tail, its first minimum ends where the flank's bases do — or
-        that the flank is clipped.  The clip, unmapped and window rules
-        are the scalar mapper's own methods."""
-        cons = self.consensus
+        that the flank is clipped.  Every flank with a mismatch whose
+        window fits one lane, heads and tails together, is stepped
+        forward in one set of ``uint64`` lanes
+        (:func:`~repro.mapping.alignment.step_lanes`, the recurrence and
+        end rule the extension's traceback runs on), which gives its
+        cost and end column; a wider flank is left to stage 4.  The
+        clip, unmapped and window rules are the scalar mapper's own
+        methods."""
         n_ver = verify.size
         GLOBAL_STATS.verified += n_ver
         v_read = cand[verify]
@@ -488,7 +498,6 @@ class BatchReadMapper(ReadMapper):
         v_a0 = c_a0[verify]
         v_end = c_end[verify]
         v_len = c_len[verify]
-        v_off = offsets[v_read]
         tail_n = v_len - v_end
         head_lo, tail_hi = self._flank_windows(v_diag + v_a0, v_a0,
                                                v_diag + v_end, tail_n)
@@ -496,44 +505,40 @@ class BatchReadMapper(ReadMapper):
         in_tail = mm_pos >= v_end[mm_row]
         # Between the anchors a candidate's cost is its substitutions.
         cost = np.bincount(mm_row[~in_head & ~in_tail], minlength=n_ver)
+        # Per flank, heads (row 0: prefix_free, ending in the window's
+        # last column) then tails (row 1: suffix_free, ending at the
+        # first minimum of the last row): its read offset and length,
+        # its substitutions and its consensus window.
+        at = offsets[v_read] + np.stack([np.zeros_like(v_end), v_end])
+        n = np.stack([v_a0, tail_n])
+        subs = np.stack([np.bincount(mm_row[in_flank], minlength=n_ver)
+                         for in_flank in (in_head, in_tail)])
+        lo = np.stack([head_lo, v_diag + v_end])
+        m = np.stack([v_diag + v_a0, tail_hi]) - lo
+        flank_cost = np.zeros(n.shape, dtype=np.int64)
+        straight = np.ones(n.shape, dtype=bool)
+        need = np.flatnonzero(subs > 0)
+        # A flank whose window is wider than one lane is left to stage 4.
+        wide = m.flat[need] > _LANE_BITS
         bad = np.zeros(n_ver, dtype=bool)  # provably-identical test failed
-        clips = []
-        # Per flank: its read offset and length, its mismatches, its
-        # consensus window, and whether it is a head (prefix_free: it
-        # ends in the window's last column) or a tail (suffix_free: it
-        # ends at the first minimum of its last row).
-        for at, n, in_flank, lo, hi, head in (
-                (0, v_a0, in_head, head_lo, v_diag + v_a0, True),
-                (v_end, tail_n, in_tail, v_diag + v_end, tail_hi, False)):
-            subs = np.bincount(mm_row[in_flank], minlength=n_ver)
-            flank_cost = np.zeros(n_ver, dtype=np.int64)
-            straight = np.ones(n_ver, dtype=bool)
-            need = np.flatnonzero(subs > 0)
-            bad[need[n[need] > _VERIFY_CAP]] = True
-            need = need[n[need] <= _VERIFY_CAP]
-            if need.size:
-                fn, m = n[need], (hi - lo)[need]
-                read_rows = self._gather_rows(oriented, (v_off + at)[need],
-                                              fn, _READ_PAD)
-                win_rows = self._gather_rows(cons, lo[need], m, _CONS_PAD)
-                GLOBAL_STATS.dp_cells += read_rows.size \
-                    * (win_rows.shape[1] + 1)
-                last = dp_last_rows(read_rows, fn, win_rows, head)
-                if head:
-                    end = straight_end = m
-                else:
-                    own = np.arange(last.shape[1])[None, :] <= m[:, None]
-                    end = np.where(own, last, np.iinfo(last.dtype).max) \
-                        .argmin(axis=1)
-                    straight_end = fn
-                flank_cost[need] = last[np.arange(need.size), end]
-                straight[need] = (end == straight_end) \
-                    & (flank_cost[need] == subs[need])
-            clip = self._soft_clipped(n, flank_cost)
-            bad |= ~clip & ~straight
-            cost += np.where(clip, 0, flank_cost)
-            clips.append(np.where(clip, n, 0))
-        clip_s, clip_e = clips
+        bad[need[wide] % n_ver] = True
+        need = need[~wide]
+        if need.size:
+            need = need[np.argsort(-n.flat[need], kind="stable")]
+            fn, fm = n.flat[need], m.flat[need]
+            head = need < n_ver
+            GLOBAL_STATS.dp_cells += int((fn * (fm + 1)).sum())
+            _, _, end, lane_cost = step_lanes(
+                *_lane_layout(oriented[run_index(at.flat[need], fn)],
+                              self.consensus[run_index(lo.flat[need], fm)],
+                              fn, fm), fn, fm, head, ~head)
+            flank_cost.flat[need] = lane_cost
+            straight.flat[need] = (end == np.where(head, fm, fn)) \
+                & (lane_cost == subs.flat[need])
+        clip = self._soft_clipped(n, flank_cost)
+        bad |= (~clip & ~straight).any(axis=0)
+        cost += np.where(clip, 0, flank_cost).sum(axis=0)
+        clip_s, clip_e = np.where(clip, n, 0)
         unmapped = self._unmapped(cost, v_len, clip_s, clip_e)
 
         # ---- emission: one segment per mapped read; its mismatches
@@ -550,18 +555,6 @@ class BatchReadMapper(ReadMapper):
             v_read[e], use_rev[v_read[e]], v_diag[e] + seg_lo[e], seg_lo[e],
             seg_hi[e], cost[e], clip_s[e], clip_e[e], rank[mm_row],
             mm_pos - seg_lo[mm_row])
-
-    @staticmethod
-    def _gather_rows(flat: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                     pad: int) -> np.ndarray:
-        """Pad variable-length slices ``flat[starts:][:lens]`` into a 2-D
-        matrix; ``pad`` fills past each row's length."""
-        width = int(lens.max())
-        span = np.arange(width, dtype=np.int64)[None, :]
-        idx = starts[:, None] + np.minimum(span, (lens - 1)[:, None])
-        rows = flat[idx].astype(np.uint8, copy=True)
-        rows[span >= lens[:, None]] = pad
-        return rows
 
 
 # ----------------------------------------------------------------------

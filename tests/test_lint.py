@@ -723,13 +723,15 @@ def options_a_caller_sets(source, where):
 #: the batch mapper's bit-packed pre-alignment filter (stage 2 compares
 #: bases), and the mapper's second extension path and its wrappers
 #: (anchored reads of either kernel go through ``ReadMapper._extend``,
-#: the clip test is ``ReadMapper._soft_clipped``, and stage 3 calls
-#: ``dp_last_rows`` itself), and the extension solver's bucketed DP
-#: with its byte cube and cap (jobs run as bit-vector lanes, capped by
-#: ``_LANE_CHUNK_BYTES``), and the mapper's per-read object form — the
-#: op, segment and result records, the one-read entry point and the
-#: flattening of records into columns (a mapping is columns from the
-#: traceback on).
+#: and the clip test is ``ReadMapper._soft_clipped``), and the extension
+#: solver's bucketed DP with its byte cube and cap (jobs run as
+#: bit-vector lanes, capped by ``_LANE_CHUNK_BYTES``), and the mapper's
+#: per-read object form — the op, segment and result records, the
+#: one-read entry point and the flattening of records into columns (a
+#: mapping is columns from the traceback on), and stage 3's second DP
+#: recurrence with its row type, padded planes and flank cap (stage 3
+#: steps its flanks as the extension's lanes, ``step_lanes``, and the
+#: lane width bounds a flank's window).
 DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "SinkFactory", "partition_reads", "samlike",
                        "gc_genomic_unit", "iter_batches", "software_rate_at",
@@ -743,7 +745,8 @@ DELETED_DEFINITIONS = {"register_sink", "unregister_sink", "make_sink",
                        "_map_oriented", "_is_clip", "_batched_last_rows",
                        "_solve_bucket", "_EXTENSION_CELL_CAP", "EditOp",
                        "MappedSegment", "MappingResult", "map_read",
-                       "from_results", "_column"}
+                       "from_results", "_column", "dp_last_rows",
+                       "row_dtype", "_gather_rows", "_VERIFY_CAP"}
 
 
 def deleted_stay_deleted(source, where):
@@ -1078,9 +1081,7 @@ def traced_once(source, where):
     an insertion or deletion op only comes out of a walk back through
     the DP — outside those two, the ``INS`` / ``DEL`` kind numbers are
     only compared with (an operand of a comparison, or an item of a
-    tuple, list or set that is one), never written into a kind column.
-    ``dp_last_rows``, which gives stage 3 its costs, takes no ``cube``
-    of distances for a walk, in its definition or at a call."""
+    tuple, list or set that is one), never written into a kind column."""
     if not where.startswith("src/repro/"):
         return []
     tree = ast.parse(source)
@@ -1109,19 +1110,40 @@ def traced_once(source, where):
         for name in [getattr(node, "id", getattr(node, "attr", None))]
         if name in ("INS", "DEL") and id(node) not in compared
         and id(node) not in in_trace_ops]
+    return offenders
+
+
+#: The two functions that step DP rows, both in ``mapping/alignment.py``:
+#: one job's Python-int rows, and a chunk of ``uint64`` lanes'.
+_ROW_STEPPERS = ("dp_rows", "step_lanes")
+
+
+def recurrence_stated_once(source, where):
+    """The alignment DP has one recurrence under ``src/``: ``row_step``
+    is called only from ``alignment.py``'s ``dp_rows`` and
+    ``step_lanes``, and nothing under ``src/repro/mapping/`` runs a
+    prefix-minimum DP (``np.minimum.accumulate``)."""
+    if not where.startswith("src/repro/"):
+        return []
+    tree = ast.parse(source)
+    stepping = {
+        id(node) for func in ast.walk(tree)
+        if isinstance(func, FUNCTIONS) and func.name in _ROW_STEPPERS
+        and where == "src/repro/mapping/alignment.py"
+        for node in ast.walk(func)}
+    offenders = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == "dp_last_rows" and (len(node.args) > 4 or any(
-                kw.arg == "cube" for kw in node.keywords)):
-            offenders.append(f"{where}:{node.lineno} passes dp_last_rows "
-                             f"a cube")
-    offenders += [
-        f"{where}:{func.lineno} dp_last_rows takes a cube"
-        for func in ast.walk(tree) if isinstance(func, FUNCTIONS)
-        and func.name == "dp_last_rows"
-        and (len(_parameters(func)) > 4 or "cube" in _parameters(func))]
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "row_step" and id(node) not in stepping:
+            offenders.append(f"{where}:{node.lineno} steps DP rows outside "
+                             f"alignment's dp_rows and step_lanes")
+        if name == "accumulate" and where.startswith("src/repro/mapping/") \
+                and getattr(func.value, "attr", None) == "minimum":
+            offenders.append(f"{where}:{node.lineno} runs a prefix-minimum "
+                             f"DP")
     return offenders
 
 
@@ -1996,8 +2018,7 @@ class TestOptionsThreadingEdges:
 
     def test_traced_once(self):
         """``alignment.trace_ops`` and ``alignment.trace_lanes`` are the
-        only tracebacks in ``src/`` and ``dp_last_rows`` takes no
-        ``cube`` (``traced_once``)."""
+        only tracebacks in ``src/`` (``traced_once``)."""
         assert on_tree(traced_once, "src") == []
         for violating, where in (
                 # A third walk, beside the lanes' one.
@@ -2032,23 +2053,12 @@ class TestOptionsThreadingEdges:
                 ("""\
                  def trace_ops(read, cons, dist, width):
                      return []
-                 """, "src/repro/mapping/batch.py"),
-                # A cube back on the stage-3 DP.
-                ("""\
-                 def dp_last_rows(read_rows, read_lens, win_rows,
-                                  free_start, cube=None):
-                     return read_rows
-                 """, "src/repro/mapping/alignment.py"),
-                ("last = dp_last_rows(read_rows, fn, win_rows, head, cube)\n",
-                 "src/repro/mapping/batch.py"),
-                ("last = alignment.dp_last_rows(rows, lens, wins, free, "
-                 "cube=planes)\n", "src/repro/mapping/batch.py")):
+                 """, "src/repro/mapping/batch.py")):
             assert on_snippet(traced_once, violating, where) != [], violating
         # Substitutions are written anywhere; INS / DEL are compared
         # with, and written in trace_ops.
         assert on_snippet(traced_once, """\
             def _verify_and_emit(self, rows, hit_pos):
-                last = dp_last_rows(rows, lens, wins, head)
                 return np.full(hit_pos.size, SUB, dtype=np.int8)
             """, "src/repro/mapping/batch.py") == []
         assert on_snippet(traced_once, """\
@@ -2067,6 +2077,50 @@ class TestOptionsThreadingEdges:
                 kind[t] = np.where(j_end == 0, INS, DEL)[has]
                 return kind
             """, "src/repro/mapping/alignment.py") == []
+
+    def test_recurrence_stated_once(self):
+        """``row_step`` is stepped only by ``alignment.dp_rows`` and
+        ``alignment.step_lanes``, and no prefix-minimum DP is left
+        under ``src/repro/mapping/`` (``recurrence_stated_once``)."""
+        assert on_tree(recurrence_stated_once, "src") == []
+        for violating, where in (
+                # Stage 3's second recurrence, as it was.
+                ("""\
+                 def dp_last_rows(read_rows, read_lens, win_rows,
+                                  free_start):
+                     for i in range(1, n_max + 1):
+                         np.equal(read_rows[:, i - 1, None], win_rows,
+                                  out=match)
+                         np.subtract(prev[:, :-1], match, out=diag)
+                         np.add(prev, 1, out=row)
+                         np.minimum(row[:, 1:], diag, out=row[:, 1:])
+                         np.minimum.accumulate(row, axis=1, out=row)
+                         prev, row = row, prev
+                     return last
+                 """, "src/repro/mapping/alignment.py"),
+                ("row = numpy.minimum.accumulate(row)\n",
+                 "src/repro/mapping/batch.py"),
+                # Rows stepped by a third function, or outside alignment.
+                ("""\
+                 def _flank_rows(p, q, eqs):
+                     return [row_step(p, q, eq) for eq in eqs]
+                 """, "src/repro/mapping/alignment.py"),
+                ("""\
+                 def step_lanes(p, q, eq):
+                     return alignment.row_step(p, q, eq)
+                 """, "src/repro/mapping/batch.py"),
+                ("p, q = row_step(p, q, eq)\n", "src/repro/core/widget.py")):
+            assert on_snippet(recurrence_stated_once, violating,
+                              where) != [], violating
+        assert on_snippet(recurrence_stated_once, """\
+            def step_lanes(reads, cons, n, m, free_start, free_end):
+                p, q = row_step(p[:a], q[:a], eq[at])
+                return p, q
+            """, "src/repro/mapping/alignment.py") == []
+        # Outside the mapper a prefix minimum is no alignment DP.
+        assert on_snippet(recurrence_stated_once,
+                          "first = np.minimum.accumulate(nz[::-1])\n",
+                          "src/repro/core/kernels.py") == []
 
     def test_hardware_decodes_once(self):
         """The hardware model decodes each block once, on the session's

@@ -390,16 +390,43 @@ class TestTracebackOracle:
         res = suffix_free_align(read, cons)
         assert (res.cost, res.cons_used_end) == (1, 1)
 
-    def test_row_dtype_rule(self):
-        """Rows are int16 while n + m fits in it, int32 past that."""
-        limit = np.iinfo(np.int16).max
-        assert alignment.row_dtype(0, 0) is np.int16
-        assert alignment.row_dtype(limit - 800, 800) is np.int16
-        assert alignment.row_dtype(limit - 800, 801) is np.int32
-        assert alignment.row_dtype(0, limit + 1) is np.int32
-        read, cons = enc("ACGTTGCA"), enc("ACGTGCA")
-        last = alignment.dp_last_rows(read[None, :], np.array([read.size]),
-                                      cons[None, :], False)
-        assert last.dtype == np.int16
-        assert last[0].tolist() == oracle_dp_matrix(read, cons,
-                                                    False)[0].tolist()
+    def test_lane_ends_equal_the_dp_oracle(self):
+        """``step_lanes`` ends a ``prefix_free`` lane in its window's
+        last column and a ``suffix_free`` lane at the first minimum of
+        its last row, at that cell's distance, as the scalar DP does:
+        lanes of 0..70 read bases against windows of 0, 1, 63 and 64
+        columns, stepped side by side, with ``N`` in reads and windows
+        (``N`` matches ``N``)."""
+        rng = np.random.default_rng(13)
+        lanes = []
+        for m in (0, 1, 63, 64):
+            for n in (0, 1, 2, 20, 40, 63, 64, 70):
+                codes = rng.choice(5, max(n, m) + 8,
+                                   p=[0.22] * 4 + [0.12]).astype(np.uint8)
+                read = codes[:n].copy()
+                edits = rng.random(n) < 0.15
+                read[edits] = rng.integers(0, 5, int(edits.sum()))
+                shift = int(rng.integers(0, 8))
+                win = codes[shift:shift + m]
+                lanes += [(read, win, True), (read, win, False)]
+        assert any(seq.N_CODE in read for read, _, _ in lanes)
+        assert any(seq.N_CODE in win for _, win, _ in lanes)
+        lanes.sort(key=lambda lane: -lane[0].size)
+        n = np.array([read.size for read, _, _ in lanes])
+        m = np.array([win.size for _, win, _ in lanes])
+        free_start = np.array([free for _, _, free in lanes])
+        start = np.cumsum(n + 1) - (n + 1)
+        reads = np.zeros(int((n + 1).sum()), dtype=np.uint8)
+        cons = np.full((len(lanes), batch._LANE_BITS), batch._CONS_PAD,
+                       dtype=np.uint8)
+        for r, (read, win, _) in enumerate(lanes):
+            reads[start[r] + 1:start[r] + 1 + read.size] = read
+            cons[r, :win.size] = win
+        _, _, end_j, cost = alignment.step_lanes(reads, cons, n, m,
+                                                 free_start, ~free_start)
+        want = []
+        for read, win, free in lanes:
+            last, _ = oracle_dp_matrix(read, win, free)
+            end = win.size if free else int(np.argmin(last))
+            want.append((end, int(last[end])))
+        assert list(zip(end_j.tolist(), cost.tolist())) == want

@@ -432,6 +432,32 @@ class TestCrossMapperFuzz:
         BatchReadMapper(reference, cfg).map_batch(reads[:len(gaps)])
         assert batch.GLOBAL_STATS.fallback == 0
 
+    def test_flank_windows_at_the_lane_width(self, reference):
+        """A flank with edits is proven by stage 3 while its window fits
+        one ``uint64`` lane, 64 columns: a 40-base head or tail and its
+        ``end_slack``, or a 50-base head whose window is cut at
+        consensus base 0.  A 41-base tail (65 columns) is left to stage
+        4.  Either way the batch kernel's table is the scalar one's.
+        Each flank costs its count of ``N``s (an ``N`` matches nothing
+        in the consensus), and none is a clip."""
+        cfg = MapperConfig()
+        assert 40 + cfg.end_slack == batch._LANE_BITS
+        fits = [_n_flank(reference, 1_000, 151, 40, 3, False),
+                _n_flank(reference, 1_000, 151, 40, 3, True),
+                _n_flank(reference, 0, 151, 50, 4, True)]
+        wide = [_n_flank(reference, 1_000, 150, 41, 3, False)]
+        for reads, fallback in ((fits, 0), (wide, 1)):
+            want = _maps_like_map_one(reference, reads, cfg)
+            assert [(r.cost, r.clip_start.size, r.clip_end.size)
+                    for r in want] == [(c, 0, 0) for c in (3, 3, 4)][
+                        :len(reads)]
+            batch.reset_stats()
+            table = BatchReadMapper(reference, cfg).map_batch(reads)
+            assert (batch.GLOBAL_STATS.verified,
+                    batch.GLOBAL_STATS.fallback) == (len(reads), fallback)
+            assert _columns(table) == _columns(
+                ReadMapper(reference, cfg).map_batch(reads))
+
     def test_empty_batch(self, reference):
         # The columns of an empty table have a mapped one's dtypes.
         mapped = _columns(ReadMapper(reference, MapperConfig()).map_batch(
@@ -635,9 +661,7 @@ class TestBatchedExtension:
         assert calls == {"trace_ops": wide, "dp_rows": wide}
 
     def test_pad_codes_are_no_base(self):
-        codes = set(range(seqmod.N_CODE + 1))
-        assert batch._READ_PAD != batch._CONS_PAD
-        assert not {batch._READ_PAD, batch._CONS_PAD} & codes
+        assert batch._CONS_PAD not in set(range(seqmod.N_CODE + 1))
 
 
 # ----------------------------------------------------------------------
@@ -779,24 +803,23 @@ class TestMapperStats:
         """``extension_jobs`` / ``extension_cells`` count every gap, head
         and tail alignment of the reads the fast path left (``fallback``)
         — real cells, not the padded buckets; ``dp_cells`` counts the
-        cells the verification DP computes: problems x rows x (columns
-        + 1) of each plane it is handed."""
+        real cells of the flanks stage 3 steps as lanes: rows x (columns
+        + 1) of each, with no padding."""
         solved = []
         solve = batch.solve_extension_jobs
         computed = []
-        last_rows = batch.dp_last_rows
+        step = batch.step_lanes
 
         def recording(jobs, stats):
             solved.extend(jobs)
             return solve(jobs, stats)
 
-        def measuring(read_rows, read_lens, win_rows, free_start):
-            computed.append(read_rows.shape[0] * read_rows.shape[1]
-                            * (win_rows.shape[1] + 1))
-            return last_rows(read_rows, read_lens, win_rows, free_start)
+        def measuring(reads, cons, n, m, free_start, free_end):
+            computed.append(int((n * (m + 1)).sum()))
+            return step(reads, cons, n, m, free_start, free_end)
 
         monkeypatch.setattr(batch, "solve_extension_jobs", recording)
-        monkeypatch.setattr(batch, "dp_last_rows", measuring)
+        monkeypatch.setattr(batch, "step_lanes", measuring)
         codes_list = _fuzz_reads(np.random.default_rng(1), reference, 50, 90)
         batch.reset_stats()
         BatchReadMapper(reference, MapperConfig()).map_batch(codes_list)
